@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build vet lint test race bench bench-json profile fuzz ci experiments examples load cover clean
 
 # Benchmarks that feed the perf-trajectory record (see bench-json).
-BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/mux/
+BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/mux/ ./internal/bitstr/ ./internal/core/
 
 all: build vet test
 
@@ -36,15 +36,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Re-measure the hot-path benchmarks and refresh the PR's perf-trajectory
-# record, keeping the previous PR's numbers as the "before" section. A
-# per-benchmark speedup summary is printed to stderr.
+# record, keeping the previous record's numbers as the "before" section. A
+# per-benchmark speedup summary is printed to stderr. From BENCH_PR13.json on
+# the file number is the PR number (BENCH_PR8.json, the previous link, is
+# PR 10's record; numbers 9-12 are skipped).
 bench-json:
 	( $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSessmuxFlush -benchmem ./internal/sessmux/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSessionThroughput -benchtime 1x -benchmem ./internal/sessmux/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkE18_CrashRecovery -benchtime 3x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSweepN1024 -benchtime 1x -benchmem . ) \
-		| $(GO) run ./cmd/benchjson -before BENCH_PR7.json > BENCH_PR8.json
+		| $(GO) run ./cmd/benchjson -before BENCH_PR8.json > BENCH_PR13.json
 
 # Capture CPU and heap profiles for the headline decode benchmark (override
 # PROFILE_BENCH/PROFILE_PKG to profile something else). go test drops the
@@ -59,7 +61,8 @@ profile:
 
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame
 # codec (copying and borrowing decoders), the Π_ℓBA+ tuple decoder, the
-# checkpoint WAL replay, and the mirrored-WAL scrub/repair pass. Raise
+# checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
+# the bitstr word kernels against their bit-at-a-time oracles. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzInspectState -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzKernelsVsReference -fuzztime $(FUZZTIME) ./internal/bitstr/
 
 # Minimal CI entry point (vet + build + tests + race on the perf-critical
 # packages); scripts/ci.sh is the same thing for environments without make.

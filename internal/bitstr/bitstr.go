@@ -8,11 +8,23 @@
 // Strings are value types: all operations return fresh storage and never
 // alias the receiver's backing array, so a String can be shared freely
 // between goroutines once constructed.
+//
+// Layout and invariant. An n-bit String holds exactly ⌈n/8⌉ bytes; bit i is
+// bit 7−i%8 of byte i/8, and the 8·⌈n/8⌉−n padding bits below the last bit
+// are zero. Every constructor establishes this (Unmarshal rejects input that
+// violates it), and every operation relies on it: two Strings of one length
+// are equal exactly when their bytes are, and their order as naturals is the
+// lexicographic order of their bytes. That is what lets Compare, Equal and
+// HasPrefix run on whole bytes, and Slice, Concat, FromBig and Big move
+// 64-bit words — no operation on packed data looks at one bit at a time.
 package bitstr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 )
@@ -53,19 +65,12 @@ func FromBig(v *big.Int, width int) (String, error) {
 		return String{}, fmt.Errorf("%w: %d bits into width %d", ErrOverflow, v.BitLen(), width)
 	}
 	s := String{data: make([]byte, (width+7)/8), n: width}
-	raw := v.Bytes() // big-endian, minimal
-	// Right-align raw into the bit width: the value occupies the lowest
-	// v.BitLen() bits, i.e. the rightmost bits of the string.
-	for i, b := range raw {
-		// Byte raw[i] covers value bits [8*(len(raw)-i)-8, 8*(len(raw)-i)).
-		shift := uint(8 * (len(raw) - 1 - i))
-		for k := 0; k < 8; k++ {
-			if b>>(7-k)&1 == 1 {
-				// Bit position from the right end of the value.
-				fromRight := int(shift) + (7 - k)
-				s.setBit(width-1-fromRight, 1)
-			}
-		}
+	// FillBytes right-aligns v in the buffer; the string wants it
+	// left-aligned above the padding bits, which v.BitLen() ≤ width leaves
+	// free at the top.
+	v.FillBytes(s.data)
+	if pad := s.pad(); pad != 0 {
+		funnel(s.data, s.data[1:], s.data[0], pad)
 	}
 	return s, nil
 }
@@ -87,7 +92,7 @@ func FromBits(bits []byte) (String, error) {
 		switch b {
 		case 0:
 		case 1:
-			s.setBit(i, 1)
+			s.setBit(i)
 		default:
 			return String{}, fmt.Errorf("bitstr: bit %d has non-binary value %d", i, b)
 		}
@@ -121,11 +126,38 @@ func MustParse(text string) String {
 	return s
 }
 
-func (s *String) setBit(i int, b byte) {
-	if b == 1 {
-		s.data[i/8] |= 1 << uint(7-i%8)
-	} else {
-		s.data[i/8] &^= 1 << uint(7-i%8)
+func (s *String) setBit(i int) { s.data[i/8] |= 0x80 >> uint(i%8) }
+
+// pad returns the number of padding bits in the last byte (0..7).
+func (s String) pad() uint { return uint(-s.n) & 7 }
+
+// clearPad zeroes the padding bits, restoring the package invariant after a
+// kernel has written whole bytes.
+func (s String) clearPad() {
+	if pad := s.pad(); pad != 0 {
+		s.data[len(s.data)-1] &= 0xFF << pad
+	}
+}
+
+// funnel is the one shifting kernel. With b the byte stream carry‖src‖0…,
+// it writes dst[i] = b[i]<<sh | b[i+1]>>(8−sh) for every i < len(dst): the
+// stream moved left by sh bits, 1 ≤ sh ≤ 7. The bulk moves one 64-bit word
+// per step. dst may be the slice that src is the tail of (an in-place left
+// shift): each step reads its bytes before it writes below them.
+func funnel(dst, src []byte, carry byte, sh uint) {
+	i := 0
+	for ; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
+		w := binary.BigEndian.Uint64(src[i:])
+		binary.BigEndian.PutUint64(dst[i:], uint64(carry)<<(56+sh)|w>>(8-sh))
+		carry = byte(w)
+	}
+	for ; i < len(dst); i++ {
+		var b byte
+		if i < len(src) {
+			b = src[i]
+		}
+		dst[i] = carry<<sh | b>>(8-sh)
+		carry = b
 	}
 }
 
@@ -143,13 +175,8 @@ func (s String) Bit(i int) byte {
 // Big returns VAL(BITS): the natural number whose binary representation the
 // string is. The empty string has value 0.
 func (s String) Big() *big.Int {
-	v := new(big.Int)
-	for i := 0; i < s.n; i++ {
-		if s.Bit(i) == 1 {
-			v.SetBit(v, s.n-1-i, 1)
-		}
-	}
-	return v
+	v := new(big.Int).SetBytes(s.data)
+	return v.Rsh(v, s.pad())
 }
 
 // Slice returns the substring of bits [lo, hi) (0-based, half-open).
@@ -158,11 +185,16 @@ func (s String) Slice(lo, hi int) (String, error) {
 		return String{}, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
 	}
 	out := String{data: make([]byte, (hi-lo+7)/8), n: hi - lo}
-	for i := lo; i < hi; i++ {
-		if s.Bit(i) == 1 {
-			out.setBit(i-lo, 1)
-		}
+	if out.n == 0 {
+		return out, nil
 	}
+	src := s.data[lo/8 : (hi+7)/8]
+	if sh := uint(lo % 8); sh == 0 {
+		copy(out.data, src)
+	} else {
+		funnel(out.data, src[1:], src[0], sh)
+	}
+	out.clearPad()
 	return out, nil
 }
 
@@ -173,45 +205,34 @@ func (s String) Prefix(k int) (String, error) { return s.Slice(0, k) }
 func (s String) Concat(t String) String {
 	out := String{data: make([]byte, (s.n+t.n+7)/8), n: s.n + t.n}
 	copy(out.data, s.data)
-	if s.n%8 == 0 {
-		copy(out.data[s.n/8:], t.data)
-		return out
-	}
-	for i := 0; i < t.n; i++ {
-		if t.Bit(i) == 1 {
-			out.setBit(s.n+i, 1)
-		}
+	tail := out.data[s.n/8:]
+	if used := uint(s.n % 8); used == 0 {
+		copy(tail, t.data)
+	} else {
+		// t moved right by `used` bits is 0‖t moved left by 8−used; the
+		// carry re-enters the bits of s that share the first byte.
+		funnel(tail, t.data, tail[0]>>(8-used), 8-used)
 	}
 	return out
 }
 
 // AppendBit returns s with one extra bit b (0 or 1) appended.
 func (s String) AppendBit(b byte) (String, error) {
-	t, err := FromBits([]byte{b})
-	if err != nil {
-		return String{}, err
+	if b > 1 {
+		return String{}, fmt.Errorf("bitstr: non-binary bit %d", b)
 	}
-	return s.Concat(t), nil
+	out := String{data: make([]byte, (s.n+8)/8), n: s.n + 1}
+	copy(out.data, s.data)
+	if b == 1 {
+		out.setBit(s.n)
+	}
+	return out, nil
 }
 
 // Equal reports whether s and t are the same bitstring (same length, same
 // bits).
 func (s String) Equal(t String) bool {
-	if s.n != t.n {
-		return false
-	}
-	full := s.n / 8
-	for i := 0; i < full; i++ {
-		if s.data[i] != t.data[i] {
-			return false
-		}
-	}
-	for i := full * 8; i < s.n; i++ {
-		if s.Bit(i) != t.Bit(i) {
-			return false
-		}
-	}
-	return true
+	return s.n == t.n && bytes.Equal(s.data, t.data)
 }
 
 // HasPrefix reports whether p is a prefix of s.
@@ -219,11 +240,12 @@ func (s String) HasPrefix(p String) bool {
 	if p.n > s.n {
 		return false
 	}
-	head, err := s.Prefix(p.n)
-	if err != nil {
+	full := p.n / 8
+	if !bytes.Equal(s.data[:full], p.data[:full]) {
 		return false
 	}
-	return head.Equal(p)
+	// p's padding is zero, so masking s's byte down to p's bits suffices.
+	return p.n%8 == 0 || s.data[full]&(0xFF<<p.pad()) == p.data[full]
 }
 
 // Compare compares two equal-length bitstrings as the naturals they
@@ -233,16 +255,7 @@ func (s String) Compare(t String) int {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitstr: comparing lengths %d and %d", s.n, t.n))
 	}
-	for i := 0; i < s.n; i++ {
-		a, b := s.Bit(i), t.Bit(i)
-		if a != b {
-			if a < b {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
+	return bytes.Compare(s.data, t.data)
 }
 
 // MinFill returns MIN_ℓ(BITS): the smallest width-bit value having s as a
@@ -277,15 +290,17 @@ func (s String) FillTo(width int, b byte) (String, error) {
 	if width < s.n {
 		return String{}, fmt.Errorf("%w: width %d < length %d", ErrRange, width, s.n)
 	}
-	pad := make([]byte, width-s.n)
-	for i := range pad {
-		pad[i] = b
+	out := String{data: make([]byte, (width+7)/8), n: width}
+	copy(out.data, s.data)
+	if b == 1 && width > s.n {
+		tail := out.data[s.n/8:]
+		tail[0] |= 0xFF >> uint(s.n%8)
+		for i := 1; i < len(tail); i++ {
+			tail[i] = 0xFF
+		}
+		out.clearPad()
 	}
-	tail, err := FromBits(pad)
-	if err != nil {
-		return String{}, err
-	}
-	return s.Concat(tail), nil
+	return out, nil
 }
 
 // String renders the bitstring as text, e.g. "0101".
@@ -302,10 +317,7 @@ func (s String) String() string {
 // followed by the packed bytes.
 func (s String) Marshal() []byte {
 	out := make([]byte, 4+len(s.data))
-	out[0] = byte(s.n >> 24)
-	out[1] = byte(s.n >> 16)
-	out[2] = byte(s.n >> 8)
-	out[3] = byte(s.n)
+	binary.BigEndian.PutUint32(out, uint32(s.n))
 	copy(out[4:], s.data)
 	return out
 }
@@ -317,22 +329,20 @@ func Unmarshal(raw []byte) (String, error) {
 	if len(raw) < 4 {
 		return String{}, ErrCorrupt
 	}
-	n := int(raw[0])<<24 | int(raw[1])<<16 | int(raw[2])<<8 | int(raw[3])
-	if n < 0 {
-		return String{}, ErrCorrupt
-	}
+	// The length is checked as an unsigned number, against the body and
+	// against int's range, before it becomes an int: no 32-bit value wraps
+	// on any platform.
+	bits := binary.BigEndian.Uint32(raw)
 	body := raw[4:]
-	if len(body) != (n+7)/8 {
+	if uint64(bits) > math.MaxInt || (uint64(bits)+7)/8 != uint64(len(body)) {
 		return String{}, ErrCorrupt
 	}
-	s := String{data: make([]byte, len(body)), n: n}
+	s := String{data: make([]byte, len(body)), n: int(bits)}
 	copy(s.data, body)
-	// Reject nonzero bits in the final partial byte so equal strings have
-	// equal encodings.
-	for i := n; i < 8*len(body); i++ {
-		if s.data[i/8]>>uint(7-i%8)&1 == 1 {
-			return String{}, ErrCorrupt
-		}
+	// Reject nonzero padding bits: the package invariant, and what makes
+	// equal strings have equal encodings.
+	if pad := s.pad(); pad != 0 && s.data[len(s.data)-1]&(1<<pad-1) != 0 {
+		return String{}, ErrCorrupt
 	}
 	return s, nil
 }

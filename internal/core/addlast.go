@@ -62,21 +62,23 @@ func AddLastBlock(env transport.Net, tag string, prefix, v bitstr.String, blockB
 // Those parties announce whether their value lies below MIN_ℓ(prefix) or
 // above MAX_ℓ(prefix); one bit of BA then selects the common valid output.
 func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.String) (*big.Int, error) {
-	minFill, err := prefix.MinFill(width)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	// vBot's side of the prefix range is read off the bitstrings: a value
+	// that avoids prefix lies below MIN_ℓ(prefix) exactly when its first
+	// |prefix| bits order below prefix. Parties holding the prefix stay
+	// silent.
+	if width < prefix.Len() {
+		return nil, fmt.Errorf("%w: prefix of %d bits exceeds width %d", ErrProtocol, prefix.Len(), width)
 	}
-	maxFill, err := prefix.MaxFill(width)
+	head, err := vBot.Prefix(prefix.Len())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	var out []transport.Packet
-	if !vBot.HasPrefix(prefix) {
-		b := byte(1)
-		if vBot.Big().Cmp(minFill) < 0 {
-			b = 0
-		}
-		out = transport.Broadcast(env, tag+"/side", []byte{b})
+	switch head.Compare(prefix) {
+	case -1:
+		out = transport.Broadcast(env, tag+"/side", []byte{0})
+	case 1:
+		out = transport.Broadcast(env, tag+"/side", []byte{1})
 	}
 	in, err := env.Exchange(out)
 	if err != nil {
@@ -99,8 +101,15 @@ func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.Str
 	if err != nil {
 		return nil, err
 	}
+	// Only the value returned is materialised as a number.
+	var fill *big.Int
 	if agreed == 0 {
-		return minFill, nil
+		fill, err = prefix.MinFill(width)
+	} else {
+		fill, err = prefix.MaxFill(width)
 	}
-	return maxFill, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return fill, nil
 }

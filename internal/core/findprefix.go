@@ -68,7 +68,9 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 	}
 	left, right := 1, numBlocks+1
 	vBot := v
-	prefix := bitstr.String{}
+	// Loop invariant: blocks 1..left−1 of v are the prefix agreed so far.
+	// The prefix is therefore never held separately, and each iteration
+	// touches only the blocks left..mid it is deciding.
 	for left < right {
 		mid := (left + right) / 2
 		segment, err := v.BlockRange(left-1, mid, blockBits)
@@ -93,24 +95,28 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 			// party's submission, which always has this exact shape.
 			return PrefixResult{}, fmt.Errorf("%w: agreed segment malformed", ErrProtocol)
 		}
-		prefix = prefix.Concat(agreedSeg)
 		// Re-anchor v on the agreed prefix if it diverged (Remark 2 makes
-		// the fill values valid).
-		myPrefix, err := v.Prefix(mid * blockBits)
-		if err != nil {
-			return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		switch myPrefix.Compare(prefix) {
-		case -1:
-			if v, err = prefix.FillTo(width, 0); err != nil {
+		// the fill values valid). By the invariant v and prefix‖agreedSeg
+		// share their first left−1 blocks, so the first mid blocks of v
+		// order against prefix‖agreedSeg as segment does against agreedSeg.
+		if c := segment.Compare(agreedSeg); c != 0 {
+			fill := byte(0)
+			if c > 0 {
+				fill = 1
+			}
+			prefix, err := v.BlockRange(0, left-1, blockBits)
+			if err != nil {
 				return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 			}
-		case 1:
-			if v, err = prefix.FillTo(width, 1); err != nil {
+			if v, err = prefix.Concat(agreedSeg).FillTo(width, fill); err != nil {
 				return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 			}
 		}
 		left = mid + 1
+	}
+	prefix, err := v.BlockRange(0, left-1, blockBits)
+	if err != nil {
+		return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	return PrefixResult{Prefix: prefix, V: v, VBot: vBot}, nil
 }

@@ -165,22 +165,38 @@ func decodeNats(in []transport.Message) []*big.Int {
 // senders sent this round, or nil. (At the thresholds used by the protocol
 // at most one value can be honest-backed; taking the smallest keeps the
 // defensive tie-break deterministic.)
+//
+// Payloads are counted as bytes: with its leading zero bytes trimmed a
+// payload is the canonical encoding of the natural it decodes to, so it is
+// copied once per distinct value (as the map key) and only the winner
+// becomes a big.Int.
 func natWithSupport(in []transport.Message, threshold int) *big.Int {
-	counts := make(map[string]int)
+	counts := make(map[string]*int)
 	for _, payload := range transport.FirstPerSender(in) {
-		counts[string(decodeNat(payload).Bytes())]++
+		for len(payload) > 0 && payload[0] == 0 {
+			payload = payload[1:]
+		}
+		c := counts[string(payload)]
+		if c == nil {
+			c = new(int)
+			counts[string(payload)] = c
+		}
+		*c++
 	}
-	var best *big.Int
+	best, found := "", false
 	for s, c := range counts {
-		if c < threshold {
+		if *c < threshold {
 			continue
 		}
-		v := new(big.Int).SetBytes([]byte(s))
-		if best == nil || v.Cmp(best) < 0 {
-			best = v
+		// Canonical encodings order as naturals by length, then bytes.
+		if !found || len(s) < len(best) || (len(s) == len(best) && s < best) {
+			best, found = s, true
 		}
 	}
-	return best
+	if !found {
+		return nil
+	}
+	return new(big.Int).SetBytes([]byte(best))
 }
 
 // interval is a received trusted interval.

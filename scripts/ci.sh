@@ -74,7 +74,7 @@ if ! grep -q '"before"' "$latest"; then
 	exit 1
 fi
 
-echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, vec merge paths)"
+echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, vec merge paths, bitstr kernels)"
 # Re-measure the pooled frame round-trip, the admission-gated read, the
 # checkpoint append on the real filesystem, and the scatter-gather merge
 # paths (wire AppendFrameVecs, mux/sessmux flushVec), then compare allocs/op
@@ -82,12 +82,15 @@ echo "== allocs/op regression guard (zero-copy frame path, admission fast path, 
 # gates without flaking; a regression here means a zero-copy path grew a
 # hidden allocation — e.g. the vec merge scratch stopped being reused across
 # rounds, which would silently re-introduce the per-round copies this path
-# exists to eliminate.
+# exists to eliminate. The bitstr rows pin Slice/Concat/FillTo at 1 alloc/op
+# (the result) and Compare at 0: a per-bit or byte-per-bit scratch coming
+# back into a kernel is an extra allocation and fails here.
 ( go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission|BenchmarkFrameVecs' -benchtime 100x -benchmem ./internal/wire/ ; \
   go test -run '^$' -bench 'BenchmarkWALAppend$' -benchtime 100x -benchmem ./internal/checkpoint/ ; \
   go test -run '^$' -bench 'BenchmarkMuxFlushVec' -benchtime 100x -benchmem ./internal/mux/ ; \
-  go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 100x -benchmem ./internal/sessmux/ ) \
-	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|FrameVecs|MuxFlushVec|SessmuxFlushVec' > /dev/null
+  go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 100x -benchmem ./internal/sessmux/ ; \
+  go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/ ) \
+	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|FrameVecs|MuxFlushVec|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare' > /dev/null
 
 echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 # One full 1024-session wave set over the shared loopback mesh, gated on an
@@ -101,7 +104,7 @@ echo "== calint runtime guard (full-tree analysis within 60s)"
 go test -run '^$' -bench 'BenchmarkCalintFullTree' -benchtime 1x -benchmem ./internal/lint/ \
 	| go run ./cmd/benchjson -guard-time 'CalintFullTree=60s' > /dev/null
 
-echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub)"
+echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bitstr kernels)"
 # FuzzReadFrame and FuzzReadFrameInto share a prefix; go test refuses a -fuzz
 # pattern matching more than one target, so each needs an anchored pattern.
 go test -run '^$' -fuzz 'FuzzReadFrame$' -fuzztime 5s ./internal/wire/
@@ -110,5 +113,6 @@ go test -run '^$' -fuzz FuzzAdmission -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/baplus/
 go test -run '^$' -fuzz FuzzInspectState -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScrub -fuzztime 5s ./internal/checkpoint/
+go test -run '^$' -fuzz FuzzKernelsVsReference -fuzztime 5s ./internal/bitstr/
 
 echo "CI OK"
