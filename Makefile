@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build vet lint test race bench bench-json profile fuzz ci experiments examples load cover clean
 
 # Benchmarks that feed the perf-trajectory record (see bench-json).
-BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/mux/ ./internal/bitstr/ ./internal/core/
+BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/bitstr/ ./internal/core/
 
 all: build vet test
 
@@ -42,7 +42,7 @@ bench:
 # PR 10's record; numbers 9-12 are skipped).
 bench-json:
 	( $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSessmuxFlush -benchmem ./internal/sessmux/ ; \
+	  $(GO) test -run '^$$' -bench BenchmarkSessmuxFlushVec -benchmem ./internal/sessmux/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSessionThroughput -benchtime 1x -benchmem ./internal/sessmux/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkE18_CrashRecovery -benchtime 3x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSweepN1024 -benchtime 1x -benchmem . ) \
@@ -88,11 +88,13 @@ cover:
 experiments:
 	$(GO) run ./cmd/cabench
 
-# Session-mux load run: 4 waves of 256 concurrent sessions over one shared
-# in-process mesh of 16 parties, with per-session agreement verification
-# (see cmd/caload; add LOAD_FLAGS="-transport tcp" for a TCP loopback mesh).
+# Session-mux load run: the benchmark's closed-loop workload — waves of 64
+# concurrent muxed Π_ℤ sessions over a 16-party loopback TCP mesh, rejoin
+# on, every agreement verified (LOAD_FLAGS="-workload mux_open" for the
+# open-loop arrival process, "-trace 1" for the per-layer ledger).
+LOAD_FLAGS ?= -workload mux_closed
 load:
-	$(GO) run ./cmd/caload -n 16 -sessions 256 -waves 4 $(LOAD_FLAGS)
+	$(GO) run ./bench $(LOAD_FLAGS)
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,18 +8,22 @@ import (
 	"convexagreement/internal/transporttest"
 )
 
-func TestConformance(t *testing.T) {
-	transporttest.Conformance(t, func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
-		t.Helper()
-		hub, err := channet.NewHub(n, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.Run(fns); err != nil {
-			t.Fatal(err)
-		}
-	})
+func cluster(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
+	t.Helper()
+	hub, err := channet.NewHub(n, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Run(fns); err != nil {
+		t.Fatal(err)
+	}
 }
+
+func TestConformance(t *testing.T) { transporttest.Conformance(t, cluster) }
+
+// TestConformanceVec: scatter-gather packets over the hub take
+// transport.ExchangeVec's flattening fallback.
+func TestConformanceVec(t *testing.T) { transporttest.ConformanceVec(t, cluster) }
 
 // TestConformanceIngress runs the flood battery: packet- and byte-level
 // floods from one party must not disturb the others' rounds.

@@ -12,25 +12,30 @@ import (
 // TestConformance runs the full transport contract battery over
 // faultnet-wrapped channet handles with all faults disabled: the wrapper
 // must be semantically invisible.
-func TestConformance(t *testing.T) {
-	transporttest.Conformance(t, func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
-		t.Helper()
-		hub, err := channet.NewHub(n, tc)
-		if err != nil {
-			t.Fatal(err)
+func TestConformance(t *testing.T) { transporttest.Conformance(t, cluster) }
+
+// TestConformanceVec: the wrapper takes scatter-gather packets through
+// transport.ExchangeVec's flattening fallback, and — it retains payloads
+// in its delay queues — must not see the sender's pieces after the call.
+func TestConformanceVec(t *testing.T) { transporttest.ConformanceVec(t, cluster) }
+
+func cluster(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
+	t.Helper()
+	hub, err := channet.NewHub(n, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faultnet.Plan{Seed: 1}
+	wrapped := make([]func(net transport.Net) error, n)
+	for i := range fns {
+		fn := fns[i]
+		wrapped[i] = func(net transport.Net) error {
+			return fn(faultnet.Wrap(net, plan))
 		}
-		plan := &faultnet.Plan{Seed: 1}
-		wrapped := make([]func(net transport.Net) error, n)
-		for i := range fns {
-			fn := fns[i]
-			wrapped[i] = func(net transport.Net) error {
-				return fn(faultnet.Wrap(net, plan))
-			}
-		}
-		if err := hub.Run(wrapped); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	if err := hub.Run(wrapped); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestConformanceFaults runs the fault-tolerance battery over the wrapped

@@ -9,6 +9,10 @@
 // baseline uses it to run its n broadcasts in O(n) instead of O(n²) rounds
 // (experiment E11 measures exactly that ablation).
 //
+// The package is a policy over the sessmux core, which owns merge, demux
+// and shed: instance i is session i, opened at the base's (n, t) when the
+// mux is created, and a failed instance takes its siblings down with it.
+//
 // Lock-step soundness: every honest party must create the mux at the same
 // physical round with the same instance count, and instance i must run the
 // same protocol everywhere. The paper's protocols guarantee all honest
@@ -18,13 +22,11 @@
 package mux
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
-	"sort"
 	"sync"
 
+	"convexagreement/internal/sessmux"
 	"convexagreement/internal/transport"
 )
 
@@ -35,46 +37,8 @@ var ErrAborted = errors.New("mux: composition aborted by a failed instance")
 // Mux multiplexes instances over a base transport. Create with New, obtain
 // virtual nets with Net, or drive everything with Run.
 type Mux struct {
-	base      transport.Net
-	vec       transport.VecNet // non-nil when base can take scatter-gather packets
-	instances int
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	live      int
-	submitted int
-	pending   map[int][]transport.Packet
-	inboxes   map[int][]transport.Message
-	gen       uint64
-	err       error
-
-	// inboxBound caps one instance's inbox for one physical round; 0 means
-	// unbounded, negative means "default" (64·n, resolved against the base
-	// transport at flush time). When an inbox is full the oldest message
-	// from its heaviest sender is shed (see shedInto) so a flooding peer
-	// displaces its own traffic, never an honest neighbor's.
-	inboxBound int
-	stats      Stats
-
-	// Scratch for the vec merge path, reused across physical rounds: the
-	// base's ExchangeVec contract frees the pieces when it returns, so
-	// unlike the copying path's bump buffer these can live on.
-	hdrBuf  []byte
-	vecBuf  [][]byte
-	pktsBuf []transport.VecPacket
-}
-
-// Stats are cumulative counters for one Mux. BytesReferenced counts
-// payload bytes handed to the base transport by reference over the VecNet
-// fast path; BytesCopied counts payload bytes that went through the
-// copying merge because the base is a plain Net. Their split shows what
-// the zero-copy path is worth: on a VecNet base, BytesCopied stays 0.
-type Stats struct {
-	Rounds          uint64 // physical rounds flushed
-	Packets         uint64 // merged packets shipped to the base
-	BytesReferenced uint64 // payload bytes sent zero-copy (vec path)
-	BytesCopied     uint64 // payload bytes copied into the bump buffer
-	Shed            uint64 // messages shed by the inbox bound
+	core      *sessmux.Mux
+	instances []*sessmux.Session
 }
 
 // New creates a composition of the given number of instances.
@@ -82,18 +46,17 @@ func New(base transport.Net, instances int) (*Mux, error) {
 	if instances <= 0 {
 		return nil, fmt.Errorf("mux: need at least one instance, got %d", instances)
 	}
-	m := &Mux{
-		base:       base,
-		instances:  instances,
-		live:       instances,
-		pending:    make(map[int][]transport.Packet, instances),
-		inboxes:    make(map[int][]transport.Message, instances),
-		inboxBound: -1, // default: 64·n, resolved at flush time
+	m := &Mux{core: sessmux.New(base), instances: make([]*sessmux.Session, instances)}
+	// Instances are bounded per inbox only (64·n by default); equal-shape
+	// instances of one protocol run have no heavier sibling to shed from.
+	m.core.SetTickBound(0)
+	for i := range m.instances {
+		s, err := m.core.Open(uint64(i), base.N(), base.T())
+		if err != nil {
+			return nil, fmt.Errorf("mux: instance %d: %w", i, err)
+		}
+		m.instances[i] = s
 	}
-	if vn, ok := base.(transport.VecNet); ok {
-		m.vec = vn
-	}
-	m.cond = sync.NewCond(&m.mu)
 	return m, nil
 }
 
@@ -103,57 +66,27 @@ func New(base transport.Net, instances int) (*Mux, error) {
 // starving its neighbors' instances, not a correctness knob — honest
 // traffic is one message per sender per instance per round, far under any
 // sane bound.
-func (m *Mux) SetInboxBound(bound int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if bound <= 0 {
-		bound = 0
-	}
-	m.inboxBound = bound
-}
+func (m *Mux) SetInboxBound(bound int) { m.core.SetSessionBound(max(bound, 0)) }
 
 // Shed reports how many messages have been shed by the inbox bound.
-func (m *Mux) Shed() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats.Shed
-}
-
-// Stats returns a snapshot of the cumulative counters.
-func (m *Mux) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *Mux) Shed() uint64 { return m.core.Stats().SessionShed }
 
 // Net returns instance i's virtual transport. Each virtual net must be
 // driven by exactly one goroutine, and its instance must call Done (or be
 // run via Run) when it finishes so the remaining instances can proceed.
-func (m *Mux) Net(i int) transport.Net {
-	return &instanceNet{m: m, id: i}
-}
+func (m *Mux) Net(i int) transport.Net { return m.instances[i] }
 
-// Done retires instance i. Run calls it automatically.
-func (m *Mux) Done(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live--
-	delete(m.pending, i)
-	// The interface-dispatch cycle the lockorder check sees here
-	// (mux.mu -> sessmux.mu via Exchange on a sessmux.Session base, and
-	// the reverse via sessmux's base being a mux instance net) would need
-	// a transport stack that loops back through itself; stacks are
-	// strictly layered by construction, so only one of the two orders can
-	// exist in any program.
-	//calint:ignore lockorder nested muxes layer one way; the reverse edge needs a self-containing transport stack
-	m.maybeFlush()
-}
+// Done retires instance i; a second call is a no-op. Run calls it
+// automatically.
+func (m *Mux) Done(i int) { m.instances[i].Close() }
 
 // Run executes all instance functions concurrently over virtual nets and
-// waits for every one to finish; it returns the combined error.
+// waits for every one to finish; it returns the combined error. An
+// instance that fails aborts its siblings: their next Exchange returns an
+// error wrapping ErrAborted.
 func (m *Mux) Run(fns []func(net transport.Net) error) error {
-	if len(fns) != m.instances {
-		return fmt.Errorf("mux: %d functions for %d instances", len(fns), m.instances)
+	if len(fns) != len(m.instances) {
+		return fmt.Errorf("mux: %d functions for %d instances", len(fns), len(m.instances))
 	}
 	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
@@ -163,276 +96,11 @@ func (m *Mux) Run(fns []func(net transport.Net) error) error {
 			defer wg.Done()
 			errs[i] = fn(m.Net(i))
 			if errs[i] != nil {
-				m.abort(fmt.Errorf("%w: instance %d: %v", ErrAborted, i, errs[i]))
+				m.core.Poison(fmt.Errorf("%w: instance %d: %v", ErrAborted, i, errs[i]))
 			}
 			m.Done(i)
 		}(i, fn)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// abort fails the whole composition (all instances of this party).
-func (m *Mux) abort(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.cond.Broadcast()
-}
-
-// exchange implements one virtual round for an instance.
-func (m *Mux) exchange(inst int, out []transport.Packet) ([]transport.Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.err
-	}
-	if _, dup := m.pending[inst]; dup {
-		return nil, fmt.Errorf("mux: instance %d submitted its round twice", inst)
-	}
-	myGen := m.gen
-	m.pending[inst] = out
-	m.submitted++
-	m.maybeFlush()
-	for m.gen == myGen && m.err == nil {
-		m.cond.Wait()
-	}
-	if m.err != nil {
-		return nil, m.err
-	}
-	return m.inboxes[inst], nil
-}
-
-// maybeFlush performs the physical round once every live instance has
-// submitted. Caller holds m.mu; the base Exchange happens under the lock,
-// which is safe because every other user of this mux is blocked in
-// cond.Wait here.
-func (m *Mux) maybeFlush() {
-	if m.err != nil || m.live == 0 || m.submitted < m.live {
-		return
-	}
-	// Merge in ascending instance order, not map order: the physical
-	// packet stream feeds fault-injection transports whose per-packet
-	// seeded decisions and transcript digest depend on stream order, so a
-	// map-ordered merge would break seed-exact replay.
-	insts := make([]int, 0, len(m.pending))
-	for inst := range m.pending {
-		insts = append(insts, inst)
-	}
-	sort.Ints(insts)
-	var in []transport.Message
-	var err error
-	if m.vec != nil {
-		in, err = m.flushVec(insts)
-	} else {
-		in, err = m.flushCopy(insts)
-	}
-	if err != nil {
-		m.err = fmt.Errorf("mux: physical round: %w", err)
-		m.cond.Broadcast()
-		return
-	}
-	m.stats.Rounds++
-	bound := m.inboxBound
-	if bound < 0 {
-		bound = 64 * m.base.N()
-	}
-	inboxes := make(map[int][]transport.Message, m.live)
-	var counts map[int][]int // per instance: messages held per sender
-	if bound > 0 {
-		counts = make(map[int][]int, m.live)
-	}
-	for _, msg := range in {
-		inst, payload, ok := unframe(msg.Payload)
-		if !ok || inst >= m.instances {
-			continue // undecodable or out-of-range byzantine frame
-		}
-		delivered := transport.Message{From: msg.From, Payload: payload}
-		if bound > 0 && len(inboxes[inst]) >= bound {
-			if counts[inst] == nil {
-				counts[inst] = senderCounts(inboxes[inst], m.base.N())
-			}
-			inboxes[inst] = shedInto(inboxes[inst], counts[inst], delivered)
-			m.stats.Shed++
-			continue
-		}
-		inboxes[inst] = append(inboxes[inst], delivered)
-		if counts != nil && counts[inst] != nil && int(msg.From) < len(counts[inst]) {
-			counts[inst][msg.From]++
-		}
-	}
-	m.inboxes = inboxes
-	m.pending = make(map[int][]transport.Packet, m.live)
-	m.submitted = 0
-	m.gen++
-	m.cond.Broadcast()
-}
-
-// flushCopy merges the pending packets for a plain-Net base. One bump
-// buffer carries every framed payload of the physical round (one
-// allocation instead of one per packet); each frame is carved out with a
-// full slice expression so an append through one carved slice can never
-// bleed into the next frame. The buffer must be fresh every round:
-// downstream transports retain payloads by reference (in-proc delivery,
-// fault-injection delay queues), so the carved frames' lifetime is out of
-// our hands the moment Exchange takes them. Caller holds m.mu.
-func (m *Mux) flushCopy(insts []int) ([]transport.Message, error) {
-	total, packets := 0, 0
-	for _, inst := range insts {
-		for _, p := range m.pending[inst] {
-			total += uvarintLen(uint64(inst)) + len(p.Payload)
-			packets++
-		}
-	}
-	buf := make([]byte, 0, total)
-	merged := make([]transport.Packet, 0, packets)
-	for _, inst := range insts {
-		for _, p := range m.pending[inst] {
-			mark := len(buf)
-			buf = binary.AppendUvarint(buf, uint64(inst))
-			buf = append(buf, p.Payload...)
-			merged = append(merged, transport.Packet{
-				To:      p.To,
-				Tag:     p.Tag,
-				Payload: buf[mark:len(buf):len(buf)],
-			})
-			m.stats.BytesCopied += uint64(len(p.Payload))
-		}
-	}
-	m.stats.Packets += uint64(packets)
-	return m.base.Exchange(merged)
-}
-
-// flushVec merges the pending packets for a VecNet base without copying a
-// single payload byte: each merged packet is a two-piece vector — its
-// instance-id varint carved from one shared header buffer, and the
-// instance's payload by reference. ExchangeVec frees the pieces when it
-// returns, so the header buffer and both scratch slices are reused across
-// physical rounds; they are sized exactly up front because a mid-merge
-// regrowth would move the header bytes out from under the already-carved
-// varint pieces. Caller holds m.mu.
-func (m *Mux) flushVec(insts []int) ([]transport.Message, error) {
-	hdrLen, packets := 0, 0
-	for _, inst := range insts {
-		for range m.pending[inst] {
-			hdrLen += uvarintLen(uint64(inst))
-			packets++
-		}
-	}
-	if cap(m.hdrBuf) < hdrLen {
-		m.hdrBuf = make([]byte, 0, hdrLen)
-	}
-	if cap(m.vecBuf) < 2*packets {
-		m.vecBuf = make([][]byte, 0, 2*packets)
-	}
-	if cap(m.pktsBuf) < packets {
-		m.pktsBuf = make([]transport.VecPacket, 0, packets)
-	}
-	buf, vecs, merged := m.hdrBuf[:0], m.vecBuf[:0], m.pktsBuf[:0]
-	for _, inst := range insts {
-		for _, p := range m.pending[inst] {
-			mark := len(buf)
-			buf = binary.AppendUvarint(buf, uint64(inst))
-			vmark := len(vecs)
-			vecs = append(vecs, buf[mark:len(buf):len(buf)])
-			if len(p.Payload) > 0 {
-				vecs = append(vecs, p.Payload)
-			}
-			merged = append(merged, transport.VecPacket{
-				To:  p.To,
-				Tag: p.Tag,
-				Vec: vecs[vmark:len(vecs):len(vecs)],
-			})
-			m.stats.BytesReferenced += uint64(len(p.Payload))
-		}
-	}
-	m.stats.Packets += uint64(packets)
-	in, err := m.vec.ExchangeVec(merged)
-	// The base is done with the pieces; clear the payload references so the
-	// scratch slices don't pin caller buffers until the next flush.
-	for i := range vecs {
-		vecs[i] = nil
-	}
-	for i := range merged {
-		merged[i].Vec = nil
-	}
-	m.hdrBuf, m.vecBuf, m.pktsBuf = buf, vecs, merged
-	return in, err
-}
-
-// instanceNet is the virtual transport of one instance.
-type instanceNet struct {
-	m  *Mux
-	id int
-}
-
-var _ transport.Net = (*instanceNet)(nil)
-
-func (n *instanceNet) ID() transport.PartyID { return n.m.base.ID() }
-func (n *instanceNet) N() int                { return n.m.base.N() }
-func (n *instanceNet) T() int                { return n.m.base.T() }
-
-func (n *instanceNet) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	return n.m.exchange(n.id, out)
-}
-
-// uvarintLen returns the encoded size of v, so the round's bump buffer can
-// be sized exactly (a mid-merge regrowth would cost the allocation the
-// buffer exists to avoid).
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
-
-// senderCounts tallies how many messages each sender holds in box, so the
-// shed policy can identify the heaviest sender. Built lazily: honest
-// rounds never hit the bound and never pay for the tally.
-func senderCounts(box []transport.Message, n int) []int {
-	counts := make([]int, n)
-	for _, msg := range box {
-		if int(msg.From) < n {
-			counts[msg.From]++
-		}
-	}
-	return counts
-}
-
-// shedInto applies the shed-oldest-from-faulty policy to a full inbox:
-// the heaviest sender (most messages held; ties break to the lowest id,
-// keeping the policy deterministic for replay) is presumed the flooder.
-// If the incoming message's own sender is at least as heavy, the incoming
-// message is the flood and is dropped; otherwise the heaviest sender's
-// oldest message is evicted to make room. Either way exactly one message
-// is shed, so one flooding session degrades itself, not its neighbors.
-func shedInto(box []transport.Message, counts []int, msg transport.Message) []transport.Message {
-	heavy := 0
-	for s := 1; s < len(counts); s++ {
-		if counts[s] > counts[heavy] {
-			heavy = s
-		}
-	}
-	from := int(msg.From)
-	if from >= len(counts) || counts[from] >= counts[heavy] {
-		return box // drop the incoming message
-	}
-	for i, held := range box {
-		if int(held.From) == heavy {
-			box = append(box[:i], box[i+1:]...)
-			break
-		}
-	}
-	counts[heavy]--
-	counts[from]++
-	return append(box, msg)
-}
-
-// unframe splits a frame; ok=false on malformed input. Everything after
-// the instance-id varint is the payload.
-func unframe(raw []byte) (int, []byte, bool) {
-	inst, n := binary.Uvarint(raw)
-	if n <= 0 || inst > 1<<20 {
-		return 0, nil, false
-	}
-	return int(inst), raw[n:], true
 }

@@ -24,8 +24,8 @@ func (s *stubNet) Exchange(out []transport.Packet) ([]transport.Message, error) 
 	return s.in, nil
 }
 
-// frame prefixes a payload with its instance id, as instanceNet does on
-// the send side.
+// frame prefixes a payload with its instance id, as the merge does on the
+// send side.
 func frame(inst int, payload string) []byte {
 	return append(binary.AppendUvarint(nil, uint64(inst)), payload...)
 }

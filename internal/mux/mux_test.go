@@ -13,8 +13,23 @@ import (
 )
 
 // TestParallelEcho runs k echo instances of different lengths over one
-// transport and checks isolation and round sharing.
+// transport and checks isolation and round sharing. In the double-done
+// case every instance also retires itself before Run does: the second Done
+// must be a no-op, or the live count drops below the instances still
+// running and their rounds close early.
 func TestParallelEcho(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		doubleDone bool
+	}{
+		{"run-retires", false},
+		{"double-done", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testParallelEcho(t, tc.doubleDone) })
+	}
+}
+
+func testParallelEcho(t *testing.T, doubleDone bool) {
 	const n, k = 4, 3
 	lengths := []int{2, 5, 3} // virtual rounds per instance
 	type partyResult struct {
@@ -48,6 +63,9 @@ func TestParallelEcho(t *testing.T) {
 							}
 						}
 						pr.seen[inst] = append(pr.seen[inst], string(in[0].Payload))
+					}
+					if doubleDone {
+						m.Done(inst)
 					}
 					return nil
 				}
@@ -111,31 +129,49 @@ func TestParallelBA(t *testing.T) {
 	}
 }
 
+// TestInstanceErrorAbortsComposition: whichever instance fails, every
+// sibling's next Exchange fails with an error wrapping ErrAborted, and Run
+// reports both the cause and the aborts.
 func TestInstanceErrorAbortsComposition(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := testutil.Run(sim.Config{N: 2, T: 0}, nil,
-		func(env *sim.Env) (int, error) {
-			m, err := mux.New(env, 2)
-			if err != nil {
-				return 0, err
-			}
-			err = m.Run([]func(net transport.Net) error{
-				func(net transport.Net) error { return boom },
-				func(net transport.Net) error {
-					for {
-						if _, err := transport.ExchangeNone(net); err != nil {
-							return err
+	const k = 3
+	for failing := 0; failing < k; failing++ {
+		_, err := testutil.Run(sim.Config{N: 2, T: 0}, nil,
+			func(env *sim.Env) (int, error) {
+				m, err := mux.New(env, k)
+				if err != nil {
+					return 0, err
+				}
+				siblingErrs := make([]error, k)
+				fns := make([]func(net transport.Net) error, k)
+				for inst := range fns {
+					inst := inst
+					fns[inst] = func(net transport.Net) error {
+						if inst == failing {
+							return boom
+						}
+						for {
+							if _, err := transport.ExchangeNone(net); err != nil {
+								siblingErrs[inst] = err
+								return err
+							}
 						}
 					}
-				},
+				}
+				err = m.Run(fns)
+				if !errors.Is(err, boom) || !errors.Is(err, mux.ErrAborted) {
+					return 0, fmt.Errorf("Run = %v, want boom and ErrAborted", err)
+				}
+				for inst, serr := range siblingErrs {
+					if inst != failing && !errors.Is(serr, mux.ErrAborted) {
+						return 0, fmt.Errorf("instance %d saw %v, want ErrAborted", inst, serr)
+					}
+				}
+				return 0, nil
 			})
-			if err == nil {
-				return 0, errors.New("composition survived a failed instance")
-			}
-			return 0, nil
-		})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatalf("instance %d failing: %v", failing, err)
+		}
 	}
 }
 
@@ -143,7 +179,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := mux.New(nil, 0); err == nil {
 		t.Error("zero instances accepted")
 	}
-	m, err := mux.New(nil, 2)
+	m, err := mux.New(&stubNet{n: 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

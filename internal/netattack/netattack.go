@@ -125,7 +125,7 @@ func Flood(tg Target, seed int64, stop <-chan struct{}) Report {
 	payload := make([]byte, 512)
 	for r := uint64(0); !stopped(stop); r++ {
 		rng.Read(payload)
-		frame := wire.EncodeFrame(r%16, [][]byte{payload})
+		frame := new(wire.Arena).EncodeFrame(r%16, [][]byte{payload}).Bytes()
 		conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 		n, err := conn.Write(frame)
 		rep.Bytes += int64(n)
@@ -186,7 +186,7 @@ func SlowLoris(tg Target, interval time.Duration, stop <-chan struct{}) Report {
 	}
 	defer conn.Close()
 	rep.Conns, rep.Accepted = 1, 1
-	frame := wire.EncodeFrame(tg.Round, [][]byte{make([]byte, 1024)})
+	frame := new(wire.Arena).EncodeFrame(tg.Round, [][]byte{make([]byte, 1024)}).Bytes()
 	for i := 0; i < len(frame); i++ {
 		conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 		n, err := conn.Write(frame[i : i+1])

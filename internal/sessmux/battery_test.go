@@ -28,7 +28,7 @@ func (s *stubNet) Exchange(out []transport.Packet) ([]transport.Message, error) 
 	return s.in, nil
 }
 
-// frame prefixes a payload with its session id, as flushCopy does on the
+// frame prefixes a payload with its session id, as the merge does on the
 // send side.
 func frame(sid uint64, payload string) []byte {
 	return append(binary.AppendUvarint(nil, sid), payload...)

@@ -15,11 +15,10 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// benchMesh dials a full loopback TCP mesh with rejoin tails disabled —
-// the configuration of a throughput deployment: tails would retain every
-// session's frames for RejoinWindow rounds (tens of MiB per party at 1024
-// sessions), and disabling them also selects tcpnet's pure scatter-gather
-// send path, which is the path under test.
+// benchMesh dials a full loopback TCP mesh with a zero-length rejoin tail:
+// at the default window the tails would retain every session's frames for
+// 128 rounds (tens of MiB per party at 1024 sessions), which is not what
+// the retained-heap budget below is looking for.
 func benchMesh(b *testing.B, n int) []*tcpnet.Conn {
 	b.Helper()
 	addrs := make([]string, n)
@@ -105,9 +104,9 @@ func runSessionWave(b *testing.B, muxes []*sessmux.Mux, n, sessions int, sid0 ui
 
 // benchSessionThroughput is the headline measurement: `sessions`
 // concurrent approximate-agreement sessions per wave, all multiplexed
-// over one n-party TCP mesh, zero-copy end to end (session payloads ride
-// by reference through sessmux into the per-peer writev; every peer's
-// share of a tick is one coalesced writev carrying all sessions). One op
+// over one n-party TCP mesh (session payloads ride by reference through
+// sessmux into the per-peer pooled frame; every peer's share of a tick is
+// one write carrying all sessions). One op
 // is one full wave; sessions/sec is the number the ROADMAP-item-1 service
 // daemon will quote. A per-party retained-heap budget guards against the
 // mux or the wire path accumulating per-session state.
@@ -143,7 +142,7 @@ func benchSessionThroughput(b *testing.B, n, sessions int) {
 
 	st := muxes[0].Stats()
 	if st.BytesCopied != 0 {
-		b.Fatalf("copying merge ran on a VecNet base: %d bytes copied", st.BytesCopied)
+		b.Fatalf("payloads were flattened on a VecNet base: %d bytes copied", st.BytesCopied)
 	}
 	b.ReportMetric(float64(st.Packets)/float64(st.Ticks), "frames/tick")
 }
@@ -208,12 +207,11 @@ func BenchmarkSessionThroughputSolo(b *testing.B) {
 	b.ReportMetric(float64(sessions*b.N)/elapsed.Seconds(), "sessions/sec")
 }
 
-// BenchmarkSessmuxFlushVec vs Copy: one tick of 64 sessions broadcasting
-// 1 KiB to 4 parties over a stub base — the merge paths in isolation.
-// The vec path's B/op excludes every payload byte; ci.sh pins it with
-// -guard-allocs.
-func benchFlush(b *testing.B, base transport.Net) {
-	m := sessmux.New(base)
+// BenchmarkSessmuxFlushVec: one tick of 64 sessions broadcasting 1 KiB to
+// 4 parties over a stub VecNet base — the merge in isolation. Its B/op
+// excludes every payload byte; ci.sh pins it with -guard-allocs.
+func BenchmarkSessmuxFlushVec(b *testing.B) {
+	m := sessmux.New(&vecStubNet{stubNet{n: 4}})
 	const sessions = 64
 	payload := make([]byte, 1024)
 	batch := make([]transport.Packet, 4)
@@ -246,15 +244,8 @@ func benchFlush(b *testing.B, base transport.Net) {
 	}
 }
 
-func BenchmarkSessmuxFlushCopy(b *testing.B) {
-	benchFlush(b, &stubNet{n: 4})
-}
-
-func BenchmarkSessmuxFlushVec(b *testing.B) {
-	benchFlush(b, &vecStubNet{stubNet{n: 4}})
-}
-
-// vecStubNet upgrades stubNet to a VecNet, selecting the zero-copy merge.
+// vecStubNet upgrades stubNet to a VecNet: merged pieces are handed over
+// by reference.
 type vecStubNet struct {
 	stubNet
 }

@@ -1,22 +1,22 @@
 // Package sessmux multiplexes many independent agreement SESSIONS over one
-// physical per-peer link set. It generalizes package mux one level up: mux
-// composes k instances of equal shape inside one protocol run; sessmux
-// composes whole protocol runs — each session has its own participant
-// count n, corruption budget t, inputs, and lifecycle — over a shared
-// transport, so a deployment holds one TCP mesh open instead of one per
-// agreement.
+// physical per-peer link set: whole protocol runs — each session has its
+// own participant count n, corruption budget t, inputs, and lifecycle —
+// share one transport, so a deployment holds one TCP mesh open instead of
+// one per agreement. It is also the merge/demux/shed core under package
+// mux, whose k equal-shape instances are k sessions that abort together.
 //
 // # Scheduling model
 //
 // The mux advances in ticks. One tick is one physical round of the base
 // transport and carries exactly one virtual round of every live local
 // session: a tick closes when all live sessions have submitted their
-// round (Exchange), the merged traffic ships as one base round — on a
-// VecNet base every session's frames for the same peer coalesce into the
-// same writev, payloads by reference — and the inbox demultiplexes by
-// session id. The base transport's blocking round is the cross-party
-// synchronizer: parties whose session sets differ still tick in lock
-// step, and a party with no live sessions keeps the clock with Idle.
+// round (Exchange), the merged traffic ships as one base round through
+// transport.ExchangeVec — every session's frames for the same peer ride in
+// the same physical frame, payloads by reference down to the base — and
+// the inbox demultiplexes by session id. The base transport's blocking
+// round is the cross-party synchronizer: parties whose session sets differ
+// still tick in lock step, and a party with no live sessions keeps the
+// clock with Idle.
 //
 // # Lock-step contract
 //
@@ -24,17 +24,16 @@
 // same (n, t), and its participants are base parties 0..n-1. Closing is
 // local: a closed session simply stops contributing traffic, which peers
 // observe as omission — one session's failure never tears down its
-// siblings (unlike mux, whose instances abort together, sessions are
-// independent protocol runs with independent fates).
+// siblings (sessions are independent protocol runs with independent
+// fates; a caller that wants them to fall together says so with Poison).
 //
 // # Backpressure
 //
-// Two deterministic bounds extend the mux inboxBound policy to the
-// session axis. Per session: at most sessionBound messages per tick,
-// shedding the heaviest sender's oldest message (a flooding peer degrades
-// itself). Per tick: at most tickBound messages across all sessions,
-// shedding from the heaviest session (ties to the lowest sid) — one
-// flooded session degrades itself before it starves a sibling. Both
+// Two deterministic bounds. Per session: at most sessionBound messages
+// per tick, shedding the heaviest sender's oldest message (a flooding peer
+// degrades itself). Per tick: at most tickBound messages across all
+// sessions, shedding from the heaviest session (ties to the lowest sid) —
+// one flooded session degrades itself before it starves a sibling. Both
 // policies are pure functions of delivery order, so fault-injection
 // replays stay digest-exact.
 package sessmux
@@ -57,16 +56,22 @@ var ErrClosed = errors.New("sessmux: session closed")
 // sessions with Open, keep the tick clock with Idle when none are live.
 type Mux struct {
 	base transport.Net
-	vec  transport.VecNet // non-nil when the base takes scatter-gather packets
+	vec  bool // the base takes scatter-gather packets: nothing is copied here
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	open      map[uint64]*Session
-	retired   map[uint64]bool
-	live      int
-	submitted int
-	tick      uint64
-	err       error
+	mu   sync.Mutex
+	cond *sync.Cond
+	open map[uint64]*Session
+	// Single-use sids: every sid below retiredBelow counts as used, and
+	// retired holds the used ones at or above it. The watermark advances
+	// over used and live sids as they become contiguous, so an ascending
+	// sid sequence keeps the set at the size of its reordering window
+	// instead of one entry per session ever run.
+	retiredBelow uint64
+	retired      map[uint64]struct{}
+	live         int
+	submitted    int
+	tick         uint64
+	err          error
 
 	// sessionBound caps one session's inbox per tick (negative: default
 	// 64·n_s, resolved per session at demux time; 0: unbounded).
@@ -79,8 +84,8 @@ type Mux struct {
 	shedBy  map[uint64]uint64
 	sidsBuf []uint64
 
-	// Scratch for the vec merge path, reused across ticks: the base's
-	// ExchangeVec contract frees the pieces when it returns.
+	// Merge scratch, reused across ticks: transport.ExchangeVec frees the
+	// pieces when it returns.
 	hdrBuf  []byte
 	vecBuf  [][]byte
 	pktsBuf []transport.VecPacket
@@ -88,15 +93,15 @@ type Mux struct {
 
 // Stats are cumulative counters for one Mux. Packets/Ticks is the
 // coalescing ratio: how many session frames ride in each physical round
-// (on a TCP base, each peer's share of a tick is one writev).
-// BytesReferenced counts payload bytes handed to the base by reference
-// over the VecNet fast path; BytesCopied counts payload bytes that went
-// through the copying merge on a plain base — on a VecNet base it stays 0.
+// (on a TCP base, each peer's share of a tick is one write).
+// BytesReferenced counts payload bytes handed to a VecNet base by
+// reference; BytesCopied counts payload bytes transport.ExchangeVec had to
+// flatten for a plain base — on a VecNet base it stays 0.
 type Stats struct {
 	Ticks           uint64 // physical rounds driven
 	Packets         uint64 // session frames shipped, all sessions coalesced
-	BytesReferenced uint64 // payload bytes sent zero-copy (vec path)
-	BytesCopied     uint64 // payload bytes copied into the merge buffer
+	BytesReferenced uint64 // payload bytes sent zero-copy (VecNet base)
+	BytesCopied     uint64 // payload bytes flattened for a plain base
 	SessionShed     uint64 // messages shed by the per-session bound
 	TickShed        uint64 // messages shed by the whole-tick bound
 }
@@ -107,16 +112,26 @@ func New(base transport.Net) *Mux {
 	m := &Mux{
 		base:         base,
 		open:         make(map[uint64]*Session),
-		retired:      make(map[uint64]bool),
+		retired:      make(map[uint64]struct{}),
 		shedBy:       make(map[uint64]uint64),
 		sessionBound: -1,
 		tickBound:    -1,
 	}
-	if vn, ok := base.(transport.VecNet); ok {
-		m.vec = vn
-	}
+	_, m.vec = base.(transport.VecNet)
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// Poison fails the whole mux with err, as a base failure does: every
+// blocked and every future Exchange, Open and Idle returns it. It is the
+// hook for callers whose sessions must fall together (package mux).
+func (m *Mux) Poison(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err == nil {
+		m.err = err
+	}
+	m.cond.Broadcast()
 }
 
 // SetSessionBound caps each session's per-tick inbox (0 or negative:
@@ -165,7 +180,8 @@ func (m *Mux) Live() int {
 // corruption budget t. Every participant must open it at the same tick
 // with the same (n, t); this party must be a participant. Session ids are
 // single-use — reopening a retired sid would let a peer's late frames
-// from the old lifetime leak into the new one, so it is refused.
+// from the old lifetime leak into the new one, so it is refused — and
+// meant to ascend: see retire for how far out of order they may come.
 func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -184,7 +200,7 @@ func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	if _, dup := m.open[sid]; dup {
 		return nil, fmt.Errorf("sessmux: session %d already open", sid)
 	}
-	if m.retired[sid] {
+	if _, used := m.retired[sid]; used || sid < m.retiredBelow {
 		return nil, fmt.Errorf("sessmux: session id %d already used", sid)
 	}
 	s := &Session{m: m, sid: sid, n: n, t: t}
@@ -290,18 +306,48 @@ func (s *Session) Close() {
 		m.submitted--
 	}
 	delete(m.open, s.sid)
-	m.retired[s.sid] = true
+	m.retire(s.sid)
 	m.live--
 	// The departed session may have been the last holdout of the tick.
 	m.maybeFlush()
 }
 
+// retiredWindow bounds the retired set: how far out of ascending order
+// sids may be issued before a never-used low sid is refused as used.
+const retiredWindow = 1024
+
+// retire records sid as used and advances the watermark over every sid
+// that is used or still live (a live sid below the watermark is refused
+// as open now and as used once it closes). A never-used sid — a sequence
+// that starts at 1, a skipped number — would pin the watermark forever, so
+// once the set outgrows retiredWindow the watermark jumps the gap to the
+// lowest remembered sid. Caller holds m.mu.
+func (m *Mux) retire(sid uint64) {
+	if sid < m.retiredBelow {
+		return
+	}
+	m.retired[sid] = struct{}{}
+	if len(m.retired) > retiredWindow {
+		m.retiredBelow = sid
+		for used := range m.retired {
+			m.retiredBelow = min(m.retiredBelow, used)
+		}
+	}
+	for m.retiredBelow != ^uint64(0) {
+		_, used := m.retired[m.retiredBelow]
+		if _, live := m.open[m.retiredBelow]; !used && !live {
+			break
+		}
+		delete(m.retired, m.retiredBelow)
+		m.retiredBelow++
+	}
+}
+
 // Run opens a session, executes fn over it, and closes it whatever the
-// outcome — the session-scoped counterpart of mux.Run. When a party
-// starts several sessions for the same tick, Open them all before driving
-// any (Run opens on entry, so concurrent Run calls race on which tick
-// each open lands in — fine for staggered workloads, wrong for a batch
-// that must start together).
+// outcome. When a party starts several sessions for the same tick, Open
+// them all before driving any (Run opens on entry, so concurrent Run calls
+// race on which tick each open lands in — fine for staggered workloads,
+// wrong for a batch that must start together).
 func (m *Mux) Run(sid uint64, n, t int, fn func(net transport.Net) error) error {
 	s, err := m.Open(sid, n, t)
 	if err != nil {
@@ -333,13 +379,7 @@ func (m *Mux) flush() {
 	}
 	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
 
-	var in []transport.Message
-	var err error
-	if m.vec != nil {
-		in, err = m.flushVec(sids)
-	} else {
-		in, err = m.flushCopy(sids)
-	}
+	in, err := m.merge(sids)
 	if err != nil {
 		// A base failure poisons the whole mux: without the shared round
 		// clock no session can make progress.
@@ -437,53 +477,15 @@ func (m *Mux) demux(in []transport.Message) {
 	}
 }
 
-// flushCopy merges the tick's packets for a plain-Net base: one bump
-// buffer carries every framed payload (fresh each tick — downstream
-// transports retain payloads by reference), each frame carved with a full
-// slice expression. Caller holds m.mu.
-func (m *Mux) flushCopy(sids []uint64) ([]transport.Message, error) {
-	total, packets := 0, 0
-	for _, sid := range sids {
-		s := m.open[sid]
-		for i := range s.pending {
-			if p := &s.pending[i]; p.To >= 0 && int(p.To) < s.n {
-				total += uvarintLen(sid) + len(p.Payload)
-				packets++
-			}
-		}
-	}
-	buf := make([]byte, 0, total)
-	merged := make([]transport.Packet, 0, packets)
-	for _, sid := range sids {
-		s := m.open[sid]
-		for i := range s.pending {
-			p := &s.pending[i]
-			if p.To < 0 || int(p.To) >= s.n {
-				continue
-			}
-			mark := len(buf)
-			buf = binary.AppendUvarint(buf, sid)
-			buf = append(buf, p.Payload...)
-			merged = append(merged, transport.Packet{
-				To:      p.To,
-				Tag:     p.Tag,
-				Payload: buf[mark:len(buf):len(buf)],
-			})
-			m.stats.BytesCopied += uint64(len(p.Payload))
-		}
-	}
-	m.stats.Packets += uint64(packets)
-	return m.base.Exchange(merged)
-}
-
-// flushVec merges the tick's packets for a VecNet base without copying a
-// payload byte: each merged packet is a two-piece vector — session-id
-// varint carved from one shared header buffer, payload by reference.
-// ExchangeVec frees the pieces on return, so all three scratch slices are
-// reused across ticks; they are sized exactly up front because a
-// mid-merge regrowth would move the header bytes out from under the
-// already-carved varint pieces. Caller holds m.mu.
-func (m *Mux) flushVec(sids []uint64) ([]transport.Message, error) {
+// merge ships the tick's packets as one base round without copying a
+// payload byte here: each merged packet is a two-piece vector — session-id
+// varint carved from one shared header buffer, payload by reference — and
+// transport.ExchangeVec hands them to a VecNet base as they are or
+// flattens them once for a plain one. The pieces are free on return, so
+// all three scratch slices are reused across ticks; they are sized exactly
+// up front because a mid-merge regrowth would move the header bytes out
+// from under the already-carved varint pieces. Caller holds m.mu.
+func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
 	hdrLen, packets := 0, 0
 	for _, sid := range sids {
 		s := m.open[sid]
@@ -504,6 +506,7 @@ func (m *Mux) flushVec(sids []uint64) ([]transport.Message, error) {
 		m.pktsBuf = make([]transport.VecPacket, 0, packets)
 	}
 	buf, vecs, merged := m.hdrBuf[:0], m.vecBuf[:0], m.pktsBuf[:0]
+	var payloadBytes uint64
 	for _, sid := range sids {
 		s := m.open[sid]
 		for i := range s.pending {
@@ -523,11 +526,16 @@ func (m *Mux) flushVec(sids []uint64) ([]transport.Message, error) {
 				Tag: p.Tag,
 				Vec: vecs[vmark:len(vecs):len(vecs)],
 			})
-			m.stats.BytesReferenced += uint64(len(p.Payload))
+			payloadBytes += uint64(len(p.Payload))
 		}
 	}
 	m.stats.Packets += uint64(packets)
-	in, err := m.vec.ExchangeVec(merged)
+	if m.vec {
+		m.stats.BytesReferenced += payloadBytes
+	} else {
+		m.stats.BytesCopied += payloadBytes
+	}
+	in, err := transport.ExchangeVec(m.base, merged)
 	// The base is done with the pieces; drop the references so the scratch
 	// slices don't pin session buffers until the next tick.
 	for i := range vecs {

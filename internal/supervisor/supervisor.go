@@ -156,9 +156,9 @@ func (h Health) String() string {
 }
 
 // MuxStats are multiplexer counters surfaced in Health — the same fields
-// as mux.Stats/sessmux.Stats, duplicated here so the supervisor stays
-// free of transport-layer imports. For an instance mux, Ticks is its
-// physical rounds and SessionShed its inbox-bound sheds; TickShed stays 0.
+// as sessmux.Stats, duplicated here so the supervisor stays free of
+// transport-layer imports. For an instance mux, Ticks is its physical
+// rounds and SessionShed its inbox-bound sheds; TickShed stays 0.
 type MuxStats struct {
 	Ticks           uint64 // physical rounds driven
 	Packets         uint64 // frames shipped, all instances/sessions coalesced

@@ -5,14 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"convexagreement/internal/tcpnet"
 	"convexagreement/internal/transport"
 	"convexagreement/internal/transporttest"
 )
 
-func TestConformance(t *testing.T) {
-	transporttest.Conformance(t, func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
+// meshCluster is the conformance cluster runner over a fresh loopback mesh
+// whose every party's config went through configure first.
+func meshCluster(configure func(*tcpnet.Config)) transporttest.Cluster {
+	return func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
 		t.Helper()
-		conns := dialAll(t, newCluster(t, n, tc))
+		cfgs := newCluster(t, n, tc)
+		for i := range cfgs {
+			configure(&cfgs[i])
+		}
+		conns := dialAll(t, cfgs)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -28,7 +35,23 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("party %d: %v", i, err)
 			}
 		}
-	})
+	}
+}
+
+func TestConformance(t *testing.T) {
+	transporttest.Conformance(t, meshCluster(func(*tcpnet.Config) {}))
+}
+
+// TestExchangeVecMatchesExchange runs the scatter-gather conformance at
+// both tail lengths: the default window, where the rejoin tail keeps each
+// round frame, and a zero-length tail, where the frame is released right
+// after its write. It is one send path either way.
+func TestExchangeVecMatchesExchange(t *testing.T) {
+	for name, window := range map[string]int{"rejoin-tails": 0, "zero-length-tail": -1} {
+		t.Run(name, func(t *testing.T) {
+			transporttest.ConformanceVec(t, meshCluster(func(c *tcpnet.Config) { c.RejoinWindow = window }))
+		})
+	}
 }
 
 // TestConformanceFaults runs the fault-tolerance battery with a small Δ so

@@ -249,7 +249,7 @@ type Conn struct {
 	// party id. Leaf mutex: nothing but the deadline-bounded write happens
 	// under it, and Close unblocks the write by closing the conn.
 	wmu []sync.Mutex
-	// vec is the Exchange goroutine's scratch scatter-gather vector,
+	// vec is the Exchange goroutine's scratch one-frame write vector,
 	// rebuilt per peer per round so the steady state allocates nothing.
 	vec net.Buffers
 
@@ -606,70 +606,33 @@ func (c *Conn) BreakLink(peer int) {
 // for all up peers' frames, and returns the delivered messages sorted by
 // sender.
 func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	r, err := c.beginRound()
-	if err != nil {
-		return nil, err
-	}
-
-	// Group payloads per destination.
 	perDest := make([][][]byte, c.n)
 	for _, p := range out {
-		if p.To < 0 || int(p.To) >= c.n {
+		if p.To < 0 || p.To >= c.n {
 			continue
 		}
 		perDest[p.To] = append(perDest[p.To], p.Payload)
 	}
 	var selfMsgs []transport.Message
 	for _, payload := range perDest[c.cfg.ID] {
-		selfMsgs = append(selfMsgs, transport.Message{From: transport.PartyID(c.cfg.ID), Payload: payload})
+		selfMsgs = append(selfMsgs, transport.Message{From: c.cfg.ID, Payload: payload})
 	}
-	for j := 0; j < c.n; j++ {
-		if j == c.cfg.ID {
-			continue
-		}
-		// Encode once into pooled memory, then ship as one vectored write.
-		// A broken peer link is that peer's problem (it goes down or
-		// silent); the round keeps going for everyone else.
-		if c.cfg.RejoinWindow > 0 {
-			// Rejoin buffering needs a flat, retained copy of the frame
-			// anyway, so lay it down in one pooled buffer, hand ownership
-			// to the tail, and write that buffer.
-			frame := c.arena.EncodeFrame(r, perDest[j])
-			c.bufferTail(j, r, frame)
-			c.vec = append(c.vec[:0], frame.Bytes())
-			c.flushLink(j, c.vec, 1)
-		} else {
-			// No replay buffering: full scatter-gather — only the varint
-			// connective tissue is written into a pooled header frame, the
-			// payload bytes go to writev by reference and are never copied.
-			vec, hdr := c.arena.AppendFrameVec(c.vec[:0], r, perDest[j])
-			c.flushLink(j, vec, 1)
-			c.vec = vec[:0]
-			hdr.Release()
-		}
-	}
-
-	return c.awaitRound(r, selfMsgs)
+	return c.exchange(selfMsgs, func(r uint64, peer int) *wire.Frame {
+		return c.arena.EncodeFrame(r, perDest[peer])
+	})
 }
 
 // ExchangeVec implements transport.VecNet: one synchronous round whose
-// outgoing payloads are scatter-gather vectors. Each packet's pieces flow
-// into the per-peer writev by reference — multiplexers stacking a routing
-// header on payloads they don't own pay zero payload copies here. With
-// rejoin buffering on, the flat retained copy the tail needs doubles as
-// the write buffer, so the copy that must happen is the only one. On the
-// wire and at the receiver the round is indistinguishable from Exchange
-// over the concatenated payloads.
+// outgoing payloads are scatter-gather vectors. Each packet's pieces are
+// copied exactly once, straight into the peer's pooled round frame —
+// multiplexers stacking a routing header on payloads they don't own pay no
+// flattening copy of their own. On the wire and at the receiver the round
+// is indistinguishable from Exchange over the concatenated payloads.
 func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, error) {
-	r, err := c.beginRound()
-	if err != nil {
-		return nil, err
-	}
-
 	perDest := make([][][][]byte, c.n)
 	for i := range out {
 		p := &out[i]
-		if p.To < 0 || int(p.To) >= c.n {
+		if p.To < 0 || p.To >= c.n {
 			continue
 		}
 		perDest[p.To] = append(perDest[p.To], p.Vec)
@@ -677,31 +640,31 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 	var selfMsgs []transport.Message
 	for _, v := range perDest[c.cfg.ID] {
 		// Self-delivery outlives the caller's pieces (the contract frees
-		// them when ExchangeVec returns), so it gets the one flattening
-		// copy the network peers don't pay.
-		selfMsgs = append(selfMsgs, transport.Message{From: transport.PartyID(c.cfg.ID), Payload: transport.FlattenVec(v)})
+		// them when ExchangeVec returns), so it gets a flattening copy.
+		selfMsgs = append(selfMsgs, transport.Message{From: c.cfg.ID, Payload: transport.FlattenVec(v)})
 	}
-	for j := 0; j < c.n; j++ {
-		if j == c.cfg.ID {
-			continue
-		}
-		if c.cfg.RejoinWindow > 0 {
-			frame := c.arena.EncodeFrameVecs(r, perDest[j])
-			c.bufferTail(j, r, frame)
-			c.vec = append(c.vec[:0], frame.Bytes())
-			c.flushLink(j, c.vec, 1)
-		} else {
-			vec, hdr := c.arena.AppendFrameVecs(c.vec[:0], r, perDest[j])
-			c.flushLink(j, vec, 1)
-			c.vec = vec[:0]
-			hdr.Release()
-		}
-	}
-
-	return c.awaitRound(r, selfMsgs)
+	return c.exchange(selfMsgs, func(r uint64, peer int) *wire.Frame {
+		return c.arena.EncodeFrameVecs(r, perDest[peer])
+	})
 }
 
 var _ transport.VecNet = (*Conn)(nil)
+
+// exchange is the one round body under Exchange and ExchangeVec: each
+// peer's frame is encoded once, flat, into a pooled buffer and sent; then
+// the round is awaited.
+func (c *Conn) exchange(selfMsgs []transport.Message, encode func(r uint64, peer int) *wire.Frame) ([]transport.Message, error) {
+	r, err := c.beginRound()
+	if err != nil {
+		return nil, err
+	}
+	for j := 0; j < c.n; j++ {
+		if j != c.cfg.ID {
+			c.sendFrame(j, r, encode(r, j))
+		}
+	}
+	return c.awaitRound(r, selfMsgs)
+}
 
 // beginRound opens a synchronous round: it snapshots the round number and
 // releases the previous round's borrowed payload frames — the "valid until
@@ -740,7 +703,15 @@ func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.M
 		if c.closed {
 			return nil, ErrClosed
 		}
-		have := len(c.byRound[r])
+		// Only up peers' frames count toward the quorum of up peers: the
+		// frame a peer sent before its link went down is still delivered,
+		// but must not stand in for a live peer's that is yet to arrive.
+		have := 0
+		for peer := range c.byRound[r] {
+			if c.links[peer].state == linkUp {
+				have++
+			}
+		}
 		if have >= c.expectedPeers() || time.Now().After(deadline) {
 			break
 		}
@@ -1072,24 +1043,6 @@ func (c *Conn) reconnectLoop(peer int) {
 	c.mu.Unlock()
 }
 
-// bufferTail hands ownership of peer's encoded frame for round r to the
-// rejoin tail and evicts (releasing back to the arena) rounds that have
-// slid out of the window. Eviction always trails the current round by the
-// full window, so a frame is released only long after its own write
-// completed; replay reads of tail frames happen under c.mu, which is also
-// held here, so a replay can never observe a released frame.
-func (c *Conn) bufferTail(peer int, r uint64, frame *wire.Frame) {
-	c.mu.Lock()
-	c.tails[peer][r] = frame
-	if r >= uint64(c.cfg.RejoinWindow) {
-		if old, ok := c.tails[peer][r-uint64(c.cfg.RejoinWindow)]; ok {
-			delete(c.tails[peer], r-uint64(c.cfg.RejoinWindow))
-			old.Release()
-		}
-	}
-	c.mu.Unlock()
-}
-
 // FrontierGap reports how many rounds ahead of this party's ResumeRound the
 // mesh was when it (re)joined — the restart-to-rejoin latency in rounds. A
 // fresh party's gap is 0; a rejoining party's gap is how much of its peers'
@@ -1103,27 +1056,41 @@ func (c *Conn) FrontierGap() uint64 {
 	return c.frontier - c.cfg.ResumeRound
 }
 
-// flushLink snapshots peer's live connection and ships the queued
-// scatter-gather pieces, tolerating any link state: a peer that is down or
-// silent is simply skipped, and a write failure drives the link state
-// machine instead of failing the round.
-func (c *Conn) flushLink(peer int, bufs net.Buffers, frames int) {
+// sendFrame ships peer's encoded frame for round r. The rejoin tail owns
+// the frame from here: it goes in before the write — a peer that rejoins
+// while its link is down must find the frame it missed — and the round
+// that slid out of the window is evicted (released back to the arena)
+// after it, so with a zero-length window the frame just written is the
+// one released. A peer that is down or silent is simply skipped, and a
+// write failure drives the link state machine instead of failing the
+// round. Replay reads of tail frames and eviction both happen under c.mu,
+// so a replay can never observe a released frame.
+func (c *Conn) sendFrame(peer int, r uint64, frame *wire.Frame) {
 	c.mu.Lock()
+	c.tails[peer][r] = frame
 	l := &c.links[peer]
-	if c.closed || l.state != linkUp || l.conn == nil {
-		c.mu.Unlock()
-		return
-	}
 	conn, gen := l.conn, l.gen
+	up := !c.closed && l.state == linkUp && conn != nil
 	c.mu.Unlock()
-	c.writeBufs(peer, gen, conn, bufs, frames)
+	if up {
+		c.vec = append(c.vec[:0], frame.Bytes())
+		c.writeBufs(peer, gen, conn, c.vec, 1)
+	}
+	c.mu.Lock()
+	if w := uint64(c.cfg.RejoinWindow); r >= w {
+		if old, ok := c.tails[peer][r-w]; ok {
+			delete(c.tails[peer], r-w)
+			old.Release()
+		}
+	}
+	c.mu.Unlock()
 }
 
 // writeBufs performs one vectored, Δ-deadline-bounded write of bufs on
 // conn. net.Buffers.WriteTo lowers to a single writev(2) on a TCP
-// connection, so however many frames (replay batch) or frame pieces
-// (scatter-gather encode) the vector carries, the kernel crossing is one
-// syscall. WriteTo consumes the vector, so callers rebuild bufs per call.
+// connection, so however many frames (a replay batch) the vector carries,
+// the kernel crossing is one syscall. WriteTo consumes the vector, so
+// callers rebuild bufs per call.
 func (c *Conn) writeBufs(peer int, gen uint64, conn net.Conn, bufs net.Buffers, frames int) {
 	var total uint64
 	for _, b := range bufs {

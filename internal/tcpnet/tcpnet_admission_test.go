@@ -59,7 +59,7 @@ func TestBudgetDemotesPeer(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].Budget = &wire.Budget{FrameBytes: 1024}
 	conn, raw := dialParty0(t, cfgs)
-	frame := wire.EncodeFrame(0, [][]byte{make([]byte, 4096)})
+	frame := new(wire.Arena).EncodeFrame(0, [][]byte{make([]byte, 4096)}).Bytes()
 	if _, err := raw.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRateDemotesPeer(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].Budget = &wire.Budget{FrameBytes: 1 << 16, RoundFrames: 2, BurstRounds: 2}
 	conn, raw := dialParty0(t, cfgs)
-	frame := wire.EncodeFrame(0, [][]byte{[]byte("x")})
+	frame := new(wire.Arena).EncodeFrame(0, [][]byte{[]byte("x")}).Bytes()
 	for i := 0; i < 8; i++ { // capacity is 2×2 = 4 frames
 		if _, err := raw.Write(frame); err != nil {
 			break // the victim may already have cut the connection
@@ -103,7 +103,7 @@ func TestStallDemotesPeer(t *testing.T) {
 	cfgs := newCluster(t, 2, 0)
 	cfgs[0].Delta = 100 * time.Millisecond // idle floor (2s) dominates
 	conn, raw := dialParty0(t, cfgs)
-	frame := wire.EncodeFrame(0, [][]byte{make([]byte, 256)})
+	frame := new(wire.Arena).EncodeFrame(0, [][]byte{make([]byte, 256)}).Bytes()
 	if _, err := raw.Write(frame[:16]); err != nil { // announce, then stall mid-body
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestRoundHorizonDropsFutureFrames(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].RoundHorizon = 4
 	conn, raw := dialParty0(t, cfgs)
-	if _, err := raw.Write(wire.EncodeFrame(1000, [][]byte{[]byte("future")})); err != nil {
+	if _, err := raw.Write(new(wire.Arena).EncodeFrame(1000, [][]byte{[]byte("future")}).Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write(wire.EncodeFrame(0, [][]byte{[]byte("now")})); err != nil {
+	if _, err := raw.Write(new(wire.Arena).EncodeFrame(0, [][]byte{[]byte("now")}).Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	in, err := transport.ExchangeAll(conn, "x", []byte{1})

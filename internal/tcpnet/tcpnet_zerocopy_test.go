@@ -17,29 +17,7 @@ import (
 // receive path must be behaviorally indistinguishable from the copying
 // oracle.
 func TestBorrowedReadsConformance(t *testing.T) {
-	transporttest.Conformance(t, func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
-		t.Helper()
-		cfgs := newCluster(t, n, tc)
-		for i := range cfgs {
-			cfgs[i].BorrowedReads = true
-		}
-		conns := dialAll(t, cfgs)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = fns[i](conns[i])
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("party %d: %v", i, err)
-			}
-		}
-	})
+	transporttest.Conformance(t, meshCluster(func(c *tcpnet.Config) { c.BorrowedReads = true }))
 }
 
 // TestBorrowedReadsMultiRound drives distinct payloads through many rounds

@@ -1,94 +1,11 @@
 package tcpnet_test
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
-	"convexagreement/internal/tcpnet"
 	"convexagreement/internal/transport"
 )
-
-// runVecRound has party 0 send via ExchangeVec (each payload split into
-// pieces) while every other party sends the same logical payloads via
-// plain Exchange, and asserts all parties receive identical flattened
-// messages — the VecNet contract that a receiver cannot tell which form
-// the sender used, including self-delivery.
-func runVecRound(t *testing.T, conns []*tcpnet.Conn) {
-	t.Helper()
-	n := len(conns)
-	want := func(from int) []byte {
-		return []byte{byte(from), 0xaa, 0xbb, byte(from), byte(from)}
-	}
-	var wg sync.WaitGroup
-	results := make([][]transport.Message, n)
-	errs := make([]error, n)
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c *tcpnet.Conn) {
-			defer wg.Done()
-			if i == 0 {
-				out := make([]transport.VecPacket, n)
-				for j := range out {
-					// Split the payload into uneven pieces, with empties mixed in.
-					w := want(i)
-					out[j] = transport.VecPacket{
-						To:  transport.PartyID(j),
-						Tag: "vec",
-						Vec: [][]byte{w[:1], nil, w[1:3], {}, w[3:]},
-					}
-				}
-				results[i], errs[i] = c.ExchangeVec(out)
-			} else {
-				out := make([]transport.Packet, n)
-				for j := range out {
-					out[j] = transport.Packet{To: transport.PartyID(j), Tag: "vec", Payload: want(i)}
-				}
-				results[i], errs[i] = c.Exchange(out)
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	for i := range conns {
-		if errs[i] != nil {
-			t.Fatalf("party %d: %v", i, errs[i])
-		}
-		if len(results[i]) != n {
-			t.Fatalf("party %d received %d messages, want %d", i, len(results[i]), n)
-		}
-		for j, m := range results[i] {
-			if int(m.From) != j || !bytes.Equal(m.Payload, want(j)) {
-				t.Fatalf("party %d msg %d: from %d payload %x (want %x)", i, j, m.From, m.Payload, want(j))
-			}
-		}
-	}
-}
-
-// TestExchangeVecMatchesExchange covers both send paths: rejoin tails on
-// (flat retained copy doubles as the write buffer) and off (pure
-// scatter-gather writev).
-func TestExchangeVecMatchesExchange(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		window int
-	}{
-		{"rejoin-tails", 0}, // default window (128)
-		{"pure-scatter-gather", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfgs := newCluster(t, 3, 0)
-			for i := range cfgs {
-				cfgs[i].RejoinWindow = tc.window
-			}
-			conns := dialAll(t, cfgs)
-			// Several rounds so the round clock, spent-frame recycling, and
-			// tail eviction all run under the vec path.
-			for r := 0; r < 5; r++ {
-				runVecRound(t, conns)
-			}
-		})
-	}
-}
 
 // TestExchangeVecEmptyAndOutOfRange: packets to out-of-range parties are
 // dropped, empty vectors are legal, and a round with no vec packets at all

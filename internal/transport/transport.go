@@ -9,8 +9,10 @@
 // deployment with Δ-timeout round synchronization (package tcpnet).
 package transport
 
-// PartyID identifies a party; parties are numbered 0..n-1.
-type PartyID int
+// PartyID identifies a party; parties are numbered 0..n-1. It is an alias
+// of int, so the root package's Packet/Message/Transport are these very
+// types and a transport written against the public API (ID() int) is a Net.
+type PartyID = int
 
 // Packet is an outgoing message: a payload addressed to one party, labelled
 // with a protocol tag for cost attribution (tags are metadata; they are not
@@ -90,12 +92,12 @@ func ExchangeNone(net Net) ([]Message, error) {
 // exists for multiplexers that prepend small routing headers (an instance
 // or session id) to payloads they do not own — with a flat Packet the
 // header forces a copy of every payload byte; with a VecPacket the header
-// is one tiny piece and the payload rides by reference all the way into
-// the transport's vectored write.
+// is one tiny piece and the payload rides by reference down to the one
+// copy the transport makes anyway (TCP's pooled round frame).
 //
 // Ownership: every piece must stay valid and unmutated until ExchangeVec
-// returns. Transports that need a retained flat copy (in-process delivery,
-// rejoin-replay buffering) make it themselves.
+// returns. Whatever needs a retained flat copy (in-process delivery,
+// rejoin-replay buffering) makes it before then.
 type VecPacket struct {
 	To  PartyID
 	Tag string
@@ -106,17 +108,46 @@ type VecPacket struct {
 // scatter-gather packets without the caller flattening them. Semantics
 // must be byte-identical to Exchange over packets whose Payload is the
 // concatenation of each Vec — a receiver cannot tell which form the
-// sender used. The TCP transport implements it (pieces flow into its
-// writev vector uncopied); lock-step in-process transports, which retain
-// payloads by reference, do not.
+// sender used. The TCP transport implements it (pieces are copied once,
+// straight into its pooled frame); lock-step in-process transports, which
+// retain payloads by reference, do not. Callers go through ExchangeVec.
 type VecNet interface {
 	Net
 	ExchangeVec(out []VecPacket) ([]Message, error)
 }
 
-// FlattenVec concatenates a scatter-gather payload into one fresh slice —
-// the copying fallback for delivery paths that must retain the payload
-// (self-delivery, non-vec transports).
+// ExchangeVec completes one round of scatter-gather packets over any Net:
+// through the base's own ExchangeVec when it is a VecNet, otherwise by
+// flattening every packet into one bump buffer and calling Exchange. The
+// buffer is fresh each round — plain transports retain payloads by
+// reference (in-process delivery, fault-injection delay queues) — and each
+// payload is carved with a full slice expression so an append through one
+// can never bleed into the next. Either way the pieces are free for reuse
+// when it returns.
+func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
+	if vn, ok := net.(VecNet); ok {
+		return vn.ExchangeVec(out)
+	}
+	total := 0
+	for i := range out {
+		for _, p := range out[i].Vec {
+			total += len(p)
+		}
+	}
+	buf := make([]byte, 0, total)
+	flat := make([]Packet, len(out))
+	for i := range out {
+		mark := len(buf)
+		for _, p := range out[i].Vec {
+			buf = append(buf, p...)
+		}
+		flat[i] = Packet{To: out[i].To, Tag: out[i].Tag, Payload: buf[mark:len(buf):len(buf)]}
+	}
+	return net.Exchange(flat)
+}
+
+// FlattenVec concatenates a scatter-gather payload into one fresh slice,
+// for the one delivery that must outlive the pieces (TCP self-delivery).
 func FlattenVec(vec [][]byte) []byte {
 	n := 0
 	for _, p := range vec {

@@ -6,6 +6,7 @@
 package transporttest
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -28,6 +29,77 @@ func Conformance(t *testing.T, run Cluster) {
 	t.Run("self-delivery", func(t *testing.T) { testSelfDelivery(t, run) })
 	t.Run("out-of-range-drop", func(t *testing.T) { testOutOfRange(t, run) })
 	t.Run("unicast", func(t *testing.T) { testUnicast(t, run) })
+}
+
+// ConformanceVec runs the scatter-gather contract through
+// transport.ExchangeVec — the base's own ExchangeVec where it is a VecNet,
+// the flattening fallback elsewhere. Each round half the parties send
+// multi-piece packets (empty pieces mixed in) and the other half the same
+// payloads flat through Exchange, alternating by round, and every inbox
+// must come out identical: a receiver cannot tell which shape the sender
+// used. Every party also sends an empty payload and two out-of-range
+// packets. The pieces are the sender's again once the call returns, so a
+// vec sender scribbles over them immediately; a barrier round later —
+// every scribble has happened — the delivered inboxes, self-delivery
+// included, must be unchanged.
+func ConformanceVec(t *testing.T, run Cluster) {
+	const n, rounds = 3, 4
+	payload := func(from, r int) []byte {
+		return []byte{byte(from), byte(r), 0xaa, 0xbb, byte(from), byte(r)}
+	}
+	dests := []transport.PartyID{-1, n + 5, 0, 1, 2} // two out of range, then everyone
+	fns := make([]func(net transport.Net) error, n)
+	for i := range fns {
+		fns[i] = func(net transport.Net) error {
+			id := net.ID()
+			for r := 0; r < rounds; r++ {
+				w := payload(id, r)
+				var in []transport.Message
+				var err error
+				if (id+r)%2 == 0 {
+					pieces := [][]byte{w[:1], nil, w[1:3], {}, w[3:]}
+					out := []transport.VecPacket{{To: 0, Tag: "v"}}
+					for _, to := range dests {
+						out = append(out, transport.VecPacket{To: to, Tag: "v", Vec: pieces})
+					}
+					in, err = transport.ExchangeVec(net, out)
+					for k := range w {
+						w[k] = 0xff
+					}
+				} else {
+					out := []transport.Packet{{To: 0, Tag: "v"}}
+					for _, to := range dests {
+						out = append(out, transport.Packet{To: to, Tag: "v", Payload: w})
+					}
+					in, err = net.Exchange(out)
+				}
+				if err == nil {
+					_, err = transport.ExchangeNone(net) // the barrier round
+				}
+				if err != nil {
+					return fmt.Errorf("party %d round %d: %w", id, r, err)
+				}
+				var want []transport.Message
+				for from := 0; from < n; from++ {
+					if id == 0 {
+						want = append(want, transport.Message{From: from})
+					}
+					want = append(want, transport.Message{From: from, Payload: payload(from, r)})
+				}
+				if len(in) != len(want) {
+					return fmt.Errorf("party %d round %d: %d messages, want %d", id, r, len(in), len(want))
+				}
+				for k, m := range in {
+					if m.From != want[k].From || !bytes.Equal(m.Payload, want[k].Payload) {
+						return fmt.Errorf("party %d round %d message %d: from %d %x, want from %d %x",
+							id, r, k, m.From, m.Payload, want[k].From, want[k].Payload)
+					}
+				}
+			}
+			return nil
+		}
+	}
+	run(t, n, 0, fns)
 }
 
 // FaultCluster runs n party functions over a fresh connected transport

@@ -1,18 +1,16 @@
 package wire
 
 // This file is the pooled frame-buffer arena behind the zero-copy wire
-// path (DESIGN.md §2.9). The copying codec in frame.go allocates a fresh
+// path (DESIGN.md §2.9). The copying decoder in frame.go allocates a fresh
 // body per frame and a fresh slice per payload; at n ≥ 256 the transport
 // spends more time in the allocator than in the kernel. The arena removes
 // both allocations from the steady state:
 //
-//   - Encode side: Arena.EncodeFrame lays the frame down in one pooled
-//     buffer (exact-size, so the buffer never grows out of its size
-//     class), and Arena.AppendFrameVec goes further — payload bytes are
-//     never copied at all; only the varint connective tissue (length
-//     prefix, round, count, per-payload lengths) is written into a pooled
-//     header frame and the payload slices are referenced in place, ready
-//     for a scatter-gather writev (net.Buffers).
+//   - Encode side: Arena.EncodeFrame (flat payloads) and
+//     Arena.EncodeFrameVecs (scatter-gather payloads) lay the frame down
+//     in one pooled buffer (exact-size, so the buffer never grows out of
+//     its size class): each payload byte is copied exactly once, into the
+//     buffer the transport both writes and retains for rejoin replay.
 //   - Decode side: Arena.ReadFrameInto reads the frame body into a pooled
 //     buffer and returns payload slices that alias it. One buffer per
 //     frame, zero per payload.
@@ -21,8 +19,7 @@ package wire
 //
 //   - A Frame returned by an Arena method is owned by the caller until
 //     Release. Payload slices returned alongside a Frame (ReadFrameInto)
-//     or referenced by a frame vector (AppendFrameVec) alias pooled or
-//     caller-owned memory: they are valid until the Frame is released and
+//     alias pooled memory: they are valid until the Frame is released and
 //     must not be retained past that point. Callers that need a payload
 //     beyond the frame's lifetime must copy it out first.
 //   - Release returns the buffer to the pool for reuse by any goroutine;
@@ -30,10 +27,10 @@ package wire
 //     bug of the same severity as a use-after-free (the race detector
 //     sees concurrent reuse; TestFrameAliasAfterRelease pins the
 //     single-thread aliasing behavior).
-//   - The copying ReadFrame/EncodeFrame pair remains the reference
-//     implementation: FuzzReadFrameInto holds the two decoders
-//     byte-identical on every input, so the borrowing path can never
-//     drift from the fail-closed semantics of the oracle.
+//   - The copying ReadFrame remains the reference decoder (and the test
+//     suite's EncodeFrame the reference encoder): FuzzReadFrameInto holds
+//     the two decoders byte-identical on every input, so the borrowing
+//     path can never drift from the fail-closed semantics of the oracle.
 
 import (
 	"encoding/binary"
@@ -147,9 +144,9 @@ func frameBodyLen(round uint64, payloads [][]byte) int {
 }
 
 // EncodeFrame serializes one round frame, length prefix included, into a
-// pooled buffer: the allocation-free counterpart of the package-level
-// EncodeFrame. The returned frame's bytes are exactly what EncodeFrame
-// would have produced (TestArenaEncodeMatchesReference pins this).
+// pooled buffer so transports can ship it with one write
+// (TestArenaEncodeMatchesReference pins the bytes to the Writer-built
+// reference encoder).
 func (a *Arena) EncodeFrame(round uint64, payloads [][]byte) *Frame {
 	body := frameBodyLen(round, payloads)
 	f := a.frame(uvarintLen(uint64(body)) + body)
@@ -163,45 +160,6 @@ func (a *Arena) EncodeFrame(round uint64, payloads [][]byte) *Frame {
 	}
 	f.buf = b
 	return f
-}
-
-// AppendFrameVec encodes a frame as a scatter-gather vector instead of a
-// flat buffer: the varint pieces (length prefix, round, count, and each
-// payload's length prefix) are laid down in one pooled header frame, and
-// the payload slices themselves are appended to vec by reference — zero
-// copies of payload bytes. The appended slices concatenate to exactly the
-// package-level EncodeFrame output, so a net.Buffers writev of vec is
-// indistinguishable on the wire from a flat write.
-//
-// Ownership: vec's new entries alias both the returned header frame and
-// the caller's payload slices. The vector must be fully written (or
-// abandoned) before the header frame is released or any payload is
-// mutated.
-func (a *Arena) AppendFrameVec(vec [][]byte, round uint64, payloads [][]byte) ([][]byte, *Frame) {
-	body := frameBodyLen(round, payloads)
-	hdrLen := uvarintLen(uint64(body)) + uvarintLen(round) + uvarintLen(uint64(len(payloads)))
-	for _, p := range payloads {
-		hdrLen += uvarintLen(uint64(len(p)))
-	}
-	f := a.frame(hdrLen)
-	b := f.buf[:0]
-	b = binary.AppendUvarint(b, uint64(body))
-	b = binary.AppendUvarint(b, round)
-	b = binary.AppendUvarint(b, uint64(len(payloads)))
-	// Each vector entry pairs the pending varint piece (frame header for
-	// the first, then each payload's length prefix) with the payload it
-	// precedes; a frame with no payloads is a single header piece.
-	mark := 0
-	for _, p := range payloads {
-		b = binary.AppendUvarint(b, uint64(len(p)))
-		vec = append(vec, b[mark:len(b):len(b)], p)
-		mark = len(b)
-	}
-	if mark < len(b) {
-		vec = append(vec, b[mark:len(b):len(b)])
-	}
-	f.buf = b
-	return vec, f
 }
 
 // vecLen returns the flattened length of a scatter-gather payload.
@@ -227,9 +185,8 @@ func frameBodyLenVecs(round uint64, payloads [][][]byte) int {
 // EncodeFrameVecs is EncodeFrame for scatter-gather payloads: the pieces
 // of each payload are flattened into the pooled buffer, so the output is
 // byte-identical to EncodeFrame over the concatenated payloads
-// (TestEncodeFrameVecsMatchesReference pins this). It is the path for
-// transports that need a flat, retained copy of the frame anyway — the
-// rejoin tail — where the copy is the point, not an accident.
+// (TestEncodeFrameVecsMatchesReference pins this): the one copy a
+// multiplexed payload pays on its way to the socket and the rejoin tail.
 func (a *Arena) EncodeFrameVecs(round uint64, payloads [][][]byte) *Frame {
 	body := frameBodyLenVecs(round, payloads)
 	f := a.frame(uvarintLen(uint64(body)) + body)
@@ -245,46 +202,6 @@ func (a *Arena) EncodeFrameVecs(round uint64, payloads [][][]byte) *Frame {
 	}
 	f.buf = b
 	return f
-}
-
-// AppendFrameVecs is AppendFrameVec for scatter-gather payloads: the
-// varint connective tissue goes into one pooled header frame and every
-// payload piece is appended to vec by reference — zero copies of payload
-// bytes, whether a payload arrives as one piece or many. Empty pieces are
-// skipped (a zero-length iovec buys nothing). The appended slices
-// concatenate to exactly the EncodeFrameVecs output, so a net.Buffers
-// writev of vec is indistinguishable on the wire from the flat frame.
-//
-// Ownership matches AppendFrameVec: vec's new entries alias the returned
-// header frame and the caller's pieces; write (or abandon) the vector
-// before releasing the frame or mutating any piece.
-func (a *Arena) AppendFrameVecs(vec [][]byte, round uint64, payloads [][][]byte) ([][]byte, *Frame) {
-	body := frameBodyLenVecs(round, payloads)
-	hdrLen := uvarintLen(uint64(body)) + uvarintLen(round) + uvarintLen(uint64(len(payloads)))
-	for _, v := range payloads {
-		hdrLen += uvarintLen(uint64(vecLen(v)))
-	}
-	f := a.frame(hdrLen)
-	b := f.buf[:0]
-	b = binary.AppendUvarint(b, uint64(body))
-	b = binary.AppendUvarint(b, round)
-	b = binary.AppendUvarint(b, uint64(len(payloads)))
-	mark := 0
-	for _, v := range payloads {
-		b = binary.AppendUvarint(b, uint64(vecLen(v)))
-		vec = append(vec, b[mark:len(b):len(b)])
-		mark = len(b)
-		for _, p := range v {
-			if len(p) > 0 {
-				vec = append(vec, p)
-			}
-		}
-	}
-	if mark < len(b) {
-		vec = append(vec, b[mark:len(b):len(b)])
-	}
-	f.buf = b
-	return vec, f
 }
 
 // ReadFrameInto reads one frame from r into a pooled buffer and returns

@@ -25,8 +25,8 @@ var arenaCases = [][][]byte{
 	{bytes.Repeat([]byte{1}, 1), bytes.Repeat([]byte{2}, 600), nil},
 }
 
-// TestArenaEncodeMatchesReference pins Arena.EncodeFrame and
-// AppendFrameVec byte-identical to the copying EncodeFrame.
+// TestArenaEncodeMatchesReference pins Arena.EncodeFrame byte-identical
+// to the reference EncodeFrame.
 func TestArenaEncodeMatchesReference(t *testing.T) {
 	var a Arena
 	for _, payloads := range arenaCases {
@@ -37,16 +37,6 @@ func TestArenaEncodeMatchesReference(t *testing.T) {
 			t.Fatalf("EncodeFrame mismatch for %v:\n  got  %x\n  want %x", payloads, f.Bytes(), want)
 		}
 		f.Release()
-
-		vec, hdr := a.AppendFrameVec(nil, 77, payloads)
-		var flat []byte
-		for _, piece := range vec {
-			flat = append(flat, piece...)
-		}
-		if !bytes.Equal(flat, want) {
-			t.Fatalf("AppendFrameVec mismatch for %v:\n  got  %x\n  want %x", payloads, flat, want)
-		}
-		hdr.Release()
 	}
 }
 
@@ -189,16 +179,11 @@ func TestFrameEncodeDecodeZeroAlloc(t *testing.T) {
 	enc := EncodeFrame(5, payloads)
 	// Warm the pools and the scratch outside the measured region.
 	var scratch [][]byte
-	var vec [][]byte
 	rd := bytes.NewReader(enc)
 
 	allocs := testing.AllocsPerRun(200, func() {
 		f := a.EncodeFrame(5, payloads)
 		f.Release()
-
-		vec2, hdr := a.AppendFrameVec(vec[:0], 5, payloads)
-		vec = vec2[:0]
-		hdr.Release()
 
 		rd.Reset(enc)
 		_, got, f2, err := a.ReadFrameInto(rd, 1<<20, scratch)
@@ -209,7 +194,7 @@ func TestFrameEncodeDecodeZeroAlloc(t *testing.T) {
 		f2.Release()
 	})
 	if allocs > 0 {
-		t.Fatalf("frame encode+vec+decode: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("frame encode+decode: %.1f allocs/op, want 0", allocs)
 	}
 }
 

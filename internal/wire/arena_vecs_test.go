@@ -39,9 +39,9 @@ func FlattenPieces(vec [][]byte) []byte {
 	return out
 }
 
-// TestEncodeFrameVecsMatchesReference pins EncodeFrameVecs and
-// AppendFrameVecs byte-identical to the copying EncodeFrame over the
-// flattened payloads: a receiver cannot tell which encoder the sender used.
+// TestEncodeFrameVecsMatchesReference pins EncodeFrameVecs byte-identical
+// to the reference EncodeFrame over the flattened payloads: a receiver
+// cannot tell which encoder the sender used.
 func TestEncodeFrameVecsMatchesReference(t *testing.T) {
 	var a Arena
 	for _, payloads := range vecCases {
@@ -52,95 +52,5 @@ func TestEncodeFrameVecsMatchesReference(t *testing.T) {
 			t.Fatalf("EncodeFrameVecs mismatch for %v:\n  got  %x\n  want %x", payloads, f.Bytes(), want)
 		}
 		f.Release()
-
-		vec, hdr := a.AppendFrameVecs(nil, 42, payloads)
-		var flat []byte
-		for _, piece := range vec {
-			flat = append(flat, piece...)
-		}
-		if !bytes.Equal(flat, want) {
-			t.Fatalf("AppendFrameVecs mismatch for %v:\n  got  %x\n  want %x", payloads, flat, want)
-		}
-		hdr.Release()
-	}
-}
-
-// TestAppendFrameVecsSkipsEmptyPieces: zero-length pieces must not appear
-// in the output vector (a zero-length iovec wastes a writev slot), and
-// payload pieces must alias the caller's buffers, not copies.
-func TestAppendFrameVecsSkipsEmptyPieces(t *testing.T) {
-	var a Arena
-	p1 := []byte("abc")
-	p2 := []byte("defg")
-	vec, hdr := a.AppendFrameVecs(nil, 3, [][][]byte{{nil, p1, {}, p2, nil}})
-	defer hdr.Release()
-	for _, piece := range vec {
-		if len(piece) == 0 {
-			t.Fatalf("zero-length piece in output vector: %q", vec)
-		}
-	}
-	// The payload pieces ride by reference: mutating the caller's buffer
-	// must show through the vector.
-	found := false
-	for _, piece := range vec {
-		if len(piece) == len(p1) && &piece[0] == &p1[0] {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("payload piece was copied, not aliased")
-	}
-}
-
-// TestAppendFrameVecsDecodes round-trips the vector through the copying
-// decoder, including the round number and payload boundaries.
-func TestAppendFrameVecsDecodes(t *testing.T) {
-	var a Arena
-	for _, payloads := range vecCases {
-		vec, hdr := a.AppendFrameVecs(nil, 7, payloads)
-		var flat []byte
-		for _, piece := range vec {
-			flat = append(flat, piece...)
-		}
-		round, got, err := ReadFrame(bytes.NewReader(flat), 1<<24)
-		if err != nil {
-			t.Fatalf("decode AppendFrameVecs(%v): %v", payloads, err)
-		}
-		if round != 7 {
-			t.Fatalf("round = %d, want 7", round)
-		}
-		want := flattenCase(payloads)
-		if len(got) != len(want) {
-			t.Fatalf("payload count %d, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("payload %d: %x != %x", i, got[i], want[i])
-			}
-		}
-		hdr.Release()
-	}
-}
-
-// BenchmarkFrameVecs measures the steady-state scatter-gather encode: 16
-// sessions' worth of 1 KiB payloads, each split into a 2-byte routing
-// header plus body, assembled into one writev vector. The pooled header
-// frame and the reused vec slice make the loop allocation-free; the
-// ci.sh -guard-allocs gate pins that.
-func BenchmarkFrameVecs(b *testing.B) {
-	var a Arena
-	const sessions = 16
-	payloads := make([][][]byte, sessions)
-	body := bytes.Repeat([]byte{0x5a}, 1024)
-	for i := range payloads {
-		payloads[i] = [][]byte{{byte(i), 0x01}, body}
-	}
-	var vec [][]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var hdr *Frame
-		vec, hdr = a.AppendFrameVecs(vec[:0], uint64(i), payloads)
-		hdr.Release()
 	}
 }

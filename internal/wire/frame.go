@@ -34,26 +34,6 @@ var ErrFrame = errors.New("wire: malformed frame")
 // field cannot force a giant slice allocation.
 const MaxFramePayloads = 1 << 20
 
-// EncodeFrame serializes one round frame, length prefix included, into a
-// single buffer so transports can ship it with one write.
-func EncodeFrame(round uint64, payloads [][]byte) []byte {
-	size := 16
-	for _, p := range payloads {
-		size += len(p) + 4
-	}
-	w := NewWriter(size)
-	w.Uvarint(round)
-	w.Uvarint(uint64(len(payloads)))
-	for _, p := range payloads {
-		w.Bytes(p)
-	}
-	body := w.Finish()
-	out := NewWriter(len(body) + 4)
-	out.Uvarint(uint64(len(body)))
-	out.Raw(body)
-	return out.Finish()
-}
-
 // ReadFrame reads one frame from r. maxFrame bounds the body size; a larger
 // announced size fails with ErrFrame before any allocation. I/O errors are
 // returned as-is.

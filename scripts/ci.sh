@@ -38,6 +38,25 @@ if [ "$v2_elapsed" -gt 60 ]; then
 	exit 1
 fi
 
+echo "== one-path (the transport stack's collapsed forks stay collapsed)"
+# ROADMAP item 2: one packet vocabulary, one mux core, one send path. The
+# copying merge, the public<->internal packet adapters and the
+# scatter-gather frame encoders were deleted; a fast path added beside the
+# path it replaces would bring one of these names back, or define the
+# merge/demux/shed helpers a second time in a mux package (bc and rs have
+# unrelated unframe functions of their own, hence the *mux* scope).
+if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "one-path: a deleted fork reappeared in non-test code" >&2
+	exit 1
+fi
+for fn in shedInto senderCounts unframe; do
+	defs=$(grep -rnE "^func (\([^)]*\) )?$fn\(" --include='*.go' internal/*mux*/ | grep -vc '_test\.go:' || true)
+	if [ "$defs" -gt 1 ]; then
+		echo "one-path: $fn is defined $defs times under internal/*mux*/, want at most once" >&2
+		exit 1
+	fi
+done
+
 echo "== go test"
 go test ./...
 
@@ -74,23 +93,23 @@ if ! grep -q '"before"' "$latest"; then
 	exit 1
 fi
 
-echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, vec merge paths, bitstr kernels)"
+echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, mux merge, bitstr kernels)"
 # Re-measure the pooled frame round-trip, the admission-gated read, the
-# checkpoint append on the real filesystem, and the scatter-gather merge
-# paths (wire AppendFrameVecs, mux/sessmux flushVec), then compare allocs/op
-# against the checked-in record. Allocation counts are deterministic, so this
-# gates without flaking; a regression here means a zero-copy path grew a
-# hidden allocation — e.g. the vec merge scratch stopped being reused across
-# rounds, which would silently re-introduce the per-round copies this path
-# exists to eliminate. The bitstr rows pin Slice/Concat/FillTo at 1 alloc/op
-# (the result) and Compare at 0: a per-bit or byte-per-bit scratch coming
-# back into a kernel is an extra allocation and fails here.
-( go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission|BenchmarkFrameVecs' -benchtime 100x -benchmem ./internal/wire/ ; \
+# checkpoint append on the real filesystem, and the one mux merge
+# (sessmux, which internal/mux rides too), then compare allocs/op against
+# the checked-in record. A regression here means a zero-copy path grew a
+# hidden allocation — e.g. the merge scratch stopped being reused across
+# ticks, which would silently re-introduce the per-tick copies that path
+# exists to eliminate. The merge benchmark spawns 64 goroutines per tick,
+# whose first parks allocate in the runtime; 1000 ticks amortize that below
+# one alloc/op, where 100 would flake. The bitstr rows pin Slice/Concat/FillTo
+# at 1 alloc/op (the result) and Compare at 0: a per-bit or byte-per-bit
+# scratch coming back into a kernel is an extra allocation and fails here.
+( go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/ ; \
   go test -run '^$' -bench 'BenchmarkWALAppend$' -benchtime 100x -benchmem ./internal/checkpoint/ ; \
-  go test -run '^$' -bench 'BenchmarkMuxFlushVec' -benchtime 100x -benchmem ./internal/mux/ ; \
-  go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 100x -benchmem ./internal/sessmux/ ; \
+  go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/ ; \
   go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/ ) \
-	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|FrameVecs|MuxFlushVec|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare' > /dev/null
+	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare' > /dev/null
 
 echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 # One full 1024-session wave set over the shared loopback mesh, gated on an

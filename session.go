@@ -351,7 +351,7 @@ func (s *Session) runInstance(inst *checkpoint.Instance, run func(transport.Net)
 			return nil, err
 		}
 	}
-	out, err := run(sessionNet{s})
+	out, err := run(sessionNet{s.tr, s})
 	if err != nil {
 		err = fmt.Errorf("session instance %d: %w", s.seq, err)
 		s.err = fmt.Errorf("%w: %v", ErrSessionPoisoned, err)
@@ -399,13 +399,10 @@ func bigEq(a, b *big.Int) bool {
 // rounds from the checkpoint before touching the live network, appends
 // every live round to the write-ahead log, and maintains the session's
 // round counter and transcript digest.
-type sessionNet struct{ s *Session }
-
-var _ transport.Net = sessionNet{}
-
-func (n sessionNet) ID() transport.PartyID { return transport.PartyID(n.s.tr.ID()) }
-func (n sessionNet) N() int                { return n.s.tr.N() }
-func (n sessionNet) T() int                { return n.s.tr.T() }
+type sessionNet struct {
+	Transport // ID, N and T are the transport's own
+	s         *Session
+}
 
 func (n sessionNet) Exchange(out []transport.Packet) ([]transport.Message, error) {
 	s := n.s
@@ -418,7 +415,7 @@ func (n sessionNet) Exchange(out []transport.Packet) ([]transport.Message, error
 		s.absorb(msgs)
 		return msgs, nil
 	}
-	msgs, err := netAdapter{s.tr}.Exchange(out)
+	msgs, err := s.tr.Exchange(out)
 	if err != nil {
 		return nil, err
 	}
@@ -465,5 +462,5 @@ func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.
 	if input == nil || input.Sign() < 0 {
 		return nil, fmt.Errorf("%w: input must be a natural number", ErrOptions)
 	}
-	return aa.Run(netAdapter{tr}, "aa", input, diameterBound, epsilon)
+	return aa.Run(tr, "aa", input, diameterBound, epsilon)
 }

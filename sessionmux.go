@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"convexagreement/internal/sessmux"
-	"convexagreement/internal/transport"
 )
 
 // SessionMux multiplexes many independent agreement sessions — each with
@@ -13,39 +12,32 @@ import (
 // one per agreement (see internal/sessmux for the tick model and
 // DESIGN.md §2.13 for the architecture).
 //
-// Over a TCP transport the path is zero-copy end to end: session payloads
-// flow by reference through the mux's merge into each peer's vectored
-// write, and all sessions sharing a tick coalesce into one writev per
-// peer. Every participant of a session must open it at the same tick with
+// Over a TCP transport session payloads flow by reference through the
+// mux's merge and are copied once, into each peer's pooled round frame;
+// all sessions sharing a tick coalesce into one write per peer. Every
+// participant of a session must open it at the same tick with
 // the same (n, t); a party with no live sessions keeps the shared tick
 // clock with Idle.
 type SessionMux struct {
 	m *sessmux.Mux
 }
 
-// vecCapable is implemented by the built-in transports to hand the mux
-// their internal conn (VecNet-capable for TCP) instead of the boxed
-// public interface.
-type vecCapable interface {
-	internalNet() transport.Net
-}
-
 // NewSessionMux wraps tr. The transport must not be driven by anyone else
 // from this point on: the mux owns its round clock.
 func NewSessionMux(tr Transport) *SessionMux {
-	var base transport.Net
-	if vc, ok := tr.(vecCapable); ok {
-		base = vc.internalNet()
-	} else {
-		base = netAdapter{tr}
+	if tcp, ok := tr.(*TCPTransport); ok {
+		tr = tcp.conn // the mesh itself takes scatter-gather packets
 	}
-	return &SessionMux{m: sessmux.New(base)}
+	return &SessionMux{m: sessmux.New(tr)}
 }
 
 // Open starts session sid with n participants (parties 0..n-1 of the
 // underlying transport) and corruption budget t (3t < n). Session ids are
-// single-use. The returned transport is live immediately; drive it from
-// one goroutine and Close it when the protocol finishes.
+// single-use and meant to be issued in ascending order: the mux remembers
+// used ids as a low-watermark plus the last ~1000 above it, so an id far
+// below the ones in use is refused whether or not it ever ran. The
+// returned transport is live immediately; drive it from one goroutine and
+// Close it when the protocol finishes.
 func (sm *SessionMux) Open(sid uint64, n, t int) (*MuxedTransport, error) {
 	s, err := sm.m.Open(sid, n, t)
 	if err != nil {
@@ -63,24 +55,15 @@ func (sm *SessionMux) Live() int { return sm.m.Live() }
 
 // Stats returns cumulative mux counters (see sessmux.Stats for the field
 // semantics).
-func (sm *SessionMux) Stats() SessionMuxStats {
-	st := sm.m.Stats()
-	return SessionMuxStats{
-		Ticks:           st.Ticks,
-		Packets:         st.Packets,
-		BytesReferenced: st.BytesReferenced,
-		BytesCopied:     st.BytesCopied,
-		SessionShed:     st.SessionShed,
-		TickShed:        st.TickShed,
-	}
-}
+func (sm *SessionMux) Stats() SessionMuxStats { return SessionMuxStats(sm.m.Stats()) }
 
 // SessionMuxStats are cumulative counters for one SessionMux.
 // Packets/Ticks is the coalescing ratio — how many session frames ride in
-// each physical round (one writev per peer on TCP). BytesReferenced
-// counts payload bytes shipped zero-copy; BytesCopied counts bytes that
-// took the copying merge (0 on a TCP base). SessionShed and TickShed
-// count backpressure drops at the two bounds.
+// each physical round (one write per peer on TCP). BytesReferenced counts
+// payload bytes the mux handed to the transport by reference; BytesCopied
+// counts bytes it had to flatten for a transport that takes only flat
+// packets (0 on a TCP base). SessionShed and TickShed count backpressure
+// drops at the two bounds.
 type SessionMuxStats struct {
 	Ticks           uint64
 	Packets         uint64
@@ -103,7 +86,7 @@ var _ Transport = (*MuxedTransport)(nil)
 func (mt *MuxedTransport) Sid() uint64 { return mt.s.Sid() }
 
 // ID implements Transport.
-func (mt *MuxedTransport) ID() int { return int(mt.s.ID()) }
+func (mt *MuxedTransport) ID() int { return mt.s.ID() }
 
 // N implements Transport.
 func (mt *MuxedTransport) N() int { return mt.s.N() }
@@ -113,21 +96,7 @@ func (mt *MuxedTransport) T() int { return mt.s.T() }
 
 // Exchange implements Transport: one virtual round of this session,
 // carried by the mux's next tick.
-func (mt *MuxedTransport) Exchange(out []Packet) ([]Message, error) {
-	internal := make([]transport.Packet, len(out))
-	for i, p := range out {
-		internal[i] = transport.Packet{To: transport.PartyID(p.To), Tag: p.Tag, Payload: p.Payload}
-	}
-	in, err := mt.s.Exchange(internal)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]Message, len(in))
-	for i, m := range in {
-		msgs[i] = Message{From: int(m.From), Payload: m.Payload}
-	}
-	return msgs, nil
-}
+func (mt *MuxedTransport) Exchange(out []Packet) ([]Message, error) { return mt.s.Exchange(out) }
 
 // Close retires the session locally.
 func (mt *MuxedTransport) Close() error {

@@ -139,3 +139,67 @@ func TestSessionMuxRunSession(t *testing.T) {
 		}
 	}
 }
+
+// customTransport is a Transport spelled the way user code written before
+// Packet, Message and Transport became aliases spells one: ID() int, and
+// the public Packet/Message struct literals with their int fields.
+type customTransport struct{ inner *ca.LocalTransport }
+
+func (c customTransport) ID() int { return c.inner.ID() }
+func (c customTransport) N() int  { return c.inner.N() }
+func (c customTransport) T() int  { return c.inner.T() }
+func (c customTransport) Exchange(out []ca.Packet) ([]ca.Message, error) {
+	relabeled := make([]ca.Packet, len(out))
+	for i, p := range out {
+		var to int = p.To
+		relabeled[i] = ca.Packet{To: to, Tag: p.Tag, Payload: p.Payload}
+	}
+	in, err := c.inner.Exchange(relabeled)
+	for _, m := range in {
+		var from int = m.From
+		_ = ca.Message{From: from, Payload: m.Payload}
+	}
+	return in, err
+}
+
+// TestCustomTransportStillCompiles: a user-defined Transport keeps working
+// with RunParty and NewSessionMux (which takes the flattening path for
+// anything that is not the built-in TCP mesh).
+func TestCustomTransportStillCompiles(t *testing.T) {
+	const n = 4
+	cluster, err := ca.NewLocalCluster(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ints(7, 9, 8, 11)
+	outs := make([]*big.Int, n)
+	errs := make([]error, n)
+	stats := make([]ca.SessionMuxStats, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer cluster[i].Close()
+			var tr ca.Transport = customTransport{cluster[i]}
+			if outs[i], errs[i] = ca.RunParty(tr, ca.ProtoOptimal, 0, in[i]); errs[i] != nil {
+				return
+			}
+			sm := ca.NewSessionMux(tr)
+			outs[i], errs[i] = sm.RunSession(1, n, 1, ca.ProtoOptimal, 0, in[i])
+			stats[i] = sm.Stats()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("party %d: %v", i, errs[i])
+		}
+		if outs[i].Cmp(outs[0]) != 0 || outs[i].Cmp(big.NewInt(7)) < 0 || outs[i].Cmp(big.NewInt(11)) > 0 {
+			t.Fatalf("party %d output %v (party 0: %v), inputs 7..11", i, outs[i], outs[0])
+		}
+		if stats[i].BytesCopied == 0 || stats[i].BytesReferenced != 0 {
+			t.Fatalf("party %d: copied=%d referenced=%d over a flat-packet transport", i, stats[i].BytesCopied, stats[i].BytesReferenced)
+		}
+	}
+}

@@ -11,38 +11,33 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// Packet is an outgoing message addressed to one party. Tag is a protocol
-// label used for cost attribution; transports may ignore it.
-type Packet struct {
-	To      int
-	Tag     string
-	Payload []byte
-}
+// Packet is an outgoing message: Payload addressed to party To (an int,
+// 0 ≤ To < N; out-of-range packets are dropped), labelled with Tag, a
+// protocol label used for cost attribution that transports may ignore. It
+// is the same type the protocols are written against, so packets cross the
+// public API without conversion.
+type Packet = transport.Packet
 
-// Message is a delivered packet; From is the authenticated sender index.
-type Message struct {
-	From    int
-	Payload []byte
-}
+// Message is a delivered packet: Payload as sent, From the authenticated
+// sender index (an int, 0 ≤ From < N).
+type Message = transport.Message
 
 // Transport is one party's handle to a synchronous network, the deployment
 // counterpart of the paper's model (§2): n parties, authenticated
-// pairwise channels, lock-step rounds with a known delay bound Δ.
+// pairwise channels, lock-step rounds with a known delay bound Δ. Its
+// method set is
 //
-// Exchange submits this party's packets for the current round and blocks
-// until the round closes (all peers delivered or Δ elapsed), returning the
-// received messages. Implementations must deliver messages sorted by
-// sender and stamp From truthfully.
-type Transport interface {
-	// ID returns this party's index, 0 ≤ ID < N.
-	ID() int
-	// N returns the number of parties.
-	N() int
-	// T returns the corruption budget t < n/3.
-	T() int
-	// Exchange completes one synchronous round.
-	Exchange(out []Packet) ([]Message, error)
-}
+//	ID() int // this party's index, 0 ≤ ID < N
+//	N() int  // the number of parties
+//	T() int  // the corruption budget t < n/3
+//	Exchange(out []Packet) ([]Message, error)
+//
+// so a custom transport declared with exactly these methods keeps
+// compiling. Exchange submits this party's packets for the current round
+// and blocks until the round closes (all peers delivered or Δ elapsed),
+// returning the received messages. Implementations must deliver messages
+// sorted by sender and stamp From truthfully.
+type Transport = transport.Net
 
 // RunParty executes one party's side of the selected protocol over the
 // given transport. Every party of the cluster must call RunParty in the
@@ -66,34 +61,7 @@ func RunParty(tr Transport, protocol Protocol, width int, input *big.Int) (*big.
 	if err != nil {
 		return nil, err
 	}
-	return runner(netAdapter{tr}, input)
-}
-
-// netAdapter bridges the public Transport to the internal transport.Net.
-type netAdapter struct {
-	tr Transport
-}
-
-var _ transport.Net = netAdapter{}
-
-func (a netAdapter) ID() transport.PartyID { return transport.PartyID(a.tr.ID()) }
-func (a netAdapter) N() int                { return a.tr.N() }
-func (a netAdapter) T() int                { return a.tr.T() }
-
-func (a netAdapter) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	pub := make([]Packet, len(out))
-	for i, p := range out {
-		pub[i] = Packet{To: int(p.To), Tag: p.Tag, Payload: p.Payload}
-	}
-	in, err := a.tr.Exchange(pub)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]transport.Message, len(in))
-	for i, m := range in {
-		msgs[i] = transport.Message{From: transport.PartyID(m.From), Payload: m.Payload}
-	}
-	return msgs, nil
+	return runner(tr, input)
 }
 
 // TCPConfig configures DialTCP.
@@ -162,7 +130,7 @@ func DialTCP(cfg TCPConfig) (*TCPTransport, error) {
 }
 
 // ID implements Transport.
-func (t *TCPTransport) ID() int { return int(t.conn.ID()) }
+func (t *TCPTransport) ID() int { return t.conn.ID() }
 
 // N implements Transport.
 func (t *TCPTransport) N() int { return t.conn.N() }
@@ -171,25 +139,7 @@ func (t *TCPTransport) N() int { return t.conn.N() }
 func (t *TCPTransport) T() int { return t.conn.T() }
 
 // Exchange implements Transport.
-func (t *TCPTransport) Exchange(out []Packet) ([]Message, error) {
-	internal := make([]transport.Packet, len(out))
-	for i, p := range out {
-		internal[i] = transport.Packet{To: transport.PartyID(p.To), Tag: p.Tag, Payload: p.Payload}
-	}
-	in, err := t.conn.Exchange(internal)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]Message, len(in))
-	for i, m := range in {
-		msgs[i] = Message{From: int(m.From), Payload: m.Payload}
-	}
-	return msgs, nil
-}
-
-// internalNet exposes the VecNet-capable inner conn so NewSessionMux can
-// select the zero-copy merge path.
-func (t *TCPTransport) internalNet() transport.Net { return t.conn }
+func (t *TCPTransport) Exchange(out []Packet) ([]Message, error) { return t.conn.Exchange(out) }
 
 // Faulty returns the peers this party demoted to silent for the run —
 // caught violating the framing protocol or unreachable after all reconnect
@@ -254,7 +204,7 @@ func NewLocalCluster(n, t int) ([]*LocalTransport, error) {
 }
 
 // ID implements Transport.
-func (l *LocalTransport) ID() int { return int(l.conn.ID()) }
+func (l *LocalTransport) ID() int { return l.conn.ID() }
 
 // N implements Transport.
 func (l *LocalTransport) N() int { return l.conn.N() }
@@ -263,25 +213,7 @@ func (l *LocalTransport) N() int { return l.conn.N() }
 func (l *LocalTransport) T() int { return l.conn.T() }
 
 // Exchange implements Transport.
-func (l *LocalTransport) Exchange(out []Packet) ([]Message, error) {
-	internal := make([]transport.Packet, len(out))
-	for i, p := range out {
-		internal[i] = transport.Packet{To: transport.PartyID(p.To), Tag: p.Tag, Payload: p.Payload}
-	}
-	in, err := l.conn.Exchange(internal)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]Message, len(in))
-	for i, m := range in {
-		msgs[i] = Message{From: int(m.From), Payload: m.Payload}
-	}
-	return msgs, nil
-}
-
-// internalNet exposes the inner conn so NewSessionMux skips the
-// public-type round trip.
-func (l *LocalTransport) internalNet() transport.Net { return l.conn }
+func (l *LocalTransport) Exchange(out []Packet) ([]Message, error) { return l.conn.Exchange(out) }
 
 // Close retires this party from the cluster.
 func (l *LocalTransport) Close() error {

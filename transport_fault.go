@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"convexagreement/internal/faultnet"
-	"convexagreement/internal/transport"
 )
 
 // This file is the public face of the deterministic fault-injection layer
@@ -208,11 +207,11 @@ func WrapFaultyAt(tr Transport, cfg FaultConfig, startRound uint64) (*FaultyTran
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &FaultyTransport{inner: tr, net: faultnet.WrapAt(netAdapter{tr}, cfg.plan(), int(startRound))}, nil
+	return &FaultyTransport{inner: tr, net: faultnet.WrapAt(tr, cfg.plan(), int(startRound))}, nil
 }
 
 // ID implements Transport.
-func (f *FaultyTransport) ID() int { return int(f.net.ID()) }
+func (f *FaultyTransport) ID() int { return f.net.ID() }
 
 // N implements Transport.
 func (f *FaultyTransport) N() int { return f.net.N() }
@@ -222,21 +221,7 @@ func (f *FaultyTransport) T() int { return f.net.T() }
 
 // Exchange implements Transport, applying the schedule's faults for the
 // current round on the way through.
-func (f *FaultyTransport) Exchange(out []Packet) ([]Message, error) {
-	internal := make([]transport.Packet, len(out))
-	for i, p := range out {
-		internal[i] = transport.Packet{To: transport.PartyID(p.To), Tag: p.Tag, Payload: p.Payload}
-	}
-	in, err := f.net.Exchange(internal)
-	if err != nil {
-		return nil, err
-	}
-	msgs := make([]Message, len(in))
-	for i, m := range in {
-		msgs[i] = Message{From: int(m.From), Payload: m.Payload}
-	}
-	return msgs, nil
-}
+func (f *FaultyTransport) Exchange(out []Packet) ([]Message, error) { return f.net.Exchange(out) }
 
 // Round returns how many rounds this wrapper has completed.
 func (f *FaultyTransport) Round() int { return f.net.Round() }
