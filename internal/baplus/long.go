@@ -150,9 +150,7 @@ func decodeTuple(raw []byte) (idx int, share []byte, witness []hashing.Digest, o
 	r := wire.NewReader(raw)
 	idx = r.Int()
 	share = r.Bytes()
-	// Borrowed read: UnmarshalWitness copies every digest out of wraw, so
-	// nothing aliases the payload after decodeTuple returns.
-	wraw := r.BytesZC()
+	wraw := r.Bytes()
 	if r.Close() != nil {
 		return 0, nil, nil, false
 	}

@@ -42,7 +42,7 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	have := false
 	for _, m := range in {
 		if hashing.Sum(m.Payload) == zStar {
-			value = m.Payload
+			value = bytes.Clone(m.Payload) // relayed and returned past this inbox's lifetime
 			have = true
 			break
 		}
@@ -60,7 +60,7 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	if !have {
 		for _, m := range in {
 			if hashing.Sum(m.Payload) == zStar {
-				value = m.Payload
+				value = bytes.Clone(m.Payload)
 				have = true
 				break
 			}
@@ -71,5 +71,5 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 		// the agreed digest belongs to an honest holder who broadcast.
 		return nil, false, ErrDispersal
 	}
-	return bytes.Clone(value), true, nil
+	return value, true, nil
 }

@@ -159,9 +159,7 @@ func votedValues(in []transport.Message, threshold int) [][]byte {
 		}
 		unique := make(map[string]bool, 2)
 		for i := byte(0); i < k; i++ {
-			// Borrowed read: the string conversion below copies, so the
-			// value never outlives the payload it aliases.
-			v := r.BytesZC()
+			v := r.Bytes()
 			if r.Err() != nil {
 				break
 			}

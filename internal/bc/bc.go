@@ -37,6 +37,7 @@ func Broadcast(env transport.Net, tag string, sender transport.PartyID, value []
 	if err != nil {
 		return nil, false, err
 	}
+	// frame borrows the inbox; Long RS-encodes it before its first Exchange.
 	frame := frameAbsent()
 	for _, m := range in {
 		if m.From == sender {

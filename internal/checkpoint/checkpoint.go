@@ -541,7 +541,7 @@ func (st *State) apply(body []byte) error {
 		inst := &Instance{}
 		inst.Seq = rd.Uvarint()
 		inst.Kind = rd.Byte()
-		inst.Protocol = string(rd.BytesZC()) // string conversion copies
+		inst.Protocol = string(rd.Bytes())
 		inst.Width = rd.Int()
 		inst.Input = readBig(rd)
 		inst.Diam = readBig(rd)
@@ -561,7 +561,8 @@ func (st *State) apply(body []byte) error {
 		msgs := make([]transport.Message, 0, count)
 		for i := 0; i < count; i++ {
 			from := rd.Int()
-			msgs = append(msgs, transport.Message{From: transport.PartyID(from), Payload: rd.Bytes()})
+			// The state outlives body: a resumed session serves these rounds.
+			msgs = append(msgs, transport.Message{From: transport.PartyID(from), Payload: bytes.Clone(rd.Bytes())})
 		}
 		if err := rd.Close(); err != nil {
 			return fmt.Errorf("%w: round: %v", ErrCorrupt, err)
@@ -703,15 +704,14 @@ func writeBig(w *wire.Writer, v *big.Int) {
 	}
 }
 
-// readBig decodes writeBig's encoding. Borrowed reads: big.Int.SetBytes
-// copies its operand.
+// readBig decodes writeBig's encoding.
 func readBig(rd *wire.Reader) *big.Int {
 	switch rd.Byte() {
 	case 0:
 		return nil
 	case 2:
-		return new(big.Int).Neg(new(big.Int).SetBytes(rd.BytesZC()))
+		return new(big.Int).Neg(new(big.Int).SetBytes(rd.Bytes()))
 	default:
-		return new(big.Int).SetBytes(rd.BytesZC())
+		return new(big.Int).SetBytes(rd.Bytes())
 	}
 }

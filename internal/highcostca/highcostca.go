@@ -211,9 +211,8 @@ func chooseSuggestion(in []transport.Message, coverage int) *big.Int {
 	var ivs []interval
 	for _, payload := range transport.FirstPerSender(in) {
 		r := wire.NewReader(payload)
-		// Borrowed reads: big.Int.SetBytes copies its operand.
-		lo := new(big.Int).SetBytes(r.BytesZC())
-		hi := new(big.Int).SetBytes(r.BytesZC())
+		lo := new(big.Int).SetBytes(r.Bytes())
+		hi := new(big.Int).SetBytes(r.Bytes())
 		if r.Close() != nil || lo.Cmp(hi) > 0 {
 			continue // malformed or empty interval
 		}

@@ -23,6 +23,7 @@
 package rbc
 
 import (
+	"bytes"
 	"fmt"
 
 	"convexagreement/internal/asyncnet"
@@ -201,7 +202,7 @@ func decode(raw []byte) (typ byte, slot uint64, sender asyncnet.PartyID, value [
 	typ = r.Byte()
 	slot = r.Uvarint()
 	senderRaw := r.Int()
-	value = r.Bytes()
+	value = bytes.Clone(r.Bytes()) // instances keep the value past raw's delivery
 	if r.Close() != nil {
 		return 0, 0, 0, nil, false
 	}

@@ -449,9 +449,9 @@ func (r *runner) maybeFinishRound() {
 	// Deliver: group packets by recipient, ordered by sender. Iterating
 	// senders in ascending order appends each recipient's messages already
 	// sender-sorted — no per-inbox sort needed. A counting pass sizes one
-	// flat Message array carved into per-recipient sub-slices; the array
-	// must be fresh each round because parties may legitimately retain
-	// returned inboxes across rounds.
+	// flat Message array carved into per-recipient sub-slices. The array is
+	// fresh each round; transport.Net's lifetime rule would let it be
+	// reused, which is ROADMAP item 3's to measure.
 	counts := r.inboxCount
 	total := 0
 	for from := 0; from < r.cfg.N; from++ {

@@ -109,11 +109,6 @@ type Health struct {
 	// resource attack — the overload signal an operator reads first when a
 	// run degrades.
 	Demotions map[string]int
-	// Mux is the party's last reported multiplexer counters (instance- or
-	// session-mux); nil if never reported. Shed counts are the congestion
-	// signal: a mux shedding messages is absorbing a flood, which reframes
-	// slow progress the same way demotions reframe a stall.
-	Mux *MuxStats
 	// Storage is the party's last reported checkpoint-storage condition:
 	// nil while healthy, an error wrapping checkpoint.ErrStorageDegraded
 	// when the party is running with impaired or disabled checkpointing
@@ -145,36 +140,10 @@ func (h Health) String() string {
 			s += fmt.Sprintf("%s:%d", r, h.Demotions[r])
 		}
 	}
-	if h.Mux != nil {
-		s += fmt.Sprintf(" mux=ticks:%d,coalesced:%.1f,shed:%d",
-			h.Mux.Ticks, h.Mux.Coalescing(), h.Mux.SessionShed+h.Mux.TickShed)
-	}
 	if h.Storage != nil {
 		s += " storage=" + storageWord(h.Storage)
 	}
 	return s + " last_err=" + last
-}
-
-// MuxStats are multiplexer counters surfaced in Health — the same fields
-// as sessmux.Stats, duplicated here so the supervisor stays free of
-// transport-layer imports. For an instance mux, Ticks is its physical
-// rounds and SessionShed its inbox-bound sheds; TickShed stays 0.
-type MuxStats struct {
-	Ticks           uint64 // physical rounds driven
-	Packets         uint64 // frames shipped, all instances/sessions coalesced
-	BytesReferenced uint64 // payload bytes sent zero-copy
-	BytesCopied     uint64 // payload bytes through the copying merge
-	SessionShed     uint64 // messages shed by per-instance/session bounds
-	TickShed        uint64 // messages shed by the whole-tick bound
-}
-
-// Coalescing is the average number of frames per physical round — the
-// syscall-amortization factor a session mux exists to maximize.
-func (m MuxStats) Coalescing() float64 {
-	if m.Ticks == 0 {
-		return 0
-	}
-	return float64(m.Packets) / float64(m.Ticks)
 }
 
 // storageWord compresses a storage condition into the one word an
@@ -211,7 +180,6 @@ type Attempt struct {
 	abort     func()        // tears the party's transport down on stall
 	live      int
 	demotions map[string]int
-	muxStats  *MuxStats
 	storage   error
 }
 
@@ -287,23 +255,6 @@ func (a *Attempt) demotionReport() map[string]int {
 	return a.demotions
 }
 
-// ReportMux records this party's cumulative multiplexer counters —
-// typically built from sessmux's or mux's Stats(). The latest report is
-// surfaced in Health: shed counts are the mux-level congestion signal,
-// and the coalescing ratio tells an operator whether session batching is
-// actually amortizing anything. The struct is copied.
-func (a *Attempt) ReportMux(stats MuxStats) {
-	a.mu.Lock()
-	a.muxStats = &stats
-	a.mu.Unlock()
-}
-
-func (a *Attempt) muxReport() *MuxStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.muxStats
-}
-
 // Run drives party under the watchdog until it succeeds, the restart
 // budget is exhausted, quorum is lost, or an aborted stall fails to
 // unwind. The returned Health describes the whole run in either case.
@@ -327,9 +278,6 @@ func Run(cfg Config, party func(*Attempt) error) (Health, error) {
 		}
 		if d := a.demotionReport(); d != nil {
 			health.Demotions = d
-		}
-		if ms := a.muxReport(); ms != nil {
-			health.Mux = ms
 		}
 		if serr := a.storageReport(); serr != nil {
 			health.Storage = serr

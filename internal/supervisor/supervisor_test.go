@@ -217,27 +217,3 @@ func TestReportDemotionsKeptFromFailedAttempt(t *testing.T) {
 		t.Fatalf("Demotions = %v, want stall:1 carried across attempts", he.Health.Demotions)
 	}
 }
-
-// TestReportMuxSurfaced: multiplexer counters land in Health and render
-// with the coalescing ratio and combined shed count.
-func TestReportMuxSurfaced(t *testing.T) {
-	h, err := Run(fastCfg(), func(a *Attempt) error {
-		a.ReportMux(MuxStats{
-			Ticks:           4,
-			Packets:         64,
-			BytesReferenced: 4096,
-			SessionShed:     2,
-			TickShed:        1,
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Mux == nil || h.Mux.Packets != 64 || h.Mux.Coalescing() != 16 {
-		t.Fatalf("Health.Mux = %+v, want 64 packets at coalescing 16", h.Mux)
-	}
-	if want := "mux=ticks:4,coalesced:16.0,shed:3"; !strings.Contains(h.String(), want) {
-		t.Fatalf("Health.String() = %q, want it to contain %q", h.String(), want)
-	}
-}

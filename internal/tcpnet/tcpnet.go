@@ -83,16 +83,6 @@ type Config struct {
 	// (128); negative disables buffering (rejoining peers with any gap
 	// are demoted to silent).
 	RejoinWindow int
-	// BorrowedReads selects the zero-copy receive path: inbound frames are
-	// decoded into pooled buffers (wire.Arena.ReadFrameInto) and the
-	// message payloads Exchange returns alias those buffers. The payloads
-	// are valid until the NEXT Exchange (or Close) call on this Conn, at
-	// which point the buffers return to the pool and their bytes are
-	// reused; a caller that retains a payload across rounds must copy it
-	// first. The default (false) copies every payload and imposes no
-	// lifetime rules — it is also the differential oracle for the
-	// borrowing decoder, so both paths always parse identically.
-	BorrowedReads bool
 	// Budget bounds what each peer may send this party: per-frame bytes
 	// plus a round-clock token bucket over frames and bytes, enforced
 	// before any pooled-buffer allocation (see wire.Budget). nil applies
@@ -156,10 +146,10 @@ type link struct {
 }
 
 // inboxEntry is one peer's delivery for one round: the decoded messages
-// plus, in borrowed mode, the pooled frame their payloads alias. The frame
-// stays live while the entry sits in the inbox and through the Exchange
-// that delivers it; the next Exchange releases it (see Config.BorrowedReads
-// for the caller-facing contract).
+// and the pooled frame their payloads alias; a nil frame means the peer has
+// not delivered. The frame stays live while the entry sits in the inbox and
+// through the Exchange that delivers it; the next Exchange releases it —
+// transport.Net's payload-lifetime rule.
 type inboxEntry struct {
 	msgs  []transport.Message
 	frame *wire.Frame
@@ -209,7 +199,9 @@ type Conn struct {
 	cond    *sync.Cond
 	links   []link // indexed by party id; own id unused
 	inbound map[net.Conn]struct{}
-	byRound map[uint64]map[int]inboxEntry
+	// byRound holds each open round's deliveries indexed by party id, so a
+	// round is read out in sender order with no sort.
+	byRound map[uint64][]inboxEntry
 	round   uint64
 	closed  bool
 	// tails buffers the last RejoinWindow encoded round frames per peer so
@@ -219,8 +211,8 @@ type Conn struct {
 	// tail frame's bytes, and on teardown the GC is the safe reclaimer.
 	tails []map[uint64]*wire.Frame
 	// spent holds the pooled frames whose payloads the previous Exchange
-	// handed to the caller (borrowed mode); the next Exchange releases
-	// them, which is exactly the documented payload lifetime.
+	// handed to the caller; the next Exchange releases them, which is
+	// exactly the payload lifetime transport.Net promises.
 	spent []*wire.Frame
 	// frontier is the highest round any peer has announced in a handshake —
 	// how far ahead the mesh was when this (possibly resumed) party joined.
@@ -242,7 +234,7 @@ type Conn struct {
 	roundNow atomic.Uint64
 
 	// arena pools frame buffers for the whole Conn: encode side (outgoing
-	// round frames, replay batches) and, in borrowed mode, decode side.
+	// round frames, replay batches) and decode side (inbound frames).
 	arena wire.Arena
 	// wmu serializes writers on one socket (the live round send vs a rejoin
 	// replay batch) so frames can never interleave mid-stream; indexed by
@@ -315,7 +307,7 @@ func Dial(cfg Config) (*Conn, error) {
 		n:          n,
 		links:      make([]link, n),
 		inbound:    make(map[net.Conn]struct{}),
-		byRound:    make(map[uint64]map[int]inboxEntry),
+		byRound:    make(map[uint64][]inboxEntry),
 		round:      cfg.ResumeRound,
 		frontier:   cfg.ResumeRound,
 		tails:      make([]map[uint64]*wire.Frame, n),
@@ -603,8 +595,9 @@ func (c *Conn) BreakLink(peer int) {
 
 // Exchange implements one synchronous round: it ships this round's packets
 // to every up peer (an empty frame to peers with none), waits up to Delta
-// for all up peers' frames, and returns the delivered messages sorted by
-// sender.
+// for all up peers' frames, and returns the delivered messages in sender
+// order. Their payloads alias pooled frames (and, for self-delivery, out):
+// read-only, valid until the next Exchange or Close — see transport.Net.
 func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 	perDest := make([][][]byte, c.n)
 	for _, p := range out {
@@ -667,8 +660,8 @@ func (c *Conn) exchange(selfMsgs []transport.Message, encode func(r uint64, peer
 }
 
 // beginRound opens a synchronous round: it snapshots the round number and
-// releases the previous round's borrowed payload frames — the "valid until
-// the next Exchange call" edge of the BorrowedReads contract.
+// releases the frames behind the previous round's payloads — the "valid
+// until the next Exchange" edge of transport.Net's lifetime rule.
 func (c *Conn) beginRound() (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -687,7 +680,8 @@ func (c *Conn) beginRound() (uint64, error) {
 
 // awaitRound blocks until round r closes — all up peers' frames arrived or
 // Δ expired — then advances the round clock and returns the delivered
-// messages (self-deliveries included) sorted by sender.
+// messages in sender order (each sender's in the order it sent them),
+// self-deliveries at this party's own index.
 func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.Message, error) {
 	deadline := time.Now().Add(c.cfg.Delta)
 	timer := time.AfterFunc(c.cfg.Delta, func() {
@@ -707,8 +701,8 @@ func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.M
 		// frame a peer sent before its link went down is still delivered,
 		// but must not stand in for a live peer's that is yet to arrive.
 		have := 0
-		for peer := range c.byRound[r] {
-			if c.links[peer].state == linkUp {
+		for peer, e := range c.byRound[r] {
+			if e.frame != nil && c.links[peer].state == linkUp {
 				have++
 			}
 		}
@@ -717,8 +711,17 @@ func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.M
 		}
 		c.cond.Wait()
 	}
-	msgs := append([]transport.Message{}, selfMsgs...)
-	for _, e := range c.byRound[r] {
+	entries := c.byRound[r]
+	if entries == nil { // no peer delivered
+		entries = make([]inboxEntry, c.n)
+	}
+	entries[c.cfg.ID].msgs = selfMsgs
+	total := 0
+	for _, e := range entries {
+		total += len(e.msgs)
+	}
+	msgs := make([]transport.Message, 0, total)
+	for _, e := range entries {
 		msgs = append(msgs, e.msgs...)
 		if e.frame != nil {
 			// Keep the pooled buffer alive for the caller; the next
@@ -729,7 +732,6 @@ func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.M
 	delete(c.byRound, r)
 	c.round = r + 1
 	c.roundNow.Store(r + 1) // release the round clock to the read loops' gates
-	sortMessages(msgs)
 	return msgs, nil
 }
 
@@ -827,17 +829,7 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 		gate.Advance(c.roundNow.Load())
 		consumed := src.n - int64(br.Buffered())
-		var (
-			round    uint64
-			payloads [][]byte
-			frame    *wire.Frame
-			err      error
-		)
-		if c.cfg.BorrowedReads {
-			round, payloads, frame, err = c.arena.ReadFrameIntoGated(br, maxFrame, scratch, gate)
-		} else {
-			round, payloads, err = wire.ReadFrameGated(br, maxFrame, gate)
-		}
+		round, payloads, frame, err := c.arena.ReadFrameIntoGated(br, maxFrame, scratch, gate)
 		if err != nil {
 			if isTimeout(err) && src.n-int64(br.Buffered()) > consumed {
 				// The deadline expired with partial-frame progress: the peer
@@ -852,9 +844,7 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 		c.mu.Lock()
 		if c.closed || c.links[peer].gen != gen {
 			c.mu.Unlock()
-			if frame != nil {
-				frame.Release() // nothing retained the payloads
-			}
+			frame.Release() // nothing retained the payloads
 			return
 		}
 		horizon := uint64(c.cfg.RoundHorizon)
@@ -872,10 +862,10 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 				msgs = append(msgs, transport.Message{From: transport.PartyID(peer), Payload: p})
 			}
 			if c.byRound[round] == nil {
-				c.byRound[round] = make(map[int]inboxEntry)
+				c.byRound[round] = make([]inboxEntry, c.n)
 			}
-			if _, dup := c.byRound[round][peer]; !dup {
-				c.byRound[round][peer] = inboxEntry{msgs: msgs, frame: frame}
+			if e := &c.byRound[round][peer]; e.frame == nil {
+				*e = inboxEntry{msgs: msgs, frame: frame}
 				frame = nil // ownership moved to the inbox
 			}
 			c.cond.Broadcast()
@@ -974,17 +964,10 @@ func (c *Conn) linkLost(peer int, gen uint64, err error) {
 // most one such transition per peer.
 func (c *Conn) recordDemotionLocked(peer int, reason wire.Reason) {
 	c.demotions = append(c.demotions, Demotion{Peer: peer, Reason: reason, Round: c.round})
-	for r, entries := range c.byRound {
-		e, ok := entries[peer]
-		if !ok {
-			continue
-		}
-		if e.frame != nil {
+	for _, entries := range c.byRound {
+		if e := &entries[peer]; e.frame != nil {
 			e.frame.Release()
-		}
-		delete(entries, peer)
-		if len(entries) == 0 {
-			delete(c.byRound, r)
+			*e = inboxEntry{}
 		}
 	}
 }
@@ -1162,23 +1145,4 @@ func helloHost(conn net.Conn) string {
 		return host
 	}
 	return addr
-}
-
-func sortMessages(msgs []transport.Message) {
-	// Sender order must be stable: a sender's messages keep arrival order,
-	// which multiplexers stacked above rely on for replay determinism.
-	// Small inboxes (one message per peer) take the insertion sort; a
-	// session-mux round delivers tens of thousands of messages in
-	// per-sender runs with many inversions, where insertion sort's
-	// quadratic worst case dominated whole-tick CPU — hand those to the
-	// O(m log m) stable sort.
-	if len(msgs) > 64 {
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		return
-	}
-	for i := 1; i < len(msgs); i++ {
-		for j := i; j > 0 && msgs[j].From < msgs[j-1].From; j-- {
-			msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
-		}
-	}
 }

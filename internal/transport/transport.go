@@ -24,7 +24,8 @@ type Packet struct {
 }
 
 // Message is a delivered packet. From is trustworthy: channels are
-// authenticated, so a byzantine party cannot spoof its identity.
+// authenticated, so a byzantine party cannot spoof its identity. Payload is
+// borrowed from the transport under Net's lifetime rule.
 type Message struct {
 	From    PartyID
 	Payload []byte
@@ -38,6 +39,15 @@ type Message struct {
 // empty slice to stay silent); the paper's protocols guarantee all honest
 // parties take identical control-flow branches, which keeps the round
 // schedule aligned.
+//
+// Payload lifetime — one rule for every Net, so that a transport may
+// deliver out of memory it reuses (tcpnet's pooled frames) and every layer
+// stacked on it (session muxes, fault injectors, recorders) passes payloads
+// through by reference: the messages Exchange returns are read-only and
+// valid until the next Exchange or Close on that Net; whoever keeps or
+// forwards a payload past that call copies it first (bytes.Clone at the
+// site). transporttest.Recycle turns the rule from a promise into a failing
+// test.
 type Net interface {
 	// ID returns this party's identifier (0-based).
 	ID() PartyID

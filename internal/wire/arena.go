@@ -1,27 +1,28 @@
 package wire
 
 // This file is the pooled frame-buffer arena behind the zero-copy wire
-// path (DESIGN.md §2.9). The copying decoder in frame.go allocates a fresh
-// body per frame and a fresh slice per payload; at n ≥ 256 the transport
-// spends more time in the allocator than in the kernel. The arena removes
-// both allocations from the steady state:
+// path (DESIGN.md §2.9). The reference decoder in frame.go allocates a
+// fresh body per frame and a fresh slice per payload; at n ≥ 256 a
+// transport reading that way spends more time in the allocator than in the
+// kernel. The arena removes both allocations from the steady state:
 //
 //   - Encode side: Arena.EncodeFrame (flat payloads) and
 //     Arena.EncodeFrameVecs (scatter-gather payloads) lay the frame down
 //     in one pooled buffer (exact-size, so the buffer never grows out of
 //     its size class): each payload byte is copied exactly once, into the
 //     buffer the transport both writes and retains for rejoin replay.
-//   - Decode side: Arena.ReadFrameInto reads the frame body into a pooled
-//     buffer and returns payload slices that alias it. One buffer per
-//     frame, zero per payload.
+//   - Decode side: Arena.ReadFrameIntoGated reads the frame body into a
+//     pooled buffer and returns payload slices that alias it. One buffer
+//     per frame, zero per payload.
 //
 // Ownership contract (machine-checked by calint's bufownership analyzer):
 //
 //   - A Frame returned by an Arena method is owned by the caller until
-//     Release. Payload slices returned alongside a Frame (ReadFrameInto)
-//     alias pooled memory: they are valid until the Frame is released and
-//     must not be retained past that point. Callers that need a payload
-//     beyond the frame's lifetime must copy it out first.
+//     Release. Payload slices returned alongside a Frame
+//     (ReadFrameIntoGated) alias pooled memory: they are valid until the
+//     Frame is released and must not be retained past that point. Callers
+//     that need a payload beyond the frame's lifetime must copy it out
+//     first.
 //   - Release returns the buffer to the pool for reuse by any goroutine;
 //     releasing a frame twice, or touching its bytes after Release, is a
 //     bug of the same severity as a use-after-free (the race detector
@@ -204,26 +205,22 @@ func (a *Arena) EncodeFrameVecs(round uint64, payloads [][][]byte) *Frame {
 	return f
 }
 
-// ReadFrameInto reads one frame from r into a pooled buffer and returns
-// payload slices that alias it: the borrowing counterpart of the
-// package-level ReadFrame. scratch, when non-nil, is reused for the
-// payload slice headers (pass the previous call's payloads to make the
-// steady state allocation-free). The caller owns the returned frame and
-// must Release it once the payloads are no longer needed; on error the
-// frame has already been released and the returned *Frame is nil.
+// ReadFrameIntoGated reads one frame from r into a pooled buffer and
+// returns payload slices that alias it — the one read between the socket
+// and the protocol. scratch, when non-nil, is reused for the payload slice
+// headers (pass the previous call's payloads to make the steady state
+// allocation-free). The caller owns the returned frame and must Release it
+// once the payloads are no longer needed; on error the frame has already
+// been released and the returned *Frame is nil.
 //
-// Error discipline is identical to ReadFrame: structural violations wrap
-// ErrFrame, I/O errors pass through unwrapped.
-func (a *Arena) ReadFrameInto(r io.Reader, maxFrame uint64, scratch [][]byte) (round uint64, payloads [][]byte, f *Frame, err error) {
-	return a.ReadFrameIntoGated(r, maxFrame, scratch, nil)
-}
-
-// ReadFrameIntoGated is ReadFrameInto with an admission gate consulted
-// between the announced length field and the pooled-buffer allocation —
-// the borrowing counterpart of ReadFrameGated, with the same ordering
-// (structural maxFrame bound first, then the gate) and the same error
-// discipline (gate errors pass through unwrapped). A nil gate admits
-// everything.
+// gate is consulted between the announced length field and the pooled-
+// buffer allocation: a frame it refuses costs the reader nothing but the
+// length varint. The structural maxFrame bound is checked first (an absurd
+// length is a protocol violation, not a budget question). A nil gate
+// admits everything.
+//
+// Error discipline is identical to ReadFrameGated: structural violations
+// wrap ErrFrame, gate errors and I/O errors pass through unwrapped.
 func (a *Arena) ReadFrameIntoGated(r io.Reader, maxFrame uint64, scratch [][]byte, gate Gate) (round uint64, payloads [][]byte, f *Frame, err error) {
 	size, err := readUvarintAny(r)
 	if err != nil {
@@ -251,7 +248,7 @@ func (a *Arena) ReadFrameIntoGated(r io.Reader, maxFrame uint64, scratch [][]byt
 	}
 	payloads = scratch[:0]
 	for i := 0; i < count; i++ {
-		payloads = append(payloads, rd.BytesZC())
+		payloads = append(payloads, rd.Bytes())
 	}
 	if err := rd.Close(); err != nil {
 		f.Release()

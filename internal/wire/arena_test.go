@@ -50,9 +50,9 @@ func TestReadFrameIntoMatchesReference(t *testing.T) {
 		enc := EncodeFrame(9, payloads)
 		wantRound, want := decodeRef(t, enc)
 
-		round, got, f, err := a.ReadFrameInto(bytes.NewReader(enc), 1<<24, scratch)
+		round, got, f, err := a.ReadFrameIntoGated(bytes.NewReader(enc), 1<<24, scratch, nil)
 		if err != nil {
-			t.Fatalf("ReadFrameInto(%v): %v", payloads, err)
+			t.Fatalf("ReadFrameIntoGated(%v): %v", payloads, err)
 		}
 		if round != wantRound || len(got) != len(want) {
 			t.Fatalf("shape mismatch: round %d/%d, %d/%d payloads", round, wantRound, len(got), len(want))
@@ -80,7 +80,7 @@ func TestReadFrameIntoFailClosed(t *testing.T) {
 	bad = append(bad, w.Finish()) // oversize announcement
 	for _, raw := range bad {
 		_, _, refErr := ReadFrame(bytes.NewReader(raw), 1<<20)
-		_, _, f, err := a.ReadFrameInto(bytes.NewReader(raw), 1<<20, nil)
+		_, _, f, err := a.ReadFrameIntoGated(bytes.NewReader(raw), 1<<20, nil, nil)
 		if (refErr == nil) != (err == nil) {
 			t.Fatalf("%x: oracle err %v, borrowing err %v", raw, refErr, err)
 		}
@@ -99,7 +99,7 @@ func TestReadFrameIntoFailClosed(t *testing.T) {
 func TestFrameAliasAfterRelease(t *testing.T) {
 	var a Arena
 	enc := EncodeFrame(1, [][]byte{bytes.Repeat([]byte{0xaa}, 64)})
-	_, payloads, f, err := a.ReadFrameInto(bytes.NewReader(enc), 1<<20, nil)
+	_, payloads, f, err := a.ReadFrameIntoGated(bytes.NewReader(enc), 1<<20, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,36 +135,25 @@ func TestFrameDoubleReleasePanics(t *testing.T) {
 	f.Release()
 }
 
-// TestBytesZCAliasesBuffer: the borrow variant must alias, the copying
-// variant must not.
-func TestBytesZCAliasesBuffer(t *testing.T) {
+// TestBytesAliasesBuffer: the one length-prefixed accessor borrows — the
+// result aliases the Reader's buffer and its capacity stops at the field's
+// end, so an append through it reallocates instead of overwriting the next
+// field.
+func TestBytesAliasesBuffer(t *testing.T) {
 	w := NewWriter(32)
 	w.Bytes([]byte("abcd"))
+	w.Byte('N')
 	raw := w.Finish()
 
 	r := NewReader(raw)
-	zc := r.BytesZC()
+	got := r.Bytes()
 	raw[1] = 'Z' // mutate the underlying buffer
-	if zc[0] != 'Z' {
-		t.Fatal("BytesZC returned a copy; want an alias")
+	if got[0] != 'Z' {
+		t.Fatal("Bytes returned a copy; want an alias")
 	}
-
-	raw[1] = 'a'
-	r2 := NewReader(raw)
-	cp := r2.Bytes()
-	raw[1] = 'Q'
-	if cp[0] != 'a' {
-		t.Fatal("Bytes returned an alias; want a copy")
-	}
-}
-
-// TestBytesZCFailClosed mirrors the Bytes bound checks.
-func TestBytesZCFailClosed(t *testing.T) {
-	w := NewWriter(8)
-	w.Uvarint(1 << 40) // length prefix far beyond the buffer
-	r := NewReader(w.Finish())
-	if b := r.BytesZC(); b != nil || r.Err() == nil {
-		t.Fatalf("oversize BytesZC: %v, err %v", b, r.Err())
+	_ = append(got, 'X')
+	if r.Byte() != 'N' {
+		t.Fatal("append through a borrowed field overwrote the next field")
 	}
 }
 
@@ -186,7 +175,7 @@ func TestFrameEncodeDecodeZeroAlloc(t *testing.T) {
 		f.Release()
 
 		rd.Reset(enc)
-		_, got, f2, err := a.ReadFrameInto(rd, 1<<20, scratch)
+		_, got, f2, err := a.ReadFrameIntoGated(rd, 1<<20, scratch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +206,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 				f := a.EncodeFrame(1, payloads)
 				f.Release()
 				rd.Reset(enc)
-				_, got, f2, err := a.ReadFrameInto(rd, 1<<20, scratch)
+				_, got, f2, err := a.ReadFrameIntoGated(rd, 1<<20, scratch, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

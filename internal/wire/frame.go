@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,9 +35,10 @@ var ErrFrame = errors.New("wire: malformed frame")
 // field cannot force a giant slice allocation.
 const MaxFramePayloads = 1 << 20
 
-// ReadFrame reads one frame from r. maxFrame bounds the body size; a larger
-// announced size fails with ErrFrame before any allocation. I/O errors are
-// returned as-is.
+// ReadFrame reads one frame from r, copying every payload: the reference
+// decoder the fuzz targets hold Arena.ReadFrameIntoGated equal to, with no
+// production caller. maxFrame bounds the body size; a larger announced size
+// fails with ErrFrame before any allocation. I/O errors are returned as-is.
 func ReadFrame(r io.Reader, maxFrame uint64) (round uint64, payloads [][]byte, err error) {
 	return ReadFrameGated(r, maxFrame, nil)
 }
@@ -73,7 +75,7 @@ func ReadFrameGated(r io.Reader, maxFrame uint64, gate Gate) (round uint64, payl
 	}
 	payloads = make([][]byte, 0, count)
 	for i := 0; i < count; i++ {
-		payloads = append(payloads, rd.Bytes())
+		payloads = append(payloads, bytes.Clone(rd.Bytes()))
 	}
 	if err := rd.Close(); err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrFrame, err)

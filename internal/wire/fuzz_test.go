@@ -29,7 +29,6 @@ func FuzzReader(f *testing.F) {
 			_ = b
 		}
 		r.Int()
-		r.Raw(3)
 		_ = r.Close()
 	})
 }
@@ -84,7 +83,7 @@ func FuzzReadFrameInto(f *testing.F) {
 	var scratch [][]byte
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		wantRound, wantPayloads, wantErr := ReadFrame(bytes.NewReader(raw), limit)
-		gotRound, gotPayloads, frame, gotErr := arena.ReadFrameInto(bytes.NewReader(raw), limit, scratch)
+		gotRound, gotPayloads, frame, gotErr := arena.ReadFrameIntoGated(bytes.NewReader(raw), limit, scratch, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error divergence: oracle %v, borrowing %v", wantErr, gotErr)
 		}

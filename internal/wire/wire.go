@@ -104,31 +104,13 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Bytes reads a length-prefixed byte slice. The result is a fresh copy, so
-// callers may retain it without pinning the whole message buffer.
+// Bytes reads a length-prefixed byte slice. The result aliases the
+// Reader's buffer (capacity clipped, so an append through it cannot bleed
+// into the next field): it lives exactly as long as that buffer does. When
+// the buffer is a delivered payload that is until the next Exchange on the
+// transport (transport.Net); a caller that keeps the bytes longer says
+// bytes.Clone at the call site.
 func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxChunk || int(n) > len(r.buf)-r.off {
-		r.fail("chunk of %d bytes exceeds message", n)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out
-}
-
-// BytesZC reads a length-prefixed byte slice without copying: the result
-// aliases the Reader's underlying buffer. It is the borrow variant of
-// Bytes for call sites that consume the payload immediately (hash it,
-// compare it, convert it to a string) and never retain it — retaining the
-// result pins the whole message buffer, and when that buffer is a pooled
-// wire.Frame, outlives it (see arena.go's ownership contract). Callers
-// that keep the bytes must use Bytes.
-func (r *Reader) BytesZC() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -139,21 +121,6 @@ func (r *Reader) BytesZC() []byte {
 	}
 	out := r.buf[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
-	return out
-}
-
-// Raw reads exactly n bytes with no length prefix.
-func (r *Reader) Raw(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.buf)-r.off {
-		r.fail("truncated raw field of %d bytes", n)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+n])
-	r.off += n
 	return out
 }
 

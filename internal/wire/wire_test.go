@@ -32,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Bytes(); len(got) != 0 {
 		t.Errorf("empty bytes = %q", got)
 	}
-	if got := r.Raw(3); !bytes.Equal(got, []byte{1, 2, 3}) {
+	if got := []byte{r.Byte(), r.Byte(), r.Byte()}; !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("raw = %v", got)
 	}
 	if err := r.Close(); err != nil {
@@ -87,31 +87,8 @@ func TestErrorsSticky(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// Subsequent reads must be inert.
-	if r.Byte() != 0 || r.Uvarint() != 0 || r.Bytes() != nil || r.Raw(2) != nil || r.Int() != 0 {
+	if r.Byte() != 0 || r.Uvarint() != 0 || r.Bytes() != nil || r.Int() != 0 {
 		t.Error("reads after error returned data")
-	}
-}
-
-func TestRawBounds(t *testing.T) {
-	r := NewReader([]byte{1, 2})
-	if r.Raw(-1) != nil || r.Err() == nil {
-		t.Error("negative raw accepted")
-	}
-	r2 := NewReader([]byte{1, 2})
-	if r2.Raw(3) != nil || r2.Err() == nil {
-		t.Error("overlong raw accepted")
-	}
-}
-
-func TestBytesCopyIsIndependent(t *testing.T) {
-	w := NewWriter(0)
-	w.Bytes([]byte{9, 9, 9})
-	raw := w.Finish()
-	r := NewReader(raw)
-	got := r.Bytes()
-	raw[len(raw)-1] = 0
-	if got[2] != 9 {
-		t.Error("decoded bytes alias the input buffer")
 	}
 }
 
@@ -126,7 +103,6 @@ func TestFuzzRandomBytesNeverPanic(t *testing.T) {
 		r.Uvarint()
 		r.Bytes()
 		r.Int()
-		r.Raw(4)
 		_ = r.Close()
 	}
 }

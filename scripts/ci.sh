@@ -39,14 +39,22 @@ if [ "$v2_elapsed" -gt 60 ]; then
 fi
 
 echo "== one-path (the transport stack's collapsed forks stay collapsed)"
-# ROADMAP item 2: one packet vocabulary, one mux core, one send path. The
-# copying merge, the public<->internal packet adapters and the
-# scatter-gather frame encoders were deleted; a fast path added beside the
-# path it replaces would bring one of these names back, or define the
-# merge/demux/shed helpers a second time in a mux package (bc and rs have
-# unrelated unframe functions of their own, hence the *mux* scope).
-if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec' --include='*.go' . | grep -v '_test\.go:'; then
+# ROADMAP item 2: one packet vocabulary, one mux core, one send path, one
+# receive path. The copying merge, the public<->internal packet adapters,
+# the scatter-gather frame encoders, the copying receive mode with its
+# config knob, the second Reader accessor and the inbox sort were deleted;
+# a fast path added beside the path it replaces would bring one of these
+# names back, or define the merge/demux/shed helpers a second time in a mux
+# package (bc and rs have unrelated unframe functions of their own, hence
+# the *mux* scope).
+if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec|BorrowedReads|BytesZC|sortMessages|ReadFrameInto\(' --include='*.go' . | grep -v '_test\.go:'; then
 	echo "one-path: a deleted fork reappeared in non-test code" >&2
+	exit 1
+fi
+# The copying decoder is the fuzz oracle (and a bench probe), nothing else:
+# a production caller would be a second receive path.
+if grep -rnE 'wire\.ReadFrame(Gated)?\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/wire|bench)/'; then
+	echo "one-path: wire.ReadFrame/ReadFrameGated gained a caller outside internal/wire and bench" >&2
 	exit 1
 fi
 for fn in shedInto senderCounts unframe; do
@@ -60,8 +68,8 @@ done
 echo "== go test"
 go test ./...
 
-echo "== go test -race (root, sim, rs, gf16, pool, merkle, wire, tcpnet, channet, faultnet, mux, sessmux, asyncnet, checkpoint, errfs, supervisor, adversary, netattack)"
-go test -race -short . ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/pool/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/mux/... ./internal/sessmux/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/netattack/...
+echo "== go test -race (root, sim, rs, gf16, pool, merkle, wire, tcpnet, channet, faultnet, mux, sessmux, transporttest, asyncnet, checkpoint, errfs, supervisor, adversary, netattack)"
+go test -race -short . ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/pool/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/mux/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/netattack/...
 
 echo "== sessmux battery (per-session isolation, deterministic shed, Byzantine frames, fault-replay digests, 256-session race stress)"
 go test -run 'TestSessionBoundIsolatesFloodingSibling|TestTickBoundShedsHeaviestSession|TestShedDeterministic|TestByzantineFramesDropped|TestFaultReplayDigestExact' -count=1 ./internal/sessmux/
@@ -113,8 +121,9 @@ echo "== allocs/op regression guard (zero-copy frame path, admission fast path, 
 
 echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 # One full 1024-session wave set over the shared loopback mesh, gated on an
-# absolute wall-clock budget. Before the adaptive sortMessages fix this run
-# took >15s; the budget catches any return of quadratic per-tick work.
+# absolute wall-clock budget: a 16k-message tick makes any quadratic
+# per-tick work (an insertion sort of the inbox once took this run past
+# 15s) blow it.
 go test -run '^$' -bench 'BenchmarkSessionThroughput$' -benchtime 1x -benchmem ./internal/sessmux/ \
 	| go run ./cmd/benchjson -guard-time 'SessionThroughput$=30s' > /dev/null
 

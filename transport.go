@@ -19,7 +19,8 @@ import (
 type Packet = transport.Packet
 
 // Message is a delivered packet: Payload as sent, From the authenticated
-// sender index (an int, 0 ≤ From < N).
+// sender index (an int, 0 ≤ From < N). Payload is borrowed from the
+// transport; see Transport for how long it may be read.
 type Message = transport.Message
 
 // Transport is one party's handle to a synchronous network, the deployment
@@ -37,6 +38,11 @@ type Message = transport.Message
 // and blocks until the round closes (all peers delivered or Δ elapsed),
 // returning the received messages. Implementations must deliver messages
 // sorted by sender and stamp From truthfully.
+//
+// Payload lifetime: the messages Exchange returns are read-only and valid
+// until the next Exchange or Close on that Transport (a TCPTransport
+// delivers out of pooled frames it reuses); whoever keeps or forwards a
+// payload past that call copies it first.
 type Transport = transport.Net
 
 // RunParty executes one party's side of the selected protocol over the
