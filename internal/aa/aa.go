@@ -54,8 +54,8 @@ func Run(env transport.Net, tag string, input, diameterBound, epsilon *big.Int) 
 			return nil, err
 		}
 		received := make([]*big.Int, 0, env.N())
-		for _, payload := range transport.FirstPerSender(in) {
-			received = append(received, new(big.Int).SetBytes(payload))
+		for _, m := range transport.FirstPerSender(in) {
+			received = append(received, new(big.Int).SetBytes(m.Payload))
 		}
 		if len(received) <= 2*t {
 			return nil, fmt.Errorf("aa: only %d values received, need > %d", len(received), 2*t)

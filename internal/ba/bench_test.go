@@ -1,11 +1,14 @@
 package ba_test
 
 import (
+	"fmt"
 	"testing"
 
 	"convexagreement/internal/ba"
+	"convexagreement/internal/channet"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
+	"convexagreement/internal/transport"
 )
 
 func BenchmarkBinary_n7(b *testing.B) {
@@ -33,5 +36,39 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBinaryChannet is one phase-king instance per op, all n parties,
+// back to back on one in-process hub: what the protocol layer itself
+// allocates in its 3(t+1) rounds (tags, one-byte payloads, the hub's
+// copies) with no first-per-sender map and no wire under it — at n = 7,
+// and at n = 16 (mux_closed's shape), where the map that used to be built
+// per round no longer fit the stack. ci.sh pins both rows' allocs/op with
+// -guard-allocs.
+func BenchmarkBinaryChannet(b *testing.B) {
+	for _, n := range []int{7, 16} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			hub, err := channet.NewHub(n, (n-1)/3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fns := make([]func(net transport.Net) error, n)
+			for i := range fns {
+				fns[i] = func(net transport.Net) error {
+					for r := 0; r < b.N; r++ {
+						if _, err := ba.Binary(net, "b", byte(net.ID()%2)); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := hub.Run(fns); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

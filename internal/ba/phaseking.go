@@ -52,9 +52,9 @@ func Binary(env transport.Net, tag string, input byte) (byte, error) {
 			return 0, err
 		}
 		count := [2]int{}
-		for _, payload := range transport.FirstPerSender(in) {
-			if len(payload) == 1 && payload[0] <= 1 {
-				count[payload[0]]++
+		for _, m := range transport.FirstPerSender(in) {
+			if len(m.Payload) == 1 && m.Payload[0] <= 1 {
+				count[m.Payload[0]]++
 			}
 		}
 		a := bit0
@@ -75,9 +75,9 @@ func Binary(env transport.Net, tag string, input byte) (byte, error) {
 			return 0, err
 		}
 		pcount := [2]int{}
-		for _, payload := range transport.FirstPerSender(in) {
-			if len(payload) == 1 && payload[0] <= 1 {
-				pcount[payload[0]]++
+		for _, m := range transport.FirstPerSender(in) {
+			if len(m.Payload) == 1 && m.Payload[0] <= 1 {
+				pcount[m.Payload[0]]++
 			}
 		}
 		b := bit0

@@ -94,8 +94,8 @@ func decodeTC(raw []byte) ([]byte, bool) {
 // among the first message of each sender.
 func tcMajority(in []transport.Message, threshold int) ([]byte, bool) {
 	counts := make(map[string]int)
-	for _, payload := range transport.FirstPerSender(in) {
-		if v, ok := decodeTC(payload); ok {
+	for _, m := range transport.FirstPerSender(in) {
+		if v, ok := decodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}
 	}
@@ -111,8 +111,8 @@ func tcMajority(in []transport.Message, threshold int) ([]byte, bool) {
 // breaking ties deterministically by byte order.
 func tcBest(in []transport.Message) ([]byte, int) {
 	counts := make(map[string]int)
-	for _, payload := range transport.FirstPerSender(in) {
-		if v, ok := decodeTC(payload); ok {
+	for _, m := range transport.FirstPerSender(in) {
+		if v, ok := decodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}
 	}

@@ -28,7 +28,9 @@ var ErrDispersal = errors.New("baplus: value dispersal failed")
 // (value, true) or (nil, false) for ⊥.
 func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	n, t := env.N(), env.T()
-	codec, err := rs.NewCodec(n, n-t)
+	// One codec per (n, t) for the whole process: its tables, decode plans
+	// and scratch outlive this instance (rs.SharedCodec).
+	codec, err := rs.SharedCodec(n, n-t)
 	if err != nil {
 		return nil, false, fmt.Errorf("baplus: %w", err)
 	}

@@ -30,11 +30,12 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 		return nil, false, ErrDispersal
 	}
 	// Naive dispersal, round A: holders broadcast the full value.
-	var out []transport.Packet
+	var in []transport.Message
 	if zStar == digest {
-		out = transport.Broadcast(env, tag+"/naiveout", input)
+		in, err = transport.ExchangeAll(env, tag+"/naiveout", input)
+	} else {
+		in, err = transport.ExchangeNone(env)
 	}
-	in, err := env.Exchange(out)
 	if err != nil {
 		return nil, false, err
 	}
@@ -49,11 +50,11 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	}
 	// Round B: re-broadcast so parties the byzantine holders skipped still
 	// receive it (the naive totality step — another full ℓn² of traffic).
-	out = nil
 	if have {
-		out = transport.Broadcast(env, tag+"/naiverelay", value)
+		in, err = transport.ExchangeAll(env, tag+"/naiverelay", value)
+	} else {
+		in, err = transport.ExchangeNone(env)
 	}
-	in, err = env.Exchange(out)
 	if err != nil {
 		return nil, false, err
 	}

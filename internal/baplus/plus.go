@@ -116,8 +116,8 @@ func decodeOpt(raw []byte, ok bool) ([]byte, bool) {
 // senders sent, sorted ascending for determinism.
 func supportedValues(in []transport.Message, threshold, max int) [][]byte {
 	counts := make(map[string]int)
-	for _, payload := range transport.FirstPerSender(in) {
-		counts[string(payload)]++
+	for _, m := range transport.FirstPerSender(in) {
+		counts[string(m.Payload)]++
 	}
 	var out []string
 	for s, c := range counts {
@@ -151,8 +151,8 @@ func encodeVote(vals [][]byte) []byte {
 // At most two can exist when threshold ≥ n−t and t < n/3; kept defensive.
 func votedValues(in []transport.Message, threshold int) [][]byte {
 	counts := make(map[string]int)
-	for _, payload := range transport.FirstPerSender(in) {
-		r := wire.NewReader(payload)
+	for _, m := range transport.FirstPerSender(in) {
+		r := wire.NewReader(m.Payload)
 		k := r.Byte()
 		if r.Err() != nil || k > 2 {
 			continue

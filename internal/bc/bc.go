@@ -29,11 +29,13 @@ import (
 // the broadcast delivered, (nil, false) when the (necessarily byzantine)
 // sender failed to get any single value across.
 func Broadcast(env transport.Net, tag string, sender transport.PartyID, value []byte) ([]byte, bool, error) {
-	var out []transport.Packet
+	var in []transport.Message
+	var err error
 	if env.ID() == sender {
-		out = transport.Broadcast(env, tag+"/bc-send", framePresent(value))
+		in, err = transport.ExchangeAll(env, tag+"/bc-send", framePresent(value))
+	} else {
+		in, err = transport.ExchangeNone(env)
 	}
-	in, err := env.Exchange(out)
 	if err != nil {
 		return nil, false, err
 	}

@@ -73,21 +73,22 @@ func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.Str
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	var out []transport.Packet
+	var in []transport.Message
 	switch head.Compare(prefix) {
 	case -1:
-		out = transport.Broadcast(env, tag+"/side", []byte{0})
+		in, err = transport.ExchangeAll(env, tag+"/side", []byte{0})
 	case 1:
-		out = transport.Broadcast(env, tag+"/side", []byte{1})
+		in, err = transport.ExchangeAll(env, tag+"/side", []byte{1})
+	default:
+		in, err = transport.ExchangeNone(env)
 	}
-	in, err := env.Exchange(out)
 	if err != nil {
 		return nil, err
 	}
 	count := [2]int{}
-	for _, payload := range transport.FirstPerSender(in) {
-		if len(payload) == 1 && payload[0] <= 1 {
-			count[payload[0]]++
+	for _, m := range transport.FirstPerSender(in) {
+		if len(m.Payload) == 1 && m.Payload[0] <= 1 {
+			count[m.Payload[0]]++
 		}
 	}
 	// CHOICE: a bit received from ⌈m/2⌉ of the m senders. With ≥ t+1

@@ -19,22 +19,40 @@ func TestConformance(t *testing.T) { transporttest.Conformance(t, cluster) }
 // in its delay queues — must not see the sender's pieces after the call.
 func TestConformanceVec(t *testing.T) { transporttest.ConformanceVec(t, cluster) }
 
+// TestOutReuseWithHeldPackets: every packet between two parties is held for
+// two rounds in the wrapper's delay queue, and the sender overwrites its out
+// slice the moment each Exchange returns — the queue must hold the packets
+// themselves, not the caller's slice.
+func TestOutReuseWithHeldPackets(t *testing.T) {
+	const delay = 2
+	plan := &faultnet.Plan{Seed: 1, Rules: []faultnet.Rule{
+		{Kind: faultnet.Delay, From: faultnet.Any, To: faultnet.Any, Prob: 1, DelayRounds: delay},
+	}}
+	transporttest.ConformanceOutReuse(t, planCluster(plan), delay)
+}
+
 func cluster(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
-	t.Helper()
-	hub, err := channet.NewHub(n, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &faultnet.Plan{Seed: 1}
-	wrapped := make([]func(net transport.Net) error, n)
-	for i := range fns {
-		fn := fns[i]
-		wrapped[i] = func(net transport.Net) error {
-			return fn(faultnet.Wrap(net, plan))
+	planCluster(&faultnet.Plan{Seed: 1})(t, n, tc, fns)
+}
+
+// planCluster runs the parties over channet handles wrapped with plan.
+func planCluster(plan *faultnet.Plan) transporttest.Cluster {
+	return func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
+		t.Helper()
+		hub, err := channet.NewHub(n, tc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := hub.Run(wrapped); err != nil {
-		t.Fatal(err)
+		wrapped := make([]func(net transport.Net) error, n)
+		for i := range fns {
+			fn := fns[i]
+			wrapped[i] = func(net transport.Net) error {
+				return fn(faultnet.Wrap(net, plan))
+			}
+		}
+		if err := hub.Run(wrapped); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

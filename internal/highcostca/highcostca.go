@@ -82,11 +82,11 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		strong := natWithSupport(in, n-t) // value seen from n−t parties, if any
 
 		// Round B: propose a value that n−t parties reported.
-		var out []transport.Packet
 		if strong != nil {
-			out = transport.Broadcast(env, tag+"/hc-propose", encodeNat(strong))
+			in, err = transport.ExchangeAll(env, tag+"/hc-propose", encodeNat(strong))
+		} else {
+			in, err = transport.ExchangeNone(env)
 		}
-		in, err = env.Exchange(out)
 		if err != nil {
 			return nil, err
 		}
@@ -97,15 +97,15 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		}
 
 		// Round C: the king broadcasts its pick.
-		out = nil
 		if env.ID() == king {
 			kingValue := suggestion
 			if proposed != nil {
 				kingValue = proposed
 			}
-			out = transport.Broadcast(env, tag+"/hc-king", encodeNat(kingValue))
+			in, err = transport.ExchangeAll(env, tag+"/hc-king", encodeNat(kingValue))
+		} else {
+			in, err = transport.ExchangeNone(env)
 		}
-		in, err = env.Exchange(out)
 		if err != nil {
 			return nil, err
 		}
@@ -120,13 +120,13 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		// Round D: endorse the king's value if it matches CURRENT or lies
 		// in the trusted interval; adopt an endorsed king value unless a
 		// full proposal quorum was already seen.
-		out = nil
 		if kingValue != nil &&
 			(kingValue.Cmp(current) == 0 ||
 				(kingValue.Cmp(intervalMin) >= 0 && kingValue.Cmp(intervalMax) <= 0)) {
-			out = transport.Broadcast(env, tag+"/hc-vote", encodeNat(kingValue))
+			in, err = transport.ExchangeAll(env, tag+"/hc-vote", encodeNat(kingValue))
+		} else {
+			in, err = transport.ExchangeNone(env)
 		}
-		in, err = env.Exchange(out)
 		if err != nil {
 			return nil, err
 		}
@@ -155,8 +155,8 @@ func decodeNat(raw []byte) *big.Int { return new(big.Int).SetBytes(raw) }
 func decodeNats(in []transport.Message) []*big.Int {
 	per := transport.FirstPerSender(in)
 	out := make([]*big.Int, 0, len(per))
-	for _, payload := range per {
-		out = append(out, decodeNat(payload))
+	for _, m := range per {
+		out = append(out, decodeNat(m.Payload))
 	}
 	return out
 }
@@ -172,7 +172,8 @@ func decodeNats(in []transport.Message) []*big.Int {
 // becomes a big.Int.
 func natWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]*int)
-	for _, payload := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in) {
+		payload := m.Payload
 		for len(payload) > 0 && payload[0] == 0 {
 			payload = payload[1:]
 		}
@@ -209,8 +210,8 @@ type interval struct {
 // `coverage` well-formed intervals, or nil if none exists.
 func chooseSuggestion(in []transport.Message, coverage int) *big.Int {
 	var ivs []interval
-	for _, payload := range transport.FirstPerSender(in) {
-		r := wire.NewReader(payload)
+	for _, m := range transport.FirstPerSender(in) {
+		r := wire.NewReader(m.Payload)
 		lo := new(big.Int).SetBytes(r.Bytes())
 		hi := new(big.Int).SetBytes(r.Bytes())
 		if r.Close() != nil || lo.Cmp(hi) > 0 {

@@ -13,8 +13,8 @@ import (
 // through SetBytes. It is the oracle for the byte-keyed version.
 func refNatWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]int)
-	for _, payload := range transport.FirstPerSender(in) {
-		counts[string(decodeNat(payload).Bytes())]++
+	for _, m := range transport.FirstPerSender(in) {
+		counts[string(decodeNat(m.Payload).Bytes())]++
 	}
 	var best *big.Int
 	for s, c := range counts {

@@ -43,6 +43,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -155,6 +156,46 @@ func NewCodec(n, k int) (*Codec, error) {
 		}
 		c.ext[r] = row
 	}
+	return c, nil
+}
+
+// sharedCodecs bounds the SharedCodec cache: a deployment runs one or a few
+// (n, t) shapes, and each cached codec holds its encode tables (128·k·(n−k)
+// bytes) and its decode-plan LRU (plan.go's bounds) for as long as it stays.
+const sharedCodecs = 4
+
+// shared is the process-wide codec cache, most recently used first.
+var shared struct {
+	mu     sync.Mutex
+	codecs []*Codec
+}
+
+// SharedCodec returns the process-wide (n, k) codec, building it on first
+// use: every caller of one shape shares one extension matrix, one set of
+// encode tables, one decode-plan cache and one scratch pool, instead of
+// rebuilding them per protocol instance. A Codec is goroutine-safe, so the
+// callers need no coordination. The cache keeps the sharedCodecs most
+// recently used shapes; a caller that wants a private codec uses NewCodec.
+func SharedCodec(n, k int) (*Codec, error) {
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	i := slices.IndexFunc(shared.codecs, func(c *Codec) bool { return c.n == n && c.k == k })
+	if i < 0 {
+		// Built under the lock: concurrent first callers of one shape (every
+		// party of a session at once) wait for one build instead of racing n.
+		c, err := NewCodec(n, k)
+		if err != nil {
+			return nil, err
+		}
+		if len(shared.codecs) < sharedCodecs {
+			shared.codecs = append(shared.codecs, nil)
+		}
+		i = len(shared.codecs) - 1 // a full cache drops its least recently used
+		shared.codecs[i] = c
+	}
+	c := shared.codecs[i]
+	copy(shared.codecs[1:i+1], shared.codecs[:i])
+	shared.codecs[0] = c
 	return c, nil
 }
 

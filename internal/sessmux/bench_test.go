@@ -244,6 +244,52 @@ func BenchmarkSessmuxFlushVec(b *testing.B) {
 	}
 }
 
+// BenchmarkSessmuxTickTCP is the whole tick, end to end: 64 live sessions on
+// each of 4 parties, every session broadcasting one byte per virtual round
+// (the phase-king round that is 390 of mux_closed's 414 per agreement)
+// through sessmux over a loopback tcpnet mesh. One op is one tick of the
+// whole mesh — all four parties' fan-out, merge, encode, write, read, inbox
+// and demux — so allocs/op is the steady-state tick ROADMAP item 3 asks to
+// allocate nothing; ci.sh pins it with -guard-allocs at a -benchtime long
+// enough that goroutine parks and the frame pool's refills after a GC cycle
+// amortise below one.
+func BenchmarkSessmuxTickTCP(b *testing.B) {
+	const n, sessions = 4, 64
+	payload := []byte{1}
+	var opened []*sessmux.Session
+	for _, c := range benchMesh(b, n) {
+		m := sessmux.New(c)
+		for sid := uint64(0); sid < sessions; sid++ {
+			s, err := m.Open(sid, n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opened = append(opened, s)
+		}
+	}
+	errs := make([]error, len(opened))
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, s := range opened {
+		wg.Add(1)
+		go func(i int, s *sessmux.Session) {
+			defer wg.Done()
+			defer s.Close() // a failed session must not wedge its siblings' ticks
+			for r := 0; r < b.N && errs[i] == nil; r++ {
+				_, errs[i] = transport.ExchangeAll(s, "tick", payload)
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	b.StopTimer()
+	for i, err := range errs {
+		if err != nil {
+			b.Fatalf("session %d: %v", i, err)
+		}
+	}
+}
+
 // vecStubNet upgrades stubNet to a VecNet: merged pieces are handed over
 // by reference.
 type vecStubNet struct {

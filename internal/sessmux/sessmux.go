@@ -43,7 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"convexagreement/internal/transport"
@@ -203,7 +203,8 @@ func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	if _, used := m.retired[sid]; used || sid < m.retiredBelow {
 		return nil, fmt.Errorf("sessmux: session id %d already used", sid)
 	}
-	s := &Session{m: m, sid: sid, n: n, t: t}
+	// An honest round delivers n messages: size the inbox once, here.
+	s := &Session{m: m, sid: sid, n: n, t: t, inbox: make([]transport.Message, 0, n)}
 	m.open[sid] = s
 	m.live++
 	return s, nil
@@ -241,10 +242,14 @@ type Session struct {
 	pended  bool
 	closed  bool
 	pending []transport.Packet
-	inbox   []transport.Message
+	// inbox is refilled by every tick's demux and bcast by every
+	// ExchangeBroadcast: scratch under transport.Net's lifetime rule, which
+	// dies with the session.
+	inbox []transport.Message
+	bcast []transport.Packet
 }
 
-var _ transport.Net = (*Session)(nil)
+var _ transport.BroadcastNet = (*Session)(nil)
 
 // Sid returns the session id.
 func (s *Session) Sid() uint64 { return s.sid }
@@ -286,6 +291,21 @@ func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) 
 		return nil, m.err
 	}
 	return s.inbox, nil
+}
+
+// ExchangeBroadcast implements transport.BroadcastNet: the all-to-all round
+// is Exchange over a fan-out the session refills in place, so merge sees
+// the same n packets Exchange(Broadcast(...)) would have handed it.
+func (s *Session) ExchangeBroadcast(tag string, payload []byte) ([]transport.Message, error) {
+	if s.bcast == nil {
+		s.bcast = make([]transport.Packet, s.n)
+	}
+	for to := range s.bcast {
+		s.bcast[to] = transport.Packet{To: to, Tag: tag, Payload: payload}
+	}
+	in, err := s.Exchange(s.bcast)
+	clear(s.bcast) // the round is over: don't pin the caller's payload
+	return in, err
 }
 
 // Close retires the session locally. Peers are not told: they observe
@@ -377,7 +397,8 @@ func (m *Mux) flush() {
 			sids = append(sids, sid)
 		}
 	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
+	slices.Sort(sids)
+	m.sidsBuf = sids
 
 	in, err := m.merge(sids)
 	if err != nil {
@@ -388,7 +409,7 @@ func (m *Mux) flush() {
 		return
 	}
 	m.stats.Ticks++
-	m.demux(in)
+	m.demux(in, sids)
 
 	for _, sid := range sids {
 		if s := m.open[sid]; s != nil {
@@ -396,17 +417,19 @@ func (m *Mux) flush() {
 			s.pending = nil
 		}
 	}
-	m.sidsBuf = sids
 	m.submitted = 0
 	m.tick++
 	m.cond.Broadcast()
 }
 
 // demux routes delivered messages to their sessions and applies both
-// bounds. Caller holds m.mu.
-func (m *Mux) demux(in []transport.Message) {
+// bounds. sids is the tick's sorted session list — every open session: a
+// tick closes only once all of them have submitted. Each session's inbox is
+// refilled in place; its driver is blocked in the Exchange that ends the
+// previous inbox's lifetime. Caller holds m.mu.
+func (m *Mux) demux(in []transport.Message, sids []uint64) {
 	for _, s := range m.open {
-		s.inbox = nil
+		s.inbox = s.inbox[:0]
 	}
 	bound := m.sessionBound
 	total := 0
@@ -452,13 +475,8 @@ func (m *Mux) demux(in []transport.Message) {
 		return
 	}
 	// Shed from the heaviest session (ties to the lowest sid), oldest
-	// message first, until the tick fits. Iterate over a sorted sid list:
+	// message first, until the tick fits. Iterate over the sorted sid list:
 	// determinism again.
-	sids := make([]uint64, 0, len(m.open))
-	for sid := range m.open {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
 	for total > tb {
 		heavy := -1
 		for i := range sids {

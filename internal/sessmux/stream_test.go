@@ -47,7 +47,7 @@ type recVecNet struct{ *recNet }
 
 func (s recVecNet) ExchangeVec(out []transport.VecPacket) ([]transport.Message, error) {
 	for _, p := range out {
-		s.record(p.To, p.Tag, transport.FlattenVec(p.Vec))
+		s.record(p.To, p.Tag, bytes.Join(p.Vec, nil))
 	}
 	return nil, nil
 }

@@ -16,12 +16,6 @@ type (
 
 var _ transport.Net = (*Env)(nil)
 
-// Broadcast builds packets carrying payload to every party, including the
-// sender itself.
-func (e *Env) Broadcast(tag string, payload []byte) []Packet {
-	return transport.Broadcast(e, tag, payload)
-}
-
 // ExchangeAll broadcasts payload and completes the round, returning the
 // inbox.
 func (e *Env) ExchangeAll(tag string, payload []byte) ([]Message, error) {
@@ -31,10 +25,4 @@ func (e *Env) ExchangeAll(tag string, payload []byte) ([]Message, error) {
 // ExchangeNone participates in a round without sending anything.
 func (e *Env) ExchangeNone() ([]Message, error) {
 	return transport.ExchangeNone(e)
-}
-
-// FirstPerSender reduces an inbox to at most one payload per sender; see
-// transport.FirstPerSender.
-func FirstPerSender(msgs []Message) map[PartyID][]byte {
-	return transport.FirstPerSender(msgs)
 }

@@ -450,8 +450,9 @@ func (r *runner) maybeFinishRound() {
 	// senders in ascending order appends each recipient's messages already
 	// sender-sorted — no per-inbox sort needed. A counting pass sizes one
 	// flat Message array carved into per-recipient sub-slices. The array is
-	// fresh each round; transport.Net's lifetime rule would let it be
-	// reused, which is ROADMAP item 3's to measure.
+	// fresh each round: transport.Net's lifetime rule would let it be reused,
+	// but the simulator is the cost-model transport, not the tick floor —
+	// ROADMAP item 3 left it alone as its must-not-move workload.
 	counts := r.inboxCount
 	total := 0
 	for from := 0; from < r.cfg.N; from++ {

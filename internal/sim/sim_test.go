@@ -310,15 +310,3 @@ func TestDeterministicReports(t *testing.T) {
 		t.Error("tag breakdown differs")
 	}
 }
-
-func TestFirstPerSender(t *testing.T) {
-	msgs := []Message{
-		{From: 2, Payload: []byte{1}},
-		{From: 2, Payload: []byte{2}},
-		{From: 5, Payload: []byte{3}},
-	}
-	got := FirstPerSender(msgs)
-	if len(got) != 2 || got[2][0] != 1 || got[5][0] != 3 {
-		t.Errorf("FirstPerSender = %v", got)
-	}
-}

@@ -145,14 +145,26 @@ type link struct {
 	reconnecting bool
 }
 
-// inboxEntry is one peer's delivery for one round: the decoded messages
-// and the pooled frame their payloads alias; a nil frame means the peer has
-// not delivered. The frame stays live while the entry sits in the inbox and
+// inboxEntry is one peer's delivery for one round: the pooled frame and the
+// payload headers that alias it, both exactly as the read produced them
+// (awaitRound builds the Messages); a nil frame means the peer has not
+// delivered. The frame stays live while the entry sits in the inbox and
 // through the Exchange that delivers it; the next Exchange releases it —
-// transport.Net's payload-lifetime rule.
+// transport.Net's payload-lifetime rule. An undelivered slot of a reused
+// entry slice still holds the emptied header slice of the delivery it
+// carried last, which the read loop that fills the slot takes as its next
+// scratch: header slices circulate between the read loops and the slots and
+// are not reallocated.
 type inboxEntry struct {
-	msgs  []transport.Message
-	frame *wire.Frame
+	payloads [][]byte
+	frame    *wire.Frame
+}
+
+// empty marks the slot undelivered, keeping its header slice (emptied, so it
+// pins no frame) for the next read that fills it.
+func (e *inboxEntry) empty() {
+	clear(e.payloads)
+	e.payloads, e.frame = e.payloads[:0], nil
 }
 
 // Demotion records one peer's demotion to silent: who, why (the
@@ -172,14 +184,13 @@ type PeerStats struct {
 	Demoted wire.Reason
 }
 
-// Stats are cumulative counters. Writes counts write syscalls issued (each
-// a single vectored writev via net.Buffers); FramesSent counts encoded
-// round frames shipped, replayed frames included — the ratio is the
-// batching win: a rejoin replay of G rounds is one write, not G. The
-// ingress side reports hellos refused by the per-host handshake cap,
-// frames dropped beyond the round horizon, every demotion with its
-// structured reason, and per-peer admission counters; Demotions and Peers
-// are sorted by party id.
+// Stats are cumulative counters. Writes counts write calls issued (each one
+// contiguous pooled buffer); FramesSent counts encoded round frames
+// shipped, replayed frames included — the ratio is the batching win: a
+// rejoin replay of G rounds is one write, not G. The ingress side reports
+// hellos refused by the per-host handshake cap, frames dropped beyond the
+// round horizon, every demotion with its structured reason, and per-peer
+// admission counters; Demotions and Peers are sorted by party id.
 type Stats struct {
 	FramesSent     uint64
 	Writes         uint64
@@ -241,9 +252,26 @@ type Conn struct {
 	// party id. Leaf mutex: nothing but the deadline-bounded write happens
 	// under it, and Close unblocks the write by closing the conn.
 	wmu []sync.Mutex
-	// vec is the Exchange goroutine's scratch one-frame write vector,
-	// rebuilt per peer per round so the steady state allocates nothing.
-	vec net.Buffers
+
+	// Round scratch: every container a round fills is held here and reset,
+	// not reallocated, so the steady-state round allocates nothing. All of it
+	// belongs to the Exchange goroutine (transport.Net has one driver) and is
+	// covered by the Net lifetime rule — what a round hands out is valid
+	// until the next Exchange; only free is shared with the read loops, under
+	// mu. Each grows to the largest round seen and stays there.
+	flat    [][][]byte          // Exchange: payloads per destination
+	vecs    [][][][]byte        // ExchangeVec: scatter-gather payloads per destination
+	one     [1][]byte           // ExchangeBroadcast: every peer's payload list
+	self    []transport.Message // this round's self-deliveries
+	selfBuf []byte              // ExchangeVec's self-deliveries, flattened
+	inbox   []transport.Message // the inbox the round hands out
+	// free holds retired per-round entry slices for the read loops to reopen
+	// rounds with; at most RoundHorizon+1 rounds are ever open at once, so
+	// that is all it keeps.
+	free [][]inboxEntry
+	// timer wakes a waiting awaitRound at the round's Δ deadline: one timer
+	// Reset per round (a stale fire only broadcasts the cond).
+	timer *time.Timer
 
 	framesSent     atomic.Uint64
 	writes         atomic.Uint64
@@ -312,6 +340,8 @@ func Dial(cfg Config) (*Conn, error) {
 		frontier:   cfg.ResumeRound,
 		tails:      make([]map[uint64]*wire.Frame, n),
 		wmu:        make([]sync.Mutex, n),
+		flat:       make([][][]byte, n),
+		vecs:       make([][][][]byte, n),
 		helloCount: make(map[string]int),
 		adm:        make([]*wire.Admission, n),
 		done:       make(chan struct{}),
@@ -371,23 +401,27 @@ func Dial(cfg Config) (*Conn, error) {
 	}
 
 	// Wait for higher ids to dial in.
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
+	c.timer = time.AfterFunc(time.Until(deadline), c.wake)
 	c.mu.Lock()
 	for c.missingPeer() >= 0 && time.Now().Before(deadline) && !c.closed {
 		c.cond.Wait()
 	}
 	missing := c.missingPeer()
 	c.mu.Unlock()
-	timer.Stop()
+	c.timer.Stop()
 	if missing >= 0 {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet: no connection to party %d", missing)
 	}
 	return c, nil
+}
+
+// wake is the deadline timer's callback: it re-runs whichever wait loop the
+// deadline belongs to (Dial's mesh wait, then each round's awaitRound).
+func (c *Conn) wake() {
+	c.mu.Lock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // missingPeer returns the lowest peer id that has never connected (gen 0),
@@ -478,7 +512,7 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	c.mu.Unlock()
 
 	if replay != nil {
-		c.writeBufs(peer, gen, conn, net.Buffers{replay.Bytes()}, replayFrames)
+		c.write(peer, gen, conn, replay.Bytes(), replayFrames)
 		replay.Release()
 	}
 }
@@ -596,23 +630,31 @@ func (c *Conn) BreakLink(peer int) {
 // Exchange implements one synchronous round: it ships this round's packets
 // to every up peer (an empty frame to peers with none), waits up to Delta
 // for all up peers' frames, and returns the delivered messages in sender
-// order. Their payloads alias pooled frames (and, for self-delivery, out):
-// read-only, valid until the next Exchange or Close — see transport.Net.
+// order. Their payloads alias pooled frames (and, for self-delivery, out),
+// and the slice itself is the Conn's: read-only, valid until the next
+// Exchange or Close — see transport.Net.
 func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	perDest := make([][][]byte, c.n)
-	for _, p := range out {
-		if p.To < 0 || p.To >= c.n {
-			continue
+	r, err := c.beginRound()
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if p := &out[i]; p.To >= 0 && p.To < c.n {
+			c.flat[p.To] = append(c.flat[p.To], p.Payload)
 		}
-		perDest[p.To] = append(perDest[p.To], p.Payload)
 	}
-	var selfMsgs []transport.Message
-	for _, payload := range perDest[c.cfg.ID] {
-		selfMsgs = append(selfMsgs, transport.Message{From: c.cfg.ID, Payload: payload})
+	for peer, payloads := range c.flat {
+		if peer == c.cfg.ID {
+			for _, p := range payloads {
+				c.self = append(c.self, transport.Message{From: peer, Payload: p})
+			}
+		} else {
+			c.sendFrame(peer, r, c.arena.EncodeFrame(r, payloads))
+		}
+		clear(payloads) // sent: don't pin the caller's payloads
+		c.flat[peer] = payloads[:0]
 	}
-	return c.exchange(selfMsgs, func(r uint64, peer int) *wire.Frame {
-		return c.arena.EncodeFrame(r, perDest[peer])
-	})
+	return c.awaitRound(r)
 }
 
 // ExchangeVec implements transport.VecNet: one synchronous round whose
@@ -622,46 +664,76 @@ func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 // flattening copy of their own. On the wire and at the receiver the round
 // is indistinguishable from Exchange over the concatenated payloads.
 func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, error) {
-	perDest := make([][][][]byte, c.n)
-	for i := range out {
-		p := &out[i]
-		if p.To < 0 || p.To >= c.n {
-			continue
-		}
-		perDest[p.To] = append(perDest[p.To], p.Vec)
-	}
-	var selfMsgs []transport.Message
-	for _, v := range perDest[c.cfg.ID] {
-		// Self-delivery outlives the caller's pieces (the contract frees
-		// them when ExchangeVec returns), so it gets a flattening copy.
-		selfMsgs = append(selfMsgs, transport.Message{From: c.cfg.ID, Payload: transport.FlattenVec(v)})
-	}
-	return c.exchange(selfMsgs, func(r uint64, peer int) *wire.Frame {
-		return c.arena.EncodeFrameVecs(r, perDest[peer])
-	})
-}
-
-var _ transport.VecNet = (*Conn)(nil)
-
-// exchange is the one round body under Exchange and ExchangeVec: each
-// peer's frame is encoded once, flat, into a pooled buffer and sent; then
-// the round is awaited.
-func (c *Conn) exchange(selfMsgs []transport.Message, encode func(r uint64, peer int) *wire.Frame) ([]transport.Message, error) {
 	r, err := c.beginRound()
 	if err != nil {
 		return nil, err
 	}
-	for j := 0; j < c.n; j++ {
-		if j != c.cfg.ID {
-			c.sendFrame(j, r, encode(r, j))
+	for i := range out {
+		if p := &out[i]; p.To >= 0 && p.To < c.n {
+			c.vecs[p.To] = append(c.vecs[p.To], p.Vec)
 		}
 	}
-	return c.awaitRound(r, selfMsgs)
+	// Self-delivery outlives the caller's pieces (the contract frees them
+	// when ExchangeVec returns) but not the next Exchange, so it is flattened
+	// into one bump buffer the Conn reuses — sized up front, because a
+	// regrowth would move the bytes out from under the payloads carved so far.
+	need := 0
+	for _, v := range c.vecs[c.cfg.ID] {
+		for _, piece := range v {
+			need += len(piece)
+		}
+	}
+	if cap(c.selfBuf) < need {
+		c.selfBuf = make([]byte, 0, need)
+	}
+	buf := c.selfBuf[:0]
+	for peer, payloads := range c.vecs {
+		if peer == c.cfg.ID {
+			for _, v := range payloads {
+				mark := len(buf)
+				for _, piece := range v {
+					buf = append(buf, piece...)
+				}
+				c.self = append(c.self, transport.Message{From: peer, Payload: buf[mark:len(buf):len(buf)]})
+			}
+		} else {
+			c.sendFrame(peer, r, c.arena.EncodeFrameVecs(r, payloads))
+		}
+		clear(payloads) // sent: the pieces are the caller's again
+		c.vecs[peer] = payloads[:0]
+	}
+	return c.awaitRound(r)
 }
 
-// beginRound opens a synchronous round: it snapshots the round number and
+// ExchangeBroadcast implements transport.BroadcastNet: an all-to-all round
+// from (tag, payload) alone. Every peer's frame is encoded from the same
+// one-payload list, so the wire bytes are those of
+// Exchange(transport.Broadcast(c, tag, payload)) without the n packets.
+func (c *Conn) ExchangeBroadcast(_ string, payload []byte) ([]transport.Message, error) {
+	r, err := c.beginRound()
+	if err != nil {
+		return nil, err
+	}
+	c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: payload})
+	c.one[0] = payload
+	for peer := 0; peer < c.n; peer++ {
+		if peer != c.cfg.ID {
+			c.sendFrame(peer, r, c.arena.EncodeFrame(r, c.one[:]))
+		}
+	}
+	c.one[0] = nil
+	return c.awaitRound(r)
+}
+
+var (
+	_ transport.VecNet       = (*Conn)(nil)
+	_ transport.BroadcastNet = (*Conn)(nil)
+)
+
+// beginRound opens a synchronous round: it snapshots the round number,
 // releases the frames behind the previous round's payloads — the "valid
-// until the next Exchange" edge of transport.Net's lifetime rule.
+// until the next Exchange" edge of transport.Net's lifetime rule — and
+// empties the self-delivery scratch for the caller to stage into.
 func (c *Conn) beginRound() (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -675,21 +747,36 @@ func (c *Conn) beginRound() (uint64, error) {
 	for _, f := range spent {
 		f.Release()
 	}
+	c.self = c.self[:0]
 	return r, nil
+}
+
+// roundEntries returns round r's entry slice, opening the round — with a
+// retired slice when one is free — if no frame for it has arrived yet.
+// Caller holds c.mu.
+func (c *Conn) roundEntries(r uint64) []inboxEntry {
+	entries := c.byRound[r]
+	if entries == nil {
+		if k := len(c.free); k > 0 {
+			entries, c.free = c.free[k-1], c.free[:k-1]
+		} else {
+			entries = make([]inboxEntry, c.n)
+		}
+		c.byRound[r] = entries
+	}
+	return entries
 }
 
 // awaitRound blocks until round r closes — all up peers' frames arrived or
 // Δ expired — then advances the round clock and returns the delivered
 // messages in sender order (each sender's in the order it sent them),
-// self-deliveries at this party's own index.
-func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.Message, error) {
+// self-deliveries at this party's own index. The inbox is built here, once,
+// in the Conn's own slice, and the round's entry slice goes back to the free
+// list for the read loops.
+func (c *Conn) awaitRound(r uint64) ([]transport.Message, error) {
 	deadline := time.Now().Add(c.cfg.Delta)
-	timer := time.AfterFunc(c.cfg.Delta, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer timer.Stop()
+	c.timer.Reset(c.cfg.Delta)
+	defer c.timer.Stop()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -711,25 +798,30 @@ func (c *Conn) awaitRound(r uint64, selfMsgs []transport.Message) ([]transport.M
 		}
 		c.cond.Wait()
 	}
-	entries := c.byRound[r]
-	if entries == nil { // no peer delivered
-		entries = make([]inboxEntry, c.n)
-	}
-	entries[c.cfg.ID].msgs = selfMsgs
-	total := 0
-	for _, e := range entries {
-		total += len(e.msgs)
-	}
-	msgs := make([]transport.Message, 0, total)
-	for _, e := range entries {
-		msgs = append(msgs, e.msgs...)
-		if e.frame != nil {
-			// Keep the pooled buffer alive for the caller; the next
-			// Exchange releases it.
-			c.spent = append(c.spent, e.frame)
+	entries := c.roundEntries(r)
+	msgs := c.inbox[:0]
+	for peer := range entries {
+		if peer == c.cfg.ID {
+			msgs = append(msgs, c.self...)
+			continue
 		}
+		e := &entries[peer]
+		if e.frame == nil {
+			continue
+		}
+		for _, p := range e.payloads {
+			msgs = append(msgs, transport.Message{From: peer, Payload: p})
+		}
+		// Keep the pooled buffer alive for the caller; the next Exchange
+		// releases it.
+		c.spent = append(c.spent, e.frame)
+		e.empty()
 	}
+	c.inbox = msgs
 	delete(c.byRound, r)
+	if len(c.free) <= c.cfg.RoundHorizon {
+		c.free = append(c.free, entries)
+	}
 	c.round = r + 1
 	c.roundNow.Store(r + 1) // release the round clock to the read loops' gates
 	return msgs, nil
@@ -847,6 +939,7 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 			frame.Release() // nothing retained the payloads
 			return
 		}
+		scratch = payloads[:0] // unless the inbox takes the headers below
 		horizon := uint64(c.cfg.RoundHorizon)
 		switch {
 		case round < c.round: // frames for completed rounds are stale
@@ -857,16 +950,12 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 			// memory lever.
 			c.framesDropped.Add(1)
 		default:
-			msgs := make([]transport.Message, 0, len(payloads))
-			for _, p := range payloads {
-				msgs = append(msgs, transport.Message{From: transport.PartyID(peer), Payload: p})
-			}
-			if c.byRound[round] == nil {
-				c.byRound[round] = make([]inboxEntry, c.n)
-			}
-			if e := &c.byRound[round][peer]; e.frame == nil {
-				*e = inboxEntry{msgs: msgs, frame: frame}
-				frame = nil // ownership moved to the inbox
+			if e := &c.roundEntries(round)[peer]; e.frame == nil {
+				// Ownership moves to the inbox, headers included; the slot's
+				// emptied header slice is the next read's scratch.
+				scratch = e.payloads
+				*e = inboxEntry{payloads: payloads, frame: frame}
+				frame = nil
 			}
 			c.cond.Broadcast()
 		}
@@ -876,9 +965,6 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 			// handed to anyone, so the buffer goes straight back.
 			frame.Release()
 		}
-		// The payload slice headers were copied into msgs (or dropped), so
-		// the scratch array is free for the next frame.
-		scratch = payloads[:0]
 	}
 }
 
@@ -967,7 +1053,7 @@ func (c *Conn) recordDemotionLocked(peer int, reason wire.Reason) {
 	for _, entries := range c.byRound {
 		if e := &entries[peer]; e.frame != nil {
 			e.frame.Release()
-			*e = inboxEntry{}
+			e.empty()
 		}
 	}
 }
@@ -1056,8 +1142,7 @@ func (c *Conn) sendFrame(peer int, r uint64, frame *wire.Frame) {
 	up := !c.closed && l.state == linkUp && conn != nil
 	c.mu.Unlock()
 	if up {
-		c.vec = append(c.vec[:0], frame.Bytes())
-		c.writeBufs(peer, gen, conn, c.vec, 1)
+		c.write(peer, gen, conn, frame.Bytes(), 1)
 	}
 	c.mu.Lock()
 	if w := uint64(c.cfg.RejoinWindow); r >= w {
@@ -1069,26 +1154,21 @@ func (c *Conn) sendFrame(peer int, r uint64, frame *wire.Frame) {
 	c.mu.Unlock()
 }
 
-// writeBufs performs one vectored, Δ-deadline-bounded write of bufs on
-// conn. net.Buffers.WriteTo lowers to a single writev(2) on a TCP
-// connection, so however many frames (a replay batch) the vector carries,
-// the kernel crossing is one syscall. WriteTo consumes the vector, so
-// callers rebuild bufs per call.
-func (c *Conn) writeBufs(peer int, gen uint64, conn net.Conn, bufs net.Buffers, frames int) {
-	var total uint64
-	for _, b := range bufs {
-		total += uint64(len(b))
-	}
+// write performs one Δ-deadline-bounded write on conn of b, one pooled
+// buffer holding that many encoded frames — a round frame, or a replay batch
+// coalesced into one buffer so that the kernel crossing is one syscall
+// however many rounds it carries.
+func (c *Conn) write(peer int, gen uint64, conn net.Conn, b []byte, frames int) {
 	c.wmu[peer].Lock()
 	err := conn.SetWriteDeadline(time.Now().Add(c.cfg.Delta))
 	if err == nil {
 		//calint:ignore mutexhold wmu is a per-socket leaf mutex ordering concurrent writers (live send vs rejoin replay); the write is Delta-deadline-bounded and Close unblocks it by closing the conn
-		_, err = bufs.WriteTo(conn)
+		_, err = conn.Write(b)
 	}
 	c.wmu[peer].Unlock()
 	c.writes.Add(1)
 	c.framesSent.Add(uint64(frames))
-	c.bytesSent.Add(total)
+	c.bytesSent.Add(uint64(len(b)))
 	if err != nil {
 		c.linkLost(peer, gen, err)
 	}

@@ -67,7 +67,7 @@ func TestBorrowedReadsMultiRound(t *testing.T) {
 
 // TestRejoinReplayBatchedWrite pins the syscall-collapse half of the rejoin
 // path: replaying a gap of G buffered rounds to a rejoining peer must cost
-// the replayer exactly one write (one coalesced writev), not G.
+// the replayer exactly one write (one coalesced buffer), not G.
 func TestRejoinReplayBatchedWrite(t *testing.T) {
 	cfgs := newCluster(t, 2, 0)
 	for i := range cfgs {
@@ -128,7 +128,7 @@ func TestRejoinReplayBatchedWrite(t *testing.T) {
 
 // BenchmarkMeshRound measures full protocol rounds over a real loopback
 // mesh (n=4). The writes/round metric comes from the transport's own
-// counters: one vectored write per peer per round regardless of payload
+// counters: one write per peer per round regardless of payload
 // count. The sub-benchmark keeps the name it had when a copying receive
 // mode ran beside it, so its BENCH_*.json row stays comparable.
 func BenchmarkMeshRound(b *testing.B) {

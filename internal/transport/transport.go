@@ -46,8 +46,15 @@ type Message struct {
 // through by reference: the messages Exchange returns are read-only and
 // valid until the next Exchange or Close on that Net; whoever keeps or
 // forwards a payload past that call copies it first (bytes.Clone at the
-// site). transporttest.Recycle turns the rule from a promise into a failing
-// test.
+// site). Two more clauses let every per-round container be scratch its
+// owner resets instead of reallocating: the []Message slice Exchange
+// returns, like the payloads in it, is valid only until the next Exchange
+// or Close on that Net (a Net hands out an inbox it refills next round);
+// and a Net never retains the out slice past the call (it encodes or copies
+// the Packet values before it returns), so a caller may refill one out
+// slice round after round. transporttest.Recycle and the conformance
+// battery's out-reuse check turn the rule from a promise into failing
+// tests.
 type Net interface {
 	// ID returns this party's identifier (0-based).
 	ID() PartyID
@@ -73,9 +80,9 @@ func Broadcast(net Net, tag string, payload []byte) []Packet {
 
 // BroadcastNet is an optional fast-path interface: a Net that can complete
 // an all-to-all round from just (tag, payload) without the caller
-// materializing n identical packets. The simulator implements it; real
-// transports fall back to the generic path. Semantics must be identical to
-// Exchange(Broadcast(net, tag, payload)).
+// materializing n identical packets. The simulator, the TCP mesh and the
+// session mux implement it; any other Net takes the generic path. Semantics
+// must be identical to Exchange(Broadcast(net, tag, payload)).
 type BroadcastNet interface {
 	Net
 	ExchangeBroadcast(tag string, payload []byte) ([]Message, error)
@@ -83,8 +90,8 @@ type BroadcastNet interface {
 
 // ExchangeAll broadcasts payload and completes the round. When the
 // transport implements BroadcastNet the n-packet fan-out slice is never
-// built — on the simulator this removes the dominant per-round allocation
-// of every broadcast-based protocol.
+// built (or is built in scratch the transport owns) — the dominant
+// per-round allocation of every broadcast-based protocol.
 func ExchangeAll(net Net, tag string, payload []byte) ([]Message, error) {
 	if bn, ok := net.(BroadcastNet); ok {
 		return bn.ExchangeBroadcast(tag, payload)
@@ -156,31 +163,30 @@ func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 	return net.Exchange(flat)
 }
 
-// FlattenVec concatenates a scatter-gather payload into one fresh slice,
-// for the one delivery that must outlive the pieces (TCP self-delivery).
-func FlattenVec(vec [][]byte) []byte {
-	n := 0
-	for _, p := range vec {
-		n += len(p)
-	}
-	out := make([]byte, 0, n)
-	for _, p := range vec {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// FirstPerSender reduces an inbox to at most one payload per sender: the
-// first message each party sent this round. This models the synchronous
-// abstraction "the value received from P_j" — byzantine parties that spam
-// several conflicting messages over one authenticated channel in one round
-// get exactly one of them considered, deterministically.
-func FirstPerSender(msgs []Message) map[PartyID][]byte {
-	out := make(map[PartyID][]byte, len(msgs))
-	for _, m := range msgs {
-		if _, ok := out[m.From]; !ok {
-			out[m.From] = m.Payload
+// FirstPerSender reduces an inbox to at most one message per sender: the
+// first each party sent this round. This models the synchronous abstraction
+// "the value received from P_j" — byzantine parties that spam several
+// conflicting messages over one authenticated channel in one round get
+// exactly one of them considered, deterministically.
+//
+// Every Net delivers sorted by sender, so an honest round is its own
+// first-per-sender set and comes back as it is; only an inbox in which a
+// sender repeats or the order is broken (byzantine spam, a custom
+// transport) is filtered into a copy, in order of first appearance. The
+// result is read-only and lives as long as msgs does.
+func FirstPerSender(msgs []Message) []Message {
+	for i := 1; i < len(msgs); i++ {
+		if msgs[i].From <= msgs[i-1].From {
+			seen := make(map[PartyID]struct{}, len(msgs))
+			out := make([]Message, 0, len(msgs))
+			for _, m := range msgs {
+				if _, dup := seen[m.From]; !dup {
+					seen[m.From] = struct{}{}
+					out = append(out, m)
+				}
+			}
+			return out
 		}
 	}
-	return out
+	return msgs
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -64,18 +65,36 @@ func TestExchangeAllAndNone(t *testing.T) {
 	}
 }
 
+// TestFirstPerSenderKeepsFirst: an ascending inbox — what every Net
+// delivers in an honest round — comes back as the very same slice, with no
+// allocation; a repeated sender or a broken order is filtered to the first
+// message of each sender, in order of first appearance.
 func TestFirstPerSenderKeepsFirst(t *testing.T) {
-	msgs := []Message{
-		{From: 3, Payload: []byte{1}},
-		{From: 1, Payload: []byte{2}},
-		{From: 3, Payload: []byte{3}},
-		{From: 1, Payload: []byte{4}},
+	msg := func(from PartyID, b byte) Message { return Message{From: from, Payload: []byte{b}} }
+	cases := []struct {
+		name  string
+		in    []Message
+		want  []Message
+		alias bool // the result is the inbox itself
+	}{
+		{"empty", nil, nil, true},
+		{"ascending", []Message{msg(0, 1), msg(2, 2), msg(5, 3)}, []Message{msg(0, 1), msg(2, 2), msg(5, 3)}, true},
+		{"repeated", []Message{msg(1, 1), msg(1, 2), msg(4, 3), msg(4, 4)}, []Message{msg(1, 1), msg(4, 3)}, false},
+		{"unsorted", []Message{msg(3, 1), msg(1, 2), msg(3, 3), msg(1, 4)}, []Message{msg(3, 1), msg(1, 2)}, false},
 	}
-	got := FirstPerSender(msgs)
-	if len(got) != 2 || got[3][0] != 1 || got[1][0] != 2 {
-		t.Fatalf("FirstPerSender = %v", got)
+	for _, c := range cases {
+		got := FirstPerSender(c.in)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: FirstPerSender = %v, want %v", c.name, got, c.want)
+		}
+		if aliased := len(got) == len(c.in) && (len(got) == 0 || &got[0] == &c.in[0]); aliased != c.alias {
+			t.Errorf("%s: result aliases the inbox: %v, want %v", c.name, aliased, c.alias)
+		}
 	}
-	if len(FirstPerSender(nil)) != 0 {
-		t.Fatal("empty inbox mishandled")
+	ascending := cases[1].in
+	if allocs := testing.AllocsPerRun(100, func() { sink = FirstPerSender(ascending) }); allocs != 0 {
+		t.Errorf("ascending inbox: %v allocs per call, want 0", allocs)
 	}
 }
+
+var sink []Message

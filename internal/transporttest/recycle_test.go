@@ -77,10 +77,10 @@ func recycleDiff(t *testing.T, n int, proto protocol) string {
 
 // TestProtocolsHonorPayloadLifetime holds every protocol entry point to
 // transport.Net's lifetime rule: run over a transport that overwrites each
-// round's payloads as the next round is entered, it must compute the same
-// outputs from the same traffic as on a transport that never reuses
-// memory. BroadcastCAParallel puts internal/mux and sessmux's demux
-// sub-slices under the same rule.
+// round's inbox — payload bytes and message headers — as the next round is
+// entered, it must compute the same outputs from the same traffic as on a
+// transport that never reuses memory. BroadcastCAParallel puts
+// internal/mux and sessmux's demux sub-slices under the same rule.
 func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 	// Party id's inputs. The byte-string inputs are shared by n−t parties,
 	// so Π_BA+ agrees on them and the t others must learn the value from
@@ -146,10 +146,11 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 	}
 }
 
-// TestRecycleCatchesRetention is the decorator's self-test: two toy
+// TestRecycleCatchesRetention is the decorator's self-test: three toy
 // protocols that each break the lifetime rule one way — one returns a
 // payload after the Exchange that ended its lifetime, one relays it in that
-// Exchange — must both come out different behind Recycle.
+// Exchange, one keeps the inbox slice and reads it a round late — must all
+// come out different behind Recycle.
 func TestRecycleCatchesRetention(t *testing.T) {
 	capture := func(net transport.Net) ([]byte, error) {
 		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())})
@@ -173,6 +174,23 @@ func TestRecycleCatchesRetention(t *testing.T) {
 		}
 		_, err = transport.ExchangeAll(net, "toy", kept)
 		return nil, err
+	}
+	keepsSlice := func(net transport.Net) (any, error) {
+		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())})
+		if err != nil {
+			return nil, err
+		}
+		if _, err = transport.ExchangeNone(net); err != nil {
+			return nil, err
+		}
+		senders := 0 // read through the slice a round late; the payloads are not touched
+		for _, m := range in {
+			senders += 1 + m.From
+		}
+		return senders, nil
+	}
+	if diff := recycleDiff(t, 4, keepsSlice); !strings.Contains(diff, "output") {
+		t.Errorf("an inbox slice read past its lifetime went unnoticed (diff %q)", diff)
 	}
 	if diff := recycleDiff(t, 4, returnsLate); !strings.Contains(diff, "output") {
 		t.Errorf("a payload returned past its lifetime went unnoticed (diff %q)", diff)

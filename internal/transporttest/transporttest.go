@@ -29,6 +29,102 @@ func Conformance(t *testing.T, run Cluster) {
 	t.Run("self-delivery", func(t *testing.T) { testSelfDelivery(t, run) })
 	t.Run("out-of-range-drop", func(t *testing.T) { testOutOfRange(t, run) })
 	t.Run("unicast", func(t *testing.T) { testUnicast(t, run) })
+	t.Run("broadcast", func(t *testing.T) { testBroadcast(t, run) })
+	t.Run("out-reuse", func(t *testing.T) { ConformanceOutReuse(t, run, 0) })
+}
+
+// testBroadcast: ExchangeBroadcast ≡ Exchange(Broadcast(…)). Each round
+// half the parties broadcast through transport.ExchangeAll — the
+// transport's own ExchangeBroadcast where it is a BroadcastNet — and the
+// other half hand Exchange the n packets, alternating by round; every
+// inbox must be the same all-to-all round either way, self-delivery
+// included. (On a Net without ExchangeBroadcast both halves take the same
+// path and the check is testAllToAll's.)
+func testBroadcast(t *testing.T, run Cluster) {
+	const n, tc, rounds = 4, 1, 4
+	fns := make([]func(net transport.Net) error, n)
+	for i := range fns {
+		fns[i] = func(net transport.Net) error {
+			id := net.ID()
+			for r := 0; r < rounds; r++ {
+				payload := []byte{byte(id), byte(r), 0xb0}
+				var in []transport.Message
+				var err error
+				if (id+r)%2 == 0 {
+					in, err = transport.ExchangeAll(net, "b", payload)
+				} else {
+					in, err = net.Exchange(transport.Broadcast(net, "b", payload))
+				}
+				if err != nil {
+					return fmt.Errorf("party %d round %d: %w", id, r, err)
+				}
+				if len(in) != n {
+					return fmt.Errorf("party %d round %d: %d messages, want %d", id, r, len(in), n)
+				}
+				for from, m := range in {
+					if m.From != from || !bytes.Equal(m.Payload, []byte{byte(from), byte(r), 0xb0}) {
+						return fmt.Errorf("party %d round %d message %d: from %d %x", id, r, from, m.From, m.Payload)
+					}
+				}
+			}
+			return nil
+		}
+	}
+	run(t, n, tc, fns)
+}
+
+// ConformanceOutReuse holds a transport to the other half of transport.Net's
+// lifetime rule: a Net never retains the out slice past the call. Every
+// party refills one out slice round after round and, the moment Exchange
+// returns, overwrites every packet in it with junk addressed to everyone; a
+// transport that still reads the slice — at delivery, or from a queue of
+// held packets — delivers the junk. (Only the slice is the caller's again;
+// payload bytes stay untouched, as in-process transports deliver them by
+// reference.) delay is how many rounds the transport under test holds every
+// packet between two parties (0 for a plain transport; a fault injector
+// with a delay plan passes its delay): a message from a peer delivered in
+// round r must be the one stamped r−delay, self-delivery is immediate, and
+// from round delay on every party hears everyone.
+func ConformanceOutReuse(t *testing.T, run Cluster, delay int) {
+	const n, rounds = 3, 6
+	junk := []byte{0xee, 0xee, 0xee, 0xee}
+	fns := make([]func(net transport.Net) error, n)
+	for i := range fns {
+		fns[i] = func(net transport.Net) error {
+			id := net.ID()
+			out := make([]transport.Packet, n)
+			for r := 0; r < rounds; r++ {
+				for to := range out {
+					out[to] = transport.Packet{To: to, Tag: "r", Payload: []byte{byte(id), byte(r), byte(to), 0x0f}}
+				}
+				in, err := net.Exchange(out)
+				for k := range out {
+					out[k] = transport.Packet{To: k, Tag: "junk", Payload: junk}
+				}
+				if err != nil {
+					return fmt.Errorf("party %d round %d: %w", id, r, err)
+				}
+				want := n
+				if r < delay {
+					want = 1 // only self-delivery has arrived yet
+				}
+				if len(in) != want {
+					return fmt.Errorf("party %d round %d: %d messages, want %d", id, r, len(in), want)
+				}
+				for _, m := range in {
+					stamp := r - delay
+					if m.From == id {
+						stamp = r
+					}
+					if !bytes.Equal(m.Payload, []byte{byte(m.From), byte(stamp), byte(id), 0x0f}) {
+						return fmt.Errorf("party %d round %d: from %d got %x", id, r, m.From, m.Payload)
+					}
+				}
+			}
+			return nil
+		}
+	}
+	run(t, n, 0, fns)
 }
 
 // ConformanceVec runs the scatter-gather contract through

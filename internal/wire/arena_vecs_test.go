@@ -20,23 +20,9 @@ var vecCases = [][][][]byte{
 func flattenCase(payloads [][][]byte) [][]byte {
 	flat := make([][]byte, len(payloads))
 	for i, v := range payloads {
-		flat[i] = FlattenPieces(v)
+		flat[i] = bytes.Join(v, nil)
 	}
 	return flat
-}
-
-// FlattenPieces is a test-local concat helper (mirrors transport.FlattenVec
-// without importing it into the wire package).
-func FlattenPieces(vec [][]byte) []byte {
-	n := 0
-	for _, p := range vec {
-		n += len(p)
-	}
-	out := make([]byte, 0, n)
-	for _, p := range vec {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // TestEncodeFrameVecsMatchesReference pins EncodeFrameVecs byte-identical

@@ -42,12 +42,13 @@ echo "== one-path (the transport stack's collapsed forks stay collapsed)"
 # ROADMAP item 2: one packet vocabulary, one mux core, one send path, one
 # receive path. The copying merge, the public<->internal packet adapters,
 # the scatter-gather frame encoders, the copying receive mode with its
-# config knob, the second Reader accessor and the inbox sort were deleted;
-# a fast path added beside the path it replaces would bring one of these
-# names back, or define the merge/demux/shed helpers a second time in a mux
-# package (bc and rs have unrelated unframe functions of their own, hence
-# the *mux* scope).
-if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec|BorrowedReads|BytesZC|sortMessages|ReadFrameInto\(' --include='*.go' . | grep -v '_test\.go:'; then
+# config knob, the second Reader accessor, the inbox sort and the per-packet
+# self-delivery flatten (FlattenVec: self-deliveries share one Conn-held
+# bump buffer) were deleted; a fast path added beside the path it replaces
+# would bring one of these names back, or define the merge/demux/shed
+# helpers a second time in a mux package (bc and rs have unrelated unframe
+# functions of their own, hence the *mux* scope).
+if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec|BorrowedReads|BytesZC|sortMessages|FlattenVec|ReadFrameInto\(' --include='*.go' . | grep -v '_test\.go:'; then
 	echo "one-path: a deleted fork reappeared in non-test code" >&2
 	exit 1
 fi
@@ -101,7 +102,7 @@ if ! grep -q '"before"' "$latest"; then
 	exit 1
 fi
 
-echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, mux merge, bitstr kernels)"
+echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, mux merge, bitstr kernels, whole ticks)"
 # Re-measure the pooled frame round-trip, the admission-gated read, the
 # checkpoint append on the real filesystem, and the one mux merge
 # (sessmux, which internal/mux rides too), then compare allocs/op against
@@ -113,11 +114,23 @@ echo "== allocs/op regression guard (zero-copy frame path, admission fast path, 
 # one alloc/op, where 100 would flake. The bitstr rows pin Slice/Concat/FillTo
 # at 1 alloc/op (the result) and Compare at 0: a per-bit or byte-per-bit
 # scratch coming back into a kernel is an extra allocation and fails here.
+# The last three rows pin whole ticks (ROADMAP item 3), not one layer of
+# one: a phase-king instance over channet (what the protocol layer itself
+# allocates: no per-round map), an n = 4 tcpnet round and a 64-session
+# sessmux tick over a loopback mesh, both at 0 allocs/op — every per-round
+# container is scratch held by its owner, so one that goes back to being
+# rebuilt per round shows here as a whole number. Their benchtimes are long
+# for the same reason as the merge row's: goroutine parks and the frame
+# pool's refills after a GC cycle must amortise below one alloc/op
+# (`make bench-json` records them at these same benchtimes).
 ( go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/ ; \
   go test -run '^$' -bench 'BenchmarkWALAppend$' -benchtime 100x -benchmem ./internal/checkpoint/ ; \
   go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/ ; \
-  go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/ ) \
-	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare' > /dev/null
+  go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/ ; \
+  go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/ ; \
+  go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 20000x -benchmem ./internal/tcpnet/ ; \
+  go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/ ) \
+	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP' > /dev/null
 
 echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 # One full 1024-session wave set over the shared loopback mesh, gated on an

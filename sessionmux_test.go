@@ -203,3 +203,49 @@ func TestCustomTransportStillCompiles(t *testing.T) {
 		}
 	}
 }
+
+// unsortedTransport breaks the one delivery property a custom Transport is
+// asked for: it hands every inbox over in descending sender order.
+type unsortedTransport struct{ customTransport }
+
+func (u unsortedTransport) Exchange(out []ca.Packet) ([]ca.Message, error) {
+	in, err := u.customTransport.Exchange(out)
+	reversed := make([]ca.Message, len(in))
+	for i, m := range in {
+		reversed[len(in)-1-i] = m
+	}
+	return reversed, err
+}
+
+// TestUnsortedTransportStillAgrees: an honest round is its own
+// first-per-sender set only when it arrives sorted; over a transport that
+// delivers out of order the protocols take the filtering fallback and must
+// agree all the same.
+func TestUnsortedTransportStillAgrees(t *testing.T) {
+	const n = 4
+	cluster, err := ca.NewLocalCluster(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ints(-3, 12, 5, 8)
+	outs := make([]*big.Int, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer cluster[i].Close()
+			outs[i], errs[i] = ca.RunParty(unsortedTransport{customTransport{cluster[i]}}, ca.ProtoOptimal, 0, in[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("party %d: %v", i, errs[i])
+		}
+		if outs[i].Cmp(outs[0]) != 0 || outs[i].Cmp(big.NewInt(-3)) < 0 || outs[i].Cmp(big.NewInt(12)) > 0 {
+			t.Fatalf("party %d output %v (party 0: %v), inputs -3..12", i, outs[i], outs[0])
+		}
+	}
+}

@@ -42,7 +42,11 @@ type Message = transport.Message
 // Payload lifetime: the messages Exchange returns are read-only and valid
 // until the next Exchange or Close on that Transport (a TCPTransport
 // delivers out of pooled frames it reuses); whoever keeps or forwards a
-// payload past that call copies it first.
+// payload past that call copies it first. The returned slice lives exactly
+// as long as the payloads in it — a transport may hand out an inbox it
+// refills next round — and in the other direction an implementation must
+// not retain the out slice past the call (copy or encode the packets before
+// returning): callers refill one out slice round after round.
 type Transport = transport.Net
 
 // RunParty executes one party's side of the selected protocol over the
@@ -108,7 +112,7 @@ type TCPTransport struct {
 	conn *tcpnet.Conn
 }
 
-var _ Transport = (*TCPTransport)(nil)
+var _ transport.BroadcastNet = (*TCPTransport)(nil)
 
 // DialTCP establishes the TCP mesh for one party; all parties must call it
 // with consistent configurations. It blocks until every pairwise connection
@@ -146,6 +150,12 @@ func (t *TCPTransport) T() int { return t.conn.T() }
 
 // Exchange implements Transport.
 func (t *TCPTransport) Exchange(out []Packet) ([]Message, error) { return t.conn.Exchange(out) }
+
+// ExchangeBroadcast completes an all-to-all round without the n-packet
+// fan-out: Exchange over payload addressed to every party, self included.
+func (t *TCPTransport) ExchangeBroadcast(tag string, payload []byte) ([]Message, error) {
+	return t.conn.ExchangeBroadcast(tag, payload)
+}
 
 // Faulty returns the peers this party demoted to silent for the run —
 // caught violating the framing protocol or unreachable after all reconnect
