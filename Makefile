@@ -68,7 +68,9 @@ profile:
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame
 # codec (copying and borrowing decoders), the Π_ℓBA+ tuple decoder, the
 # checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
-# the bitstr word kernels against their bit-at-a-time oracles. Raise
+# the bitstr word kernels against their bit-at-a-time oracles; and over the
+# quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
+# against the per-package functions it replaced. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -81,6 +83,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzInspectState -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzKernelsVsReference -fuzztime $(FUZZTIME) ./internal/bitstr/
+	$(GO) test -run '^$$' -fuzz FuzzTally -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/
+	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
+	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/
 
 # Minimal CI entry point (vet + build + tests + race on the perf-critical
 # packages); scripts/ci.sh is the same thing for environments without make.

@@ -3,13 +3,15 @@ package convexagreement
 import (
 	"fmt"
 	"math/big"
-	"sync"
+	"slices"
 
+	"convexagreement/internal/aa"
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/baselines"
 	"convexagreement/internal/core"
 	"convexagreement/internal/highcostca"
 	"convexagreement/internal/sim"
+	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -22,58 +24,22 @@ import (
 // len(opts.Corruptions) ≤ opts.T < n/3 — whatever strategies the corrupted
 // parties run.
 func Agree(inputs []*big.Int, opts Options) (*Result, error) {
-	opts, err := normalize(inputs, opts)
+	run, err := simulate(opts, inputs, agreeCall(opts.Protocol, opts.Width).validate, scalarGhost)
 	if err != nil {
 		return nil, err
 	}
-	n := opts.N
-
-	runner, err := protocolRunner(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	outputs := make(map[int]*big.Int, n)
-	var mu sync.Mutex
-	parties := make([]sim.Party, n)
-	for i := 0; i < n; i++ {
-		if corr, bad := opts.Corruptions[i]; bad {
-			behavior, err := corruptBehavior(corr, runner, opts.Seed+int64(i))
-			if err != nil {
-				return nil, err
-			}
-			parties[i] = sim.Party{Corrupt: true, Behavior: behavior}
-			continue
-		}
-		input := inputs[i]
-		parties[i] = sim.Party{Behavior: func(env *sim.Env) error {
-			out, err := runner(env, input)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			outputs[int(env.ID())] = out
-			mu.Unlock()
-			return nil
-		}}
-	}
-	rep, err := sim.Run(sim.Config{N: n, T: opts.T, MaxRounds: opts.MaxRounds, Timeline: opts.Timeline}, parties)
-	if err != nil {
-		return nil, err
-	}
+	rep := run.Report
 	res := &Result{
-		Outputs:     outputs,
+		Outputs:     run.Outputs,
 		Rounds:      rep.Rounds,
 		HonestBits:  rep.HonestBits,
 		CorruptBits: rep.CorruptBits,
 		Messages:    rep.Messages,
 		BitsByLabel: rep.BitsByTag,
+		Timeline:    rep.Timeline,
+		BitsByParty: rep.BitsByParty,
 	}
-	for _, rs := range rep.Timeline {
-		res.Timeline = append(res.Timeline, RoundStats(rs))
-	}
-	res.BitsByParty = append(res.BitsByParty, rep.BitsByParty...)
-	for _, out := range outputs {
+	for _, out := range res.Outputs {
 		if res.Output == nil {
 			res.Output = out
 		} else if res.Output.Cmp(out) != 0 {
@@ -83,13 +49,64 @@ func Agree(inputs []*big.Int, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// normalize validates and defaults the options.
-func normalize(inputs []*big.Int, opts Options) (Options, error) {
-	if opts.N == 0 {
-		opts.N = len(inputs)
+// simulate is the one assembly of a simulated run, shared by Agree,
+// ApproxAgree and AgreeVector. It defaults and checks opts, has validate
+// check the honest parties' inputs and return the protocol as a function of
+// one party's input, and runs it on the simulator: party i runs
+// run(net, inputs[i]) and its output is collected, unless opts.Corruptions
+// names it — then it runs the named network-level strategy, or, for
+// AdvGhost, the honest protocol on ghost(corruption) and then idles. On an
+// error the result is not to be used.
+func simulate[I, O any](
+	opts Options, inputs []I,
+	validate func(n int, honest []I) (func(transport.Net, I) (O, error), error),
+	ghost func(Corruption) (I, error),
+) (*testutil.Result[O], error) {
+	opts, err := normalize(len(inputs), opts)
+	if err != nil {
+		return nil, err
 	}
-	if opts.N <= 0 || len(inputs) != opts.N {
-		return opts, fmt.Errorf("%w: %d inputs for n=%d", ErrOptions, len(inputs), opts.N)
+	run, err := validate(opts.N, honestInputs(inputs, opts.Corruptions))
+	if err != nil {
+		return nil, err
+	}
+	corrupt := make(map[int]sim.Behavior, len(opts.Corruptions))
+	for i, c := range opts.Corruptions {
+		if c.Kind == AdvGhost {
+			poisoned, err := ghost(c)
+			if err != nil {
+				return nil, err
+			}
+			corrupt[i] = testutil.Ghost(func(env *sim.Env) error { _, err := run(env, poisoned); return err })
+		} else if corrupt[i], err = networkAdversary(c.Kind, opts.Seed+int64(i)); err != nil {
+			return nil, err
+		}
+	}
+	cfg := sim.Config{N: opts.N, T: opts.T, MaxRounds: opts.MaxRounds, Timeline: opts.Timeline}
+	return testutil.Run(cfg, corrupt, func(env *sim.Env) (O, error) { return run(env, inputs[env.ID()]) })
+}
+
+// honestInputs drops the entries of corrupted parties (byzantine parties
+// have no input in the model, so theirs are never looked at).
+func honestInputs[I any](inputs []I, corrupt map[int]Corruption) []I {
+	var honest []I
+	for i, in := range inputs {
+		if _, bad := corrupt[i]; !bad {
+			honest = append(honest, in)
+		}
+	}
+	return honest
+}
+
+// normalize defaults and validates the shape of a simulated run of n
+// inputs: N, T and the corruption set. What the parties run and on which
+// inputs is the call's business (call.validate).
+func normalize(n int, opts Options) (Options, error) {
+	if opts.N == 0 {
+		opts.N = n
+	}
+	if opts.N <= 0 || n != opts.N {
+		return opts, fmt.Errorf("%w: %d inputs for n=%d", ErrOptions, n, opts.N)
 	}
 	if opts.T == 0 {
 		opts.T = (opts.N - 1) / 3
@@ -105,69 +122,103 @@ func normalize(inputs []*big.Int, opts Options) (Options, error) {
 			return opts, fmt.Errorf("%w: corruption index %d out of range", ErrOptions, idx)
 		}
 	}
-	if opts.Protocol == "" {
-		opts.Protocol = ProtoOptimal
-	}
-	if opts.Protocol.NeedsWidth() && opts.Width <= 0 {
-		return opts, fmt.Errorf("%w: protocol %q requires Width", ErrOptions, opts.Protocol)
-	}
-	for i, v := range inputs {
-		if _, bad := opts.Corruptions[i]; bad {
-			continue
-		}
-		if v == nil {
-			return opts, fmt.Errorf("%w: party %d has nil input", ErrOptions, i)
-		}
-		if v.Sign() < 0 && !opts.Protocol.AcceptsNegative() {
-			return opts, fmt.Errorf("%w: protocol %q takes inputs in ℕ; party %d has %v", ErrOptions, opts.Protocol, i, v)
-		}
-	}
 	return opts, nil
 }
 
 // partyRunner executes the selected protocol for one party.
-type partyRunner func(net transport.Net, input *big.Int) (*big.Int, error)
+type partyRunner = func(net transport.Net, input *big.Int) (*big.Int, error)
 
-func protocolRunner(opts Options) (partyRunner, error) {
-	switch opts.Protocol {
-	case ProtoOptimal:
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return core.PiZ(net, "ca", v)
-		}, nil
-	case ProtoOptimalNat:
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return core.PiN(net, "ca", v)
-		}, nil
-	case ProtoFixedLength:
-		width := opts.Width
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return core.FixedLengthCA(net, "ca", width, v)
-		}, nil
-	case ProtoFixedLengthBlocks:
-		width := opts.Width
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return core.FixedLengthCABlocks(net, "ca", width, net.N()*net.N(), v)
-		}, nil
-	case ProtoHighCost:
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return highcostca.Run(net, "ca", v)
-		}, nil
-	case ProtoBroadcast:
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return baselines.BroadcastCA(net, "ca", v)
-		}, nil
-	case ProtoBroadcastParallel:
-		return func(net transport.Net, v *big.Int) (*big.Int, error) {
-			return baselines.BroadcastCAParallel(net, "ca", v)
-		}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown protocol %q", ErrOptions, opts.Protocol)
-	}
+// protoApprox is Approximate Agreement as a call: what ApproxAgree,
+// RunPartyApprox and Session.ApproxAgree run. It is not a Protocol a caller
+// can select.
+const protoApprox Protocol = "approx"
+
+// call is what the parties of one agreement instance fix beforehand:
+// everything but their inputs.
+type call struct {
+	protocol  Protocol
+	width     int      // the fixed-length protocols
+	diam, eps *big.Int // protoApprox
 }
 
-// corruptBehavior instantiates a byzantine strategy.
-func corruptBehavior(c Corruption, runner partyRunner, seed int64) (sim.Behavior, error) {
-	switch c.Kind {
+// agreeCall is the call of Agree, RunParty and Session.Agree.
+func agreeCall(protocol Protocol, width int) call {
+	if protocol == "" {
+		protocol = ProtoOptimal
+	}
+	return call{protocol: protocol, width: width}
+}
+
+// validate is the one place a call is checked. Every way into the library
+// — Agree, ApproxAgree and AgreeVector for the honest parties of a
+// simulated run, RunParty, RunPartyApprox, Session.Agree and
+// Session.ApproxAgree for one party of an n-party transport — passes
+// through it before anything reaches the wire, the write-ahead log or
+// Session.Err(): whatever a protocol would refuse on entry is refused here,
+// as ErrOptions. It returns the protocol as a function of one party's input.
+func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
+	switch {
+	case n <= 0:
+		return nil, fmt.Errorf("%w: n=%d parties", ErrOptions, n)
+	case c.protocol != protoApprox && !slices.Contains(Protocols(), c.protocol):
+		return nil, fmt.Errorf("%w: unknown protocol %q", ErrOptions, c.protocol)
+	case c.protocol.NeedsWidth() && c.width <= 0:
+		return nil, fmt.Errorf("%w: protocol %q requires Width", ErrOptions, c.protocol)
+	case c.protocol == ProtoFixedLengthBlocks && c.width%(n*n) != 0:
+		return nil, fmt.Errorf("%w: protocol %q requires Width to be a multiple of n² = %d, got %d", ErrOptions, c.protocol, n*n, c.width)
+	case c.protocol == protoApprox && (c.diam == nil || c.diam.Sign() < 0 || c.eps == nil || c.eps.Sign() <= 0):
+		return nil, fmt.Errorf("%w: approximate agreement needs diameterBound ≥ 0 and epsilon ≥ 1, got %v and %v", ErrOptions, c.diam, c.eps)
+	}
+	for _, v := range inputs {
+		switch {
+		case v == nil:
+			return nil, fmt.Errorf("%w: nil input", ErrOptions)
+		case v.Sign() < 0 && !c.protocol.AcceptsNegative():
+			return nil, fmt.Errorf("%w: protocol %q takes inputs in ℕ, got %v", ErrOptions, c.protocol, v)
+		case c.protocol.NeedsWidth() && v.BitLen() > c.width:
+			return nil, fmt.Errorf("%w: input %v does not fit in Width = %d bits", ErrOptions, v, c.width)
+		}
+	}
+	return c.run, nil
+}
+
+// run is the one place a Protocol is mapped to code: one party's side of a
+// validated call.
+func (c call) run(net transport.Net, v *big.Int) (*big.Int, error) {
+	switch c.protocol {
+	case ProtoOptimal:
+		return core.PiZ(net, "ca", v)
+	case ProtoOptimalNat:
+		return core.PiN(net, "ca", v)
+	case ProtoFixedLength:
+		return core.FixedLengthCA(net, "ca", c.width, v)
+	case ProtoFixedLengthBlocks:
+		return core.FixedLengthCABlocks(net, "ca", c.width, net.N()*net.N(), v)
+	case ProtoHighCost:
+		return highcostca.Run(net, "ca", v)
+	case ProtoBroadcast:
+		return baselines.BroadcastCA(net, "ca", v)
+	case ProtoBroadcastParallel:
+		return baselines.BroadcastCAParallel(net, "ca", v)
+	case protoApprox:
+		return aa.Run(net, "aa", v, c.diam, c.eps)
+	}
+	return nil, fmt.Errorf("%w: unknown protocol %q", ErrOptions, c.protocol) // validate admits no other
+}
+
+// scalarGhost is AdvGhost's poisoned input in a scalar run.
+func scalarGhost(c Corruption) (*big.Int, error) {
+	if c.Input == nil {
+		return nil, fmt.Errorf("%w: AdvGhost requires Corruption.Input", ErrOptions)
+	}
+	return c.Input, nil
+}
+
+// networkAdversary instantiates a byzantine strategy that looks only at
+// packets (every kind but AdvGhost, which simulate builds from the honest
+// protocol).
+func networkAdversary(kind AdversaryKind, seed int64) (sim.Behavior, error) {
+	switch kind {
 	case AdvSilent:
 		return adversary.Silent(), nil
 	case AdvCrash:
@@ -184,27 +235,7 @@ func corruptBehavior(c Corruption, runner partyRunner, seed int64) (sim.Behavior
 		return adversary.Replay(seed), nil
 	case AdvLateJoin:
 		return adversary.LateJoin(3), nil
-	case AdvGhost:
-		input := c.Input
-		if input == nil {
-			return nil, fmt.Errorf("%w: AdvGhost requires Corruption.Input", ErrOptions)
-		}
-		return ghostBehavior(runner, input), nil
 	default:
-		return nil, fmt.Errorf("%w: unknown adversary kind %q", ErrOptions, c.Kind)
-	}
-}
-
-// ghostBehavior runs the honest protocol with a poisoned input, then idles.
-func ghostBehavior(runner partyRunner, input *big.Int) sim.Behavior {
-	return func(env *sim.Env) error {
-		if _, err := runner(env, input); err != nil {
-			return err
-		}
-		for {
-			if _, err := env.ExchangeNone(); err != nil {
-				return err
-			}
-		}
+		return nil, fmt.Errorf("%w: unknown adversary kind %q", ErrOptions, kind)
 	}
 }

@@ -6,11 +6,8 @@ import (
 	"math/rand"
 	"sync"
 
-	"convexagreement/internal/aa"
 	"convexagreement/internal/asyncaa"
 	"convexagreement/internal/asyncnet"
-	"convexagreement/internal/sim"
-	"convexagreement/internal/transport"
 )
 
 // ApproxResult reports an Approximate Agreement run: unlike Convex
@@ -35,50 +32,16 @@ type ApproxResult struct {
 // upper bound on the honest inputs' spread; inputs are naturals. Options
 // semantics match Agree (Protocol and Width are ignored).
 func ApproxAgree(inputs []*big.Int, diameterBound, epsilon *big.Int, opts Options) (*ApproxResult, error) {
-	opts.Protocol = ProtoOptimalNat // reuse ℕ-domain validation
-	opts, err := normalize(inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	if diameterBound == nil || epsilon == nil || epsilon.Sign() <= 0 {
-		return nil, fmt.Errorf("%w: ApproxAgree needs diameterBound and epsilon ≥ 1", ErrOptions)
-	}
-	runner := func(net transport.Net, v *big.Int) (*big.Int, error) {
-		return aa.Run(net, "aa", v, diameterBound, epsilon)
-	}
-	outputs := make(map[int]*big.Int, opts.N)
-	var mu sync.Mutex
-	parties := make([]sim.Party, opts.N)
-	for i := 0; i < opts.N; i++ {
-		if corr, bad := opts.Corruptions[i]; bad {
-			behavior, err := corruptBehavior(corr, runner, opts.Seed+int64(i))
-			if err != nil {
-				return nil, err
-			}
-			parties[i] = sim.Party{Corrupt: true, Behavior: behavior}
-			continue
-		}
-		input := inputs[i]
-		parties[i] = sim.Party{Behavior: func(env *sim.Env) error {
-			out, err := runner(env, input)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			outputs[int(env.ID())] = out
-			mu.Unlock()
-			return nil
-		}}
-	}
-	rep, err := sim.Run(sim.Config{N: opts.N, T: opts.T, MaxRounds: opts.MaxRounds}, parties)
+	c := call{protocol: protoApprox, diam: diameterBound, eps: epsilon}
+	run, err := simulate(opts, inputs, c.validate, scalarGhost)
 	if err != nil {
 		return nil, err
 	}
 	return &ApproxResult{
-		Outputs:    outputs,
-		Spread:     spreadOf(outputs),
-		Rounds:     rep.Rounds,
-		HonestBits: rep.HonestBits,
+		Outputs:    run.Outputs,
+		Spread:     spreadOf(run.Outputs),
+		Rounds:     run.Report.Rounds,
+		HonestBits: run.Report.HonestBits,
 	}, nil
 }
 
@@ -116,20 +79,14 @@ type AsyncOptions struct {
 // broadcast + the witness technique of [1]; the §8 future-work setting)
 // under a fully adversarial message schedule.
 func AsyncApproxAgree(inputs []*big.Int, diameterBound, epsilon *big.Int, opts AsyncOptions) (*ApproxResult, error) {
-	if opts.N == 0 {
-		opts.N = len(inputs)
+	shape, err := normalize(len(inputs), Options{N: opts.N, T: opts.T, Corruptions: opts.Corruptions})
+	if err != nil {
+		return nil, err
 	}
-	if opts.N <= 0 || len(inputs) != opts.N {
-		return nil, fmt.Errorf("%w: %d inputs for n=%d", ErrOptions, len(inputs), opts.N)
-	}
-	if opts.T == 0 {
-		opts.T = (opts.N - 1) / 3
-	}
-	if opts.T < 0 || 3*opts.T >= opts.N || len(opts.Corruptions) > opts.T {
-		return nil, fmt.Errorf("%w: invalid corruption budget", ErrOptions)
-	}
-	if diameterBound == nil || epsilon == nil || epsilon.Sign() <= 0 {
-		return nil, fmt.Errorf("%w: AsyncApproxAgree needs diameterBound and epsilon ≥ 1", ErrOptions)
+	opts.N, opts.T = shape.N, shape.T
+	c := call{protocol: protoApprox, diam: diameterBound, eps: epsilon}
+	if _, err := c.validate(opts.N, honestInputs(inputs, opts.Corruptions)); err != nil {
+		return nil, err
 	}
 	var sched asyncnet.Scheduler
 	switch opts.Scheduler {
@@ -157,9 +114,6 @@ func AsyncApproxAgree(inputs []*big.Int, diameterBound, epsilon *big.Int, opts A
 			continue
 		}
 		input := inputs[i]
-		if input == nil || input.Sign() < 0 {
-			return nil, fmt.Errorf("%w: party %d needs a natural input", ErrOptions, i)
-		}
 		parties[i] = asyncnet.Party{Behavior: func(net *asyncnet.Net, id asyncnet.PartyID) error {
 			mu.Lock()
 			netRef = net

@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+
+	"convexagreement/internal/sim"
 )
 
 // Protocol selects which Convex Agreement protocol to run.
@@ -168,13 +170,14 @@ type Result struct {
 	BitsByParty []int64
 }
 
-// RoundStats is one round's traffic in Result.Timeline.
-type RoundStats struct {
-	Round       int
-	Messages    int64
-	HonestBits  int64
-	CorruptBits int64
-}
+// RoundStats is one round's traffic in Result.Timeline — the simulator's
+// own record, so a timeline crosses the public API without conversion:
+//
+//	Round       int   // 0-based round index
+//	Messages    int64 // delivered non-self messages
+//	HonestBits  int64 // payload bits sent by honest parties
+//	CorruptBits int64 // payload bits sent by corrupted parties
+type RoundStats = sim.RoundStats
 
 // Errors returned by the public API.
 var (

@@ -23,12 +23,9 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// Bit values on the wire. noVote is the ⊥ of the proposal round.
-const (
-	bit0   byte = 0
-	bit1   byte = 1
-	noVote byte = 2
-)
+// noVote is the ⊥ of the proposal round and of the king's round; bits go on
+// the wire as one byte, 0 or 1 (transport.Bit).
+const noVote byte = 2
 
 // Binary runs one instance of phase-king binary BA. Every honest party must
 // call it in the same round with the same tag. input must be 0 or 1.
@@ -45,27 +42,17 @@ func Binary(env transport.Net, tag string, input byte) (byte, error) {
 	for phase := 0; phase <= t; phase++ {
 		king := transport.PartyID(phase % n)
 
-		// Round 1: exchange current values; find the strict-majority
-		// candidate a and its support c1.
+		// Round 1: exchange current values; a is the majority value and c1
+		// its support.
 		in, err := transport.ExchangeAll(env, tag+"/pk1", []byte{v})
 		if err != nil {
 			return 0, err
 		}
-		count := [2]int{}
-		for _, m := range transport.FirstPerSender(in) {
-			if len(m.Payload) == 1 && m.Payload[0] <= 1 {
-				count[m.Payload[0]]++
-			}
-		}
-		a := bit0
-		if count[1] > count[0] {
-			a = bit1
-		}
-		c1 := count[a]
+		a, c1 := transport.MajorityBit(in)
 
-		// Round 2: propose a if it had n−t support, else abstain. d is the
-		// proposal with ≥ t+1 support (at most one such value can have
-		// honest backing); c2 its support.
+		// Round 2: propose a if it had n−t support, else abstain. b is the
+		// majority proposal and c2 its support; d is b when that support
+		// reaches t+1 (at most one such value can have honest backing).
 		prop := noVote
 		if c1 >= n-t {
 			prop = a
@@ -74,38 +61,29 @@ func Binary(env transport.Net, tag string, input byte) (byte, error) {
 		if err != nil {
 			return 0, err
 		}
-		pcount := [2]int{}
-		for _, m := range transport.FirstPerSender(in) {
-			if len(m.Payload) == 1 && m.Payload[0] <= 1 {
-				pcount[m.Payload[0]]++
-			}
-		}
-		b := bit0
-		if pcount[1] > pcount[0] {
-			b = bit1
-		}
-		c2 := pcount[b]
+		b, c2 := transport.MajorityBit(in)
 		d := noVote
 		if c2 >= t+1 {
 			d = b
 		}
 
 		// Round 3: the king broadcasts its d; parties without n−t proposal
-		// support defer to the king. A silent or garbled king counts as 0.
+		// support defer to the king. A silent king, a king ⊥ (noVote) or
+		// garbage counts as 0; of a spamming king's well-formed bits the
+		// last one counts (highcostca and bc take a sender's first message).
 		if env.ID() == king {
 			in, err = transport.ExchangeAll(env, tag+"/pk3", []byte{d})
 		} else {
-			in, err = env.Exchange(nil)
+			in, err = transport.ExchangeNone(env)
 		}
 		if err != nil {
 			return 0, err
 		}
-		kingVal := bit0
-		for _, m := range in {
-			if m.From == king && len(m.Payload) == 1 && m.Payload[0] <= 1 {
-				kingVal = m.Payload[0]
+		kingVal := byte(0)
+		for _, m := range transport.SentBy(in, king) {
+			if bit, ok := transport.Bit(m.Payload); ok {
+				kingVal = bit
 			}
-			// A king ⊥ (noVote) or garbage maps to the default 0.
 		}
 		if c2 >= n-t {
 			v = b

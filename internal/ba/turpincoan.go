@@ -1,6 +1,8 @@
 package ba
 
 import (
+	"bytes"
+
 	"convexagreement/internal/transport"
 	"convexagreement/internal/wire"
 )
@@ -24,29 +26,36 @@ import (
 func Multivalued(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	n, t := env.N(), env.T()
 
-	// Round 1: distribute inputs; find the value with ≥ n−t support.
-	in, err := transport.ExchangeAll(env, tag+"/tc1", encodeTC(input))
+	// Round 1: distribute inputs; find the value with ≥ n−t support (more
+	// than half the parties, so at most one).
+	in, err := transport.ExchangeAll(env, tag+"/tc1", wire.Some(input))
 	if err != nil {
 		return nil, false, err
 	}
-	maj, hasMaj := tcMajority(in, n-t)
-
-	// Round 2: re-distribute the majority candidate (or ⊥). A value with
-	// ≥ t+1 support here is backed by at least one honest party that saw
-	// n−t support in round 1 — at most one such value exists.
-	var second []byte
-	if hasMaj {
-		second = encodeTC(maj)
-	} else {
-		second = encodeTCBot()
+	// Round 2: re-distribute that value (or ⊥). A value with ≥ t+1 support
+	// here is backed by at least one honest party that saw n−t support in
+	// round 1 — at most one such value exists.
+	second := wire.None()
+	for _, s := range tcTally(in) {
+		if s.Count >= n-t {
+			second = wire.Some(s.Value)
+			break
+		}
 	}
 	in, err = transport.ExchangeAll(env, tag+"/tc2", second)
 	if err != nil {
 		return nil, false, err
 	}
-	cand, candCount := tcBest(in)
+	// cand is the most supported non-⊥ value, the smallest on a tie.
+	var cand transport.Support
+	for _, s := range tcTally(in) {
+		if s.Count > cand.Count {
+			cand = s
+		}
+	}
+	value := bytes.Clone(cand.Value) // borrowed from this inbox; Binary's rounds outlive it
 	g := byte(0)
-	if candCount >= n-t {
+	if cand.Count >= n-t {
 		g = 1
 	}
 
@@ -61,69 +70,23 @@ func Multivalued(env transport.Net, tag string, input []byte) ([]byte, bool, err
 	// bit == 1 implies some honest party had g = 1, hence ≥ n−2t ≥ t+1
 	// honest parties broadcast cand in round 2 and every honest party sees
 	// it with ≥ t+1 support; cand is unique at that threshold.
-	if candCount >= t+1 {
-		return cand, true, nil
+	if cand.Count >= t+1 {
+		return value, true, nil
 	}
 	// Unreachable for honest parties when the protocol's preconditions
 	// hold; returning ok=false keeps the function total.
 	return nil, false, nil
 }
 
-// encodeTC frames a present value: 0x01 || value.
-func encodeTC(v []byte) []byte {
-	w := wire.NewWriter(1 + len(v))
-	w.Byte(1)
-	w.Raw(v)
-	return w.Finish()
-}
-
-// encodeTCBot frames the ⊥ marker.
-func encodeTCBot() []byte {
-	return []byte{0}
-}
-
-// decodeTC parses a framed value; ok=false for ⊥ or garbage.
-func decodeTC(raw []byte) ([]byte, bool) {
-	if len(raw) < 1 || raw[0] != 1 {
-		return nil, false
-	}
-	return raw[1:], true
-}
-
-// tcMajority returns the value appearing with at least `threshold` support
-// among the first message of each sender.
-func tcMajority(in []transport.Message, threshold int) ([]byte, bool) {
-	counts := make(map[string]int)
+// tcTally counts the non-⊥ values of a Turpin–Coan round.
+func tcTally(in []transport.Message) transport.Tally {
+	var tally transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
-		if v, ok := decodeTC(m.Payload); ok {
-			counts[string(v)]++
+		if v, ok := wire.Option(m.Payload); ok {
+			tally.Add(v)
 		}
 	}
-	for s, c := range counts {
-		if c >= threshold {
-			return []byte(s), true
-		}
-	}
-	return nil, false
-}
-
-// tcBest returns the most supported non-⊥ value of round 2 and its count,
-// breaking ties deterministically by byte order.
-func tcBest(in []transport.Message) ([]byte, int) {
-	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
-		if v, ok := decodeTC(m.Payload); ok {
-			counts[string(v)]++
-		}
-	}
-	var best string
-	bestCount := 0
-	for s, c := range counts {
-		if c > bestCount || (c == bestCount && s < best) {
-			best, bestCount = s, c
-		}
-	}
-	return []byte(best), bestCount
+	return tally
 }
 
 // MultivaluedRounds returns ROUNDS(Multivalued) for given t.

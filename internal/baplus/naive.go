@@ -39,15 +39,7 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	var value []byte
-	have := false
-	for _, m := range in {
-		if hashing.Sum(m.Payload) == zStar {
-			value = bytes.Clone(m.Payload) // relayed and returned past this inbox's lifetime
-			have = true
-			break
-		}
-	}
+	value, have := holding(in, zStar)
 	// Round B: re-broadcast so parties the byzantine holders skipped still
 	// receive it (the naive totality step — another full ℓn² of traffic).
 	if have {
@@ -59,13 +51,7 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 		return nil, false, err
 	}
 	if !have {
-		for _, m := range in {
-			if hashing.Sum(m.Payload) == zStar {
-				value = bytes.Clone(m.Payload)
-				have = true
-				break
-			}
-		}
+		value, have = holding(in, zStar)
 	}
 	if !have {
 		// Unreachable under Intrusion Tolerance + collision resistance:
@@ -73,4 +59,15 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 		return nil, false, ErrDispersal
 	}
 	return value, true, nil
+}
+
+// holding returns the first payload of the inbox whose digest is want, as a
+// copy: it is relayed and returned past this inbox's lifetime.
+func holding(in []transport.Message, want hashing.Digest) ([]byte, bool) {
+	for _, m := range in {
+		if hashing.Sum(m.Payload) == want {
+			return bytes.Clone(m.Payload), true
+		}
+	}
+	return nil, false
 }

@@ -14,7 +14,6 @@ package baplus
 
 import (
 	"bytes"
-	"sort"
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/transport"
@@ -39,99 +38,40 @@ func Plus(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	}
 	// Line 2: vote for every value received from ≥ n−2t parties (at most
 	// two such values can exist; kept deterministic and defensive).
-	seen := supportedValues(in, n-2*t, 2)
-	vote := encodeVote(seen)
-	in, err = transport.ExchangeAll(env, tag+"/vote", vote)
+	var seen transport.Tally
+	for _, m := range transport.FirstPerSender(in) {
+		seen.Add(m.Payload)
+	}
+	in, err = transport.ExchangeAll(env, tag+"/vote", encodeVote(atLeast(seen, n-2*t)))
 	if err != nil {
 		return nil, false, err
 	}
-	// Line 3: a ≤ b are the values voted by ≥ n−t parties (≤ 2 exist).
-	voted := votedValues(in, n-t)
-	var a, b []byte
-	aBot, bBot := true, true
-	switch len(voted) {
-	case 1:
-		a, b = voted[0], voted[0]
-		aBot, bBot = false, false
-	case 2:
-		a, b = voted[0], voted[1]
-		aBot, bBot = false, false
+	// Line 3: a ≤ b are the values voted by ≥ n−t parties (≤ 2 exist), ⊥ if
+	// none. Framing copies them out of this inbox: tryAgree compares against
+	// its candidate after rounds of its own.
+	a, b := wire.None(), wire.None()
+	if voted := atLeast(voteTally(in), n-t); len(voted) > 0 {
+		a = wire.Some(voted[0])
+		b = wire.Some(voted[len(voted)-1])
 	}
 
 	// Line 4: try to agree on a.
-	out, ok, err := tryAgree(env, tag+"/a", a, aBot)
+	out, ok, err := tryAgree(env, tag+"/a", a)
 	if err != nil || ok {
 		return out, ok, err
 	}
 	// Line 5: try to agree on b; otherwise ⊥.
-	return tryAgree(env, tag+"/b", b, bBot)
+	return tryAgree(env, tag+"/b", b)
 }
 
-// tryAgree runs one "agree then confirm" step of Π_BA+ lines 4–5: BA on the
-// candidate value, then binary BA on whether the result matches the
-// caller's candidate.
-func tryAgree(env transport.Net, tag string, cand []byte, candBot bool) ([]byte, bool, error) {
-	agreed, agreedOK, err := ba.Multivalued(env, tag+"/val", encodeOpt(cand, candBot))
-	if err != nil {
-		return nil, false, err
-	}
-	val, valBot := decodeOpt(agreed, agreedOK)
-	happy := byte(0)
-	if !candBot && !valBot && bytes.Equal(val, cand) {
-		happy = 1
-	}
-	confirmed, err := ba.Binary(env, tag+"/confirm", happy)
-	if err != nil {
-		return nil, false, err
-	}
-	if confirmed == 1 {
-		// Some honest party was happy, so the agreed value is its non-⊥
-		// candidate; all honest parties decoded the same val.
-		return val, true, nil
-	}
-	return nil, false, nil
-}
-
-// encodeOpt frames a value-or-⊥ for the inner multivalued BA.
-func encodeOpt(v []byte, bot bool) []byte {
-	if bot {
-		return []byte{0}
-	}
-	w := wire.NewWriter(1 + len(v))
-	w.Byte(1)
-	w.Raw(v)
-	return w.Finish()
-}
-
-// decodeOpt unframes the inner BA's output; anything other than a
-// well-formed present value is treated as ⊥.
-func decodeOpt(raw []byte, ok bool) ([]byte, bool) {
-	if !ok || len(raw) < 1 || raw[0] != 1 {
-		return nil, true
-	}
-	return raw[1:], false
-}
-
-// supportedValues returns up to max values that at least threshold distinct
-// senders sent, sorted ascending for determinism.
-func supportedValues(in []transport.Message, threshold, max int) [][]byte {
-	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
-		counts[string(m.Payload)]++
-	}
-	var out []string
-	for s, c := range counts {
-		if c >= threshold {
-			out = append(out, s)
+// atLeast returns the values of a round counted for at least k parties —
+// the two smallest if there are more.
+func atLeast(tally transport.Tally, k int) [][]byte {
+	var vals [][]byte
+	for _, s := range tally {
+		if s.Count >= k && len(vals) < 2 {
+			vals = append(vals, s.Value)
 		}
-	}
-	sort.Strings(out)
-	if len(out) > max {
-		out = out[:max]
-	}
-	vals := make([][]byte, len(out))
-	for i, s := range out {
-		vals[i] = []byte(s)
 	}
 	return vals
 }
@@ -146,47 +86,59 @@ func encodeVote(vals [][]byte) []byte {
 	return w.Finish()
 }
 
-// votedValues tallies votes (each sender contributes ≤ 2 distinct values)
-// and returns the values with at least threshold votes, sorted ascending.
-// At most two can exist when threshold ≥ n−t and t < n/3; kept defensive.
-func votedValues(in []transport.Message, threshold int) [][]byte {
-	counts := make(map[string]int)
+// voteTally counts the vote round: a vote names at most two values and
+// counts once for each distinct one; a vote that is truncated, names more
+// or has trailing bytes is ignored.
+func voteTally(in []transport.Message) transport.Tally {
+	var votes transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
 		r := wire.NewReader(m.Payload)
-		k := r.Byte()
-		if r.Err() != nil || k > 2 {
+		var named [2][]byte
+		k := int(r.Byte())
+		if k > len(named) {
 			continue
 		}
-		unique := make(map[string]bool, 2)
-		for i := byte(0); i < k; i++ {
-			v := r.Bytes()
-			if r.Err() != nil {
-				break
-			}
-			unique[string(v)] = true
+		for i := 0; i < k; i++ {
+			named[i] = r.Bytes()
 		}
-		if r.Err() != nil || r.Close() != nil {
+		if r.Close() != nil {
 			continue
 		}
-		for s := range unique {
-			counts[s]++
+		if k == 2 && bytes.Equal(named[0], named[1]) {
+			k = 1
+		}
+		for _, v := range named[:k] {
+			votes.Add(v)
 		}
 	}
-	var keys []string
-	for s, c := range counts {
-		if c >= threshold {
-			keys = append(keys, s)
-		}
+	return votes
+}
+
+// tryAgree runs one "agree then confirm" step of Π_BA+ lines 4–5: BA on the
+// candidate (a framed value or ⊥), then binary BA on whether the result is
+// the caller's candidate and a value.
+func tryAgree(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
+	// Anything the inner BA settles on other than a well-formed present
+	// value is ⊥ (agreed is nil when it settled on nothing).
+	agreed, _, err := ba.Multivalued(env, tag+"/val", cand)
+	if err != nil {
+		return nil, false, err
 	}
-	sort.Strings(keys)
-	if len(keys) > 2 {
-		keys = keys[:2]
+	val, present := wire.Option(agreed)
+	happy := byte(0)
+	if present && bytes.Equal(agreed, cand) {
+		happy = 1
 	}
-	vals := make([][]byte, len(keys))
-	for i, s := range keys {
-		vals[i] = []byte(s)
+	confirmed, err := ba.Binary(env, tag+"/confirm", happy)
+	if err != nil {
+		return nil, false, err
 	}
-	return vals
+	if confirmed == 1 {
+		// Some honest party was happy, so the agreed value is its non-⊥
+		// candidate; all honest parties decoded the same val.
+		return val, true, nil
+	}
+	return nil, false, nil
 }
 
 // PlusRounds returns ROUNDS(Π_BA+) in the worst case (both agree-confirm

@@ -39,17 +39,26 @@ func BroadcastCA(env transport.Net, tag string, input *big.Int) (*big.Int, error
 	n, t := env.N(), env.T()
 	views := make([]*big.Int, 0, n)
 	for s := 0; s < n; s++ {
-		v, ok, err := bc.Broadcast(env, fmt.Sprintf("%s/bc%d", tag, s), transport.PartyID(s), input.Bytes())
+		v, err := view(env, fmt.Sprintf("%s/bc%d", tag, s), s, input)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			views = append(views, new(big.Int).SetBytes(v))
+		if v != nil {
+			views = append(views, v)
 		}
-		// ok=false means sender s (necessarily byzantine) failed its
-		// broadcast: all honest parties skip it consistently.
 	}
 	return TrimmedMedian(views, n, t)
+}
+
+// view runs sender s's broadcast and reads the delivered value as a natural.
+// nil means sender s (necessarily byzantine) failed its broadcast: all
+// honest parties skip it consistently.
+func view(env transport.Net, tag string, s transport.PartyID, input *big.Int) (*big.Int, error) {
+	v, ok, err := bc.Broadcast(env, tag, s, input.Bytes())
+	if err != nil || !ok {
+		return nil, err
+	}
+	return new(big.Int).SetBytes(v), nil
 }
 
 // TrimmedMedian applies the deterministic decision rule to the common view:

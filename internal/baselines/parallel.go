@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"convexagreement/internal/bc"
 	"convexagreement/internal/mux"
 	"convexagreement/internal/transport"
 )
@@ -24,32 +23,21 @@ func BroadcastCAParallel(env transport.Net, tag string, input *big.Int) (*big.In
 	if err != nil {
 		return nil, err
 	}
-	type slot struct {
-		value   *big.Int
-		present bool
-	}
-	results := make([]slot, n)
+	results := make([]*big.Int, n)
 	fns := make([]func(net transport.Net) error, n)
-	for s := 0; s < n; s++ {
-		s := s
-		fns[s] = func(net transport.Net) error {
-			v, ok, err := bc.Broadcast(net, fmt.Sprintf("%s/bcp%d", tag, s), transport.PartyID(s), input.Bytes())
-			if err != nil {
-				return err
-			}
-			if ok {
-				results[s] = slot{value: new(big.Int).SetBytes(v), present: true}
-			}
-			return nil
+	for s := range fns {
+		fns[s] = func(net transport.Net) (err error) {
+			results[s], err = view(net, fmt.Sprintf("%s/bcp%d", tag, s), s, input)
+			return err
 		}
 	}
 	if err := m.Run(fns); err != nil {
 		return nil, err
 	}
 	views := make([]*big.Int, 0, n)
-	for _, r := range results {
-		if r.present {
-			views = append(views, r.value)
+	for _, v := range results {
+		if v != nil {
+			views = append(views, v)
 		}
 	}
 	return TrimmedMedian(views, n, t)

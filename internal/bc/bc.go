@@ -32,20 +32,18 @@ func Broadcast(env transport.Net, tag string, sender transport.PartyID, value []
 	var in []transport.Message
 	var err error
 	if env.ID() == sender {
-		in, err = transport.ExchangeAll(env, tag+"/bc-send", framePresent(value))
+		in, err = transport.ExchangeAll(env, tag+"/bc-send", wire.Some(value))
 	} else {
 		in, err = transport.ExchangeNone(env)
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	// frame borrows the inbox; Long RS-encodes it before its first Exchange.
-	frame := frameAbsent()
-	for _, m := range in {
-		if m.From == sender {
-			frame = m.Payload
-			break
-		}
+	// The sender's first message counts. frame borrows the inbox; Long
+	// RS-encodes it before its first Exchange.
+	frame := wire.None()
+	if sent := transport.SentBy(in, sender); len(sent) > 0 {
+		frame = sent[0].Payload
 	}
 	// Π_ℓBA+ turns the (possibly equivocated) per-party views into one
 	// agreed frame: an honest sender hits Validity, a byzantine one hits
@@ -55,28 +53,6 @@ func Broadcast(env transport.Net, tag string, sender transport.PartyID, value []
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, present := unframe(agreed)
-	if !present {
-		return nil, false, nil
-	}
-	return v, true, nil
-}
-
-// framePresent marks a received value: 0x01 || value.
-func framePresent(v []byte) []byte {
-	w := wire.NewWriter(1 + len(v))
-	w.Byte(1)
-	w.Raw(v)
-	return w.Finish()
-}
-
-// frameAbsent marks "nothing received from the sender".
-func frameAbsent() []byte { return []byte{0} }
-
-// unframe splits a frame; present=false for the absent marker or garbage.
-func unframe(raw []byte) ([]byte, bool) {
-	if len(raw) < 1 || raw[0] != 1 {
-		return nil, false
-	}
-	return raw[1:], true
+	v, present := wire.Option(agreed)
+	return v, present, nil
 }

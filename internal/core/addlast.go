@@ -85,19 +85,10 @@ func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.Str
 	if err != nil {
 		return nil, err
 	}
-	count := [2]int{}
-	for _, m := range transport.FirstPerSender(in) {
-		if len(m.Payload) == 1 && m.Payload[0] <= 1 {
-			count[m.Payload[0]]++
-		}
-	}
 	// CHOICE: a bit received from ⌈m/2⌉ of the m senders. With ≥ t+1
 	// honest senders any such bit is honest-backed; on an exact tie both
 	// are, and 0 is taken deterministically.
-	choice := byte(0)
-	if count[1] > count[0] {
-		choice = 1
-	}
+	choice, _ := transport.MajorityBit(in)
 	agreed, err := ba.Binary(env, tag+"/side-ba", choice)
 	if err != nil {
 		return nil, err

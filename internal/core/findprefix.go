@@ -10,9 +10,10 @@
 //   - PiN (§5 Thm 5): CA for ℕ with unknown input length.
 //   - PiZ (§6 Cor 1): CA for ℤ.
 //
-// All protocols assume t < n/3 and the synchronous model provided by
-// package sim; every honest party must enter a protocol in the same round
-// with identical public parameters.
+// All protocols assume t < n/3 and the synchronous model of transport.Net
+// (whichever implementation is behind it: the simulator, the TCP mesh, the
+// in-process hub, or a Net stacked on one); every honest party must enter a
+// protocol in the same round with identical public parameters.
 package core
 
 import (

@@ -1,10 +1,10 @@
-// Package experiments implements the reproduction experiments E1–E13 of
-// DESIGN.md §3. The paper is a theory paper with no measured evaluation, so
-// each experiment turns one of its complexity theorems into a measurable
-// table: the absolute constants are ours, but the *shapes* — linearity in
-// ℓ, the n vs n² vs n³ ordering against baselines, O(n log n) rounds, the
-// crossover thresholds — are the paper's claims and are what EXPERIMENTS.md
-// records as expected-vs-measured.
+// Package experiments implements the reproduction experiments E1–E20 of
+// DESIGN.md §3 (Registry lists them). The paper is a theory paper with no
+// measured evaluation, so each experiment turns one of its complexity
+// theorems into a measurable table: the absolute constants are ours, but
+// the *shapes* — linearity in ℓ, the n vs n² vs n³ ordering against
+// baselines, O(n log n) rounds, the crossover thresholds — are the paper's
+// claims and are what EXPERIMENTS.md records as expected-vs-measured.
 //
 // Both the go test bench harness (bench_test.go) and cmd/cabench call into
 // this package, so `go test -bench` and the CLI print identical tables.
@@ -70,79 +70,33 @@ func sepRow(widths []int) []string {
 	return out
 }
 
+// Registry is the one table of experiments: E<i+1> at index i. All and ByID
+// both read it.
+var Registry = []func(quick bool) Table{
+	E1BitsVsEll, E2BitsVsN, E3Rounds, E4BAPlusProperties, E5LBAPlusBreakdown,
+	E6Threshold, E7ValidityCampaign, E8HighCostCA, E9BitsVsBlocks, E10AdversaryAblation,
+	E11ParallelComposition, E12CAvsAA, E13AsyncAA, E14VectorScaling, E15LoadBalance,
+	E16DispersalAblation, E17FaultSweep, E18CrashRecovery, E19IngressSweep, E20StorageFaults,
+}
+
 // All runs every experiment. quick reduces parameter ranges so the full
 // suite fits in roughly a minute.
 func All(quick bool) []Table {
-	return []Table{
-		E1BitsVsEll(quick),
-		E2BitsVsN(quick),
-		E3Rounds(quick),
-		E4BAPlusProperties(quick),
-		E5LBAPlusBreakdown(quick),
-		E6Threshold(quick),
-		E7ValidityCampaign(quick),
-		E8HighCostCA(quick),
-		E9BitsVsBlocks(quick),
-		E10AdversaryAblation(quick),
-		E11ParallelComposition(quick),
-		E12CAvsAA(quick),
-		E13AsyncAA(quick),
-		E14VectorScaling(quick),
-		E15LoadBalance(quick),
-		E16DispersalAblation(quick),
-		E17FaultSweep(quick),
-		E18CrashRecovery(quick),
-		E19IngressSweep(quick),
-		E20StorageFaults(quick),
+	tables := make([]Table, len(Registry))
+	for i, run := range Registry {
+		tables[i] = run(quick)
 	}
+	return tables
 }
 
 // ByID returns the experiment with the given id (e.g. "E4").
 func ByID(id string, quick bool) (Table, error) {
-	switch strings.ToUpper(id) {
-	case "E1":
-		return E1BitsVsEll(quick), nil
-	case "E2":
-		return E2BitsVsN(quick), nil
-	case "E3":
-		return E3Rounds(quick), nil
-	case "E4":
-		return E4BAPlusProperties(quick), nil
-	case "E5":
-		return E5LBAPlusBreakdown(quick), nil
-	case "E6":
-		return E6Threshold(quick), nil
-	case "E7":
-		return E7ValidityCampaign(quick), nil
-	case "E8":
-		return E8HighCostCA(quick), nil
-	case "E9":
-		return E9BitsVsBlocks(quick), nil
-	case "E10":
-		return E10AdversaryAblation(quick), nil
-	case "E11":
-		return E11ParallelComposition(quick), nil
-	case "E12":
-		return E12CAvsAA(quick), nil
-	case "E13":
-		return E13AsyncAA(quick), nil
-	case "E14":
-		return E14VectorScaling(quick), nil
-	case "E15":
-		return E15LoadBalance(quick), nil
-	case "E16":
-		return E16DispersalAblation(quick), nil
-	case "E17":
-		return E17FaultSweep(quick), nil
-	case "E18":
-		return E18CrashRecovery(quick), nil
-	case "E19":
-		return E19IngressSweep(quick), nil
-	case "E20":
-		return E20StorageFaults(quick), nil
-	default:
-		return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)
+	for i, run := range Registry {
+		if strings.EqualFold(id, fmt.Sprintf("E%d", i+1)) {
+			return run(quick), nil
+		}
 	}
+	return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
 // randInputs draws n uniform values below 2^bits.

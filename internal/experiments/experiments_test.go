@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,8 +17,13 @@ func TestAllQuickExperimentsRun(t *testing.T) {
 		t.Skip("full harness run")
 	}
 	tables := experiments.All(true)
-	if len(tables) < 16 {
-		t.Fatalf("only %d experiments ran", len(tables))
+	if len(tables) != len(experiments.Registry) {
+		t.Fatalf("%d experiments ran, the registry lists %d", len(tables), len(experiments.Registry))
+	}
+	for i, tbl := range tables {
+		if want := fmt.Sprintf("E%d", i+1); tbl.ID != want {
+			t.Errorf("registry entry %d is %s, want %s (ByID finds experiments by position)", i, tbl.ID, want)
+		}
 	}
 	ids := map[string]bool{}
 	for _, tbl := range tables {

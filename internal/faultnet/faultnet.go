@@ -130,6 +130,56 @@ type Plan struct {
 	MaxRounds int
 }
 
+// Validate rejects plans that would silently misbehave: rules with
+// probabilities outside [0, 1], inverted or negative round windows,
+// negative delays, party indices below Any, and a negative MaxRounds (zero
+// means unlimited; negative is always a mistake).
+func (p Plan) Validate() error {
+	if p.MaxRounds < 0 {
+		return fmt.Errorf("faultnet: MaxRounds %d is negative (0 means unlimited)", p.MaxRounds)
+	}
+	for i, r := range p.Rules {
+		switch {
+		case r.Prob < 0 || r.Prob > 1:
+			return fmt.Errorf("faultnet: rule %d Prob %v outside [0, 1]", i, r.Prob)
+		case r.From < Any || r.To < Any:
+			return fmt.Errorf("faultnet: rule %d party index below Any", i)
+		case r.FromRound < 0:
+			return fmt.Errorf("faultnet: rule %d FromRound %d is negative", i, r.FromRound)
+		case r.ToRound > 0 && r.ToRound <= r.FromRound:
+			return fmt.Errorf("faultnet: rule %d window [%d, %d) is empty", i, r.FromRound, r.ToRound)
+		case r.DelayRounds < 0:
+			return fmt.Errorf("faultnet: rule %d DelayRounds %d is negative", i, r.DelayRounds)
+		case r.Kind > Corrupt:
+			return fmt.Errorf("faultnet: rule %d unknown fault kind %d", i, r.Kind)
+		}
+	}
+	for i, pt := range p.Partitions {
+		if pt.FromRound < 0 {
+			return fmt.Errorf("faultnet: partition %d FromRound %d is negative", i, pt.FromRound)
+		}
+		if pt.ToRound > 0 && pt.ToRound <= pt.FromRound {
+			return fmt.Errorf("faultnet: partition %d window [%d, %d) is empty", i, pt.FromRound, pt.ToRound)
+		}
+	}
+	for i, cr := range p.Crashes {
+		switch {
+		case cr.Party < 0:
+			return fmt.Errorf("faultnet: crash %d party %d is negative", i, cr.Party)
+		case cr.FromRound < 0:
+			return fmt.Errorf("faultnet: crash %d FromRound %d is negative", i, cr.FromRound)
+		case cr.ToRound > 0 && cr.ToRound <= cr.FromRound:
+			return fmt.Errorf("faultnet: crash %d window [%d, %d) is empty", i, cr.FromRound, cr.ToRound)
+		}
+	}
+	for i, k := range p.Kills {
+		if k.Party < 0 || k.Round < 0 {
+			return fmt.Errorf("faultnet: kill %d has negative party or round", i)
+		}
+	}
+	return nil
+}
+
 // ErrRoundLimit reports that a wrapped party exceeded Plan.MaxRounds.
 var ErrRoundLimit = errors.New("faultnet: round limit exceeded")
 

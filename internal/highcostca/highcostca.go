@@ -14,6 +14,7 @@
 package highcostca
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"sort"
@@ -79,7 +80,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		if err != nil {
 			return nil, err
 		}
-		strong := natWithSupport(in, n-t) // value seen from n−t parties, if any
+		strong := natAtLeast(natTally(in), n-t) // value seen from n−t parties, if any
 
 		// Round B: propose a value that n−t parties reported.
 		if strong != nil {
@@ -90,8 +91,9 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		if err != nil {
 			return nil, err
 		}
-		proposed := natWithSupport(in, t+1)
-		proposalQuorum := natWithSupport(in, n-t) != nil
+		proposals := natTally(in)
+		proposed := natAtLeast(proposals, t+1)
+		proposalQuorum := natAtLeast(proposals, n-t) != nil
 		if proposed != nil {
 			current = proposed
 		}
@@ -109,12 +111,10 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The king's first message counts, and any bytes are a natural.
 		var kingValue *big.Int
-		for _, m := range in {
-			if m.From == king {
-				kingValue = decodeNat(m.Payload)
-				break
-			}
+		if sent := transport.SentBy(in, king); len(sent) > 0 {
+			kingValue = decodeNat(sent[0].Payload)
 		}
 
 		// Round D: endorse the king's value if it matches CURRENT or lies
@@ -131,7 +131,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 			return nil, err
 		}
 		if !proposalQuorum {
-			if voted := natWithSupport(in, t+1); voted != nil {
+			if voted := natAtLeast(natTally(in), t+1); voted != nil {
 				current = voted
 			}
 		}
@@ -161,43 +161,33 @@ func decodeNats(in []transport.Message) []*big.Int {
 	return out
 }
 
-// natWithSupport returns the smallest value that at least threshold distinct
-// senders sent this round, or nil. (At the thresholds used by the protocol
-// at most one value can be honest-backed; taking the smallest keeps the
-// defensive tie-break deterministic.)
-//
-// Payloads are counted as bytes: with its leading zero bytes trimmed a
-// payload is the canonical encoding of the natural it decodes to, so it is
-// copied once per distinct value (as the map key) and only the winner
-// becomes a big.Int.
-func natWithSupport(in []transport.Message, threshold int) *big.Int {
-	counts := make(map[string]*int)
+// natTally counts a round's values as naturals: with its leading zero bytes
+// trimmed a payload is the canonical encoding of the natural it decodes to,
+// so every encoding of a number counts for that number.
+func natTally(in []transport.Message) transport.Tally {
+	var tally transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
-		payload := m.Payload
-		for len(payload) > 0 && payload[0] == 0 {
-			payload = payload[1:]
-		}
-		c := counts[string(payload)]
-		if c == nil {
-			c = new(int)
-			counts[string(payload)] = c
-		}
-		*c++
+		tally.Add(bytes.TrimLeft(m.Payload, "\x00"))
 	}
-	best, found := "", false
-	for s, c := range counts {
-		if *c < threshold {
-			continue
-		}
-		// Canonical encodings order as naturals by length, then bytes.
-		if !found || len(s) < len(best) || (len(s) == len(best) && s < best) {
-			best, found = s, true
+	return tally
+}
+
+// natAtLeast returns the smallest natural counted for at least k parties,
+// or nil. (At the thresholds used by the protocol at most one value can be
+// honest-backed; taking the smallest keeps the defensive tie-break
+// deterministic.) Canonical encodings order as naturals by length, then
+// bytes, and the tally ascends in bytes: the first of the shortest wins.
+func natAtLeast(tally transport.Tally, k int) *big.Int {
+	var best transport.Support // Count 0: none yet (a tallied value has Count ≥ 1)
+	for _, s := range tally {
+		if s.Count >= k && (best.Count == 0 || len(s.Value) < len(best.Value)) {
+			best = s
 		}
 	}
-	if !found {
+	if best.Count == 0 {
 		return nil
 	}
-	return new(big.Int).SetBytes([]byte(best))
+	return decodeNat(best.Value)
 }
 
 // interval is a received trusted interval.

@@ -1,5 +1,6 @@
-// Package testutil provides the shared harness used by every protocol test:
-// it runs n parties on the simulated synchronous network, with a chosen
+// Package testutil provides the shared harness used by every protocol test,
+// by the experiments and by the root package's simulated runners (Agree,
+// ApproxAgree, AgreeVector): it runs n parties on the simulated synchronous network, with a chosen
 // subset of parties corrupted and driven by adversarial strategies, and
 // collects the honest parties' outputs for property checking.
 package testutil

@@ -4,10 +4,20 @@
 // The paper's model (§2) gives each party an authenticated channel to every
 // other party and lock-step rounds: all messages sent in round r arrive at
 // the start of round r+1. A Net provides exactly that as a blocking
-// Exchange call. Two implementations exist: the in-process simulator with
-// byzantine adversaries and cost accounting (package sim), and a real TCP
-// deployment with Δ-timeout round synchronization (package tcpnet).
+// Exchange call. The base implementations are the in-process simulator with
+// byzantine adversaries and cost accounting (package sim), a TCP mesh with
+// Δ-timeout round synchronization (package tcpnet) and an in-process
+// channel hub (package channet); faultnet, sessmux and mux are Nets stacked
+// on another Net.
+//
+// It is also the one home of how a protocol reads a round: FirstPerSender,
+// Tally, MajorityBit and SentBy (PROTOCOLS.md maps them to the paper).
 package transport
+
+import (
+	"bytes"
+	"slices"
+)
 
 // PartyID identifies a party; parties are numbered 0..n-1. It is an alias
 // of int, so the root package's Packet/Message/Transport are these very
@@ -189,4 +199,79 @@ func FirstPerSender(msgs []Message) []Message {
 		}
 	}
 	return msgs
+}
+
+// Support is one distinct value of a round and the number of parties
+// counted for it.
+type Support struct {
+	Value []byte
+	Count int
+}
+
+// Tally is the paper's "received from ≥ k parties": the distinct values of
+// one round with the number of parties behind each, ascending by
+// bytes.Compare. A protocol Adds the decoded value of each FirstPerSender
+// message (a message naming two values adds both) and picks by Count; the
+// order makes "the smallest such value" the first match. Values are
+// borrowed, normally from the inbox: one that outlives the next Exchange is
+// cloned by whoever keeps it. A round in which the parties agree costs the
+// one-element slice.
+type Tally []Support
+
+// Add counts one more party for v.
+func (t *Tally) Add(v []byte) {
+	i, found := slices.BinarySearchFunc(*t, v, func(s Support, v []byte) int { return bytes.Compare(s.Value, v) })
+	if found {
+		(*t)[i].Count++
+	} else {
+		*t = slices.Insert(*t, i, Support{Value: v, Count: 1})
+	}
+}
+
+// Bit decodes a one-bit message: a single byte, 0 or 1.
+func Bit(payload []byte) (byte, bool) {
+	if len(payload) != 1 || payload[0] > 1 {
+		return 0, false
+	}
+	return payload[0], true
+}
+
+// MajorityBit is the paper's "the bit most parties sent": over the first
+// message of each sender, ignoring whatever is not a Bit, the bit more
+// parties sent — 0 on a tie or an empty round — and how many sent it.
+func MajorityBit(in []Message) (bit byte, count int) {
+	var counts [2]int
+	for _, m := range FirstPerSender(in) {
+		if b, ok := Bit(m.Payload); ok {
+			counts[b]++
+		}
+	}
+	if counts[1] > counts[0] {
+		bit = 1
+	}
+	return bit, counts[bit]
+}
+
+// SentBy is "what P_j sent": every message of this round's inbox whose
+// sender is j, in arrival order — one for an honest j that spoke, none for
+// a silent one, several for a byzantine j that spams its channel. It is the
+// accessor under every round in which one designated party (a king, a
+// broadcaster) speaks; which of several messages counts is the caller's
+// rule, stated at the call. The result lives as long as in does.
+func SentBy(in []Message, j PartyID) []Message {
+	lo := 0
+	for lo < len(in) && in[lo].From != j {
+		lo++
+	}
+	hi := lo
+	for hi < len(in) && in[hi].From == j {
+		hi++
+	}
+	sent := in[lo:hi:hi]
+	for _, m := range in[hi:] {
+		if m.From == j { // an unsorted inbox (a custom transport): gather the rest into a copy
+			sent = append(sent, m)
+		}
+	}
+	return sent
 }

@@ -57,6 +57,29 @@ func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
 // Finish returns the encoded message.
 func (w *Writer) Finish() []byte { return w.buf }
 
+// Some frames a present value for a message that carries "v or ⊥":
+// 0x01 ‖ v. The empty value is a value: Some(nil) is not None().
+func Some(v []byte) []byte {
+	out := make([]byte, 1+len(v))
+	out[0] = 1
+	copy(out[1:], v)
+	return out
+}
+
+// None frames ⊥: the single byte 0x00. Every call returns a fresh slice,
+// because in-process transports deliver a sender's payload by reference.
+func None() []byte { return []byte{0} }
+
+// Option splits a "v or ⊥" frame: (v, true) for Some(v), with v borrowing
+// raw, and (nil, false) for None() and for anything else — a byzantine
+// frame that is neither reads as ⊥.
+func Option(raw []byte) ([]byte, bool) {
+	if len(raw) < 1 || raw[0] != 1 {
+		return nil, false
+	}
+	return raw[1:], true
+}
+
 // Reader decodes a message produced by Writer.
 type Reader struct {
 	buf []byte

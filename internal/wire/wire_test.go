@@ -106,3 +106,37 @@ func TestFuzzRandomBytesNeverPanic(t *testing.T) {
 		_ = r.Close()
 	}
 }
+
+// TestOptionFrame: "v or ⊥" round-trips, the empty value is a value and not
+// ⊥, the decoded value borrows the frame, and anything that is neither
+// frame reads as ⊥.
+func TestOptionFrame(t *testing.T) {
+	for _, v := range [][]byte{nil, {}, {0}, {1}, []byte("value"), bytes.Repeat([]byte{9}, 4096)} {
+		frame := Some(v)
+		if len(frame) != 1+len(v) || frame[0] != 1 {
+			t.Fatalf("Some(%x) = %x", v, frame)
+		}
+		got, ok := Option(frame)
+		if !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Option(Some(%x)) = (%x, %v)", v, got, ok)
+		}
+		if len(got) > 0 && &got[0] != &frame[1] {
+			t.Fatal("the decoded value is a copy, want a view of the frame")
+		}
+	}
+	if bytes.Equal(Some(nil), None()) {
+		t.Fatal("Some of the empty value equals None")
+	}
+	if !bytes.Equal(None(), []byte{0}) {
+		t.Fatalf("None() = %x", None())
+	}
+	a, b := None(), None()
+	if a[0] = 9; b[0] != 0 {
+		t.Fatal("None() hands out shared storage")
+	}
+	for _, raw := range [][]byte{nil, {}, None(), {0, 1}, {2}, {2, 'v'}, {0xFF, 0xFF}} {
+		if v, ok := Option(raw); ok || v != nil {
+			t.Fatalf("Option(%x) = (%x, %v), want ⊥", raw, v, ok)
+		}
+	}
+}

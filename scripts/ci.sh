@@ -66,6 +66,20 @@ for fn in shedInto senderCounts unframe; do
 	fi
 done
 
+# ISSUE 19: one quorum vocabulary. The option frame lives in internal/wire
+# (Some/None/Option), the value tally, the 0/1 count and the one-sender
+# accessor in internal/transport (Tally, MajorityBit, SentBy); the per-package
+# copies survive only as _test.go oracles. A copy coming back brings one of
+# these names with it, or a per-round count map.
+if grep -rnE 'tcMajority|tcBest|supportedValues|votedValues|natWithSupport|encodeTC|encodeOpt|framePresent|frameAbsent' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "one-path: a deleted per-package frame or count helper reappeared in non-test code" >&2
+	exit 1
+fi
+if grep -rnE 'map\[string\]' --include='*.go' internal/ba internal/baplus internal/bc internal/highcostca | grep -v '_test\.go:'; then
+	echo "one-path: a map[string] in the protocol plane; count values with transport.Tally" >&2
+	exit 1
+fi
+
 echo "== go test"
 go test ./...
 
@@ -145,7 +159,7 @@ echo "== calint runtime guard (full-tree analysis within 60s)"
 go test -run '^$' -bench 'BenchmarkCalintFullTree' -benchtime 1x -benchmem ./internal/lint/ \
 	| go run ./cmd/benchjson -guard-time 'CalintFullTree=60s' > /dev/null
 
-echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bitstr kernels)"
+echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bitstr kernels, quorum vocabulary x4)"
 # FuzzReadFrame and FuzzReadFrameInto share a prefix; go test refuses a -fuzz
 # pattern matching more than one target, so each needs an anchored pattern.
 go test -run '^$' -fuzz 'FuzzReadFrame$' -fuzztime 5s ./internal/wire/
@@ -155,5 +169,10 @@ go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/baplus/
 go test -run '^$' -fuzz FuzzInspectState -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScrub -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzKernelsVsReference -fuzztime 5s ./internal/bitstr/
+# The quorum vocabulary against the per-package functions it replaced.
+go test -run '^$' -fuzz FuzzTally -fuzztime 5s ./internal/transport/
+go test -run '^$' -fuzz FuzzTCPicks -fuzztime 5s ./internal/ba/
+go test -run '^$' -fuzz FuzzPlusPicks -fuzztime 5s ./internal/baplus/
+go test -run '^$' -fuzz FuzzNatAtLeast -fuzztime 5s ./internal/highcostca/
 
 echo "CI OK"

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"convexagreement/internal/aa"
 	"convexagreement/internal/checkpoint"
 	"convexagreement/internal/errfs"
 	"convexagreement/internal/transport"
@@ -87,22 +86,13 @@ func (s *Session) Rounds() uint64 { return s.rounds.Load() }
 // same rounds — yield identical digests.
 func (s *Session) Transcript() uint64 { return s.digest }
 
-// StorageOptions configures how a checkpoint directory is kept. The zero
-// value is the default: single-copy WAL on the real filesystem.
-type StorageOptions struct {
-	// Mirror enables the dual-copy WAL: every record is written and
-	// fsync'd to two files, recovery votes for the longest intact prefix
-	// and repairs the other copy, so any damage confined to one copy
-	// (bit rot included) loses nothing.
-	Mirror bool
-	// FS overrides the filesystem — the storage-fault seam used by tests
-	// and soaks (internal/errfs.Mem). nil means the real filesystem.
-	FS errfs.FS
-}
-
-func (o StorageOptions) checkpointOptions() checkpoint.Options {
-	return checkpoint.Options{FS: o.FS, Mirror: o.Mirror}
-}
+// StorageOptions configures how a checkpoint directory is kept — the
+// checkpoint layer's own options, passed through without conversion. The
+// zero value is the default: single-copy WAL on the real filesystem.
+//
+//	FS     errfs.FS // overrides the filesystem — the storage-fault seam used by tests and soaks (internal/errfs.Mem); nil means the real filesystem
+//	Mirror bool     // the dual-copy WAL: every record is written and fsync'd to two files, recovery votes for the longest intact prefix and repairs the other copy, so any damage confined to one copy (bit rot included) loses nothing
+type StorageOptions = checkpoint.Options
 
 // Checkpoint enables durable write-ahead logging of this session into dir:
 // instance parameters and every completed round's inbox are CRC-framed,
@@ -115,7 +105,7 @@ func (s *Session) Checkpoint(dir string) error {
 
 // CheckpointOpts is Checkpoint with explicit storage options.
 func (s *Session) CheckpointOpts(dir string, o StorageOptions) error {
-	log, st, err := checkpoint.OpenOptions(dir, o.checkpointOptions())
+	log, st, err := checkpoint.OpenOptions(dir, o)
 	if err != nil {
 		return err
 	}
@@ -149,7 +139,7 @@ func (s *Session) Resume(dir string) error {
 
 // ResumeOpts is Resume with explicit storage options.
 func (s *Session) ResumeOpts(dir string, o StorageOptions) error {
-	log, st, err := checkpoint.OpenOptions(dir, o.checkpointOptions())
+	log, st, err := checkpoint.OpenOptions(dir, o)
 	if err != nil {
 		return err
 	}
@@ -220,7 +210,7 @@ func InspectState(dir string) (SessionState, error) {
 
 // InspectStateOpts is InspectState with explicit storage options.
 func InspectStateOpts(dir string, o StorageOptions) (SessionState, error) {
-	st, err := checkpoint.InspectOptions(dir, o.checkpointOptions())
+	st, err := checkpoint.InspectOptions(dir, o)
 	if err != nil {
 		return SessionState{}, err
 	}
@@ -261,7 +251,7 @@ func ValidateStateDir(dir string, n, t int, o StorageOptions) (SessionState, err
 		return SessionState{}, fmt.Errorf("%w: %s failed the write probe (write=%v sync=%v close=%v)",
 			ErrStateDir, dir, werr, serr, cerr)
 	}
-	st, err := checkpoint.InspectOptions(dir, o.checkpointOptions())
+	st, err := checkpoint.InspectOptions(dir, o)
 	if err != nil {
 		return SessionState{}, fmt.Errorf("%w: %w", ErrStateDir, err)
 	}
@@ -283,63 +273,39 @@ func (s *Session) Close() error {
 
 // Agree runs the next Convex Agreement instance of the session.
 func (s *Session) Agree(protocol Protocol, width int, input *big.Int) (*big.Int, error) {
+	return s.runInstance(agreeCall(protocol, width), input)
+}
+
+// ApproxAgree runs the next synchronous Approximate Agreement instance of
+// the session (see ApproxAgree for the parameter semantics).
+func (s *Session) ApproxAgree(input, diameterBound, epsilon *big.Int) (*big.Int, error) {
+	return s.runInstance(call{protocol: protoApprox, diam: diameterBound, eps: epsilon}, input)
+}
+
+// runInstance drives one instance through the recording/replaying net,
+// handling the checkpoint bookkeeping and the poison contract.
+func (s *Session) runInstance(c call, input *big.Int) (*big.Int, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if protocol == "" {
-		protocol = ProtoOptimal
-	}
-	// Parameter validation mirrors RunParty. A rejected call never started
-	// an instance on the wire, so it does not poison the session.
-	if input == nil {
-		return nil, fmt.Errorf("%w: nil input", ErrOptions)
-	}
-	if input.Sign() < 0 && !protocol.AcceptsNegative() {
-		return nil, fmt.Errorf("%w: protocol %q takes inputs in ℕ", ErrOptions, protocol)
-	}
-	if protocol.NeedsWidth() && width <= 0 {
-		return nil, fmt.Errorf("%w: protocol %q requires a width", ErrOptions, protocol)
-	}
-	runner, err := protocolRunner(Options{Protocol: protocol, Width: width})
+	// A rejected call never started an instance on the wire or in the
+	// write-ahead log, so it does not poison the session.
+	run, err := c.validate(s.tr.N(), []*big.Int{input})
 	if err != nil {
 		return nil, err
 	}
 	inst := &checkpoint.Instance{
 		Seq:      s.seq,
 		Kind:     checkpoint.KindAgree,
-		Protocol: string(protocol),
-		Width:    width,
+		Protocol: string(c.protocol),
+		Width:    c.width,
 		Input:    input,
+		Diam:     c.diam,
+		Eps:      c.eps,
 	}
-	return s.runInstance(inst, func(net transport.Net) (*big.Int, error) {
-		return runner(net, input)
-	})
-}
-
-// ApproxAgree runs the next synchronous Approximate Agreement instance of
-// the session (see ApproxAgree for the parameter semantics).
-func (s *Session) ApproxAgree(input, diameterBound, epsilon *big.Int) (*big.Int, error) {
-	if s.err != nil {
-		return nil, s.err
+	if c.protocol == protoApprox {
+		inst.Kind, inst.Protocol = checkpoint.KindApprox, "" // as the log has always recorded it
 	}
-	if input == nil || input.Sign() < 0 {
-		return nil, fmt.Errorf("%w: input must be a natural number", ErrOptions)
-	}
-	inst := &checkpoint.Instance{
-		Seq:   s.seq,
-		Kind:  checkpoint.KindApprox,
-		Input: input,
-		Diam:  diameterBound,
-		Eps:   epsilon,
-	}
-	return s.runInstance(inst, func(net transport.Net) (*big.Int, error) {
-		return aa.Run(net, "aa", input, diameterBound, epsilon)
-	})
-}
-
-// runInstance drives one instance through the recording/replaying net,
-// handling the checkpoint bookkeeping and the poison contract.
-func (s *Session) runInstance(inst *checkpoint.Instance, run func(transport.Net) (*big.Int, error)) (*big.Int, error) {
 	if s.partial != nil {
 		if err := matchPartial(s.partial, inst); err != nil {
 			s.err = err
@@ -354,7 +320,7 @@ func (s *Session) runInstance(inst *checkpoint.Instance, run func(transport.Net)
 			return nil, err
 		}
 	}
-	out, err := run(sessionNet{s.tr, s})
+	out, err := run(sessionNet{s.tr, s}, input)
 	if err != nil {
 		err = fmt.Errorf("session instance %d: %w", s.seq, err)
 		s.err = fmt.Errorf("%w: %v", ErrSessionPoisoned, err)
@@ -474,14 +440,4 @@ func fnvWord(d, v uint64) uint64 {
 		v >>= 8
 	}
 	return d
-}
-
-// RunPartyApprox executes one party's side of synchronous Approximate
-// Agreement over the given transport; the deployment counterpart of
-// ApproxAgree.
-func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.Int, error) {
-	if input == nil || input.Sign() < 0 {
-		return nil, fmt.Errorf("%w: input must be a natural number", ErrOptions)
-	}
-	return aa.Run(tr, "aa", input, diameterBound, epsilon)
 }

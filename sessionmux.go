@@ -54,25 +54,23 @@ func (sm *SessionMux) Idle() error { return sm.m.Idle() }
 // Live reports the number of locally live sessions.
 func (sm *SessionMux) Live() int { return sm.m.Live() }
 
-// Stats returns cumulative mux counters (see sessmux.Stats for the field
-// semantics).
-func (sm *SessionMux) Stats() SessionMuxStats { return SessionMuxStats(sm.m.Stats()) }
+// Stats returns cumulative mux counters.
+func (sm *SessionMux) Stats() SessionMuxStats { return sm.m.Stats() }
 
-// SessionMuxStats are cumulative counters for one SessionMux.
+// SessionMuxStats are cumulative counters for one SessionMux — the mux's
+// own record, handed out without conversion:
+//
+//	Ticks           uint64 // physical rounds driven
+//	Packets         uint64 // session frames shipped, all sessions coalesced
+//	BytesReferenced uint64 // payload bytes handed to the transport by reference
+//	BytesCopied     uint64 // payload bytes flattened for a transport that takes only flat packets (0 on a TCP base)
+//	SessionShed     uint64 // messages shed by the per-session bound
+//	TickShed        uint64 // messages shed by the whole-tick bound
+//
 // Packets/Ticks is the coalescing ratio — how many session frames ride in
-// each physical round (one write per peer on TCP). BytesReferenced counts
-// payload bytes the mux handed to the transport by reference; BytesCopied
-// counts bytes it had to flatten for a transport that takes only flat
-// packets (0 on a TCP base). SessionShed and TickShed count backpressure
-// drops at the two bounds.
-type SessionMuxStats struct {
-	Ticks           uint64
-	Packets         uint64
-	BytesReferenced uint64
-	BytesCopied     uint64
-	SessionShed     uint64
-	TickShed        uint64
-}
+// each physical round (one write per peer on TCP). SessionShed and TickShed
+// count backpressure drops at the two bounds.
+type SessionMuxStats = sessmux.Stats
 
 // MuxedTransport is one live session's Transport. Close retires the
 // session locally; peers observe omission, and sibling sessions are

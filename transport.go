@@ -55,23 +55,26 @@ type Transport = transport.Net
 // of the protocol (O(n log n) rounds of the transport's Δ for
 // ProtoOptimal) and returns the agreed value.
 func RunParty(tr Transport, protocol Protocol, width int, input *big.Int) (*big.Int, error) {
-	if protocol == "" {
-		protocol = ProtoOptimal
+	return runParty(tr, agreeCall(protocol, width), input)
+}
+
+// RunPartyApprox executes one party's side of synchronous Approximate
+// Agreement over the given transport; the deployment counterpart of
+// ApproxAgree.
+func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.Int, error) {
+	return runParty(tr, call{protocol: protoApprox, diam: diameterBound, eps: epsilon}, input)
+}
+
+// runParty validates one party's call against its transport and runs it.
+func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("%w: nil transport", ErrOptions)
 	}
-	if input == nil {
-		return nil, fmt.Errorf("%w: nil input", ErrOptions)
-	}
-	if input.Sign() < 0 && !protocol.AcceptsNegative() {
-		return nil, fmt.Errorf("%w: protocol %q takes inputs in ℕ", ErrOptions, protocol)
-	}
-	if protocol.NeedsWidth() && width <= 0 {
-		return nil, fmt.Errorf("%w: protocol %q requires a width", ErrOptions, protocol)
-	}
-	runner, err := protocolRunner(Options{Protocol: protocol, Width: width})
+	run, err := c.validate(tr.N(), []*big.Int{input})
 	if err != nil {
 		return nil, err
 	}
-	return runner(tr, input)
+	return run(tr, input)
 }
 
 // TCPConfig configures DialTCP.

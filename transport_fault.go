@@ -2,6 +2,7 @@ package convexagreement
 
 import (
 	"fmt"
+	"slices"
 
 	"convexagreement/internal/faultnet"
 )
@@ -12,24 +13,28 @@ import (
 // delays beyond Δ, duplication, corruption, partitions, and crash/restart
 // windows — and replay any run exactly from its seed.
 
+// The schedule's types are internal/faultnet's own, so a FaultConfig reaches
+// the injector without conversion; the fields of each are listed here
+// because go doc does not print an aliased type's.
+
 // AnyParty matches every party in a FaultRule's From/To position.
-const AnyParty = -1
+const AnyParty = faultnet.Any
 
 // FaultKind selects what a FaultRule does to a matching message.
-type FaultKind uint8
+type FaultKind = faultnet.Kind
 
 // The fault kinds.
 const (
 	// FaultDrop omits the message entirely (omission past Δ).
-	FaultDrop FaultKind = iota
+	FaultDrop = faultnet.Drop
 	// FaultDelay slides the message DelayRounds rounds later; the
 	// recipient sees it as part of a later round's traffic.
-	FaultDelay
+	FaultDelay = faultnet.Delay
 	// FaultDuplicate delivers the message twice in the same round.
-	FaultDuplicate
+	FaultDuplicate = faultnet.Duplicate
 	// FaultCorrupt flips payload bytes (on a copy; the sender's buffer is
 	// untouched).
-	FaultCorrupt
+	FaultCorrupt = faultnet.Corrupt
 )
 
 // FaultRule injects one fault kind on matching (From → To) links during the
@@ -37,31 +42,31 @@ const (
 // matching message is hit independently with probability Prob, decided by a
 // deterministic hash of (seed, round, link, rule, message index) — never by
 // a global RNG — so identical configurations replay identical faults.
-type FaultRule struct {
-	Kind        FaultKind
-	From, To    int // party index or AnyParty
-	FromRound   int
-	ToRound     int
-	Prob        float64
-	DelayRounds int // FaultDelay only; 0 means 1
-}
+//
+//	Kind        FaultKind
+//	From, To    int // party index or AnyParty
+//	FromRound   int
+//	ToRound     int
+//	Prob        float64
+//	DelayRounds int // FaultDelay only; 0 means 1
+type FaultRule = faultnet.Rule
 
 // FaultPartition cuts every link crossing the GroupA / rest boundary, both
 // directions, during [FromRound, ToRound) — a clean split that heals when
 // the window ends.
-type FaultPartition struct {
-	FromRound int
-	ToRound   int
-	GroupA    []int
-}
+//
+//	FromRound int
+//	ToRound   int
+//	GroupA    []int
+type FaultPartition = faultnet.Partition
 
 // FaultCrash silences one party for rounds [FromRound, ToRound): it sends
 // nothing and receives nothing, then resumes — a crash with restart.
-type FaultCrash struct {
-	Party     int
-	FromRound int
-	ToRound   int
-}
+//
+//	Party     int
+//	FromRound int
+//	ToRound   int
+type FaultCrash = faultnet.Crash
 
 // FaultKill hard-fails one party's Exchange at the start of round Round
 // with ErrKilled — a process crash, unlike FaultCrash's silence window.
@@ -69,10 +74,10 @@ type FaultCrash struct {
 // Session) and re-wrap its transport with WrapFaultyAt at the resume
 // round, which marks the fired kill consumed. Each kill fires at most once
 // per wrapper.
-type FaultKill struct {
-	Party int
-	Round int
-}
+//
+//	Party int
+//	Round int
+type FaultKill = faultnet.Kill
 
 // FaultConfig is a per-round, per-link fault schedule. The zero value
 // injects nothing (the wrapper is then an exact passthrough). Every party
@@ -80,101 +85,14 @@ type FaultKill struct {
 // pure functions of the configuration and the round, so equal configs —
 // even in different processes — make identical choices, no shared state
 // needed.
-type FaultConfig struct {
-	// Seed keys every probabilistic decision.
-	Seed       int64
-	Rules      []FaultRule
-	Partitions []FaultPartition
-	Crashes    []FaultCrash
-	Kills      []FaultKill
-	// MaxRounds, when positive, fails Exchange after that many rounds
-	// instead of letting a fault-starved protocol hang. Zero (the default)
-	// means unlimited — there is no cutoff, not a zero-round cutoff.
-	MaxRounds int
-}
-
-// validate rejects configurations that would silently misbehave: rules
-// with probabilities outside [0, 1], inverted or negative round windows,
-// negative delays, party indices below AnyParty, and a negative MaxRounds
-// (zero means unlimited; negative is always a mistake).
-func (c FaultConfig) validate() error {
-	if c.MaxRounds < 0 {
-		return fmt.Errorf("%w: MaxRounds %d is negative (0 means unlimited)", ErrOptions, c.MaxRounds)
-	}
-	for i, r := range c.Rules {
-		switch {
-		case r.Prob < 0 || r.Prob > 1:
-			return fmt.Errorf("%w: rule %d Prob %v outside [0, 1]", ErrOptions, i, r.Prob)
-		case r.From < AnyParty || r.To < AnyParty:
-			return fmt.Errorf("%w: rule %d party index below AnyParty", ErrOptions, i)
-		case r.FromRound < 0:
-			return fmt.Errorf("%w: rule %d FromRound %d is negative", ErrOptions, i, r.FromRound)
-		case r.ToRound > 0 && r.ToRound <= r.FromRound:
-			return fmt.Errorf("%w: rule %d window [%d, %d) is empty", ErrOptions, i, r.FromRound, r.ToRound)
-		case r.DelayRounds < 0:
-			return fmt.Errorf("%w: rule %d DelayRounds %d is negative", ErrOptions, i, r.DelayRounds)
-		case r.Kind > FaultCorrupt:
-			return fmt.Errorf("%w: rule %d unknown fault kind %d", ErrOptions, i, r.Kind)
-		}
-	}
-	for i, p := range c.Partitions {
-		if p.FromRound < 0 {
-			return fmt.Errorf("%w: partition %d FromRound %d is negative", ErrOptions, i, p.FromRound)
-		}
-		if p.ToRound > 0 && p.ToRound <= p.FromRound {
-			return fmt.Errorf("%w: partition %d window [%d, %d) is empty", ErrOptions, i, p.FromRound, p.ToRound)
-		}
-	}
-	for i, cr := range c.Crashes {
-		switch {
-		case cr.Party < 0:
-			return fmt.Errorf("%w: crash %d party %d is negative", ErrOptions, i, cr.Party)
-		case cr.FromRound < 0:
-			return fmt.Errorf("%w: crash %d FromRound %d is negative", ErrOptions, i, cr.FromRound)
-		case cr.ToRound > 0 && cr.ToRound <= cr.FromRound:
-			return fmt.Errorf("%w: crash %d window [%d, %d) is empty", ErrOptions, i, cr.FromRound, cr.ToRound)
-		}
-	}
-	for i, k := range c.Kills {
-		if k.Party < 0 || k.Round < 0 {
-			return fmt.Errorf("%w: kill %d has negative party or round", ErrOptions, i)
-		}
-	}
-	return nil
-}
-
-func (c FaultConfig) plan() *faultnet.Plan {
-	plan := &faultnet.Plan{Seed: c.Seed, MaxRounds: c.MaxRounds}
-	for _, r := range c.Rules {
-		plan.Rules = append(plan.Rules, faultnet.Rule{
-			Kind:        faultnet.Kind(r.Kind),
-			From:        r.From,
-			To:          r.To,
-			FromRound:   r.FromRound,
-			ToRound:     r.ToRound,
-			Prob:        r.Prob,
-			DelayRounds: r.DelayRounds,
-		})
-	}
-	for _, p := range c.Partitions {
-		plan.Partitions = append(plan.Partitions, faultnet.Partition{
-			FromRound: p.FromRound,
-			ToRound:   p.ToRound,
-			GroupA:    append([]int(nil), p.GroupA...),
-		})
-	}
-	for _, cr := range c.Crashes {
-		plan.Crashes = append(plan.Crashes, faultnet.Crash{
-			Party:     cr.Party,
-			FromRound: cr.FromRound,
-			ToRound:   cr.ToRound,
-		})
-	}
-	for _, k := range c.Kills {
-		plan.Kills = append(plan.Kills, faultnet.Kill{Party: k.Party, Round: k.Round})
-	}
-	return plan
-}
+//
+//	Seed       int64 // keys every probabilistic decision
+//	Rules      []FaultRule
+//	Partitions []FaultPartition
+//	Crashes    []FaultCrash
+//	Kills      []FaultKill
+//	MaxRounds  int // when positive, Exchange fails after that many rounds instead of letting a fault-starved protocol hang; zero means unlimited
+type FaultConfig = faultnet.Plan
 
 // ErrKilled reports that a scheduled FaultKill fired at this party.
 var ErrKilled = faultnet.ErrKilled
@@ -204,10 +122,20 @@ func WrapFaulty(tr Transport, cfg FaultConfig) (*FaultyTransport, error) {
 // consumed, so the identical FaultConfig can be re-applied across restarts
 // without re-firing the kill that caused them.
 func WrapFaultyAt(tr Transport, cfg FaultConfig, startRound uint64) (*FaultyTransport, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrOptions, err)
 	}
-	return &FaultyTransport{inner: tr, net: faultnet.WrapAt(tr, cfg.plan(), int(startRound))}, nil
+	// The wrapper keeps its own copy of the schedule: the caller's slices
+	// stay the caller's to reuse or edit.
+	plan := cfg
+	plan.Rules = slices.Clone(cfg.Rules)
+	plan.Partitions = slices.Clone(cfg.Partitions)
+	for i, p := range plan.Partitions {
+		plan.Partitions[i].GroupA = slices.Clone(p.GroupA)
+	}
+	plan.Crashes = slices.Clone(cfg.Crashes)
+	plan.Kills = slices.Clone(cfg.Kills)
+	return &FaultyTransport{inner: tr, net: faultnet.WrapAt(tr, &plan, int(startRound))}, nil
 }
 
 // ID implements Transport.

@@ -245,3 +245,65 @@ func TestWrapFaultyValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultLiteralsStillCompile: the fault-schedule types are aliases of the
+// injector's own, and every literal a caller could have written against the
+// mirror structs — field names, untyped constants, typed kinds — keeps
+// compiling and keeps its meaning. The wrapper copies the schedule, so a
+// caller editing its FaultConfig afterwards (GroupA included) changes
+// nothing.
+func TestFaultLiteralsStillCompile(t *testing.T) {
+	var kind ca.FaultKind = ca.FaultDelay
+	cfg := ca.FaultConfig{
+		Seed: 3,
+		Rules: []ca.FaultRule{
+			{Kind: kind, From: ca.AnyParty, To: 1, FromRound: 1, ToRound: 9, Prob: 0.5, DelayRounds: 2},
+			{Kind: ca.FaultDrop}, {Kind: ca.FaultDuplicate}, {Kind: ca.FaultCorrupt},
+		},
+		Partitions: []ca.FaultPartition{{FromRound: 0, ToRound: 1, GroupA: []int{0}}},
+		Crashes:    []ca.FaultCrash{{Party: 2, FromRound: 5, ToRound: 6}},
+		Kills:      []ca.FaultKill{{Party: 2, Round: 50}},
+		MaxRounds:  100,
+	}
+	if ca.AnyParty != -1 || ca.FaultDrop != 0 || ca.FaultDelay != 1 || ca.FaultDuplicate != 2 || ca.FaultCorrupt != 3 {
+		t.Fatal("fault constants changed value")
+	}
+	var _ ca.RoundStats = ca.RoundStats{Round: 1, Messages: 2, HonestBits: 3, CorruptBits: 4}
+	var _ ca.SessionMuxStats = ca.SessionMuxStats{Ticks: 1, Packets: 2, BytesReferenced: 3, BytesCopied: 4, SessionShed: 5, TickShed: 6}
+
+	// Round 0 is partitioned {0} | {1, 2}; party 0 hears only itself.
+	locals, err := ca.NewLocalCluster(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]*ca.FaultyTransport, len(locals))
+	for i, l := range locals {
+		if trs[i], err = ca.WrapFaulty(l, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Partitions[0].GroupA[0] = 1
+	cfg.Partitions[0].ToRound = 0
+	heard := make([]int, len(locals))
+	var wg sync.WaitGroup
+	for i, tr := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer locals[i].Close()
+			out := make([]ca.Packet, len(locals))
+			for to := range out {
+				out[to] = ca.Packet{To: to, Payload: []byte{byte(i)}}
+			}
+			in, err := tr.Exchange(out)
+			if err != nil {
+				t.Error(err)
+			}
+			heard[i] = len(in)
+		}()
+	}
+	wg.Wait()
+	if heard[0] != 1 || heard[1] != 2 || heard[2] != 2 {
+		t.Fatalf("partition {0} | {1, 2}: parties heard %v messages, want [1 2 2]", heard)
+	}
+}

@@ -3,10 +3,8 @@ package convexagreement
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"convexagreement/internal/mux"
-	"convexagreement/internal/sim"
 	"convexagreement/internal/transport"
 )
 
@@ -41,74 +39,53 @@ type VectorResult struct {
 // parties use Corruption.InputVector for AdvGhost (falling back to
 // Corruption.Input replicated across coordinates).
 func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
-	flat := make([]*big.Int, len(inputs))
 	dim := 0
-	for i, vec := range inputs {
-		if _, bad := opts.Corruptions[i]; bad {
-			flat[i] = big.NewInt(0)
-			continue
+	validate := func(n int, honest [][]*big.Int) (func(transport.Net, []*big.Int) ([]*big.Int, error), error) {
+		var coords []*big.Int
+		for _, vec := range honest {
+			if dim == 0 {
+				dim = len(vec)
+			}
+			if len(vec) == 0 || len(vec) != dim {
+				return nil, fmt.Errorf("%w: input vectors of dimension %d and %d", ErrOptions, dim, len(vec))
+			}
+			coords = append(coords, vec...)
 		}
-		if len(vec) == 0 {
-			return nil, fmt.Errorf("%w: party %d has an empty vector", ErrOptions, i)
+		scalar, err := agreeCall(ProtoOptimal, 0).validate(n, coords)
+		if err != nil {
+			return nil, err
 		}
-		if dim == 0 {
-			dim = len(vec)
-		} else if len(vec) != dim {
-			return nil, fmt.Errorf("%w: party %d has dimension %d, others %d", ErrOptions, i, len(vec), dim)
-		}
-		for _, v := range vec {
-			if v == nil {
-				return nil, fmt.Errorf("%w: party %d has a nil coordinate", ErrOptions, i)
+		return func(net transport.Net, vec []*big.Int) ([]*big.Int, error) { return runVector(net, vec, scalar) }, nil
+	}
+	// Ghosts run the honest composition on a poisoned vector.
+	ghost := func(c Corruption) ([]*big.Int, error) {
+		vec := c.InputVector
+		if vec == nil {
+			if c.Input == nil {
+				return nil, fmt.Errorf("%w: AdvGhost requires Input or InputVector", ErrOptions)
+			}
+			vec = make([]*big.Int, dim)
+			for i := range vec {
+				vec[i] = c.Input
 			}
 		}
-		flat[i] = vec[0] // satisfies scalar validation; coordinates run below
-	}
-	if dim == 0 {
-		return nil, fmt.Errorf("%w: no honest inputs", ErrOptions)
-	}
-	opts.Protocol = ProtoOptimal
-	opts, err := normalize(flat, opts)
-	if err != nil {
-		return nil, err
-	}
-	n := opts.N
-
-	outputs := make(map[int][]*big.Int, n)
-	var mu sync.Mutex
-	parties := make([]sim.Party, n)
-	for i := 0; i < n; i++ {
-		if corr, bad := opts.Corruptions[i]; bad {
-			behavior, err := vectorCorruptBehavior(corr, dim, opts.Seed+int64(i))
-			if err != nil {
-				return nil, err
-			}
-			parties[i] = sim.Party{Corrupt: true, Behavior: behavior}
-			continue
+		if len(vec) != dim {
+			return nil, fmt.Errorf("%w: ghost vector has dimension %d, want %d", ErrOptions, len(vec), dim)
 		}
-		vec := inputs[i]
-		parties[i] = sim.Party{Behavior: func(env *sim.Env) error {
-			out, err := runVector(env, vec)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			outputs[int(env.ID())] = out
-			mu.Unlock()
-			return nil
-		}}
+		return vec, nil
 	}
-	rep, err := sim.Run(sim.Config{N: n, T: opts.T, MaxRounds: opts.MaxRounds}, parties)
+	run, err := simulate(opts, inputs, validate, ghost)
 	if err != nil {
 		return nil, err
 	}
 	res := &VectorResult{
-		Outputs:     outputs,
-		Rounds:      rep.Rounds,
-		HonestBits:  rep.HonestBits,
-		CorruptBits: rep.CorruptBits,
-		Messages:    rep.Messages,
+		Outputs:     run.Outputs,
+		Rounds:      run.Report.Rounds,
+		HonestBits:  run.Report.HonestBits,
+		CorruptBits: run.Report.CorruptBits,
+		Messages:    run.Report.Messages,
 	}
-	for _, out := range outputs {
+	for _, out := range res.Outputs {
 		if res.Output == nil {
 			res.Output = out
 			continue
@@ -122,8 +99,9 @@ func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
 	return res, nil
 }
 
-// runVector executes the d-coordinate composition for one party.
-func runVector(net transport.Net, vec []*big.Int) ([]*big.Int, error) {
+// runVector executes the d-coordinate composition for one party: one
+// instance of the scalar protocol per coordinate, in shared rounds.
+func runVector(net transport.Net, vec []*big.Int, scalar partyRunner) ([]*big.Int, error) {
 	m, err := mux.New(net, len(vec))
 	if err != nil {
 		return nil, err
@@ -131,56 +109,13 @@ func runVector(net transport.Net, vec []*big.Int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(vec))
 	fns := make([]func(net transport.Net) error, len(vec))
 	for c := range vec {
-		c := c
-		fns[c] = func(coordNet transport.Net) error {
-			runner, err := protocolRunner(Options{Protocol: ProtoOptimal})
-			if err != nil {
-				return err
-			}
-			v, err := runner(coordNet, vec[c])
-			if err != nil {
-				return err
-			}
-			out[c] = v
-			return nil
+		fns[c] = func(coordNet transport.Net) (err error) {
+			out[c], err = scalar(coordNet, vec[c])
+			return err
 		}
 	}
 	if err := m.Run(fns); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// vectorCorruptBehavior builds a byzantine strategy for vector runs: ghosts
-// run the honest composition with a poisoned vector; network-level
-// strategies are reused unchanged.
-func vectorCorruptBehavior(c Corruption, dim int, seed int64) (sim.Behavior, error) {
-	if c.Kind != AdvGhost {
-		// Network-level strategies care only about packets, not payload
-		// structure; reuse the scalar machinery with a dummy runner.
-		return corruptBehavior(c, nil, seed)
-	}
-	vec := c.InputVector
-	if vec == nil {
-		if c.Input == nil {
-			return nil, fmt.Errorf("%w: AdvGhost requires Input or InputVector", ErrOptions)
-		}
-		vec = make([]*big.Int, dim)
-		for i := range vec {
-			vec[i] = c.Input
-		}
-	}
-	if len(vec) != dim {
-		return nil, fmt.Errorf("%w: ghost vector has dimension %d, want %d", ErrOptions, len(vec), dim)
-	}
-	return func(env *sim.Env) error {
-		if _, err := runVector(env, vec); err != nil {
-			return err
-		}
-		for {
-			if _, err := env.ExchangeNone(); err != nil {
-				return err
-			}
-		}
-	}, nil
 }
