@@ -2,10 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-json profile fuzz ci experiments examples load cover clean
-
-# Benchmarks that feed the perf-trajectory record (see bench-json).
-BENCH_PKGS = ./internal/gf16/ ./internal/rs/ ./internal/sim/ ./internal/merkle/ ./internal/baplus/ ./internal/wire/ ./internal/tcpnet/ ./internal/checkpoint/ ./internal/bitstr/ ./internal/core/
+.PHONY: all build vet lint test race bench profile fuzz ci experiments examples load cover clean
 
 all: build vet test
 
@@ -35,25 +32,6 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Re-measure the hot-path benchmarks and refresh the PR's perf-trajectory
-# record, keeping the previous record's numbers as the "before" section. A
-# per-benchmark speedup summary is printed to stderr. From BENCH_PR13.json on
-# the file number is the PR number (BENCH_PR8.json is PR 10's record;
-# numbers 9-12 and 14-17 are skipped). The whole-tick rows that ci.sh's
-# allocs guard pins run last, at the guard's own benchtimes (a later line
-# replaces an earlier one of the same name): their allocs/op is a rounded
-# amortisation and must be recorded the way it is checked.
-bench-json:
-	( $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSessmuxFlushVec -benchmem ./internal/sessmux/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkBinaryChannet -benchtime 1000x -benchmem ./internal/ba/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkMeshRound -benchtime 20000x -benchmem ./internal/tcpnet/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSessmuxTickTCP -benchtime 2000x -benchmem ./internal/sessmux/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSessionThroughput -benchtime 1x -benchmem ./internal/sessmux/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkE18_CrashRecovery -benchtime 3x -benchmem . ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSweepN1024 -benchtime 1x -benchmem . ) \
-		| $(GO) run ./cmd/benchjson -before BENCH_PR13.json > BENCH_PR18.json
-
 # Capture CPU and heap profiles for the headline decode benchmark (override
 # PROFILE_BENCH/PROFILE_PKG to profile something else). go test drops the
 # test binary (*.test) next to the profiles; `go tool pprof cpu.prof` finds
@@ -61,8 +39,8 @@ bench-json:
 PROFILE_BENCH ?= BenchmarkDecodeInterpolated_n256_k171_64KiB
 PROFILE_PKG ?= ./internal/rs/
 profile:
-	$(GO) run ./cmd/benchjson -bench '$(PROFILE_BENCH)' -pkg $(PROFILE_PKG) \
-		-cpuprofile cpu.prof -memprofile mem.prof > /dev/null
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof $(PROFILE_PKG)
 	@echo "profiles: cpu.prof mem.prof (inspect with: $(GO) tool pprof cpu.prof)"
 
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame

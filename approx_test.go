@@ -1,6 +1,7 @@
 package convexagreement_test
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -83,6 +84,30 @@ func TestAsyncApproxAgreeSchedulers(t *testing.T) {
 		}
 		if res.Deliveries == 0 {
 			t.Errorf("%s: no deliveries recorded", sched)
+		}
+	}
+}
+
+// TestAsyncApproxAgreeIsSeedExact: the asynchronous simulator hands exactly
+// one party the CPU between two scheduler picks, so a run is a function of
+// its seed — delivery count and every output, under every scheduler,
+// whatever the Go scheduler does with the party goroutines.
+func TestAsyncApproxAgreeIsSeedExact(t *testing.T) {
+	inputs := ints(10, 900, 200, 700)
+	for _, sched := range []ca.AsyncScheduler{ca.SchedRandom, ca.SchedLIFO, ca.SchedDelay} {
+		var want string
+		for run := 0; run < 10; run++ {
+			res, err := ca.AsyncApproxAgree(inputs, big.NewInt(1000), big.NewInt(8),
+				ca.AsyncOptions{Scheduler: sched, Seed: 3})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", sched, run, err)
+			}
+			got := fmt.Sprint(res.Deliveries, res.Outputs)
+			if run == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: run %d differs from run 0 under one seed:\n got  %s\n want %s", sched, run, got, want)
+			}
 		}
 	}
 }

@@ -14,12 +14,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	ca "convexagreement"
 
 	"convexagreement/internal/experiments"
-	"convexagreement/internal/supervisor"
 )
 
 var tablesOnce sync.Map
@@ -322,41 +320,23 @@ func BenchmarkE16_DispersalAblation(b *testing.B) {
 func BenchmarkE17_FaultSweep(b *testing.B) {
 	printTable(b, "E17", func() experiments.Table { return experiments.E17FaultSweep(true) })
 	const n = 7
-	cfg := ca.FaultConfig{
-		Seed: 17,
-		Rules: []ca.FaultRule{
-			{Kind: ca.FaultDrop, From: ca.AnyParty, To: n - 1, Prob: 0.25},
-			{Kind: ca.FaultDelay, From: n - 1, To: ca.AnyParty, Prob: 0.25, DelayRounds: 2},
+	c := experiments.Cluster{
+		N: n, Instances: 1,
+		Faults: ca.FaultConfig{
+			Seed: 17,
+			Rules: []ca.FaultRule{
+				{Kind: ca.FaultDrop, From: ca.AnyParty, To: n - 1, Prob: 0.25},
+				{Kind: ca.FaultDelay, From: n - 1, To: ca.AnyParty, Prob: 0.25, DelayRounds: 2},
+			},
+			MaxRounds: 4000,
 		},
-		MaxRounds: 4000,
+		Input: func(party, _ int) *big.Int { return big.NewInt(int64(990 + party)) },
 	}
 	for i := 0; i < b.N; i++ {
-		locals, err := ca.NewLocalCluster(n, (n-1)/3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for p, l := range locals {
-			tr, err := ca.WrapFaulty(l, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wg.Add(1)
-			go func(p int, l *ca.LocalTransport, tr *ca.FaultyTransport) {
-				defer wg.Done()
-				// Early finishers must leave the lock-step cluster.
-				defer l.Close()
-				_, errs[p] = ca.RunParty(tr, ca.ProtoOptimal, 0, big.NewInt(int64(990+p)))
-			}(p, l, tr)
-		}
-		wg.Wait()
 		// All faults target party n−1 (within the t budget); the clean
-		// parties must finish without error.
-		for p := 0; p < n-1; p++ {
-			if errs[p] != nil {
-				b.Fatal(errs[p])
-			}
+		// parties must finish in agreement.
+		if v := mustRunCluster(b, c).Judge([]int{0, 1, 2, 3, 4, 5}); !v.Agree || !v.Valid {
+			b.Fatal(v.Why)
 		}
 	}
 }
@@ -366,75 +346,17 @@ func BenchmarkE17_FaultSweep(b *testing.B) {
 // and resumed from its write-ahead log, reporting the restart count.
 func BenchmarkE18_CrashRecovery(b *testing.B) {
 	printTable(b, "E18", func() experiments.Table { return experiments.E18CrashRecovery(true) })
-	const (
-		n         = 4
-		K         = n - 1
-		instances = 2
-	)
-	cfg := ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: 100}}}
-	input := func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*party + 1)) }
+	const n, K = 4, 3
+	c := experiments.Cluster{
+		N: n, Instances: 2,
+		Faults:  ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: 100}}},
+		Input:   func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*party + 1)) },
+		Storage: map[int]experiments.Disk{K: {}},
+	}
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		locals, err := ca.NewLocalCluster(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for p := 0; p < n-1; p++ {
-			p := p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer locals[p].Close()
-				s := ca.NewSession(locals[p])
-				for seq := 0; seq < instances; seq++ {
-					if _, errs[p] = s.Agree(ca.ProtoOptimal, 0, input(p, seq)); errs[p] != nil {
-						return
-					}
-				}
-			}()
-		}
-		var runErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer locals[K].Close()
-			tr, err := ca.WrapFaulty(locals[K], cfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			_, runErr = supervisor.Run(supervisor.Config{
-				Delta:       100 * time.Millisecond,
-				StallRounds: 100,
-				MaxRestarts: 2,
-				BackoffBase: time.Millisecond,
-				N:           n,
-				T:           1,
-			}, func(a *supervisor.Attempt) error {
-				s := ca.NewSession(tr)
-				if err := s.Resume(dir); err != nil {
-					return err
-				}
-				defer s.Close()
-				a.Progress(s.Rounds)
-				for seq := s.Seq(); seq < instances; seq++ {
-					if _, err := s.Agree(ca.ProtoOptimal, 0, input(K, int(seq))); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}()
-		wg.Wait()
-		if runErr != nil {
-			b.Fatal(runErr)
-		}
-		for p := 0; p < n-1; p++ {
-			if errs[p] != nil {
-				b.Fatal(errs[p])
-			}
+		res := mustRunCluster(b, c)
+		if v := res.Judge([]int{0, 1, 2, K}); !v.Agree || !v.Valid {
+			b.Fatalf("%s (supervised party: %v)", v.Why, res.Parties[K].Err)
 		}
 	}
 	b.ReportMetric(1, "restarts/op")

@@ -1,34 +1,25 @@
-// Command benchjson converts `go test -bench -benchmem` output into JSON so
-// benchmark runs can be diffed and tracked across PRs (see `make bench-json`,
-// which maintains BENCH_PR1.json as the repo's perf-trajectory record).
+// Command benchjson converts `go test -bench -benchmem` output into JSON and
+// gates it: scripts/ci.sh pipes its guard benchmarks through it.
 //
 // It reads benchmark output on stdin and writes a JSON object mapping each
 // benchmark name (GOMAXPROCS suffix stripped) to its measured metrics:
 //
 //	{"BenchmarkEncode_n256_k171_64KiB": {"ns_op": 3852660, "b_op": 123, "allocs_op": 2}, ...}
 //
-// With -before FILE, the flat object produced by a previous run is embedded
-// alongside the fresh numbers as {"before": {...}, "after": {...}}, which is
-// the checked-in format.
-//
-// With -bench PATTERN the tool runs the benchmarks itself (`go test -run
-// '^$' -bench PATTERN -benchmem` on the -pkg package) instead of reading
-// stdin, and -cpuprofile/-memprofile pass straight through to `go test`, so
-// `make profile` can capture pprof data for exactly the benchmark being
-// tracked (the test binary is kept next to the profile as required by `go
-// tool pprof`).
-//
-// With -guard-allocs PATTERN (requires -before), the tool exits non-zero if
-// any benchmark matching PATTERN that appears in both runs reports more
-// allocs/op after than before. CI uses this to pin the zero-copy wire path:
-// allocation counts are deterministic, so unlike ns/op they can gate without
-// flaking.
+// With -guard-allocs PATTERN, the tool exits non-zero if any benchmark
+// matching PATTERN reports more allocs/op than its row in
+// benchdata/alloc_guards.json (a flat name → allocs/op object, read relative
+// to the working directory). CI uses this to pin the zero-copy wire path and
+// the whole ticks: allocation counts are deterministic, so unlike ns/op they
+// can gate without flaking. A change that is meant to move a count edits its
+// row by hand.
 //
 // With -guard-time 'PATTERN=DURATION', the tool exits non-zero if any
-// benchmark matching PATTERN reports ns/op above the absolute budget. Unlike
-// -guard-allocs this needs no baseline: it gates against a wall-clock
-// contract (e.g. "the full-tree calint run stays under 60s"), so the budget
-// must be generous enough to absorb machine-speed variance.
+// benchmark matching PATTERN reports ns/op above the absolute budget. It
+// gates against a wall-clock contract (e.g. "the full-tree calint run stays
+// under 60s"), so the budget must be generous enough to absorb machine-speed
+// variance. ns/op is never compared across runs: where a speedup is claimed
+// it is measured by the repo's benchmark (bench/, BENCHMARK.json).
 package main
 
 import (
@@ -36,9 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"regexp"
 	"sort"
 	"strconv"
@@ -49,8 +38,7 @@ import (
 // metrics holds one benchmark's parsed values; pointers distinguish "not
 // reported" (e.g. no -benchmem) from a literal zero. Custom units emitted
 // via b.ReportMetric (sessions/sec, frames/tick, MiB/party, …) land in
-// Extra keyed by their unit string, so domain throughput numbers ride the
-// perf-trajectory record next to the standard four.
+// Extra keyed by their unit string.
 type metrics struct {
 	NsOp     *float64           `json:"ns_op,omitempty"`
 	MBs      *float64           `json:"mb_s,omitempty"`
@@ -108,91 +96,59 @@ func orderedJSON(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// parseBaseline accepts either benchjson output form: the flat map of a
-// bare run, or the nested {"before": ..., "after": ...} of a checked-in
-// comparison — in which case the previous run's "after" numbers are the
-// new baseline, chaining PR-over-PR.
-func parseBaseline(raw []byte) (map[string]*metrics, error) {
-	var nested struct {
-		After map[string]*metrics `json:"after"`
+// sortedNames lists the run's benchmarks in a stable order, so a guard's
+// report reads the same on every run.
+func sortedNames(run map[string]*metrics) []string {
+	names := make([]string, 0, len(run))
+	for name := range run {
+		names = append(names, name)
 	}
-	if err := json.Unmarshal(raw, &nested); err == nil && len(nested.After) > 0 {
-		return nested.After, nil
-	}
-	var flat map[string]*metrics
-	if err := json.Unmarshal(raw, &flat); err != nil {
-		return nil, err
-	}
-	return flat, nil
+	sort.Strings(names)
+	return names
 }
 
-// runBenchmarks executes the benchmarks via `go test` and returns a reader
-// over their output; lines are also echoed to stderr so the run stays
-// observable. Profiling flags are forwarded verbatim when non-empty.
-func runBenchmarks(pattern, pkg, cpuprofile, memprofile string) (io.Reader, error) {
-	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem"}
-	if cpuprofile != "" {
-		args = append(args, "-cpuprofile", cpuprofile)
-	}
-	if memprofile != "" {
-		args = append(args, "-memprofile", memprofile)
-	}
-	args = append(args, pkg)
-	cmd := exec.Command("go", args...)
-	var buf strings.Builder
-	cmd.Stdout = io.MultiWriter(&buf, os.Stderr)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("benchjson: go %s: %w", strings.Join(args, " "), err)
-	}
-	return strings.NewReader(buf.String()), nil
-}
+// guardsFile holds the allocs/op each guarded benchmark may not exceed.
+const guardsFile = "benchdata/alloc_guards.json"
 
-// checkAllocGuard fails if any benchmark matching pattern and present in
-// both runs grew its allocs/op. Benchmarks missing from either side (or
-// missing the metric, e.g. a run without -benchmem) are skipped: the guard
-// gates regressions in numbers we have, it does not enforce coverage.
-func checkAllocGuard(pattern string, baseline, after map[string]*metrics) error {
+// checkAllocGuard fails if any benchmark of the run matching pattern reports
+// more allocs/op than its row in guards, or has no row (a renamed or new
+// benchmark must not silently disarm the gate). A run without -benchmem has
+// nothing to compare and matches nothing.
+func checkAllocGuard(pattern string, guards map[string]float64, run map[string]*metrics) error {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
 		return fmt.Errorf("-guard-allocs %q: %v", pattern, err)
 	}
-	names := make([]string, 0, len(after))
-	for name := range after {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var regressed []string
 	checked := 0
-	for _, name := range names {
-		if !re.MatchString(name) {
-			continue
-		}
-		b, a := baseline[name], after[name]
-		if b == nil || b.AllocsOp == nil || a.AllocsOp == nil {
+	for _, name := range sortedNames(run) {
+		m := run[name]
+		if !re.MatchString(name) || m.AllocsOp == nil {
 			continue
 		}
 		checked++
-		if *a.AllocsOp > *b.AllocsOp {
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %.0f -> %.0f allocs/op", name, *b.AllocsOp, *a.AllocsOp))
+		limit, ok := guards[name]
+		if !ok {
+			regressed = append(regressed, fmt.Sprintf("%s: %.0f allocs/op, no row in %s", name, *m.AllocsOp, guardsFile))
+		} else if *m.AllocsOp > limit {
+			regressed = append(regressed, fmt.Sprintf("%s: %.0f -> %.0f allocs/op", name, limit, *m.AllocsOp))
 		}
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("allocs/op regressed:\n  %s", strings.Join(regressed, "\n  "))
 	}
 	if checked == 0 {
-		return fmt.Errorf("-guard-allocs %q matched no benchmark present in both runs", pattern)
+		return fmt.Errorf("-guard-allocs %q matched no benchmark in the run", pattern)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: allocs/op guard: %d benchmark(s) checked, none regressed\n", checked)
 	return nil
 }
 
 // checkTimeGuard fails if any benchmark matching the pattern half of the
-// "PATTERN=DURATION" spec reports ns/op above the duration half. The budget
-// is absolute, so no baseline is involved; a spec matching nothing is an
-// error (a renamed benchmark must not silently disarm the gate).
-func checkTimeGuard(spec string, after map[string]*metrics) error {
+// "PATTERN=DURATION" spec reports ns/op above the duration half. A spec
+// matching nothing is an error (a renamed benchmark must not silently disarm
+// the gate).
+func checkTimeGuard(spec string, run map[string]*metrics) error {
 	pattern, budget, ok := strings.Cut(spec, "=")
 	if !ok {
 		return fmt.Errorf("-guard-time %q: want PATTERN=DURATION (e.g. 'CalintFullTree=60s')", spec)
@@ -206,15 +162,10 @@ func checkTimeGuard(spec string, after map[string]*metrics) error {
 		return fmt.Errorf("-guard-time %q: bad duration %q", spec, budget)
 	}
 	limit := float64(d.Nanoseconds())
-	names := make([]string, 0, len(after))
-	for name := range after {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var over []string
 	checked := 0
-	for _, name := range names {
-		m := after[name]
+	for _, name := range sortedNames(run) {
+		m := run[name]
 		if !re.MatchString(name) || m.NsOp == nil {
 			continue
 		}
@@ -235,98 +186,45 @@ func checkTimeGuard(spec string, after map[string]*metrics) error {
 }
 
 func main() {
-	before := flag.String("before", "", "path to a previous benchjson output (flat or {before,after}) whose latest numbers become the \"before\" section")
-	bench := flag.String("bench", "", "run `go test -bench` with this pattern instead of reading stdin")
-	pkg := flag.String("pkg", "./internal/rs/", "package to benchmark with -bench")
-	cpuprofile := flag.String("cpuprofile", "", "with -bench: forward to go test -cpuprofile")
-	memprofile := flag.String("memprofile", "", "with -bench: forward to go test -memprofile")
-	guardAllocs := flag.String("guard-allocs", "", "with -before: fail if allocs/op grew for benchmarks matching this regexp")
+	guardAllocs := flag.String("guard-allocs", "", "fail if allocs/op of a benchmark matching this regexp exceeds its row in "+guardsFile)
 	guardTime := flag.String("guard-time", "", "fail if ns/op exceeds an absolute budget, spec PATTERN=DURATION (e.g. 'CalintFullTree=60s')")
 	flag.Parse()
 
-	if *guardAllocs != "" && *before == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -guard-allocs requires -before")
+	fail := func(args ...any) {
+		fmt.Fprintln(os.Stderr, append([]any{"benchjson:"}, args...)...)
 		os.Exit(1)
 	}
-
-	var in io.Reader = os.Stdin
-	if *bench != "" {
-		r, err := runBenchmarks(*bench, *pkg, *cpuprofile, *memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		in = r
-	} else if *cpuprofile != "" || *memprofile != "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -cpuprofile/-memprofile require -bench")
-		os.Exit(1)
-	}
-
-	sc := bufio.NewScanner(in)
+	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	after, err := parse(sc)
+	run, err := parse(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	if len(after) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+	if len(run) == 0 {
+		fail("no benchmark lines on stdin")
 	}
-
-	var doc any = after
-	var baseline map[string]*metrics
-	if *before != "" {
-		raw, err := os.ReadFile(*before)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		baseline, err = parseBaseline(raw)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *before, err)
-			os.Exit(1)
-		}
-		doc = map[string]any{"before": baseline, "after": after}
-	}
-
-	b, err := orderedJSON(doc)
+	b, err := orderedJSON(run)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	os.Stdout.Write(b)
 
 	if *guardAllocs != "" {
-		if err := checkAllocGuard(*guardAllocs, baseline, after); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+		raw, err := os.ReadFile(guardsFile)
+		if err != nil {
+			fail(err)
+		}
+		var guards map[string]float64
+		if err := json.Unmarshal(raw, &guards); err != nil {
+			fail(guardsFile+":", err)
+		}
+		if err := checkAllocGuard(*guardAllocs, guards, run); err != nil {
+			fail(err)
 		}
 	}
-
 	if *guardTime != "" {
-		if err := checkTimeGuard(*guardTime, after); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
-
-	// A terse speedup summary on stderr helps eyeball regressions without
-	// opening the JSON.
-	if m, ok := doc.(map[string]any); ok {
-		baseline := m["before"].(map[string]*metrics)
-		names := make([]string, 0, len(after))
-		for name := range after {
-			if baseline[name] != nil {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b, a := baseline[name], after[name]
-			if b.NsOp != nil && a.NsOp != nil && *a.NsOp > 0 {
-				fmt.Fprintf(os.Stderr, "%-50s %10.0f -> %10.0f ns/op  (%.2fx)\n", name, *b.NsOp, *a.NsOp, *b.NsOp / *a.NsOp)
-			}
+		if err := checkTimeGuard(*guardTime, run); err != nil {
+			fail(err)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	ca "convexagreement"
+	"convexagreement/internal/experiments"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/protocol_goldens.txt from this build")
@@ -115,48 +115,30 @@ func goldenSimRow(t *testing.T, proto ca.Protocol, adv ca.AdversaryKind, n int) 
 func goldenSessionRow(t *testing.T, proto ca.Protocol, faulty bool) string {
 	t.Helper()
 	const n = 7
-	locals, err := ca.NewLocalCluster(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Faults only on links out of two parties (t = 2): the other five stay
-	// a correct quorum, so every protocol terminates.
-	cfg := ca.FaultConfig{Seed: 19, Rules: []ca.FaultRule{
-		{Kind: ca.FaultDrop, From: 1, To: ca.AnyParty, Prob: 0.3},
-		{Kind: ca.FaultCorrupt, From: 4, To: ca.AnyParty, Prob: 0.3},
-		{Kind: ca.FaultDuplicate, From: 4, To: ca.AnyParty, Prob: 0.3},
-	}}
-	inputs := goldenInputs(proto, n)
-	width := 0
-	if proto.NeedsWidth() {
-		width = goldenWidth(n)
-	}
-	cells := make([]string, n)
-	var wg sync.WaitGroup
-	for i := range locals {
-		var tr ca.Transport = locals[i]
-		if faulty {
-			if tr, err = ca.WrapFaulty(locals[i], cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer locals[i].Close()
-			s := ca.NewSession(tr)
-			out, err := s.Agree(proto, width, inputs[i])
-			if err != nil {
-				cells[i] = fmt.Sprintf("err(%v)", err)
-				return
-			}
-			cells[i] = fmt.Sprintf("%v/%d/%016x", out, s.Rounds(), s.Transcript())
-		}(i)
-	}
-	wg.Wait()
+	c := experiments.Cluster{N: n, Protocol: proto, Instances: 1}
 	net := "plain"
 	if faulty {
+		// Faults only on links out of two parties (t = 2): the other five stay
+		// a correct quorum, so every protocol terminates.
 		net = "faulty"
+		c.Faults = ca.FaultConfig{Seed: 19, Rules: []ca.FaultRule{
+			{Kind: ca.FaultDrop, From: 1, To: ca.AnyParty, Prob: 0.3},
+			{Kind: ca.FaultCorrupt, From: 4, To: ca.AnyParty, Prob: 0.3},
+			{Kind: ca.FaultDuplicate, From: 4, To: ca.AnyParty, Prob: 0.3},
+		}}
+	}
+	inputs := goldenInputs(proto, n)
+	c.Input = func(party, _ int) *big.Int { return inputs[party] }
+	if proto.NeedsWidth() {
+		c.Width = goldenWidth(n)
+	}
+	cells := make([]string, n)
+	for i, p := range mustRunCluster(t, c).Parties {
+		if p.Err != nil {
+			cells[i] = fmt.Sprintf("err(%v)", p.Err)
+		} else {
+			cells[i] = fmt.Sprintf("%v/%d/%016x", p.Outs[0], p.Rounds, p.Session)
+		}
 	}
 	return fmt.Sprintf("session %s %s %s\n", proto, net, strings.Join(cells, " "))
 }

@@ -4,10 +4,23 @@ import (
 	"testing"
 
 	"convexagreement/internal/adversary"
+	"convexagreement/internal/sim"
 )
 
+// host is the simulator's side of an Attack: exchange what it builds, round
+// after round, until the simulation ends.
+func host(attack adversary.Attack) sim.Behavior {
+	return func(env *sim.Env) error {
+		for r := 0; ; r++ {
+			if _, err := env.Exchange(attack(r, env.N())); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 func TestFloodSendsManyCopies(t *testing.T) {
-	rounds := harness(t, adversary.Flood(3, 16, 8), 3)
+	rounds := harness(t, host(adversary.Flood(3, 16, 8)), 3)
 	for r, round := range rounds {
 		if len(round) < 16 {
 			t.Fatalf("round %d: flood delivered %d copies, want >= 16", r, len(round))
@@ -21,7 +34,7 @@ func TestFloodSendsManyCopies(t *testing.T) {
 }
 
 func TestOversizeSendsGiantPayloads(t *testing.T) {
-	for r, round := range harness(t, adversary.Oversize(4, 4096), 3) {
+	for r, round := range harness(t, host(adversary.Oversize(4, 4096)), 3) {
 		if len(round) == 0 {
 			t.Fatalf("round %d: oversize adversary sent nothing", r)
 		}
@@ -34,7 +47,7 @@ func TestOversizeSendsGiantPayloads(t *testing.T) {
 }
 
 func TestBurstAlternatesSilenceAndFlood(t *testing.T) {
-	rounds := harness(t, adversary.Burst(5, 3, 32), 6)
+	rounds := harness(t, host(adversary.Burst(5, 3, 32)), 6)
 	for r, round := range rounds {
 		if burst := (r+1)%3 == 0; burst {
 			if len(round) < 32 {
@@ -54,7 +67,7 @@ func TestActiveCatalogRuns(t *testing.T) {
 		}
 		seen[s.Name] = true
 		// Every strategy must run to simulation end against honest parties.
-		if rounds := harness(t, s.Build(11), 3); len(rounds) != 3 {
+		if rounds := harness(t, host(s.Build(11)), 3); len(rounds) != 3 {
 			t.Fatalf("%s: honest side completed %d/3 rounds", s.Name, len(rounds))
 		}
 	}

@@ -8,8 +8,11 @@
 // extreme inputs, the canonical attack on convex validity) are composed at
 // the protocol layer, where the protocol code is in scope.
 //
-// Every strategy loops until the simulation ends and returns sim.ErrSimOver,
-// which the scheduler treats as a clean corrupt exit.
+// Every strategy here loops until the simulation ends and returns
+// sim.ErrSimOver, which the scheduler treats as a clean corrupt exit. The
+// resource-exhaustion strategies (active.go) never read the network, so
+// they are per-round packet builders (Attack) that any host can loop over:
+// the simulator, or a corrupt party of a deployed cluster.
 package adversary
 
 import (

@@ -9,7 +9,10 @@ import (
 )
 
 // harness runs one corrupt strategy against honest echo parties for a few
-// rounds and captures what the honest side receives from it.
+// rounds and captures what the honest side receives from it. Party 0 reads
+// every byte the strategy delivered before it enters the next round, as a
+// protocol would: the simulator delivers by reference, so a strategy that
+// rewrites a payload it already sent is a data race -race reports here.
 func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 	t.Helper()
 	const n = 4
@@ -28,6 +31,9 @@ func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 					for _, m := range in {
 						if m.From == 3 {
 							got = append(got, m)
+							for _, b := range m.Payload {
+								bytesRead += int(b)
+							}
 						}
 					}
 					fromCorrupt = append(fromCorrupt, got)
@@ -42,6 +48,9 @@ func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 	}
 	return fromCorrupt
 }
+
+// bytesRead keeps harness's reads of the delivered payloads observable.
+var bytesRead int
 
 func TestSilentSendsNothing(t *testing.T) {
 	for _, round := range harness(t, adversary.Silent(), 4) {

@@ -97,7 +97,7 @@ const DefaultMaxDeliveries = 5_000_000
 type Net struct {
 	cfg  Config
 	mu   sync.Mutex
-	cond *sync.Cond
+	wake []*sync.Cond // per party, all on mu: a delivery wakes its recipient only
 
 	inbox     [][]Message // delivered, per party (FIFO)
 	queue     []pending
@@ -146,8 +146,9 @@ func Run(cfg Config, parties []Party) ([]error, error) {
 		outputs:   make([]bool, cfg.N),
 		errs:      make([]error, cfg.N),
 	}
-	net.cond = sync.NewCond(&net.mu)
+	net.wake = make([]*sync.Cond, cfg.N)
 	for i, p := range parties {
+		net.wake[i] = sync.NewCond(&net.mu)
 		net.running[i] = true
 		net.corrupt[i] = p.Corrupt
 		net.nRunning++
@@ -213,8 +214,7 @@ func (n *Net) MarkDone(id PartyID) {
 	n.outputs[id] = true
 	n.nPendingH--
 	if n.nPendingH == 0 && n.failed == nil {
-		n.failed = ErrHalted
-		n.cond.Broadcast()
+		n.fail(ErrHalted)
 	}
 }
 
@@ -254,60 +254,43 @@ func (n *Net) Recv(id PartyID) (Message, error) {
 			n.inbox[id] = n.inbox[id][1:]
 			return msg, nil
 		}
+		// blocked[id] is cleared by the delivery that fills the inbox (or
+		// by done), never by waking up: a recipient whose goroutine has not
+		// been scheduled yet must not count as blocked.
 		if !n.blocked[id] {
 			n.blocked[id] = true
 			n.nBlocked++
 		}
 		if n.nBlocked == n.nRunning {
+			// deliverOne marked its recipient (perhaps us) runnable or failed
+			// the run; a delivery to a finished party woke nobody, and the
+			// next iteration keeps driving the queue.
 			n.deliverOne()
-			// deliverOne may have filled our inbox, failed the run, or
-			// woken another party. If it woke nobody (the delivery went to
-			// a finished party), keep driving the queue rather than
-			// sleeping with no one left to wake us.
-			if n.failed == nil && len(n.inbox[id]) == 0 && !n.anyRunningInbox() {
-				continue
-			}
-			if n.failed == nil && len(n.inbox[id]) == 0 {
-				n.cond.Wait()
-			}
-		} else {
-			n.cond.Wait()
+			continue
 		}
-		if n.blocked[id] {
-			n.blocked[id] = false
-			n.nBlocked--
-		}
+		n.wake[id].Wait()
 	}
 }
 
-// anyRunningInbox reports whether some running party has an unconsumed
-// delivery (and will therefore wake and make progress). Caller holds n.mu.
-func (n *Net) anyRunningInbox() bool {
-	for id, running := range n.running {
-		if running && len(n.inbox[id]) > 0 {
-			return true
-		}
+// fail ends the run and releases every party blocked in Recv. Caller holds
+// n.mu.
+func (n *Net) fail(err error) {
+	n.failed = err
+	for _, c := range n.wake {
+		c.Signal()
 	}
-	return false
 }
 
 // deliverOne lets the scheduler pick a pending message and delivers it.
 // Caller holds n.mu and has established quiescence (all running parties
-// blocked in Recv).
+// blocked in Recv, hence on empty inboxes).
 func (n *Net) deliverOne() {
 	if len(n.queue) == 0 {
-		// True deadlock only if no blocked party still has an unprocessed
-		// delivery (a woken recipient may not have run yet).
-		if n.anyRunningInbox() {
-			return
-		}
-		n.failed = ErrDeadlock
-		n.cond.Broadcast()
+		n.fail(ErrDeadlock)
 		return
 	}
 	if n.delivered >= n.cfg.MaxDeliveries {
-		n.failed = fmt.Errorf("%w (%d deliveries)", ErrBudget, n.delivered)
-		n.cond.Broadcast()
+		n.fail(fmt.Errorf("%w (%d deliveries)", ErrBudget, n.delivered))
 		return
 	}
 	// Present the queue in a canonical order — (sender, sender's program
@@ -342,9 +325,15 @@ func (n *Net) deliverOne() {
 	n.queue = append(n.queue[:idx], n.queue[idx+1:]...)
 	n.delivered++
 	if n.running[p.to] {
+		// The recipient is runnable from this instant, not from whenever its
+		// goroutine is next scheduled: until it blocks again nobody else may
+		// deliver, so exactly one party runs between two Picks and the
+		// pending multiset at each Pick is the same on every run.
 		n.inbox[p.to] = append(n.inbox[p.to], Message{From: p.from, Payload: p.payload})
+		n.blocked[p.to] = false
+		n.nBlocked--
+		n.wake[p.to].Signal()
 	}
-	n.cond.Broadcast()
 }
 
 // done retires a party.
@@ -372,12 +361,15 @@ func (n *Net) done(id PartyID, err error) {
 	if n.nHonest == 0 || n.nPendingH == 0 {
 		// Protocol over: release any parties still serving in Recv.
 		if n.failed == nil {
-			n.failed = ErrHalted
+			n.fail(ErrHalted)
 		}
-	} else if n.nRunning > 0 && n.nBlocked == n.nRunning {
+		return
+	}
+	// The last runnable party just left: drive the queue until a delivery
+	// reaches a party that is still running (or the run fails).
+	for n.failed == nil && n.nRunning > 0 && n.nBlocked == n.nRunning {
 		n.deliverOne()
 	}
-	n.cond.Broadcast()
 }
 
 // RandomScheduler delivers a uniformly random pending message — the

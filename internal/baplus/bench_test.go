@@ -60,8 +60,9 @@ func TestRoundBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.Rounds > baplus.LongRounds(tc) {
-			t.Errorf("n=%d: %d rounds exceeds worst-case bound %d", n, res.Report.Rounds, baplus.LongRounds(tc))
+		// ROUNDS(Π_ℓBA+) is Π_BA+ plus the two dispersal rounds.
+		if bound := baplus.PlusRounds(tc) + 2; res.Report.Rounds > bound {
+			t.Errorf("n=%d: %d rounds exceeds worst-case bound %d", n, res.Report.Rounds, bound)
 		}
 	}
 }

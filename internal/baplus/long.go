@@ -162,7 +162,3 @@ func decodeTuple(raw []byte) (idx int, share []byte, witness []hashing.Digest, o
 	}
 	return idx, share, witness, true
 }
-
-// LongRounds returns the worst-case ROUNDS(Π_ℓBA+) for corruption budget t:
-// Π_BA+ plus the two dispersal rounds.
-func LongRounds(t int) int { return PlusRounds(t) + 2 }

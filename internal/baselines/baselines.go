@@ -8,11 +8,6 @@
 // output inside the honest hull. Even with hash-based extension broadcasts,
 // the n parallel ℓ-bit broadcasts cost Θ(ℓn²) bits — the gap the paper
 // closes to O(ℓn).
-//
-// BAOnly wraps plain (non-convex) long-message BA to demonstrate why BA is
-// inadequate for the sensor-style workloads that motivate CA: on honestly
-// mixed inputs it returns no meaningful value at all (⊥), and its Validity
-// gives no range guarantee.
 package baselines
 
 import (
@@ -20,7 +15,6 @@ import (
 	"math/big"
 	"sort"
 
-	"convexagreement/internal/baplus"
 	"convexagreement/internal/bc"
 	"convexagreement/internal/transport"
 )
@@ -75,15 +69,4 @@ func TrimmedMedian(views []*big.Int, n, t int) (*big.Int, error) {
 	copy(sorted, views)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Cmp(sorted[j]) < 0 })
 	return sorted[(len(sorted)-1)/2], nil
-}
-
-// BAOnly runs plain long-message BA (no convex validity) on the input; the
-// second return is false when the parties agreed on ⊥. It exists for the
-// experiments that contrast BA's guarantees with CA's.
-func BAOnly(env transport.Net, tag string, input *big.Int) (*big.Int, bool, error) {
-	agreed, ok, err := baplus.Long(env, tag, input.Bytes())
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return new(big.Int).SetBytes(agreed), true, nil
 }

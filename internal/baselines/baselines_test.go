@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"convexagreement/internal/adversary"
+	"convexagreement/internal/baplus"
 	"convexagreement/internal/baselines"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
@@ -128,9 +129,11 @@ func TestTrimmedMedianRule(t *testing.T) {
 }
 
 func TestBAOnlyIsInadequateForMixedInputs(t *testing.T) {
-	// The motivating observation of the paper: plain BA on honestly mixed
-	// sensor readings gives no meaningful output (⊥ here), while CA always
-	// lands in the honest hull. (With identical inputs BA is fine.)
+	// The motivating observation of the paper: plain long-message BA (Π_ℓBA+
+	// on the inputs' bytes, no convex validity) on honestly mixed sensor
+	// readings gives no meaningful output (⊥ here) and no range guarantee,
+	// while CA always lands in the honest hull. (With identical inputs BA
+	// is fine.)
 	n, tc := 7, 2
 	inputs := make([]*big.Int, n)
 	for i := range inputs {
@@ -142,14 +145,14 @@ func TestBAOnlyIsInadequateForMixedInputs(t *testing.T) {
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (r, error) {
-			v, ok, err := baselines.BAOnly(env, "ba", inputs[env.ID()])
+			v, ok, err := baplus.Long(env, "ba", inputs[env.ID()].Bytes())
 			if err != nil {
 				return r{}, err
 			}
 			if !ok {
 				return r{ok: false}, nil
 			}
-			return r{val: v.Int64(), ok: true}, nil
+			return r{val: new(big.Int).SetBytes(v).Int64(), ok: true}, nil
 		})
 	if err != nil {
 		t.Fatal(err)

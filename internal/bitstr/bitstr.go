@@ -44,14 +44,6 @@ var (
 	ErrCorrupt  = errors.New("bitstr: corrupt encoding")
 )
 
-// New returns the all-zero bitstring of n bits. n must be non-negative.
-func New(n int) (String, error) {
-	if n < 0 {
-		return String{}, fmt.Errorf("bitstr: negative length %d", n)
-	}
-	return String{data: make([]byte, (n+7)/8), n: n}, nil
-}
-
 // FromBig returns BITS_ℓ(v): the width-bit representation of v, left-padded
 // with zeroes. It fails if v is negative or does not fit in width bits.
 func FromBig(v *big.Int, width int) (String, error) {
@@ -346,9 +338,6 @@ func Unmarshal(raw []byte) (String, error) {
 	}
 	return s, nil
 }
-
-// MarshalSize returns the encoded size in bytes of a bitstring of n bits.
-func MarshalSize(n int) int { return 4 + (n+7)/8 }
 
 // NatBitLen returns the paper's |BITS(v)| for v ∈ ℕ: the length of the
 // minimal binary representation, with |BITS(0)| defined as 1.

@@ -171,8 +171,6 @@ func TestInvariantAfterEveryConstructor(t *testing.T) {
 	for n := 0; n <= 24; n++ {
 		s := randomString(rng, n)
 		checked(t, "FromBits", s, nil)
-		z, err := New(n)
-		checked(t, "New", z, err)
 		p, err := Parse(s.String())
 		same(t, "Parse", checked(t, "Parse", p, err), s)
 		b, err := FromBig(s.Big(), n)

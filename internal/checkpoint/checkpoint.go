@@ -412,13 +412,11 @@ func scrubReplayState(copies []*walCopy) {
 // was demoted (the log keeps appending to the survivors).
 func (l *Log) Degraded() error { return l.degraded }
 
-// Inspect replays the WAL in dir without keeping it open. A missing or
-// empty WAL yields a zero State, not an error. A Close failure is a real
-// error here: Open truncates the torn tail in place, and if that write-back
-// cannot be completed the reported state may not match the file.
-func Inspect(dir string) (*State, error) { return InspectOptions(dir, Options{}) }
-
-// InspectOptions is Inspect over an explicit filesystem and mode.
+// InspectOptions replays the WAL in dir, over the filesystem and mode o
+// names, without keeping it open. A missing or empty WAL yields a zero
+// State, not an error. A Close failure is a real error here: Open truncates
+// the torn tail in place, and if that write-back cannot be completed the
+// reported state may not match the file.
 func InspectOptions(dir string, o Options) (*State, error) {
 	log, st, err := OpenOptions(dir, o)
 	if err != nil {

@@ -56,7 +56,7 @@ func writeSampleLog(t *testing.T) string {
 
 func TestRoundTrip(t *testing.T) {
 	dir := writeSampleLog(t)
-	st, err := Inspect(dir)
+	st, err := InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Inspect(dir)
+	full, err := InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTornTail(t *testing.T) {
 		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Inspect(dir)
+		st, err := InspectOptions(dir, Options{})
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -118,7 +118,7 @@ func TestTornTail(t *testing.T) {
 		}
 		// Inspect truncated the torn bytes; the file must now re-open to
 		// the same state (recovery is idempotent).
-		st2, err := Inspect(dir)
+		st2, err := InspectOptions(dir, Options{})
 		if err != nil {
 			t.Fatalf("cut=%d reopen: %v", cut, err)
 		}
@@ -147,7 +147,7 @@ func TestTornTailCorruptCRC(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Inspect(dir)
+	st, err := InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAppendAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Close()
-	st, err = Inspect(dir)
+	st, err = InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCorruptMiddle(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Inspect(dir)
+	st, err := InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBigIntSigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Close()
-	st, err = Inspect(dir)
+	st, err = InspectOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

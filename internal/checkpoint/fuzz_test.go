@@ -67,8 +67,8 @@ func FuzzInspectState(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "wal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st1, err1 := Inspect(dir)
-		st2, err2 := Inspect(dir)
+		st1, err1 := InspectOptions(dir, Options{})
+		st2, err2 := InspectOptions(dir, Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("inspect not idempotent: first err=%v, second err=%v", err1, err2)
 		}

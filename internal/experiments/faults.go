@@ -3,13 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	ca "convexagreement"
 )
 
-// E17 drives the deployment stack — RunParty over WrapFaulty over a local
-// cluster — through a catalog of named fault scenarios. Where E4/E7/E10
+// E17 drives the deployment stack — a session over WrapFaulty over a local
+// cluster (harness.go) — through a catalog of named fault scenarios. Where E4/E7/E10
 // attack the protocol through the simulator's byzantine scheduler, E17
 // attacks it through the *transport*: seed-deterministic drops, delays
 // beyond Δ, duplication, corruption, partitions, and crash/restart windows,
@@ -82,91 +81,20 @@ func e17Scenarios() []faultScenario {
 	}
 }
 
-// e17Run executes ProtoOptimal over a faulty local cluster once. ghost < 0
-// means every party is honest; otherwise party ghost runs the honest
-// protocol with an adversarially extreme input (the canonical convex-
-// validity attack) on top of the link faults.
-type e17Result struct {
-	outs    []*big.Int
-	errs    []error
-	digests []uint64
-	rounds  []int
-}
-
-func e17Run(n int, inputs []*big.Int, cfg ca.FaultConfig) e17Result {
-	locals, err := ca.NewLocalCluster(n, defaultT(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+// e17Row dual-runs one scenario at one n — every party behind cfg, one
+// instance of Π_ℤ — and renders the table cells: agreement and validity over
+// the parties outside faulty, and replay across the two identically-seeded
+// runs. A ghost (honest protocol, adversarially extreme input: the canonical
+// convex-validity attack) is just a faulty party whose input says so.
+func e17Row(name string, n int, faulty []int, inputs []*big.Int, cfg ca.FaultConfig) []string {
+	c := Cluster{N: n, Faults: cfg, Instances: 1, Input: func(party, _ int) *big.Int { return inputs[party] }}
+	a, b := mustRun(c), mustRun(c)
+	clean := allBut(n, faulty...)
+	v := a.Judge(clean)
+	return []string{
+		name, fmt.Sprint(n), fmt.Sprint(defaultT(n)), fmt.Sprint(len(faulty)),
+		mark(v.Agree), mark(v.Valid), mark(SameRun(a, b) == nil), fmt.Sprint(a.Parties[clean[0]].Rounds),
 	}
-	res := e17Result{
-		outs:    make([]*big.Int, n),
-		errs:    make([]error, n),
-		digests: make([]uint64, n),
-		rounds:  make([]int, n),
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, err := ca.WrapFaulty(locals[i], cfg)
-			if err != nil {
-				res.errs[i] = err
-				locals[i].Close()
-				return
-			}
-			// Leaving the lock-step cluster on return (success or failure)
-			// keeps the surviving parties' rounds closing.
-			defer locals[i].Close()
-			res.outs[i], res.errs[i] = ca.RunParty(tr, ca.ProtoOptimal, 0, inputs[i])
-			res.digests[i] = tr.Transcript()
-			res.rounds[i] = tr.Round()
-		}(i)
-	}
-	wg.Wait()
-	return res
-}
-
-// e17Check verifies one scenario at one n and reports the table cells:
-// agreement and validity over the clean parties, plus replay determinism
-// across two identically-seeded runs.
-func e17Check(n int, faulty map[int]bool, inputs []*big.Int, cfg ca.FaultConfig) (agree, valid, replay bool, rounds int) {
-	a := e17Run(n, inputs, cfg)
-	b := e17Run(n, inputs, cfg)
-	agree, valid, replay = true, true, true
-
-	var ref *big.Int
-	lo, hi := new(big.Int), new(big.Int)
-	first := true
-	for i := 0; i < n; i++ {
-		if faulty[i] {
-			continue
-		}
-		if a.errs[i] != nil || a.outs[i] == nil {
-			agree, valid = false, false
-			continue
-		}
-		if ref == nil {
-			ref = a.outs[i]
-			rounds = a.rounds[i]
-		} else if a.outs[i].Cmp(ref) != 0 {
-			agree = false
-		}
-		if first || inputs[i].Cmp(lo) < 0 {
-			lo.Set(inputs[i])
-		}
-		if first || inputs[i].Cmp(hi) > 0 {
-			hi.Set(inputs[i])
-		}
-		first = false
-		if a.digests[i] != b.digests[i] {
-			replay = false
-		}
-	}
-	if ref == nil || ref.Cmp(lo) < 0 || ref.Cmp(hi) > 0 {
-		valid = false
-	}
-	return agree, valid, replay, rounds
 }
 
 // E17FaultSweep measures robustness of the deployment stack under the fault
@@ -182,50 +110,32 @@ func E17FaultSweep(quick bool) Table {
 		Claim:  "with all faults confined to ≤ t parties' links, Π_ℤ keeps agreement and convex validity over the clean parties for every fault kind, and identically-seeded runs replay identical transcripts",
 		Header: []string{"scenario", "n", "t", "faulty", "agree", "validity", "replay", "rounds"},
 	}
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "VIOLATED"
-	}
 	for _, sc := range e17Scenarios() {
 		for _, n := range ns {
-			t := defaultT(n)
-			var faultySet []int
-			faulty := make(map[int]bool)
-			for f := n - t; f < n; f++ {
-				faultySet = append(faultySet, f)
-				faulty[f] = true
-			}
 			// Clean inputs span a band; the faulty (honest but disturbed)
 			// parties sit at its center, so the clean hull bounds every
 			// honest input and validity can be asserted uniformly.
+			var faulty []int
 			inputs := make([]*big.Int, n)
 			for i := range inputs {
-				if faulty[i] {
-					inputs[i] = big.NewInt(1000)
-				} else {
+				if i < n-defaultT(n) {
 					inputs[i] = big.NewInt(990 + int64(i))
+				} else {
+					inputs[i] = big.NewInt(1000)
+					faulty = append(faulty, i)
 				}
 			}
-			cfg := sc.build(n, faultySet, int64(1700+n))
-			agree, valid, replay, rounds := e17Check(n, faulty, inputs, cfg)
-			tab.Rows = append(tab.Rows, []string{
-				sc.name, fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(len(faultySet)),
-				mark(agree), mark(valid), mark(replay), fmt.Sprint(rounds),
-			})
+			tab.Rows = append(tab.Rows, e17Row(sc.name, n, faulty, inputs, sc.build(n, faulty, int64(1700+n))))
 		}
 	}
 	// Combined run: a ghost byzantine party (honest protocol, poisoned
 	// extreme input) on top of link faults hitting a second party — both
 	// count against the budget, so it needs t ≥ 2.
 	for _, n := range ns {
-		t := defaultT(n)
-		if t < 2 {
+		if defaultT(n) < 2 {
 			continue
 		}
 		ghost, disturbed := n-1, n-2
-		faulty := map[int]bool{ghost: true, disturbed: true}
 		inputs := make([]*big.Int, n)
 		for i := range inputs {
 			inputs[i] = big.NewInt(990 + int64(i))
@@ -236,11 +146,7 @@ func E17FaultSweep(quick bool) Table {
 			{Kind: ca.FaultDrop, From: disturbed, To: ca.AnyParty, Prob: 0.3},
 			{Kind: ca.FaultDelay, From: ca.AnyParty, To: disturbed, Prob: 0.2, DelayRounds: 2},
 		}}
-		agree, valid, replay, rounds := e17Check(n, faulty, inputs, cfg)
-		tab.Rows = append(tab.Rows, []string{
-			"ghost+drop", fmt.Sprint(n), fmt.Sprint(t), "2",
-			mark(agree), mark(valid), mark(replay), fmt.Sprint(rounds),
-		})
+		tab.Rows = append(tab.Rows, e17Row("ghost+drop", n, []int{disturbed, ghost}, inputs, cfg))
 	}
 	return tab
 }

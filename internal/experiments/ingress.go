@@ -3,158 +3,25 @@ package experiments
 import (
 	"fmt"
 	"math/big"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	ca "convexagreement"
+	"convexagreement/internal/adversary"
 )
 
 // E19 is the active-adversary sweep: where E17's faults are *passive* link
 // disturbances (drops, delays, corruption) confined to honest parties'
 // links, E19 gives the adversary a live attacker goroutine on the
 // deployment stack. One corrupt party floods the cluster with duplicate,
-// oversize, or bursty garbage traffic — resource-exhaustion attacks, the
-// deployment mirror of adversary.ActiveCatalog — while the honest parties
-// run Π_ℤ to completion. Agreement and convex validity over the honest
-// parties must survive every attack, and identically-seeded dual runs must
-// keep seed-exact transcript digests, proving the ingress defenses
-// (admission, shedding, dedup) are themselves deterministic.
+// oversize, or bursty garbage traffic — the resource-exhaustion attacks of
+// adversary.ActiveCatalog, hosted by the harness's attacker party — while
+// the honest parties run Π_ℤ to completion. Agreement and convex validity
+// over the honest parties must survive every attack, and identically-seeded
+// dual runs must keep seed-exact transcript digests, proving the ingress
+// defenses (admission, shedding, dedup) are themselves deterministic.
 
 // e19MaxRounds bounds every run; a protocol starved to a standstill
 // surfaces as ErrRoundLimit instead of hanging the experiment.
 const e19MaxRounds = 4000
-
-// e19Attack is one attacker round-loop over the raw deployment transport.
-// It is deterministic in (kind, seed, round): honest parties' received
-// streams — and so their transcript digests — depend only on the scenario,
-// which is what the replay column asserts.
-func e19Attack(kind string, seed int64, tr ca.Transport, honestDone *atomic.Int32, honest int32) {
-	rng := rand.New(rand.NewSource(seed))
-	n := tr.N()
-	for r := 0; r < e19MaxRounds && honestDone.Load() < honest; r++ {
-		var out []ca.Packet
-		switch kind {
-		case "flood", "flood+drop":
-			payload := make([]byte, 24)
-			rng.Read(payload)
-			for to := 0; to < n; to++ {
-				for c := 0; c < 12; c++ {
-					out = append(out, ca.Packet{To: to, Tag: "adv", Payload: payload})
-				}
-			}
-		case "oversize":
-			big := make([]byte, 32<<10)
-			rng.Read(big)
-			for to := 0; to < n; to++ {
-				out = append(out, ca.Packet{To: to, Tag: "adv", Payload: big})
-			}
-		case "garbage-burst":
-			if r%3 == 2 {
-				for to := 0; to < n; to++ {
-					for c := 0; c < 48; c++ {
-						buf := make([]byte, rng.Intn(64)+1)
-						rng.Read(buf)
-						out = append(out, ca.Packet{To: to, Tag: "adv", Payload: buf})
-					}
-				}
-			}
-		}
-		if _, err := tr.Exchange(out); err != nil {
-			return
-		}
-	}
-}
-
-// e19Run executes ProtoOptimal on the honest parties of a local cluster
-// while party n-1 runs the named attack. The attacker's links additionally
-// carry cfg's fault rules (empty for the pure-flood scenarios).
-type e19Result struct {
-	outs    []*big.Int
-	errs    []error
-	digests []uint64
-	rounds  []int
-}
-
-func e19Run(n int, kind string, inputs []*big.Int, cfg ca.FaultConfig) e19Result {
-	locals, err := ca.NewLocalCluster(n, defaultT(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	attacker := n - 1
-	res := e19Result{
-		outs:    make([]*big.Int, n),
-		errs:    make([]error, n),
-		digests: make([]uint64, n),
-		rounds:  make([]int, n),
-	}
-	var honestDone atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer locals[i].Close()
-			if i == attacker {
-				// The attacker speaks the raw transport: its flood is traffic,
-				// not protocol. It stands down once every honest party is done
-				// (or its own rounds error out as the cluster drains).
-				e19Attack(kind, cfg.Seed^int64(i), locals[i], &honestDone, int32(n-1))
-				return
-			}
-			tr, err := ca.WrapFaulty(locals[i], cfg)
-			if err != nil {
-				res.errs[i] = err
-				honestDone.Add(1)
-				return
-			}
-			res.outs[i], res.errs[i] = ca.RunParty(tr, ca.ProtoOptimal, 0, inputs[i])
-			res.digests[i] = tr.Transcript()
-			res.rounds[i] = tr.Round()
-			honestDone.Add(1)
-		}(i)
-	}
-	wg.Wait()
-	return res
-}
-
-// e19Check verifies one scenario at one n over two identically-seeded runs.
-func e19Check(n int, inputs []*big.Int, kind string, cfg ca.FaultConfig) (agree, valid, replay bool, rounds int) {
-	a := e19Run(n, kind, inputs, cfg)
-	b := e19Run(n, kind, inputs, cfg)
-	agree, valid, replay = true, true, true
-
-	attacker := n - 1
-	var ref *big.Int
-	lo, hi := new(big.Int), new(big.Int)
-	first := true
-	for i := 0; i < attacker; i++ {
-		if a.errs[i] != nil || a.outs[i] == nil {
-			agree, valid = false, false
-			continue
-		}
-		if ref == nil {
-			ref = a.outs[i]
-			rounds = a.rounds[i]
-		} else if a.outs[i].Cmp(ref) != 0 {
-			agree = false
-		}
-		if first || inputs[i].Cmp(lo) < 0 {
-			lo.Set(inputs[i])
-		}
-		if first || inputs[i].Cmp(hi) > 0 {
-			hi.Set(inputs[i])
-		}
-		first = false
-		if a.digests[i] != b.digests[i] {
-			replay = false
-		}
-	}
-	if ref == nil || ref.Cmp(lo) < 0 || ref.Cmp(hi) > 0 {
-		valid = false
-	}
-	return agree, valid, replay, rounds
-}
 
 // E19IngressSweep measures robustness of the deployment stack under active
 // resource-exhaustion adversaries.
@@ -163,38 +30,35 @@ func E19IngressSweep(quick bool) Table {
 	if quick {
 		ns = []int{7, 16}
 	}
-	scenarios := []string{"flood", "oversize", "garbage-burst", "flood+drop"}
+	// The attacks are adversary.ActiveCatalog's; the combined case runs the
+	// flood with link drops on the attacker's links as well.
+	scenarios := adversary.ActiveCatalog()
+	scenarios = append(scenarios, adversary.ActiveStrategy{Name: "flood+drop", Build: scenarios[0].Build})
 	tab := Table{
 		ID:     "E19",
 		Title:  "Active-adversary ingress sweep over the deployment transport",
 		Claim:  "with one corrupt party mounting live flood, oversize, and burst attacks (plus link drops in the combined case), Π_ℤ keeps agreement and convex validity over the honest parties, and identically-seeded runs replay identical transcripts",
 		Header: []string{"scenario", "n", "t", "agree", "validity", "replay", "rounds"},
 	}
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "VIOLATED"
-	}
-	for _, kind := range scenarios {
+	for _, sc := range scenarios {
 		for _, n := range ns {
-			t := defaultT(n)
 			attacker := n - 1
-			inputs := make([]*big.Int, n)
-			for i := range inputs {
-				inputs[i] = big.NewInt(990 + int64(i))
-			}
 			cfg := ca.FaultConfig{Seed: int64(3100 + n), MaxRounds: e19MaxRounds}
-			if kind == "flood+drop" {
+			if sc.Name == "flood+drop" {
 				cfg.Rules = []ca.FaultRule{
 					{Kind: ca.FaultDrop, From: attacker, To: ca.AnyParty, Prob: 0.4},
 					{Kind: ca.FaultDrop, From: ca.AnyParty, To: attacker, Prob: 0.2},
 				}
 			}
-			agree, valid, replay, rounds := e19Check(n, inputs, kind, cfg)
+			c := Cluster{
+				N: n, Faults: cfg, Instances: 1, Attack: sc.Build,
+				Input: func(party, _ int) *big.Int { return big.NewInt(990 + int64(party)) },
+			}
+			a, b := mustRun(c), mustRun(c)
+			v := a.Judge(allBut(n, attacker))
 			tab.Rows = append(tab.Rows, []string{
-				kind, fmt.Sprint(n), fmt.Sprint(t),
-				mark(agree), mark(valid), mark(replay), fmt.Sprint(rounds),
+				sc.Name, fmt.Sprint(n), fmt.Sprint(defaultT(n)),
+				mark(v.Agree), mark(v.Valid), mark(SameRun(a, b) == nil), fmt.Sprint(a.Parties[0].Rounds),
 			})
 		}
 	}

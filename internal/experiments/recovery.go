@@ -3,13 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/big"
-	"net"
-	"os"
-	"sync"
-	"time"
 
 	ca "convexagreement"
-	"convexagreement/internal/supervisor"
 )
 
 // E18 measures the crash-recovery layer end to end: sessions checkpoint every
@@ -23,16 +18,6 @@ import (
 // restart, the rejoin handshake announces the resume round, and peers serve
 // the gap from their buffered outbox tails; the reported rejoin_gap is the
 // restart-to-rejoin latency in rounds (frontier − resume round).
-
-// e18Result is one full supervised soak run.
-type e18Result struct {
-	outs    [][]*big.Int // per party per instance
-	errs    []error
-	kDigest uint64 // killed party's session transcript digest
-	kSeq    uint64
-	health  supervisor.Health
-	runErr  error
-}
 
 // e18Input places the clean parties' inputs in a known band per instance and
 // the disturbed party mid-band, so hull checks are uniform.
@@ -48,10 +33,12 @@ func e18Input(n, party, seq int) *big.Int {
 	}
 }
 
-// e18RunLocal drives one supervised channet soak: party 1 suffers a crash
-// window and a partition (within the t budget) and party n−1 is killed
-// kills times, each time resuming from its write-ahead log in dir.
-func e18RunLocal(n, instances, kills int, seed int64, dir string) e18Result {
+// CrashRecovery is the supervised hub soak: party 1 suffers drops, delays, a
+// crash window and a partition (within the t budget, no guarantees) and
+// party n−1 is killed kills times, each time resuming from its write-ahead
+// log on the real filesystem. The in-process restart loses no messages, so
+// the kill target stays clean: the clean set is everyone but party 1.
+func CrashRecovery(n, instances, kills int, seed int64) Cluster {
 	C, K := 1, n-1
 	total := instances * 92 * n / 4 // rough rounds budget, scaled from n=4
 	frac := func(f float64) int { return int(f * float64(total)) }
@@ -72,283 +59,27 @@ func e18RunLocal(n, instances, kills int, seed int64, dir string) e18Result {
 		at := frac(0.08 + 0.8*float64(i)/float64(kills))
 		cfg.Kills = append(cfg.Kills, ca.FaultKill{Party: K, Round: at})
 	}
-
-	locals, err := ca.NewLocalCluster(n, defaultT(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	return Cluster{
+		N: n, Faults: cfg, Instances: instances,
+		Input:   func(party, seq int) *big.Int { return e18Input(n, party, seq) },
+		Storage: map[int]Disk{K: {}},
 	}
-	res := e18Result{outs: make([][]*big.Int, n), errs: make([]error, n)}
-	for i := range res.outs {
-		res.outs[i] = make([]*big.Int, instances)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if i == K {
-			continue
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer locals[i].Close()
-			tr, err := ca.WrapFaulty(locals[i], cfg)
-			if err != nil {
-				res.errs[i] = err
-				return
-			}
-			s := ca.NewSession(tr)
-			for seq := 0; seq < instances; seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, e18Input(n, i, seq))
-				if err != nil {
-					res.errs[i] = err
-					return
-				}
-				res.outs[i][seq] = out
-			}
-		}()
-	}
-	// The kill schedule is one-shot per wrapper, so K keeps a single faultnet
-	// wrapper across all supervisor attempts and opens a fresh Session each
-	// time, resuming from the write-ahead log.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer locals[K].Close()
-		trK, err := ca.WrapFaulty(locals[K], cfg)
-		if err != nil {
-			res.runErr = err
-			return
-		}
-		res.health, res.runErr = supervisor.Run(supervisor.Config{
-			Delta:       100 * time.Millisecond,
-			StallRounds: 100,
-			MaxRestarts: kills + 2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  2 * time.Millisecond,
-			N:           n,
-			T:           defaultT(n),
-		}, func(a *supervisor.Attempt) error {
-			s := ca.NewSession(trK)
-			if err := s.Resume(dir); err != nil {
-				return err
-			}
-			defer s.Close()
-			a.Progress(s.Rounds)
-			for seq := s.Seq(); seq < uint64(instances); seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, e18Input(n, K, int(seq)))
-				if err != nil {
-					return err
-				}
-				res.outs[K][seq] = out
-			}
-			res.kDigest = s.Transcript()
-			res.kSeq = s.Seq()
-			return nil
-		})
-	}()
-	wg.Wait()
-	return res
 }
 
-// e18CheckLocal dual-runs one local configuration and reports the table
-// cells. The channet restart loses no messages, so the killed party counts
-// as clean: agreement and validity are asserted over everyone but the
-// disturbed party C, and the two identically-seeded runs must produce the
-// same session transcript digest at K.
-func e18CheckLocal(n, instances, kills int, seed int64) (agree, valid, replay bool, attempts int) {
-	run := func() e18Result {
-		dir, err := os.MkdirTemp("", "e18-")
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		defer os.RemoveAll(dir)
-		return e18RunLocal(n, instances, kills, seed, dir)
+// TCPRejoin kills checkpointed party 3 once, mid-instance 1 (≈ 90 rounds per
+// instance at n = 4), on a real 4-party TCP mesh. The mesh free-runs during
+// the restart, so the kill target's downtime is charged as omissions (within
+// t = 1): the clean set is parties 0–2 on every instance, and party 3 — whose
+// input repeats party 0's, inside their band — is held to its pre-kill
+// instance only.
+func TCPRejoin(instances int) Cluster {
+	const n, K, killRound = 4, 3, 100
+	return Cluster{
+		N: n, TCP: true, Instances: instances,
+		Faults:  ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: killRound}}},
+		Input:   func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*(party%K) + 1)) },
+		Storage: map[int]Disk{K: {}},
 	}
-	a := run()
-	b := run()
-	agree, valid = true, true
-	if a.runErr != nil || a.kSeq != uint64(instances) {
-		return false, false, false, a.health.Attempts
-	}
-	attempts = a.health.Attempts
-	for seq := 0; seq < instances; seq++ {
-		var ref *big.Int
-		for i := 0; i < n; i++ {
-			if i == 1 { // disturbed party: no guarantees
-				continue
-			}
-			o := a.outs[i][seq]
-			if a.errs[i] != nil || o == nil {
-				agree, valid = false, false
-				continue
-			}
-			if ref == nil {
-				ref = o
-			} else if o.Cmp(ref) != 0 {
-				agree = false
-			}
-		}
-		lo, hi := big.NewInt(int64(1000*seq)+1), big.NewInt(int64(1000*seq)+17)
-		if ref == nil || ref.Cmp(lo) < 0 || ref.Cmp(hi) > 0 {
-			valid = false
-		}
-	}
-	replay = b.runErr == nil && a.kDigest == b.kDigest
-	if replay {
-		for seq := 0; seq < instances; seq++ {
-			if a.outs[0][seq] == nil || b.outs[0][seq] == nil ||
-				a.outs[0][seq].Cmp(b.outs[0][seq]) != 0 {
-				replay = false
-			}
-		}
-	}
-	return agree, valid, replay, attempts
-}
-
-// e18RunTCP kills a checkpointed party once on a real 4-party TCP mesh and
-// reports whether the clean parties kept agreement and validity, how many
-// supervisor attempts the recovery took, and the frontier gap the rejoin
-// handshake observed (restart-to-rejoin latency in rounds).
-func e18RunTCP(instances int) (agree, valid bool, attempts int, gap uint64) {
-	const (
-		n         = 4
-		K         = 3
-		killRound = 100
-	)
-	dir, err := os.MkdirTemp("", "e18-tcp-")
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	defer os.RemoveAll(dir)
-
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n-1; i++ { // K is the highest id: dials everyone, no listener
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	addrs[K] = "127.0.0.1:0"
-	cfg := ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: killRound}}}
-	input := func(party, seq int) *big.Int {
-		return big.NewInt(int64(100*seq + 3*party + 1))
-	}
-
-	var (
-		wg     sync.WaitGroup
-		outs   [n][]*big.Int
-		errs   [n]error
-		health supervisor.Health
-		runErr error
-		kSeq   uint64
-		kDone  = make(chan struct{})
-	)
-	for i := range outs {
-		outs[i] = make([]*big.Int, instances)
-	}
-	// Clean parties hold the mesh open after finishing so the rejoined K can
-	// catch up from their outbox tails.
-	for i := 0; i < n-1; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr, err := ca.DialTCP(ca.TCPConfig{
-				ID: i, Addrs: addrs, Delta: 300 * time.Millisecond,
-				Listener: listeners[i], RejoinWindow: 4096,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer tr.Close()
-			s := ca.NewSession(tr)
-			for seq := 0; seq < instances; seq++ {
-				if outs[i][seq], errs[i] = s.Agree(ca.ProtoOptimal, 0, input(i, seq)); errs[i] != nil {
-					return
-				}
-			}
-			<-kDone
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(kDone)
-		health, runErr = supervisor.Run(supervisor.Config{
-			Delta:       300 * time.Millisecond,
-			StallRounds: 40,
-			MaxRestarts: 3,
-			BackoffBase: 2 * time.Millisecond,
-			N:           n,
-			T:           1,
-		}, func(a *supervisor.Attempt) error {
-			st, err := ca.InspectState(dir)
-			if err != nil {
-				return err
-			}
-			tcp, err := ca.DialTCP(ca.TCPConfig{
-				ID: K, Addrs: addrs, Delta: 300 * time.Millisecond,
-				ResumeRound: st.NextRound, RejoinWindow: 4096,
-			})
-			if err != nil {
-				return err
-			}
-			defer tcp.Close()
-			a.AbortOnStall(func() { tcp.Close() })
-			tr, err := ca.WrapFaultyAt(tcp, cfg, st.NextRound)
-			if err != nil {
-				return err
-			}
-			s := ca.NewSession(tr)
-			if err := s.Resume(dir); err != nil {
-				return err
-			}
-			defer s.Close()
-			a.Progress(s.Rounds)
-			a.ReportPeers(n - len(tcp.Faulty()))
-			for seq := s.Seq(); seq < uint64(instances); seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, input(K, int(seq)))
-				if err != nil {
-					return err
-				}
-				outs[K][seq] = out
-			}
-			kSeq = s.Seq()
-			gap = tcp.FrontierGap()
-			return nil
-		})
-	}()
-	wg.Wait()
-
-	if runErr != nil || kSeq != uint64(instances) {
-		return false, false, health.Attempts, gap
-	}
-	agree, valid = true, true
-	for seq := 0; seq < instances; seq++ {
-		o := outs[0][seq]
-		for i := 0; i < n-1; i++ {
-			if errs[i] != nil || outs[i][seq] == nil {
-				agree, valid = false, false
-				continue
-			}
-			if outs[i][seq].Cmp(o) != 0 {
-				agree = false
-			}
-		}
-		if o == nil || o.Cmp(input(0, seq)) < 0 || o.Cmp(input(K, seq)) > 0 {
-			valid = false
-		}
-	}
-	// K's restart charges its TCP downtime as omissions, so K itself is only
-	// held to its pre-kill instance.
-	if outs[K][0] == nil || outs[0][0] == nil || outs[K][0].Cmp(outs[0][0]) != 0 {
-		agree = false
-	}
-	return agree, valid, health.Attempts, gap
 }
 
 // E18CrashRecovery measures checkpointed crash recovery under supervision.
@@ -366,17 +97,14 @@ func E18CrashRecovery(quick bool) Table {
 		Claim:  "a party killed mid-session resumes from its write-ahead log to the exact round it died in: agreement and convex validity survive every kill, the channet restart is transcript-exact across identically-seeded runs, and the tcp rejoin closes the frontier gap from peers' outbox tails",
 		Header: []string{"mode", "n", "t", "instances", "kills", "attempts", "agree", "validity", "replay", "rejoin_gap"},
 	}
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "VIOLATED"
-	}
 	for _, r := range rows {
-		agree, valid, replay, attempts := e18CheckLocal(r.n, r.instances, r.kills, int64(1800+r.n))
+		c := CrashRecovery(r.n, r.instances, r.kills, int64(1800+r.n))
+		a, b := mustRun(c), mustRun(c)
+		v := a.Judge(allBut(r.n, 1))
 		tab.Rows = append(tab.Rows, []string{
 			"channet", fmt.Sprint(r.n), fmt.Sprint(defaultT(r.n)), fmt.Sprint(r.instances),
-			fmt.Sprint(r.kills), fmt.Sprint(attempts), mark(agree), mark(valid), mark(replay), "0",
+			fmt.Sprint(r.kills), fmt.Sprint(a.Parties[r.n-1].Health.Attempts),
+			mark(v.Agree), mark(v.Valid), mark(SameRun(a, b) == nil), "0",
 		})
 	}
 	// The TCP mesh free-runs during the restart, so its timing (and hence the
@@ -384,14 +112,17 @@ func E18CrashRecovery(quick bool) Table {
 	// frontier gap is reported as >0 rather than its exact (run-varying)
 	// value so the table stays byte-stable; measured gaps are ≈ 15–45 rounds
 	// at Δ = 300 ms on localhost (EXPERIMENTS.md).
-	agree, valid, attempts, gap := e18RunTCP(2)
+	a := mustRun(TCPRejoin(2))
+	K := &a.Parties[3]
+	v, preKill := a.Judge([]int{0, 1, 2}), a.JudgeInstance(0, allBut(4))
+	recovered := K.Err == nil
 	gapCell := "0"
-	if gap > 0 {
+	if K.FrontierGap > 0 {
 		gapCell = ">0"
 	}
 	tab.Rows = append(tab.Rows, []string{
-		"tcp-rejoin", "4", "1", "2", "1", fmt.Sprint(attempts),
-		mark(agree), mark(valid), "-", gapCell,
+		"tcp-rejoin", "4", "1", "2", "1", fmt.Sprint(K.Health.Attempts),
+		mark(recovered && v.Agree && preKill.Agree), mark(recovered && v.Valid), "-", gapCell,
 	})
 	return tab
 }

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
-	"time"
 
 	ca "convexagreement"
 	"convexagreement/internal/checkpoint"
 	"convexagreement/internal/errfs"
-	"convexagreement/internal/supervisor"
 )
 
 // E20 sweeps the storage-fault hardening across cluster sizes: every run
@@ -23,27 +20,16 @@ import (
 // errfs fault transcripts, the recovered session transcript, and the
 // protocol outputs must all replay bit-identically under one seed.
 
-// e20Result is one full storage-soak run at size n.
-type e20Result struct {
-	outs     [][]*big.Int // per party per instance
-	errs     []error
-	dStorage error  // dying-disk party's sticky StorageErr
-	dDigest  uint64 // dying-disk errfs transcript
-	kDigest  uint64 // rotting-media errfs transcript
-	kWal     []byte // killed party's WAL copies after final repair
-	kWal2    []byte
-	kSession uint64 // killed party's session transcript
-	kSeq     uint64
-	health   supervisor.Health
-	runErr   error
-}
-
-// e20Run drives one combined storage+network soak: party 0 checkpoints
-// onto a disk that dies permanently after a fixed op budget, party 1 is
-// network-disturbed within the t budget, and party n−1 is killed kills
-// times, supervised, resuming each time from a mirrored WAL whose
-// primary copy sits on rotting media.
-func e20Run(n, instances, kills int, seed int64) e20Result {
+// StorageFaults is the combined storage+network soak at size n: party 0
+// checkpoints onto a disk that dies permanently after a fixed op budget —
+// partway into the first instance — and must degrade and continue, party 1
+// is network-disturbed within the t budget, and party n−1 is killed kills
+// times, supervised, resuming each time from a mirrored WAL whose primary
+// copy sits on media that rots roughly a quarter of its 64-byte blocks, so
+// recovery must vote the rotted copy out and repair it from the survivor.
+// Storage faults are never protocol-visible: the clean set is everyone but
+// party 1.
+func StorageFaults(n, instances, kills int, seed int64) Cluster {
 	D, C, K := 0, 1, n-1
 	total := instances * 92 * n / 4
 	frac := func(f float64) int { return int(f * float64(total)) }
@@ -59,157 +45,14 @@ func e20Run(n, instances, kills int, seed int64) e20Result {
 			Party: K, Round: frac(0.12 + 0.75*float64(i)/float64(kills)),
 		})
 	}
-	memD := errfs.NewMem(errfs.Faults{Seed: seed, OpEIOAfter: 60})
-	memK := errfs.NewMem(errfs.Faults{Seed: seed + 1, ReadRotProb: 0.25, RotFile: "wal"})
-	mirrored := ca.StorageOptions{Mirror: true, FS: memK}
-
-	locals, err := ca.NewLocalCluster(n, defaultT(n))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	return Cluster{
+		N: n, Faults: cfg, Instances: instances,
+		Input: func(party, seq int) *big.Int { return e18Input(n, party, seq) },
+		Storage: map[int]Disk{
+			D: {Faults: &errfs.Faults{Seed: seed, OpEIOAfter: 60}},
+			K: {Mirror: true, Faults: &errfs.Faults{Seed: seed + 1, ReadRotProb: 0.25, RotFile: "wal"}},
+		},
 	}
-	res := e20Result{outs: make([][]*big.Int, n), errs: make([]error, n)}
-	for i := range res.outs {
-		res.outs[i] = make([]*big.Int, instances)
-	}
-	var wg sync.WaitGroup
-
-	for i := 0; i < n; i++ {
-		if i == K {
-			continue
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer locals[i].Close()
-			tr, err := ca.WrapFaulty(locals[i], cfg)
-			if err != nil {
-				res.errs[i] = err
-				return
-			}
-			s := ca.NewSession(tr)
-			if i == D {
-				if err := s.CheckpointOpts("state", ca.StorageOptions{FS: memD}); err != nil {
-					res.errs[i] = err
-					return
-				}
-				defer func() {
-					res.dStorage = s.StorageErr()
-					res.dDigest = memD.Transcript()
-					_ = s.Close()
-				}()
-			}
-			for seq := 0; seq < instances; seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, e18Input(n, i, seq))
-				if err != nil {
-					res.errs[i] = err
-					return
-				}
-				res.outs[i][seq] = out
-			}
-		}()
-	}
-
-	// The kill schedule is one-shot per wrapper: K keeps one faultnet
-	// wrapper across all supervisor attempts, resuming from the mirrored
-	// WAL on the rotting media each time.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer locals[K].Close()
-		trK, err := ca.WrapFaulty(locals[K], cfg)
-		if err != nil {
-			res.runErr = err
-			return
-		}
-		defer func() {
-			res.kDigest = memK.Transcript()
-			res.kWal, _ = memK.ReadFileRaw("state/wal")
-			res.kWal2, _ = memK.ReadFileRaw("state/wal2")
-		}()
-		res.health, res.runErr = supervisor.Run(supervisor.Config{
-			Delta:       100 * time.Millisecond,
-			StallRounds: 100,
-			MaxRestarts: kills + 2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  2 * time.Millisecond,
-			N:           n,
-			T:           defaultT(n),
-		}, func(a *supervisor.Attempt) error {
-			s := ca.NewSession(trK)
-			if err := s.ResumeOpts("state", mirrored); err != nil {
-				return err
-			}
-			defer s.Close()
-			a.Progress(s.Rounds)
-			a.ReportStorage(s.StorageErr())
-			for seq := s.Seq(); seq < uint64(instances); seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, e18Input(n, K, int(seq)))
-				if err != nil {
-					return err
-				}
-				res.outs[K][seq] = out
-			}
-			res.kSession = s.Transcript()
-			res.kSeq = s.Seq()
-			return nil
-		})
-	}()
-	wg.Wait()
-	return res
-}
-
-// e20Check dual-runs one configuration. Agreement and validity are
-// asserted over every party but the disturbed one; degraded requires the
-// dying-disk party to have BOTH degraded and finished every instance;
-// replay requires outputs, session transcript, both errfs transcripts,
-// and the repaired WAL bytes to match across the identically-seeded runs.
-func e20Check(n, instances, kills int, seed int64) (agree, valid, degraded, replay bool, attempts int) {
-	a := e20Run(n, instances, kills, seed)
-	b := e20Run(n, instances, kills, seed)
-	if a.runErr != nil || a.kSeq != uint64(instances) {
-		return false, false, false, false, a.health.Attempts
-	}
-	attempts = a.health.Attempts
-	agree, valid = true, true
-	for seq := 0; seq < instances; seq++ {
-		var ref *big.Int
-		for i := 0; i < n; i++ {
-			if i == 1 { // disturbed party: no guarantees
-				continue
-			}
-			o := a.outs[i][seq]
-			if a.errs[i] != nil || o == nil {
-				agree, valid = false, false
-				continue
-			}
-			if ref == nil {
-				ref = o
-			} else if o.Cmp(ref) != 0 {
-				agree = false
-			}
-		}
-		lo, hi := big.NewInt(int64(1000*seq)+1), big.NewInt(int64(1000*seq)+17)
-		if ref == nil || ref.Cmp(lo) < 0 || ref.Cmp(hi) > 0 {
-			valid = false
-		}
-	}
-	degraded = errors.Is(a.dStorage, checkpoint.ErrStorageDegraded) &&
-		a.errs[0] == nil && a.outs[0][instances-1] != nil
-	replay = b.runErr == nil &&
-		a.kSession == b.kSession &&
-		a.dDigest == b.dDigest && a.kDigest == b.kDigest &&
-		len(a.kWal) > 0 && bytes.Equal(a.kWal, a.kWal2) &&
-		bytes.Equal(a.kWal, b.kWal)
-	if replay {
-		for seq := 0; seq < instances; seq++ {
-			if a.outs[0][seq] == nil || b.outs[0][seq] == nil ||
-				a.outs[0][seq].Cmp(b.outs[0][seq]) != 0 {
-				replay = false
-			}
-		}
-	}
-	return agree, valid, degraded, replay, attempts
 }
 
 // E20StorageFaults measures the storage-fault hardening end to end.
@@ -228,18 +71,20 @@ func E20StorageFaults(quick bool) Table {
 		Header: []string{"n", "t", "instances", "kills", "attempts",
 			"degraded", "agree", "validity", "replay"},
 	}
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "VIOLATED"
-	}
 	for _, r := range rows {
-		agree, valid, degraded, replay, attempts := e20Check(r.n, r.instances, r.kills, int64(2000+r.n))
+		c := StorageFaults(r.n, r.instances, r.kills, int64(2000+r.n))
+		a, b := mustRun(c), mustRun(c)
+		v := a.Judge(allBut(r.n, 1))
+		D, K := &a.Parties[0], &a.Parties[r.n-1]
+		// degraded: the dying-disk party BOTH degraded and finished every
+		// instance. replay additionally wants the final repair to have left
+		// the two WAL copies identical.
+		degraded := errors.Is(D.Storage, checkpoint.ErrStorageDegraded) && D.Err == nil && D.Outs[r.instances-1] != nil
+		replay := SameRun(a, b) == nil && len(K.WAL) > 0 && bytes.Equal(K.WAL, K.WAL2)
 		tab.Rows = append(tab.Rows, []string{
 			fmt.Sprint(r.n), fmt.Sprint(defaultT(r.n)), fmt.Sprint(r.instances),
-			fmt.Sprint(r.kills), fmt.Sprint(attempts),
-			mark(degraded), mark(agree), mark(valid), mark(replay),
+			fmt.Sprint(r.kills), fmt.Sprint(K.Health.Attempts),
+			mark(degraded), mark(v.Agree), mark(v.Valid), mark(replay),
 		})
 	}
 	return tab

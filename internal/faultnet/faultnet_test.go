@@ -331,35 +331,6 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-func TestScenarioCatalogBuildsValidPlans(t *testing.T) {
-	scenarios := faultnet.Scenarios()
-	if len(scenarios) < 6 {
-		t.Fatalf("only %d scenarios", len(scenarios))
-	}
-	seen := map[string]bool{}
-	for _, sc := range scenarios {
-		if sc.Name == "" || sc.Build == nil {
-			t.Fatalf("incomplete scenario %+v", sc)
-		}
-		if seen[sc.Name] {
-			t.Fatalf("duplicate scenario %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		plan := sc.Build(7, []int{1, 5}, 9)
-		if plan == nil {
-			t.Fatalf("%s: nil plan", sc.Name)
-		}
-		if len(plan.Rules) == 0 && len(plan.Partitions) == 0 && len(plan.Crashes) == 0 {
-			t.Fatalf("%s: empty plan", sc.Name)
-		}
-	}
-	for _, want := range []string{"drop", "delay", "duplicate", "corrupt", "partition-heal", "crash-restart"} {
-		if !seen[want] {
-			t.Fatalf("scenario %q missing", want)
-		}
-	}
-}
-
 // fakeNet is a minimal inner transport for unit-testing wrapper logic
 // without a hub: Exchange loops back self-addressed packets.
 type fakeNet struct {

@@ -34,20 +34,6 @@ func BenchmarkMulAddSlice_4096(b *testing.B) {
 	sink = dst[0]
 }
 
-func BenchmarkMulAddSliceBytes_8KiB(b *testing.B) {
-	src := make([]byte, 8<<10)
-	dst := make([]byte, 8<<10)
-	for i := range src {
-		src[i] = byte(i*31 + 1)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulAddSliceBytes(0x1234, dst, src)
-	}
-	sink = Elem(dst[0])
-}
-
 // BenchmarkScalarMulLoop is the pre-kernel baseline shape: the same
 // multiply-accumulate expressed with scalar Mul/Add calls per element.
 func BenchmarkScalarMulLoop_4096(b *testing.B) {
@@ -67,8 +53,8 @@ func BenchmarkScalarMulLoop_4096(b *testing.B) {
 }
 
 // BenchmarkMulAccWord_8KiB is the word-kernel counterpart of
-// BenchmarkMulAddSliceBytes_8KiB: one coefficient streamed over 4096
-// symbols in split layout.
+// BenchmarkMulAddSlice_4096: one coefficient streamed over 4096 symbols in
+// split layout (a one-column DotWords).
 func BenchmarkMulAccWord_8KiB(b *testing.B) {
 	n := 4096
 	srcLo, srcHi := make([]byte, n), make([]byte, n)
@@ -81,7 +67,7 @@ func BenchmarkMulAccWord_8KiB(b *testing.B) {
 	b.SetBytes(int64(2 * n))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
+		mulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
 	}
 	sink = Elem(dstLo[0])
 }

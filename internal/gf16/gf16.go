@@ -84,27 +84,3 @@ func Inv(a Elem) Elem {
 	}
 	return expTable[Order-logTable[a]]
 }
-
-// Div returns a / b. Division by zero returns 0 (callers guard against it).
-func Div(a, b Elem) Elem {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	l := logTable[a] + Order - logTable[b]
-	return expTable[l%Order]
-}
-
-// Pow returns a^k for k ≥ 0, with a^0 = 1 (including 0^0 = 1).
-func Pow(a Elem, k int) Elem {
-	if k == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (uint64(logTable[a]) * uint64(k)) % Order
-	return expTable[l]
-}
-
-// MulNoTable exposes the reference multiplier for cross-checking in tests.
-func MulNoTable(a, b Elem) Elem { return mulNoTable(a, b) }

@@ -11,12 +11,12 @@ func TestPrimitiveElementHasFullOrder(t *testing.T) {
 	// return to 1 before step Order.
 	v := Elem(1)
 	for i := 1; i < Order; i++ {
-		v = MulNoTable(v, 2)
+		v = mulNoTable(v, 2)
 		if v == 1 {
 			t.Fatalf("x has order %d < %d; reducing polynomial is not primitive", i, Order)
 		}
 	}
-	v = MulNoTable(v, 2)
+	v = mulNoTable(v, 2)
 	if v != 1 {
 		t.Fatalf("x^%d = %d, want 1", Order, v)
 	}
@@ -27,7 +27,7 @@ func TestMulMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20000; trial++ {
 		a := Elem(rng.Intn(1 << 16))
 		b := Elem(rng.Intn(1 << 16))
-		if got, want := Mul(a, b), MulNoTable(a, b); got != want {
+		if got, want := Mul(a, b), mulNoTable(a, b); got != want {
 			t.Fatalf("Mul(%d,%d) = %d, want %d", a, b, got, want)
 		}
 	}
@@ -65,30 +65,12 @@ func TestInvDiv(t *testing.T) {
 			t.Fatalf("a·a⁻¹ = %d for a=%d", got, a)
 		}
 		b := Elem(rng.Intn(1<<16-1) + 1)
-		if got := Mul(Div(a, b), b); got != a {
+		if got := Mul(Mul(a, Inv(b)), b); got != a {
 			t.Fatalf("(a/b)·b = %d, want %d", got, a)
 		}
 	}
-	if Inv(0) != 0 || Div(5, 0) != 0 || Div(0, 5) != 0 {
-		t.Error("zero conventions violated")
-	}
-}
-
-func TestPow(t *testing.T) {
-	if Pow(0, 0) != 1 || Pow(7, 0) != 1 || Pow(0, 5) != 0 {
-		t.Error("pow edge cases wrong")
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 1000; trial++ {
-		a := Elem(rng.Intn(1 << 16))
-		k := rng.Intn(20)
-		want := Elem(1)
-		for i := 0; i < k; i++ {
-			want = Mul(want, a)
-		}
-		if got := Pow(a, k); got != want {
-			t.Fatalf("Pow(%d,%d) = %d, want %d", a, k, got, want)
-		}
+	if Inv(0) != 0 {
+		t.Error("zero convention violated")
 	}
 }
 

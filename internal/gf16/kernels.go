@@ -1,37 +1,18 @@
 package gf16
 
-// Slice kernels: coefficient-specialized bulk operations for the
-// Reed-Solomon hot paths. Each kernel hoists the zero test and discrete-log
+// The slice kernel: the coefficient-specialized bulk operation of the
+// reference Reed-Solomon engine. It hoists the zero test and discrete-log
 // lookup of the constant coefficient out of the loop, so the per-symbol
 // work is one zero test, one log lookup, one (pre-offset) exp lookup, and
 // an XOR — versus two zero tests, a sync-guard and two log lookups per
-// symbol when composing the scalar Mul/Add. All kernels are allocation-free
-// and safe for concurrent use (the tables are immutable after init).
-
-// MulSlice sets dst[i] = c·src[i] for every i. dst and src must have equal
-// length (shorter dst panics, longer dst is left untouched past len(src));
-// they may alias exactly (dst == src) but must not partially overlap.
-func MulSlice(c Elem, dst, src []Elem) {
-	if c == 0 {
-		for i := range src {
-			dst[i] = 0
-		}
-		return
-	}
-	lc := logTable[c]
-	dst = dst[:len(src)]
-	for i, v := range src {
-		if v == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[(lc+logTable[v])&expMask]
-		}
-	}
-}
+// symbol when composing the scalar Mul/Add. It is allocation-free and safe
+// for concurrent use (the tables are immutable after init).
 
 // MulAddSlice sets dst[i] ^= c·src[i] for every i — the fused
 // multiply-accumulate at the core of every matrix-vector product in the
-// codec. Length and aliasing rules are as for MulSlice.
+// reference codec. dst and src must have equal length (shorter dst panics,
+// longer dst is left untouched past len(src)); they may alias exactly
+// (dst == src) but must not partially overlap.
 func MulAddSlice(c Elem, dst, src []Elem) {
 	if c == 0 {
 		return
@@ -41,45 +22,6 @@ func MulAddSlice(c Elem, dst, src []Elem) {
 	for i, v := range src {
 		if v != 0 {
 			dst[i] ^= expTable[(lc+logTable[v])&expMask]
-		}
-	}
-}
-
-// MulSliceBytes is MulSlice on the wire layout of share stripes: dst and
-// src hold big-endian 16-bit symbols (len(src) must be even, len(dst) ≥
-// len(src)).
-func MulSliceBytes(c Elem, dst, src []byte) {
-	if c == 0 {
-		for i := range src {
-			dst[i] = 0
-		}
-		return
-	}
-	lc := logTable[c]
-	for i := 0; i+1 < len(src); i += 2 {
-		v := uint32(src[i])<<8 | uint32(src[i+1])
-		if v == 0 {
-			dst[i], dst[i+1] = 0, 0
-		} else {
-			p := expTable[(lc+logTable[v])&expMask]
-			dst[i], dst[i+1] = byte(p>>8), byte(p)
-		}
-	}
-}
-
-// MulAddSliceBytes is MulAddSlice on big-endian 16-bit symbol slices; it is
-// the innermost loop of rs.Encode and the interpolating rs.Decode.
-func MulAddSliceBytes(c Elem, dst, src []byte) {
-	if c == 0 {
-		return
-	}
-	lc := logTable[c]
-	for i := 0; i+1 < len(src); i += 2 {
-		v := uint32(src[i])<<8 | uint32(src[i+1])
-		if v != 0 {
-			p := expTable[(lc+logTable[v])&expMask]
-			dst[i] ^= byte(p >> 8)
-			dst[i+1] ^= byte(p)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package gf16
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -17,32 +16,6 @@ func randElems(rng *rand.Rand, n int) []Elem {
 		out[i] = Elem(rng.Intn(1 << 16))
 	}
 	return out
-}
-
-func TestMulSliceMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		c := Elem(rng.Intn(1 << 16))
-		if trial == 0 {
-			c = 0 // force the zero-coefficient path
-		}
-		src := randElems(rng, 1+rng.Intn(100))
-		dst := make([]Elem, len(src))
-		MulSlice(c, dst, src)
-		for i := range src {
-			if want := Mul(c, src[i]); dst[i] != want {
-				t.Fatalf("c=%#x src[%d]=%#x: got %#x want %#x", c, i, src[i], dst[i], want)
-			}
-		}
-		// Exact aliasing (dst == src) must be supported.
-		clone := append([]Elem(nil), src...)
-		MulSlice(c, clone, clone)
-		for i := range src {
-			if want := Mul(c, src[i]); clone[i] != want {
-				t.Fatalf("aliased c=%#x src[%d]=%#x: got %#x want %#x", c, i, src[i], clone[i], want)
-			}
-		}
-	}
 }
 
 func TestMulAddSliceMatchesScalar(t *testing.T) {
@@ -67,57 +40,19 @@ func TestMulAddSliceMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBytesKernelsMatchElemKernels checks the wire-layout kernels against
-// the []Elem kernels across the big-endian boundary.
-func TestBytesKernelsMatchElemKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		c := Elem(rng.Intn(1 << 16))
-		if trial == 0 {
-			c = 0
-		}
-		src := randElems(rng, 1+rng.Intn(100))
-		acc := randElems(rng, len(src))
-
-		srcB := make([]byte, 2*len(src))
-		accB := make([]byte, 2*len(src))
-		for i := range src {
-			binary.BigEndian.PutUint16(srcB[2*i:], uint16(src[i]))
-			binary.BigEndian.PutUint16(accB[2*i:], uint16(acc[i]))
-		}
-
-		wantMul := make([]Elem, len(src))
-		MulSlice(c, wantMul, src)
-		gotMulB := make([]byte, 2*len(src))
-		MulSliceBytes(c, gotMulB, srcB)
-
-		MulAddSlice(c, acc, src)
-		MulAddSliceBytes(c, accB, srcB)
-
-		for i := range src {
-			if got := Elem(binary.BigEndian.Uint16(gotMulB[2*i:])); got != wantMul[i] {
-				t.Fatalf("MulSliceBytes c=%#x i=%d: got %#x want %#x", c, i, got, wantMul[i])
-			}
-			if got := Elem(binary.BigEndian.Uint16(accB[2*i:])); got != acc[i] {
-				t.Fatalf("MulAddSliceBytes c=%#x i=%d: got %#x want %#x", c, i, got, acc[i])
-			}
-		}
-	}
-}
-
 // TestKernelsAllocFree pins the kernels' zero-allocation guarantee — they
 // run in the innermost codec loops, where any per-call allocation would
 // dominate the profile.
 func TestKernelsAllocFree(t *testing.T) {
 	src := randElems(rand.New(rand.NewSource(4)), 4096)
 	dst := make([]Elem, len(src))
-	srcB := make([]byte, 2*len(src))
-	dstB := make([]byte, 2*len(src))
+	lo, hi := make([]byte, len(src)), make([]byte, len(src))
+	dstLo, dstHi := make([]byte, len(src)), make([]byte, len(src))
+	tabs := make([]MulTable, 1)
+	MakeMulTable(0x1234, &tabs[0])
 	for name, fn := range map[string]func(){
-		"MulSlice":         func() { MulSlice(0x1234, dst, src) },
-		"MulAddSlice":      func() { MulAddSlice(0x1234, dst, src) },
-		"MulSliceBytes":    func() { MulSliceBytes(0x1234, dstB, srcB) },
-		"MulAddSliceBytes": func() { MulAddSliceBytes(0x1234, dstB, srcB) },
+		"MulAddSlice": func() { MulAddSlice(0x1234, dst, src) },
+		"DotWords":    func() { DotWords(tabs, dstLo, dstHi, lo, hi, len(lo)) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Errorf("%s allocates %.0f times per call; want 0", name, allocs)

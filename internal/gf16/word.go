@@ -55,26 +55,6 @@ func MakeMulTable(c Elem, t *MulTable) {
 	}
 }
 
-// MulAccWord sets dst ^= c·src over split-layout vectors: dstLo/dstHi and
-// srcLo/srcHi carry the low and high bytes of len(dstLo) symbols. All four
-// slices must have equal length. dst and src may be the same slices but
-// must not partially overlap.
-func MulAccWord(t *MulTable, dstLo, dstHi, srcLo, srcHi []byte) {
-	n := len(dstLo)
-	if len(dstHi) != n || len(srcLo) != n || len(srcHi) != n {
-		panic("gf16: MulAccWord length mismatch")
-	}
-	if n == 0 {
-		return
-	}
-	if n32 := n &^ 31; hasFastPath && n32 > 0 {
-		dotWordsVec(&t[0], 1, &dstLo[0], &dstHi[0], &srcLo[0], &srcHi[0], 0, n32)
-		dstLo, dstHi = dstLo[n32:], dstHi[n32:]
-		srcLo, srcHi = srcLo[n32:], srcHi[n32:]
-	}
-	mulAccGeneric(t, dstLo, dstHi, srcLo, srcHi)
-}
-
 // DotWords accumulates a full matrix row: dst ^= Σ_j tabs[j]·col_j, where
 // column j occupies colsLo[j*stride:] / colsHi[j*stride:] in split layout.
 // len(dstLo) symbols are processed per column; stride must be at least

@@ -17,6 +17,12 @@ func refMulAcc(c Elem, dstLo, dstHi, srcLo, srcHi []byte) {
 	}
 }
 
+// mulAccWord is dst ^= c·src over one split-layout vector: DotWords on a
+// single column, which is how the codec reaches the word kernel.
+func mulAccWord(t *MulTable, dstLo, dstHi, srcLo, srcHi []byte) {
+	DotWords([]MulTable{*t}, dstLo, dstHi, srcLo, srcHi, len(dstLo))
+}
+
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
@@ -60,7 +66,7 @@ func TestMulAccWord(t *testing.T) {
 
 			var tab MulTable
 			MakeMulTable(c, &tab)
-			MulAccWord(&tab, gotLo, gotHi, srcLo, srcHi)
+			mulAccWord(&tab, gotLo, gotHi, srcLo, srcHi)
 			refMulAcc(c, wantLo, wantHi, srcLo, srcHi)
 			if !bytes.Equal(gotLo, wantLo) || !bytes.Equal(gotHi, wantHi) {
 				t.Fatalf("n=%d c=%#x: word kernel diverges from scalar Mul", n, c)
@@ -79,7 +85,7 @@ func TestMulAccWordZeroCoefficient(t *testing.T) {
 	wantHi := append([]byte(nil), dstHi...)
 	var tab MulTable
 	MakeMulTable(0, &tab)
-	MulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
+	mulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
 	if !bytes.Equal(dstLo, wantLo) || !bytes.Equal(dstHi, wantHi) {
 		t.Fatal("multiplying by zero changed the accumulator")
 	}
@@ -188,7 +194,7 @@ func TestMulAccWordAgainstTableKernel(t *testing.T) {
 	MulAddSlice(c, dst, src)
 	var tab MulTable
 	MakeMulTable(c, &tab)
-	MulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
+	mulAccWord(&tab, dstLo, dstHi, srcLo, srcHi)
 	for i := range dst {
 		if got := Elem(uint16(dstHi[i])<<8 | uint16(dstLo[i])); got != dst[i] {
 			t.Fatalf("i=%d: word kernel %#x, table kernel %#x", i, got, dst[i])

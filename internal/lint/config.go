@@ -22,7 +22,6 @@ var (
 		"internal/tcpnet",
 		"internal/supervisor",
 		"internal/faultnet",
-		"internal/netattack",
 	}
 
 	// driverPkgs are CLI entry points and runnable examples.

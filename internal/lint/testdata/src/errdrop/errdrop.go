@@ -21,7 +21,7 @@ func dropWAL(l *checkpoint.Log) {
 }
 
 func dropInspect(dir string) {
-	checkpoint.Inspect(dir) // want `checkpoint\.Inspect returns an error`
+	checkpoint.InspectOptions(dir, checkpoint.Options{}) // want `checkpoint\.InspectOptions returns an error`
 }
 
 type fakeNet struct{}

@@ -207,23 +207,6 @@ func recompute(h *hashing.Hasher, i, lo, hi int, value []byte, witness []hashing
 	return d, used + 1, true
 }
 
-// WitnessSize returns the number of digests in a witness for an n-leaf tree
-// and leaf index i (used for communication accounting).
-func WitnessSize(i, n int) int {
-	count := 0
-	lo, hi := 0, n
-	for hi-lo > 1 {
-		mid := lo + split(hi-lo)
-		if i < mid {
-			hi = mid
-		} else {
-			lo = mid
-		}
-		count++
-	}
-	return count
-}
-
 // MarshalWitness flattens a witness for the wire.
 func MarshalWitness(w []hashing.Digest) []byte {
 	out := make([]byte, 0, len(w)*hashing.Size)

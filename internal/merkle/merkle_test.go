@@ -35,9 +35,6 @@ func TestWitnessVerifyAllSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d i=%d: %v", n, i, err)
 			}
-			if len(w) != WitnessSize(i, n) {
-				t.Fatalf("n=%d i=%d: witness len %d, WitnessSize %d", n, i, len(w), WitnessSize(i, n))
-			}
 			if !Verify(tree.Root(), i, n, leaves[i], w) {
 				t.Fatalf("n=%d i=%d: valid witness rejected", n, i)
 			}
@@ -175,9 +172,17 @@ func TestWitnessSizeLogarithmic(t *testing.T) {
 		for k := 1; k < n; k *= 2 {
 			maxDepth++
 		}
+		tree, err := Build(leavesOf(n))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i += 1 + n/17 {
-			if got := WitnessSize(i, n); got > maxDepth {
-				t.Errorf("n=%d i=%d: witness size %d > %d", n, i, got, maxDepth)
+			w, err := tree.Witness(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w) > maxDepth {
+				t.Errorf("n=%d i=%d: witness size %d > %d", n, i, len(w), maxDepth)
 			}
 		}
 	}

@@ -24,7 +24,6 @@ package rbc
 
 import (
 	"bytes"
-	"fmt"
 
 	"convexagreement/internal/asyncnet"
 	"convexagreement/internal/wire"
@@ -207,9 +206,4 @@ func decode(raw []byte) (typ byte, slot uint64, sender asyncnet.PartyID, value [
 		return 0, 0, 0, nil, false
 	}
 	return typ, slot, asyncnet.PartyID(senderRaw), value, true
-}
-
-// DebugString summarizes instance state (used in tests and tracing).
-func (nd *Node) DebugString() string {
-	return fmt.Sprintf("rbc.Node{party=%d, instances=%d}", nd.id, len(nd.inst))
 }

@@ -62,8 +62,8 @@ func BenchmarkDecodeInterpolated_n31_k21_64KiB(b *testing.B) {
 }
 
 // The (n=256, k=171) benchmarks are the paper's large-sweep regime: t = 85,
-// k = n − t, 64 KiB payloads — the configuration named in the repo's
-// perf-trajectory acceptance bar (see BENCH_PR1.json).
+// k = n − t, 64 KiB payloads — the configuration the hot-path passes were
+// measured on (DESIGN.md §2.4, §2.8).
 func BenchmarkEncode_n256_k171_64KiB(b *testing.B) {
 	c, _ := NewCodec(256, 171)
 	payload := make([]byte, 64<<10)

@@ -1,29 +1,27 @@
-// Package netattack implements active network-level adversaries against
-// the tcpnet wire protocol: seeded attackers that speak raw TCP at a
-// victim's listener and try to make it spend memory, CPU, or round time it
-// never owed them. They are the attack half of the ingress-hardening
-// battery (DESIGN.md §2.10) — every defense in internal/wire admission and
+package tcpnet_test
+
+// The raw-socket half of the ingress battery (tcpnet_attack_test.go is its
+// only user): seeded attackers that speak raw TCP at a victim's listener
+// and try to make it spend memory, CPU, or round time it never owed them
+// (DESIGN.md §2.10) — every defense in internal/wire admission and
 // internal/tcpnet exists to make one of these attacks provably unprofitable:
 //
-//   - Flood: max-rate storms of individually legal frames, defeated by the
-//     round-clock token bucket (demotion with ReasonRate).
-//   - OversizeStorm: hostile length fields announcing bodies beyond any
+//   - floodAttack: max-rate storms of individually legal frames, defeated by
+//     the round-clock token bucket (demotion with ReasonRate).
+//   - oversizeStorm: hostile length fields announcing bodies beyond any
 //     budget, defeated on the prefix alone before a byte is pooled
 //     (ReasonBudget, or ReasonProtocol past the structural cap).
-//   - SlowLoris: a legal frame announced and then trickled byte-at-a-time,
+//   - slowLoris: a legal frame announced and then trickled byte-at-a-time,
 //     defeated by the read-progress deadline (ReasonStall).
-//   - HelloStorm: reconnect-handshake churn from an unauthenticated
+//   - helloStorm: reconnect-handshake churn from an unauthenticated
 //     dialer, defeated by the per-host hello cap (Stats.HellosRejected).
 //
 // Attackers are deliberately simple, blocking functions: they run until
 // the victim cuts the connection (the defense firing is the attack's
 // normal exit), a terminal error, or the stop channel closes. Payload
 // bytes are drawn from a caller-seeded local generator so a battery run
-// is reproducible.
-//
-// This package touches real sockets and real time; it is listed in
-// calint's real-time allowlist alongside tcpnet itself.
-package netattack
+// is reproducible. The simulator- and hub-level resource adversaries are
+// internal/adversary's Attack builders.
 
 import (
 	"encoding/binary"
@@ -34,21 +32,21 @@ import (
 	"convexagreement/internal/wire"
 )
 
-// Target identifies one victim listener and the identity the attacker
+// attackTarget identifies one victim listener and the identity the attacker
 // claims in the pre-frame hello.
-type Target struct {
+type attackTarget struct {
 	// Addr is the victim's listen address.
 	Addr string
 	// ID is the party id announced in the hello. A battery typically
 	// claims a real in-range id so the attack lands on an authenticated
-	// link; HelloStorm probes the unauthenticated path regardless.
+	// link; helloStorm probes the unauthenticated path regardless.
 	ID int
 	// Round is the round announced in the hello (0 for a fresh link).
 	Round uint64
 }
 
-// Report summarizes one attack run.
-type Report struct {
+// attackReport summarizes one attack run.
+type attackReport struct {
 	// Conns counts TCP connections successfully opened.
 	Conns int
 	// Accepted counts handshakes the victim answered with its own hello.
@@ -68,7 +66,7 @@ const dialTimeout = 5 * time.Second
 
 // handshake opens a connection to the target and completes the
 // bidirectional (id, round) hello.
-func handshake(tg Target) (net.Conn, error) {
+func handshake(tg attackTarget) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", tg.Addr, dialTimeout)
 	if err != nil {
 		return nil, err
@@ -107,13 +105,13 @@ func stopped(stop <-chan struct{}) bool {
 	}
 }
 
-// Flood handshakes as tg.ID and pumps individually legal frames at the
+// floodAttack handshakes as tg.ID and pumps individually legal frames at the
 // victim as fast as the socket accepts them, cycling round numbers so the
 // frames parse and dedup like real traffic. It returns when the victim
 // cuts the connection (rate demotion — the expected outcome), on another
 // terminal error, or when stop closes.
-func Flood(tg Target, seed int64, stop <-chan struct{}) Report {
-	var rep Report
+func floodAttack(tg attackTarget, seed int64, stop <-chan struct{}) attackReport {
+	var rep attackReport
 	conn, err := handshake(tg)
 	if err != nil {
 		rep.Err = err
@@ -138,12 +136,12 @@ func Flood(tg Target, seed int64, stop <-chan struct{}) Report {
 	return rep
 }
 
-// OversizeStorm handshakes as tg.ID and writes hostile length prefixes:
+// oversizeStorm handshakes as tg.ID and writes hostile length prefixes:
 // bodies announced far beyond any per-frame budget (and, one attempt in
 // four, beyond the structural 64 MiB cap). The victim must refuse each on
 // the prefix alone; the attack ends when it does.
-func OversizeStorm(tg Target, seed int64, stop <-chan struct{}) Report {
-	var rep Report
+func oversizeStorm(tg attackTarget, seed int64, stop <-chan struct{}) attackReport {
+	var rep attackReport
 	conn, err := handshake(tg)
 	if err != nil {
 		rep.Err = err
@@ -172,13 +170,13 @@ func OversizeStorm(tg Target, seed int64, stop <-chan struct{}) Report {
 	return rep
 }
 
-// SlowLoris handshakes as tg.ID, announces one perfectly legal frame, and
+// slowLoris handshakes as tg.ID, announces one perfectly legal frame, and
 // then trickles its body a byte at a time every interval — slow enough to
 // be worthless, steady enough that a naive idle timeout never fires. The
 // victim's read-progress deadline must classify this as a stall; the
 // attack ends when the connection is cut.
-func SlowLoris(tg Target, interval time.Duration, stop <-chan struct{}) Report {
-	var rep Report
+func slowLoris(tg attackTarget, interval time.Duration, stop <-chan struct{}) attackReport {
+	var rep attackReport
 	conn, err := handshake(tg)
 	if err != nil {
 		rep.Err = err
@@ -205,12 +203,12 @@ func SlowLoris(tg Target, interval time.Duration, stop <-chan struct{}) Report {
 	return rep
 }
 
-// HelloStorm churns the victim's accept path: up to attempts sequential
+// helloStorm churns the victim's accept path: up to attempts sequential
 // dial→hello→drop cycles from one host, never completing a useful link.
 // The per-host hello cap must cut the storm off — Accepted stalls while
 // the victim's HellosRejected counter grows.
-func HelloStorm(tg Target, attempts int, stop <-chan struct{}) Report {
-	var rep Report
+func helloStorm(tg attackTarget, attempts int, stop <-chan struct{}) attackReport {
+	var rep attackReport
 	hello := binary.AppendUvarint(nil, uint64(tg.ID))
 	hello = binary.AppendUvarint(hello, tg.Round)
 	for i := 0; i < attempts && !stopped(stop); i++ {

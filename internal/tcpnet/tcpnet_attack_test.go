@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"convexagreement/internal/netattack"
 	"convexagreement/internal/tcpnet"
 	"convexagreement/internal/transport"
 	"convexagreement/internal/wire"
@@ -14,7 +13,7 @@ import (
 
 // tightBudget is a deliberately small per-peer budget: far above anything
 // the honest exchange loop sends (one tiny frame per round), far below
-// what any of the netattack adversaries need to do damage.
+// what any of the raw-socket adversaries (netattack_test.go) need to do damage.
 func tightBudget() *wire.Budget {
 	return &wire.Budget{
 		FrameBytes:  64 << 10,
@@ -25,7 +24,7 @@ func tightBudget() *wire.Budget {
 }
 
 // TestAttackFloodMesh is the flagship of the ingress battery: a live n=4
-// mesh where parties 0..2 are honest and party 3 is a netattack.Flood
+// mesh where parties 0..2 are honest and party 3 is a floodAttack
 // adversary pumping legal frames at every honest party at socket speed.
 // The honest parties keep exchanging rounds throughout; the flooder must
 // be demoted everywhere with ReasonRate, honest traffic must keep landing,
@@ -43,13 +42,13 @@ func TestAttackFloodMesh(t *testing.T) {
 	// the attackers double as the missing fourth party.
 	stop := make(chan struct{})
 	defer close(stop)
-	reports := make([]netattack.Report, 3)
+	reports := make([]attackReport, 3)
 	var attackers sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		attackers.Add(1)
 		go func(i int) {
 			defer attackers.Done()
-			reports[i] = netattack.Flood(netattack.Target{Addr: cfgs[i].Addrs[i], ID: 3}, int64(1000+i), stop)
+			reports[i] = floodAttack(attackTarget{Addr: cfgs[i].Addrs[i], ID: 3}, int64(1000+i), stop)
 		}(i)
 	}
 	conns := dialAll(t, cfgs[:3])
@@ -123,7 +122,7 @@ func TestAttackFloodMesh(t *testing.T) {
 	}
 }
 
-// TestAttackOversizeStorm: hostile length prefixes from netattack are
+// TestAttackOversizeStorm: hostile length prefixes from oversizeStorm are
 // refused on the prefix alone and the attacker is demoted — with
 // ReasonBudget when the announced body exceeds the per-frame budget, or
 // ReasonProtocol when it exceeds the structural cap. Either verdict ends
@@ -133,12 +132,12 @@ func TestAttackOversizeStorm(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].Budget = tightBudget()
 
-	var rep netattack.Report
+	var rep attackReport
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rep = netattack.OversizeStorm(netattack.Target{Addr: cfgs[0].Addrs[0], ID: 1}, 7, nil)
+		rep = oversizeStorm(attackTarget{Addr: cfgs[0].Addrs[0], ID: 1}, 7, nil)
 	}()
 	conn, err := tcpnet.Dial(cfgs[0])
 	if err != nil {
@@ -171,12 +170,12 @@ func TestAttackSlowLoris(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond // read deadline floors at 2s
 	cfgs[0].Budget = tightBudget()
 
-	var rep netattack.Report
+	var rep attackReport
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rep = netattack.SlowLoris(netattack.Target{Addr: cfgs[0].Addrs[0], ID: 1}, 100*time.Millisecond, nil)
+		rep = slowLoris(attackTarget{Addr: cfgs[0].Addrs[0], ID: 1}, 100*time.Millisecond, nil)
 	}()
 	conn, err := tcpnet.Dial(cfgs[0])
 	if err != nil {
@@ -201,14 +200,14 @@ func TestAttackHelloStorm(t *testing.T) {
 	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].HelloBurst = burst
 
-	var rep netattack.Report
+	var rep attackReport
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		// The storm's first hello doubles as party 1's mesh link, letting
 		// Dial below complete; the rest is pure churn.
-		rep = netattack.HelloStorm(netattack.Target{Addr: cfgs[0].Addrs[0], ID: 1}, attempts, nil)
+		rep = helloStorm(attackTarget{Addr: cfgs[0].Addrs[0], ID: 1}, attempts, nil)
 	}()
 	conn, err := tcpnet.Dial(cfgs[0])
 	if err != nil {

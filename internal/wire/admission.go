@@ -149,31 +149,6 @@ func DefaultBudget(maxFrame uint64, rejoinWindow int) Budget {
 	return b.normalized()
 }
 
-// ProtocolBudget derives a tight budget from the protocol's communication
-// bound: per round, an honest peer sends one frame per neighbor carrying
-// at most instances payloads of at most payloadBytes each (plus varint
-// framing overhead), and a rejoin replay may deliver up to rejoinWindow
-// such frames at once. The returned budget admits that traffic with ~4×
-// headroom and refuses order-of-magnitude excursions beyond it.
-func ProtocolBudget(instances, payloadBytes, rejoinWindow int) Budget {
-	if instances < 1 {
-		instances = 1
-	}
-	if payloadBytes < 1 {
-		payloadBytes = 1
-	}
-	// Worst-case honest body: count varint + per-payload (length varint +
-	// body) + round varint, padded to the next power-of-two-ish slack.
-	perRound := uint64(instances)*(uint64(payloadBytes)+10) + 64
-	b := Budget{
-		FrameBytes:  4 * perRound,
-		RoundFrames: 8,
-		RoundBytes:  4 * perRound,
-		BurstRounds: uint64(rejoinWindow) + 16,
-	}
-	return b.normalized()
-}
-
 // normalized fills zero fields with permissive defaults and clamps the
 // bucket capacities so they cannot overflow uint64 arithmetic.
 func (b Budget) normalized() Budget {

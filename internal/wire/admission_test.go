@@ -125,28 +125,6 @@ func TestAdmissionRejoinBurst(t *testing.T) {
 	}
 }
 
-func TestProtocolBudgetAdmitsHonestTraffic(t *testing.T) {
-	const instances, payload = 8, 1024
-	b := ProtocolBudget(instances, payload, 16)
-	a := NewAdmission(b)
-	payloads := make([][]byte, instances)
-	for i := range payloads {
-		payloads[i] = make([]byte, payload)
-	}
-	honest := EncodeFrame(0, payloads)
-	// Honest steady state: one frame per round, forever.
-	for r := uint64(0); r < 200; r++ {
-		a.Advance(r)
-		if err := a.AdmitFrame(uint64(len(honest))); err != nil {
-			t.Fatalf("honest frame at round %d refused: %v", r, err)
-		}
-	}
-	// An order-of-magnitude excursion is refused.
-	if err := a.AdmitFrame(uint64(len(honest)) * 100); err == nil {
-		t.Fatal("100x oversize frame admitted under protocol budget")
-	}
-}
-
 // trapReader serves its prefix and fails the test if the consumer reads
 // past it — used to prove the gate fires before any body read/allocation.
 type trapReader struct {

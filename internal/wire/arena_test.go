@@ -187,10 +187,10 @@ func TestFrameEncodeDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameRoundTrip is the perf-trajectory benchmark for the wire
-// path (BENCH_PR5.json): pooled encode + borrowing decode of a
-// representative round frame. The allocs/op column is guarded against
-// regression by scripts/ci.sh (benchjson -guard-allocs).
+// BenchmarkFrameRoundTrip is the wire path's benchmark: pooled encode +
+// borrowing decode of a representative round frame. The allocs/op column is
+// guarded against regression by scripts/ci.sh (benchjson -guard-allocs,
+// benchdata/alloc_guards.json).
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	for _, size := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("payload%d", size), func(b *testing.B) {

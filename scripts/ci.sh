@@ -80,50 +80,44 @@ if grep -rnE 'map\[string\]' --include='*.go' internal/ba internal/baplus intern
 	exit 1
 fi
 
+# ISSUE 20: one deployed-cluster harness, one adversary vocabulary. A cluster
+# is assembled, killed, resumed and judged in internal/experiments/harness.go;
+# the operator's loop in cmd/catcp is the only other caller of supervisor.Run.
+# Flood, oversize and burst are internal/adversary's Attack builders; the
+# raw-socket attackers are a _test.go helper of the one battery that uses
+# them. A hand-written copy of any of these brings one of these shapes back.
+if grep -rnE 'e19Attack|internal/netattack|faultnet\.Scenarios' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "one-path: a deleted attacker copy, the netattack package or faultnet.Scenarios reappeared in non-test code" >&2
+	exit 1
+fi
+if grep -rnE 'mark := func' --include='*.go' internal/experiments; then
+	echo "one-path: a per-table mark closure under internal/experiments; use harness.go's mark" >&2
+	exit 1
+fi
+if grep -rnE 'supervisor\.Run\(' --include='*.go' . | grep -vE '^\./(internal/supervisor/|cmd/catcp/|internal/experiments/harness\.go:)'; then
+	echo "one-path: supervisor.Run gained a caller outside internal/supervisor, cmd/catcp and the harness; describe the run as an experiments.Cluster" >&2
+	exit 1
+fi
+
 echo "== go test"
 go test ./...
 
-echo "== go test -race (root, sim, rs, gf16, pool, merkle, wire, tcpnet, channet, faultnet, mux, sessmux, transporttest, asyncnet, checkpoint, errfs, supervisor, adversary, netattack)"
-go test -race -short . ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/pool/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/mux/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/netattack/...
-
-echo "== sessmux battery (per-session isolation, deterministic shed, Byzantine frames, fault-replay digests, 256-session race stress)"
-go test -run 'TestSessionBoundIsolatesFloodingSibling|TestTickBoundShedsHeaviestSession|TestShedDeterministic|TestByzantineFramesDropped|TestFaultReplayDigestExact' -count=1 ./internal/sessmux/
-go test -race -run 'TestRaceStress256Sessions' -count=1 ./internal/sessmux/
-
-echo "== ingress battery (E19 active-adversary sweep + kill+flood soak + transport flood conformance)"
-go test -run 'TestE19IngressQuick' -count=1 ./internal/experiments/
-go test -run 'TestSoakKillFlood' -count=1 .
-go test -run 'TestConformanceIngress' -count=1 ./internal/channet/ ./internal/tcpnet/ ./internal/faultnet/
-
-echo "== storage battery (crash-point explorer + mirror voting + E20 sweep + storage soak)"
-go test -run 'TestCrashPointExplorer|TestMirror|TestScrub' -count=1 ./internal/checkpoint/
-go test -run 'TestE20StorageQuick' -count=1 ./internal/experiments/
-go test -run 'TestSoakStorageFaults' -count=1 .
+echo "== go test -race (root, sim, rs, gf16, pool, merkle, wire, tcpnet, channet, faultnet, mux, sessmux, transporttest, asyncnet, checkpoint, errfs, supervisor, adversary)"
+go test -race -short . ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/pool/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/mux/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/...
 
 echo "== cross-compile (arm64: NEON gf16 kernel + wire path must keep building)"
 GOARCH=arm64 GOOS=linux go build ./...
 GOARCH=arm64 GOOS=linux go vet ./internal/gf16/ ./internal/wire/
 
-echo "== bench-json chain guard"
-# The newest perf-trajectory record must be chained: `make bench-json` emits
-# {"before": <previous PR's numbers>, "after": <fresh numbers>}, and a flat
-# file here means the baseline was dropped and PR-over-PR comparisons are
-# silently broken.
-latest=$(ls BENCH_PR*.json | sort -V | tail -1)
-if ! grep -q '"before"' "$latest"; then
-	echo "bench-json output $latest lacks the chained \"before\" key" >&2
-	echo "(regenerate with: make bench-json)" >&2
-	exit 1
-fi
-
 echo "== allocs/op regression guard (zero-copy frame path, admission fast path, default-FS WAL append, mux merge, bitstr kernels, whole ticks)"
 # Re-measure the pooled frame round-trip, the admission-gated read, the
 # checkpoint append on the real filesystem, and the one mux merge
 # (sessmux, which internal/mux rides too), then compare allocs/op against
-# the checked-in record. A regression here means a zero-copy path grew a
-# hidden allocation — e.g. the merge scratch stopped being reused across
-# ticks, which would silently re-introduce the per-tick copies that path
-# exists to eliminate. The merge benchmark spawns 64 goroutines per tick,
+# benchdata/alloc_guards.json (one flat name -> allocs/op file; a change that
+# is meant to move a count edits its row). A regression here means a
+# zero-copy path grew a hidden allocation — e.g. the merge scratch stopped
+# being reused across ticks, which would silently re-introduce the per-tick
+# copies that path exists to eliminate. The merge benchmark spawns 64 goroutines per tick,
 # whose first parks allocate in the runtime; 1000 ticks amortize that below
 # one alloc/op, where 100 would flake. The bitstr rows pin Slice/Concat/FillTo
 # at 1 alloc/op (the result) and Compare at 0: a per-bit or byte-per-bit
@@ -135,8 +129,8 @@ echo "== allocs/op regression guard (zero-copy frame path, admission fast path, 
 # container is scratch held by its owner, so one that goes back to being
 # rebuilt per round shows here as a whole number. Their benchtimes are long
 # for the same reason as the merge row's: goroutine parks and the frame
-# pool's refills after a GC cycle must amortise below one alloc/op
-# (`make bench-json` records them at these same benchtimes).
+# pool's refills after a GC cycle must amortise below one alloc/op (the
+# recorded counts were taken at these same benchtimes).
 ( go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/ ; \
   go test -run '^$' -bench 'BenchmarkWALAppend$' -benchtime 100x -benchmem ./internal/checkpoint/ ; \
   go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/ ; \
@@ -144,7 +138,7 @@ echo "== allocs/op regression guard (zero-copy frame path, admission fast path, 
   go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/ ; \
   go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 20000x -benchmem ./internal/tcpnet/ ; \
   go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/ ) \
-	| go run ./cmd/benchjson -before "$latest" -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP' > /dev/null
+	| go run ./cmd/benchjson -guard-allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP' > /dev/null
 
 echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 # One full 1024-session wave set over the shared loopback mesh, gated on an

@@ -13,277 +13,74 @@ package convexagreement_test
 import (
 	"bytes"
 	"errors"
-	"math/big"
-	"sync"
 	"testing"
-	"time"
 
-	ca "convexagreement"
 	"convexagreement/internal/checkpoint"
 	"convexagreement/internal/errfs"
-	"convexagreement/internal/supervisor"
+	"convexagreement/internal/experiments"
 )
 
-// storageSoakResult is everything one full combined soak produces, for
-// the seed-exact replay comparison.
-type storageSoakResult struct {
-	outs       [4][]*big.Int
-	errs       [4]error
-	netDigests [4]uint64 // faultnet transcripts
-	dFSDigest  uint64    // party D's errfs fault transcript
-	kFSDigest  uint64    // party K's errfs fault transcript
-	dStorage   error     // party D's sticky StorageErr
-	kWal       []byte    // party K's WAL copies after the run
-	kWal2      []byte
-	kDigest    uint64 // party K's session transcript digest
-	kSeq       uint64
-	health     supervisor.Health
-	runErr     error
-}
-
-// runStorageSoak drives one combined soak on a 4-party channet cluster:
-//
-//	party D (0): clean network, checkpointing onto a disk that dies
-//	             permanently mid-run (OpEIOAfter) — must degrade and
-//	             continue, not poison;
-//	party C (1): network-disturbed (drops in, delays out), within t = 1;
-//	party 2:     clean;
-//	party K (3): killed kills times by faultnet, supervised, resuming
-//	             each time from a MIRRORED WAL on media whose "wal" copy
-//	             suffers stable bit rot — recovery must vote the rotted
-//	             copy out and repair it from the survivor.
-func runStorageSoak(t *testing.T, instances, kills int, seed int64) storageSoakResult {
-	t.Helper()
-	const (
-		n = 4
-		D = 0
-		C = 1
-		K = 3
-	)
-	total := instances * 92 // ~90 rounds/instance at n=4, plus slack
-	frac := func(f float64) int { return int(f * float64(total)) }
-	cfg := ca.FaultConfig{
-		Seed: seed,
-		Rules: []ca.FaultRule{
-			{Kind: ca.FaultDrop, From: ca.AnyParty, To: C, Prob: 0.10},
-			{Kind: ca.FaultDelay, From: C, To: ca.AnyParty, Prob: 0.10, DelayRounds: 2},
-		},
-	}
-	for i := 0; i < kills; i++ {
-		cfg.Kills = append(cfg.Kills, ca.FaultKill{
-			Party: K, Round: frac(0.12 + 0.75*float64(i)/float64(kills)),
-		})
-	}
-	// D's disk dies partway into the first instance; every later
-	// checkpoint op fails permanently. K's media rots roughly a quarter
-	// of the 64-byte blocks under the primary WAL copy only — the mirror
-	// must carry recovery.
-	memD := errfs.NewMem(errfs.Faults{Seed: seed, OpEIOAfter: 60})
-	memK := errfs.NewMem(errfs.Faults{Seed: seed + 1, ReadRotProb: 0.25, RotFile: "wal"})
-	mirrored := ca.StorageOptions{Mirror: true, FS: memK}
-
-	input := func(party, seq int) *big.Int {
-		base := int64(1000 * seq)
-		switch party {
-		case D:
-			return big.NewInt(base + 1)
-		case K:
-			return big.NewInt(base + 17)
-		default:
-			return big.NewInt(base + 9)
-		}
-	}
-
-	locals, err := ca.NewLocalCluster(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := storageSoakResult{}
-	for i := range res.outs {
-		res.outs[i] = make([]*big.Int, instances)
-	}
-	var wg sync.WaitGroup
-
-	// Parties D, C, 2: unsupervised sessions; D checkpoints on the dying
-	// disk and must keep participating after it fails.
-	for i := 0; i < n; i++ {
-		if i == K {
-			continue
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer locals[i].Close()
-			tr, err := ca.WrapFaulty(locals[i], cfg)
-			if err != nil {
-				res.errs[i] = err
-				return
-			}
-			defer func() { res.netDigests[i] = tr.Transcript() }()
-			s := ca.NewSession(tr)
-			if i == D {
-				if err := s.CheckpointOpts("state", ca.StorageOptions{FS: memD}); err != nil {
-					res.errs[i] = err
-					return
-				}
-				defer func() {
-					res.dStorage = s.StorageErr()
-					res.dFSDigest = memD.Transcript()
-					_ = s.Close()
-				}()
-			}
-			for seq := 0; seq < instances; seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, input(i, seq))
-				if err != nil {
-					res.errs[i] = err
-					return
-				}
-				res.outs[i][seq] = out
-			}
-		}()
-	}
-
-	// Party K: one faultnet wrapper for the whole run, a fresh Session per
-	// supervisor attempt, each resuming from the mirrored WAL on the
-	// rotting media.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer locals[K].Close()
-		trK, err := ca.WrapFaulty(locals[K], cfg)
-		if err != nil {
-			res.runErr = err
-			return
-		}
-		defer func() {
-			res.netDigests[K] = trK.Transcript()
-			res.kFSDigest = memK.Transcript()
-			res.kWal, _ = memK.ReadFileRaw("state/wal")
-			res.kWal2, _ = memK.ReadFileRaw("state/wal2")
-		}()
-		res.health, res.runErr = supervisor.Run(supervisor.Config{
-			Delta:       100 * time.Millisecond,
-			StallRounds: 100,
-			MaxRestarts: kills + 2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  2 * time.Millisecond,
-			N:           n,
-			T:           1,
-		}, func(a *supervisor.Attempt) error {
-			s := ca.NewSession(trK)
-			if err := s.ResumeOpts("state", mirrored); err != nil {
-				return err
-			}
-			defer s.Close()
-			a.Progress(s.Rounds)
-			a.ReportStorage(s.StorageErr())
-			for seq := s.Seq(); seq < uint64(instances); seq++ {
-				out, err := s.Agree(ca.ProtoOptimal, 0, input(K, int(seq)))
-				if err != nil {
-					return err
-				}
-				res.outs[K][seq] = out
-			}
-			res.kDigest = s.Transcript()
-			res.kSeq = s.Seq()
-			return nil
-		})
-	}()
-	wg.Wait()
-	return res
-}
-
-// TestSoakStorageFaults runs the combined soak twice with one seed and
-// checks both runs independently, then layer-by-layer replay equality.
+// TestSoakStorageFaults runs E20's scenario at n = 4 and soak length twice
+// with one seed — party D (0) checkpoints onto a disk that dies permanently
+// mid-run and must degrade and continue, party C (1) is network-disturbed
+// within t = 1, party K (3) is killed kills times and resumes each time
+// from a MIRRORED WAL whose "wal" copy suffers stable bit rot — and checks
+// both runs independently, then layer-by-layer replay equality.
 func TestSoakStorageFaults(t *testing.T) {
 	instances, kills := 12, 3
 	if testing.Short() {
 		instances, kills = 4, 2
 	}
-	const seed = 0xd15c2026
+	const n, D, K, seed = 4, 0, 3, 0xd15c2026
+	c := experiments.StorageFaults(n, instances, kills, seed)
 
-	check := func(res storageSoakResult) {
+	check := func(res *experiments.Result) {
 		t.Helper()
-		if res.runErr != nil {
-			t.Fatalf("supervised party: %v (health %s)", res.runErr, res.health)
+		d, k := &res.Parties[D], &res.Parties[K]
+		if k.Err != nil {
+			t.Fatalf("supervised party: %v (health %s)", k.Err, k.Health)
 		}
-		for _, i := range []int{0, 2} {
-			if res.errs[i] != nil {
-				t.Fatalf("clean party %d: %v", i, res.errs[i])
-			}
+		if k.Seq != uint64(instances) {
+			t.Fatalf("K finished with Seq=%d, want %d", k.Seq, instances)
 		}
-		if res.kSeq != uint64(instances) {
-			t.Fatalf("K finished with Seq=%d, want %d", res.kSeq, instances)
-		}
-		if want := kills + 1; res.health.Attempts != want {
-			t.Errorf("supervisor attempts = %d, want %d (health %s)", res.health.Attempts, want, res.health)
+		if want := kills + 1; k.Health.Attempts != want {
+			t.Errorf("supervisor attempts = %d, want %d (health %s)", k.Health.Attempts, want, k.Health)
 		}
 		// D's disk must actually have died, the session must have degraded
 		// (not poisoned: its outputs are asserted below), and the fault
 		// must be on the transcript.
-		if !errors.Is(res.dStorage, checkpoint.ErrStorageDegraded) {
-			t.Fatalf("party D StorageErr = %v, want ErrStorageDegraded", res.dStorage)
+		if !errors.Is(d.Storage, checkpoint.ErrStorageDegraded) {
+			t.Fatalf("party D StorageErr = %v, want ErrStorageDegraded", d.Storage)
 		}
 		emptyDigest := errfs.NewMem(errfs.Faults{}).Transcript()
-		if res.dFSDigest == emptyDigest {
+		if d.Disk == emptyDigest {
 			t.Fatal("party D's disk recorded no faults — OpEIOAfter never fired")
 		}
 		// K's media must have rotted under the primary copy (the transcript
 		// records every applied flip), and the final repair must leave the
 		// two WAL copies byte-identical.
-		if res.kFSDigest == emptyDigest {
+		if k.Disk == emptyDigest {
 			t.Fatal("party K's media recorded no rot — the mirror was never exercised")
 		}
-		if len(res.kWal) == 0 || !bytes.Equal(res.kWal, res.kWal2) {
-			t.Fatalf("K's WAL copies diverge after repair: %d vs %d bytes", len(res.kWal), len(res.kWal2))
+		if len(k.WAL) == 0 || !bytes.Equal(k.WAL, k.WAL2) {
+			t.Fatalf("K's WAL copies diverge after repair: %d vs %d bytes", len(k.WAL), len(k.WAL2))
 		}
 		// Agreement + hull validity across the clean parties {D, 2, K} on
 		// every instance: storage faults are never protocol-visible.
-		for seq := 0; seq < instances; seq++ {
-			o := res.outs[0][seq]
-			if o == nil || res.outs[2][seq] == nil || res.outs[3][seq] == nil {
-				t.Fatalf("instance %d: missing output", seq)
-			}
-			if res.outs[2][seq].Cmp(o) != 0 || res.outs[3][seq].Cmp(o) != 0 {
-				t.Fatalf("instance %d: clean parties disagree: %v %v %v",
-					seq, o, res.outs[2][seq], res.outs[3][seq])
-			}
-			lo, hi := big.NewInt(int64(1000*seq)+1), big.NewInt(int64(1000*seq)+17)
-			if o.Cmp(lo) < 0 || o.Cmp(hi) > 0 {
-				t.Fatalf("instance %d: output %v outside clean hull [%v, %v]", seq, o, lo, hi)
-			}
+		if v := res.Judge([]int{D, 2, K}); !v.Agree || !v.Valid {
+			t.Fatal(v.Why)
 		}
 	}
 
-	resA := runStorageSoak(t, instances, kills, seed)
+	resA := mustRunCluster(t, c)
 	check(resA)
-	resB := runStorageSoak(t, instances, kills, seed)
+	resB := mustRunCluster(t, c)
 	check(resB)
 
-	// Layer-by-layer seed-exact replay: protocol outputs, K's recovered
-	// session transcript, every faultnet transcript, and both errfs fault
-	// transcripts must match bit for bit.
-	if resA.kDigest != resB.kDigest {
-		t.Errorf("K session transcript differs across identically-seeded runs: %x vs %x", resA.kDigest, resB.kDigest)
-	}
-	for i := 0; i < 4; i++ {
-		if resA.netDigests[i] != resB.netDigests[i] {
-			t.Errorf("party %d faultnet transcript differs across identically-seeded runs", i)
-		}
-	}
-	if resA.dFSDigest != resB.dFSDigest {
-		t.Errorf("party D errfs transcript differs across identically-seeded runs: %x vs %x", resA.dFSDigest, resB.dFSDigest)
-	}
-	if resA.kFSDigest != resB.kFSDigest {
-		t.Errorf("party K errfs transcript differs across identically-seeded runs: %x vs %x", resA.kFSDigest, resB.kFSDigest)
-	}
-	if !bytes.Equal(resA.kWal, resB.kWal) {
-		t.Error("K's repaired WAL differs across identically-seeded runs")
-	}
-	for seq := 0; seq < instances; seq++ {
-		if resA.outs[0][seq].Cmp(resB.outs[0][seq]) != 0 {
-			t.Fatalf("instance %d output differs across identically-seeded runs", seq)
-		}
+	// Layer-by-layer seed-exact replay: protocol outputs, every session and
+	// faultnet transcript, both errfs fault transcripts and K's repaired WAL
+	// must match bit for bit.
+	if err := experiments.SameRun(resA, resB); err != nil {
+		t.Error(err)
 	}
 }

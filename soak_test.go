@@ -4,11 +4,11 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	ca "convexagreement"
+	"convexagreement/internal/adversary"
+	"convexagreement/internal/experiments"
 )
 
 // TestSoak is the long randomized campaign across the whole public surface:
@@ -75,11 +75,10 @@ func TestSoak(t *testing.T) {
 	}
 }
 
-// TestSoakFaultnet soaks the public RunParty surface under seeded transport
-// faults rather than byzantine inputs: each trial wraps a fresh local
-// cluster in a randomized drop+delay schedule concentrated on ≤ t parties
-// and asserts the untouched parties still reach agreement and convex
-// validity.
+// TestSoakFaultnet soaks the deployed stack under seeded transport faults
+// rather than byzantine inputs: each trial wraps a fresh local cluster in a
+// randomized drop+delay schedule concentrated on ≤ t parties and asserts the
+// untouched parties still reach agreement and convex validity.
 func TestSoakFaultnet(t *testing.T) {
 	trials := 20
 	if testing.Short() {
@@ -94,152 +93,59 @@ func TestSoakFaultnet(t *testing.T) {
 			disturbed[rng.Intn(n)] = true
 		}
 		cfg := ca.FaultConfig{Seed: rng.Int63(), MaxRounds: 4000}
-		for f := range disturbed {
-			cfg.Rules = append(cfg.Rules,
-				ca.FaultRule{Kind: ca.FaultDrop, From: ca.AnyParty, To: f, Prob: 0.25},
-				ca.FaultRule{Kind: ca.FaultDrop, From: f, To: ca.AnyParty, Prob: 0.15},
-				ca.FaultRule{Kind: ca.FaultDelay, From: f, To: ca.AnyParty, Prob: 0.20, DelayRounds: 2},
-				ca.FaultRule{Kind: ca.FaultDelay, From: ca.AnyParty, To: f, Prob: 0.10, DelayRounds: 3},
-			)
-		}
 		// Clean inputs span a band; disturbed parties sit mid-band so the
-		// hull check is independent of how far their runs get.
+		// hull check is independent of how far their runs get (and counted
+		// against the t budget: no guarantees).
 		lo, hi := int64(1000*trial), int64(1000*trial+64)
 		inputs := make([]*big.Int, n)
+		var clean []int
 		for i := range inputs {
-			if disturbed[i] {
-				inputs[i] = big.NewInt((lo + hi) / 2)
-			} else {
+			if !disturbed[i] {
 				inputs[i] = big.NewInt(lo + rng.Int63n(hi-lo+1))
+				clean = append(clean, i)
+				continue
 			}
+			inputs[i] = big.NewInt((lo + hi) / 2)
+			cfg.Rules = append(cfg.Rules,
+				ca.FaultRule{Kind: ca.FaultDrop, From: ca.AnyParty, To: i, Prob: 0.25},
+				ca.FaultRule{Kind: ca.FaultDrop, From: i, To: ca.AnyParty, Prob: 0.15},
+				ca.FaultRule{Kind: ca.FaultDelay, From: i, To: ca.AnyParty, Prob: 0.20, DelayRounds: 2},
+				ca.FaultRule{Kind: ca.FaultDelay, From: ca.AnyParty, To: i, Prob: 0.10, DelayRounds: 3},
+			)
 		}
-
-		locals, err := ca.NewLocalCluster(n, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs := make([]*big.Int, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer locals[i].Close()
-				tr, err := ca.WrapFaulty(locals[i], cfg)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				outs[i], errs[i] = ca.RunParty(tr, ca.ProtoOptimal, 0, inputs[i])
-			}()
-		}
-		wg.Wait()
-
-		var ref *big.Int
-		for i := 0; i < n; i++ {
-			if disturbed[i] {
-				continue // counted against the t budget; no guarantees
-			}
-			if errs[i] != nil {
-				t.Fatalf("trial %d (n=%d): clean party %d: %v", trial, n, i, errs[i])
-			}
-			if ref == nil {
-				ref = outs[i]
-			} else if outs[i].Cmp(ref) != 0 {
-				t.Fatalf("trial %d (n=%d): clean parties disagree: %v vs %v", trial, n, ref, outs[i])
-			}
-		}
-		if ref.Cmp(big.NewInt(lo)) < 0 || ref.Cmp(big.NewInt(hi)) > 0 {
-			t.Fatalf("trial %d: output %v outside clean band [%d, %d]", trial, ref, lo, hi)
+		res := mustRunCluster(t, experiments.Cluster{
+			N: n, Faults: cfg, Instances: 1,
+			Input: func(party, _ int) *big.Int { return inputs[party] },
+		})
+		if v := res.Judge(clean); !v.Agree || !v.Valid {
+			t.Fatalf("trial %d (n=%d, disturbed %v): %s", trial, n, disturbed, v.Why)
 		}
 	}
 }
 
 // TestSoakKillFlood is the combined-pressure soak: an n=7, t=2 cluster
-// where one corrupt party crashes a few rounds in and the other floods
+// where one corrupt party crashes two rounds in and the other floods
 // duplicate traffic at everyone for the whole run. The five honest parties
 // must reach agreement with convex validity inside the round limit, and
 // the flood must not pin memory: retained heap after the run stays under a
 // per-party budget.
 func TestSoakKillFlood(t *testing.T) {
 	const (
-		n, tc           = 7, 2
-		crasher         = n - 2 // goes dark after two rounds
-		flooder         = n - 1 // floods until the honest parties finish
-		maxRounds       = 4000
+		n               = 7
+		crasher         = n - 2   // goes dark after two rounds, for good; party n−1 floods
 		heapBudgetParty = 8 << 20 // bytes of retained heap per in-process party
 	)
-	inputs := make([]*big.Int, n)
-	for i := range inputs {
-		inputs[i] = big.NewInt(990 + int64(i))
-	}
-	locals, err := ca.NewLocalCluster(n, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ca.FaultConfig{Seed: 2028, MaxRounds: maxRounds}
-
-	var honestDone atomic.Int32
-	outs := make([]*big.Int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer locals[i].Close()
-			switch i {
-			case crasher:
-				for r := 0; r < 2; r++ {
-					if _, err := locals[i].Exchange(nil); err != nil {
-						return
-					}
-				}
-			case flooder:
-				rng := rand.New(rand.NewSource(2029))
-				for r := 0; r < maxRounds && honestDone.Load() < n-2; r++ {
-					payload := make([]byte, 24)
-					rng.Read(payload)
-					out := make([]ca.Packet, 0, 12*n)
-					for to := 0; to < n; to++ {
-						for c := 0; c < 12; c++ {
-							out = append(out, ca.Packet{To: to, Tag: "adv", Payload: payload})
-						}
-					}
-					if _, err := locals[i].Exchange(out); err != nil {
-						return
-					}
-				}
-			default:
-				tr, werr := ca.WrapFaulty(locals[i], cfg)
-				if werr != nil {
-					errs[i] = werr
-					honestDone.Add(1)
-					return
-				}
-				outs[i], errs[i] = ca.RunParty(tr, ca.ProtoOptimal, 0, inputs[i])
-				honestDone.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	var ref *big.Int
-	for i := 0; i < n-2; i++ {
-		if errs[i] != nil {
-			t.Fatalf("honest party %d under kill+flood: %v", i, errs[i])
-		}
-		if ref == nil {
-			ref = outs[i]
-		} else if outs[i].Cmp(ref) != 0 {
-			t.Fatalf("honest parties disagree under kill+flood: %v vs %v", ref, outs[i])
-		}
-	}
-	if ref.Cmp(inputs[0]) < 0 || ref.Cmp(inputs[n-3]) > 0 {
-		t.Fatalf("output %v escaped the honest hull [%v, %v]", ref, inputs[0], inputs[n-3])
+	res := mustRunCluster(t, experiments.Cluster{
+		N: n, Instances: 1,
+		Faults: ca.FaultConfig{
+			Seed: 2028, MaxRounds: 4000,
+			Crashes: []ca.FaultCrash{{Party: crasher, FromRound: 2}},
+		},
+		Input:  func(party, _ int) *big.Int { return big.NewInt(990 + int64(party)) },
+		Attack: func(seed int64) adversary.Attack { return adversary.Flood(seed, 12, 24) },
+	})
+	if v := res.Judge([]int{0, 1, 2, 3, 4}); !v.Agree || !v.Valid {
+		t.Fatalf("honest parties under kill+flood: %s", v.Why)
 	}
 
 	// The flood is gone; anything it forced the cluster to hold must be
