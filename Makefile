@@ -13,10 +13,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/calint -json ./... > /dev/null
 
-# Protocol-invariant static analysis: the six per-package checks plus the
-# four interprocedural ones — lockorder, goroleak, errflow, bufownership-ip —
-# built on the whole-program summary engine (DESIGN.md §2.7 and §2.12;
-# `go run ./cmd/calint -explain <check>` prints any check's contract).
+# Protocol-invariant static analysis: eight checks — detrand, wallclock,
+# maporder, errdrop, errflow, mutexhold, lockorder, bufownership — over one
+# call graph, one summary table and one flow interpreter (DESIGN.md §2.7;
+# `go run ./cmd/calint -explain <check>` prints a check's contract).
 lint:
 	$(GO) run ./cmd/calint ./...
 

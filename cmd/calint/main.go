@@ -8,7 +8,7 @@
 // 0 clean, 1 findings, 2 usage or load failure. Findings are suppressed
 // in source with `//calint:ignore <check> <reason>` on the offending
 // line or the line above; see internal/lint for the analyzer catalog.
-// -explain prints one check's contract — the same text DESIGN.md §2.12
+// -explain prints one check's contract — the same text DESIGN.md §2.7
 // embeds — with an example finding.
 package main
 

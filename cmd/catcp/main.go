@@ -23,7 +23,9 @@
 //
 // Storage is validated before the mesh is dialed: a missing/unwritable
 // state directory, an unrecoverable WAL, or state recorded for a different
-// (n, t) geometry exits immediately with code 5. Storage that degrades
+// (n, t) geometry exits immediately with code 5; an accepted directory is
+// then scrubbed (every WAL copy CRC-verified end to end, a damaged mirror
+// copy repaired) and the one-line report logged. Storage that degrades
 // MID-run does not kill the party — it keeps participating with
 // checkpointing disabled (liveness preserved, crash recovery forfeited)
 // and the condition is reported in the supervisor health line.
@@ -39,6 +41,7 @@ import (
 	"time"
 
 	ca "convexagreement"
+	"convexagreement/internal/checkpoint"
 	"convexagreement/internal/supervisor"
 )
 
@@ -150,6 +153,15 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 	if _, err := ca.ValidateStateDir(stateDir, len(addrs), t, storage); err != nil {
 		fmt.Fprintf(os.Stderr, "catcp: state directory rejected: %v\n", err)
 		return 5
+	}
+	// Verify the log's CRC frames end to end (and, with -mirror, repair a
+	// damaged copy from the intact one) before anything resumes from it.
+	// The one-line report is for the operator's log; ValidateStateDir
+	// above stays the gate, so a scrub error is never fatal.
+	if rep, err := checkpoint.ScrubOptions(stateDir, storage); err != nil {
+		fmt.Fprintf(os.Stderr, "catcp: scrub: %v\n", err)
+	} else {
+		fmt.Fprintf(os.Stderr, "catcp: %s\n", rep)
 	}
 
 	outs := make([]*big.Int, instances)

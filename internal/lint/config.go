@@ -11,8 +11,9 @@ import "strings"
 //     and every random draw must come from a seeded *rand.Rand, or replay
 //     and transcript-digest comparison silently break;
 //   - real-time code (tcpnet's Δ-timeout mesh, the supervisor's stall
-//     watchdog, faultnet's wrapping of real transports) legitimately reads
-//     the wall clock and may jitter with global randomness;
+//     watchdog) legitimately reads the wall clock and may jitter with
+//     global randomness; faultnet is NOT in this class — it wraps real
+//     transports, but its fault schedule is a pure function of the seed;
 //   - driver code (cmd/*, examples/*) reports human-facing timings and is
 //     not replayed.
 var (
@@ -21,7 +22,6 @@ var (
 	realTimePkgs = []string{
 		"internal/tcpnet",
 		"internal/supervisor",
-		"internal/faultnet",
 	}
 
 	// driverPkgs are CLI entry points and runnable examples.
@@ -46,20 +46,15 @@ func appliesTo(check, rel string) bool {
 	switch check {
 	case "detrand", "wallclock":
 		return !matchAny(rel, realTimePkgs) && !matchAny(rel, driverPkgs) && !matchAny(rel, harnessPkgs)
-	case "maporder":
-		return !matchAny(rel, harnessPkgs)
-	case "errdrop", "mutexhold", "bufownership":
-		return !matchAny(rel, harnessPkgs)
-	case "lockorder", "goroleak", "bufownership-ip":
-		// Interprocedural liveness contracts hold everywhere protocol or
-		// transport code runs; only test scaffolding is exempt.
-		return !matchAny(rel, harnessPkgs)
 	case "errflow":
 		// Drivers legitimately collapse typed errors into exit codes and
 		// human-readable output at the very end of the process.
 		return !matchAny(rel, driverPkgs) && !matchAny(rel, harnessPkgs)
 	}
-	return true
+	// Ordering, durability, liveness and frame-lifetime contracts hold
+	// everywhere protocol or transport code runs; only test scaffolding
+	// is exempt.
+	return !matchAny(rel, harnessPkgs)
 }
 
 // matchAny reports whether rel equals an entry or sits under an entry

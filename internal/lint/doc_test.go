@@ -9,7 +9,7 @@ import (
 
 // TestExplainDocSync pins the single-source-of-truth property of the
 // check contracts: the string `calint -explain <check>` prints must
-// appear in DESIGN.md §2.12, and README.md must name every check.
+// appear in DESIGN.md §2.7, and README.md must name every check.
 // Comparison is whitespace-normalized so the docs may re-wrap lines,
 // but any wording drift fails the test.
 func TestExplainDocSync(t *testing.T) {

@@ -115,9 +115,9 @@ func TestFixpointTermination(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no summary for recurseLock")
 	}
-	for class, n := range rec.Sum.NetLocks {
-		if n > lockNetClamp || n < -lockNetClamp {
-			t.Errorf("recurseLock net lock effect for %s = %d, beyond clamp %d", class, n, lockNetClamp)
+	for class, net := range rec.Sum.NetLocks {
+		if net.n > lockNetClamp || net.n < -lockNetClamp {
+			t.Errorf("recurseLock net lock effect for %s = %d, beyond clamp %d", class, net.n, lockNetClamp)
 		}
 	}
 	if len(rec.Sum.Acquires) == 0 {

@@ -1,42 +1,42 @@
 // Package lint implements calint, the repository's protocol-invariant
-// static analyzer suite (cmd/calint is the CLI; `make lint` and the
-// `== calint` stage of scripts/ci.sh are the gates).
+// static analyzer (cmd/calint is the CLI; `make lint` and the `calint`
+// stage of scripts/ci.sh are the gates).
 //
 // The paper's guarantees are only reproducible because every run in this
 // repository is deterministic: faultnet replays fault schedules from a
 // seed, a checkpointed Session replays its write-ahead log byte-exactly,
 // and FNV transcript digests must match across identically-seeded dual
 // runs. Those properties rest on coding invariants that the compiler does
-// not enforce — no process-global randomness in protocol code, no wall
-// clock inside round-driven packages, no map-iteration order leaking into
-// hashed or transmitted bytes, no silently dropped durability errors, and
-// no blocking calls under a held mutex. Each analyzer here encodes one of
-// those invariants over the go/ast + go/types view of a package:
+// not enforce. Each of the eight checks encodes one of them over the
+// go/ast + go/types view of the module:
 //
-//	detrand    global math/rand calls that bypass seeded *rand.Rand replay
-//	wallclock  time.Now/Since/... inside round-driven packages
-//	maporder   map iteration order flowing into hashes, wire bytes, or sends
-//	errdrop    discarded errors on checkpoint/transport/WAL durability calls
-//	mutexhold  blocking calls (Exchange, network I/O, sleeps) under a mutex
-//	bufownership  pooled wire.Frame released twice or used after Release
+//	detrand       global math/rand calls that bypass seeded *rand.Rand replay
+//	wallclock     time.Now/Since/... inside round-driven packages
+//	maporder      map iteration order flowing into hashes, wire bytes, sends, or out of the function unsorted
+//	errdrop       discarded errors on checkpoint/transport/WAL durability calls
+//	errflow       typed error families collapsed or discarded at a call
+//	mutexhold     blocking calls (Exchange, network I/O, sleeps) under a mutex
+//	lockorder     lock-acquisition cycles across packages (deadlock)
+//	bufownership  pooled wire.Frame released twice, used after Release, or released after a handoff
 //
-// On top of the per-package suite sits an interprocedural engine
-// (program.go, summary.go): a module-aware call graph plus per-function
-// summaries computed to fixpoint. Four whole-program checks consume it:
-//
-//	lockorder       lock-acquisition cycles across packages (deadlock)
-//	goroleak        spawned goroutines with no exit path (leak)
-//	errflow         typed error families collapsed or discarded at a call
-//	bufownership-ip frame ownership tracked across call boundaries
+// The analyzer has three layers. Facts: a module-aware call graph
+// (program.go) and per-function summaries computed to fixpoint over it
+// (summary.go) — lock effects, typed-error families, frame-parameter
+// effects, slice parameters whose order reaches a sink. The flow interpreter (flow.go): one flow-approximate statement
+// walk that the stateful checks — mutexhold and lockorder through the
+// held-lock interpretation in locks.go, bufownership directly — plug
+// their events into. The checks: one file each, consulting the facts
+// where a property crosses a call.
 //
 // Findings are suppressed with an in-source directive on the offending
 // line or the line directly above it:
 //
 //	//calint:ignore <check>[,<check>] <reason>
 //
-// The reason is mandatory; a bare directive is itself reported. The suite
-// is intentionally stdlib-only (go/ast, go/parser, go/types, go/build):
-// it must run in the same hermetic environment as the tests it guards.
+// The reason is mandatory; a bare directive is itself reported. The
+// analyzer is intentionally stdlib-only (go/ast, go/parser, go/types,
+// go/build): it must run in the same hermetic environment as the tests it
+// guards.
 package lint
 
 import (
@@ -64,12 +64,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Check, f.Message)
 }
 
-// Analyzer is one named invariant check. Per-package analyzers set Run
-// and see one type-checked package at a time; whole-program analyzers set
-// RunGlobal and see the Program (call graph + summaries) once per
-// invocation. Contract and Example feed `calint -explain` and are the
-// same strings DESIGN.md §2.12 embeds, so CLI help and design doc cannot
-// drift apart.
+// Analyzer is one named invariant check. Most set Run and see one
+// type-checked package at a time (reaching cross-function summaries
+// through the Program every Pass is loaded into); a check whose property
+// spans packages sets RunGlobal and sees the Program once per invocation.
+// Contract and Example feed `calint -explain` and are the same strings
+// DESIGN.md §2.7 embeds, so CLI help and design doc cannot drift apart.
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -90,8 +90,8 @@ type Pass struct {
 	// module root, "internal/sim", ...).
 	RelPkg string
 
-	// prog is the whole-program view this pass was loaded into; set by
-	// Run (and the test harness) so per-package analyzers can consult
+	// prog is the whole-program view this pass was loaded into
+	// (newProgram sets it), so per-package analyzers can consult
 	// cross-function summaries.
 	prog *Program
 
@@ -111,12 +111,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full suite in stable order: the six per-package
-// checks, then the four interprocedural checks.
+// Analyzers returns the eight checks in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		detrandAnalyzer, wallclockAnalyzer, maporderAnalyzer, errdropAnalyzer, mutexholdAnalyzer, bufownershipAnalyzer,
-		lockorderAnalyzer, goroleakAnalyzer, errflowAnalyzer, bufownershipIPAnalyzer,
+		detrandAnalyzer, wallclockAnalyzer, maporderAnalyzer, errdropAnalyzer, errflowAnalyzer,
+		mutexholdAnalyzer, lockorderAnalyzer, bufownershipAnalyzer,
 	}
 }
 
@@ -137,12 +136,16 @@ func AnalyzerByName(name string) *Analyzer {
 // by position. Test files are never analyzed: the invariants guard
 // protocol code; tests measure time and randomize freely.
 func Run(root string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	if analyzers == nil {
-		analyzers = Analyzers()
-	}
 	ld, err := newLoader(root)
 	if err != nil {
 		return nil, err
+	}
+	return ld.run(patterns, analyzers)
+}
+
+func (ld *loader) run(patterns []string, analyzers []*Analyzer) ([]Finding, error) {
+	if analyzers == nil {
+		analyzers = Analyzers()
 	}
 	dirs, err := ld.expand(patterns)
 	if err != nil {

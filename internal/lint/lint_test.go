@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -49,15 +51,22 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[int]
 	return out
 }
 
-// goldenTest loads testdata/src/<name>, runs the analyzer with ignore
-// directives applied (malformed-directive findings included, so those
-// are markable too), and asserts findings and want markers match
+// goldenTest loads testdata/src/<name>, runs the analyzer of that name
+// with ignore directives applied (malformed-directive findings included,
+// so those are markable too), and asserts findings and want markers match
 // one-to-one by line.
-func goldenTest(t *testing.T, name string) {
+func goldenTest(t *testing.T, name string) { goldenFixture(t, name, name) }
+
+// goldenFixture is goldenTest for a fixture directory that is not named
+// after its check. The fixture of the former interprocedural frame check
+// is kept byte-identical on disk, so its one suppression directive still
+// spells the retired name; it is read through the loader's overlay with
+// that name rewritten to the check the fixture now runs under.
+func goldenFixture(t *testing.T, check, name string) {
 	t.Helper()
-	a := AnalyzerByName(name)
+	a := AnalyzerByName(check)
 	if a == nil {
-		t.Fatalf("no analyzer %q", name)
+		t.Fatalf("no analyzer %q", check)
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -68,6 +77,20 @@ func goldenTest(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, "internal", "lint", "testdata", "src", name)
+	if check != name {
+		ld.overlay = map[string][]byte{}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ld.overlay[file] = bytes.ReplaceAll(src, []byte(ignorePrefix+" "+name+" "), []byte(ignorePrefix+" "+check+" "))
+		}
+	}
 	pass, err := ld.loadDir(dir, "calintfixture/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
@@ -126,12 +149,13 @@ func TestMaporderGolden(t *testing.T)  { goldenTest(t, "maporder") }
 func TestErrdropGolden(t *testing.T)   { goldenTest(t, "errdrop") }
 func TestMutexholdGolden(t *testing.T) { goldenTest(t, "mutexhold") }
 
-func TestBufownershipGolden(t *testing.T) { goldenTest(t, "bufownership") }
+// The two frame fixtures — same-function misuse, and misuse across a call
+// boundary — run under the one frame-ownership check.
+func TestBufownershipGolden(t *testing.T)   { goldenTest(t, "bufownership") }
+func TestBufownershipIPGolden(t *testing.T) { goldenFixture(t, "bufownership", "bufownership-ip") }
 
-func TestLockorderGolden(t *testing.T)      { goldenTest(t, "lockorder") }
-func TestGoroleakGolden(t *testing.T)       { goldenTest(t, "goroleak") }
-func TestErrflowGolden(t *testing.T)        { goldenTest(t, "errflow") }
-func TestBufownershipIPGolden(t *testing.T) { goldenTest(t, "bufownership-ip") }
+func TestLockorderGolden(t *testing.T) { goldenTest(t, "lockorder") }
+func TestErrflowGolden(t *testing.T)   { goldenTest(t, "errflow") }
 
 // TestRepoClean is the in-process version of the CI gate: the repository
 // itself must carry zero findings (every true positive fixed or
@@ -240,7 +264,9 @@ func TestConfigScope(t *testing.T) {
 		{"wallclock", "internal/sim", true},
 		{"wallclock", "internal/tcpnet", false},
 		{"wallclock", "internal/supervisor", false},
-		{"wallclock", "internal/faultnet", false},
+		{"wallclock", "internal/faultnet", true},
+		{"detrand", "internal/faultnet", true},
+		{"detrand", "internal/tcpnet", false},
 		{"wallclock", "cmd/catcp", false},
 		{"wallclock", "examples/drones", false},
 		{"detrand", "internal/adversary", true},
@@ -253,10 +279,9 @@ func TestConfigScope(t *testing.T) {
 		{"bufownership", "internal/lint", false},
 		{"lockorder", "internal/mux", true},
 		{"lockorder", "internal/lint", false},
-		{"goroleak", "internal/supervisor", true},
-		{"goroleak", "internal/transporttest", false},
-		{"bufownership-ip", "internal/wire", true},
-		{"bufownership-ip", "internal/testutil", false},
+		{"lockorder", "internal/transporttest", false},
+		{"bufownership", "internal/wire", true},
+		{"bufownership", "internal/testutil", false},
 		{"errflow", "internal/checkpoint", true},
 		{"errflow", "cmd/catcp", false},
 		{"errflow", "examples/drones", false},

@@ -52,6 +52,10 @@ type loader struct {
 	passes map[string]*Pass          // by module-relative dir
 	src    types.Importer
 	ctx    build.Context
+	// overlay is a test seam: a file named here is parsed from these
+	// bytes instead of from disk (the mutation table seeds one bug at a
+	// time into real packages without touching the tree).
+	overlay map[string][]byte
 }
 
 func newLoader(root string) (*loader, error) {
@@ -130,7 +134,12 @@ func (l *loader) loadDir(dir, importPath string) (*Pass, error) {
 	}
 	files := make([]*ast.File, 0, len(bp.GoFiles))
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		path := filepath.Join(dir, name)
+		var src any // nil: read the file
+		if b, ok := l.overlay[path]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(l.fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

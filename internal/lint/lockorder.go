@@ -47,243 +47,81 @@ type lockEdge struct {
 
 func runLockorder(pr *Program) {
 	pr.ensureSummaries()
-	w := &loWalker{
-		pr:    pr,
-		edges: map[string]map[string]lockEdge{},
-	}
+	g := &lockGraph{pr: pr, edges: map[string]map[string]lockEdge{}}
 	for _, fi := range pr.infos {
-		w.fi = fi
-		w.siteOf = map[*ast.CallExpr]*CallSite{}
-		for i := range fi.Calls {
-			w.siteOf[fi.Calls[i].Call] = &fi.Calls[i]
-		}
-		w.stmts(fi.Decl.Body.List, map[string]token.Pos{})
-	}
-	w.reportSelf()
-	w.reportCycles()
-}
-
-type loWalker struct {
-	pr     *Program
-	fi     *FuncInfo
-	siteOf map[*ast.CallExpr]*CallSite
-	edges  map[string]map[string]lockEdge
-	selfs  []lockEdge
-}
-
-func (w *loWalker) addEdge(e lockEdge) {
-	if e.from == e.to {
-		// Same class re-acquired: a self-deadlock on a non-reentrant
-		// mutex if the path is static; interface dispatch may reach a
-		// different instance, so those stay silent.
-		if !e.iface {
-			w.selfs = append(w.selfs, e)
-		}
-		return
-	}
-	m := w.edges[e.from]
-	if m == nil {
-		m = map[string]lockEdge{}
-		w.edges[e.from] = m
-	}
-	if _, ok := m[e.to]; !ok {
-		m[e.to] = e
-	}
-}
-
-// heldSorted returns the held classes in stable order.
-func heldSorted(held map[string]token.Pos) []string {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedAcquires(m map[string]acq) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// scanCalls records ordering edges for every call inside expr, given the
-// currently held classes.
-func (w *loWalker) scanCalls(expr ast.Expr, held map[string]token.Pos) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		cs := w.siteOf[call]
-		if cs == nil || cs.InGo {
-			return true
-		}
-		for _, callee := range cs.Callees {
-			for _, class := range sortedAcquires(callee.Sum.Acquires) {
-				a := callee.Sum.Acquires[class]
-				for _, from := range heldSorted(held) {
-					w.addEdge(lockEdge{from: from, to: class, pos: call.Pos(), heldPos: held[from], fi: w.fi, via: callee, iface: a.viaIface || cs.Iface})
-				}
-			}
-		}
-		return true
-	})
-}
-
-// applyCallNets maps a statement-level static call's net lock effect onto
-// the held set (the `c.lockHelper()` pattern).
-func (w *loWalker) applyCallNets(expr ast.Expr, held map[string]token.Pos) {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	cs := w.siteOf[call]
-	if cs == nil || cs.InGo || cs.Iface || len(cs.Callees) != 1 {
-		return
-	}
-	for class, n := range cs.Callees[0].Sum.NetLocks {
-		if n > 0 {
-			held[class] = call.Pos()
-		} else if n < 0 {
-			delete(held, class)
-		}
-	}
-}
-
-func cloneHeld(held map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func (w *loWalker) stmts(list []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-func (w *loWalker) stmt(stmt ast.Stmt, held map[string]token.Pos) {
-	p := w.fi.Pass
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if x, op := lockOpExpr(p, call); op != "" {
-				class, _ := lockClassOf(p, w.fi.recvObj, x)
-				if class == "" {
+		p := fi.Pass
+		ev := lockEvents{
+			acquire: func(call *ast.CallExpr, class string, held heldLocks) {
+				g.addEdges(held, lockEdge{to: class, pos: call.Pos(), fi: fi})
+			},
+			// A callee whose call tree acquires a class orders it after
+			// everything held at the call.
+			call: func(call *ast.CallExpr, held heldLocks) {
+				if len(held) == 0 {
 					return
 				}
-				if op == "lock" {
-					for _, from := range heldSorted(held) {
-						w.addEdge(lockEdge{from: from, to: class, pos: call.Pos(), heldPos: held[from], fi: w.fi})
+				callees, iface := pr.resolveCall(p, call)
+				for _, callee := range callees {
+					classes := make([]string, 0, len(callee.Sum.Acquires))
+					for class := range callee.Sum.Acquires {
+						classes = append(classes, class)
 					}
-					held[class] = call.Pos()
-				} else {
-					delete(held, class)
-				}
-				return
-			}
-		}
-		w.scanCalls(s.X, held)
-		w.applyCallNets(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanCalls(e, held)
-		}
-		if len(s.Rhs) == 1 {
-			w.applyCallNets(s.Rhs[0], held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanCalls(e, held)
-		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the class held to function exit — the
-		// window under analysis — so it leaves the set unchanged. Other
-		// deferred calls run under whatever is held at return; treating
-		// them here is the same approximation mutexhold uses.
-		if _, op := lockOpExpr(p, s.Call); op == "" {
-			w.scanCalls(s.Call, held)
-		}
-	case *ast.GoStmt:
-		// The goroutine acquires its locks on its own stack; no ordering
-		// edge from this goroutine's held set.
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanCalls(e, held)
+					sort.Strings(classes)
+					for _, class := range classes {
+						g.addEdges(held, lockEdge{to: class, pos: call.Pos(), fi: fi, via: callee,
+							iface: iface || callee.Sum.Acquires[class].viaIface})
 					}
 				}
+			},
+		}
+		eachBody(fi.Decl, func(body *ast.BlockStmt) { walkLocks(p, body, ev) })
+	}
+	g.reportSelf()
+	g.reportCycles()
+}
+
+// lockGraph accumulates the ordering edges of the whole program.
+type lockGraph struct {
+	pr    *Program
+	edges map[string]map[string]lockEdge
+	selfs []lockEdge
+}
+
+// addEdges records e once per held class, as "held while e.to acquired".
+// Mutexes without a class (locals, parameters) are on neither end.
+func (g *lockGraph) addEdges(held heldLocks, e lockEdge) {
+	if e.to == "" {
+		return
+	}
+	for _, from := range held.sorted() {
+		if from.class == "" {
+			continue
+		}
+		e.from, e.heldPos = from.class, from.pos
+		if e.from == e.to {
+			// Same class re-acquired: a self-deadlock on a non-reentrant
+			// mutex if the path is static; interface dispatch may reach a
+			// different instance, so those stay silent.
+			if !e.iface {
+				g.selfs = append(g.selfs, e)
 			}
+			continue
 		}
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	case *ast.BlockStmt:
-		w.stmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
+		m := g.edges[e.from]
+		if m == nil {
+			m = map[string]lockEdge{}
+			g.edges[e.from] = m
 		}
-		w.scanCalls(s.Cond, held)
-		w.stmts(s.Body.List, cloneHeld(held))
-		if s.Else != nil {
-			w.stmt(s.Else, cloneHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanCalls(s.Cond, held)
-		}
-		w.stmts(s.Body.List, cloneHeld(held))
-	case *ast.RangeStmt:
-		w.scanCalls(s.X, held)
-		w.stmts(s.Body.List, cloneHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanCalls(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
+		if _, ok := m[e.to]; !ok {
+			m[e.to] = e
 		}
 	}
 }
 
 // reportSelf emits the static same-class re-acquisitions.
-func (w *loWalker) reportSelf() {
+func (g *lockGraph) reportSelf() {
 	seen := map[string]bool{}
-	for _, e := range w.selfs {
+	for _, e := range g.selfs {
 		key := fmt.Sprintf("%s@%d", e.from, e.pos)
 		if seen[key] {
 			continue
@@ -293,44 +131,44 @@ func (w *loWalker) reportSelf() {
 		if e.via != nil {
 			detail = fmt.Sprintf(" via %s", displayName(e.via.Fn))
 		}
-		w.pr.Reportf(e.fi.Pass, e.pos,
+		g.pr.Reportf(e.fi.Pass, e.pos,
 			"lock class %s acquired%s while already held (held since line %d): self-deadlock on a non-reentrant mutex",
-			e.from, detail, w.pr.Fset.Position(e.heldPos).Line)
+			e.from, detail, g.pr.Fset.Position(e.heldPos).Line)
 	}
 }
 
 // reportCycles finds cycles among distinct classes and reports one
 // finding per canonical cycle with the full witness path.
-func (w *loWalker) reportCycles() {
-	classes := make([]string, 0, len(w.edges))
-	for c := range w.edges {
+func (g *lockGraph) reportCycles() {
+	classes := make([]string, 0, len(g.edges))
+	for c := range g.edges {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
 	reported := map[string]bool{}
 	for _, start := range classes {
-		if cycle := w.findCycle(start); cycle != nil {
+		if cycle := g.findCycle(start); cycle != nil {
 			key := canonicalCycle(cycle)
 			if reported[key] {
 				continue
 			}
 			reported[key] = true
-			w.reportCycle(cycle)
+			g.reportCycle(cycle)
 		}
 	}
 }
 
 // findCycle runs a deterministic DFS from start and returns the first
 // cycle back to start as the class sequence [start, ..., last], or nil.
-func (w *loWalker) findCycle(start string) []string {
+func (g *lockGraph) findCycle(start string) []string {
 	var path []string
 	visited := map[string]bool{}
 	var dfs func(cur string) []string
 	dfs = func(cur string) []string {
 		visited[cur] = true
 		path = append(path, cur)
-		targets := make([]string, 0, len(w.edges[cur]))
-		for to := range w.edges[cur] {
+		targets := make([]string, 0, len(g.edges[cur]))
+		for to := range g.edges[cur] {
 			targets = append(targets, to)
 		}
 		sort.Strings(targets)
@@ -363,17 +201,17 @@ func canonicalCycle(cycle []string) string {
 	return strings.Join(rotated, "->")
 }
 
-func (w *loWalker) reportCycle(cycle []string) {
+func (g *lockGraph) reportCycle(cycle []string) {
 	var hops []string
 	var first lockEdge
 	for i := range cycle {
 		from := cycle[i]
 		to := cycle[(i+1)%len(cycle)]
-		e := w.edges[from][to]
+		e := g.edges[from][to]
 		if i == 0 {
 			first = e
 		}
-		pos := w.pr.Fset.Position(e.pos)
+		pos := g.pr.Fset.Position(e.pos)
 		detail := fmt.Sprintf("%s at %s:%d", displayName(e.fi.Fn), filepath.Base(pos.Filename), pos.Line)
 		if e.via != nil {
 			detail += ", via " + displayName(e.via.Fn)
@@ -383,7 +221,7 @@ func (w *loWalker) reportCycle(cycle []string) {
 		}
 		hops = append(hops, fmt.Sprintf("%s -> %s (%s)", from, to, detail))
 	}
-	w.pr.Reportf(first.fi.Pass, first.pos,
+	g.pr.Reportf(first.fi.Pass, first.pos,
 		"lock-order cycle: %s; acquire lock classes in one global order or break the cycle with a lock-free handoff",
 		strings.Join(hops, " -> "))
 }

@@ -1,21 +1,16 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"sort"
-)
+import "go/ast"
 
 // mutexhold: blocking calls made while a sync.Mutex/RWMutex is held —
 // the deadlock shape the real-network layers (tcpnet's link state
 // machine, the supervisor's watchdog) are most exposed to: goroutine A
 // blocks on I/O under mu while goroutine B needs mu to make the progress
-// A is waiting for. The walker tracks Lock/RLock statements through
-// straight-line flow (branch bodies are analyzed with a copy of the held
-// set; deferred Unlocks keep the mutex held to the end of the function,
-// which is exactly the window being checked) and flags transport
-// exchanges, network/file I/O, sleeps, and WaitGroup waits inside the
-// window. sync.Cond.Wait is exempt: holding the lock is its contract.
+// A is waiting for. The check is one question put to the held-lock
+// interpretation (locks.go): at every call evaluated while the held set
+// is non-empty, is it a transport exchange, network/file I/O, a sleep, or
+// a WaitGroup wait? sync.Cond.Wait is exempt: holding the lock is its
+// contract.
 //
 // The analysis is intentionally flow-approximate; a hold that is safe by
 // construction (e.g. a lock protecting the I/O object itself through
@@ -27,254 +22,21 @@ var mutexholdAnalyzer = &Analyzer{
 }
 
 func runMutexhold(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					walkMutexStmts(p, fn.Body.List, muState{})
-				}
-			case *ast.FuncLit:
-				walkMutexStmts(p, fn.Body.List, muState{})
-			}
-			return true
-		})
-	}
-}
-
-// muState maps the printed receiver expression of a Lock call ("c.mu")
-// to the position that acquired it.
-type muState map[string]token.Pos
-
-func (m muState) clone() muState {
-	c := make(muState, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// walkMutexStmts interprets a statement list, threading the held-mutex
-// set through sequential flow and forking it into branches.
-func walkMutexStmts(p *Pass, stmts []ast.Stmt, held muState) {
-	for _, stmt := range stmts {
-		walkMutexStmt(p, stmt, held)
-	}
-}
-
-func walkMutexStmt(p *Pass, stmt ast.Stmt, held muState) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, op := lockOp(p, call); op != "" {
-				if op == "lock" {
-					held[key] = call.Pos()
-				} else {
-					delete(held, key)
-				}
-				return
-			}
-		}
-		checkBlocking(p, s.X, held)
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			applyRecvLockNets(p, call, held)
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			checkBlocking(p, e, held)
-		}
-		if len(s.Rhs) == 1 {
-			if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-				applyRecvLockNets(p, call, held)
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			checkBlocking(p, e, held)
-		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the mutex held through the rest of the
-		// function — which is precisely the window under analysis — so the
-		// held set is deliberately unchanged. Blocking inside other
-		// deferred calls runs at return time, still under the lock:
-		if _, op := lockOp(p, s.Call); op == "" {
-			checkBlocking(p, s.Call, held)
-		}
-	case *ast.GoStmt:
-		// The spawned goroutine does not hold this goroutine's locks; its
-		// body is analyzed separately with a fresh state.
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						checkBlocking(p, e, held)
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		walkMutexStmt(p, s.Stmt, held)
-	case *ast.BlockStmt:
-		walkMutexStmts(p, s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			walkMutexStmt(p, s.Init, held)
-		}
-		checkBlocking(p, s.Cond, held)
-		walkMutexStmts(p, s.Body.List, held.clone())
-		if s.Else != nil {
-			walkMutexStmt(p, s.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			walkMutexStmt(p, s.Init, held)
-		}
-		if s.Cond != nil {
-			checkBlocking(p, s.Cond, held)
-		}
-		walkMutexStmts(p, s.Body.List, held.clone())
-	case *ast.RangeStmt:
-		checkBlocking(p, s.X, held)
-		walkMutexStmts(p, s.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			walkMutexStmt(p, s.Init, held)
-		}
-		if s.Tag != nil {
-			checkBlocking(p, s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkMutexStmts(p, cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkMutexStmts(p, cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				walkMutexStmts(p, cc.Body, held.clone())
-			}
-		}
-	}
-}
-
-// checkBlocking reports blocking calls anywhere in expr (function
-// literals excluded: they execute elsewhere) while held is non-empty.
-func checkBlocking(p *Pass, expr ast.Expr, held muState) {
-	if len(held) == 0 || expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		desc := blockingDesc(p, call)
-		if desc == "" {
-			return true
-		}
-		keys := make([]string, 0, len(held))
-		for k := range held {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		p.Reportf(call.Pos(), "%s blocks while %s is held (locked at line %d); release the lock before blocking or hand the work to another goroutine",
-			desc, keys[0], p.Fset.Position(held[keys[0]]).Line)
-		return true
-	})
-}
-
-// applyRecvLockNets maps a same-receiver lock helper's summarized net
-// effect — `m.locked()` whose body does m.mu.Lock() — onto the caller's
-// held set, keyed relative to the callsite receiver. This closes the
-// historical blind spot where a blocking call after a lock helper went
-// unflagged and an unlock helper left the mutex "held" forever. Only
-// active when a whole-program view is attached to the pass (the CLI
-// always builds one); the summary fixpoint is computed lazily and
-// cached across analyzers.
-func applyRecvLockNets(p *Pass, call *ast.CallExpr, held muState) {
-	if p.prog == nil {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
 	p.prog.ensureSummaries()
-	callees, iface := p.prog.resolveCall(p, call)
-	if iface || len(callees) != 1 {
-		return
-	}
-	sum := callees[0].Sum
-	if len(sum.RecvLocks) == 0 {
-		return
-	}
-	base := exprKey(sel.X)
-	rels := make([]string, 0, len(sum.RecvLocks))
-	for rel := range sum.RecvLocks {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
-	for _, rel := range rels {
-		key := base
-		if rel != "." {
-			key = base + "." + rel
+	blocking := func(call *ast.CallExpr, held heldLocks) {
+		if len(held) == 0 {
+			return
 		}
-		if n := sum.RecvLocks[rel]; n > 0 {
-			held[key] = call.Pos()
-		} else if n < 0 {
-			delete(held, key)
+		if desc := blockingDesc(p, call); desc != "" {
+			first := held.sorted()[0]
+			p.Reportf(call.Pos(), "%s blocks while %s is held (locked at line %d); release the lock before blocking or hand the work to another goroutine",
+				desc, first.name, p.Fset.Position(first.pos).Line)
 		}
 	}
-}
-
-// lockOp classifies a call as a mutex acquire/release and returns the
-// receiver expression as the tracking key.
-func lockOp(p *Pass, call *ast.CallExpr) (key, op string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	fn := calleeFunc(p.Info, call)
-	if fn == nil {
-		return "", ""
-	}
-	rp, rt := recvTypeName(fn)
-	if rp != "sync" || (rt != "Mutex" && rt != "RWMutex" && rt != "Locker") {
-		return "", ""
-	}
-	key = exprKey(sel.X)
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return key, "lock"
-	case "Unlock", "RUnlock":
-		return key, "unlock"
-	}
-	return "", ""
-}
-
-// exprKey renders a receiver expression as a stable tracking key.
-func exprKey(x ast.Expr) string {
-	switch e := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprKey(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return exprKey(e.X)
-	case *ast.IndexExpr:
-		return exprKey(e.X) + "[...]"
-	default:
-		return "mutex"
+	for _, f := range p.Files {
+		eachBody(f, func(body *ast.BlockStmt) {
+			walkLocks(p, body, lockEvents{call: blocking})
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-// Whole-program view for the interprocedural analyzers (calint v2).
+// Whole-program view: the facts every check may consult.
 //
 // A Program bundles every loaded package of the module into one structure:
 // the declared functions, a module-aware call graph (static calls resolved
@@ -6,8 +6,7 @@
 // class-hierarchy analysis to every module type implementing the
 // interface), and — lazily — the per-function summaries computed by
 // summary.go. Per-package analyzers reach the Program through Pass.prog;
-// the global analyzers (lockorder, goroleak, errflow, bufownership-ip)
-// receive it directly.
+// the global analyzers (lockorder, errflow) receive it directly.
 package lint
 
 import (
@@ -40,7 +39,7 @@ type Program struct {
 }
 
 // FuncInfo is one declared function or method of the module together with
-// its call sites, spawn sites, and (once computed) its summary.
+// its call sites, its mutex operations, and (once computed) its summary.
 type FuncInfo struct {
 	Fn      *types.Func
 	Decl    *ast.FuncDecl
@@ -48,8 +47,8 @@ type FuncInfo struct {
 	Sum     *Summary
 	recvObj types.Object // receiver variable, nil for plain functions
 
-	Calls  []CallSite
-	Spawns []SpawnSite
+	Calls []CallSite
+	Locks []LockSite
 }
 
 // CallSite is one resolved call expression inside a function body.
@@ -61,12 +60,14 @@ type CallSite struct {
 	InGo    bool        // under a go statement: executes concurrently
 }
 
-// SpawnSite is one `go` statement.
-type SpawnSite struct {
-	Go      *ast.GoStmt
-	Lit     *ast.FuncLit // non-nil for `go func(){...}()`
-	Callees []*FuncInfo  // resolved for `go f(...)` / `go x.m(...)`
-	InLit   bool
+// LockSite is one sync Lock/Unlock call inside a function body, tagged
+// with its execution context like a CallSite.
+type LockSite struct {
+	Call     *ast.CallExpr
+	x        ast.Expr // the locked expression ("c.mu")
+	acquires bool
+	InLit    bool
+	InGo     bool
 }
 
 // newProgram bundles the given passes. Construction is cheap; the call
@@ -125,10 +126,10 @@ func (pr *Program) ensure() {
 	}
 }
 
-// collectSites records every call and go statement in fi's body, tagging
-// nodes under func literals (execute elsewhere) and go statements
-// (execute concurrently) so the summary fixpoint can exclude them from
-// synchronous facts.
+// collectSites records every module call and every mutex operation in
+// fi's body, tagging nodes under func literals (execute elsewhere) and go
+// statements (execute concurrently) so the summary fixpoint can exclude
+// them from synchronous facts.
 func (pr *Program) collectSites(fi *FuncInfo) {
 	type item struct {
 		n           ast.Node
@@ -144,34 +145,27 @@ func (pr *Program) collectSites(fi *FuncInfo) {
 				queue = append(queue, item{x.Body, true, it.inGo})
 				return false
 			case *ast.GoStmt:
-				sp := SpawnSite{Go: x, InLit: it.inLit}
 				if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-					sp.Lit = lit
 					queue = append(queue, item{lit.Body, false, true})
-				} else {
-					callees, iface := pr.resolveCall(fi.Pass, x.Call)
-					sp.Callees = callees
-					if len(callees) > 0 {
-						fi.Calls = append(fi.Calls, CallSite{Call: x.Call, Callees: callees, Iface: iface, InLit: it.inLit, InGo: true})
-					}
+				} else if callees, iface := pr.resolveCall(fi.Pass, x.Call); len(callees) > 0 {
+					fi.Calls = append(fi.Calls, CallSite{Call: x.Call, Callees: callees, Iface: iface, InLit: it.inLit, InGo: true})
 				}
-				fi.Spawns = append(fi.Spawns, sp)
 				for _, a := range x.Call.Args {
 					queue = append(queue, item{a, it.inLit, it.inGo})
 				}
 				return false
 			case *ast.CallExpr:
-				callees, iface := pr.resolveCall(fi.Pass, x)
-				if len(callees) > 0 {
+				if lx, acquires, ok := lockOp(fi.Pass, x); ok {
+					fi.Locks = append(fi.Locks, LockSite{Call: x, x: lx, acquires: acquires, InLit: it.inLit, InGo: it.inGo})
+				} else if callees, iface := pr.resolveCall(fi.Pass, x); len(callees) > 0 {
 					fi.Calls = append(fi.Calls, CallSite{Call: x, Callees: callees, Iface: iface, InLit: it.inLit, InGo: it.inGo})
 				}
-				return true
 			}
 			return true
 		})
 	}
 	sort.Slice(fi.Calls, func(i, j int) bool { return fi.Calls[i].Call.Pos() < fi.Calls[j].Call.Pos() })
-	sort.Slice(fi.Spawns, func(i, j int) bool { return fi.Spawns[i].Go.Pos() < fi.Spawns[j].Go.Pos() })
+	sort.Slice(fi.Locks, func(i, j int) bool { return fi.Locks[i].Call.Pos() < fi.Locks[j].Call.Pos() })
 }
 
 // resolveCall maps a call expression to the module functions it may
@@ -265,27 +259,26 @@ func displayName(fn *types.Func) string {
 }
 
 // Edges returns the deduplicated, sorted call-graph edge list in
-// "caller -> callee" form ("?>" for interface-dispatched edges). It is
-// the surface pinned by the call-graph golden test.
+// "caller -> callee" form: " ?> " for interface-dispatched edges, " go "
+// for calls that run on a spawned goroutine (an edge that is both is
+// listed under each). It is the surface pinned by the call-graph golden
+// test.
 func (pr *Program) Edges() []string {
 	pr.ensure()
 	seen := map[string]bool{}
 	for _, fi := range pr.infos {
 		for _, cs := range fi.Calls {
-			arrow := " -> "
-			switch {
-			case cs.Iface:
-				arrow = " ?> "
-			case cs.InGo:
-				arrow = " go " // merges with the spawn edge below
-			}
 			for _, callee := range cs.Callees {
-				seen[displayName(fi.Fn)+arrow+displayName(callee.Fn)] = true
-			}
-		}
-		for _, sp := range fi.Spawns {
-			for _, callee := range sp.Callees {
-				seen[displayName(fi.Fn)+" go "+displayName(callee.Fn)] = true
+				from, to := displayName(fi.Fn), displayName(callee.Fn)
+				if cs.Iface {
+					seen[from+" ?> "+to] = true
+				}
+				if cs.InGo {
+					seen[from+" go "+to] = true
+				}
+				if !cs.Iface && !cs.InGo {
+					seen[from+" -> "+to] = true
+				}
 			}
 		}
 	}

@@ -2,22 +2,24 @@
 //
 // Each declared function gets a Summary: the lock classes it acquires
 // (transitively, with witness positions), its net lock effect at return
-// (absolute classes and receiver-relative field paths, so callers can map
-// `c.lockHelper()` onto their own held set), whether its call tree
-// contains an inescapable loop (goroleak's witness), the typed error
-// families its error results can carry, the families it tests with
-// errors.Is/As, and the release/retain effect it has on each *wire.Frame
-// parameter. Summaries are computed bottom-up by a bounded monotone
+// (per class, with the receiver-relative field path when there is one, so
+// callers can map `c.lockHelper()` onto their own held set), the typed
+// error families its error results can carry, the families it tests with
+// errors.Is/As, the release/retain effect it has on each *wire.Frame
+// parameter, and the sink each slice parameter's element order reaches
+// (maporder.go computes that one). Summaries are computed bottom-up by a bounded monotone
 // fixpoint over the call graph: every fact domain is finite (lock nets
 // are clamped), so the iteration terminates even on mutual recursion.
 package lint
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -65,47 +67,37 @@ type acq struct {
 	viaIface bool
 }
 
+// lockNet is a function's net effect on one lock class at return.
+type lockNet struct {
+	n       int    // acquisitions minus releases, clamped to ±lockNetClamp
+	recvRel string // the lock's field path from the function's receiver ("mu"; "." for an embedded mutex), "" if not reached through it
+}
+
 // Summary is the per-function fact sheet.
 type Summary struct {
-	NetLocks  map[string]int // lock class -> net effect at return (clamped)
-	RecvLocks map[string]int // receiver-relative lock field path -> net effect
-	Acquires  map[string]acq // lock class -> acquisition witness in the call tree
-
-	LeakLoop token.Pos // inescapable loop in this function's own body
-	LeakVia  *FuncInfo // callee whose call tree contains one
-	LeakCall token.Pos // position of the call reaching LeakVia
+	NetLocks map[string]lockNet // lock class -> net effect at return
+	Acquires map[string]acq     // lock class -> acquisition witness in the call tree
 
 	TypedErrs map[string]token.Pos // error family -> production/propagation witness
 	Handles   map[string]bool      // families tested with errors.Is/As/== in this body
 	ErrParams map[int]bool         // error parameter index -> preserved (stored/returned/forwarded intact)
 
 	FrameParams map[int]FrameEffect // parameter index -> frame effect
+	OrderParams map[int]string      // slice parameter index -> the sink its element order reaches
 
-	lockSites []lockSite
-	topNodes  map[ast.Node]bool // exprs of top-level statements (unconditional)
+	topNodes map[ast.Node]bool // exprs of top-level statements (unconditional)
 }
 
 func newSummary() *Summary {
 	return &Summary{
-		NetLocks:    map[string]int{},
-		RecvLocks:   map[string]int{},
+		NetLocks:    map[string]lockNet{},
 		Acquires:    map[string]acq{},
 		TypedErrs:   map[string]token.Pos{},
 		Handles:     map[string]bool{},
 		ErrParams:   map[int]bool{},
 		FrameParams: map[int]FrameEffect{},
+		OrderParams: map[int]string{},
 	}
-}
-
-// lockSite is one sync.Mutex/RWMutex Lock/Unlock call in a body.
-type lockSite struct {
-	x        ast.Expr // the locked expression ("c.mu")
-	op       string   // "lock" | "unlock"
-	pos      token.Pos
-	topLevel bool // statement directly in the body list (unconditional)
-	deferred bool
-	inLit    bool
-	inGo     bool
 }
 
 // ensureSummaries computes every function summary to fixpoint.
@@ -118,17 +110,12 @@ func (pr *Program) ensureSummaries() {
 	ec := newErrCtx(pr)
 	for _, fi := range pr.infos {
 		fi.Sum.topNodes = topLevelNodes(fi.Decl.Body)
-		fi.Sum.lockSites = collectLockSites(fi)
-		fi.Sum.LeakLoop = inescapableLoop(fi.Pass, fi.Decl.Body)
 		scanHandles(ec, fi)
 	}
 	for round := 0; round < maxSummaryRounds; round++ {
 		changed := false
 		for _, fi := range pr.infos {
 			if lockFactsStep(fi) {
-				changed = true
-			}
-			if leakFactsStep(fi) {
 				changed = true
 			}
 			if errFactsStep(ec, fi) {
@@ -138,6 +125,9 @@ func (pr *Program) ensureSummaries() {
 				changed = true
 			}
 			if frameFactsStep(fi) {
+				changed = true
+			}
+			if orderFactsStep(fi) {
 				changed = true
 			}
 		}
@@ -167,128 +157,6 @@ func topLevelNodes(body *ast.BlockStmt) map[ast.Node]bool {
 	return top
 }
 
-// collectLockSites finds every mutex operation in the body, tagged with
-// its execution context.
-func collectLockSites(fi *FuncInfo) []lockSite {
-	p := fi.Pass
-	var sites []lockSite
-	type item struct {
-		n                    ast.Node
-		inLit, inGo, inDefer bool
-	}
-	queue := []item{{fi.Decl.Body, false, false, false}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		ast.Inspect(it.n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncLit:
-				queue = append(queue, item{x.Body, true, it.inGo, false})
-				return false
-			case *ast.GoStmt:
-				if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-					queue = append(queue, item{lit.Body, false, true, false})
-				}
-				for _, a := range x.Call.Args {
-					queue = append(queue, item{a, it.inLit, it.inGo, it.inDefer})
-				}
-				return false
-			case *ast.DeferStmt:
-				queue = append(queue, item{x.Call, it.inLit, it.inGo, true})
-				return false
-			case *ast.CallExpr:
-				if lx, op := lockOpExpr(p, x); op != "" {
-					sites = append(sites, lockSite{
-						x: lx, op: op, pos: x.Pos(),
-						topLevel: fi.Sum.topNodes[x],
-						deferred: it.inDefer, inLit: it.inLit, inGo: it.inGo,
-					})
-				}
-			}
-			return true
-		})
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
-	return sites
-}
-
-// lockOpExpr classifies a call as a mutex acquire/release and returns the
-// locked expression.
-func lockOpExpr(p *Pass, call *ast.CallExpr) (ast.Expr, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	fn := calleeFunc(p.Info, call)
-	if fn == nil {
-		return nil, ""
-	}
-	rp, rt := recvTypeName(fn)
-	if rp != "sync" || (rt != "Mutex" && rt != "RWMutex" && rt != "Locker") {
-		return nil, ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return sel.X, "lock"
-	case "Unlock", "RUnlock":
-		return sel.X, "unlock"
-	}
-	return nil, ""
-}
-
-// lockClassOf names the lock class of a locked expression and, when the
-// expression is rooted at the function's receiver, its receiver-relative
-// field path. Classes are "<pkg>.<Type>.<field>" for struct fields,
-// "<pkg>.<var>" for package-level mutexes, "<pkg>.<Type>.Mutex" for
-// embedded mutexes. Locals and parameters are untracked ("").
-func lockClassOf(p *Pass, recvObj types.Object, x ast.Expr) (class, recvRel string) {
-	x = ast.Unparen(x)
-	if ix, ok := x.(*ast.IndexExpr); ok {
-		x = ast.Unparen(ix.X)
-	}
-	switch e := x.(type) {
-	case *ast.SelectorExpr:
-		if sel := p.Info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
-			t := sel.Recv()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				class = n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + e.Sel.Name
-			}
-		}
-		if recvObj != nil {
-			if id := rootIdent(e.X); id != nil && objOf(p.Info, id) == recvObj {
-				full := exprKey(e)
-				if i := strings.IndexByte(full, '.'); i >= 0 {
-					recvRel = full[i+1:]
-				}
-			}
-		}
-	case *ast.Ident:
-		obj := objOf(p.Info, e)
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return "", ""
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Name() + "." + v.Name(), ""
-		}
-		// a named struct value with an embedded mutex
-		t := v.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() != "sync" {
-			class = n.Obj().Pkg().Name() + "." + n.Obj().Name() + ".Mutex"
-		}
-		if obj == recvObj {
-			recvRel = "."
-		}
-	}
-	return class, recvRel
-}
-
 // ---- lock facts ----
 
 func lockFactsStep(fi *FuncInfo) bool {
@@ -307,12 +175,12 @@ func lockFactsStep(fi *FuncInfo) bool {
 			changed = true
 		}
 	}
-	for _, ls := range sum.lockSites {
-		if ls.inLit || ls.inGo || ls.op != "lock" {
+	for _, ls := range fi.Locks {
+		if ls.InLit || ls.InGo || !ls.acquires {
 			continue
 		}
 		if class, _ := lockClassOf(p, fi.recvObj, ls.x); class != "" {
-			addAcq(class, ls.pos, false)
+			addAcq(class, ls.Call.Pos(), false)
 		}
 	}
 	for _, cs := range fi.Calls {
@@ -327,260 +195,59 @@ func lockFactsStep(fi *FuncInfo) bool {
 	}
 
 	// Net effect at return: top-level lock statements plus top-level
-	// static calls to module functions with their own net effect.
-	newNet := map[string]int{}
-	newRecv := map[string]int{}
-	for _, ls := range sum.lockSites {
-		if ls.inLit || ls.inGo || !ls.topLevel {
+	// static calls to module functions with their own net effect. A
+	// callee's receiver-relative path carries over only when it is called
+	// on this function's own receiver.
+	newNet := map[string]lockNet{}
+	add := func(class, rel string, d int) {
+		if class == "" {
+			return
+		}
+		net := newNet[class]
+		net.n += d
+		net.recvRel = cmp.Or(net.recvRel, rel)
+		newNet[class] = net
+	}
+	for _, ls := range fi.Locks {
+		if ls.InLit || ls.InGo || !sum.topNodes[ls.Call] {
 			continue
 		}
-		d := 1
-		if ls.op == "unlock" {
-			d = -1
-		}
 		class, rel := lockClassOf(p, fi.recvObj, ls.x)
-		if class != "" {
-			newNet[class] += d
-		}
-		if rel != "" {
-			newRecv[rel] += d
+		if ls.acquires {
+			add(class, rel, 1)
+		} else {
+			add(class, rel, -1)
 		}
 	}
 	for _, cs := range fi.Calls {
 		if cs.InLit || cs.InGo || cs.Iface || len(cs.Callees) != 1 || !sum.topNodes[cs.Call] {
 			continue
 		}
-		callee := cs.Callees[0]
-		for class, n := range callee.Sum.NetLocks {
-			newNet[class] += n
+		onRecv := false
+		if sel, ok := ast.Unparen(cs.Call.Fun).(*ast.SelectorExpr); ok && fi.recvObj != nil {
+			id, ok := ast.Unparen(sel.X).(*ast.Ident)
+			onRecv = ok && objOf(p.Info, id) == fi.recvObj
 		}
-		if fi.recvObj != nil && callee.recvObj != nil {
-			if sel, ok := ast.Unparen(cs.Call.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && objOf(p.Info, id) == fi.recvObj {
-					for rel, n := range callee.Sum.RecvLocks {
-						newRecv[rel] += n
-					}
-				}
+		for class, net := range cs.Callees[0].Sum.NetLocks {
+			if !onRecv {
+				net.recvRel = ""
 			}
+			add(class, net.recvRel, net.n)
 		}
 	}
-	clampNets(newNet)
-	clampNets(newRecv)
-	if !netEqual(sum.NetLocks, newNet) {
+	for class, net := range newNet {
+		net.n = max(-lockNetClamp, min(net.n, lockNetClamp))
+		if net.n == 0 {
+			delete(newNet, class)
+		} else {
+			newNet[class] = net
+		}
+	}
+	if !maps.Equal(sum.NetLocks, newNet) {
 		sum.NetLocks = newNet
 		changed = true
 	}
-	if !netEqual(sum.RecvLocks, newRecv) {
-		sum.RecvLocks = newRecv
-		changed = true
-	}
 	return changed
-}
-
-func clampNets(m map[string]int) {
-	for k, v := range m {
-		if v == 0 {
-			delete(m, k)
-		} else if v > lockNetClamp {
-			m[k] = lockNetClamp
-		} else if v < -lockNetClamp {
-			m[k] = -lockNetClamp
-		}
-	}
-}
-
-func netEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- goroutine-leak facts ----
-
-func leakFactsStep(fi *FuncInfo) bool {
-	if fi.Sum.LeakLoop.IsValid() || fi.Sum.LeakVia != nil {
-		return false
-	}
-	for _, cs := range fi.Calls {
-		if cs.InLit || cs.InGo || cs.Iface {
-			continue
-		}
-		for _, callee := range cs.Callees {
-			if callee == fi {
-				continue
-			}
-			if callee.Sum.LeakLoop.IsValid() || callee.Sum.LeakVia != nil {
-				fi.Sum.LeakVia = callee
-				fi.Sum.LeakCall = cs.Call.Pos()
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// inescapableLoop returns the position of the first `for { }` (no
-// condition) with no exit on any path, or an empty `select {}`, in the
-// function's own synchronous body.
-func inescapableLoop(p *Pass, body *ast.BlockStmt) token.Pos {
-	var found token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found.IsValid() {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.SelectStmt:
-			if len(x.Body.List) == 0 {
-				found = x.Pos()
-				return false
-			}
-		case *ast.ForStmt:
-			if x.Cond == nil && !stmtsExit(p, x.Body.List, false) {
-				found = x.Pos()
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// stmtsExit reports whether executing the list can leave the enclosing
-// loop: return, break (binding to it), goto, or a never-returning call.
-// breakable is true once an intervening construct captures unlabeled
-// breaks.
-func stmtsExit(p *Pass, list []ast.Stmt, breakable bool) bool {
-	for _, s := range list {
-		if stmtExits(p, s, breakable) {
-			return true
-		}
-	}
-	return false
-}
-
-func stmtExits(p *Pass, s ast.Stmt, breakable bool) bool {
-	switch x := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		switch x.Tok {
-		case token.GOTO:
-			return true // conservatively assume it leaves the loop
-		case token.BREAK:
-			return x.Label != nil || !breakable
-		}
-		return false
-	case *ast.ExprStmt:
-		return exprPanics(p, x.X)
-	case *ast.SendStmt:
-		return exprPanics(p, x.Value)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			if exprPanics(p, e) {
-				return true
-			}
-		}
-		return false
-	case *ast.IfStmt:
-		if x.Init != nil && stmtExits(p, x.Init, breakable) {
-			return true
-		}
-		if exprPanics(p, x.Cond) || stmtsExit(p, x.Body.List, breakable) {
-			return true
-		}
-		return x.Else != nil && stmtExits(p, x.Else, breakable)
-	case *ast.ForStmt:
-		return stmtsExit(p, x.Body.List, true)
-	case *ast.RangeStmt:
-		return stmtsExit(p, x.Body.List, true)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var clauses []ast.Stmt
-		if sw, ok := x.(*ast.SwitchStmt); ok {
-			clauses = sw.Body.List
-		} else {
-			clauses = x.(*ast.TypeSwitchStmt).Body.List
-		}
-		for _, c := range clauses {
-			if cc, ok := c.(*ast.CaseClause); ok && stmtsExit(p, cc.Body, true) {
-				return true
-			}
-		}
-		return false
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && stmtsExit(p, cc.Body, true) {
-				return true
-			}
-		}
-		return false
-	case *ast.BlockStmt:
-		return stmtsExit(p, x.List, breakable)
-	case *ast.LabeledStmt:
-		return stmtExits(p, x.Stmt, breakable)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						if exprPanics(p, e) {
-							return true
-						}
-					}
-				}
-			}
-		}
-		return false
-	}
-	return false
-}
-
-// exprPanics reports whether expr contains a call that never returns:
-// panic, os.Exit, runtime.Goexit, log.Fatal*/Panic*, testing Fatal*.
-func exprPanics(p *Pass, expr ast.Expr) bool {
-	if expr == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-				found = true
-				return false
-			}
-		}
-		fn := calleeFunc(p.Info, call)
-		if fn == nil {
-			return true
-		}
-		switch funcPkgPath(fn) {
-		case "os":
-			found = found || fn.Name() == "Exit"
-		case "runtime":
-			found = found || fn.Name() == "Goexit"
-		case "log", "testing":
-			found = found || strings.HasPrefix(fn.Name(), "Fatal") || strings.HasPrefix(fn.Name(), "Panic")
-		}
-		return !found
-	})
-	return found
 }
 
 // ---- typed-error facts ----
@@ -898,20 +565,14 @@ func scanHandles(ec *errCtx, fi *FuncInfo) {
 	})
 }
 
-// errParamObjs maps fi's error-typed parameters to their indices.
-func errParamObjs(fi *FuncInfo) map[types.Object]int {
-	params := fi.Decl.Type.Params
-	if params == nil {
-		return nil
-	}
-	var out map[types.Object]int
+// paramObjs maps the parameters of fi whose type satisfies want to their
+// positions in the call's argument list.
+func paramObjs(fi *FuncInfo, want func(types.Type) bool) map[types.Object]int {
+	out := map[types.Object]int{}
 	idx := 0
-	for _, field := range params.List {
+	for _, field := range fi.Decl.Type.Params.List {
 		for _, name := range field.Names {
-			if obj := fi.Pass.Info.Defs[name]; obj != nil && isErrorType(obj.Type()) {
-				if out == nil {
-					out = map[types.Object]int{}
-				}
+			if obj := fi.Pass.Info.Defs[name]; obj != nil && want(obj.Type()) {
 				out[obj] = idx
 			}
 			idx++
@@ -930,7 +591,7 @@ func errParamObjs(fi *FuncInfo) map[types.Object]int {
 // is still reachable by a later errors.Is/As, so handing a typed error
 // to such a function is propagation, not a sink.
 func errParamStep(pr *Program, fi *FuncInfo) bool {
-	params := errParamObjs(fi)
+	params := paramObjs(fi, isErrorType)
 	if len(params) == 0 {
 		return false
 	}
@@ -1066,161 +727,62 @@ func exprObj(info *types.Info, e ast.Expr) types.Object {
 
 // ---- frame facts ----
 
-// frameParamObjs maps fi's *wire.Frame parameters to their indices.
-func frameParamObjs(fi *FuncInfo) map[types.Object]int {
-	params := fi.Decl.Type.Params
-	if params == nil {
-		return nil
-	}
-	var out map[types.Object]int
-	idx := 0
-	for _, field := range params.List {
-		for _, name := range field.Names {
-			if isFramePtr(fi.Pass, field.Type) {
-				if obj := fi.Pass.Info.Defs[name]; obj != nil {
-					if out == nil {
-						out = map[types.Object]int{}
-					}
-					out[obj] = idx
-				}
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	return out
-}
-
-// isFramePtr reports whether the type expression denotes *wire.Frame.
-func isFramePtr(p *Pass, te ast.Expr) bool {
-	tv, ok := p.Info.Types[te]
-	if !ok {
-		return false
-	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := ptr.Elem().(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == modulePath+"/internal/wire" && n.Obj().Name() == "Frame"
-}
-
+// frameFactsStep classifies what fi does to each of its frame parameters:
+// a direct Release (always, if it is a top-level statement; maybe
+// otherwise), a retain as frameRetains recognises it, and — transitively —
+// whatever the static callees it hands the parameter to do with it.
 func frameFactsStep(fi *FuncInfo) bool {
-	params := frameParamObjs(fi)
+	params := paramObjs(fi, isFrameType)
 	if len(params) == 0 {
 		return false
 	}
 	p, sum := fi.Pass, fi.Sum
 	changed := false
-	merge := func(idx int, eff FrameEffect) {
-		cur := sum.FrameParams[idx]
-		next := cur
-		if eff.Release > next.Release {
-			next.Release = eff.Release
+	merge := func(e ast.Expr, eff FrameEffect) {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return
 		}
-		next.Retains = next.Retains || eff.Retains
+		idx, ok := params[objOf(p.Info, id)]
+		if !ok {
+			return
+		}
+		cur := sum.FrameParams[idx]
+		next := FrameEffect{Release: max(cur.Release, eff.Release), Retains: cur.Retains || eff.Retains}
 		if next != cur {
 			sum.FrameParams[idx] = next
 			changed = true
 		}
 	}
-	paramIdx := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		obj := objOf(p.Info, id)
-		idx, ok := params[obj]
-		return idx, ok
-	}
+	frameRetains(p, fi.Decl.Body, func(e ast.Expr, _ string) { merge(e, FrameEffect{Retains: true}) })
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			// direct Release of a parameter
-			if _, _, ok := frameReleaseOp(p, x); ok {
-				sel := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-				if idx, ok := paramIdx(sel.X); ok {
-					mode := ReleaseMaybe
-					if sum.topNodes[x] {
-						mode = ReleaseAlways
-					}
-					merge(idx, FrameEffect{Release: mode})
+			if _, ok := frameReleaseOp(p, x); ok {
+				mode := ReleaseMaybe
+				if sum.topNodes[x] {
+					mode = ReleaseAlways
 				}
-				return true
-			}
-			// builtin append retains
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-					for _, a := range x.Args[1:] {
-						if idx, ok := paramIdx(a); ok {
-							merge(idx, FrameEffect{Retains: true})
-						}
-					}
-					return true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, r := range x.Rhs {
-				idx, ok := paramIdx(r)
-				if !ok || i >= len(x.Lhs) {
-					continue
-				}
-				switch ast.Unparen(x.Lhs[i]).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr:
-					merge(idx, FrameEffect{Retains: true})
-				}
-			}
-		case *ast.CompositeLit:
-			for _, elt := range x.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				if idx, ok := paramIdx(elt); ok {
-					merge(idx, FrameEffect{Retains: true})
-				}
-			}
-		case *ast.SendStmt:
-			if idx, ok := paramIdx(x.Value); ok {
-				merge(idx, FrameEffect{Retains: true})
-			}
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if idx, ok := paramIdx(r); ok {
-					merge(idx, FrameEffect{Retains: true})
-				}
+				merge(ast.Unparen(x.Fun).(*ast.SelectorExpr).X, FrameEffect{Release: mode})
 			}
 		}
 		return true
 	})
-	// call-transitive effects
 	for _, cs := range fi.Calls {
 		if cs.InLit || cs.InGo || cs.Iface || len(cs.Callees) != 1 {
 			continue
 		}
-		callee := cs.Callees[0]
 		for argIdx, arg := range cs.Call.Args {
-			idx, ok := paramIdx(arg)
+			eff, ok := cs.Callees[0].Sum.FrameParams[argIdx]
 			if !ok {
 				continue
 			}
-			eff, ok := callee.Sum.FrameParams[argIdx]
-			if !ok {
-				continue
+			if eff.Release == ReleaseAlways && !sum.topNodes[cs.Call] {
+				eff.Release = ReleaseMaybe
 			}
-			mode := ReleaseNever
-			if eff.Release == ReleaseAlways && sum.topNodes[cs.Call] {
-				mode = ReleaseAlways
-			} else if eff.Release != ReleaseNever {
-				mode = ReleaseMaybe
-			}
-			merge(idx, FrameEffect{Release: mode, Retains: eff.Retains})
+			merge(arg, eff)
 		}
 	}
 	return changed
@@ -1244,10 +806,11 @@ func (pr *Program) SummaryJSON() ([]byte, error) {
 		s := fi.Sum
 		entry := map[string]any{}
 		if len(s.NetLocks) > 0 {
-			entry["netLocks"] = s.NetLocks
-		}
-		if len(s.RecvLocks) > 0 {
-			entry["recvLocks"] = s.RecvLocks
+			m := map[string]string{}
+			for class, net := range s.NetLocks {
+				m[class] = strings.TrimSpace(fmt.Sprintf("%+d %s", net.n, net.recvRel))
+			}
+			entry["netLocks"] = m
 		}
 		if len(s.Acquires) > 0 {
 			m := map[string]string{}
@@ -1259,12 +822,6 @@ func (pr *Program) SummaryJSON() ([]byte, error) {
 				m[class] = posStr(a.pos) + tag
 			}
 			entry["acquires"] = m
-		}
-		if s.LeakLoop.IsValid() {
-			entry["leakLoop"] = posStr(s.LeakLoop)
-		}
-		if s.LeakVia != nil {
-			entry["leakVia"] = displayName(s.LeakVia.Fn)
 		}
 		if len(s.TypedErrs) > 0 {
 			m := map[string]string{}
@@ -1295,6 +852,13 @@ func (pr *Program) SummaryJSON() ([]byte, error) {
 				m[fmt.Sprintf("%d", idx)] = map[string]any{"release": eff.Release.String(), "retains": eff.Retains}
 			}
 			entry["frameParams"] = m
+		}
+		if len(s.OrderParams) > 0 {
+			m := map[string]string{}
+			for idx, sink := range s.OrderParams {
+				m[fmt.Sprintf("%d", idx)] = sink
+			}
+			entry["orderParams"] = m
 		}
 		if len(entry) > 0 {
 			out[displayName(fi.Fn)] = entry

@@ -2,6 +2,7 @@ package supervisor
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -65,6 +66,7 @@ func TestRunExhaustsBudget(t *testing.T) {
 }
 
 func TestRunDetectsStallAndAborts(t *testing.T) {
+	before := runtime.NumGoroutine()
 	aborted := make(chan struct{})
 	h, err := Run(fastCfg(), func(a *Attempt) error {
 		if a.Number > 0 {
@@ -81,6 +83,19 @@ func TestRunDetectsStallAndAborts(t *testing.T) {
 	}
 	if h.Stalls != 1 || h.Attempts != 2 {
 		t.Errorf("health = %+v", h)
+	}
+	// An aborted attempt that unwinds leaves nothing behind: the party
+	// goroutine of each attempt has returned by the time Run does (the
+	// one documented exception, a party that ignores its abort, is the
+	// next test's).
+	deadline := time.After(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		select {
+		case <-deadline:
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5s after Run returned, %d before\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }
 
