@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzKernelsVsReference -fuzztime $(FUZZTIME) ./internal/bitstr/
 	$(GO) test -run '^$$' -fuzz FuzzTally -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzKingLanes -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/

@@ -30,14 +30,15 @@ func Agree(inputs []*big.Int, opts Options) (*Result, error) {
 	}
 	rep := run.Report
 	res := &Result{
-		Outputs:     run.Outputs,
-		Rounds:      rep.Rounds,
-		HonestBits:  rep.HonestBits,
-		CorruptBits: rep.CorruptBits,
-		Messages:    rep.Messages,
-		BitsByLabel: rep.BitsByTag,
-		Timeline:    rep.Timeline,
-		BitsByParty: rep.BitsByParty,
+		Outputs:       run.Outputs,
+		Rounds:        rep.Rounds,
+		HonestBits:    rep.HonestBits,
+		CorruptBits:   rep.CorruptBits,
+		Messages:      rep.Messages,
+		BitsByLabel:   rep.BitsByTag,
+		RoundsByLabel: rep.RoundsByTag,
+		Timeline:      rep.Timeline,
+		BitsByParty:   rep.BitsByParty,
 	}
 	for _, out := range res.Outputs {
 		if res.Output == nil {

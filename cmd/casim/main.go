@@ -37,7 +37,7 @@ func run() int {
 		randomBits = flag.Int("random-bits", 0, "draw uniform random inputs of this many bits instead of -inputs")
 		corrupt    = flag.String("corrupt", "", "corruptions, e.g. 2:ghost:1000000,5:silent")
 		seed       = flag.Int64("seed", 1, "randomness seed for inputs and adversaries")
-		breakdown  = flag.Bool("breakdown", false, "print per-label bit breakdown")
+		breakdown  = flag.Bool("breakdown", false, "print per-label breakdown of honest bits and rounds")
 		timeline   = flag.Bool("timeline", false, "print per-round traffic timeline")
 	)
 	flag.Parse()
@@ -103,17 +103,23 @@ func run() int {
 	}
 	if *breakdown {
 		type row struct {
-			label string
-			bits  int64
+			label  string
+			bits   int64
+			rounds int
 		}
 		rows := make([]row, 0, len(res.BitsByLabel))
 		for label, bits := range res.BitsByLabel {
-			rows = append(rows, row{label, bits})
+			rows = append(rows, row{label, bits, res.RoundsByLabel[label]})
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].bits > rows[j].bits })
-		fmt.Println("label breakdown:")
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].bits != rows[j].bits {
+				return rows[i].bits > rows[j].bits
+			}
+			return rows[i].label < rows[j].label
+		})
+		fmt.Println("label breakdown (honest bits, rounds):")
 		for _, r := range rows {
-			fmt.Printf("  %-64s %d\n", r.label, r.bits)
+			fmt.Printf("  %-64s %12d %6d\n", r.label, r.bits, r.rounds)
 		}
 	}
 	return 0

@@ -162,6 +162,9 @@ type Result struct {
 	// BitsByLabel breaks HonestBits down by protocol-internal label
 	// (e.g. "ca/mag/flca/fp/lba/root/dist" — see DESIGN.md).
 	BitsByLabel map[string]int64
+	// RoundsByLabel is the number of rounds honest parties sent under each
+	// label: where ROUNDS(Π) goes, step by step.
+	RoundsByLabel map[string]int
 	// Timeline holds per-round traffic when Options.Timeline was set.
 	Timeline []RoundStats
 	// BitsByParty is each party's sent payload bits (0 for corrupted

@@ -34,6 +34,15 @@ func TestAgreeDefaults(t *testing.T) {
 	if res.Rounds == 0 || res.HonestBits == 0 || len(res.BitsByLabel) == 0 {
 		t.Error("cost report incomplete")
 	}
+	// Every step of Π_ℤ has honest senders at f = 0: the per-label rounds
+	// account for all of them.
+	sum := 0
+	for _, r := range res.RoundsByLabel {
+		sum += r
+	}
+	if sum != res.Rounds {
+		t.Errorf("RoundsByLabel adds up to %d of %d rounds", sum, res.Rounds)
+	}
 }
 
 func TestAgreeAllProtocols(t *testing.T) {

@@ -41,10 +41,10 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 
 // BenchmarkBinaryChannet is one phase-king instance per op, all n parties,
 // back to back on one in-process hub: what the protocol layer itself
-// allocates in its 3(t+1) rounds (tags, one-byte payloads, the hub's
-// copies) with no first-per-sender map and no wire under it — at n = 7,
-// and at n = 16 (mux_closed's shape), where the map that used to be built
-// per round no longer fit the stack. ci.sh pins both rows' allocs/op with
+// allocates in its 3(t+1) rounds with no wire under it — per party the
+// instance's lane vectors, vote counts, three tags and three send buffers,
+// once, and nothing per round; the rest is the hub's copies — at n = 7, and
+// at n = 16 (mux_closed's shape). ci.sh pins both rows' allocs/op with
 // -guard-allocs.
 func BenchmarkBinaryChannet(b *testing.B) {
 	for _, n := range []int{7, 16} {

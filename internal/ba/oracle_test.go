@@ -141,3 +141,89 @@ func TestOptionFrameMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// oracleKingBit is the king's round as Binary read it when it had a body of
+// its own, kept verbatim (transport.Bit inlined): of the king's one-byte 0/1
+// messages the last one, else 0.
+func oracleKingBit(in []transport.Message, king transport.PartyID) byte {
+	kingVal := byte(0)
+	for _, m := range transport.SentBy(in, king) {
+		if len(m.Payload) == 1 && m.Payload[0] <= 1 {
+			kingVal = m.Payload[0]
+		}
+	}
+	return kingVal
+}
+
+// oracleKingLane reads lane l of a k-lane king's round by the rules alone,
+// one lane and one message at a time: a message that is not ⌈k/4⌉ bytes or
+// has a non-zero bit above lane k−1 is skipped whole, a lane reading ⊥ or 3
+// skips that lane of that message, the last bit left standing counts, and
+// no bit at all is 0.
+func oracleKingLane(in []transport.Message, king transport.PartyID, k, l int) byte {
+	val := byte(0)
+	for _, m := range in {
+		if m.From != king || len(m.Payload) != (k+3)/4 {
+			continue
+		}
+		digits := make([]byte, 0, 4*len(m.Payload)) // base-4 digits, least significant first
+		for _, b := range m.Payload {
+			for j := 0; j < 4; j++ {
+				digits = append(digits, b%4)
+				b /= 4
+			}
+		}
+		if !bytes.Equal(digits[k:], make([]byte, len(digits)-k)) {
+			continue
+		}
+		if digits[l] <= 1 {
+			val = digits[l]
+		}
+	}
+	return val
+}
+
+func checkKingLanes(t *testing.T, in []transport.Message, king transport.PartyID, k int) {
+	t.Helper()
+	val, got := bytes.Repeat([]byte{0xEE}, k), make([]byte, k)
+	kingLanes(in, king, val, got)
+	for l := range val {
+		if want := oracleKingLane(in, king, k, l); val[l] != want {
+			t.Fatalf("k=%d lane %d: king's value %d, oracle %d on %v", k, l, val[l], want, in)
+		}
+	}
+	if want := oracleKingBit(in, king); k == 1 && val[0] != want {
+		t.Fatalf("k=1: king's value %d, Binary's old rule %d on %v", val[0], want, in)
+	}
+}
+
+// lanePool is what a lanes round can carry at small k: one-lane frames 0,
+// 1, ⊥ and 3, padding violations, and multi-byte frames with every lane
+// value in them.
+var lanePool = [][]byte{
+	{0}, {1}, {2}, {3}, {4}, {0x80}, {0x11}, {0x1B}, {0xE4}, {0x44, 0x01}, {0x9C, 0x02}, {0x05, 0x10}, {0xFF, 0xFF},
+}
+
+func TestKingLanesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 5000; trial++ {
+		raw := make([]byte, 2*rng.Intn(10))
+		rng.Read(raw)
+		for i := 0; i < len(raw); i += 2 {
+			raw[i] = byte(rng.Intn(3)) // few senders, so the king spams
+			if rng.Intn(4) > 0 {
+				raw[i+1] = byte(rng.Intn(len(lanePool)))
+			}
+		}
+		checkKingLanes(t, transporttest.Inbox(raw, lanePool), rng.Intn(3), 1+trial%8)
+	}
+}
+
+func FuzzKingLanes(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{1, 1, 1, 2, 1, 0, 1, 3, 2, 1}, uint8(1), uint8(0))
+	f.Add([]byte{0, 9, 0, 12, 0, 10, 0, 11, 3, 9}, uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, raw []byte, king, k uint8) {
+		checkKingLanes(t, transporttest.Inbox(raw, lanePool), int(king%8), 1+int(k%8))
+	})
+}

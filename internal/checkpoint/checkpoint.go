@@ -198,6 +198,11 @@ type Log struct {
 	// nil while fully healthy.
 	degraded error
 	closed   bool
+	// body and frame are the append scratch — the record being encoded and
+	// its framed form — reset for every record instead of reallocated: the
+	// single-goroutine contract serialises appends, and a File's Write
+	// keeps nothing of what it is handed once it returns.
+	body, frame wire.Writer
 }
 
 // Open opens (creating if necessary) the WAL in dir on the real
@@ -593,7 +598,8 @@ func (l *Log) append(body []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
-	w := wire.NewWriter(len(body) + 16)
+	w := &l.frame
+	w.Reset(w.Finish())
 	w.Uvarint(uint64(len(body)))
 	w.Raw(body)
 	sum := crc32.Checksum(body, castagnoli)
@@ -620,11 +626,18 @@ func (l *Log) append(body []byte) error {
 	return nil
 }
 
+// record starts a record body of the given kind in the body scratch.
+func (l *Log) record(kind byte) *wire.Writer {
+	w := &l.body
+	w.Reset(w.Finish())
+	w.Byte(kind)
+	return w
+}
+
 // AppendMeta records the session geometry. Written once, before the first
 // instance.
 func (l *Log) AppendMeta(n, t int) error {
-	w := wire.NewWriter(16)
-	w.Byte(recMeta)
+	w := l.record(recMeta)
 	w.Uvarint(uint64(n))
 	w.Uvarint(uint64(t))
 	return l.append(w.Finish())
@@ -633,8 +646,7 @@ func (l *Log) AppendMeta(n, t int) error {
 // AppendInstance records the start of instance inst (its parameters only;
 // rounds follow as they complete).
 func (l *Log) AppendInstance(inst *Instance) error {
-	w := wire.NewWriter(64)
-	w.Byte(recInstance)
+	w := l.record(recInstance)
 	w.Uvarint(inst.Seq)
 	w.Byte(inst.Kind)
 	w.Bytes([]byte(inst.Protocol))
@@ -647,12 +659,7 @@ func (l *Log) AppendInstance(inst *Instance) error {
 
 // AppendRound records one completed round's delivered inbox.
 func (l *Log) AppendRound(msgs []transport.Message) error {
-	size := 16
-	for _, m := range msgs {
-		size += len(m.Payload) + 8
-	}
-	w := wire.NewWriter(size)
-	w.Byte(recRound)
+	w := l.record(recRound)
 	w.Uvarint(uint64(len(msgs)))
 	for _, m := range msgs {
 		w.Uvarint(uint64(m.From))
@@ -663,8 +670,7 @@ func (l *Log) AppendRound(msgs []transport.Message) error {
 
 // AppendEnd records the successful completion of the current instance.
 func (l *Log) AppendEnd(output *big.Int) error {
-	w := wire.NewWriter(32)
-	w.Byte(recEnd)
+	w := l.record(recEnd)
 	writeBig(w, output)
 	return l.append(w.Finish())
 }

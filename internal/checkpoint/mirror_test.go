@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"convexagreement/internal/errfs"
 	"convexagreement/internal/transport"
+	"convexagreement/internal/wire"
 )
 
 // buildMirrored runs the full workload in mirrored mode and returns the
@@ -306,5 +308,54 @@ func TestScrubMirrorRepairIdempotent(t *testing.T) {
 	}
 	if digestState(st) != want {
 		t.Fatal("state after scrub repair differs from full log")
+	}
+}
+
+// TestAppendScratchIsNotRetained: the Log reuses one body and one frame
+// buffer for every record, which is legal only if no File keeps what Write
+// was handed. Overwrite both buffers, to their full capacity, after every
+// append — single copy and mirrored, where one frame is written twice — and
+// the files must still hold byte for byte what an undisturbed log wrote.
+func TestAppendScratchIsNotRetained(t *testing.T) {
+	for _, mirror := range []bool{false, true} {
+		files := func(scribble bool) [][]byte {
+			m := errfs.NewMem(errfs.Faults{})
+			log, _, err := OpenOptions(crashDir, Options{FS: m, Mirror: mirror})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, step := range workloadSteps(log) {
+				if err := step(); err != nil {
+					t.Fatalf("mirror=%v append %d: %v", mirror, i, err)
+				}
+				if scribble {
+					for _, w := range []*wire.Writer{&log.body, &log.frame} {
+						buf := w.Finish()
+						buf = buf[:cap(buf)]
+						for k := range buf {
+							buf[k] = 0xDB
+						}
+					}
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var out [][]byte
+			for _, name := range (Options{Mirror: mirror}).copyNames() {
+				raw, ok := m.ReadFileRaw(filepath.Join(crashDir, name))
+				if !ok || len(raw) == 0 {
+					t.Fatalf("mirror=%v: %s missing or empty", mirror, name)
+				}
+				out = append(out, raw)
+			}
+			return out
+		}
+		want, got := files(false), files(true)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("mirror=%v copy %d: the file changed when the append scratch was overwritten", mirror, i)
+			}
+		}
 	}
 }

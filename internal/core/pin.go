@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/bitstr"
@@ -24,56 +25,73 @@ const MaxWidth = 1 << 26
 // (block-size values have only O(ℓ/n²) bits, so that call stays within
 // O(ℓn) bits).
 //
+// Deviation (PROTOCOLS.md, "batched length search"): the paper lists the
+// size-class question and the doubling search's questions one Π_BA after
+// another; none of their inputs depends on another's answer, so they are
+// the lanes of one ba.Bits instance at tag+"/pre".
+//
 // Complexity (Theorem 5): O(ℓn + κ·n²·log²n) + O(log n)·BITS_κ(Π_BA) bits
-// and O(n) + O(log n)·ROUNDS_κ(Π_BA) rounds.
+// and O(n) + O(log n)·ROUNDS_κ(Π_BA) rounds; of the rounds the length search
+// is one ROUNDS(Π_BA), the O(log n) factor is the prefix search's.
 func PiN(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
 	if v == nil || v.Sign() < 0 {
 		return nil, fmt.Errorf("%w: input must be a natural number, got %v", ErrProtocol, v)
 	}
-	n := env.N()
-	n2 := n * n
-	vLen := bitstr.NatBitLen(v)
-
-	sizeClass := byte(0)
-	if vLen > n2 {
-		sizeClass = 1
-	}
-	agreedClass, err := ba.Binary(env, tag+"/sizeclass", sizeClass)
+	lanes := make([]byte, lengthLanes(env.N()))
+	askLength(lanes, v, env.N())
+	agreed, err := ba.Bits(env, tag+"/pre", lanes)
 	if err != nil {
 		return nil, err
 	}
+	return piNWithLength(env, tag, v, agreed)
+}
 
-	if agreedClass == 0 {
+// lengthLanes is the number of questions Π_ℕ asks about its input's length:
+// the size class and one per doubling step 2^0 … 2^⌈log₂ n²⌉.
+func lengthLanes(n int) int { return bits.Len(uint(n*n-1)) + 2 }
+
+// askLength fills a party's lengthLanes(n) inputs for the magnitude v: lane
+// 0 is the size class ("v is longer than n² bits"), lane 1+i the doubling
+// search's "v, clamped to n² bits, is longer than 2^i bits".
+func askLength(lanes []byte, v *big.Int, n int) {
+	n2, vLen := n*n, bitstr.NatBitLen(v)
+	clear(lanes)
+	if vLen > n2 {
+		lanes[0] = 1
+	}
+	for i := range lanes[1:] {
+		if min(vLen, n2) > 1<<i {
+			lanes[1+i] = 1
+		}
+	}
+}
+
+// piNWithLength is Π_ℕ from the agreed answers to askLength's questions on.
+func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte) (*big.Int, error) {
+	n2 := env.N() * env.N()
+	if agreed[0] == 0 {
 		// Some honest party's input fits in n² bits, so 2^(n²)−1 is in the
 		// honest range and clamping longer inputs preserves validity.
 		v = clampToWidth(v, n2)
-		// Doubling search: agree on the smallest power of two no honest
-		// party objects to. All honest inputs fit in n² ≤ 2^⌈log₂ n²⌉
-		// bits, so by Validity the loop returns by its final iteration.
-		for i := 0; ; i++ {
-			est := 1 << i
-			tooLong := byte(0)
-			if bitstr.NatBitLen(v) > est {
-				tooLong = 1
-			}
-			fits, err := ba.Binary(env, fmt.Sprintf("%s/len%d", tag, i), tooLong)
-			if err != nil {
-				return nil, err
-			}
-			if fits == 0 {
-				v = clampToWidth(v, est)
-				return FixedLengthCA(env, tag+"/flca", est, v)
-			}
-			if est >= n2 {
-				// Unreachable: at est ≥ n² every honest party inputs 0.
-				return nil, fmt.Errorf("%w: length search failed to converge", ErrProtocol)
+		// Doubling search: the smallest power of two no honest party
+		// objects to — the step at which the sequential search would have
+		// stopped. All honest inputs fit in n² ≤ 2^⌈log₂ n²⌉ bits, so by
+		// Validity the last lane, if no earlier one, agreed "fits"; and an
+		// agreed "fits" at 2^i has an honest party whose clamped input fits
+		// there, so clamping to 2^i preserves validity again.
+		for i, tooLong := range agreed[1:] {
+			if tooLong == 0 {
+				est := 1 << i
+				return FixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est))
 			}
 		}
+		// Unreachable: at 2^i ≥ n² every honest party inputs 0.
+		return nil, fmt.Errorf("%w: length search failed to converge", ErrProtocol)
 	}
 
 	// Some honest party's input exceeds n² bits. Agree on a block size in
 	// the honest block sizes' range via the high-cost protocol.
-	blockSize := (vLen + n2 - 1) / n2
+	blockSize := (bitstr.NatBitLen(v) + n2 - 1) / n2
 	agreedBS, err := highcostca.Run(env, tag+"/blocksize", big.NewInt(int64(blockSize)))
 	if err != nil {
 		return nil, err

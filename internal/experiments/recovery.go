@@ -33,6 +33,33 @@ func e18Input(n, party, seq int) *big.Int {
 	}
 }
 
+// measuredRounds is how long instance seq of a Π_ℤ cluster runs: the rounds
+// the simulator counts for the same inputs, fault-free. Kill and fault
+// schedules are placed at fractions of it, so they land inside the run
+// however long the protocol currently is. A constant outlives the protocol
+// it was read off, and a kill scheduled past the end of the run never fires —
+// the recovery check becomes a clean run and says ok.
+func measuredRounds(n int, input func(party, seq int) *big.Int, seq int) int {
+	inputs := make([]*big.Int, n)
+	for party := range inputs {
+		inputs[party] = input(party, seq)
+	}
+	res, err := ca.Agree(inputs, ca.Options{})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: measuring instance %d: %v", seq, err))
+	}
+	return res.Rounds
+}
+
+// totalRounds is measuredRounds over a whole run.
+func totalRounds(n, instances int, input func(party, seq int) *big.Int) int {
+	total := 0
+	for seq := 0; seq < instances; seq++ {
+		total += measuredRounds(n, input, seq)
+	}
+	return total
+}
+
 // CrashRecovery is the supervised hub soak: party 1 suffers drops, delays, a
 // crash window and a partition (within the t budget, no guarantees) and
 // party n−1 is killed kills times, each time resuming from its write-ahead
@@ -40,7 +67,8 @@ func e18Input(n, party, seq int) *big.Int {
 // the kill target stays clean: the clean set is everyone but party 1.
 func CrashRecovery(n, instances, kills int, seed int64) Cluster {
 	C, K := 1, n-1
-	total := instances * 92 * n / 4 // rough rounds budget, scaled from n=4
+	input := func(party, seq int) *big.Int { return e18Input(n, party, seq) }
+	total := totalRounds(n, instances, input)
 	frac := func(f float64) int { return int(f * float64(total)) }
 	cfg := ca.FaultConfig{
 		Seed: seed,
@@ -61,23 +89,24 @@ func CrashRecovery(n, instances, kills int, seed int64) Cluster {
 	}
 	return Cluster{
 		N: n, Faults: cfg, Instances: instances,
-		Input:   func(party, seq int) *big.Int { return e18Input(n, party, seq) },
+		Input:   input,
 		Storage: map[int]Disk{K: {}},
 	}
 }
 
-// TCPRejoin kills checkpointed party 3 once, mid-instance 1 (≈ 90 rounds per
-// instance at n = 4), on a real 4-party TCP mesh. The mesh free-runs during
-// the restart, so the kill target's downtime is charged as omissions (within
-// t = 1): the clean set is parties 0–2 on every instance, and party 3 — whose
-// input repeats party 0's, inside their band — is held to its pre-kill
-// instance only.
+// TCPRejoin kills checkpointed party 3 once, half-way through instance 1, on
+// a real 4-party TCP mesh. The mesh free-runs during the restart, so the kill
+// target's downtime is charged as omissions (within t = 1): the clean set is
+// parties 0–2 on every instance, and party 3 — whose input repeats party 0's,
+// inside their band — is held to its pre-kill instance only.
 func TCPRejoin(instances int) Cluster {
-	const n, K, killRound = 4, 3, 100
+	const n, K = 4, 3
+	input := func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*(party%K) + 1)) }
+	killRound := measuredRounds(n, input, 0) + measuredRounds(n, input, 1)/2
 	return Cluster{
 		N: n, TCP: true, Instances: instances,
 		Faults:  ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: killRound}}},
-		Input:   func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*(party%K) + 1)) },
+		Input:   input,
 		Storage: map[int]Disk{K: {}},
 	}
 }
@@ -115,7 +144,7 @@ func E18CrashRecovery(quick bool) Table {
 	a := mustRun(TCPRejoin(2))
 	K := &a.Parties[3]
 	v, preKill := a.Judge([]int{0, 1, 2}), a.JudgeInstance(0, allBut(4))
-	recovered := K.Err == nil
+	recovered := K.Err == nil && K.Health.Attempts == 2 // the kill fired and the party came back
 	gapCell := "0"
 	if K.FrontierGap > 0 {
 		gapCell = ">0"

@@ -31,7 +31,8 @@ import (
 // party 1.
 func StorageFaults(n, instances, kills int, seed int64) Cluster {
 	D, C, K := 0, 1, n-1
-	total := instances * 92 * n / 4
+	input := func(party, seq int) *big.Int { return e18Input(n, party, seq) }
+	total := totalRounds(n, instances, input)
 	frac := func(f float64) int { return int(f * float64(total)) }
 	cfg := ca.FaultConfig{
 		Seed: seed,
@@ -47,7 +48,7 @@ func StorageFaults(n, instances, kills int, seed int64) Cluster {
 	}
 	return Cluster{
 		N: n, Faults: cfg, Instances: instances,
-		Input: func(party, seq int) *big.Int { return e18Input(n, party, seq) },
+		Input: input,
 		Storage: map[int]Disk{
 			D: {Faults: &errfs.Faults{Seed: seed, OpEIOAfter: 60}},
 			K: {Mirror: true, Faults: &errfs.Faults{Seed: seed + 1, ReadRotProb: 0.25, RotFile: "wal"}},

@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -86,6 +87,10 @@ type Report struct {
 	Messages int64
 	// BitsByTag breaks HonestBits down by packet tag.
 	BitsByTag map[string]int64
+	// RoundsByTag is the number of rounds in which some honest party sent
+	// under the tag. In a protocol that runs its steps one after another
+	// the counts add up to Rounds, less the rounds no honest party spoke in.
+	RoundsByTag map[string]int
 	// BitsByParty is per-party honest sent bits (corrupt entries are 0);
 	// useful for load-balance analysis.
 	BitsByParty []int64
@@ -124,7 +129,8 @@ type runner struct {
 	bcasts         []bcast    // this round's broadcast submissions per party
 	honestPending  int        // count of active honest parties that submitted
 	lastInbox      [][]Message
-	inboxCount     []int // per-recipient packet counts, reused every round
+	inboxCount     []int    // per-recipient packet counts, reused every round
+	roundTags      []string // the round's distinct honest tags, reused every round
 	// spied is the current round's rushing-adversary snapshot, built at
 	// most once per round on first peek and shared read-only by all
 	// peekers (see the Spied doc comment).
@@ -188,6 +194,7 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.report.BitsByTag = make(map[string]int64)
+	r.report.RoundsByTag = make(map[string]int)
 	r.report.BitsByParty = make([]int64, cfg.N)
 	r.report.PartyErrors = make([]error, cfg.N)
 	numCorrupt := 0
@@ -485,9 +492,18 @@ func (r *runner) maybeFinishRound() {
 	// one map update per packet into one per sender per tag run.
 	var runTag string
 	var runBits int64
+	// The distinct tags honest parties sent under this round: nearly always
+	// one, the same for every sender.
+	roundTags := r.roundTags[:0]
+	noteTag := func(tag string) {
+		if !slices.Contains(roundTags, tag) {
+			roundTags = append(roundTags, tag)
+		}
+	}
 	flushTagRun := func() {
 		if runBits != 0 {
 			r.report.BitsByTag[runTag] += runBits
+			noteTag(runTag)
 			runBits = 0
 		}
 	}
@@ -508,6 +524,7 @@ func (r *runner) maybeFinishRound() {
 			} else {
 				r.report.HonestBits += bits * others
 				r.report.BitsByTag[b.tag] += bits * others
+				noteTag(b.tag)
 				r.report.BitsByParty[from] += bits * others
 				stats.HonestBits += bits * others
 			}
@@ -544,6 +561,10 @@ func (r *runner) maybeFinishRound() {
 		r.submitted[from] = false
 	}
 	flushTagRun()
+	for _, tag := range roundTags {
+		r.report.RoundsByTag[tag]++
+	}
+	r.roundTags = roundTags
 	if r.cfg.Timeline {
 		stats.Round = r.round
 		r.report.Timeline = append(r.report.Timeline, stats)

@@ -61,6 +61,9 @@ func TestAllToAllDelivery(t *testing.T) {
 	if rep.BitsByTag["echo"] != wantBits {
 		t.Errorf("tag bits = %d, want %d", rep.BitsByTag["echo"], wantBits)
 	}
+	if rep.RoundsByTag["echo"] != 3 || len(rep.RoundsByTag) != 1 {
+		t.Errorf("tag rounds = %v, want echo: 3", rep.RoundsByTag)
+	}
 	if rep.CorruptBits != 0 {
 		t.Errorf("corrupt bits = %d, want 0", rep.CorruptBits)
 	}

@@ -109,18 +109,9 @@ func TestMajorityBitMatchesOracle(t *testing.T) {
 		for k := rng.Intn(12); k > 0; k-- {
 			in = append(in, Message{From: rng.Intn(6), Payload: payloads[rng.Intn(len(payloads))]})
 		}
-		count := [2]int{}
-		for _, m := range FirstPerSender(in) {
-			if len(m.Payload) == 1 && m.Payload[0] <= 1 {
-				count[m.Payload[0]]++
-			}
-		}
-		want := byte(0)
-		if count[1] > count[0] {
-			want = 1
-		}
-		if bit, c := MajorityBit(in); bit != want || c != count[want] {
-			t.Fatalf("MajorityBit = (%d, %d), oracle (%d, %d) on %v", bit, c, want, count[want], in)
+		want, wantCount := oracleMajorityBit(in)
+		if bit, c := MajorityBit(in); bit != want || c != wantCount {
+			t.Fatalf("MajorityBit = (%d, %d), oracle (%d, %d) on %v", bit, c, want, wantCount, in)
 		}
 	}
 }
@@ -154,5 +145,152 @@ func TestSentBy(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sink = SentBy(sorted, 2) }); allocs != 0 {
 		t.Errorf("sorted inbox: %v allocs per call, want 0", allocs)
+	}
+}
+
+// The one-bit decoder and count LaneVotes' one-lane case replaced, kept
+// verbatim as its oracles.
+
+func oracleBit(payload []byte) (byte, bool) {
+	if len(payload) != 1 || payload[0] > 1 {
+		return 0, false
+	}
+	return payload[0], true
+}
+
+func oracleMajorityBit(in []Message) (bit byte, count int) {
+	var counts [2]int
+	for _, m := range FirstPerSender(in) {
+		if b, ok := oracleBit(m.Payload); ok {
+			counts[b]++
+		}
+	}
+	if counts[1] > counts[0] {
+		bit = 1
+	}
+	return bit, counts[bit]
+}
+
+// oracleLanes decodes a k-lane frame one bit at a time: the payload as a
+// little-endian bit string, lane l its bits 2l and 2l+1, every bit from 2k
+// on zero, exactly ⌈k/4⌉ bytes.
+func oracleLanes(payload []byte, k int) ([]byte, bool) {
+	if len(payload)*4 < k || (len(payload)-1)*4 >= k {
+		return nil, false
+	}
+	bit := func(i int) byte { return payload[i/8] >> (i % 8) & 1 }
+	for i := 2 * k; i < 8*len(payload); i++ {
+		if bit(i) != 0 {
+			return nil, false
+		}
+	}
+	lanes := make([]byte, k)
+	for l := range lanes {
+		lanes[l] = bit(2*l) + 2*bit(2*l+1)
+	}
+	return lanes, true
+}
+
+// checkLanes holds the lane vocabulary to the rejection rules on one inbox:
+// a payload of the wrong length or with non-zero padding is ignored whole, a
+// lane reading ⊥ or 3 is ignored alone, and at k = 1 the frame, the decoder
+// and the count are the one-byte 0/1 message's.
+func checkLanes(t *testing.T, in []Message, k int) {
+	t.Helper()
+	want := make(LaneVotes, k)
+	for _, m := range FirstPerSender(in) {
+		lanes, ok := oracleLanes(m.Payload, k)
+		got := bytes.Repeat([]byte{0xEE}, k)
+		if UnpackLanes(m.Payload, got) != ok {
+			t.Fatalf("k=%d: UnpackLanes(%x) = %v, oracle %v", k, m.Payload, !ok, ok)
+		}
+		if !ok {
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xEE}, k)) {
+				t.Fatalf("k=%d: UnpackLanes(%x) rejected the frame and wrote %x", k, m.Payload, got)
+			}
+			continue
+		}
+		if !bytes.Equal(got, lanes) {
+			t.Fatalf("k=%d: UnpackLanes(%x) = %v, oracle %v", k, m.Payload, got, lanes)
+		}
+		for l, b := range lanes {
+			if b <= 1 {
+				want[l][b]++
+			}
+		}
+		if b, isBit := oracleBit(m.Payload); k == 1 && (isBit != (lanes[0] <= 1) || (isBit && b != lanes[0])) {
+			t.Fatalf("k=1: frame %x reads %d, the one-byte decoder (%d, %v)", m.Payload, lanes[0], b, isBit)
+		}
+	}
+	votes := make(LaneVotes, k)
+	for l := range votes {
+		votes[l] = [2]int{99, 99} // Count must not add to last round's
+	}
+	votes.Count(in)
+	if !reflect.DeepEqual(votes, want) {
+		t.Fatalf("k=%d: Count = %v, oracle %v on %v", k, votes, want, in)
+	}
+	for l := range votes {
+		wantBit := byte(0)
+		if want[l][1] > want[l][0] {
+			wantBit = 1
+		}
+		if bit, c := votes.Majority(l); bit != wantBit || c != want[l][wantBit] {
+			t.Fatalf("k=%d lane %d: Majority = (%d, %d), oracle (%d, %d)", k, l, bit, c, wantBit, want[l][wantBit])
+		}
+	}
+	if k == 1 {
+		bit, c := votes.Majority(0)
+		if wantBit, wantC := oracleMajorityBit(in); bit != wantBit || c != wantC {
+			t.Fatalf("k=1: Majority = (%d, %d), the one-byte count (%d, %d) on %v", bit, c, wantBit, wantC, in)
+		}
+		if gotBit, gotC := MajorityBit(in); gotBit != bit || gotC != c {
+			t.Fatalf("MajorityBit = (%d, %d), one-lane LaneVotes (%d, %d) on %v", gotBit, gotC, bit, c, in)
+		}
+	}
+}
+
+func TestLanesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 5000; trial++ {
+		raw := make([]byte, rng.Intn(40))
+		rng.Read(raw)
+		for i := range raw {
+			if rng.Intn(3) > 0 {
+				raw[i] &= 0x57 // mostly lanes that read 0, 1 or ⊥, so counts build up
+			}
+		}
+		checkLanes(t, inboxFrom(raw), 1+trial%12)
+	}
+}
+
+func FuzzLanes(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 1, 1, 1, 1, 0, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 2, 0, 0}, uint8(0))
+	f.Add([]byte{0, 2, 0x11, 0x01, 1, 2, 0x99, 0x02, 2, 2, 0x45, 0x10, 3, 3, 1, 1, 1, 4, 1, 0x12}, uint8(5))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint8) { checkLanes(t, inboxFrom(raw), 1+int(k%12)) })
+}
+
+// TestPackLanes: PackLanes is UnpackLanes' inverse on every lane value an
+// honest party sends, overwrites what the buffer held, and at one lane
+// writes the byte the one-bit protocols have always sent.
+func TestPackLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for k := 0; k <= 21; k++ {
+		lanes, got := make([]byte, k), make([]byte, k)
+		for i := range lanes {
+			lanes[i] = byte(rng.Intn(3))
+		}
+		frame := bytes.Repeat([]byte{0xFF}, LaneBytes(k))
+		PackLanes(frame, lanes)
+		if !UnpackLanes(frame, got) || !bytes.Equal(got, lanes) {
+			t.Errorf("k=%d: %v packed to %x, unpacked to %v", k, lanes, frame, got)
+		}
+	}
+	for _, v := range []byte{0, 1, LaneBot} {
+		frame := []byte{0xFF}
+		if PackLanes(frame, []byte{v}); frame[0] != v {
+			t.Errorf("one lane %d packed to %x", v, frame)
+		}
 	}
 }

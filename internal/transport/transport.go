@@ -11,7 +11,8 @@
 // on another Net.
 //
 // It is also the one home of how a protocol reads a round: FirstPerSender,
-// Tally, MajorityBit and SentBy (PROTOCOLS.md maps them to the paper).
+// Tally, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps them to the
+// paper).
 package transport
 
 import (
@@ -228,28 +229,87 @@ func (t *Tally) Add(v []byte) {
 	}
 }
 
-// Bit decodes a one-bit message: a single byte, 0 or 1.
-func Bit(payload []byte) (byte, bool) {
-	if len(payload) != 1 || payload[0] > 1 {
-		return 0, false
+// Lane values. A lanes frame carries k independent bit questions of one
+// round, lane l in bits 2(l mod 4) and 2(l mod 4)+1 of byte l/4: 0, 1, ⊥
+// (LaneBot) or 3, which no honest party sends. The frame is exactly
+// LaneBytes(k) bytes and the unused high bits of its last byte are zero, so
+// a one-lane frame is the single byte 0, 1 or 2.
+const LaneBot byte = 2
+
+// LaneBytes is the length of a k-lane frame.
+func LaneBytes(k int) int { return (k + 3) / 4 }
+
+// PackLanes encodes lanes (each 0, 1 or LaneBot) into dst, which must be
+// LaneBytes(len(lanes)) long.
+func PackLanes(dst, lanes []byte) {
+	clear(dst)
+	for l, v := range lanes {
+		dst[l/4] |= v << (2 * (l % 4))
 	}
-	return payload[0], true
 }
 
-// MajorityBit is the paper's "the bit most parties sent": over the first
-// message of each sender, ignoring whatever is not a Bit, the bit more
-// parties sent — 0 on a tie or an empty round — and how many sent it.
-func MajorityBit(in []Message) (bit byte, count int) {
-	var counts [2]int
+// UnpackLanes decodes a len(lanes)-lane frame into lanes. A payload of the
+// wrong length or with non-zero padding is no frame at all: it reports
+// false and leaves lanes alone. A lane that reads 2 or 3 is that lane's
+// sender abstaining or misbehaving in that lane only; what to make of it
+// is the caller's rule.
+func UnpackLanes(payload, lanes []byte) bool {
+	if !isLanes(payload, len(lanes)) {
+		return false
+	}
+	for l := range lanes {
+		lanes[l] = lane(payload, l)
+	}
+	return true
+}
+
+// isLanes reports whether payload is a k-lane frame.
+func isLanes(payload []byte, k int) bool {
+	return len(payload) == LaneBytes(k) && (k%4 == 0 || payload[len(payload)-1]>>(2*(k%4)) == 0)
+}
+
+// lane reads lane l of a frame.
+func lane(frame []byte, l int) byte { return frame[l/4] >> (2 * (l % 4)) & 3 }
+
+// LaneVotes is the paper's "the bit most parties sent", asked of k lanes at
+// once: v[l][b] is the number of parties whose lane l read b. The slice is
+// the caller's scratch; Count refills it every round.
+type LaneVotes [][2]int
+
+// Count reads one round: over the first message of each sender, ignoring
+// whatever is not a len(v)-lane frame, every lane that reads 0 or 1 counts
+// for that bit and every other lane (⊥, garbage) for nothing.
+func (v LaneVotes) Count(in []Message) {
+	clear(v)
 	for _, m := range FirstPerSender(in) {
-		if b, ok := Bit(m.Payload); ok {
-			counts[b]++
+		if !isLanes(m.Payload, len(v)) {
+			continue
+		}
+		for l := range v {
+			if b := lane(m.Payload, l); b <= 1 {
+				v[l][b]++
+			}
 		}
 	}
-	if counts[1] > counts[0] {
+}
+
+// Majority is lane l's majority bit — 0 on a tie or an empty lane — and how
+// many parties sent it.
+func (v LaneVotes) Majority(l int) (bit byte, count int) {
+	if v[l][1] > v[l][0] {
 		bit = 1
 	}
-	return bit, counts[bit]
+	return bit, v[l][bit]
+}
+
+// MajorityBit is the paper's "the bit most parties sent" for a round of
+// one-byte 0/1 messages (a one-lane frame): the bit more parties sent — 0
+// on a tie or an empty round — and how many sent it.
+func MajorityBit(in []Message) (bit byte, count int) {
+	var one [1][2]int
+	votes := LaneVotes(one[:])
+	votes.Count(in)
+	return votes.Majority(0)
 }
 
 // SentBy is "what P_j sent": every message of this round's inbox whose

@@ -128,6 +128,13 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			return optional(bc.Broadcast(net, "t", 1, blob(net)))
 		}},
 		{"ba.Binary", func(net transport.Net) (any, error) { return ba.Binary(net, "t", byte(net.ID()%2)) }},
+		{"ba.Bits", func(net transport.Net) (any, error) {
+			lanes := make([]byte, 21) // six-byte frames; party id's bits, so lanes split and agree
+			for l := range lanes {
+				lanes[l] = byte(net.ID() >> (l % 3) & 1)
+			}
+			return ba.Bits(net, "t", lanes)
+		}},
 		{"ba.Multivalued", func(net transport.Net) (any, error) {
 			return optional(ba.Multivalued(net, "t", blob(net)))
 		}},

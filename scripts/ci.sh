@@ -72,8 +72,9 @@ for fn in shedInto senderCounts unframe; do
 done
 
 # ISSUE 19: one quorum vocabulary. The option frame lives in internal/wire
-# (Some/None/Option), the value tally, the 0/1 count and the one-sender
-# accessor in internal/transport (Tally, MajorityBit, SentBy); the per-package
+# (Some/None/Option), the value tally, the 0/1 count (per lane of a lanes
+# frame) and the one-sender accessor in internal/transport (Tally, LaneVotes
+# with MajorityBit as its one-lane call, SentBy); the per-package
 # copies survive only as _test.go oracles. A copy coming back brings one of
 # these names with it, or a per-round count map.
 if grep -rnE 'tcMajority|tcBest|supportedValues|votedValues|natWithSupport|encodeTC|encodeOpt|framePresent|frameAbsent' --include='*.go' . | grep -v '_test\.go:'; then
@@ -169,7 +170,7 @@ echo "== session throughput guard (1024 sessions x n=16 within 30s)"
 go test -run '^$' -bench 'BenchmarkSessionThroughput$' -benchtime 1x -benchmem ./internal/sessmux/ \
 	| go run ./cmd/benchjson -guard-time 'SessionThroughput$=30s' > /dev/null
 
-echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bitstr kernels, quorum vocabulary x4)"
+echo "== go test -fuzz smoke (wire frames x2, admission, baplus tuples, checkpoint WAL, scrub, bitstr kernels, quorum vocabulary x6)"
 # FuzzReadFrame and FuzzReadFrameInto share a prefix; go test refuses a -fuzz
 # pattern matching more than one target, so each needs an anchored pattern.
 go test -run '^$' -fuzz 'FuzzReadFrame$' -fuzztime 5s ./internal/wire/
@@ -181,6 +182,8 @@ go test -run '^$' -fuzz FuzzScrub -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzKernelsVsReference -fuzztime 5s ./internal/bitstr/
 # The quorum vocabulary against the per-package functions it replaced.
 go test -run '^$' -fuzz FuzzTally -fuzztime 5s ./internal/transport/
+go test -run '^$' -fuzz FuzzLanes -fuzztime 5s ./internal/transport/
+go test -run '^$' -fuzz FuzzKingLanes -fuzztime 5s ./internal/ba/
 go test -run '^$' -fuzz FuzzTCPicks -fuzztime 5s ./internal/ba/
 go test -run '^$' -fuzz FuzzPlusPicks -fuzztime 5s ./internal/baplus/
 go test -run '^$' -fuzz FuzzNatAtLeast -fuzztime 5s ./internal/highcostca/
