@@ -76,7 +76,7 @@ func runAA(n, t int, inputs []*big.Int, diameter, eps *big.Int) *sim.Report {
 
 // E11ParallelComposition is the round-complexity ablation for the
 // broadcast baseline: composing its n broadcast instances in parallel
-// (package mux) leaves the Θ(ℓn²) bit cost untouched but collapses the
+// (sessmux.Parallel) leaves the Θ(ℓn²) bit cost untouched but collapses the
 // round count from n sequential broadcasts to one — the gap the
 // synchronous model's parallel-composition folklore predicts (and a gap
 // the paper's protocol never pays, since it runs O(log n) sequential

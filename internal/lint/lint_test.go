@@ -271,13 +271,13 @@ func TestConfigScope(t *testing.T) {
 		{"wallclock", "examples/drones", false},
 		{"detrand", "internal/adversary", true},
 		{"detrand", "cmd/cabench", false},
-		{"maporder", "internal/mux", true},
+		{"maporder", "internal/sessmux", true},
 		{"maporder", "internal/lint", false},
 		{"errdrop", "", true},
 		{"mutexhold", "internal/tcpnet", true},
 		{"bufownership", "internal/tcpnet", true},
 		{"bufownership", "internal/lint", false},
-		{"lockorder", "internal/mux", true},
+		{"lockorder", "internal/sessmux", true},
 		{"lockorder", "internal/lint", false},
 		{"lockorder", "internal/transporttest", false},
 		{"bufownership", "internal/wire", true},

@@ -67,12 +67,26 @@ func runTick(t *testing.T, m *sessmux.Mux, sids []uint64, n, tc int) map[uint64]
 	return out
 }
 
-// TestSessionBoundIsolatesFloodingSibling: a peer pumping hundreds of
+// inboxBound is the per-session inbox cap of a 4-party session: 64·n.
+const inboxBound = 64 * 4
+
+// countHonest counts the "honest" payloads in box.
+func countHonest(box []transport.Message) int {
+	honest := 0
+	for _, msg := range box {
+		if string(msg.Payload) == "honest" {
+			honest++
+		}
+	}
+	return honest
+}
+
+// TestSessionBoundIsolatesFloodingSibling: a peer pumping past 64·n
 // messages into one session is capped by the per-session bound; honest
-// senders' messages survive, the sibling session is untouched, and the
-// shed counters attribute the loss to the flooded session.
+// senders' messages survive and the sibling session's inbox is untouched.
+// Flood-after-honest exercises the drop-incoming arm of the policy.
 func TestSessionBoundIsolatesFloodingSibling(t *testing.T) {
-	const bound, floodN = 8, 300
+	const floodN = 1000
 	var in []transport.Message
 	for s := 0; s < 3; s++ { // honest senders 0..2: one message per session
 		in = append(in, transport.Message{From: transport.PartyID(s), Payload: frame(10, "honest")})
@@ -82,81 +96,62 @@ func TestSessionBoundIsolatesFloodingSibling(t *testing.T) {
 		in = append(in, transport.Message{From: 3, Payload: frame(10, "flood")})
 	}
 	m := sessmux.New(&stubNet{n: 4, in: in})
-	m.SetSessionBound(bound)
 	boxes := runTick(t, m, []uint64{10, 11}, 4, 1)
 
-	if len(boxes[10]) != bound {
-		t.Fatalf("session 10 inbox = %d messages, want bound %d", len(boxes[10]), bound)
+	if len(boxes[10]) != inboxBound {
+		t.Fatalf("session 10 inbox = %d messages, want bound %d", len(boxes[10]), inboxBound)
 	}
-	honest := 0
-	for _, msg := range boxes[10] {
-		if string(msg.Payload) == "honest" {
-			honest++
-		}
-	}
-	if honest != 3 {
+	if honest := countHonest(boxes[10]); honest != 3 {
 		t.Fatalf("flood displaced honest traffic: %d/3 honest messages survive", honest)
 	}
-	if len(boxes[11]) != 3 {
-		t.Fatalf("sibling session disturbed: %d messages, want 3", len(boxes[11]))
+	if len(boxes[11]) != 3 || countHonest(boxes[11]) != 3 {
+		t.Fatalf("sibling session disturbed: inbox %v, want the 3 honest messages", boxes[11])
 	}
-	st := m.Stats()
-	if st.SessionShed != uint64(3+floodN-bound) {
-		t.Fatalf("SessionShed = %d, want %d", st.SessionShed, 3+floodN-bound)
-	}
-	if by := m.ShedBySession(); by[10] != st.SessionShed || by[11] != 0 {
-		t.Fatalf("ShedBySession = %v, want all %d on session 10", by, st.SessionShed)
+	if st := m.Stats(); st.SessionShed != uint64(3+floodN-inboxBound) {
+		t.Fatalf("SessionShed = %d, want %d", st.SessionShed, 3+floodN-inboxBound)
 	}
 }
 
-// TestTickBoundShedsHeaviestSession: when the whole tick overflows, the
-// heaviest session loses its oldest messages first; light siblings are
-// untouched.
-func TestTickBoundShedsHeaviestSession(t *testing.T) {
+// TestSessionBoundEvictsHeaviest: when the flood arrives BEFORE the honest
+// traffic, a full inbox must evict the flooder's oldest messages to admit
+// honest ones — the evict arm of shed-oldest-from-faulty.
+func TestSessionBoundEvictsHeaviest(t *testing.T) {
+	const floodN = 1000
 	var in []transport.Message
-	for i := 0; i < 40; i++ { // session 5 is heavy (within its own bound)
-		in = append(in, transport.Message{From: transport.PartyID(i % 4), Payload: frame(5, "heavy")})
+	for i := 0; i < floodN; i++ { // sender 0 floods session 1 first
+		in = append(in, transport.Message{From: 0, Payload: frame(1, "flood")})
 	}
-	for s := 0; s < 4; s++ { // session 6 is light
-		in = append(in, transport.Message{From: transport.PartyID(s), Payload: frame(6, "light")})
+	for s := 1; s < 4; s++ { // honest senders 1..3 arrive after
+		in = append(in, transport.Message{From: transport.PartyID(s), Payload: frame(1, "honest")})
 	}
-	m := sessmux.New(&stubNet{n: 4, in: in})
-	m.SetTickBound(20)
-	boxes := runTick(t, m, []uint64{5, 6}, 4, 1)
+	boxes := runTick(t, sessmux.New(&stubNet{n: 4, in: in}), []uint64{1}, 4, 1)
 
-	if len(boxes[5])+len(boxes[6]) != 20 {
-		t.Fatalf("tick kept %d+%d messages, want 20 total", len(boxes[5]), len(boxes[6]))
+	if len(boxes[1]) != inboxBound {
+		t.Fatalf("inbox = %d messages, want bound %d", len(boxes[1]), inboxBound)
 	}
-	if len(boxes[6]) != 4 {
-		t.Fatalf("light session shed: %d messages, want 4", len(boxes[6]))
-	}
-	st := m.Stats()
-	if st.TickShed != 24 {
-		t.Fatalf("TickShed = %d, want 24", st.TickShed)
-	}
-	if by := m.ShedBySession(); by[5] != 24 || by[6] != 0 {
-		t.Fatalf("ShedBySession = %v, want all 24 on session 5", by)
+	if honest := countHonest(boxes[1]); honest != 3 {
+		t.Fatalf("late honest traffic lost to an earlier flood: %d/3 survive", honest)
 	}
 }
 
-// TestShedDeterministic: both shed policies are pure functions of
-// delivery order — two identical runs keep byte-identical inboxes.
+// TestShedDeterministic: the shed policy is a pure function of delivery
+// order — two identical runs keep byte-identical inboxes.
 func TestShedDeterministic(t *testing.T) {
 	build := func() map[uint64][]transport.Message {
 		var in []transport.Message
-		for i := 0; i < 50; i++ {
+		for i := 0; i < inboxBound+50; i++ {
 			in = append(in, transport.Message{From: 2, Payload: frame(1, "flood")})
 		}
 		for s := 0; s < 4; s++ {
 			in = append(in, transport.Message{From: transport.PartyID(s), Payload: frame(1, "h")})
 			in = append(in, transport.Message{From: transport.PartyID(s), Payload: frame(2, "h")})
 		}
-		m := sessmux.New(&stubNet{n: 4, in: in})
-		m.SetSessionBound(6)
-		m.SetTickBound(8)
-		return runTick(t, m, []uint64{1, 2}, 4, 1)
+		return runTick(t, sessmux.New(&stubNet{n: 4, in: in}), []uint64{1, 2}, 4, 1)
 	}
 	a, b := build(), build()
+	if len(a[1]) != inboxBound {
+		t.Fatalf("flooded inbox = %d messages, want bound %d: the shed never ran", len(a[1]), inboxBound)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("shed policy not deterministic:\n%v\n%v", a, b)
 	}
@@ -329,7 +324,7 @@ func TestRaceStress256Sessions(t *testing.T) {
 					return 0, e
 				}
 			}
-			if st := m.Stats(); st.Ticks != rounds || st.SessionShed != 0 || st.TickShed != 0 {
+			if st := m.Stats(); st.Ticks != rounds || st.SessionShed != 0 {
 				return 0, fmt.Errorf("stats = %+v, want %d clean ticks", st, rounds)
 			}
 			return 1, nil

@@ -15,7 +15,7 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// benchMesh dials a full loopback TCP mesh with a zero-length rejoin tail:
+// benchMesh dials a full loopback TCP mesh with a one-round rejoin tail:
 // at the default window the tails would retain every session's frames for
 // 128 rounds (tens of MiB per party at 1024 sessions), which is not what
 // the retained-heap budget below is looking for.
@@ -44,7 +44,7 @@ func benchMesh(b *testing.B, n int) []*tcpnet.Conn {
 				T:            (n - 1) / 3,
 				Delta:        5 * time.Second,
 				Listener:     listeners[i],
-				RejoinWindow: -1,
+				RejoinWindow: 1,
 			})
 		}(i)
 	}
@@ -102,14 +102,12 @@ func runSessionWave(b *testing.B, muxes []*sessmux.Mux, n, sessions int, sid0 ui
 	}
 }
 
-// benchSessionThroughput is the headline measurement: `sessions`
-// concurrent approximate-agreement sessions per wave, all multiplexed
-// over one n-party TCP mesh (session payloads ride by reference through
-// sessmux into the per-peer pooled frame; every peer's share of a tick is
-// one write carrying all sessions). One op
-// is one full wave; sessions/sec is the number the ROADMAP-item-1 service
-// daemon will quote. A per-party retained-heap budget guards against the
-// mux or the wire path accumulating per-session state.
+// benchSessionThroughput runs `sessions` concurrent approximate-agreement
+// sessions per wave, all multiplexed over one n-party TCP mesh (session
+// payloads ride by reference through sessmux into the per-peer pooled
+// frame; every peer's share of a tick is one write carrying all sessions).
+// One op is one full wave. A per-party retained-heap budget guards against
+// the mux or the wire path accumulating per-session state.
 func benchSessionThroughput(b *testing.B, n, sessions int) {
 	conns := benchMesh(b, n)
 	muxes := make([]*sessmux.Mux, n)
@@ -147,9 +145,12 @@ func benchSessionThroughput(b *testing.B, n, sessions int) {
 	b.ReportMetric(float64(st.Packets)/float64(st.Ticks), "frames/tick")
 }
 
-// BenchmarkSessionThroughput: 1024 concurrent sessions at n=16 — the
-// acceptance-criteria configuration. Expect seconds per op (one op = 1024
-// whole agreement sessions).
+// BenchmarkSessionThroughput: 1024 concurrent sessions at n=16, a
+// 16k-message tick. It is scripts/ci.sh's quadratic-tick tripwire — any
+// per-tick work quadratic in the tick's messages blows its 30 s budget —
+// not a deployment figure: aa.Run over a one-round rejoin tail is not the
+// paper's protocol as deployed (the repo's benchmark, bench/, measures
+// that). One op is 1024 whole sessions, 0.4–0.6 s on a 2-core host.
 func BenchmarkSessionThroughput(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1024-session wave is not a -short workload")

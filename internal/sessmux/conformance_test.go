@@ -25,7 +25,7 @@ func TestConformance(t *testing.T) {
 		wrapped := make([]func(net transport.Net) error, n)
 		for i, fn := range fns {
 			wrapped[i] = func(base transport.Net) error {
-				return sessmux.New(base).Run(1, n, tc, fn)
+				return runSession(sessmux.New(base), 1, n, tc, fn)
 			}
 		}
 		if err := hub.Run(wrapped); err != nil {

@@ -2,8 +2,8 @@
 // physical per-peer link set: whole protocol runs — each session has its
 // own participant count n, corruption budget t, inputs, and lifecycle —
 // share one transport, so a deployment holds one TCP mesh open instead of
-// one per agreement. It is also the merge/demux/shed core under package
-// mux, whose k equal-shape instances are k sessions that abort together.
+// one per agreement. Parallel runs the paper's parallel composition on the
+// same core: k equal-shape instances are k sessions that abort together.
 //
 // # Scheduling model
 //
@@ -25,17 +25,16 @@
 // local: a closed session simply stops contributing traffic, which peers
 // observe as omission — one session's failure never tears down its
 // siblings (sessions are independent protocol runs with independent
-// fates; a caller that wants them to fall together says so with Poison).
+// fates; sessions that must fall together are run with Parallel).
 //
 // # Backpressure
 //
-// Two deterministic bounds. Per session: at most sessionBound messages
-// per tick, shedding the heaviest sender's oldest message (a flooding peer
-// degrades itself). Per tick: at most tickBound messages across all
-// sessions, shedding from the heaviest session (ties to the lowest sid) —
-// one flooded session degrades itself before it starves a sibling. Both
-// policies are pure functions of delivery order, so fault-injection
-// replays stay digest-exact.
+// One deterministic bound, per session: at most 64·n_s messages per tick,
+// shedding the heaviest sender's oldest message, so a flooding peer
+// degrades itself and never a sibling session. An honest round is n_s
+// messages. No whole-tick bound is needed: the session caps already sum
+// to at most 64·N·live for an N-party base. The policy is a pure function
+// of delivery order, so fault-injection replays stay digest-exact.
 package sessmux
 
 import (
@@ -49,8 +48,18 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// ErrClosed reports an Exchange on a session that was closed locally.
-var ErrClosed = errors.New("sessmux: session closed")
+// Errors returned by sessions and Parallel.
+var (
+	// ErrClosed reports an Exchange on a session that was closed locally.
+	ErrClosed = errors.New("sessmux: session closed")
+	// ErrAborted reports that a sibling instance of a Parallel composition
+	// failed, tearing down the whole composition on this party.
+	ErrAborted = errors.New("sessmux: composition aborted by a failed instance")
+)
+
+// inboxPerParticipant bounds a session's per-tick inbox at this many
+// messages per participant, 64·n_s in all.
+const inboxPerParticipant = 64
 
 // Mux multiplexes sessions over one base transport. Create with New, open
 // sessions with Open, keep the tick clock with Idle when none are live.
@@ -73,15 +82,7 @@ type Mux struct {
 	tick         uint64
 	err          error
 
-	// sessionBound caps one session's inbox per tick (negative: default
-	// 64·n_s, resolved per session at demux time; 0: unbounded).
-	// tickBound caps the whole tick's deliveries across sessions
-	// (negative: default 64·N·live; 0: unbounded).
-	sessionBound int
-	tickBound    int
-
 	stats   Stats
-	shedBy  map[uint64]uint64
 	sidsBuf []uint64
 
 	// Merge scratch, reused across ticks: transport.ExchangeVec frees the
@@ -103,29 +104,25 @@ type Stats struct {
 	BytesReferenced uint64 // payload bytes sent zero-copy (VecNet base)
 	BytesCopied     uint64 // payload bytes flattened for a plain base
 	SessionShed     uint64 // messages shed by the per-session bound
-	TickShed        uint64 // messages shed by the whole-tick bound
+	TickShed        uint64 // always 0: there is no whole-tick bound (kept for readers of the field)
 }
 
 // New creates a session mux over base. The base must not be driven by
 // anyone else from this point on: the mux owns its round clock.
 func New(base transport.Net) *Mux {
 	m := &Mux{
-		base:         base,
-		open:         make(map[uint64]*Session),
-		retired:      make(map[uint64]struct{}),
-		shedBy:       make(map[uint64]uint64),
-		sessionBound: -1,
-		tickBound:    -1,
+		base:    base,
+		open:    make(map[uint64]*Session),
+		retired: make(map[uint64]struct{}),
 	}
 	_, m.vec = base.(transport.VecNet)
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// Poison fails the whole mux with err, as a base failure does: every
-// blocked and every future Exchange, Open and Idle returns it. It is the
-// hook for callers whose sessions must fall together (package mux).
-func (m *Mux) Poison(err error) {
+// poison fails the whole mux with err, as a base failure does: every
+// blocked and every future Exchange, Open and Idle returns it.
+func (m *Mux) poison(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err == nil {
@@ -134,39 +131,11 @@ func (m *Mux) Poison(err error) {
 	m.cond.Broadcast()
 }
 
-// SetSessionBound caps each session's per-tick inbox (0 or negative:
-// unbounded / default 64·n_s). Call before traffic flows.
-func (m *Mux) SetSessionBound(bound int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionBound = bound
-}
-
-// SetTickBound caps the whole tick's deliveries across sessions (0 or
-// negative: unbounded / default 64·N·live). Call before traffic flows.
-func (m *Mux) SetTickBound(bound int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tickBound = bound
-}
-
 // Stats returns a snapshot of the cumulative counters.
 func (m *Mux) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// ShedBySession returns per-session shed counts (both bounds combined),
-// keyed by sid. Only sessions that shed appear.
-func (m *Mux) ShedBySession() map[uint64]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[uint64]uint64, len(m.shedBy))
-	for sid, c := range m.shedBy {
-		out[sid] = c
-	}
-	return out
 }
 
 // Live reports the number of locally live sessions.
@@ -311,7 +280,7 @@ func (s *Session) ExchangeBroadcast(tag string, payload []byte) ([]transport.Mes
 // Close retires the session locally. Peers are not told: they observe
 // omission from this party, which byzantine-tolerant sessions absorb
 // within their corruption budget. Closing between Exchanges (never
-// concurrently with one) is the caller's obligation; Run does it right.
+// concurrently with one) is the caller's obligation; Parallel does it right.
 func (s *Session) Close() {
 	m := s.m
 	m.mu.Lock()
@@ -363,18 +332,50 @@ func (m *Mux) retire(sid uint64) {
 	}
 }
 
-// Run opens a session, executes fn over it, and closes it whatever the
-// outcome. When a party starts several sessions for the same tick, Open
-// them all before driving any (Run opens on entry, so concurrent Run calls
-// race on which tick each open lands in — fine for staggered workloads,
-// wrong for a batch that must start together).
-func (m *Mux) Run(sid uint64, n, t int, fn func(net transport.Net) error) error {
-	s, err := m.Open(sid, n, t)
-	if err != nil {
-		return err
+// Parallel runs the paper's "Π₁, …, Π_k in parallel" over base: instance i
+// is fns[i] driven over session i of a fresh mux, so one physical round
+// carries the current virtual round of every live instance and the
+// composition takes max(ROUNDS(Π_i)) rounds instead of their sum. All k
+// sessions are opened at the base's (n, t) before any is driven, so they
+// start on the same tick; each is closed when its function returns. The
+// first instance to fail poisons the mux: every sibling's next Exchange
+// returns an error wrapping ErrAborted. Parallel waits for every instance
+// and returns their errors joined.
+//
+// Lock-step soundness: every honest party must call Parallel at the same
+// physical round with the same k, and instance i must run the same
+// protocol everywhere. The paper's protocols finish instance i in the
+// same virtual round on every honest party, so the set of live instances —
+// and hence the tick schedule — stays identical across honest parties.
+func Parallel(base transport.Net, fns []func(net transport.Net) error) error {
+	if len(fns) == 0 {
+		return errors.New("sessmux: parallel composition of zero instances")
 	}
-	defer s.Close()
-	return fn(s)
+	m := New(base)
+	sessions := make([]*Session, len(fns))
+	for i := range sessions {
+		s, err := m.Open(uint64(i), base.N(), base.T())
+		if err != nil {
+			return err
+		}
+		sessions[i] = s
+	}
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	for i, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Poison before Close: a close can complete the tick, and the
+			// siblings must see the abort, not one more round without i.
+			if errs[i] = fn(sessions[i]); errs[i] != nil {
+				m.poison(fmt.Errorf("%w: instance %d: %v", ErrAborted, i, errs[i]))
+			}
+			sessions[i].Close()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // maybeFlush closes the tick once every live session has submitted.
@@ -389,7 +390,7 @@ func (m *Mux) maybeFlush() {
 
 // flush runs one physical round: merge in ascending session order (map
 // order would break seed-exact fault-injection replay), exchange, demux,
-// bound, advance the tick. Caller holds m.mu.
+// shed, advance the tick. Caller holds m.mu.
 func (m *Mux) flush() {
 	sids := m.sidsBuf[:0]
 	for sid, s := range m.open {
@@ -409,7 +410,7 @@ func (m *Mux) flush() {
 		return
 	}
 	m.stats.Ticks++
-	m.demux(in, sids)
+	m.demux(in)
 
 	for _, sid := range sids {
 		if s := m.open[sid]; s != nil {
@@ -422,17 +423,14 @@ func (m *Mux) flush() {
 	m.cond.Broadcast()
 }
 
-// demux routes delivered messages to their sessions and applies both
-// bounds. sids is the tick's sorted session list — every open session: a
-// tick closes only once all of them have submitted. Each session's inbox is
-// refilled in place; its driver is blocked in the Exchange that ends the
-// previous inbox's lifetime. Caller holds m.mu.
-func (m *Mux) demux(in []transport.Message, sids []uint64) {
+// demux routes delivered messages to their sessions and sheds past each
+// session's bound. Each session's inbox is refilled in place; its driver is
+// blocked in the Exchange that ends the previous inbox's lifetime. Caller
+// holds m.mu.
+func (m *Mux) demux(in []transport.Message) {
 	for _, s := range m.open {
 		s.inbox = s.inbox[:0]
 	}
-	bound := m.sessionBound
-	total := 0
 	var counts map[uint64][]int // per session: messages held per sender
 	for _, msg := range in {
 		sid, payload, ok := unframe(msg.Payload)
@@ -443,12 +441,8 @@ func (m *Mux) demux(in []transport.Message, sids []uint64) {
 		if s == nil || int(msg.From) >= s.n {
 			continue // not a local session, or sender not a participant
 		}
-		b := bound
-		if b < 0 {
-			b = 64 * s.n
-		}
 		delivered := transport.Message{From: msg.From, Payload: payload}
-		if b > 0 && len(s.inbox) >= b {
+		if len(s.inbox) >= inboxPerParticipant*s.n {
 			if counts == nil {
 				counts = make(map[uint64][]int)
 			}
@@ -457,41 +451,12 @@ func (m *Mux) demux(in []transport.Message, sids []uint64) {
 			}
 			s.inbox = shedInto(s.inbox, counts[sid], delivered)
 			m.stats.SessionShed++
-			m.shedBy[sid]++
 			continue
 		}
 		s.inbox = append(s.inbox, delivered)
-		total++
-		if counts != nil && counts[sid] != nil && int(msg.From) < len(counts[sid]) {
-			counts[sid][msg.From]++
+		if c := counts[sid]; c != nil {
+			c[msg.From]++
 		}
-	}
-
-	tb := m.tickBound
-	if tb < 0 {
-		tb = 64 * m.base.N() * m.live
-	}
-	if tb <= 0 || total <= tb {
-		return
-	}
-	// Shed from the heaviest session (ties to the lowest sid), oldest
-	// message first, until the tick fits. Iterate over the sorted sid list:
-	// determinism again.
-	for total > tb {
-		heavy := -1
-		for i := range sids {
-			if heavy < 0 || len(m.open[sids[i]].inbox) > len(m.open[sids[heavy]].inbox) {
-				heavy = i
-			}
-		}
-		s := m.open[sids[heavy]]
-		if len(s.inbox) == 0 {
-			break
-		}
-		s.inbox = s.inbox[1:]
-		total--
-		m.stats.TickShed++
-		m.shedBy[s.sid]++
 	}
 }
 

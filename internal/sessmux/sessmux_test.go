@@ -35,6 +35,17 @@ func echoRounds(net transport.Net, sid uint64, rounds int) error {
 	return nil
 }
 
+// runSession opens session sid on m, runs fn over it, and closes it
+// whatever the outcome.
+func runSession(m *sessmux.Mux, sid uint64, n, t int, fn func(net transport.Net) error) error {
+	s, err := m.Open(sid, n, t)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return fn(s)
+}
+
 // TestSessionsShareTicks runs two sessions of different sizes and
 // lifetimes over one base: session 7 spans all 4 parties for 3 virtual
 // rounds, session 9 spans parties 0..1 for 5. Parties keep the tick clock
@@ -48,7 +59,7 @@ func TestSessionsShareTicks(t *testing.T) {
 			if env.ID() >= 2 {
 				// Parties 2,3 run only session 7 (3 ticks), then keep the
 				// clock for peers' session 9 with two Idle ticks.
-				if err := m.Run(7, 4, 1, func(net transport.Net) error {
+				if err := runSession(m, 7, 4, 1, func(net transport.Net) error {
 					return echoRounds(net, 7, 3)
 				}); err != nil {
 					return 0, err
@@ -113,7 +124,7 @@ func TestIdleKeepsClock(t *testing.T) {
 				}
 				return 1, nil
 			}
-			return 1, m.Run(1, 2, 0, func(net transport.Net) error {
+			return 1, runSession(m, 1, 2, 0, func(net transport.Net) error {
 				return echoRounds(net, 1, 4)
 			})
 		})
@@ -201,7 +212,7 @@ func TestSubsetSessionDropsOutsiders(t *testing.T) {
 				}
 				return 1, nil
 			}
-			return 1, m.Run(3, 2, 0, func(net transport.Net) error {
+			return 1, runSession(m, 3, 2, 0, func(net transport.Net) error {
 				for r := 0; r < 2; r++ {
 					out := []transport.Packet{
 						{To: 0, Tag: "t", Payload: []byte{1}},
@@ -279,7 +290,7 @@ func TestStatsCounters(t *testing.T) {
 	res, err := testutil.Run(sim.Config{N: n, T: 0}, nil,
 		func(env *sim.Env) (sessmux.Stats, error) {
 			m := sessmux.New(env)
-			err := m.Run(1, 3, 0, func(net transport.Net) error {
+			err := runSession(m, 1, 3, 0, func(net transport.Net) error {
 				return echoRounds(net, 1, 2)
 			})
 			return m.Stats(), err

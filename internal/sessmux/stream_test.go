@@ -136,6 +136,57 @@ func TestMergedStreamPinned(t *testing.T) {
 	}
 }
 
+// parallelStreamDigest is the FNV-1a digest of the physical packet stream
+// the Parallel script below produced when parallel composition still
+// carried its own merge. It pins the bytes AND the order Parallel must
+// emit: E11's bit counts, the AgreeVector goldens and faultnet replay
+// digests all hang off this stream.
+const parallelStreamDigest = 0x690a9787207352a5
+
+// TestVecPathMatchesCopyPath runs a fixed 3-instance × 4-round script
+// through Parallel over a plain base and a VecNet base and holds both
+// physical packet streams to the pinned digest — the merge is a pure
+// function of the instances' packets, whichever send shape the base takes.
+func TestVecPathMatchesCopyPath(t *testing.T) {
+	const k, rounds = 3, 4
+	batch := func(inst, round int) []transport.Packet {
+		var out []transport.Packet
+		for to := 0; to < 4; to++ {
+			out = append(out, transport.Packet{
+				To:      transport.PartyID(to),
+				Tag:     "t",
+				Payload: bytes.Repeat([]byte{byte(inst<<4 | round)}, 32+inst),
+			})
+		}
+		// One empty payload per instance: it must be framed too.
+		return append(out, transport.Packet{To: 0, Tag: "t"})
+	}
+	fns := make([]func(net transport.Net) error, k)
+	for inst := range fns {
+		fns[inst] = func(net transport.Net) error {
+			for r := 0; r < rounds; r++ {
+				if _, err := net.Exchange(batch(inst, r)); err != nil {
+					return fmt.Errorf("instance %d round %d: %w", inst, r, err)
+				}
+			}
+			return nil
+		}
+	}
+	plain := newRecNet(4)
+	vec := recVecNet{newRecNet(4)}
+	for _, base := range []transport.Net{plain, vec} {
+		if err := sessmux.Parallel(base, fns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := plain.h.Sum64(); got != parallelStreamDigest {
+		t.Errorf("plain base stream digest = %#x, pinned %#x", got, uint64(parallelStreamDigest))
+	}
+	if got := vec.h.Sum64(); got != parallelStreamDigest {
+		t.Errorf("vec base stream digest = %#x, pinned %#x", got, uint64(parallelStreamDigest))
+	}
+}
+
 // TestVecScratchDoesNotAliasAcrossRounds: the merge reuses its header
 // scratch across ticks, which is only sound because ExchangeVec frees the
 // pieces on return. The recording base flattens at delivery time; the

@@ -62,7 +62,7 @@ type Config struct {
 	DialTimeout time.Duration
 	// ReconnectAttempts bounds how many times the dialing side re-dials a
 	// broken link before demoting the peer to silent for the run.
-	// 0 means the default (5); negative disables reconnection.
+	// 0 means the default (5); negative is ErrConfig.
 	ReconnectAttempts int
 	// ReconnectBase is the first reconnect backoff; it doubles per
 	// attempt with up to +100% jitter. Default 50ms.
@@ -80,8 +80,7 @@ type Config struct {
 	ResumeRound uint64
 	// RejoinWindow is how many recent rounds of outgoing frames each
 	// party buffers per peer to serve rejoin replays. 0 means the default
-	// (128); negative disables buffering (rejoining peers with any gap
-	// are demoted to silent).
+	// (128); negative is ErrConfig.
 	RejoinWindow int
 	// Budget bounds what each peer may send this party: per-frame bytes
 	// plus a round-clock token bucket over frames and bytes, enforced
@@ -94,14 +93,14 @@ type Config struct {
 	// HelloBurst caps handshake attempts per remote host for the lifetime
 	// of this Conn, so an unauthenticated dialer cannot churn the accept
 	// path for free. 0 means the default (64 + 8n, generous because every
-	// local test shares one host); negative disables the cap.
+	// local test shares one host); negative is ErrConfig.
 	HelloBurst int
 	// RoundHorizon bounds how many rounds ahead of this party's current
 	// round an inbound frame may be buffered; frames beyond it are dropped
 	// (not a demotion — an honest fast peer can legitimately run ahead of
 	// a stalled party, but unbounded buffering would let a hostile one
 	// park frames at absurd round numbers forever). 0 means the default
-	// (RejoinWindow + 64); negative disables the bound.
+	// (RejoinWindow + 64); negative is ErrConfig.
 	RoundHorizon int
 }
 
@@ -297,38 +296,30 @@ func Dial(cfg Config) (*Conn, error) {
 	if cfg.T < 0 || (n > 1 && cfg.T >= n) {
 		return nil, fmt.Errorf("%w: t=%d for n=%d", ErrConfig, cfg.T, n)
 	}
+	if cfg.ReconnectAttempts < 0 || cfg.RejoinWindow < 0 || cfg.HelloBurst < 0 || cfg.RoundHorizon < 0 {
+		return nil, fmt.Errorf("%w: negative ReconnectAttempts %d, RejoinWindow %d, HelloBurst %d or RoundHorizon %d",
+			ErrConfig, cfg.ReconnectAttempts, cfg.RejoinWindow, cfg.HelloBurst, cfg.RoundHorizon)
+	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 2 * time.Second
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 10 * time.Second
 	}
-	switch {
-	case cfg.ReconnectAttempts == 0:
+	if cfg.ReconnectAttempts == 0 {
 		cfg.ReconnectAttempts = 5
-	case cfg.ReconnectAttempts < 0:
-		cfg.ReconnectAttempts = 0
 	}
 	if cfg.ReconnectBase <= 0 {
 		cfg.ReconnectBase = 50 * time.Millisecond
 	}
-	switch {
-	case cfg.RejoinWindow == 0:
+	if cfg.RejoinWindow == 0 {
 		cfg.RejoinWindow = 128
-	case cfg.RejoinWindow < 0:
-		cfg.RejoinWindow = 0 // disabled
 	}
-	switch {
-	case cfg.HelloBurst == 0:
+	if cfg.HelloBurst == 0 {
 		cfg.HelloBurst = 64 + 8*n
-	case cfg.HelloBurst < 0:
-		cfg.HelloBurst = 0 // disabled
 	}
-	switch {
-	case cfg.RoundHorizon == 0:
+	if cfg.RoundHorizon == 0 {
 		cfg.RoundHorizon = cfg.RejoinWindow + 64
-	case cfg.RoundHorizon < 0:
-		cfg.RoundHorizon = 0 // disabled
 	}
 	c := &Conn{
 		cfg:        cfg,
@@ -543,7 +534,7 @@ func (c *Conn) handleInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if c.cfg.HelloBurst > 0 && c.helloCount[host] >= c.cfg.HelloBurst {
+	if c.helloCount[host] >= c.cfg.HelloBurst {
 		// Handshake churn from this host has exhausted its lifetime cap;
 		// drop the connection before reading a byte of hello.
 		c.mu.Unlock()
@@ -940,10 +931,9 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 			return
 		}
 		scratch = payloads[:0] // unless the inbox takes the headers below
-		horizon := uint64(c.cfg.RoundHorizon)
 		switch {
 		case round < c.round: // frames for completed rounds are stale
-		case horizon > 0 && round-c.round > horizon:
+		case round-c.round > uint64(c.cfg.RoundHorizon):
 			// Beyond the buffering horizon: drop, don't demote — an honest
 			// fast peer can legitimately run ahead of a stalled party, but
 			// holding frames for it unboundedly would hand a hostile one a
@@ -1032,7 +1022,7 @@ func (c *Conn) linkLost(peer int, gen uint64, err error) {
 		c.recordDemotionLocked(peer, reason)
 	} else {
 		l.state = linkDown
-		if peer < c.cfg.ID && c.cfg.ReconnectAttempts > 0 && !l.reconnecting {
+		if peer < c.cfg.ID && !l.reconnecting {
 			l.reconnecting = true
 			go c.reconnectLoop(peer)
 		}
@@ -1129,8 +1119,7 @@ func (c *Conn) FrontierGap() uint64 {
 // the frame from here: it goes in before the write — a peer that rejoins
 // while its link is down must find the frame it missed — and the round
 // that slid out of the window is evicted (released back to the arena)
-// after it, so with a zero-length window the frame just written is the
-// one released. A peer that is down or silent is simply skipped, and a
+// after it. A peer that is down or silent is simply skipped, and a
 // write failure drives the link state machine instead of failing the
 // round. Replay reads of tail frames and eviction both happen under c.mu,
 // so a replay can never observe a released frame.

@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"net"
@@ -235,12 +236,24 @@ func TestPeerCrashMidProtocol(t *testing.T) {
 	}
 }
 
+// TestDialValidation: every malformed config is ErrConfig, refused before
+// the party listens or dials.
 func TestDialValidation(t *testing.T) {
-	if _, err := tcpnet.Dial(tcpnet.Config{}); err == nil {
-		t.Error("empty config accepted")
-	}
-	if _, err := tcpnet.Dial(tcpnet.Config{ID: 5, Addrs: []string{"a", "b"}}); err == nil {
-		t.Error("out-of-range id accepted")
+	addrs := []string{"a", "b"}
+	for _, tc := range []struct {
+		name string
+		cfg  tcpnet.Config
+	}{
+		{"empty", tcpnet.Config{}},
+		{"out-of-range id", tcpnet.Config{ID: 5, Addrs: addrs}},
+		{"negative ReconnectAttempts", tcpnet.Config{Addrs: addrs, ReconnectAttempts: -1}},
+		{"negative RejoinWindow", tcpnet.Config{Addrs: addrs, RejoinWindow: -1}},
+		{"negative HelloBurst", tcpnet.Config{Addrs: addrs, HelloBurst: -1}},
+		{"negative RoundHorizon", tcpnet.Config{Addrs: addrs, RoundHorizon: -1}},
+	} {
+		if _, err := tcpnet.Dial(tc.cfg); !errors.Is(err, tcpnet.ErrConfig) {
+			t.Errorf("%s: Dial = %v, want ErrConfig", tc.name, err)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func recycleDiff(t *testing.T, n int, proto protocol) string {
 // round's inbox — payload bytes and message headers — as the next round is
 // entered, it must compute the same outputs from the same traffic as on a
 // transport that never reuses memory. BroadcastCAParallel puts
-// internal/mux and sessmux's demux sub-slices under the same rule.
+// sessmux.Parallel and its demux sub-slices under the same rule.
 func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 	// Party id's inputs. The byte-string inputs are shared by n−t parties,
 	// so Π_BA+ agrees on them and the t others must learn the value from

@@ -189,7 +189,7 @@ func TestFrameEncodeDecodeZeroAlloc(t *testing.T) {
 
 // BenchmarkFrameRoundTrip is the wire path's benchmark: pooled encode +
 // borrowing decode of a representative round frame. The allocs/op column is
-// guarded against regression by scripts/ci.sh (benchjson -guard-allocs,
+// guarded against regression by scripts/ci.sh (guard_allocs,
 // benchdata/alloc_guards.json).
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	for _, size := range []int{256, 4096, 65536} {

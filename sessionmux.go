@@ -65,11 +65,12 @@ func (sm *SessionMux) Stats() SessionMuxStats { return sm.m.Stats() }
 //	BytesReferenced uint64 // payload bytes handed to the transport by reference
 //	BytesCopied     uint64 // payload bytes flattened for a transport that takes only flat packets (0 on a TCP base)
 //	SessionShed     uint64 // messages shed by the per-session bound
-//	TickShed        uint64 // messages shed by the whole-tick bound
+//	TickShed        uint64 // always 0: there is no whole-tick bound
 //
 // Packets/Ticks is the coalescing ratio — how many session frames ride in
-// each physical round (one write per peer on TCP). SessionShed and TickShed
-// count backpressure drops at the two bounds.
+// each physical round (one write per peer on TCP). SessionShed counts
+// backpressure drops: a session keeps at most 64·n messages per tick, where
+// an honest round is n, shedding the heaviest sender's oldest message.
 type SessionMuxStats = sessmux.Stats
 
 // MuxedTransport is one live session's Transport. Close retires the

@@ -90,8 +90,8 @@ type TCPConfig struct {
 	// DialTimeout bounds mesh establishment (default 10s).
 	DialTimeout time.Duration
 	// ReconnectAttempts bounds re-dials of a broken link before the peer
-	// is demoted to silent for the run. 0 means the default (5); negative
-	// disables reconnection.
+	// is demoted to silent for the run. 0 means the default (5); DialTCP
+	// refuses a negative value.
 	ReconnectAttempts int
 	// ReconnectBase is the first reconnect backoff, doubling per attempt
 	// with jitter (default 50ms).
@@ -105,7 +105,7 @@ type TCPConfig struct {
 	ResumeRound uint64
 	// RejoinWindow is how many recent rounds of outgoing frames this party
 	// buffers per peer to serve rejoining peers. 0 means the default
-	// (128); negative disables buffering.
+	// (128); DialTCP refuses a negative value.
 	RejoinWindow int
 }
 

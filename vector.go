@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
-	"convexagreement/internal/mux"
+	"convexagreement/internal/sessmux"
 	"convexagreement/internal/transport"
 )
 
@@ -25,7 +25,7 @@ type VectorResult struct {
 
 // AgreeVector runs Convex Agreement on d-dimensional integer vectors by
 // composing d scalar Π_ℤ instances — one per coordinate — in parallel over
-// shared physical rounds (package mux).
+// shared physical rounds (sessmux.Parallel).
 //
 // Validity is coordinate-wise ("box validity"): every coordinate of the
 // agreed vector lies within the honest inputs' range in that coordinate.
@@ -102,10 +102,6 @@ func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
 // runVector executes the d-coordinate composition for one party: one
 // instance of the scalar protocol per coordinate, in shared rounds.
 func runVector(net transport.Net, vec []*big.Int, scalar partyRunner) ([]*big.Int, error) {
-	m, err := mux.New(net, len(vec))
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*big.Int, len(vec))
 	fns := make([]func(net transport.Net) error, len(vec))
 	for c := range vec {
@@ -114,7 +110,7 @@ func runVector(net transport.Net, vec []*big.Int, scalar partyRunner) ([]*big.In
 			return err
 		}
 	}
-	if err := m.Run(fns); err != nil {
+	if err := sessmux.Parallel(net, fns); err != nil {
 		return nil, err
 	}
 	return out, nil
