@@ -205,29 +205,3 @@ func comparePreambles(t *testing.T, name string, n, tc int, inputs []*big.Int, i
 		t.Errorf("%s: %d rounds, reference %d with %d instances: want %d", name, got.Report.Rounds, want.Report.Rounds, asked[0], want.Report.Rounds-saved)
 	}
 }
-
-// TestPiZRoundBudget pins ROUNDS(Π_ℤ) on the benchmark's two short-input
-// shapes (bench/workloads.go smallInputs: 64-bit magnitudes of one sign
-// sharing their top 48 bits), f = 0: n = 16 takes the short path — one
-// preamble instance, six FindPrefix iterations of Turpin–Coan + confirm, 24
-// rounds that are not Π_BA's — and n = 7, where 64 bits exceed n², the long
-// path. The tripwire for the round layer: a change that moves either number
-// is a change to the latency of every deployed agreement.
-func TestPiZRoundBudget(t *testing.T) {
-	for _, c := range []struct{ n, rounds int }{{16, 270}, {7, 227}} {
-		inputs := make([]*big.Int, c.n)
-		for p := range inputs {
-			v := new(big.Int).SetUint64(0xC0FFEE0DECAF0000 | uint64(p*40503%(1<<16)))
-			inputs[p] = v.Neg(v)
-		}
-		res, err := testutil.Run(sim.Config{N: c.n, T: (c.n - 1) / 3}, nil, func(env *sim.Env) (*big.Int, error) {
-			return PiZ(env, "ca", inputs[env.ID()])
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.Rounds != c.rounds {
-			t.Errorf("n=%d: %d rounds, budget %d", c.n, res.Report.Rounds, c.rounds)
-		}
-	}
-}
