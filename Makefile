@@ -46,9 +46,9 @@ profile:
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame
 # codec (copying and borrowing decoders), the Π_ℓBA+ tuple decoder, the
 # checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
-# the bitstr word kernels against their bit-at-a-time oracles; and over the
+# the bitstr word kernels against their bit-at-a-time oracles; over the
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
-# against the per-package functions it replaced. Raise
+# against the per-package functions it replaced; and over the lane frame. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/
+	$(GO) test -run '^$$' -fuzz FuzzOptionLanes -fuzztime $(FUZZTIME) ./internal/wire/
 
 # Minimal CI entry point (vet + build + tests + race on the perf-critical
 # packages); scripts/ci.sh is the same thing for environments without make.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"convexagreement/internal/adversary"
@@ -11,6 +12,7 @@ import (
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
+	"convexagreement/internal/wire"
 )
 
 // runBinary runs Binary with the given per-party inputs; corrupt parties are
@@ -272,8 +274,12 @@ func runMultivalued(t *testing.T, n, tc int, inputs [][]byte, corrupt map[int]si
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (mvOut, error) {
-			v, ok, err := ba.Multivalued(env, "mv", inputs[env.ID()])
-			return mvOut{val: string(v), ok: ok}, err
+			out, err := ba.Multivalued(env, "mv", [][]byte{inputs[env.ID()]})
+			if err != nil {
+				return mvOut{}, err
+			}
+			v, ok := wire.Option(out[0])
+			return mvOut{val: string(v), ok: ok}, nil
 		})
 	if err != nil {
 		t.Fatalf("n=%d t=%d: %v", n, tc, err)
@@ -363,5 +369,119 @@ func TestMultivaluedPreAgreementUnderAdversary(t *testing.T) {
 		if !out.ok || out.val != "the-agreed-value" {
 			t.Errorf("%s: pre-agreement broken: (%q,%v)", strat.Name, out.val, out.ok)
 		}
+	}
+}
+
+// runMultivaluedLanes runs Multivalued on per-party lane vectors and
+// returns the agreed lanes, each read through wire.Option.
+func runMultivaluedLanes(t *testing.T, n, tc int, inputs [][][]byte, corrupt map[int]sim.Behavior) []mvOut {
+	t.Helper()
+	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+		func(env *sim.Env) ([]mvOut, error) {
+			out, err := ba.Multivalued(env, "mv", inputs[env.ID()])
+			lanes := make([]mvOut, len(out))
+			for l, frame := range out {
+				v, ok := wire.Option(frame)
+				lanes[l] = mvOut{val: string(v), ok: ok}
+			}
+			return lanes, err
+		})
+	if err != nil {
+		t.Fatalf("n=%d t=%d: %v", n, tc, err)
+	}
+	var agreed []mvOut
+	for id, lanes := range res.Outputs {
+		if agreed == nil {
+			agreed = lanes
+		} else if !slices.Equal(lanes, agreed) {
+			t.Fatalf("agreement violated: party %d has %v, another %v", id, lanes, agreed)
+		}
+	}
+	return agreed
+}
+
+// TestMultivaluedLaneIndependence: lane l of a k-lane instance is the
+// one-lane protocol on lane l's inputs. The lanes are drawn so that every
+// pre-agreement level occurs — all honest parties on one value, n−t of
+// them, a split, all distinct — under silent and crashing parties; each
+// lane's result must equal the one-lane run on its column, and must not
+// move when the other lanes are permuted or redrawn.
+func TestMultivaluedLaneIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	values := [][]byte{{}, []byte("a"), []byte("b"), []byte("a-longer-value")}
+	outcomes := map[bool]int{} // lanes that agreed on a value, on ⊥
+	for trial, k := range []int{1, 2, 3, 6, 6} {
+		n := 4 + rng.Intn(10)
+		tc := (n - 1) / 3
+		corrupt := map[int]sim.Behavior{}
+		for len(corrupt) < tc {
+			if trial%2 == 0 {
+				corrupt[rng.Intn(n)] = adversary.Silent()
+			} else {
+				corrupt[rng.Intn(n)] = adversary.Crash(2 + rng.Intn(6))
+			}
+		}
+		draw := func(l int) [][]byte {
+			column := make([][]byte, n)
+			for i := range column {
+				switch l % 4 {
+				case 0:
+					column[i] = values[1]
+				case 1:
+					column[i] = values[1]
+					if i >= n-tc {
+						column[i] = values[2]
+					}
+				case 2:
+					column[i] = values[i%2]
+				default:
+					column[i] = []byte(fmt.Sprintf("v%d", rng.Intn(1<<20)))
+				}
+			}
+			return column
+		}
+		columns := make([][][]byte, k)
+		for l := range columns {
+			columns[l] = draw(rng.Intn(4))
+		}
+		rows := func(columns [][][]byte) [][][]byte {
+			inputs := make([][][]byte, n)
+			for i := range inputs {
+				for _, c := range columns {
+					inputs[i] = append(inputs[i], c[i])
+				}
+			}
+			return inputs
+		}
+		out := runMultivaluedLanes(t, n, tc, rows(columns), corrupt)
+		for l, c := range columns {
+			outcomes[out[l].ok]++
+			if _, want := runMultivalued(t, n, tc, c, corrupt); out[l] != want {
+				t.Errorf("n=%d k=%d: lane %d = %+v, one-lane run on its column %+v", n, k, l, out[l], want)
+			}
+		}
+		perm := rng.Perm(k)
+		permuted := make([][][]byte, k)
+		for l, p := range perm {
+			permuted[p] = columns[l]
+		}
+		redrawn := make([][][]byte, k)
+		for l := range redrawn {
+			redrawn[l] = draw(rng.Intn(4))
+		}
+		redrawn[0] = columns[0]
+		gotPermuted := runMultivaluedLanes(t, n, tc, rows(permuted), corrupt)
+		gotRedrawn := runMultivaluedLanes(t, n, tc, rows(redrawn), corrupt)
+		for l, p := range perm {
+			if gotPermuted[p] != out[l] {
+				t.Errorf("n=%d k=%d: lane %d moved to %d reads %+v, was %+v", n, k, l, p, gotPermuted[p], out[l])
+			}
+		}
+		if gotRedrawn[0] != out[0] {
+			t.Errorf("n=%d k=%d: lane 0 reads %+v with the other lanes redrawn, was %+v", n, k, gotRedrawn[0], out[0])
+		}
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Errorf("lanes by outcome %v: the table no longer reaches both a value and ⊥", outcomes)
 	}
 }

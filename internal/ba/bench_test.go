@@ -30,8 +30,8 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (bool, error) {
-				_, ok, err := ba.Multivalued(env, "mv", value)
-				return ok, err
+				out, err := ba.Multivalued(env, "mv", [][]byte{value})
+				return out != nil && out[0] != nil, err
 			})
 		if err != nil {
 			b.Fatal(err)

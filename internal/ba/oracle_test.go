@@ -10,7 +10,7 @@ import (
 	"convexagreement/internal/wire"
 )
 
-// The functions Multivalued's two picks over tcTally replaced, kept verbatim
+// The functions Multivalued's two picks over a transport.Tally replaced, kept verbatim
 // as the oracle: their own option frame, a map[string]int per round and a
 // []byte(key) round trip per value.
 
@@ -67,61 +67,70 @@ var tcPool = [][]byte{
 	wire.Some([]byte("ab")), wire.Some([]byte("b")), wire.None(), {0, 7}, {2, 'a'}, {1},
 }
 
-// checkTCPicks holds Multivalued's two picks to the functions they replaced
-// on one inbox: the value with ≥ k support (compared where the old map
-// iteration was deterministic: k above half the senders) and the most
-// supported value with its count.
-func checkTCPicks(t *testing.T, in []transport.Message, k int) {
+// checkTCPicks holds Multivalued's two picks over transport.LaneTallies to
+// the functions they replaced, lane by lane of one inbox of k-lane frames
+// (lane l read by transporttest.LaneInbox): the value with ≥ threshold
+// support (compared where the old map iteration was deterministic:
+// threshold above half the lane's senders) and the most supported value
+// with its count.
+func checkTCPicks(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
-	tally := tcTally(in)
-	if k > len(transport.FirstPerSender(in))/2 {
-		var got []byte
-		has := false
-		for _, s := range tally {
-			if s.Count >= k {
-				got, has = s.Value, true
-				break
+	tallies := make([]transport.Tally, k)
+	transport.LaneTallies(in, tallies, transport.AddOption)
+	for l, tally := range tallies {
+		laneIn := transporttest.LaneInbox(in, k, l)
+		if threshold > len(laneIn)/2 {
+			var got []byte
+			has := false
+			for _, s := range tally {
+				if s.Count >= threshold {
+					got, has = s.Value, true
+					break
+				}
+			}
+			want, wantHas := oracleTCMajority(laneIn, threshold)
+			if has != wantHas || !bytes.Equal(got, want) {
+				t.Fatalf("lane %d/%d, ≥ %d support: got (%q, %v), oracle (%q, %v) on %v", l, k, threshold, got, has, want, wantHas, in)
 			}
 		}
-		want, wantHas := oracleTCMajority(in, k)
-		if has != wantHas || !bytes.Equal(got, want) {
-			t.Fatalf("≥ %d support: got (%q, %v), oracle (%q, %v) on %v", k, got, has, want, wantHas, in)
+		var cand transport.Support
+		for _, s := range tally {
+			if s.Count > cand.Count {
+				cand = s
+			}
 		}
-	}
-	var cand transport.Support
-	for _, s := range tally {
-		if s.Count > cand.Count {
-			cand = s
+		want, wantCount := oracleTCBest(laneIn)
+		if cand.Count != wantCount || !bytes.Equal(cand.Value, want) {
+			t.Fatalf("lane %d/%d best: got (%q, %d), oracle (%q, %d) on %v", l, k, cand.Value, cand.Count, want, wantCount, in)
 		}
-	}
-	want, wantCount := oracleTCBest(in)
-	if cand.Count != wantCount || !bytes.Equal(cand.Value, want) {
-		t.Fatalf("best: got (%q, %d), oracle (%q, %d) on %v", cand.Value, cand.Count, want, wantCount, in)
 	}
 }
 
 func TestTCPicksMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 5000; trial++ {
+		k := 1 + trial%6
+		pool := transporttest.LanePool(tcPool, k)
 		raw := make([]byte, 2*rng.Intn(14))
 		rng.Read(raw)
 		for i := 1; i < len(raw); i += 2 {
 			if rng.Intn(4) > 0 {
-				raw[i] = byte(rng.Intn(len(tcPool))) // mostly well-formed, so counts build up
+				raw[i] = byte(rng.Intn(len(pool))) // mostly well-formed, so counts build up
 			}
 		}
-		for k := 1; k <= 9; k++ {
-			checkTCPicks(t, transporttest.Inbox(raw, tcPool), k)
+		for threshold := 1; threshold <= 9; threshold++ {
+			checkTCPicks(t, transporttest.Inbox(raw, pool), threshold, k)
 		}
 	}
 }
 
 func FuzzTCPicks(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{0, 3, 1, 3, 2, 5, 3, 5, 3, 3}, uint8(2))
-	f.Add([]byte{0, 0xFF, 1, 0xFE, 1, 0, 2, 200, 9, 9, 9}, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
-		checkTCPicks(t, transporttest.Inbox(raw, tcPool), int(k%10))
+	f.Add([]byte{}, uint8(1), uint8(0))
+	f.Add([]byte{0, 3, 1, 3, 2, 5, 3, 5, 3, 3}, uint8(2), uint8(1))
+	f.Add([]byte{0, 0xFF, 1, 0xFE, 1, 0, 2, 200, 9, 9, 9, 4, 21, 5, 23}, uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, threshold, k uint8) {
+		lanes := 1 + int(k%6)
+		checkTCPicks(t, transporttest.Inbox(raw, transporttest.LanePool(tcPool, lanes)), int(threshold%10), lanes)
 	})
 }
 

@@ -8,8 +8,9 @@
 //     rounds, O(n²) messages per phase) on k independent one-bit inputs at
 //     once — k instances sharing rounds, kings and messages, two bits of
 //     every message each. Binary is the one-lane call.
-//   - Multivalued: the Turpin–Coan extension lifting Binary to arbitrary
-//     byte-string values in two extra all-to-all rounds.
+//   - Multivalued: the Turpin–Coan extension lifting Bits to arbitrary
+//     byte-string values in two extra all-to-all rounds, on k independent
+//     values at once the same way.
 //
 // The paper instantiates Π_BA with the Coan–Welch protocol, whose bit
 // complexity for κ-bit inputs is O(κ·n²); phase-king + Turpin–Coan costs

@@ -1,93 +1,101 @@
 package ba
 
 import (
-	"bytes"
-
 	"convexagreement/internal/transport"
 	"convexagreement/internal/wire"
 )
 
-// Multivalued runs Byzantine Agreement on arbitrary byte-string values via
-// the Turpin–Coan extension [49] over Binary. All honest parties must call
-// it in the same round with the same tag; values may be of different
-// lengths (byzantine parties may send anything).
+// Multivalued runs k = len(inputs) independent instances of Byzantine
+// Agreement on arbitrary byte-string values via the Turpin–Coan extension
+// [49] over Bits, in the rounds of one: each of the two Turpin–Coan rounds
+// carries one option frame per lane (wire.Lanes), the k binary agreements
+// are one Bits instance, and lane l reads only lane l's counts, so every
+// lane is the one-lane protocol on that lane's inputs. All honest parties
+// must call it in the same round with the same tag and the same k; values
+// may be of different lengths (byzantine parties may send anything).
 //
-// The return convention is (value, true) when agreement settled on a
-// concrete value, and (nil, false) when the underlying binary BA decided
-// that no value had sufficient pre-agreement — the Turpin–Coan "default"
-// outcome. Guarantees under t < n/3:
+// The result holds lane l's outcome as an option frame: wire.Some(v) when
+// agreement settled on a concrete value v, nil — which wire.Option reads as
+// ⊥ — when the binary BA decided that no value had sufficient
+// pre-agreement, the Turpin–Coan "default" outcome. Guarantees per lane
+// under t < n/3:
 //
-//   - Termination and Agreement always (including agreement on the ok flag).
-//   - Validity: if all honest parties input v, the output is (v, true) —
-//     note the empty slice is a legitimate value, distinct from ok=false.
+//   - Termination and Agreement always (including agreement on ⊥).
+//   - Validity: if all honest parties input v, the output is Some(v) — note
+//     the empty slice is a legitimate value, distinct from ⊥.
 //
-// Complexity: 2 all-to-all rounds of ℓ-bit values (O(ℓn²) bits) plus one
-// Binary instance.
-func Multivalued(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
-	n, t := env.N(), env.T()
-
-	// Round 1: distribute inputs; find the value with ≥ n−t support (more
-	// than half the parties, so at most one).
-	in, err := transport.ExchangeAll(env, tag+"/tc1", wire.Some(input))
-	if err != nil {
-		return nil, false, err
+// Complexity: 2 all-to-all rounds of k option frames (O(ℓn²) bits for
+// ℓ-bit values, a repeated lane costing a byte) plus one Bits instance.
+func Multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
+	n, t, k := env.N(), env.T(), len(inputs)
+	frames := make([][]byte, k)
+	for l, v := range inputs {
+		frames[l] = wire.Some(v)
 	}
+
+	// Round 1: distribute inputs; per lane, find the value with ≥ n−t
+	// support (more than half the parties, so at most one).
+	in, err := transport.ExchangeAll(env, tag+"/tc1", wire.Lanes(frames))
+	if err != nil {
+		return nil, err
+	}
+	tallies := make([]transport.Tally, k)
+	transport.LaneTallies(in, tallies, transport.AddOption)
 	// Round 2: re-distribute that value (or ⊥). A value with ≥ t+1 support
 	// here is backed by at least one honest party that saw n−t support in
-	// round 1 — at most one such value exists.
-	second := wire.None()
-	for _, s := range tcTally(in) {
-		if s.Count >= n-t {
-			second = wire.Some(s.Value)
-			break
+	// round 1 — at most one such value exists per lane.
+	for l, tally := range tallies {
+		frames[l] = wire.None()
+		for _, s := range tally {
+			if s.Count >= n-t {
+				frames[l] = wire.Some(s.Value)
+				break
+			}
 		}
 	}
-	in, err = transport.ExchangeAll(env, tag+"/tc2", second)
+	in, err = transport.ExchangeAll(env, tag+"/tc2", wire.Lanes(frames))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	// cand is the most supported non-⊥ value, the smallest on a tie.
-	var cand transport.Support
-	for _, s := range tcTally(in) {
-		if s.Count > cand.Count {
-			cand = s
+	transport.LaneTallies(in, tallies, transport.AddOption)
+	// cand is the lane's most supported non-⊥ value, the smallest on a tie;
+	// g says whether it had n−t support.
+	out := make([][]byte, k)
+	g := make([]byte, k)
+	for l, tally := range tallies {
+		var cand transport.Support
+		for _, s := range tally {
+			if s.Count > cand.Count {
+				cand = s
+			}
 		}
-	}
-	value := bytes.Clone(cand.Value) // borrowed from this inbox; Binary's rounds outlive it
-	g := byte(0)
-	if cand.Count >= n-t {
-		g = 1
+		if cand.Count >= t+1 {
+			out[l] = wire.Some(cand.Value) // a copy: this inbox ends with Bits' first round
+		}
+		if cand.Count >= n-t {
+			g[l] = 1
+		}
 	}
 
-	// Binary agreement on whether a sufficiently supported value exists.
-	bit, err := Binary(env, tag+"/tcba", g)
+	// Binary agreement, per lane, on whether a sufficiently supported value
+	// exists.
+	bits, err := Bits(env, tag+"/tcba", g)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if bit == 0 {
-		return nil, false, nil
+	for l, bit := range bits {
+		// bit == 1 implies some honest party had g = 1, hence ≥ n−2t ≥ t+1
+		// honest parties broadcast cand in round 2 and every honest party
+		// sees it with ≥ t+1 support; cand is unique at that threshold. A
+		// lane that agreed 1 without it is unreachable for honest parties
+		// when the protocol's preconditions hold; ⊥ keeps the function total.
+		if bit == 0 {
+			out[l] = nil
+		}
 	}
-	// bit == 1 implies some honest party had g = 1, hence ≥ n−2t ≥ t+1
-	// honest parties broadcast cand in round 2 and every honest party sees
-	// it with ≥ t+1 support; cand is unique at that threshold.
-	if cand.Count >= t+1 {
-		return value, true, nil
-	}
-	// Unreachable for honest parties when the protocol's preconditions
-	// hold; returning ok=false keeps the function total.
-	return nil, false, nil
+	return out, nil
 }
 
-// tcTally counts the non-⊥ values of a Turpin–Coan round.
-func tcTally(in []transport.Message) transport.Tally {
-	var tally transport.Tally
-	for _, m := range transport.FirstPerSender(in) {
-		if v, ok := wire.Option(m.Payload); ok {
-			tally.Add(v)
-		}
-	}
-	return tally
-}
-
-// MultivaluedRounds returns ROUNDS(Multivalued) for given t.
+// MultivaluedRounds returns ROUNDS(Multivalued) for given t, at any number
+// of lanes.
 func MultivaluedRounds(t int) int { return 2 + BinaryRounds(t) }

@@ -43,26 +43,36 @@ func BenchmarkLongNaive_n7_64KiB(b *testing.B) {
 	benchLBA(b, 7, 2, 64<<10, baplus.LongNaive)
 }
 
-// TestRoundBounds checks the exported worst-case round formulas against
-// reality: actual rounds never exceed them.
+// TestRoundBounds checks the exported round formula against reality.
+// ROUNDS(Π_ℓBA+) is Π_BA+ plus the two dispersal rounds, which run exactly
+// when some lane agreed on a value: a and b share one stage, so the count
+// depends neither on which candidate was confirmed nor on the number of
+// lanes — it is PlusRounds(t) + 2, or PlusRounds(t) for ⊥, every time.
 func TestRoundBounds(t *testing.T) {
 	for _, n := range []int{4, 7, 10} {
 		tc := (n - 1) / 3
-		inputs := make([][]byte, n)
-		for i := range inputs {
-			inputs[i] = []byte{byte(i % 2)} // mixed → worst-case path likely
-		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
-			func(env *sim.Env) (bool, error) {
-				_, ok, err := baplus.Long(env, "p", inputs[env.ID()])
-				return ok, err
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// ROUNDS(Π_ℓBA+) is Π_BA+ plus the two dispersal rounds.
-		if bound := baplus.PlusRounds(tc) + 2; res.Report.Rounds > bound {
-			t.Errorf("n=%d: %d rounds exceeds worst-case bound %d", n, res.Report.Rounds, bound)
+		for _, k := range []int{1, 3} {
+			for name, input := range map[string]func(id int) []byte{
+				"mixed":  func(id int) []byte { return []byte{byte(id % 2)} },
+				"shared": func(id int) []byte { return []byte("v") },
+				"solo":   func(id int) []byte { return []byte{byte(id)} },
+			} {
+				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+					func(env *sim.Env) (bool, error) {
+						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(input(env.ID()), byte(j)) })
+						return lane >= 0, err
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := baplus.PlusRounds(tc)
+				if res.Outputs[0] {
+					want += 2
+				}
+				if res.Report.Rounds != want {
+					t.Errorf("n=%d k=%d %s: %d rounds, want %d", n, k, name, res.Report.Rounds, want)
+				}
+			}
 		}
 	}
 }

@@ -19,59 +19,88 @@ var ErrDispersal = errors.New("baplus: value dispersal failed")
 
 // Long runs Π_ℓBA+ (Theorem 1): Byzantine Agreement on arbitrary-length
 // values with Intrusion Tolerance and Bounded Pre-Agreement, at a cost of
-// O(ℓn + κ·n²·log n) bits plus the Π_BA invocations inside Π_BA+.
-//
-// Each party Reed-Solomon-encodes its input into n shares with
-// reconstruction threshold n−t, commits to them in a Merkle tree, agrees on
-// a root z* via Plus, and then the shares of the agreed value are dispersed
-// and re-broadcast so every party can erasure-decode it. Returns
-// (value, true) or (nil, false) for ⊥.
+// O(ℓn + κ·n²·log n) bits plus the Π_BA invocations inside Π_BA+. It is the
+// one-lane call of LongLanes and returns (value, true), or (nil, false) for
+// ⊥.
 func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
+	lane, value, err := LongLanes(env, tag, 1, func(int) []byte { return input })
+	return value, lane == 0, err
+}
+
+// LongLanes runs k independent instances of Π_ℓBA+ in the rounds of one
+// and disperses the value of one of them. Each party Reed-Solomon-encodes
+// every lane's input into n shares with reconstruction threshold n−t and
+// commits to them in a Merkle tree, the k roots are agreed on by one
+// batched Π_BA+, and then only j*, the highest lane whose root was agreed,
+// runs the dispersal: its shares are sent and re-broadcast so every party
+// can erasure-decode lane j*'s value. It returns (j*, value), or (−1, nil)
+// when every lane agreed on ⊥. What lane j agreed on is Π_ℓBA+ on lane j's
+// inputs; the lanes below j* are not reported. All honest parties must call
+// it in the same round with the same tag and the same k.
+//
+// Lane j's input is input(j), and need only stay valid until the next call
+// of input: one buffer can hold every lane's value in turn. The lanes are
+// committed one at a time, from the highest lane down (in FINDPREFIX the
+// largest segment first, so that buffer and the codec's scratch grow
+// once), into one share buffer; only the roots are kept. The encoding left
+// in the buffer is lane 0's, which the dispersal uses as it is when j* = 0;
+// for any other j* the holders call input(j*) again and re-derive its
+// shares into the same buffer.
+func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte) (int, []byte, error) {
 	n, t := env.N(), env.T()
 	// One codec per (n, t) for the whole process: its tables, decode plans
 	// and scratch outlive this instance (rs.SharedCodec).
 	codec, err := rs.SharedCodec(n, n-t)
 	if err != nil {
-		return nil, false, fmt.Errorf("baplus: %w", err)
+		return -1, nil, fmt.Errorf("baplus: %w", err)
 	}
-	// Step 1: encode and commit.
-	shares, err := codec.Encode(input)
-	if err != nil {
-		return nil, false, fmt.Errorf("baplus: %w", err)
+	// Step 1: encode and commit, lane by lane.
+	var buf []byte
+	var shares []rs.Share
+	var tree *merkle.Tree
+	roots := make([]hashing.Digest, k)
+	frames := make([][]byte, k)
+	for j := k - 1; j >= 0; j-- {
+		if shares, tree, err = commit(codec, &buf, input(j)); err != nil {
+			return -1, nil, err
+		}
+		roots[j] = tree.Root()
+		frames[j] = roots[j][:]
 	}
-	leaves := make([][]byte, n)
-	for i, sh := range shares {
-		leaves[i] = sh.Data
-	}
-	tree, err := merkle.Build(leaves)
-	if err != nil {
-		return nil, false, fmt.Errorf("baplus: %w", err)
-	}
-	z := tree.Root()
 
-	// Step 2: agree on a root.
-	zStarRaw, ok, err := Plus(env, tag+"/root", z[:])
+	// Step 2: agree on the roots.
+	agreed, err := plus(env, tag+"/root", frames)
 	if err != nil {
-		return nil, false, err
+		return -1, nil, err
 	}
-	if !ok {
-		return nil, false, nil
+	lane := len(agreed) - 1
+	for lane >= 0 && agreed[lane] == nil {
+		lane--
 	}
+	if lane < 0 {
+		return -1, nil, nil
+	}
+	zStarRaw, _ := wire.Option(agreed[lane])
 	zStar, wellFormed := hashing.FromBytes(zStarRaw)
 	if !wellFormed {
 		// Intrusion Tolerance makes the agreed root an honest party's
 		// digest, which is always κ bits; defense in depth only.
-		return nil, false, fmt.Errorf("%w: agreed root has %d bytes", ErrDispersal, len(zStarRaw))
+		return -1, nil, fmt.Errorf("%w: agreed root has %d bytes", ErrDispersal, len(zStarRaw))
 	}
 
 	// Step 3, round A: holders of the agreed value send each party its
 	// share and witness.
 	var out []transport.Packet
-	if zStar == z {
+	if zStar == roots[lane] {
+		if lane != 0 {
+			if shares, tree, err = commit(codec, &buf, input(lane)); err != nil {
+				return -1, nil, err
+			}
+		}
 		for j := 0; j < n; j++ {
 			w, err := tree.Witness(j)
 			if err != nil {
-				return nil, false, fmt.Errorf("baplus: %w", err)
+				return -1, nil, fmt.Errorf("baplus: %w", err)
 			}
 			out = append(out, transport.Packet{
 				To:      transport.PartyID(j),
@@ -82,7 +111,7 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	}
 	in, err := env.Exchange(out)
 	if err != nil {
-		return nil, false, err
+		return -1, nil, err
 	}
 	// Keep the first tuple that verifies for our own index.
 	myIdx := int(env.ID())
@@ -107,7 +136,7 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 		in, err = env.Exchange(nil)
 	}
 	if err != nil {
-		return nil, false, err
+		return -1, nil, err
 	}
 	// Index the collected shares by position rather than through a map: idx
 	// is bounds-checked before use (byzantine tuples carry arbitrary
@@ -133,9 +162,30 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	}
 	value, err := codec.Decode(decodeShares)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrDispersal, err)
+		return -1, nil, fmt.Errorf("%w: %v", ErrDispersal, err)
 	}
-	return value, true, nil
+	return lane, value, nil
+}
+
+// commit is step 1 for one value: its n shares, carved from *buf (grown
+// first if it cannot hold them), and their Merkle tree.
+func commit(codec *rs.Codec, buf *[]byte, input []byte) ([]rs.Share, *merkle.Tree, error) {
+	if size := codec.N() * codec.ShareSize(len(input)); cap(*buf) < size {
+		*buf = make([]byte, size)
+	}
+	shares, err := codec.EncodeTo(*buf, input)
+	if err != nil {
+		return nil, nil, fmt.Errorf("baplus: %w", err)
+	}
+	leaves := make([][]byte, len(shares))
+	for i, sh := range shares {
+		leaves[i] = sh.Data
+	}
+	tree, err := merkle.Build(leaves)
+	if err != nil {
+		return nil, nil, fmt.Errorf("baplus: %w", err)
+	}
+	return shares, tree, nil
 }
 
 // encodeTuple frames (index, share, witness) for the dispersal rounds.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"strings"
 )
 
@@ -173,21 +174,42 @@ func (s String) Big() *big.Int {
 
 // Slice returns the substring of bits [lo, hi) (0-based, half-open).
 func (s String) Slice(lo, hi int) (String, error) {
+	data, err := s.appendRange(nil, lo, hi)
+	if err != nil {
+		return String{}, err
+	}
+	return String{data: data, n: hi - lo}, nil
+}
+
+// AppendMarshalRange appends Slice(lo, hi).Marshal() — the wire form of
+// bits [lo, hi) — to dst without building the String in between, so a
+// caller that marshals ranges one after another reuses one buffer.
+func (s String) AppendMarshalRange(dst []byte, lo, hi int) ([]byte, error) {
 	if lo < 0 || hi < lo || hi > s.n {
-		return String{}, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
+		return dst, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
 	}
-	out := String{data: make([]byte, (hi-lo+7)/8), n: hi - lo}
-	if out.n == 0 {
-		return out, nil
+	return s.appendRange(binary.BigEndian.AppendUint32(dst, uint32(hi-lo)), lo, hi)
+}
+
+// appendRange appends bits [lo, hi) of s to dst, packed with the padding
+// cleared: the one slicing kernel under Slice and AppendMarshalRange.
+func (s String) appendRange(dst []byte, lo, hi int) ([]byte, error) {
+	if lo < 0 || hi < lo || hi > s.n {
+		return dst, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
 	}
-	src := s.data[lo/8 : (hi+7)/8]
-	if sh := uint(lo % 8); sh == 0 {
-		copy(out.data, src)
-	} else {
-		funnel(out.data, src[1:], src[0], sh)
+	size := (hi - lo + 7) / 8
+	dst = slices.Grow(dst, size)
+	out := String{data: dst[len(dst) : len(dst)+size], n: hi - lo}
+	if out.n > 0 {
+		src := s.data[lo/8 : (hi+7)/8]
+		if sh := uint(lo % 8); sh == 0 {
+			copy(out.data, src)
+		} else {
+			funnel(out.data, src[1:], src[0], sh)
+		}
+		out.clearPad()
 	}
-	out.clearPad()
-	return out, nil
+	return dst[:len(dst)+size], nil
 }
 
 // Prefix returns the first k bits of s.

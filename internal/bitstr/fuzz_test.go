@@ -85,6 +85,10 @@ func checkKernels(t *testing.T, raw []byte, un, ulo, uhi, uwidth uint32, fill bo
 	// Slice / Prefix, then Concat puts the pieces back.
 	mid, err := s.Slice(lo, hi)
 	same(t, "Slice", checked(t, "Slice", mid, err), refSlice(s, lo, hi))
+	dirty := []byte{0xDE, 0xAD}
+	if wire, err := s.AppendMarshalRange(dirty[:1], lo, hi); err != nil || !bytes.Equal(wire, append([]byte{0xDE}, refSlice(s, lo, hi).Marshal()...)) {
+		t.Fatalf("AppendMarshalRange(%d, %d) = (%x, %v), want Marshal of the slice after the first byte", lo, hi, wire, err)
+	}
 	head, err := s.Prefix(lo)
 	same(t, "Prefix", checked(t, "Prefix", head, err), refSlice(s, 0, lo))
 	tail, err := s.Slice(lo, n)

@@ -110,14 +110,15 @@ func simByzTotals(t *testing.T, seed int64, run func(transport.Net, *big.Int) (*
 }
 
 // TestPiZRoundBudget pins ROUNDS(Π_ℤ) on the benchmark's two short-input
-// shapes: n = 16 takes the short path — one preamble instance, six
-// FindPrefix iterations of Turpin–Coan + confirm, 24 rounds that are not
-// Π_BA's — and n = 7 the long path. The tripwire for the round layer: a
-// change that moves either number is a change to the latency of every
-// deployed agreement.
+// shapes: n = 16 takes the short path — 144 = 18 for the preamble instance
+// + three 4-ary FindPrefix iterations of 42 (Π_BA+'s dist and vote, one
+// Turpin–Coan + confirm stage of 20 + 18 over every lane, Π_ℓBA+'s two
+// dispersal rounds) — and n = 7 the long path. The tripwire for the round
+// layer: a change that moves either number is a change to the latency of
+// every deployed agreement.
 func TestPiZRoundBudget(t *testing.T) {
-	for _, c := range []struct{ n, rounds int }{{16, 270}, {7, 227}} {
-		if got := runShape(t, budgetShape(c.n), nil, piZ).Rounds; got != c.rounds {
+	for _, c := range []struct{ n, rounds int }{{16, 144}, {7, 119}} {
+		if got := runShape(t, budgetShape(c.n), nil, partyPiZ).Rounds; got != c.rounds {
 			t.Errorf("n=%d: %d rounds, budget %d", c.n, got, c.rounds)
 		}
 	}
@@ -125,22 +126,71 @@ func TestPiZRoundBudget(t *testing.T) {
 
 // TestPiZBitBudget pins BITS(Π_ℤ), the honest bits the simulator counts, on
 // the same two shapes and on sim_byz at seed 7 (the sum over its 45 counted
-// agreements; the benchmark reports the mean, 1 868 395). It is the
+// agreements; the benchmark reports the mean, 1 831 229). It is the
 // communication half of the round budget: a change that trades bits for
-// rounds re-pins both and states the trade in EXPERIMENTS.md.
+// rounds re-pins both and states the trade in EXPERIMENTS.md (E22).
 func TestPiZBitBudget(t *testing.T) {
 	for _, c := range []struct {
 		n    int
 		bits int64
-	}{{16, 4685040}, {7, 508368}} {
-		if got := runShape(t, budgetShape(c.n), nil, piZ).HonestBits; got != c.bits {
+	}{{16, 4781520}, {7, 501168}} {
+		if got := runShape(t, budgetShape(c.n), nil, partyPiZ).HonestBits; got != c.bits {
 			t.Errorf("n=%d: %d honest bits, budget %d", c.n, got, c.bits)
 		}
 	}
-	if _, got := simByzTotals(t, 7, piZ); got != 84077760 {
-		t.Errorf("sim_byz seed 7: %d honest bits over 45 agreements (mean %.0f), budget 84077760", got, float64(got)/45)
+	if _, got := simByzTotals(t, 7, partyPiZ); got != 82405320 {
+		t.Errorf("sim_byz seed 7: %d honest bits over 45 agreements (mean %.0f), budget 82405320", got, float64(got)/45)
 	}
 }
 
-// piZ is PiZ as a party function.
-func piZ(env transport.Net, v *big.Int) (*big.Int, error) { return PiZ(env, "ca", v) }
+// piZAt is Π_ℤ with its prefix search at arity k, as a party function.
+func piZAt(k int) func(transport.Net, *big.Int) (*big.Int, error) {
+	return func(env transport.Net, v *big.Int) (*big.Int, error) { return piZ(env, "ca", v, k) }
+}
+
+// TestArityTable is EXPERIMENTS.md E22, the table the search's arity was
+// chosen from: rounds, honest bits and honest bytes per round of Π_ℤ at
+// k ∈ {2, 3, 4, 8} on the three benchmark shapes (sim_byz summed over its
+// 45 agreements). Run with -v to print it. The row at arity must be the
+// exported PiZ's.
+func TestArityTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs sim_byz's 45 agreements at four arities")
+	}
+	type row struct {
+		rounds int
+		bits   int64
+	}
+	shapes := []struct {
+		name string
+		run  func(run func(transport.Net, *big.Int) (*big.Int, error)) row
+	}{
+		{"n=16 short path", func(run func(transport.Net, *big.Int) (*big.Int, error)) row {
+			rep := runShape(t, budgetShape(16), nil, run)
+			return row{rep.Rounds, rep.HonestBits}
+		}},
+		{"n=7 long path", func(run func(transport.Net, *big.Int) (*big.Int, error)) row {
+			rep := runShape(t, budgetShape(7), nil, run)
+			return row{rep.Rounds, rep.HonestBits}
+		}},
+		{"sim_byz seed 7", func(run func(transport.Net, *big.Int) (*big.Int, error)) row {
+			rounds, bits := simByzTotals(t, 7, run)
+			return row{rounds, bits}
+		}},
+	}
+	t.Logf("%-16s %2s %7s %12s %14s", "shape", "k", "rounds", "honest bits", "bytes/round")
+	for _, sh := range shapes {
+		for _, k := range []int{2, 3, 4, 8} {
+			r := sh.run(piZAt(k))
+			t.Logf("%-16s %2d %7d %12d %14.0f", sh.name, k, r.rounds, r.bits, float64(r.bits)/8/float64(r.rounds))
+			if k == arity {
+				if exported := sh.run(partyPiZ); r != exported {
+					t.Errorf("%s: arity %d reads %+v, PiZ %+v", sh.name, k, r, exported)
+				}
+			}
+		}
+	}
+}
+
+// partyPiZ is the exported PiZ as a party function.
+func partyPiZ(env transport.Net, v *big.Int) (*big.Int, error) { return PiZ(env, "ca", v) }

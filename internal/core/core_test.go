@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"convexagreement/internal/adversary"
-	"convexagreement/internal/bitstr"
 	"convexagreement/internal/core"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
@@ -355,70 +354,6 @@ func TestPiNRejectsNegative(t *testing.T) {
 		})
 	if err == nil {
 		t.Error("negative input accepted by PiN")
-	}
-}
-
-// TestFindPrefixPostconditions verifies Lemma 1 directly: prefix agreement,
-// (i) v extends prefix and is valid, and the consequence of (ii) used by
-// GETOUTPUT: for each one-bit extension of the prefix, at least t+1 honest
-// parties hold vBot values avoiding it (whenever |prefix| < ℓ).
-func TestFindPrefixPostconditions(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 8; trial++ {
-		n := 4 + rng.Intn(6)
-		tc := (n - 1) / 3
-		width := 24
-		inputs := make([]*big.Int, n)
-		for i := range inputs {
-			inputs[i] = big.NewInt(int64(rng.Intn(1 << 24)))
-		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
-			func(env *sim.Env) (core.PrefixResult, error) {
-				bits, err := bitstr.FromBig(inputs[env.ID()], width)
-				if err != nil {
-					return core.PrefixResult{}, err
-				}
-				return core.FindPrefix(env, "fp", bits)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prefix *bitstr.String
-		for id, r := range res.Outputs {
-			if prefix == nil {
-				p := r.Prefix
-				prefix = &p
-			} else if !r.Prefix.Equal(*prefix) {
-				t.Fatalf("party %d prefix %q differs from %q", id, r.Prefix.String(), prefix.String())
-			}
-			if !r.V.HasPrefix(r.Prefix) {
-				t.Fatalf("party %d: v lacks the agreed prefix", id)
-			}
-			for name, val := range map[string]*big.Int{"v": r.V.Big(), "vBot": r.VBot.Big()} {
-				if err := testutil.HullCheck(val, inputs); err != nil {
-					t.Fatalf("party %d: %s invalid: %v", id, name, err)
-				}
-			}
-		}
-		if prefix.Len() == width {
-			continue // all honest parties already share a full value
-		}
-		for _, b := range []byte{0, 1} {
-			ext, err := prefix.AppendBit(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			avoid := 0
-			for _, r := range res.Outputs {
-				if !r.VBot.HasPrefix(ext) {
-					avoid++
-				}
-			}
-			if avoid < tc+1 {
-				t.Fatalf("trial %d: only %d honest vBot avoid extension %q, need %d",
-					trial, avoid, ext.String(), tc+1)
-			}
-		}
 	}
 }
 

@@ -13,13 +13,19 @@ import (
 // parties must call it with the same width and valid inputs < 2^width.
 //
 // Complexity (Theorem 2): O(ℓn + κ·n²·log n·log ℓ) bits plus O(log ℓ)
-// invocations of Π_BA, and O(log ℓ)·ROUNDS(Π_BA) rounds.
+// invocations of Π_BA, and O(log ℓ)·ROUNDS(Π_BA) rounds — log to the base
+// of the search's arity.
 func FixedLengthCA(env transport.Net, tag string, width int, v *big.Int) (*big.Int, error) {
+	return fixedLengthCA(env, tag, width, v, arity)
+}
+
+// fixedLengthCA is FixedLengthCA with its search at arity k.
+func fixedLengthCA(env transport.Net, tag string, width int, v *big.Int, k int) (*big.Int, error) {
 	bits, err := bitstr.FromBig(v, width)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	res, err := FindPrefix(env, tag+"/fp", bits)
+	res, err := findPrefix(env, tag+"/fp", bits, 1, width, k)
 	if err != nil {
 		return nil, err
 	}
@@ -44,6 +50,11 @@ func FixedLengthCA(env transport.Net, tag string, width int, v *big.Int) (*big.I
 // Complexity (Theorem 4): O(ℓn + κ·n²·log²n) bits plus O(log n) invocations
 // of Π_BA, and O(n) + O(log n)·ROUNDS(Π_BA) rounds.
 func FixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v *big.Int) (*big.Int, error) {
+	return fixedLengthCABlocks(env, tag, width, numBlocks, v, arity)
+}
+
+// fixedLengthCABlocks is FixedLengthCABlocks with its search at arity k.
+func fixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v *big.Int, k int) (*big.Int, error) {
 	if numBlocks <= 0 || width%numBlocks != 0 {
 		return nil, fmt.Errorf("%w: width %d not a multiple of %d blocks", ErrProtocol, width, numBlocks)
 	}
@@ -51,7 +62,7 @@ func FixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	res, err := FindPrefixBlocks(env, tag+"/fpb", bits, numBlocks)
+	res, err := findPrefix(env, tag+"/fpb", bits, width/numBlocks, numBlocks, k)
 	if err != nil {
 		return nil, err
 	}

@@ -5,90 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"convexagreement/internal/bitstr"
 	"convexagreement/internal/core"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
 )
-
-// TestFindPrefixBlocksPostconditions verifies Lemma 4 directly at block
-// granularity: prefix agreement and whole-block length (tested elsewhere),
-// plus the consequence of property (ii) that ADDLASTBLOCK/GETOUTPUT rely
-// on — for every one-block extension of the agreed prefix that some honest
-// value actually realizes, at least t+1 honest parties hold vBot values
-// avoiding it (whenever the prefix is not full).
-func TestFindPrefixBlocksPostconditions(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const width, blocks = 32, 8 // 4-bit blocks
-	blockBits := width / blocks
-	for trial := 0; trial < 8; trial++ {
-		n := 4 + rng.Intn(6)
-		tc := (n - 1) / 3
-		inputs := make([]*big.Int, n)
-		for i := range inputs {
-			inputs[i] = big.NewInt(int64(rng.Uint32()))
-		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
-			func(env *sim.Env) (core.PrefixResult, error) {
-				bits, err := bitstr.FromBig(inputs[env.ID()], width)
-				if err != nil {
-					return core.PrefixResult{}, err
-				}
-				return core.FindPrefixBlocks(env, "fpb", bits, blocks)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prefix *bitstr.String
-		for id, r := range res.Outputs {
-			if prefix == nil {
-				p := r.Prefix
-				prefix = &p
-			} else if !r.Prefix.Equal(*prefix) {
-				t.Fatalf("party %d prefix disagrees", id)
-			}
-			if r.Prefix.Len()%blockBits != 0 {
-				t.Fatalf("prefix of %d bits is not whole blocks", r.Prefix.Len())
-			}
-			if !r.V.HasPrefix(r.Prefix) {
-				t.Fatalf("party %d: v lacks prefix", id)
-			}
-			if err := testutil.HullCheck(r.V.Big(), inputs); err != nil {
-				t.Fatalf("party %d: v invalid: %v", id, err)
-			}
-			if err := testutil.HullCheck(r.VBot.Big(), inputs); err != nil {
-				t.Fatalf("party %d: vBot invalid: %v", id, err)
-			}
-		}
-		if prefix.Len() == width {
-			continue
-		}
-		// Candidate extensions: the (i*+1)-th block of every honest value v
-		// (these are the extensions AddLastBlock can land on).
-		iStar := prefix.Len() / blockBits
-		extensions := map[string]bool{}
-		for _, r := range res.Outputs {
-			blk, err := r.V.BlockRange(iStar, iStar+1, blockBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extensions[prefix.Concat(blk).String()] = true
-		}
-		for ext := range extensions {
-			extStr := bitstr.MustParse(ext)
-			avoid := 0
-			for _, r := range res.Outputs {
-				if !r.VBot.HasPrefix(extStr) {
-					avoid++
-				}
-			}
-			if avoid < tc+1 {
-				t.Fatalf("trial %d: extension %q avoided by only %d honest vBot, need %d",
-					trial, ext, avoid, tc+1)
-			}
-		}
-	}
-}
 
 // TestFixedLengthCAQuickWidths sweeps random widths through the full
 // protocol: CA properties for widths from 1 bit to several hundred.

@@ -43,7 +43,7 @@ func PiN(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return piNWithLength(env, tag, v, agreed)
+	return piNWithLength(env, tag, v, agreed, arity)
 }
 
 // lengthLanes is the number of questions Π_ℕ asks about its input's length:
@@ -66,8 +66,9 @@ func askLength(lanes []byte, v *big.Int, n int) {
 	}
 }
 
-// piNWithLength is Π_ℕ from the agreed answers to askLength's questions on.
-func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte) (*big.Int, error) {
+// piNWithLength is Π_ℕ from the agreed answers to askLength's questions on,
+// its prefix search at arity k.
+func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k int) (*big.Int, error) {
 	n2 := env.N() * env.N()
 	if agreed[0] == 0 {
 		// Some honest party's input fits in n² bits, so 2^(n²)−1 is in the
@@ -82,7 +83,7 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte) (*b
 		for i, tooLong := range agreed[1:] {
 			if tooLong == 0 {
 				est := 1 << i
-				return FixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est))
+				return fixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est), k)
 			}
 		}
 		// Unreachable: at 2^i ≥ n² every honest party inputs 0.
@@ -106,7 +107,7 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte) (*b
 	// protocol's own analysis ("if an honest party's input value is longer
 	// than ℓ_EST bits"). We clamp on strict inequality.
 	v = clampToWidth(v, est)
-	return FixedLengthCABlocks(env, tag+"/flcab", est, n2, v)
+	return fixedLengthCABlocks(env, tag+"/flcab", est, n2, v, k)
 }
 
 // clampToWidth replaces v by 2^width−1 when v does not fit in width bits.

@@ -24,6 +24,11 @@ import (
 // Corollary 2: a deterministic CA protocol for ℤ in the plain model with
 // t < n/3, O(ℓn + poly(n, κ)) bits, and O(n log n) rounds.
 func PiZ(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
+	return piZ(env, tag, v, arity)
+}
+
+// piZ is PiZ with its prefix search at arity k.
+func piZ(env transport.Net, tag string, v *big.Int, k int) (*big.Int, error) {
 	if v == nil {
 		return nil, ErrProtocol
 	}
@@ -46,7 +51,7 @@ func PiZ(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
 		// that party's input and ours.
 		mag = big.NewInt(0)
 	}
-	magOut, err := piNWithLength(env, tag+"/mag", mag, agreed[1+signOut*m:][:m])
+	magOut, err := piNWithLength(env, tag+"/mag", mag, agreed[1+signOut*m:][:m], k)
 	if err != nil {
 		return nil, err
 	}

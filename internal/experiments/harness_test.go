@@ -46,7 +46,7 @@ func TestRewrappedKillTargetDiesAgain(t *testing.T) {
 	const n, K = 4, 3
 	c := Cluster{
 		N: n, Instances: 2, Input: smallInput,
-		Faults:  ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: 50}}},
+		Faults:  ca.FaultConfig{Kills: []ca.FaultKill{{Party: K, Round: totalRounds(n, 2, smallInput) / 3}}},
 		Storage: map[int]Disk{K: {}},
 	}
 	res := mustRun(c)

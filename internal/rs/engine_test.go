@@ -75,11 +75,11 @@ func TestEncodeWordsMatchesReference(t *testing.T) {
 		}
 		for _, plen := range []int{0, 1, 100, 4096} {
 			payload := goldenPayload(plen, int64(plen+7*shape.n))
-			sw, err := c.encode(payload, true)
+			sw, err := c.encode(nil, payload, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := c.encode(payload, false)
+			sr, err := c.encode(nil, payload, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,9 +201,9 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 	payload := goldenPayload(64<<10, 6)
 
 	prev := runtime.GOMAXPROCS(1)
-	serial, errS := c.encode(payload, true)
+	serial, errS := c.encode(nil, payload, true)
 	runtime.GOMAXPROCS(4)
-	parallel, errP := c.encode(payload, true)
+	parallel, errP := c.encode(nil, payload, true)
 	runtime.GOMAXPROCS(prev)
 	if errS != nil || errP != nil {
 		t.Fatalf("encode errors: serial %v, parallel %v", errS, errP)

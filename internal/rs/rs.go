@@ -251,12 +251,20 @@ func fanOut(rows, rowWork int, fn func(i int)) {
 // ShareSize(len(payload)) bytes each. Encoding is deterministic, so every
 // honest party derives identical shares from identical payloads.
 func (c *Codec) Encode(payload []byte) ([]Share, error) {
-	return c.encode(payload, gf16.HasFastPath())
+	return c.EncodeTo(nil, payload)
+}
+
+// EncodeTo is Encode with the shares' bytes taken from buf when its
+// capacity holds all n of them (n·ShareSize(len(payload)) bytes), from a
+// fresh array otherwise: a caller that encodes several payloads one after
+// another reuses one buffer, and the shares alias it until the next call.
+func (c *Codec) EncodeTo(buf, payload []byte) ([]Share, error) {
+	return c.encode(buf, payload, gf16.HasFastPath())
 }
 
 // encode routes between the word and reference parity engines; the flag is
 // explicit so differential tests can pin the two engines byte-identical.
-func (c *Codec) encode(payload []byte, words bool) ([]Share, error) {
+func (c *Codec) encode(buf, payload []byte, words bool) ([]Share, error) {
 	if len(payload) > 1<<31-5 {
 		return nil, fmt.Errorf("%w: payload too large", ErrParams)
 	}
@@ -271,8 +279,12 @@ func (c *Codec) encode(payload []byte, words bool) ([]Share, error) {
 	copy(framed[4:], payload)
 	clearBytes(framed[4+len(payload):])
 
-	// One flat backing array for all n share buffers.
-	flat := make([]byte, c.n*shareSize)
+	// One flat backing array for all n share buffers. Every byte of it is
+	// written below, so a reused buffer needs no clearing.
+	flat := buf[:cap(buf)]
+	if len(flat) < c.n*shareSize {
+		flat = make([]byte, c.n*shareSize)
+	}
 	shares := make([]Share, c.n)
 	for i := range shares {
 		shares[i] = Share{Index: i, Data: flat[i*shareSize : (i+1)*shareSize]}

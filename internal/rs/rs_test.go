@@ -225,3 +225,31 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeToReusesBuffer: encoding payloads of falling sizes into one
+// dirty buffer yields Encode's shares, carved from that buffer; a buffer
+// too small for the shares is not written.
+func TestEncodeToReusesBuffer(t *testing.T) {
+	c, err := NewCodec(7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xA5}, 7*c.ShareSize(4096))
+	for _, plen := range []int{4096, 1000, 3, 0} {
+		payload := goldenPayload(plen, int64(plen))
+		got, err := c.EncodeTo(buf, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := c.Encode(payload)
+		for i := range want {
+			if !bytes.Equal(got[i].Data, want[i].Data) || &got[i].Data[:1][0] != &buf[i*c.ShareSize(plen)] {
+				t.Fatalf("len %d: share %d differs from Encode's or is not carved from the buffer", plen, i)
+			}
+		}
+	}
+	small := bytes.Repeat([]byte{0xA5}, 8)
+	if _, err := c.EncodeTo(small, goldenPayload(100, 1)); err != nil || !bytes.Equal(small, bytes.Repeat([]byte{0xA5}, 8)) {
+		t.Fatalf("a too-small buffer was written: %x, %v", small, err)
+	}
+}

@@ -11,13 +11,15 @@
 // on another Net.
 //
 // It is also the one home of how a protocol reads a round: FirstPerSender,
-// Tally, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps them to the
-// paper).
+// Tally, LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps
+// them to the paper).
 package transport
 
 import (
 	"bytes"
 	"slices"
+
+	"convexagreement/internal/wire"
 )
 
 // PartyID identifies a party; parties are numbered 0..n-1. It is an alias
@@ -226,6 +228,33 @@ func (t *Tally) Add(v []byte) {
 		(*t)[i].Count++
 	} else {
 		*t = slices.Insert(*t, i, Support{Value: v, Count: 1})
+	}
+}
+
+// LaneTallies is Tally asked of the k = len(tallies) lanes of a round of
+// lane frames (wire.Lanes) at once: it empties every tally and hands lane l
+// of each sender's first message to add(&tallies[l], entry). A message that
+// is not a k-lane frame counts for nothing in any lane; otherwise lane l's
+// tally reads lane l's entries only.
+func LaneTallies(in []Message, tallies []Tally, add func(t *Tally, entry []byte)) {
+	for l := range tallies {
+		tallies[l] = tallies[l][:0]
+	}
+	entries := make([][]byte, len(tallies))
+	for _, m := range FirstPerSender(in) {
+		if wire.SplitLanes(m.Payload, entries) {
+			for l, e := range entries {
+				add(&tallies[l], e)
+			}
+		}
+	}
+}
+
+// AddOption is LaneTallies' rule for lanes of option frames: a present
+// value counts, ⊥ and anything else nothing.
+func AddOption(t *Tally, entry []byte) {
+	if v, ok := wire.Option(entry); ok {
+		t.Add(v)
 	}
 }
 

@@ -135,8 +135,20 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			}
 			return ba.Bits(net, "t", lanes)
 		}},
+		{"baplus.LongLanes", func(net transport.Net) (any, error) {
+			// Lane 0 is every party's own value (⊥), lane 1 the shared blob
+			// and lane 2 a segment only a minority holds (⊥): j* is lane 1,
+			// below the last lane, so its holders re-derive its shares.
+			lanes := [][]byte{num(net).Bytes(), blob(net), blob(net)[:net.ID()+1]}
+			lane, v, err := baplus.LongLanes(net, "t", len(lanes), func(j int) []byte { return lanes[j] })
+			if err == nil && lane != 1 {
+				err = fmt.Errorf("lane %d agreed, want 1", lane)
+			}
+			return optional(v, lane == 1, err)
+		}},
 		{"ba.Multivalued", func(net transport.Net) (any, error) {
-			return optional(ba.Multivalued(net, "t", blob(net)))
+			lanes, err := ba.Multivalued(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()})
+			return fmt.Sprintf("%x", lanes), err
 		}},
 		{"aa.Run", func(net transport.Net) (any, error) {
 			return aa.Run(net, "t", num(net), big.NewInt(1024), big.NewInt(1))

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -181,6 +182,87 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// oracleSplitLanes reads a k-lane frame by the rules alone: k times a uvarint
+// length and that many bytes, length 0 meaning "the lane before" and
+// illegal in lane 0, and nothing after the k-th lane.
+func oracleSplitLanes(raw []byte, k int) ([][]byte, bool) {
+	lanes := make([][]byte, k)
+	for l := range lanes {
+		n, size := binary.Uvarint(raw)
+		if size <= 0 || n > uint64(len(raw)-size) {
+			return nil, false
+		}
+		raw = raw[size:]
+		switch {
+		case n > 0:
+			lanes[l], raw = raw[:n], raw[n:]
+		case l == 0:
+			return nil, false
+		default:
+			lanes[l] = lanes[l-1]
+		}
+	}
+	return lanes, len(raw) == 0
+}
+
+func sameLanes(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for l := range a {
+		if !bytes.Equal(a[l], b[l]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzOptionLanes holds the lane frame to its rules on arbitrary bytes at
+// one to six lanes: SplitLanes accepts exactly what the oracle accepts and
+// splits it the same way, a repeat marker in lane 0 and trailing bytes are
+// rejected, decode → encode → decode is a fixpoint, and at one lane a frame
+// of the input reads through Lanes as wire.Option reads it.
+func FuzzOptionLanes(f *testing.F) {
+	f.Add(Lanes([][]byte{Some([]byte("a")), Some([]byte("a")), None()}), uint8(2))
+	f.Add(Lanes([][]byte{Some(nil)}), uint8(0))
+	f.Add([]byte{0}, uint8(0))
+	f.Add(append(Lanes([][]byte{None(), None()}), 7), uint8(1))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
+		lanes := 1 + int(k%6)
+		got := make([][]byte, lanes)
+		ok := SplitLanes(raw, got)
+		want, wantOK := oracleSplitLanes(raw, lanes)
+		if ok != wantOK || (ok && !sameLanes(got, want)) {
+			t.Fatalf("SplitLanes(%x, %d) = (%q, %v), oracle (%q, %v)", raw, lanes, got, ok, want, wantOK)
+		}
+		if len(raw) > 0 && raw[0] == sameLane && ok {
+			t.Fatalf("SplitLanes(%x) accepted a repeat marker in lane 0", raw)
+		}
+		if !ok {
+			return
+		}
+		if SplitLanes(append(raw[:len(raw):len(raw)], 0), make([][]byte, lanes)) {
+			t.Fatalf("SplitLanes(%x) accepted a trailing byte", raw)
+		}
+		again := make([][]byte, lanes)
+		if !SplitLanes(Lanes(got), again) || !sameLanes(again, got) {
+			t.Fatalf("lanes %q re-encoded to %x, which splits to %q", got, Lanes(got), again)
+		}
+		if len(raw) > 0 {
+			one := make([][]byte, 1)
+			if !SplitLanes(Lanes([][]byte{raw}), one) {
+				t.Fatalf("one-lane frame of %x rejected", raw)
+			}
+			v, present := Option(one[0])
+			wantV, wantPresent := Option(raw)
+			if present != wantPresent || !bytes.Equal(v, wantV) {
+				t.Fatalf("one lane of %x reads (%x, %v), Option (%x, %v)", raw, v, present, wantV, wantPresent)
+			}
 		}
 	})
 }

@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,6 +79,51 @@ func Option(raw []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return raw[1:], true
+}
+
+// sameLane is the lane frame's repeat marker: the length prefix 0, which no
+// lane has, since every lane is a non-empty frame.
+const sameLane = 0
+
+// Lanes frames a message that carries one frame per lane — an option frame
+// (Some/None) in every batched instance — for k independent instances that
+// share a round. Each lane is length-prefixed, except that a lane equal to
+// the lane before it is the one byte sameLane: Π_BA+'s b, which usually
+// repeats its a, costs a byte. Every frame must be non-empty.
+func Lanes(frames [][]byte) []byte {
+	size := 0
+	for _, f := range frames {
+		size += binary.MaxVarintLen32 + len(f)
+	}
+	w := Writer{buf: make([]byte, 0, size)}
+	for l, f := range frames {
+		if l > 0 && bytes.Equal(f, frames[l-1]) {
+			w.Byte(sameLane)
+		} else {
+			w.Bytes(f)
+		}
+	}
+	return w.Finish()
+}
+
+// SplitLanes reads a len(dst)-lane frame into dst, every lane borrowing raw
+// (a repeated lane is its predecessor's slice). A repeat marker in lane 0,
+// a lane count other than len(dst) or trailing bytes make the message no
+// lane frame at all: SplitLanes reports false, and the caller ignores the
+// sender's message as it ignores any malformed one.
+func SplitLanes(raw []byte, dst [][]byte) bool {
+	r := Reader{buf: raw}
+	for l := range dst {
+		f := r.Bytes()
+		if r.err != nil || (len(f) == sameLane && l == 0) {
+			return false
+		}
+		if len(f) == sameLane {
+			f = dst[l-1]
+		}
+		dst[l] = f
+	}
+	return r.off == len(raw)
 }
 
 // Reader decodes a message produced by Writer.

@@ -140,3 +140,29 @@ func TestOptionFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionLanes: a lane equal to its predecessor costs one byte, and a
+// frame with the marker in lane 0, too few or too many lanes or a trailing
+// byte is rejected whole.
+func TestOptionLanes(t *testing.T) {
+	a, b := Some([]byte("root")), None()
+	frame := Lanes([][]byte{a, a, b, b})
+	if want := (1 + len(a)) + 1 + (1 + len(b)) + 1; len(frame) != want {
+		t.Errorf("a a ⊥ ⊥ framed in %d bytes, want %d", len(frame), want)
+	}
+	got := make([][]byte, 4)
+	if !SplitLanes(frame, got) || !sameLanes(got, [][]byte{a, a, b, b}) {
+		t.Fatalf("split %x to %q", frame, got)
+	}
+	for name, raw := range map[string][]byte{
+		"marker in lane 0": {0, 2, 1, 'x', 0, 0},
+		"three lanes":      Lanes([][]byte{a, b, a}),
+		"five lanes":       Lanes([][]byte{a, b, a, b, a}),
+		"trailing byte":    append(Lanes([][]byte{a, a, b, b}), 1),
+		"truncated":        frame[:len(frame)-1],
+	} {
+		if SplitLanes(raw, make([][]byte, 4)) {
+			t.Errorf("%s: %x accepted as a 4-lane frame", name, raw)
+		}
+	}
+}

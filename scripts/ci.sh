@@ -129,6 +129,21 @@ one_path() {
 		echo "one-path: a map[string] in the protocol plane; count values with transport.Tally" >&2
 		exit 1
 	fi
+	# One Π_BA+ body. Its a and b candidates are two lanes of one
+	# Turpin–Coan + confirm stage (baplus.plus over ba.Multivalued's lanes);
+	# the sequential "try a, then b" survives only as the _test.go oracle
+	# plusRef. A second stage brings back a "/b" tag, a tryAgree or a second
+	# Turpin–Coan round.
+	if grep -rnE '"/b"|\+ *"/b/' --include='*.go' internal/ba internal/baplus | grep -v '_test\.go:'; then
+		echo "one-path: a sequential b stage reappeared in Π_BA+; b is a lane of the one stage" >&2
+		exit 1
+	fi
+	bodies=$(cat internal/ba/*.go internal/baplus/*.go | grep -v '^\s*//' | grep -cE 'func tryAgree|"/tc1"' || true)
+	tests=$(cat internal/ba/*_test.go internal/baplus/*_test.go | grep -v '^\s*//' | grep -cE 'func tryAgree|"/tc1"' || true)
+	if [ $((bodies - tests)) -gt 1 ]; then
+		echo "one-path: internal/ba and internal/baplus have $((bodies - tests)) agree stages (func tryAgree or a Turpin–Coan round), want the one in ba.Multivalued" >&2
+		exit 1
+	fi
 
 	# One deployed-cluster harness, one adversary vocabulary. A cluster is
 	# assembled, killed, resumed and judged in internal/experiments/harness.go;
@@ -215,8 +230,8 @@ throughput_guard() {
 }
 
 # 5 s per target: the wire frames (x2), admission, baplus tuples, the
-# checkpoint WAL and scrub, the bitstr kernels, and the quorum vocabulary
-# against the per-package functions it replaced (x6). FuzzReadFrame and
+# checkpoint WAL and scrub, the bitstr kernels, the quorum vocabulary
+# against the per-package functions it replaced (x6), and the lane frame. FuzzReadFrame and
 # FuzzReadFrameInto share a prefix; go test refuses a -fuzz pattern matching
 # more than one target, so each needs an anchored pattern.
 fuzz_smoke() {
@@ -236,6 +251,7 @@ fuzz_smoke() {
 		FuzzTCPicks ./internal/ba/
 		FuzzPlusPicks ./internal/baplus/
 		FuzzNatAtLeast ./internal/highcostca/
+		FuzzOptionLanes ./internal/wire/
 	EOF
 }
 
