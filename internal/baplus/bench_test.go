@@ -1,10 +1,12 @@
 package baplus_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"convexagreement/internal/baplus"
+	"convexagreement/internal/hashing"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
@@ -45,32 +47,41 @@ func BenchmarkLongNaive_n7_64KiB(b *testing.B) {
 
 // TestRoundBounds checks the exported round formula against reality.
 // ROUNDS(Π_ℓBA+) is Π_BA+ plus the two dispersal rounds, which run exactly
-// when some lane agreed on a value: a and b share one stage, so the count
-// depends neither on which candidate was confirmed nor on the number of
-// lanes — it is PlusRounds(t) + 2, or PlusRounds(t) for ⊥, every time.
+// when the lane that agreed carried a root, not a value short enough to be
+// agreed on as itself: a and b share one stage, so the count depends neither
+// on which candidate was confirmed nor on the number of lanes — it is
+// PlusRounds(t) + 2 for a dispersed value, PlusRounds(t) for a short one or
+// ⊥, every time.
 func TestRoundBounds(t *testing.T) {
+	long := bytes.Repeat([]byte("x"), 2*hashing.Size)
 	for _, n := range []int{4, 7, 10} {
 		tc := (n - 1) / 3
 		for _, k := range []int{1, 3} {
-			for name, input := range map[string]func(id int) []byte{
-				"mixed":  func(id int) []byte { return []byte{byte(id % 2)} },
-				"shared": func(id int) []byte { return []byte("v") },
-				"solo":   func(id int) []byte { return []byte{byte(id)} },
+			for _, c := range []struct {
+				name      string
+				input     func(id int) []byte
+				dispersed bool
+			}{
+				{"mixed", func(id int) []byte { return []byte{byte(id % 2)} }, false},
+				{"shared", func(id int) []byte { return []byte("v") }, false},
+				{"solo", func(id int) []byte { return []byte{byte(id)} }, false},
+				{"shared-long", func(id int) []byte { return long }, true},
+				{"solo-long", func(id int) []byte { return append(long[:len(long):len(long)], byte(id)) }, false},
 			} {
 				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 					func(env *sim.Env) (bool, error) {
-						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(input(env.ID()), byte(j)) })
+						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(c.input(env.ID()), byte(j)) })
 						return lane >= 0, err
 					})
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := baplus.PlusRounds(tc)
-				if res.Outputs[0] {
+				if c.dispersed {
 					want += 2
 				}
 				if res.Report.Rounds != want {
-					t.Errorf("n=%d k=%d %s: %d rounds, want %d", n, k, name, res.Report.Rounds, want)
+					t.Errorf("n=%d k=%d %s: %d rounds, want %d", n, k, c.name, res.Report.Rounds, want)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package baplus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -21,20 +22,32 @@ var ErrDispersal = errors.New("baplus: value dispersal failed")
 // values with Intrusion Tolerance and Bounded Pre-Agreement, at a cost of
 // O(ℓn + κ·n²·log n) bits plus the Π_BA invocations inside Π_BA+. It is the
 // one-lane call of LongLanes and returns (value, true), or (nil, false) for
-// ⊥.
+// ⊥. The value borrows nothing: it is a fresh slice.
 func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	lane, value, err := LongLanes(env, tag, 1, func(int) []byte { return input })
 	return value, lane == 0, err
 }
 
+// A lane's Π_BA+ input is tagged with what it carries. A value no longer
+// than a Merkle root is agreed on as itself — Π_ℓBA+ on ℓ ≤ κ bits is Π_BA+
+// on the value, with no commitment and no dispersal — and a longer one as
+// the root of its encoding. Each party tags its own input, so callers need
+// not agree on lengths: the tag of the agreed input tells every honest party
+// alike which kind it is.
+const (
+	laneValue byte = iota
+	laneRoot
+)
+
 // LongLanes runs k independent instances of Π_ℓBA+ in the rounds of one
-// and disperses the value of one of them. Each party Reed-Solomon-encodes
-// every lane's input into n shares with reconstruction threshold n−t and
-// commits to them in a Merkle tree, the k roots are agreed on by one
-// batched Π_BA+, and then only j*, the highest lane whose root was agreed,
-// runs the dispersal: its shares are sent and re-broadcast so every party
-// can erasure-decode lane j*'s value. It returns (j*, value), or (−1, nil)
-// when every lane agreed on ⊥. What lane j agreed on is Π_ℓBA+ on lane j's
+// and delivers the value of one of them. Each party Reed-Solomon-encodes
+// every lane's input longer than a root into n shares with reconstruction
+// threshold n−t and commits to them in a Merkle tree, the k roots (or short
+// values) are agreed on by one batched Π_BA+, and then only j*, the highest
+// lane that agreed, is delivered: its value as agreed, or, for a root, by
+// the dispersal — its shares are sent and re-broadcast so every party can
+// erasure-decode lane j*'s value. It returns (j*, value), or (−1, nil) when
+// every lane agreed on ⊥. What lane j agreed on is Π_ℓBA+ on lane j's
 // inputs; the lanes below j* are not reported. All honest parties must call
 // it in the same round with the same tag and the same k.
 //
@@ -43,9 +56,9 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 // committed one at a time, from the highest lane down (in FINDPREFIX the
 // largest segment first, so that buffer and the codec's scratch grow
 // once), into one share buffer; only the roots are kept. The encoding left
-// in the buffer is lane 0's, which the dispersal uses as it is when j* = 0;
-// for any other j* the holders call input(j*) again and re-derive its
-// shares into the same buffer.
+// in the buffer is the lowest committed lane's, which the dispersal uses as
+// it is when that lane is j*; for any other j* the holders call input(j*)
+// again and re-derive its shares into the same buffer.
 func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte) (int, []byte, error) {
 	n, t := env.N(), env.T()
 	// One codec per (n, t) for the whole process: its tables, decode plans
@@ -54,21 +67,26 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte) (
 	if err != nil {
 		return -1, nil, fmt.Errorf("baplus: %w", err)
 	}
-	// Step 1: encode and commit, lane by lane.
+	// Step 1: encode and commit, lane by lane; short values go as they are.
 	var buf []byte
 	var shares []rs.Share
 	var tree *merkle.Tree
-	roots := make([]hashing.Digest, k)
+	encoded := -1 // the lane whose shares buf holds
 	frames := make([][]byte, k)
 	for j := k - 1; j >= 0; j-- {
-		if shares, tree, err = commit(codec, &buf, input(j)); err != nil {
+		in := input(j)
+		if len(in) <= hashing.Size {
+			frames[j] = append([]byte{laneValue}, in...)
+			continue
+		}
+		if shares, tree, err = commit(codec, &buf, in); err != nil {
 			return -1, nil, err
 		}
-		roots[j] = tree.Root()
-		frames[j] = roots[j][:]
+		root := tree.Root()
+		frames[j], encoded = append([]byte{laneRoot}, root[:]...), j
 	}
 
-	// Step 2: agree on the roots.
+	// Step 2: agree on the roots and short values.
 	agreed, err := plus(env, tag+"/root", frames)
 	if err != nil {
 		return -1, nil, err
@@ -80,19 +98,25 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte) (
 	if lane < 0 {
 		return -1, nil, nil
 	}
-	zStarRaw, _ := wire.Option(agreed[lane])
-	zStar, wellFormed := hashing.FromBytes(zStarRaw)
+	// Intrusion Tolerance makes the agreed input an honest party's tagged
+	// value or digest; anything else is defense in depth only.
+	got, _ := wire.Option(agreed[lane])
+	if len(got) > 0 && got[0] == laneValue {
+		return lane, got[1:], nil
+	}
+	if len(got) == 0 || got[0] != laneRoot {
+		return -1, nil, fmt.Errorf("%w: agreed lane input is neither a value nor a root", ErrDispersal)
+	}
+	zStar, wellFormed := hashing.FromBytes(got[1:])
 	if !wellFormed {
-		// Intrusion Tolerance makes the agreed root an honest party's
-		// digest, which is always κ bits; defense in depth only.
-		return -1, nil, fmt.Errorf("%w: agreed root has %d bytes", ErrDispersal, len(zStarRaw))
+		return -1, nil, fmt.Errorf("%w: agreed root has %d bytes", ErrDispersal, len(got)-1)
 	}
 
 	// Step 3, round A: holders of the agreed value send each party its
 	// share and witness.
 	var out []transport.Packet
-	if zStar == roots[lane] {
-		if lane != 0 {
+	if bytes.Equal(frames[lane], got) {
+		if lane != encoded {
 			if shares, tree, err = commit(codec, &buf, input(lane)); err != nil {
 				return -1, nil, err
 			}

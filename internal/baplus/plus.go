@@ -9,9 +9,10 @@
 // Plus is the short-message protocol Π_BA+ (Theorem 6); Long is the
 // long-message extension Π_ℓBA+ (Theorem 1), which agrees on a κ-bit Merkle
 // root of the Reed-Solomon encoding of the value and then disperses the
-// value itself with O(ℓn + κ·n²·log n) bits. Both run on one batched body:
+// value itself with O(ℓn + κ·n²·log n) bits — or, for a value no longer
+// than a root, agrees on the value itself. Both run on one batched body:
 // plus runs k instances of Π_BA+ in the rounds of one, and LongLanes k
-// instances of Π_ℓBA+ of which it disperses one; Plus and Long are their
+// instances of Π_ℓBA+ of which it delivers one; Plus and Long are their
 // one-lane calls.
 package baplus
 

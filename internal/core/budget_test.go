@@ -110,14 +110,15 @@ func simByzTotals(t *testing.T, seed int64, run func(transport.Net, *big.Int) (*
 }
 
 // TestPiZRoundBudget pins ROUNDS(Π_ℤ) on the benchmark's two short-input
-// shapes: n = 16 takes the short path — 144 = 18 for the preamble instance
-// + three 4-ary FindPrefix iterations of 42 (Π_BA+'s dist and vote, one
-// Turpin–Coan + confirm stage of 20 + 18 over every lane, Π_ℓBA+'s two
-// dispersal rounds) — and n = 7 the long path. The tripwire for the round
+// shapes: n = 16 takes the short path — 138 = 18 for the preamble instance
+// + three 4-ary FindPrefix iterations of 40 (Π_BA+'s dist and vote, one
+// Turpin–Coan + confirm stage of 20 + 18 over every lane; the segments are
+// shorter than a Merkle root, so Π_ℓBA+ agrees on them directly, without
+// its two dispersal rounds) — and n = 7 the long path. The tripwire for the round
 // layer: a change that moves either number is a change to the latency of
 // every deployed agreement.
 func TestPiZRoundBudget(t *testing.T) {
-	for _, c := range []struct{ n, rounds int }{{16, 144}, {7, 119}} {
+	for _, c := range []struct{ n, rounds int }{{16, 138}, {7, 113}} {
 		if got := runShape(t, budgetShape(c.n), nil, partyPiZ).Rounds; got != c.rounds {
 			t.Errorf("n=%d: %d rounds, budget %d", c.n, got, c.rounds)
 		}
@@ -126,20 +127,20 @@ func TestPiZRoundBudget(t *testing.T) {
 
 // TestPiZBitBudget pins BITS(Π_ℤ), the honest bits the simulator counts, on
 // the same two shapes and on sim_byz at seed 7 (the sum over its 45 counted
-// agreements; the benchmark reports the mean, 1 831 229). It is the
+// agreements; the benchmark reports the mean, 1 459 445). It is the
 // communication half of the round budget: a change that trades bits for
 // rounds re-pins both and states the trade in EXPERIMENTS.md (E22).
 func TestPiZBitBudget(t *testing.T) {
 	for _, c := range []struct {
 		n    int
 		bits int64
-	}{{16, 4781520}, {7, 501168}} {
+	}{{16, 1378080}, {7, 148320}} {
 		if got := runShape(t, budgetShape(c.n), nil, partyPiZ).HonestBits; got != c.bits {
 			t.Errorf("n=%d: %d honest bits, budget %d", c.n, got, c.bits)
 		}
 	}
-	if _, got := simByzTotals(t, 7, partyPiZ); got != 82405320 {
-		t.Errorf("sim_byz seed 7: %d honest bits over 45 agreements (mean %.0f), budget 82405320", got, float64(got)/45)
+	if _, got := simByzTotals(t, 7, partyPiZ); got != 65675040 {
+		t.Errorf("sim_byz seed 7: %d honest bits over 45 agreements (mean %.0f), budget 65675040", got, float64(got)/45)
 	}
 }
 

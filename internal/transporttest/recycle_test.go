@@ -136,10 +136,11 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			return ba.Bits(net, "t", lanes)
 		}},
 		{"baplus.LongLanes", func(net transport.Net) (any, error) {
-			// Lane 0 is every party's own value (⊥), lane 1 the shared blob
-			// and lane 2 a segment only a minority holds (⊥): j* is lane 1,
-			// below the last lane, so its holders re-derive its shares.
-			lanes := [][]byte{num(net).Bytes(), blob(net), blob(net)[:net.ID()+1]}
+			// Lanes 0 and 2 are every party's own value, long and short
+			// (both ⊥), lane 1 the shared blob: j* is lane 1, and the share
+			// buffer holds lane 0's encoding, so its holders re-derive lane
+			// 1's shares.
+			lanes := [][]byte{append(blob(net), byte(net.ID())), blob(net), num(net).Bytes()}
 			lane, v, err := baplus.LongLanes(net, "t", len(lanes), func(j int) []byte { return lanes[j] })
 			if err == nil && lane != 1 {
 				err = fmt.Errorf("lane %d agreed, want 1", lane)
