@@ -270,11 +270,32 @@ type mvOut struct {
 	ok  bool
 }
 
+// multivalued is multivalued BA on k lanes as TurpinCoan's godoc composes
+// it: Turpin–Coan, then one Bits instance on the grades; a lane that agreed
+// 0 is ⊥ (nil), one that agreed 1 is the party's candidate, the same at
+// every honest party by the candidate lemma.
+func multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
+	cands, g, err := ba.TurpinCoan(env, tag, inputs)
+	if err != nil {
+		return nil, err
+	}
+	bits, err := ba.Bits(env, tag+"/tcba", g)
+	if err != nil {
+		return nil, err
+	}
+	for l, bit := range bits {
+		if bit == 0 {
+			cands[l] = nil
+		}
+	}
+	return cands, nil
+}
+
 func runMultivalued(t *testing.T, n, tc int, inputs [][]byte, corrupt map[int]sim.Behavior) (*testutil.Result[mvOut], mvOut) {
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (mvOut, error) {
-			out, err := ba.Multivalued(env, "mv", [][]byte{inputs[env.ID()]})
+			out, err := multivalued(env, "mv", [][]byte{inputs[env.ID()]})
 			if err != nil {
 				return mvOut{}, err
 			}
@@ -372,13 +393,13 @@ func TestMultivaluedPreAgreementUnderAdversary(t *testing.T) {
 	}
 }
 
-// runMultivaluedLanes runs Multivalued on per-party lane vectors and
+// runMultivaluedLanes runs multivalued on per-party lane vectors and
 // returns the agreed lanes, each read through wire.Option.
 func runMultivaluedLanes(t *testing.T, n, tc int, inputs [][][]byte, corrupt map[int]sim.Behavior) []mvOut {
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) ([]mvOut, error) {
-			out, err := ba.Multivalued(env, "mv", inputs[env.ID()])
+			out, err := multivalued(env, "mv", inputs[env.ID()])
 			lanes := make([]mvOut, len(out))
 			for l, frame := range out {
 				v, ok := wire.Option(frame)
@@ -484,4 +505,110 @@ func TestMultivaluedLaneIndependence(t *testing.T) {
 	if outcomes[true] == 0 || outcomes[false] == 0 {
 		t.Errorf("lanes by outcome %v: the table no longer reaches both a value and ⊥", outcomes)
 	}
+}
+
+// tcOut is one party's TurpinCoan result.
+type tcOut struct {
+	cands [][]byte
+	g     []byte
+}
+
+// TestTurpinCoanCandidates holds TurpinCoan to the three guarantees its
+// godoc states and Π_BA+'s fold rests on, at n ∈ {4, 7, 16} and k ∈ {1, 6}
+// under all nine catalogue adversaries at f = t, lane by lane:
+//
+//   - the candidate lemma: if any honest party has g = 1, every honest party
+//     holds the same candidate, and it is a value;
+//   - validity: a lane every honest party entered with v has g = 1 and the
+//     candidate wire.Some(v) at every honest party;
+//   - a present candidate is the input of at least n−2t honest parties.
+//
+// The lanes cover every pre-agreement level: all honest parties on one
+// value, n−t of all parties, n−2t, a two-way split, all distinct.
+func TestTurpinCoanCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	graded := map[string]int{} // lanes by how many honest parties graded them n−t
+	for _, strat := range adversary.Catalog() {
+		for _, n := range []int{4, 7, 16} {
+			for _, k := range []int{1, 6} {
+				tc := (n - 1) / 3
+				corrupt := map[int]sim.Behavior{}
+				for len(corrupt) < tc {
+					corrupt[rng.Intn(n)] = strat.Build(rng.Int63())
+				}
+				inputs := make([][][]byte, n)
+				for i := range inputs {
+					inputs[i] = make([][]byte, k)
+				}
+				for l := 0; l < k; l++ {
+					kind := (l + rng.Intn(5)) % 5
+					for i := range inputs {
+						v := []byte("v")
+						switch {
+						case kind == 1 && i >= n-tc, kind == 2 && i >= n-2*tc:
+							v = []byte{byte(i)}
+						case kind == 3:
+							v = []byte{byte(i % 2)}
+						case kind == 4:
+							v = []byte(fmt.Sprintf("v%d", i))
+						}
+						inputs[i][l] = v
+					}
+				}
+				res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (tcOut, error) {
+					cands, g, err := ba.TurpinCoan(env, "tc", inputs[env.ID()])
+					return tcOut{cands, g}, err
+				})
+				if err != nil {
+					t.Fatalf("%s n=%d k=%d: %v", strat.Name, n, k, err)
+				}
+				for l := 0; l < k; l++ {
+					name := fmt.Sprintf("%s n=%d k=%d lane %d", strat.Name, n, k, l)
+					holders := map[string]int{} // honest inputs on the lane, with how many parties hold each
+					for id := range res.Outputs {
+						holders[string(inputs[id][l])]++
+					}
+					ones, first := 0, res.Outputs[firstID(res.Outputs)]
+					for id, out := range res.Outputs {
+						ones += int(out.g[l])
+						if v, ok := wire.Option(out.cands[l]); ok && holders[string(v)] < n-2*tc {
+							t.Errorf("%s: party %d's candidate %q is the input of %d honest parties, below n−2t", name, id, v, holders[string(v)])
+						}
+						if len(holders) == 1 {
+							want := wire.Some(inputs[id][l])
+							if out.g[l] != 1 || !bytes.Equal(out.cands[l], want) {
+								t.Errorf("%s: every honest party input %q, party %d has g = %d, candidate %x", name, inputs[id][l], id, out.g[l], out.cands[l])
+							}
+						}
+					}
+					if ones > 0 {
+						for id, out := range res.Outputs {
+							if _, ok := wire.Option(out.cands[l]); !ok || !bytes.Equal(out.cands[l], first.cands[l]) {
+								t.Errorf("%s: %d honest parties graded n−t, but party %d's candidate is %x, another's %x", name, ones, id, out.cands[l], first.cands[l])
+							}
+						}
+					}
+					switch {
+					case ones == 0:
+						graded["none"]++
+					case ones == len(res.Outputs):
+						graded["all"]++
+					default:
+						graded["some"]++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("lanes by honest parties graded n−t: %v", graded)
+	if graded["none"] == 0 || graded["all"] == 0 {
+		t.Errorf("lanes by grade %v: the table no longer reaches both grades", graded)
+	}
+}
+
+func firstID[T any](m map[sim.PartyID]T) sim.PartyID {
+	for id := range m {
+		return id
+	}
+	return -1
 }

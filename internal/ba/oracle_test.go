@@ -10,9 +10,9 @@ import (
 	"convexagreement/internal/wire"
 )
 
-// The functions Multivalued's two picks over a transport.Tally replaced, kept verbatim
-// as the oracle: their own option frame, a map[string]int per round and a
-// []byte(key) round trip per value.
+// The functions TurpinCoan's two picks over a transport.Tally replaced, kept
+// verbatim as the oracle: their own option frame, a map[string]int per round
+// and a []byte(key) round trip per value.
 
 func oracleEncodeTC(v []byte) []byte {
 	w := wire.NewWriter(1 + len(v))
@@ -67,7 +67,7 @@ var tcPool = [][]byte{
 	wire.Some([]byte("ab")), wire.Some([]byte("b")), wire.None(), {0, 7}, {2, 'a'}, {1},
 }
 
-// checkTCPicks holds Multivalued's two picks over transport.LaneTallies to
+// checkTCPicks holds TurpinCoan's two picks over transport.LaneTallies to
 // the functions they replaced, lane by lane of one inbox of k-lane frames
 // (lane l read by transporttest.LaneInbox): the value with ≥ threshold
 // support (compared where the old map iteration was deterministic:
@@ -135,7 +135,7 @@ func FuzzTCPicks(f *testing.F) {
 }
 
 // TestOptionFrameMatchesOracle: wire.Some/None/Option are byte-for-byte the
-// frame Multivalued used to define for itself.
+// frame the Turpin–Coan rounds used to define for themselves.
 func TestOptionFrameMatchesOracle(t *testing.T) {
 	for _, v := range [][]byte{nil, {}, {0}, {1}, []byte("value")} {
 		if got, want := wire.Some(v), oracleEncodeTC(v); !bytes.Equal(got, want) {

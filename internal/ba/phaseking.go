@@ -2,15 +2,17 @@
 // paper assumes (Definition 2): a deterministic BA protocol resilient
 // against t < n/3 corruptions in the synchronous plain model.
 //
-// Two protocols are provided:
+// Two building blocks are provided:
 //
 //   - Bits: the Berman–Garay–Perry phase-king protocol (t+1 phases of three
 //     rounds, O(n²) messages per phase) on k independent one-bit inputs at
 //     once — k instances sharing rounds, kings and messages, two bits of
 //     every message each. Binary is the one-lane call.
-//   - Multivalued: the Turpin–Coan extension lifting Bits to arbitrary
-//     byte-string values in two extra all-to-all rounds, on k independent
-//     values at once the same way.
+//   - TurpinCoan: the two all-to-all rounds of the Turpin–Coan extension on
+//     k independent byte-string values at once, returning each lane's
+//     candidate and grade. Multivalued BA is TurpinCoan followed by Bits on
+//     the grades. TurpinCoan's one caller, Π_BA+, skips that Bits instance
+//     and folds the grade into its confirming one (baplus.plus).
 //
 // The paper instantiates Π_BA with the Coan–Welch protocol, whose bit
 // complexity for κ-bit inputs is O(κ·n²); phase-king + Turpin–Coan costs

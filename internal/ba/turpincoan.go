@@ -5,28 +5,36 @@ import (
 	"convexagreement/internal/wire"
 )
 
-// Multivalued runs k = len(inputs) independent instances of Byzantine
-// Agreement on arbitrary byte-string values via the Turpin–Coan extension
-// [49] over Bits, in the rounds of one: each of the two Turpin–Coan rounds
-// carries one option frame per lane (wire.Lanes), the k binary agreements
-// are one Bits instance, and lane l reads only lane l's counts, so every
-// lane is the one-lane protocol on that lane's inputs. All honest parties
-// must call it in the same round with the same tag and the same k; values
-// may be of different lengths (byzantine parties may send anything).
+// TurpinCoan runs the two rounds of the Turpin–Coan reduction [49] on k =
+// len(inputs) independent byte-string lanes at once, with no binary BA after
+// them: each round carries one option frame per lane (wire.Lanes), and lane l
+// reads only lane l's counts, so every lane is the one-lane reduction on that
+// lane's inputs. All honest parties must call it in the same round with the
+// same tag and the same k; values may be of different lengths (byzantine
+// parties may send anything).
 //
-// The result holds lane l's outcome as an option frame: wire.Some(v) when
-// agreement settled on a concrete value v, nil — which wire.Option reads as
-// ⊥ — when the binary BA decided that no value had sufficient
-// pre-agreement, the Turpin–Coan "default" outcome. Guarantees per lane
-// under t < n/3:
+// Per lane l it returns the lane's candidate and grade: cands[l] is
+// wire.Some(cand) when cand, the lane's most supported value of round 2 (the
+// smallest on a tie), had t+1 support, else nil (⊥); g[l] is 1 when cand had
+// n−t support. cands are copies: the caller's BA rounds follow. Under t < n/3:
 //
-//   - Termination and Agreement always (including agreement on ⊥).
-//   - Validity: if all honest parties input v, the output is Some(v) — note
-//     the empty slice is a legitimate value, distinct from ⊥.
+//   - Candidate lemma: if any honest party has g[l] = 1, every honest party
+//     holds the same cands[l], a value. (Round 1 gives every honest party at
+//     most one value to re-send, the same one: two values with n−t support
+//     at two honest parties would need 2(n−2t) > n−t honest senders. An
+//     honest g = 1 means n−2t ≥ t+1 honest parties re-sent it, and any other
+//     value has at most the t corrupt senders.)
+//   - Validity: if every honest party inputs v, every honest party has
+//     g[l] = 1 and cands[l] = wire.Some(v); the empty value is a value,
+//     distinct from ⊥.
+//   - A present cands[l] was re-sent by an honest party, so it is the input
+//     of n−2t ≥ t+1 honest parties.
 //
-// Complexity: 2 all-to-all rounds of k option frames (O(ℓn²) bits for
-// ℓ-bit values, a repeated lane costing a byte) plus one Bits instance.
-func Multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
+// Multivalued BA is this plus Bits on g, reading a lane that agreed 0 as ⊥
+// (the Turpin–Coan "default"); Π_BA+ confirms on g directly
+// (baplus.plus). Complexity: 2 all-to-all rounds of k option frames (O(ℓn²)
+// bits for ℓ-bit values, a repeated lane costing a byte).
+func TurpinCoan(env transport.Net, tag string, inputs [][]byte) (cands [][]byte, g []byte, err error) {
 	n, t, k := env.N(), env.T(), len(inputs)
 	frames := make([][]byte, k)
 	for l, v := range inputs {
@@ -37,7 +45,7 @@ func Multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, erro
 	// support (more than half the parties, so at most one).
 	in, err := transport.ExchangeAll(env, tag+"/tc1", wire.Lanes(frames))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tallies := make([]transport.Tally, k)
 	transport.LaneTallies(in, tallies, transport.AddOption)
@@ -55,13 +63,10 @@ func Multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, erro
 	}
 	in, err = transport.ExchangeAll(env, tag+"/tc2", wire.Lanes(frames))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	transport.LaneTallies(in, tallies, transport.AddOption)
-	// cand is the lane's most supported non-⊥ value, the smallest on a tie;
-	// g says whether it had n−t support.
-	out := make([][]byte, k)
-	g := make([]byte, k)
+	cands, g = make([][]byte, k), make([]byte, k)
 	for l, tally := range tallies {
 		var cand transport.Support
 		for _, s := range tally {
@@ -70,32 +75,11 @@ func Multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, erro
 			}
 		}
 		if cand.Count >= t+1 {
-			out[l] = wire.Some(cand.Value) // a copy: this inbox ends with Bits' first round
+			cands[l] = wire.Some(cand.Value) // a copy: this inbox ends with the next round
 		}
 		if cand.Count >= n-t {
 			g[l] = 1
 		}
 	}
-
-	// Binary agreement, per lane, on whether a sufficiently supported value
-	// exists.
-	bits, err := Bits(env, tag+"/tcba", g)
-	if err != nil {
-		return nil, err
-	}
-	for l, bit := range bits {
-		// bit == 1 implies some honest party had g = 1, hence ≥ n−2t ≥ t+1
-		// honest parties broadcast cand in round 2 and every honest party
-		// sees it with ≥ t+1 support; cand is unique at that threshold. A
-		// lane that agreed 1 without it is unreachable for honest parties
-		// when the protocol's preconditions hold; ⊥ keeps the function total.
-		if bit == 0 {
-			out[l] = nil
-		}
-	}
-	return out, nil
+	return cands, g, nil
 }
-
-// MultivaluedRounds returns ROUNDS(Multivalued) for given t, at any number
-// of lanes.
-func MultivaluedRounds(t int) int { return 2 + BinaryRounds(t) }

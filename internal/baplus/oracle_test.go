@@ -159,14 +159,31 @@ func FuzzPlusPicks(f *testing.F) {
 	})
 }
 
-// plusRef is Π_BA+ as the paper lists it and as Plus ran it before its two
-// agree-then-confirm stages became lanes of one: line 4 tries a, and only
-// if a is not confirmed does line 5 try b, each stage a one-lane
-// ba.Multivalued and a ba.Binary. Its rounds carry the one-lane frames of
-// its own time (a raw value, a raw vote). It is the oracle of the batched
+// plusRef is Π_BA+ run the way the paper lists it — line 4 tries a, and
+// only if a is not confirmed does line 5 try b — with each attempt folded as
+// plus folds it: a one-lane ba.TurpinCoan and a ba.Binary on "graded n−t, a
+// value, and mine". Its rounds carry the one-lane frames of the sequential
+// listing's time (a raw value, a raw vote). It is the oracle of the batched
 // body: b's stage reads nothing from a's outcome, so lane by lane the two
 // must return the same.
 func plusRef(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
+	return sequential(env, tag, input, foldedAttempt)
+}
+
+// plusPaper is the listing with each attempt as the paper states it: a
+// multivalued BA on the candidate (Turpin–Coan and its own binary BA on the
+// grade), then the confirming binary BA on "the agreed value is mine and a
+// value". It is the oracle of the fold.
+func plusPaper(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
+	return sequential(env, tag, input, paperAttempt)
+}
+
+// attempt is one of lines 4–5 on one candidate frame: the agreed value and
+// whether it was confirmed.
+type attempt func(env transport.Net, tag string, cand []byte) ([]byte, bool, error)
+
+// sequential is the §7 listing with lines 4 and 5 run one after the other.
+func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byte, bool, error) {
 	n, t := env.N(), env.T()
 	in, err := transport.ExchangeAll(env, tag+"/dist", input)
 	if err != nil {
@@ -189,25 +206,47 @@ func plusRef(env transport.Net, tag string, input []byte) ([]byte, bool, error) 
 		a = wire.Some(voted[0])
 		b = wire.Some(voted[len(voted)-1])
 	}
-	out, ok, err := tryAgreeRef(env, tag+"/a", a)
+	out, ok, err := try(env, tag+"/a", a)
 	if err != nil || ok {
 		return out, ok, err
 	}
-	return tryAgreeRef(env, tag+"/b", b)
+	return try(env, tag+"/b", b)
 }
 
-func tryAgreeRef(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
-	mv, err := ba.Multivalued(env, tag+"/val", [][]byte{cand})
+func foldedAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
+	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand})
 	if err != nil {
 		return nil, false, err
 	}
-	agreed, _ := wire.Option(mv[0])
-	val, present := wire.Option(agreed)
-	happy := byte(0)
-	if present && bytes.Equal(agreed, cand) {
-		happy = 1
+	got, _ := wire.Option(cands[0])
+	val, present := wire.Option(got)
+	return confirm(env, tag, val, g[0] == 1 && present && bytes.Equal(got, cand))
+}
+
+func paperAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
+	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand})
+	if err != nil {
+		return nil, false, err
 	}
-	confirmed, err := ba.Binary(env, tag+"/confirm", happy)
+	bit, err := ba.Binary(env, tag+"/val/tcba", g[0])
+	if err != nil {
+		return nil, false, err
+	}
+	var got []byte
+	if bit == 1 {
+		got, _ = wire.Option(cands[0])
+	}
+	val, present := wire.Option(got)
+	return confirm(env, tag, val, present && bytes.Equal(got, cand))
+}
+
+// confirm is the attempt's last step: binary BA on happy, val on 1.
+func confirm(env transport.Net, tag string, val []byte, happy bool) ([]byte, bool, error) {
+	in := byte(0)
+	if happy {
+		in = 1
+	}
+	confirmed, err := ba.Binary(env, tag+"/confirm", in)
 	if err != nil || confirmed == 0 {
 		return nil, false, err
 	}

@@ -147,9 +147,9 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			}
 			return optional(v, lane == 1, err)
 		}},
-		{"ba.Multivalued", func(net transport.Net) (any, error) {
-			lanes, err := ba.Multivalued(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()})
-			return fmt.Sprintf("%x", lanes), err
+		{"ba.TurpinCoan", func(net transport.Net) (any, error) {
+			cands, g, err := ba.TurpinCoan(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()})
+			return fmt.Sprintf("%x %x", cands, g), err
 		}},
 		{"aa.Run", func(net transport.Net) (any, error) {
 			return aa.Run(net, "t", num(net), big.NewInt(1024), big.NewInt(1))
