@@ -113,6 +113,12 @@ var (
 // maxFrame bounds a single round frame from one peer (64 MiB).
 const maxFrame = 64 << 20
 
+// readBufferSize is each link's read buffer (16 KiB): a party holds n−1 of
+// them for the life of the mesh, so it is sized to a round's frame at the
+// protocol's small-value shapes, not to the largest frame. A frame body
+// longer than what is buffered is read straight into its pooled frame.
+const readBufferSize = 16 << 10
+
 // helloMaxBytes bounds the pre-handshake hello read: two uvarints (id,
 // round) encode in at most 20 bytes, and an unauthenticated dialer gets
 // not one byte more — the structural maxFrame limit is for peers that
@@ -905,7 +911,7 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 	// into memory reads; on a raw conn every varint byte is its own
 	// read(2) syscall (and, through the io.Reader interface, a heap
 	// allocation for the 1-byte scratch).
-	br := bufio.NewReaderSize(src, 64<<10)
+	br := bufio.NewReaderSize(src, readBufferSize)
 	gate := c.adm[peer]
 	var scratch [][]byte
 	for {

@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -10,8 +11,33 @@ import (
 
 // TestRejoinReplaysTail: a party that dies and re-dials with a ResumeRound
 // inside its peer's rejoin window receives the buffered outbox tail and
-// catches up to the live round without the peer ever marking it faulty.
+// catches up to the live round without the peer ever marking it faulty. The
+// replayed rounds arrive byte-exact, also when the replay is one burst
+// several times the per-link read buffer.
 func TestRejoinReplaysTail(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size int // payload bytes per round
+	}{
+		{"small", 2},
+		{"burst-past-read-buffer", tcpnet.ReadBufferSize/2 + 3}, // five rounds: 2.5 buffers
+	} {
+		t.Run(c.name, func(t *testing.T) { rejoinReplaysTail(t, c.size) })
+	}
+}
+
+// rejoinPayload is party's round-r payload of the given size: party and
+// round in the first two bytes, then bytes derived from both.
+func rejoinPayload(party, r, size int) []byte {
+	p := make([]byte, size)
+	p[0], p[1] = byte(party), byte(r)
+	for i := 2; i < size; i++ {
+		p[i] = byte(i*31 + r*7 + party)
+	}
+	return p
+}
+
+func rejoinReplaysTail(t *testing.T, size int) {
 	cfgs := newCluster(t, 2, 0)
 	for i := range cfgs {
 		cfgs[i].Delta = 400 * time.Millisecond
@@ -34,12 +60,12 @@ func TestRejoinReplaysTail(t *testing.T) {
 	}
 
 	done := make(chan struct{})
-	inbox0 := make([][]transport.Message, 10)
+	inbox0 := make([]int, 10)
 	go func() {
 		defer close(done)
 		// Party 1 participates in rounds 0–4, then crashes.
 		for r := 0; r < 5; r++ {
-			if _, err := transport.ExchangeAll(conns[1], "x", []byte{1, byte(r)}); err != nil {
+			if _, err := transport.ExchangeAll(conns[1], "x", rejoinPayload(1, r, size)); err != nil {
 				t.Errorf("party 1 round %d: %v", r, err)
 			}
 		}
@@ -48,17 +74,17 @@ func TestRejoinReplaysTail(t *testing.T) {
 	// Party 0 runs all 10 rounds; rounds 5–9 close by Δ-timeout (or
 	// instantly once the link is down) with party 1's frames missing.
 	for r := 0; r < 10; r++ {
-		in, err := transport.ExchangeAll(conns[0], "x", []byte{0, byte(r)})
+		in, err := transport.ExchangeAll(conns[0], "x", rejoinPayload(0, r, size))
 		if err != nil {
 			t.Fatalf("party 0 round %d: %v", r, err)
 		}
-		inbox0[r] = in
+		inbox0[r] = len(in)
 	}
 	<-done
 	defer conns[0].Close()
 	for r := 0; r < 5; r++ {
-		if len(inbox0[r]) != 2 {
-			t.Fatalf("party 0 round %d: %d messages, want 2", r, len(inbox0[r]))
+		if inbox0[r] != 2 {
+			t.Fatalf("party 0 round %d: %d messages, want 2", r, inbox0[r])
 		}
 	}
 
@@ -73,12 +99,12 @@ func TestRejoinReplaysTail(t *testing.T) {
 	defer rejoined.Close()
 	for r := 5; r < 10; r++ {
 		start := time.Now()
-		in, err := transport.ExchangeAll(rejoined, "x", []byte{1, byte(r)})
+		in, err := transport.ExchangeAll(rejoined, "x", rejoinPayload(1, r, size))
 		if err != nil {
 			t.Fatalf("rejoined round %d: %v", r, err)
 		}
-		if len(in) != 2 || in[0].From != 0 || in[0].Payload[1] != byte(r) {
-			t.Fatalf("rejoined round %d inbox = %v", r, in)
+		if len(in) != 2 || in[0].From != 0 || !bytes.Equal(in[0].Payload, rejoinPayload(0, r, size)) {
+			t.Fatalf("rejoined round %d: %d messages, want 2 with party 0's replayed payload first", r, len(in))
 		}
 		// Replayed rounds close from the buffered tail, not a Δ wait.
 		if elapsed := time.Since(start); elapsed > cfgs[0].Delta/2 {

@@ -1,9 +1,11 @@
 package tcpnet_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -288,30 +290,48 @@ func TestHandshakeGarbageRejected(t *testing.T) {
 	}
 }
 
-// TestLargeLegalPayload: a big-but-legal frame passes the size checks and
-// round-trips intact. (Frames *over* the cap are covered by
-// TestOversizedFrameDemotesPeer in tcpnet_fault_test.go.)
+// TestLargeLegalPayload: big-but-legal frames pass the size checks and
+// round-trip byte-exact, at the sizes that straddle the per-link read
+// buffer — one byte under, exactly, one byte over — and at 1 MiB, whose body
+// is read past the buffer straight into its pooled frame. (Frames *over* the
+// cap are covered by TestOversizedFrameDemotesPeer in tcpnet_fault_test.go.)
 func TestLargeLegalPayload(t *testing.T) {
-	cfgs := newCluster(t, 2, 0)
-	cfgs[0].Delta = 300 * time.Millisecond
-	cfgs[1].Delta = 300 * time.Millisecond
-	conns := dialAll(t, cfgs)
-	big := make([]byte, 1<<20)
-	var wg sync.WaitGroup
-	results := make([]int, 2)
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c *tcpnet.Conn) {
-			defer wg.Done()
-			in, err := transport.ExchangeAll(c, "big", big)
-			if err == nil {
-				results[i] = len(in)
+	for _, size := range []int{tcpnet.ReadBufferSize - 1, tcpnet.ReadBufferSize, tcpnet.ReadBufferSize + 1, 1 << 20} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			cfgs := newCluster(t, 2, 0)
+			cfgs[0].Delta = 300 * time.Millisecond
+			cfgs[1].Delta = 300 * time.Millisecond
+			conns := dialAll(t, cfgs)
+			payload := func(party int) []byte {
+				p := make([]byte, size)
+				rand.New(rand.NewSource(int64(party))).Read(p)
+				return p
 			}
-		}(i, c)
-	}
-	wg.Wait()
-	if results[0] != 2 || results[1] != 2 {
-		t.Fatalf("large payload round failed: %v", results)
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i, c := range conns {
+				wg.Add(1)
+				go func(i int, c *tcpnet.Conn) {
+					defer wg.Done()
+					in, err := transport.ExchangeAll(c, "big", payload(i))
+					if err == nil && len(in) != 2 {
+						err = fmt.Errorf("%d messages, want 2", len(in))
+					}
+					for _, m := range in {
+						if err == nil && !bytes.Equal(m.Payload, payload(int(m.From))) {
+							err = fmt.Errorf("party %d's %d bytes arrived as %d different ones", m.From, size, len(m.Payload))
+						}
+					}
+					errs[i] = err
+				}(i, c)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("party %d: %v", i, err)
+				}
+			}
+		})
 	}
 }
 
