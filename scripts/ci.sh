@@ -130,10 +130,14 @@ one_path() {
 		exit 1
 	fi
 	# One Π_BA+ body. Its a and b candidates are two lanes of one
-	# Turpin–Coan + confirm stage (baplus.plus over ba.Multivalued's lanes);
-	# the sequential "try a, then b" survives only as the _test.go oracle
-	# plusRef. A second stage brings back a "/b" tag, a tryAgree or a second
-	# Turpin–Coan round.
+	# Turpin–Coan + confirm stage (baplus.plus over ba.TurpinCoan's lanes),
+	# and the confirm is its one phase-king: Turpin–Coan's grade is a conjunct
+	# of the happy bit, not the input of a BA of its own. The sequential "try
+	# a, then b" survives only as the _test.go oracle plusRef, the unfolded
+	# listing as plusPaper, multivalued BA as a _test.go composition. A second
+	# stage brings back a "/b" tag, a tryAgree or a second Turpin–Coan round;
+	# the unfolded BA brings back Multivalued, a "/tcba" tag or a second
+	# ba.Bits in plus.go.
 	if grep -rnE '"/b"|\+ *"/b/' --include='*.go' internal/ba internal/baplus | grep -v '_test\.go:'; then
 		echo "one-path: a sequential b stage reappeared in Π_BA+; b is a lane of the one stage" >&2
 		exit 1
@@ -141,7 +145,16 @@ one_path() {
 	bodies=$(cat internal/ba/*.go internal/baplus/*.go | grep -v '^\s*//' | grep -cE 'func tryAgree|"/tc1"' || true)
 	tests=$(cat internal/ba/*_test.go internal/baplus/*_test.go | grep -v '^\s*//' | grep -cE 'func tryAgree|"/tc1"' || true)
 	if [ $((bodies - tests)) -gt 1 ]; then
-		echo "one-path: internal/ba and internal/baplus have $((bodies - tests)) agree stages (func tryAgree or a Turpin–Coan round), want the one in ba.Multivalued" >&2
+		echo "one-path: internal/ba and internal/baplus have $((bodies - tests)) agree stages (func tryAgree or a Turpin–Coan round), want the one in ba.TurpinCoan" >&2
+		exit 1
+	fi
+	if grep -rnE 'func Multivalued|"/tcba"' --include='*.go' . | grep -v '_test\.go:'; then
+		echo "one-path: multivalued BA or its grade BA reappeared in non-test code; Π_BA+ confirms on ba.TurpinCoan's grade" >&2
+		exit 1
+	fi
+	confirms=$(grep -v '^\s*//' internal/baplus/plus.go | grep -c 'ba\.Bits(' || true)
+	if [ "$confirms" -gt 1 ]; then
+		echo "one-path: internal/baplus/plus.go has $confirms ba.Bits instances, want the one confirming phase-king" >&2
 		exit 1
 	fi
 
