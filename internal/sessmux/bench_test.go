@@ -247,7 +247,7 @@ func BenchmarkSessmuxFlushVec(b *testing.B) {
 
 // BenchmarkSessmuxTickTCP is the whole tick, end to end: 64 live sessions on
 // each of 4 parties, every session broadcasting one byte per virtual round
-// (the phase-king round that is 126 of mux_closed's 138 per agreement)
+// (the phase-king round that is 72 of mux_closed's 84 per agreement)
 // through sessmux over a loopback tcpnet mesh. One op is one tick of the
 // whole mesh — all four parties' fan-out, merge, encode, write, read, inbox
 // and demux — so allocs/op is the steady-state tick ROADMAP item 3 asks to
