@@ -40,22 +40,22 @@ var mutants = []mutant{
 			"\t\t\tframe.Release() // nothing retained the payloads\n",
 			"\t\t\tframe.Release() // nothing retained the payloads\n\t\t\tframe.Release() // MUTANT\n"}}},
 	{id: "F2", file: tcpnetFile, fires: []string{"bufownership"},
-		why: "Exchange releases the frame after sendFrame stored it in the rejoin tail",
+		why: "ExchangeBroadcast releases the frame after sendRound stored it in the round's tail slot",
 		edits: [][2]string{{
-			"\t\t\tc.sendFrame(peer, r, c.arena.EncodeFrame(r, payloads))\n",
-			"\t\t\tfr := c.arena.EncodeFrame(r, payloads)\n\t\t\tc.sendFrame(peer, r, fr)\n\t\t\tfr.Release() // MUTANT\n"}}},
+			"\tc.sendRound(r, c.arena.EncodeFrame(r, c.one[:]))\n",
+			"\tfr := c.arena.EncodeFrame(r, c.one[:])\n\tc.sendRound(r, fr)\n\tfr.Release() // MUTANT\n"}}},
 	{id: "F3", file: tcpnetFile, fires: []string{"bufownership"},
-		why: "sendFrame itself releases after the write while c.tails holds the frame",
+		why: "sendRound itself releases the shared frame after a write while the tail slot holds it",
 		edits: [][2]string{{
-			"\t\tc.write(peer, gen, conn, frame.Bytes(), 1)\n",
-			"\t\tc.write(peer, gen, conn, frame.Bytes(), 1)\n\t\tframe.Release() // MUTANT\n"}}},
+			"\t\t\tc.write(peer, to.gen, to.conn, slot.frame(r, peer).Bytes(), 1)\n",
+			"\t\t\tc.write(peer, to.gen, to.conn, slot.frame(r, peer).Bytes(), 1)\n\t\t\tshared.Release() // MUTANT\n"}}},
 	{id: "F4", file: tcpnetFile, fires: []string{"bufownership"},
 		why: "installLink releases the replay batch before writing it",
 		edits: [][2]string{{
 			"\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames)\n\t\treplay.Release()\n",
 			"\t\treplay.Release()\n\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames) // MUTANT\n"}}},
 	{id: "F5", file: tcpnetFile,
-		why: "readLoop never releases a stale-round frame: a leak, not corruption — no check tracks a frame that is never released (the pool just refills)",
+		why: "readLoop never releases a stale-round frame: a leak, not corruption — no check tracks a frame that is never released (the arena just allocates afresh)",
 		edits: [][2]string{{
 			"handed to anyone, so the buffer goes straight back.\n\t\t\tframe.Release()\n",
 			"handed to anyone, so the buffer goes straight back.\n\t\t\t_ = frame // MUTANT\n"}}},
@@ -65,17 +65,22 @@ var mutants = []mutant{
 			"\tc.cond.Broadcast()\n\tc.mu.Unlock()\n\n\tif replay != nil {\n\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames)\n\t\treplay.Release()\n\t}\n",
 			"\tc.cond.Broadcast()\n\tif replay != nil {\n\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames) // MUTANT\n\t\treplay.Release()\n\t}\n\tc.mu.Unlock()\n"}}},
 	{id: "L2", file: tcpnetFile, fires: []string{"lockorder"},
-		why: "write holds wmu (deferred unlock) into linkLost while sendFrame holds c.mu across write: mu → wmu → mu",
+		why: "write holds wmu (deferred unlock) into linkLost while sendRound holds c.mu across the writes: mu → wmu → mu",
 		edits: [][2]string{
 			{"\tc.wmu[peer].Lock()\n", "\tc.wmu[peer].Lock()\n\tdefer c.wmu[peer].Unlock()\n"},
 			{"\t}\n\tc.wmu[peer].Unlock()\n", "\t}\n"},
-			{"\tc.mu.Unlock()\n\tif up {\n\t\tc.write(peer, gen, conn, frame.Bytes(), 1)\n\t}\n\tc.mu.Lock()\n",
-				"\tif up {\n\t\tc.write(peer, gen, conn, frame.Bytes(), 1) // MUTANT\n\t}\n"}}},
+			{"\tc.mu.Unlock()\n\tfor peer, to := range c.sendTo {\n\t\tif to.conn != nil {\n\t\t\tc.write(peer, to.gen, to.conn, slot.frame(r, peer).Bytes(), 1)\n\t\t}\n\t}\n",
+				"\tfor peer, to := range c.sendTo {\n\t\tif to.conn != nil {\n\t\t\tc.write(peer, to.gen, to.conn, slot.frame(r, peer).Bytes(), 1) // MUTANT\n\t\t}\n\t}\n\tc.mu.Unlock()\n"}}},
 	{id: "L3", file: tcpnetFile, fires: []string{"mutexhold"},
-		why: "conn.Write under c.mu in sendFrame",
+		why: "conn.Write under c.mu in sendRound's link snapshot",
 		edits: [][2]string{{
-			"\tc.tails[peer][r] = frame\n",
-			"\tc.tails[peer][r] = frame\n\tif conn := c.links[peer].conn; conn != nil {\n\t\tconn.Write(frame.Bytes()) // MUTANT\n\t}\n"}}},
+			"\t\t\tc.sendTo[peer] = sendTarget{conn: l.conn, gen: l.gen}\n",
+			"\t\t\tc.sendTo[peer] = sendTarget{conn: l.conn, gen: l.gen}\n\t\t\tl.conn.Write(slot.frame(r, peer).Bytes()) // MUTANT\n"}}},
+	{id: "F6", file: tcpnetFile,
+		why: "tail eviction releases through the slot's per-peer accessor, so a shared frame is released once per peer — a double release that Frame.Release panics on at run time (TestRejoinReplaysTail/mixed-shared-and-per-peer), but no check sees it: flow runs a loop body once, and f is a fresh frame each iteration",
+		edits: [][2]string{{
+			"\tif s.shared != nil {\n\t\ts.shared.Release()\n\t\ts.shared = nil\n\t}\n\tfor j, f := range s.peers {\n\t\tif f != nil {\n\t\t\tf.Release()\n",
+			"\tfor j := range s.peers {\n\t\tif f := s.frame(s.round, j); f != nil {\n\t\t\tf.Release() // MUTANT\n"}}},
 	{id: "L4", file: "internal/supervisor/supervisor.go", fires: []string{"mutexhold"},
 		why: "time.Sleep under Attempt.mu",
 		edits: [][2]string{{

@@ -461,20 +461,22 @@ func (m *Mux) demux(in []transport.Message) {
 }
 
 // merge ships the tick's packets as one base round without copying a
-// payload byte here: each merged packet is a two-piece vector — session-id
-// varint carved from one shared header buffer, payload by reference — and
-// transport.ExchangeVec hands them to a VecNet base as they are or
-// flattens them once for a plain one. The pieces are free on return, so
-// all three scratch slices are reused across ticks; they are sized exactly
-// up front because a mid-merge regrowth would move the header bytes out
-// from under the already-carved varint pieces. Caller holds m.mu.
+// payload byte here: each merged packet is a two-piece vector — the
+// session's id varint, carved once per session from one shared header
+// buffer, and the payload by reference — and transport.ExchangeVec hands
+// them to a VecNet base as they are or flattens them once for a plain one.
+// A session that broadcasts thus hands every destination the very same
+// pieces, which the TCP base encodes once for all peers. The pieces are free
+// on return, so all three scratch slices are reused across ticks; they are
+// sized up front because a mid-merge regrowth would move the header bytes
+// out from under the already-carved varint pieces. Caller holds m.mu.
 func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
 	hdrLen, packets := 0, 0
 	for _, sid := range sids {
 		s := m.open[sid]
+		hdrLen += uvarintLen(sid)
 		for i := range s.pending {
 			if p := &s.pending[i]; p.To >= 0 && int(p.To) < s.n {
-				hdrLen += uvarintLen(sid)
 				packets++
 			}
 		}
@@ -492,15 +494,16 @@ func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
 	var payloadBytes uint64
 	for _, sid := range sids {
 		s := m.open[sid]
+		mark := len(buf)
+		buf = binary.AppendUvarint(buf, sid)
+		hdr := buf[mark:len(buf):len(buf)]
 		for i := range s.pending {
 			p := &s.pending[i]
 			if p.To < 0 || int(p.To) >= s.n {
 				continue
 			}
-			mark := len(buf)
-			buf = binary.AppendUvarint(buf, sid)
 			vmark := len(vecs)
-			vecs = append(vecs, buf[mark:len(buf):len(buf)])
+			vecs = append(vecs, hdr)
 			if len(p.Payload) > 0 {
 				vecs = append(vecs, p.Payload)
 			}

@@ -15,7 +15,9 @@
 // a small state machine (up → down → up, or → silent):
 //
 //   - An I/O failure (reset, idle timeout derived from Δ, write error) marks
-//     the link down. Down peers stop being waited for, so rounds keep
+//     the link down. Every write starts with between 7Δ/8 and Δ left on its
+//     deadline, so a peer that stops reading takes its link down within Δ
+//     of the write it blocks. Down peers stop being waited for, so rounds keep
 //     closing at full speed. The dialing side (the party with the higher
 //     id) re-dials with bounded exponential backoff plus jitter and
 //     re-handshakes; the accepting side keeps its listener open for the
@@ -172,6 +174,59 @@ func (e *inboxEntry) empty() {
 	e.payloads, e.frame = e.payloads[:0], nil
 }
 
+// roundSlot is one round of the rejoin tail: the round number and what this
+// party sent every peer in it — one shared frame when every peer's payload
+// list was the same (a broadcast round), else one frame per peer, indexed by
+// party id. The slot owns its frames until the round slides out of the
+// window.
+type roundSlot struct {
+	round  uint64
+	shared *wire.Frame
+	peers  []*wire.Frame
+}
+
+// frame returns the frame peer was sent in round r, or nil when the slot
+// does not hold round r.
+func (s *roundSlot) frame(r uint64, peer int) *wire.Frame {
+	switch {
+	case s.round != r:
+		return nil
+	case s.shared != nil:
+		return s.shared
+	case peer < len(s.peers):
+		return s.peers[peer]
+	}
+	return nil
+}
+
+// evict releases the frames of the round the slot holds — a shared frame
+// once, however many peers it went to — and leaves the slot empty.
+func (s *roundSlot) evict() {
+	if s.shared != nil {
+		s.shared.Release()
+		s.shared = nil
+	}
+	for j, f := range s.peers {
+		if f != nil {
+			f.Release()
+			s.peers[j] = nil
+		}
+	}
+}
+
+// sendTarget is one peer's link as a round send snapshots it.
+type sendTarget struct {
+	conn net.Conn
+	gen  uint64
+}
+
+// writeDeadline is the write deadline last armed on a peer's socket, so a
+// write re-arms it only once it has drifted.
+type writeDeadline struct {
+	conn net.Conn
+	at   time.Time
+}
+
 // Demotion records one peer's demotion to silent: who, why (the
 // structured ingress verdict), and at which local round it happened.
 type Demotion struct {
@@ -219,13 +274,21 @@ type Conn struct {
 	// round is read out in sender order with no sort.
 	byRound map[uint64][]inboxEntry
 	round   uint64
-	closed  bool
-	// tails buffers the last RejoinWindow encoded round frames per peer so
-	// a rejoining peer's gap can be replayed; indexed by party id. The
-	// tail map owns its frames: eviction releases them. Close drops the
-	// maps without releasing — an in-flight write may still be reading a
-	// tail frame's bytes, and on teardown the GC is the safe reclaimer.
-	tails []map[uint64]*wire.Frame
+	// have counts the up peers' frames delivered for round: the read loops
+	// wake awaitRound only when it reaches expectedPeers. It may run high
+	// (a counted peer's link went down, or its frames were purged), which
+	// costs awaitRound a recount, never low, which would cost a round Δ.
+	have   int
+	closed bool
+	// tails is the rejoin tail, a ring of RejoinWindow round slots (round
+	// r in slot r mod RejoinWindow) holding the frames sent in the last
+	// RejoinWindow rounds, so a rejoining peer's gap can be replayed. The
+	// slots own their frames: storing round r evicts round r −
+	// RejoinWindow. Only the Exchange goroutine stores and evicts, under
+	// mu. Close drops the ring without releasing — an in-flight write may
+	// still be reading a tail frame's bytes, and on teardown the GC is the
+	// safe reclaimer.
+	tails []roundSlot
 	// spent holds the pooled frames whose payloads the previous Exchange
 	// handed to the caller; the next Exchange releases them, which is
 	// exactly the payload lifetime transport.Net promises.
@@ -255,8 +318,10 @@ type Conn struct {
 	// wmu serializes writers on one socket (the live round send vs a rejoin
 	// replay batch) so frames can never interleave mid-stream; indexed by
 	// party id. Leaf mutex: nothing but the deadline-bounded write happens
-	// under it, and Close unblocks the write by closing the conn.
+	// under it, and Close unblocks the write by closing the conn. wdl[peer],
+	// the deadline armed on that socket, is guarded by wmu[peer].
 	wmu []sync.Mutex
+	wdl []writeDeadline
 
 	// Round scratch: every container a round fills is held here and reset,
 	// not reallocated, so the steady-state round allocates nothing. All of it
@@ -270,6 +335,10 @@ type Conn struct {
 	self    []transport.Message // this round's self-deliveries
 	selfBuf []byte              // ExchangeVec's self-deliveries, flattened
 	inbox   []transport.Message // the inbox the round hands out
+	// frames stages a per-peer round's frames, indexed by party id, for
+	// sendRound to swap into the round's tail slot; all nil between rounds.
+	frames []*wire.Frame
+	sendTo []sendTarget // sendRound's link snapshot, cleared after the writes
 	// free holds retired per-round entry slices for the read loops to reopen
 	// rounds with; at most RoundHorizon+1 rounds are ever open at once, so
 	// that is all it keeps.
@@ -335,16 +404,15 @@ func Dial(cfg Config) (*Conn, error) {
 		byRound:    make(map[uint64][]inboxEntry),
 		round:      cfg.ResumeRound,
 		frontier:   cfg.ResumeRound,
-		tails:      make([]map[uint64]*wire.Frame, n),
+		tails:      make([]roundSlot, cfg.RejoinWindow),
 		wmu:        make([]sync.Mutex, n),
+		wdl:        make([]writeDeadline, n),
 		flat:       make([][][]byte, n),
 		vecs:       make([][][][]byte, n),
+		sendTo:     make([]sendTarget, n),
 		helloCount: make(map[string]int),
 		adm:        make([]*wire.Admission, n),
 		done:       make(chan struct{}),
-	}
-	for j := range c.tails {
-		c.tails[j] = make(map[uint64]*wire.Frame)
 	}
 	budget := wire.DefaultBudget(maxFrame, cfg.RejoinWindow)
 	if cfg.Budget != nil {
@@ -462,8 +530,8 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	var replayFrames int
 	total := 0
 	for r := peerRound; r <= c.round; r++ {
-		f, ok := c.tails[peer][r]
-		if !ok {
+		f := c.tailFrame(r, peer)
+		if f == nil {
 			if r == c.round {
 				break // not sent yet; the live Exchange will cover it
 			}
@@ -486,12 +554,8 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	if total > 0 {
 		replay = c.arena.Buffer(total)
 		off := 0
-		for r := peerRound; r <= c.round; r++ {
-			f, ok := c.tails[peer][r]
-			if !ok {
-				break
-			}
-			off += copy(replay.Bytes()[off:], f.Bytes())
+		for r := peerRound; r < peerRound+uint64(replayFrames); r++ {
+			off += copy(replay.Bytes()[off:], c.tailFrame(r, peer).Bytes())
 		}
 	}
 	if l.conn != nil {
@@ -503,6 +567,8 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	l.state = linkUp
 	l.gen++
 	gen := l.gen
+	// A frame the peer delivered over its previous link now counts again.
+	c.have = c.upFrames(c.round)
 	c.wg.Add(1)
 	go c.readLoop(peer, gen, conn)
 	c.cond.Broadcast()
@@ -640,14 +706,21 @@ func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 			c.flat[p.To] = append(c.flat[p.To], p.Payload)
 		}
 	}
-	for peer, payloads := range c.flat {
-		if peer == c.cfg.ID {
-			for _, p := range payloads {
-				c.self = append(c.self, transport.Message{From: peer, Payload: p})
+	for _, p := range c.flat[c.cfg.ID] {
+		c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: p})
+	}
+	if ref := sharedList(c.flat, c.cfg.ID, samePayloads); ref >= 0 {
+		c.sendRound(r, c.arena.EncodeFrame(r, c.flat[ref]))
+	} else {
+		frames := c.peerFrames()
+		for peer, payloads := range c.flat {
+			if peer != c.cfg.ID {
+				frames[peer] = c.arena.EncodeFrame(r, payloads)
 			}
-		} else {
-			c.sendFrame(peer, r, c.arena.EncodeFrame(r, payloads))
 		}
+		c.sendRound(r, nil)
+	}
+	for peer, payloads := range c.flat {
 		clear(payloads) // sent: don't pin the caller's payloads
 		c.flat[peer] = payloads[:0]
 	}
@@ -656,10 +729,11 @@ func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 
 // ExchangeVec implements transport.VecNet: one synchronous round whose
 // outgoing payloads are scatter-gather vectors. Each packet's pieces are
-// copied exactly once, straight into the peer's pooled round frame —
-// multiplexers stacking a routing header on payloads they don't own pay no
-// flattening copy of their own. On the wire and at the receiver the round
-// is indistinguishable from Exchange over the concatenated payloads.
+// copied exactly once, straight into the pooled round frame — multiplexers
+// stacking a routing header on payloads they don't own pay no flattening
+// copy of their own, and a round whose every peer gets the same pieces is
+// encoded once. On the wire and at the receiver the round is
+// indistinguishable from Exchange over the concatenated payloads.
 func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, error) {
 	r, err := c.beginRound()
 	if err != nil {
@@ -684,18 +758,25 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 		c.selfBuf = make([]byte, 0, need)
 	}
 	buf := c.selfBuf[:0]
-	for peer, payloads := range c.vecs {
-		if peer == c.cfg.ID {
-			for _, v := range payloads {
-				mark := len(buf)
-				for _, piece := range v {
-					buf = append(buf, piece...)
-				}
-				c.self = append(c.self, transport.Message{From: peer, Payload: buf[mark:len(buf):len(buf)]})
-			}
-		} else {
-			c.sendFrame(peer, r, c.arena.EncodeFrameVecs(r, payloads))
+	for _, v := range c.vecs[c.cfg.ID] {
+		mark := len(buf)
+		for _, piece := range v {
+			buf = append(buf, piece...)
 		}
+		c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: buf[mark:len(buf):len(buf)]})
+	}
+	if ref := sharedList(c.vecs, c.cfg.ID, sameVecs); ref >= 0 {
+		c.sendRound(r, c.arena.EncodeFrameVecs(r, c.vecs[ref]))
+	} else {
+		frames := c.peerFrames()
+		for peer, payloads := range c.vecs {
+			if peer != c.cfg.ID {
+				frames[peer] = c.arena.EncodeFrameVecs(r, payloads)
+			}
+		}
+		c.sendRound(r, nil)
+	}
+	for peer, payloads := range c.vecs {
 		clear(payloads) // sent: the pieces are the caller's again
 		c.vecs[peer] = payloads[:0]
 	}
@@ -703,8 +784,8 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 }
 
 // ExchangeBroadcast implements transport.BroadcastNet: an all-to-all round
-// from (tag, payload) alone. Every peer's frame is encoded from the same
-// one-payload list, so the wire bytes are those of
+// from (tag, payload) alone. One frame is encoded from the one-payload list
+// and every peer is sent it, so the wire bytes are those of
 // Exchange(transport.Broadcast(c, tag, payload)) without the n packets.
 func (c *Conn) ExchangeBroadcast(_ string, payload []byte) ([]transport.Message, error) {
 	r, err := c.beginRound()
@@ -713,13 +794,62 @@ func (c *Conn) ExchangeBroadcast(_ string, payload []byte) ([]transport.Message,
 	}
 	c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: payload})
 	c.one[0] = payload
-	for peer := 0; peer < c.n; peer++ {
-		if peer != c.cfg.ID {
-			c.sendFrame(peer, r, c.arena.EncodeFrame(r, c.one[:]))
-		}
-	}
+	c.sendRound(r, c.arena.EncodeFrame(r, c.one[:]))
 	c.one[0] = nil
 	return c.awaitRound(r)
+}
+
+// sharedList returns a peer whose list every other peer's list equals —
+// lists[self], this party's own, aside — or -1 when two differ or there is
+// no peer. same compares two lists by piece identity, never by content.
+func sharedList[L any](lists []L, self int, same func(a, b L) bool) int {
+	ref := -1
+	for peer, l := range lists {
+		switch {
+		case peer == self:
+		case ref < 0:
+			ref = peer
+		case !same(lists[ref], l):
+			return -1
+		}
+	}
+	return ref
+}
+
+// samePayloads reports whether a and b list the same slices: same start and
+// length at each position. Equal bytes at different addresses count as
+// different — a broadcast hands every peer the very same slices.
+func samePayloads(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || len(a[i]) > 0 && &a[i][0] != &b[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameVecs is samePayloads for scatter-gather payloads, piece by piece.
+func sameVecs(a, b [][][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !samePayloads(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// peerFrames returns the staging list for a per-peer round's frames.
+func (c *Conn) peerFrames() []*wire.Frame {
+	if c.frames == nil {
+		c.frames = make([]*wire.Frame, c.n)
+	}
+	return c.frames
 }
 
 var (
@@ -764,12 +894,16 @@ func (c *Conn) roundEntries(r uint64) []inboxEntry {
 	return entries
 }
 
-// awaitRound blocks until round r closes — all up peers' frames arrived or
-// Δ expired — then advances the round clock and returns the delivered
-// messages in sender order (each sender's in the order it sent them),
-// self-deliveries at this party's own index. The inbox is built here, once,
-// in the Conn's own slice, and the round's entry slice goes back to the free
-// list for the read loops.
+// awaitRound blocks until round r (= c.round) closes — all up peers' frames
+// arrived or Δ expired — then advances the round clock and returns the
+// delivered messages in sender order (each sender's in the order it sent
+// them), self-deliveries at this party's own index. The inbox is built here,
+// once, in the Conn's own slice, and the round's entry slice goes back to
+// the free list for the read loops.
+//
+// It is woken once per round by the read loop whose frame completes the
+// count c.have, and otherwise only by a link-state change, the Δ timer or
+// Close; it recounts only when c.have says the round may be complete.
 func (c *Conn) awaitRound(r uint64) ([]transport.Message, error) {
 	deadline := time.Now().Add(c.cfg.Delta)
 	c.timer.Reset(c.cfg.Delta)
@@ -781,16 +915,13 @@ func (c *Conn) awaitRound(r uint64) ([]transport.Message, error) {
 		if c.closed {
 			return nil, ErrClosed
 		}
-		// Only up peers' frames count toward the quorum of up peers: the
-		// frame a peer sent before its link went down is still delivered,
-		// but must not stand in for a live peer's that is yet to arrive.
-		have := 0
-		for peer, e := range c.byRound[r] {
-			if e.frame != nil && c.links[peer].state == linkUp {
-				have++
+		if exp := c.expectedPeers(); c.have >= exp {
+			c.have = c.upFrames(r)
+			if c.have >= exp {
+				break
 			}
 		}
-		if have >= c.expectedPeers() || time.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			break
 		}
 		c.cond.Wait()
@@ -821,7 +952,23 @@ func (c *Conn) awaitRound(r uint64) ([]transport.Message, error) {
 	}
 	c.round = r + 1
 	c.roundNow.Store(r + 1) // release the round clock to the read loops' gates
+	// Frames that arrived early for the new round were not counted.
+	c.have = c.upFrames(r + 1)
 	return msgs, nil
+}
+
+// upFrames counts round r's delivered frames from peers whose link is up.
+// Only those count toward the quorum of up peers: the frame a peer sent
+// before its link went down is still delivered, but must not stand in for a
+// live peer's that is yet to arrive. Caller holds c.mu.
+func (c *Conn) upFrames(r uint64) int {
+	have := 0
+	for peer, e := range c.byRound[r] {
+		if e.frame != nil && c.links[peer].state == linkUp {
+			have++
+		}
+	}
+	return have
 }
 
 // Stats returns cumulative counters for this Conn. Demotions and Peers
@@ -914,8 +1061,14 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 	br := bufio.NewReaderSize(src, readBufferSize)
 	gate := c.adm[peer]
 	var scratch [][]byte
+	// The idle deadline is re-armed only once it has drifted by idle/8, so
+	// every frame read starts with between 7/8 of idle and all of it left.
+	var armed time.Time
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
+		if now := time.Now(); armed.Sub(now) < idle-idle/8 {
+			armed = now.Add(idle)
+			conn.SetReadDeadline(armed)
+		}
 		gate.Advance(c.roundNow.Load())
 		consumed := src.n - int64(br.Buffered())
 		round, payloads, frame, err := c.arena.ReadFrameIntoGated(br, maxFrame, scratch, gate)
@@ -952,8 +1105,13 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 				scratch = e.payloads
 				*e = inboxEntry{payloads: payloads, frame: frame}
 				frame = nil
+				if round == c.round {
+					c.have++
+					if c.have >= c.expectedPeers() {
+						c.cond.Broadcast() // the frame that completes the round
+					}
+				}
 			}
-			c.cond.Broadcast()
 		}
 		c.mu.Unlock()
 		if frame != nil {
@@ -1121,41 +1279,62 @@ func (c *Conn) FrontierGap() uint64 {
 	return c.frontier - c.cfg.ResumeRound
 }
 
-// sendFrame ships peer's encoded frame for round r. The rejoin tail owns
-// the frame from here: it goes in before the write — a peer that rejoins
-// while its link is down must find the frame it missed — and the round
-// that slid out of the window is evicted (released back to the arena)
-// after it. A peer that is down or silent is simply skipped, and a
-// write failure drives the link state machine instead of failing the
-// round. Replay reads of tail frames and eviction both happen under c.mu,
-// so a replay can never observe a released frame.
-func (c *Conn) sendFrame(peer int, r uint64, frame *wire.Frame) {
+// sendRound ships round r: shared to every peer when the round is a
+// broadcast, else each peer its own frame from c.frames. The rejoin tail
+// owns the frames from here. One c.mu section stores them in round r's slot
+// — evicting round r − RejoinWindow, which held it, a shared frame once —
+// and snapshots every link; the writes follow outside c.mu. The frames go in
+// before the writes, so a peer that rejoins while its link is down finds
+// the frame it missed. A peer that is down or silent is skipped, and a
+// write failure drives the link state machine instead of failing the round.
+// Only this goroutine evicts, and replay reads tail frames under c.mu, so
+// neither a write nor a replay can observe a released frame.
+func (c *Conn) sendRound(r uint64, shared *wire.Frame) {
+	slot := &c.tails[r%uint64(len(c.tails))]
 	c.mu.Lock()
-	c.tails[peer][r] = frame
-	l := &c.links[peer]
-	conn, gen := l.conn, l.gen
-	up := !c.closed && l.state == linkUp && conn != nil
-	c.mu.Unlock()
-	if up {
-		c.write(peer, gen, conn, frame.Bytes(), 1)
+	slot.evict()
+	slot.round, slot.shared = r, shared
+	if shared == nil {
+		slot.peers, c.frames = c.frames, slot.peers
 	}
-	c.mu.Lock()
-	if w := uint64(c.cfg.RejoinWindow); r >= w {
-		if old, ok := c.tails[peer][r-w]; ok {
-			delete(c.tails[peer], r-w)
-			old.Release()
+	for peer := range c.links {
+		// Close nils every conn, so a closed Conn snapshots no link.
+		if l := &c.links[peer]; l.state == linkUp && l.conn != nil {
+			c.sendTo[peer] = sendTarget{conn: l.conn, gen: l.gen}
 		}
 	}
 	c.mu.Unlock()
+	for peer, to := range c.sendTo {
+		if to.conn != nil {
+			c.write(peer, to.gen, to.conn, slot.frame(r, peer).Bytes(), 1)
+		}
+	}
+	clear(c.sendTo)
 }
 
-// write performs one Δ-deadline-bounded write on conn of b, one pooled
+// tailFrame returns the frame peer was sent in round r while the rejoin
+// tail still holds it, else nil. Caller holds c.mu.
+func (c *Conn) tailFrame(r uint64, peer int) *wire.Frame {
+	return c.tails[r%uint64(len(c.tails))].frame(r, peer)
+}
+
+// write performs one deadline-bounded write on conn of b, one pooled
 // buffer holding that many encoded frames — a round frame, or a replay batch
 // coalesced into one buffer so that the kernel crossing is one syscall
-// however many rounds it carries.
+// however many rounds it carries. The socket's write deadline is re-armed
+// only once it has drifted by Δ/8, so every write starts with between 7Δ/8
+// and Δ left: a peer that stops reading fails the blocked write, and takes
+// its link down, within Δ.
 func (c *Conn) write(peer int, gen uint64, conn net.Conn, b []byte, frames int) {
 	c.wmu[peer].Lock()
-	err := conn.SetWriteDeadline(time.Now().Add(c.cfg.Delta))
+	var err error
+	now, d := time.Now(), &c.wdl[peer]
+	if d.conn != conn || d.at.Sub(now) < c.cfg.Delta-c.cfg.Delta/8 {
+		at := now.Add(c.cfg.Delta)
+		if err = conn.SetWriteDeadline(at); err == nil {
+			d.conn, d.at = conn, at
+		}
+	}
 	if err == nil {
 		//calint:ignore mutexhold wmu is a per-socket leaf mutex ordering concurrent writers (live send vs rejoin replay); the write is Delta-deadline-bounded and Close unblocks it by closing the conn
 		_, err = conn.Write(b)

@@ -161,13 +161,16 @@ func TestAttackOversizeStorm(t *testing.T) {
 
 // TestAttackSlowLoris: a trickled frame that always makes just enough
 // progress to defeat a naive idle timeout is classified as a stall by the
-// read-progress deadline and the attacker is demoted with ReasonStall.
+// read-progress deadline and the attacker is demoted with ReasonStall —
+// within the idle timeout of the link coming up, however the read loop
+// re-arms its deadline.
 func TestAttackSlowLoris(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stall detection waits out a read-progress deadline")
 	}
+	const idle = 2 * time.Second // 8Δ, floored at 2 s
 	cfgs := newCluster(t, 2, 0)
-	cfgs[0].Delta = 300 * time.Millisecond // read deadline floors at 2s
+	cfgs[0].Delta = 300 * time.Millisecond
 	cfgs[0].Budget = tightBudget()
 
 	var rep attackReport
@@ -183,7 +186,11 @@ func TestAttackSlowLoris(t *testing.T) {
 	}
 	t.Cleanup(func() { conn.Close() })
 
+	start := time.Now()
 	waitFaulty(t, conn, []int{1})
+	if elapsed := time.Since(start); elapsed > idle+idle/4 {
+		t.Errorf("stall demotion took %v after the link came up, want within the %v idle timeout", elapsed, idle)
+	}
 	wg.Wait()
 	if rep.Err == nil {
 		t.Fatal("attacker was never cut off")

@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 
 	"convexagreement/internal/tcpnet"
 	"convexagreement/internal/transport"
+	"convexagreement/internal/wire"
 )
 
 // rawPeer dials party 0's listener and handshakes as party 1, returning the
@@ -121,6 +123,74 @@ func TestOversizedFrameDemotesPeer(t *testing.T) {
 	if in, err := transport.ExchangeAll(conn, "x", []byte{7}); err != nil || len(in) != 1 {
 		t.Fatalf("post-demotion round: msgs=%v err=%v", in, err)
 	}
+}
+
+// TestEarlyFramesCloseRounds: a peer that runs ahead delivers its frame for
+// round r + 1 before this party's round r closes. Such a frame is not
+// counted toward round r, and the round it belongs to must count it the
+// moment it opens: with Δ = 10 s, 50 rounds whose frames all arrived early
+// finish in well under one Δ.
+func TestEarlyFramesCloseRounds(t *testing.T) {
+	const rounds = 50
+	cfgs := newCluster(t, 2, 0)
+	cfgs[0].Delta = 10 * time.Second
+	conn, raw := dialParty0(t, cfgs)
+	go io.Copy(io.Discard, raw) // party 0's frames; the test checks only what it delivers
+	var a wire.Arena
+	for r := uint64(0); r < rounds; r++ {
+		f := a.EncodeFrame(r, [][]byte{{1, byte(r)}})
+		if _, err := raw.Write(f.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		in, err := transport.ExchangeAll(conn, "x", []byte{0, byte(r)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(in) != 2 || in[1].From != 1 || !bytes.Equal(in[1].Payload, []byte{1, byte(r)}) {
+			t.Fatalf("round %d: inbox %v, want party 1's early frame", r, in)
+		}
+		if elapsed := time.Since(start); elapsed > cfgs[0].Delta/5 {
+			t.Fatalf("rounds 0–%d of early frames took %v: a round waited on a frame it already held", r, elapsed)
+		}
+	}
+}
+
+// TestStalledReaderDropsLink: a peer that stops reading fills its socket
+// and blocks the next write. The write deadline — re-armed only once it has
+// drifted by Δ/8, so never more than Δ ahead — fails that write within Δ
+// and takes the link down: no round outlasts Δ by more than its own work,
+// and once the link is down rounds stop waiting for the peer.
+func TestStalledReaderDropsLink(t *testing.T) {
+	const delta = 500 * time.Millisecond
+	cfgs := newCluster(t, 2, 0)
+	cfgs[0].Delta = delta
+	cfgs[0].RejoinWindow = 1
+	conn, _ := dialParty0(t, cfgs) // the raw peer never reads, and never sends
+	payload := make([]byte, 4<<20-64)
+	for r := 0; r < 20; r++ {
+		start := time.Now()
+		in, err := transport.ExchangeAll(conn, "x", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		if elapsed > delta+delta/2 {
+			t.Fatalf("round %d took %v: a blocked write outlived its Δ = %v deadline", r, elapsed, delta)
+		}
+		if elapsed < delta/4 {
+			// Only a down link closes a round the peer sends nothing in
+			// before Δ.
+			if len(in) != 1 {
+				t.Fatalf("round %d: inbox %v, want only the self-delivery", r, in)
+			}
+			return
+		}
+	}
+	t.Fatal("20 rounds of 4 MiB to a peer that never reads did not take its link down")
 }
 
 // TestReconnectRestoresLink: severing the TCP connection mid-run is a
