@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 
+	"convexagreement/internal/hashing"
 	"convexagreement/internal/transport"
 )
 
@@ -227,7 +228,7 @@ func WrapAt(inner transport.Net, plan *Plan, startRound int) *Net {
 		self:       int(inner.ID()),
 		round:      startRound,
 		held:       make(map[int][]transport.Packet),
-		digest:     1469598103934665603, // FNV-1a offset basis
+		digest:     hashing.FNVOffset,
 		killsFired: make([]bool, len(plan.Kills)),
 	}
 	for i := range plan.Kills {
@@ -461,21 +462,10 @@ func (f *Net) corrupt(payload []byte, round, to, rule int) []byte {
 // absorb folds one delivered message into the transcript digest.
 func (f *Net) absorb(round int, m transport.Message) {
 	d := f.digest
-	d = fnv1a(d, uint64(round))
-	d = fnv1a(d, uint64(m.From))
-	d = fnv1a(d, uint64(len(m.Payload)))
-	for _, b := range m.Payload {
-		d = (d ^ uint64(b)) * 1099511628211
-	}
-	f.digest = d
-}
-
-func fnv1a(d, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		d = (d ^ (v & 0xff)) * 1099511628211
-		v >>= 8
-	}
-	return d
+	d = hashing.FNVWord(d, uint64(round))
+	d = hashing.FNVWord(d, uint64(m.From))
+	d = hashing.FNVWord(d, uint64(len(m.Payload)))
+	f.digest = hashing.FNVBytes(d, m.Payload)
 }
 
 // mix is splitmix64 over the concatenated words — a tiny, well-distributed

@@ -2,6 +2,8 @@ package hashing
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 )
 
@@ -63,5 +65,38 @@ func TestFromBytes(t *testing.T) {
 func TestKappaConsistency(t *testing.T) {
 	if Kappa != 8*Size || Size != sha256.Size {
 		t.Errorf("κ=%d, size=%d inconsistent", Kappa, Size)
+	}
+}
+
+// TestFNVBytes: below eight bytes the fold is FNV-1a (hash/fnv), so
+// digests over short payloads do not move; from eight bytes on each step
+// takes a little-endian word, and the tail goes byte by byte.
+func TestFNVBytes(t *testing.T) {
+	const fnvBasis = 14695981039346656037 // hash/fnv's 64-bit offset basis
+	for n := 0; n < 8; n++ {
+		p := []byte("convex!")[:n]
+		h := fnv.New64a()
+		h.Write(p)
+		if got := FNVBytes(fnvBasis, p); got != h.Sum64() {
+			t.Fatalf("%d bytes: %#x, FNV-1a %#x", n, got, h.Sum64())
+		}
+	}
+	p := []byte("0123456789abcdefXYZ")
+	want := uint64(FNVOffset)
+	for _, w := range []uint64{binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])} {
+		want = (want ^ w) * fnvPrime
+	}
+	for _, b := range p[16:] {
+		want = (want ^ uint64(b)) * fnvPrime
+	}
+	if got := FNVBytes(FNVOffset, p); got != want {
+		t.Fatalf("19 bytes: %#x, want %#x", got, want)
+	}
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], 0x0123456789abcdef)
+	h := fnv.New64a()
+	h.Write(word[:])
+	if got := FNVWord(fnvBasis, 0x0123456789abcdef); got != h.Sum64() {
+		t.Fatalf("FNVWord %#x, FNV-1a over the word's little-endian bytes %#x", got, h.Sum64())
 	}
 }
