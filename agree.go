@@ -126,7 +126,8 @@ func normalize(n int, opts Options) (Options, error) {
 	return opts, nil
 }
 
-// partyRunner executes the selected protocol for one party.
+// partyRunner executes the selected protocol for one party, on a fresh set
+// of long-value buffers.
 type partyRunner = func(net transport.Net, input *big.Int) (*big.Int, error)
 
 // protoApprox is Approximate Agreement as a call: what ApproxAgree,
@@ -156,7 +157,8 @@ func agreeCall(protocol Protocol, width int) call {
 // Session.ApproxAgree for one party of an n-party transport — passes
 // through it before anything reaches the wire, the write-ahead log or
 // Session.Err(): whatever a protocol would refuse on entry is refused here,
-// as ErrOptions. It returns the protocol as a function of one party's input.
+// as ErrOptions. It returns the protocol as a function of one party's input,
+// run on a fresh set of buffers: what RunParty and each simulated party do.
 func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 	switch {
 	case n <= 0:
@@ -180,21 +182,22 @@ func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 			return nil, fmt.Errorf("%w: input %v does not fit in Width = %d bits", ErrOptions, v, c.width)
 		}
 	}
-	return c.run, nil
+	return func(net transport.Net, v *big.Int) (*big.Int, error) { return c.run(net, v, nil) }, nil
 }
 
 // run is the one place a Protocol is mapped to code: one party's side of a
-// validated call.
-func (c call) run(net transport.Net, v *big.Int) (*big.Int, error) {
+// validated call. The prefix-search protocols keep a long value in b, the
+// party run's buffers (nil: a fresh set).
+func (c call) run(net transport.Net, v *big.Int, b *core.Buffers) (*big.Int, error) {
 	switch c.protocol {
 	case ProtoOptimal:
-		return core.PiZ(net, "ca", v)
+		return core.PiZ(net, "ca", v, b)
 	case ProtoOptimalNat:
-		return core.PiN(net, "ca", v)
+		return core.PiN(net, "ca", v, b)
 	case ProtoFixedLength:
-		return core.FixedLengthCA(net, "ca", c.width, v)
+		return core.FixedLengthCA(net, "ca", c.width, v, b)
 	case ProtoFixedLengthBlocks:
-		return core.FixedLengthCABlocks(net, "ca", c.width, net.N()*net.N(), v)
+		return core.FixedLengthCABlocks(net, "ca", c.width, net.N()*net.N(), v, b)
 	case ProtoHighCost:
 		return highcostca.Run(net, "ca", v)
 	case ProtoBroadcast:

@@ -30,7 +30,7 @@ func TestCoalitionAgainstPiZ(t *testing.T) {
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiZ(env, "ca", inputs[env.ID()])
+			return core.PiZ(env, "ca", inputs[env.ID()], nil)
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestRoundBounds(t *testing.T) {
 			} {
 				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 					func(env *sim.Env) (bool, error) {
-						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(c.input(env.ID()), byte(j)) })
+						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(c.input(env.ID()), byte(j)) }, nil)
 						return lane >= 0, err
 					})
 				if err != nil {

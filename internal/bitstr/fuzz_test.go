@@ -60,6 +60,11 @@ func FuzzKernelsVsReference(f *testing.F) {
 		f.Add(big64k, n, n/4+1, 3*(n/4), uint32(129), false)   // unaligned both ends
 		f.Add(big64k[1:], n, uint32(3), uint32(3), n%9, false) // empty slice
 	}
+	// Widths around word boundaries but off them, for FromBig's word writes.
+	for _, n := range []uint32{127, 128, 129, 191, 1000} {
+		f.Add(big64k, n, n/2+1, n, uint32(1), true)
+		f.Add(big64k, n, uint32(0), n/2, uint32(63), false)
+	}
 	f.Add([]byte{0xFF}, uint32(8), uint32(1), uint32(8), uint32(1), true)
 	f.Fuzz(func(t *testing.T, raw []byte, n, lo, hi, width uint32, fill bool) {
 		checkKernels(t, raw, n, lo, hi, width, fill)
@@ -165,6 +170,34 @@ func checkKernels(t *testing.T, raw []byte, un, ulo, uhi, uwidth uint32, fill bo
 	// The wire form round-trips and is canonical.
 	dec, err := Unmarshal(mid.Marshal())
 	same(t, "Unmarshal(Marshal)", checked(t, "Unmarshal", dec, err), mid)
+
+	// The writers into owned storage, each over a buffer of stale bytes:
+	// FromBigTo and CopyTo build what FromBig and a copy build; SetRange
+	// writes a range and leaves the bits around it; Fill is FillTo from lo;
+	// CompareHead compares heads without cutting them.
+	stale := func(size int) []byte { return bytes.Repeat([]byte{0xDB}, size+3) }
+	buf := stale((width + 7) / 8)
+	owned, err := FromBigTo(&buf, v, width)
+	same(t, "FromBigTo", checked(t, "FromBigTo", owned, err), refFromBig(v, width))
+	buf = stale(len(s.data))
+	x := s.CopyTo(&buf)
+	same(t, "CopyTo", checked(t, "CopyTo", x, nil), s)
+	ones := refFillTo(String{}, hi-lo, 1)
+	err = x.SetRange(lo, ones)
+	same(t, "SetRange ones", checked(t, "SetRange ones", x, err), refConcat(refConcat(head, ones), refSlice(s, hi, n)))
+	err = x.SetRange(lo, mid)
+	same(t, "SetRange back", checked(t, "SetRange back", x, err), s)
+	if err := x.SetRange(lo, refNew(n-lo+1)); !errors.Is(err, ErrRange) {
+		t.Fatalf("SetRange past the end: %v", err)
+	}
+	err = x.Fill(lo, fillBit)
+	same(t, "Fill", checked(t, "Fill", x, err), refFillTo(head, n, fillBit))
+	if got, want := s.CompareHead(x, lo), 0; got != want {
+		t.Fatalf("CompareHead over the %d bits Fill kept = %d", lo, got)
+	}
+	if got, want := s.CompareHead(x, n), refCompare(s, x); got != want {
+		t.Fatalf("CompareHead(%d) = %d, reference %d", n, got, want)
+	}
 }
 
 // TestInvariantAfterEveryConstructor runs each constructor of the package

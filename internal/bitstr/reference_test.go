@@ -18,7 +18,7 @@ func refFromBytes(raw []byte, n int) String {
 	s := refNew(n)
 	for i := 0; i < n; i++ {
 		if raw[i/8]>>uint(7-i%8)&1 == 1 {
-			s.setBit(i)
+			s.SetBit(i, 1)
 		}
 	}
 	return s
@@ -28,7 +28,7 @@ func refFromBig(v *big.Int, width int) String {
 	s := refNew(width)
 	for i := 0; i < width; i++ {
 		if v.Bit(width-1-i) == 1 {
-			s.setBit(i)
+			s.SetBit(i, 1)
 		}
 	}
 	return s
@@ -48,7 +48,7 @@ func refSlice(s String, lo, hi int) String {
 	out := refNew(hi - lo)
 	for i := lo; i < hi; i++ {
 		if s.Bit(i) == 1 {
-			out.setBit(i - lo)
+			out.SetBit(i-lo, 1)
 		}
 	}
 	return out
@@ -58,12 +58,12 @@ func refConcat(s, t String) String {
 	out := refNew(s.n + t.n)
 	for i := 0; i < s.n; i++ {
 		if s.Bit(i) == 1 {
-			out.setBit(i)
+			out.SetBit(i, 1)
 		}
 	}
 	for i := 0; i < t.n; i++ {
 		if t.Bit(i) == 1 {
-			out.setBit(s.n + i)
+			out.SetBit(s.n+i, 1)
 		}
 	}
 	return out
@@ -73,7 +73,7 @@ func refFillTo(s String, width int, b byte) String {
 	out := refNew(width)
 	for i := 0; i < width; i++ {
 		if (i < s.n && s.Bit(i) == 1) || (i >= s.n && b == 1) {
-			out.setBit(i)
+			out.SetBit(i, 1)
 		}
 	}
 	return out

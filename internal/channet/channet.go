@@ -13,7 +13,6 @@ package channet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"convexagreement/internal/transport"
@@ -156,7 +155,7 @@ func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 	if h.submitted[c.id] {
 		return nil, fmt.Errorf("channet: party %d submitted twice in round %d", c.id, h.round)
 	}
-	kept := make([]transport.Packet, 0, len(out))
+	kept := h.pending[c.id][:0] // emptied by the last flush, kept for reuse
 	for _, p := range out {
 		if p.To >= 0 && int(p.To) < h.n {
 			kept = append(kept, p)
@@ -202,26 +201,35 @@ func (c *Conn) Leave() {
 
 // maybeFlush closes the round when every active party has submitted.
 // Caller holds h.mu.
+//
+// The round's containers are the hub's, refilled every round: a sender's
+// packet list is read here and emptied, and an active party's inbox slice
+// is refilled because the party submitted to this round, so by
+// transport.Net's lifetime rule it no longer reads the last one. A departed
+// party's inbox is built afresh. Senders are visited in ascending order, so
+// every inbox comes out sorted by sender.
 func (h *Hub) maybeFlush() {
 	if h.nActive == 0 || h.nPending < h.nActive {
 		return
 	}
-	inboxes := make([][]transport.Message, h.n)
+	for to := range h.inboxes {
+		if h.active[to] {
+			h.inboxes[to] = h.inboxes[to][:0]
+		} else {
+			h.inboxes[to] = nil
+		}
+	}
 	for from := 0; from < h.n; from++ {
 		if !h.submitted[from] {
 			continue
 		}
 		for _, p := range h.pending[from] {
-			inboxes[p.To] = append(inboxes[p.To], transport.Message{From: transport.PartyID(from), Payload: p.Payload})
+			h.inboxes[p.To] = append(h.inboxes[p.To], transport.Message{From: transport.PartyID(from), Payload: p.Payload})
 		}
-		h.pending[from] = nil
+		clear(h.pending[from]) // don't pin the payloads past the round
+		h.pending[from] = h.pending[from][:0]
 		h.submitted[from] = false
 	}
-	for to := range inboxes {
-		msgs := inboxes[to]
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-	}
-	h.inboxes = inboxes
 	h.nPending = 0
 	h.round++
 	h.cond.Broadcast()

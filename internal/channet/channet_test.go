@@ -55,7 +55,7 @@ func TestPiZOverChannels(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		fns[i] = func(net transport.Net) error {
-			out, err := core.PiZ(net, "ca", inputs[i])
+			out, err := core.PiZ(net, "ca", inputs[i], nil)
 			if err != nil {
 				return err
 			}

@@ -10,71 +10,72 @@ import (
 	"convexagreement/internal/transport"
 )
 
-// AddLastBit implements ADDLASTBIT (§3, Lemma 2): the honest parties agree
-// on one more bit of the prefix via binary BA on the (|prefix|+1)-th bit of
-// their valid values v, all of which extend prefix. The returned bitstring
-// still prefixes some valid value.
-func AddLastBit(env transport.Net, tag string, prefix, v bitstr.String) (bitstr.String, error) {
-	i := prefix.Len()
-	if i >= v.Len() {
-		return bitstr.String{}, fmt.Errorf("%w: prefix of %d bits leaves no bit to add to a %d-bit value", ErrProtocol, i, v.Len())
+// AddLastBit implements ADDLASTBIT (§3, Lemma 2). The first prefixLen bits
+// of v, this party's valid value, are the agreed prefix; the honest parties
+// agree on one more bit via binary BA on bit prefixLen+1 of their values,
+// and AddLastBit writes it into v in place. The first prefixLen+1 bits of v,
+// the returned length, still prefix some valid value.
+func AddLastBit(env transport.Net, tag string, v bitstr.String, prefixLen int) (int, error) {
+	if prefixLen < 0 || prefixLen >= v.Len() {
+		return 0, fmt.Errorf("%w: prefix of %d bits leaves no bit to add to a %d-bit value", ErrProtocol, prefixLen, v.Len())
 	}
-	bit, err := ba.Binary(env, tag+"/lastbit", v.Bit(i))
+	bit, err := ba.Binary(env, tag+"/lastbit", v.Bit(prefixLen))
 	if err != nil {
-		return bitstr.String{}, err
+		return 0, err
 	}
-	out, err := prefix.AppendBit(bit)
-	if err != nil {
-		return bitstr.String{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return out, nil
+	v.SetBit(prefixLen, bit)
+	return prefixLen + 1, nil
 }
 
-// AddLastBlock implements ADDLASTBLOCK (§4, Lemma 5): the parties run the
-// high-communication CA once on the (i*+1)-th block of their values — a
-// value of only ℓ/n² bits, so the O(ℓ'n³) cost of HIGHCOSTCA contributes
-// only O(ℓn) — and append the agreed block to the prefix.
-func AddLastBlock(env transport.Net, tag string, prefix, v bitstr.String, blockBits int) (bitstr.String, error) {
-	if blockBits <= 0 || prefix.Len()%blockBits != 0 {
-		return bitstr.String{}, fmt.Errorf("%w: prefix of %d bits is not whole blocks of %d", ErrProtocol, prefix.Len(), blockBits)
+// AddLastBlock implements ADDLASTBLOCK (§4, Lemma 5). The first prefixLen
+// bits of v, whole blocks, are the agreed prefix; the parties run the
+// high-communication CA once on the next block of their values — a value
+// of only ℓ/n² bits, so the O(ℓ'n³) cost of HIGHCOSTCA contributes only
+// O(ℓn) — and AddLastBlock writes the agreed block into v in place,
+// returning the extended prefix's length.
+func AddLastBlock(env transport.Net, tag string, v bitstr.String, prefixLen, blockBits int) (int, error) {
+	if blockBits <= 0 || prefixLen%blockBits != 0 || prefixLen+blockBits > v.Len() {
+		return 0, fmt.Errorf("%w: prefix of %d bits is not whole blocks of %d short of %d", ErrProtocol, prefixLen, blockBits, v.Len())
 	}
-	iStar := prefix.Len() / blockBits
+	iStar := prefixLen / blockBits
 	block, err := v.BlockRange(iStar, iStar+1, blockBits)
 	if err != nil {
-		return bitstr.String{}, fmt.Errorf("%w: %v", ErrProtocol, err)
+		return 0, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	agreed, err := highcostca.Run(env, tag+"/lastblock", block.Big())
 	if err != nil {
-		return bitstr.String{}, err
+		return 0, err
 	}
 	// The agreed block lies within the honest blocks' range, hence fits in
 	// blockBits bits.
 	agreedBits, err := bitstr.FromBig(agreed, blockBits)
 	if err != nil {
-		return bitstr.String{}, fmt.Errorf("%w: agreed block out of range: %v", ErrProtocol, err)
+		return 0, fmt.Errorf("%w: agreed block out of range: %v", ErrProtocol, err)
 	}
-	return prefix.Concat(agreedBits), nil
+	if err := v.SetRange(prefixLen, agreedBits); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return prefixLen + blockBits, nil
 }
 
-// GetOutput implements GETOUTPUT (§3, Lemma 3). Preconditions: prefix is
-// the agreed (i*+1)-unit prefix of some valid value, and at least t+1
-// honest parties hold valid values vBot whose representations avoid prefix.
-// Those parties announce whether their value lies below MIN_ℓ(prefix) or
-// above MAX_ℓ(prefix); one bit of BA then selects the common valid output.
-func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.String) (*big.Int, error) {
+// GetOutput implements GETOUTPUT (§3, Lemma 3). Preconditions: the first
+// prefixLen bits of v are the agreed (i*+1)-unit prefix of some valid
+// value, and at least t+1 honest parties hold valid values vBot whose
+// representations avoid that prefix. Those parties announce whether their
+// value lies below MIN_ℓ(prefix) or above MAX_ℓ(prefix), ℓ = v.Len(); one
+// bit of BA then selects the common valid output. GetOutput writes that
+// output's bits into v in place and returns its value in fresh storage.
+func GetOutput(env transport.Net, tag string, v bitstr.String, prefixLen int, vBot bitstr.String) (*big.Int, error) {
 	// vBot's side of the prefix range is read off the bitstrings: a value
 	// that avoids prefix lies below MIN_ℓ(prefix) exactly when its first
 	// |prefix| bits order below prefix. Parties holding the prefix stay
 	// silent.
-	if width < prefix.Len() {
-		return nil, fmt.Errorf("%w: prefix of %d bits exceeds width %d", ErrProtocol, prefix.Len(), width)
-	}
-	head, err := vBot.Prefix(prefix.Len())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	if prefixLen < 0 || prefixLen > v.Len() || prefixLen > vBot.Len() {
+		return nil, fmt.Errorf("%w: prefix of %d bits exceeds width %d", ErrProtocol, prefixLen, min(v.Len(), vBot.Len()))
 	}
 	var in []transport.Message
-	switch head.Compare(prefix) {
+	var err error
+	switch vBot.CompareHead(v, prefixLen) {
 	case -1:
 		in, err = transport.ExchangeAll(env, tag+"/side", []byte{0})
 	case 1:
@@ -93,15 +94,10 @@ func GetOutput(env transport.Net, tag string, width int, prefix, vBot bitstr.Str
 	if err != nil {
 		return nil, err
 	}
-	// Only the value returned is materialised as a number.
-	var fill *big.Int
-	if agreed == 0 {
-		fill, err = prefix.MinFill(width)
-	} else {
-		fill, err = prefix.MaxFill(width)
-	}
-	if err != nil {
+	// MIN_ℓ(prefix) or MAX_ℓ(prefix), built over v: only the value returned
+	// is materialised as a number.
+	if err := v.Fill(prefixLen, agreed); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	return fill, nil
+	return v.Big(), nil
 }

@@ -146,7 +146,7 @@ func TestPiZBitBudget(t *testing.T) {
 
 // piZAt is Π_ℤ with its prefix search at arity k, as a party function.
 func piZAt(k int) func(transport.Net, *big.Int) (*big.Int, error) {
-	return func(env transport.Net, v *big.Int) (*big.Int, error) { return piZ(env, "ca", v, k) }
+	return func(env transport.Net, v *big.Int) (*big.Int, error) { return piZ(env, "ca", v, k, nil) }
 }
 
 // TestArityTable is EXPERIMENTS.md E22, the table the search's arity was
@@ -194,4 +194,4 @@ func TestArityTable(t *testing.T) {
 }
 
 // partyPiZ is the exported PiZ as a party function.
-func partyPiZ(env transport.Net, v *big.Int) (*big.Int, error) { return PiZ(env, "ca", v) }
+func partyPiZ(env transport.Net, v *big.Int) (*big.Int, error) { return PiZ(env, "ca", v, nil) }

@@ -30,14 +30,14 @@ func protocols() []caProto {
 		{
 			name: "FixedLengthCA",
 			run: func(env *sim.Env, width int, v *big.Int) (*big.Int, error) {
-				return core.FixedLengthCA(env, "ca", width, v)
+				return core.FixedLengthCA(env, "ca", width, v, nil)
 			},
 			widthFor: func(n, maxLen int) int { return maxLen },
 		},
 		{
 			name: "FixedLengthCABlocks",
 			run: func(env *sim.Env, width int, v *big.Int) (*big.Int, error) {
-				return core.FixedLengthCABlocks(env, "ca", width, env.N()*env.N(), v)
+				return core.FixedLengthCABlocks(env, "ca", width, env.N()*env.N(), v, nil)
 			},
 			widthFor: func(n, maxLen int) int {
 				n2 := n * n
@@ -47,14 +47,14 @@ func protocols() []caProto {
 		{
 			name: "PiN",
 			run: func(env *sim.Env, width int, v *big.Int) (*big.Int, error) {
-				return core.PiN(env, "ca", v)
+				return core.PiN(env, "ca", v, nil)
 			},
 			widthFor: func(n, maxLen int) int { return maxLen },
 		},
 		{
 			name: "PiZ",
 			run: func(env *sim.Env, width int, v *big.Int) (*big.Int, error) {
-				return core.PiZ(env, "ca", v)
+				return core.PiZ(env, "ca", v, nil)
 			},
 			widthFor:  func(n, maxLen int) int { return maxLen },
 			negatives: true,
@@ -225,7 +225,7 @@ func TestPiNLongInputsTakeBlockPath(t *testing.T) {
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiN(env, "ca", inputs[env.ID()])
+			return core.PiN(env, "ca", inputs[env.ID()], nil)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestPiNMixedLengthClasses(t *testing.T) {
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiN(env, "ca", inputs[env.ID()])
+			return core.PiN(env, "ca", inputs[env.ID()], nil)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestPiZSignScenarios(t *testing.T) {
 			}
 			res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 				func(env *sim.Env) (*big.Int, error) {
-					return core.PiZ(env, "ca", inputs[env.ID()])
+					return core.PiZ(env, "ca", inputs[env.ID()], nil)
 				})
 			if err != nil {
 				t.Fatal(err)
@@ -330,7 +330,7 @@ func TestPiZNegativeGhosts(t *testing.T) {
 func TestFixedLengthRejectsOversizedInput(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.FixedLengthCA(env, "ca", 8, big.NewInt(256))
+			return core.FixedLengthCA(env, "ca", 8, big.NewInt(256), nil)
 		})
 	if err == nil {
 		t.Error("256 accepted for width 8")
@@ -340,7 +340,7 @@ func TestFixedLengthRejectsOversizedInput(t *testing.T) {
 func TestFixedLengthCABlocksRejectsBadWidth(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 2, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.FixedLengthCABlocks(env, "ca", 10, 4, big.NewInt(1))
+			return core.FixedLengthCABlocks(env, "ca", 10, 4, big.NewInt(1), nil)
 		})
 	if err == nil {
 		t.Error("width 10 with 4 blocks accepted")
@@ -350,7 +350,7 @@ func TestFixedLengthCABlocksRejectsBadWidth(t *testing.T) {
 func TestPiNRejectsNegative(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiN(env, "ca", big.NewInt(-1))
+			return core.PiN(env, "ca", big.NewInt(-1), nil)
 		})
 	if err == nil {
 		t.Error("negative input accepted by PiN")
@@ -370,7 +370,7 @@ func TestCommunicationLinearInEll(t *testing.T) {
 		}
 		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
-				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()])
+				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()], nil)
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -438,13 +438,13 @@ func ExamplePiZ() {
 	}
 	corrupt := map[int]sim.Behavior{
 		4: testutil.Ghost(func(env *sim.Env) error {
-			_, err := core.PiZ(env, "ca", big.NewInt(100000))
+			_, err := core.PiZ(env, "ca", big.NewInt(100000), nil)
 			return err
 		}),
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiZ(env, "ca", inputs[env.ID()])
+			return core.PiZ(env, "ca", inputs[env.ID()], nil)
 		})
 	if err != nil {
 		panic(err)

@@ -30,14 +30,22 @@ import (
 var ErrProtocol = errors.New("core: protocol violation")
 
 // PrefixResult is what FindPrefix hands to the rest of FixedLengthCA
-// (Lemma 1 / Lemma 4): an agreed bitstring Prefix that prefixes some valid
-// value, this party's valid value V extending Prefix, and a valid value
-// VBot such that, for every one-unit extension of Prefix, at least t+1
-// honest parties hold VBot values avoiding that extension.
+// (Lemma 1 / Lemma 4): this party's valid value V, whose first PrefixLen
+// bits are the agreed prefix — a bitstring that prefixes some valid value —
+// and a valid value VBot such that, for every one-unit extension of the
+// prefix, at least t+1 honest parties hold VBot values avoiding that
+// extension. V and VBot are views of the Buffers the search ran on.
 type PrefixResult struct {
-	Prefix bitstr.String
-	V      bitstr.String
-	VBot   bitstr.String
+	V         bitstr.String
+	VBot      bitstr.String
+	PrefixLen int
+}
+
+// Prefix returns the agreed prefix, V's first PrefixLen bits, as a fresh
+// string.
+func (r PrefixResult) Prefix() bitstr.String {
+	p, _ := r.V.Prefix(r.PrefixLen) // PrefixLen ≤ V.Len() by construction
+	return p
 }
 
 // arity is the k of the k-ary search: every FINDPREFIX iteration asks k−1
@@ -49,9 +57,11 @@ const arity = 4
 
 // FindPrefix runs the bit-granular search of Section 3 (protocol
 // FINDPREFIX): O(log ℓ) iterations of Π_ℓBA+ over k-ary split bit ranges
-// (deviation "batched Π_BA+ and k-ary FINDPREFIX", PROTOCOLS.md).
+// (deviation "batched Π_BA+ and k-ary FINDPREFIX", PROTOCOLS.md). It works
+// on a copy of v in a fresh set of Buffers.
 func FindPrefix(env transport.Net, tag string, v bitstr.String) (PrefixResult, error) {
-	return findPrefix(env, tag, v, 1, v.Len(), arity)
+	b := new(Buffers)
+	return findPrefix(env, tag, v.CopyTo(&b.v), 1, v.Len(), arity, b)
 }
 
 // FindPrefixBlocks runs the block-granular search of Section 4 (protocol
@@ -62,7 +72,8 @@ func FindPrefixBlocks(env transport.Net, tag string, v bitstr.String, numBlocks 
 	if numBlocks <= 0 || v.Len()%numBlocks != 0 {
 		return PrefixResult{}, fmt.Errorf("%w: length %d not divisible into %d blocks", ErrProtocol, v.Len(), numBlocks)
 	}
-	return findPrefix(env, tag, v, v.Len()/numBlocks, numBlocks, arity)
+	b := new(Buffers)
+	return findPrefix(env, tag, v.CopyTo(&b.v), v.Len()/numBlocks, numBlocks, arity, b)
 }
 
 // findPrefix is the shared engine: the two paper listings differ only in
@@ -78,22 +89,24 @@ func FindPrefixBlocks(env transport.Net, tag string, v bitstr.String, numBlocks 
 // j*'s segment and left := m_{j*}+1; if a lane above j* exists it agreed
 // on ⊥, so right := m_{j*+1} and vBot := the pre-iteration v, whose
 // m_{j*+1}-block strings that lane's Bounded Pre-Agreement speaks about.
-func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBlocks, k int) (PrefixResult, error) {
+//
+// v is a view of b.v, and the search rewrites it in place; vBot is a copy
+// in b.vBot, taken before v is re-anchored.
+func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBlocks, k int, b *Buffers) (PrefixResult, error) {
 	width := v.Len()
 	if blockBits*numBlocks != width {
 		return PrefixResult{}, fmt.Errorf("%w: %d blocks of %d bits != width %d", ErrProtocol, numBlocks, blockBits, width)
 	}
 	left, right := 1, numBlocks+1
-	vBot := v
+	vBot := v.CopyTo(&b.vBot)
 	splits := make([]int, 0, k-1)
-	// segment marshals lane j's blocks left..m_j of v into one buffer that
+	// segment marshals lane j's blocks left..m_j of v into b.seg, which
 	// every lane of every iteration reuses (baplus.LongLanes keeps none).
 	// The range lies inside v (1 ≤ left ≤ m_j ≤ numBlocks), so it cannot
 	// fail.
-	var buf []byte
 	segment := func(j int) []byte {
-		buf, _ = v.AppendMarshalRange(buf[:0], (left-1)*blockBits, splits[j]*blockBits)
-		return buf
+		b.seg, _ = v.AppendMarshalRange(b.seg[:0], (left-1)*blockBits, splits[j]*blockBits)
+		return b.seg
 	}
 	// Loop invariant: blocks 1..left−1 of v are the prefix agreed so far.
 	// The prefix is therefore never held separately, and each iteration
@@ -105,13 +118,21 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 				splits = append(splits, m)
 			}
 		}
-		lane, agreed, err := baplus.LongLanes(env, tag+"/lba", len(splits), segment)
+		lane, agreed, err := baplus.LongLanes(env, tag+"/lba", len(splits), segment, &b.lanes)
 		if err != nil {
 			return PrefixResult{}, err
 		}
-		pre := v
+		if lane+1 < len(splits) {
+			// Lane j*+1 agreed on ⊥: by Bounded Pre-Agreement fewer than
+			// n−2t honest parties share its segment, so (Property D) every
+			// m_{j*+1}-block bitstring is avoided by ≥ t+1 honest
+			// pre-iteration values v — saved before v is re-anchored.
+			vBot, right = v.CopyTo(&b.vBot), splits[lane+1]
+		}
 		if lane >= 0 {
 			m := splits[lane]
+			// agreed, and the segment read from it, are views of b.lanes,
+			// valid until the next LongLanes.
 			agreedSeg, err := bitstr.Unmarshal(agreed)
 			if err != nil || agreedSeg.Len() != (m-left+1)*blockBits {
 				// Intrusion Tolerance makes the agreed segment an honest
@@ -119,37 +140,27 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 				return PrefixResult{}, fmt.Errorf("%w: agreed segment malformed", ErrProtocol)
 			}
 			// Re-anchor v on the agreed prefix if it diverged (Remark 2
-			// makes the fill values valid). By the invariant v and
-			// prefix‖agreedSeg share their first left−1 blocks, so the
-			// first m blocks of v order against prefix‖agreedSeg as our
-			// segment does against the agreed one — and two marshalled
-			// segments of one length order as the segments do.
+			// makes the fill values valid): v becomes prefix‖agreedSeg‖fill,
+			// written in place — the prefix is v's first left−1 blocks
+			// already. By the invariant v and prefix‖agreedSeg share those
+			// blocks, so the first m blocks of v order against
+			// prefix‖agreedSeg as our segment does against the agreed one —
+			// and two marshalled segments of one length order as the
+			// segments do.
 			if c := bytes.Compare(segment(lane), agreed); c != 0 {
 				fill := byte(0)
 				if c > 0 {
 					fill = 1
 				}
-				prefix, err := v.BlockRange(0, left-1, blockBits)
-				if err != nil {
+				if err := v.SetRange((left-1)*blockBits, agreedSeg); err != nil {
 					return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 				}
-				if v, err = prefix.Concat(agreedSeg).FillTo(width, fill); err != nil {
+				if err := v.Fill(m*blockBits, fill); err != nil {
 					return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 				}
 			}
 			left = m + 1
 		}
-		if lane+1 < len(splits) {
-			// Lane j*+1 agreed on ⊥: by Bounded Pre-Agreement fewer than
-			// n−2t honest parties share its segment, so (Property D) every
-			// m_{j*+1}-block bitstring is avoided by ≥ t+1 honest
-			// pre-iteration values v.
-			vBot, right = pre, splits[lane+1]
-		}
 	}
-	prefix, err := v.BlockRange(0, left-1, blockBits)
-	if err != nil {
-		return PrefixResult{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return PrefixResult{Prefix: prefix, V: v, VBot: vBot}, nil
+	return PrefixResult{V: v, VBot: vBot, PrefixLen: (left - 1) * blockBits}, nil
 }

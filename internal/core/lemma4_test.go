@@ -25,7 +25,7 @@ func TestFixedLengthCAQuickWidths(t *testing.T) {
 		}
 		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
-				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()])
+				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()], nil)
 			})
 		if err != nil {
 			t.Fatalf("width=%d n=%d: %v", width, n, err)

@@ -33,7 +33,9 @@ const MaxWidth = 1 << 26
 // Complexity (Theorem 5): O(ℓn + κ·n²·log²n) + O(log n)·BITS_κ(Π_BA) bits
 // and O(n) + O(log n)·ROUNDS_κ(Π_BA) rounds; of the rounds the length search
 // is one ROUNDS(Π_BA), the O(log n) factor is the prefix search's.
-func PiN(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
+//
+// The value is worked on in b (nil: a fresh set).
+func PiN(env transport.Net, tag string, v *big.Int, b *Buffers) (*big.Int, error) {
 	if v == nil || v.Sign() < 0 {
 		return nil, fmt.Errorf("%w: input must be a natural number, got %v", ErrProtocol, v)
 	}
@@ -43,7 +45,7 @@ func PiN(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return piNWithLength(env, tag, v, agreed, arity)
+	return piNWithLength(env, tag, v, agreed, arity, b)
 }
 
 // lengthLanes is the number of questions Π_ℕ asks about its input's length:
@@ -67,8 +69,8 @@ func askLength(lanes []byte, v *big.Int, n int) {
 }
 
 // piNWithLength is Π_ℕ from the agreed answers to askLength's questions on,
-// its prefix search at arity k.
-func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k int) (*big.Int, error) {
+// its prefix search at arity k, on b.
+func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k int, b *Buffers) (*big.Int, error) {
 	n2 := env.N() * env.N()
 	if agreed[0] == 0 {
 		// Some honest party's input fits in n² bits, so 2^(n²)−1 is in the
@@ -83,7 +85,7 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k i
 		for i, tooLong := range agreed[1:] {
 			if tooLong == 0 {
 				est := 1 << i
-				return fixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est), k)
+				return fixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est), k, b)
 			}
 		}
 		// Unreachable: at 2^i ≥ n² every honest party inputs 0.
@@ -107,7 +109,7 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k i
 	// protocol's own analysis ("if an honest party's input value is longer
 	// than ℓ_EST bits"). We clamp on strict inequality.
 	v = clampToWidth(v, est)
-	return fixedLengthCABlocks(env, tag+"/flcab", est, n2, v, k)
+	return fixedLengthCABlocks(env, tag+"/flcab", est, n2, v, k, b)
 }
 
 // clampToWidth replaces v by 2^width−1 when v does not fit in width bits.

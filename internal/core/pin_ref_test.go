@@ -73,7 +73,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 			}
 			if fits == 0 {
 				v = clampToWidth(v, est)
-				return FixedLengthCA(env, tag+"/flca", est, v)
+				return FixedLengthCA(env, tag+"/flca", est, v, nil)
 			}
 			if est >= n2 {
 				return nil, fmt.Errorf("%w: length search failed to converge", ErrProtocol)
@@ -91,7 +91,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 	}
 	est := int(agreedBS.Int64()) * n2
 	v = clampToWidth(v, est)
-	return FixedLengthCABlocks(env, tag+"/flcab", est, n2, v)
+	return FixedLengthCABlocks(env, tag+"/flcab", est, n2, v, nil)
 }
 
 // ofLength is a natural of exactly bits bits that differs per party in its
@@ -180,9 +180,9 @@ func comparePreambles(t *testing.T, name string, n, tc int, inputs []*big.Int, i
 			case ref:
 				return piNRef(env, "ca", v, &asked[env.ID()])
 			case integers:
-				return PiZ(env, "ca", v)
+				return PiZ(env, "ca", v, nil)
 			}
-			return PiN(env, "ca", v)
+			return PiN(env, "ca", v, nil)
 		})
 		if err != nil {
 			t.Fatalf("%s (reference %v): %v", name, ref, err)

@@ -23,12 +23,14 @@ import (
 // With Π_BA instantiated by phase-king (package ba), this realizes
 // Corollary 2: a deterministic CA protocol for ℤ in the plain model with
 // t < n/3, O(ℓn + poly(n, κ)) bits, and O(n log n) rounds.
-func PiZ(env transport.Net, tag string, v *big.Int) (*big.Int, error) {
-	return piZ(env, tag, v, arity)
+//
+// The magnitude is worked on in b (nil: a fresh set); v is only read.
+func PiZ(env transport.Net, tag string, v *big.Int, b *Buffers) (*big.Int, error) {
+	return piZ(env, tag, v, arity, b)
 }
 
 // piZ is PiZ with its prefix search at arity k.
-func piZ(env transport.Net, tag string, v *big.Int, k int) (*big.Int, error) {
+func piZ(env transport.Net, tag string, v *big.Int, k int, b *Buffers) (*big.Int, error) {
 	if v == nil {
 		return nil, ErrProtocol
 	}
@@ -36,7 +38,8 @@ func piZ(env transport.Net, tag string, v *big.Int, k int) (*big.Int, error) {
 	if v.Sign() < 0 {
 		signIn = 1
 	}
-	mag := new(big.Int).Abs(v)
+	// |v| shares v's words, read-only: nothing below writes a magnitude.
+	mag := new(big.Int).SetBits(v.Bits())
 	m := lengthLanes(env.N())
 	lanes := make([]byte, 1+2*m) // the other side's magnitude is 0: every answer 0
 	lanes[0] = byte(signIn)
@@ -51,12 +54,12 @@ func piZ(env transport.Net, tag string, v *big.Int, k int) (*big.Int, error) {
 		// that party's input and ours.
 		mag = big.NewInt(0)
 	}
-	magOut, err := piNWithLength(env, tag+"/mag", mag, agreed[1+signOut*m:][:m], k)
+	magOut, err := piNWithLength(env, tag+"/mag", mag, agreed[1+signOut*m:][:m], k, b)
 	if err != nil {
 		return nil, err
 	}
 	if signOut == 1 {
-		return new(big.Int).Neg(magOut), nil
+		return magOut.Neg(magOut), nil // the output is fresh storage
 	}
 	return magOut, nil
 }

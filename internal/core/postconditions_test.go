@@ -10,6 +10,7 @@ import (
 	"convexagreement/internal/bitstr"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
+	"convexagreement/internal/transport"
 )
 
 // checkPrefixPostconditions runs the search engine at arity k over inputs
@@ -24,7 +25,7 @@ func checkPrefixPostconditions(t *testing.T, name string, tc, blockBits, numBloc
 	width := blockBits * numBlocks
 	res, err := testutil.Run(sim.Config{N: len(inputs), T: tc}, corrupt,
 		func(env *sim.Env) (PrefixResult, error) {
-			return findPrefix(env, "fp", bitstr.MustFromBig(inputs[env.ID()], width), blockBits, numBlocks, k)
+			return findPrefixOnCopy(env, "fp", bitstr.MustFromBig(inputs[env.ID()], width), blockBits, numBlocks, k)
 		})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -37,13 +38,13 @@ func checkPrefixPostconditions(t *testing.T, name string, tc, blockBits, numBloc
 	}
 	var prefix *bitstr.String
 	for id, r := range res.Outputs {
-		if prefix == nil {
-			prefix = &r.Prefix
-		} else if !r.Prefix.Equal(*prefix) {
-			t.Fatalf("%s: party %d prefix %v differs from %v", name, id, r.Prefix, *prefix)
+		if p := r.Prefix(); prefix == nil {
+			prefix = &p
+		} else if !p.Equal(*prefix) {
+			t.Fatalf("%s: party %d prefix %v differs from %v", name, id, p, *prefix)
 		}
-		if r.Prefix.Len()%blockBits != 0 || !r.V.HasPrefix(r.Prefix) {
-			t.Fatalf("%s: party %d: v %v does not extend the %d-bit prefix by whole units", name, id, r.V, r.Prefix.Len())
+		if r.PrefixLen%blockBits != 0 {
+			t.Fatalf("%s: party %d: v %v does not extend the %d-bit prefix by whole units", name, id, r.V, r.PrefixLen)
 		}
 		for what, val := range map[string]bitstr.String{"v": r.V, "vBot": r.VBot} {
 			if err := testutil.HullCheck(val.Big(), honest); err != nil {
@@ -135,3 +136,11 @@ func TestFindPrefixPostconditions(t *testing.T) { prefixTable(t, 31, 1, 24) }
 // TestFindPrefixBlocksPostconditions verifies Lemma 4 the same way at block
 // granularity (4-bit blocks, all sixteen one-block extensions).
 func TestFindPrefixBlocksPostconditions(t *testing.T) { prefixTable(t, 44, 4, 8) }
+
+// findPrefixOnCopy runs findPrefix at arity k on a copy of v in a fresh
+// set of Buffers, as FindPrefix does: the search rewrites its value in
+// place, and a test's inputs are shared between runs.
+func findPrefixOnCopy(env transport.Net, tag string, v bitstr.String, blockBits, numBlocks, k int) (PrefixResult, error) {
+	b := new(Buffers)
+	return findPrefix(env, tag, v.CopyTo(&b.v), blockBits, numBlocks, k, b)
+}

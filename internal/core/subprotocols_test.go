@@ -12,8 +12,8 @@ import (
 
 // TestAddLastBitLemma2 exercises ADDLASTBIT in isolation with crafted
 // preconditions: all honest parties share the prefix "10" and hold valid
-// 6-bit values extending it; the extended prefix must be agreed and must be
-// an honest value's prefix.
+// 6-bit values extending it; the extended prefix, which AddLastBit writes
+// into the value, must be agreed and must be an honest value's prefix.
 func TestAddLastBitLemma2(t *testing.T) {
 	prefix := bitstr.MustParse("10")
 	// Values: two parties extend with 0, two with 1.
@@ -21,11 +21,12 @@ func TestAddLastBitLemma2(t *testing.T) {
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
 			v := bitstr.MustParse(vals[env.ID()])
-			out, err := core.AddLastBit(env, "alb", prefix, v)
+			n, err := core.AddLastBit(env, "alb", v, prefix.Len())
 			if err != nil {
 				return "", err
 			}
-			return out.String(), nil
+			out, err := v.Prefix(n)
+			return out.String(), err
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +42,13 @@ func TestAddLastBitLemma2(t *testing.T) {
 	// 1 qualify; with unanimous extensions it must match exactly).
 	resUnanimous, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
-			out, err := core.AddLastBit(env, "alb", prefix, bitstr.MustParse("101110"))
+			v := bitstr.MustParse("101110")
+			n, err := core.AddLastBit(env, "alb", v, prefix.Len())
 			if err != nil {
 				return "", err
 			}
-			return out.String(), nil
+			out, err := v.Prefix(n)
+			return out.String(), err
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +66,8 @@ func TestAddLastBitRejectsFullPrefix(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (string, error) {
 			p := bitstr.MustParse("101")
-			out, err := core.AddLastBit(env, "alb", p, p)
-			return out.String(), err
+			_, err := core.AddLastBit(env, "alb", p, p.Len())
+			return p.String(), err
 		})
 	if err == nil {
 		t.Error("prefix as long as the value accepted")
@@ -72,9 +75,9 @@ func TestAddLastBitRejectsFullPrefix(t *testing.T) {
 }
 
 // TestGetOutputLemma3 exercises GETOUTPUT with crafted preconditions: the
-// agreed prefix is "10" over width 5, and t+1 honest parties hold values
-// avoiding it, all BELOW the prefix range — the output must be
-// MIN_5(10) = 10000.
+// agreed prefix is "10" over width 5 (the head of every party's value v),
+// and t+1 honest parties hold values avoiding it, all BELOW the prefix
+// range — the output must be MIN_5(10) = 10000.
 func TestGetOutputLemma3(t *testing.T) {
 	const width = 5
 	prefix := bitstr.MustParse("10")
@@ -84,7 +87,11 @@ func TestGetOutputLemma3(t *testing.T) {
 	vals := []string{"00111", "00101", "10110", "10001"}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.GetOutput(env, "go", width, prefix, bitstr.MustParse(vals[env.ID()]))
+			v, err := prefix.FillTo(width, 0)
+			if err != nil {
+				return nil, err
+			}
+			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]))
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +113,11 @@ func TestGetOutputHighSide(t *testing.T) {
 	vals := []string{"11010", "11100", "10110", "10001"}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.GetOutput(env, "go", width, prefix, bitstr.MustParse(vals[env.ID()]))
+			v, err := prefix.FillTo(width, 0)
+			if err != nil {
+				return nil, err
+			}
+			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]))
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +144,11 @@ func TestFindPrefixIdenticalInputsFullWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, r := range res.Outputs {
-		if r.Prefix.Len() != width {
-			t.Fatalf("party %d: prefix length %d, want %d", id, r.Prefix.Len(), width)
+		if r.PrefixLen != width {
+			t.Fatalf("party %d: prefix length %d, want %d", id, r.PrefixLen, width)
 		}
-		if r.Prefix.Big().Int64() != 0xABC {
-			t.Fatalf("party %d: prefix value %v", id, r.Prefix.Big())
+		if r.Prefix().Big().Int64() != 0xABC {
+			t.Fatalf("party %d: prefix value %v", id, r.Prefix().Big())
 		}
 	}
 }
@@ -156,8 +167,8 @@ func TestFindPrefixBlocksGranularity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, r := range res.Outputs {
-		if r.Prefix.Len()%(width/blocks) != 0 {
-			t.Fatalf("party %d: prefix of %d bits is not whole blocks", id, r.Prefix.Len())
+		if r.PrefixLen%(width/blocks) != 0 {
+			t.Fatalf("party %d: prefix of %d bits is not whole blocks", id, r.PrefixLen)
 		}
 	}
 }
@@ -166,7 +177,7 @@ func TestTimelineExposed(t *testing.T) {
 	inputs := []int64{5, 6, 7, 8}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1, Timeline: true}, nil,
 		func(env *sim.Env) (*big.Int, error) {
-			return core.PiN(env, "ca", big.NewInt(inputs[env.ID()]))
+			return core.PiN(env, "ca", big.NewInt(inputs[env.ID()]), nil)
 		})
 	if err != nil {
 		t.Fatal(err)

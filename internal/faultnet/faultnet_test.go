@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"convexagreement/internal/channet"
@@ -35,7 +36,9 @@ func runCluster(t *testing.T, n int, wrap func(transport.Net) transport.Net, fns
 }
 
 // collect runs `rounds` all-to-all rounds at every party and returns each
-// party's full inbox history.
+// party's full inbox history. An inbox lives only until the next Exchange
+// (the hub refills its slice), so each is copied; the payloads are the
+// senders' own, fresh every round.
 func collect(t *testing.T, n, rounds int, wrap func(transport.Net) transport.Net) [][][]transport.Message {
 	t.Helper()
 	history := make([][][]transport.Message, n)
@@ -48,7 +51,7 @@ func collect(t *testing.T, n, rounds int, wrap func(transport.Net) transport.Net
 				if err != nil {
 					return err
 				}
-				history[id] = append(history[id], in)
+				history[id] = append(history[id], slices.Clone(in))
 			}
 			return nil
 		}

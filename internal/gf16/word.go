@@ -33,6 +33,8 @@ package gf16
 // differential tests (word_test.go); the table kernels remain the
 // reference and the fallback for targets without the assembly path.
 
+import "encoding/binary"
+
 // MulTable is the nibble-decomposition of multiplication by one constant
 // coefficient c. Layout, for nibble position p in 0..3 (p counts 4-bit
 // groups from the least significant bit of the symbol):
@@ -115,12 +117,20 @@ func HasFastPath() bool { return hasFastPath }
 // Unpack splits big-endian 16-bit symbols (the rs share wire layout) into
 // the split layout consumed by the word kernels: lo[i] and hi[i] receive
 // the low and high bytes of symbol i. len(src) must be at least 2·len(lo);
-// lo and hi must have equal length.
+// lo and hi must have equal length. The bulk moves eight symbols per step
+// in 64-bit words, in portable Go.
 func Unpack(lo, hi, src []byte) {
 	if len(hi) != len(lo) || len(src) < 2*len(lo) {
 		panic("gf16: Unpack length mismatch")
 	}
-	for i := range lo {
+	i := 0
+	for ; i+8 <= len(lo); i += 8 {
+		a := binary.LittleEndian.Uint64(src[2*i:])
+		b := binary.LittleEndian.Uint64(src[2*i+8:])
+		binary.LittleEndian.PutUint64(hi[i:], evenBytes(a)|evenBytes(b)<<32)
+		binary.LittleEndian.PutUint64(lo[i:], evenBytes(a>>8)|evenBytes(b>>8)<<32)
+	}
+	for ; i < len(lo); i++ {
 		hi[i] = src[2*i]
 		lo[i] = src[2*i+1]
 	}
@@ -132,8 +142,31 @@ func Pack(dst, lo, hi []byte) {
 	if len(hi) != len(lo) || len(dst) < 2*len(lo) {
 		panic("gf16: Pack length mismatch")
 	}
-	for i := range lo {
+	i := 0
+	for ; i+8 <= len(lo); i += 8 {
+		h := binary.LittleEndian.Uint64(hi[i:])
+		l := binary.LittleEndian.Uint64(lo[i:])
+		binary.LittleEndian.PutUint64(dst[2*i:], spreadBytes(h)|spreadBytes(l)<<8)
+		binary.LittleEndian.PutUint64(dst[2*i+8:], spreadBytes(h>>32)|spreadBytes(l>>32)<<8)
+	}
+	for ; i < len(lo); i++ {
 		dst[2*i] = hi[i]
 		dst[2*i+1] = lo[i]
 	}
+}
+
+// evenBytes gathers bytes 0, 2, 4 and 6 of x (byte 0 least significant)
+// into its low four bytes, in order, and zeroes the rest.
+func evenBytes(x uint64) uint64 {
+	x &= 0x00FF00FF00FF00FF
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	return (x | x>>16) & 0x00000000FFFFFFFF
+}
+
+// spreadBytes is evenBytes' inverse: bytes 0–3 of x move to bytes 0, 2, 4
+// and 6, and the odd bytes are zero.
+func spreadBytes(x uint64) uint64 {
+	x &= 0x00000000FFFFFFFF
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	return (x | x<<8) & 0x00FF00FF00FF00FF
 }

@@ -153,20 +153,23 @@ func TestGenericVsFastPath(t *testing.T) {
 }
 
 // TestPackUnpack: the split layout round-trips the wire layout exactly.
+// The lengths cover the word bulk alone, the byte tail alone, and both.
 func TestPackUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	src := randBytes(rng, 2*97)
-	lo, hi := make([]byte, 97), make([]byte, 97)
-	Unpack(lo, hi, src)
-	back := make([]byte, 2*97)
-	Pack(back, lo, hi)
-	if !bytes.Equal(src, back) {
-		t.Fatal("Pack(Unpack(x)) != x")
-	}
-	for i := 0; i < 97; i++ {
-		want := Elem(uint16(src[2*i])<<8 | uint16(src[2*i+1]))
-		if got := Elem(uint16(hi[i])<<8 | uint16(lo[i])); got != want {
-			t.Fatalf("symbol %d: got %#x want %#x", i, got, want)
+	for _, n := range []int{0, 1, 7, 8, 9, 16, 97} {
+		src := randBytes(rng, 2*n)
+		lo, hi := make([]byte, n), make([]byte, n)
+		Unpack(lo, hi, src)
+		back := make([]byte, 2*n)
+		Pack(back, lo, hi)
+		if !bytes.Equal(src, back) {
+			t.Fatalf("n=%d: Pack(Unpack(x)) != x", n)
+		}
+		for i := 0; i < n; i++ {
+			want := Elem(uint16(src[2*i])<<8 | uint16(src[2*i+1]))
+			if got := Elem(uint16(hi[i])<<8 | uint16(lo[i])); got != want {
+				t.Fatalf("n=%d symbol %d: got %#x want %#x", n, i, got, want)
+			}
 		}
 	}
 }

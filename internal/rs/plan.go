@@ -118,7 +118,7 @@ func (pc *planCache) len() int {
 // planFor returns the decode plan for the chosen share set, consulting the
 // cache first. chosen is sorted by index and exactly k long (selectShares
 // guarantees both, which is what makes the packed key canonical).
-func (c *Codec) planFor(s *scratch, chosen []Share) *decodePlan {
+func (c *Codec) planFor(s *Scratch, chosen []Share) *decodePlan {
 	key := s.key[:0]
 	for _, sh := range chosen {
 		key = append(key, byte(sh.Index>>8), byte(sh.Index))

@@ -237,7 +237,7 @@ func TestEncodeToReusesBuffer(t *testing.T) {
 	buf := bytes.Repeat([]byte{0xA5}, 7*c.ShareSize(4096))
 	for _, plen := range []int{4096, 1000, 3, 0} {
 		payload := goldenPayload(plen, int64(plen))
-		got, err := c.EncodeTo(buf, payload)
+		got, err := c.EncodeTo(nil, buf, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestEncodeToReusesBuffer(t *testing.T) {
 		}
 	}
 	small := bytes.Repeat([]byte{0xA5}, 8)
-	if _, err := c.EncodeTo(small, goldenPayload(100, 1)); err != nil || !bytes.Equal(small, bytes.Repeat([]byte{0xA5}, 8)) {
+	if _, err := c.EncodeTo(nil, small, goldenPayload(100, 1)); err != nil || !bytes.Equal(small, bytes.Repeat([]byte{0xA5}, 8)) {
 		t.Fatalf("a too-small buffer was written: %x, %v", small, err)
 	}
 }

@@ -168,7 +168,7 @@ func TestPiZOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *tcpnet.Conn) {
 			defer wg.Done()
-			outputs[i], errs[i] = core.PiZ(c, "ca", inputs[i])
+			outputs[i], errs[i] = core.PiZ(c, "ca", inputs[i], nil)
 		}(i, c)
 	}
 	wg.Wait()
@@ -205,7 +205,7 @@ func TestPeerCrashMidProtocol(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outputs[i], errs[i] = core.PiZ(conns[i], "ca", inputs[i])
+			outputs[i], errs[i] = core.PiZ(conns[i], "ca", inputs[i], nil)
 		}(i)
 	}
 	// Party 3 participates for a moment, then crashes hard.

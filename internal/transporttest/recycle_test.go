@@ -103,14 +103,44 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 		run  protocol
 	}{
 		{"core.PiZ", func(net transport.Net) (any, error) {
-			return core.PiZ(net, "t", new(big.Int).Sub(num(net), big.NewInt(1100)))
+			return core.PiZ(net, "t", new(big.Int).Sub(num(net), big.NewInt(1100)), nil)
 		}},
-		{"core.PiN", func(net transport.Net) (any, error) { return core.PiN(net, "t", num(net)) }},
+		{"core.PiN", func(net transport.Net) (any, error) { return core.PiN(net, "t", num(net), nil) }},
+		{"core.PiZ/one-set", func(net transport.Net) (any, error) {
+			// Two long-path agreements on one core.Buffers, scribbled between
+			// them as the next agreement may leave it: the first output must
+			// survive that, and the second must be what a fresh set computes.
+			// The values are ~2000 bits, so FINDPREFIX's segments are long
+			// lanes, committed and dispersed through the set's codec scratch.
+			long := func(i int64) *big.Int {
+				v := new(big.Int).Lsh(num(net), 2000)
+				return v.Or(v, big.NewInt(i*1000+int64(net.ID())))
+			}
+			var b core.Buffers
+			first, err := core.PiZ(net, "t1", long(1), &b)
+			if err != nil {
+				return nil, err
+			}
+			kept := first.String()
+			b.Scribble()
+			second, err := core.PiZ(net, "t2", long(2), &b)
+			if err != nil {
+				return nil, err
+			}
+			fresh, err := core.PiZ(net, "t3", long(2), nil)
+			if err != nil {
+				return nil, err
+			}
+			if first.String() != kept || second.Cmp(fresh) != 0 {
+				return nil, fmt.Errorf("party %d: the reused set leaked into an output (first kept %v, second %v, fresh %v)", net.ID(), first.String() == kept, second, fresh)
+			}
+			return [2]*big.Int{first, second}, nil
+		}},
 		{"core.FixedLengthCA", func(net transport.Net) (any, error) {
-			return core.FixedLengthCA(net, "t", 16, num(net))
+			return core.FixedLengthCA(net, "t", 16, num(net), nil)
 		}},
 		{"core.FixedLengthCABlocks", func(net transport.Net) (any, error) {
-			return core.FixedLengthCABlocks(net, "t", 16, 4, num(net))
+			return core.FixedLengthCABlocks(net, "t", 16, 4, num(net), nil)
 		}},
 		{"highcostca.Run", func(net transport.Net) (any, error) { return highcostca.Run(net, "t", num(net)) }},
 		{"baselines.BroadcastCA", func(net transport.Net) (any, error) {
@@ -141,7 +171,7 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			// buffer holds lane 0's encoding, so its holders re-derive lane
 			// 1's shares.
 			lanes := [][]byte{append(blob(net), byte(net.ID())), blob(net), num(net).Bytes()}
-			lane, v, err := baplus.LongLanes(net, "t", len(lanes), func(j int) []byte { return lanes[j] })
+			lane, v, err := baplus.LongLanes(net, "t", len(lanes), func(j int) []byte { return lanes[j] }, nil)
 			if err == nil && lane != 1 {
 				err = fmt.Errorf("lane %d agreed, want 1", lane)
 			}

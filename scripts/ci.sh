@@ -194,15 +194,19 @@ one_path() {
 		exit 1
 	fi
 
-	# One round send, one tail. tcpnet ships a round with one sendRound —
-	# one lock section, one frame per broadcast round or one per peer — into
-	# a ring of round slots; the arena's frames live on its own bounded free
-	# lists, which a GC does not empty. The per-peer sendFrame, the per-peer
-	# tail maps or a sync.Pool under the frames would bring one of these back.
-	if grep -nE '^[^/]*sync\.Pool' internal/wire/arena.go; then
-		echo "one-path: internal/wire/arena.go uses a sync.Pool; the Arena owns its frames on bounded free lists" >&2
+	# Every buffer has an owner. The arena's frames live on its own bounded
+	# free lists, a codec call's working set is its caller's rs.Scratch, a
+	# long value lives in the core.Buffers of the party's run: none is a
+	# sync.Pool, which a GC empties and which hides who may still hold a
+	# buffer.
+	if grep -rnE '^[^/]*sync\.Pool' --include='*.go' . | grep -v '_test\.go:'; then
+		echo "one-path: a sync.Pool in non-test Go; give the buffers an owner (wire.Arena's free lists, rs.Scratch, core.Buffers)" >&2
 		exit 1
 	fi
+	# One round send, one tail. tcpnet ships a round with one sendRound —
+	# one lock section, one frame per broadcast round or one per peer — into
+	# a ring of round slots. The per-peer sendFrame or the per-peer tail maps
+	# would bring one of these back.
 	if grep -rnE 'func \(c \*Conn\) sendFrame|map\[uint64\]\*wire\.Frame' --include='*.go' internal/tcpnet | grep -v '_test\.go:'; then
 		echo "one-path: a per-peer sendFrame or a per-peer tail map reappeared in tcpnet; a round is one sendRound into the round-slot ring" >&2
 		exit 1
@@ -235,7 +239,11 @@ cross_compile() {
 # long for the same reason as the merge row's: goroutine parks and the
 # one-time fill of the rejoin tail and the arena's free lists (which a GC
 # does not empty) must amortise below one alloc/op (the recorded counts were
-# taken at these same benchtimes).
+# taken at these same benchtimes). The rs row encodes long_input's value
+# (n = 7, k = 5, 256 KiB) into a buffer and a Scratch the caller reuses, at
+# 0 allocs/op: a codec buffer that goes back to being per call shows here.
+# It runs at -cpu 1, on the serial engine; the pool's fan-out allocates its
+# job.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
@@ -245,7 +253,8 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP'
+		go test -run '^$' -bench 'BenchmarkEncodeTo_n7_k5_256KiB$' -benchtime 100x -benchmem -cpu 1 ./internal/rs/
+	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP|EncodeTo_n7_k5_256KiB'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an

@@ -2,7 +2,9 @@ package convexagreement_test
 
 import (
 	"math/big"
+	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -97,5 +99,73 @@ func TestRunPartyApproxValidation(t *testing.T) {
 	}
 	if _, err := ca.RunPartyApprox(nil, big.NewInt(-1), big.NewInt(1), big.NewInt(1)); err == nil {
 		t.Error("negative input accepted")
+	}
+}
+
+// TestSessionLongValueAllocations holds a Session's Π_ℤ agreements on long
+// values to what they cannot avoid allocating. Seven parties run four
+// agreements each on 2¹⁸-bit inputs that share their top half, over the
+// in-process transport; the 2nd to 4th, once every party's buffers have
+// grown, may allocate at most 5ℓ bytes per party and agreement (ℓ = 32 KiB,
+// the value's size), counted from runtime.MemStats across the whole
+// process. What remains is the dispersal tuples, HIGHCOSTCA on the last
+// block and the output; before the buffers were the party's it was ≈ 11ℓ.
+func TestSessionLongValueAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four long-value agreements")
+	}
+	const n, bits, rounds = 7, 1 << 18, 4
+	trs, err := ca.NewLocalCluster(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([]*ca.Session, n)
+	for i, tr := range trs {
+		sessions[i] = ca.NewSession(tr)
+		defer tr.Close()
+	}
+	rng := rand.New(rand.NewSource(3))
+	inputs := make([][]*big.Int, rounds)
+	for r := range inputs {
+		top := new(big.Int).Lsh(new(big.Int).SetBit(new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), bits/2)), bits/2-1, 1), bits/2)
+		for p := 0; p < n; p++ {
+			low := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), bits/2))
+			inputs[r] = append(inputs[r], low.Add(low, top))
+		}
+	}
+	agree := func(r int) {
+		t.Helper()
+		outs := make([]*big.Int, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for p := range sessions {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				outs[p], errs[p] = sessions[p].Agree(ca.ProtoOptimal, 0, inputs[r][p])
+			}(p)
+		}
+		wg.Wait()
+		for p := range outs {
+			if errs[p] != nil {
+				t.Fatalf("agreement %d, party %d: %v", r, p, errs[p])
+			}
+			if outs[p].Cmp(outs[0]) != 0 {
+				t.Fatalf("agreement %d: parties 0 and %d disagree", r, p)
+			}
+		}
+	}
+	agree(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 1; r < rounds; r++ {
+		agree(r)
+	}
+	runtime.ReadMemStats(&after)
+	perParty := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*(rounds-1))
+	ell := float64(bits / 8)
+	t.Logf("%.0f bytes per party and agreement = %.2fℓ", perParty, perParty/ell)
+	if perParty > 5*ell {
+		t.Fatalf("%.0f bytes per party and agreement, want at most 5ℓ = %.0f", perParty, 5*ell)
 	}
 }
