@@ -126,7 +126,7 @@ func runBits(t *testing.T, n, tcount int, inputs [][]byte, corrupt map[int]sim.B
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tcount}, corrupt,
 		func(env *sim.Env) (string, error) {
-			out, err := ba.Bits(env, "ba", inputs[env.ID()])
+			out, err := ba.Bits(env, "ba", inputs[env.ID()], nil)
 			return string(out), err
 		})
 	if err != nil {
@@ -273,13 +273,16 @@ type mvOut struct {
 // multivalued is multivalued BA on k lanes as TurpinCoan's godoc composes
 // it: Turpin–Coan, then one Bits instance on the grades; a lane that agreed
 // 0 is ⊥ (nil), one that agreed 1 is the party's candidate, the same at
-// every honest party by the candidate lemma.
+// every honest party by the candidate lemma. Both run on one work set, as
+// Π_BA+ runs them: the candidates are views of it that the Bits instance
+// leaves be.
 func multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
-	cands, g, err := ba.TurpinCoan(env, tag, inputs)
+	w := new(ba.Work)
+	cands, g, err := ba.TurpinCoan(env, tag, inputs, w)
 	if err != nil {
 		return nil, err
 	}
-	bits, err := ba.Bits(env, tag+"/tcba", g)
+	bits, err := ba.Bits(env, tag+"/tcba", g, w)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +559,7 @@ func TestTurpinCoanCandidates(t *testing.T) {
 					}
 				}
 				res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (tcOut, error) {
-					cands, g, err := ba.TurpinCoan(env, "tc", inputs[env.ID()])
+					cands, g, err := ba.TurpinCoan(env, "tc", inputs[env.ID()], nil)
 					return tcOut{cands, g}, err
 				})
 				if err != nil {

@@ -40,12 +40,14 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 }
 
 // BenchmarkBinaryChannet is one phase-king instance per op, all n parties,
-// back to back on one in-process hub: what the protocol layer itself
-// allocates in its 3(t+1) rounds with no wire under it — per party the
-// instance's lane vectors, vote counts, three tags and three send buffers,
-// once, and nothing per round; the rest is the hub's copies — at n = 7, and
-// at n = 16 (mux_closed's shape). ci.sh pins both rows' allocs/op with
-// -guard-allocs.
+// back to back on one in-process hub, each party on one ba.Work it keeps
+// across ops as a session keeps its set across agreements: what the
+// protocol layer itself allocates in its 3(t+1) rounds with no wire under
+// it — per party the instance's round tags, one string, and nothing for its
+// lane vectors, vote counts and send buffers, which are the set's, nor per
+// round; the rest is the hub's copies and channet's lack of a broadcast
+// fast path — at n = 7, and at n = 16 (mux_closed's shape). ci.sh pins
+// both rows' allocs/op with -guard-allocs.
 func BenchmarkBinaryChannet(b *testing.B) {
 	for _, n := range []int{7, 16} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -56,8 +58,10 @@ func BenchmarkBinaryChannet(b *testing.B) {
 			fns := make([]func(net transport.Net) error, n)
 			for i := range fns {
 				fns[i] = func(net transport.Net) error {
+					var w ba.Work
+					lane := []byte{byte(net.ID() % 2)}
 					for r := 0; r < b.N; r++ {
-						if _, err := ba.Binary(net, "b", byte(net.ID()%2)); err != nil {
+						if _, err := ba.Bits(net, "b", lane, &w); err != nil {
 							return err
 						}
 					}

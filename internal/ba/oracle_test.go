@@ -76,7 +76,7 @@ var tcPool = [][]byte{
 func checkTCPicks(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
 	tallies := make([]transport.Tally, k)
-	transport.LaneTallies(in, tallies, transport.AddOption)
+	transport.LaneTallies(in, tallies, make([][]byte, k), transport.AddOption)
 	for l, tally := range tallies {
 		laneIn := transporttest.LaneInbox(in, k, l)
 		if threshold > len(laneIn)/2 {

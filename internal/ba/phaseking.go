@@ -36,7 +36,7 @@ import (
 // Validity (if all honest parties input b, the output is b). Complexity:
 // 3(t+1) rounds, O(n²) one-byte messages per phase.
 func Binary(env transport.Net, tag string, input byte) (byte, error) {
-	out, err := Bits(env, tag, []byte{input})
+	out, err := Bits(env, tag, []byte{input}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -48,45 +48,39 @@ func Binary(env transport.Net, tag string, input byte) (byte, error) {
 // kings are shared, and no lane reads another, so Definition 2 holds for
 // every lane exactly as it does for Binary on that lane's inputs. Every
 // honest party must call it in the same round with the same tag and the
-// same k; each lanes[l] must be 0 or 1. The result is a fresh slice of the
-// k agreed bits; lanes is not kept.
+// same k; each lanes[l] must be 0 or 1. It runs on w (nil: a fresh set),
+// and the result, the k agreed bits, is a view of w valid until w's next
+// use; lanes is not kept.
 //
 // Complexity: 3(t+1) rounds whatever k is, O(n²) messages of ⌈k/4⌉ bytes
 // per phase (transport.PackLanes; at k = 1 the byte 0, 1 or 2).
-func Bits(env transport.Net, tag string, lanes []byte) ([]byte, error) {
+func Bits(env transport.Net, tag string, lanes []byte, w *Work) ([]byte, error) {
 	for _, b := range lanes {
 		if b > 1 {
 			return nil, fmt.Errorf("ba: binary input %d out of range", b)
 		}
 	}
+	if w == nil {
+		w = fresh()
+	}
 	n, t, k := env.N(), env.T(), len(lanes)
 
-	// Everything the instance allocates, once: the lane vectors, the vote
-	// counts, the three round tags and one send buffer per round of a
-	// phase. In-process transports deliver a payload by reference and a
-	// receiver may read it until it enters the next round, so a buffer is
-	// rewritten only three rounds after it was sent.
-	nb := transport.LaneBytes(k)
-	buf := make([]byte, 5*k+3*nb)
-	take := func(size int) []byte {
-		s := buf[:size:size]
-		buf = buf[size:]
-		return s
-	}
-	v, prop, d, kingVal, got := take(k), take(k), take(k), take(k), take(k)
-	out1, out2, out3 := take(nb), take(nb), take(nb)
-	votes := make(transport.LaneVotes, k)
-	tag1, tag2, tag3 := tag+"/pk1", tag+"/pk2", tag+"/pk3"
+	// The lane vectors and the vote counts are w's; what the instance
+	// allocates itself is the three round tags, in one string.
+	vecs := resize(&w.bits, 5*k)
+	copy(vecs, lanes)
+	v, prop, d, kingVal, got := vecs[:k:k], vecs[k:2*k:2*k], vecs[2*k:3*k:3*k], vecs[3*k:4*k:4*k], vecs[4*k:]
+	votes := resize(&w.votes, k)
+	tags := tag + "/pk1" + tag + "/pk2" + tag + "/pk3"
+	tag1, tag2, tag3 := tags[:len(tags)/3], tags[len(tags)/3:2*len(tags)/3], tags[2*len(tags)/3:]
 
-	copy(v, lanes)
 	for phase := 0; phase <= t; phase++ {
 		king := transport.PartyID(phase % n)
 
 		// Round 1: exchange current values; per lane, a is the majority
 		// value and c1 its support. Propose a if it had n−t support, else
 		// abstain.
-		transport.PackLanes(out1, v)
-		in, err := transport.ExchangeAll(env, tag1, out1)
+		in, err := transport.ExchangeAll(env, tag1, w.pack(v))
 		if err != nil {
 			return nil, err
 		}
@@ -102,8 +96,7 @@ func Bits(env transport.Net, tag string, lanes []byte) ([]byte, error) {
 		// when that support reaches t+1 (at most one such value can have
 		// honest backing). A lane with n−t proposal support keeps b, which
 		// v holds from here on; the others defer to the king.
-		transport.PackLanes(out2, prop)
-		in, err = transport.ExchangeAll(env, tag2, out2)
+		in, err = transport.ExchangeAll(env, tag2, w.pack(prop))
 		if err != nil {
 			return nil, err
 		}
@@ -123,8 +116,7 @@ func Bits(env transport.Net, tag string, lanes []byte) ([]byte, error) {
 		// Round 3: the king broadcasts its d; lanes without n−t proposal
 		// support take the king's value.
 		if env.ID() == king {
-			transport.PackLanes(out3, d)
-			in, err = transport.ExchangeAll(env, tag3, out3)
+			in, err = transport.ExchangeAll(env, tag3, w.pack(d))
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}

@@ -63,7 +63,7 @@ func lanesProperty(t *testing.T, seed int64, k int) bool {
 				out, err := ba.Binary(env, "ba", inputs[env.ID()][0])
 				return string([]byte{out}), err
 			}
-			out, err := ba.Bits(env, "ba", inputs[env.ID()])
+			out, err := ba.Bits(env, "ba", inputs[env.ID()], nil)
 			return string(out), err
 		})
 	if err != nil {

@@ -175,7 +175,7 @@ func TestFoldedConfirmNeedsG(t *testing.T) {
 	tcX := wire.Lanes([][]byte{wire.Some(wire.Some(x)), wire.Some(wire.Some(x))}) // lanes a and b
 	script := [][]sim.Packet{
 		to("p/dist", wire.Lanes([][]byte{wire.Some(x)}), 1, 2),
-		to("p/vote", wire.Lanes([][]byte{encodeVote([][]byte{x})}), 1, 2),
+		to("p/vote", wire.Lanes([][]byte{appendVote(nil, [][]byte{x})}), 1, 2),
 		to("p/val/tc1", tcX, 1),
 		to("p/val/tc2", tcX, 1),
 		to("p/confirm/pk1", bits(1, 1), 0, 1, 2, 3),

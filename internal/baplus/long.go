@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"convexagreement/internal/ba"
 	"convexagreement/internal/hashing"
 	"convexagreement/internal/merkle"
 	"convexagreement/internal/rs"
@@ -29,18 +30,33 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 	return value, lane == 0, err
 }
 
-// Buffers is what Π_ℓBA+ keeps of long values between calls, owned by the
-// caller: the share buffer every lane is encoded into, in which the
-// dispersal also reassembles the delivered value, and the codec's Scratch.
-// Its buffers grow to the longest value seen and are then rewritten in
-// place, call after call. The zero value is ready; the Scratch is
-// allocated with the first long value, so lanes of at most a root's length
-// never touch the set. A nil *Buffers is a fresh set for one call. Nothing
-// that is sent lives here: the dispersal tuples are fresh per round, as
-// transport.Net's send side requires of payloads kept by reference.
+// Buffers is what Π_ℓBA+ and Π_BA+ keep between calls, owned by the
+// caller. Of long values: the share buffer every lane is encoded into, in
+// which the dispersal also reassembles the delivered value, and the
+// codec's Scratch, allocated with the first long value, so lanes of at most
+// a root's length never touch it. Of the protocol's rounds: the lanes'
+// tagged inputs, Π_BA+'s frames, votes, candidates and results, and the
+// work set of the BA instances below it (ba.Work), whose send buffers are
+// the only ones here a payload is sent from (the dispersal tuples, one per
+// peer, are fresh per round). Its buffers grow to the largest call seen
+// and are then rewritten in place, call after call. The zero value is
+// ready; a nil *Buffers is a fresh set for one call.
 type Buffers struct {
 	shares []byte
 	rs     *rs.Scratch
+	work   ba.Work
+
+	// LongLanes: each lane's tagged input, a view of tagged.
+	inputs [][]byte
+	tagged []byte
+	// plus: a round's lane frames, then the candidates a₁ b₁ …, views of
+	// frameBuf; atLeast's values; the confirming phase-king's inputs; the
+	// results.
+	frames   [][]byte
+	frameBuf []byte
+	voted    [][]byte
+	happy    []byte
+	agreed   [][]byte
 }
 
 func (b *Buffers) scratch() *rs.Scratch {
@@ -50,14 +66,46 @@ func (b *Buffers) scratch() *rs.Scratch {
 	return b.rs
 }
 
-// Scribble overwrites the share buffer, where values are delivered, with
-// 0xDB: what the next call may leave there. Tests call it between calls, so
-// that a value kept past the call that delivered it reads as garbage.
-func (b *Buffers) Scribble() {
-	p := b.shares[:cap(b.shares)]
-	for i := range p {
-		p[i] = 0xDB
+// Work is the set's BA work set, for the instances its caller runs itself
+// (Π_ℤ's length search).
+func (b *Buffers) Work() *ba.Work { return &b.work }
+
+// Reset ends an agreement's use of b: the containers that hold views of a
+// round's inbox are cleared, so the set pins none after the agreement.
+func (b *Buffers) Reset() {
+	for _, c := range [][][]byte{b.inputs, b.frames, b.voted, b.agreed} {
+		clear(c[:cap(c)])
 	}
+	b.work.Reset()
+}
+
+// Scribble overwrites with 0xDB every byte the next call may rewrite: the
+// share buffer, where values are delivered, the frame buffers and the work
+// set's (ba.Work.Scribble). Tests call it between calls, so that a value
+// kept past the call that delivered it reads as garbage.
+func (b *Buffers) Scribble() {
+	for _, p := range [][]byte{b.shares, b.tagged, b.frameBuf, b.happy} {
+		p = p[:cap(p)]
+		for i := range p {
+			p[i] = 0xDB
+		}
+	}
+	b.work.Scribble()
+}
+
+// fresh is the set of a call given none, made out of line on the heap
+// (ba.Work's fresh says why).
+//
+//go:noinline
+func fresh() *Buffers { return new(Buffers) }
+
+// resize returns *p at length k, reallocated only when it lacks the room.
+func resize[T any](p *[]T, k int) []T {
+	if cap(*p) < k {
+		*p = make([]T, k)
+	}
+	*p = (*p)[:k]
+	return *p
 }
 
 // A lane's Π_BA+ input is tagged with what it carries. A value no longer
@@ -91,11 +139,11 @@ const (
 // lowest committed lane's, which the dispersal uses as it is when that lane
 // is j*; for any other j* the holders call input(j*) again and re-derive
 // its shares into the same buffer. A value delivered by the dispersal is
-// reassembled in that buffer too, and returned as a view of b valid until
-// b's next use.
+// reassembled in that buffer too; either way the value returned is a view
+// of b valid until b's next use.
 func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b *Buffers) (int, []byte, error) {
 	if b == nil {
-		b = new(Buffers)
+		b = fresh()
 	}
 	n, t := env.N(), env.T()
 	// One codec per (n, t) for the whole process: its tables, decode plans
@@ -108,22 +156,24 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 	var shares []rs.Share
 	var tree *merkle.Tree
 	encoded := -1 // the lane whose shares buf holds
-	frames := make([][]byte, k)
+	frames, buf := resize(&b.inputs, k), b.tagged[:0]
 	for j := k - 1; j >= 0; j-- {
-		in := input(j)
+		in, mark := input(j), len(buf)
 		if len(in) <= hashing.Size {
-			frames[j] = append([]byte{laneValue}, in...)
-			continue
+			buf = append(append(buf, laneValue), in...)
+		} else {
+			if shares, tree, err = commit(codec, b, in); err != nil {
+				return -1, nil, err
+			}
+			root := tree.Root()
+			buf, encoded = append(append(buf, laneRoot), root[:]...), j
 		}
-		if shares, tree, err = commit(codec, b, in); err != nil {
-			return -1, nil, err
-		}
-		root := tree.Root()
-		frames[j], encoded = append([]byte{laneRoot}, root[:]...), j
+		frames[j] = buf[mark:]
 	}
+	b.tagged = buf
 
 	// Step 2: agree on the roots and short values.
-	agreed, err := plus(env, tag+"/root", frames)
+	agreed, err := plus(env, tag+"/root", frames, b)
 	if err != nil {
 		return -1, nil, err
 	}

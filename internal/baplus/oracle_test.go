@@ -86,11 +86,11 @@ func oracleVotedValues(in []transport.Message, threshold int) [][]byte {
 // a vote naming one value twice, and the malformed ones — three values, a
 // count that overstates, a truncated value, trailing bytes.
 var votePool = [][]byte{
-	encodeVote(nil), encodeVote([][]byte{[]byte("a")}), encodeVote([][]byte{[]byte("b")}),
-	encodeVote([][]byte{[]byte("a"), []byte("b")}), encodeVote([][]byte{[]byte("b"), []byte("c")}),
-	encodeVote([][]byte{[]byte("a"), []byte("a")}), encodeVote([][]byte{{}, []byte("a")}),
-	encodeVote([][]byte{[]byte("a"), []byte("b"), []byte("c")}),
-	{2, 1, 'a'}, {1, 5, 'a'}, append(encodeVote([][]byte{[]byte("a")}), 0), {3},
+	appendVote(nil, nil), appendVote(nil, [][]byte{[]byte("a")}), appendVote(nil, [][]byte{[]byte("b")}),
+	appendVote(nil, [][]byte{[]byte("a"), []byte("b")}), appendVote(nil, [][]byte{[]byte("b"), []byte("c")}),
+	appendVote(nil, [][]byte{[]byte("a"), []byte("a")}), appendVote(nil, [][]byte{{}, []byte("a")}),
+	appendVote(nil, [][]byte{[]byte("a"), []byte("b"), []byte("c")}),
+	{2, 1, 'a'}, {1, 5, 'a'}, append(appendVote(nil, [][]byte{[]byte("a")}), 0), {3},
 }
 
 func sameValues(a, b [][]byte) bool {
@@ -112,8 +112,8 @@ func sameValues(a, b [][]byte) bool {
 func checkPlusPicks(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
 	seen, votes := make([]transport.Tally, k), make([]transport.Tally, k)
-	transport.LaneTallies(in, seen, transport.AddOption)
-	transport.LaneTallies(in, votes, addVote)
+	transport.LaneTallies(in, seen, make([][]byte, k), transport.AddOption)
+	transport.LaneTallies(in, votes, make([][]byte, k), addVote)
 	for l := range seen {
 		laneIn := transporttest.LaneInbox(in, k, l)
 		var values []transport.Message
@@ -122,10 +122,10 @@ func checkPlusPicks(t *testing.T, in []transport.Message, threshold, k int) {
 				values = append(values, transport.Message{From: m.From, Payload: v})
 			}
 		}
-		if got, want := atLeast(seen[l], threshold), oracleSupportedValues(values, threshold, 2); !sameValues(got, want) {
+		if got, want := atLeast(nil, seen[l], threshold), oracleSupportedValues(values, threshold, 2); !sameValues(got, want) {
 			t.Fatalf("lane %d/%d, values from ≥ %d: got %q, oracle %q on %v", l, k, threshold, got, want, in)
 		}
-		if got, want := atLeast(votes[l], threshold), oracleVotedValues(laneIn, threshold); !sameValues(got, want) {
+		if got, want := atLeast(nil, votes[l], threshold), oracleVotedValues(laneIn, threshold); !sameValues(got, want) {
 			t.Fatalf("lane %d/%d, voted by ≥ %d: got %q, oracle %q on %v", l, k, threshold, got, want, in)
 		}
 	}
@@ -193,7 +193,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 	for _, m := range transport.FirstPerSender(in) {
 		seen.Add(m.Payload)
 	}
-	in, err = transport.ExchangeAll(env, tag+"/vote", encodeVote(atLeast(seen, n-2*t)))
+	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)))
 	if err != nil {
 		return nil, false, err
 	}
@@ -202,7 +202,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 		addVote(&votes, m.Payload)
 	}
 	a, b := wire.None(), wire.None()
-	if voted := atLeast(votes, n-t); len(voted) > 0 {
+	if voted := atLeast(nil, votes, n-t); len(voted) > 0 {
 		a = wire.Some(voted[0])
 		b = wire.Some(voted[len(voted)-1])
 	}
@@ -214,7 +214,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 }
 
 func foldedAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
-	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand})
+	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand}, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -224,7 +224,7 @@ func foldedAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, er
 }
 
 func paperAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, error) {
-	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand})
+	cands, g, err := ba.TurpinCoan(env, tag+"/val", [][]byte{cand}, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -318,7 +318,7 @@ func TestPlusLanesMatchSequential(t *testing.T) {
 			for l := range inputs {
 				inputs[l] = column(env, l)
 			}
-			out, err := plus(env, "p", inputs)
+			out, err := plus(env, "p", inputs, nil)
 			lanes := make([]string, len(out))
 			for l, frame := range out {
 				if v, ok := wire.Option(frame); ok {

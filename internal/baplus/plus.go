@@ -33,7 +33,7 @@ import (
 // Pre-Agreement, with O(κn²) bits on top of the Π_BA invocations
 // (Theorem 6).
 func Plus(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
-	out, err := plus(env, tag, [][]byte{input})
+	out, err := plus(env, tag, [][]byte{input}, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -53,67 +53,91 @@ func Plus(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 // deviation "one confirming BA"). Lane j's result is an option frame
 // (wire.Option reads nil as ⊥). All honest parties must call it in the same
 // round with the same tag and the same k.
-func plus(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
+//
+// It runs on b's work set (nil: a fresh set): the results are views of it,
+// valid until its next use.
+func plus(env transport.Net, tag string, inputs [][]byte, b *Buffers) ([][]byte, error) {
+	if b == nil {
+		b = fresh()
+	}
 	n, t, k := env.N(), env.T(), len(inputs)
-	frames := make([][]byte, 2*k)
-	tallies := make([]transport.Tally, k)
+	w := &b.work
+	// Each round's lane frames are written into one buffer, rewritten
+	// round by round: a round's frames go out copied into a send buffer.
+	frames, buf := resize(&b.frames, 2*k), b.frameBuf[:0]
 
 	// Line 1: distribute inputs.
 	for j, v := range inputs {
-		frames[j] = wire.Some(v)
+		mark := len(buf)
+		buf = wire.AppendSome(buf, v)
+		frames[j] = buf[mark:]
 	}
-	in, err := transport.ExchangeAll(env, tag+"/dist", wire.Lanes(frames[:k]))
+	in, err := transport.ExchangeAll(env, tag+"/dist", w.Lanes(frames[:k]))
 	if err != nil {
 		return nil, err
 	}
 	// Line 2: per lane, vote for every value received from ≥ n−2t parties
 	// (at most two such values can exist; kept deterministic and defensive).
-	transport.LaneTallies(in, tallies, transport.AddOption)
-	for j, tally := range tallies {
-		frames[j] = encodeVote(atLeast(tally, n-2*t))
+	buf = buf[:0]
+	for j, tally := range w.Tally(in, k, transport.AddOption) {
+		mark := len(buf)
+		b.voted = atLeast(b.voted[:0], tally, n-2*t)
+		buf = appendVote(buf, b.voted)
+		frames[j] = buf[mark:]
 	}
-	in, err = transport.ExchangeAll(env, tag+"/vote", wire.Lanes(frames[:k]))
+	in, err = transport.ExchangeAll(env, tag+"/vote", w.Lanes(frames[:k]))
 	if err != nil {
 		return nil, err
 	}
 	// Line 3: a_j ≤ b_j are the values voted by ≥ n−t parties in lane j
 	// (≤ 2 exist), ⊥ if none. Framing copies them out of this inbox: they
 	// are compared against the agreed values rounds later.
-	transport.LaneTallies(in, tallies, addVote)
-	for j, tally := range tallies {
-		a, b := wire.None(), wire.None()
-		if voted := atLeast(tally, n-t); len(voted) > 0 {
-			a = wire.Some(voted[0])
-			b = wire.Some(voted[len(voted)-1])
+	buf = buf[:0]
+	for j, tally := range w.Tally(in, k, addVote) {
+		b.voted = atLeast(b.voted[:0], tally, n-t)
+		voted := b.voted
+		for i := 2 * j; i < 2*j+2; i++ {
+			mark := len(buf)
+			switch {
+			case len(voted) == 0:
+				buf = wire.AppendNone(buf)
+			case i == 2*j:
+				buf = wire.AppendSome(buf, voted[0])
+			default:
+				buf = wire.AppendSome(buf, voted[len(voted)-1])
+			}
+			frames[i] = buf[mark:]
 		}
-		frames[2*j], frames[2*j+1] = a, b
 	}
+	b.frameBuf = buf
 
 	// Lines 4–5: Turpin–Coan on every candidate (a framed value or ⊥), then
 	// one binary BA on whether Turpin–Coan graded its candidate n−t, the
 	// candidate is a value, and it is the caller's own. Anything other than a
 	// well-formed present value is ⊥.
-	cands, g, err := ba.TurpinCoan(env, tag+"/val", frames)
+	cands, g, err := ba.TurpinCoan(env, tag+"/val", frames, w)
 	if err != nil {
 		return nil, err
 	}
-	happy := make([]byte, 2*k)
+	happy := resize(&b.happy, 2*k)
 	for i, frame := range frames {
 		cand, ok := wire.Option(cands[i])
+		happy[i] = 0
 		if _, present := wire.Option(cand); g[i] == 1 && ok && present && bytes.Equal(cand, frame) {
 			happy[i] = 1
 		}
 		cands[i] = cand
 	}
-	confirmed, err := ba.Bits(env, tag+"/confirm", happy)
+	confirmed, err := ba.Bits(env, tag+"/confirm", happy, w)
 	if err != nil {
 		return nil, err
 	}
 	// A confirmed lane had some honest party happy, so some honest party
 	// graded it n−t: every honest party holds the same candidate, that
 	// party's non-⊥ frame.
-	out := make([][]byte, k)
+	out := resize(&b.agreed, k)
 	for j := range out {
+		out[j] = nil
 		if confirmed[2*j] == 1 {
 			out[j] = cands[2*j]
 		} else if confirmed[2*j+1] == 1 {
@@ -123,10 +147,9 @@ func plus(env transport.Net, tag string, inputs [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// atLeast returns the values of a round counted for at least k parties —
-// the two smallest if there are more.
-func atLeast(tally transport.Tally, k int) [][]byte {
-	var vals [][]byte
+// atLeast appends to vals the values of a round counted for at least k
+// parties — the two smallest if there are more.
+func atLeast(vals [][]byte, tally transport.Tally, k int) [][]byte {
 	for _, s := range tally {
 		if s.Count >= k && len(vals) < 2 {
 			vals = append(vals, s.Value)
@@ -135,14 +158,13 @@ func atLeast(tally transport.Tally, k int) [][]byte {
 	return vals
 }
 
-// encodeVote frames VOTE(...), VOTE(v1) or VOTE(v1, v2).
-func encodeVote(vals [][]byte) []byte {
-	w := wire.NewWriter(16)
-	w.Byte(byte(len(vals)))
+// appendVote appends the frame VOTE(...), VOTE(v1) or VOTE(v1, v2) to dst.
+func appendVote(dst []byte, vals [][]byte) []byte {
+	dst = append(dst, byte(len(vals)))
 	for _, v := range vals {
-		w.Bytes(v)
+		dst = wire.AppendBytes(dst, v)
 	}
-	return w.Finish()
+	return dst
 }
 
 // addVote is the vote round's rule for one lane: a vote names at most two

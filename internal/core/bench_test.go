@@ -49,3 +49,43 @@ func BenchmarkFindPrefixBlocks_l2p21_n7(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPiZChannet is one 64-bit Π_ℤ agreement per op at n = 16 over
+// channet, the shape of the benchmark's mux_* workloads (inputs sharing
+// their top 48 bits) without sockets or a mux: each party runs every op on
+// one core.Buffers, Reset between ops, as a Session runs its instances.
+// None of the containers of its phase-kings, Turpin–Coan rounds and Π_BA+
+// stages is allocated per op — they live in the set's work set — so an op
+// allocates the agreement's round tags, the prefix search's splits and
+// closures, the output and the n packets channet's missing broadcast fast
+// path builds every round (most of the bytes). 1902 allocs/op here; 6390
+// when each instance built its own containers. ci.sh pins its allocs/op
+// with the other whole-run rows.
+func BenchmarkPiZChannet(b *testing.B) {
+	const n = 16
+	rng := rand.New(rand.NewSource(1))
+	top := rng.Int63n(1<<15) << 48
+	hub, err := channet.NewHub(n, (n-1)/3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fns := make([]func(transport.Net) error, n)
+	for i := range fns {
+		input := big.NewInt(top | rng.Int63n(1<<48))
+		fns[i] = func(net transport.Net) error {
+			var bufs core.Buffers
+			for r := 0; r < b.N; r++ {
+				if _, err := core.PiZ(net, "ca", input, &bufs); err != nil {
+					return err
+				}
+				bufs.Reset()
+			}
+			return nil
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := hub.Run(fns); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -12,7 +12,10 @@ import "convexagreement/internal/baplus"
 //     otherwise rewrite the v_⊥ saved from it;
 //   - the segment buffer FINDPREFIX marshals each lane's blocks into;
 //   - Π_ℓBA+'s share buffer, where the agreed segment is also decoded, and
-//     its codec scratch (baplus.Buffers).
+//     its codec scratch (baplus.Buffers);
+//   - the protocol work set under it: Π_BA+'s frames and candidates and
+//     the containers of every phase-king and Turpin–Coan instance of the
+//     agreement, Π_ℤ's length search included (baplus.Buffers, ba.Work).
 //
 // The zero value is ready, and takes nothing from the heap until a value
 // needs it: lanes of at most a root's length never touch the codec
@@ -27,6 +30,12 @@ type Buffers struct {
 	lanes   baplus.Buffers
 }
 
+// fresh is the set of a call given none, made out of line on the heap
+// (ba.Work's fresh says why).
+//
+//go:noinline
+func fresh() *Buffers { return new(Buffers) }
+
 // keepValueBytes bounds what a set keeps between agreements: the buffers of
 // a value longer than 1 MiB (ℓ > 2²³ bits) are dropped at Reset. A set for
 // an ℓ-bit value holds about 6·ℓ/8 bytes, so a party that once agreed on a
@@ -35,16 +44,20 @@ const keepValueBytes = 1 << 20
 
 // Reset ends an agreement's use of b. The buffers stay for the next
 // agreement unless the value they were grown for is longer than
-// keepValueBytes; then the set is emptied.
+// keepValueBytes; then the set is emptied. Either way it keeps no view of
+// the agreement's inboxes (baplus.Buffers.Reset).
 func (b *Buffers) Reset() {
 	if cap(b.v) > keepValueBytes {
 		*b = Buffers{}
 	}
+	b.lanes.Reset()
 }
 
-// Scribble overwrites every byte the set holds with 0xDB: what the next
-// agreement may leave there. Tests call it between agreements on one set,
-// so that anything kept past its agreement reads as garbage.
+// Scribble overwrites with 0xDB every byte the next agreement may rewrite —
+// all the set holds but the send buffer of the last payload sent, which
+// its receivers may still read (ba.Work.Scribble). Tests call it between
+// agreements on one set, after Reset, so that anything kept past its
+// agreement reads as garbage.
 func (b *Buffers) Scribble() {
 	for _, p := range [][]byte{b.v, b.vBot, b.seg} {
 		p = p[:cap(p)]

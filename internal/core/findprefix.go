@@ -60,7 +60,7 @@ const arity = 4
 // (deviation "batched Π_BA+ and k-ary FINDPREFIX", PROTOCOLS.md). It works
 // on a copy of v in a fresh set of Buffers.
 func FindPrefix(env transport.Net, tag string, v bitstr.String) (PrefixResult, error) {
-	b := new(Buffers)
+	b := fresh()
 	return findPrefix(env, tag, v.CopyTo(&b.v), 1, v.Len(), arity, b)
 }
 
@@ -72,7 +72,7 @@ func FindPrefixBlocks(env transport.Net, tag string, v bitstr.String, numBlocks 
 	if numBlocks <= 0 || v.Len()%numBlocks != 0 {
 		return PrefixResult{}, fmt.Errorf("%w: length %d not divisible into %d blocks", ErrProtocol, v.Len(), numBlocks)
 	}
-	b := new(Buffers)
+	b := fresh()
 	return findPrefix(env, tag, v.CopyTo(&b.v), v.Len()/numBlocks, numBlocks, arity, b)
 }
 
@@ -99,6 +99,7 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 	}
 	left, right := 1, numBlocks+1
 	vBot := v.CopyTo(&b.vBot)
+	lbaTag := tag + "/lba" // every iteration's
 	splits := make([]int, 0, k-1)
 	// segment marshals lane j's blocks left..m_j of v into b.seg, which
 	// every lane of every iteration reuses (baplus.LongLanes keeps none).
@@ -118,7 +119,7 @@ func findPrefix(env transport.Net, tag string, v bitstr.String, blockBits, numBl
 				splits = append(splits, m)
 			}
 		}
-		lane, agreed, err := baplus.LongLanes(env, tag+"/lba", len(splits), segment, &b.lanes)
+		lane, agreed, err := baplus.LongLanes(env, lbaTag, len(splits), segment, &b.lanes)
 		if err != nil {
 			return PrefixResult{}, err
 		}

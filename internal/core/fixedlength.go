@@ -23,7 +23,7 @@ func FixedLengthCA(env transport.Net, tag string, width int, v *big.Int, b *Buff
 // fixedLengthCA is FixedLengthCA with its search at arity k.
 func fixedLengthCA(env transport.Net, tag string, width int, v *big.Int, k int, b *Buffers) (*big.Int, error) {
 	if b == nil {
-		b = new(Buffers)
+		b = fresh()
 	}
 	bits, err := bitstr.FromBigTo(&b.v, v, width)
 	if err != nil {
@@ -64,7 +64,7 @@ func fixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v 
 		return nil, fmt.Errorf("%w: width %d not a multiple of %d blocks", ErrProtocol, width, numBlocks)
 	}
 	if b == nil {
-		b = new(Buffers)
+		b = fresh()
 	}
 	bits, err := bitstr.FromBigTo(&b.v, v, width)
 	if err != nil {

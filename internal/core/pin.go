@@ -39,9 +39,12 @@ func PiN(env transport.Net, tag string, v *big.Int, b *Buffers) (*big.Int, error
 	if v == nil || v.Sign() < 0 {
 		return nil, fmt.Errorf("%w: input must be a natural number, got %v", ErrProtocol, v)
 	}
+	if b == nil {
+		b = fresh()
+	}
 	lanes := make([]byte, lengthLanes(env.N()))
 	askLength(lanes, v, env.N())
-	agreed, err := ba.Bits(env, tag+"/pre", lanes)
+	agreed, err := ba.Bits(env, tag+"/pre", lanes, b.lanes.Work())
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +72,8 @@ func askLength(lanes []byte, v *big.Int, n int) {
 }
 
 // piNWithLength is Π_ℕ from the agreed answers to askLength's questions on,
-// its prefix search at arity k, on b.
+// its prefix search at arity k, on b. agreed is a view of b's work set:
+// it is read before anything below runs on b.
 func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k int, b *Buffers) (*big.Int, error) {
 	n2 := env.N() * env.N()
 	if agreed[0] == 0 {

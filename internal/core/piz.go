@@ -34,6 +34,9 @@ func piZ(env transport.Net, tag string, v *big.Int, k int, b *Buffers) (*big.Int
 	if v == nil {
 		return nil, ErrProtocol
 	}
+	if b == nil {
+		b = fresh()
+	}
 	signIn := 0
 	if v.Sign() < 0 {
 		signIn = 1
@@ -44,7 +47,7 @@ func piZ(env transport.Net, tag string, v *big.Int, k int, b *Buffers) (*big.Int
 	lanes := make([]byte, 1+2*m) // the other side's magnitude is 0: every answer 0
 	lanes[0] = byte(signIn)
 	askLength(lanes[1+signIn*m:][:m], mag, env.N())
-	agreed, err := ba.Bits(env, tag+"/pre", lanes)
+	agreed, err := ba.Bits(env, tag+"/pre", lanes, b.lanes.Work()) // a view of b, read before the search reuses it
 	if err != nil {
 		return nil, err
 	}

@@ -235,12 +235,14 @@ func (t *Tally) Add(v []byte) {
 // lane frames (wire.Lanes) at once: it empties every tally and hands lane l
 // of each sender's first message to add(&tallies[l], entry). A message that
 // is not a k-lane frame counts for nothing in any lane; otherwise lane l's
-// tally reads lane l's entries only.
-func LaneTallies(in []Message, tallies []Tally, add func(t *Tally, entry []byte)) {
+// tally reads lane l's entries only. entries is the caller's scratch, k
+// long: it holds the last message's entries when LaneTallies returns. The
+// containers belong to the caller's work set (ba.Work), which refills them
+// round after round.
+func LaneTallies(in []Message, tallies []Tally, entries [][]byte, add func(t *Tally, entry []byte)) {
 	for l := range tallies {
 		tallies[l] = tallies[l][:0]
 	}
-	entries := make([][]byte, len(tallies))
 	for _, m := range FirstPerSender(in) {
 		if wire.SplitLanes(m.Payload, entries) {
 			for l, e := range entries {

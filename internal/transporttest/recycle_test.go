@@ -163,7 +163,7 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			for l := range lanes {
 				lanes[l] = byte(net.ID() >> (l % 3) & 1)
 			}
-			return ba.Bits(net, "t", lanes)
+			return ba.Bits(net, "t", lanes, nil)
 		}},
 		{"baplus.LongLanes", func(net transport.Net) (any, error) {
 			// Lanes 0 and 2 are every party's own value, long and short
@@ -178,7 +178,7 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			return optional(v, lane == 1, err)
 		}},
 		{"ba.TurpinCoan", func(net transport.Net) (any, error) {
-			cands, g, err := ba.TurpinCoan(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()})
+			cands, g, err := ba.TurpinCoan(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()}, nil)
 			return fmt.Sprintf("%x %x", cands, g), err
 		}},
 		{"aa.Run", func(net transport.Net) (any, error) {

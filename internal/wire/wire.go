@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorrupt reports a malformed encoding.
@@ -47,9 +48,11 @@ func (w *Writer) Uvarint(v uint64) {
 }
 
 // Bytes appends a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.Uvarint(uint64(len(p)))
-	w.buf = append(w.buf, p...)
+func (w *Writer) Bytes(p []byte) { w.buf = AppendBytes(w.buf, p) }
+
+// AppendBytes appends p to dst as Writer.Bytes writes it: length-prefixed.
+func AppendBytes(dst, p []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(p))), p...)
 }
 
 // Raw appends bytes with no length prefix (for fixed-size fields).
@@ -60,16 +63,17 @@ func (w *Writer) Finish() []byte { return w.buf }
 
 // Some frames a present value for a message that carries "v or ⊥":
 // 0x01 ‖ v. The empty value is a value: Some(nil) is not None().
-func Some(v []byte) []byte {
-	out := make([]byte, 1+len(v))
-	out[0] = 1
-	copy(out[1:], v)
-	return out
-}
+func Some(v []byte) []byte { return AppendSome(make([]byte, 0, 1+len(v)), v) }
+
+// AppendSome appends Some(v) to dst.
+func AppendSome(dst, v []byte) []byte { return append(append(dst, 1), v...) }
 
 // None frames ⊥: the single byte 0x00. Every call returns a fresh slice,
 // because in-process transports deliver a sender's payload by reference.
-func None() []byte { return []byte{0} }
+func None() []byte { return AppendNone(make([]byte, 0, 1)) }
+
+// AppendNone appends None() to dst.
+func AppendNone(dst []byte) []byte { return append(dst, 0) }
 
 // Option splits a "v or ⊥" frame: (v, true) for Some(v), with v borrowing
 // raw, and (nil, false) for None() and for anything else — a byzantine
@@ -90,20 +94,23 @@ const sameLane = 0
 // share a round. Each lane is length-prefixed, except that a lane equal to
 // the lane before it is the one byte sameLane: Π_BA+'s b, which usually
 // repeats its a, costs a byte. Every frame must be non-empty.
-func Lanes(frames [][]byte) []byte {
+func Lanes(frames [][]byte) []byte { return AppendLanes(nil, frames) }
+
+// AppendLanes appends Lanes(frames) to dst, growing it at most once.
+func AppendLanes(dst []byte, frames [][]byte) []byte {
 	size := 0
 	for _, f := range frames {
 		size += binary.MaxVarintLen32 + len(f)
 	}
-	w := Writer{buf: make([]byte, 0, size)}
+	dst = slices.Grow(dst, size)
 	for l, f := range frames {
 		if l > 0 && bytes.Equal(f, frames[l-1]) {
-			w.Byte(sameLane)
+			dst = append(dst, sameLane)
 		} else {
-			w.Bytes(f)
+			dst = AppendBytes(dst, f)
 		}
 	}
-	return w.Finish()
+	return dst
 }
 
 // SplitLanes reads a len(dst)-lane frame into dst, every lane borrowing raw

@@ -157,6 +157,14 @@ one_path() {
 		echo "one-path: internal/baplus/plus.go has $confirms ba.Bits instances, want the one confirming phase-king" >&2
 		exit 1
 	fi
+	# One work set. The tallies and vote counts of every phase-king,
+	# Turpin–Coan round and Π_BA+ stage are ba.Work's, refilled round after
+	# round and shared by an agreement's instances; a per-call container
+	# made beside it would bring one of these back.
+	if grep -rnE 'make\(\[\]transport\.Tally|make\(transport\.LaneVotes' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/ba/work\.go:'; then
+		echo "one-path: a per-call Tally or LaneVotes container in non-test code; count in ba.Work's" >&2
+		exit 1
+	fi
 
 	# One deployed-cluster harness, one adversary vocabulary. A cluster is
 	# assembled, killed, resumed and judged in internal/experiments/harness.go;
@@ -230,15 +238,19 @@ cross_compile() {
 # one alloc/op, where 100 would flake. The bitstr rows pin
 # Slice/Concat/FillTo at 1 alloc/op (the result) and Compare at 0: a
 # per-bit or byte-per-bit scratch coming back into a kernel is an extra
-# allocation and fails here. The last three rows pin whole ticks, not one
-# layer of one: a phase-king instance over channet (what the protocol layer
-# itself allocates: no per-round map), an n = 4 tcpnet round and a
-# 64-session sessmux tick over a loopback mesh, both at 0 allocs/op — every
-# per-round container is scratch held by its owner, so one that goes back to
-# being rebuilt per round shows here as a whole number. Their benchtimes are
-# long for the same reason as the merge row's: goroutine parks and the
-# one-time fill of the rejoin tail and the arena's free lists (which a GC
-# does not empty) must amortise below one alloc/op (the recorded counts were
+# allocation and fails here. The next four rows pin whole runs and ticks,
+# not one layer of one: a phase-king instance over channet on a ba.Work each
+# party keeps across ops (what the protocol layer itself allocates: the
+# round tags, no lane vector, vote count or send buffer, nothing per round),
+# a 64-bit Π_ℤ agreement over channet on a core.Buffers each party keeps
+# (no container of any phase-king, Turpin–Coan round or Π_BA+ stage), an
+# n = 4 tcpnet round and a 64-session sessmux tick over a loopback mesh,
+# both at 0 allocs/op — every per-round container is scratch held by its
+# owner, so one that goes back to being rebuilt per round or per instance
+# shows here as a whole number. Their benchtimes are long for the same
+# reason as the merge row's: goroutine parks and the one-time fill of the
+# work sets, the rejoin tail and the arena's free lists (which a GC does
+# not empty) must amortise below one alloc/op (the recorded counts were
 # taken at these same benchtimes). The rs row encodes long_input's value
 # (n = 7, k = 5, 256 KiB) into a buffer and a Scratch the caller reuses, at
 # 0 allocs/op: a codec buffer that goes back to being per call shows here.
@@ -251,10 +263,11 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/
 		go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/
+		go test -run '^$' -bench 'BenchmarkPiZChannet' -benchtime 100x -benchmem ./internal/core/
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'BenchmarkEncodeTo_n7_k5_256KiB$' -benchtime 100x -benchmem -cpu 1 ./internal/rs/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|MeshRound|SessmuxTickTCP|EncodeTo_n7_k5_256KiB'
+	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MeshRound|SessmuxTickTCP|EncodeTo_n7_k5_256KiB'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an

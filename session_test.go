@@ -169,3 +169,70 @@ func TestSessionLongValueAllocations(t *testing.T) {
 		t.Fatalf("%.0f bytes per party and agreement, want at most 5ℓ = %.0f", perParty, 5*ell)
 	}
 }
+
+// TestShortValueAllocations holds 64-bit Π_ℤ agreements — the benchmark's
+// mux_* shape, where only the additive κn²log²n term runs — to what they
+// allocate per party. Sixteen parties over the in-process transport run
+// RunParty on inputs that share their top 48 bits, each agreement on a
+// fresh set of buffers as RunParty makes them; the 2nd to 5th agreements'
+// bytes are counted from runtime.MemStats across the whole process, per
+// party and agreement. Most of it is the in-process transport's: it has no
+// broadcast fast path, so every round builds n packets. The containers of
+// every phase-king, Turpin–Coan round and Π_BA+ stage live in the run's one
+// work set, shared by its instances: 85.8 KB per party and agreement here,
+// where it was 92.3 KB when each instance built its own.
+func TestShortValueAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five 16-party agreements")
+	}
+	const n, rounds, limit = 16, 5, 87_000
+	trs, err := ca.NewLocalCluster(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trs {
+		defer tr.Close()
+	}
+	rng := rand.New(rand.NewSource(5))
+	inputs := make([][]*big.Int, rounds)
+	for r := range inputs {
+		top := rng.Int63n(1<<15) << 48
+		for p := 0; p < n; p++ {
+			inputs[r] = append(inputs[r], big.NewInt(top|rng.Int63n(1<<48)))
+		}
+	}
+	agree := func(r int) {
+		t.Helper()
+		outs := make([]*big.Int, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for p, tr := range trs {
+			wg.Add(1)
+			go func(p int, tr ca.Transport) {
+				defer wg.Done()
+				outs[p], errs[p] = ca.RunParty(tr, ca.ProtoOptimal, 0, inputs[r][p])
+			}(p, tr)
+		}
+		wg.Wait()
+		for p := range outs {
+			if errs[p] != nil {
+				t.Fatalf("agreement %d, party %d: %v", r, p, errs[p])
+			}
+			if outs[p].Cmp(outs[0]) != 0 {
+				t.Fatalf("agreement %d: parties 0 and %d disagree", r, p)
+			}
+		}
+	}
+	agree(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 1; r < rounds; r++ {
+		agree(r)
+	}
+	runtime.ReadMemStats(&after)
+	perParty := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*(rounds-1))
+	t.Logf("%.0f bytes per party and agreement", perParty)
+	if perParty > limit {
+		t.Fatalf("%.0f bytes per party and agreement, want at most %d", perParty, limit)
+	}
+}
