@@ -48,7 +48,8 @@ profile:
 # checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
 # the bitstr word kernels against their bit-at-a-time oracles; over the
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
-# against the per-package functions it replaced; and over the lane frame. Raise
+# against the per-package functions it replaced; over the lane frame; and
+# over the session demux's merge-join against its map-based oracle. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/
 	$(GO) test -run '^$$' -fuzz FuzzOptionLanes -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDemux -fuzztime $(FUZZTIME) ./internal/sessmux/
 
 # Minimal CI entry point (vet + build + tests + race on the perf-critical
 # packages); scripts/ci.sh is the same thing for environments without make.

@@ -21,8 +21,9 @@ import "convexagreement/internal/baplus"
 // needs it: lanes of at most a root's length never touch the codec
 // scratch. A nil *Buffers is a fresh set for one call, which is how tests
 // and one-shot runs call the protocols. A set serves one agreement at a
-// time; a Session keeps one across its instances, RunParty and the
-// simulator make one per call. The agreed output is always fresh storage,
+// time; a Session keeps one across its instances, a SessionMux lends one to
+// each RunParty over its transports, and a RunParty over any other
+// transport and the simulator make one per call. The agreed output is always fresh storage,
 // never a view of the set.
 type Buffers struct {
 	v, vBot []byte

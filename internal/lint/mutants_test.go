@@ -127,19 +127,16 @@ var mutants = []mutant{
 			"\t\tif err := s.ResumeOpts(stateDir, storage); err != nil {\n\t\t\treturn err\n",
 			"\t\tif err := s.ResumeOpts(stateDir, storage); err != nil { // MUTANT\n\t\t\treturn fmt.Errorf(\"resume: %v\", err)\n"}}},
 	{id: "D1", file: "internal/sessmux/sessmux.go", fires: []string{"maporder"},
-		why: "sessmux.flush without slices.Sort(sids): the product bug on record (DESIGN §2.7)",
+		why: "sessmux.merge ranging over the open map instead of the sid-sorted order: the product bug on record (DESIGN §2.7)",
 		edits: [][2]string{
-			{"\t\"slices\"\n", ""},
-			{"\tfor sid, s := range m.open {\n\t\tif s.pended {\n\t\t\tsids = append(sids, sid)\n\t\t}\n\t}\n\tslices.Sort(sids)\n",
-				"\tfor sid, s := range m.open { // MUTANT\n\t\tif s.pended {\n\t\t\tsids = append(sids, sid)\n\t\t}\n\t}\n"}}},
+			{"\tfor _, s := range m.order {\n\t\tmark := len(buf)\n",
+				"\tfor _, s := range m.open { // MUTANT\n\t\tmark := len(buf)\n"}}},
 	{id: "D2", file: "internal/sessmux/sessmux.go", fires: []string{"maporder"},
-		why: "the same loop moved into a helper that returns the slice",
+		why: "flush rebuilding the session order from the map in a helper that returns the slice",
 		edits: [][2]string{
-			{"\t\"slices\"\n", ""},
-			{"\tsids := m.sidsBuf[:0]\n\tfor sid, s := range m.open {\n\t\tif s.pended {\n\t\t\tsids = append(sids, sid)\n\t\t}\n\t}\n\tslices.Sort(sids)\n",
-				"\tsids := m.pended()\n"},
-			{"// demux routes delivered messages",
-				"func (m *Mux) pended() []uint64 {\n\tsids := m.sidsBuf[:0]\n\tfor sid, s := range m.open { // MUTANT\n\t\tif s.pended {\n\t\t\tsids = append(sids, sid)\n\t\t}\n\t}\n\treturn sids\n}\n\n// demux routes delivered messages"}}},
+			{"\tin, err := m.merge()\n", "\tm.order = m.sessions()\n\tin, err := m.merge()\n"},
+			{"// bySid orders sessions",
+				"func (m *Mux) sessions() []*Session {\n\torder := m.order[:0]\n\tfor _, s := range m.open { // MUTANT\n\t\torder = append(order, s)\n\t}\n\treturn order\n}\n\n// bySid orders sessions"}}},
 	{id: "D3", file: "internal/core/findprefix.go", fires: []string{"wallclock"},
 		why: "time.Now/time.Since in core.findPrefix",
 		edits: [][2]string{

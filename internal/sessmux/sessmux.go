@@ -13,7 +13,12 @@
 // round (Exchange), the merged traffic ships as one base round through
 // transport.ExchangeVec — every session's frames for the same peer ride in
 // the same physical frame, payloads by reference down to the base — and
-// the inbox demultiplexes by session id. The base transport's blocking
+// the inbox demultiplexes by session id. A session's round costs the tick
+// O(1) whatever the base's width N: a full-width session's broadcast is
+// one entry addressed to transport.All, not N packets, and demux routes
+// each sender's frames by a merge-join of their ascending session ids
+// against the open sessions, falling back to a map lookup only for a
+// sender that breaks that order. The base transport's blocking
 // round is the cross-party synchronizer: parties whose session sets differ
 // still tick in lock step, and a party with no live sessions keeps the
 // clock with Idle.
@@ -38,6 +43,7 @@
 package sessmux
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,11 +71,15 @@ const inboxPerParticipant = 64
 // sessions with Open, keep the tick clock with Idle when none are live.
 type Mux struct {
 	base transport.Net
+	n    int  // base.N(): a session this wide broadcasts as one transport.All entry
 	vec  bool // the base takes scatter-gather packets: nothing is copied here
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	open map[uint64]*Session
+	// order lists the open sessions by ascending sid: the order merge ships
+	// them in and demux's merge-join walks.
+	order []*Session
 	// Single-use sids: every sid below retiredBelow counts as used, and
 	// retired holds the used ones at or above it. The watermark advances
 	// over used and live sids as they become contiguous, so an ascending
@@ -82,8 +92,7 @@ type Mux struct {
 	tick         uint64
 	err          error
 
-	stats   Stats
-	sidsBuf []uint64
+	stats Stats
 
 	// Merge scratch, reused across ticks: transport.ExchangeVec frees the
 	// pieces when it returns.
@@ -112,6 +121,7 @@ type Stats struct {
 func New(base transport.Net) *Mux {
 	m := &Mux{
 		base:    base,
+		n:       base.N(),
 		open:    make(map[uint64]*Session),
 		retired: make(map[uint64]struct{}),
 	}
@@ -157,8 +167,8 @@ func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	if m.err != nil {
 		return nil, m.err
 	}
-	if n < 1 || n > m.base.N() {
-		return nil, fmt.Errorf("sessmux: session %d: n=%d outside 1..%d", sid, n, m.base.N())
+	if n < 1 || n > m.n {
+		return nil, fmt.Errorf("sessmux: session %d: n=%d outside 1..%d", sid, n, m.n)
 	}
 	if t < 0 || 3*t >= n {
 		return nil, fmt.Errorf("sessmux: session %d: t=%d violates 3t < n=%d", sid, t, n)
@@ -175,6 +185,8 @@ func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	// An honest round delivers n messages: size the inbox once, here.
 	s := &Session{m: m, sid: sid, n: n, t: t, inbox: make([]transport.Message, 0, n)}
 	m.open[sid] = s
+	i, _ := slices.BinarySearchFunc(m.order, sid, bySid)
+	m.order = slices.Insert(m.order, i, s)
 	m.live++
 	return s, nil
 }
@@ -211,11 +223,13 @@ type Session struct {
 	pended  bool
 	closed  bool
 	pending []transport.Packet
-	// inbox is refilled by every tick's demux and bcast by every
+	// all marks a pending broadcast: pending[0] goes to every participant.
+	all bool
+	// inbox is refilled by every tick's demux and one by every
 	// ExchangeBroadcast: scratch under transport.Net's lifetime rule, which
 	// dies with the session.
 	inbox []transport.Message
-	bcast []transport.Packet
+	one   [1]transport.Packet
 }
 
 var _ transport.BroadcastNet = (*Session)(nil)
@@ -234,8 +248,44 @@ func (s *Session) N() int { return s.n }
 func (s *Session) T() int { return s.t }
 
 // Exchange submits this session's virtual round and blocks until the tick
-// closes. Packets to parties outside the session are dropped.
+// closes. Packets to parties outside the session are dropped. A round of
+// n packets to 0, …, n−1 in order, with one tag and one payload slice, is
+// a broadcast and merged as ExchangeBroadcast's is.
 func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) {
+	return s.submit(out, isBroadcast(out, s.n))
+}
+
+// ExchangeBroadcast implements transport.BroadcastNet: the all-to-all round
+// is one pending packet that merge sends to every participant, which on the
+// wire is Exchange(Broadcast(...)).
+func (s *Session) ExchangeBroadcast(tag string, payload []byte) ([]transport.Message, error) {
+	s.one[0] = transport.Packet{Tag: tag, Payload: payload}
+	in, err := s.submit(s.one[:], true)
+	s.one[0] = transport.Packet{} // the round is over: don't pin the caller's payload
+	return in, err
+}
+
+// isBroadcast reports whether out is a broadcast to n parties: To = i at
+// position i, every packet with the first one's tag and the very same
+// payload slice (same start and length; empty payloads are all alike).
+func isBroadcast(out []transport.Packet, n int) bool {
+	if len(out) != n {
+		return false
+	}
+	first := &out[0]
+	for i := range out {
+		p := &out[i]
+		if p.To != i || p.Tag != first.Tag || len(p.Payload) != len(first.Payload) ||
+			len(p.Payload) > 0 && &p.Payload[0] != &first.Payload[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// submit hands the mux this session's round — all: out[0] to every
+// participant — and blocks until the tick closes.
+func (s *Session) submit(out []transport.Packet, all bool) ([]transport.Message, error) {
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -249,7 +299,7 @@ func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) 
 		return nil, fmt.Errorf("sessmux: session %d submitted its round twice", s.sid)
 	}
 	my := m.tick
-	s.pending = out
+	s.pending, s.all = out, all
 	s.pended = true
 	m.submitted++
 	m.maybeFlush()
@@ -260,21 +310,6 @@ func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) 
 		return nil, m.err
 	}
 	return s.inbox, nil
-}
-
-// ExchangeBroadcast implements transport.BroadcastNet: the all-to-all round
-// is Exchange over a fan-out the session refills in place, so merge sees
-// the same n packets Exchange(Broadcast(...)) would have handed it.
-func (s *Session) ExchangeBroadcast(tag string, payload []byte) ([]transport.Message, error) {
-	if s.bcast == nil {
-		s.bcast = make([]transport.Packet, s.n)
-	}
-	for to := range s.bcast {
-		s.bcast[to] = transport.Packet{To: to, Tag: tag, Payload: payload}
-	}
-	in, err := s.Exchange(s.bcast)
-	clear(s.bcast) // the round is over: don't pin the caller's payload
-	return in, err
 }
 
 // Close retires the session locally. Peers are not told: they observe
@@ -291,10 +326,12 @@ func (s *Session) Close() {
 	s.closed = true
 	if s.pended {
 		s.pended = false
-		s.pending = nil
+		s.pending, s.all = nil, false
 		m.submitted--
 	}
 	delete(m.open, s.sid)
+	i, _ := slices.BinarySearchFunc(m.order, s.sid, bySid)
+	m.order = slices.Delete(m.order, i, i+1)
 	m.retire(s.sid)
 	m.live--
 	// The departed session may have been the last holdout of the tick.
@@ -390,18 +427,10 @@ func (m *Mux) maybeFlush() {
 
 // flush runs one physical round: merge in ascending session order (map
 // order would break seed-exact fault-injection replay), exchange, demux,
-// shed, advance the tick. Caller holds m.mu.
+// shed, advance the tick. Every open session has submitted (Idle flushes
+// only with none open). Caller holds m.mu.
 func (m *Mux) flush() {
-	sids := m.sidsBuf[:0]
-	for sid, s := range m.open {
-		if s.pended {
-			sids = append(sids, sid)
-		}
-	}
-	slices.Sort(sids)
-	m.sidsBuf = sids
-
-	in, err := m.merge(sids)
+	in, err := m.merge()
 	if err != nil {
 		// A base failure poisons the whole mux: without the shared round
 		// clock no session can make progress.
@@ -412,32 +441,54 @@ func (m *Mux) flush() {
 	m.stats.Ticks++
 	m.demux(in)
 
-	for _, sid := range sids {
-		if s := m.open[sid]; s != nil {
-			s.pended = false
-			s.pending = nil
-		}
+	for _, s := range m.order {
+		s.pended = false
+		s.pending, s.all = nil, false
 	}
 	m.submitted = 0
 	m.tick++
 	m.cond.Broadcast()
 }
 
+// bySid orders sessions for the binary searches over Mux.order.
+func bySid(s *Session, sid uint64) int { return cmp.Compare(s.sid, sid) }
+
 // demux routes delivered messages to their sessions and sheds past each
 // session's bound. Each session's inbox is refilled in place; its driver is
-// blocked in the Exchange that ends the previous inbox's lifetime. Caller
-// holds m.mu.
+// blocked in the Exchange that ends the previous inbox's lifetime.
+//
+// An honest sender's frames arrive in the ascending sid order its merge
+// shipped them in, so each sender's run of messages is merge-joined against
+// m.order with one cursor; a frame whose sid is below the sender's last one
+// (a byzantine or replayed order) is looked up in m.open instead. Either
+// way a frame reaches the session the map would have named. Caller holds
+// m.mu.
 func (m *Mux) demux(in []transport.Message) {
-	for _, s := range m.open {
+	for _, s := range m.order {
 		s.inbox = s.inbox[:0]
 	}
 	var counts map[uint64][]int // per session: messages held per sender
+	from, next, last := transport.PartyID(-1), 0, uint64(0)
 	for _, msg := range in {
 		sid, payload, ok := unframe(msg.Payload)
 		if !ok {
 			continue // undecodable byzantine frame
 		}
-		s := m.open[sid]
+		if msg.From != from {
+			from, next, last = msg.From, 0, 0
+		}
+		var s *Session
+		if sid < last {
+			s = m.open[sid]
+		} else {
+			last = sid
+			for next < len(m.order) && m.order[next].sid < sid {
+				next++
+			}
+			if next < len(m.order) && m.order[next].sid == sid {
+				s = m.order[next]
+			}
+		}
 		if s == nil || int(msg.From) >= s.n {
 			continue // not a local session, or sender not a participant
 		}
@@ -465,41 +516,58 @@ func (m *Mux) demux(in []transport.Message) {
 // session's id varint, carved once per session from one shared header
 // buffer, and the payload by reference — and transport.ExchangeVec hands
 // them to a VecNet base as they are or flattens them once for a plain one.
-// A session that broadcasts thus hands every destination the very same
-// pieces, which the TCP base encodes once for all peers. The pieces are free
-// on return, so all three scratch slices are reused across ticks; they are
-// sized up front because a mid-merge regrowth would move the header bytes
-// out from under the already-carved varint pieces. Caller holds m.mu.
-func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
-	hdrLen, packets := 0, 0
-	for _, sid := range sids {
-		s := m.open[sid]
-		hdrLen += uvarintLen(sid)
-		for i := range s.pending {
-			if p := &s.pending[i]; p.To >= 0 && int(p.To) < s.n {
-				packets++
+// A full-width session's broadcast is one entry addressed to
+// transport.All, which the TCP base encodes once for all peers; a narrower
+// session's broadcast is one entry per participant sharing one vector.
+// The pieces are free on return, so all three scratch slices are reused
+// across ticks; they are sized up front because a mid-merge regrowth would
+// move the header bytes out from under the already-carved varint pieces.
+// Caller holds m.mu.
+func (m *Mux) merge() ([]transport.Message, error) {
+	hdrLen, entries := 0, 0
+	for _, s := range m.order {
+		hdrLen += uvarintLen(s.sid)
+		switch {
+		case s.all && s.n == m.n:
+			entries++
+		case s.all:
+			entries += s.n
+		default:
+			for i := range s.pending {
+				if p := &s.pending[i]; p.To >= 0 && p.To < s.n {
+					entries++
+				}
 			}
 		}
 	}
 	if cap(m.hdrBuf) < hdrLen {
 		m.hdrBuf = make([]byte, 0, hdrLen)
 	}
-	if cap(m.vecBuf) < 2*packets {
-		m.vecBuf = make([][]byte, 0, 2*packets)
+	if cap(m.vecBuf) < 2*entries {
+		m.vecBuf = make([][]byte, 0, 2*entries)
 	}
-	if cap(m.pktsBuf) < packets {
-		m.pktsBuf = make([]transport.VecPacket, 0, packets)
+	if cap(m.pktsBuf) < entries {
+		m.pktsBuf = make([]transport.VecPacket, 0, entries)
 	}
 	buf, vecs, merged := m.hdrBuf[:0], m.vecBuf[:0], m.pktsBuf[:0]
-	var payloadBytes uint64
-	for _, sid := range sids {
-		s := m.open[sid]
+	var packets, payloadBytes uint64
+	for _, s := range m.order {
 		mark := len(buf)
-		buf = binary.AppendUvarint(buf, sid)
+		buf = binary.AppendUvarint(buf, s.sid)
 		hdr := buf[mark:len(buf):len(buf)]
-		for i := range s.pending {
-			p := &s.pending[i]
-			if p.To < 0 || int(p.To) >= s.n {
+		pending := s.pending
+		if s.all {
+			pending = pending[:1] // a broadcast is its first packet, to everyone
+		}
+		for i := range pending {
+			p := &pending[i]
+			to, copies := p.To, 1
+			switch {
+			case s.all && s.n == m.n:
+				to, copies = transport.All, s.n
+			case s.all:
+				copies = s.n
+			case to < 0 || to >= s.n:
 				continue
 			}
 			vmark := len(vecs)
@@ -507,15 +575,19 @@ func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
 			if len(p.Payload) > 0 {
 				vecs = append(vecs, p.Payload)
 			}
-			merged = append(merged, transport.VecPacket{
-				To:  p.To,
-				Tag: p.Tag,
-				Vec: vecs[vmark:len(vecs):len(vecs)],
-			})
-			payloadBytes += uint64(len(p.Payload))
+			vec := vecs[vmark:len(vecs):len(vecs)]
+			if s.all && s.n < m.n {
+				for to := range s.n {
+					merged = append(merged, transport.VecPacket{To: to, Tag: p.Tag, Vec: vec})
+				}
+			} else {
+				merged = append(merged, transport.VecPacket{To: to, Tag: p.Tag, Vec: vec})
+			}
+			packets += uint64(copies)
+			payloadBytes += uint64(copies * len(p.Payload))
 		}
 	}
-	m.stats.Packets += uint64(packets)
+	m.stats.Packets += packets
 	if m.vec {
 		m.stats.BytesReferenced += payloadBytes
 	} else {
@@ -524,9 +596,7 @@ func (m *Mux) merge(sids []uint64) ([]transport.Message, error) {
 	in, err := transport.ExchangeVec(m.base, merged)
 	// The base is done with the pieces; drop the references so the scratch
 	// slices don't pin session buffers until the next tick.
-	for i := range vecs {
-		vecs[i] = nil
-	}
+	clear(vecs)
 	for i := range merged {
 		merged[i].Vec = nil
 	}

@@ -114,7 +114,14 @@ func TestRejoinReplayBatchedWrite(t *testing.T) {
 		}
 	}
 
+	// The replayer counts its write only once conn.Write has returned,
+	// which may be after the rejoined party has consumed the bytes: wait,
+	// for at most Δ, until the replay's frames are counted.
 	after := conns[0].Stats()
+	for deadline := time.Now().Add(cfg.Delta); after.FramesSent-before.FramesSent < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = conns[0].Stats()
+	}
 	if frames := after.FramesSent - before.FramesSent; frames != 5 {
 		t.Errorf("replayed %d frames, want 5", frames)
 	}

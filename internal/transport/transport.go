@@ -17,6 +17,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"slices"
 
 	"convexagreement/internal/wire"
@@ -125,6 +126,13 @@ func ExchangeNone(net Net) ([]Message, error) {
 // is one tiny piece and the payload rides by reference down to the one
 // copy the transport makes anyway (TCP's pooled round frame).
 //
+// To may be All: one entry that stands for the n packets of a broadcast,
+// To = 0, …, n−1 in order, each carrying the same Tag and pieces. A
+// multiplexer whose session broadcasts to every party hands the transport
+// that one entry instead of n, and the transport encodes it once. All is a
+// VecPacket address only: Exchange drops a Packet addressed to it like any
+// other out-of-range one.
+//
 // Ownership: every piece must stay valid and unmutated until ExchangeVec
 // returns. Whatever needs a retained flat copy (in-process delivery,
 // rejoin-replay buffering) makes it before then.
@@ -133,6 +141,9 @@ type VecPacket struct {
 	Tag string
 	Vec [][]byte
 }
+
+// All addresses a VecPacket to every party, the sender included.
+const All PartyID = math.MinInt
 
 // VecNet is an optional transport capability: a Net that can ship
 // scatter-gather packets without the caller flattening them. Semantics
@@ -152,26 +163,40 @@ type VecNet interface {
 // buffer is fresh each round — plain transports retain payloads by
 // reference (in-process delivery, fault-injection delay queues) — and each
 // payload is carved with a full slice expression so an append through one
-// can never bleed into the next. Either way the pieces are free for reuse
-// when it returns.
+// can never bleed into the next. An All entry is flattened once and
+// expanded into the n packets it stands for, in place, all sharing that
+// one read-only payload as Broadcast's packets do. Either way the pieces
+// are free for reuse when it returns.
 func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 	if vn, ok := net.(VecNet); ok {
 		return vn.ExchangeVec(out)
 	}
-	total := 0
+	total, packets := 0, 0
 	for i := range out {
 		for _, p := range out[i].Vec {
 			total += len(p)
 		}
+		if out[i].To == All {
+			packets += net.N()
+		} else {
+			packets++
+		}
 	}
 	buf := make([]byte, 0, total)
-	flat := make([]Packet, len(out))
+	flat := make([]Packet, 0, packets)
 	for i := range out {
 		mark := len(buf)
 		for _, p := range out[i].Vec {
 			buf = append(buf, p...)
 		}
-		flat[i] = Packet{To: out[i].To, Tag: out[i].Tag, Payload: buf[mark:len(buf):len(buf)]}
+		payload := buf[mark:len(buf):len(buf)]
+		if out[i].To != All {
+			flat = append(flat, Packet{To: out[i].To, Tag: out[i].Tag, Payload: payload})
+			continue
+		}
+		for to := range net.N() {
+			flat = append(flat, Packet{To: to, Tag: out[i].Tag, Payload: payload})
+		}
 	}
 	return net.Exchange(flat)
 }

@@ -2,7 +2,9 @@ package convexagreement
 
 import (
 	"math/big"
+	"sync"
 
+	"convexagreement/internal/core"
 	"convexagreement/internal/sessmux"
 	"convexagreement/internal/transport"
 )
@@ -19,8 +21,19 @@ import (
 // participant of a session must open it at the same tick with
 // the same (n, t); a party with no live sessions keeps the shared tick
 // clock with Idle.
+//
+// A RunParty over one of the mux's transports runs on a protocol work set
+// (core.Buffers) the mux lends it for the run, as a Session keeps one
+// across its instances: the mux holds the sets its finished runs returned,
+// never more than the most runs it has had live at once.
 type SessionMux struct {
 	m *sessmux.Mux
+
+	mu   sync.Mutex
+	sets []*core.Buffers // returned sets, lent again before a new one is made
+	// lent, when set, sees every set lent (true) and returned (false),
+	// under mu; tests watch the lending through it.
+	lent func(b *core.Buffers, out bool)
 }
 
 // NewSessionMux wraps tr. The transport must not be driven by anyone else
@@ -44,7 +57,35 @@ func (sm *SessionMux) Open(sid uint64, n, t int) (*MuxedTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MuxedTransport{s: s}, nil
+	return &MuxedTransport{s: s, sm: sm}, nil
+}
+
+// lend hands a run a work set: a returned one, else a new one.
+func (sm *SessionMux) lend() *core.Buffers {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	var b *core.Buffers
+	if k := len(sm.sets); k > 0 {
+		b, sm.sets[k-1] = sm.sets[k-1], nil
+		sm.sets = sm.sets[:k-1]
+	} else {
+		b = new(core.Buffers)
+	}
+	if sm.lent != nil {
+		sm.lent(b, true)
+	}
+	return b
+}
+
+// giveBack ends a run's use of b, which the next lend may hand out.
+func (sm *SessionMux) giveBack(b *core.Buffers) {
+	b.Reset()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if sm.lent != nil {
+		sm.lent(b, false)
+	}
+	sm.sets = append(sm.sets, b)
 }
 
 // Idle keeps the tick clock for a party with no live sessions: it drives
@@ -77,7 +118,8 @@ type SessionMuxStats = sessmux.Stats
 // session locally; peers observe omission, and sibling sessions are
 // unaffected.
 type MuxedTransport struct {
-	s *sessmux.Session
+	s  *sessmux.Session
+	sm *SessionMux // lends RunParty its work set
 }
 
 var _ transport.BroadcastNet = (*MuxedTransport)(nil)

@@ -65,7 +65,9 @@ func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.
 	return runParty(tr, call{protocol: protoApprox, diam: diameterBound, eps: epsilon}, input)
 }
 
-// runParty validates one party's call against its transport and runs it.
+// runParty validates one party's call against its transport and runs it —
+// over a MuxedTransport on the work set its SessionMux lends for the run,
+// returned when the run ends, failed or not.
 func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("%w: nil transport", ErrOptions)
@@ -74,7 +76,13 @@ func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(tr, input)
+	mt, ok := tr.(*MuxedTransport)
+	if !ok {
+		return run(tr, input)
+	}
+	b := mt.sm.lend()
+	defer mt.sm.giveBack(b)
+	return c.run(mt, input, b)
 }
 
 // TCPConfig configures DialTCP.
