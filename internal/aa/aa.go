@@ -48,8 +48,9 @@ func Run(env transport.Net, tag string, input, diameterBound, epsilon *big.Int) 
 	}
 	t := env.T()
 	v := new(big.Int).Set(input)
+	var fan []transport.Packet // every round's broadcast, refilled
 	for round := 0; round < Rounds(diameterBound, epsilon); round++ {
-		in, err := transport.ExchangeAll(env, tag+"/aa-val", v.Bytes())
+		in, err := transport.ExchangeAll(env, tag+"/aa-val", v.Bytes(), &fan)
 		if err != nil {
 			return nil, err
 		}

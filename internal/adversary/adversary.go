@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"convexagreement/internal/sim"
+	"convexagreement/internal/transport"
 )
 
 // tag labels adversarial traffic in cost reports.
@@ -30,7 +31,7 @@ const tag = "adv"
 func Silent() sim.Behavior {
 	return func(env *sim.Env) error {
 		for {
-			if _, err := env.ExchangeNone(); err != nil {
+			if _, err := transport.ExchangeNone(env); err != nil {
 				return err
 			}
 		}
@@ -41,7 +42,7 @@ func Silent() sim.Behavior {
 func Crash(rounds int) sim.Behavior {
 	return func(env *sim.Env) error {
 		for r := 0; r < rounds; r++ {
-			if _, err := env.ExchangeNone(); err != nil {
+			if _, err := transport.ExchangeNone(env); err != nil {
 				return err
 			}
 		}
@@ -219,7 +220,7 @@ func Replay(seed int64) sim.Behavior {
 func LateJoin(rounds int) sim.Behavior {
 	return func(env *sim.Env) error {
 		for r := 0; r < rounds; r++ {
-			if _, err := env.ExchangeNone(); err != nil {
+			if _, err := transport.ExchangeNone(env); err != nil {
 				return err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/sim"
+	"convexagreement/internal/transport"
 )
 
 // harness runs one corrupt strategy against honest echo parties for a few
@@ -22,7 +23,7 @@ func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 		id := i
 		parties[i] = sim.Party{Behavior: func(env *sim.Env) error {
 			for r := 0; r < rounds; r++ {
-				in, err := env.ExchangeAll("h", []byte{byte(0x30 + id), byte(r)})
+				in, err := transport.ExchangeAll(env, "h", []byte{byte(0x30 + id), byte(r)}, nil)
 				if err != nil {
 					return err
 				}

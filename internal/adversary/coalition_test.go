@@ -8,6 +8,7 @@ import (
 	"convexagreement/internal/core"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
+	"convexagreement/internal/transport"
 )
 
 // TestCoalitionAgainstPiZ: a full coordinated coalition of t members must
@@ -54,7 +55,7 @@ func TestCoalitionMembersCoordinate(t *testing.T) {
 	res, err := testutil.Run(sim.Config{N: n, T: 1}, corrupt,
 		func(env *sim.Env) (int, error) {
 			for r := 0; r < 4; r++ {
-				in, err := env.ExchangeAll("h", []byte{byte(env.ID()), byte(r)})
+				in, err := transport.ExchangeAll(env, "h", []byte{byte(env.ID()), byte(r)}, nil)
 				if err != nil {
 					return 0, err
 				}

@@ -21,7 +21,7 @@ func runBinary(t *testing.T, n, tcount int, inputs []byte, corrupt map[int]sim.B
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tcount}, corrupt,
 		func(env *sim.Env) (byte, error) {
-			return ba.Binary(env, "ba", inputs[env.ID()])
+			return ba.Binary(env, "ba", inputs[env.ID()], nil)
 		})
 	if err != nil {
 		t.Fatalf("n=%d t=%d: %v", n, tcount, err)
@@ -97,7 +97,7 @@ func TestBinaryUnderAdversaries(t *testing.T) {
 
 func TestBinaryRejectsBadInput(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil, func(env *sim.Env) (byte, error) {
-		return ba.Binary(env, "ba", 7)
+		return ba.Binary(env, "ba", 7, nil)
 	})
 	if err == nil {
 		t.Error("input 7 accepted")

@@ -16,7 +16,7 @@ func BenchmarkBinary_n7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (byte, error) {
-				return ba.Binary(env, "b", byte(int(env.ID())%2))
+				return ba.Binary(env, "b", byte(int(env.ID())%2), nil)
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -29,14 +29,14 @@ import (
 )
 
 // Binary runs one instance of phase-king binary BA: the one-lane call of
-// Bits. Every honest party must call it in the same round with the same
-// tag. input must be 0 or 1.
+// Bits, on w (nil: a fresh set). Every honest party must call it in the
+// same round with the same tag. input must be 0 or 1.
 //
 // Guarantees under t < n/3 (Definition 2): Termination, Agreement, and
 // Validity (if all honest parties input b, the output is b). Complexity:
 // 3(t+1) rounds, O(n²) one-byte messages per phase.
-func Binary(env transport.Net, tag string, input byte) (byte, error) {
-	out, err := Bits(env, tag, []byte{input}, nil)
+func Binary(env transport.Net, tag string, input byte, w *Work) (byte, error) {
+	out, err := Bits(env, tag, []byte{input}, w)
 	if err != nil {
 		return 0, err
 	}
@@ -80,7 +80,7 @@ func Bits(env transport.Net, tag string, lanes []byte, w *Work) ([]byte, error) 
 		// Round 1: exchange current values; per lane, a is the majority
 		// value and c1 its support. Propose a if it had n−t support, else
 		// abstain.
-		in, err := transport.ExchangeAll(env, tag1, w.pack(v))
+		in, err := transport.ExchangeAll(env, tag1, w.pack(v), &w.fan)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func Bits(env transport.Net, tag string, lanes []byte, w *Work) ([]byte, error) 
 		// when that support reaches t+1 (at most one such value can have
 		// honest backing). A lane with n−t proposal support keeps b, which
 		// v holds from here on; the others defer to the king.
-		in, err = transport.ExchangeAll(env, tag2, w.pack(prop))
+		in, err = transport.ExchangeAll(env, tag2, w.pack(prop), &w.fan)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func Bits(env transport.Net, tag string, lanes []byte, w *Work) ([]byte, error) 
 		// Round 3: the king broadcasts its d; lanes without n−t proposal
 		// support take the king's value.
 		if env.ID() == king {
-			in, err = transport.ExchangeAll(env, tag3, w.pack(d))
+			in, err = transport.ExchangeAll(env, tag3, w.pack(d), &w.fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}

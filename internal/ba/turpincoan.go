@@ -58,7 +58,7 @@ func TurpinCoan(env transport.Net, tag string, inputs [][]byte, w *Work) (cands 
 
 	// Round 1: distribute inputs; per lane, find the value with ≥ n−t
 	// support (more than half the parties, so at most one).
-	in, err := transport.ExchangeAll(env, tags[:len(tags)/2], w.Lanes(frames))
+	in, err := transport.ExchangeAll(env, tags[:len(tags)/2], w.Lanes(frames), &w.fan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -80,7 +80,7 @@ func TurpinCoan(env transport.Net, tag string, inputs [][]byte, w *Work) (cands 
 		frames[l] = buf[mark:]
 	}
 	w.opts = buf
-	in, err = transport.ExchangeAll(env, tags[len(tags)/2:], w.Lanes(frames))
+	in, err = transport.ExchangeAll(env, tags[len(tags)/2:], w.Lanes(frames), &w.fan)
 	if err != nil {
 		return nil, nil, err
 	}

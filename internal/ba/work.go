@@ -19,7 +19,9 @@ import (
 //   - one Tally per lane, each grown to the most values its lane has
 //     counted, and LaneTallies' entry scratch;
 //   - TurpinCoan's option frames, its candidate copies and grades;
-//   - two send buffers, taken in turn by every payload the set frames.
+//   - two send buffers, taken in turn by every payload the set frames,
+//     and the fan-out slice every broadcast round of the set's instances
+//     is refilled into (transport.ExchangeAll).
 //
 // Its containers grow to the largest instance seen and are then refilled
 // in place. What Bits and TurpinCoan return are views of the set, valid
@@ -46,6 +48,7 @@ type Work struct {
 	g       []byte
 	send    [2][]byte
 	sent    int
+	fan     []transport.Packet
 }
 
 // Tally counts one round of k-lane frames into the set's tallies —
@@ -78,6 +81,16 @@ func (w *Work) pack(lanes []byte) []byte {
 	return out
 }
 
+// Fan is the set's broadcast fan-out for transport.ExchangeAll, for the
+// rounds its caller runs on the set itself (Π_BA+'s, Π_ℓBA+'s dispersal,
+// GETOUTPUT's). A nil set's is nil: a fresh slice for one round.
+func (w *Work) Fan() *[]transport.Packet {
+	if w == nil {
+		return nil
+	}
+	return &w.fan
+}
+
 // next is the send buffer whose turn it is.
 func (w *Work) next() *[]byte {
 	s := &w.send[w.sent%len(w.send)]
@@ -87,8 +100,10 @@ func (w *Work) next() *[]byte {
 
 // Reset ends an agreement's use of w: every container is cleared, so no
 // value of a finished round's inbox — a tally's, an entry's — stays pinned
-// by the set. The buffers stay, and so does the send buffers' turn.
+// by the set, and the fan-out drops the last broadcast's tag and payload.
+// The buffers stay, and so does the send buffers' turn.
 func (w *Work) Reset() {
+	clear(w.fan)
 	for l, t := range w.tallies {
 		clear(t[:cap(t)])
 		w.tallies[l] = t[:0]

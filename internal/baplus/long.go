@@ -38,9 +38,10 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 // tagged inputs, Π_BA+'s frames, votes, candidates and results, and the
 // work set of the BA instances below it (ba.Work), whose send buffers are
 // the only ones here a payload is sent from (the dispersal tuples, one per
-// peer, are fresh per round). Its buffers grow to the largest call seen
-// and are then rewritten in place, call after call. The zero value is
-// ready; a nil *Buffers is a fresh set for one call.
+// peer, are fresh per round) and whose fan-out carries the dispersal's
+// rounds too. Its buffers grow to the largest call seen and are then
+// rewritten in place, call after call. The zero value is ready; a nil
+// *Buffers is a fresh set for one call.
 type Buffers struct {
 	shares []byte
 	rs     *rs.Scratch
@@ -207,7 +208,7 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 				return -1, nil, err
 			}
 		}
-		out = make([]transport.Packet, n)
+		out = resize(b.work.Fan(), n)
 		shareout := tag + "/shareout"
 		for j := range out {
 			w, err := tree.Witness(j)
@@ -239,7 +240,7 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 	// Step 3, round B: re-broadcast our verified share; collect everyone
 	// else's, discarding anything that fails verification.
 	if myShare != nil {
-		in, err = transport.ExchangeAll(env, tag+"/sharerelay", encodeTuple(myIdx, myShare, myWitness))
+		in, err = transport.ExchangeAll(env, tag+"/sharerelay", encodeTuple(myIdx, myShare, myWitness), b.work.Fan())
 	} else {
 		in, err = env.Exchange(nil)
 	}

@@ -29,10 +29,12 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	if !wellFormed {
 		return nil, false, ErrDispersal
 	}
-	// Naive dispersal, round A: holders broadcast the full value.
+	// Naive dispersal, round A: holders broadcast the full value. Both
+	// rounds refill one fan-out.
 	var in []transport.Message
+	var fan []transport.Packet
 	if zStar == digest {
-		in, err = transport.ExchangeAll(env, tag+"/naiveout", input)
+		in, err = transport.ExchangeAll(env, tag+"/naiveout", input, &fan)
 	} else {
 		in, err = transport.ExchangeNone(env)
 	}
@@ -43,7 +45,7 @@ func LongNaive(env transport.Net, tag string, input []byte) ([]byte, bool, error
 	// Round B: re-broadcast so parties the byzantine holders skipped still
 	// receive it (the naive totality step — another full ℓn² of traffic).
 	if have {
-		in, err = transport.ExchangeAll(env, tag+"/naiverelay", value)
+		in, err = transport.ExchangeAll(env, tag+"/naiverelay", value, &fan)
 	} else {
 		in, err = transport.ExchangeNone(env)
 	}

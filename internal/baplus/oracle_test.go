@@ -185,7 +185,7 @@ type attempt func(env transport.Net, tag string, cand []byte) ([]byte, bool, err
 // sequential is the §7 listing with lines 4 and 5 run one after the other.
 func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byte, bool, error) {
 	n, t := env.N(), env.T()
-	in, err := transport.ExchangeAll(env, tag+"/dist", input)
+	in, err := transport.ExchangeAll(env, tag+"/dist", input, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -193,7 +193,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 	for _, m := range transport.FirstPerSender(in) {
 		seen.Add(m.Payload)
 	}
-	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)))
+	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)), nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -228,7 +228,7 @@ func paperAttempt(env transport.Net, tag string, cand []byte) ([]byte, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	bit, err := ba.Binary(env, tag+"/val/tcba", g[0])
+	bit, err := ba.Binary(env, tag+"/val/tcba", g[0], nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -246,7 +246,7 @@ func confirm(env transport.Net, tag string, val []byte, happy bool) ([]byte, boo
 	if happy {
 		in = 1
 	}
-	confirmed, err := ba.Binary(env, tag+"/confirm", in)
+	confirmed, err := ba.Binary(env, tag+"/confirm", in, nil)
 	if err != nil || confirmed == 0 {
 		return nil, false, err
 	}

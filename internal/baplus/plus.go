@@ -72,7 +72,7 @@ func plus(env transport.Net, tag string, inputs [][]byte, b *Buffers) ([][]byte,
 		buf = wire.AppendSome(buf, v)
 		frames[j] = buf[mark:]
 	}
-	in, err := transport.ExchangeAll(env, tag+"/dist", w.Lanes(frames[:k]))
+	in, err := transport.ExchangeAll(env, tag+"/dist", w.Lanes(frames[:k]), w.Fan())
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func plus(env transport.Net, tag string, inputs [][]byte, b *Buffers) ([][]byte,
 		buf = appendVote(buf, b.voted)
 		frames[j] = buf[mark:]
 	}
-	in, err = transport.ExchangeAll(env, tag+"/vote", w.Lanes(frames[:k]))
+	in, err = transport.ExchangeAll(env, tag+"/vote", w.Lanes(frames[:k]), w.Fan())
 	if err != nil {
 		return nil, err
 	}

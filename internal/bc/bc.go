@@ -32,7 +32,7 @@ func Broadcast(env transport.Net, tag string, sender transport.PartyID, value []
 	var in []transport.Message
 	var err error
 	if env.ID() == sender {
-		in, err = transport.ExchangeAll(env, tag+"/bc-send", wire.Some(value))
+		in, err = transport.ExchangeAll(env, tag+"/bc-send", wire.Some(value), nil)
 	} else {
 		in, err = transport.ExchangeNone(env)
 	}

@@ -22,7 +22,7 @@ func TestEchoRounds(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fns[i] = func(net transport.Net) error {
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(net, "e", []byte{byte(net.ID()), byte(r)})
+				in, err := transport.ExchangeAll(net, "e", []byte{byte(net.ID()), byte(r)}, nil)
 				if err != nil {
 					return err
 				}
@@ -86,7 +86,7 @@ func TestStaggeredLeaves(t *testing.T) {
 		rounds := lengths[i]
 		fns[i] = func(net transport.Net) error {
 			for r := 0; r < rounds; r++ {
-				if _, err := transport.ExchangeAll(net, "e", []byte{1}); err != nil {
+				if _, err := transport.ExchangeAll(net, "e", []byte{1}, nil); err != nil {
 					return err
 				}
 			}

@@ -14,12 +14,13 @@ import (
 // of v, this party's valid value, are the agreed prefix; the honest parties
 // agree on one more bit via binary BA on bit prefixLen+1 of their values,
 // and AddLastBit writes it into v in place. The first prefixLen+1 bits of v,
-// the returned length, still prefix some valid value.
-func AddLastBit(env transport.Net, tag string, v bitstr.String, prefixLen int) (int, error) {
+// the returned length, still prefix some valid value. The BA runs on w
+// (nil: a fresh set).
+func AddLastBit(env transport.Net, tag string, v bitstr.String, prefixLen int, w *ba.Work) (int, error) {
 	if prefixLen < 0 || prefixLen >= v.Len() {
 		return 0, fmt.Errorf("%w: prefix of %d bits leaves no bit to add to a %d-bit value", ErrProtocol, prefixLen, v.Len())
 	}
-	bit, err := ba.Binary(env, tag+"/lastbit", v.Bit(prefixLen))
+	bit, err := ba.Binary(env, tag+"/lastbit", v.Bit(prefixLen), w)
 	if err != nil {
 		return 0, err
 	}
@@ -64,8 +65,9 @@ func AddLastBlock(env transport.Net, tag string, v bitstr.String, prefixLen, blo
 // representations avoid that prefix. Those parties announce whether their
 // value lies below MIN_ℓ(prefix) or above MAX_ℓ(prefix), ℓ = v.Len(); one
 // bit of BA then selects the common valid output. GetOutput writes that
-// output's bits into v in place and returns its value in fresh storage.
-func GetOutput(env transport.Net, tag string, v bitstr.String, prefixLen int, vBot bitstr.String) (*big.Int, error) {
+// output's bits into v in place and returns its value in fresh storage. Its
+// rounds run on w (nil: a fresh set).
+func GetOutput(env transport.Net, tag string, v bitstr.String, prefixLen int, vBot bitstr.String, w *ba.Work) (*big.Int, error) {
 	// vBot's side of the prefix range is read off the bitstrings: a value
 	// that avoids prefix lies below MIN_ℓ(prefix) exactly when its first
 	// |prefix| bits order below prefix. Parties holding the prefix stay
@@ -77,9 +79,9 @@ func GetOutput(env transport.Net, tag string, v bitstr.String, prefixLen int, vB
 	var err error
 	switch vBot.CompareHead(v, prefixLen) {
 	case -1:
-		in, err = transport.ExchangeAll(env, tag+"/side", []byte{0})
+		in, err = transport.ExchangeAll(env, tag+"/side", []byte{0}, w.Fan())
 	case 1:
-		in, err = transport.ExchangeAll(env, tag+"/side", []byte{1})
+		in, err = transport.ExchangeAll(env, tag+"/side", []byte{1}, w.Fan())
 	default:
 		in, err = transport.ExchangeNone(env)
 	}
@@ -90,7 +92,7 @@ func GetOutput(env transport.Net, tag string, v bitstr.String, prefixLen int, vB
 	// honest senders any such bit is honest-backed; on an exact tie both
 	// are, and 0 is taken deterministically.
 	choice, _ := transport.MajorityBit(in)
-	agreed, err := ba.Binary(env, tag+"/side-ba", choice)
+	agreed, err := ba.Binary(env, tag+"/side-ba", choice, w)
 	if err != nil {
 		return nil, err
 	}

@@ -38,11 +38,11 @@ func fixedLengthCA(env transport.Net, tag string, width int, v *big.Int, k int, 
 		// same valid value v.
 		return res.V.Big(), nil
 	}
-	prefixLen, err := AddLastBit(env, tag+"/alb", res.V, res.PrefixLen)
+	prefixLen, err := AddLastBit(env, tag+"/alb", res.V, res.PrefixLen, b.lanes.Work())
 	if err != nil {
 		return nil, err
 	}
-	return GetOutput(env, tag+"/go", res.V, prefixLen, res.VBot)
+	return GetOutput(env, tag+"/go", res.V, prefixLen, res.VBot, b.lanes.Work())
 }
 
 // FixedLengthCABlocks implements FIXEDLENGTHCABLOCKS (§4, Theorem 4): the
@@ -81,5 +81,5 @@ func fixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v 
 	if err != nil {
 		return nil, err
 	}
-	return GetOutput(env, tag+"/go", res.V, prefixLen, res.VBot)
+	return GetOutput(env, tag+"/go", res.V, prefixLen, res.VBot, b.lanes.Work())
 }

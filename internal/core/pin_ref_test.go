@@ -25,7 +25,7 @@ func piZRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 		signIn = 1
 	}
 	*asked++
-	signOut, err := ba.Binary(env, tag+"/sign", signIn)
+	signOut, err := ba.Binary(env, tag+"/sign", signIn, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 		sizeClass = 1
 	}
 	*asked++
-	agreedClass, err := ba.Binary(env, tag+"/sizeclass", sizeClass)
+	agreedClass, err := ba.Binary(env, tag+"/sizeclass", sizeClass, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 				tooLong = 1
 			}
 			*asked++
-			fits, err := ba.Binary(env, fmt.Sprintf("%s/len%d", tag, i), tooLong)
+			fits, err := ba.Binary(env, fmt.Sprintf("%s/len%d", tag, i), tooLong, nil)
 			if err != nil {
 				return nil, err
 			}

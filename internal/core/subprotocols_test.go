@@ -21,7 +21,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
 			v := bitstr.MustParse(vals[env.ID()])
-			n, err := core.AddLastBit(env, "alb", v, prefix.Len())
+			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
 			if err != nil {
 				return "", err
 			}
@@ -43,7 +43,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 	resUnanimous, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
 			v := bitstr.MustParse("101110")
-			n, err := core.AddLastBit(env, "alb", v, prefix.Len())
+			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
 			if err != nil {
 				return "", err
 			}
@@ -66,7 +66,7 @@ func TestAddLastBitRejectsFullPrefix(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (string, error) {
 			p := bitstr.MustParse("101")
-			_, err := core.AddLastBit(env, "alb", p, p.Len())
+			_, err := core.AddLastBit(env, "alb", p, p.Len(), nil)
 			return p.String(), err
 		})
 	if err == nil {
@@ -91,7 +91,7 @@ func TestGetOutputLemma3(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]))
+			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]), nil)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestGetOutputHighSide(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]))
+			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]), nil)
 		})
 	if err != nil {
 		t.Fatal(err)

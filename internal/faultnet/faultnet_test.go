@@ -47,7 +47,7 @@ func collect(t *testing.T, n, rounds int, wrap func(transport.Net) transport.Net
 		id := i
 		fns[i] = func(net transport.Net) error {
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(net, "t", []byte{byte(id), byte(r), 0xAB})
+				in, err := transport.ExchangeAll(net, "t", []byte{byte(id), byte(r), 0xAB}, nil)
 				if err != nil {
 					return err
 				}
@@ -271,7 +271,7 @@ func TestRoundLimitSurfacesAsError(t *testing.T) {
 		fns[i] = func(net transport.Net) error {
 			f := faultnet.Wrap(net, plan)
 			for r := 0; ; r++ {
-				if _, err := transport.ExchangeAll(f, "x", []byte{1}); err != nil {
+				if _, err := transport.ExchangeAll(f, "x", []byte{1}, nil); err != nil {
 					if !errors.Is(err, faultnet.ErrRoundLimit) {
 						return fmt.Errorf("round %d: %w", r, err)
 					}
@@ -305,7 +305,7 @@ func TestSeedDeterminism(t *testing.T) {
 			fns[i] = func(net transport.Net) error {
 				f := faultnet.Wrap(net, plan)
 				for r := 0; r < rounds; r++ {
-					if _, err := transport.ExchangeAll(f, "d", []byte{byte(id), byte(r)}); err != nil {
+					if _, err := transport.ExchangeAll(f, "d", []byte{byte(id), byte(r)}, nil); err != nil {
 						return err
 					}
 				}
@@ -425,7 +425,7 @@ func TestKillInClusterOthersFinish(t *testing.T) {
 		id := i
 		fns[i] = func(net transport.Net) error {
 			for r := 0; r < 6; r++ {
-				_, err := transport.ExchangeAll(net, "t", []byte{byte(id), byte(r)})
+				_, err := transport.ExchangeAll(net, "t", []byte{byte(id), byte(r)}, nil)
 				if id == 3 && r == 2 {
 					if !errors.Is(err, faultnet.ErrKilled) {
 						return fmt.Errorf("party 3 round 2: err = %v, want ErrKilled", err)

@@ -31,12 +31,13 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("highcostca: input must be a natural number, got %v", input)
 	}
 	n, t := env.N(), env.T()
+	var fan []transport.Packet // every broadcast round's, refilled
 
 	// ---- Setup stage ----
 	// Distribute inputs; trim the k extremes on each side, where k is the
 	// number of values received beyond the guaranteed n−t honest ones
 	// (Lemma 10: at most k of them are byzantine).
-	in, err := transport.ExchangeAll(env, tag+"/hc-input", encodeNat(input))
+	in, err := transport.ExchangeAll(env, tag+"/hc-input", encodeNat(input), &fan)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +59,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 	iv := wire.NewWriter(8)
 	iv.Bytes(intervalMin.Bytes())
 	iv.Bytes(intervalMax.Bytes())
-	in, err = transport.ExchangeAll(env, tag+"/hc-interval", iv.Finish())
+	in, err = transport.ExchangeAll(env, tag+"/hc-interval", iv.Finish(), &fan)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		king := transport.PartyID(phase % n)
 
 		// Round A: exchange CURRENT values.
-		in, err = transport.ExchangeAll(env, tag+"/hc-current", encodeNat(current))
+		in, err = transport.ExchangeAll(env, tag+"/hc-current", encodeNat(current), &fan)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +85,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 
 		// Round B: propose a value that n−t parties reported.
 		if strong != nil {
-			in, err = transport.ExchangeAll(env, tag+"/hc-propose", encodeNat(strong))
+			in, err = transport.ExchangeAll(env, tag+"/hc-propose", encodeNat(strong), &fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}
@@ -104,7 +105,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 			if proposed != nil {
 				kingValue = proposed
 			}
-			in, err = transport.ExchangeAll(env, tag+"/hc-king", encodeNat(kingValue))
+			in, err = transport.ExchangeAll(env, tag+"/hc-king", encodeNat(kingValue), &fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}
@@ -123,7 +124,7 @@ func Run(env transport.Net, tag string, input *big.Int) (*big.Int, error) {
 		if kingValue != nil &&
 			(kingValue.Cmp(current) == 0 ||
 				(kingValue.Cmp(intervalMin) >= 0 && kingValue.Cmp(intervalMax) <= 0)) {
-			in, err = transport.ExchangeAll(env, tag+"/hc-vote", encodeNat(kingValue))
+			in, err = transport.ExchangeAll(env, tag+"/hc-vote", encodeNat(kingValue), &fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}

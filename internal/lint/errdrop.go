@@ -57,7 +57,7 @@ func errdropDesc(p *Pass, call *ast.CallExpr) string {
 		return "(*os.File)." + name
 	}
 	switch name {
-	case "Exchange", "ExchangeBroadcast", "ExchangeAll", "ExchangeNone":
+	case "Exchange", "ExchangeAll", "ExchangeNone":
 		return "transport " + name
 	}
 	return ""

@@ -284,7 +284,7 @@ func sinkDesc(p *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	switch name {
-	case "Exchange", "ExchangeBroadcast", "ExchangeAll", "ExchangeVec", "Broadcast", "Send":
+	case "Exchange", "ExchangeAll", "ExchangeVec", "Broadcast", "Send":
 		return "a transport send (" + name + ")"
 	}
 	return ""

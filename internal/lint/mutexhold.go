@@ -79,7 +79,7 @@ func blockingDesc(p *Pass, call *ast.CallExpr) string {
 		}
 	}
 	switch name {
-	case "Exchange", "ExchangeBroadcast", "ExchangeAll", "ExchangeNone":
+	case "Exchange", "ExchangeAll", "ExchangeNone":
 		if path == modulePath+"/internal/transport" || returnsError(fn) {
 			return "transport " + name
 		}

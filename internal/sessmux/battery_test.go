@@ -219,7 +219,7 @@ func TestFaultReplayDigestExact(t *testing.T) {
 							payload := fmt.Sprintf("s%d-r%d-p%d", s.Sid(), r, s.ID())
 							// Faults drop and corrupt at will; only the
 							// transcript digest matters here.
-							if _, err := transport.ExchangeAll(s, "t", []byte(payload)); err != nil {
+							if _, err := transport.ExchangeAll(s, "t", []byte(payload), nil); err != nil {
 								t.Errorf("session %d: %v", s.Sid(), err)
 								return
 							}
@@ -271,7 +271,7 @@ func runWithSeed(t *testing.T, seed int64) map[sim.PartyID]uint64 {
 					defer s.Close()
 					for r := 0; r < 6; r++ {
 						payload := fmt.Sprintf("s%d-r%d-p%d", s.Sid(), r, s.ID())
-						if _, err := transport.ExchangeAll(s, "t", []byte(payload)); err != nil {
+						if _, err := transport.ExchangeAll(s, "t", []byte(payload), nil); err != nil {
 							t.Errorf("session %d: %v", s.Sid(), err)
 							return
 						}

@@ -13,8 +13,7 @@ import (
 // other Net: every party muxes one session over its channet handle and the
 // battery drives the session. That puts the session's reused inbox and
 // fan-out under the out-reuse check (the mux keeps the out slice until the
-// tick flushes — inside the call, never past it) and checks its
-// ExchangeBroadcast against Exchange(Broadcast(…)).
+// tick flushes — inside the call, never past it), broadcasts included.
 func TestConformance(t *testing.T) {
 	transporttest.Conformance(t, func(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
 		t.Helper()

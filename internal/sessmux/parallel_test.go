@@ -71,7 +71,7 @@ func TestParallelBA(t *testing.T) {
 			for inst := range fns {
 				fns[inst] = func(net transport.Net) error {
 					// Instance i: all parties agree on bit i%2.
-					out, err := ba.Binary(net, fmt.Sprintf("ba%d", inst), byte(inst%2))
+					out, err := ba.Binary(net, fmt.Sprintf("ba%d", inst), byte(inst%2), nil)
 					outs[inst] = out
 					return err
 				}

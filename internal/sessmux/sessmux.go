@@ -14,8 +14,10 @@
 // transport.ExchangeVec — every session's frames for the same peer ride in
 // the same physical frame, payloads by reference down to the base — and
 // the inbox demultiplexes by session id. A session's round costs the tick
-// O(1) whatever the base's width N: a full-width session's broadcast is
-// one entry addressed to transport.All, not N packets, and demux routes
+// O(1) whatever the base's width N: a full-width session's broadcast —
+// Exchange over its n packets on one payload slice, as
+// transport.ExchangeAll builds them, found by that identity — is one entry
+// addressed to transport.All, not N packets, and demux routes
 // each sender's frames by a merge-join of their ascending session ids
 // against the open sessions, falling back to a map lookup only for a
 // sender that breaks that order. The base transport's blocking
@@ -225,14 +227,10 @@ type Session struct {
 	pending []transport.Packet
 	// all marks a pending broadcast: pending[0] goes to every participant.
 	all bool
-	// inbox is refilled by every tick's demux and one by every
-	// ExchangeBroadcast: scratch under transport.Net's lifetime rule, which
-	// dies with the session.
+	// inbox is refilled by every tick's demux: scratch under
+	// transport.Net's lifetime rule, which dies with the session.
 	inbox []transport.Message
-	one   [1]transport.Packet
 }
-
-var _ transport.BroadcastNet = (*Session)(nil)
 
 // Sid returns the session id.
 func (s *Session) Sid() uint64 { return s.sid }
@@ -249,43 +247,11 @@ func (s *Session) T() int { return s.t }
 
 // Exchange submits this session's virtual round and blocks until the tick
 // closes. Packets to parties outside the session are dropped. A round of
-// n packets to 0, …, n−1 in order, with one tag and one payload slice, is
-// a broadcast and merged as ExchangeBroadcast's is.
+// n packets to 0, …, n−1 in order, with one tag and one payload slice — a
+// transport.ExchangeAll — is a broadcast, which merge sends as its first
+// packet to every participant.
 func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	return s.submit(out, isBroadcast(out, s.n))
-}
-
-// ExchangeBroadcast implements transport.BroadcastNet: the all-to-all round
-// is one pending packet that merge sends to every participant, which on the
-// wire is Exchange(Broadcast(...)).
-func (s *Session) ExchangeBroadcast(tag string, payload []byte) ([]transport.Message, error) {
-	s.one[0] = transport.Packet{Tag: tag, Payload: payload}
-	in, err := s.submit(s.one[:], true)
-	s.one[0] = transport.Packet{} // the round is over: don't pin the caller's payload
-	return in, err
-}
-
-// isBroadcast reports whether out is a broadcast to n parties: To = i at
-// position i, every packet with the first one's tag and the very same
-// payload slice (same start and length; empty payloads are all alike).
-func isBroadcast(out []transport.Packet, n int) bool {
-	if len(out) != n {
-		return false
-	}
-	first := &out[0]
-	for i := range out {
-		p := &out[i]
-		if p.To != i || p.Tag != first.Tag || len(p.Payload) != len(first.Payload) ||
-			len(p.Payload) > 0 && &p.Payload[0] != &first.Payload[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// submit hands the mux this session's round — all: out[0] to every
-// participant — and blocks until the tick closes.
-func (s *Session) submit(out []transport.Packet, all bool) ([]transport.Message, error) {
+	all := isBroadcast(out, s.n)
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -310,6 +276,21 @@ func (s *Session) submit(out []transport.Packet, all bool) ([]transport.Message,
 		return nil, m.err
 	}
 	return s.inbox, nil
+}
+
+// isBroadcast reports whether out is a broadcast to n parties: To = i at
+// position i, every packet with the first one's tag and the very same
+// payload slice (transport.SamePayload).
+func isBroadcast(out []transport.Packet, n int) bool {
+	if len(out) != n {
+		return false
+	}
+	for i := range out {
+		if p := &out[i]; p.To != i || p.Tag != out[0].Tag || !transport.SamePayload(p.Payload, out[0].Payload) {
+			return false
+		}
+	}
+	return true
 }
 
 // Close retires the session locally. Peers are not told: they observe

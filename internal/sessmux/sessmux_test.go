@@ -18,7 +18,7 @@ import (
 func echoRounds(net transport.Net, sid uint64, rounds int) error {
 	for r := 0; r < rounds; r++ {
 		payload := fmt.Sprintf("s%d-r%d-p%d", sid, r, net.ID())
-		in, err := transport.ExchangeAll(net, "echo", []byte(payload))
+		in, err := transport.ExchangeAll(net, "echo", []byte(payload), nil)
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func TestCloseIsOmission(t *testing.T) {
 						rounds = 1 // early local exit
 					}
 					for r := 0; r < rounds; r++ {
-						in, err := transport.ExchangeAll(net, "e", []byte{byte(r)})
+						in, err := transport.ExchangeAll(net, "e", []byte{byte(r)}, nil)
 						if err != nil {
 							return err
 						}

@@ -160,13 +160,13 @@ func TestMergedStreamPinned(t *testing.T) {
 // stream the broadcast script below produced when every session round was
 // still merged as one packet per destination, before a full-width
 // broadcast became one transport.All entry. It pins the bytes and order of
-// broadcast rounds through both of a session's entry points.
+// broadcast rounds, whichever way the n packets are built.
 const broadcastStreamDigest = 0x5e21f5cade931915
 
 // TestBroadcastStreamPinned drives a fixed 4-session × 4-round script over
 // a 4-party plain base (flattening fallback) and a VecNet base and holds
 // both physical streams to one pinned digest. Sid 5 is full-width and
-// broadcasts through ExchangeBroadcast, sid 6 is full-width and hands
+// broadcasts through transport.ExchangeAll, sid 6 is full-width and hands
 // Exchange transport.Broadcast's n packets, sid 300 is a 2-party session
 // broadcasting, and sid 70000 is full-width and mixes per-peer payloads,
 // one payload slice sent to everyone but under two tags, and packets
@@ -180,7 +180,7 @@ func TestBroadcastStreamPinned(t *testing.T) {
 		var err error
 		switch sid := s.Sid(); sid {
 		case 5, 300:
-			_, err = transport.ExchangeAll(s, fmt.Sprintf("b%d", sid), payload(sid, r))
+			_, err = transport.ExchangeAll(s, fmt.Sprintf("b%d", sid), payload(sid, r), nil)
 		case 6:
 			var out []transport.Packet
 			if r%2 == 1 {
@@ -229,8 +229,8 @@ func TestBroadcastStreamPinned(t *testing.T) {
 }
 
 // TestBroadcastTickIsOneEntryPerSession: a tick of k full-width sessions
-// broadcasting, through either entry point, hands the VecNet base k
-// entries, not k·n.
+// broadcasting, through transport.ExchangeAll or with transport.Broadcast's
+// packets, hands the VecNet base k entries, not k·n.
 func TestBroadcastTickIsOneEntryPerSession(t *testing.T) {
 	const k, n = 8, 4
 	shapes := make([]sessShape, k)
@@ -242,7 +242,7 @@ func TestBroadcastTickIsOneEntryPerSession(t *testing.T) {
 		payload := []byte{byte(s.Sid())}
 		var err error
 		if s.Sid()%2 == 0 {
-			_, err = s.ExchangeBroadcast("b", payload)
+			_, err = transport.ExchangeAll(s, "b", payload, nil)
 		} else {
 			_, err = s.Exchange(transport.Broadcast(s, "b", payload))
 		}

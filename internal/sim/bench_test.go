@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"convexagreement/internal/transport"
+)
 
 // BenchmarkRoundThroughput measures the scheduler's all-to-all round rate:
 // the simulation overhead floor under every protocol benchmark.
@@ -30,8 +34,9 @@ func benchRoundThroughput(b *testing.B, n, t int) {
 	rounds := b.N
 	for i := range parties {
 		parties[i] = Party{Behavior: func(env *Env) error {
+			var fan []transport.Packet // kept across rounds, as a protocol's work set does
 			for r := 0; r < rounds; r++ {
-				if _, err := env.ExchangeAll("bench", payload); err != nil {
+				if _, err := transport.ExchangeAll(env, "bench", payload, &fan); err != nil {
 					return err
 				}
 			}

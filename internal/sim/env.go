@@ -15,14 +15,3 @@ type (
 )
 
 var _ transport.Net = (*Env)(nil)
-
-// ExchangeAll broadcasts payload and completes the round, returning the
-// inbox.
-func (e *Env) ExchangeAll(tag string, payload []byte) ([]Message, error) {
-	return transport.ExchangeAll(e, tag, payload)
-}
-
-// ExchangeNone participates in a round without sending anything.
-func (e *Env) ExchangeNone() ([]Message, error) {
-	return transport.ExchangeNone(e)
-}

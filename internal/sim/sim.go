@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"convexagreement/internal/transport"
 )
 
 // Spied is a packet as observed by the rushing adversary: the full routing
@@ -126,7 +128,6 @@ type runner struct {
 	submittedCount int
 	pending        [][]Packet // this round's outgoing packets per party
 	pendingBuf     [][]Packet // per-party reusable packet backing arrays
-	bcasts         []bcast    // this round's broadcast submissions per party
 	honestPending  int        // count of active honest parties that submitted
 	lastInbox      [][]Message
 	inboxCount     []int    // per-recipient packet counts, reused every round
@@ -139,14 +140,6 @@ type runner struct {
 	failed     error // cutoff or internal failure; broadcast to all
 
 	report Report
-}
-
-// bcast is a party's all-to-all submission for one round: the compact form
-// of n identical packets (the transport.BroadcastNet fast path).
-type bcast struct {
-	set     bool
-	tag     string
-	payload []byte
 }
 
 // Env is a party's handle to the network. Each Env is used by exactly one
@@ -188,7 +181,6 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 		submitted:  make([]bool, cfg.N),
 		pending:    make([][]Packet, cfg.N),
 		pendingBuf: make([][]Packet, cfg.N),
-		bcasts:     make([]bcast, cfg.N),
 		lastInbox:  make([][]Message, cfg.N),
 		inboxCount: make([]int, cfg.N),
 	}
@@ -262,32 +254,22 @@ func (e *Env) Exchange(out []Packet) ([]Message, error) {
 		return nil, err
 	}
 	// Validate destinations; a corrupt party sending out of range is simply
-	// dropped rather than crashing the run. The kept-packet buffer is
-	// reused across rounds: its contents are dead once the round's
-	// deliveries copy the Packet values out.
-	kept := r.pendingBuf[e.id][:0]
+	// dropped rather than crashing the run, the packets it keeps copied into
+	// a buffer reused across rounds. A round with nothing to drop — every
+	// honest one — is held as the caller's own slice: Exchange returns only
+	// once the round has closed and been delivered, or can never close, so
+	// the slice is not read past the call.
+	kept := out
 	for _, p := range out {
-		if p.To >= 0 && int(p.To) < r.cfg.N {
-			kept = append(kept, p)
+		if p.To < 0 || p.To >= r.cfg.N {
+			kept = slices.DeleteFunc(append(r.pendingBuf[e.id][:0], out...), func(p Packet) bool {
+				return p.To < 0 || p.To >= r.cfg.N
+			})
+			r.pendingBuf[e.id] = kept
+			break
 		}
 	}
-	r.pendingBuf[e.id] = kept
 	r.pending[e.id] = kept
-	return r.finishSubmit(e.id)
-}
-
-// ExchangeBroadcast implements transport.BroadcastNet: it completes a round
-// in which this party sends payload to every party (itself included)
-// without materializing the n-packet fan-out. Cost accounting and delivery
-// are identical to Exchange(Broadcast(...)).
-func (e *Env) ExchangeBroadcast(tag string, payload []byte) ([]Message, error) {
-	r := e.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.precheck(e.id); err != nil {
-		return nil, err
-	}
-	r.bcasts[e.id] = bcast{set: true, tag: tag, payload: payload}
 	return r.finishSubmit(e.id)
 }
 
@@ -365,21 +347,22 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 	// Build the snapshot at most once per round; every peeker of this
 	// round shares it read-only (see the Spied doc comment). Payloads are
 	// copied into one flat buffer so a whole snapshot costs two
-	// allocations regardless of how many parties peek.
+	// allocations regardless of how many parties peek, and a run of one
+	// sender's packets on one payload slice — a broadcast, found by
+	// identity as every Net finds it — is copied once and shared by the
+	// run's entries.
 	if !r.spiedValid {
 		count, bytes := 0, 0
 		for from := 0; from < r.cfg.N; from++ {
 			if r.corrupt[from] || !r.submitted[from] {
 				continue
 			}
-			if r.bcasts[from].set {
-				count += r.cfg.N
-				bytes += len(r.bcasts[from].payload)
-				continue
-			}
-			count += len(r.pending[from])
-			for _, p := range r.pending[from] {
-				bytes += len(p.Payload)
+			sent := r.pending[from]
+			count += len(sent)
+			for i := range sent {
+				if i == 0 || !transport.SamePayload(sent[i].Payload, sent[i-1].Payload) {
+					bytes += len(sent[i].Payload)
+				}
 			}
 		}
 		spied := make([]Spied, 0, count)
@@ -388,21 +371,15 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 			if r.corrupt[from] || !r.submitted[from] {
 				continue
 			}
-			if b := r.bcasts[from]; b.set {
-				// Expand the broadcast: n entries sharing one payload copy
-				// (the snapshot is read-only, see Spied).
-				off := len(flat)
-				flat = append(flat, b.payload...)
-				payload := flat[off:len(flat):len(flat)]
-				for to := 0; to < r.cfg.N; to++ {
-					spied = append(spied, Spied{From: PartyID(from), To: PartyID(to), Payload: payload})
+			sent := r.pending[from]
+			var payload []byte
+			for i := range sent {
+				if i == 0 || !transport.SamePayload(sent[i].Payload, sent[i-1].Payload) {
+					off := len(flat)
+					flat = append(flat, sent[i].Payload...)
+					payload = flat[off:len(flat):len(flat)]
 				}
-				continue
-			}
-			for _, p := range r.pending[from] {
-				off := len(flat)
-				flat = append(flat, p.Payload...)
-				spied = append(spied, Spied{From: PartyID(from), To: p.To, Payload: flat[off:len(flat):len(flat)]})
+				spied = append(spied, Spied{From: from, To: sent[i].To, Payload: payload})
 			}
 		}
 		r.spied = spied
@@ -430,7 +407,6 @@ func (r *runner) done(id PartyID, err error) {
 		// its submission flag should already be clear; reset it anyway.
 		r.submitted[id] = false
 		r.pending[id] = nil
-		r.bcasts[id] = bcast{}
 		r.submittedCount--
 		if !r.corrupt[id] {
 			r.honestPending--
@@ -466,15 +442,8 @@ func (r *runner) maybeFinishRound() {
 		if !r.submitted[from] {
 			continue
 		}
-		if r.bcasts[from].set {
-			for to := range counts {
-				counts[to]++
-			}
-			total += r.cfg.N
-			continue
-		}
-		for _, p := range r.pending[from] {
-			counts[p.To]++
+		for i := range r.pending[from] {
+			counts[r.pending[from][i].To]++
 		}
 		total += len(r.pending[from])
 	}
@@ -489,9 +458,12 @@ func (r *runner) maybeFinishRound() {
 	var stats RoundStats
 	// Honest tag accounting is amortized over same-tag runs: a sender's
 	// round is typically one broadcast under a single tag, so this turns
-	// one map update per packet into one per sender per tag run.
+	// one map update per packet into one per sender per tag run. A run
+	// counts its tag's round whatever its bits: an empty broadcast is sent
+	// under its tag all the same.
 	var runTag string
 	var runBits int64
+	runOpen := false
 	// The distinct tags honest parties sent under this round: nearly always
 	// one, the same for every sender.
 	roundTags := r.roundTags[:0]
@@ -501,7 +473,7 @@ func (r *runner) maybeFinishRound() {
 		}
 	}
 	flushTagRun := func() {
-		if runBits != 0 {
+		if runOpen {
 			r.report.BitsByTag[runTag] += runBits
 			noteTag(runTag)
 			runBits = 0
@@ -511,51 +483,35 @@ func (r *runner) maybeFinishRound() {
 		if !r.submitted[from] {
 			continue
 		}
-		if b := r.bcasts[from]; b.set {
-			// Compact all-to-all submission: n−1 counted packets (the
-			// self-copy is free) carrying identical payloads.
-			bits := int64(8 * len(b.payload))
-			others := int64(r.cfg.N - 1)
-			r.report.Messages += others
-			stats.Messages += others
-			if r.corrupt[from] {
-				r.report.CorruptBits += bits * others
-				stats.CorruptBits += bits * others
-			} else {
-				r.report.HonestBits += bits * others
-				r.report.BitsByTag[b.tag] += bits * others
-				noteTag(b.tag)
-				r.report.BitsByParty[from] += bits * others
-				stats.HonestBits += bits * others
+		// The sender's packets to others and their bits, counted once into
+		// the report below.
+		honest := !r.corrupt[from]
+		var msgs, bits int64
+		for i := range r.pending[from] {
+			p := &r.pending[from][i]
+			if honest && (!runOpen || p.Tag != runTag) {
+				flushTagRun()
+				runTag, runOpen = p.Tag, true
 			}
-			msg := Message{From: PartyID(from), Payload: b.payload}
-			for to := range inboxes {
-				inboxes[to] = append(inboxes[to], msg)
-			}
-			r.bcasts[from] = bcast{}
-			r.submitted[from] = false
-			continue
-		}
-		for _, p := range r.pending[from] {
-			bits := int64(8 * len(p.Payload))
-			if p.To != PartyID(from) {
-				r.report.Messages++
-				stats.Messages++
-				if r.corrupt[from] {
-					r.report.CorruptBits += bits
-					stats.CorruptBits += bits
-				} else {
-					r.report.HonestBits += bits
-					if p.Tag != runTag {
-						flushTagRun()
-						runTag = p.Tag
-					}
-					runBits += bits
-					r.report.BitsByParty[from] += bits
-					stats.HonestBits += bits
+			if p.To != from {
+				b := int64(8 * len(p.Payload))
+				msgs++
+				bits += b
+				if honest {
+					runBits += b
 				}
 			}
-			inboxes[p.To] = append(inboxes[p.To], Message{From: PartyID(from), Payload: p.Payload})
+			inboxes[p.To] = append(inboxes[p.To], Message{From: from, Payload: p.Payload})
+		}
+		r.report.Messages += msgs
+		stats.Messages += msgs
+		if honest {
+			r.report.HonestBits += bits
+			r.report.BitsByParty[from] += bits
+			stats.HonestBits += bits
+		} else {
+			r.report.CorruptBits += bits
+			stats.CorruptBits += bits
 		}
 		r.pending[from] = nil
 		r.submitted[from] = false

@@ -1,18 +1,21 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"convexagreement/internal/transport"
 )
 
 // honestEcho broadcasts its id for `rounds` rounds and records its inboxes.
 func honestEcho(rounds int, log *sync.Map) Behavior {
 	return func(env *Env) error {
 		for r := 0; r < rounds; r++ {
-			in, err := env.ExchangeAll("echo", []byte{byte(env.ID())})
+			in, err := transport.ExchangeAll(env, "echo", []byte{byte(env.ID())}, nil)
 			if err != nil {
 				return err
 			}
@@ -84,7 +87,7 @@ func TestRushingAdversarySeesHonestPackets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := i
 		parties[i] = Party{Behavior: func(env *Env) error {
-			in, err := env.ExchangeAll("t", []byte{0xA0 + byte(id)})
+			in, err := transport.ExchangeAll(env, "t", []byte{0xA0 + byte(id)}, nil)
 			if err != nil {
 				return err
 			}
@@ -107,7 +110,7 @@ func TestRushingAdversarySeesHonestPackets(t *testing.T) {
 				stolen = s.Payload
 			}
 		}
-		_, err = env.ExchangeAll("t", stolen)
+		_, err = transport.ExchangeAll(env, "t", stolen, nil)
 		return err
 	}}
 	rep, err := Run(Config{N: n, T: 1}, parties)
@@ -129,6 +132,67 @@ func TestRushingAdversarySeesHonestPackets(t *testing.T) {
 	}
 }
 
+// TestPeekSharesBroadcastCopy: the rushing snapshot copies a broadcast —
+// a sender's n packets on one payload slice, as transport.ExchangeAll
+// builds them — once, and its n entries share that copy; packets on
+// distinct slices get a copy each however equal their bytes. Party 0
+// broadcasts, party 1 sends each party an equal but separate slice, and
+// party 2 sends one slice twice, another, then the first again: three runs.
+func TestPeekSharesBroadcastCopy(t *testing.T) {
+	const n = 4
+	bcast := []byte{0xb0, 0xb1, 0xb2}
+	sent := [][]Packet{
+		make([]Packet, n),
+		make([]Packet, n),
+		{{To: 0, Payload: bcast[:2]}, {To: 1, Payload: bcast[:2]}, {To: 2, Payload: bcast[1:]}, {To: 3, Payload: bcast[:2]}},
+	}
+	for to := range n {
+		sent[0][to] = Packet{To: to, Tag: "b", Payload: bcast}
+		sent[1][to] = Packet{To: to, Payload: []byte{0xc0, 0xc1}}
+	}
+	var seen []Spied
+	parties := make([]Party, n)
+	for id, out := range sent {
+		parties[id] = Party{Behavior: func(env *Env) error {
+			_, err := env.Exchange(out)
+			return err
+		}}
+	}
+	parties[n-1] = Party{Corrupt: true, Behavior: func(env *Env) error {
+		var err error
+		if seen, err = env.PeekHonest(); err != nil {
+			return err
+		}
+		_, err = env.Exchange(nil)
+		return err
+	}}
+	if _, err := Run(Config{N: n, T: 1}, parties); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3*n {
+		t.Fatalf("snapshot has %d entries, want %d", len(seen), 3*n)
+	}
+	// copies[i] is the copy index of entry i: a new one wherever the
+	// payload is not the previous entry's very slice.
+	wantCopies := []int{0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 6, 7}
+	copies := -1
+	for i, s := range seen {
+		p := sent[s.From][s.To]
+		if s.From != i/n || s.To != p.To || !bytes.Equal(s.Payload, p.Payload) {
+			t.Fatalf("entry %d: %+v, want the packet %+v of party %d", i, s, p, i/n)
+		}
+		if transport.SamePayload(s.Payload, p.Payload) {
+			t.Fatalf("entry %d aliases the honest payload instead of copying it", i)
+		}
+		if i == 0 || !transport.SamePayload(s.Payload, seen[i-1].Payload) {
+			copies++
+		}
+		if copies != wantCopies[i] {
+			t.Fatalf("entry %d is copy %d, want %d: a broadcast shares one copy, distinct slices get their own", i, copies, wantCopies[i])
+		}
+	}
+}
+
 func TestCorruptLoopTerminatesWhenHonestFinish(t *testing.T) {
 	n := 4
 	parties := make([]Party, n)
@@ -136,7 +200,7 @@ func TestCorruptLoopTerminatesWhenHonestFinish(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		parties[i] = Party{Behavior: func(env *Env) error {
 			for r := 0; r < honestRounds; r++ {
-				if _, err := env.ExchangeAll("x", []byte{1}); err != nil {
+				if _, err := transport.ExchangeAll(env, "x", []byte{1}, nil); err != nil {
 					return err
 				}
 			}
@@ -150,7 +214,7 @@ func TestCorruptLoopTerminatesWhenHonestFinish(t *testing.T) {
 				corruptErr = err
 				return err
 			}
-			if _, err := env.ExchangeNone(); err != nil {
+			if _, err := transport.ExchangeNone(env); err != nil {
 				corruptErr = err
 				return err
 			}
@@ -177,7 +241,7 @@ func TestStaggeredCompletionDoesNotDeadlock(t *testing.T) {
 		rounds := l
 		parties[i] = Party{Behavior: func(env *Env) error {
 			for r := 0; r < rounds; r++ {
-				if _, err := env.ExchangeAll("x", []byte{2}); err != nil {
+				if _, err := transport.ExchangeAll(env, "x", []byte{2}, nil); err != nil {
 					return err
 				}
 			}
@@ -197,7 +261,7 @@ func TestMaxRoundsCutoff(t *testing.T) {
 	parties := []Party{
 		{Behavior: func(env *Env) error {
 			for {
-				if _, err := env.ExchangeNone(); err != nil {
+				if _, err := transport.ExchangeNone(env); err != nil {
 					return err
 				}
 			}
@@ -224,7 +288,7 @@ func TestHonestErrorFailsRun(t *testing.T) {
 func TestCorruptPanicIsContained(t *testing.T) {
 	parties := []Party{
 		{Behavior: func(env *Env) error {
-			_, err := env.ExchangeAll("x", []byte{1})
+			_, err := transport.ExchangeAll(env, "x", []byte{1}, nil)
 			return err
 		}},
 		{Corrupt: true, Behavior: func(env *Env) error { panic("byzantine panic") }},

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"convexagreement/internal/transport"
 )
 
 // TestStressMixedAdversaryN128 drives the scheduler at protocol scale: 128
@@ -51,7 +53,7 @@ func TestStressMixedAdversaryN128(t *testing.T) {
 	honest := func(id int) Behavior {
 		return func(env *Env) error {
 			for r := 0; r < honestRounds[id]; r++ {
-				in, err := env.ExchangeAll(tag, []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(env, tag, []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return err
 				}

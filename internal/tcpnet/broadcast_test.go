@@ -78,23 +78,37 @@ func wireRound(t *testing.T, n int, round func(c *tcpnet.Conn) ([]transport.Mess
 	return sent, in
 }
 
-// TestExchangeBroadcastWireBytes: ExchangeBroadcast puts on every link the
-// very bytes Exchange(Broadcast(…)) puts there, and delivers the same inbox.
-func TestExchangeBroadcastWireBytes(t *testing.T) {
+// exchangeOnly is a wrapper that forwards Exchange and nothing else, as
+// any layer does that knows a Net only by its interface.
+type exchangeOnly struct{ transport.Net }
+
+// TestExchangeAllWireBytes: transport.ExchangeAll through a wrapper that
+// forwards only Exchange encodes one frame and sends it on every link —
+// the very bytes Exchange(Broadcast(…)) puts there — and delivers the same
+// inbox. The Conn finds the broadcast by payload identity, so no wrapper
+// can hide it.
+func TestExchangeAllWireBytes(t *testing.T) {
 	const n = 4
 	payload := bytes.Repeat([]byte{0xb7}, 300)
 	wantSent, wantIn := wireRound(t, n, func(c *tcpnet.Conn) ([]transport.Message, error) {
 		return c.Exchange(transport.Broadcast(c, "t", payload))
 	})
+	shared := false
 	gotSent, gotIn := wireRound(t, n, func(c *tcpnet.Conn) ([]transport.Message, error) {
-		return c.ExchangeBroadcast("t", payload)
+		var fan []transport.Packet
+		in, err := transport.ExchangeAll(exchangeOnly{c}, "t", payload, &fan)
+		shared = c.SharedFrame(0)
+		return in, err
 	})
+	if !shared {
+		t.Error("the round went out as one frame per peer, not one frame shared by every link")
+	}
 	if len(wantSent[0]) <= len(payload) {
 		t.Fatalf("the reference round put %d bytes on the wire for a %d-byte payload", len(wantSent[0]), len(payload))
 	}
 	for j := range wantSent {
 		if !bytes.Equal(gotSent[j], wantSent[j]) {
-			t.Errorf("link to %d: ExchangeBroadcast wrote %x, Exchange(Broadcast) %x", j, gotSent[j], wantSent[j])
+			t.Errorf("link to %d: ExchangeAll wrote %x, Exchange(Broadcast) %x", j, gotSent[j], wantSent[j])
 		}
 	}
 	if !reflect.DeepEqual(gotIn, wantIn) {

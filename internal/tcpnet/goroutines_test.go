@@ -68,7 +68,7 @@ func TestNoGoroutinesAfterClose(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				in, err := transport.ExchangeAll(conns[i], "r", []byte{byte(i)})
+				in, err := transport.ExchangeAll(conns[i], "r", []byte{byte(i)}, nil)
 				if err != nil {
 					t.Errorf("party %d: %v", i, err)
 				}

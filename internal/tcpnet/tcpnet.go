@@ -40,6 +40,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -331,7 +332,6 @@ type Conn struct {
 	// mu. Each grows to the largest round seen and stays there.
 	flat    [][][]byte          // Exchange: payloads per destination
 	vecs    [][][][]byte        // ExchangeVec: scatter-gather payloads per destination
-	one     [1][]byte           // ExchangeBroadcast: every peer's payload list
 	self    []transport.Message // this round's self-deliveries
 	selfBuf []byte              // ExchangeVec's self-deliveries, flattened
 	inbox   []transport.Message // the inbox the round hands out
@@ -800,26 +800,11 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 	return c.awaitRound(r)
 }
 
-// ExchangeBroadcast implements transport.BroadcastNet: an all-to-all round
-// from (tag, payload) alone. One frame is encoded from the one-payload list
-// and every peer is sent it, so the wire bytes are those of
-// Exchange(transport.Broadcast(c, tag, payload)) without the n packets.
-func (c *Conn) ExchangeBroadcast(_ string, payload []byte) ([]transport.Message, error) {
-	r, err := c.beginRound()
-	if err != nil {
-		return nil, err
-	}
-	c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: payload})
-	c.one[0] = payload
-	c.sendRound(r, c.arena.EncodeFrame(r, c.one[:]))
-	c.one[0] = nil
-	return c.awaitRound(r)
-}
-
 // sharedList returns a peer whose payload list every other peer's list
 // equals — lists[self], this party's own, aside — or -1 when two differ or
 // there is no peer. Lists are compared by payload identity, never by
-// content (samePayloads).
+// content (transport.SamePayload): a broadcast hands every peer the very
+// same slices.
 func sharedList(lists [][][]byte, self int) int {
 	ref := -1
 	for peer, l := range lists {
@@ -827,26 +812,11 @@ func sharedList(lists [][][]byte, self int) int {
 		case peer == self:
 		case ref < 0:
 			ref = peer
-		case !samePayloads(lists[ref], l):
+		case !slices.EqualFunc(lists[ref], l, transport.SamePayload):
 			return -1
 		}
 	}
 	return ref
-}
-
-// samePayloads reports whether a and b list the same slices: same start and
-// length at each position. Equal bytes at different addresses count as
-// different — a broadcast hands every peer the very same slices.
-func samePayloads(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) || len(a[i]) > 0 && &a[i][0] != &b[i][0] {
-			return false
-		}
-	}
-	return true
 }
 
 // peerFrames returns the staging list for a per-peer round's frames.
@@ -857,10 +827,7 @@ func (c *Conn) peerFrames() []*wire.Frame {
 	return c.frames
 }
 
-var (
-	_ transport.VecNet       = (*Conn)(nil)
-	_ transport.BroadcastNet = (*Conn)(nil)
-)
+var _ transport.VecNet = (*Conn)(nil)
 
 // beginRound opens a synchronous round: it snapshots the round number,
 // releases the frames behind the previous round's payloads — the "valid

@@ -181,7 +181,7 @@ func TestRoundHorizonDropsFutureFrames(t *testing.T) {
 	if _, err := raw.Write(new(wire.Arena).EncodeFrame(0, [][]byte{[]byte("now")}).Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	in, err := transport.ExchangeAll(conn, "x", []byte{1})
+	in, err := transport.ExchangeAll(conn, "x", []byte{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestHonestTrafficUnderDefaultBudget(t *testing.T) {
 			wg.Add(1)
 			go func(i int, c *tcpnet.Conn) {
 				defer wg.Done()
-				if _, err := transport.ExchangeAll(c, "m", []byte{byte(r), byte(i)}); err != nil {
+				if _, err := transport.ExchangeAll(c, "m", []byte{byte(r), byte(i)}, nil); err != nil {
 					t.Errorf("party %d round %d: %v", i, r, err)
 				}
 			}(i, c)

@@ -62,7 +62,7 @@ func TestAttackFloodMesh(t *testing.T) {
 		go func(i int, c *tcpnet.Conn) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(c, "battery", []byte{byte(i)})
+				in, err := transport.ExchangeAll(c, "battery", []byte{byte(i)}, nil)
 				if err != nil {
 					errs[i] = err
 					return

@@ -95,7 +95,7 @@ func TestGarbledFrameDemotesPeer(t *testing.T) {
 	waitFaulty(t, conn, []int{1})
 	// Rounds now close immediately: no live peers to wait for.
 	start := time.Now()
-	in, err := transport.ExchangeAll(conn, "x", []byte{7})
+	in, err := transport.ExchangeAll(conn, "x", []byte{7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOversizedFrameDemotesPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFaulty(t, conn, []int{1})
-	if in, err := transport.ExchangeAll(conn, "x", []byte{7}); err != nil || len(in) != 1 {
+	if in, err := transport.ExchangeAll(conn, "x", []byte{7}, nil); err != nil || len(in) != 1 {
 		t.Fatalf("post-demotion round: msgs=%v err=%v", in, err)
 	}
 }
@@ -146,7 +146,7 @@ func TestEarlyFramesCloseRounds(t *testing.T) {
 	}
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
-		in, err := transport.ExchangeAll(conn, "x", []byte{0, byte(r)})
+		in, err := transport.ExchangeAll(conn, "x", []byte{0, byte(r)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestStalledReaderDropsLink(t *testing.T) {
 	payload := make([]byte, 4<<20-64)
 	for r := 0; r < 20; r++ {
 		start := time.Now()
-		in, err := transport.ExchangeAll(conn, "x", payload)
+		in, err := transport.ExchangeAll(conn, "x", payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestReconnectRestoresLink(t *testing.T) {
 			wg.Add(1)
 			go func(i int, c *tcpnet.Conn) {
 				defer wg.Done()
-				out[i], errs[i] = transport.ExchangeAll(c, "r", []byte{stamp})
+				out[i], errs[i] = transport.ExchangeAll(c, "r", []byte{stamp}, nil)
 			}(i, c)
 		}
 		wg.Wait()
@@ -256,7 +256,7 @@ func TestReconnectExhaustedDemotesPeer(t *testing.T) {
 	conns[0].Close() // party 0 dies, taking its listener with it
 	waitFaulty(t, conns[1], []int{0})
 	start := time.Now()
-	in, err := transport.ExchangeAll(conns[1], "x", []byte{3})
+	in, err := transport.ExchangeAll(conns[1], "x", []byte{3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCloseUnblocksExchange(t *testing.T) {
 	conns := dialAll(t, cfgs)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := transport.ExchangeAll(conns[0], "x", []byte{1})
+		_, err := transport.ExchangeAll(conns[0], "x", []byte{1}, nil)
 		errCh <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the Exchange block on party 1's frame

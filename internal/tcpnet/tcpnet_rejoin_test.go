@@ -55,7 +55,7 @@ func rejoinPayload(party, to, r, size int) []byte {
 func rejoinRound(c *tcpnet.Conn, r, size int, mixed bool) ([]transport.Message, error) {
 	me := int(c.ID())
 	if !mixed || r%2 == 0 {
-		return transport.ExchangeAll(c, "x", rejoinPayload(me, -1, r, size))
+		return transport.ExchangeAll(c, "x", rejoinPayload(me, -1, r, size), nil)
 	}
 	out := make([]transport.Packet, c.N())
 	for to := range out {
@@ -181,14 +181,14 @@ func TestRejoinGapBeyondWindowDemotes(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 8; r++ {
-			if _, err := transport.ExchangeAll(conns[1], "x", []byte{1}); err != nil {
+			if _, err := transport.ExchangeAll(conns[1], "x", []byte{1}, nil); err != nil {
 				t.Errorf("party 1 round %d: %v", r, err)
 			}
 		}
 		conns[1].Close()
 	}()
 	for r := 0; r < 8; r++ {
-		if _, err := transport.ExchangeAll(conns[0], "x", []byte{0}); err != nil {
+		if _, err := transport.ExchangeAll(conns[0], "x", []byte{0}, nil); err != nil {
 			t.Fatalf("party 0 round %d: %v", r, err)
 		}
 	}

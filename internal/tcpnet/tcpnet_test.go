@@ -79,7 +79,7 @@ func TestEchoRound(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *tcpnet.Conn) {
 			defer wg.Done()
-			results[i], errs[i] = transport.ExchangeAll(c, "echo", []byte{byte(i + 0x40)})
+			results[i], errs[i] = transport.ExchangeAll(c, "echo", []byte{byte(i + 0x40)}, nil)
 		}(i, c)
 	}
 	wg.Wait()
@@ -108,7 +108,7 @@ func TestMultiRoundOrdering(t *testing.T) {
 		go func(i int, c *tcpnet.Conn) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(c, "seq", []byte{byte(r)})
+				in, err := transport.ExchangeAll(c, "seq", []byte{byte(r)}, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -143,7 +143,7 @@ func TestSilentPeerTimesOutRound(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			in, err := transport.ExchangeAll(conns[i], "x", []byte{1})
+			in, err := transport.ExchangeAll(conns[i], "x", []byte{1}, nil)
 			if err == nil {
 				got[i] = len(in)
 			}
@@ -212,7 +212,7 @@ func TestPeerCrashMidProtocol(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _ = transport.ExchangeAll(conns[3], "ca", []byte{1})
+		_, _ = transport.ExchangeAll(conns[3], "ca", []byte{1}, nil)
 		conns[3].Close()
 	}()
 	start := time.Now()
@@ -280,7 +280,7 @@ func TestHandshakeGarbageRejected(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *tcpnet.Conn) {
 			defer wg.Done()
-			in, err := transport.ExchangeAll(c, "x", []byte{9})
+			in, err := transport.ExchangeAll(c, "x", []byte{9}, nil)
 			ok[i] = err == nil && len(in) == 2
 		}(i, c)
 	}
@@ -313,7 +313,7 @@ func TestLargeLegalPayload(t *testing.T) {
 				wg.Add(1)
 				go func(i int, c *tcpnet.Conn) {
 					defer wg.Done()
-					in, err := transport.ExchangeAll(c, "big", payload(i))
+					in, err := transport.ExchangeAll(c, "big", payload(i), nil)
 					if err == nil && len(in) != 2 {
 						err = fmt.Errorf("%d messages, want 2", len(in))
 					}

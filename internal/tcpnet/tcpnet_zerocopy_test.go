@@ -43,7 +43,7 @@ func TestBorrowedReadsMultiRound(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				want := bytes.Repeat([]byte{byte(r)}, 64+r)
-				in, err := transport.ExchangeAll(c, "zc", append([]byte{byte(i)}, want...))
+				in, err := transport.ExchangeAll(c, "zc", append([]byte{byte(i)}, want...), nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -79,14 +79,14 @@ func TestRejoinReplayBatchedWrite(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 5; r++ {
-			if _, err := transport.ExchangeAll(conns[1], "x", []byte{1, byte(r)}); err != nil {
+			if _, err := transport.ExchangeAll(conns[1], "x", []byte{1, byte(r)}, nil); err != nil {
 				t.Errorf("party 1 round %d: %v", r, err)
 			}
 		}
 		conns[1].Close()
 	}()
 	for r := 0; r < 10; r++ {
-		if _, err := transport.ExchangeAll(conns[0], "x", []byte{0, byte(r)}); err != nil {
+		if _, err := transport.ExchangeAll(conns[0], "x", []byte{0, byte(r)}, nil); err != nil {
 			t.Fatalf("party 0 round %d: %v", r, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestRejoinReplayBatchedWrite(t *testing.T) {
 	}
 	defer rejoined.Close()
 	for r := 5; r < 10; r++ {
-		in, err := transport.ExchangeAll(rejoined, "x", []byte{1, byte(r)})
+		in, err := transport.ExchangeAll(rejoined, "x", []byte{1, byte(r)}, nil)
 		if err != nil {
 			t.Fatalf("rejoined round %d: %v", r, err)
 		}
@@ -156,8 +156,9 @@ func BenchmarkMeshRound(b *testing.B) {
 			wg.Add(1)
 			go func(i int, c *tcpnet.Conn) {
 				defer wg.Done()
+				var fan []transport.Packet // kept across rounds, as a protocol's work set does
 				for r := 0; r < b.N; r++ {
-					if _, err := transport.ExchangeAll(c, "bench", payload); err != nil {
+					if _, err := transport.ExchangeAll(c, "bench", payload, &fan); err != nil {
 						errs[i] = err
 						return
 					}

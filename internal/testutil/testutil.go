@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"convexagreement/internal/sim"
+	"convexagreement/internal/transport"
 )
 
 // Result carries the honest outputs and the cost report of one run.
@@ -64,7 +65,7 @@ func Ghost(fn func(env *sim.Env) error) sim.Behavior {
 			return err
 		}
 		for {
-			if _, err := env.ExchangeNone(); err != nil {
+			if _, err := transport.ExchangeNone(env); err != nil {
 				return err
 			}
 		}

@@ -7,8 +7,16 @@
 // Exchange call. The base implementations are the in-process simulator with
 // byzantine adversaries and cost accounting (package sim), a TCP mesh with
 // Δ-timeout round synchronization (package tcpnet) and an in-process
-// channel hub (package channet); faultnet, sessmux and mux are Nets stacked
-// on another Net.
+// channel hub (package channet); faultnet and sessmux are Nets stacked on
+// another Net.
+//
+// Exchange is the one send verb. A broadcast is Exchange over n packets
+// that share one payload slice (ExchangeAll), and every Net that can do
+// better with a broadcast — tcpnet encodes it once, sessmux merges it as
+// one All entry, the simulator's rushing snapshot copies it once — finds it
+// by that identity, never through an optional method a wrapper could fail
+// to forward. VecNet is the scatter-gather form a multiplexer ships its
+// merged round in.
 //
 // It is also the one home of how a protocol reads a round: FirstPerSender,
 // Tally, LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps
@@ -92,25 +100,33 @@ func Broadcast(net Net, tag string, payload []byte) []Packet {
 	return out
 }
 
-// BroadcastNet is an optional fast-path interface: a Net that can complete
-// an all-to-all round from just (tag, payload) without the caller
-// materializing n identical packets. The simulator, the TCP mesh and the
-// session mux implement it; any other Net takes the generic path. Semantics
-// must be identical to Exchange(Broadcast(net, tag, payload)).
-type BroadcastNet interface {
-	Net
-	ExchangeBroadcast(tag string, payload []byte) ([]Message, error)
+// ExchangeAll broadcasts payload and completes the round: it is
+// Exchange(Broadcast(net, tag, payload)) with the n packets written into
+// *fan, which it refills in place round after round — Net never keeps the
+// out slice, so one slice serves every broadcast of a run. The caller owns
+// it: a protocol's work set (ba.Work) or its run keeps one. A nil fan is a
+// fresh slice, for a one-off round. Every layer below recognises the
+// broadcast by payload identity, so there is no second send verb to
+// forward: a wrapper that implements Exchange has the fast path too.
+func ExchangeAll(net Net, tag string, payload []byte, fan *[]Packet) ([]Message, error) {
+	if fan == nil {
+		fan = new([]Packet)
+	}
+	n := net.N()
+	out := slices.Grow((*fan)[:0], n)[:n]
+	for to := range out {
+		out[to] = Packet{To: to, Tag: tag, Payload: payload}
+	}
+	*fan = out
+	return net.Exchange(out)
 }
 
-// ExchangeAll broadcasts payload and completes the round. When the
-// transport implements BroadcastNet the n-packet fan-out slice is never
-// built (or is built in scratch the transport owns) — the dominant
-// per-round allocation of every broadcast-based protocol.
-func ExchangeAll(net Net, tag string, payload []byte) ([]Message, error) {
-	if bn, ok := net.(BroadcastNet); ok {
-		return bn.ExchangeBroadcast(tag, payload)
-	}
-	return net.Exchange(Broadcast(net, tag, payload))
+// SamePayload reports whether a and b are the very same payload slice:
+// same start and same length (empty payloads are all alike). It is how
+// every layer tells a broadcast from n packets that merely carry equal
+// bytes — never by content.
+func SamePayload(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // ExchangeNone participates in a round without sending anything.

@@ -45,7 +45,7 @@ func TestBroadcastAddressesEveryParty(t *testing.T) {
 
 func TestExchangeAllAndNone(t *testing.T) {
 	net := &fakeNet{id: 0, n: 3, inbox: []Message{{From: 1, Payload: []byte{9}}}}
-	in, err := ExchangeAll(net, "x", []byte{1})
+	in, err := ExchangeAll(net, "x", []byte{1}, nil)
 	if err != nil || len(in) != 1 {
 		t.Fatalf("in=%v err=%v", in, err)
 	}
@@ -60,8 +60,59 @@ func TestExchangeAllAndNone(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	net.err = boom
-	if _, err := ExchangeAll(net, "x", nil); !errors.Is(err, boom) {
+	if _, err := ExchangeAll(net, "x", nil, nil); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
+	}
+}
+
+// TestExchangeAllRefillsFan: a caller-kept fan-out is what ExchangeAll
+// hands Exchange, refilled in place round after round — Broadcast's n
+// packets, all on the one payload slice — and is not reallocated once it
+// has the room.
+func TestExchangeAllRefillsFan(t *testing.T) {
+	net := &fakeNet{id: 1, n: 4}
+	var fan []Packet
+	for r := range 3 {
+		payload := []byte{byte(r), 0xfa}
+		if _, err := ExchangeAll(net, "f", payload, &fan); err != nil {
+			t.Fatal(err)
+		}
+		if len(net.lastOut) == 0 || &net.lastOut[0] != &fan[0] {
+			t.Fatalf("round %d: Exchange was not handed the caller's fan-out", r)
+		}
+		if !reflect.DeepEqual(fan, Broadcast(net, "f", payload)) {
+			t.Fatalf("round %d: fan-out %+v, want Broadcast's packets", r, fan)
+		}
+		for _, p := range fan {
+			if !SamePayload(p.Payload, payload) {
+				t.Fatalf("round %d: packet to %d carries a copy, not the payload slice", r, p.To)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ExchangeAll(net, "f", nil, &fan) }); allocs != 0 {
+		t.Errorf("a refill allocates %v times", allocs)
+	}
+}
+
+// TestSamePayload: identity, never content — the same start and length, or
+// both empty.
+func TestSamePayload(t *testing.T) {
+	buf := []byte{1, 2, 3, 1, 2, 3}
+	cases := []struct {
+		a, b []byte
+		want bool
+	}{
+		{buf[:3], buf[:3], true},
+		{buf[:3], buf[3:], false}, // equal bytes elsewhere
+		{buf[:3], buf[:2], false}, // same start, other length
+		{buf[:0], nil, true},
+		{nil, nil, true},
+		{buf[:1], nil, false},
+	}
+	for _, c := range cases {
+		if got := SamePayload(c.a, c.b); got != c.want {
+			t.Errorf("SamePayload(%v@%p, %v@%p) = %v, want %v", c.a, c.a, c.b, c.b, got, c.want)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func testFloodPackets(t *testing.T, run FaultCluster) {
 					}
 					continue
 				}
-				in, err := transport.ExchangeAll(net, "fp", []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(net, "fp", []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}
@@ -102,12 +102,12 @@ func testFloodBytes(t *testing.T, run FaultCluster) {
 				if id == flooder {
 					big := make([]byte, size)
 					big[0], big[1] = byte(id), byte(r)
-					if _, err := transport.ExchangeAll(net, "fb", big); err != nil {
+					if _, err := transport.ExchangeAll(net, "fb", big, nil); err != nil {
 						return fmt.Errorf("flooder round %d: %w", r, err)
 					}
 					continue
 				}
-				in, err := transport.ExchangeAll(net, "fb", []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(net, "fb", []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}
@@ -159,7 +159,7 @@ func testFloodThenSilent(t *testing.T, run FaultCluster) {
 					}
 					continue
 				}
-				in, err := transport.ExchangeAll(net, "fs", []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(net, "fs", []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}

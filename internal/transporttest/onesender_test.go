@@ -70,7 +70,7 @@ func TestOneSenderRoundRules(t *testing.T) {
 			// Split honest inputs: no n−t majority, nobody proposes, so the
 			// phase ends on the king's word.
 			before: [][]transport.Message{all([]byte{1}, []byte{0}, []byte{1}), all([]byte{2}, []byte{2}, []byte{2})},
-			run:    func(net transport.Net) error { _, err := ba.Binary(net, "t", 1); return err },
+			run:    func(net transport.Net) error { _, err := ba.Binary(net, "t", 1, nil); return err },
 			cases: []struct{ spam, counts [][]byte }{
 				{[][]byte{garbage, {1}}, [][]byte{{1}}},
 				{[][]byte{{1}, garbage}, [][]byte{{1}}},

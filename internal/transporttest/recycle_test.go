@@ -157,7 +157,7 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 		{"bc.Broadcast", func(net transport.Net) (any, error) {
 			return optional(bc.Broadcast(net, "t", 1, blob(net)))
 		}},
-		{"ba.Binary", func(net transport.Net) (any, error) { return ba.Binary(net, "t", byte(net.ID()%2)) }},
+		{"ba.Binary", func(net transport.Net) (any, error) { return ba.Binary(net, "t", byte(net.ID()%2), nil) }},
 		{"ba.Bits", func(net transport.Net) (any, error) {
 			lanes := make([]byte, 21) // six-byte frames; party id's bits, so lanes split and agree
 			for l := range lanes {
@@ -203,7 +203,7 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 // come out different behind Recycle.
 func TestRecycleCatchesRetention(t *testing.T) {
 	capture := func(net transport.Net) ([]byte, error) {
-		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())})
+		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -222,11 +222,11 @@ func TestRecycleCatchesRetention(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		_, err = transport.ExchangeAll(net, "toy", kept)
+		_, err = transport.ExchangeAll(net, "toy", kept, nil)
 		return nil, err
 	}
 	keepsSlice := func(net transport.Net) (any, error) {
-		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())})
+		in, err := transport.ExchangeAll(net, "toy", []byte{0x10, byte(net.ID())}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -29,48 +29,7 @@ func Conformance(t *testing.T, run Cluster) {
 	t.Run("self-delivery", func(t *testing.T) { testSelfDelivery(t, run) })
 	t.Run("out-of-range-drop", func(t *testing.T) { testOutOfRange(t, run) })
 	t.Run("unicast", func(t *testing.T) { testUnicast(t, run) })
-	t.Run("broadcast", func(t *testing.T) { testBroadcast(t, run) })
 	t.Run("out-reuse", func(t *testing.T) { ConformanceOutReuse(t, run, 0) })
-}
-
-// testBroadcast: ExchangeBroadcast ≡ Exchange(Broadcast(…)). Each round
-// half the parties broadcast through transport.ExchangeAll — the
-// transport's own ExchangeBroadcast where it is a BroadcastNet — and the
-// other half hand Exchange the n packets, alternating by round; every
-// inbox must be the same all-to-all round either way, self-delivery
-// included. (On a Net without ExchangeBroadcast both halves take the same
-// path and the check is testAllToAll's.)
-func testBroadcast(t *testing.T, run Cluster) {
-	const n, tc, rounds = 4, 1, 4
-	fns := make([]func(net transport.Net) error, n)
-	for i := range fns {
-		fns[i] = func(net transport.Net) error {
-			id := net.ID()
-			for r := 0; r < rounds; r++ {
-				payload := []byte{byte(id), byte(r), 0xb0}
-				var in []transport.Message
-				var err error
-				if (id+r)%2 == 0 {
-					in, err = transport.ExchangeAll(net, "b", payload)
-				} else {
-					in, err = net.Exchange(transport.Broadcast(net, "b", payload))
-				}
-				if err != nil {
-					return fmt.Errorf("party %d round %d: %w", id, r, err)
-				}
-				if len(in) != n {
-					return fmt.Errorf("party %d round %d: %d messages, want %d", id, r, len(in), n)
-				}
-				for from, m := range in {
-					if m.From != from || !bytes.Equal(m.Payload, []byte{byte(from), byte(r), 0xb0}) {
-						return fmt.Errorf("party %d round %d message %d: from %d %x", id, r, from, m.From, m.Payload)
-					}
-				}
-			}
-			return nil
-		}
-	}
-	run(t, n, tc, fns)
 }
 
 // ConformanceOutReuse holds a transport to the other half of transport.Net's
@@ -236,7 +195,7 @@ func testPeerLeaves(t *testing.T, run FaultCluster) {
 				limit = leaveAfter
 			}
 			for r := 0; r < limit; r++ {
-				in, err := transport.ExchangeAll(net, "f", []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(net, "f", []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}
@@ -284,7 +243,7 @@ func testMixedEmptyRounds(t *testing.T, run FaultCluster) {
 				var in []transport.Message
 				var err error
 				if speak {
-					in, err = transport.ExchangeAll(net, "m", []byte{byte(id)})
+					in, err = transport.ExchangeAll(net, "m", []byte{byte(id)}, nil)
 				} else {
 					in, err = transport.ExchangeNone(net)
 				}
@@ -322,7 +281,7 @@ func testStaleRoundFrames(t *testing.T, run FaultCluster) {
 					// Stall once, long enough to blow a small Δ.
 					time.Sleep(500 * time.Millisecond)
 				}
-				in, err := transport.ExchangeAll(net, "s", []byte{byte(id), byte(r)})
+				in, err := transport.ExchangeAll(net, "s", []byte{byte(id), byte(r)}, nil)
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}
@@ -362,8 +321,9 @@ func testAllToAll(t *testing.T, run Cluster) {
 	fns := make([]func(net transport.Net) error, n)
 	for i := 0; i < n; i++ {
 		fns[i] = func(net transport.Net) error {
+			var fan []transport.Packet // refilled every round, as a protocol's work set does
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(net, "c", []byte{byte(net.ID()), byte(r)})
+				in, err := transport.ExchangeAll(net, "c", []byte{byte(net.ID()), byte(r)}, &fan)
 				if err != nil {
 					return err
 				}
@@ -414,7 +374,7 @@ func testOrdering(t *testing.T, run Cluster) {
 	for i := 0; i < n; i++ {
 		fns[i] = func(net transport.Net) error {
 			for r := 0; r < rounds; r++ {
-				in, err := transport.ExchangeAll(net, "o", []byte{byte(r)})
+				in, err := transport.ExchangeAll(net, "o", []byte{byte(r)}, nil)
 				if err != nil {
 					return err
 				}

@@ -91,11 +91,14 @@ check_gofmt() {
 # mux, one send path, one receive path: the copying merge, the
 # public<->internal packet adapters, the scatter-gather frame encoders, the
 # copying receive mode with its config knob, the second Reader accessor, the
-# inbox sort and the per-packet self-delivery flatten (FlattenVec:
-# self-deliveries share one Conn-held bump buffer) were deleted; a fast path
+# inbox sort, the per-packet self-delivery flatten (FlattenVec:
+# self-deliveries share one Conn-held bump buffer) and the optional
+# broadcast verb (BroadcastNet/ExchangeBroadcast: a broadcast is Exchange
+# over n packets on one payload slice, found by identity, so a wrapper
+# that forwards only Exchange loses nothing) were deleted; a fast path
 # added beside the path it replaces would bring one of these names back.
 one_path() {
-	if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec|BorrowedReads|BytesZC|sortMessages|FlattenVec|ReadFrameInto\(' --include='*.go' . | grep -v '_test\.go:'; then
+	if grep -rnE 'flushCopy|netAdapter|internalNet|AppendFrameVec|BorrowedReads|BytesZC|sortMessages|FlattenVec|ReadFrameInto\(|BroadcastNet|ExchangeBroadcast' --include='*.go' . | grep -v '_test\.go:'; then
 		echo "one-path: a deleted fork reappeared in non-test code" >&2
 		exit 1
 	fi

@@ -46,8 +46,6 @@ type Session struct {
 	replayAt   int
 	storageErr error // sticky degraded-storage condition; see StorageErr
 
-	// bcast is sessionNet.ExchangeBroadcast's fan-out, refilled per round.
-	bcast []transport.Packet
 	// bufs holds a long value across the session's instances; see
 	// core.Buffers.
 	bufs core.Buffers
@@ -381,8 +379,6 @@ type sessionNet struct {
 	s         *Session
 }
 
-var _ transport.BroadcastNet = sessionNet{}
-
 func (n sessionNet) Exchange(out []transport.Packet) ([]transport.Message, error) {
 	s := n.s
 	if s.replayAt < len(s.replay) {
@@ -405,22 +401,6 @@ func (n sessionNet) Exchange(out []transport.Packet) ([]transport.Message, error
 	}
 	s.absorb(msgs)
 	return msgs, nil
-}
-
-// ExchangeBroadcast makes sessionNet a transport.BroadcastNet: the fan-out
-// is refilled in a slice the session holds and goes through Exchange, so a
-// replayed round discards it and a live one is logged like any other.
-func (n sessionNet) ExchangeBroadcast(tag string, payload []byte) ([]transport.Message, error) {
-	s := n.s
-	if s.bcast == nil {
-		s.bcast = make([]transport.Packet, s.tr.N())
-	}
-	for to := range s.bcast {
-		s.bcast[to] = transport.Packet{To: to, Tag: tag, Payload: payload}
-	}
-	msgs, err := n.Exchange(s.bcast)
-	clear(s.bcast) // the round is over: don't pin the caller's payload
-	return msgs, err
 }
 
 // absorb folds one delivered round into the transcript digest and bumps

@@ -6,7 +6,6 @@ import (
 
 	"convexagreement/internal/core"
 	"convexagreement/internal/sessmux"
-	"convexagreement/internal/transport"
 )
 
 // SessionMux multiplexes many independent agreement sessions — each with
@@ -122,8 +121,6 @@ type MuxedTransport struct {
 	sm *SessionMux // lends RunParty its work set
 }
 
-var _ transport.BroadcastNet = (*MuxedTransport)(nil)
-
 // Sid returns the session id.
 func (mt *MuxedTransport) Sid() uint64 { return mt.s.Sid() }
 
@@ -139,12 +136,6 @@ func (mt *MuxedTransport) T() int { return mt.s.T() }
 // Exchange implements Transport: one virtual round of this session,
 // carried by the mux's next tick.
 func (mt *MuxedTransport) Exchange(out []Packet) ([]Message, error) { return mt.s.Exchange(out) }
-
-// ExchangeBroadcast completes an all-to-all virtual round without the
-// caller building the n-packet fan-out.
-func (mt *MuxedTransport) ExchangeBroadcast(tag string, payload []byte) ([]Message, error) {
-	return mt.s.ExchangeBroadcast(tag, payload)
-}
 
 // Close retires the session locally.
 func (mt *MuxedTransport) Close() error {

@@ -123,8 +123,6 @@ type TCPTransport struct {
 	conn *tcpnet.Conn
 }
 
-var _ transport.BroadcastNet = (*TCPTransport)(nil)
-
 // DialTCP establishes the TCP mesh for one party; all parties must call it
 // with consistent configurations. It blocks until every pairwise connection
 // is up.
@@ -161,12 +159,6 @@ func (t *TCPTransport) T() int { return t.conn.T() }
 
 // Exchange implements Transport.
 func (t *TCPTransport) Exchange(out []Packet) ([]Message, error) { return t.conn.Exchange(out) }
-
-// ExchangeBroadcast completes an all-to-all round without the n-packet
-// fan-out: Exchange over payload addressed to every party, self included.
-func (t *TCPTransport) ExchangeBroadcast(tag string, payload []byte) ([]Message, error) {
-	return t.conn.ExchangeBroadcast(tag, payload)
-}
 
 // Faulty returns the peers this party demoted to silent for the run —
 // caught violating the framing protocol or unreachable after all reconnect
