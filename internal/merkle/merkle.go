@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"convexagreement/internal/hashing"
-	"convexagreement/internal/pool"
 )
 
 // Domain-separation prefixes (RFC 6962).
@@ -50,46 +49,20 @@ func Build(leaves [][]byte) (*Tree, error) {
 		leaves: make([]hashing.Digest, len(leaves)),
 		memo:   make(map[[2]int]hashing.Digest, 2*len(leaves)),
 	}
-	// Leaf hashing is embarrassingly parallel — each digest lands in its own
-	// slot of t.leaves — so it fans out across the pool in chunks, one
-	// reusable Hasher per chunk (a shared hash state turns the one-shot Sum
-	// calls into allocation-free Reset/Write/Sum cycles, and per-chunk
-	// states keep the fan-out race-free). Results are position-addressed, so
-	// the tree is bit-identical to the serial build regardless of
-	// scheduling. Small trees skip the fan-out: below the threshold the
-	// dispatch overhead exceeds the hashing itself.
-	if len(leaves) >= parallelLeafMin && pool.Workers() > 1 {
-		pool.ForEachChunk(len(leaves), leafGrain, func(lo, hi int) {
-			h := hashing.NewHasher()
-			for i := lo; i < hi; i++ {
-				h.Reset()
-				h.Write(leafPrefix)
-				h.Write(leaves[i])
-				t.leaves[i] = h.Digest()
-			}
-		})
-	} else {
-		h := hashing.NewHasher()
-		for i, leaf := range leaves {
-			h.Reset()
-			h.Write(leafPrefix)
-			h.Write(leaf)
-			t.leaves[i] = h.Digest()
-		}
+	// One Hasher serves every leaf and interior node: a shared hash state
+	// turns the one-shot Sum calls into allocation-free Reset/Write/Sum
+	// cycles. The build runs on the calling party's goroutine, as the rest
+	// of its round does.
+	h := hashing.NewHasher()
+	for i, leaf := range leaves {
+		h.Reset()
+		h.Write(leafPrefix)
+		h.Write(leaf)
+		t.leaves[i] = h.Digest()
 	}
-	// The interior build stays serial: it is a strict tree dependency and,
-	// at ~n interior hashes over in-cache digests, is not the bottleneck.
-	t.root = t.build(hashing.NewHasher(), 0, t.n)
+	t.root = t.build(h, 0, t.n)
 	return t, nil
 }
-
-// Fan-out tuning for Build: a leaf hash costs a few hundred nanoseconds, so
-// chunks of leafGrain leaves amortize the pool's per-claim overhead, and
-// trees smaller than parallelLeafMin leaves hash serially.
-const (
-	parallelLeafMin = 64
-	leafGrain       = 32
-)
 
 // N returns the number of leaves.
 func (t *Tree) N() int { return t.n }

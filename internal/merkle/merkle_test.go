@@ -3,7 +3,6 @@ package merkle
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"convexagreement/internal/hashing"
@@ -205,42 +204,6 @@ func TestLargeRandomLeaves(t *testing.T) {
 		w, _ := tree.Witness(i)
 		if !Verify(tree.Root(), i, n, leaves[i], w) {
 			t.Fatalf("leaf %d rejected", i)
-		}
-	}
-}
-
-// TestParallelBuildMatchesSerial: the pool-parallel leaf hashing must
-// produce a tree bit-identical to the serial build — same root, same
-// witnesses — across sizes straddling the fan-out threshold. Run with
-// -race this also checks the leaf fan-out writes disjoint slots.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	for _, n := range []int{parallelLeafMin - 1, parallelLeafMin, 257, 1000} {
-		leaves := leavesOf(n)
-		prev := runtime.GOMAXPROCS(1)
-		serial, err := Build(leaves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GOMAXPROCS(4)
-		parallel, err := Build(leaves)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Root() != parallel.Root() {
-			t.Fatalf("n=%d: parallel build root differs from serial", n)
-		}
-		for i := 0; i < n; i += 1 + n/7 {
-			ws, _ := serial.Witness(i)
-			wp, _ := parallel.Witness(i)
-			if len(ws) != len(wp) {
-				t.Fatalf("n=%d leaf %d: witness lengths differ", n, i)
-			}
-			for j := range ws {
-				if ws[j] != wp[j] {
-					t.Fatalf("n=%d leaf %d: witness digest %d differs", n, i, j)
-				}
-			}
 		}
 	}
 }

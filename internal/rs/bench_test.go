@@ -2,7 +2,6 @@ package rs
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -92,23 +91,10 @@ func BenchmarkDecodeInterpolated_n256_k171_64KiB(b *testing.B) {
 	})
 }
 
-// BenchmarkDecodeInterpolated_parallel is the same workload with the pool
-// fan-out forcibly engaged (GOMAXPROCS=4): on a single-core runner it
-// measures the dispatch overhead the engine must amortize, on multicore it
-// measures the stripe-engine speedup. Output is bit-identical to the serial
-// benchmark either way (see TestParallelDecodeMatchesSerial).
-func BenchmarkDecodeInterpolated_parallel_n256_k171_64KiB(b *testing.B) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	benchCodec(b, 256, 171, 64<<10, func(rng *rand.Rand) []int {
-		return rng.Perm(256)[:171]
-	})
-}
-
 // The n = 7, k = 5, 256 KiB shape is long_input's codec (benchmark
 // workloads, ℓ = 2²¹ bits). The To benchmarks reuse one buffer and one
-// Scratch, as baplus.LongLanes does; ci.sh pins EncodeTo at 0 allocs/op on
-// the serial engine (-cpu 1: the pool's fan-out allocates its job).
+// Scratch, as baplus.LongLanes does; ci.sh pins EncodeTo at 0 allocs/op
+// and DecodeTo at 1 (its output: it passes no buffer).
 func benchLongShape(b *testing.B) (*Codec, []byte) {
 	b.Helper()
 	c, err := NewCodec(7, 5)

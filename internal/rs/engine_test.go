@@ -161,61 +161,6 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeMatchesSerial: the word engine's output is bit-identical
-// whether the fan-out runs serially (GOMAXPROCS=1) or across pool workers
-// (GOMAXPROCS=4). Run with -race this also proves the fan-out writes are
-// disjoint. The payload is sized so per-row work clears parallelRowWork and
-// the pool path actually engages.
-func TestParallelDecodeMatchesSerial(t *testing.T) {
-	c, err := NewCodec(31, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := goldenPayload(64<<10, 4)
-	shares, _ := c.Encode(payload)
-	keep := rand.New(rand.NewSource(5)).Perm(31)[:21]
-	sel := erase(shares, keep)
-
-	prev := runtime.GOMAXPROCS(1)
-	serial, errS := c.decode(nil, nil, sel, true)
-	runtime.GOMAXPROCS(4)
-	parallel, errP := c.decode(nil, nil, sel, true)
-	runtime.GOMAXPROCS(prev)
-	if errS != nil || errP != nil {
-		t.Fatalf("decode errors: serial %v, parallel %v", errS, errP)
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("parallel stripe decode diverges from serial")
-	}
-	if !bytes.Equal(serial, payload) {
-		t.Fatal("decode does not round-trip")
-	}
-}
-
-// TestParallelEncodeMatchesSerial: same determinism contract for the
-// word-engine parity fan-out.
-func TestParallelEncodeMatchesSerial(t *testing.T) {
-	c, err := NewCodec(31, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := goldenPayload(64<<10, 6)
-
-	prev := runtime.GOMAXPROCS(1)
-	serial, errS := c.encode(nil, nil, payload, true)
-	runtime.GOMAXPROCS(4)
-	parallel, errP := c.encode(nil, nil, payload, true)
-	runtime.GOMAXPROCS(prev)
-	if errS != nil || errP != nil {
-		t.Fatalf("encode errors: serial %v, parallel %v", errS, errP)
-	}
-	for i := range serial {
-		if !bytes.Equal(serial[i].Data, parallel[i].Data) {
-			t.Fatalf("share %d differs between serial and parallel encode", i)
-		}
-	}
-}
-
 // TestCodecConcurrentUse hammers one shared Codec from many goroutines with
 // mixed encodes and decodes over distinct erasure patterns. Under -race
 // this is the goroutine-safety contract check for the plan cache and the

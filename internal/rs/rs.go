@@ -24,10 +24,9 @@
 //     into nibble tables and cached in a per-Codec LRU (plan.go). A decode
 //     is then one gf16.DotWords fused matrix-row product per missing data
 //     column over the split (lo/hi byte) column layout; encode streams the
-//     precomputed extension rows through the same kernel. Independent
-//     output columns fan out across pool.ForEach when the row work and
-//     GOMAXPROCS justify it; every goroutine writes only its own
-//     index-addressed slots, so results are deterministic and race-free.
+//     precomputed extension rows through the same kernel. Both run on the
+//     calling goroutine: a party's codec work is its own, and every party
+//     of a deployment already has a goroutine of its own to run it on.
 //
 //   - The reference engine (decodeReference/encodeReference): the original
 //     barycentric interpolation per call using the allocation-free
@@ -53,7 +52,6 @@ import (
 	"sync"
 
 	"convexagreement/internal/gf16"
-	"convexagreement/internal/pool"
 )
 
 // Errors returned by the codec.
@@ -98,7 +96,6 @@ type Codec struct {
 type Scratch struct {
 	edge   []byte      // a grid row splitColumns stages (the header's, the payload's end)
 	shares []Share     // EncodeTo's share headers
-	job    rowJob      // the call's matrix-row fan-out
 	joinLo [][]byte    // per data column, its low bytes in split layout (decode)
 	joinHi [][]byte    // per data column, its high bytes in split layout (decode)
 	cols   []gf16.Elem // k symbol columns of `stripes` elements each, flat
@@ -234,13 +231,8 @@ func wordStride(stripes int) int { return (stripes + 31) &^ 31 }
 // columns stay in cache while every matrix row streams over them.
 const chunkStripes = 4096
 
-// parallelRowWork is the per-output-column kernel work (in symbols, ≈
-// k·stripes) below which fanning out across the pool costs more than it
-// saves.
-const parallelRowWork = 1 << 14
-
-// rowJob is the one matrix product both word engines fan out, over the
-// chunk of span stripes from st0: output row r is Σ_j tabs[r·k+j]·column_j
+// rowJob is the one matrix product of both word engines, over the chunk of
+// span stripes from st0: output row r is Σ_j tabs[r·k+j]·column_j
 // over the split column layout, accumulated in row r of the out buffers
 // and, for encode, packed into dst[r] at the chunk's offset.
 type rowJob struct {
@@ -259,20 +251,6 @@ func (j *rowJob) row(r int) {
 	gf16.DotWords(j.tabs[r*j.k:(r+1)*j.k], oLo, oHi, j.colsLo, j.colsHi, j.stride)
 	if j.dst != nil {
 		gf16.Pack(j.dst[r].Data[2*j.st0:2*(j.st0+j.span)], oLo[:j.span], oHi[:j.span])
-	}
-}
-
-// fanOut runs j's rows, in parallel via the pool when the per-row work is
-// heavy enough to amortize dispatch. Each row writes only its own out row
-// and share, so the result is bit-identical to the serial loop regardless of
-// scheduling; the serial loop allocates nothing.
-func fanOut(rows, rowWork int, j *rowJob) {
-	if rows > 1 && rowWork >= parallelRowWork && pool.Workers() > 1 {
-		pool.ForEach(rows, j.row)
-		return
-	}
-	for r := 0; r < rows; r++ {
-		j.row(r)
 	}
 }
 
@@ -340,13 +318,15 @@ func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, er
 		}
 		if parity {
 			rows := c.n - c.k
-			s.job = rowJob{
+			job := rowJob{
 				k: c.k, st0: st0, span: span, stride: stride, tabs: c.encTabs,
 				colsLo: colsLo, colsHi: colsHi,
 				outLo: resizeBytes(&s.outLo, rows*stride), outHi: resizeBytes(&s.outHi, rows*stride),
 				dst: shares[c.k:],
 			}
-			fanOut(rows, c.k*span, &s.job)
+			for r := range rows {
+				job.row(r)
+			}
 		}
 	}
 	if c.n > c.k && !words {
@@ -517,9 +497,8 @@ func (c *Codec) decode(s *Scratch, buf []byte, shares []Share, words bool) ([]by
 // the expanded Lagrange matrix for this erasure pattern is looked up (or
 // built once), then, a chunk of stripes at a time, every chosen share is
 // unpacked into the split column layout, each missing data column is
-// synthesized as one fused gf16.DotWords product over it — missing columns
-// are independent, so they fan out across the pool — and one sweep joins
-// the present and the synthesized columns into the grid.
+// synthesized as one fused gf16.DotWords product over it, and one sweep
+// joins the present and the synthesized columns into the grid.
 func (c *Codec) decodeWords(s *Scratch, framed []byte, chosen []Share, stripes int) {
 	k := c.k
 	plan := c.planFor(s, chosen)
@@ -542,12 +521,14 @@ func (c *Codec) decodeWords(s *Scratch, framed []byte, chosen []Share, stripes i
 				joinLo[t], joinHi[t] = colsLo[base:base+span], colsHi[base:base+span]
 			}
 		}
-		s.job = rowJob{
+		job := rowJob{
 			k: k, st0: st0, span: span, stride: stride, tabs: plan.tabs,
 			colsLo: colsLo, colsHi: colsHi,
 			outLo: resizeBytes(&s.outLo, e*stride), outHi: resizeBytes(&s.outHi, e*stride),
 		}
-		fanOut(e, k*span, &s.job)
+		for r := range e {
+			job.row(r)
+		}
 		for ti, t := range plan.missing {
 			joinLo[t], joinHi[t] = s.outLo[ti*stride:ti*stride+span], s.outHi[ti*stride:ti*stride+span]
 		}

@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +253,53 @@ func TestEncodeToReusesBuffer(t *testing.T) {
 	if _, err := c.EncodeTo(nil, small, goldenPayload(100, 1)); err != nil || !bytes.Equal(small, bytes.Repeat([]byte{0xA5}, 8)) {
 		t.Fatalf("a too-small buffer was written: %x, %v", small, err)
 	}
+}
+
+// TestCodecCallsAllocateNothing: at long_input's shape (n = 7, k = 5,
+// 256 KiB), an encode into a caller-owned buffer and an interpolated decode
+// into another, each with a warmed Scratch, allocate nothing on either
+// engine, however many Ps the runtime has: a codec call runs on its
+// caller's goroutine and its working set is the caller's. The count is
+// taken by hand because testing.AllocsPerRun runs at GOMAXPROCS 1, where a
+// fan-out across Ps would not show.
+func TestCodecCallsAllocateNothing(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	c, err := NewCodec(7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := goldenPayload(256<<10, 3)
+	for _, words := range []bool{true, false} {
+		var enc, dec Scratch
+		buf := make([]byte, c.N()*c.ShareSize(len(payload)))
+		out := make([]byte, len(buf))
+		shares, err := c.encode(&enc, buf, payload, words) // grows enc
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.decode(&dec, out, shares[2:], words) // grows dec
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("words=%v: round trip failed: %v", words, err)
+		}
+		if n := mallocsPerCall(func() { _, _ = c.encode(&enc, buf, payload, words) }); n != 0 {
+			t.Errorf("words=%v: EncodeTo allocates %d times per call", words, n)
+		}
+		if n := mallocsPerCall(func() { _, _ = c.decode(&dec, out, shares[2:], words) }); n != 0 {
+			t.Errorf("words=%v: DecodeTo allocates %d times per call", words, n)
+		}
+	}
+}
+
+// mallocsPerCall is the heap allocations of one call of f, averaged over
+// ten and rounded down, at the current GOMAXPROCS.
+func mallocsPerCall(f func()) uint64 {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs
 }

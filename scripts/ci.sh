@@ -222,6 +222,19 @@ one_path() {
 		echo "one-path: a per-peer sendFrame or a per-peer tail map reappeared in tcpnet; a round is one sendRound into the round-slot ring" >&2
 		exit 1
 	fi
+	# One goroutine per party. A party's RS.ENCODE/RS.DECODE and MT.BUILD
+	# run on its own goroutine: a deployment hosts its parties side by side,
+	# so a fan-out across Ps below the transports competes with them, and the
+	# internal/pool worker set that did it measured no gain and was deleted.
+	# The codec, hashing and protocol packages spawn nothing.
+	if [ -e internal/pool ] || grep -rn 'internal/pool' --include='*.go' . | grep -v '_test\.go:'; then
+		echo "one-path: internal/pool reappeared; a party's codec and Merkle work runs on its own goroutine" >&2
+		exit 1
+	fi
+	if grep -rnE '(^|[^[:alnum:]_])go (func|[[:alnum:]_.]+\()' --include='*.go' internal/gf16 internal/rs internal/merkle internal/hashing internal/bitstr internal/ba internal/baplus internal/bc internal/core internal/highcostca internal/aa | grep -v '_test\.go:'; then
+		echo "one-path: a goroutine spawn in the codec, hashing or protocol plane; a party's work runs on its own goroutine" >&2
+		exit 1
+	fi
 }
 
 # The arm64 build keeps the NEON gf16 kernel and the wire path compiling.
@@ -260,11 +273,11 @@ cross_compile() {
 # reason as the merge row's: goroutine parks and the one-time fill of the
 # work sets, the rejoin tail and the arena's free lists (which a GC does
 # not empty) must amortise below one alloc/op (the recorded counts were
-# taken at these same benchtimes). The rs row encodes long_input's value
+# taken at these same benchtimes). The rs rows encode long_input's value
 # (n = 7, k = 5, 256 KiB) into a buffer and a Scratch the caller reuses, at
-# 0 allocs/op: a codec buffer that goes back to being per call shows here.
-# It runs at -cpu 1, on the serial engine; the pool's fan-out allocates its
-# job.
+# 0 allocs/op, and decode it from its last k shares with a reused Scratch,
+# at 1 (the payload: that benchmark passes no buffer): a codec buffer that
+# goes back to being per call, or a fan-out across Ps, shows here.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
@@ -276,8 +289,8 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkMuxedPiZ$' -benchtime 100x -benchmem .
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
-		go test -run '^$' -bench 'BenchmarkEncodeTo_n7_k5_256KiB$' -benchtime 100x -benchmem -cpu 1 ./internal/rs/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MuxedPiZ|MeshRound|SessmuxTickTCP|EncodeTo_n7_k5_256KiB'
+		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
+	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an
@@ -318,7 +331,7 @@ fuzz_smoke() {
 }
 
 # The packages with real concurrency.
-race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/pool/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/...'
+race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/...'
 
 # Wall seconds over two green runs on a 2-core host, one with a cold build
 # cache: gofmt and one-path 0, vet 3-16, build 1, calint 2-3, go test
