@@ -48,7 +48,8 @@ profile:
 # checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
 # the bitstr word kernels against their bit-at-a-time oracles; over the
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
-# against the per-package functions it replaced; over the lane frame; and
+# against the per-package functions it replaced; over FirstPerSender against
+# its set-based oracle; over the lane frame; and
 # over the session demux's merge-join against its map-based oracle. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzKernelsVsReference -fuzztime $(FUZZTIME) ./internal/bitstr/
 	$(GO) test -run '^$$' -fuzz FuzzTally -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzFirstPerSender -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzKingLanes -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/

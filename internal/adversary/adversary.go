@@ -16,8 +16,10 @@
 package adversary
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"convexagreement/internal/sim"
 	"convexagreement/internal/transport"
@@ -56,18 +58,36 @@ func Crash(rounds int) sim.Behavior {
 func Garbage(seed int64, maxLen int) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed + int64(env.ID())))
-		for {
-			out := make([]sim.Packet, 0, env.N())
+		var out []sim.Packet
+		var bufs [2][]byte
+		for round := 0; ; round++ {
+			buf := bufs[round%2][:0]
+			out = out[:0]
 			for to := 0; to < env.N(); to++ {
-				buf := make([]byte, rng.Intn(maxLen+1))
-				rng.Read(buf)
-				out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: buf})
+				payload := carve(&buf, rng.Intn(maxLen+1))
+				rng.Read(payload)
+				out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: payload})
 			}
+			bufs[round%2] = buf
 			if _, err := env.Exchange(out); err != nil {
 				return err
 			}
 		}
 	}
+}
+
+// carve extends *buf by size bytes and returns them, capped so that an
+// append through one payload cannot reach the next. A strategy that writes
+// its payloads carves them from two buffers taken in turn, round by round:
+// the simulator delivers by reference, and a recipient reads round r's
+// payloads until it submits round r+1, which every party has done by the
+// time round r+1 closes and this party starts building round r+2. So a
+// buffer is free again two rounds after it was sent; a grown buffer leaves
+// its old array, which recipients may still be reading, untouched.
+func carve(buf *[]byte, size int) []byte {
+	off := len(*buf)
+	*buf = slices.Grow(*buf, size)[:off+size]
+	return (*buf)[off : off+size : off+size]
 }
 
 // Equivocate rushes each round, then relays one honest party's payload to
@@ -78,26 +98,29 @@ func Garbage(seed int64, maxLen int) sim.Behavior {
 func Equivocate(seed int64) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed * 31))
+		seen := make([]bool, env.N())
+		var first [][]byte
+		var out []sim.Packet
 		for {
 			spied, err := env.PeekHonest()
 			if err != nil {
 				return err
 			}
-			// Collect one representative payload per honest sender.
-			var senders []sim.PartyID
-			byFrom := make(map[sim.PartyID][]byte)
+			// Collect one representative payload per honest sender, in
+			// order of first appearance.
+			clear(seen)
+			first = first[:0]
 			for _, s := range spied {
-				if _, ok := byFrom[s.From]; !ok {
-					byFrom[s.From] = s.Payload
-					senders = append(senders, s.From)
+				if !seen[s.From] {
+					seen[s.From] = true
+					first = append(first, s.Payload)
 				}
 			}
-			var out []sim.Packet
-			if len(senders) > 0 {
-				a := byFrom[senders[0]]
-				b := byFrom[senders[len(senders)-1]]
-				if len(senders) > 2 && rng.Intn(2) == 1 {
-					a = byFrom[senders[1]]
+			out = out[:0]
+			if len(first) > 0 {
+				a, b := first[0], first[len(first)-1]
+				if len(first) > 2 && rng.Intn(2) == 1 {
+					a = first[1]
 				}
 				for to := 0; to < env.N(); to++ {
 					payload := a
@@ -121,26 +144,36 @@ func Equivocate(seed int64) sim.Behavior {
 // matching payload instead of the first, which tends to amplify minority
 // values.
 func Mirror(chooseLast bool) sim.Behavior {
-	return func(env *sim.Env) error {
-		for {
-			spied, err := env.PeekHonest()
-			if err != nil {
-				return err
+	return func(env *sim.Env) error { return mirror(env, chooseLast) }
+}
+
+// mirror is Mirror's round loop, and LateJoin's once it has joined. The
+// packets go out in ascending recipient order: under a fault-injection
+// transport the per-packet seeded decisions and the transcript digest
+// consume packets in stream order.
+func mirror(env *sim.Env, chooseLast bool) error {
+	byTo := make([][]byte, env.N())
+	has := make([]bool, env.N())
+	var out []sim.Packet
+	for {
+		spied, err := env.PeekHonest()
+		if err != nil {
+			return err
+		}
+		clear(has)
+		for _, s := range spied {
+			if !has[s.To] || (chooseLast && bytes.Compare(s.Payload, byTo[s.To]) > 0) {
+				byTo[s.To], has[s.To] = s.Payload, true
 			}
-			byTo := make(map[sim.PartyID][]byte)
-			for _, s := range spied {
-				cur, ok := byTo[s.To]
-				if !ok || (chooseLast && string(s.Payload) > string(cur)) {
-					byTo[s.To] = s.Payload
-				}
-			}
-			out := make([]sim.Packet, 0, len(byTo))
-			for _, to := range sortedRecipients(byTo) {
+		}
+		out = out[:0]
+		for to, ok := range has {
+			if ok {
 				out = append(out, sim.Packet{To: to, Tag: tag, Payload: byTo[to]})
 			}
-			if _, err := env.Exchange(out); err != nil {
-				return err
-			}
+		}
+		if _, err := env.Exchange(out); err != nil {
+			return err
 		}
 	}
 }
@@ -151,18 +184,21 @@ func Mirror(chooseLast bool) sim.Behavior {
 func Spam(seed int64, copies int) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		for {
+		var out []sim.Packet
+		var bufs [2][]byte
+		for round := 0; ; round++ {
 			spied, err := env.PeekHonest()
 			if err != nil {
 				return err
 			}
-			var out []sim.Packet
+			buf := bufs[round%2][:0]
+			out = out[:0]
 			for to := 0; to < env.N(); to++ {
 				for c := 0; c < copies; c++ {
 					var payload []byte
 					if len(spied) > 0 {
 						src := spied[rng.Intn(len(spied))].Payload
-						payload = make([]byte, len(src))
+						payload = carve(&buf, len(src))
 						copy(payload, src)
 						if len(payload) > 0 && c%2 == 1 {
 							payload[rng.Intn(len(payload))] ^= 0xff // mutate
@@ -171,6 +207,7 @@ func Spam(seed int64, copies int) sim.Behavior {
 					out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: payload})
 				}
 			}
+			bufs[round%2] = buf
 			if _, err := env.Exchange(out); err != nil {
 				return err
 			}
@@ -178,32 +215,51 @@ func Spam(seed int64, copies int) sim.Behavior {
 	}
 }
 
+// replayRun is a run of consecutive entries of Replay's history that share
+// one payload slice — a broadcast's n entries — and the number of entries
+// up to and including the run.
+type replayRun struct {
+	payload []byte
+	end     int
+}
+
 // Replay rushes each round, records every honest payload it sees, and sends
 // parties payloads replayed verbatim from *earlier* rounds. The messages are
 // perfectly well-formed for the round they were stolen from, so this attacks
 // round-binding: a protocol that does not tie payloads to the round that
 // produced them will double-count stale evidence.
+//
+// The history is every peeked entry, one per packet, each as likely as the
+// next; it is kept as runs, so a broadcast costs one record, and an entry
+// is drawn by its index and found by binary search over the runs' ends.
+// The snapshot's payload copies are never rewritten, so they are kept as
+// they are.
 func Replay(seed int64) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
-		var history [][]byte
+		var history []replayRun
+		entries := 0
+		var out []sim.Packet
 		for {
 			spied, err := env.PeekHonest()
 			if err != nil {
 				return err
 			}
-			var out []sim.Packet
-			if len(history) > 0 {
+			out = out[:0]
+			if entries > 0 {
 				for to := 0; to < env.N(); to++ {
-					out = append(out, sim.Packet{
-						To:      sim.PartyID(to),
-						Tag:     tag,
-						Payload: history[rng.Intn(len(history))],
-					})
+					k := rng.Intn(entries)
+					i, _ := slices.BinarySearchFunc(history, k+1, func(r replayRun, end int) int { return cmp.Compare(r.end, end) })
+					out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: history[i].payload})
 				}
 			}
 			for _, s := range spied {
-				history = append(history, s.Payload)
+				entries++
+				if last := len(history) - 1; last >= 0 && transport.SamePayload(history[last].payload, s.Payload) {
+					history[last].end = entries
+				} else {
+					history = append(history, replayRun{payload: s.Payload, end: entries})
+				}
 			}
 			if _, err := env.Exchange(out); err != nil {
 				return err
@@ -224,41 +280,8 @@ func LateJoin(rounds int) sim.Behavior {
 				return err
 			}
 		}
-		for {
-			spied, err := env.PeekHonest()
-			if err != nil {
-				return err
-			}
-			byTo := make(map[sim.PartyID][]byte)
-			for _, s := range spied {
-				if _, ok := byTo[s.To]; !ok {
-					byTo[s.To] = s.Payload
-				}
-			}
-			out := make([]sim.Packet, 0, len(byTo))
-			for _, to := range sortedRecipients(byTo) {
-				out = append(out, sim.Packet{To: to, Tag: tag, Payload: byTo[to]})
-			}
-			if _, err := env.Exchange(out); err != nil {
-				return err
-			}
-		}
+		return mirror(env, false)
 	}
-}
-
-// sortedRecipients returns byTo's keys in ascending order. Packet
-// submission order must not depend on map iteration: under a
-// fault-injection transport the per-packet seeded drop/corrupt decisions
-// and the transcript digest consume packets in stream order, so a
-// map-ordered fan-out would make identically-seeded runs diverge
-// (calint's maporder check gates on exactly this shape).
-func sortedRecipients(byTo map[sim.PartyID][]byte) []sim.PartyID {
-	tos := make([]sim.PartyID, 0, len(byTo))
-	for to := range byTo {
-		tos = append(tos, to)
-	}
-	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	return tos
 }
 
 // Strategy names a reusable adversary constructor for parameter sweeps.

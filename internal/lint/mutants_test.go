@@ -146,8 +146,8 @@ var mutants = []mutant{
 	{id: "D4", file: "internal/adversary/adversary.go", fires: []string{"detrand"},
 		why: "global rand.Intn in internal/adversary",
 		edits: [][2]string{{
-			"\t\t\t\tbuf := make([]byte, rng.Intn(maxLen+1))\n",
-			"\t\t\t\tbuf := make([]byte, rand.Intn(maxLen+1)) // MUTANT\n"}}},
+			"\t\t\t\tpayload := carve(&buf, rng.Intn(maxLen+1))\n",
+			"\t\t\t\tpayload := carve(&buf, rand.Intn(maxLen+1)) // MUTANT\n"}}},
 	{id: "D5", file: "internal/faultnet/faultnet.go", fires: []string{"detrand"},
 		why: "global rand.Float64() in faultnet.roll: the seed-exact fault schedule stops replaying",
 		edits: [][2]string{

@@ -33,9 +33,12 @@ type Tree struct {
 	n      int
 	leaves []hashing.Digest
 	root   hashing.Digest
-	// memo caches subtree roots keyed by [lo,hi) ranges encountered during
-	// construction; ranges are unique in the RFC 6962 decomposition.
-	memo map[[2]int]hashing.Digest
+	// memo caches the interior subtree roots built during construction,
+	// memo[mid-1] for the range split at mid: every interior range of the
+	// RFC 6962 decomposition splits at its own point in 1..n−1 (the
+	// boundary between leaves mid−1 and mid, whose lowest common ancestor
+	// it is).
+	memo []hashing.Digest
 }
 
 // Build constructs the tree for the given leaf values (the paper's
@@ -47,7 +50,7 @@ func Build(leaves [][]byte) (*Tree, error) {
 	t := &Tree{
 		n:      len(leaves),
 		leaves: make([]hashing.Digest, len(leaves)),
-		memo:   make(map[[2]int]hashing.Digest, 2*len(leaves)),
+		memo:   make([]hashing.Digest, len(leaves)-1),
 	}
 	// One Hasher serves every leaf and interior node: a shared hash state
 	// turns the one-shot Sum calls into allocation-free Reset/Write/Sum
@@ -95,7 +98,7 @@ func (t *Tree) build(h *hashing.Hasher, lo, hi int) hashing.Digest {
 	h.WriteDigest(l)
 	h.WriteDigest(r)
 	d := h.Digest()
-	t.memo[[2]int{lo, hi}] = d
+	t.memo[mid-1] = d
 	return d
 }
 
@@ -106,7 +109,7 @@ func (t *Tree) node(lo, hi int) hashing.Digest {
 	if hi-lo == 1 {
 		return t.leaves[lo]
 	}
-	return t.memo[[2]int{lo, hi}]
+	return t.memo[lo+split(hi-lo)-1]
 }
 
 // Witness returns the audit path for leaf i: the sibling hashes from the

@@ -25,6 +25,7 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
 
@@ -225,25 +226,39 @@ func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 //
 // Every Net delivers sorted by sender, so an honest round is its own
 // first-per-sender set and comes back as it is; only an inbox in which a
-// sender repeats or the order is broken (byzantine spam, a custom
-// transport) is filtered into a copy, in order of first appearance. The
-// result is read-only and lives as long as msgs does.
+// sender repeats (byzantine spam) is filtered into a copy, by comparing
+// each sender with the last one kept. An inbox out of sender order, which
+// no Net in this module delivers, is filtered through a set of the senders
+// seen, in order of first appearance. The result is read-only and lives as
+// long as msgs does.
 func FirstPerSender(msgs []Message) []Message {
-	for i := 1; i < len(msgs); i++ {
-		if msgs[i].From <= msgs[i-1].From {
-			seen := make(map[PartyID]struct{}, len(msgs))
-			out := make([]Message, 0, len(msgs))
-			for _, m := range msgs {
-				if _, dup := seen[m.From]; !dup {
-					seen[m.From] = struct{}{}
-					out = append(out, m)
-				}
+	i := 1
+	for i < len(msgs) && msgs[i].From > msgs[i-1].From {
+		i++
+	}
+	if i >= len(msgs) {
+		return msgs
+	}
+	out := make([]Message, 0, len(msgs)-1)
+	if slices.IsSortedFunc(msgs[i-1:], bySender) {
+		for _, m := range msgs {
+			if len(out) == 0 || m.From != out[len(out)-1].From {
+				out = append(out, m)
 			}
-			return out
+		}
+		return out
+	}
+	seen := make(map[PartyID]struct{}, len(msgs))
+	for _, m := range msgs {
+		if _, dup := seen[m.From]; !dup {
+			seen[m.From] = struct{}{}
+			out = append(out, m)
 		}
 	}
-	return msgs
+	return out
 }
+
+func bySender(a, b Message) int { return cmp.Compare(a.From, b.From) }
 
 // Support is one distinct value of a round and the number of parties
 // counted for it.
@@ -267,9 +282,13 @@ func (t *Tally) Add(v []byte) {
 	i, found := slices.BinarySearchFunc(*t, v, func(s Support, v []byte) int { return bytes.Compare(s.Value, v) })
 	if found {
 		(*t)[i].Count++
-	} else {
-		*t = slices.Insert(*t, i, Support{Value: v, Count: 1})
+		return
 	}
+	// append and shift rather than slices.Insert, whose growth costs one
+	// allocation more under -race: append grows the same in both builds.
+	*t = append(*t, Support{})
+	copy((*t)[i+1:], (*t)[i:])
+	(*t)[i] = Support{Value: v, Count: 1}
 }
 
 // LaneTallies is Tally asked of the k = len(tallies) lanes of a round of

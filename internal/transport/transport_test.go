@@ -2,7 +2,9 @@ package transport
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -142,10 +144,69 @@ func TestFirstPerSenderKeepsFirst(t *testing.T) {
 			t.Errorf("%s: result aliases the inbox: %v, want %v", c.name, aliased, c.alias)
 		}
 	}
-	ascending := cases[1].in
+	ascending, repeated := cases[1].in, cases[2].in
 	if allocs := testing.AllocsPerRun(100, func() { sink = FirstPerSender(ascending) }); allocs != 0 {
 		t.Errorf("ascending inbox: %v allocs per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink = FirstPerSender(repeated) }); allocs != 1 {
+		t.Errorf("sorted inbox with repeats: %v allocs per call, want 1 (the copy, no set)", allocs)
 	}
 }
 
 var sink []Message
+
+// oracleFirstPerSender is the filter FirstPerSender used to apply to every
+// inbox that was not strictly ascending: a set of the senders seen, the
+// first message of each kept in order of first appearance.
+func oracleFirstPerSender(msgs []Message) []Message {
+	seen := make(map[PartyID]bool)
+	var out []Message
+	for _, m := range msgs {
+		if !seen[m.From] {
+			seen[m.From] = true
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func checkFirstPerSender(t *testing.T, in []Message) {
+	t.Helper()
+	got, want := FirstPerSender(in), oracleFirstPerSender(in)
+	if len(got) != len(want) {
+		t.Fatalf("%d messages, oracle %d on %v", len(got), len(want), in)
+	}
+	for i := range got {
+		if got[i].From != want[i].From || !SamePayload(got[i].Payload, want[i].Payload) {
+			t.Fatalf("message %d: got %v, oracle %v on %v", i, got[i], want[i], in)
+		}
+	}
+}
+
+// TestFirstPerSenderMatchesOracle: sorted inboxes with and without
+// repeated senders, and unsorted ones, against the set-based filter.
+func TestFirstPerSenderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 5000; trial++ {
+		raw := make([]byte, rng.Intn(40))
+		for i := range raw {
+			raw[i] = byte(rng.Intn(5))
+		}
+		in := inboxFrom(raw)
+		checkFirstPerSender(t, in)
+		slices.SortStableFunc(in, bySender)
+		checkFirstPerSender(t, in)
+	}
+}
+
+func FuzzFirstPerSender(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 7, 0, 1, 8, 2, 0, 2, 1, 9, 5, 0})
+	f.Add([]byte{3, 1, 7, 1, 0, 3, 0, 2, 1, 9})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := inboxFrom(raw)
+		checkFirstPerSender(t, in)
+		slices.SortStableFunc(in, bySender)
+		checkFirstPerSender(t, in)
+	})
+}

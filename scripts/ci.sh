@@ -277,7 +277,13 @@ cross_compile() {
 # (n = 7, k = 5, 256 KiB) into a buffer and a Scratch the caller reuses, at
 # 0 allocs/op, and decode it from its last k shares with a reused Scratch,
 # at 1 (the payload: that benchmark passes no buffer): a codec buffer that
-# goes back to being per call, or a fan-out across Ps, shows here.
+# goes back to being per call, or a fan-out across Ps, shows here. The
+# simulator rows pin an n = 16 all-to-all round and one round of each
+# catalogue strategy as the t = 5 corrupt parties of an n = 16 run, all at
+# 0 allocs/op: the scheduler refills its inbox array and rushing snapshot
+# and every strategy keeps its scratch, so a per-round map, packet slice
+# or payload coming back shows as a whole number. 2000 rounds amortise the
+# run's set-up and the snapshot's 64 KiB payload chunks below one.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
@@ -290,7 +296,9 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB'
+		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
+		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
+	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an
@@ -304,8 +312,9 @@ throughput_guard() {
 
 # 5 s per target: the wire frames (x2), admission, baplus tuples, the
 # checkpoint WAL and scrub, the bitstr kernels, the quorum vocabulary
-# against the per-package functions it replaced (x6), the lane frame, and
-# the session demux's merge-join against its map-based oracle. FuzzReadFrame and
+# against the per-package functions it replaced (x6), FirstPerSender
+# against its set-based oracle, the lane frame, and the session demux's
+# merge-join against its map-based oracle. FuzzReadFrame and
 # FuzzReadFrameInto share a prefix; go test refuses a -fuzz pattern matching
 # more than one target, so each needs an anchored pattern.
 fuzz_smoke() {
@@ -320,6 +329,7 @@ fuzz_smoke() {
 		FuzzScrub ./internal/checkpoint/
 		FuzzKernelsVsReference ./internal/bitstr/
 		FuzzTally ./internal/transport/
+		FuzzFirstPerSender ./internal/transport/
 		FuzzLanes ./internal/transport/
 		FuzzKingLanes ./internal/ba/
 		FuzzTCPicks ./internal/ba/
@@ -331,12 +341,12 @@ fuzz_smoke() {
 }
 
 # The packages with real concurrency.
-race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/...'
+race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/transport/...'
 
 # Wall seconds over two green runs on a 2-core host, one with a cold build
 # cache: gofmt and one-path 0, vet 3-16, build 1, calint 2-3, go test
-# 26-31, -race 35-37, cross-compile 15-17, allocs guard 3-4, throughput
-# guard 1, fuzz smoke 88. The budgets leave room for a slower or busier
+# 26-35, -race 35-38, cross-compile 15-20, allocs guard 3-6, throughput
+# guard 1-2, fuzz smoke 88-105. The budgets leave room for a slower or busier
 # host; calint's is the 60 s DESIGN.md §2.7 promises for the whole analyzer
 # (load, type-check, summary fixpoint, all eight checks over every package).
 stage gofmt              10 check_gofmt
