@@ -40,10 +40,10 @@ var mutants = []mutant{
 			"\t\t\tframe.Release() // nothing retained the payloads\n",
 			"\t\t\tframe.Release() // nothing retained the payloads\n\t\t\tframe.Release() // MUTANT\n"}}},
 	{id: "F2", file: tcpnetFile, fires: []string{"bufownership"},
-		why: "Exchange's shared-frame branch releases the frame after sendRound stored it in the round's tail slot",
+		why: "the round body's shared-frame branch (ExchangeVec) releases the frame after sendRound stored it in the round's tail slot",
 		edits: [][2]string{{
-			"\t\tc.sendRound(r, c.arena.EncodeFrame(r, c.flat[ref]))\n",
-			"\t\tfr := c.arena.EncodeFrame(r, c.flat[ref])\n\t\tc.sendRound(r, fr)\n\t\tfr.Release() // MUTANT\n"}}},
+			"\t\tc.sendRound(r, c.arena.EncodeFrameVecs(r, c.vecs[self]))\n",
+			"\t\tfr := c.arena.EncodeFrameVecs(r, c.vecs[self])\n\t\tc.sendRound(r, fr)\n\t\tfr.Release() // MUTANT\n"}}},
 	{id: "F3", file: tcpnetFile, fires: []string{"bufownership"},
 		why: "sendRound itself releases the shared frame after a write while the tail slot holds it",
 		edits: [][2]string{{

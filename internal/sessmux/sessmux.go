@@ -16,8 +16,9 @@
 // the inbox demultiplexes by session id. A session's round costs the tick
 // O(1) whatever the base's width N: a full-width session's broadcast —
 // Exchange over its n packets on one payload slice, as
-// transport.ExchangeAll builds them, found by that identity — is one entry
-// addressed to transport.All, not N packets, and demux routes
+// transport.ExchangeAll builds them, found by that identity
+// (transport.IsBroadcast) — is one entry addressed to transport.All, not N
+// packets, and demux routes
 // each sender's frames by a merge-join of their ascending session ids
 // against the open sessions, falling back to a map lookup only for a
 // sender that breaks that order. The base transport's blocking
@@ -225,7 +226,8 @@ type Session struct {
 	pended  bool
 	closed  bool
 	pending []transport.Packet
-	// all marks a pending broadcast: pending[0] goes to every participant.
+	// all marks a pending full-width broadcast: pending[0] goes to every
+	// base party as one transport.All entry.
 	all bool
 	// inbox is refilled by every tick's demux: scratch under
 	// transport.Net's lifetime rule, which dies with the session.
@@ -246,12 +248,13 @@ func (s *Session) N() int { return s.n }
 func (s *Session) T() int { return s.t }
 
 // Exchange submits this session's virtual round and blocks until the tick
-// closes. Packets to parties outside the session are dropped. A round of
-// n packets to 0, …, n−1 in order, with one tag and one payload slice — a
-// transport.ExchangeAll — is a broadcast, which merge sends as its first
-// packet to every participant.
+// closes. Packets to parties outside the session are dropped. A full-width
+// session's broadcast (transport.IsBroadcast: a transport.ExchangeAll over
+// every base party) is merged as its first packet, addressed to
+// transport.All; a narrower session's broadcast is merged packet by packet,
+// like any other round.
 func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	all := isBroadcast(out, s.n)
+	all := s.n == s.m.n && transport.IsBroadcast(out, s.n)
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,21 +279,6 @@ func (s *Session) Exchange(out []transport.Packet) ([]transport.Message, error) 
 		return nil, m.err
 	}
 	return s.inbox, nil
-}
-
-// isBroadcast reports whether out is a broadcast to n parties: To = i at
-// position i, every packet with the first one's tag and the very same
-// payload slice (transport.SamePayload).
-func isBroadcast(out []transport.Packet, n int) bool {
-	if len(out) != n {
-		return false
-	}
-	for i := range out {
-		if p := &out[i]; p.To != i || p.Tag != out[0].Tag || !transport.SamePayload(p.Payload, out[0].Payload) {
-			return false
-		}
-	}
-	return true
 }
 
 // Close retires the session locally. Peers are not told: they observe
@@ -498,26 +486,23 @@ func (m *Mux) demux(in []transport.Message) {
 // buffer, and the payload by reference — and transport.ExchangeVec hands
 // them to a VecNet base as they are or flattens them once for a plain one.
 // A full-width session's broadcast is one entry addressed to
-// transport.All, which the TCP base encodes once for all peers; a narrower
-// session's broadcast is one entry per participant sharing one vector.
-// The pieces are free on return, so all three scratch slices are reused
-// across ticks; they are sized up front because a mid-merge regrowth would
-// move the header bytes out from under the already-carved varint pieces.
+// transport.All, which the TCP base encodes once for all peers; every other
+// packet addressed inside its session is one entry. The pieces are free on
+// return, so all three scratch slices are reused across ticks; they are
+// sized up front because a mid-merge regrowth would move the header bytes
+// out from under the already-carved varint pieces.
 // Caller holds m.mu.
 func (m *Mux) merge() ([]transport.Message, error) {
 	hdrLen, entries := 0, 0
 	for _, s := range m.order {
 		hdrLen += uvarintLen(s.sid)
-		switch {
-		case s.all && s.n == m.n:
+		if s.all {
 			entries++
-		case s.all:
-			entries += s.n
-		default:
-			for i := range s.pending {
-				if p := &s.pending[i]; p.To >= 0 && p.To < s.n {
-					entries++
-				}
+			continue
+		}
+		for i := range s.pending {
+			if p := &s.pending[i]; p.To >= 0 && p.To < s.n {
+				entries++
 			}
 		}
 	}
@@ -544,10 +529,8 @@ func (m *Mux) merge() ([]transport.Message, error) {
 			p := &pending[i]
 			to, copies := p.To, 1
 			switch {
-			case s.all && s.n == m.n:
-				to, copies = transport.All, s.n
 			case s.all:
-				copies = s.n
+				to, copies = transport.All, s.n
 			case to < 0 || to >= s.n:
 				continue
 			}
@@ -556,14 +539,7 @@ func (m *Mux) merge() ([]transport.Message, error) {
 			if len(p.Payload) > 0 {
 				vecs = append(vecs, p.Payload)
 			}
-			vec := vecs[vmark:len(vecs):len(vecs)]
-			if s.all && s.n < m.n {
-				for to := range s.n {
-					merged = append(merged, transport.VecPacket{To: to, Tag: p.Tag, Vec: vec})
-				}
-			} else {
-				merged = append(merged, transport.VecPacket{To: to, Tag: p.Tag, Vec: vec})
-			}
+			merged = append(merged, transport.VecPacket{To: to, Tag: p.Tag, Vec: vecs[vmark:len(vecs):len(vecs)]})
 			packets += uint64(copies)
 			payloadBytes += uint64(copies * len(p.Payload))
 		}

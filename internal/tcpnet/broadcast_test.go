@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,36 +83,77 @@ func wireRound(t *testing.T, n int, round func(c *tcpnet.Conn) ([]transport.Mess
 // any layer does that knows a Net only by its interface.
 type exchangeOnly struct{ transport.Net }
 
-// TestExchangeAllWireBytes: transport.ExchangeAll through a wrapper that
-// forwards only Exchange encodes one frame and sends it on every link —
-// the very bytes Exchange(Broadcast(…)) puts there — and delivers the same
-// inbox. The Conn finds the broadcast by payload identity, so no wrapper
-// can hide it.
+// TestExchangeAllWireBytes: a broadcast goes out as one frame shared by
+// every link, carrying the very bytes Exchange(Broadcast(…)) puts there,
+// and delivers the same inbox, whichever way it is sent:
+// transport.ExchangeAll through a wrapper that forwards only Exchange (the
+// Conn finds the broadcast by payload identity, so no wrapper can hide it)
+// or ExchangeVec with one transport.All entry. A round that sends the one
+// payload to every party in reverse order is no broadcast: it goes out one
+// frame per peer, with the same bytes on every link. An ExchangeNone round
+// is one shared frame too, the empty frame the flat encoder writes.
 func TestExchangeAllWireBytes(t *testing.T) {
 	const n = 4
 	payload := bytes.Repeat([]byte{0xb7}, 300)
 	wantSent, wantIn := wireRound(t, n, func(c *tcpnet.Conn) ([]transport.Message, error) {
 		return c.Exchange(transport.Broadcast(c, "t", payload))
 	})
-	shared := false
-	gotSent, gotIn := wireRound(t, n, func(c *tcpnet.Conn) ([]transport.Message, error) {
-		var fan []transport.Packet
-		in, err := transport.ExchangeAll(exchangeOnly{c}, "t", payload, &fan)
-		shared = c.SharedFrame(0)
-		return in, err
-	})
-	if !shared {
-		t.Error("the round went out as one frame per peer, not one frame shared by every link")
-	}
 	if len(wantSent[0]) <= len(payload) {
 		t.Fatalf("the reference round put %d bytes on the wire for a %d-byte payload", len(wantSent[0]), len(payload))
 	}
-	for j := range wantSent {
-		if !bytes.Equal(gotSent[j], wantSent[j]) {
-			t.Errorf("link to %d: ExchangeAll wrote %x, Exchange(Broadcast) %x", j, gotSent[j], wantSent[j])
-		}
+	var arena wire.Arena
+	none := arena.EncodeFrame(0, nil)
+	defer none.Release()
+	noneSent := make([][]byte, n-1)
+	for j := range noneSent {
+		noneSent[j] = none.Bytes()
 	}
-	if !reflect.DeepEqual(gotIn, wantIn) {
-		t.Errorf("inbox %v, want %v", gotIn, wantIn)
+	columns := []struct {
+		name     string
+		round    func(c *tcpnet.Conn) ([]transport.Message, error)
+		oneFrame bool // must go out as one frame shared by every link
+		sent     [][]byte
+		in       []transport.Message
+	}{
+		{name: "ExchangeAll", oneFrame: true, sent: wantSent, in: wantIn,
+			round: func(c *tcpnet.Conn) ([]transport.Message, error) {
+				var fan []transport.Packet
+				return transport.ExchangeAll(exchangeOnly{c}, "t", payload, &fan)
+			}},
+		{name: "ExchangeVec", oneFrame: true, sent: wantSent, in: wantIn,
+			round: func(c *tcpnet.Conn) ([]transport.Message, error) {
+				return c.ExchangeVec([]transport.VecPacket{{To: transport.All, Tag: "t", Vec: [][]byte{payload[:100], payload[100:]}}})
+			}},
+		{name: "reversed", sent: wantSent, in: wantIn,
+			round: func(c *tcpnet.Conn) ([]transport.Message, error) {
+				out := transport.Broadcast(c, "t", payload)
+				slices.Reverse(out)
+				return c.Exchange(out)
+			}},
+		{name: "ExchangeNone", oneFrame: true, sent: noneSent,
+			round: func(c *tcpnet.Conn) ([]transport.Message, error) {
+				return transport.ExchangeNone(c)
+			}},
+	}
+	for _, col := range columns {
+		t.Run(col.name, func(t *testing.T) {
+			shared := false
+			gotSent, gotIn := wireRound(t, n, func(c *tcpnet.Conn) ([]transport.Message, error) {
+				in, err := col.round(c)
+				shared = c.SharedFrame(0)
+				return in, err
+			})
+			if col.oneFrame && !shared {
+				t.Error("the round went out as one frame per peer, not one frame shared by every link")
+			}
+			for j := range col.sent {
+				if !bytes.Equal(gotSent[j], col.sent[j]) {
+					t.Errorf("link to %d: wrote %x, want %x", j, gotSent[j], col.sent[j])
+				}
+			}
+			if len(gotIn) != len(col.in) || (len(gotIn) > 0 && !reflect.DeepEqual(gotIn, col.in)) {
+				t.Errorf("inbox %v, want %v", gotIn, col.in)
+			}
+		})
 	}
 }

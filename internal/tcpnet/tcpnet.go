@@ -40,7 +40,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -176,10 +175,10 @@ func (e *inboxEntry) empty() {
 }
 
 // roundSlot is one round of the rejoin tail: the round number and what this
-// party sent every peer in it — one shared frame when every peer's payload
-// list was the same (a broadcast round), else one frame per peer, indexed by
-// party id. The slot owns its frames until the round slides out of the
-// window.
+// party sent every peer in it — one shared frame for a round of nothing but
+// transport.All entries (a broadcast or an empty round), else one frame per
+// peer, indexed by party id. The slot owns its frames until the round
+// slides out of the window.
 type roundSlot struct {
 	round  uint64
 	shared *wire.Frame
@@ -330,11 +329,12 @@ type Conn struct {
 	// covered by the Net lifetime rule — what a round hands out is valid
 	// until the next Exchange; only free is shared with the read loops, under
 	// mu. Each grows to the largest round seen and stays there.
-	flat    [][][]byte          // Exchange: payloads per destination
-	vecs    [][][][]byte        // ExchangeVec: scatter-gather payloads per destination
-	self    []transport.Message // this round's self-deliveries
-	selfBuf []byte              // ExchangeVec's self-deliveries, flattened
-	inbox   []transport.Message // the inbox the round hands out
+	pieces  [][]byte              // Exchange: one piece per packet, len(out) long, cleared after the round
+	staged  []transport.VecPacket // Exchange: its packets as ExchangeVec entries
+	vecs    [][][][]byte          // ExchangeVec: scatter-gather payloads per destination
+	self    []transport.Message   // this round's self-deliveries
+	selfBuf []byte                // this round's self-deliveries, flattened
+	inbox   []transport.Message   // the inbox the round hands out
 	// frames stages a per-peer round's frames, indexed by party id, for
 	// sendRound to swap into the round's tail slot; all nil between rounds.
 	frames []*wire.Frame
@@ -407,7 +407,6 @@ func Dial(cfg Config) (*Conn, error) {
 		tails:      make([]roundSlot, cfg.RejoinWindow),
 		wmu:        make([]sync.Mutex, n),
 		wdl:        make([]writeDeadline, n),
-		flat:       make([][][]byte, n),
 		vecs:       make([][][][]byte, n),
 		sendTo:     make([]sendTarget, n),
 		helloCount: make(map[string]int),
@@ -693,49 +692,48 @@ func (c *Conn) BreakLink(peer int) {
 // Exchange implements one synchronous round: it ships this round's packets
 // to every up peer (an empty frame to peers with none), waits up to Delta
 // for all up peers' frames, and returns the delivered messages in sender
-// order. Their payloads alias pooled frames (and, for self-delivery, out),
-// and the slice itself is the Conn's: read-only, valid until the next
-// Exchange or Close — see transport.Net.
+// order. It only stages the packets onto ExchangeVec, the Conn's one round
+// body. A broadcast (transport.IsBroadcast) is one transport.All entry, so
+// it goes out as one frame shared by every link; every other packet
+// addressed to a party is its own entry, a one-piece view of its payload;
+// a packet addressed out of range — transport.All included — is dropped.
+// The payloads delivered alias pooled frames (and, for self-delivery, the
+// Conn's selfBuf), and the slice itself is the Conn's: read-only, valid
+// until the next Exchange or Close — see transport.Net.
 func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	r, err := c.beginRound()
-	if err != nil {
-		return nil, err
+	if cap(c.pieces) < len(out) {
+		c.pieces = make([][]byte, len(out))
+		c.staged = make([]transport.VecPacket, 0, len(out))
 	}
-	for i := range out {
-		if p := &out[i]; p.To >= 0 && p.To < c.n {
-			c.flat[p.To] = append(c.flat[p.To], p.Payload)
-		}
-	}
-	for _, p := range c.flat[c.cfg.ID] {
-		c.self = append(c.self, transport.Message{From: c.cfg.ID, Payload: p})
-	}
-	if ref := sharedList(c.flat, c.cfg.ID); ref >= 0 {
-		c.sendRound(r, c.arena.EncodeFrame(r, c.flat[ref]))
+	pieces, staged := c.pieces[:len(out)], c.staged[:0]
+	if transport.IsBroadcast(out, c.n) {
+		pieces[0] = out[0].Payload
+		staged = append(staged, transport.VecPacket{To: transport.All, Tag: out[0].Tag, Vec: pieces[:1:1]})
 	} else {
-		frames := c.peerFrames()
-		for peer, payloads := range c.flat {
-			if peer != c.cfg.ID {
-				frames[peer] = c.arena.EncodeFrame(r, payloads)
+		for i := range out {
+			if p := &out[i]; p.To >= 0 && p.To < c.n {
+				pieces[i] = p.Payload
+				staged = append(staged, transport.VecPacket{To: p.To, Tag: p.Tag, Vec: pieces[i : i+1 : i+1]})
 			}
 		}
-		c.sendRound(r, nil)
 	}
-	for peer, payloads := range c.flat {
-		clear(payloads) // sent: don't pin the caller's payloads
-		c.flat[peer] = payloads[:0]
-	}
-	return c.awaitRound(r)
+	in, err := c.ExchangeVec(staged)
+	clear(pieces) // sent: don't pin the caller's payloads
+	c.staged = staged[:0]
+	return in, err
 }
 
-// ExchangeVec implements transport.VecNet: one synchronous round whose
-// outgoing payloads are scatter-gather vectors. Each packet's pieces are
-// copied exactly once, straight into the pooled round frame — multiplexers
-// stacking a routing header on payloads they don't own pay no flattening
-// copy of their own. A round of nothing but transport.All entries is one
-// frame, encoded straight from them (this party's own list is then every
-// peer's); any other round expands All in place into every peer's list
-// and encodes each peer its own frame. On the wire and at the receiver the
-// round is indistinguishable from Exchange over the concatenated payloads.
+// ExchangeVec implements transport.VecNet, and is the round body Exchange
+// stages onto: one synchronous round whose outgoing payloads are
+// scatter-gather vectors. Each packet's pieces are copied exactly once,
+// straight into the pooled round frame — multiplexers stacking a routing
+// header on payloads they don't own pay no flattening copy of their own. A
+// round of nothing but transport.All entries (an empty round included) is
+// one frame, encoded straight from them (this party's own list is then
+// every peer's) and shared by every link; any other round expands All in
+// place into every peer's list and encodes each peer its own frame. On the
+// wire and at the receiver the round is indistinguishable from Exchange
+// over the concatenated payloads.
 func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, error) {
 	r, err := c.beginRound()
 	if err != nil {
@@ -798,25 +796,6 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 		c.vecs[peer] = payloads[:0]
 	}
 	return c.awaitRound(r)
-}
-
-// sharedList returns a peer whose payload list every other peer's list
-// equals — lists[self], this party's own, aside — or -1 when two differ or
-// there is no peer. Lists are compared by payload identity, never by
-// content (transport.SamePayload): a broadcast hands every peer the very
-// same slices.
-func sharedList(lists [][][]byte, self int) int {
-	ref := -1
-	for peer, l := range lists {
-		switch {
-		case peer == self:
-		case ref < 0:
-			ref = peer
-		case !slices.EqualFunc(lists[ref], l, transport.SamePayload):
-			return -1
-		}
-	}
-	return ref
 }
 
 // peerFrames returns the staging list for a per-peer round's frames.

@@ -136,43 +136,79 @@ func TestRejoinReplayBatchedWrite(t *testing.T) {
 // BenchmarkMeshRound measures full protocol rounds over a real loopback
 // mesh (n=4). The writes/round metric comes from the transport's own
 // counters: one write per peer per round regardless of payload
-// count. The sub-benchmark keeps the name it had when a copying receive
-// mode ran beside it, so its BENCH_*.json row stays comparable.
+// count. "borrowed" is an all-to-all broadcast, one shared frame a round;
+// the sub-benchmark keeps the name it had when a copying receive mode ran
+// beside it, so its BENCH_*.json row stays comparable. "per-peer" sends
+// every party, itself included, a payload of its own — baplus.Long's
+// share-out shape — so every round encodes a frame per peer. Its rounds
+// fill the rejoin tail first: until a round slides out of the window, each
+// round's per-peer frames are new arena buffers, not the ones evicted.
 func BenchmarkMeshRound(b *testing.B) {
 	b.Run("borrowed", func(b *testing.B) {
-		const n = 4
-		cfgs := newCluster(b, n, 1)
-		for i := range cfgs {
-			cfgs[i].Delta = 5 * time.Second
-		}
-		conns := dialAll(b, cfgs)
 		payload := bytes.Repeat([]byte{0x5a}, 1024)
-		b.SetBytes(int64(len(payload) * (n - 1)))
-		b.ReportAllocs()
-		b.ResetTimer()
+		benchMeshRounds(b, len(payload), 0, func(c *tcpnet.Conn) func() error {
+			var fan []transport.Packet // kept across rounds, as a protocol's work set does
+			return func() error {
+				_, err := transport.ExchangeAll(c, "bench", payload, &fan)
+				return err
+			}
+		})
+	})
+	b.Run("per-peer", func(b *testing.B) {
+		const window = 128
+		benchMeshRounds(b, 1024, window, func(c *tcpnet.Conn) func() error {
+			out := make([]transport.Packet, c.N()) // kept across rounds, as the share-out's work set does
+			for j := range out {
+				out[j] = transport.Packet{To: j, Tag: "bench", Payload: bytes.Repeat([]byte{byte(j)}, 1024)}
+			}
+			return func() error {
+				_, err := c.Exchange(out)
+				return err
+			}
+		})
+	})
+}
+
+// benchMeshRounds runs b.N rounds of round on every party of an n = 4
+// loopback mesh whose rejoin window is warm rounds long, after warm rounds
+// that are not timed, and reports the transport's writes per round.
+func benchMeshRounds(b *testing.B, payloadLen, warm int, round func(c *tcpnet.Conn) func() error) {
+	const n = 4
+	cfgs := newCluster(b, n, 1)
+	for i := range cfgs {
+		cfgs[i].Delta = 5 * time.Second
+		cfgs[i].RejoinWindow = warm // 0: the default
+	}
+	conns := dialAll(b, cfgs)
+	rounds := make([]func() error, n)
+	for i, c := range conns {
+		rounds[i] = round(c)
+	}
+	run := func(count int) {
 		var wg sync.WaitGroup
 		errs := make([]error, n)
-		for i, c := range conns {
+		for i := range conns {
 			wg.Add(1)
-			go func(i int, c *tcpnet.Conn) {
+			go func() {
 				defer wg.Done()
-				var fan []transport.Packet // kept across rounds, as a protocol's work set does
-				for r := 0; r < b.N; r++ {
-					if _, err := transport.ExchangeAll(c, "bench", payload, &fan); err != nil {
-						errs[i] = err
-						return
-					}
+				for r := 0; r < count && errs[i] == nil; r++ {
+					errs[i] = rounds[i]()
 				}
-			}(i, c)
+			}()
 		}
 		wg.Wait()
-		b.StopTimer()
 		for i, err := range errs {
 			if err != nil {
 				b.Fatalf("party %d: %v", i, err)
 			}
 		}
-		s := conns[0].Stats()
-		b.ReportMetric(float64(s.Writes)/float64(b.N), "writes/round")
-	})
+	}
+	run(warm)
+	before := conns[0].Stats().Writes
+	b.SetBytes(int64(payloadLen * (n - 1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(conns[0].Stats().Writes-before)/float64(b.N), "writes/round")
 }

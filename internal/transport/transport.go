@@ -15,8 +15,9 @@
 // better with a broadcast — tcpnet encodes it once, sessmux merges it as
 // one All entry, the simulator's rushing snapshot copies it once — finds it
 // by that identity, never through an optional method a wrapper could fail
-// to forward. VecNet is the scatter-gather form a multiplexer ships its
-// merged round in.
+// to forward. IsBroadcast is the one recogniser tcpnet and sessmux ask.
+// VecNet is the scatter-gather form a multiplexer ships its merged round
+// in; tcpnet's Exchange stages its round into it.
 //
 // It is also the one home of how a protocol reads a round: FirstPerSender,
 // Tally, LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps
@@ -130,6 +131,23 @@ func SamePayload(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// IsBroadcast reports whether out is a broadcast to n parties: To = i at
+// position i, every packet with the first one's tag and the very same
+// payload slice (SamePayload). It is the one recogniser of a broadcast:
+// ExchangeAll's rounds pass it, and a layer that sends a broadcast as one
+// entry (sessmux's merge, tcpnet's shared frame) asks it and nothing else.
+func IsBroadcast(out []Packet, n int) bool {
+	if len(out) != n {
+		return false
+	}
+	for i := range out {
+		if p := &out[i]; p.To != i || p.Tag != out[0].Tag || !SamePayload(p.Payload, out[0].Payload) {
+			return false
+		}
+	}
+	return true
+}
+
 // ExchangeNone participates in a round without sending anything.
 func ExchangeNone(net Net) ([]Message, error) {
 	return net.Exchange(nil)
@@ -145,10 +163,12 @@ func ExchangeNone(net Net) ([]Message, error) {
 //
 // To may be All: one entry that stands for the n packets of a broadcast,
 // To = 0, …, n−1 in order, each carrying the same Tag and pieces. A
-// multiplexer whose session broadcasts to every party hands the transport
-// that one entry instead of n, and the transport encodes it once. All is a
-// VecPacket address only: Exchange drops a Packet addressed to it like any
-// other out-of-range one.
+// multiplexer whose session broadcasts to every party (IsBroadcast, at the
+// base's full width) hands the transport that one entry instead of n, and
+// the transport encodes it once. All is a VecPacket address only: Exchange
+// drops a Packet addressed to it like any other out-of-range one, and a Net
+// whose Exchange stages onto ExchangeVec filters it out before it could
+// become a broadcast.
 //
 // Ownership: every piece must stay valid and unmutated until ExchangeVec
 // returns. Whatever needs a retained flat copy (in-process delivery,

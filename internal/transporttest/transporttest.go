@@ -410,7 +410,8 @@ func testSelfDelivery(t *testing.T, run Cluster) {
 	run(t, n, 0, fns)
 }
 
-// testOutOfRange: packets to nonexistent parties are dropped, not fatal.
+// testOutOfRange: packets to nonexistent parties — transport.All among
+// them — are dropped, not fatal.
 func testOutOfRange(t *testing.T, run Cluster) {
 	const n = 2
 	fns := make([]func(net transport.Net) error, n)
@@ -419,6 +420,9 @@ func testOutOfRange(t *testing.T, run Cluster) {
 			out := []transport.Packet{
 				{To: -1, Tag: "x", Payload: []byte{1}},
 				{To: transport.PartyID(n + 5), Tag: "x", Payload: []byte{2}},
+				// All addresses a VecPacket only: a Net whose Exchange
+				// forwarded To unfiltered would make this a broadcast.
+				{To: transport.All, Tag: "x", Payload: []byte{3}},
 			}
 			in, err := net.Exchange(out)
 			if err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -155,10 +156,12 @@ func TestReadFrameGatedRefusesBeforeBody(t *testing.T) {
 		t.Fatalf("copying path: want ReasonBudget before body read, got %v", err)
 	}
 
-	// Borrowing path, same contract.
+	// Borrowing path, same contract, through the buffered stream it takes:
+	// the buffer's one fill reads what the trap holds, the length, and the
+	// gate must refuse before the body read asks for more.
 	var arena Arena
 	tr = &trapReader{t: t, prefix: bytes.NewReader(frame[:sizeLen])}
-	_, _, f, err := arena.ReadFrameIntoGated(tr, 64<<20, nil, a)
+	_, _, f, err := arena.ReadFrameIntoGated(bufio.NewReader(tr), 64<<20, nil, a)
 	if f != nil {
 		t.Fatal("borrowing path allocated a frame for refused traffic")
 	}

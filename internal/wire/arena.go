@@ -6,11 +6,12 @@ package wire
 // transport reading that way spends more time in the allocator than in the
 // kernel. The arena removes both allocations from the steady state:
 //
-//   - Encode side: Arena.EncodeFrame (flat payloads) and
-//     Arena.EncodeFrameVecs (scatter-gather payloads) lay the frame down
-//     in one pooled buffer (exact-size, so the buffer never grows out of
-//     its size class): each payload byte is copied exactly once, into the
-//     buffer the transport both writes and retains for rejoin replay.
+//   - Encode side: Arena.EncodeFrameVecs (scatter-gather payloads, the
+//     transport's one encoder) and Arena.EncodeFrame (flat payloads, for
+//     the bench probes and tests) lay the frame down in one pooled buffer
+//     (exact-size, so the buffer never grows out of its size class): each
+//     payload byte is copied exactly once, into the buffer the transport
+//     both writes and retains for rejoin replay.
 //   - Decode side: Arena.ReadFrameIntoGated reads the frame body into a
 //     pooled buffer and returns payload slices that alias it. One buffer
 //     per frame, zero per payload.
@@ -178,9 +179,11 @@ func frameBodyLen(round uint64, payloads [][]byte) int {
 }
 
 // EncodeFrame serializes one round frame, length prefix included, into a
-// pooled buffer so transports can ship it with one write
+// pooled buffer that ships with one write
 // (TestArenaEncodeMatchesReference pins the bytes to the Writer-built
-// reference encoder).
+// reference encoder). It has no production caller: tcpnet encodes every
+// round with EncodeFrameVecs, and EncodeFrame serves the bench probes and
+// the tests that stand in for a peer.
 func (a *Arena) EncodeFrame(round uint64, payloads [][]byte) *Frame {
 	body := frameBodyLen(round, payloads)
 	f := a.frame(uvarintLen(uint64(body)) + body)
@@ -240,9 +243,11 @@ func (a *Arena) EncodeFrameVecs(round uint64, payloads [][][]byte) *Frame {
 
 // ReadFrameIntoGated reads one frame from r into a pooled buffer and
 // returns payload slices that alias it — the one read between the socket
-// and the protocol. scratch, when non-nil, is reused for the payload slice
-// headers (pass the previous call's payloads to make the steady state
-// allocation-free). The caller owns the returned frame and must Release it
+// and the protocol. r is a buffered stream (tcpnet's bufio.Reader, a
+// bytes.Reader): its varints are read a byte at a time through ReadByte,
+// which costs neither an allocation nor a syscall per byte. scratch, when
+// non-nil, is reused for the payload slice headers (pass the previous
+// call's payloads to make the steady state allocation-free). The caller owns the returned frame and must Release it
 // once the payloads are no longer needed; on error the frame has already
 // been released and the returned *Frame is nil.
 //
@@ -254,8 +259,11 @@ func (a *Arena) EncodeFrameVecs(round uint64, payloads [][][]byte) *Frame {
 //
 // Error discipline is identical to ReadFrameGated: structural violations
 // wrap ErrFrame, gate errors and I/O errors pass through unwrapped.
-func (a *Arena) ReadFrameIntoGated(r io.Reader, maxFrame uint64, scratch [][]byte, gate Gate) (round uint64, payloads [][]byte, f *Frame, err error) {
-	size, err := readUvarintAny(r)
+func (a *Arena) ReadFrameIntoGated(r interface {
+	io.Reader
+	io.ByteReader
+}, maxFrame uint64, scratch [][]byte, gate Gate) (round uint64, payloads [][]byte, f *Frame, err error) {
+	size, err := readUvarintByte(r)
 	if err != nil {
 		return 0, nil, nil, err
 	}

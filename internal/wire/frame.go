@@ -108,8 +108,9 @@ func ReadUvarint(r io.Reader) (uint64, error) {
 // overflowing high bits, same error classification); the point is purely
 // mechanical: reading through the io.Reader interface forces the 1-byte
 // scratch to escape — one heap allocation and, on an unbuffered net.Conn,
-// one read(2) syscall per varint byte. The borrowing decode path hands
-// frames through here via a buffered reader instead.
+// one read(2) syscall per varint byte. The borrowing decode path
+// (Arena.ReadFrameIntoGated) reads every frame's length through here, from
+// the buffered stream it requires.
 func readUvarintByte(br io.ByteReader) (uint64, error) {
 	var v uint64
 	var shift uint
@@ -125,14 +126,4 @@ func readUvarintByte(br io.ByteReader) (uint64, error) {
 		shift += 7
 	}
 	return 0, fmt.Errorf("%w: overlong varint", ErrFrame)
-}
-
-// readUvarintAny picks the allocation-free ByteReader path when the
-// stream supports it (bytes.Reader, bufio.Reader) and falls back to the
-// interface path otherwise.
-func readUvarintAny(r io.Reader) (uint64, error) {
-	if br, ok := r.(io.ByteReader); ok {
-		return readUvarintByte(br)
-	}
-	return ReadUvarint(r)
 }

@@ -108,6 +108,25 @@ one_path() {
 		echo "one-path: wire.ReadFrame/ReadFrameGated gained a caller outside internal/wire and bench" >&2
 		exit 1
 	fi
+	# One broadcast rule and one round body. transport.IsBroadcast is the one
+	# recogniser of a broadcast; tcpnet's Exchange stages its packets onto
+	# ExchangeVec, which encodes every round with EncodeFrameVecs. A second
+	# recogniser (tcpnet's per-peer list comparison, a package's own
+	# isBroadcast) or Exchange's own staging lists and encoder call would
+	# bring one of these back; EncodeFrame, like the copying decoder, is for
+	# the bench probes and the tests.
+	if grep -rnE 'sharedList|func (\([^)]*\) )?[iI]sBroadcast\(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/transport/'; then
+		echo "one-path: a second broadcast recogniser reappeared in non-test code; ask transport.IsBroadcast" >&2
+		exit 1
+	fi
+	if grep -rnE '^[[:space:]]+flat[[:space:]]|c\.flat\b' --include='*.go' internal/tcpnet | grep -v '_test\.go:'; then
+		echo "one-path: tcpnet's Conn regained a flat staging field; Exchange stages onto ExchangeVec" >&2
+		exit 1
+	fi
+	if grep -rnE '\.EncodeFrame\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/wire|bench)/'; then
+		echo "one-path: wire's EncodeFrame gained a caller outside internal/wire and bench; a round is encoded by ExchangeVec's EncodeFrameVecs" >&2
+		exit 1
+	fi
 	# One multiplexer with one backpressure bound: parallel composition is
 	# sessmux.Parallel, the per-session bound is a fixed 64·n_s, and the
 	# benchmark guards are this script's guard_allocs/guard_time. A second
@@ -266,8 +285,9 @@ cross_compile() {
 # set the mux lends each run: a run that went back to growing a fresh set
 # adds about 860 allocs/op; most of what is left is the flattening
 # fallback's per-tick packets for a base without ExchangeVec), an
-# n = 4 tcpnet round and a 64-session sessmux tick over a loopback mesh,
-# both at 0 allocs/op — every per-round container is scratch held by its
+# n = 4 tcpnet round (a broadcast, and a per-peer round timed after its
+# rejoin tail has filled) and a 64-session sessmux tick over a loopback
+# mesh, all at 0 allocs/op — every per-round container is scratch held by its
 # owner, so one that goes back to being rebuilt per round or per instance
 # shows here as a whole number. Their benchtimes are long for the same
 # reason as the merge row's: goroutine parks and the one-time fill of the
