@@ -49,7 +49,8 @@ profile:
 # the bitstr word kernels against their bit-at-a-time oracles; over the
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
 # against the per-package functions it replaced; over FirstPerSender against
-# its set-based oracle; over the lane frame; and
+# its set-based oracle; over the lane frame; over HIGHCOSTCA's trimming and
+# ordering of byte naturals against math/big; and
 # over the session demux's merge-join against its map-based oracle. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/
+	$(GO) test -run '^$$' -fuzz FuzzNatOrder -fuzztime $(FUZZTIME) ./internal/highcostca/
 	$(GO) test -run '^$$' -fuzz FuzzOptionLanes -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDemux -fuzztime $(FUZZTIME) ./internal/sessmux/
 

@@ -199,7 +199,11 @@ func (c call) run(net transport.Net, v *big.Int, b *core.Buffers) (*big.Int, err
 	case ProtoFixedLengthBlocks:
 		return core.FixedLengthCABlocks(net, "ca", c.width, net.N()*net.N(), v, b)
 	case ProtoHighCost:
-		return highcostca.Run(net, "ca", v)
+		out, err := highcostca.Run(net, "ca", v.Bytes(), nil)
+		if err != nil {
+			return nil, err
+		}
+		return new(big.Int).SetBytes(out), nil
 	case ProtoBroadcast:
 		return baselines.BroadcastCA(net, "ca", v)
 	case ProtoBroadcastParallel:

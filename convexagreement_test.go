@@ -1,6 +1,7 @@
 package convexagreement_test
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"net"
@@ -246,6 +247,14 @@ func TestRunPartyValidation(t *testing.T) {
 	}
 	if _, err := ca.RunParty(nil, ca.ProtoFixedLength, 0, big.NewInt(1)); err == nil {
 		t.Error("missing width accepted")
+	}
+	// HIGHCOSTCA takes a natural as its bytes, which cannot be negative:
+	// the edge rejects a negative or nil input before converting it.
+	for _, v := range []*big.Int{big.NewInt(-3), nil} {
+		inputs := []*big.Int{big.NewInt(1), big.NewInt(2), big.NewInt(3), v}
+		if _, err := ca.Agree(inputs, ca.Options{Protocol: ca.ProtoHighCost}); !errors.Is(err, ca.ErrOptions) {
+			t.Errorf("ProtoHighCost on input %v: %v, want ErrOptions", v, err)
+		}
 	}
 }
 

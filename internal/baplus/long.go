@@ -2,8 +2,11 @@ package baplus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/hashing"
@@ -34,18 +37,34 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 // caller. Of long values: the share buffer every lane is encoded into, in
 // which the dispersal also reassembles the delivered value, and the
 // codec's Scratch, allocated with the first long value, so lanes of at most
-// a root's length never touch it. Of the protocol's rounds: the lanes'
-// tagged inputs, Π_BA+'s frames, votes, candidates and results, and the
-// work set of the BA instances below it (ba.Work), whose send buffers are
-// the only ones here a payload is sent from (the dispersal tuples, one per
-// peer, are fresh per round) and whose fan-out carries the dispersal's
+// a root's length never touch it. Of the dispersal: round A's n share-out
+// tuples, appended into one buffer and carved into per-peer payloads, round
+// B's relay tuple, in a second buffer, and the round-B scratch — the shares
+// collected, as views of the inbox, and the witness each received tuple is
+// unmarshalled into. Of the protocol's rounds: the lanes' tagged inputs,
+// Π_BA+'s frames, votes, candidates and results, and the work set of the BA
+// instances below it (ba.Work), whose fan-out carries the dispersal's
 // rounds too. Its buffers grow to the largest call seen and are then
 // rewritten in place, call after call. The zero value is ready; a nil
 // *Buffers is a fresh set for one call.
+//
+// The two tuple buffers follow ba.Work's send-buffer rule: in-process
+// transports deliver by reference, so a receiver reads a tuple — and keeps
+// its share as myShare, to relay it — from the sender's buffer until it
+// enters the next round. Round A and round B each have their own buffer,
+// and neither is rewritten before the next call's dispersal, rounds of
+// Π_BA+ later.
 type Buffers struct {
 	shares []byte
 	rs     *rs.Scratch
 	work   ba.Work
+
+	// The dispersal: round A's tuples, round B's, the shares collected and
+	// handed to the codec, and a received tuple's witness.
+	shareout, relay []byte
+	collected       [][]byte
+	decoded         []rs.Share
+	witness         []hashing.Digest
 
 	// LongLanes: each lane's tagged input, a view of tagged.
 	inputs [][]byte
@@ -74,18 +93,21 @@ func (b *Buffers) Work() *ba.Work { return &b.work }
 // Reset ends an agreement's use of b: the containers that hold views of a
 // round's inbox are cleared, so the set pins none after the agreement.
 func (b *Buffers) Reset() {
-	for _, c := range [][][]byte{b.inputs, b.frames, b.voted, b.agreed} {
+	for _, c := range [][][]byte{b.inputs, b.frames, b.voted, b.agreed, b.collected} {
 		clear(c[:cap(c)])
 	}
+	clear(b.decoded[:cap(b.decoded)])
 	b.work.Reset()
 }
 
 // Scribble overwrites with 0xDB every byte the next call may rewrite: the
-// share buffer, where values are delivered, the frame buffers and the work
-// set's (ba.Work.Scribble). Tests call it between calls, so that a value
-// kept past the call that delivered it reads as garbage.
+// share buffer, where values are delivered, the tuple buffers, the frame
+// buffers and the work set's (ba.Work.Scribble). Tests call it between
+// agreements — past the dispersal's rounds, whose receivers read the tuple
+// buffers — so that a value kept past the call that delivered it reads as
+// garbage.
 func (b *Buffers) Scribble() {
-	for _, p := range [][]byte{b.shares, b.tagged, b.frameBuf, b.happy} {
+	for _, p := range [][]byte{b.shares, b.shareout, b.relay, b.tagged, b.frameBuf, b.happy} {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = 0xDB
@@ -210,13 +232,20 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 		}
 		out = resize(b.work.Fan(), n)
 		shareout := tag + "/shareout"
+		// Room for every tuple up front (a witness has at most ⌈log₂ n⌉
+		// digests), so that the payloads carved as they are appended stay
+		// in one array.
+		buf := slices.Grow(b.shareout[:0], n*(3*binary.MaxVarintLen64+len(shares[0].Data)+bits.Len(uint(n))*hashing.Size))
 		for j := range out {
 			w, err := tree.Witness(j)
 			if err != nil {
 				return -1, nil, fmt.Errorf("baplus: %w", err)
 			}
-			out[j] = transport.Packet{To: transport.PartyID(j), Tag: shareout, Payload: encodeTuple(j, shares[j].Data, w)}
+			mark := len(buf)
+			buf = appendTuple(buf, j, shares[j].Data, w)
+			out[j] = transport.Packet{To: transport.PartyID(j), Tag: shareout, Payload: buf[mark:len(buf):len(buf)]}
 		}
+		b.shareout = buf
 	}
 	in, err := env.Exchange(out)
 	if err != nil {
@@ -227,7 +256,7 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 	var myShare []byte
 	var myWitness []hashing.Digest
 	for _, m := range in {
-		idx, data, w, decodeOK := decodeTuple(m.Payload)
+		idx, data, w, decodeOK := decodeTuple(m.Payload, &b.witness)
 		if !decodeOK || idx != myIdx {
 			continue
 		}
@@ -240,7 +269,8 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 	// Step 3, round B: re-broadcast our verified share; collect everyone
 	// else's, discarding anything that fails verification.
 	if myShare != nil {
-		in, err = transport.ExchangeAll(env, tag+"/sharerelay", encodeTuple(myIdx, myShare, myWitness), b.work.Fan())
+		b.relay = appendTuple(b.relay[:0], myIdx, myShare, myWitness)
+		in, err = transport.ExchangeAll(env, tag+"/sharerelay", b.relay, b.work.Fan())
 	} else {
 		in, err = env.Exchange(nil)
 	}
@@ -251,24 +281,24 @@ func LongLanes(env transport.Net, tag string, k int, input func(j int) []byte, b
 	// is bounds-checked before use (byzantine tuples carry arbitrary
 	// indices), and walking the slice in ascending order feeds the codec
 	// pre-sorted shares, which its selection fast path rewards.
-	collected := make([][]byte, n)
-	count := 0
+	collected := resize(&b.collected, n)
+	clear(collected)
 	for _, m := range in {
-		idx, data, w, decodeOK := decodeTuple(m.Payload)
+		idx, data, w, decodeOK := decodeTuple(m.Payload, &b.witness)
 		if !decodeOK || idx < 0 || idx >= n || collected[idx] != nil {
 			continue
 		}
 		if merkle.Verify(zStar, idx, n, data, w) {
 			collected[idx] = data
-			count++
 		}
 	}
-	decodeShares := make([]rs.Share, 0, count)
+	decodeShares := b.decoded[:0]
 	for idx, data := range collected {
 		if data != nil {
 			decodeShares = append(decodeShares, rs.Share{Index: idx, Data: data})
 		}
 	}
+	b.decoded = decodeShares
 	// Our own shares went out copied, in the tuples, so the share buffer is
 	// free to take the reassembled value.
 	value, err := codec.DecodeTo(b.scratch(), b.shares, decodeShares)
@@ -299,17 +329,19 @@ func commit(codec *rs.Codec, b *Buffers, input []byte) ([]rs.Share, *merkle.Tree
 	return shares, tree, nil
 }
 
-// encodeTuple frames (index, share, witness) for the dispersal rounds.
-func encodeTuple(idx int, share []byte, witness []hashing.Digest) []byte {
-	w := wire.NewWriter(8 + len(share) + len(witness)*hashing.Size)
-	w.Uvarint(uint64(idx))
-	w.Bytes(share)
-	w.Bytes(merkle.MarshalWitness(witness))
-	return w.Finish()
+// appendTuple appends the dispersal tuple (index, share, witness) to dst:
+// the index as a uvarint, then the share and the witness, each
+// length-prefixed.
+func appendTuple(dst []byte, idx int, share []byte, witness []hashing.Digest) []byte {
+	dst = wire.AppendBytes(binary.AppendUvarint(dst, uint64(idx)), share)
+	dst = binary.AppendUvarint(dst, uint64(len(witness)*hashing.Size))
+	return merkle.AppendWitness(dst, witness)
 }
 
-// decodeTuple parses a dispersal tuple; ok=false on any malformation.
-func decodeTuple(raw []byte) (idx int, share []byte, witness []hashing.Digest, ok bool) {
+// decodeTuple parses a dispersal tuple; ok=false on any malformation. The
+// share is a view of raw, the witness is unmarshalled into *wit's storage:
+// both are valid until the next decode into *wit.
+func decodeTuple(raw []byte, wit *[]hashing.Digest) (idx int, share []byte, witness []hashing.Digest, ok bool) {
 	r := wire.NewReader(raw)
 	idx = r.Int()
 	share = r.Bytes()
@@ -317,9 +349,10 @@ func decodeTuple(raw []byte) (idx int, share []byte, witness []hashing.Digest, o
 	if r.Close() != nil {
 		return 0, nil, nil, false
 	}
-	witness, wOK := merkle.UnmarshalWitness(wraw)
+	witness, wOK := merkle.UnmarshalWitness((*wit)[:0], wraw)
 	if !wOK {
 		return 0, nil, nil, false
 	}
+	*wit = witness
 	return idx, share, witness, true
 }

@@ -8,14 +8,14 @@
 //
 // Views. A String is a view: a length and the bytes that hold it. Most
 // operations build their result in fresh storage (Slice, Concat, FillTo,
-// FromBig, …). The exceptions say where they write: FromBigTo and CopyTo
-// build it in a buffer the caller owns, which they grow but never shrink;
-// Unmarshal returns a view of the bytes it decodes; SetBit, SetRange and
-// Fill rewrite the receiver's bytes in place. A String is therefore valid,
-// and safe to share between goroutines, exactly as long as nobody rewrites
-// the storage under it: one built in a caller's buffer lives until the
-// owner rewrites that buffer, one decoded from a payload as long as the
-// payload does. That is how a protocol keeps a long value in buffers its
+// FromBig, …). The exceptions say where they write: FromBigTo, FromNatTo
+// and CopyTo build it in a buffer the caller owns, which they grow but
+// never shrink; Unmarshal returns a view of the bytes it decodes; SetBit,
+// SetRange and Fill rewrite the receiver's bytes in place. A String is
+// therefore valid, and safe to share between goroutines, exactly as long
+// as nobody rewrites the storage under it: one built in a caller's buffer
+// lives until the owner rewrites that buffer, one decoded from a payload
+// as long as the payload does. That is how a protocol keeps a long value in buffers its
 // run owns and rewrites it without copying.
 //
 // Layout and invariant. An n-bit String holds exactly ⌈n/8⌉ bytes; bit i is
@@ -84,6 +84,34 @@ func FromBigTo(buf *[]byte, v *big.Int, width int) (String, error) {
 	// The string is v moved up past the padding bits, which v.BitLen() ≤
 	// width leaves free at the top: v·2^pad, big-endian, right-aligned.
 	putNat(s.data, v.Bits(), s.pad())
+	return s, nil
+}
+
+// FromNatTo is FromBigTo for a natural given as its big-endian bytes,
+// leading zero bytes allowed: BITS_width of the number they read as, built
+// in *buf as FromBigTo builds it. It fails if that number does not fit in
+// width bits.
+func FromNatTo(buf *[]byte, nat []byte, width int) (String, error) {
+	for len(nat) > 0 && nat[0] == 0 {
+		nat = nat[1:]
+	}
+	if width < 0 {
+		return String{}, fmt.Errorf("bitstr: negative width %d", width)
+	}
+	if len(nat) > 0 {
+		if natBits := 8*len(nat) - bits.LeadingZeros8(nat[0]); natBits > width {
+			return String{}, fmt.Errorf("%w: %d bits into width %d", ErrOverflow, natBits, width)
+		}
+	}
+	s := String{data: grow(buf, (width+7)/8), n: width}
+	// nat right-aligned, then moved up past the padding bits, which the
+	// fit leaves free at the top.
+	i := len(s.data) - len(nat)
+	clear(s.data[:i])
+	copy(s.data[i:], nat)
+	if pad := s.pad(); pad != 0 {
+		funnel(s.data, s.data[1:], s.data[0], pad)
+	}
 	return s, nil
 }
 
@@ -211,8 +239,9 @@ func (s String) clearPad() {
 // funnel is the one shifting kernel. With b the byte stream carry‖src‖0…,
 // it writes dst[i] = b[i]<<sh | b[i+1]>>(8−sh) for every i < len(dst): the
 // stream moved left by sh bits, 1 ≤ sh ≤ 7. The bulk moves one 64-bit word
-// per step. dst may be the slice that src is the tail of (an in-place left
-// shift): each step reads its bytes before it writes below them.
+// per step. dst may be src itself (an in-place right shift, by 8−sh) or the
+// slice that src is the tail of (an in-place left shift): each step reads
+// its bytes before it writes to them or below them.
 func funnel(dst, src []byte, carry byte, sh uint) {
 	i := 0
 	for ; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
@@ -265,6 +294,22 @@ func (s String) AppendMarshalRange(dst []byte, lo, hi int) ([]byte, error) {
 		return dst, fmt.Errorf("%w: [%d,%d) of %d", ErrRange, lo, hi, s.n)
 	}
 	return s.appendRange(binary.BigEndian.AppendUint32(dst, uint32(hi-lo)), lo, hi)
+}
+
+// AppendNat appends VAL of bits [lo, hi) — the natural number the range
+// represents — to dst as ⌈(hi−lo)/8⌉ big-endian bytes, leading zero bytes
+// included, without building the String in between.
+func (s String) AppendNat(dst []byte, lo, hi int) ([]byte, error) {
+	dst, err := s.appendRange(dst, lo, hi)
+	if err != nil {
+		return dst, err
+	}
+	// The range packed MSB-first, moved down past its padding bits.
+	if pad := uint(lo-hi) & 7; pad != 0 {
+		nat := dst[len(dst)-(hi-lo+7)/8:]
+		funnel(nat, nat, 0, 8-pad)
+	}
+	return dst, nil
 }
 
 // appendRange appends bits [lo, hi) of s to dst, packed with the padding

@@ -3,6 +3,7 @@ package bitstr
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -179,6 +180,19 @@ func checkKernels(t *testing.T, raw []byte, un, ulo, uhi, uwidth uint32, fill bo
 	buf := stale((width + 7) / 8)
 	owned, err := FromBigTo(&buf, v, width)
 	same(t, "FromBigTo", checked(t, "FromBigTo", owned, err), refFromBig(v, width))
+	buf = stale((width + 7) / 8)
+	owned, err = FromNatTo(&buf, append([]byte{0, 0}, v.Bytes()...), width)
+	same(t, "FromNatTo", checked(t, "FromNatTo", owned, err), refFromBig(v, width))
+	if n > 0 && v.BitLen() == n {
+		if _, err := FromNatTo(&buf, v.Bytes(), n-1); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("FromNatTo into %d bits of a %d-bit value: %v", n-1, n, err)
+		}
+	}
+	// AppendNat appends VAL of the range, in whole bytes.
+	nat, err := s.AppendNat([]byte{0xDB}, lo, hi)
+	if err != nil || nat[0] != 0xDB || len(nat)-1 != (hi-lo+7)/8 || new(big.Int).SetBytes(nat[1:]).Cmp(refBig(mid)) != 0 {
+		t.Fatalf("AppendNat(%d, %d) of %v = %x, %v; want VAL %v", lo, hi, s, nat, err, refBig(mid))
+	}
 	buf = stale(len(s.data))
 	x := s.CopyTo(&buf)
 	same(t, "CopyTo", checked(t, "CopyTo", x, nil), s)

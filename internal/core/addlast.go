@@ -33,23 +33,29 @@ func AddLastBit(env transport.Net, tag string, v bitstr.String, prefixLen int, w
 // high-communication CA once on the next block of their values — a value
 // of only ℓ/n² bits, so the O(ℓ'n³) cost of HIGHCOSTCA contributes only
 // O(ℓn) — and AddLastBlock writes the agreed block into v in place,
-// returning the extended prefix's length.
-func AddLastBlock(env transport.Net, tag string, v bitstr.String, prefixLen, blockBits int) (int, error) {
+// returning the extended prefix's length. The block goes to HIGHCOSTCA as
+// the bytes of its natural, and the agreed natural comes back into v,
+// through b's block buffer; HIGHCOSTCA runs on b's work set (nil: a fresh
+// set).
+func AddLastBlock(env transport.Net, tag string, v bitstr.String, prefixLen, blockBits int, b *Buffers) (int, error) {
 	if blockBits <= 0 || prefixLen%blockBits != 0 || prefixLen+blockBits > v.Len() {
 		return 0, fmt.Errorf("%w: prefix of %d bits is not whole blocks of %d short of %d", ErrProtocol, prefixLen, blockBits, v.Len())
 	}
-	iStar := prefixLen / blockBits
-	block, err := v.BlockRange(iStar, iStar+1, blockBits)
+	if b == nil {
+		b = fresh()
+	}
+	block, err := v.AppendNat(b.block[:0], prefixLen, prefixLen+blockBits)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	agreed, err := highcostca.Run(env, tag+"/lastblock", block.Big())
+	b.block = block
+	agreed, err := highcostca.Run(env, tag+"/lastblock", block, &b.hc)
 	if err != nil {
 		return 0, err
 	}
 	// The agreed block lies within the honest blocks' range, hence fits in
 	// blockBits bits.
-	agreedBits, err := bitstr.FromBig(agreed, blockBits)
+	agreedBits, err := bitstr.FromNatTo(&b.block, agreed, blockBits)
 	if err != nil {
 		return 0, fmt.Errorf("%w: agreed block out of range: %v", ErrProtocol, err)
 	}

@@ -89,3 +89,42 @@ func BenchmarkPiZChannet(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkPiZLongChannet is one long Π_ℤ agreement per op at n = 7 over
+// channet, long_input's shape scaled down: 2¹⁸-bit inputs sharing their top
+// half, so Π_ℕ takes the block path (FINDPREFIXBLOCKS, Π_ℓBA+'s dispersal,
+// HIGHCOSTCA on the block-size estimate and on ADDLASTBLOCK's block). Each
+// party runs every op on one core.Buffers, Reset between ops, as a Session
+// runs its instances. ci.sh pins its allocs/op with the other whole-run
+// rows.
+func BenchmarkPiZLongChannet(b *testing.B) {
+	const n, width = 7, 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	top := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), width/2))
+	top.Lsh(top, width/2)
+	hub, err := channet.NewHub(n, (n-1)/3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fns := make([]func(transport.Net) error, n)
+	for i := range fns {
+		input := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), width/2))
+		input.Or(input, top)
+		fns[i] = func(net transport.Net) error {
+			var bufs core.Buffers
+			for r := 0; r < b.N; r++ {
+				if _, err := core.PiZ(net, "ca", input, &bufs); err != nil {
+					return err
+				}
+				bufs.Reset()
+			}
+			return nil
+		}
+	}
+	b.SetBytes(width / 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := hub.Run(fns); err != nil {
+		b.Fatal(err)
+	}
+}

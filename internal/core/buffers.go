@@ -1,6 +1,9 @@
 package core
 
-import "convexagreement/internal/baplus"
+import (
+	"convexagreement/internal/baplus"
+	"convexagreement/internal/highcostca"
+)
 
 // Buffers is one party's long-value working set: grow-only buffers that
 // the party's run owns and that every agreement it runs reuses, so a long
@@ -10,12 +13,16 @@ import "convexagreement/internal/baplus"
 //     ADDLASTBLOCK/ADDLASTBIT extend and GETOUTPUT fills in place;
 //   - the bit buffer of v_⊥, a copy: re-anchoring v in place would
 //     otherwise rewrite the v_⊥ saved from it;
-//   - the segment buffer FINDPREFIX marshals each lane's blocks into;
+//   - the segment buffer FINDPREFIX marshals each lane's blocks into, and
+//     the block buffer ADDLASTBLOCK hands its block to HIGHCOSTCA in and
+//     takes the agreed one back through;
 //   - Π_ℓBA+'s share buffer, where the agreed segment is also decoded, and
 //     its codec scratch (baplus.Buffers);
 //   - the protocol work set under it: Π_BA+'s frames and candidates and
 //     the containers of every phase-king and Turpin–Coan instance of the
-//     agreement, Π_ℤ's length search included (baplus.Buffers, ba.Work).
+//     agreement, Π_ℤ's length search included (baplus.Buffers, ba.Work),
+//     and HIGHCOSTCA's, for the block-size estimate and ADDLASTBLOCK
+//     (highcostca.Work).
 //
 // The zero value is ready, and takes nothing from the heap until a value
 // needs it: lanes of at most a root's length never touch the codec
@@ -28,7 +35,9 @@ import "convexagreement/internal/baplus"
 type Buffers struct {
 	v, vBot []byte
 	seg     []byte
+	block   []byte
 	lanes   baplus.Buffers
+	hc      highcostca.Work
 }
 
 // fresh is the set of a call given none, made out of line on the heap
@@ -52,6 +61,7 @@ func (b *Buffers) Reset() {
 		*b = Buffers{}
 	}
 	b.lanes.Reset()
+	b.hc.Reset()
 }
 
 // Scribble overwrites with 0xDB every byte the next agreement may rewrite —
@@ -60,11 +70,12 @@ func (b *Buffers) Reset() {
 // agreements on one set, after Reset, so that anything kept past its
 // agreement reads as garbage.
 func (b *Buffers) Scribble() {
-	for _, p := range [][]byte{b.v, b.vBot, b.seg} {
+	for _, p := range [][]byte{b.v, b.vBot, b.seg, b.block} {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = 0xDB
 		}
 	}
 	b.lanes.Scribble()
+	b.hc.Scribble()
 }

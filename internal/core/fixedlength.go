@@ -77,7 +77,7 @@ func fixedLengthCABlocks(env transport.Net, tag string, width, numBlocks int, v 
 	if res.PrefixLen == width {
 		return res.V.Big(), nil
 	}
-	prefixLen, err := AddLastBlock(env, tag+"/albk", res.V, res.PrefixLen, width/numBlocks)
+	prefixLen, err := AddLastBlock(env, tag+"/albk", res.V, res.PrefixLen, width/numBlocks, b)
 	if err != nil {
 		return nil, err
 	}

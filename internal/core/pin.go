@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -98,15 +99,22 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k i
 
 	// Some honest party's input exceeds n² bits. Agree on a block size in
 	// the honest block sizes' range via the high-cost protocol.
-	blockSize := (bitstr.NatBitLen(v) + n2 - 1) / n2
-	agreedBS, err := highcostca.Run(env, tag+"/blocksize", big.NewInt(int64(blockSize)))
+	var blockSize [8]byte
+	binary.BigEndian.PutUint64(blockSize[:], uint64((bitstr.NatBitLen(v)+n2-1)/n2))
+	agreedBS, err := highcostca.Run(env, tag+"/blocksize", blockSize[:], &b.hc)
 	if err != nil {
 		return nil, err
 	}
-	if !agreedBS.IsInt64() || agreedBS.Int64() <= 0 || agreedBS.Int64() > MaxWidth/int64(n2) {
-		return nil, fmt.Errorf("%w: agreed block size %v out of simulation range", ErrProtocol, agreedBS)
+	var bs uint64 // 0, out of range, unless the agreed natural fits in 8 bytes
+	if len(agreedBS) <= len(blockSize) {
+		for _, c := range agreedBS {
+			bs = bs<<8 | uint64(c)
+		}
 	}
-	est := int(agreedBS.Int64()) * n2
+	if bs == 0 || bs > MaxWidth/uint64(n2) {
+		return nil, fmt.Errorf("%w: agreed block size %v out of simulation range", ErrProtocol, new(big.Int).SetBytes(agreedBS))
+	}
+	est := int(bs) * n2
 	// The paper's listing clamps on |BITS(v)| ≥ ℓ_EST; a value of exactly
 	// ℓ_EST bits already satisfies v < 2^ℓ_EST, so clamping is only needed
 	// (and only validity-preserving) for strictly longer values, as in the

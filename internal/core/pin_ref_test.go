@@ -82,10 +82,11 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 	}
 
 	blockSize := (vLen + n2 - 1) / n2
-	agreedBS, err := highcostca.Run(env, tag+"/blocksize", big.NewInt(int64(blockSize)))
+	nat, err := highcostca.Run(env, tag+"/blocksize", big.NewInt(int64(blockSize)).Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}
+	agreedBS := new(big.Int).SetBytes(nat)
 	if !agreedBS.IsInt64() || agreedBS.Int64() <= 0 || agreedBS.Int64() > MaxWidth/int64(n2) {
 		return nil, fmt.Errorf("%w: agreed block size %v out of simulation range", ErrProtocol, agreedBS)
 	}

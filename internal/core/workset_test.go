@@ -43,10 +43,11 @@ func (h *heldSends) Exchange(out []transport.Packet) ([]transport.Message, error
 }
 
 // pins lists where a set holds a view of memory it does not own once Reset
-// has run: a value left in a tally, or a slice left in a container of byte
-// slices, up to the capacity of each — what Reset must clear so that no
-// finished inbox stays pinned. Byte buffers and arrays (the send buffers)
-// are the set's own.
+// has run: a byte slice left in an element of a slice — a value in a
+// tally, a share handed to the codec, a received interval, a slice in a
+// container of byte slices — up to the capacity of each: what Reset must
+// clear so that no finished inbox stays pinned. Byte buffers and arrays
+// (the send buffers) are the set's own.
 func pins(v reflect.Value, path string) []string {
 	var found []string
 	switch v.Kind() {
@@ -57,10 +58,12 @@ func pins(v reflect.Value, path string) []string {
 	case reflect.Slice:
 		full := v.Slice(0, v.Cap())
 		switch elem := v.Type().Elem(); {
-		case elem == reflect.TypeOf(transport.Support{}):
+		case elem.Kind() == reflect.Struct:
 			for i := range full.Len() {
-				if !full.Index(i).Field(0).IsNil() {
-					found = append(found, fmt.Sprintf("%s[%d].Value", path, i))
+				for f := range elem.NumField() {
+					if field := full.Index(i).Field(f); field.Kind() == reflect.Slice && !field.IsNil() && field.Type().Elem().Kind() == reflect.Uint8 {
+						found = append(found, fmt.Sprintf("%s[%d].%s", path, i, elem.Field(f).Name))
+					}
 				}
 			}
 		case elem.Kind() == reflect.Slice && elem.Elem().Kind() == reflect.Uint8:

@@ -23,7 +23,8 @@ func BenchmarkHighCostCA_n7_4Kib(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
-				return highcostca.Run(env, "hc", inputs[env.ID()])
+				out, err := highcostca.Run(env, "hc", inputs[env.ID()].Bytes(), nil)
+				return new(big.Int).SetBytes(out), err
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -11,11 +11,21 @@ import (
 	"convexagreement/internal/testutil"
 )
 
+// runNat is Run on a *big.Int, converted at the edge as the public
+// ProtoHighCost converts it.
+func runNat(env *sim.Env, v *big.Int) (*big.Int, error) {
+	out, err := highcostca.Run(env, "hc", v.Bytes(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return new(big.Int).SetBytes(out), nil
+}
+
 func run(t *testing.T, n, tc int, inputs []*big.Int, corrupt map[int]sim.Behavior) (*testutil.Result[*big.Int], *big.Int) {
 	t.Helper()
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
-			return highcostca.Run(env, "hc", inputs[env.ID()])
+			return runNat(env, inputs[env.ID()])
 		})
 	if err != nil {
 		t.Fatalf("n=%d t=%d: %v", n, tc, err)
@@ -101,7 +111,7 @@ func TestGhostsWithExtremeInputs(t *testing.T) {
 	n, tc := 10, 3
 	ghost := func(v *big.Int) sim.Behavior {
 		return testutil.Ghost(func(env *sim.Env) error {
-			_, err := highcostca.Run(env, "hc", v)
+			_, err := runNat(env, v)
 			return err
 		})
 	}
@@ -148,20 +158,38 @@ func TestLargeValues(t *testing.T) {
 	}
 }
 
-func TestRejectsNegativeInput(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
-		func(env *sim.Env) (*big.Int, error) {
-			return highcostca.Run(env, "hc", big.NewInt(-3))
+// TestNonCanonicalInputs: an input is read as a natural whatever its
+// encoding — with leading zero bytes, or empty for 0 — and runs exactly as
+// its canonical encoding does: same output, same cost, and every encoding
+// of one number counts for that number.
+func TestNonCanonicalInputs(t *testing.T) {
+	n, tc := 4, 1
+	canonical := [][]byte{{0x12, 0x34}, {0x12, 0x34}, {}, {0x01}}
+	padded := [][]byte{{0, 0, 0x12, 0x34}, {0x12, 0x34}, {0, 0, 0}, {0, 0x01}}
+	runRaw := func(inputs [][]byte) (*testutil.Result[string], string) {
+		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (string, error) {
+			out, err := highcostca.Run(env, "hc", inputs[env.ID()], nil)
+			if len(out) > 0 && out[0] == 0 {
+				t.Errorf("party %d: output %x is not canonical", env.ID(), out)
+			}
+			return string(out), err
 		})
-	if err == nil {
-		t.Error("negative input accepted")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := testutil.AgreeValue(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, out
 	}
-	_, err = testutil.Run(sim.Config{N: 1, T: 0}, nil,
-		func(env *sim.Env) (*big.Int, error) {
-			return highcostca.Run(env, "hc", nil)
-		})
-	if err == nil {
-		t.Error("nil input accepted")
+	want, wantOut := runRaw(canonical)
+	got, gotOut := runRaw(padded)
+	if gotOut != wantOut {
+		t.Errorf("output %x from padded inputs, %x from canonical ones", gotOut, wantOut)
+	}
+	if got.Report.HonestBits != want.Report.HonestBits {
+		t.Errorf("padded inputs sent %d bits, canonical ones %d", got.Report.HonestBits, want.Report.HonestBits)
 	}
 }
 

@@ -69,8 +69,17 @@ var natPool = [][]byte{{}, {0}, {0, 0}, {1}, {0, 1}, {2}, {1, 0}, {0, 1, 0}, {0x
 
 func checkNatAtLeast(t *testing.T, in []transport.Message, k int) {
 	t.Helper()
-	got := natAtLeast(natTally(in), k)
-	for name, want := range map[string]*big.Int{"oracle": oracleNatWithSupport(in, k), "reference": refNatWithSupport(in, k)} {
+	var w Work
+	var got *big.Int
+	if nat, ok := natAtLeast(w.count(in), k); ok {
+		got = new(big.Int).SetBytes(nat)
+	}
+	wants := map[string]*big.Int{
+		"oracle":    oracleNatWithSupport(in, k),
+		"reference": refNatWithSupport(in, k),
+		"runRef's":  natAtLeastRef(natTally(in), k),
+	}
+	for name, want := range wants {
 		if (got == nil) != (want == nil) || (got != nil && got.Cmp(want) != 0) {
 			t.Fatalf("≥ %d support: got %v, %s %v on %v", k, got, name, want, in)
 		}

@@ -17,13 +17,13 @@ func FuzzVerify(f *testing.F) {
 	}
 	w2, _ := tree.Witness(2)
 	root := tree.Root()
-	f.Add(root[:], 2, 5, []byte("c"), MarshalWitness(w2))
+	f.Add(root[:], 2, 5, []byte("c"), AppendWitness(nil, w2))
 	f.Add([]byte{}, 0, 0, []byte{}, []byte{})
 	f.Add(root[:], -3, 1<<20, []byte("x"), make([]byte, hashing.Size*3+1))
 
 	f.Fuzz(func(t *testing.T, rootRaw []byte, i, n int, value, witnessRaw []byte) {
 		rootD, okRoot := hashing.FromBytes(rootRaw)
-		witness, okW := UnmarshalWitness(witnessRaw)
+		witness, okW := UnmarshalWitness(nil, witnessRaw)
 		if !okRoot || !okW {
 			return
 		}

@@ -183,24 +183,24 @@ func recompute(h *hashing.Hasher, i, lo, hi int, value []byte, witness []hashing
 	return d, used + 1, true
 }
 
-// MarshalWitness flattens a witness for the wire.
-func MarshalWitness(w []hashing.Digest) []byte {
-	out := make([]byte, 0, len(w)*hashing.Size)
+// AppendWitness appends the wire form of a witness to dst: its digests,
+// concatenated.
+func AppendWitness(dst []byte, w []hashing.Digest) []byte {
 	for _, d := range w {
-		out = append(out, d[:]...)
+		dst = append(dst, d[:]...)
 	}
-	return out
+	return dst
 }
 
-// UnmarshalWitness parses a witness from the wire; it rejects lengths that
-// are not a whole number of digests.
-func UnmarshalWitness(raw []byte) ([]hashing.Digest, bool) {
+// UnmarshalWitness parses a witness from the wire, appending its digests to
+// dst, so that a caller decoding witness after witness reuses one slice; it
+// rejects lengths that are not a whole number of digests.
+func UnmarshalWitness(dst []hashing.Digest, raw []byte) ([]hashing.Digest, bool) {
 	if len(raw)%hashing.Size != 0 {
-		return nil, false
+		return dst, false
 	}
-	w := make([]hashing.Digest, len(raw)/hashing.Size)
-	for i := range w {
-		copy(w[i][:], raw[i*hashing.Size:])
+	for ; len(raw) > 0; raw = raw[hashing.Size:] {
+		dst = append(dst, hashing.Digest(raw[:hashing.Size]))
 	}
-	return w, true
+	return dst, true
 }

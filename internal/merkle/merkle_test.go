@@ -149,8 +149,8 @@ func TestWitnessMarshalRoundTrip(t *testing.T) {
 	tree, _ := Build(leavesOf(11))
 	for i := 0; i < 11; i++ {
 		w, _ := tree.Witness(i)
-		raw := MarshalWitness(w)
-		got, ok := UnmarshalWitness(raw)
+		raw := AppendWitness(nil, w)
+		got, ok := UnmarshalWitness(nil, raw)
 		if !ok {
 			t.Fatalf("unmarshal failed for leaf %d", i)
 		}
@@ -163,7 +163,7 @@ func TestWitnessMarshalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := UnmarshalWitness(make([]byte, hashing.Size+1)); ok {
+	if _, ok := UnmarshalWitness(nil, make([]byte, hashing.Size+1)); ok {
 		t.Error("ragged witness accepted")
 	}
 }

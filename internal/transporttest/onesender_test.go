@@ -2,7 +2,6 @@ package transporttest_test
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"convexagreement/internal/ba"
@@ -88,7 +87,7 @@ func TestOneSenderRoundRules(t *testing.T) {
 				all([]byte{10}, []byte{20}, []byte{30}), all(interval, interval, interval),
 				all([]byte{10}, []byte{20}, []byte{30}), nil,
 			},
-			run: func(net transport.Net) error { _, err := highcostca.Run(net, "t", big.NewInt(10)); return err },
+			run: func(net transport.Net) error { _, err := highcostca.Run(net, "t", []byte{10}, nil); return err },
 			cases: []struct{ spam, counts [][]byte }{
 				{[][]byte{garbage, {15}}, [][]byte{garbage}},
 				{[][]byte{{15}, garbage}, [][]byte{{15}}},

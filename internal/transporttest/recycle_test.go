@@ -142,7 +142,10 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 		{"core.FixedLengthCABlocks", func(net transport.Net) (any, error) {
 			return core.FixedLengthCABlocks(net, "t", 16, 4, num(net), nil)
 		}},
-		{"highcostca.Run", func(net transport.Net) (any, error) { return highcostca.Run(net, "t", num(net)) }},
+		{"highcostca.Run", func(net transport.Net) (any, error) {
+			out, err := highcostca.Run(net, "t", num(net).Bytes(), nil)
+			return new(big.Int).SetBytes(out), err
+		}},
 		{"baselines.BroadcastCA", func(net transport.Net) (any, error) {
 			return baselines.BroadcastCA(net, "t", num(net))
 		}},

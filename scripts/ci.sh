@@ -187,6 +187,19 @@ one_path() {
 		echo "one-path: a per-call Tally or LaneVotes container in non-test code; count in ba.Work's" >&2
 		exit 1
 	fi
+	# One long-value plane. HIGHCOSTCA runs on canonical big-endian
+	# naturals in its work set; the math/big listing it replaced is the
+	# _test.go oracle runRef. Π_ℓBA+'s dispersal tuples are appended into
+	# the two tuple buffers of baplus.Buffers; a tuple framed in a fresh
+	# writer per round brings encodeTuple or a wire.NewWriter back.
+	if grep -rn '"math/big"' --include='*.go' internal/highcostca | grep -v '_test\.go:'; then
+		echo "one-path: math/big in internal/highcostca's non-test code; HIGHCOSTCA runs on canonical bytes" >&2
+		exit 1
+	fi
+	if grep -rnE 'encodeTuple|wire\.NewWriter\(' --include='*.go' internal/baplus | grep -v '_test\.go:'; then
+		echo "one-path: a per-round fresh dispersal tuple in internal/baplus; append into baplus.Buffers' tuple buffers" >&2
+		exit 1
+	fi
 
 	# One deployed-cluster harness, one adversary vocabulary. A cluster is
 	# assembled, killed, resumed and judged in internal/experiments/harness.go;
@@ -280,7 +293,11 @@ cross_compile() {
 # party keeps across ops (what the protocol layer itself allocates: the
 # round tags, no lane vector, vote count or send buffer, nothing per round),
 # a 64-bit Π_ℤ agreement over channet on a core.Buffers each party keeps
-# (no container of any phase-king, Turpin–Coan round or Π_BA+ stage), the
+# (no container of any phase-king, Turpin–Coan round or Π_BA+ stage), a
+# long one on the same (BenchmarkPiZLongChannet, 2¹⁸-bit inputs at n = 7:
+# no dispersal tuple, received witness or HIGHCOSTCA natural is allocated,
+# so of what grows with ℓ only GETOUTPUT's output is; a tuple buffer or a
+# math/big decode that comes back adds a whole number of allocs), the
 # same agreement through a SessionMux per party (BenchmarkMuxedPiZ, on the
 # set the mux lends each run: a run that went back to growing a fresh set
 # adds about 860 allocs/op; most of what is left is the flattening
@@ -311,14 +328,14 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/
 		go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/
-		go test -run '^$' -bench 'BenchmarkPiZChannet' -benchtime 100x -benchmem ./internal/core/
+		go test -run '^$' -bench 'BenchmarkPiZ(Long)?Channet' -benchtime 100x -benchmem ./internal/core/
 		go test -run '^$' -bench 'BenchmarkMuxedPiZ$' -benchtime 100x -benchmem .
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
 		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
 		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZChannet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
+	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an
@@ -333,7 +350,8 @@ throughput_guard() {
 # 5 s per target: the wire frames (x2), admission, baplus tuples, the
 # checkpoint WAL and scrub, the bitstr kernels, the quorum vocabulary
 # against the per-package functions it replaced (x6), FirstPerSender
-# against its set-based oracle, the lane frame, and the session demux's
+# against its set-based oracle, the lane frame, HIGHCOSTCA's trimming and
+# ordering of byte naturals against math/big, and the session demux's
 # merge-join against its map-based oracle. FuzzReadFrame and
 # FuzzReadFrameInto share a prefix; go test refuses a -fuzz pattern matching
 # more than one target, so each needs an anchored pattern.
@@ -355,6 +373,7 @@ fuzz_smoke() {
 		FuzzTCPicks ./internal/ba/
 		FuzzPlusPicks ./internal/baplus/
 		FuzzNatAtLeast ./internal/highcostca/
+		FuzzNatOrder ./internal/highcostca/
 		FuzzOptionLanes ./internal/wire/
 		FuzzDemux ./internal/sessmux/
 	EOF
