@@ -8,6 +8,7 @@ import (
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/bitstr"
+	"convexagreement/internal/hashing"
 	"convexagreement/internal/highcostca"
 	"convexagreement/internal/transport"
 )
@@ -20,8 +21,8 @@ const MaxWidth = 1 << 26
 
 // PiN implements the final protocol for ℕ, Π_ℕ (§5, Theorem 5): the input
 // length ℓ is not publicly known. The parties first agree whether any input
-// exceeds n² bits; short inputs are handled by FIXEDLENGTHCA after a
-// doubling search for a length estimate, long inputs by
+// exceeds T = shortBits(n) bits; short inputs are handled by FIXEDLENGTHCA
+// after a doubling search for a length estimate, long inputs by
 // FIXEDLENGTHCABLOCKS after agreeing on a block size via HIGHCOSTCA
 // (block-size values have only O(ℓ/n²) bits, so that call stays within
 // O(ℓn) bits).
@@ -30,6 +31,12 @@ const MaxWidth = 1 << 26
 // size-class question and the doubling search's questions one Π_BA after
 // another; none of their inputs depends on another's answer, so they are
 // the lanes of one ba.Bits instance at tag+"/pre".
+//
+// Deviation (PROTOCOLS.md, "short values take the bits path"): the paper
+// splits the two paths at n² bits, this at T = max(n², κ). A value of at
+// most κ bits is never dispersed (Π_ℓBA+ agrees segments no longer than a
+// digest as plain values), so below κ the blocks path's two HIGHCOSTCAs buy
+// nothing, and the bits path costs O(κn² + n³) bits. At n ≥ 16, T = n².
 //
 // Complexity (Theorem 5): O(ℓn + κ·n²·log²n) + O(log n)·BITS_κ(Π_BA) bits
 // and O(n) + O(log n)·ROUNDS_κ(Π_BA) rounds; of the rounds the length search
@@ -52,21 +59,25 @@ func PiN(env transport.Net, tag string, v *big.Int, b *Buffers) (*big.Int, error
 	return piNWithLength(env, tag, v, agreed, arity, b)
 }
 
+// shortBits is T = max(n², κ), the longest input Π_ℕ agrees on by its bits
+// path; longer inputs take the blocks path, which still cuts n² blocks.
+func shortBits(n int) int { return max(n*n, hashing.Kappa) }
+
 // lengthLanes is the number of questions Π_ℕ asks about its input's length:
-// the size class and one per doubling step 2^0 … 2^⌈log₂ n²⌉.
-func lengthLanes(n int) int { return bits.Len(uint(n*n-1)) + 2 }
+// the size class and one per doubling step 2^0 … 2^⌈log₂ T⌉.
+func lengthLanes(n int) int { return bits.Len(uint(shortBits(n)-1)) + 2 }
 
 // askLength fills a party's lengthLanes(n) inputs for the magnitude v: lane
-// 0 is the size class ("v is longer than n² bits"), lane 1+i the doubling
-// search's "v, clamped to n² bits, is longer than 2^i bits".
+// 0 is the size class ("v is longer than T bits"), lane 1+i the doubling
+// search's "v, clamped to T bits, is longer than 2^i bits".
 func askLength(lanes []byte, v *big.Int, n int) {
-	n2, vLen := n*n, bitstr.NatBitLen(v)
+	short, vLen := shortBits(n), bitstr.NatBitLen(v)
 	clear(lanes)
-	if vLen > n2 {
+	if vLen > short {
 		lanes[0] = 1
 	}
 	for i := range lanes[1:] {
-		if min(vLen, n2) > 1<<i {
+		if min(vLen, short) > 1<<i {
 			lanes[1+i] = 1
 		}
 	}
@@ -78,12 +89,12 @@ func askLength(lanes []byte, v *big.Int, n int) {
 func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k int, b *Buffers) (*big.Int, error) {
 	n2 := env.N() * env.N()
 	if agreed[0] == 0 {
-		// Some honest party's input fits in n² bits, so 2^(n²)−1 is in the
+		// Some honest party's input fits in T bits, so 2^T−1 is in the
 		// honest range and clamping longer inputs preserves validity.
-		v = clampToWidth(v, n2)
+		v = clampToWidth(v, shortBits(env.N()))
 		// Doubling search: the smallest power of two no honest party
 		// objects to — the step at which the sequential search would have
-		// stopped. All honest inputs fit in n² ≤ 2^⌈log₂ n²⌉ bits, so by
+		// stopped. All honest inputs fit in T ≤ 2^⌈log₂ T⌉ bits, so by
 		// Validity the last lane, if no earlier one, agreed "fits"; and an
 		// agreed "fits" at 2^i has an honest party whose clamped input fits
 		// there, so clamping to 2^i preserves validity again.
@@ -93,11 +104,11 @@ func piNWithLength(env transport.Net, tag string, v *big.Int, agreed []byte, k i
 				return fixedLengthCA(env, tag+"/flca", est, clampToWidth(v, est), k, b)
 			}
 		}
-		// Unreachable: at 2^i ≥ n² every honest party inputs 0.
+		// Unreachable: at 2^i ≥ T every honest party inputs 0.
 		return nil, fmt.Errorf("%w: length search failed to converge", ErrProtocol)
 	}
 
-	// Some honest party's input exceeds n² bits. Agree on a block size in
+	// Some honest party's input exceeds T ≥ n² bits. Agree on a block size in
 	// the honest block sizes' range via the high-cost protocol.
 	var blockSize [8]byte
 	binary.BigEndian.PutUint64(blockSize[:], uint64((bitstr.NatBitLen(v)+n2-1)/n2))

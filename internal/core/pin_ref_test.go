@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"convexagreement/internal/ba"
@@ -45,11 +46,11 @@ func piZRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 
 func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, error) {
 	n := env.N()
-	n2 := n * n
+	n2, short := n*n, shortBits(n)
 	vLen := bitstr.NatBitLen(v)
 
 	sizeClass := byte(0)
-	if vLen > n2 {
+	if vLen > short {
 		sizeClass = 1
 	}
 	*asked++
@@ -59,7 +60,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 	}
 
 	if agreedClass == 0 {
-		v = clampToWidth(v, n2)
+		v = clampToWidth(v, short)
 		for i := 0; ; i++ {
 			est := 1 << i
 			tooLong := byte(0)
@@ -75,7 +76,7 @@ func piNRef(env transport.Net, tag string, v *big.Int, asked *int) (*big.Int, er
 				v = clampToWidth(v, est)
 				return FixedLengthCA(env, tag+"/flca", est, v, nil)
 			}
-			if est >= n2 {
+			if est >= short {
 				return nil, fmt.Errorf("%w: length search failed to converge", ErrProtocol)
 			}
 		}
@@ -111,8 +112,8 @@ func ofLength(bits, party int) *big.Int {
 // TestBatchedPreambleMatchesSequential: at f = 0 the one-instance preamble
 // and the paper's sequential listing are the same function. Over the
 // lengths at which some question changes its answer — 0, 1, every 2^i and
-// 2^i + 1, n² and n² + 1 bits, alone and mixed with the next shorter class
-// — and over sign patterns that leave every party, most parties, few
+// 2^i + 1, n² and n² + 1, T and T + 1 bits, alone and mixed with the next
+// shorter class — and over sign patterns that leave every party, most parties, few
 // parties or one party holding magnitude 0, both produce the same output at
 // every party, and the batched run is shorter by exactly the instances it
 // no longer waits for.
@@ -129,12 +130,14 @@ func TestBatchedPreambleMatchesSequential(t *testing.T) {
 		{"one-positive", func(p, n int) bool { return p != 1 }},
 	}
 	for _, n := range []int{4, 7, 16} {
-		tc, n2 := (n-1)/3, n*n
+		tc, n2, short := (n-1)/3, n*n, shortBits(n)
 		lengths := []int{0, 1}
-		for est := 2; est < n2; est *= 2 {
+		for est := 2; est < short; est *= 2 {
 			lengths = append(lengths, est, est+1)
 		}
-		lengths = append(lengths, n2, n2+1)
+		lengths = append(lengths, n2, n2+1, short, short+1)
+		slices.Sort(lengths)
+		lengths = slices.Compact(lengths)
 		for li, bits := range lengths {
 			for _, mixed := range []bool{false, true} {
 				if mixed && li == 0 {
