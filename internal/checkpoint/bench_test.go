@@ -120,3 +120,37 @@ func BenchmarkScrub(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWALInstanceSwitch measures one agreement's bookkeeping around
+// its rounds on the default filesystem: the end record, then the next
+// instance, which switches slots — a truncation, and the base and
+// instance records as one write and one fsync. Its allocs/op is
+// CI-guarded at 0, like BenchmarkWALAppend's: a switch that allocates
+// (a natural's bytes, a frame) shows here.
+func BenchmarkWALInstanceSwitch(b *testing.B) {
+	dir := b.TempDir()
+	log, _, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = log.Close() }()
+	if err := log.AppendMeta(7, 2); err != nil {
+		b.Fatal(err)
+	}
+	inst := &Instance{Kind: KindAgree, Protocol: "optimal", Width: 64, Input: big.NewInt(-1 << 40)}
+	if err := log.AppendInstance(inst); err != nil {
+		b.Fatal(err)
+	}
+	out := big.NewInt(1 << 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := log.AppendEnd(out); err != nil {
+			b.Fatal(err)
+		}
+		inst.Seq++
+		if err := log.AppendInstance(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,8 @@ func msg(from int, payload string) transport.Message {
 }
 
 // writeSampleLog records meta + one completed instance + one partial
-// instance with two rounds, returning the directory.
+// instance with two rounds, returning the directory. The partial instance
+// switched slots: it lives in "wal.1", generation 1.
 func writeSampleLog(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -93,7 +94,7 @@ func TestRoundTrip(t *testing.T) {
 // everything before it, and leaves the log appendable.
 func TestTornTail(t *testing.T) {
 	dir := writeSampleLog(t)
-	path := filepath.Join(dir, "wal")
+	path := filepath.Join(dir, "wal.1")
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestTornTail(t *testing.T) {
 // that record only.
 func TestTornTailCorruptCRC(t *testing.T) {
 	dir := writeSampleLog(t)
-	path := filepath.Join(dir, "wal")
+	path := filepath.Join(dir, "wal.1")
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestTornTailCorruptCRC(t *testing.T) {
 // continues after a torn-tail truncation.
 func TestAppendAfterRecovery(t *testing.T) {
 	dir := writeSampleLog(t)
-	path := filepath.Join(dir, "wal")
+	path := filepath.Join(dir, "wal.1")
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +197,14 @@ func TestAppendAfterRecovery(t *testing.T) {
 
 // TestCorruptMiddle damages a record that is not the tail: replay treats
 // the first bad frame as the tail and drops everything after it — the
-// standard sequential-WAL recovery rule — without erroring.
+// standard sequential-WAL recovery rule — without erroring. Damage to the
+// head of generation 0's slot, "wal", drops the whole log once nothing
+// newer is left in "wal.1".
 func TestCorruptMiddle(t *testing.T) {
 	dir := writeSampleLog(t)
+	if err := os.WriteFile(filepath.Join(dir, "wal.1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "wal")
 	whole, err := os.ReadFile(path)
 	if err != nil {

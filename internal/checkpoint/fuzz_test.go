@@ -13,9 +13,11 @@ import (
 )
 
 // validWAL builds a well-formed log (meta, one finished instance, one
-// partial instance with a recorded round) and returns its raw bytes, so
-// the fuzzer starts from realistic record framing rather than pure noise.
-func validWAL(t testing.TB) []byte {
+// partial instance with a recorded round) and returns its two slot files
+// — generation 0 with the finished instance, generation 1 with the
+// partial one — so the fuzzer starts from realistic record framing rather
+// than pure noise.
+func validWAL(t testing.TB) (wal, wal1 []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	log, _, err := Open(dir)
@@ -43,28 +45,40 @@ func validWAL(t testing.TB) []byte {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []*[]byte{&wal, &wal1} {
+		name := "wal"
+		if p == &wal1 {
+			name += slotSuffix
+		}
+		if *p, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return raw
+	return wal, wal1
 }
 
-// FuzzInspectState feeds arbitrary bytes to the WAL replay path. Whatever
-// the bytes, Inspect must return cleanly — never panic — and because Open
-// truncates any torn tail in place, a second Inspect of the same directory
-// must agree with the first.
+// FuzzInspectState feeds arbitrary bytes, one input per slot file, to the
+// WAL replay path. Whatever the bytes, Inspect must return cleanly — never
+// panic — and because Open truncates any torn tail in place, a second
+// Inspect of the same directory must agree with the first.
 func FuzzInspectState(f *testing.F) {
-	raw := validWAL(f)
-	f.Add(raw)
-	f.Add(raw[:len(raw)-3]) // torn tail
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(bytes.Repeat([]byte{0x00}, 64))
+	raw, raw1 := validWAL(f)
+	f.Add(raw, raw1)
+	f.Add(raw, raw1[:len(raw1)-3])    // torn tail
+	f.Add(raw, raw1[:len(raw1)/2])    // torn head: generation 0 is live
+	f.Add(raw1, raw)                  // each slot holds the other's generation
+	f.Add(raw[:len(raw)-3], []byte{}) // a log that never switched
+	f.Add(raw1, raw1[:len(raw1)-1])
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, raw1)
+	f.Add(bytes.Repeat([]byte{0x00}, 64), bytes.Repeat([]byte{0x01}, 64))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, data1 []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "wal"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal"+slotSuffix), data1, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st1, err1 := InspectOptions(dir, Options{})
@@ -87,7 +101,7 @@ func FuzzInspectState(f *testing.F) {
 // winner's, a second pass must be a no-op, and the repaired directory must
 // open without error.
 func FuzzScrub(f *testing.F) {
-	raw := validWAL(f)
+	raw, _ := validWAL(f)
 	f.Add(raw, raw)
 	f.Add(raw, raw[:len(raw)-3])             // one torn copy
 	f.Add(raw[:len(raw)/2], raw)             // one lagging copy
@@ -117,8 +131,8 @@ func FuzzScrub(f *testing.F) {
 		// Both copies now carry the same intact record prefix.
 		ra, _ := m.ReadFileRaw("state/wal")
 		rb, _ := m.ReadFileRaw("state/wal2")
-		na, ia := walkFrames(ra)
-		nb, ib := walkFrames(rb)
+		na, ia, _ := walkFrames(ra, 0)
+		nb, ib, _ := walkFrames(rb, 0)
 		if na != nb || ia != ib || !bytes.Equal(ra[:ia], rb[:ib]) {
 			t.Fatalf("intact prefixes diverge after repair: %d/%d records, %d/%d bytes", na, nb, ia, ib)
 		}

@@ -12,12 +12,19 @@ import (
 	"convexagreement/internal/errfs"
 )
 
-// CopyReport is the scrub verdict for one physical WAL copy.
+// CopyReport is the scrub verdict for one physical WAL copy, read from
+// both of its slot files and reported for its live slot: the one holding
+// the newest generation whose head record is intact (the first slot when
+// neither does), which is all Open replays. The other slot holds an older
+// generation that the next slot switch truncates; scrub neither counts
+// nor repairs it.
 type CopyReport struct {
-	// Name is the copy's path.
+	// Name is the live slot's path.
 	Name string
-	// Present reports whether the file exists.
+	// Present reports whether the live slot's file exists.
 	Present bool
+	// Gen is the live slot's generation.
+	Gen uint64
 	// Records is the number of intact CRC-verified records.
 	Records int
 	// IntactBytes is the byte length of the intact record prefix.
@@ -42,8 +49,8 @@ func (c *CopyReport) Damaged() bool {
 type ScrubReport struct {
 	// Copies holds one verdict per physical copy, in vote-priority order.
 	Copies []CopyReport
-	// Records is the winning copy's intact record count — what Open
-	// would recover.
+	// Records is the winning copy's intact record count in its live slot
+	// — what Open would replay.
 	Records int
 	// Repaired reports that at least one copy was rewritten.
 	Repaired bool
@@ -79,48 +86,36 @@ func (r *ScrubReport) String() string {
 func Scrub(dir string) (*ScrubReport, error) { return ScrubOptions(dir, Options{}) }
 
 // ScrubOptions is Scrub over an explicit filesystem and mode. In mirrored
-// mode it repairs: the copy with the longest intact record prefix wins the
-// vote, and every copy that differs from that prefix — lagging,
-// bit-rotted, torn, missing entirely, or the winner's own damaged tail —
-// is rewritten to it and fsync'd (directory included). Repair reads only
-// CRC-verified records, so detected damage never propagates into the
-// repaired copy; a second pass over an already-repaired log is a no-op.
+// mode it repairs: the copy with the newest generation and, within it, the
+// longest intact record prefix wins the vote, and every copy whose slot of
+// that generation differs from that prefix — lagging, bit-rotted, torn,
+// a generation behind, missing entirely, or the winner's own damaged tail
+// — has it rewritten to the prefix and fsync'd (directory included).
+// Repair reads only CRC-verified records, so detected damage never
+// propagates into the repaired copy; a second pass over an
+// already-repaired log is a no-op.
 func ScrubOptions(dir string, o Options) (*ScrubReport, error) {
 	fsys := o.fs()
 	rep := &ScrubReport{}
-	type scan struct {
-		raw []byte // full file contents as read
-		ok  bool   // opened and read successfully
-	}
-	scans := make([]scan, 0, 2)
+	var paths []string
+	var scans []slotRead
 	for _, name := range o.copyNames() {
 		path := filepath.Join(dir, name)
-		cr := CopyReport{Name: path}
-		var sc scan
-		raw, err := readAll(fsys, path)
-		switch {
-		case err == nil:
-			sc = scan{raw: raw, ok: true}
-			cr.Present = true
-			cr.TotalBytes = int64(len(raw))
-			cr.Records, cr.IntactBytes = walkFrames(raw)
-		case errors.Is(err, fs.ErrNotExist):
-			// Absent copy: reported, and a repair target in mirror mode.
-		default:
-			cr.Present = true
-			cr.Err = err.Error()
-		}
+		cr, sc := scrubCopy(fsys, path)
+		paths = append(paths, path)
 		scans = append(scans, sc)
 		rep.Copies = append(rep.Copies, cr)
 	}
 
-	// Vote: longest intact prefix wins, lowest index on ties.
+	// Vote: newest generation, then longest intact prefix, wins; lowest
+	// index on ties.
 	win := -1
 	for i := range rep.Copies {
 		if !scans[i].ok {
 			continue
 		}
-		if win < 0 || rep.Copies[i].Records > rep.Copies[win].Records {
+		c, w := &rep.Copies[i], &rep.Copies[max(win, 0)]
+		if win < 0 || c.Gen > w.Gen || c.Gen == w.Gen && c.Records > w.Records {
 			win = i
 		}
 	}
@@ -132,42 +127,79 @@ func ScrubOptions(dir string, o Options) (*ScrubReport, error) {
 		return rep, nil
 	}
 
-	// Normalize every copy — the winner's own damaged tail included — to
-	// the winning intact prefix. (The tail is not CRC-intact by
-	// definition, so Open would discard it anyway; trimming it here keeps
-	// the pass idempotent: a repaired directory re-scrubs as a no-op.)
-	good := scans[win].raw[:rep.Copies[win].IntactBytes]
+	// Normalize every copy's slot of the winning generation — the
+	// winner's own damaged tail included — to the winning intact prefix.
+	// (The tail is not CRC-intact by definition, so Open would discard it
+	// anyway; trimming it here keeps the pass idempotent: a repaired
+	// directory re-scrubs as a no-op.)
+	good, slot := scans[win].raw[:rep.Copies[win].IntactBytes], scans[win].slot
 	for i := range rep.Copies {
-		cr := &rep.Copies[i]
-		if scans[i].ok && cr.TotalBytes == int64(len(good)) && bytes.Equal(scans[i].raw, good) {
+		cr, sc := &rep.Copies[i], scans[i]
+		if sc.ok && sc.slot == slot && cr.TotalBytes == int64(len(good)) && bytes.Equal(sc.raw, good) {
 			continue
 		}
-		if err := rewriteCopy(fsys, dir, cr.Name, good); err != nil {
+		name := slotPath(paths[i], slot)
+		if err := rewriteCopy(fsys, dir, name, good); err != nil {
 			cr.Err = err.Error()
 			continue
 		}
-		cr.Repaired = true
-		cr.Present = true
-		cr.Records = rep.Records
-		cr.IntactBytes = int64(len(good))
-		cr.TotalBytes = int64(len(good))
+		*cr = CopyReport{
+			Name: name, Present: true, Gen: rep.Copies[win].Gen,
+			Records: rep.Records, IntactBytes: int64(len(good)), TotalBytes: int64(len(good)),
+			Repaired: true,
+		}
 		rep.Repaired = true
 	}
 	return rep, nil
 }
 
-// walkFrames counts intact CRC frames in buf and the byte length of the
-// intact prefix. Scanning stops at the first damaged frame, exactly as
-// replay would.
-func walkFrames(buf []byte) (records int, intact int64) {
-	r := &offsetReader{f: bytes.NewReader(buf)}
+// slotRead is what scrub read of one copy's live slot.
+type slotRead struct {
+	raw  []byte // full file contents as read
+	ok   bool   // both slots opened (or were absent) and read successfully
+	slot int
+}
+
+// scrubCopy reads both slots of the copy whose first slot is path and
+// reports its live slot.
+func scrubCopy(fsys errfs.FS, path string) (CopyReport, slotRead) {
+	var raws [2][]byte
+	var present [2]bool
+	live, found := 0, false
+	var cr CopyReport
+	for i := range raws {
+		raw, err := readAll(fsys, slotPath(path, i))
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Absent slot: a repair target in mirror mode if it is the one
+			// the winner's generation lives in.
+			continue
+		case err != nil:
+			return CopyReport{Name: slotPath(path, i), Present: true, Err: err.Error()}, slotRead{}
+		}
+		raws[i], present[i] = raw, true
+		records, intact, gen := walkFrames(raw, i)
+		if records > 0 && (!found || gen > cr.Gen) {
+			live, found = i, true
+			cr = CopyReport{Gen: gen, Records: records, IntactBytes: intact}
+		}
+	}
+	cr.Name = slotPath(path, live)
+	cr.Present = present[live]
+	cr.TotalBytes = int64(len(raws[live]))
+	return cr, slotRead{raw: raws[live], ok: true, slot: live}
+}
+
+// walkFrames counts the intact CRC frames of slot file buf, the byte
+// length of the intact prefix, and the slot's generation. Scanning stops
+// at the first damaged frame, exactly as replay would.
+func walkFrames(buf []byte, slot int) (records int, intact int64, gen uint64) {
+	sc := slotScan{r: &offsetReader{f: bytes.NewReader(buf)}, slot: slot}
 	for {
 		//calint:ignore errflow any decode error, typed or not, just marks the end of the intact prefix; the scrubber classifies damage from the counts
-		if _, err := readRecord(r); err != nil {
-			return records, intact
+		if _, err := sc.next(); err != nil {
+			return sc.nrec, sc.end, sc.gen
 		}
-		records++
-		intact = r.off
 	}
 }
 

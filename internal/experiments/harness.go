@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -15,6 +16,7 @@ import (
 
 	ca "convexagreement"
 	"convexagreement/internal/adversary"
+	"convexagreement/internal/checkpoint"
 	"convexagreement/internal/errfs"
 	"convexagreement/internal/supervisor"
 )
@@ -95,7 +97,7 @@ type PartyResult struct {
 
 	Storage error  // Session.StorageErr when the party stopped
 	Disk    uint64 // errfs.Mem fault transcript
-	WAL     []byte // errfs.Mem: the WAL and its mirror copy after the run
+	WAL     []byte // errfs.Mem: the WAL and its mirror copy after the run, each its two slot files length-prefixed
 	WAL2    []byte
 
 	Health      supervisor.Health // kill targets only
@@ -281,8 +283,14 @@ func (c *cluster) party(i int) {
 	}
 	if mem, ok := c.stores[i].FS.(*errfs.Mem); ok {
 		p.Disk = mem.Transcript()
-		p.WAL, _ = mem.ReadFileRaw(filepath.Join(c.dir(i), "wal"))
-		p.WAL2, _ = mem.ReadFileRaw(filepath.Join(c.dir(i), "wal2"))
+		for k, slots := range checkpoint.CopyFiles(c.dir(i), checkpoint.Options{Mirror: true}) {
+			dst := []*[]byte{&p.WAL, &p.WAL2}[k]
+			for _, name := range slots {
+				if raw, ok := mem.ReadFileRaw(name); ok {
+					*dst = append(binary.AppendUvarint(*dst, uint64(len(raw))), raw...)
+				}
+			}
+		}
 	}
 }
 

@@ -114,8 +114,8 @@ var mutants = []mutant{
 	{id: "E2", file: "internal/checkpoint/checkpoint.go", fires: []string{"errflow"},
 		why: "checkpoint.AppendRound wraps append's error with %s",
 		edits: [][2]string{{
-			"\t\tw.Bytes(m.Payload)\n\t}\n\treturn l.append(w.Finish())\n",
-			"\t\tw.Bytes(m.Payload)\n\t}\n\tif err := l.append(w.Finish()); err != nil { // MUTANT\n\t\treturn fmt.Errorf(\"append round: %s\", err)\n\t}\n\treturn nil\n"}}},
+			"\t\tw.Bytes(m.Payload)\n\t}\n\tl.st.NextRound++\n\treturn l.appendOne()\n",
+			"\t\tw.Bytes(m.Payload)\n\t}\n\tl.st.NextRound++\n\tif err := l.appendOne(); err != nil { // MUTANT\n\t\treturn fmt.Errorf(\"append round: %s\", err)\n\t}\n\treturn nil\n"}}},
 	{id: "E3", file: "session.go", fires: []string{"errdrop", "errflow"},
 		why: "s.log.AppendRound(msgs) as a bare statement",
 		edits: [][2]string{{

@@ -276,7 +276,9 @@ cross_compile() {
 }
 
 # Re-measure the pooled frame round-trip, the admission-gated read, the
-# checkpoint append on the real filesystem, and the one mux merge (sessmux,
+# checkpoint append and slot switch on the real filesystem (a round's
+# record, and an agreement's end and next instance: 0 allocs/op each), and
+# the one mux merge (sessmux,
 # which sessmux.Parallel rides too), then hold allocs/op to
 # benchdata/alloc_guards.json. A regression here means a zero-copy path grew
 # a hidden allocation — e.g. the merge scratch stopped being reused across
@@ -324,7 +326,7 @@ cross_compile() {
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
-		go test -run '^$' -bench 'BenchmarkWALAppend$' -benchtime 100x -benchmem ./internal/checkpoint/
+		go test -run '^$' -bench 'BenchmarkWAL(Append|InstanceSwitch)$' -benchtime 100x -benchmem ./internal/checkpoint/
 		go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/
 		go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/
@@ -335,7 +337,7 @@ allocs_guard() {
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
 		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
 		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
-	} | guard_allocs 'FrameRoundTrip|Admission|WALAppend$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
+	} | guard_allocs 'FrameRoundTrip|Admission|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an
