@@ -249,30 +249,31 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBlocks is Section 4's block decomposition as its callers cut it: block
+// i of a string split into blocks of size bits is Slice(i·size, (i+1)·size),
+// and blocks [lo, hi) together are one Slice.
 func TestBlocks(t *testing.T) {
 	s := MustParse("110100101011")
-	blocks, err := s.Blocks(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const size = 3
 	want := []string{"110", "100", "101", "011"}
 	for i, w := range want {
-		if blocks[i].String() != w {
-			t.Errorf("block %d = %q, want %q", i, blocks[i].String(), w)
+		blk, err := s.Slice(i*size, (i+1)*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk.String() != w {
+			t.Errorf("block %d = %q, want %q", i, blk.String(), w)
 		}
 	}
-	if _, err := s.Blocks(5); err == nil {
-		t.Error("non-divisible block count accepted")
-	}
-	if _, err := s.Blocks(0); err == nil {
-		t.Error("zero block count accepted")
-	}
-	rng, err := s.BlockRange(1, 3, 3)
+	rng, err := s.Slice(1*size, 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rng.String() != "100101" {
-		t.Errorf("block range = %q, want 100101", rng.String())
+		t.Errorf("blocks [1, 3) = %q, want 100101", rng.String())
+	}
+	if _, err := s.Slice(3*size, 5*size); err == nil {
+		t.Error("a block past the end accepted")
 	}
 }
 

@@ -245,17 +245,13 @@ func TestInvariantAfterEveryConstructor(t *testing.T) {
 			if n%k != 0 {
 				continue
 			}
-			blocks, err := s.Blocks(k)
-			if err != nil {
-				t.Fatal(err)
+			size := n / k
+			for i := 0; i < k; i++ {
+				blk, err := s.Slice(i*size, (i+1)*size)
+				checked(t, "Slice (block)", blk, err)
 			}
-			for _, blk := range blocks {
-				checked(t, "Blocks", blk, nil)
-			}
-			br, err := s.BlockRange(0, k-1, n/k)
-			if n > 0 {
-				checked(t, "BlockRange", br, err)
-			}
+			br, err := s.Slice(0, (k-1)*size)
+			checked(t, "Slice (block range)", br, err)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func findPrefixRef(env transport.Net, tag string, v bitstr.String, blockBits, nu
 	prefix := bitstr.String{}
 	for left < right {
 		mid := (left + right) / 2
-		segment, err := v.BlockRange(left-1, mid, blockBits)
+		segment, err := v.Slice((left-1)*blockBits, mid*blockBits)
 		if err != nil {
 			return PrefixResult{}, err
 		}
@@ -204,7 +204,7 @@ func findPrefixFresh(env transport.Net, tag string, v bitstr.String, blockBits, 
 				if c > 0 {
 					fill = 1
 				}
-				prefix, err := v.BlockRange(0, left-1, blockBits)
+				prefix, err := v.Slice(0, (left-1)*blockBits)
 				if err != nil {
 					return PrefixResult{}, err
 				}
