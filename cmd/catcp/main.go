@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 	"strings"
@@ -46,61 +47,75 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command on args, writing the agreed values to stdout and its
+// log to stderr; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("catcp", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		id         = flag.Int("id", -1, "this party's index into -addrs")
-		addrsFlag  = flag.String("addrs", "", "comma-separated listen addresses of ALL parties, in party order")
-		t          = flag.Int("t", 0, "corruption budget (default ⌊(n−1)/3⌋)")
-		protoName  = flag.String("protocol", string(ca.ProtoOptimal), "protocol: optimal | optimal-nat | fixed-length | fixed-length-blocks | highcost | broadcast")
-		width      = flag.Int("width", 0, "public input bit width (fixed-length protocols)")
-		inputStr   = flag.String("input", "", "this party's integer input (decimal)")
-		delta      = flag.Duration("delta", 2*time.Second, "synchrony bound Δ per round")
-		dialTO     = flag.Duration("dial-timeout", 15*time.Second, "time to wait for the full mesh")
-		supervised = flag.Bool("supervised", false, "checkpoint every round and restart from the log on stall or error (requires -statedir)")
-		stateDir   = flag.String("statedir", "", "directory for the write-ahead log (supervised mode)")
-		mirror     = flag.Bool("mirror", false, "supervised mode: keep a dual-copy write-ahead log; single-copy damage (bit rot included) is voted out and repaired")
-		instances  = flag.Int("instances", 1, "number of sequential agreement instances in the session")
-		restarts   = flag.Int("max-restarts", 3, "supervised mode: restart budget before giving up")
-		stallR     = flag.Int("stall-rounds", 8, "supervised mode: rounds of no progress before an attempt is declared stalled")
+		id         = flags.Int("id", -1, "this party's index into -addrs")
+		addrsFlag  = flags.String("addrs", "", "comma-separated listen addresses of ALL parties, in party order")
+		t          = flags.Int("t", 0, "corruption budget (default ⌊(n−1)/3⌋)")
+		protoName  = flags.String("protocol", string(ca.ProtoOptimal), "protocol: optimal | optimal-nat | fixed-length | fixed-length-blocks | highcost | broadcast")
+		width      = flags.Int("width", 0, "public input bit width (fixed-length protocols)")
+		inputStr   = flags.String("input", "", "this party's integer input (decimal)")
+		delta      = flags.Duration("delta", 2*time.Second, "synchrony bound Δ per round")
+		dialTO     = flags.Duration("dial-timeout", 15*time.Second, "time to wait for the full mesh")
+		supervised = flags.Bool("supervised", false, "checkpoint every round and restart from the log on stall or error (requires -statedir)")
+		stateDir   = flags.String("statedir", "", "directory for the write-ahead log (supervised mode)")
+		mirror     = flags.Bool("mirror", false, "supervised mode: keep a dual-copy write-ahead log; single-copy damage (bit rot included) is voted out and repaired")
+		instances  = flags.Int("instances", 1, "number of sequential agreement instances in the session")
+		restarts   = flags.Int("max-restarts", 3, "supervised mode: restart budget before giving up")
+		stallR     = flags.Int("stall-rounds", 8, "supervised mode: rounds of no progress before an attempt is declared stalled")
 	)
-	flag.Parse()
+	switch err := flags.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
 
 	addrs := strings.Split(*addrsFlag, ",")
 	if *addrsFlag == "" || len(addrs) < 1 {
-		fmt.Fprintln(os.Stderr, "catcp: -addrs is required")
+		fmt.Fprintln(stderr, "catcp: -addrs is required")
 		return 2
 	}
 	if *id < 0 || *id >= len(addrs) {
-		fmt.Fprintf(os.Stderr, "catcp: -id must be in [0, %d)\n", len(addrs))
+		fmt.Fprintf(stderr, "catcp: -id must be in [0, %d)\n", len(addrs))
 		return 2
 	}
 	input, ok := new(big.Int).SetString(strings.TrimSpace(*inputStr), 10)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "catcp: invalid -input %q\n", *inputStr)
+		fmt.Fprintf(stderr, "catcp: invalid -input %q\n", *inputStr)
 		return 2
 	}
 	if *instances < 1 {
-		fmt.Fprintln(os.Stderr, "catcp: -instances must be ≥ 1")
+		fmt.Fprintln(stderr, "catcp: -instances must be ≥ 1")
 		return 2
 	}
 	if *supervised && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "catcp: -supervised requires -statedir")
+		fmt.Fprintln(stderr, "catcp: -supervised requires -statedir")
 		return 2
 	}
 
 	if !*supervised && *mirror {
-		fmt.Fprintln(os.Stderr, "catcp: -mirror requires -supervised")
+		fmt.Fprintln(stderr, "catcp: -mirror requires -supervised")
 		return 2
+	}
+	// The one resolution of the default budget: the mesh, the state
+	// directory's geometry check and the supervisor's quorum all take it.
+	if *t == 0 {
+		*t = (len(addrs) - 1) / 3
 	}
 	if *supervised {
 		return runSupervised(*id, addrs, *t, *protoName, *width, input,
-			*delta, *dialTO, *stateDir, *instances, *restarts, *stallR, *mirror)
+			*delta, *dialTO, *stateDir, *instances, *restarts, *stallR, *mirror, stdout, stderr)
 	}
 
-	fmt.Fprintf(os.Stderr, "catcp: party %d/%d listening on %s, dialing mesh...\n", *id, len(addrs), addrs[*id])
+	fmt.Fprintf(stderr, "catcp: party %d/%d listening on %s, dialing mesh...\n", *id, len(addrs), addrs[*id])
 	start := time.Now()
 	tr, err := ca.DialTCP(ca.TCPConfig{
 		ID:          *id,
@@ -110,23 +125,23 @@ func run() int {
 		DialTimeout: *dialTO,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "catcp: mesh:", err)
+		fmt.Fprintln(stderr, "catcp: mesh:", err)
 		return 1
 	}
 	defer tr.Close()
-	fmt.Fprintf(os.Stderr, "catcp: mesh up in %v, running %s...\n", time.Since(start).Round(time.Millisecond), *protoName)
+	fmt.Fprintf(stderr, "catcp: mesh up in %v, running %s...\n", time.Since(start).Round(time.Millisecond), *protoName)
 
 	s := ca.NewSession(tr)
 	var out *big.Int
 	for seq := 0; seq < *instances; seq++ {
 		out, err = s.Agree(ca.Protocol(*protoName), *width, instanceInput(input, seq))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "catcp: protocol:", err)
+			fmt.Fprintln(stderr, "catcp: protocol:", err)
 			return 1
 		}
-		fmt.Println(out) // the agreed value on stdout, scripting-friendly
+		fmt.Fprintln(stdout, out) // the agreed value on stdout, scripting-friendly
 	}
-	fmt.Fprintf(os.Stderr, "catcp: done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "catcp: done in %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
@@ -141,7 +156,7 @@ func instanceInput(base *big.Int, seq int) *big.Int {
 // round, and replays the log before touching the live network.
 func runSupervised(id int, addrs []string, t int, protoName string, width int,
 	input *big.Int, delta, dialTO time.Duration,
-	stateDir string, instances, restarts, stallRounds int, mirror bool) int {
+	stateDir string, instances, restarts, stallRounds int, mirror bool, stdout, stderr io.Writer) int {
 	start := time.Now()
 	storage := ca.StorageOptions{Mirror: mirror}
 
@@ -151,7 +166,7 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 	// error — not three restart attempts deep with peers already counting
 	// this party as live.
 	if _, err := ca.ValidateStateDir(stateDir, len(addrs), t, storage); err != nil {
-		fmt.Fprintf(os.Stderr, "catcp: state directory rejected: %v\n", err)
+		fmt.Fprintf(stderr, "catcp: state directory rejected: %v\n", err)
 		return 5
 	}
 	// Verify the log's CRC frames end to end (and, with -mirror, repair a
@@ -159,9 +174,9 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 	// The one-line report is for the operator's log; ValidateStateDir
 	// above stays the gate, so a scrub error is never fatal.
 	if rep, err := checkpoint.ScrubOptions(stateDir, storage); err != nil {
-		fmt.Fprintf(os.Stderr, "catcp: scrub: %v\n", err)
+		fmt.Fprintf(stderr, "catcp: scrub: %v\n", err)
 	} else {
-		fmt.Fprintf(os.Stderr, "catcp: %s\n", rep)
+		fmt.Fprintf(stderr, "catcp: %s\n", rep)
 	}
 
 	outs := make([]*big.Int, instances)
@@ -176,7 +191,7 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "catcp: attempt %d: resuming at instance %d round %d, dialing mesh...\n",
+		fmt.Fprintf(stderr, "catcp: attempt %d: resuming at instance %d round %d, dialing mesh...\n",
 			a.Number, st.Seq, st.NextRound)
 		tr, err := ca.DialTCP(ca.TCPConfig{
 			ID:          id,
@@ -199,7 +214,7 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		a.Progress(s.Rounds)
 		a.ReportStorage(s.StorageErr()) // mirrored open may already be degraded
 		if gap := tr.FrontierGap(); gap > 0 {
-			fmt.Fprintf(os.Stderr, "catcp: rejoined a mesh %d rounds ahead\n", gap)
+			fmt.Fprintf(stderr, "catcp: rejoined a mesh %d rounds ahead\n", gap)
 		}
 		storageNoted := s.StorageErr() != nil
 		for seq := s.Seq(); seq < uint64(instances); seq++ {
@@ -213,7 +228,7 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 				a.ReportStorage(serr)
 				if !storageNoted {
 					storageNoted = true
-					fmt.Fprintf(os.Stderr, "catcp: storage degraded, continuing without recovery: %v\n", serr)
+					fmt.Fprintf(stderr, "catcp: storage degraded, continuing without recovery: %v\n", serr)
 				}
 			}
 			if err != nil {
@@ -224,8 +239,8 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "catcp: supervised session failed: %v\n", err)
-		fmt.Fprintf(os.Stderr, "catcp: health: %s\n", health)
+		fmt.Fprintf(stderr, "catcp: supervised session failed: %v\n", err)
+		fmt.Fprintf(stderr, "catcp: health: %s\n", health)
 		switch {
 		case errors.Is(err, supervisor.ErrQuorumLost):
 			return 3
@@ -236,10 +251,10 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		}
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "catcp: done in %v (%d attempts)\n",
+	fmt.Fprintf(stderr, "catcp: done in %v (%d attempts)\n",
 		time.Since(start).Round(time.Millisecond), health.Attempts)
 	for _, out := range outs {
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
 	return 0
 }

@@ -91,12 +91,20 @@ func BenchmarkWALAppendMem(b *testing.B) {
 	}
 }
 
-// BenchmarkScrub measures the full-log CRC verification walk over a
-// 1000-round mirrored WAL.
-func BenchmarkScrub(b *testing.B) {
-	m := errfs.NewMem(errfs.Faults{})
-	log, _, err := OpenOptions("state", Options{FS: m, Mirror: true})
+// populated writes a log holding one instance of 1000 recorded rounds to
+// a fresh in-memory filesystem, single copy or mirrored, and returns the
+// options that open it. It has 1002 records: meta, instance, rounds.
+func populated(b *testing.B, mirror bool) Options {
+	b.Helper()
+	o := Options{FS: errfs.NewMem(errfs.Faults{}), Mirror: mirror}
+	log, _, err := OpenOptions("state", o)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := log.AppendMeta(7, 2); err != nil {
+		b.Fatal(err)
+	}
+	if err := log.AppendInstance(&Instance{Kind: KindAgree, Protocol: "optimal", Width: 64, Input: big.NewInt(42)}); err != nil {
 		b.Fatal(err)
 	}
 	msgs := benchRound()
@@ -108,14 +116,21 @@ func BenchmarkScrub(b *testing.B) {
 	if err := log.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return o
+}
+
+// BenchmarkScrub measures the full-log verification pass over a
+// 1000-round mirrored WAL.
+func BenchmarkScrub(b *testing.B) {
+	o := populated(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := ScrubOptions("state", Options{FS: m, Mirror: true})
+		rep, err := ScrubOptions("state", o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Records != 1000 {
+		if rep.Records != 1002 {
 			b.Fatalf("scrub saw %d records", rep.Records)
 		}
 	}
@@ -152,5 +167,35 @@ func BenchmarkWALInstanceSwitch(b *testing.B) {
 		if err := log.AppendInstance(inst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenReplay measures Open on a populated log: one instance of
+// 1000 recorded rounds read back and applied, single copy and mirrored,
+// on the in-memory filesystem. A reopen writes nothing, so every
+// iteration reads the same files.
+func BenchmarkOpenReplay(b *testing.B) {
+	for _, mirror := range []bool{false, true} {
+		name := "single"
+		if mirror {
+			name = "mirror"
+		}
+		b.Run(name, func(b *testing.B) {
+			o := populated(b, mirror)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				log, st, err := OpenOptions("state", o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.NextRound != 1000 || st.Partial == nil {
+					b.Fatalf("reopened at round %d", st.NextRound)
+				}
+				if err := log.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -43,7 +43,19 @@
 // indistinguishable from a tail under sequential scanning, so a single-copy
 // log silently keeps the intact prefix — prefix-consistent, never divergent
 // — while the mirrored mode recovers the longer prefix from the surviving
-// copy (last-good-record voting, see Scrub) and repairs the damaged one.
+// copy and repairs the damaged one.
+//
+// One read, one vote, one repair. Open and Scrub read the log the same
+// way: both slot files of every copy are read whole (a slot holds one
+// agreement), scanSlots picks the live slot and walks its CRC frames from
+// the bytes, and the live slot's records are replayed; a copy that cannot
+// be read, or whose records do not replay, is demoted. Log.vote elects
+// the copy with the newest generation and then the longest intact record
+// prefix, and Log.settle brings a copy's slot of that generation to the
+// winner's intact prefix durably — cutting a torn tail where the slot
+// already starts with the prefix, rewriting it otherwise. Open settles
+// the winner and then every other copy; Scrub reports what it read and,
+// in mirrored mode only, settles every copy the same way.
 //
 // Storage discipline (hardened by the internal/errfs crash-point
 // explorer): every append is fsync'd before being reported durable; the
@@ -66,6 +78,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -230,14 +243,12 @@ type walCopy struct {
 	dead  bool
 	err   error // why the copy was demoted
 
-	// replay results of the live slot, used during Open only.
-	gen  uint64
-	used bool // the slot holds an instance record
+	// What Open and Scrub read of the copy, dropped once Open returns: the
+	// scan of its slot files, the State its live slot replays to, and
+	// whether that slot holds an instance record.
+	scan slotScan
 	st   *State
-	off  int64
-	nrec int
-	raw  []byte // intact byte prefix (mirror mode only)
-	size int64
+	used bool
 }
 
 // f is the live slot's file.
@@ -284,23 +295,7 @@ func OpenOptions(dir string, o Options) (*Log, *State, error) {
 		return nil, nil, fmt.Errorf("%w: mkdir %s: %v", ErrStorageLost, dir, err)
 	}
 	l := &Log{fs: fs, dir: dir}
-	created := false
-	for _, name := range o.copyNames() {
-		path := filepath.Join(dir, name)
-		c := &walCopy{name: path}
-		for i := range c.slots {
-			f, madeNew, err := openCopy(fs, slotPath(path, i))
-			if err != nil {
-				c.dead, c.err = true, err
-				_ = c.close() // the copy is unusable; the open error is the story
-				break
-			}
-			c.slots[i] = f
-			created = created || madeNew
-		}
-		l.copies = append(l.copies, c)
-	}
-	if created {
+	if l.openCopies(o.copyNames(), os.O_RDWR|os.O_CREATE) {
 		// The slot files' directory entries must themselves be durable:
 		// without this fsync a crash right after create loses a file —
 		// entry, data, fsyncs and all (verified by the errfs crash-point
@@ -310,26 +305,11 @@ func OpenOptions(dir string, o Options) (*Log, *State, error) {
 			return nil, nil, fmt.Errorf("%w: fsync dir %s: %v", ErrStorageLost, dir, err)
 		}
 	}
+	l.readCopies()
 
-	// Replay every live copy independently.
-	for _, c := range l.copies {
-		if c.dead {
-			continue
-		}
-		if err := c.replay(o.Mirror); err != nil {
-			l.demote(c, err)
-			continue
-		}
-		var err error
-		if c.size, err = c.f().Seek(0, io.SeekEnd); err != nil {
-			l.demote(c, fmt.Errorf("size: %w", err))
-		}
-	}
-
-	// Vote: the copy with the newest generation and, within it, the
-	// longest intact record prefix wins. Try finalists in vote order so a
-	// winner whose tail truncation fails falls back to the next-best copy
-	// instead of losing everything.
+	// Settle the winner first, so a winner whose torn tail cannot be cut
+	// falls back to the next-best copy instead of losing everything; then
+	// repair the other copies from it (mirror mode).
 	for {
 		w := l.vote()
 		if w == nil {
@@ -340,112 +320,194 @@ func OpenOptions(dir string, o Options) (*Log, *State, error) {
 			}
 			return nil, nil, fmt.Errorf("%w: every WAL copy failed: %v", ErrStorageLost, err)
 		}
-		if err := finalizeWinner(fs, dir, w); err != nil {
+		if _, err := l.settle(w, w); err != nil {
 			l.demote(w, err)
 			continue
 		}
-		// Repair the other copies from the winner (mirror mode).
 		for _, c := range l.copies {
 			if c == w || c.dead {
 				continue
 			}
-			if err := repairCopy(fs, dir, c, w); err != nil {
+			if _, err := l.settle(c, w); err != nil {
 				l.demote(c, err)
 			}
 		}
 		st := w.st
-		l.gen, l.used = w.gen, w.used
+		l.gen, l.used = w.scan.gen, w.used
 		l.st = *st
 		l.st.Partial = nil
-		scrubReplayState(l.copies)
+		for _, c := range l.copies {
+			// The slot bytes and replayed states would pin memory for
+			// the life of the log.
+			c.scan, c.st = slotScan{}, nil
+		}
 		return l, st, nil
 	}
 }
 
-// openCopy opens one slot file of a WAL copy, reporting whether it had to
-// be created.
-func openCopy(fs errfs.FS, path string) (errfs.File, bool, error) {
-	f, err := fs.OpenFile(path, os.O_RDWR, 0o644)
-	if err == nil {
+// openCopies opens both slot files of every copy names lists, with flag.
+// A slot file that does not exist is created when flag has O_CREATE —
+// openCopies reports that, and the caller fsyncs the directory — and is
+// left absent (nil) otherwise. A copy that cannot be opened is dead.
+func (l *Log) openCopies(names []string, flag int) (created bool) {
+	for _, name := range names {
+		c := &walCopy{name: filepath.Join(l.dir, name)}
+		for i := range c.slots {
+			f, madeNew, err := openSlot(l.fs, slotPath(c.name, i), flag)
+			if err != nil {
+				c.dead, c.err = true, err
+				_ = c.close() // the copy is unusable; the open error is the story
+				break
+			}
+			c.slots[i] = f
+			created = created || madeNew
+		}
+		l.copies = append(l.copies, c)
+	}
+	return created
+}
+
+// openSlot opens one slot file with flag, creating it (and saying so) when
+// it does not exist and flag has O_CREATE; a missing file is otherwise
+// nil, not an error.
+func openSlot(fs errfs.FS, path string, flag int) (errfs.File, bool, error) {
+	f, err := fs.OpenFile(path, flag&^os.O_CREATE, 0o644)
+	switch {
+	case err == nil:
 		return f, false, nil
-	}
-	if !errors.Is(err, os.ErrNotExist) {
+	case !errors.Is(err, os.ErrNotExist):
 		return nil, false, fmt.Errorf("%w: open %s: %v", ErrStorageLost, path, err)
+	case flag&os.O_CREATE == 0:
+		return nil, false, nil
 	}
-	f, err = fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err = fs.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: create %s: %v", ErrStorageLost, path, err)
 	}
 	return f, true, nil
 }
 
-// finalizeWinner discards the winner's torn tail (if any) and positions
-// it for appending. A truncation that actually discarded bytes is itself
-// written back durably: file fsync plus directory fsync, so the shrunken
-// length survives a crash.
-func finalizeWinner(fs errfs.FS, dir string, w *walCopy) error {
-	if w.size != w.off {
-		if err := w.f().Truncate(w.off); err != nil {
-			return fmt.Errorf("truncate torn tail: %w", err)
+// readCopies reads every live copy — both slot files whole, then the
+// live slot's intact records replayed into a State — and demotes a copy
+// that cannot be read, or whose records do not replay. A read that fails
+// is storage loss, never a torn tail.
+func (l *Log) readCopies() {
+	for _, c := range l.copies {
+		if c.dead {
+			continue
 		}
-		if err := w.f().Sync(); err != nil {
-			return fmt.Errorf("sync torn-tail truncation: %w", err)
+		var raws [2][]byte
+		for i, f := range c.slots {
+			if f == nil {
+				continue // absent: an empty slot
+			}
+			size, err := f.Seek(0, io.SeekEnd)
+			if err == nil {
+				_, err = f.Seek(0, io.SeekStart)
+			}
+			if err == nil {
+				raws[i] = make([]byte, size)
+				_, err = io.ReadFull(f, raws[i]) // leaves the file positioned at its end
+			}
+			if err != nil {
+				l.demote(c, fmt.Errorf("%w: read %s: %v", ErrStorageLost, slotPath(c.name, i), err))
+				break
+			}
 		}
-		if err := fs.SyncDir(dir); err != nil {
-			return fmt.Errorf("sync dir after truncation: %w", err)
+		if c.dead {
+			continue
+		}
+		c.scan = scanSlots(raws)
+		c.live = c.scan.live
+		var err error
+		if c.st, c.used, err = replay(c.scan.bodies); err != nil {
+			l.demote(c, err)
 		}
 	}
-	if _, err := w.f().Seek(w.off, io.SeekStart); err != nil {
-		return fmt.Errorf("seek: %w", err)
-	}
-	return nil
 }
 
-// repairCopy rewrites a lagging or damaged copy's slot from the winner's
-// intact prefix of the same slot (mirror mode), leaving it live and
-// positioned for appending. The copy's other slot holds an older
-// generation, or none, so the rewritten slot is the one its next Open
-// picks.
-func repairCopy(fs errfs.FS, dir string, c *walCopy, w *walCopy) error {
-	if c.live == w.live && bytes.Equal(c.raw, w.raw) && c.size == int64(len(w.raw)) {
-		if _, err := c.f().Seek(c.size, io.SeekStart); err != nil {
-			return fmt.Errorf("seek: %w", err)
+// replay folds a slot's intact record bodies into a fresh State,
+// reporting whether they include an instance record.
+func replay(bodies [][]byte) (*State, bool, error) {
+	st, used := &State{}, false
+	for _, body := range bodies {
+		if err := st.apply(body); err != nil {
+			return nil, false, err
 		}
-		return nil
+		used = used || body[0] == recInstance
 	}
-	c.live = w.live
-	if err := c.f().Truncate(0); err != nil {
-		return fmt.Errorf("repair truncate: %w", err)
-	}
-	if _, err := c.f().Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("repair seek: %w", err)
-	}
-	if _, err := c.f().Write(w.raw); err != nil {
-		return fmt.Errorf("repair write: %w", err)
-	}
-	if err := c.f().Sync(); err != nil {
-		return fmt.Errorf("repair sync: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("repair dir sync: %w", err)
-	}
-	return nil
+	return st, used, nil
 }
 
 // vote returns the live copy with the newest generation and, within it,
 // the longest intact record prefix (lowest index on ties), or nil if none
-// are live.
+// are live. It is the one election of a winning copy, Open's and Scrub's.
 func (l *Log) vote() *walCopy {
 	var best *walCopy
 	for _, c := range l.copies {
 		if c.dead {
 			continue
 		}
-		if best == nil || c.gen > best.gen || c.gen == best.gen && c.nrec > best.nrec {
+		if best == nil || c.scan.gen > best.scan.gen ||
+			c.scan.gen == best.scan.gen && len(c.scan.bodies) > len(best.scan.bodies) {
 			best = c
 		}
 	}
 	return best
+}
+
+// settle makes c's slot of the winner w's generation hold exactly w's
+// intact record prefix, durably, and leaves it live and positioned for
+// appending. A slot that already starts with the prefix — the winner's
+// own, or an agreeing copy's — has only what follows cut (a torn tail);
+// any other has it rewritten from the prefix: lagging, damaged, a
+// generation behind, missing, or unreadable. A cut or rewrite is file-
+// and directory-fsync'd, so the new length survives a crash; the
+// winner's prefix is never itself rewritten. settle reports whether it
+// wrote.
+func (l *Log) settle(c, w *walCopy) (bool, error) {
+	good := w.scan.raw[:w.scan.intact]
+	same := !c.dead && c.live == w.live && bytes.HasPrefix(c.scan.raw, good)
+	if same && len(c.scan.raw) == len(good) {
+		return false, nil // the read left the file positioned at its end
+	}
+	keep := int64(0)
+	if same {
+		keep = w.scan.intact
+	}
+	if c.dead {
+		// Nothing the copy held is trusted, so its other slot must not
+		// outrank the rewritten one.
+		if err := l.fs.Remove(slotPath(c.name, 1-w.live)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return false, fmt.Errorf("settle remove: %w", err)
+		}
+	}
+	c.live = w.live
+	if c.f() == nil {
+		f, _, err := openSlot(l.fs, slotPath(c.name, c.live), os.O_RDWR|os.O_CREATE)
+		if err != nil {
+			return false, err
+		}
+		c.slots[c.live] = f
+	}
+	if err := c.f().Truncate(keep); err != nil {
+		return false, fmt.Errorf("settle truncate: %w", err)
+	}
+	if _, err := c.f().Seek(keep, io.SeekStart); err != nil {
+		return false, fmt.Errorf("settle seek: %w", err)
+	}
+	if keep < w.scan.intact {
+		if _, err := c.f().Write(good[keep:]); err != nil {
+			return false, fmt.Errorf("settle write: %w", err)
+		}
+	}
+	if err := c.f().Sync(); err != nil {
+		return false, fmt.Errorf("settle sync: %w", err)
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return false, fmt.Errorf("settle dir sync: %w", err)
+	}
+	return true, nil
 }
 
 // demote marks a copy dead, records the degraded condition, and releases
@@ -486,17 +548,11 @@ func (l *Log) firstErr() error {
 	return fmt.Errorf("%w: no WAL copy usable", ErrStorageLost)
 }
 
+// closeAll releases every copy's files on a path that only read them or
+// is already failing.
 func (l *Log) closeAll() {
 	for _, c := range l.copies {
-		_ = c.close() // open is already failing; its error is the story
-	}
-}
-
-// scrubReplayState drops the per-copy replay scratch so the raw prefixes
-// don't pin memory for the life of the log.
-func scrubReplayState(copies []*walCopy) {
-	for _, c := range copies {
-		c.st, c.raw = nil, nil
+		_ = c.close() // nothing was written, or the failure is the story
 	}
 }
 
@@ -521,88 +577,60 @@ func InspectOptions(dir string, o Options) (*State, error) {
 	return st, nil
 }
 
-// replay picks the copy's live slot — the higher generation whose head
-// record is intact, slot 0 when neither is — and scans it from the start,
-// recording the recovered state, the offset just past the last intact
-// record, the intact record count, and (when keepRaw) the intact byte
-// prefix for mirror repair.
-func (c *walCopy) replay(keepRaw bool) error {
-	c.live = 0
-	best := uint64(0) // slot 1's generations are odd: an intact head there beats none in slot 0
-	for i, f := range c.slots {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("%w: seek: %v", ErrStorageLost, err)
-		}
-		sc := slotScan{r: &offsetReader{f: f}, slot: i}
-		_, err := sc.next()
-		if err == errTornTail {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if sc.gen > best {
-			c.live, best = i, sc.gen
-		}
-	}
-	f := c.f()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: seek: %v", ErrStorageLost, err)
-	}
-	st := &State{}
-	sc := slotScan{r: &offsetReader{f: f, record: keepRaw}, slot: c.live}
-	c.used = false
-	for {
-		body, err := sc.next()
-		if err == errTornTail {
-			c.gen, c.st, c.off, c.nrec, c.raw = sc.gen, st, sc.end, sc.nrec, nil
-			if keepRaw {
-				c.raw = append([]byte(nil), sc.r.raw[:c.off]...)
-			}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := st.apply(body); err != nil {
-			return err
-		}
-		c.used = c.used || body[0] == recInstance
-	}
-}
-
-// slotScan reads one slot's records in order. The first record names the
-// slot's generation — a base record its own, any other record 0 — and
-// every record's CRC must be seeded with it; a head naming a generation
-// of the other slot is not intact. end is the offset just past the last
-// intact record.
+// slotScan is what a read of a copy's two slot files found: the live
+// slot, its generation, its intact record bodies in order (views of raw),
+// the byte length of that intact prefix, and the slot's bytes as read.
 type slotScan struct {
-	r    *offsetReader
-	slot int
-	gen  uint64
-	nrec int
-	end  int64
+	live   int
+	gen    uint64
+	bodies [][]byte
+	intact int64
+	raw    []byte
 }
 
-// next returns the slot's next intact record, errTornTail where the
-// intact prefix ends.
-func (s *slotScan) next() ([]byte, error) {
-	body, sum, err := readFrame(s.r)
-	if err == nil && s.nrec == 0 {
-		s.gen = headGen(body)
-		if s.gen%2 != uint64(s.slot) {
-			err = errTornTail
+// scanSlots is the one rule for which slot of a copy is live: the one
+// whose intact head record names the newer generation, slot 0 when
+// neither has one (an empty log). raws are the two slot files' bytes,
+// nil for an absent file.
+func scanSlots(raws [2][]byte) slotScan {
+	live := slotScan{raw: raws[0]}
+	for i, raw := range raws {
+		if s := walkSlot(raw, i); len(s.bodies) > 0 && (len(live.bodies) == 0 || s.gen > live.gen) {
+			live = s
 		}
 	}
-	if err == nil && checksum(s.gen, body) != sum {
-		err = errTornTail
+	return live
+}
+
+// walkSlot walks the CRC frames of slot file raw from the start. The
+// first record names the slot's generation — a base record its own, any
+// other record 0 — and every record's CRC must be seeded with it; a head
+// naming a generation of the other slot is not intact. The walk stops at
+// the first frame that is truncated, has a garbage length or fails its
+// CRC: from there on the file is a torn tail, which Open cuts. (A CRC
+// mismatch that is not at the tail is indistinguishable from one that is;
+// since appends are sequential and fsync'd, treating every bad frame as
+// the tail is the standard WAL recovery rule — and the mirrored mode's
+// voting recovers whatever a single copy's mid-file damage would drop.)
+func walkSlot(raw []byte, slot int) slotScan {
+	s := slotScan{live: slot, raw: raw}
+	for off := 0; ; {
+		size, n := binary.Uvarint(raw[off:])
+		if n <= 0 || size == 0 || size > maxRecord || uint64(len(raw)-off-n) < size+4 {
+			return s
+		}
+		body := raw[off+n : off+n+int(size)]
+		off += n + int(size) + 4
+		gen := s.gen
+		if len(s.bodies) == 0 {
+			gen = headGen(body)
+		}
+		if gen%2 != uint64(slot) || checksum(gen, body) != binary.LittleEndian.Uint32(raw[off-4:]) {
+			return s
+		}
+		s.gen, s.intact = gen, int64(off)
+		s.bodies = append(s.bodies, body)
 	}
-	if err != nil {
-		return nil, err
-	}
-	s.nrec++
-	s.end = s.r.off
-	return body, nil
 }
 
 // headGen is the generation a slot's first record names: a base record's
@@ -614,65 +642,6 @@ func headGen(body []byte) uint64 {
 	return wire.NewReader(body[1:]).Uvarint()
 }
 
-// errTornTail is the internal sentinel for "the file ends mid-record".
-var errTornTail = errors.New("torn tail")
-
-// offsetReader tracks how many bytes have been consumed from f and,
-// optionally, records them for mirror repair.
-type offsetReader struct {
-	f      io.Reader
-	off    int64
-	record bool
-	raw    []byte
-}
-
-func (r *offsetReader) Read(p []byte) (int, error) {
-	n, err := r.f.Read(p)
-	r.off += int64(n)
-	if r.record && n > 0 {
-		r.raw = append(r.raw, p[:n]...)
-	}
-	return n, err
-}
-
-// readFrame reads one framed record: its body and the CRC stored after it,
-// which slotScan checks under the slot's generation. A clean EOF at a
-// record boundary, a truncated frame, a garbage length, or (in slotScan) a
-// CRC mismatch all surface as errTornTail — the caller truncates there.
-// (A CRC mismatch that is *not* at the tail is indistinguishable from one that is until the next read;
-// since appends are sequential and fsync'd, treating every bad frame as the
-// tail is the standard WAL recovery rule — and the mirrored mode's voting
-// recovers whatever a single copy's mid-file damage would drop.) A read
-// that fails with a real device error — not any flavor of EOF — is storage
-// loss, not a tear, and is reported as such.
-func readFrame(r io.Reader) ([]byte, uint32, error) {
-	size, err := wire.ReadUvarint(r)
-	if err != nil {
-		if isDeviceErr(err) {
-			return nil, 0, fmt.Errorf("%w: read: %v", ErrStorageLost, err)
-		}
-		return nil, 0, errTornTail // EOF at boundary, mid-varint, or garbage
-	}
-	if size == 0 || size > maxRecord {
-		return nil, 0, errTornTail // garbage length: treat as torn
-	}
-	buf := make([]byte, size+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if isDeviceErr(err) {
-			return nil, 0, fmt.Errorf("%w: read: %v", ErrStorageLost, err)
-		}
-		return nil, 0, errTornTail
-	}
-	body, sum := buf[:size], buf[size:]
-	return body, uint32(sum[0]) | uint32(sum[1])<<8 | uint32(sum[2])<<16 | uint32(sum[3])<<24, nil
-}
-
-// isDeviceErr distinguishes an I/O failure from running out of bytes.
-func isDeviceErr(err error) bool {
-	return !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
-		!errors.Is(err, wire.ErrFrame)
-}
-
 // apply folds one decoded record into the state.
 func (st *State) apply(body []byte) error {
 	rd := wire.NewReader(body)
@@ -681,7 +650,7 @@ func (st *State) apply(body []byte) error {
 		if st.HasMeta || st.Seq != 0 || st.NextRound != 0 || st.Partial != nil {
 			return fmt.Errorf("%w: base record after the head of its slot", ErrCorrupt)
 		}
-		rd.Uvarint() // the generation, read by slotScan
+		rd.Uvarint() // the generation, read by walkSlot
 		st.N = rd.Int()
 		st.T = rd.Int()
 		st.Seq = rd.Uvarint()
@@ -724,8 +693,10 @@ func (st *State) apply(body []byte) error {
 		msgs := make([]transport.Message, 0, count)
 		for i := 0; i < count; i++ {
 			from := rd.Int()
-			// The state outlives body: a resumed session serves these rounds.
-			msgs = append(msgs, transport.Message{From: transport.PartyID(from), Payload: bytes.Clone(rd.Bytes())})
+			// The state outlives body, and a resumed session serves these
+			// rounds: the payload is a view of the slot bytes readCopies
+			// read for this open alone, which nothing writes to.
+			msgs = append(msgs, transport.Message{From: transport.PartyID(from), Payload: rd.Bytes()})
 		}
 		if err := rd.Close(); err != nil {
 			return fmt.Errorf("%w: round: %v", ErrCorrupt, err)

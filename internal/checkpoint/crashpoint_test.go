@@ -11,6 +11,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/big"
@@ -103,29 +104,26 @@ func memWith(files map[string][]byte) *errfs.Mem {
 	return m
 }
 
-// liveSlot returns which of a copy's two slot files Open replays: the one
-// whose intact head names the newer generation, 0 when neither has one.
-func liveSlot(slots [2][]byte) int {
-	live, best := 0, uint64(0)
-	for i, raw := range slots {
-		if n, _, gen := walkFrames(raw, i); n > 0 && gen >= best {
-			live, best = i, gen
-		}
-	}
-	return live
+// liveSlot returns which of a copy's two slot files Open replays.
+func liveSlot(slots [2][]byte) int { return scanSlots(slots).live }
+
+// scanSlot scans slot file buf alone, as slot slot of its copy: its
+// records are the intact ones when its head is.
+func scanSlot(buf []byte, slot int) slotScan {
+	var raws [2][]byte
+	raws[slot] = buf
+	return scanSlots(raws)
 }
 
 // frameEnds lists the offsets of slot file buf's intact record
 // boundaries, 0 first.
 func frameEnds(buf []byte, slot int) []int64 {
 	ends := []int64{0}
-	sc := slotScan{r: &offsetReader{f: bytes.NewReader(buf)}, slot: slot}
-	for {
-		if _, err := sc.next(); err != nil {
-			return ends
-		}
-		ends = append(ends, sc.end)
+	for _, body := range scanSlot(buf, slot).bodies {
+		framed := len(binary.AppendUvarint(nil, uint64(len(body)))) + len(body) + 4
+		ends = append(ends, ends[len(ends)-1]+int64(framed))
 	}
+	return ends
 }
 
 // expectedDigests returns the digest of the recovered state after each
@@ -398,9 +396,7 @@ func TestInspectMidAppendSweep(t *testing.T) {
 				continue
 			}
 			start := int64(len(before))
-			_, _, genBefore := walkFrames(before, slot)
-			_, _, genAfter := walkFrames(after, slot)
-			switched := genAfter != genBefore
+			switched := scanSlot(after, slot).gen != scanSlot(before, slot).gen
 			if switched {
 				start = 0
 				switches++
@@ -540,17 +536,13 @@ func TestLegacyLogOpens(t *testing.T) {
 
 // instancesIn counts the instance records in slot file buf.
 func instancesIn(buf []byte, slot int) int {
-	sc := slotScan{r: &offsetReader{f: bytes.NewReader(buf)}, slot: slot}
 	n := 0
-	for {
-		body, err := sc.next()
-		if err != nil {
-			return n
-		}
+	for _, body := range scanSlot(buf, slot).bodies {
 		if body[0] == recInstance {
 			n++
 		}
 	}
+	return n
 }
 
 // TestWALStaysBounded runs 50 agreements through one log, mirrored: after

@@ -36,7 +36,7 @@ func validWAL(t testing.TB) (wal, wal1 []byte) {
 	if err := log.AppendEnd(big.NewInt(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.AppendInstance(&Instance{Input: big.NewInt(5)}); err != nil {
+	if err := log.AppendInstance(&Instance{Seq: 1, Input: big.NewInt(5)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.AppendRound([]transport.Message{{From: 0, Payload: []byte("x")}}); err != nil {
@@ -95,30 +95,55 @@ func FuzzInspectState(f *testing.F) {
 	})
 }
 
-// FuzzScrub feeds arbitrary byte pairs to the mirrored scrub-and-repair
-// path. Whatever the two copies hold, scrub must return cleanly (never
-// panic), repair must converge the copies' intact prefixes to the voting
-// winner's, a second pass must be a no-op, and the repaired directory must
-// open without error.
+// FuzzScrub feeds arbitrary bytes, one input per slot file of each copy,
+// to the mirrored scrub-and-repair path. Whatever the files hold, scrub
+// must return cleanly (never panic) and elect what Open elects on the same
+// bytes, repair must converge the copies' live slots to the voting
+// winner's intact prefix, a second pass must be a no-op, and the repaired
+// directory must open without error. Where no copy's records replay,
+// there is no winner: Open fails and scrub writes nothing.
 func FuzzScrub(f *testing.F) {
-	raw, _ := validWAL(f)
-	f.Add(raw, raw)
-	f.Add(raw, raw[:len(raw)-3])             // one torn copy
-	f.Add(raw[:len(raw)/2], raw)             // one lagging copy
-	f.Add([]byte{}, raw)                     // one empty copy
-	f.Add([]byte{0xff, 0xff}, []byte{0x00})  // both garbage
-	f.Add(raw, bytes.Repeat([]byte{1}, 128)) // one copy pure noise
+	raw, raw1 := validWAL(f)
+	none := []byte{}
+	f.Add(raw, none, raw, none)
+	f.Add(raw, none, raw[:len(raw)-3], none)             // one torn copy
+	f.Add(raw[:len(raw)/2], none, raw, none)             // one lagging copy
+	f.Add(none, none, raw, none)                         // one empty copy
+	f.Add([]byte{0xff, 0xff}, none, []byte{0x00}, none)  // both garbage
+	f.Add(raw, none, bytes.Repeat([]byte{1}, 128), none) // one copy pure noise
+	f.Add(raw, raw1, raw, raw1)
+	f.Add(raw, raw1, raw, raw1[:len(raw1)-3]) // one copy's live slot torn
+	f.Add(raw, raw1[:len(raw1)/2], raw, raw1) // one copy a generation behind
+	f.Add(raw, raw1, raw1, raw)               // one copy's slots swapped
+	f.Add(none, none, raw, raw1)              // one copy empty
+	ends := frameEnds(raw, 0)                 // meta, instance, round, end
+	orphan := append(bytes.Clone(raw[:ends[1]]), raw[ends[2]:ends[3]]...)
+	f.Add(orphan, none, raw, raw1)    // one copy's records do not replay
+	f.Add(orphan, none, orphan, none) // no copy's do
+	ends1 := frameEnds(raw1, 1)       // base, instance, round
+	twice := append(bytes.Clone(raw1[:ends1[2]]), raw1[ends1[1]:ends1[2]]...)
+	f.Add(raw, none, raw, twice) // the newer generation does not replay
 
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		m := errfs.NewMem(errfs.Faults{})
-		m.WriteFileRaw("state/wal", a)
-		m.WriteFileRaw("state/wal2", b)
+	copies := CopyFiles(crashDir, Options{Mirror: true})
+	scanCopy := func(m *errfs.Mem, k int) slotScan {
+		var raws [2][]byte
+		for i, name := range copies[k] {
+			raws[i], _ = m.ReadFileRaw(name)
+		}
+		return scanSlots(raws)
+	}
+	f.Fuzz(func(t *testing.T, a, a1, b, b1 []byte) {
+		files := map[string][]byte{}
+		for i, data := range [][]byte{a, a1, b, b1} {
+			files[copies[i/2][i%2]] = data
+		}
+		m := memWith(files)
 		opts := Options{FS: m, Mirror: true}
-		rep, err := ScrubOptions("state", opts)
+		rep, err := ScrubOptions(crashDir, opts)
 		if err != nil {
 			t.Fatalf("scrub: %v", err)
 		}
-		rep2, err := ScrubOptions("state", opts)
+		rep2, err := ScrubOptions(crashDir, opts)
 		if err != nil {
 			t.Fatalf("second scrub: %v", err)
 		}
@@ -128,27 +153,66 @@ func FuzzScrub(f *testing.F) {
 		if rep2.Records != rep.Records {
 			t.Fatalf("record count unstable: %d then %d", rep.Records, rep2.Records)
 		}
-		// Both copies now carry the same intact record prefix.
-		ra, _ := m.ReadFileRaw("state/wal")
-		rb, _ := m.ReadFileRaw("state/wal2")
-		na, ia, _ := walkFrames(ra, 0)
-		nb, ib, _ := walkFrames(rb, 0)
-		if na != nb || ia != ib || !bytes.Equal(ra[:ia], rb[:ib]) {
-			t.Fatalf("intact prefixes diverge after repair: %d/%d records, %d/%d bytes", na, nb, ia, ib)
+
+		om := memWith(files)
+		log, _, err := OpenOptions(crashDir, Options{FS: om, Mirror: true})
+		if err != nil {
+			// No copy to elect: scrub reports every copy's failure and
+			// leaves the files as they were.
+			for _, c := range rep.Copies {
+				if c.Err == "" || c.Repaired {
+					t.Fatalf("open failed (%v) where scrub elected a copy: %s", err, rep)
+				}
+			}
+			for name, data := range files {
+				if got, _ := m.ReadFileRaw(name); !bytes.Equal(got, data) {
+					t.Fatalf("scrub with no copy to elect rewrote %s", name)
+				}
+			}
+			return
 		}
-		if na != rep.Records {
-			t.Fatalf("copies hold %d records, report says %d", na, rep.Records)
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
 		}
-		// And the repaired directory inspects deterministically. (Scrub is
-		// frame-level by design: a CRC-intact record sequence can still be
-		// semantically invalid, so inspect may return a typed error — but
-		// it must return the SAME outcome every time, never panic.)
-		st1, err1 := InspectOptions("state", opts)
-		st2, err2 := InspectOptions("state", opts)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("inspect after repair not idempotent: %v then %v", err1, err2)
+
+		// Both copies' live slots now carry the same intact record prefix.
+		sa, sb := scanCopy(m, 0), scanCopy(m, 1)
+		if sa.live != sb.live || sa.gen != sb.gen || len(sa.bodies) != len(sb.bodies) || sa.intact != sb.intact ||
+			!bytes.Equal(sa.raw[:sa.intact], sb.raw[:sb.intact]) {
+			t.Fatalf("intact prefixes diverge after repair: slots %d/%d, %d/%d records, %d/%d bytes",
+				sa.live, sb.live, len(sa.bodies), len(sb.bodies), sa.intact, sb.intact)
 		}
-		if err1 == nil && digestState(st1) != digestState(st2) {
+		if len(sa.bodies) != rep.Records {
+			t.Fatalf("copies hold %d records, report says %d", len(sa.bodies), rep.Records)
+		}
+
+		// Open on the same bytes elected the same winner: every copy it
+		// kept holds what scrub left in both — the same live slot,
+		// generation, record count and intact bytes.
+		kept := 0
+		for k, c := range log.copies {
+			if c.dead {
+				continue
+			}
+			kept++
+			so := scanCopy(om, k)
+			if so.live != sa.live || so.gen != sa.gen || so.gen != log.gen || len(so.bodies) != rep.Records ||
+				!bytes.Equal(so.raw[:so.intact], sa.raw[:sa.intact]) {
+				t.Fatalf("open elected slot %d generation %d with %d records in copy %d; scrub slot %d generation %d with %d",
+					so.live, so.gen, len(so.bodies), k, sa.live, sa.gen, rep.Records)
+			}
+		}
+		if kept == 0 {
+			t.Fatal("open succeeded with every copy demoted")
+		}
+
+		// And the repaired directory opens, to the same state every time.
+		st1, err1 := InspectOptions(crashDir, opts)
+		st2, err2 := InspectOptions(crashDir, opts)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("inspect after repair: %v then %v", err1, err2)
+		}
+		if digestState(st1) != digestState(st2) {
 			t.Fatal("inspect after repair: states differ between passes")
 		}
 	})

@@ -236,6 +236,64 @@ func TestMirrorAppendDegradesToSurvivor(t *testing.T) {
 	}
 }
 
+// failReadFS wraps a Mem and fails every read of one slot file, by base
+// name: a device error, not bytes that run out.
+type failReadFS struct {
+	errfs.FS
+	victim string
+}
+
+type failReadFile struct{ errfs.File }
+
+func (f *failReadFS) OpenFile(name string, flag int, perm os.FileMode) (errfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != f.victim {
+		return file, err
+	}
+	return failReadFile{file}, nil
+}
+
+func (failReadFile) Read([]byte) (int, error) { return 0, errors.New("injected: read failure") }
+
+// TestReadErrorIsStorageLoss: a slot file that cannot be read is lost
+// storage, never a torn tail, whichever slot it is. A single copy fails to
+// open with ErrStorageLost and its files stay as they were; a mirrored log
+// demotes the copy and recovers the whole state from the other.
+func TestReadErrorIsStorageLoss(t *testing.T) {
+	one := errfs.NewMem(errfs.Faults{})
+	if _, err := runWorkload(one, false, workloadAppends); err != nil {
+		t.Fatal(err)
+	}
+	single := slotFiles(one, false)
+	clean, want, _ := buildMirrored(t)
+	for _, victim := range []string{"wal", "wal" + slotSuffix} {
+		m := memWith(single)
+		_, err := InspectOptions(crashDir, Options{FS: &failReadFS{FS: m, victim: victim}})
+		if !errors.Is(err, ErrStorageLost) {
+			t.Fatalf("%s unreadable: single-copy open returned %v, want ErrStorageLost", victim, err)
+		}
+		for name, raw := range single {
+			if got, _ := m.ReadFileRaw(name); !bytes.Equal(got, raw) {
+				t.Fatalf("%s unreadable: the failed open rewrote %s", victim, name)
+			}
+		}
+
+		log, st, err := OpenOptions(crashDir, Options{FS: &failReadFS{FS: memWith(clean), victim: victim}, Mirror: true})
+		if err != nil {
+			t.Fatalf("%s unreadable: mirrored open: %v", victim, err)
+		}
+		if digestState(st) != want {
+			t.Fatalf("%s unreadable: mirrored open recovered a different state", victim)
+		}
+		if d := log.Degraded(); !errors.Is(d, ErrStorageDegraded) || !strings.Contains(d.Error(), ErrStorageLost.Error()) {
+			t.Fatalf("%s unreadable: Degraded() = %v, want the copy demoted as lost storage", victim, d)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAppendAllCopiesDeadIsDegradedError kills every copy: the append
 // itself must fail with the typed ErrStorageDegraded, not succeed and not
 // panic.

@@ -2,14 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-
-	"convexagreement/internal/errfs"
 )
 
 // CopyReport is the scrub verdict for one physical WAL copy, read from
@@ -32,8 +27,8 @@ type CopyReport struct {
 	// TotalBytes is the file size; TotalBytes > IntactBytes means the
 	// copy carries damaged or torn bytes past its intact prefix.
 	TotalBytes int64
-	// Repaired reports that this copy was rewritten from the voting
-	// winner (mirrored mode only).
+	// Repaired reports that this copy's slot was cut or rewritten to the
+	// voting winner's intact prefix (mirrored mode only).
 	Repaired bool
 	// Err is a per-copy failure (open, read, or repair), empty if none.
 	Err string
@@ -78,166 +73,75 @@ func (r *ScrubReport) String() string {
 	return b.String()
 }
 
-// Scrub walks every WAL copy in dir verifying CRC frames end to end and
-// reports what it found. On the real filesystem in single-copy mode it is
-// read-only: damage is reported, not touched (Open's torn-tail rule is the
-// only mutation path). See ScrubOptions for the mirrored mode, which
-// additionally repairs.
+// Scrub reads every WAL copy in dir the way Open does — both slot files,
+// the live slot's CRC frames walked and its records replayed — and reports
+// what it found. In single-copy mode it is read-only: damage is reported,
+// not touched (Open's torn-tail rule is the only mutation path). See
+// ScrubOptions for the mirrored mode, which additionally repairs.
 func Scrub(dir string) (*ScrubReport, error) { return ScrubOptions(dir, Options{}) }
 
-// ScrubOptions is Scrub over an explicit filesystem and mode. In mirrored
-// mode it repairs: the copy with the newest generation and, within it, the
-// longest intact record prefix wins the vote, and every copy whose slot of
-// that generation differs from that prefix — lagging, bit-rotted, torn,
-// a generation behind, missing entirely, or the winner's own damaged tail
-// — has it rewritten to the prefix and fsync'd (directory included).
-// Repair reads only CRC-verified records, so detected damage never
-// propagates into the repaired copy; a second pass over an
-// already-repaired log is a no-op.
+// ScrubOptions is Scrub over an explicit filesystem and mode. Its winner
+// is Open's: the copy with the newest generation and, within it, the
+// longest intact record prefix, among the copies that read and replay. In
+// mirrored mode it repairs as Open does: every copy whose slot of that
+// generation differs from that prefix — lagging, bit-rotted, torn, a
+// generation behind, missing entirely, unreadable, or the winner's own
+// damaged tail — has it cut or rewritten to the prefix and fsync'd
+// (directory included). Repair writes only CRC-verified records, so
+// detected damage never propagates into the repaired copy; a second pass
+// over an already-repaired log is a no-op.
 func ScrubOptions(dir string, o Options) (*ScrubReport, error) {
-	fsys := o.fs()
+	flag := os.O_RDONLY
+	if o.Mirror {
+		flag = os.O_RDWR
+	}
+	l := &Log{fs: o.fs(), dir: dir}
+	defer l.closeAll()
+	l.openCopies(o.copyNames(), flag)
+	l.readCopies()
 	rep := &ScrubReport{}
-	var paths []string
-	var scans []slotRead
-	for _, name := range o.copyNames() {
-		path := filepath.Join(dir, name)
-		cr, sc := scrubCopy(fsys, path)
-		paths = append(paths, path)
-		scans = append(scans, sc)
-		rep.Copies = append(rep.Copies, cr)
+	for _, c := range l.copies {
+		rep.Copies = append(rep.Copies, c.report())
 	}
-
-	// Vote: newest generation, then longest intact prefix, wins; lowest
-	// index on ties.
-	win := -1
-	for i := range rep.Copies {
-		if !scans[i].ok {
-			continue
-		}
-		c, w := &rep.Copies[i], &rep.Copies[max(win, 0)]
-		if win < 0 || c.Gen > w.Gen || c.Gen == w.Gen && c.Records > w.Records {
-			win = i
-		}
-	}
-	if win < 0 {
+	w := l.vote()
+	if w == nil {
 		return rep, nil // nothing readable; nothing to repair from
 	}
-	rep.Records = rep.Copies[win].Records
+	rep.Records = len(w.scan.bodies)
 	if !o.Mirror {
 		return rep, nil
 	}
-
-	// Normalize every copy's slot of the winning generation — the
-	// winner's own damaged tail included — to the winning intact prefix.
-	// (The tail is not CRC-intact by definition, so Open would discard it
-	// anyway; trimming it here keeps the pass idempotent: a repaired
-	// directory re-scrubs as a no-op.)
-	good, slot := scans[win].raw[:rep.Copies[win].IntactBytes], scans[win].slot
-	for i := range rep.Copies {
-		cr, sc := &rep.Copies[i], scans[i]
-		if sc.ok && sc.slot == slot && cr.TotalBytes == int64(len(good)) && bytes.Equal(sc.raw, good) {
+	for i, c := range l.copies {
+		wrote, err := l.settle(c, w)
+		if err == nil {
+			err = c.close()
+		}
+		if err != nil {
+			rep.Copies[i].Err = err.Error()
 			continue
 		}
-		name := slotPath(paths[i], slot)
-		if err := rewriteCopy(fsys, dir, name, good); err != nil {
-			cr.Err = err.Error()
-			continue
+		if wrote {
+			rep.Copies[i] = CopyReport{
+				Name: slotPath(c.name, c.live), Present: true, Gen: w.scan.gen,
+				Records: rep.Records, IntactBytes: w.scan.intact, TotalBytes: w.scan.intact,
+				Repaired: true,
+			}
+			rep.Repaired = true
 		}
-		*cr = CopyReport{
-			Name: name, Present: true, Gen: rep.Copies[win].Gen,
-			Records: rep.Records, IntactBytes: int64(len(good)), TotalBytes: int64(len(good)),
-			Repaired: true,
-		}
-		rep.Repaired = true
 	}
 	return rep, nil
 }
 
-// slotRead is what scrub read of one copy's live slot.
-type slotRead struct {
-	raw  []byte // full file contents as read
-	ok   bool   // both slots opened (or were absent) and read successfully
-	slot int
-}
-
-// scrubCopy reads both slots of the copy whose first slot is path and
-// reports its live slot.
-func scrubCopy(fsys errfs.FS, path string) (CopyReport, slotRead) {
-	var raws [2][]byte
-	var present [2]bool
-	live, found := 0, false
-	var cr CopyReport
-	for i := range raws {
-		raw, err := readAll(fsys, slotPath(path, i))
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Absent slot: a repair target in mirror mode if it is the one
-			// the winner's generation lives in.
-			continue
-		case err != nil:
-			return CopyReport{Name: slotPath(path, i), Present: true, Err: err.Error()}, slotRead{}
-		}
-		raws[i], present[i] = raw, true
-		records, intact, gen := walkFrames(raw, i)
-		if records > 0 && (!found || gen > cr.Gen) {
-			live, found = i, true
-			cr = CopyReport{Gen: gen, Records: records, IntactBytes: intact}
-		}
+// report is the copy's verdict as read. A copy that could not be opened
+// or read counts as present: its error is the finding.
+func (c *walCopy) report() CopyReport {
+	r := CopyReport{
+		Name: slotPath(c.name, c.live), Present: c.err != nil || c.f() != nil,
+		Gen: c.scan.gen, Records: len(c.scan.bodies),
+		IntactBytes: c.scan.intact, TotalBytes: int64(len(c.scan.raw)),
 	}
-	cr.Name = slotPath(path, live)
-	cr.Present = present[live]
-	cr.TotalBytes = int64(len(raws[live]))
-	return cr, slotRead{raw: raws[live], ok: true, slot: live}
-}
-
-// walkFrames counts the intact CRC frames of slot file buf, the byte
-// length of the intact prefix, and the slot's generation. Scanning stops
-// at the first damaged frame, exactly as replay would.
-func walkFrames(buf []byte, slot int) (records int, intact int64, gen uint64) {
-	sc := slotScan{r: &offsetReader{f: bytes.NewReader(buf)}, slot: slot}
-	for {
-		//calint:ignore errflow any decode error, typed or not, just marks the end of the intact prefix; the scrubber classifies damage from the counts
-		if _, err := sc.next(); err != nil {
-			return sc.nrec, sc.end, sc.gen
-		}
+	if c.err != nil {
+		r.Err = c.err.Error()
 	}
-}
-
-// readAll slurps one file through the seam.
-func readAll(fsys errfs.FS, path string) ([]byte, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// rewriteCopy replaces path's contents with good, durably.
-func rewriteCopy(fsys errfs.FS, dir, path string, good []byte) error {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("repair open: %w", err)
-	}
-	if _, err := f.Write(good); err != nil {
-		_ = f.Close() // the write error is the story
-		return fmt.Errorf("repair write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the story
-		return fmt.Errorf("repair sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("repair close: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("repair dir sync: %w", err)
-	}
-	return nil
+	return r
 }

@@ -267,6 +267,24 @@ one_path() {
 		echo "one-path: a goroutine spawn in the codec, hashing or protocol plane; a party's work runs on its own goroutine" >&2
 		exit 1
 	fi
+	# One WAL reader. internal/checkpoint reads a copy's two slot files
+	# whole and picks its live slot (scanSlots), elects the winning copy
+	# (vote) and cuts or rewrites a copy's slot to the winner's prefix
+	# (settle), for Open and Scrub alike. The seek-based stream reader,
+	# Scrub's own slot walk and rewrite, Open's second rewrite or a second
+	# copy vote (another vote function, or another generation-then-records
+	# comparison) would bring one of these back.
+	if grep -rnE 'offsetReader|walkFrames|scrubCopy|slotRead|readAll|rewriteCopy|repairCopy|finalizeWinner' --include='*.go' internal/checkpoint | grep -v '_test\.go:'; then
+		echo "one-path: a deleted WAL reader or rewrite reappeared in internal/checkpoint; read with scanSlots, elect with vote, repair with settle" >&2
+		exit 1
+	fi
+	ckpt=$(ls internal/checkpoint/*.go | grep -v '_test\.go$' | xargs cat | grep -v '^\s*//')
+	votes=$(printf '%s\n' "$ckpt" | grep -cE 'func (\([^)]*\) )?[[:alnum:]_]*[vV]ote\(' || true)
+	ties=$(printf '%s\n' "$ckpt" | grep -cE '[gG]en == [[:alnum:]_.]*[gG]en &&' || true)
+	if [ "$votes" -gt 1 ] || [ "$ties" -gt 1 ]; then
+		echo "one-path: internal/checkpoint has $votes vote functions and $ties generation-then-records comparisons, want the one in Log.vote" >&2
+		exit 1
+	fi
 }
 
 # The arm64 build keeps the NEON gf16 kernel and the wire path compiling.
