@@ -45,6 +45,7 @@ profile:
 
 # Short fuzzing smoke over the panic-free decode surfaces: the stream frame
 # codec (copying and borrowing decoders), the Π_ℓBA+ tuple decoder, the
+# Π_ℓBA+ nested lanes' shared encoding against the per-lane encode, the
 # checkpoint WAL replay, and the mirrored-WAL scrub/repair pass; and over
 # the bitstr word kernels against their bit-at-a-time oracles; over the
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrameInto$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/baplus/
+	$(GO) test -run '^$$' -fuzz FuzzNestedLanes -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzInspectState -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzScrub -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzKernelsVsReference -fuzztime $(FUZZTIME) ./internal/bitstr/

@@ -2,6 +2,7 @@ package baplus_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,12 @@ func BenchmarkLongNaive_n7_64KiB(b *testing.B) {
 	benchLBA(b, 7, 2, 64<<10, baplus.LongNaive)
 }
 
+// marshalled is p as a marshalled bitstring of 8·len(p) bits (bitstr's
+// form: the bit count in four big-endian bytes, then the bytes).
+func marshalled(p []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(8*len(p))), p...)
+}
+
 // TestRoundBounds checks the exported round formula against reality.
 // ROUNDS(Π_ℓBA+) is Π_BA+ plus the two dispersal rounds, which run exactly
 // when the lane that agreed carried a root, not a value short enough to be
@@ -70,7 +77,13 @@ func TestRoundBounds(t *testing.T) {
 			} {
 				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
 					func(env *sim.Env) (bool, error) {
-						lane, _, err := baplus.LongLanes(env, "p", k, func(j int) []byte { return append(c.input(env.ID()), byte(j)) }, nil)
+						// Lane j is the input and the bytes 0 … j.
+						in := c.input(env.ID())
+						window, ends := marshalled(append(in[:len(in):len(in)], 0, 1, 2)), make([]int, k)
+						for j := range ends {
+							ends[j] = 8 * (len(in) + j + 1)
+						}
+						lane, _, err := baplus.LongLanes(env, "p", window, ends, nil)
 						return lane >= 0, err
 					})
 				if err != nil {

@@ -22,8 +22,8 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(appendTuple(nil, 2, []byte("s2"), wit))
-	f.Add(appendTuple(nil, 0, nil, nil))
+	f.Add(appendTuple(nil, 2, wit, []byte("s2")))
+	f.Add(appendTuple(nil, 0, nil))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 20))
 
@@ -36,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 		if idx < 0 {
 			t.Fatalf("accepted negative index %d", idx)
 		}
-		idx2, share2, witness2, ok2 := decodeTuple(appendTuple([]byte{0xDB}, idx, share, witness)[1:], &wit2)
+		idx2, share2, witness2, ok2 := decodeTuple(appendTuple([]byte{0xDB}, idx, witness, share)[1:], &wit2)
 		if !ok2 || idx2 != idx || !bytes.Equal(share2, share) || len(witness2) != len(witness) {
 			t.Fatalf("re-encode round trip diverged: ok=%v idx %d→%d", ok2, idx, idx2)
 		}

@@ -175,19 +175,20 @@ func findPrefixFresh(env transport.Net, tag string, v bitstr.String, blockBits, 
 	width := v.Len()
 	left, right := 1, numBlocks+1
 	vBot := v
-	var splits []int
-	segment := func(j int) []byte {
-		seg, _ := v.AppendMarshalRange(nil, (left-1)*blockBits, splits[j]*blockBits)
+	var splits, ends []int
+	segment := func(m int) []byte {
+		seg, _ := v.AppendMarshalRange(nil, (left-1)*blockBits, m*blockBits)
 		return seg
 	}
 	for left < right {
-		splits = splits[:0]
+		splits, ends = splits[:0], ends[:0]
 		for j := 1; j < k; j++ {
 			if m := left - 1 + (j*(right-left+1)+k-1)/k; m < right && (len(splits) == 0 || m > splits[len(splits)-1]) {
 				splits = append(splits, m)
+				ends = append(ends, (m-left+1)*blockBits)
 			}
 		}
-		lane, agreed, err := baplus.LongLanes(env, tag+"/lba", len(splits), segment, nil)
+		lane, agreed, err := baplus.LongLanes(env, tag+"/lba", segment(splits[len(splits)-1]), ends, nil)
 		if err != nil {
 			return PrefixResult{}, err
 		}
@@ -198,7 +199,7 @@ func findPrefixFresh(env transport.Net, tag string, v bitstr.String, blockBits, 
 			if err != nil || agreedSeg.Len() != (m-left+1)*blockBits {
 				return PrefixResult{}, fmt.Errorf("%w: agreed segment malformed", ErrProtocol)
 			}
-			c := bytes.Compare(segment(lane), agreed)
+			c := bytes.Compare(segment(m), agreed)
 			if c != 0 {
 				fill := byte(0)
 				if c > 0 {

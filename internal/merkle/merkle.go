@@ -47,24 +47,51 @@ func Build(leaves [][]byte) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("%w: no leaves", ErrBuild)
 	}
-	t := &Tree{
-		n:      len(leaves),
-		leaves: make([]hashing.Digest, len(leaves)),
-		memo:   make([]hashing.Digest, len(leaves)-1),
-	}
+	t := &Tree{leaves: make([]hashing.Digest, len(leaves))}
 	// One Hasher serves every leaf and interior node: a shared hash state
 	// turns the one-shot Sum calls into allocation-free Reset/Write/Sum
 	// cycles. The build runs on the calling party's goroutine, as the rest
 	// of its round does.
 	h := hashing.NewHasher()
 	for i, leaf := range leaves {
-		h.Reset()
-		h.Write(leafPrefix)
+		StartLeaf(h)
 		h.Write(leaf)
 		t.leaves[i] = h.Digest()
 	}
-	t.root = t.build(h, 0, t.n)
+	t.seal(h)
 	return t, nil
+}
+
+// StartLeaf resets h to hash a leaf: the caller writes the leaf's bytes,
+// in as many pieces as it likes, and h.Digest() is then the leaf digest
+// Build computes for a leaf of those bytes — what Rebuild and VerifyLeaf
+// take.
+func StartLeaf(h *hashing.Hasher) {
+	h.Reset()
+	h.Write(leafPrefix)
+}
+
+// Rebuild makes t the tree over the leaves whose digests are given (see
+// StartLeaf), reusing t's storage: a caller that commits value after value
+// keeps its trees, and a zero Tree is ready for it. It requires at least
+// one leaf; h is the Hasher it hashes the interior nodes with.
+func (t *Tree) Rebuild(h *hashing.Hasher, leaves []hashing.Digest) error {
+	if len(leaves) == 0 {
+		return fmt.Errorf("%w: no leaves", ErrBuild)
+	}
+	t.leaves = append(t.leaves[:0], leaves...)
+	t.seal(h)
+	return nil
+}
+
+// seal hashes the interior nodes over t.leaves.
+func (t *Tree) seal(h *hashing.Hasher) {
+	t.n = len(t.leaves)
+	if cap(t.memo) < t.n-1 {
+		t.memo = make([]hashing.Digest, t.n-1)
+	}
+	t.memo = t.memo[:t.n-1]
+	t.root = t.build(h, 0, t.n)
 }
 
 // N returns the number of leaves.
@@ -142,29 +169,34 @@ func (t *Tree) Witness(i int) ([]hashing.Digest, error) {
 // witness proves that value sits at leaf index i of an n-leaf tree whose
 // root is root. It never panics, whatever the (possibly byzantine) inputs.
 func Verify(root hashing.Digest, i, n int, value []byte, witness []hashing.Digest) bool {
+	h := hashing.NewHasher() // shared across the log n path recomputations
+	StartLeaf(h)
+	h.Write(value)
+	return VerifyLeaf(h, root, i, n, h.Digest(), witness)
+}
+
+// VerifyLeaf is Verify for a leaf given by its digest (see StartLeaf); h is
+// the Hasher it recomputes the path with.
+func VerifyLeaf(h *hashing.Hasher, root hashing.Digest, i, n int, leaf hashing.Digest, witness []hashing.Digest) bool {
 	if i < 0 || i >= n || n < 1 {
 		return false
 	}
-	h := hashing.NewHasher() // shared across the log n path recomputations
-	digest, used, ok := recompute(h, i, 0, n, value, witness)
+	digest, used, ok := recompute(h, i, 0, n, leaf, witness)
 	return ok && used == len(witness) && digest == root
 }
 
-func recompute(h *hashing.Hasher, i, lo, hi int, value []byte, witness []hashing.Digest) (hashing.Digest, int, bool) {
+func recompute(h *hashing.Hasher, i, lo, hi int, leaf hashing.Digest, witness []hashing.Digest) (hashing.Digest, int, bool) {
 	if hi-lo == 1 {
-		h.Reset()
-		h.Write(leafPrefix)
-		h.Write(value)
-		return h.Digest(), 0, true
+		return leaf, 0, true
 	}
 	mid := lo + split(hi-lo)
 	var child hashing.Digest
 	var used int
 	var ok bool
 	if i < mid {
-		child, used, ok = recompute(h, i, lo, mid, value, witness)
+		child, used, ok = recompute(h, i, lo, mid, leaf, witness)
 	} else {
-		child, used, ok = recompute(h, i, mid, hi, value, witness)
+		child, used, ok = recompute(h, i, mid, hi, leaf, witness)
 	}
 	if !ok || used >= len(witness) {
 		return hashing.Digest{}, 0, false

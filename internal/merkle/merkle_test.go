@@ -20,6 +20,49 @@ func TestBuildRejectsEmpty(t *testing.T) {
 	if _, err := Build(nil); err == nil {
 		t.Error("empty leaf list accepted")
 	}
+	if err := new(Tree).Rebuild(hashing.NewHasher(), nil); err == nil {
+		t.Error("Rebuild accepted an empty leaf list")
+	}
+}
+
+// TestRebuildMatchesBuild: one Tree rebuilt over leaf digests hashed in
+// pieces from StartLeaf, size after size — growing and shrinking — has
+// Build's root and witnesses, and VerifyLeaf on a digest answers as Verify
+// on the value, for the true leaf and a wrong one.
+func TestRebuildMatchesBuild(t *testing.T) {
+	h := hashing.NewHasher()
+	var tree Tree
+	for _, n := range []int{5, 1, 16, 7, 2, 33} {
+		leaves := leavesOf(n)
+		want, err := Build(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests := make([]hashing.Digest, n)
+		for i, leaf := range leaves {
+			StartLeaf(h)
+			h.Write(leaf[:3])
+			h.Write(leaf[3:])
+			digests[i] = h.Digest()
+		}
+		if err := tree.Rebuild(h, digests); err != nil {
+			t.Fatal(err)
+		}
+		if tree.Root() != want.Root() || tree.N() != n {
+			t.Fatalf("n=%d: Rebuild's root differs from Build's", n)
+		}
+		for i := range n {
+			w, err := tree.Witness(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range n {
+				if got, exp := VerifyLeaf(h, want.Root(), i, n, digests[j], w), Verify(want.Root(), i, n, leaves[j], w); got != exp || got != (i == j) {
+					t.Fatalf("n=%d: leaf %d's witness on leaf %d: VerifyLeaf %v, Verify %v", n, i, j, got, exp)
+				}
+			}
+		}
+	}
 }
 
 // TestWitnessVerifyAllSizes: every leaf's witness verifies at every size

@@ -231,16 +231,16 @@ func wordStride(stripes int) int { return (stripes + 31) &^ 31 }
 // columns stay in cache while every matrix row streams over them.
 const chunkStripes = 4096
 
-// rowJob is the one matrix product of both word engines, over the chunk of
-// span stripes from st0: output row r is Σ_j tabs[r·k+j]·column_j
-// over the split column layout, accumulated in row r of the out buffers
-// and, for encode, packed into dst[r] at the chunk's offset.
+// rowJob is the one matrix product of both word engines, over a chunk of
+// span stripes: output row r is Σ_j tabs[r·k+j]·column_j over the split
+// column layout, accumulated in row r of the out buffers and, for encode,
+// packed into dst[r] at the chunk's offset in it, at.
 type rowJob struct {
-	k, st0, span, stride int
-	tabs                 []gf16.MulTable
-	colsLo, colsHi       []byte
-	outLo, outHi         []byte
-	dst                  []Share // encode's parity shares; nil on decode
+	k, at, span, stride int
+	tabs                []gf16.MulTable
+	colsLo, colsHi      []byte
+	outLo, outHi        []byte
+	dst                 []Share // encode's parity shares; nil on decode
 }
 
 func (j *rowJob) row(r int) {
@@ -250,7 +250,7 @@ func (j *rowJob) row(r int) {
 	clear(oHi)
 	gf16.DotWords(j.tabs[r*j.k:(r+1)*j.k], oLo, oHi, j.colsLo, j.colsHi, j.stride)
 	if j.dst != nil {
-		gf16.Pack(j.dst[r].Data[2*j.st0:2*(j.st0+j.span)], oLo[:j.span], oHi[:j.span])
+		gf16.Pack(j.dst[r].Data[2*j.at:2*(j.at+j.span)], oLo[:j.span], oHi[:j.span])
 	}
 }
 
@@ -268,12 +268,25 @@ func (c *Codec) Encode(payload []byte) ([]Share, error) {
 // returned headers and the working buffers are s's (a fresh Scratch when s
 // is nil). A caller that encodes several payloads one after another reuses
 // one buffer and one Scratch; the shares alias them until the next call.
+// It is EncodeStripes over every stripe.
 func (c *Codec) EncodeTo(s *Scratch, buf, payload []byte) ([]Share, error) {
 	return c.encode(s, buf, payload, gf16.HasFastPath())
 }
 
-// encode routes between the word and reference parity engines; the flag is
-// explicit so differential tests can pin the two engines byte-identical.
+// EncodeStripes is RS.ENCODE of a run of stripes: share i's codeword
+// symbols of the stripes st0, st0+1, … of payload's grid, as many as
+// dst[i].Data holds, are written into it, for each of the n shares. Every
+// dst[i].Data must have one even length, and the run must lie in the grid
+// (st0 + len/2 ≤ ShareSize(len(payload))/2). Each stripe is a codeword of
+// its own, so a run is encoded exactly as the full encode encodes it, and
+// a caller that knows two payloads' grids differ only in some stripes
+// encodes only those. The working buffers are s's, as for EncodeTo.
+func (c *Codec) EncodeStripes(s *Scratch, dst []Share, payload []byte, st0 int) error {
+	return c.encodeStripes(s, dst, payload, st0, gf16.HasFastPath())
+}
+
+// encode carves n shares from buf (or a fresh array) and encodes every
+// stripe into them.
 func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, error) {
 	if len(payload) > 1<<31-5 {
 		return nil, fmt.Errorf("%w: payload too large", ErrParams)
@@ -281,11 +294,9 @@ func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, er
 	if s == nil {
 		s = new(Scratch)
 	}
-	stripes := c.stripes(len(payload))
-	shareSize := 2 * stripes
-
+	shareSize := c.ShareSize(len(payload))
 	// One flat backing array for all n share buffers. Every byte of it is
-	// written below, so a reused buffer needs no clearing.
+	// written by the encode, so a reused buffer needs no clearing.
 	flat := buf[:cap(buf)]
 	if len(flat) < c.n*shareSize {
 		flat = make([]byte, c.n*shareSize)
@@ -297,6 +308,35 @@ func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, er
 	for i := range shares {
 		shares[i] = Share{Index: i, Data: flat[i*shareSize : (i+1)*shareSize]}
 	}
+	if err := c.encodeStripes(s, shares, payload, 0, words); err != nil {
+		return nil, err
+	}
+	return shares, nil
+}
+
+// encodeStripes routes between the word and reference parity engines; the
+// flag is explicit so differential tests can pin the two engines
+// byte-identical.
+func (c *Codec) encodeStripes(s *Scratch, dst []Share, payload []byte, st0 int, words bool) error {
+	if len(payload) > 1<<31-5 {
+		return fmt.Errorf("%w: payload too large", ErrParams)
+	}
+	if len(dst) != c.n {
+		return fmt.Errorf("%w: %d shares for n=%d", ErrParams, len(dst), c.n)
+	}
+	size := len(dst[0].Data)
+	for _, d := range dst {
+		if len(d.Data) != size {
+			return fmt.Errorf("%w: share lengths differ", ErrParams)
+		}
+	}
+	count := size / 2
+	if size%2 != 0 || st0 < 0 || st0+count > c.stripes(len(payload)) {
+		return fmt.Errorf("%w: %d bytes from stripe %d of %d", ErrParams, size, st0, c.stripes(len(payload)))
+	}
+	if s == nil {
+		s = new(Scratch)
+	}
 
 	// Systematic part: the stripe grid — the 4-byte length header, the
 	// payload, zero padding — is split straight into the column layout the
@@ -307,22 +347,22 @@ func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, er
 	if parity {
 		c.encOnce.Do(c.buildEncTabs)
 	}
-	for st0 := 0; st0 < stripes; st0 += chunkStripes {
-		span := min(chunkStripes, stripes-st0)
+	for at := 0; at < count; at += chunkStripes {
+		span := min(chunkStripes, count-at)
 		stride := wordStride(span)
 		colsLo := resizeBytes(&s.colsLo, c.k*stride)
 		colsHi := resizeBytes(&s.colsHi, c.k*stride)
-		c.splitColumns(s, colsLo, colsHi, payload, st0, span, stride)
+		c.splitColumns(s, colsLo, colsHi, payload, st0+at, span, stride)
 		for j := 0; j < c.k; j++ {
-			gf16.Pack(shares[j].Data[2*st0:2*(st0+span)], colsLo[j*stride:j*stride+span], colsHi[j*stride:j*stride+span])
+			gf16.Pack(dst[j].Data[2*at:2*(at+span)], colsLo[j*stride:j*stride+span], colsHi[j*stride:j*stride+span])
 		}
 		if parity {
 			rows := c.n - c.k
 			job := rowJob{
-				k: c.k, st0: st0, span: span, stride: stride, tabs: c.encTabs,
+				k: c.k, at: at, span: span, stride: stride, tabs: c.encTabs,
 				colsLo: colsLo, colsHi: colsHi,
 				outLo: resizeBytes(&s.outLo, rows*stride), outHi: resizeBytes(&s.outHi, rows*stride),
-				dst: shares[c.k:],
+				dst: dst[c.k:],
 			}
 			for r := range rows {
 				job.row(r)
@@ -330,9 +370,9 @@ func (c *Codec) encode(s *Scratch, buf, payload []byte, words bool) ([]Share, er
 		}
 	}
 	if c.n > c.k && !words {
-		c.encodeReference(s, shares, stripes)
+		c.encodeReference(s, dst, count)
 	}
-	return shares, nil
+	return nil
 }
 
 // splitColumns moves the span stripes from st0 of the grid that frames
@@ -522,7 +562,7 @@ func (c *Codec) decodeWords(s *Scratch, framed []byte, chosen []Share, stripes i
 			}
 		}
 		job := rowJob{
-			k: k, st0: st0, span: span, stride: stride, tabs: plan.tabs,
+			k: k, span: span, stride: stride, tabs: plan.tabs,
 			colsLo: colsLo, colsHi: colsHi,
 			outLo: resizeBytes(&s.outLo, e*stride), outHi: resizeBytes(&s.outHi, e*stride),
 		}

@@ -255,9 +255,70 @@ func TestEncodeToReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestEncodeStripesMatchesEncode: every run of stripes — the first, the
+// last, one inside the first chunk, one across a chunk boundary, all of
+// them — encodes into fresh shares exactly the bytes the full encode puts
+// there, on both engines; a run that leaves the grid, shares of unequal or
+// odd length and a wrong share count are refused.
+func TestEncodeStripesMatchesEncode(t *testing.T) {
+	for _, shape := range [][2]int{{4, 3}, {7, 5}, {16, 11}, {3, 3}} {
+		c, err := NewCodec(shape[0], shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{0, 3, 37, 2*(chunkStripes+40)*shape[1] + 11} {
+			payload := goldenPayload(size, int64(size))
+			full, err := c.Encode(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripes := c.ShareSize(size) / 2
+			runs := [][2]int{{0, 1}, {stripes - 1, stripes}, {0, stripes}, {stripes / 2, stripes}}
+			if stripes > chunkStripes+3 {
+				runs = append(runs, [2]int{chunkStripes - 2, chunkStripes + 3})
+			}
+			for _, words := range []bool{true, false} {
+				for _, r := range runs {
+					dst := make([]Share, c.N())
+					for i := range dst {
+						dst[i] = Share{Index: i, Data: make([]byte, 2*(r[1]-r[0]))}
+					}
+					if err := c.encodeStripes(nil, dst, payload, r[0], words); err != nil {
+						t.Fatalf("n=%d size=%d run %v: %v", c.N(), size, r, err)
+					}
+					for i := range dst {
+						if want := full[i].Data[2*r[0] : 2*r[1]]; !bytes.Equal(dst[i].Data, want) {
+							t.Fatalf("n=%d size=%d words=%v run %v: share %d differs from the full encode", c.N(), size, words, r, i)
+						}
+					}
+				}
+			}
+			two := func(a, b int) []Share {
+				dst := make([]Share, c.N())
+				for i := range dst {
+					dst[i].Data = make([]byte, a)
+				}
+				dst[0].Data = make([]byte, b)
+				return dst
+			}
+			for name, bad := range map[string]error{
+				"past the grid": c.EncodeStripes(nil, two(2, 2), payload, stripes),
+				"unequal":       c.EncodeStripes(nil, two(2, 4), payload, 0),
+				"odd":           c.EncodeStripes(nil, two(1, 1), payload, 0),
+				"short":         c.EncodeStripes(nil, two(2, 2)[1:], payload, 0),
+			} {
+				if bad == nil {
+					t.Errorf("n=%d size=%d: %s run accepted", c.N(), size, name)
+				}
+			}
+		}
+	}
+}
+
 // TestCodecCallsAllocateNothing: at long_input's shape (n = 7, k = 5,
-// 256 KiB), an encode into a caller-owned buffer and an interpolated decode
-// into another, each with a warmed Scratch, allocate nothing on either
+// 256 KiB), an encode into a caller-owned buffer, a run of stripes encoded
+// into views of it, and an interpolated decode into another, each with a
+// warmed Scratch, allocate nothing on either
 // engine, however many Ps the runtime has: a codec call runs on its
 // caller's goroutine and its working set is the caller's. The count is
 // taken by hand because testing.AllocsPerRun runs at GOMAXPROCS 1, where a
@@ -287,6 +348,16 @@ func TestCodecCallsAllocateNothing(t *testing.T) {
 		}
 		if n := mallocsPerCall(func() { _, _ = c.decode(&dec, out, shares[2:], words) }); n != 0 {
 			t.Errorf("words=%v: DecodeTo allocates %d times per call", words, n)
+		}
+		// A run of stripes, into views of the same shares: the middle
+		// third, as a nested lane's head and tail are re-encoded.
+		stripes := c.ShareSize(len(payload)) / 2
+		run := make([]Share, len(shares))
+		for i, sh := range shares {
+			run[i] = Share{Index: i, Data: sh.Data[2*(stripes/3) : 2*(2*stripes/3)]}
+		}
+		if n := mallocsPerCall(func() { _ = c.encodeStripes(&enc, run, payload, stripes/3, words) }); n != 0 {
+			t.Errorf("words=%v: EncodeStripes allocates %d times per call", words, n)
 		}
 	}
 }

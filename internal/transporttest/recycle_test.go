@@ -2,6 +2,7 @@ package transporttest_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"strings"
@@ -169,16 +170,20 @@ func TestProtocolsHonorPayloadLifetime(t *testing.T) {
 			return ba.Bits(net, "t", lanes, nil)
 		}},
 		{"baplus.LongLanes", func(net transport.Net) (any, error) {
-			// Lanes 0 and 2 are every party's own value, long and short
-			// (both ⊥), lane 1 the shared blob: j* is lane 1, and the share
-			// buffer holds lane 0's encoding, so its holders re-derive lane
-			// 1's shares.
-			lanes := [][]byte{append(blob(net), byte(net.ID())), blob(net), num(net).Bytes()}
-			lane, v, err := baplus.LongLanes(net, "t", len(lanes), func(j int) []byte { return lanes[j] }, nil)
-			if err == nil && lane != 1 {
-				err = fmt.Errorf("lane %d agreed, want 1", lane)
+			// The window is the blob, then the party's id and 40 bytes
+			// more, as a marshalled bitstring (a 32-bit bit count, then
+			// the bytes). Lane 0 is the blob, lanes 1 and 2 are every
+			// party's own (both ⊥): j* is lane 0, the narrowest, whose
+			// shares are sent from the widest lane's encoding and lane 0's
+			// own edge stripes.
+			p := append(append(blob(net), byte(net.ID())), bytes.Repeat([]byte{0x5a}, 40)...)
+			window := append(binary.BigEndian.AppendUint32(nil, uint32(8*len(p))), p...)
+			ends := []int{8 * len(blob(net)), 8*len(blob(net)) + 8, 8 * len(p)}
+			lane, v, err := baplus.LongLanes(net, "t", window, ends, nil)
+			if err == nil && lane != 0 {
+				err = fmt.Errorf("lane %d agreed, want 0", lane)
 			}
-			return optional(v, lane == 1, err)
+			return optional(v, lane == 0, err)
 		}},
 		{"ba.TurpinCoan", func(net transport.Net) (any, error) {
 			cands, g, err := ba.TurpinCoan(net, "t", [][]byte{blob(net), blob(net), num(net).Bytes()}, nil)

@@ -368,6 +368,7 @@ throughput_guard() {
 }
 
 # 5 s per target: the wire frames (x2), admission, baplus tuples, the
+# nested lanes' shared encoding against the per-lane encode, the
 # checkpoint WAL and scrub, the bitstr kernels, the quorum vocabulary
 # against the per-package functions it replaced (x6), FirstPerSender
 # against its set-based oracle, the lane frame, HIGHCOSTCA's trimming and
@@ -383,6 +384,7 @@ fuzz_smoke() {
 		FuzzReadFrameInto$ ./internal/wire/
 		FuzzAdmission ./internal/wire/
 		FuzzDecode ./internal/baplus/
+		FuzzNestedLanes ./internal/baplus/
 		FuzzInspectState ./internal/checkpoint/
 		FuzzScrub ./internal/checkpoint/
 		FuzzKernelsVsReference ./internal/bitstr/
