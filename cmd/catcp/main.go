@@ -193,6 +193,9 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		}
 		fmt.Fprintf(stderr, "catcp: attempt %d: resuming at instance %d round %d, dialing mesh...\n",
 			a.Number, st.Seq, st.NextRound)
+		if st.Output != nil && st.Seq > 0 && st.Seq <= uint64(instances) {
+			outs[st.Seq-1] = st.Output // a completed run's last output, from the WAL
+		}
 		tr, err := ca.DialTCP(ca.TCPConfig{
 			ID:          id,
 			Addrs:       addrs,
@@ -253,8 +256,19 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 	}
 	fmt.Fprintf(stderr, "catcp: done in %v (%d attempts)\n",
 		time.Since(start).Round(time.Millisecond), health.Attempts)
-	for _, out := range outs {
+	// Every output this process agreed on or found in the WAL; an instance
+	// a previous run completed whose output the WAL no longer holds (the
+	// slot switched past it) is named instead of printed.
+	var lost []int
+	for seq, out := range outs {
+		if out == nil {
+			lost = append(lost, seq)
+			continue
+		}
 		fmt.Fprintln(stdout, out)
+	}
+	if lost != nil {
+		fmt.Fprintf(stderr, "catcp: no output held for instances %v: a previous run completed them\n", lost)
 	}
 	return 0
 }

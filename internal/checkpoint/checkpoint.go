@@ -232,6 +232,10 @@ type State struct {
 	// Partial is the instance the WAL ends inside, nil if the log ends at
 	// an instance boundary. Its Rounds are the inboxes to replay.
 	Partial *Instance
+	// Last is the instance the live slot completed, nil if it completed
+	// none: instance Seq−1, Done, with its Output (its rounds are
+	// dropped). A restart on a finished log still knows the last output.
+	Last *Instance
 }
 
 // walCopy is one physical copy of the log: two slot files, of which live
@@ -713,7 +717,8 @@ func (st *State) apply(body []byte) error {
 		}
 		st.Partial.Done = true
 		st.Partial.Output = out
-		st.Partial = nil // completed instances don't need their rounds
+		st.Partial.Rounds = nil // completed instances don't need their rounds
+		st.Last, st.Partial = st.Partial, nil
 		st.Seq++
 	default:
 		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)

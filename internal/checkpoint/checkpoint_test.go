@@ -89,6 +89,53 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLastOutputSurvives: the live slot's completed instance keeps its
+// output in State.Last, across a reopen, until the next instance switches
+// the slot: a finished log still says what its last agreement returned,
+// and a log that has moved on holds no Last.
+func TestLastOutputSurvives(t *testing.T) {
+	dir := t.TempDir()
+	log, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, step := range []func() error{
+		func() error { return log.AppendMeta(4, 1) },
+		func() error {
+			return log.AppendInstance(&Instance{Kind: KindAgree, Protocol: "optimal", Input: big.NewInt(5)})
+		},
+		func() error { return log.AppendRound(nil) },
+		func() error { return log.AppendEnd(big.NewInt(42)) },
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", seq, err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := InspectOptions(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seq != 1 || st.Partial != nil || st.Last == nil || st.Last.Seq != 0 || !st.Last.Done || st.Last.Output.Int64() != 42 || st.Last.Rounds != nil {
+		t.Fatalf("finished log: seq %d, partial %v, last %+v", st.Seq, st.Partial, st.Last)
+	}
+	log, _, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendInstance(&Instance{Seq: 1, Kind: KindAgree, Protocol: "optimal", Input: big.NewInt(6)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = InspectOptions(dir, Options{}); err != nil || st.Last != nil || st.Partial == nil {
+		t.Fatalf("log inside instance 1: last %+v, partial %v, err %v", st.Last, st.Partial, err)
+	}
+}
+
 // TestTornTail truncates the WAL at every possible byte boundary inside the
 // final record and checks recovery silently drops the torn record, keeps
 // everything before it, and leaves the log appendable.

@@ -205,6 +205,9 @@ type SessionState struct {
 	// Partial reports whether the log ends inside an instance, whose call
 	// must be re-issued with identical parameters after Resume.
 	Partial bool
+	// Output is instance Seq−1's output when the log still holds it (the
+	// live slot completed that instance), nil otherwise.
+	Output *big.Int
 }
 
 // InspectState peeks at a checkpoint directory without opening a session —
@@ -220,7 +223,11 @@ func InspectStateOpts(dir string, o StorageOptions) (SessionState, error) {
 	if err != nil {
 		return SessionState{}, err
 	}
-	return SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}, nil
+	ss := SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}
+	if st.Last != nil {
+		ss.Output = st.Last.Output
+	}
+	return ss, nil
 }
 
 // ErrStateDir reports an unusable checkpoint directory at startup:
@@ -265,7 +272,11 @@ func ValidateStateDir(dir string, n, t int, o StorageOptions) (SessionState, err
 		return SessionState{}, fmt.Errorf("%w: %s holds state for n=%d t=%d, mesh is n=%d t=%d",
 			ErrStateDir, dir, st.N, st.T, n, t)
 	}
-	return SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}, nil
+	ss := SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}
+	if st.Last != nil {
+		ss.Output = st.Last.Output
+	}
+	return ss, nil
 }
 
 // Close releases the checkpoint log, if any. The transport is the
