@@ -13,11 +13,13 @@ import (
 //     ADDLASTBLOCK/ADDLASTBIT extend and GETOUTPUT fills in place;
 //   - the bit buffer of v_⊥, a copy: re-anchoring v in place would
 //     otherwise rewrite the v_⊥ saved from it;
-//   - the segment buffer FINDPREFIX marshals each lane's blocks into, and
-//     the block buffer ADDLASTBLOCK hands its block to HIGHCOSTCA in and
-//     takes the agreed one back through;
-//   - Π_ℓBA+'s share buffer, where the agreed segment is also decoded, and
-//     its codec scratch (baplus.Buffers);
+//   - the segment buffer FINDPREFIX marshals each iteration's window —
+//     the widest lane's blocks, of which every lane is a prefix — into,
+//     and the block buffer ADDLASTBLOCK hands its block to HIGHCOSTCA in
+//     and takes the agreed one back through;
+//   - Π_ℓBA+'s share buffer, where the agreed segment is also decoded,
+//     the narrower lanes' edge stripes, the lanes' trees and its codec
+//     scratch (baplus.Buffers);
 //   - the protocol work set under it: Π_BA+'s frames and candidates and
 //     the containers of every phase-king and Turpin–Coan instance of the
 //     agreement, Π_ℤ's length search included (baplus.Buffers, ba.Work),
