@@ -45,13 +45,17 @@ func (t Table) Render() string {
 			}
 		}
 	}
+	// The last column is not padded: no rendered line ends in whitespace,
+	// so the goldens survive an editor that strips it.
 	line := func(cells []string) {
+		var l strings.Builder
 		for i, cell := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				l.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			fmt.Fprintf(&l, "%-*s", widths[i], cell)
 		}
+		b.WriteString(strings.TrimRight(l.String(), " "))
 		b.WriteByte('\n')
 	}
 	line(t.Header)
