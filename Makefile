@@ -85,9 +85,10 @@ ci:
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate every reproduction experiment table (see EXPERIMENTS.md).
+# Re-pin every reproduction experiment table (internal/experiments/
+# testdata/etables); without -update the same command checks them.
 experiments:
-	$(GO) run ./cmd/cabench
+	$(GO) test ./internal/experiments -run TestETables -update
 
 # Session-mux load run: the benchmark's closed-loop workload — waves of 64
 # concurrent muxed Π_ℤ sessions over a 16-party loopback TCP mesh, rejoin

@@ -1,8 +1,8 @@
-// Benchmark harness: one benchmark per reproduction experiment (E1–E17 of
-// DESIGN.md §3 / EXPERIMENTS.md). Each benchmark prints its experiment's
-// full table once (the same rows cmd/cabench produces) and then times a
-// representative protocol instance, reporting the paper's cost measures as
-// custom metrics (bits, bits/(ℓn), rounds).
+// Benchmark harness: one benchmark per reproduction experiment (E1–E18 of
+// DESIGN.md §3 / EXPERIMENTS.md). Each times a representative protocol
+// instance of its experiment, reporting the paper's cost measures as custom
+// metrics (bits, bits/(ℓn), rounds); the tables themselves are pinned by
+// internal/experiments' TestETables.
 //
 // Run with: go test -bench=. -benchmem
 package convexagreement_test
@@ -12,24 +12,12 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
 	ca "convexagreement"
 
 	"convexagreement/internal/experiments"
 )
-
-var tablesOnce sync.Map
-
-// printTable renders an experiment table exactly once per process.
-func printTable(b *testing.B, id string, gen func() experiments.Table) {
-	b.Helper()
-	if _, loaded := tablesOnce.LoadOrStore(id, true); loaded {
-		return
-	}
-	b.Logf("\n%s", gen().Render())
-}
 
 // benchInputs draws a deterministic input vector.
 func benchInputs(n, bits int, seed int64) []*big.Int {
@@ -61,10 +49,9 @@ func reportCost(b *testing.B, res *ca.Result, ell, n int) {
 	}
 }
 
-// BenchmarkE1_BitsVsEll regenerates E1 (Corollary 2 headline: linear-in-ℓ
+// BenchmarkE1_BitsVsEll stands for E1 (Corollary 2 headline: linear-in-ℓ
 // communication) and times Π_ℤ on a 2^16-bit instance at n=10.
 func BenchmarkE1_BitsVsEll(b *testing.B) {
-	printTable(b, "E1", func() experiments.Table { return experiments.E1BitsVsEll(true) })
 	const n, ell = 10, 1 << 16
 	inputs := benchInputs(n, ell, 1)
 	var res *ca.Result
@@ -75,10 +62,9 @@ func BenchmarkE1_BitsVsEll(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE2_BitsVsN regenerates E2 (protocol-vs-baseline ordering) and
+// BenchmarkE2_BitsVsN stands for E2 (protocol-vs-baseline ordering) and
 // times the three protocols on one shared instance for direct comparison.
 func BenchmarkE2_BitsVsN(b *testing.B) {
-	printTable(b, "E2", func() experiments.Table { return experiments.E2BitsVsN(true) })
 	const n, ell = 7, 1 << 14
 	inputs := benchInputs(n, ell, 2)
 	for _, proto := range []ca.Protocol{ca.ProtoOptimalNat, ca.ProtoBroadcast, ca.ProtoHighCost} {
@@ -93,10 +79,9 @@ func BenchmarkE2_BitsVsN(b *testing.B) {
 	}
 }
 
-// BenchmarkE3_Rounds regenerates E3 (round complexity O(n log n) vs O(n)
+// BenchmarkE3_Rounds stands for E3 (round complexity O(n log n) vs O(n)
 // vs O(n²)) and times the round-dominant small-ℓ regime.
 func BenchmarkE3_Rounds(b *testing.B) {
-	printTable(b, "E3", func() experiments.Table { return experiments.E3Rounds(true) })
 	const n, ell = 10, 1 << 10
 	inputs := benchInputs(n, ell, 3)
 	var res *ca.Result
@@ -106,13 +91,12 @@ func BenchmarkE3_Rounds(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE4_BAPlusProperties regenerates E4 (Theorem 6 property campaign;
+// BenchmarkE4_BAPlusProperties stands for E4 (Theorem 6 property campaign;
 // the table's violation columns must be all-zero) and times one full
 // campaign cell.
 func BenchmarkE4_BAPlusProperties(b *testing.B) {
-	printTable(b, "E4", func() experiments.Table { return experiments.E4BAPlusProperties(true) })
 	for i := 0; i < b.N; i++ {
-		tbl := experiments.E4BAPlusProperties(true)
+		tbl := experiments.E4BAPlusProperties()
 		for _, row := range tbl.Rows {
 			for _, cell := range row[2:5] {
 				if cell != "0" {
@@ -123,10 +107,9 @@ func BenchmarkE4_BAPlusProperties(b *testing.B) {
 	}
 }
 
-// BenchmarkE5_LBAPlusBreakdown regenerates E5 (Theorem 1 cost split) and
+// BenchmarkE5_LBAPlusBreakdown stands for E5 (Theorem 1 cost split) and
 // times Π_ℕ on the clustered long-prefix workload that exercises dispersal.
 func BenchmarkE5_LBAPlusBreakdown(b *testing.B) {
-	printTable(b, "E5", func() experiments.Table { return experiments.E5LBAPlusBreakdown(true) })
 	const n, ell = 7, 1 << 16
 	base := new(big.Int).Lsh(big.NewInt(1), ell-1)
 	rng := rand.New(rand.NewSource(5))
@@ -142,10 +125,9 @@ func BenchmarkE5_LBAPlusBreakdown(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE6_Threshold regenerates E6 (the ℓ = Ω(κ·n·log²n) optimality
+// BenchmarkE6_Threshold stands for E6 (the ℓ = Ω(κ·n·log²n) optimality
 // threshold) and times an instance right at the crossover region.
 func BenchmarkE6_Threshold(b *testing.B) {
-	printTable(b, "E6", func() experiments.Table { return experiments.E6Threshold(true) })
 	const n, ell = 7, 1 << 14
 	inputs := benchInputs(n, ell, 6)
 	var res *ca.Result
@@ -155,10 +137,9 @@ func BenchmarkE6_Threshold(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE7_ValidityCampaign regenerates E7 (Definition 1 under attack;
+// BenchmarkE7_ValidityCampaign stands for E7 (Definition 1 under attack;
 // violations column must be all-zero) and times one ghost-attacked run.
 func BenchmarkE7_ValidityCampaign(b *testing.B) {
-	printTable(b, "E7", func() experiments.Table { return experiments.E7ValidityCampaign(true) })
 	const n, ell = 7, 24
 	inputs := benchInputs(n, ell, 7)
 	corr := map[int]ca.Corruption{
@@ -172,10 +153,9 @@ func BenchmarkE7_ValidityCampaign(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE8_HighCostCA regenerates E8 (Theorem 3: O(ℓn³) bits, O(n)
+// BenchmarkE8_HighCostCA stands for E8 (Theorem 3: O(ℓn³) bits, O(n)
 // rounds) and times HIGHCOSTCA directly.
 func BenchmarkE8_HighCostCA(b *testing.B) {
-	printTable(b, "E8", func() experiments.Table { return experiments.E8HighCostCA(true) })
 	const n, ell = 10, 1 << 12
 	inputs := benchInputs(n, ell, 8)
 	var res *ca.Result
@@ -185,10 +165,9 @@ func BenchmarkE8_HighCostCA(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE9_BitsVsBlocks regenerates E9 (§3 bit search vs §4 block
+// BenchmarkE9_BitsVsBlocks stands for E9 (§3 bit search vs §4 block
 // search) and times both fixed-length variants on one long instance.
 func BenchmarkE9_BitsVsBlocks(b *testing.B) {
-	printTable(b, "E9", func() experiments.Table { return experiments.E9BitsVsBlocks(true) })
 	const n = 7
 	const ell = n * n * 1024
 	inputs := benchInputs(n, ell, 9)
@@ -204,10 +183,9 @@ func BenchmarkE9_BitsVsBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkE11_ParallelComposition regenerates E11 (parallel vs sequential
+// BenchmarkE11_ParallelComposition stands for E11 (parallel vs sequential
 // broadcast baseline) and times the parallel-composed variant.
 func BenchmarkE11_ParallelComposition(b *testing.B) {
-	printTable(b, "E11", func() experiments.Table { return experiments.E11ParallelComposition(true) })
 	const n, ell = 7, 1 << 12
 	inputs := benchInputs(n, ell, 11)
 	var res *ca.Result
@@ -217,10 +195,9 @@ func BenchmarkE11_ParallelComposition(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE12_CAvsAA regenerates E12 (exact CA vs ε-approximate AA) and
+// BenchmarkE12_CAvsAA stands for E12 (exact CA vs ε-approximate AA) and
 // times synchronous AA at full precision on a short instance.
 func BenchmarkE12_CAvsAA(b *testing.B) {
-	printTable(b, "E12", func() experiments.Table { return experiments.E12CAvsAA(true) })
 	inputs := benchInputs(7, 20, 12)
 	var res *ca.ApproxResult
 	var err error
@@ -234,10 +211,9 @@ func BenchmarkE12_CAvsAA(b *testing.B) {
 	b.ReportMetric(float64(res.Rounds), "rounds")
 }
 
-// BenchmarkE13_AsyncAA regenerates E13 (asynchronous AA under adversarial
+// BenchmarkE13_AsyncAA stands for E13 (asynchronous AA under adversarial
 // schedulers) and times one async instance at ε=16.
 func BenchmarkE13_AsyncAA(b *testing.B) {
-	printTable(b, "E13", func() experiments.Table { return experiments.E13AsyncAA(true) })
 	inputs := benchInputs(7, 16, 13)
 	var res *ca.ApproxResult
 	var err error
@@ -251,10 +227,9 @@ func BenchmarkE13_AsyncAA(b *testing.B) {
 	b.ReportMetric(float64(res.Deliveries), "deliveries")
 }
 
-// BenchmarkE14_VectorScaling regenerates E14 (vector CA over parallel
+// BenchmarkE14_VectorScaling stands for E14 (vector CA over parallel
 // composition) and times a 4-dimensional instance.
 func BenchmarkE14_VectorScaling(b *testing.B) {
-	printTable(b, "E14", func() experiments.Table { return experiments.E14VectorScaling(true) })
 	const n, d, ell = 7, 4, 256
 	rng := rand.New(rand.NewSource(14))
 	bound := new(big.Int).Lsh(big.NewInt(1), ell)
@@ -279,9 +254,8 @@ func BenchmarkE14_VectorScaling(b *testing.B) {
 	b.ReportMetric(float64(res.Rounds), "rounds")
 }
 
-// BenchmarkE15_LoadBalance regenerates E15 (per-party load distribution).
+// BenchmarkE15_LoadBalance stands for E15 (per-party load distribution).
 func BenchmarkE15_LoadBalance(b *testing.B) {
-	printTable(b, "E15", func() experiments.Table { return experiments.E15LoadBalance(true) })
 	const n, ell = 7, 1 << 14
 	inputs := benchInputs(n, ell, 15)
 	var res *ca.Result
@@ -297,10 +271,9 @@ func BenchmarkE15_LoadBalance(b *testing.B) {
 	b.ReportMetric(float64(max), "max_party_bits")
 }
 
-// BenchmarkE16_DispersalAblation regenerates E16 (RS+Merkle vs naive
+// BenchmarkE16_DispersalAblation stands for E16 (RS+Merkle vs naive
 // dispersal inside Π_ℓBA+).
 func BenchmarkE16_DispersalAblation(b *testing.B) {
-	printTable(b, "E16", func() experiments.Table { return experiments.E16DispersalAblation(true) })
 	const n, ell = 7, 1 << 16
 	inputs := make([]*big.Int, n)
 	shared := benchInputs(1, ell, 16)[0]
@@ -314,11 +287,10 @@ func BenchmarkE16_DispersalAblation(b *testing.B) {
 	reportCost(b, res, ell, n)
 }
 
-// BenchmarkE17_FaultSweep regenerates E17 (robustness under message-level
+// BenchmarkE17_FaultSweep stands for E17 (robustness under message-level
 // faults) and times one ProtoOptimal run with drops and delays injected on
 // the last party's links via the public fault wrapper.
 func BenchmarkE17_FaultSweep(b *testing.B) {
-	printTable(b, "E17", func() experiments.Table { return experiments.E17FaultSweep(true) })
 	const n = 7
 	c := experiments.Cluster{
 		N: n, Instances: 1,
@@ -341,11 +313,10 @@ func BenchmarkE17_FaultSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkE18_CrashRecovery regenerates E18 (checkpointed crash recovery)
+// BenchmarkE18_CrashRecovery stands for E18 (checkpointed crash recovery)
 // and times one supervised channet session that is killed once mid-instance
 // and resumed from its write-ahead log, reporting the restart count.
 func BenchmarkE18_CrashRecovery(b *testing.B) {
-	printTable(b, "E18", func() experiments.Table { return experiments.E18CrashRecovery(true) })
 	const n, K, instances = 4, 3, 2
 	input := func(party, seq int) *big.Int { return big.NewInt(int64(100*seq + 3*party + 1)) }
 	// The kill lands half-way through the run as the simulator measures it
@@ -380,10 +351,9 @@ func BenchmarkE18_CrashRecovery(b *testing.B) {
 	b.ReportMetric(float64(restarts)/float64(b.N), "restarts/op")
 }
 
-// BenchmarkE10_AdversaryAblation regenerates E10 (communication stability
+// BenchmarkE10_AdversaryAblation stands for E10 (communication stability
 // across adversary strategies) and times the worst-observed strategy.
 func BenchmarkE10_AdversaryAblation(b *testing.B) {
-	printTable(b, "E10", func() experiments.Table { return experiments.E10AdversaryAblation(true) })
 	const n, ell = 7, 1 << 13
 	inputs := benchInputs(n, ell, 10)
 	corr := map[int]ca.Corruption{

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	caplot [-quick] [-x col] [-y col1,col2] [-linear] <experiment>
+//	caplot [-x col] [-y col1,col2] [-linear] <experiment>
 //
 // Example:
 //
@@ -32,7 +32,6 @@ func main() {
 }
 
 func run() int {
-	quick := flag.Bool("quick", false, "shrink experiment parameter ranges")
 	xCol := flag.String("x", "", "x-axis column (default: first column)")
 	yCols := flag.String("y", "", "comma-separated y columns (default: all numeric)")
 	linear := flag.Bool("linear", false, "linear axes instead of log-log")
@@ -41,10 +40,10 @@ func run() int {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "caplot: exactly one experiment id required (E1..E16)")
+		fmt.Fprintln(os.Stderr, "caplot: exactly one experiment id required (E1..E20)")
 		return 2
 	}
-	tbl, err := experiments.ByID(flag.Arg(0), *quick)
+	tbl, err := experiments.ByID(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -19,13 +19,10 @@ import (
 // iteration and only ever reaches ε-agreement, while CA reaches *exact*
 // agreement in O(ℓn + poly(n, κ)) bits. For long inputs the exact protocol
 // is cheaper than even coarse approximation.
-func E12CAvsAA(quick bool) Table {
+func E12CAvsAA() Table {
 	n := 7
 	t := defaultT(n)
 	ells := []int{16, 64, 4096, 16384, 65536}
-	if quick {
-		ells = []int{16, 64, 4096}
-	}
 	tbl := Table{
 		ID:     "E12",
 		Title:  fmt.Sprintf("Convex Agreement vs Approximate Agreement at n=%d, t=%d", n, t),
@@ -81,12 +78,9 @@ func runAA(n, t int, inputs []*big.Int, diameter, eps *big.Int) *sim.Report {
 // synchronous model's parallel-composition folklore predicts (and a gap
 // the paper's protocol never pays, since it runs O(log n) sequential
 // building blocks in the first place).
-func E11ParallelComposition(quick bool) Table {
+func E11ParallelComposition() Table {
 	ell := 1 << 12
 	ns := []int{4, 7, 10, 13}
-	if quick {
-		ns = []int{4, 7, 10}
-	}
 	tbl := Table{
 		ID:     "E11",
 		Title:  fmt.Sprintf("Ablation: sequential vs parallel broadcast-CA at ℓ=%d bits", ell),
@@ -117,12 +111,9 @@ func E11ParallelComposition(quick bool) Table {
 // naive whole-value rebroadcast (LongNaive), on a value all honest parties
 // share. Coded dispersal is the entire difference between the paper's
 // O(ℓn) and the prior works' Θ(ℓn²).
-func E16DispersalAblation(quick bool) Table {
+func E16DispersalAblation() Table {
 	ellBytes := 16 << 10
 	ns := []int{4, 7, 10, 13}
-	if quick {
-		ns = []int{4, 7, 10}
-	}
 	tbl := Table{
 		ID:     "E16",
 		Title:  fmt.Sprintf("Dispersal ablation: RS+Merkle vs naive rebroadcast in Π_ℓBA+ (ℓ=%d bits)", 8*ellBytes),

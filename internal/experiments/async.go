@@ -16,13 +16,10 @@ import (
 // table verifies ε-agreement + hull membership under every scheduler and
 // reports the message cost (deliveries) of reaching ε, which scales with
 // log₂(D/ε) as the halving argument predicts.
-func E13AsyncAA(quick bool) Table {
+func E13AsyncAA() Table {
 	n, t := 7, 2
 	const diameter = 1 << 16
 	epsilons := []int64{4096, 256, 16, 1}
-	if quick {
-		epsilons = []int64{4096, 16}
-	}
 	tbl := Table{
 		ID:     "E13",
 		Title:  fmt.Sprintf("Async Approximate Agreement at n=%d, t=%d, D=%d (future-work setting of §8)", n, t, diameter),

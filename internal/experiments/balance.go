@@ -15,7 +15,7 @@ import (
 // party is a sender once, so the baseline is balanced too, just n× heavier.
 // HIGHCOSTCA floods symmetrically. A protocol could hide an O(ℓn)
 // *per-party* hotspot inside an O(ℓn²) total; this table shows none does.
-func E15LoadBalance(quick bool) Table {
+func E15LoadBalance() Table {
 	n := 7
 	ell := 1 << 14
 	tbl := Table{
@@ -25,9 +25,6 @@ func E15LoadBalance(quick bool) Table {
 		Header: []string{"protocol", "total_bits", "mean_party", "max_party", "max/mean"},
 	}
 	protos := []ca.Protocol{ca.ProtoOptimalNat, ca.ProtoBroadcast, ca.ProtoHighCost}
-	if quick {
-		protos = []ca.Protocol{ca.ProtoOptimalNat, ca.ProtoBroadcast}
-	}
 	rng := rand.New(rand.NewSource(15))
 	inputs := randInputs(rng, n, ell)
 	for _, proto := range protos {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sort"
 	"strings"
 
 	ca "convexagreement"
@@ -13,13 +12,10 @@ import (
 // E1BitsVsEll measures the headline claim (Corollary 2): for fixed n, the
 // communication of Π_ℤ grows linearly in ℓ, with bits/(ℓ·n) flattening to a
 // small constant once ℓ dominates the κ·n²·log²n additive term.
-func E1BitsVsEll(quick bool) Table {
+func E1BitsVsEll() Table {
 	n := 10
 	t := defaultT(n)
 	ells := []int{1 << 12, 1 << 14, 1 << 16, 1 << 18}
-	if quick {
-		ells = []int{1 << 12, 1 << 14, 1 << 16}
-	}
 	tbl := Table{
 		ID:     "E1",
 		Title:  fmt.Sprintf("BITS(Π_Z) vs ℓ at n=%d, t=%d", n, t),
@@ -50,12 +46,9 @@ func E1BitsVsEll(quick bool) Table {
 // E2BitsVsN compares Π_ℕ against the two baselines at fixed large ℓ as n
 // grows: the paper's protocol scales ≈ ℓn, broadcast-CA ≈ ℓn², HIGHCOSTCA
 // ≈ ℓn³ — the ordering and the widening ratios are the claim.
-func E2BitsVsN(quick bool) Table {
+func E2BitsVsN() Table {
 	ell := 1 << 14
 	ns := []int{4, 7, 10, 13}
-	if quick {
-		ns = []int{4, 7, 10}
-	}
 	tbl := Table{
 		ID:     "E2",
 		Title:  fmt.Sprintf("Protocol vs baselines at ℓ=%d bits", ell),
@@ -85,12 +78,9 @@ func E2BitsVsN(quick bool) Table {
 // E5LBAPlusBreakdown decomposes Π_ℓBA+'s cost per Theorem 1: the ℓ-linear
 // share-dispersal term, the κ·n²·log n witness overhead, and the Π_BA
 // invocations inside Π_BA+. Measured by label over one Π_ℕ run.
-func E5LBAPlusBreakdown(quick bool) Table {
+func E5LBAPlusBreakdown() Table {
 	n := 7
 	ells := []int{1 << 13, 1 << 16, 1 << 18}
-	if quick {
-		ells = []int{1 << 13, 1 << 16}
-	}
 	tbl := Table{
 		ID:     "E5",
 		Title:  fmt.Sprintf("Π_ℓBA+ cost split inside Π_ℕ at n=%d (clustered inputs: long common prefix)", n),
@@ -138,15 +128,9 @@ func E5LBAPlusBreakdown(quick bool) Table {
 // E6Threshold locates the optimality threshold: the paper proves the O(ℓn)
 // term dominates once ℓ = Ω(κ·n·log²n). For each n we report the overhead
 // factor bits/(ℓn) as ℓ doubles and the first ℓ where it drops below 3.
-func E6Threshold(quick bool) Table {
+func E6Threshold() Table {
 	ns := []int{4, 7, 10}
-	if quick {
-		ns = []int{4, 7}
-	}
 	maxEll := 1 << 19
-	if quick {
-		maxEll = 1 << 17
-	}
 	tbl := Table{
 		ID:     "E6",
 		Title:  "Overhead factor bits/(ℓn) vs ℓ, per n",
@@ -174,29 +158,4 @@ func E6Threshold(quick bool) Table {
 		}
 	}
 	return tbl
-}
-
-// topLabels is a debugging helper used by cmd/cabench -labels: the heaviest
-// cost labels of a single optimal-protocol run.
-func TopLabels(n, ell, k int) []string {
-	rng := rand.New(rand.NewSource(9))
-	inputs := randInputs(rng, n, ell)
-	res := mustAgree(inputs, ca.Options{Protocol: ca.ProtoOptimalNat, Seed: 9})
-	type lb struct {
-		label string
-		bits  int64
-	}
-	all := make([]lb, 0, len(res.BitsByLabel))
-	for label, bits := range res.BitsByLabel {
-		all = append(all, lb{label, bits})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].bits > all[j].bits })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, 0, k)
-	for _, e := range all[:k] {
-		out = append(out, fmt.Sprintf("%-60s %s", e.label, fmtBits(e.bits)))
-	}
-	return out
 }

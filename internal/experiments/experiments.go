@@ -6,8 +6,9 @@
 // baselines, O(n log n) rounds, the crossover thresholds — are the paper's
 // claims and are what EXPERIMENTS.md records as expected-vs-measured.
 //
-// Both the go test bench harness (bench_test.go) and cmd/cabench call into
-// this package, so `go test -bench` and the CLI print identical tables.
+// The tables are this reproduction's results, and TestETables pins each one
+// byte for byte in testdata/etables/E<i>.txt: `go test ./internal/experiments
+// -run TestETables` reproduces them, `-update` re-pins them.
 package experiments
 
 import (
@@ -20,13 +21,12 @@ import (
 )
 
 // Table is one experiment's output: a claim, a header, and printable rows.
-// The JSON form (cabench -json) serializes these fields directly.
 type Table struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Claim  string     `json:"claim"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	ID     string
+	Title  string
+	Claim  string
+	Header []string
+	Rows   [][]string
 }
 
 // Render formats the table for terminal output.
@@ -74,30 +74,19 @@ func sepRow(widths []int) []string {
 	return out
 }
 
-// Registry is the one table of experiments: E<i+1> at index i. All and ByID
-// both read it.
-var Registry = []func(quick bool) Table{
+// Registry is the one table of experiments: E<i+1> at index i.
+var Registry = []func() Table{
 	E1BitsVsEll, E2BitsVsN, E3Rounds, E4BAPlusProperties, E5LBAPlusBreakdown,
 	E6Threshold, E7ValidityCampaign, E8HighCostCA, E9BitsVsBlocks, E10AdversaryAblation,
 	E11ParallelComposition, E12CAvsAA, E13AsyncAA, E14VectorScaling, E15LoadBalance,
 	E16DispersalAblation, E17FaultSweep, E18CrashRecovery, E19IngressSweep, E20StorageFaults,
 }
 
-// All runs every experiment. quick reduces parameter ranges so the full
-// suite fits in roughly a minute.
-func All(quick bool) []Table {
-	tables := make([]Table, len(Registry))
-	for i, run := range Registry {
-		tables[i] = run(quick)
-	}
-	return tables
-}
-
-// ByID returns the experiment with the given id (e.g. "E4").
-func ByID(id string, quick bool) (Table, error) {
+// ByID runs the experiment with the given id (e.g. "E4").
+func ByID(id string) (Table, error) {
 	for i, run := range Registry {
 		if strings.EqualFold(id, fmt.Sprintf("E%d", i+1)) {
-			return run(quick), nil
+			return run(), nil
 		}
 	}
 	return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)

@@ -99,11 +99,8 @@ func e17Row(name string, n int, faulty []int, inputs []*big.Int, cfg ca.FaultCon
 
 // E17FaultSweep measures robustness of the deployment stack under the fault
 // catalog.
-func E17FaultSweep(quick bool) Table {
+func E17FaultSweep() Table {
 	ns := []int{7, 16, 31}
-	if quick {
-		ns = []int{7, 16}
-	}
 	tab := Table{
 		ID:     "E17",
 		Title:  "Fault injection sweep over the deployment transport",

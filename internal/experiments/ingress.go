@@ -25,11 +25,8 @@ const e19MaxRounds = 4000
 
 // E19IngressSweep measures robustness of the deployment stack under active
 // resource-exhaustion adversaries.
-func E19IngressSweep(quick bool) Table {
+func E19IngressSweep() Table {
 	ns := []int{7, 16, 31}
-	if quick {
-		ns = []int{7, 16}
-	}
 	// The attacks are adversary.ActiveCatalog's; the combined case runs the
 	// flood with link drops on the attacker's links as well.
 	scenarios := adversary.ActiveCatalog()

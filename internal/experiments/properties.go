@@ -18,12 +18,9 @@ import (
 // never outputs ⊥ when n−2t honest parties share an input (Bounded
 // Pre-Agreement). Columns count runs and observed violations (the claim is
 // all-zero violation columns).
-func E4BAPlusProperties(quick bool) Table {
+func E4BAPlusProperties() Table {
 	n, t := 10, 3
 	trials := 6
-	if quick {
-		trials = 3
-	}
 	tbl := Table{
 		ID:     "E4",
 		Title:  fmt.Sprintf("Π_BA+ property campaign at n=%d, t=%d (%d trials/strategy)", n, t, trials),
@@ -98,12 +95,9 @@ func E4BAPlusProperties(quick bool) Table {
 // E7ValidityCampaign sweeps protocol × adversary × input distribution and
 // counts Convex Validity / Agreement violations (Definition 1) — the
 // all-zero table is Theorems 2/4/5 + Corollary 1 in aggregate.
-func E7ValidityCampaign(quick bool) Table {
+func E7ValidityCampaign() Table {
 	n := 7
 	protos := []ca.Protocol{ca.ProtoOptimal, ca.ProtoOptimalNat, ca.ProtoHighCost, ca.ProtoBroadcast}
-	if quick {
-		protos = []ca.Protocol{ca.ProtoOptimal, ca.ProtoHighCost}
-	}
 	kinds := ca.AdversaryKinds()
 	tbl := Table{
 		ID:     "E7",
@@ -152,7 +146,7 @@ func E7ValidityCampaign(quick bool) Table {
 // bits stay essentially flat across strategies, as does the baseline's ℓn²
 // cost — but note the baseline pays its quadratic price even with no
 // adversary at all.
-func E10AdversaryAblation(quick bool) Table {
+func E10AdversaryAblation() Table {
 	n := 7
 	ell := 1 << 13
 	tbl := Table{
@@ -162,9 +156,6 @@ func E10AdversaryAblation(quick bool) Table {
 		Header: []string{"strategy", "optimal_bits", "optimal_rounds", "broadcast_bits", "corrupt_bits_opt"},
 	}
 	kinds := append([]ca.AdversaryKind{"none"}, ca.AdversaryKinds()...)
-	if quick {
-		kinds = []ca.AdversaryKind{"none", ca.AdvSilent, ca.AdvEquivocate, ca.AdvGhost}
-	}
 	rng := rand.New(rand.NewSource(10))
 	inputs := randInputs(rng, n, ell)
 	for _, kind := range kinds {

@@ -112,14 +112,11 @@ func TCPRejoin(instances int) Cluster {
 }
 
 // E18CrashRecovery measures checkpointed crash recovery under supervision.
-func E18CrashRecovery(quick bool) Table {
+func E18CrashRecovery() Table {
 	type localRow struct {
 		n, instances, kills int
 	}
 	rows := []localRow{{4, 6, 3}, {7, 4, 2}}
-	if quick {
-		rows = rows[:1]
-	}
 	tab := Table{
 		ID:     "E18",
 		Title:  "Crash recovery: checkpointed sessions under a kill schedule",

@@ -12,12 +12,9 @@ import (
 // O(n log n) rounds (O(log n) iterations, each dominated by the O(n)-round
 // phase-king BA), HIGHCOSTCA in O(n) and broadcast-CA in O(n²) (n
 // sequential broadcasts of O(n) rounds each).
-func E3Rounds(quick bool) Table {
+func E3Rounds() Table {
 	ell := 1 << 10
 	ns := []int{4, 7, 10, 13, 16}
-	if quick {
-		ns = []int{4, 7, 10}
-	}
 	tbl := Table{
 		ID:     "E3",
 		Title:  fmt.Sprintf("Round complexity vs n at ℓ=%d bits", ell),
@@ -49,11 +46,8 @@ func E3Rounds(quick bool) Table {
 // E8HighCostCA reproduces Theorem 3 in isolation: BITS(HIGHCOSTCA) = O(ℓn³)
 // and ROUNDS = O(n). The bits column should grow ≈ (n'/n)³ between rows and
 // the per-ℓ column should stay flat when ℓ doubles.
-func E8HighCostCA(quick bool) Table {
+func E8HighCostCA() Table {
 	ns := []int{4, 7, 10, 13}
-	if quick {
-		ns = []int{4, 7, 10}
-	}
 	ells := []int{1 << 11, 1 << 12}
 	tbl := Table{
 		ID:     "E8",
@@ -83,13 +77,10 @@ func E8HighCostCA(quick bool) Table {
 // with the §4 block-granular search (O(log n²) iterations) on identical
 // very long inputs: the blocks variant needs fewer rounds at comparable
 // bits — the reason Π_ℕ switches representation for ℓ > n².
-func E9BitsVsBlocks(quick bool) Table {
+func E9BitsVsBlocks() Table {
 	n := 7
 	n2 := n * n
 	ks := []int{256, 1024, 4096}
-	if quick {
-		ks = []int{256, 1024}
-	}
 	tbl := Table{
 		ID:     "E9",
 		Title:  fmt.Sprintf("FIXEDLENGTHCA vs FIXEDLENGTHCABLOCKS at n=%d (ℓ multiples of n²=%d)", n, n2),

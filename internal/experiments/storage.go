@@ -57,14 +57,11 @@ func StorageFaults(n, instances, kills int, seed int64) Cluster {
 }
 
 // E20StorageFaults measures the storage-fault hardening end to end.
-func E20StorageFaults(quick bool) Table {
+func E20StorageFaults() Table {
 	type row struct {
 		n, instances, kills int
 	}
 	rows := []row{{7, 3, 2}, {16, 2, 2}, {31, 2, 1}}
-	if quick {
-		rows = rows[:1]
-	}
 	tab := Table{
 		ID:    "E20",
 		Title: "Storage faults: dying disks, rotting mirrors, killed parties",

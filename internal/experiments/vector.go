@@ -13,13 +13,10 @@ import (
 // Vaidya–Garg [50] defined CA for multidimensional inputs; the product
 // construction gives the weaker box validity but showcases the parallel
 // composition payoff — bits grow ≈ d× while rounds stay flat.
-func E14VectorScaling(quick bool) Table {
+func E14VectorScaling() Table {
 	n := 7
 	ell := 1 << 10
 	dims := []int{1, 2, 4, 8}
-	if quick {
-		dims = []int{1, 2, 4}
-	}
 	tbl := Table{
 		ID:     "E14",
 		Title:  fmt.Sprintf("Vector (box-validity) CA vs dimension at n=%d, ℓ=%d per coordinate", n, ell),

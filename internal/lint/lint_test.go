@@ -270,7 +270,7 @@ func TestConfigScope(t *testing.T) {
 		{"wallclock", "cmd/catcp", false},
 		{"wallclock", "examples/drones", false},
 		{"detrand", "internal/adversary", true},
-		{"detrand", "cmd/cabench", false},
+		{"detrand", "cmd/caplot", false},
 		{"maporder", "internal/sessmux", true},
 		{"maporder", "internal/lint", false},
 		{"errdrop", "", true},

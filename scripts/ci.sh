@@ -220,6 +220,18 @@ one_path() {
 		echo "one-path: supervisor.Run gained a caller outside internal/supervisor, cmd/catcp and the harness; describe the run as an experiments.Cluster" >&2
 		exit 1
 	fi
+	# One reproduction path. The E-tables are goldens that
+	# internal/experiments' TestETables renders at one parameter range; the
+	# table printer cmd/cabench and the quick range were deleted, and either
+	# coming back would print the tables a second way or at a second range.
+	if [ -d cmd/cabench ]; then
+		echo "one-path: cmd/cabench reappeared; the E-tables are TestETables' goldens" >&2
+		exit 1
+	fi
+	if grep -rnE '(^|[^[:alnum:]_])quick[[:space:]]+bool' --include='*.go' internal/experiments | grep -v '_test\.go:'; then
+		echo "one-path: a quick parameter reappeared in internal/experiments; every table has one range" >&2
+		exit 1
+	fi
 
 	# One analyzer. internal/lint has one statement interpreter (flow.go),
 	# one sync Lock/Unlock recogniser (lockOp in locks.go) and one
