@@ -67,7 +67,8 @@ type Buffers struct {
 	work   ba.Work
 
 	// The dispersal: round A's tuples, round B's, the shares collected and
-	// handed to the codec, and a received tuple's witness.
+	// handed to the codec, and the witness of a tuple being sent or
+	// received.
 	shareout, relay []byte
 	collected       [][]byte
 	decoded         []rs.Share
@@ -323,10 +324,13 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 		// in one array.
 		buf := slices.Grow(b.shareout[:0], n*(3*binary.MaxVarintLen64+2*c.stripes+bits.Len(uint(n))*hashing.Size))
 		for j := range out {
-			w, err := c.tree.Witness(j)
+			// The path goes into the witness scratch; the tuple copies it
+			// before the next index needs the scratch.
+			w, err := c.tree.AppendPath(b.witness[:0], j)
 			if err != nil {
 				return -1, nil, fmt.Errorf("baplus: %w", err)
 			}
+			b.witness = w
 			head, body, tail := b.share(c, j)
 			mark := len(buf)
 			buf = appendTuple(buf, j, w, head, body, tail)

@@ -143,26 +143,29 @@ func (t *Tree) node(lo, hi int) hashing.Digest {
 // leaf to the root, leaf-adjacent first. This is the w_i of the paper, of
 // size O(κ·log n).
 func (t *Tree) Witness(i int) ([]hashing.Digest, error) {
+	return t.AppendPath(nil, i)
+}
+
+// AppendPath appends leaf i's audit path, as Witness returns it, to dst: a
+// caller that sends witness after witness reuses one slice.
+func (t *Tree) AppendPath(dst []hashing.Digest, i int) ([]hashing.Digest, error) {
 	if i < 0 || i >= t.n {
-		return nil, fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, t.n)
+		return dst, fmt.Errorf("merkle: leaf index %d out of range [0,%d)", i, t.n)
 	}
-	var path []hashing.Digest
-	lo, hi := 0, t.n
-	for hi-lo > 1 {
-		mid := lo + split(hi-lo)
-		if i < mid {
-			path = append(path, t.node(mid, hi))
-			hi = mid
-		} else {
-			path = append(path, t.node(lo, mid))
-			lo = mid
-		}
+	return t.siblings(dst, i, 0, t.n), nil
+}
+
+// siblings appends the siblings on the way from leaf i up to the subtree
+// over [lo,hi): the deeper levels first, then the sibling at this level.
+func (t *Tree) siblings(dst []hashing.Digest, i, lo, hi int) []hashing.Digest {
+	if hi-lo == 1 {
+		return dst
 	}
-	// The path was collected root-first; reverse to leaf-adjacent first.
-	for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-		path[a], path[b] = path[b], path[a]
+	mid := lo + split(hi-lo)
+	if i < mid {
+		return append(t.siblings(dst, i, lo, mid), t.node(mid, hi))
 	}
-	return path, nil
+	return append(t.siblings(dst, i, mid, hi), t.node(lo, mid))
 }
 
 // Verify is the paper's MT.VERIFY(z, i, s_i, w_i): it reports whether

@@ -88,6 +88,45 @@ func TestWitnessVerifyAllSizes(t *testing.T) {
 	}
 }
 
+// TestAppendPathAppends: AppendPath leaves what dst holds in place, appends
+// Witness's path after it, and with room in dst allocates nothing; an index
+// out of range is an error that hands dst back unchanged.
+func TestAppendPathAppends(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 16, 33} {
+		tree, err := Build(leavesOf(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mark hashing.Digest
+		mark[0] = 0xff
+		dst := make([]hashing.Digest, 1, 64)
+		for i := range n {
+			dst[0] = mark
+			got, err := tree.AppendPath(dst, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := tree.Witness(i)
+			if len(got) != 1+len(want) || got[0] != mark || &got[0] != &dst[0] {
+				t.Fatalf("n=%d i=%d: AppendPath did not append in place: len %d, want 1+%d", n, i, len(got), len(want))
+			}
+			for k := range want {
+				if got[1+k] != want[k] {
+					t.Fatalf("n=%d i=%d: sibling %d differs from Witness's", n, i, k)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tree.AppendPath(dst[:0], n-1) }); allocs != 0 {
+			t.Errorf("n=%d: AppendPath into a slice with room allocates %.0f times", n, allocs)
+		}
+		for _, i := range []int{-1, n} {
+			if got, err := tree.AppendPath(dst[:1], i); err == nil || len(got) != 1 {
+				t.Errorf("n=%d: AppendPath(%d) = %d digests, %v; want dst back and an error", n, i, len(got), err)
+			}
+		}
+	}
+}
+
 func TestVerifyRejectsTampering(t *testing.T) {
 	n := 13
 	leaves := leavesOf(n)

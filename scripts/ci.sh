@@ -327,9 +327,10 @@ cross_compile() {
 # a 64-bit Π_ℤ agreement over channet on a core.Buffers each party keeps
 # (no container of any phase-king, Turpin–Coan round or Π_BA+ stage), a
 # long one on the same (BenchmarkPiZLongChannet, 2¹⁸-bit inputs at n = 7:
-# no dispersal tuple, received witness or HIGHCOSTCA natural is allocated,
-# so of what grows with ℓ only GETOUTPUT's output is; a tuple buffer or a
-# math/big decode that comes back adds a whole number of allocs), the
+# no dispersal tuple, sent or received witness or HIGHCOSTCA natural is
+# allocated, so of what grows with ℓ only GETOUTPUT's output is; a tuple
+# buffer, a per-index audit path or a math/big decode that comes back adds
+# a whole number of allocs), the
 # same agreement through a SessionMux per party (BenchmarkMuxedPiZ, on the
 # set the mux lends each run: a run that went back to growing a fresh set
 # adds about 860 allocs/op; most of what is left is the flattening
