@@ -92,8 +92,8 @@ func BenchmarkE3_Rounds(b *testing.B) {
 }
 
 // BenchmarkE4_BAPlusProperties stands for E4 (Theorem 6 property campaign;
-// the table's violation columns must be all-zero) and times one full
-// campaign cell.
+// the table's violation columns must be all-zero) and times the whole
+// campaign.
 func BenchmarkE4_BAPlusProperties(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl := experiments.E4BAPlusProperties()

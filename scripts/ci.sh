@@ -417,10 +417,10 @@ fuzz_smoke() {
 # The packages with real concurrency.
 race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/transport/...'
 
-# Wall seconds over two green runs on a 2-core host, one with a cold build
-# cache: gofmt and one-path 0, vet 3-16, build 1, calint 2-3, go test
-# 26-35, -race 35-38, cross-compile 15-20, allocs guard 3-6, throughput
-# guard 1-2, fuzz smoke 88-105. The budgets leave room for a slower or busier
+# Wall seconds over two green runs on a 2-core host, one with cached test
+# results and one with GOFLAGS=-count=1: gofmt 0, one-path 0-1, vet 2,
+# build 2-3, calint 3, go test 31-49, -race 30-43, cross-compile 3-4,
+# allocs guard 8-10, throughput guard 1-2, fuzz smoke 103-106. The budgets leave room for a slower or busier
 # host; calint's is the 60 s DESIGN.md §2.7 promises for the whole analyzer
 # (load, type-check, summary fixpoint, all eight checks over every package).
 stage gofmt              10 check_gofmt
