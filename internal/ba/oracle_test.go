@@ -69,11 +69,17 @@ var tcPool = [][]byte{
 
 // checkTCPicks holds TurpinCoan's two picks over transport.LaneTallies to
 // the functions they replaced, lane by lane of one inbox of k-lane frames
-// (lane l read by transporttest.LaneInbox): the value with ≥ threshold
-// support (compared where the old map iteration was deterministic:
-// threshold above half the lane's senders) and the most supported value
-// with its count.
+// (lane l read by transporttest.LaneInbox), and again on the inbox cloned:
+// the value with ≥ threshold support (compared where the old map iteration
+// was deterministic: threshold above half the lane's senders) and the most
+// supported value with its count.
 func checkTCPicks(t *testing.T, in []transport.Message, threshold, k int) {
+	t.Helper()
+	checkTCPicksOnce(t, in, threshold, k)
+	checkTCPicksOnce(t, transporttest.Cloned(in), threshold, k)
+}
+
+func checkTCPicksOnce(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
 	tallies := make([]transport.Tally, k)
 	transport.LaneTallies(in, tallies, make([][]byte, k), transport.AddOption)
@@ -128,6 +134,11 @@ func FuzzTCPicks(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(0))
 	f.Add([]byte{0, 3, 1, 3, 2, 5, 3, 5, 3, 3}, uint8(2), uint8(1))
 	f.Add([]byte{0, 0xFF, 1, 0xFE, 1, 0, 2, 200, 9, 9, 9, 4, 21, 5, 23}, uint8(1), uint8(3))
+	// Eight senders agreeing in every lane; the same run broken by one
+	// deviant and by one frame with a lane too many.
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 5, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 21, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, threshold, k uint8) {
 		lanes := 1 + int(k%6)
 		checkTCPicks(t, transporttest.Inbox(raw, transporttest.LanePool(tcPool, lanes)), int(threshold%10), lanes)

@@ -52,11 +52,12 @@ type Work struct {
 }
 
 // Tally counts one round of k-lane frames into the set's tallies —
-// transport.LaneTallies with add — and returns them. A lane's tally grows
+// transport.LaneTallies with add, which is handed each run of byte-equal
+// frames once with the run's length — and returns them. A lane's tally grows
 // to the most distinct values its lane has counted, and keeps that room.
 // (Room for n values in every lane up front, or from a lane's second value
 // on, measured more: EXPERIMENTS.md "One work set per party run".)
-func (w *Work) Tally(in []transport.Message, k int, add func(t *transport.Tally, entry []byte)) []transport.Tally {
+func (w *Work) Tally(in []transport.Message, k int, add func(t *transport.Tally, entry []byte, c int)) []transport.Tally {
 	if len(w.tallies) < k {
 		w.tallies = slices.Grow(w.tallies, k-len(w.tallies))[:k]
 	}

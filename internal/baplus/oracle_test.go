@@ -107,9 +107,16 @@ func sameValues(a, b [][]byte) bool {
 
 // checkPlusPicks holds lines 2 and 3 of Plus to the functions they
 // replaced, lane by lane of one inbox of k-lane frames (lane l read by
-// transporttest.LaneInbox): once as a round of distributed values, whose
-// entries are option frames, and once as a round of votes.
+// transporttest.LaneInbox), and again on the inbox cloned: once as a round
+// of distributed values, whose entries are option frames, and once as a
+// round of votes.
 func checkPlusPicks(t *testing.T, in []transport.Message, threshold, k int) {
+	t.Helper()
+	checkPlusPicksOnce(t, in, threshold, k)
+	checkPlusPicksOnce(t, transporttest.Cloned(in), threshold, k)
+}
+
+func checkPlusPicksOnce(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
 	seen, votes := make([]transport.Tally, k), make([]transport.Tally, k)
 	transport.LaneTallies(in, seen, make([][]byte, k), transport.AddOption)
@@ -153,6 +160,11 @@ func FuzzPlusPicks(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(0))
 	f.Add([]byte{0, 3, 1, 3, 2, 4, 3, 4, 4, 5, 4, 3}, uint8(2), uint8(1))
 	f.Add([]byte{0, 7, 1, 8, 2, 9, 3, 10, 4, 0xFF, 5, 0xFE, 6, 200, 1, 2, 3, 7, 25, 0, 26}, uint8(1), uint8(4))
+	// Eight senders agreeing in every lane; the same run broken by one
+	// deviant and by one frame with a lane too many.
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 5, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 25, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, threshold, k uint8) {
 		lanes := 1 + int(k%6)
 		checkPlusPicks(t, transporttest.Inbox(raw, transporttest.LanePool(votePool, lanes)), int(threshold%10), lanes)
@@ -191,7 +203,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 	}
 	var seen transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
-		seen.Add(m.Payload)
+		seen.Add(m.Payload, 1)
 	}
 	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)), nil)
 	if err != nil {
@@ -199,7 +211,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 	}
 	var votes transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
-		addVote(&votes, m.Payload)
+		addVote(&votes, m.Payload, 1)
 	}
 	a, b := wire.None(), wire.None()
 	if voted := atLeast(nil, votes, n-t); len(voted) > 0 {

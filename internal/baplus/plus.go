@@ -168,9 +168,10 @@ func appendVote(dst []byte, vals [][]byte) []byte {
 }
 
 // addVote is the vote round's rule for one lane: a vote names at most two
-// values and counts once for each distinct one; a vote that is truncated,
-// names more or has trailing bytes counts for nothing.
-func addVote(votes *transport.Tally, vote []byte) {
+// values and counts c times for each distinct one (c parties sent it); a
+// vote that is truncated, names more or has trailing bytes counts for
+// nothing.
+func addVote(votes *transport.Tally, vote []byte, c int) {
 	r := wire.NewReader(vote)
 	var named [2][]byte
 	k := int(r.Byte())
@@ -187,7 +188,7 @@ func addVote(votes *transport.Tally, vote []byte) {
 		k = 1
 	}
 	for _, v := range named[:k] {
-		votes.Add(v)
+		votes.Add(v, c)
 	}
 }
 

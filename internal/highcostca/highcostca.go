@@ -258,7 +258,7 @@ func natCmp(a, b []byte) int {
 func (w *Work) count(in []transport.Message) transport.Tally {
 	w.tally = w.tally[:0]
 	for _, m := range transport.FirstPerSender(in) {
-		w.tally.Add(trim(m.Payload))
+		w.tally.Add(trim(m.Payload), 1)
 	}
 	return w.tally
 }

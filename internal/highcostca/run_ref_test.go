@@ -155,7 +155,7 @@ func decodeNats(in []transport.Message) []*big.Int {
 func natTally(in []transport.Message) transport.Tally {
 	var tally transport.Tally
 	for _, m := range transport.FirstPerSender(in) {
-		tally.Add(bytes.TrimLeft(m.Payload, "\x00"))
+		tally.Add(bytes.TrimLeft(m.Payload, "\x00"), 1)
 	}
 	return tally
 }

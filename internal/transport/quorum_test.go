@@ -6,15 +6,30 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"convexagreement/internal/wire"
 )
 
-// tallyOf counts every first-per-sender payload as it is.
+// tallyOf counts every first-per-sender payload as it is, a run of
+// byte-equal payloads at once, as LaneTallies does.
 func tallyOf(in []Message) Tally {
 	var t Tally
-	for _, m := range FirstPerSender(in) {
-		t.Add(m.Payload)
+	first := FirstPerSender(in)
+	for i, j := 0, 0; i < len(first); i = j {
+		j = runEnd(first, i)
+		t.Add(first[i].Payload, j-i)
 	}
 	return t
+}
+
+// cloned is in with every payload in a slice of its own, as TCP delivers a
+// round: equal bytes, distinct slices.
+func cloned(in []Message) []Message {
+	out := make([]Message, len(in))
+	for i, m := range in {
+		out[i] = Message{From: m.From, Payload: bytes.Clone(m.Payload)}
+	}
+	return out
 }
 
 // oracleTally is the counting every protocol package used to do for
@@ -36,7 +51,14 @@ func oracleTally(in []Message) Tally {
 	return t
 }
 
+// checkTally holds tallyOf to the oracle on in and on in cloned.
 func checkTally(t *testing.T, in []Message) {
+	t.Helper()
+	checkTallyOnce(t, in)
+	checkTallyOnce(t, cloned(in))
+}
+
+func checkTallyOnce(t *testing.T, in []Message) {
 	t.Helper()
 	got, want := tallyOf(in), oracleTally(in)
 	if len(got) != len(want) {
@@ -75,7 +97,55 @@ func TestTallyMatchesMapOracle(t *testing.T) {
 func FuzzTally(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 7, 1, 1, 7, 2, 0, 3, 2, 7, 7, 3, 1, 9})
+	// Eight senders agreeing; the same run broken by one deviant and by one
+	// short payload in the middle.
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 3, 'a', 'b', 'c', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 3, 'a', 'b', 'd', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 2, 'a', 'b', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
 	f.Fuzz(func(t *testing.T, raw []byte) { checkTally(t, inboxFrom(raw)) })
+}
+
+// TestTallyValueBorrowsRunsFirst: LaneTallies reads a run of byte-equal
+// frames once, from the run's first sender, so each tally entry's Value
+// lies in the payload of the first sender of the first run that named it —
+// the inbox's bytes, under the inbox's lifetime rule — however many equal
+// copies in distinct slices follow.
+func TestTallyValueBorrowsRunsFirst(t *testing.T) {
+	a := wire.Lanes([][]byte{wire.Some([]byte("aa")), wire.Some([]byte("xx"))})
+	b := wire.Lanes([][]byte{wire.Some([]byte("bb")), wire.Some([]byte("xx"))})
+	in := cloned([]Message{{0, a}, {1, a}, {2, a}, {3, b}, {4, b}, {5, a}})
+	tallies := make([]Tally, 2)
+	LaneTallies(in, tallies, make([][]byte, 2), AddOption)
+	within := func(v, p []byte) bool {
+		for i := range p {
+			if &p[i] == &v[0] {
+				return true
+			}
+		}
+		return false
+	}
+	want := [][]struct {
+		value string
+		count int
+		from  PartyID
+	}{
+		{{"aa", 4, 0}, {"bb", 2, 3}},
+		{{"xx", 6, 0}},
+	}
+	for l, tally := range tallies {
+		if len(tally) != len(want[l]) {
+			t.Fatalf("lane %d: %d entries, want %d", l, len(tally), len(want[l]))
+		}
+		for i, s := range tally {
+			w := want[l][i]
+			if string(s.Value) != w.value || s.Count != w.count {
+				t.Errorf("lane %d entry %d: (%q, %d), want (%q, %d)", l, i, s.Value, s.Count, w.value, w.count)
+			}
+			if !within(s.Value, in[w.from].Payload) {
+				t.Errorf("lane %d entry %q: not a view of sender %d's payload", l, s.Value, w.from)
+			}
+		}
+	}
 }
 
 // TestTallyAllocations: a round in which all n = 16 parties sent the same
@@ -191,11 +261,18 @@ func oracleLanes(payload []byte, k int) ([]byte, bool) {
 	return lanes, true
 }
 
-// checkLanes holds the lane vocabulary to the rejection rules on one inbox:
-// a payload of the wrong length or with non-zero padding is ignored whole, a
-// lane reading ⊥ or 3 is ignored alone, and at k = 1 the frame, the decoder
-// and the count are the one-byte 0/1 message's.
+// checkLanes holds the lane vocabulary to the rejection rules on one inbox,
+// and on the same inbox cloned: a payload of the wrong length or with
+// non-zero padding is ignored whole, a lane reading ⊥ or 3 is ignored alone,
+// and at k = 1 the frame, the decoder and the count are the one-byte 0/1
+// message's.
 func checkLanes(t *testing.T, in []Message, k int) {
+	t.Helper()
+	checkLanesOnce(t, in, k)
+	checkLanesOnce(t, cloned(in), k)
+}
+
+func checkLanesOnce(t *testing.T, in []Message, k int) {
 	t.Helper()
 	want := make(LaneVotes, k)
 	for _, m := range FirstPerSender(in) {
@@ -268,6 +345,11 @@ func FuzzLanes(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 1, 1, 1, 1, 0, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 2, 0, 0}, uint8(0))
 	f.Add([]byte{0, 2, 0x11, 0x01, 1, 2, 0x99, 0x02, 2, 2, 0x45, 0x10, 3, 3, 1, 1, 1, 4, 1, 0x12}, uint8(5))
+	// Eight senders agreeing on a 6-lane frame; the same run broken by one
+	// deviant and by one frame with a padding bit set.
+	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x24, 0x01, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
+	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x21, 0x04, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
+	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x24, 0x41, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, k uint8) { checkLanes(t, inboxFrom(raw), 1+int(k%12)) })
 }
 

@@ -290,53 +290,80 @@ type Support struct {
 // Tally is the paper's "received from ≥ k parties": the distinct values of
 // one round with the number of parties behind each, ascending by
 // bytes.Compare. A protocol Adds the decoded value of each FirstPerSender
-// message (a message naming two values adds both) and picks by Count; the
-// order makes "the smallest such value" the first match. Values are
+// message (a message naming two values adds both), or of each run of
+// byte-equal messages at once with the run's length, and picks by Count;
+// the order makes "the smallest such value" the first match. Values are
 // borrowed, normally from the inbox: one that outlives the next Exchange is
 // cloned by whoever keeps it. A round in which the parties agree costs the
 // one-element slice.
 type Tally []Support
 
-// Add counts one more party for v.
-func (t *Tally) Add(v []byte) {
-	i, found := slices.BinarySearchFunc(*t, v, func(s Support, v []byte) int { return bytes.Compare(s.Value, v) })
-	if found {
-		(*t)[i].Count++
-		return
+// Add counts c more parties for v. The last entry is tried first: the
+// parties of a round mostly send one value, and it is the largest so far.
+func (t *Tally) Add(v []byte, c int) {
+	k := len(*t)
+	if k > 0 {
+		switch last := &(*t)[k-1]; bytes.Compare(last.Value, v) {
+		case 0:
+			last.Count += c
+			return
+		case 1:
+			var found bool
+			k, found = slices.BinarySearchFunc((*t)[:k-1], v, func(s Support, v []byte) int { return bytes.Compare(s.Value, v) })
+			if found {
+				(*t)[k].Count += c
+				return
+			}
+		}
 	}
 	// append and shift rather than slices.Insert, whose growth costs one
 	// allocation more under -race: append grows the same in both builds.
 	*t = append(*t, Support{})
-	copy((*t)[i+1:], (*t)[i:])
-	(*t)[i] = Support{Value: v, Count: 1}
+	copy((*t)[k+1:], (*t)[k:])
+	(*t)[k] = Support{Value: v, Count: c}
+}
+
+// runEnd is the end of the run of payloads byte-equal to in[i]'s that
+// starts at i. Equal frames from distinct senders arrive in distinct slices
+// over TCP, so a run is found by content, never by slice identity.
+func runEnd(in []Message, i int) int {
+	j := i + 1
+	for j < len(in) && bytes.Equal(in[j].Payload, in[i].Payload) {
+		j++
+	}
+	return j
 }
 
 // LaneTallies is Tally asked of the k = len(tallies) lanes of a round of
-// lane frames (wire.Lanes) at once: it empties every tally and hands lane l
-// of each sender's first message to add(&tallies[l], entry). A message that
-// is not a k-lane frame counts for nothing in any lane; otherwise lane l's
-// tally reads lane l's entries only. entries is the caller's scratch, k
-// long: it holds the last message's entries when LaneTallies returns. The
+// lane frames (wire.Lanes) at once: it empties every tally and, for each
+// run of byte-equal first messages (FirstPerSender), hands lane l of the
+// run's first message and the run's length to add(&tallies[l], entry, c).
+// A message that is not a k-lane frame counts for nothing in any lane;
+// otherwise lane l's tally reads lane l's entries only, so its values
+// borrow the first message of their run. entries is the caller's scratch,
+// k long: it holds the last run's entries when LaneTallies returns. The
 // containers belong to the caller's work set (ba.Work), which refills them
 // round after round.
-func LaneTallies(in []Message, tallies []Tally, entries [][]byte, add func(t *Tally, entry []byte)) {
+func LaneTallies(in []Message, tallies []Tally, entries [][]byte, add func(t *Tally, entry []byte, c int)) {
 	for l := range tallies {
 		tallies[l] = tallies[l][:0]
 	}
-	for _, m := range FirstPerSender(in) {
-		if wire.SplitLanes(m.Payload, entries) {
+	first := FirstPerSender(in)
+	for i, j := 0, 0; i < len(first); i = j {
+		j = runEnd(first, i)
+		if wire.SplitLanes(first[i].Payload, entries) {
 			for l, e := range entries {
-				add(&tallies[l], e)
+				add(&tallies[l], e, j-i)
 			}
 		}
 	}
 }
 
 // AddOption is LaneTallies' rule for lanes of option frames: a present
-// value counts, ⊥ and anything else nothing.
-func AddOption(t *Tally, entry []byte) {
+// value counts c times, ⊥ and anything else nothing.
+func AddOption(t *Tally, entry []byte, c int) {
 	if v, ok := wire.Option(entry); ok {
-		t.Add(v)
+		t.Add(v, c)
 	}
 }
 
@@ -389,16 +416,20 @@ type LaneVotes [][2]int
 
 // Count reads one round: over the first message of each sender, ignoring
 // whatever is not a len(v)-lane frame, every lane that reads 0 or 1 counts
-// for that bit and every other lane (⊥, garbage) for nothing.
+// for that bit and every other lane (⊥, garbage) for nothing. A run of
+// byte-equal messages is read once and counts its length.
 func (v LaneVotes) Count(in []Message) {
 	clear(v)
-	for _, m := range FirstPerSender(in) {
-		if !isLanes(m.Payload, len(v)) {
+	first := FirstPerSender(in)
+	for i, j := 0, 0; i < len(first); i = j {
+		j = runEnd(first, i)
+		p := first[i].Payload
+		if !isLanes(p, len(v)) {
 			continue
 		}
 		for l := range v {
-			if b := lane(m.Payload, l); b <= 1 {
-				v[l][b]++
+			if b := lane(p, l); b <= 1 {
+				v[l][b] += j - i
 			}
 		}
 	}

@@ -30,6 +30,17 @@ func Inbox(raw []byte, pool [][]byte) []transport.Message {
 	return in
 }
 
+// Cloned is in with every payload in a slice of its own, as a TCP mesh
+// delivers a round: Inbox hands out the pool's shared slices, so a reader
+// that told equal payloads apart by slice identity would pass on it alone.
+func Cloned(in []transport.Message) []transport.Message {
+	out := make([]transport.Message, len(in))
+	for i, m := range in {
+		out[i] = transport.Message{From: m.From, Payload: bytes.Clone(m.Payload)}
+	}
+	return out
+}
+
 // LanePool turns a pool of one-lane entries into a pool of k-lane frames
 // (wire.Lanes) for Inbox: every entry in every lane position with its
 // neighbours drawn round-robin from the pool, lanes that repeat the lane

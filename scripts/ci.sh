@@ -353,7 +353,10 @@ cross_compile() {
 # 0 allocs/op: the scheduler refills its inbox array and rushing snapshot
 # and every strategy keeps its scratch, so a per-round map, packet slice
 # or payload coming back shows as a whole number. 2000 rounds amortise the
-# run's set-up and the snapshot's 64 KiB payload chunks below one.
+# run's set-up and the snapshot's 64 KiB payload chunks below one. The
+# transport rows count an n = 16 round of lane frames (agreeing, and with
+# five deviant senders) into LaneVotes and into tallies a work set keeps,
+# at 0 allocs/op: counting a round reads the inbox in place.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
@@ -368,7 +371,8 @@ allocs_guard() {
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
 		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
 		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
-	} | guard_allocs 'FrameRoundTrip|Admission|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16'
+		go test -run '^$' -bench 'Benchmark(LaneVotesCount|LaneTallies)_n16' -benchtime 1000x -benchmem ./internal/transport/
+	} | guard_allocs 'FrameRoundTrip|Admission|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16|(LaneVotesCount|LaneTallies)_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an
