@@ -191,10 +191,3 @@ func addVote(votes *transport.Tally, vote []byte, c int) {
 		votes.Add(v, c)
 	}
 }
-
-// PlusRounds returns ROUNDS(Π_BA+) for corruption budget t, at any number of
-// lanes: the two rounds of lines 1–2, Turpin–Coan's two and one confirming
-// phase-king, 4 + 18 at t = 5.
-func PlusRounds(t int) int {
-	return 4 + ba.BinaryRounds(t)
-}

@@ -161,16 +161,6 @@ func putWord(dst []byte, i int, w big.Word) int {
 	return 0
 }
 
-// MustFromBig is FromBig for statically-known-safe arguments; it panics on
-// error and exists only for tests and examples.
-func MustFromBig(v *big.Int, width int) String {
-	s, err := FromBig(v, width)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // FromBits builds a String from a slice of 0/1 values, MSB first.
 func FromBits(bits []byte) (String, error) {
 	s := String{data: make([]byte, (len(bits)+7)/8), n: len(bits)}
@@ -201,15 +191,6 @@ func Parse(text string) (String, error) {
 		}
 	}
 	return FromBits(bits)
-}
-
-// MustParse is Parse that panics on error; for tests and examples only.
-func MustParse(text string) String {
-	s, err := Parse(text)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // SetBit sets bit i of s to b (0 or 1), in place.

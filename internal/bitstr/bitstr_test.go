@@ -68,7 +68,7 @@ func TestValBitsIdentityProperty(t *testing.T) {
 }
 
 func TestParseAndBits(t *testing.T) {
-	s := MustParse("1011001")
+	s := mustParse("1011001")
 	wantBits := []byte{1, 0, 1, 1, 0, 0, 1}
 	for i, w := range wantBits {
 		if got := s.Bit(i); got != w {
@@ -87,7 +87,7 @@ func TestParseAndBits(t *testing.T) {
 }
 
 func TestSliceConcat(t *testing.T) {
-	s := MustParse("110100101011")
+	s := mustParse("110100101011")
 	mid, err := s.Slice(3, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestConcatUnaligned(t *testing.T) {
 }
 
 func TestMinMaxFill(t *testing.T) {
-	s := MustParse("101")
+	s := mustParse("101")
 	minV, err := s.MinFill(6)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +158,8 @@ func TestRemark1(t *testing.T) {
 		if a.Cmp(b) > 0 {
 			a, b = b, a
 		}
-		sa := MustFromBig(a, width)
-		sb := MustFromBig(b, width)
+		sa := mustFromBig(a, width)
+		sb := mustFromBig(b, width)
 		k := 0
 		for k < width && sa.Bit(k) == sb.Bit(k) {
 			k++
@@ -186,26 +186,26 @@ func TestRemark1(t *testing.T) {
 }
 
 func TestHasPrefixCompare(t *testing.T) {
-	s := MustParse("110010")
-	if !s.HasPrefix(MustParse("1100")) {
+	s := mustParse("110010")
+	if !s.HasPrefix(mustParse("1100")) {
 		t.Error("1100 should be a prefix of 110010")
 	}
-	if s.HasPrefix(MustParse("1101")) {
+	if s.HasPrefix(mustParse("1101")) {
 		t.Error("1101 is not a prefix of 110010")
 	}
-	if s.HasPrefix(MustParse("1100101")) {
+	if s.HasPrefix(mustParse("1100101")) {
 		t.Error("longer string cannot be a prefix")
 	}
 	if !s.HasPrefix(String{}) {
 		t.Error("empty string is a prefix of everything")
 	}
-	if c := MustParse("0110").Compare(MustParse("1001")); c != -1 {
+	if c := mustParse("0110").Compare(mustParse("1001")); c != -1 {
 		t.Errorf("compare = %d, want -1", c)
 	}
-	if c := MustParse("1001").Compare(MustParse("1001")); c != 0 {
+	if c := mustParse("1001").Compare(mustParse("1001")); c != 0 {
 		t.Errorf("compare = %d, want 0", c)
 	}
-	if c := MustParse("1010").Compare(MustParse("1001")); c != 1 {
+	if c := mustParse("1010").Compare(mustParse("1001")); c != 1 {
 		t.Errorf("compare = %d, want 1", c)
 	}
 }
@@ -243,7 +243,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 	// A valid zero-padding case must still pass.
-	s := MustParse("101")
+	s := mustParse("101")
 	if _, err := Unmarshal(s.Marshal()); err != nil {
 		t.Errorf("valid encoding rejected: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 // i of a string split into blocks of size bits is Slice(i·size, (i+1)·size),
 // and blocks [lo, hi) together are one Slice.
 func TestBlocks(t *testing.T) {
-	s := MustParse("110100101011")
+	s := mustParse("110100101011")
 	const size = 3
 	want := []string{"110", "100", "101", "011"}
 	for i, w := range want {
@@ -290,7 +290,7 @@ func TestNatBitLen(t *testing.T) {
 }
 
 func TestAppendBit(t *testing.T) {
-	s := MustParse("10")
+	s := mustParse("10")
 	s1, err := s.AppendBit(1)
 	if err != nil {
 		t.Fatal(err)

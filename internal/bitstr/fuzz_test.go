@@ -12,7 +12,7 @@ import (
 // whose re-encoding is byte-identical (canonical form).
 func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MustParse("10110").Marshal())
+	f.Add(mustParse("10110").Marshal())
 	f.Add([]byte{0, 0, 0, 9, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := Unmarshal(raw)

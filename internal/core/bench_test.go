@@ -8,6 +8,7 @@ import (
 	"convexagreement/internal/bitstr"
 	"convexagreement/internal/channet"
 	"convexagreement/internal/core"
+	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -26,7 +27,7 @@ func BenchmarkFindPrefixBlocks_l2p21_n7(b *testing.B) {
 	inputs := make([]bitstr.String, n)
 	for i := range inputs {
 		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), width-width/2))
-		inputs[i] = bitstr.MustFromBig(v.Or(v, top), width)
+		inputs[i] = testutil.MustFromBig(v.Or(v, top), width)
 	}
 	fns := make([]func(transport.Net) error, n)
 	for i := range fns {

@@ -160,7 +160,7 @@ func clusteredInputs(rng *rand.Rand, n, width int) []bitstr.String {
 		}
 		v := new(big.Int).Lsh(big.NewInt(head), uint(low))
 		v.Or(v, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(low))))
-		inputs[i] = bitstr.MustFromBig(v, width)
+		inputs[i] = testutil.MustFromBig(v, width)
 	}
 	return inputs
 }

@@ -25,7 +25,7 @@ func checkPrefixPostconditions(t *testing.T, name string, tc, blockBits, numBloc
 	width := blockBits * numBlocks
 	res, err := testutil.Run(sim.Config{N: len(inputs), T: tc}, corrupt,
 		func(env *sim.Env) (PrefixResult, error) {
-			return findPrefixOnCopy(env, "fp", bitstr.MustFromBig(inputs[env.ID()], width), blockBits, numBlocks, k)
+			return findPrefixOnCopy(env, "fp", testutil.MustFromBig(inputs[env.ID()], width), blockBits, numBlocks, k)
 		})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -56,7 +56,7 @@ func checkPrefixPostconditions(t *testing.T, name string, tc, blockBits, numBloc
 		return numBlocks
 	}
 	for unit := 0; unit < 1<<blockBits; unit++ {
-		ext := prefix.Concat(bitstr.MustFromBig(big.NewInt(int64(unit)), blockBits))
+		ext := prefix.Concat(testutil.MustFromBig(big.NewInt(int64(unit)), blockBits))
 		avoid := 0
 		for _, r := range res.Outputs {
 			if !r.VBot.HasPrefix(ext) {

@@ -4,7 +4,6 @@ import (
 	"math/big"
 	"testing"
 
-	"convexagreement/internal/bitstr"
 	"convexagreement/internal/core"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
@@ -15,12 +14,12 @@ import (
 // 6-bit values extending it; the extended prefix, which AddLastBit writes
 // into the value, must be agreed and must be an honest value's prefix.
 func TestAddLastBitLemma2(t *testing.T) {
-	prefix := bitstr.MustParse("10")
+	prefix := testutil.MustParse("10")
 	// Values: two parties extend with 0, two with 1.
 	vals := []string{"100110", "100011", "101100", "101010"}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
-			v := bitstr.MustParse(vals[env.ID()])
+			v := testutil.MustParse(vals[env.ID()])
 			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
 			if err != nil {
 				return "", err
@@ -42,7 +41,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 	// 1 qualify; with unanimous extensions it must match exactly).
 	resUnanimous, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
-			v := bitstr.MustParse("101110")
+			v := testutil.MustParse("101110")
 			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
 			if err != nil {
 				return "", err
@@ -65,7 +64,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 func TestAddLastBitRejectsFullPrefix(t *testing.T) {
 	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (string, error) {
-			p := bitstr.MustParse("101")
+			p := testutil.MustParse("101")
 			_, err := core.AddLastBit(env, "alb", p, p.Len(), nil)
 			return p.String(), err
 		})
@@ -80,7 +79,7 @@ func TestAddLastBitRejectsFullPrefix(t *testing.T) {
 // range — the output must be MIN_5(10) = 10000.
 func TestGetOutputLemma3(t *testing.T) {
 	const width = 5
-	prefix := bitstr.MustParse("10")
+	prefix := testutil.MustParse("10")
 	// Honest vBot values: parties 0-1 hold 00111 (< MIN(10)=16), parties
 	// 2-3 hold values with the prefix (they stay silent in the announce
 	// round).
@@ -91,7 +90,7 @@ func TestGetOutputLemma3(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]), nil)
+			return core.GetOutput(env, "go", v, prefix.Len(), testutil.MustParse(vals[env.ID()]), nil)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestGetOutputLemma3(t *testing.T) {
 // so the output must be MAX_5(10) = 10111.
 func TestGetOutputHighSide(t *testing.T) {
 	const width = 5
-	prefix := bitstr.MustParse("10")
+	prefix := testutil.MustParse("10")
 	vals := []string{"11010", "11100", "10110", "10001"}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (*big.Int, error) {
@@ -117,7 +116,7 @@ func TestGetOutputHighSide(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return core.GetOutput(env, "go", v, prefix.Len(), bitstr.MustParse(vals[env.ID()]), nil)
+			return core.GetOutput(env, "go", v, prefix.Len(), testutil.MustParse(vals[env.ID()]), nil)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestGetOutputHighSide(t *testing.T) {
 // pins down every bit and FixedLengthCA's fast path triggers.
 func TestFindPrefixIdenticalInputsFullWidth(t *testing.T) {
 	const width = 12
-	v := bitstr.MustFromBig(big.NewInt(0xABC), width)
+	v := testutil.MustFromBig(big.NewInt(0xABC), width)
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (core.PrefixResult, error) {
 			return core.FindPrefix(env, "fp", v)
@@ -160,7 +159,7 @@ func TestFindPrefixBlocksGranularity(t *testing.T) {
 	inputs := []int64{0xF00001, 0xF00F02, 0xF0F003, 0xFF0004}
 	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (core.PrefixResult, error) {
-			v := bitstr.MustFromBig(big.NewInt(inputs[env.ID()]), width)
+			v := testutil.MustFromBig(big.NewInt(inputs[env.ID()]), width)
 			return core.FindPrefixBlocks(env, "fpb", v, blocks)
 		})
 	if err != nil {

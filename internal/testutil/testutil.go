@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"sync"
 
+	"convexagreement/internal/bitstr"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/transport"
 )
@@ -133,4 +134,24 @@ func HullCheck(value *big.Int, honestInputs []*big.Int) error {
 		return fmt.Errorf("testutil: output %v outside honest hull [%v, %v]", value, lo, hi)
 	}
 	return nil
+}
+
+// MustParse is bitstr.Parse for a literal the test knows is well formed; it
+// panics on error.
+func MustParse(text string) bitstr.String {
+	s, err := bitstr.Parse(text)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// MustFromBig is bitstr.FromBig for arguments the test knows fit; it panics
+// on error.
+func MustFromBig(v *big.Int, width int) bitstr.String {
+	s, err := bitstr.FromBig(v, width)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
