@@ -51,8 +51,9 @@ profile:
 # quorum vocabulary (transport.Tally and the picks in ba, baplus, highcostca)
 # against the per-package functions it replaced; over FirstPerSender against
 # its set-based oracle; over the lane frame; over HIGHCOSTCA's trimming and
-# ordering of byte naturals against math/big; and
-# over the session demux's merge-join against its map-based oracle. Raise
+# ordering of byte naturals against math/big; over
+# the session demux's merge-join against its map-based oracle; and over
+# ba.Bits' Definition 2 at n = 4 against the tape adversary. Raise
 # FUZZTIME for a real campaign. The wire
 # patterns are anchored because go test refuses a -fuzz pattern that matches
 # more than one target.
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFirstPerSender -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzKingLanes -fuzztime $(FUZZTIME) ./internal/ba/
+	$(GO) test -run '^$$' -fuzz FuzzBitsTape -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzTCPicks -fuzztime $(FUZZTIME) ./internal/ba/
 	$(GO) test -run '^$$' -fuzz FuzzPlusPicks -fuzztime $(FUZZTIME) ./internal/baplus/
 	$(GO) test -run '^$$' -fuzz FuzzNatAtLeast -fuzztime $(FUZZTIME) ./internal/highcostca/

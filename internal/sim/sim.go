@@ -7,9 +7,19 @@
 // Every party — honest protocol code and adversarial strategy alike — runs
 // as a goroutine executing sequential code against an *Env. A round closes
 // once every still-active party has submitted its outgoing packets; the
-// scheduler then delivers all packets and wakes everyone. Corrupted parties
-// may call Env.PeekHonest to observe the honest packets of the current round
-// before choosing their own (the rushing adversary).
+// scheduler then delivers all packets and wakes the parties waiting in
+// Exchange. Corrupted parties may call Env.PeekHonest to observe the honest
+// packets of the current round before choosing their own (the rushing
+// adversary).
+//
+// The two kinds of waiter wait apart, each woken once per round: a party in
+// Exchange waits for its round to close, a peeker in PeekHonest for the
+// round's honest wave (every active honest party submitted). The wave wait
+// is woken by the honest submission or the honest retirement that
+// completes the wave, and the round wait by the close; both are woken when
+// the run fails (the round cutoff) or its last honest party returns. A
+// corrupt submission after the wave wakes no one: it changes no waiter's
+// condition.
 //
 // A round allocates nothing in steady state. The inboxes are carved from
 // one array the scheduler refills at every round close, as transport.Net's
@@ -128,8 +138,12 @@ type runner struct {
 	cfg     Config
 	corrupt []bool
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	// The two waits on mu (see the package doc), embedded so that a run
+	// allocates no cond object: Exchange waits on closed for its round to
+	// close, PeekHonest on wave for the round's honest wave.
+	mu     sync.Mutex
+	closed sync.Cond
+	wave   sync.Cond
 
 	round        int
 	active       []bool // party still running
@@ -148,8 +162,8 @@ type runner struct {
 	// round close is safe under transport.Net's lifetime rule: a round
 	// closes only once every active party has called Exchange again.
 	inboxFlat  []Message
-	inboxCount []int    // per-recipient packet counts, reused every round
-	roundTags  []string // the round's distinct honest tags, reused every round
+	inboxCount []int     // per-recipient packet counts, reused every round
+	roundTags  []tagBits // the round's distinct honest tags, reused every round
 	// spied is the current round's rushing-adversary snapshot, refilled at
 	// most once per round on first peek and shared read-only by all
 	// peekers (see the Spied doc comment). spyBytes is the chunk its
@@ -161,6 +175,12 @@ type runner struct {
 	failed     error // cutoff or internal failure; broadcast to all
 
 	report Report
+}
+
+// tagBits is one honest tag of a round and the bits sent under it.
+type tagBits struct {
+	tag  string
+	bits int64
 }
 
 // Env is a party's handle to the network. Each Env is used by exactly one
@@ -205,7 +225,7 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 		lastInbox:  make([][]Message, cfg.N),
 		inboxCount: make([]int, cfg.N),
 	}
-	r.cond = sync.NewCond(&r.mu)
+	r.closed.L, r.wave.L = &r.mu, &r.mu
 	r.report.BitsByTag = make(map[string]int64)
 	r.report.RoundsByTag = make(map[string]int)
 	r.report.BitsByParty = make([]int64, cfg.N)
@@ -321,11 +341,14 @@ func (r *runner) finishSubmit(id PartyID) ([]Message, error) {
 	r.submittedCount++
 	if !r.corrupt[id] {
 		r.honestPending++
+		if r.honestPending == r.activeHonest {
+			r.wave.Broadcast() // honest wave complete: release peekers
+		}
 	}
 	myRound := r.round
 	r.maybeFinishRound()
 	for r.round == myRound && r.failed == nil && r.activeHonest > 0 {
-		r.cond.Wait()
+		r.closed.Wait()
 	}
 	if r.failed != nil {
 		return nil, r.failed
@@ -365,7 +388,7 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 			// as a strategy bug.
 			return nil, fmt.Errorf("sim: party %d peeked after submitting round %d", e.id, r.round)
 		}
-		r.cond.Wait()
+		r.wave.Wait()
 	}
 	// Build the snapshot at most once per round; every peeker of this
 	// round shares it read-only (see the Spied doc comment). Payloads are
@@ -438,8 +461,16 @@ func (r *runner) done(id PartyID, err error) {
 			r.honestPending--
 		}
 	}
+	switch {
+	case r.activeHonest == 0:
+		// The instance is over: release every waiter with ErrSimOver.
+		r.closed.Broadcast()
+		r.wave.Broadcast()
+		return
+	case !r.corrupt[id] && r.honestPending == r.activeHonest:
+		r.wave.Broadcast() // the honest set shrank to the submitted ones
+	}
 	r.maybeFinishRound()
-	r.cond.Broadcast() // wake peekers whose honest set shrank, or end the sim
 }
 
 // maybeFinishRound closes the round if every active party has submitted.
@@ -450,9 +481,6 @@ func (r *runner) maybeFinishRound() {
 		return
 	}
 	if r.submittedCount < r.activeTotal {
-		if r.honestPending == r.activeHonest {
-			r.cond.Broadcast() // honest wave complete: release peekers
-		}
 		return
 	}
 	// Deliver: group packets by recipient, ordered by sender. Iterating
@@ -480,29 +508,13 @@ func (r *runner) maybeFinishRound() {
 		counts[to] = 0
 	}
 	var stats RoundStats
-	// Honest tag accounting is amortized over same-tag runs: a sender's
-	// round is typically one broadcast under a single tag, so this turns
-	// one map update per packet into one per sender per tag run. A run
-	// counts its tag's round whatever its bits: an empty broadcast is sent
-	// under its tag all the same.
-	var runTag string
-	var runBits int64
-	runOpen := false
-	// The distinct tags honest parties sent under this round: nearly always
-	// one, the same for every sender.
-	roundTags := r.roundTags[:0]
-	noteTag := func(tag string) {
-		if !slices.Contains(roundTags, tag) {
-			roundTags = append(roundTags, tag)
-		}
-	}
-	flushTagRun := func() {
-		if runOpen {
-			r.report.BitsByTag[runTag] += runBits
-			noteTag(runTag)
-			runBits = 0
-		}
-	}
+	// Honest tag accounting is amortized per tag: the round's distinct
+	// honest tags (nearly always one, the same for every sender) each
+	// collect their bits here and reach the report's maps once. A tag counts
+	// its round whatever its bits: an empty broadcast is sent under its tag
+	// all the same.
+	tags := r.roundTags[:0]
+	cur := -1 // index in tags of the last honest packet's tag
 	for from := 0; from < r.cfg.N; from++ {
 		if !r.submitted[from] {
 			continue
@@ -513,16 +525,18 @@ func (r *runner) maybeFinishRound() {
 		var msgs, bits int64
 		for i := range r.pending[from] {
 			p := &r.pending[from][i]
-			if honest && (!runOpen || p.Tag != runTag) {
-				flushTagRun()
-				runTag, runOpen = p.Tag, true
+			if honest && (cur < 0 || p.Tag != tags[cur].tag) {
+				if cur = slices.IndexFunc(tags, func(t tagBits) bool { return t.tag == p.Tag }); cur < 0 {
+					cur = len(tags)
+					tags = append(tags, tagBits{tag: p.Tag})
+				}
 			}
 			if p.To != from {
 				b := int64(8 * len(p.Payload))
 				msgs++
 				bits += b
 				if honest {
-					runBits += b
+					tags[cur].bits += b
 				}
 			}
 			inboxes[p.To] = append(inboxes[p.To], Message{From: from, Payload: p.Payload})
@@ -540,11 +554,11 @@ func (r *runner) maybeFinishRound() {
 		r.pending[from] = nil
 		r.submitted[from] = false
 	}
-	flushTagRun()
-	for _, tag := range roundTags {
-		r.report.RoundsByTag[tag]++
+	for _, t := range tags {
+		r.report.BitsByTag[t.tag] += t.bits
+		r.report.RoundsByTag[t.tag]++
 	}
-	r.roundTags = roundTags
+	r.roundTags = tags
 	if r.cfg.Timeline {
 		stats.Round = r.round
 		r.report.Timeline = append(r.report.Timeline, stats)
@@ -555,6 +569,7 @@ func (r *runner) maybeFinishRound() {
 	r.round++
 	if r.round > r.cfg.MaxRounds {
 		r.failed = fmt.Errorf("%w: %d rounds", ErrCutoff, r.round)
+		r.wave.Broadcast() // a failure wakes both waits
 	}
-	r.cond.Broadcast()
+	r.closed.Broadcast()
 }

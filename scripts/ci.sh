@@ -389,8 +389,9 @@ throughput_guard() {
 # checkpoint WAL and scrub, the bitstr kernels, the quorum vocabulary
 # against the per-package functions it replaced (x6), FirstPerSender
 # against its set-based oracle, the lane frame, HIGHCOSTCA's trimming and
-# ordering of byte naturals against math/big, and the session demux's
-# merge-join against its map-based oracle. FuzzReadFrame and
+# ordering of byte naturals against math/big, the session demux's
+# merge-join against its map-based oracle, and Definition 2 of ba.Bits at
+# n = 4 against the tape adversary (one lane and two). FuzzReadFrame and
 # FuzzReadFrameInto share a prefix; go test refuses a -fuzz pattern matching
 # more than one target, so each needs an anchored pattern.
 fuzz_smoke() {
@@ -409,6 +410,7 @@ fuzz_smoke() {
 		FuzzFirstPerSender ./internal/transport/
 		FuzzLanes ./internal/transport/
 		FuzzKingLanes ./internal/ba/
+		FuzzBitsTape ./internal/ba/
 		FuzzTCPicks ./internal/ba/
 		FuzzPlusPicks ./internal/baplus/
 		FuzzNatAtLeast ./internal/highcostca/
@@ -422,11 +424,12 @@ fuzz_smoke() {
 race_pkgs='. ./internal/sim/... ./internal/rs/... ./internal/gf16/... ./internal/merkle/... ./internal/wire/... ./internal/tcpnet/... ./internal/channet/... ./internal/faultnet/... ./internal/sessmux/... ./internal/transporttest/... ./internal/asyncnet/... ./internal/checkpoint/... ./internal/errfs/... ./internal/supervisor/... ./internal/adversary/... ./internal/transport/...'
 
 # Wall seconds over two green runs on a 2-core host, one with cached test
-# results and one with GOFLAGS=-count=1: gofmt 0, one-path 0-1, vet 2,
-# build 2-3, calint 3, go test 31-49, -race 30-43, cross-compile 3-4,
-# allocs guard 8-10, throughput guard 1-2, fuzz smoke 103-106. The budgets leave room for a slower or busier
-# host; calint's is the 60 s DESIGN.md §2.7 promises for the whole analyzer
-# (load, type-check, summary fixpoint, all eight checks over every package).
+# results and one with GOFLAGS=-count=1: gofmt 0, one-path 0, vet 2,
+# build 3, calint 3-4, go test 37-42, -race 28-36, cross-compile 2-3,
+# allocs guard 8-9, throughput guard 1, fuzz smoke 113-115 (19 targets).
+# The budgets leave room for a slower or busier host; calint's is the 60 s
+# DESIGN.md §2.7 promises for the whole analyzer (load, type-check, summary
+# fixpoint, all eight checks over every package).
 stage gofmt              10 check_gofmt
 stage "go vet"          120 go vet ./...
 stage "go build"        120 go build ./...
