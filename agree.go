@@ -126,8 +126,8 @@ func normalize(n int, opts Options) (Options, error) {
 	return opts, nil
 }
 
-// partyRunner executes the selected protocol for one party, on a fresh set
-// of long-value buffers.
+// partyRunner executes the selected protocol for one party, on a work set
+// the package-level lender lends for the run (sharedSets).
 type partyRunner = func(net transport.Net, input *big.Int) (*big.Int, error)
 
 // protoApprox is Approximate Agreement as a call: what ApproxAgree,
@@ -158,7 +158,8 @@ func agreeCall(protocol Protocol, width int) call {
 // through it before anything reaches the wire, the write-ahead log or
 // Session.Err(): whatever a protocol would refuse on entry is refused here,
 // as ErrOptions. It returns the protocol as a function of one party's input,
-// run on a fresh set of buffers: what RunParty and each simulated party do.
+// run on a work set sharedSets lends it and takes back when the run ends:
+// what each simulated party does.
 func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 	switch {
 	case n <= 0:
@@ -182,7 +183,11 @@ func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 			return nil, fmt.Errorf("%w: input %v does not fit in Width = %d bits", ErrOptions, v, c.width)
 		}
 	}
-	return func(net transport.Net, v *big.Int) (*big.Int, error) { return c.run(net, v, nil) }, nil
+	return func(net transport.Net, v *big.Int) (*big.Int, error) {
+		b := sharedSets.lend()
+		defer sharedSets.giveBack(b)
+		return c.run(net, v, b)
+	}, nil
 }
 
 // run is the one place a Protocol is mapped to code: one party's side of a

@@ -421,3 +421,26 @@ func BenchmarkLargeN(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAgreeByz_n16 is one simulated Π_ℤ agreement per op at f = t:
+// n = 16, 4096-bit inputs, t = 5 corrupt parties running five strategies
+// drawn from the catalogue with a fixed seed — the benchmark's sim_byz
+// workload in one shape. One agreement before the timer grows the sets
+// the package-level lender keeps; ci.sh pins the allocs/op.
+func BenchmarkAgreeByz_n16(b *testing.B) {
+	const n, t, bits = 16, 5, 4096
+	rng := rand.New(rand.NewSource(48))
+	inputs := benchInputs(n, bits, 48)
+	kinds := ca.AdversaryKinds()
+	rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	opts := ca.Options{T: t, Seed: 48, Corruptions: map[int]ca.Corruption{}}
+	for i, p := range rng.Perm(n)[:t] {
+		opts.Corruptions[p] = ca.Corruption{Kind: kinds[i], Input: new(big.Int).Lsh(big.NewInt(1), 40)}
+	}
+	runAgree(b, inputs, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runAgree(b, inputs, opts)
+	}
+}

@@ -29,6 +29,12 @@
 // MID-run does not kill the party — it keeps participating with
 // checkpointing disabled (liveness preserved, crash recovery forfeited)
 // and the condition is reported in the supervisor health line.
+//
+// With -debug-addr ADDR the party also serves, while it runs, expvar's
+// /debug/vars — its transport's demotions, faulty peers and frontier gap,
+// and in supervised mode the health line of the attempt in progress — and
+// net/http/pprof's /debug/pprof/. Without the flag nothing listens but the
+// mesh.
 package main
 
 import (
@@ -70,6 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		instances  = flags.Int("instances", 1, "number of sequential agreement instances in the session")
 		restarts   = flags.Int("max-restarts", 3, "supervised mode: restart budget before giving up")
 		stallR     = flags.Int("stall-rounds", 8, "supervised mode: rounds of no progress before an attempt is declared stalled")
+		debugAddr  = flags.String("debug-addr", "", "serve expvar (/debug/vars: the transport's demotions, faulty peers and frontier gap, the supervised health line) and pprof (/debug/pprof/) on this address; off when empty")
 	)
 	switch err := flags.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
@@ -110,8 +117,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *t == 0 {
 		*t = (len(addrs) - 1) / 3
 	}
+	p := new(party)
+	if *debugAddr != "" {
+		stop, err := serveDebug(*debugAddr, p, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "catcp: debug server:", err)
+			return 2
+		}
+		defer stop()
+	}
 	if *supervised {
-		return runSupervised(*id, addrs, *t, *protoName, *width, input,
+		return runSupervised(p, *id, addrs, *t, *protoName, *width, input,
 			*delta, *dialTO, *stateDir, *instances, *restarts, *stallR, *mirror, stdout, stderr)
 	}
 
@@ -129,6 +145,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer tr.Close()
+	p.setTransport(tr)
+	defer p.setTransport(nil)
 	fmt.Fprintf(stderr, "catcp: mesh up in %v, running %s...\n", time.Since(start).Round(time.Millisecond), *protoName)
 
 	s := ca.NewSession(tr)
@@ -153,8 +171,9 @@ func instanceInput(base *big.Int, seq int) *big.Int {
 
 // runSupervised runs the checkpointed, supervised session: every attempt
 // inspects the write-ahead log, redials the mesh announcing the resume
-// round, and replays the log before touching the live network.
-func runSupervised(id int, addrs []string, t int, protoName string, width int,
+// round, and replays the log before touching the live network. p publishes
+// each attempt's transport and health line.
+func runSupervised(p *party, id int, addrs []string, t int, protoName string, width int,
 	input *big.Int, delta, dialTO time.Duration,
 	stateDir string, instances, restarts, stallRounds int, mirror bool, stdout, stderr io.Writer) int {
 	start := time.Now()
@@ -187,6 +206,7 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 		N:           len(addrs),
 		T:           t,
 	}, func(a *supervisor.Attempt) error {
+		p.setHealth(func() string { return a.Health().String() })
 		st, err := ca.InspectStateOpts(stateDir, storage)
 		if err != nil {
 			return err
@@ -208,6 +228,8 @@ func runSupervised(id int, addrs []string, t int, protoName string, width int,
 			return err
 		}
 		defer tr.Close()
+		p.setTransport(tr)
+		defer p.setTransport(nil)
 		a.AbortOnStall(func() { tr.Close() })
 		s := ca.NewSession(tr)
 		if err := s.ResumeOpts(stateDir, storage); err != nil {

@@ -55,8 +55,8 @@ func Run(env transport.Net, tag string, input, diameterBound, epsilon *big.Int) 
 			return nil, err
 		}
 		received := make([]*big.Int, 0, env.N())
-		for _, m := range transport.FirstPerSender(in) {
-			received = append(received, new(big.Int).SetBytes(m.Payload))
+		for f := transport.FirstsOf(in); f.Next(); {
+			received = append(received, new(big.Int).SetBytes(f.Message().Payload))
 		}
 		if len(received) <= 2*t {
 			return nil, fmt.Errorf("aa: only %d values received, need > %d", len(received), 2*t)

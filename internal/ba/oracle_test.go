@@ -30,7 +30,7 @@ func oracleDecodeTC(raw []byte) ([]byte, bool) {
 
 func oracleTCMajority(in []transport.Message, threshold int) ([]byte, bool) {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		if v, ok := oracleDecodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}
@@ -45,7 +45,7 @@ func oracleTCMajority(in []transport.Message, threshold int) ([]byte, bool) {
 
 func oracleTCBest(in []transport.Message) ([]byte, int) {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		if v, ok := oracleDecodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}
@@ -69,14 +69,16 @@ var tcPool = [][]byte{
 
 // checkTCPicks holds TurpinCoan's two picks over transport.LaneTallies to
 // the functions they replaced, lane by lane of one inbox of k-lane frames
-// (lane l read by transporttest.LaneInbox), and again on the inbox cloned:
-// the value with ≥ threshold support (compared where the old map iteration
+// (lane l read by transporttest.LaneInbox), on every form of the inbox
+// (transporttest.Forms: out of sender order, sorted with a sender's
+// repeats after its first message, each plain and cloned): the value with ≥ threshold support (compared where the old map iteration
 // was deterministic: threshold above half the lane's senders) and the most
 // supported value with its count.
 func checkTCPicks(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
-	checkTCPicksOnce(t, in, threshold, k)
-	checkTCPicksOnce(t, transporttest.Cloned(in), threshold, k)
+	for _, in := range transporttest.Forms(in) {
+		checkTCPicksOnce(t, in, threshold, k)
+	}
 }
 
 func checkTCPicksOnce(t *testing.T, in []transport.Message, threshold, k int) {

@@ -22,7 +22,7 @@ import (
 
 func oracleSupportedValues(in []transport.Message, threshold, max int) [][]byte {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		counts[string(m.Payload)]++
 	}
 	var out []string
@@ -44,7 +44,7 @@ func oracleSupportedValues(in []transport.Message, threshold, max int) [][]byte 
 
 func oracleVotedValues(in []transport.Message, threshold int) [][]byte {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		r := wire.NewReader(m.Payload)
 		k := r.Byte()
 		if r.Err() != nil || k > 2 {
@@ -107,13 +107,15 @@ func sameValues(a, b [][]byte) bool {
 
 // checkPlusPicks holds lines 2 and 3 of Plus to the functions they
 // replaced, lane by lane of one inbox of k-lane frames (lane l read by
-// transporttest.LaneInbox), and again on the inbox cloned: once as a round
-// of distributed values, whose entries are option frames, and once as a
-// round of votes.
+// transporttest.LaneInbox), on every form of the inbox (transporttest.Forms:
+// out of sender order, sorted with a sender's repeats after its first
+// message, each plain and cloned): once as a round of distributed values,
+// whose entries are option frames, and once as a round of votes.
 func checkPlusPicks(t *testing.T, in []transport.Message, threshold, k int) {
 	t.Helper()
-	checkPlusPicksOnce(t, in, threshold, k)
-	checkPlusPicksOnce(t, transporttest.Cloned(in), threshold, k)
+	for _, in := range transporttest.Forms(in) {
+		checkPlusPicksOnce(t, in, threshold, k)
+	}
 }
 
 func checkPlusPicksOnce(t *testing.T, in []transport.Message, threshold, k int) {
@@ -165,6 +167,10 @@ func FuzzPlusPicks(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
 	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 5, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
 	f.Add([]byte{0, 3, 1, 3, 2, 3, 3, 3, 4, 25, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	// The agreeing run with sender 2 repeating itself, the same frame then
+	// a deviant one; and the same senders out of order, 5 spamming first.
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 2, 3, 2, 5, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3}, uint8(5), uint8(2))
+	f.Add([]byte{5, 5, 3, 3, 0, 3, 5, 3, 7, 3, 1, 3, 2, 3, 6, 3, 4, 3}, uint8(5), uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, threshold, k uint8) {
 		lanes := 1 + int(k%6)
 		checkPlusPicks(t, transporttest.Inbox(raw, transporttest.LanePool(votePool, lanes)), int(threshold%10), lanes)
@@ -202,7 +208,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 		return nil, false, err
 	}
 	var seen transport.Tally
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		seen.Add(m.Payload, 1)
 	}
 	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)), nil)
@@ -210,7 +216,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 		return nil, false, err
 	}
 	var votes transport.Tally
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		addVote(&votes, m.Payload, 1)
 	}
 	a, b := wire.None(), wire.None()

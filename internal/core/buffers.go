@@ -31,9 +31,11 @@ import (
 // scratch. A nil *Buffers is a fresh set for one call, which is how tests
 // and one-shot runs call the protocols. A set serves one agreement at a
 // time; a Session keeps one across its instances, a SessionMux lends one to
-// each RunParty over its transports, and a RunParty over any other
-// transport and the simulator make one per call. The agreed output is always fresh storage,
-// never a view of the set.
+// each RunParty over its transports, and the root package's one
+// package-level lender lends one to a RunParty over any other transport
+// and to every simulated party, each returned and Reset when its run
+// ends. The agreed output is always fresh storage, never a view of the
+// set.
 type Buffers struct {
 	v, vBot []byte
 	seg     []byte

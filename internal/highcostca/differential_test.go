@@ -12,6 +12,8 @@ import (
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
+	"convexagreement/internal/transport"
+	"convexagreement/internal/transporttest"
 	"convexagreement/internal/wire"
 )
 
@@ -113,8 +115,10 @@ type diffRun struct {
 
 // runArm runs the instances one after another at every honest party, by
 // runRef or by Run on one Work per party — Reset and Scribbled between
-// instances, as core.Buffers keeps it.
-func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, ref bool) diffRun {
+// instances, as core.Buffers keeps it — on the simulator's sender-sorted
+// inboxes or, reversed, on every inbox out of sender order
+// (transporttest.Reverse).
+func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, ref, reversed bool) diffRun {
 	t.Helper()
 	tc := (n - 1) / 3
 	corrupt := map[int]sim.Behavior{}
@@ -126,7 +130,11 @@ func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, 
 		digest uint64
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (party, error) {
-		net := faultnet.Wrap(env, nil) // empty plan: a transcript digest
+		digest := faultnet.Wrap(env, nil) // empty plan: a transcript digest
+		var net transport.Net = digest
+		if reversed {
+			net = transporttest.Reverse(digest)
+		}
 		var p party
 		var w Work
 		for a, in := range inputs {
@@ -151,7 +159,7 @@ func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, 
 			}
 			p.outs += out.String() + " "
 		}
-		p.digest = net.Transcript()
+		p.digest = digest.Transcript()
 		return p, nil
 	})
 	if err != nil {
@@ -169,28 +177,35 @@ func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, 
 
 // TestRunMatchesReference holds Run, on canonical bytes and one reused
 // Work, to runRef, the math/big listing it replaced, at n ∈ {4, 7, 16}
-// under every catalogue strategy and the scripted nonCanonical party: the
-// same outputs at every honest party, the same transcript of everything
-// each was delivered, and the same cost report.
+// under every catalogue strategy and the scripted nonCanonical party, on
+// sender-sorted inboxes (in which spam and nonCanonical repeat senders)
+// and on reversed ones: the same outputs at every honest party, the same
+// transcript of everything each was delivered, and the same cost report.
 func TestRunMatchesReference(t *testing.T) {
 	strategies := append(adversary.Catalog(), adversary.Strategy{Name: "non-canonical", Build: func(int64) sim.Behavior { return nonCanonical() }})
 	for _, n := range []int{4, 7, 16} {
 		inputs := diffInputs(n)
 		for _, strat := range strategies {
-			t.Run(fmt.Sprintf("n%d/%s", n, strat.Name), func(t *testing.T) {
-				got, want := runArm(t, n, strat, inputs, false), runArm(t, n, strat, inputs, true)
-				for id, outs := range want.outputs {
-					if got.outputs[id] != outs {
-						t.Errorf("party %d: outputs %v, reference %v", id, got.outputs[id], outs)
-					}
-					if got.digests[id] != want.digests[id] {
-						t.Errorf("party %d: transcript %#x, reference %#x", id, got.digests[id], want.digests[id])
-					}
+			for _, reversed := range []bool{false, true} {
+				name := fmt.Sprintf("n%d/%s", n, strat.Name)
+				if reversed {
+					name += "/reversed"
 				}
-				if got.report != want.report {
-					t.Errorf("cost reports differ:\nRun:    %.300s\nrunRef: %.300s", got.report, want.report)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					got, want := runArm(t, n, strat, inputs, false, reversed), runArm(t, n, strat, inputs, true, reversed)
+					for id, outs := range want.outputs {
+						if got.outputs[id] != outs {
+							t.Errorf("party %d: outputs %v, reference %v", id, got.outputs[id], outs)
+						}
+						if got.digests[id] != want.digests[id] {
+							t.Errorf("party %d: transcript %#x, reference %#x", id, got.digests[id], want.digests[id])
+						}
+					}
+					if got.report != want.report {
+						t.Errorf("cost reports differ:\nRun:    %.300s\nrunRef: %.300s", got.report, want.report)
+					}
+				})
+			}
 		}
 	}
 }

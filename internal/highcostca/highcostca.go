@@ -129,8 +129,8 @@ func Run(env transport.Net, tag string, input []byte, w *Work) ([]byte, error) {
 		return nil, err
 	}
 	received := w.nats[:0]
-	for _, m := range transport.FirstPerSender(in) {
-		received = append(received, trim(m.Payload))
+	for f := transport.FirstsOf(in); f.Next(); {
+		received = append(received, trim(f.Message().Payload))
 	}
 	w.nats = received
 	if len(received) < n-t {
@@ -257,8 +257,8 @@ func natCmp(a, b []byte) int {
 // of a number counts for that number.
 func (w *Work) count(in []transport.Message) transport.Tally {
 	w.tally = w.tally[:0]
-	for _, m := range transport.FirstPerSender(in) {
-		w.tally.Add(trim(m.Payload), 1)
+	for f := transport.FirstsOf(in); f.Next(); {
+		w.tally.Add(trim(f.Message().Payload), 1)
 	}
 	return w.tally
 }
@@ -284,8 +284,8 @@ func natAtLeast(tally transport.Tally, k int) ([]byte, bool) {
 // a view of in.
 func (w *Work) chooseSuggestion(in []transport.Message, coverage int) ([]byte, bool) {
 	ivs := w.ivs[:0]
-	for _, m := range transport.FirstPerSender(in) {
-		r := wire.NewReader(m.Payload)
+	for f := transport.FirstsOf(in); f.Next(); {
+		r := wire.NewReader(f.Message().Payload)
 		lo, hi := trim(r.Bytes()), trim(r.Bytes())
 		if r.Close() != nil || natCmp(lo, hi) > 0 {
 			continue // malformed or empty interval

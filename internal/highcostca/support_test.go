@@ -14,7 +14,7 @@ import (
 // the smallest supported natural by (length, bytes).
 func oracleNatWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]*int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		payload := m.Payload
 		for len(payload) > 0 && payload[0] == 0 {
 			payload = payload[1:]
@@ -46,7 +46,7 @@ func oracleNatWithSupport(in []transport.Message, threshold int) *big.Int {
 // SetBytes. Numbers, not encodings — the oracle of the oracle.
 func refNatWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in) {
+	for _, m := range transport.FirstPerSender(in, nil) {
 		counts[string(decodeNat(m.Payload).Bytes())]++
 	}
 	var best *big.Int
@@ -67,7 +67,16 @@ func refNatWithSupport(in []transport.Message, threshold int) *big.Int {
 // {1, 0} sorts below {2} as bytes and above it as a number.
 var natPool = [][]byte{{}, {0}, {0, 0}, {1}, {0, 1}, {2}, {1, 0}, {0, 1, 0}, {0xFF}, {1, 0xFF}, {0, 0, 1, 0xFF}, {2, 0, 0}}
 
+// checkNatAtLeast holds Work.count and natAtLeast to the three listings
+// they replaced on every form of in (transporttest.Forms).
 func checkNatAtLeast(t *testing.T, in []transport.Message, k int) {
+	t.Helper()
+	for _, in := range transporttest.Forms(in) {
+		checkNatAtLeastOnce(t, in, k)
+	}
+}
+
+func checkNatAtLeastOnce(t *testing.T, in []transport.Message, k int) {
 	t.Helper()
 	var w Work
 	var got *big.Int

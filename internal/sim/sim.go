@@ -514,7 +514,8 @@ func (r *runner) maybeFinishRound() {
 	// its round whatever its bits: an empty broadcast is sent under its tag
 	// all the same.
 	tags := r.roundTags[:0]
-	cur := -1 // index in tags of the last honest packet's tag
+	cur := -1       // index in tags of the last honest packet's tag
+	var last string // that tag, the very string that packet carried
 	for from := 0; from < r.cfg.N; from++ {
 		if !r.submitted[from] {
 			continue
@@ -525,11 +526,15 @@ func (r *runner) maybeFinishRound() {
 		var msgs, bits int64
 		for i := range r.pending[from] {
 			p := &r.pending[from][i]
-			if honest && (cur < 0 || p.Tag != tags[cur].tag) {
+			// A sender's packets of one round share one tag string, so
+			// the comparison with the packet before is a pointer-equal
+			// hit; only a sender's first packet compares bytes.
+			if honest && (cur < 0 || p.Tag != last) {
 				if cur = slices.IndexFunc(tags, func(t tagBits) bool { return t.tag == p.Tag }); cur < 0 {
 					cur = len(tags)
 					tags = append(tags, tagBits{tag: p.Tag})
 				}
+				last = p.Tag
 			}
 			if p.To != from {
 				b := int64(8 * len(p.Payload))

@@ -175,6 +175,7 @@ type Attempt struct {
 	// Number of this attempt, starting at 0.
 	Number int
 
+	prior     Health // the run's report as the attempts before this one left it
 	mu        sync.Mutex
 	progress  func() uint64 // round counter probe
 	abort     func()        // tears the party's transport down on stall
@@ -237,6 +238,31 @@ func (a *Attempt) ReportStorage(err error) {
 	a.mu.Unlock()
 }
 
+// Health is the run's report as it stands during this attempt: what the
+// attempts before it left, updated with this attempt's number and what it
+// has reported so far — the line the supervisor would return if the run
+// ended now, short of this attempt's outcome. Safe to call at any time, as
+// an operator's status endpoint does.
+func (a *Attempt) Health() Health {
+	h := a.prior
+	h.Attempts = a.Number + 1
+	h.LastErr = nil
+	probe, _, live := a.snapshot()
+	if probe != nil {
+		h.LastRound = probe()
+	}
+	if live >= 0 {
+		h.LivePeers = live
+	}
+	if d := a.demotionReport(); d != nil {
+		h.Demotions = d
+	}
+	if serr := a.storageReport(); serr != nil {
+		h.Storage = serr
+	}
+	return h
+}
+
 func (a *Attempt) storageReport() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -266,22 +292,10 @@ func Run(cfg Config, party func(*Attempt) error) (Health, error) {
 	health := Health{LivePeers: -1}
 	backoff := cfg.BackoffBase
 	for attempt := 0; ; attempt++ {
-		health.Attempts = attempt + 1
-		a := &Attempt{Number: attempt, live: -1}
+		a := &Attempt{Number: attempt, live: -1, prior: health}
 		err, stalled := watch(cfg, a, party)
 		_, _, live := a.snapshot()
-		if live >= 0 {
-			health.LivePeers = live
-		}
-		if probe, _, _ := a.snapshot(); probe != nil {
-			health.LastRound = probe()
-		}
-		if d := a.demotionReport(); d != nil {
-			health.Demotions = d
-		}
-		if serr := a.storageReport(); serr != nil {
-			health.Storage = serr
-		}
+		health = a.Health()
 		health.LastErr = err
 		if stalled {
 			health.Stalls++

@@ -232,3 +232,32 @@ func TestReportDemotionsKeptFromFailedAttempt(t *testing.T) {
 		t.Fatalf("Demotions = %v, want stall:1 carried across attempts", he.Health.Demotions)
 	}
 }
+
+// TestAttemptHealthInProgress: during an attempt, Attempt.Health is the
+// line Run would return if the run ended now — the stall the first attempt
+// ended in, this attempt's number, and what it has reported so far.
+func TestAttemptHealthInProgress(t *testing.T) {
+	var during Health
+	_, err := Run(fastCfg(), func(a *Attempt) error {
+		var r atomic.Uint64
+		a.Progress(r.Load)
+		if a.Number == 0 {
+			aborted := make(chan struct{})
+			a.AbortOnStall(func() { close(aborted) })
+			<-aborted
+			return errors.New("transport closed")
+		}
+		r.Store(9)
+		a.ReportPeers(3)
+		a.ReportDemotions(map[string]int{"rate": 2})
+		during = a.Health()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "attempts=2 stalls=1 last_round=9 live_peers=3 demotions=rate:2 last_err=<nil>"
+	if got := during.String(); got != want {
+		t.Errorf("Health during the second attempt = %q, want %q", got, want)
+	}
+}

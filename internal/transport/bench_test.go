@@ -7,20 +7,29 @@ import (
 	"convexagreement/internal/wire"
 )
 
-// benchRounds are the two n = 16 inboxes the counting benchmarks read, each
-// payload in a slice of its own as TCP delivers it: every party sending
-// the same frame, and the same round with t = 5 interleaved senders
-// (1, 4, 7, 10, 13) each sending a frame of its own.
+// benchRounds are the three n = 16 inboxes the counting benchmarks read,
+// sorted by sender as every Net delivers them, each payload in a slice of
+// its own as TCP delivers it: every party sending the same frame; the same
+// round with t = 5 interleaved senders (1, 4, 7, 10, 13) each sending a
+// frame of its own; and the same five spamming — each sends the honest
+// frame, then its own frame and the honest one again, as the catalogue's
+// spam strategy repeats itself on one channel — so the first messages
+// form one run that the repeats interrupt.
 func benchRounds(frame func(dev int) []byte) map[string][]Message {
 	const n = 16
 	rounds := map[string][]Message{"agree": make([]Message, n), "deviant5": make([]Message, n)}
 	for i := 0; i < n; i++ {
 		rounds["agree"][i] = Message{From: i, Payload: frame(0)}
 		p := frame(0)
-		if i%3 == 1 && i < n-1 {
+		deviant := i%3 == 1 && i < n-1
+		if deviant {
 			p = frame(1 + i)
 		}
 		rounds["deviant5"][i] = Message{From: i, Payload: p}
+		rounds["spam"] = append(rounds["spam"], Message{From: i, Payload: frame(0)})
+		if deviant {
+			rounds["spam"] = append(rounds["spam"], Message{From: i, Payload: frame(1 + i)}, Message{From: i, Payload: frame(0)})
+		}
 	}
 	return rounds
 }
@@ -39,7 +48,7 @@ func BenchmarkLaneVotesCount_n16(b *testing.B) {
 		PackLanes(frame, lanes)
 		return frame
 	})
-	for _, name := range []string{"agree", "deviant5"} {
+	for _, name := range []string{"agree", "deviant5", "spam"} {
 		in := rounds[name]
 		b.Run(name, func(b *testing.B) {
 			votes := make(LaneVotes, k)
@@ -63,7 +72,7 @@ func BenchmarkLaneTallies_n16(b *testing.B) {
 		}
 		return wire.Lanes(lanes)
 	})
-	for _, name := range []string{"agree", "deviant5"} {
+	for _, name := range []string{"agree", "deviant5", "spam"} {
 		in := rounds[name]
 		b.Run(name, func(b *testing.B) {
 			tallies, entries := make([]Tally, k), make([][]byte, k)

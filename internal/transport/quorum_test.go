@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,12 +15,21 @@ import (
 // byte-equal payloads at once, as LaneTallies does.
 func tallyOf(in []Message) Tally {
 	var t Tally
-	first := FirstPerSender(in)
-	for i, j := 0, 0; i < len(first); i = j {
-		j = runEnd(first, i)
-		t.Add(first[i].Payload, j-i)
+	for f := FirstsOf(in); f.Run(); {
+		t.Add(f.Message().Payload, f.Count())
 	}
 	return t
+}
+
+// inboxes is in as the quorum oracles read it: as it is, cloned, and
+// sorted by sender (a stable sort, so each sender's repeats keep their
+// order right after its first message, as a Net delivers a spamming
+// sender), plain and cloned. inboxFrom's senders mostly come out of
+// order; sorting them is the spammed inbox every Net delivers.
+func inboxes(in []Message) [][]Message {
+	sorted := slices.Clone(in)
+	slices.SortStableFunc(sorted, bySender)
+	return [][]Message{in, cloned(in), sorted, cloned(sorted)}
 }
 
 // cloned is in with every payload in a slice of its own, as TCP delivers a
@@ -36,7 +46,7 @@ func cloned(in []Message) []Message {
 // itself: a map keyed by string(payload), the keys sorted afterwards.
 func oracleTally(in []Message) Tally {
 	counts := make(map[string]int)
-	for _, m := range FirstPerSender(in) {
+	for _, m := range FirstPerSender(in, nil) {
 		counts[string(m.Payload)]++
 	}
 	keys := make([]string, 0, len(counts))
@@ -51,11 +61,12 @@ func oracleTally(in []Message) Tally {
 	return t
 }
 
-// checkTally holds tallyOf to the oracle on in and on in cloned.
+// checkTally holds tallyOf to the oracle on every form of in (inboxes).
 func checkTally(t *testing.T, in []Message) {
 	t.Helper()
-	checkTallyOnce(t, in)
-	checkTallyOnce(t, cloned(in))
+	for _, in := range inboxes(in) {
+		checkTallyOnce(t, in)
+	}
 }
 
 func checkTallyOnce(t *testing.T, in []Message) {
@@ -102,6 +113,11 @@ func FuzzTally(f *testing.F) {
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 3, 'a', 'b', 'c', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 3, 'a', 'b', 'd', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 4, 2, 'a', 'b', 5, 3, 'a', 'b', 'c', 6, 3, 'a', 'b', 'c', 7, 3, 'a', 'b', 'c'})
+	// A spamming sender: 2 repeats itself inside the run (its repeat must
+	// neither count nor end the run) and 5 repeats a deviant value after
+	// it; then the same messages with the senders out of order.
+	f.Add([]byte{0, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 2, 3, 'x', 'y', 'z', 2, 3, 'a', 'b', 'c', 3, 3, 'a', 'b', 'c', 5, 3, 'a', 'b', 'c', 5, 3, 'a', 'b', 'd', 6, 3, 'a', 'b', 'c'})
+	f.Add([]byte{5, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c', 0, 3, 'a', 'b', 'c', 2, 3, 'x', 'y', 'z', 5, 3, 'a', 'b', 'd', 3, 3, 'a', 'b', 'c', 1, 3, 'a', 'b', 'c'})
 	f.Fuzz(func(t *testing.T, raw []byte) { checkTally(t, inboxFrom(raw)) })
 }
 
@@ -230,7 +246,7 @@ func oracleBit(payload []byte) (byte, bool) {
 
 func oracleMajorityBit(in []Message) (bit byte, count int) {
 	var counts [2]int
-	for _, m := range FirstPerSender(in) {
+	for _, m := range FirstPerSender(in, nil) {
 		if b, ok := oracleBit(m.Payload); ok {
 			counts[b]++
 		}
@@ -261,21 +277,22 @@ func oracleLanes(payload []byte, k int) ([]byte, bool) {
 	return lanes, true
 }
 
-// checkLanes holds the lane vocabulary to the rejection rules on one inbox,
-// and on the same inbox cloned: a payload of the wrong length or with
-// non-zero padding is ignored whole, a lane reading ⊥ or 3 is ignored alone,
-// and at k = 1 the frame, the decoder and the count are the one-byte 0/1
+// checkLanes holds the lane vocabulary to the rejection rules on every form
+// of one inbox (inboxes): a payload of the wrong length or with non-zero
+// padding is ignored whole, a lane reading ⊥ or 3 is ignored alone, and at
+// k = 1 the frame, the decoder and the count are the one-byte 0/1
 // message's.
 func checkLanes(t *testing.T, in []Message, k int) {
 	t.Helper()
-	checkLanesOnce(t, in, k)
-	checkLanesOnce(t, cloned(in), k)
+	for _, in := range inboxes(in) {
+		checkLanesOnce(t, in, k)
+	}
 }
 
 func checkLanesOnce(t *testing.T, in []Message, k int) {
 	t.Helper()
 	want := make(LaneVotes, k)
-	for _, m := range FirstPerSender(in) {
+	for _, m := range FirstPerSender(in, nil) {
 		lanes, ok := oracleLanes(m.Payload, k)
 		got := bytes.Repeat([]byte{0xEE}, k)
 		if UnpackLanes(m.Payload, got) != ok {
@@ -350,6 +367,10 @@ func FuzzLanes(f *testing.F) {
 	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x24, 0x01, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
 	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x21, 0x04, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
 	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 4, 2, 0x24, 0x41, 5, 2, 0x24, 0x01, 6, 2, 0x24, 0x01, 7, 2, 0x24, 0x01}, uint8(5))
+	// The agreeing run with sender 3 repeating itself, once with the same
+	// frame and once with a deviant one, and the same round out of order.
+	f.Add([]byte{0, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 2, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 3, 2, 0x21, 0x04, 4, 2, 0x24, 0x01, 5, 2, 0x24, 0x01}, uint8(5))
+	f.Add([]byte{3, 2, 0x21, 0x04, 0, 2, 0x24, 0x01, 3, 2, 0x24, 0x01, 5, 2, 0x24, 0x01, 1, 2, 0x24, 0x01, 0, 2, 0x21, 0x04, 4, 2, 0x24, 0x01}, uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, k uint8) { checkLanes(t, inboxFrom(raw), 1+int(k%12)) })
 }
 

@@ -19,14 +19,15 @@
 // VecNet is the scatter-gather form a multiplexer ships its merged round
 // in; tcpnet's Exchange stages its round into it.
 //
-// It is also the one home of how a protocol reads a round: FirstPerSender,
-// Tally, LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps
-// them to the paper).
+// It is also the one home of how a protocol reads a round: Firsts (and
+// FirstPerSender, its listing), Tally, LaneTallies, LaneVotes, MajorityBit
+// and SentBy (PROTOCOLS.md maps them to the paper). Each reads the inbox
+// in place: a byzantine sender repeating itself costs the honest reader
+// nothing but the skipped messages.
 package transport
 
 import (
 	"bytes"
-	"cmp"
 	"math"
 	"slices"
 
@@ -245,40 +246,144 @@ func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 // exactly one of them considered, deterministically.
 //
 // Every Net delivers sorted by sender, so an honest round is its own
-// first-per-sender set and comes back as it is; only an inbox in which a
-// sender repeats (byzantine spam) is filtered into a copy, by comparing
-// each sender with the last one kept. An inbox out of sender order, which
-// no Net in this module delivers, is filtered through a set of the senders
-// seen, in order of first appearance. The result is read-only and lives as
-// long as msgs does.
-func FirstPerSender(msgs []Message) []Message {
-	i := 1
-	for i < len(msgs) && msgs[i].From > msgs[i-1].From {
-		i++
-	}
-	if i >= len(msgs) {
+// first-per-sender set and comes back as it is. Any other inbox — a sender
+// repeating itself (byzantine spam), or senders out of order, which no Net
+// in this module delivers — is filtered into *scratch, the caller's, in
+// order of first appearance; a nil scratch takes a new slice. The result is
+// read-only and lives as long as msgs and *scratch do. The protocols read a
+// round in place through Firsts, which walks the same messages in the same
+// order; FirstPerSender is the listing their oracles compare against.
+func FirstPerSender(msgs []Message, scratch *[]Message) []Message {
+	f := FirstsOf(msgs)
+	if f.order == ascending {
 		return msgs
 	}
-	out := make([]Message, 0, len(msgs)-1)
-	if slices.IsSortedFunc(msgs[i-1:], bySender) {
-		for _, m := range msgs {
-			if len(out) == 0 || m.From != out[len(out)-1].From {
-				out = append(out, m)
-			}
-		}
-		return out
+	var out []Message
+	if scratch != nil {
+		out = (*scratch)[:0]
 	}
-	seen := make(map[PartyID]struct{}, len(msgs))
-	for _, m := range msgs {
-		if _, dup := seen[m.From]; !dup {
-			seen[m.From] = struct{}{}
-			out = append(out, m)
-		}
+	if cap(out) < len(msgs) {
+		out = make([]Message, 0, len(msgs)) // not slices.Grow, which allocates twice under -race
+	}
+	for f.Next() {
+		out = append(out, f.Message())
+	}
+	if scratch != nil {
+		*scratch = out
 	}
 	return out
 }
 
-func bySender(a, b Message) int { return cmp.Compare(a.From, b.From) }
+// Firsts walks an inbox's first message from each sender in place — the
+// messages FirstPerSender keeps, in the same order — one at a time (Next)
+// or a run of byte-equal first messages at a time (Run). It neither copies
+// the inbox nor allocates: in a sender-sorted inbox, which every Net
+// delivers, a message is its sender's first when the one before it is
+// another sender's; in an inbox out of sender order, when no message
+// before it is its sender's.
+type Firsts struct {
+	in    []Message
+	order int // ascending (every message a first one), sorted (senders never descend) or unsorted
+	head  int // the message Message returns: the run's first
+	last  int // the last message the walk has passed; -1 before the first
+	count int // the run's length, 1 after Next
+}
+
+// The orders of an inbox Firsts tells apart.
+const (
+	ascending = iota
+	sorted
+	unsorted
+)
+
+// FirstsOf starts a walk of in, before its first message.
+func FirstsOf(in []Message) Firsts {
+	order := ascending
+	for i := 1; i < len(in); i++ {
+		if d := in[i].From - in[i-1].From; d <= 0 {
+			if d < 0 {
+				order = unsorted
+				break
+			}
+			order = sorted
+		}
+	}
+	return Firsts{in: in, order: order, last: -1}
+}
+
+// after is the index of the first first message past i, len(in) if none.
+func (f *Firsts) after(i int) int {
+	in := f.in
+	i++
+	switch f.order {
+	case sorted:
+		for i > 0 && i < len(in) && in[i].From == in[i-1].From {
+			i++
+		}
+	case unsorted:
+		for i < len(in) && sentBefore(in, i) {
+			i++
+		}
+	}
+	return i
+}
+
+// sentBefore reports whether in[i]'s sender has a message before it.
+func sentBefore(in []Message, i int) bool {
+	for _, m := range in[:i] {
+		if m.From == in[i].From {
+			return true
+		}
+	}
+	return false
+}
+
+// Next moves to the next first message and reports whether there is one.
+func (f *Firsts) Next() bool {
+	f.head = f.after(f.last)
+	f.last, f.count = f.head, 1
+	return f.head < len(f.in)
+}
+
+// Run moves past the next run of byte-equal first messages and reports
+// whether there is one: Message is then the run's first message and Count
+// its length. Equal frames from distinct senders arrive in distinct slices
+// over TCP, so a run is found by content, never by slice identity; a
+// sender's repeats inside a run neither count nor end it.
+func (f *Firsts) Run() bool {
+	if f.order != ascending {
+		return f.runRepeats()
+	}
+	// Every message is a first one: the run is a stretch of the inbox.
+	in, head := f.in, f.last+1
+	last := head
+	for last+1 < len(in) && bytes.Equal(in[last+1].Payload, in[head].Payload) {
+		last++
+	}
+	f.head, f.last, f.count = head, last, last+1-head
+	return head < len(in)
+}
+
+// runRepeats is Run over an inbox in which some sender repeats itself or
+// the senders are out of order.
+func (f *Firsts) runRepeats() bool {
+	if !f.Next() {
+		return false
+	}
+	in, p := f.in, f.in[f.head].Payload
+	for j := f.after(f.last); j < len(in) && bytes.Equal(in[j].Payload, p); j = f.after(j) {
+		f.last = j
+		f.count++
+	}
+	return true
+}
+
+// Message is the first message Next or Run moved to.
+func (f *Firsts) Message() Message { return f.in[f.head] }
+
+// Count is the number of senders behind Message: the length of the run Run
+// moved past, 1 after Next.
+func (f *Firsts) Count() int { return f.count }
 
 // Support is one distinct value of a round and the number of parties
 // counted for it.
@@ -289,13 +394,13 @@ type Support struct {
 
 // Tally is the paper's "received from ≥ k parties": the distinct values of
 // one round with the number of parties behind each, ascending by
-// bytes.Compare. A protocol Adds the decoded value of each FirstPerSender
-// message (a message naming two values adds both), or of each run of
-// byte-equal messages at once with the run's length, and picks by Count;
-// the order makes "the smallest such value" the first match. Values are
-// borrowed, normally from the inbox: one that outlives the next Exchange is
-// cloned by whoever keeps it. A round in which the parties agree costs the
-// one-element slice.
+// bytes.Compare. A protocol Adds the decoded value of each sender's first
+// message as Firsts walks them (a message naming two values adds both), or
+// of each run of byte-equal messages at once with the run's length, and
+// picks by Count; the order makes "the smallest such value" the first
+// match. Values are borrowed, normally from the inbox: one that outlives
+// the next Exchange is cloned by whoever keeps it. A round in which the
+// parties agree costs the one-element slice.
 type Tally []Support
 
 // Add counts c more parties for v. The last entry is tried first: the
@@ -323,20 +428,9 @@ func (t *Tally) Add(v []byte, c int) {
 	(*t)[k] = Support{Value: v, Count: c}
 }
 
-// runEnd is the end of the run of payloads byte-equal to in[i]'s that
-// starts at i. Equal frames from distinct senders arrive in distinct slices
-// over TCP, so a run is found by content, never by slice identity.
-func runEnd(in []Message, i int) int {
-	j := i + 1
-	for j < len(in) && bytes.Equal(in[j].Payload, in[i].Payload) {
-		j++
-	}
-	return j
-}
-
 // LaneTallies is Tally asked of the k = len(tallies) lanes of a round of
 // lane frames (wire.Lanes) at once: it empties every tally and, for each
-// run of byte-equal first messages (FirstPerSender), hands lane l of the
+// run of byte-equal first messages (Firsts.Run), hands lane l of the
 // run's first message and the run's length to add(&tallies[l], entry, c).
 // A message that is not a k-lane frame counts for nothing in any lane;
 // otherwise lane l's tally reads lane l's entries only, so its values
@@ -348,12 +442,10 @@ func LaneTallies(in []Message, tallies []Tally, entries [][]byte, add func(t *Ta
 	for l := range tallies {
 		tallies[l] = tallies[l][:0]
 	}
-	first := FirstPerSender(in)
-	for i, j := 0, 0; i < len(first); i = j {
-		j = runEnd(first, i)
-		if wire.SplitLanes(first[i].Payload, entries) {
+	for f := FirstsOf(in); f.Run(); {
+		if wire.SplitLanes(f.Message().Payload, entries) {
 			for l, e := range entries {
-				add(&tallies[l], e, j-i)
+				add(&tallies[l], e, f.Count())
 			}
 		}
 	}
@@ -420,16 +512,14 @@ type LaneVotes [][2]int
 // byte-equal messages is read once and counts its length.
 func (v LaneVotes) Count(in []Message) {
 	clear(v)
-	first := FirstPerSender(in)
-	for i, j := 0, 0; i < len(first); i = j {
-		j = runEnd(first, i)
-		p := first[i].Payload
+	for f := FirstsOf(in); f.Run(); {
+		p := f.Message().Payload
 		if !isLanes(p, len(v)) {
 			continue
 		}
 		for l := range v {
 			if b := lane(p, l); b <= 1 {
-				v[l][b] += j - i
+				v[l][b] += f.Count()
 			}
 		}
 	}

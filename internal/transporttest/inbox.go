@@ -3,6 +3,7 @@ package transporttest
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 
 	"convexagreement/internal/transport"
 	"convexagreement/internal/wire"
@@ -39,6 +40,44 @@ func Cloned(in []transport.Message) []transport.Message {
 		out[i] = transport.Message{From: m.From, Payload: bytes.Clone(m.Payload)}
 	}
 	return out
+}
+
+// Forms is in as a quorum oracle reads it: as it is, Cloned, and sorted by
+// sender, plain and Cloned. The sort is stable, so each sender's repeats
+// follow its first message in the order they came, as every Net delivers a
+// spamming sender; Inbox's senders mostly come out of order, so in itself
+// is mostly the unsorted inbox no Net in this module delivers.
+func Forms(in []transport.Message) [][]transport.Message {
+	sorted := slices.Clone(in)
+	slices.SortStableFunc(sorted, func(a, b transport.Message) int { return a.From - b.From })
+	return [][]transport.Message{in, Cloned(in), sorted, Cloned(sorted)}
+}
+
+// Reversed is a transport.Net that delivers every inbox of the Net it wraps
+// back to front: senders descending, a spamming sender's last message
+// first. See Reverse.
+type Reversed struct {
+	transport.Net // ID, N and T are the inner transport's own
+	in            []transport.Message
+}
+
+// Reverse wraps net so that every round's inbox arrives out of sender
+// order, which no Net in this module delivers but the Net contract allows:
+// a reader that takes sortedness for granted counts a sender twice or
+// drops one. The reversed inbox is a slice of its own, refilled every
+// round; the payloads are the inner transport's.
+func Reverse(net transport.Net) *Reversed { return &Reversed{Net: net} }
+
+// Exchange runs the round on the inner transport and hands out its inbox
+// reversed.
+func (r *Reversed) Exchange(out []transport.Packet) ([]transport.Message, error) {
+	in, err := r.Net.Exchange(out)
+	if err != nil {
+		return nil, err
+	}
+	r.in = append(r.in[:0], in...)
+	slices.Reverse(r.in)
+	return r.in, nil
 }
 
 // LanePool turns a pool of one-lane entries into a pool of k-lane frames

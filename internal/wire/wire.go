@@ -16,8 +16,26 @@ import (
 	"slices"
 )
 
-// ErrCorrupt reports a malformed encoding.
+// ErrCorrupt reports a malformed encoding. A Reader reports each kind of
+// malformation as one package-level error wrapping it — a short byte, a
+// truncated or overlong uvarint, a chunk longer than what is left, an
+// integer field too large, trailing bytes — so errors.Is(err, ErrCorrupt)
+// holds for all of them, and a payload that fails to decode costs its
+// reader no allocation: a byzantine sender's garbage makes no garbage of
+// the honest reader's own. The error names the kind, not the offending
+// length or value.
 var ErrCorrupt = errors.New("wire: corrupt message")
+
+// The kinds of malformation a Reader reports (ErrCorrupt).
+var (
+	errShortByte = corrupt("truncated byte")
+	errUvarint   = corrupt("truncated or overlong uvarint")
+	errChunk     = corrupt("chunk exceeds message")
+	errInt       = corrupt("integer field too large")
+	errTrailing  = corrupt("trailing bytes")
+)
+
+func corrupt(kind string) error { return fmt.Errorf("%w: %s", ErrCorrupt, kind) }
 
 // maxChunk bounds any single length-prefixed field (64 MiB). Honest messages
 // are far smaller; the bound stops byzantine length fields from causing
@@ -143,9 +161,11 @@ type Reader struct {
 // NewReader wraps raw bytes for decoding.
 func NewReader(raw []byte) *Reader { return &Reader{buf: raw} }
 
-func (r *Reader) fail(format string, args ...any) {
+// fail records err, one of the package's malformation kinds, unless an
+// earlier one is recorded.
+func (r *Reader) fail(err error) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+		r.err = err
 	}
 }
 
@@ -158,7 +178,7 @@ func (r *Reader) Byte() byte {
 		return 0
 	}
 	if r.off >= len(r.buf) {
-		r.fail("truncated byte")
+		r.fail(errShortByte)
 		return 0
 	}
 	b := r.buf[r.off]
@@ -173,7 +193,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		r.fail("truncated or overlong uvarint")
+		r.fail(errUvarint)
 		return 0
 	}
 	r.off += n
@@ -192,7 +212,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > maxChunk || int(n) > len(r.buf)-r.off {
-		r.fail("chunk of %d bytes exceeds message", n)
+		r.fail(errChunk)
 		return nil
 	}
 	out := r.buf[r.off : r.off+int(n) : r.off+int(n)]
@@ -208,7 +228,7 @@ func (r *Reader) Int() int {
 		return 0
 	}
 	if v > 1<<31 {
-		r.fail("integer field %d too large", v)
+		r.fail(errInt)
 		return 0
 	}
 	return int(v)
@@ -222,7 +242,7 @@ func (r *Reader) Close() error {
 		return r.err
 	}
 	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf)-r.off)
+		return errTrailing
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +91,78 @@ func TestErrorsSticky(t *testing.T) {
 	// Subsequent reads must be inert.
 	if r.Byte() != 0 || r.Uvarint() != 0 || r.Bytes() != nil || r.Int() != 0 {
 		t.Error("reads after error returned data")
+	}
+}
+
+// malformed is one payload of each kind a Reader rejects, and the field
+// read that meets it: the error it must report, which wraps ErrCorrupt.
+var malformed = []struct {
+	kind    error
+	payload []byte
+	field   byte // 'b' Byte, 'u' Uvarint, 'c' Bytes, 'i' Int
+}{
+	{errShortByte, nil, 'b'},
+	{errUvarint, []byte{0x80}, 'u'},
+	{errChunk, []byte{5, 1}, 'c'},
+	{errInt, binary.AppendUvarint(nil, 1<<40), 'i'},
+	{errTrailing, []byte{1, 2}, 'b'},
+}
+
+// decodeMalformed decodes every malformed payload once, each on a Reader
+// of its own, and returns the errors' count.
+func decodeMalformed() (failed int) {
+	for _, m := range malformed {
+		r := Reader{buf: m.payload}
+		readField(&r, m.field)
+		if r.Close() != nil {
+			failed++
+		}
+	}
+	return failed
+}
+
+// readField reads one field of the kind malformed names.
+func readField(r *Reader, field byte) {
+	switch field {
+	case 'b':
+		r.Byte()
+	case 'u':
+		r.Uvarint()
+	case 'c':
+		r.Bytes()
+	case 'i':
+		r.Int()
+	}
+}
+
+// TestMalformedKinds: each kind of malformed payload is reported as its
+// own package-level error, which wraps ErrCorrupt, and rejecting it
+// allocates nothing.
+func TestMalformedKinds(t *testing.T) {
+	for _, m := range malformed {
+		r := Reader{buf: m.payload}
+		readField(&r, m.field)
+		if err := r.Close(); !errors.Is(err, m.kind) || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%x: Close() = %v, want %v wrapping ErrCorrupt", m.payload, err, m.kind)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { failSink = decodeMalformed() }); allocs != 0 {
+		t.Errorf("%v allocs per round of malformed payloads, want 0", allocs)
+	}
+	if failed := decodeMalformed(); failed != len(malformed) {
+		t.Errorf("%d of %d malformed payloads rejected", failed, len(malformed))
+	}
+}
+
+var failSink int
+
+// BenchmarkDecodeMalformed decodes one payload of each malformed kind per
+// op, as an honest party meets a byzantine sender's garbage; ci.sh pins its
+// allocs/op at 0.
+func BenchmarkDecodeMalformed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		failSink = decodeMalformed()
 	}
 }
 

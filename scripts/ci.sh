@@ -354,25 +354,35 @@ cross_compile() {
 # and every strategy keeps its scratch, so a per-round map, packet slice
 # or payload coming back shows as a whole number. 2000 rounds amortise the
 # run's set-up and the snapshot's 64 KiB payload chunks below one. The
-# transport rows count an n = 16 round of lane frames (agreeing, and with
-# five deviant senders) into LaneVotes and into tallies a work set keeps,
-# at 0 allocs/op: counting a round reads the inbox in place.
+# transport rows count an n = 16 round of lane frames (agreeing, with
+# five deviant senders, and with the five spamming their channels) into
+# LaneVotes and into tallies a work set keeps, at 0 allocs/op: counting a
+# round reads the inbox in place, a sender's repeats skipped, never
+# copied. The wire row rejects one payload of each malformed kind at 0
+# allocs/op (each kind is one package-level error; it read 15 when every
+# failure formatted its own). BenchmarkAgreeByz_n16 is one whole simulated
+# agreement at f = t (n = 16, 4096-bit inputs, five catalogue strategies)
+# on the sets the package-level lender keeps; it read 4867 allocs/op when
+# each party grew a fresh set and every repeated sender and malformed
+# payload cost its reader a copy or an error string. At 50x it reads 998;
+# the row allows the one-alloc jitter of goroutine scheduling seen at 20x.
 allocs_guard() {
 	{
-		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission' -benchtime 100x -benchmem ./internal/wire/
+		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission|BenchmarkDecodeMalformed' -benchtime 100x -benchmem ./internal/wire/
 		go test -run '^$' -bench 'BenchmarkWAL(Append|InstanceSwitch)$' -benchtime 100x -benchmem ./internal/checkpoint/
 		go test -run '^$' -bench 'BenchmarkSessmuxFlushVec' -benchtime 1000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'BenchmarkBitstr(Slice|Concat|FillTo|Compare)' -benchtime 100x -benchmem ./internal/bitstr/
 		go test -run '^$' -bench 'BenchmarkBinaryChannet' -benchtime 1000x -benchmem ./internal/ba/
 		go test -run '^$' -bench 'BenchmarkPiZ(Long)?Channet' -benchtime 100x -benchmem ./internal/core/
 		go test -run '^$' -bench 'BenchmarkMuxedPiZ$' -benchtime 100x -benchmem .
+		go test -run '^$' -bench 'BenchmarkAgreeByz_n16$' -benchtime 50x -benchmem .
 		go test -run '^$' -bench 'BenchmarkMeshRound' -benchtime 2000x -benchmem ./internal/tcpnet/
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
 		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
 		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
 		go test -run '^$' -bench 'Benchmark(LaneVotesCount|LaneTallies)_n16' -benchtime 1000x -benchmem ./internal/transport/
-	} | guard_allocs 'FrameRoundTrip|Admission|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16|(LaneVotesCount|LaneTallies)_n16'
+	} | guard_allocs 'FrameRoundTrip|Admission|DecodeMalformed|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|AgreeByz_n16|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16|(LaneVotesCount|LaneTallies)_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an

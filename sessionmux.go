@@ -2,9 +2,7 @@ package convexagreement
 
 import (
 	"math/big"
-	"sync"
 
-	"convexagreement/internal/core"
 	"convexagreement/internal/sessmux"
 )
 
@@ -26,13 +24,8 @@ import (
 // across its instances: the mux holds the sets its finished runs returned,
 // never more than the most runs it has had live at once.
 type SessionMux struct {
-	m *sessmux.Mux
-
-	mu   sync.Mutex
-	sets []*core.Buffers // returned sets, lent again before a new one is made
-	// lent, when set, sees every set lent (true) and returned (false),
-	// under mu; tests watch the lending through it.
-	lent func(b *core.Buffers, out bool)
+	m    *sessmux.Mux
+	sets workSets // lends each RunParty over the mux's transports its set
 }
 
 // NewSessionMux wraps tr. The transport must not be driven by anyone else
@@ -57,34 +50,6 @@ func (sm *SessionMux) Open(sid uint64, n, t int) (*MuxedTransport, error) {
 		return nil, err
 	}
 	return &MuxedTransport{s: s, sm: sm}, nil
-}
-
-// lend hands a run a work set: a returned one, else a new one.
-func (sm *SessionMux) lend() *core.Buffers {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	var b *core.Buffers
-	if k := len(sm.sets); k > 0 {
-		b, sm.sets[k-1] = sm.sets[k-1], nil
-		sm.sets = sm.sets[:k-1]
-	} else {
-		b = new(core.Buffers)
-	}
-	if sm.lent != nil {
-		sm.lent(b, true)
-	}
-	return b
-}
-
-// giveBack ends a run's use of b, which the next lend may hand out.
-func (sm *SessionMux) giveBack(b *core.Buffers) {
-	b.Reset()
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if sm.lent != nil {
-		sm.lent(b, false)
-	}
-	sm.sets = append(sm.sets, b)
 }
 
 // Idle keeps the tick clock for a party with no live sessions: it drives

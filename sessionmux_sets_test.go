@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -297,5 +298,108 @@ func BenchmarkMuxedPiZ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mp.waves(b, in)
+	}
+}
+
+// sharedCases are simulated agreements on sets the package-level lender
+// lends: Π_ℤ at n = 7 under every catalogue strategy on 64-bit, 600-bit
+// and mixed-sign inputs, and a vector agreement, each a function of
+// nothing but its arguments.
+func sharedCases() []func() (any, error) {
+	rng := rand.New(rand.NewSource(17))
+	var cases []func() (any, error)
+	for i, kind := range ca.AdversaryKinds() {
+		var in []*big.Int
+		switch i % 3 {
+		case 0:
+			in = shortInputs(rng, 7)
+		case 1:
+			in = mixedInputs(rng, 7, 600)
+		default:
+			in = mixedInputs(rng, 7, 8)
+		}
+		opts := ca.Options{Seed: int64(i), Corruptions: map[int]ca.Corruption{
+			1: {Kind: kind, Input: big.NewInt(1 << 40)},
+			4: {Kind: kind, Input: big.NewInt(-1 << 40)},
+		}}
+		cases = append(cases, func() (any, error) {
+			res, err := ca.Agree(in, opts)
+			if err != nil {
+				return nil, err
+			}
+			return *res, nil
+		})
+	}
+	vec := make([][]*big.Int, 7)
+	for p := range vec {
+		vec[p] = mixedInputs(rng, 3, 100)
+	}
+	cases = append(cases, func() (any, error) {
+		res, err := ca.AgreeVector(vec, ca.Options{Corruptions: map[int]ca.Corruption{2: {Kind: ca.AdvSpam}}})
+		if err != nil {
+			return nil, err
+		}
+		return *res, nil
+	})
+	return cases
+}
+
+// TestSharedSetsScribbled: simulated agreements run on the sets the
+// package-level lender lends agree, cost and account exactly as before
+// when every returned set is Scribbled — so no run keeps a view of its set
+// past its end — and the lender lends no set to two live runs and holds no
+// more sets than it had runs live at once (or held before).
+func TestSharedSetsScribbled(t *testing.T) {
+	cases := sharedCases()
+	want := make([]any, len(cases))
+	for i, c := range cases {
+		res, err := c()
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want[i] = res
+	}
+	heldBefore := ca.SharedSetsHeld() // every run has returned its set: Agree waits for all parties
+	w := &lendWatch{out: map[*core.Buffers]bool{}}
+	var mu sync.Mutex
+	ca.SetSharedLendHook(func(b *core.Buffers, lent bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case lent && w.out[b]:
+			w.err = errors.Join(w.err, fmt.Errorf("set %p lent to a second live run", b))
+		case !lent && !w.out[b]:
+			w.err = errors.Join(w.err, fmt.Errorf("set %p returned while not lent", b))
+		case lent:
+			w.live++
+			w.peak = max(w.peak, w.live)
+		default:
+			w.live--
+			b.Scribble()
+		}
+		w.out[b] = lent
+	})
+	defer ca.SetSharedLendHook(nil)
+	for pass := 0; pass < 2; pass++ {
+		for i, c := range cases {
+			got, err := c()
+			if err != nil {
+				t.Fatalf("pass %d case %d on scribbled sets: %v", pass, i, err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("pass %d case %d: result on scribbled sets differs:\n got %+v\nwant %+v", pass, i, got, want[i])
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	if w.live != 0 || w.peak == 0 {
+		t.Fatalf("%d sets still lent, %d live at peak", w.live, w.peak)
+	}
+	if held := ca.SharedSetsHeld(); held != max(heldBefore, w.peak) {
+		t.Fatalf("lender holds %d sets, held %d before, %d runs live at peak", held, heldBefore, w.peak)
 	}
 }

@@ -65,24 +65,24 @@ func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.
 	return runParty(tr, call{protocol: protoApprox, diam: diameterBound, eps: epsilon}, input)
 }
 
-// runParty validates one party's call against its transport and runs it —
-// over a MuxedTransport on the work set its SessionMux lends for the run,
-// returned when the run ends, failed or not.
+// runParty validates one party's call against its transport and runs it on
+// a lent work set — over a MuxedTransport its SessionMux's, over any other
+// transport the package-level lender's — returned when the run ends,
+// failed or not.
 func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("%w: nil transport", ErrOptions)
 	}
-	run, err := c.validate(tr.N(), []*big.Int{input})
-	if err != nil {
+	if _, err := c.validate(tr.N(), []*big.Int{input}); err != nil {
 		return nil, err
 	}
-	mt, ok := tr.(*MuxedTransport)
-	if !ok {
-		return run(tr, input)
+	sets := &sharedSets
+	if mt, ok := tr.(*MuxedTransport); ok {
+		sets = &mt.sm.sets
 	}
-	b := mt.sm.lend()
-	defer mt.sm.giveBack(b)
-	return c.run(mt, input, b)
+	b := sets.lend()
+	defer sets.giveBack(b)
+	return c.run(tr, input, b)
 }
 
 // TCPConfig configures DialTCP.
