@@ -78,12 +78,12 @@ func runCluster(t *testing.T, hook *meshUpHook, extra ...string) []string {
 }
 
 // listeningPorts is the TCP ports this process listens on: its socket
-// descriptors matched against the kernel's tables of listening sockets.
-func listeningPorts(t *testing.T) map[int]bool {
-	t.Helper()
+// descriptors matched against the kernel's tables of listening sockets. It
+// runs on a party's goroutine, so it reports rather than skips.
+func listeningPorts() (map[int]bool, error) {
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Skipf("no /proc/self/fd: %v", err)
+		return nil, err
 	}
 	mine := map[string]bool{}
 	for _, fd := range fds {
@@ -113,7 +113,7 @@ func listeningPorts(t *testing.T) map[int]bool {
 		}
 		f.Close()
 	}
-	return ports
+	return ports, nil
 }
 
 // portOf is the port of a host:port address.
@@ -138,9 +138,9 @@ func TestDebugVars(t *testing.T) {
 	var vars map[string]json.RawMessage
 	var pprofStatus int
 	var listening map[int]bool
-	var fetchErr error
+	var fetchErr, procErr error
 	hook := &meshUpHook{onMeshUp: func(addr string) {
-		listening = listeningPorts(t)
+		listening, procErr = listeningPorts()
 		if addr == "" {
 			fetchErr = fmt.Errorf("no debug server logged")
 			return
@@ -171,6 +171,9 @@ func TestDebugVars(t *testing.T) {
 	}
 	if pprofStatus != http.StatusOK {
 		t.Errorf("/debug/pprof/ answered %d", pprofStatus)
+	}
+	if procErr != nil {
+		t.Skipf("no /proc/self to list listening sockets: %v", procErr)
 	}
 	if !listening[portOf(t, hook.addr)] {
 		t.Errorf("debug address %s is not among the process's listening ports %v", hook.addr, listening)
@@ -207,10 +210,14 @@ func TestDebugHealthSupervised(t *testing.T) {
 // process listens on while a party runs are the mesh's.
 func TestNoDebugListenerWithoutFlag(t *testing.T) {
 	var listening map[int]bool
-	hook := &meshUpHook{onMeshUp: func(string) { listening = listeningPorts(t) }}
+	var procErr error
+	hook := &meshUpHook{onMeshUp: func(string) { listening, procErr = listeningPorts() }}
 	addrs := runCluster(t, hook)
 	if strings.Contains(hook.log.String(), "debug server") {
 		t.Errorf("a debug server started without the flag:\n%s", hook.log.String())
+	}
+	if procErr != nil {
+		t.Skipf("no /proc/self to list listening sockets: %v", procErr)
 	}
 	mesh := map[int]bool{}
 	for _, a := range addrs {

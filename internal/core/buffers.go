@@ -32,9 +32,10 @@ import (
 // and one-shot runs call the protocols. A set serves one agreement at a
 // time; a Session keeps one across its instances, a SessionMux lends one to
 // each RunParty over its transports, and the root package's one
-// package-level lender lends one to a RunParty over any other transport
-// and to every simulated party, each returned and Reset when its run
-// ends. The agreed output is always fresh storage, never a view of the
+// package-level lender lends one to every simulated party (returned when
+// its simulated run is over) and to a RunParty over TCP, each Reset when
+// it comes back; a RunParty over an in-process transport makes one per
+// call. The agreed output is always fresh storage, never a view of the
 // set.
 type Buffers struct {
 	v, vBot []byte

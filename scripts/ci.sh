@@ -364,8 +364,9 @@ cross_compile() {
 # agreement at f = t (n = 16, 4096-bit inputs, five catalogue strategies)
 # on the sets the package-level lender keeps; it read 4867 allocs/op when
 # each party grew a fresh set and every repeated sender and malformed
-# payload cost its reader a copy or an error string. At 50x it reads 998;
-# the row allows the one-alloc jitter of goroutine scheduling seen at 20x.
+# payload cost its reader a copy or an error string. At 50x it read
+# 999-1001 over 14 runs (goroutine scheduling moves it by a couple); the
+# row is the highest read.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission|BenchmarkDecodeMalformed' -benchtime 100x -benchmem ./internal/wire/

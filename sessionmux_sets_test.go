@@ -403,3 +403,44 @@ func TestSharedSetsScribbled(t *testing.T) {
 		t.Fatalf("lender holds %d sets, held %d before, %d runs live at peak", held, heldBefore, w.peak)
 	}
 }
+
+// TestSharedSetsConcurrent: simulated agreements run from several
+// goroutines at once share the package-level lender's sets across runs
+// whose rounds nothing orders with each other's. A party's last payloads
+// stay in its set, read by reference, so a run gives its sets back only
+// when it is over (lease); under -race a set lent again as soon as its
+// party returns fails here. Results must equal the ones each call gives
+// alone.
+func TestSharedSetsConcurrent(t *testing.T) {
+	cases := sharedCases()
+	want := make([]any, len(cases))
+	for i, c := range cases {
+		res, err := c()
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 6)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				for i := range cases {
+					k := (i + g) % len(cases)
+					got, err := cases[k]()
+					if err == nil && !reflect.DeepEqual(got, want[k]) {
+						err = fmt.Errorf("case %d differs from its run alone", k)
+					}
+					errs[g] = errors.Join(errs[g], err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -66,9 +66,12 @@ func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.
 }
 
 // runParty validates one party's call against its transport and runs it on
-// a lent work set — over a MuxedTransport its SessionMux's, over any other
-// transport the package-level lender's — returned when the run ends,
-// failed or not.
+// a lent work set, returned when the run ends, failed or not: over a
+// MuxedTransport its SessionMux's, over a TCPTransport the package-level
+// lender's. TCP copies every payload into its frames before Exchange
+// returns, so nothing reads the set once the run is over. Any other
+// transport may deliver by reference, and a peer may still read the run's
+// last payloads when it returns, so it runs on a fresh set.
 func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("%w: nil transport", ErrOptions)
@@ -76,9 +79,14 @@ func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if _, err := c.validate(tr.N(), []*big.Int{input}); err != nil {
 		return nil, err
 	}
-	sets := &sharedSets
-	if mt, ok := tr.(*MuxedTransport); ok {
-		sets = &mt.sm.sets
+	var sets *workSets
+	switch tr := tr.(type) {
+	case *MuxedTransport:
+		sets = &tr.sm.sets
+	case *TCPTransport:
+		sets = &sharedSets
+	default:
+		return c.run(tr, input, nil)
 	}
 	b := sets.lend()
 	defer sets.giveBack(b)
