@@ -54,14 +54,13 @@ func Agree(inputs []*big.Int, opts Options) (*Result, error) {
 // ApproxAgree and AgreeVector. It defaults and checks opts, has validate
 // check the honest parties' inputs and return the protocol as a function of
 // one party's input, and runs it on the simulator: party i runs
-// run(net, inputs[i], l) and its output is collected, unless
+// run(net, inputs[i]) and its output is collected, unless
 // opts.Corruptions names it — then it runs the named network-level
 // strategy, or, for AdvGhost, the honest protocol on ghost(corruption) and
-// then idles. The parties' work sets come from l, the run's lease, given
-// back when the run is over. On an error the result is not to be used.
+// then idles. On an error the result is not to be used.
 func simulate[I, O any](
 	opts Options, inputs []I,
-	validate func(n int, honest []I) (func(transport.Net, I, *lease) (O, error), error),
+	validate func(n int, honest []I) (func(transport.Net, I) (O, error), error),
 	ghost func(Corruption) (I, error),
 ) (*testutil.Result[O], error) {
 	opts, err := normalize(len(inputs), opts)
@@ -72,8 +71,6 @@ func simulate[I, O any](
 	if err != nil {
 		return nil, err
 	}
-	l := &lease{sets: make([]*core.Buffers, 0, opts.N)}
-	defer l.end()
 	corrupt := make(map[int]sim.Behavior, len(opts.Corruptions))
 	for i, c := range opts.Corruptions {
 		if c.Kind == AdvGhost {
@@ -81,13 +78,13 @@ func simulate[I, O any](
 			if err != nil {
 				return nil, err
 			}
-			corrupt[i] = testutil.Ghost(func(env *sim.Env) error { _, err := run(env, poisoned, l); return err })
+			corrupt[i] = testutil.Ghost(func(env *sim.Env) error { _, err := run(env, poisoned); return err })
 		} else if corrupt[i], err = networkAdversary(c.Kind, opts.Seed+int64(i)); err != nil {
 			return nil, err
 		}
 	}
 	cfg := sim.Config{N: opts.N, T: opts.T, MaxRounds: opts.MaxRounds, Timeline: opts.Timeline}
-	return testutil.Run(cfg, corrupt, func(env *sim.Env) (O, error) { return run(env, inputs[env.ID()], l) })
+	return testutil.Run(cfg, corrupt, func(env *sim.Env) (O, error) { return run(env, inputs[env.ID()]) })
 }
 
 // honestInputs drops the entries of corrupted parties (byzantine parties
@@ -130,8 +127,8 @@ func normalize(n int, opts Options) (Options, error) {
 }
 
 // partyRunner executes the selected protocol for one party, on a work set
-// l lends.
-type partyRunner = func(net transport.Net, input *big.Int, l *lease) (*big.Int, error)
+// sharedSets lends for the run.
+type partyRunner = func(net transport.Net, input *big.Int) (*big.Int, error)
 
 // protoApprox is Approximate Agreement as a call: what ApproxAgree,
 // RunPartyApprox and Session.ApproxAgree run. It is not a Protocol a caller
@@ -160,8 +157,8 @@ func agreeCall(protocol Protocol, width int) call {
 // Session.ApproxAgree for one party of an n-party transport — passes
 // through it before anything reaches the wire, the write-ahead log or
 // Session.Err(): whatever a protocol would refuse on entry is refused here,
-// as ErrOptions. It returns the protocol as a function of one party's input
-// and the lease its work set comes from: what each simulated party runs.
+// as ErrOptions. It returns the protocol as a function of one party's
+// input, run on a set sharedSets lends: what each party runs.
 func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 	switch {
 	case n <= 0:
@@ -185,7 +182,11 @@ func (c call) validate(n int, inputs []*big.Int) (partyRunner, error) {
 			return nil, fmt.Errorf("%w: input %v does not fit in Width = %d bits", ErrOptions, v, c.width)
 		}
 	}
-	return func(net transport.Net, v *big.Int, l *lease) (*big.Int, error) { return c.run(net, v, l.lend()) }, nil
+	return func(net transport.Net, v *big.Int) (*big.Int, error) {
+		b := sharedSets.lend()
+		defer sharedSets.giveBack(b)
+		return c.run(net, v, b)
+	}, nil
 }
 
 // run is the one place a Protocol is mapped to code: one party's side of a

@@ -16,10 +16,7 @@ import (
 // cluster size, exchanges what it returns over whatever transport.Net the
 // corrupt party holds, and decides when to stop (the simulator ends the
 // run; the deployed-cluster harness stands its attacker down once the
-// honest parties are done). An Attack is deterministic in its seed and
-// never rewrites a payload it has handed out: in-process transports
-// deliver by reference, and a recipient may still be reading last round's
-// bytes while the next round is being built.
+// honest parties are done). An Attack is deterministic in its seed.
 type Attack func(round, n int) []transport.Packet
 
 // Flood sends copies identical well-formed packets of payloadLen seeded

@@ -59,16 +59,14 @@ func Garbage(seed int64, maxLen int) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed + int64(env.ID())))
 		var out []sim.Packet
-		var bufs [2][]byte
-		for round := 0; ; round++ {
-			buf := bufs[round%2][:0]
-			out = out[:0]
+		var buf []byte
+		for {
+			buf, out = buf[:0], out[:0]
 			for to := 0; to < env.N(); to++ {
 				payload := carve(&buf, rng.Intn(maxLen+1))
 				rng.Read(payload)
 				out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: payload})
 			}
-			bufs[round%2] = buf
 			if _, err := env.Exchange(out); err != nil {
 				return err
 			}
@@ -78,12 +76,9 @@ func Garbage(seed int64, maxLen int) sim.Behavior {
 
 // carve extends *buf by size bytes and returns them, capped so that an
 // append through one payload cannot reach the next. A strategy that writes
-// its payloads carves them from two buffers taken in turn, round by round:
-// the simulator delivers by reference, and a recipient reads round r's
-// payloads until it submits round r+1, which every party has done by the
-// time round r+1 closes and this party starts building round r+2. So a
-// buffer is free again two rounds after it was sent; a grown buffer leaves
-// its old array, which recipients may still be reading, untouched.
+// its payloads carves a round's from one buffer it refills every round: the
+// network is done with them when Exchange returns. A grown buffer leaves
+// its old array, which the round's earlier payloads point into, untouched.
 func carve(buf *[]byte, size int) []byte {
 	off := len(*buf)
 	*buf = slices.Grow(*buf, size)[:off+size]
@@ -185,14 +180,13 @@ func Spam(seed int64, copies int) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		var out []sim.Packet
-		var bufs [2][]byte
-		for round := 0; ; round++ {
+		var buf []byte
+		for {
 			spied, err := env.PeekHonest()
 			if err != nil {
 				return err
 			}
-			buf := bufs[round%2][:0]
-			out = out[:0]
+			buf, out = buf[:0], out[:0]
 			for to := 0; to < env.N(); to++ {
 				for c := 0; c < copies; c++ {
 					var payload []byte
@@ -207,7 +201,6 @@ func Spam(seed int64, copies int) sim.Behavior {
 					out = append(out, sim.Packet{To: sim.PartyID(to), Tag: tag, Payload: payload})
 				}
 			}
-			bufs[round%2] = buf
 			if _, err := env.Exchange(out); err != nil {
 				return err
 			}
@@ -232,8 +225,8 @@ type replayRun struct {
 // The history is every peeked entry, one per packet, each as likely as the
 // next; it is kept as runs, so a broadcast costs one record, and an entry
 // is drawn by its index and found by binary search over the runs' ends.
-// The snapshot's payload copies are never rewritten, so they are kept as
-// they are.
+// The snapshot's payload copies are not rewritten before the run ends, so
+// they are kept as they are.
 func Replay(seed int64) sim.Behavior {
 	return func(env *sim.Env) error {
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))

@@ -10,10 +10,8 @@ import (
 )
 
 // harness runs one corrupt strategy against honest echo parties for a few
-// rounds and captures what the honest side receives from it. Party 0 reads
-// every byte the strategy delivered before it enters the next round, as a
-// protocol would: the simulator delivers by reference, so a strategy that
-// rewrites a payload it already sent is a data race -race reports here.
+// rounds and captures what the honest side receives from it: party 0's
+// copies of the messages, as an inbox lives only until the next Exchange.
 func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 	t.Helper()
 	const n = 4
@@ -31,10 +29,7 @@ func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 					var got []sim.Message
 					for _, m := range in {
 						if m.From == 3 {
-							got = append(got, m)
-							for _, b := range m.Payload {
-								bytesRead += int(b)
-							}
+							got = append(got, sim.Message{From: m.From, Payload: bytes.Clone(m.Payload)})
 						}
 					}
 					fromCorrupt = append(fromCorrupt, got)
@@ -49,9 +44,6 @@ func harness(t *testing.T, strat sim.Behavior, rounds int) [][]sim.Message {
 	}
 	return fromCorrupt
 }
-
-// bytesRead keeps harness's reads of the delivered payloads observable.
-var bytesRead int
 
 func TestSilentSendsNothing(t *testing.T) {
 	for _, round := range harness(t, adversary.Silent(), 4) {

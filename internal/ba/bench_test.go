@@ -44,7 +44,7 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 // across ops as a session keeps its set across agreements: what the
 // protocol layer itself allocates in its 3(t+1) rounds with no wire under
 // it — per party the instance's round tags, one string, and nothing for its
-// lane vectors, vote counts and send buffers, which are the set's, nor per
+// lane vectors, vote counts and send buffer, which are the set's, nor per
 // round; the rest is the hub's copies and channet's lack of a broadcast
 // fast path — at n = 7, and at n = 16 (mux_closed's shape). ci.sh pins
 // both rows' allocs/op with -guard-allocs.

@@ -30,7 +30,7 @@ func oracleDecodeTC(raw []byte) ([]byte, bool) {
 
 func oracleTCMajority(in []transport.Message, threshold int) ([]byte, bool) {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		if v, ok := oracleDecodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}
@@ -45,7 +45,7 @@ func oracleTCMajority(in []transport.Message, threshold int) ([]byte, bool) {
 
 func oracleTCBest(in []transport.Message) ([]byte, int) {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		if v, ok := oracleDecodeTC(m.Payload); ok {
 			counts[string(v)]++
 		}

@@ -19,23 +19,15 @@ import (
 //   - one Tally per lane, each grown to the most values its lane has
 //     counted, and LaneTallies' entry scratch;
 //   - TurpinCoan's option frames, its candidate copies and grades;
-//   - two send buffers, taken in turn by every payload the set frames,
-//     and the fan-out slice every broadcast round of the set's instances
-//     is refilled into (transport.ExchangeAll).
+//   - the send buffer every payload the set frames is written into, and
+//     the fan-out slice every broadcast round of the set's instances is
+//     refilled into (transport.ExchangeAll): a Net is done with both when
+//     Exchange returns.
 //
 // Its containers grow to the largest instance seen and are then refilled
 // in place. What Bits and TurpinCoan return are views of the set, valid
 // until its next use. The zero value is ready; a nil *Work is a fresh set
 // for one call.
-//
-// The send buffers: in-process transports deliver a payload by reference,
-// and a receiver may read it until it enters the next round, so a payload
-// sent in round r may be rewritten only once round r+1 has closed. Each
-// payload takes the buffer the one before it did not, so a buffer is
-// rewritten at the send after next, a round later at the least. The turn
-// carries over from call to call and agreement to agreement, so an
-// instance's first payload never lands in the buffer its predecessor's
-// last one was sent from.
 type Work struct {
 	bits    []byte
 	votes   transport.LaneVotes
@@ -46,8 +38,7 @@ type Work struct {
 	cands   [][]byte
 	candBuf []byte
 	g       []byte
-	send    [2][]byte
-	sent    int
+	send    []byte
 	fan     []transport.Packet
 }
 
@@ -66,18 +57,17 @@ func (w *Work) Tally(in []transport.Message, k int, add func(t *transport.Tally,
 	return tallies
 }
 
-// Lanes frames a round of lane frames, as wire.Lanes does, into the next
-// send buffer.
+// Lanes frames a round of lane frames, as wire.Lanes does, into the send
+// buffer.
 func (w *Work) Lanes(frames [][]byte) []byte {
-	s := w.next()
-	*s = wire.AppendLanes((*s)[:0], frames)
-	return *s
+	w.send = wire.AppendLanes(w.send[:0], frames)
+	return w.send
 }
 
-// pack frames bit lanes, as transport.PackLanes does, into the next send
+// pack frames bit lanes, as transport.PackLanes does, into the send
 // buffer.
 func (w *Work) pack(lanes []byte) []byte {
-	out := resize(w.next(), transport.LaneBytes(len(lanes)))
+	out := resize(&w.send, transport.LaneBytes(len(lanes)))
 	transport.PackLanes(out, lanes)
 	return out
 }
@@ -92,17 +82,10 @@ func (w *Work) Fan() *[]transport.Packet {
 	return &w.fan
 }
 
-// next is the send buffer whose turn it is.
-func (w *Work) next() *[]byte {
-	s := &w.send[w.sent%len(w.send)]
-	w.sent++
-	return s
-}
-
 // Reset ends an agreement's use of w: every container is cleared, so no
 // value of a finished round's inbox — a tally's, an entry's — stays pinned
 // by the set, and the fan-out drops the last broadcast's tag and payload.
-// The buffers stay, and so does the send buffers' turn.
+// The buffers stay.
 func (w *Work) Reset() {
 	clear(w.fan)
 	for l, t := range w.tallies {
@@ -115,12 +98,11 @@ func (w *Work) Reset() {
 }
 
 // Scribble overwrites with 0xDB what the next agreement may rewrite: the
-// lane vectors, frames, candidates and grades, and the send buffer whose
-// turn is next — not the other one, which holds the last payload sent,
-// still the receivers' to read. Tests call it between agreements, after
-// Reset, so that anything kept past its agreement reads as garbage.
+// lane vectors, frames, candidates and grades, and the send buffer. Tests
+// call it between agreements, after Reset, so that anything kept past its
+// agreement reads as garbage.
 func (w *Work) Scribble() {
-	for _, p := range [][]byte{w.bits, w.opts, w.candBuf, w.g, w.send[w.sent%len(w.send)]} {
+	for _, p := range [][]byte{w.bits, w.opts, w.candBuf, w.g, w.send} {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = 0xDB

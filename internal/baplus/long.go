@@ -40,23 +40,16 @@ func Long(env transport.Net, tag string, input []byte) ([]byte, bool, error) {
 // edge buffer that holds the stripes of each narrower lane that differ
 // from the widest's, every committed lane's Merkle tree, and the codec's
 // Scratch, allocated with the first long value, so lanes of at most a
-// root's length never touch it. Of the dispersal: round A's n share-out
-// tuples, appended into one buffer and carved into per-peer payloads, round
-// B's relay tuple, in a second buffer, and the round-B scratch — the shares
-// collected, as views of the inbox, and the witness each received tuple is
-// unmarshalled into. Of the protocol's rounds: the lanes' tagged inputs,
+// root's length never touch it. Of the dispersal: the tuple buffer, which
+// round A's n share-out tuples are appended into and carved into per-peer
+// payloads from, and round B's relay tuple after them, and the round-B
+// scratch — the shares collected, as views of the inbox, and the witness
+// each received tuple is unmarshalled into. Of the protocol's rounds: the lanes' tagged inputs,
 // Π_BA+'s frames, votes, candidates and results, and the work set of the BA
 // instances below it (ba.Work), whose fan-out carries the dispersal's
 // rounds too. Its buffers grow to the largest call seen and are then
 // rewritten in place, call after call. The zero value is ready; a nil
 // *Buffers is a fresh set for one call.
-//
-// The two tuple buffers follow ba.Work's send-buffer rule: in-process
-// transports deliver by reference, so a receiver reads a tuple — and keeps
-// its share as myShare, to relay it — from the sender's buffer until it
-// enters the next round. Round A and round B each have their own buffer,
-// and neither is rewritten before the next call's dispersal, rounds of
-// Π_BA+ later.
 type Buffers struct {
 	// The widest lane's n shares, one after the other (commitSet.width
 	// bytes each), then the delivered value; the codec's Scratch; the rest
@@ -66,13 +59,13 @@ type Buffers struct {
 	cs     *commitSet
 	work   ba.Work
 
-	// The dispersal: round A's tuples, round B's, the shares collected and
-	// handed to the codec, and the witness of a tuple being sent or
-	// received.
-	shareout, relay []byte
-	collected       [][]byte
-	decoded         []rs.Share
-	witness         []hashing.Digest
+	// The dispersal: round A's tuples, then round B's, the shares
+	// collected and handed to the codec, and the witness of a tuple being
+	// sent or received.
+	tuples    []byte
+	collected [][]byte
+	decoded   []rs.Share
+	witness   []hashing.Digest
 
 	// LongLanes: each lane's tagged input, a view of tagged.
 	inputs [][]byte
@@ -141,16 +134,15 @@ func (b *Buffers) Reset() {
 
 // Scribble overwrites with 0xDB every byte the next call may rewrite: the
 // share and edge buffers, where values are delivered and lanes encoded,
-// the tuple buffers, the frame buffers and the work set's
-// (ba.Work.Scribble). Tests call it between agreements — past the
-// dispersal's rounds, whose receivers read the tuple buffers — so that a
-// value kept past the call that delivered it reads as garbage.
+// the tuple buffer, the frame buffers and the work set's
+// (ba.Work.Scribble). Tests call it between agreements, so that a value
+// kept past the call that delivered it reads as garbage.
 func (b *Buffers) Scribble() {
 	var edges []byte
 	if b.cs != nil {
 		edges = b.cs.edges
 	}
-	for _, p := range [][]byte{b.shares, edges, b.shareout, b.relay, b.tagged, b.frameBuf, b.happy} {
+	for _, p := range [][]byte{b.shares, edges, b.tuples, b.tagged, b.frameBuf, b.happy} {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = 0xDB
@@ -322,7 +314,7 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 		// Room for every tuple up front (a witness has at most ⌈log₂ n⌉
 		// digests), so that the payloads carved as they are appended stay
 		// in one array.
-		buf := slices.Grow(b.shareout[:0], n*(3*binary.MaxVarintLen64+2*c.stripes+bits.Len(uint(n))*hashing.Size))
+		buf := slices.Grow(b.tuples[:0], n*(3*binary.MaxVarintLen64+2*c.stripes+bits.Len(uint(n))*hashing.Size))
 		for j := range out {
 			// The path goes into the witness scratch; the tuple copies it
 			// before the next index needs the scratch.
@@ -336,7 +328,7 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 			buf = appendTuple(buf, j, w, head, body, tail)
 			out[j] = transport.Packet{To: transport.PartyID(j), Tag: shareout, Payload: buf[mark:len(buf):len(buf)]}
 		}
-		b.shareout = buf
+		b.tuples = buf
 	}
 	in, err := env.Exchange(out)
 	if err != nil {
@@ -360,8 +352,8 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 	// Step 3, round B: re-broadcast our verified share; collect everyone
 	// else's, discarding anything that fails verification.
 	if myShare != nil {
-		b.relay = appendTuple(b.relay[:0], myIdx, myWitness, myShare)
-		in, err = transport.ExchangeAll(env, tag+"/sharerelay", b.relay, b.work.Fan())
+		b.tuples = appendTuple(b.tuples[:0], myIdx, myWitness, myShare)
+		in, err = transport.ExchangeAll(env, tag+"/sharerelay", b.tuples, b.work.Fan())
 	} else {
 		in, err = env.Exchange(nil)
 	}

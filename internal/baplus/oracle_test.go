@@ -22,7 +22,7 @@ import (
 
 func oracleSupportedValues(in []transport.Message, threshold, max int) [][]byte {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		counts[string(m.Payload)]++
 	}
 	var out []string
@@ -44,7 +44,7 @@ func oracleSupportedValues(in []transport.Message, threshold, max int) [][]byte 
 
 func oracleVotedValues(in []transport.Message, threshold int) [][]byte {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		r := wire.NewReader(m.Payload)
 		k := r.Byte()
 		if r.Err() != nil || k > 2 {
@@ -208,7 +208,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 		return nil, false, err
 	}
 	var seen transport.Tally
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		seen.Add(m.Payload, 1)
 	}
 	in, err = transport.ExchangeAll(env, tag+"/vote", appendVote(nil, atLeast(nil, seen, n-2*t)), nil)
@@ -216,7 +216,7 @@ func sequential(env transport.Net, tag string, input []byte, try attempt) ([]byt
 		return nil, false, err
 	}
 	var votes transport.Tally
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		addVote(&votes, m.Payload, 1)
 	}
 	a, b := wire.None(), wire.None()

@@ -63,7 +63,7 @@ func plus(env transport.Net, tag string, inputs [][]byte, b *Buffers) ([][]byte,
 	n, t, k := env.N(), env.T(), len(inputs)
 	w := &b.work
 	// Each round's lane frames are written into one buffer, rewritten
-	// round by round: a round's frames go out copied into a send buffer.
+	// round by round: a round's frames go out copied into the send buffer.
 	frames, buf := resize(&b.frames, 2*k), b.frameBuf[:0]
 
 	// Line 1: distribute inputs.

@@ -13,6 +13,7 @@ package channet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"convexagreement/internal/transport"
@@ -32,6 +33,7 @@ type Hub struct {
 	submitted []bool
 	pending   [][]transport.Packet
 	inboxes   [][]transport.Message
+	arenas    [2][]byte // the payload copies of the even and the odd rounds
 	nActive   int
 	nPending  int
 	closed    bool
@@ -199,8 +201,9 @@ func (c *Conn) Leave() {
 	h.cond.Broadcast()
 }
 
-// maybeFlush closes the round when every active party has submitted.
-// Caller holds h.mu.
+// maybeFlush closes the round when every active party has submitted; a
+// closed hub closes none, as its parties may have left Exchange with their
+// packets still pending. Caller holds h.mu.
 //
 // The round's containers are the hub's, refilled every round: a sender's
 // packet list is read here and emptied, and an active party's inbox slice
@@ -208,10 +211,23 @@ func (c *Conn) Leave() {
 // transport.Net's lifetime rule it no longer reads the last one. A departed
 // party's inbox is built afresh. Senders are visited in ascending order, so
 // every inbox comes out sorted by sender.
+//
+// Every payload is copied here, so a sender may rewrite its buffers once
+// its Exchange returns: round r's copies go into the arena of r's parity,
+// refilled when round r+2 closes, when no party reads round r's inbox any
+// more (a payload of it relayed in round r+1 is read out of the other).
 func (h *Hub) maybeFlush() {
-	if h.nActive == 0 || h.nPending < h.nActive {
+	if h.closed || h.nActive == 0 || h.nPending < h.nActive {
 		return
 	}
+	bytes := 0
+	for from, out := range h.pending {
+		if h.submitted[from] {
+			bytes += transport.CopiedBytes(out)
+		}
+	}
+	copies := slices.Grow(h.arenas[h.round%2][:0], bytes)
+	h.arenas[h.round%2] = copies
 	for to := range h.inboxes {
 		if h.active[to] {
 			h.inboxes[to] = h.inboxes[to][:0]
@@ -223,10 +239,13 @@ func (h *Hub) maybeFlush() {
 		if !h.submitted[from] {
 			continue
 		}
-		for _, p := range h.pending[from] {
-			h.inboxes[p.To] = append(h.inboxes[p.To], transport.Message{From: transport.PartyID(from), Payload: p.Payload})
+		out := h.pending[from]
+		var payload []byte
+		for i, p := range out {
+			payload = transport.Copied(&copies, out, i, payload)
+			h.inboxes[p.To] = append(h.inboxes[p.To], transport.Message{From: transport.PartyID(from), Payload: payload})
 		}
-		clear(h.pending[from]) // don't pin the payloads past the round
+		clear(out) // don't pin the payloads past the round
 		h.pending[from] = h.pending[from][:0]
 		h.submitted[from] = false
 	}

@@ -30,13 +30,10 @@ import (
 // needs it: lanes of at most a root's length never touch the codec
 // scratch. A nil *Buffers is a fresh set for one call, which is how tests
 // and one-shot runs call the protocols. A set serves one agreement at a
-// time; a Session keeps one across its instances, a SessionMux lends one to
-// each RunParty over its transports, and the root package's one
-// package-level lender lends one to every simulated party (returned when
-// its simulated run is over) and to a RunParty over TCP, each Reset when
-// it comes back; a RunParty over an in-process transport makes one per
-// call. The agreed output is always fresh storage, never a view of the
-// set.
+// time; a Session keeps one across its instances, and the root package's
+// one package-level lender lends one to every simulated party and every
+// RunParty, whatever its transport, Reset when the party's run returns it.
+// The agreed output is always fresh storage, never a view of the set.
 type Buffers struct {
 	v, vBot []byte
 	seg     []byte
@@ -69,11 +66,9 @@ func (b *Buffers) Reset() {
 	b.hc.Reset()
 }
 
-// Scribble overwrites with 0xDB every byte the next agreement may rewrite —
-// all the set holds but the send buffer of the last payload sent, which
-// its receivers may still read (ba.Work.Scribble). Tests call it between
-// agreements on one set, after Reset, so that anything kept past its
-// agreement reads as garbage.
+// Scribble overwrites with 0xDB every byte the next agreement may rewrite:
+// all the set holds. Tests call it between agreements on one set, after
+// Reset, so that anything kept past its agreement reads as garbage.
 func (b *Buffers) Scribble() {
 	for _, p := range [][]byte{b.v, b.vBot, b.seg, b.block} {
 		p = p[:cap(p)]

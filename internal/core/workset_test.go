@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -12,42 +11,14 @@ import (
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/sim"
 	"convexagreement/internal/testutil"
-	"convexagreement/internal/transport"
 )
-
-// heldSends holds its caller to the send side of transport.Net's lifetime
-// rule: a payload sent in round r must read the same when the caller enters
-// round r+1, since an in-process net delivers it by reference and the
-// receivers may read it until they enter round r+1 themselves. There a
-// payload rewritten early is a race that may or may not show; here it is
-// an error, every time.
-type heldSends struct {
-	transport.Net
-	round int
-	sent  []transport.Packet // the last round's packets, payloads as sent
-	kept  [][]byte           // and copies of those payloads
-}
-
-func (h *heldSends) Exchange(out []transport.Packet) ([]transport.Message, error) {
-	for i, p := range h.sent {
-		if !bytes.Equal(p.Payload, h.kept[i]) {
-			return nil, fmt.Errorf("party %d: the %s payload of round %d was rewritten before round %d", h.ID(), p.Tag, h.round-1, h.round)
-		}
-	}
-	h.sent, h.kept = append(h.sent[:0], out...), h.kept[:0]
-	for _, p := range out {
-		h.kept = append(h.kept, bytes.Clone(p.Payload))
-	}
-	h.round++
-	return h.Net.Exchange(out)
-}
 
 // pins lists where a set holds a view of memory it does not own once Reset
 // has run: a byte slice left in an element of a slice — a value in a
 // tally, a share handed to the codec, a received interval, a slice in a
 // container of byte slices — up to the capacity of each: what Reset must
-// clear so that no finished inbox stays pinned. Byte buffers and arrays
-// (the send buffers) are the set's own.
+// clear so that no finished inbox stays pinned. Byte buffers (the send
+// buffers among them) are the set's own.
 func pins(v reflect.Value, path string) []string {
 	var found []string
 	switch v.Kind() {
@@ -97,8 +68,7 @@ type workSetRun struct {
 // catalogue adversaries. The outputs, every party's transcript and the
 // simulator's cost report must be identical: whatever the work set carries
 // from one agreement or one instance into the next must change nothing.
-// Both arms run behind heldSends, so a send buffer rewritten a round early
-// fails the run instead of racing. The agreements are on 64-bit values
+// The agreements are on 64-bit values
 // sharing their top bits (the benchmark's shape), on small values of mixed
 // sign, on ~600-bit values (long lanes, committed and dispersed) and on
 // 64-bit values again, after the set has held long ones.
@@ -155,7 +125,7 @@ func runWorkSet(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.I
 		digest uint64
 	}
 	res, err := testutil.Run(sim.Config{N: n, T: tc, Timeline: true}, corrupt, func(env *sim.Env) (party, error) {
-		net := faultnet.Wrap(&heldSends{Net: env}, nil) // empty plan: a transcript digest
+		net := faultnet.Wrap(env, nil) // empty plan: a transcript digest
 		var p party
 		var set Buffers
 		for a := range inputs {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 
 	"convexagreement/internal/channet"
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/transport"
+	"convexagreement/internal/transporttest"
 )
 
 // runCluster executes fns over a channet hub, each party's Net wrapped by
@@ -51,7 +51,7 @@ func collect(t *testing.T, n, rounds int, wrap func(transport.Net) transport.Net
 				if err != nil {
 					return err
 				}
-				history[id] = append(history[id], slices.Clone(in))
+				history[id] = append(history[id], transporttest.Cloned(in)) // the inbox lives until the next Exchange
 			}
 			return nil
 		}

@@ -38,21 +38,19 @@ import (
 //
 //   - the naturals an instance keeps across rounds, as owned copies:
 //     CURRENT, SUGGESTION and the trusted interval;
-//   - two send buffers, taken in turn by every payload, and the fan-out
-//     every round is refilled into (transport.ExchangeAll);
+//   - the send buffer the trusted interval and every relayed natural — a
+//     view of the last inbox — are written into, and the fan-out every
+//     round is refilled into (transport.ExchangeAll): a Net is done with
+//     both, as with the owned naturals it sends, when Exchange returns;
 //   - the round scratch, refilled in place: the received naturals sorted,
 //     the received intervals and the Tally of a round's values, all views
 //     of that round's inbox.
 //
-// The send buffers follow ba.Work's rule: in-process transports deliver a
-// payload by reference and a receiver may read it until it enters the next
-// round, so each payload takes the buffer the one before it did not. The
-// zero value is ready; a nil *Work is a fresh set for one call.
+// The zero value is ready; a nil *Work is a fresh set for one call.
 type Work struct {
 	current, suggestion []byte
 	lo, hi              []byte
-	send                [2][]byte
-	sent                int
+	send                []byte
 	fan                 []transport.Packet
 	nats                [][]byte
 	ivs                 []interval
@@ -66,7 +64,7 @@ type interval struct {
 
 // Reset ends an agreement's use of w: the containers holding views of a
 // round's inbox are cleared, so w pins none after the agreement. The
-// buffers stay, and so does the send buffers' turn.
+// buffers stay.
 func (w *Work) Reset() {
 	clear(w.fan)
 	clear(w.nats[:cap(w.nats)])
@@ -76,10 +74,10 @@ func (w *Work) Reset() {
 
 // Scribble overwrites with 0xDB what the next instance may rewrite: the
 // owned naturals — the output a Run returned among them — and the send
-// buffer whose turn is next. Tests call it between agreements, after Reset,
-// so that anything kept past its agreement reads as garbage.
+// buffer. Tests call it between agreements, after Reset, so that anything
+// kept past its agreement reads as garbage.
 func (w *Work) Scribble() {
-	for _, p := range [][]byte{w.current, w.suggestion, w.lo, w.hi, w.send[w.sent%len(w.send)]} {
+	for _, p := range [][]byte{w.current, w.suggestion, w.lo, w.hi, w.send} {
 		p = p[:cap(p)]
 		for i := range p {
 			p[i] = 0xDB
@@ -93,18 +91,10 @@ func (w *Work) Scribble() {
 //go:noinline
 func fresh() *Work { return new(Work) }
 
-// next is the send buffer whose turn it is.
-func (w *Work) next() *[]byte {
-	s := &w.send[w.sent%len(w.send)]
-	w.sent++
-	return s
-}
-
-// payload copies nat into the next send buffer.
+// payload copies nat, a view of the last inbox, into the send buffer.
 func (w *Work) payload(nat []byte) []byte {
-	s := w.next()
-	*s = append((*s)[:0], nat...)
-	return *s
+	w.send = append(w.send[:0], nat...)
+	return w.send
 }
 
 // Run executes HIGHCOSTCA on input, a natural as big-endian bytes (leading
@@ -122,9 +112,10 @@ func Run(env transport.Net, tag string, input []byte, w *Work) ([]byte, error) {
 	// ---- Setup stage ----
 	// Distribute inputs; trim the k extremes on each side, where k is the
 	// number of values received beyond the guaranteed n−t honest ones
-	// (Lemma 10: at most k of them are byzantine).
-	sent := w.payload(trim(input))
-	in, err := transport.ExchangeAll(env, tag+"/hc-input", sent, &w.fan)
+	// (Lemma 10: at most k of them are byzantine). SUGGESTION holds the
+	// party's own input until the second round picks one.
+	w.suggestion = append(w.suggestion[:0], trim(input)...)
+	in, err := transport.ExchangeAll(env, tag+"/hc-input", w.suggestion, &w.fan)
 	if err != nil {
 		return nil, err
 	}
@@ -147,35 +138,35 @@ func Run(env transport.Net, tag string, input []byte, w *Work) ([]byte, error) {
 	// point covered by at least n−t of the received intervals (a point in
 	// n−t intervals lies in ≥ t+1 honest intervals, hence in the honest
 	// inputs' range).
-	s := w.next()
-	*s = wire.AppendBytes(wire.AppendBytes((*s)[:0], w.lo), w.hi)
-	in, err = transport.ExchangeAll(env, tag+"/hc-interval", *s, &w.fan)
+	w.send = wire.AppendBytes(wire.AppendBytes(w.send[:0], w.lo), w.hi)
+	in, err = transport.ExchangeAll(env, tag+"/hc-interval", w.send, &w.fan)
 	if err != nil {
 		return nil, err
 	}
-	suggestion, ok := w.chooseSuggestion(in, n-t)
-	if !ok {
-		// Unreachable when ≥ n−t honest intervals arrive (their pairwise
-		// intersection is witnessed by the (t+1)-th lowest honest input);
-		// fall back to the party's own valid input defensively — as sent
-		// in round one, whose buffer the round-two payload left alone.
-		suggestion = sent
+	// Without a covered point — unreachable when ≥ n−t honest intervals
+	// arrive (their pairwise intersection is witnessed by the (t+1)-th
+	// lowest honest input) — SUGGESTION stays the party's own valid input,
+	// defensively.
+	if suggestion, ok := w.chooseSuggestion(in, n-t); ok {
+		w.suggestion = append(w.suggestion[:0], suggestion...)
 	}
-	w.suggestion = append(w.suggestion[:0], suggestion...)
-	w.current = append(w.current[:0], suggestion...)
+	w.current = append(w.current[:0], w.suggestion...)
 
 	// ---- Search stage: t+1 king phases of 4 rounds each ----
+	// The phases' tags, built once per run.
+	currentTag, proposeTag := tag+"/hc-current", tag+"/hc-propose"
+	kingTag, voteTag := tag+"/hc-king", tag+"/hc-vote"
 	for phase := 0; phase <= t; phase++ {
 		king := transport.PartyID(phase % n)
 
 		// Round A: exchange CURRENT values.
-		in, err = transport.ExchangeAll(env, tag+"/hc-current", w.payload(w.current), &w.fan)
+		in, err = transport.ExchangeAll(env, currentTag, w.current, &w.fan)
 		if err != nil {
 			return nil, err
 		}
 		// Round B: propose a value that n−t parties reported, if any.
 		if strong, ok := natAtLeast(w.count(in), n-t); ok {
-			in, err = transport.ExchangeAll(env, tag+"/hc-propose", w.payload(strong), &w.fan)
+			in, err = transport.ExchangeAll(env, proposeTag, w.payload(strong), &w.fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}
@@ -195,7 +186,7 @@ func Run(env transport.Net, tag string, input []byte, w *Work) ([]byte, error) {
 			if haveProposed {
 				kingValue = w.current
 			}
-			in, err = transport.ExchangeAll(env, tag+"/hc-king", w.payload(kingValue), &w.fan)
+			in, err = transport.ExchangeAll(env, kingTag, kingValue, &w.fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}
@@ -215,7 +206,7 @@ func Run(env transport.Net, tag string, input []byte, w *Work) ([]byte, error) {
 		if len(sent) > 0 &&
 			(bytes.Equal(kingValue, w.current) ||
 				(natCmp(kingValue, w.lo) >= 0 && natCmp(kingValue, w.hi) <= 0)) {
-			in, err = transport.ExchangeAll(env, tag+"/hc-vote", w.payload(kingValue), &w.fan)
+			in, err = transport.ExchangeAll(env, voteTag, w.payload(kingValue), &w.fan)
 		} else {
 			in, err = transport.ExchangeNone(env)
 		}

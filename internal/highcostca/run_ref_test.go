@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"convexagreement/internal/transport"
+	"convexagreement/internal/transporttest"
 	"convexagreement/internal/wire"
 )
 
@@ -141,7 +142,7 @@ func decodeNat(raw []byte) *big.Int { return new(big.Int).SetBytes(raw) }
 
 // decodeNats extracts one natural per sender.
 func decodeNats(in []transport.Message) []*big.Int {
-	per := transport.FirstPerSender(in, nil)
+	per := transporttest.FirstPerSender(in, nil)
 	out := make([]*big.Int, 0, len(per))
 	for _, m := range per {
 		out = append(out, decodeNat(m.Payload))
@@ -154,7 +155,7 @@ func decodeNats(in []transport.Message) []*big.Int {
 // so every encoding of a number counts for that number.
 func natTally(in []transport.Message) transport.Tally {
 	var tally transport.Tally
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		tally.Add(bytes.TrimLeft(m.Payload, "\x00"), 1)
 	}
 	return tally
@@ -188,7 +189,7 @@ type intervalRef struct {
 // `coverage` well-formed intervals, or nil if none exists.
 func chooseSuggestionRef(in []transport.Message, coverage int) *big.Int {
 	var ivs []intervalRef
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		r := wire.NewReader(m.Payload)
 		lo := new(big.Int).SetBytes(r.Bytes())
 		hi := new(big.Int).SetBytes(r.Bytes())

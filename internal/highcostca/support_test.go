@@ -14,7 +14,7 @@ import (
 // the smallest supported natural by (length, bytes).
 func oracleNatWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]*int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		payload := m.Payload
 		for len(payload) > 0 && payload[0] == 0 {
 			payload = payload[1:]
@@ -46,7 +46,7 @@ func oracleNatWithSupport(in []transport.Message, threshold int) *big.Int {
 // SetBytes. Numbers, not encodings — the oracle of the oracle.
 func refNatWithSupport(in []transport.Message, threshold int) *big.Int {
 	counts := make(map[string]int)
-	for _, m := range transport.FirstPerSender(in, nil) {
+	for _, m := range transporttest.FirstPerSender(in, nil) {
 		counts[string(decodeNat(m.Payload).Bytes())]++
 	}
 	var best *big.Int

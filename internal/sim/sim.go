@@ -24,9 +24,14 @@
 // A round allocates nothing in steady state. The inboxes are carved from
 // one array the scheduler refills at every round close, as transport.Net's
 // lifetime rule allows: a round closes only once every active party has
-// called Exchange again. The rushing snapshot is likewise a slice refilled
-// every round, valid until the peeker's own Exchange; only its payload
-// copies are never rewritten (see Spied).
+// called Exchange again. The round close also copies every payload, so a
+// sender may rewrite its buffers once its Exchange returns, as over TCP:
+// round r's copies go into the arena of r's parity, refilled when round r+2
+// closes, when no party reads round r's inbox any more (a payload of it
+// relayed in round r+1 is read out of the other). The rushing snapshot is
+// likewise a slice refilled every round, valid until the peeker's own
+// Exchange; only its payload copies are not rewritten during the run (see
+// Spied).
 //
 // The scheduler also implements the paper's cost measures: BITS_ℓ(Π) — the
 // total payload bits sent by honest parties — broken down by protocol tag,
@@ -51,10 +56,10 @@ import (
 // values and their Payload bytes are strictly read-only. The slice is the
 // scheduler's, refilled every round: it is valid until the peeker's own
 // Exchange for the round. The payloads are private copies of the honest
-// packets (mutating them cannot corrupt deliveries) that are never
-// rewritten, so a strategy may keep a payload for the rest of the run; but
-// one that writes to them would leak state to other peekers, so treat them
-// as frozen.
+// packets (mutating them cannot corrupt deliveries) that are not rewritten
+// before the run ends, so a strategy may keep a payload for the rest of
+// the run; but one that writes to them would leak state to other peekers,
+// so treat them as frozen.
 type Spied struct {
 	From    PartyID
 	To      PartyID
@@ -93,6 +98,17 @@ const DefaultMaxRounds = 200000
 // carved from: at n = 16 with 512-byte broadcasts one chunk lasts about a
 // dozen rounds.
 const spyChunk = 64 << 10
+
+// arenas is a run's payload storage: the copies of the even and the odd
+// rounds' deliveries, and the chunk the rushing snapshot's copies are
+// carved from, append-only within the run. A run takes one from arenaPool
+// when it starts and puts it back once every party has returned.
+type arenas struct {
+	round [2][]byte
+	spy   []byte
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(arenas) }}
 
 // Errors surfaced to behaviors and callers.
 var (
@@ -164,14 +180,13 @@ type runner struct {
 	inboxFlat  []Message
 	inboxCount []int     // per-recipient packet counts, reused every round
 	roundTags  []tagBits // the round's distinct honest tags, reused every round
+	// arenas holds the delivered payloads' copies and the snapshot's.
+	arenas *arenas
 	// spied is the current round's rushing-adversary snapshot, refilled at
 	// most once per round on first peek and shared read-only by all
-	// peekers (see the Spied doc comment). spyBytes is the chunk its
-	// payload copies are carved from: append-only, a full chunk is
-	// replaced, never rewritten.
+	// peekers (see the Spied doc comment).
 	spied      []Spied
 	spiedValid bool
-	spyBytes   []byte
 	failed     error // cutoff or internal failure; broadcast to all
 
 	report Report
@@ -243,6 +258,8 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 	if r.activeHonest == 0 {
 		return nil, errors.New("sim: no honest parties")
 	}
+	r.arenas = arenaPool.Get().(*arenas)
+	r.arenas.spy = r.arenas.spy[:0] // the last run's snapshot is over
 
 	var wg sync.WaitGroup
 	wg.Add(cfg.N)
@@ -255,6 +272,7 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 		}(PartyID(i), parties[i].Behavior)
 	}
 	wg.Wait()
+	arenaPool.Put(r.arenas)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -393,27 +411,19 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 	// Build the snapshot at most once per round; every peeker of this
 	// round shares it read-only (see the Spied doc comment). Payloads are
 	// copied into the append-only chunk, so a snapshot allocates only when
-	// the chunk runs out however many parties peek, and a run of one
-	// sender's packets on one payload slice — a broadcast, found by
-	// identity as every Net finds it — is copied once and shared by the
-	// run's entries.
+	// the chunk runs out however many parties peek, and a broadcast is
+	// copied once (transport.Copied).
 	if !r.spiedValid {
 		count, bytes := 0, 0
 		for from := 0; from < r.cfg.N; from++ {
-			if r.corrupt[from] || !r.submitted[from] {
-				continue
-			}
-			sent := r.pending[from]
-			count += len(sent)
-			for i := range sent {
-				if i == 0 || !transport.SamePayload(sent[i].Payload, sent[i-1].Payload) {
-					bytes += len(sent[i].Payload)
-				}
+			if !r.corrupt[from] && r.submitted[from] {
+				count += len(r.pending[from])
+				bytes += transport.CopiedBytes(r.pending[from])
 			}
 		}
 		spied := slices.Grow(r.spied[:0], count)
-		flat := r.spyBytes
-		if flat == nil || cap(flat)-len(flat) < bytes {
+		flat := r.arenas.spy
+		if cap(flat)-len(flat) < bytes {
 			flat = make([]byte, 0, max(bytes, spyChunk))
 		}
 		for from := 0; from < r.cfg.N; from++ {
@@ -423,15 +433,11 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 			sent := r.pending[from]
 			var payload []byte
 			for i := range sent {
-				if i == 0 || !transport.SamePayload(sent[i].Payload, sent[i-1].Payload) {
-					off := len(flat)
-					flat = append(flat, sent[i].Payload...)
-					payload = flat[off:len(flat):len(flat)]
-				}
+				payload = transport.Copied(&flat, sent, i, payload)
 				spied = append(spied, Spied{From: from, To: sent[i].To, Payload: payload})
 			}
 		}
-		r.spied, r.spyBytes = spied, flat
+		r.spied, r.arenas.spy = spied, flat
 		r.spiedValid = true
 	}
 	return r.spied, nil
@@ -486,9 +492,10 @@ func (r *runner) maybeFinishRound() {
 	// Deliver: group packets by recipient, ordered by sender. Iterating
 	// senders in ascending order appends each recipient's messages already
 	// sender-sorted — no per-inbox sort needed. A counting pass sizes the
-	// runner's flat Message array, carved into per-recipient sub-slices.
+	// runner's flat Message array, carved into per-recipient sub-slices,
+	// and this round's arena (see the package doc).
 	counts := r.inboxCount
-	total := 0
+	total, bytes := 0, 0
 	for from := 0; from < r.cfg.N; from++ {
 		if !r.submitted[from] {
 			continue
@@ -497,9 +504,12 @@ func (r *runner) maybeFinishRound() {
 			counts[r.pending[from][i].To]++
 		}
 		total += len(r.pending[from])
+		bytes += transport.CopiedBytes(r.pending[from])
 	}
 	flat := slices.Grow(r.inboxFlat[:0], total)
 	r.inboxFlat = flat
+	copies := slices.Grow(r.arenas.round[r.round%2][:0], bytes)
+	r.arenas.round[r.round%2] = copies
 	inboxes := r.lastInbox
 	off := 0
 	for to := 0; to < r.cfg.N; to++ {
@@ -524,8 +534,10 @@ func (r *runner) maybeFinishRound() {
 		// the report below.
 		honest := !r.corrupt[from]
 		var msgs, bits int64
+		var payload []byte
 		for i := range r.pending[from] {
 			p := &r.pending[from][i]
+			payload = transport.Copied(&copies, r.pending[from], i, payload)
 			// A sender's packets of one round share one tag string, so
 			// the comparison with the packet before is a pointer-equal
 			// hit; only a sender's first packet compares bytes.
@@ -544,7 +556,7 @@ func (r *runner) maybeFinishRound() {
 					tags[cur].bits += b
 				}
 			}
-			inboxes[p.To] = append(inboxes[p.To], Message{From: from, Payload: p.Payload})
+			inboxes[p.To] = append(inboxes[p.To], Message{From: from, Payload: payload})
 		}
 		r.report.Messages += msgs
 		stats.Messages += msgs

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
 	"convexagreement/internal/transport"
+	"convexagreement/internal/transporttest"
 )
 
 // honestEcho broadcasts its id for `rounds` rounds and records its inboxes.
@@ -20,7 +20,7 @@ func honestEcho(rounds int, log *sync.Map) Behavior {
 			if err != nil {
 				return err
 			}
-			log.Store(fmt.Sprintf("%d/%d", env.ID(), r), slices.Clone(in)) // the inbox is refilled next round
+			log.Store(fmt.Sprintf("%d/%d", env.ID(), r), transporttest.Cloned(in)) // the inbox lives until the next Exchange
 		}
 		return nil
 	}
@@ -93,7 +93,7 @@ func TestRushingAdversarySeesHonestPackets(t *testing.T) {
 				return err
 			}
 			if int(env.ID()) == 0 {
-				echoed = in
+				echoed = transporttest.Cloned(in) // read once the run is over
 			}
 			return nil
 		}}
@@ -329,7 +329,7 @@ func TestOutOfRangePacketsDropped(t *testing.T) {
 				{To: 0, Tag: "x", Payload: []byte{3}},
 			}
 			in, err := env.Exchange(out)
-			got = in
+			got = transporttest.Cloned(in) // read once the run is over
 			return err
 		}},
 	}

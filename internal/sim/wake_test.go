@@ -202,7 +202,11 @@ func TestPeekerGetsCutoff(t *testing.T) {
 		if !parked(inPeek, 1) {
 			t.Errorf("the peek is not parked after %v", wakeDeadline)
 		}
-		close(release)
+		// The honest parties submit only once this party is in Exchange:
+		// the wave then completes with the round, at the cutoff. Released
+		// earlier, they could complete the wave alone and the peek return
+		// it before the cutoff.
+		releaseWhenParked(t, release, []string{inExchange}, []int{1})
 		_, err := env.Exchange(nil)
 		return err
 	}}

@@ -46,7 +46,7 @@ func cloned(in []Message) []Message {
 // itself: a map keyed by string(payload), the keys sorted afterwards.
 func oracleTally(in []Message) Tally {
 	counts := make(map[string]int)
-	for _, m := range FirstPerSender(in, nil) {
+	for _, m := range oracleFirstPerSender(in) {
 		counts[string(m.Payload)]++
 	}
 	keys := make([]string, 0, len(counts))
@@ -246,7 +246,7 @@ func oracleBit(payload []byte) (byte, bool) {
 
 func oracleMajorityBit(in []Message) (bit byte, count int) {
 	var counts [2]int
-	for _, m := range FirstPerSender(in, nil) {
+	for _, m := range oracleFirstPerSender(in) {
 		if b, ok := oracleBit(m.Payload); ok {
 			counts[b]++
 		}
@@ -292,7 +292,7 @@ func checkLanes(t *testing.T, in []Message, k int) {
 func checkLanesOnce(t *testing.T, in []Message, k int) {
 	t.Helper()
 	want := make(LaneVotes, k)
-	for _, m := range FirstPerSender(in, nil) {
+	for _, m := range oracleFirstPerSender(in) {
 		lanes, ok := oracleLanes(m.Payload, k)
 		got := bytes.Repeat([]byte{0xEE}, k)
 		if UnpackLanes(m.Payload, got) != ok {

@@ -19,11 +19,10 @@
 // VecNet is the scatter-gather form a multiplexer ships its merged round
 // in; tcpnet's Exchange stages its round into it.
 //
-// It is also the one home of how a protocol reads a round: Firsts (and
-// FirstPerSender, its listing), Tally, LaneTallies, LaneVotes, MajorityBit
-// and SentBy (PROTOCOLS.md maps them to the paper). Each reads the inbox
-// in place: a byzantine sender repeating itself costs the honest reader
-// nothing but the skipped messages.
+// It is also the one home of how a protocol reads a round: Firsts, Tally,
+// LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps them to
+// the paper). Each reads the inbox in place: a byzantine sender repeating
+// itself costs the honest reader nothing but the skipped messages.
 package transport
 
 import (
@@ -75,11 +74,15 @@ type Message struct {
 // owner resets instead of reallocating: the []Message slice Exchange
 // returns, like the payloads in it, is valid only until the next Exchange
 // or Close on that Net (a Net hands out an inbox it refills next round);
-// and a Net never retains the out slice past the call (it encodes or copies
-// the Packet values before it returns), so a caller may refill one out
-// slice round after round. transporttest.Recycle and the conformance
-// battery's out-reuse check turn the rule from a promise into failing
-// tests.
+// and a Net is done with out when Exchange returns — the slice and the
+// payload bytes it points to (a Net encodes or copies them before it
+// returns, as the paper's network owns a round's messages until it
+// delivers them) — so a caller may refill one out slice and rewrite one
+// send buffer round after round. A Net that delivered a sender's bytes by
+// reference would break the second clause: the in-process Nets copy a
+// round's payloads when it closes (Copied). transporttest.Recycle and the
+// conformance battery's out-reuse check turn the rule from a promise into
+// failing tests.
 type Net interface {
 	// ID returns this party's identifier (0-based).
 	ID() PartyID
@@ -132,6 +135,33 @@ func SamePayload(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// Copied returns out[i]'s payload copied onto the end of *buf, or prev —
+// the copy made of out[i−1]'s — when the two are the very same payload
+// slice (SamePayload): a sender's run of packets on one payload, such as a
+// broadcast, is copied once and the copy shared by the run. A copy is
+// capped, so an append through it cannot reach the next. The in-process
+// Nets take a round's payloads with it when the round closes, and the
+// simulator its rushing snapshot; CopiedBytes sizes *buf for them.
+func Copied(buf *[]byte, out []Packet, i int, prev []byte) []byte {
+	if i > 0 && SamePayload(out[i].Payload, out[i-1].Payload) {
+		return prev
+	}
+	off := len(*buf)
+	*buf = append(*buf, out[i].Payload...)
+	return (*buf)[off:len(*buf):len(*buf)]
+}
+
+// CopiedBytes is how many bytes Copied appends for all of out.
+func CopiedBytes(out []Packet) int {
+	n := 0
+	for i := range out {
+		if i == 0 || !SamePayload(out[i].Payload, out[i-1].Payload) {
+			n += len(out[i].Payload)
+		}
+	}
+	return n
+}
+
 // IsBroadcast reports whether out is a broadcast to n parties: To = i at
 // position i, every packet with the first one's tag and the very same
 // payload slice (SamePayload). It is the one recogniser of a broadcast:
@@ -172,8 +202,8 @@ func ExchangeNone(net Net) ([]Message, error) {
 // become a broadcast.
 //
 // Ownership: every piece must stay valid and unmutated until ExchangeVec
-// returns. Whatever needs a retained flat copy (in-process delivery,
-// rejoin-replay buffering) makes it before then.
+// returns. Whatever needs a retained flat copy (rejoin-replay buffering)
+// makes it before then.
 type VecPacket struct {
 	To  PartyID
 	Tag string
@@ -188,8 +218,8 @@ const All PartyID = math.MinInt
 // must be byte-identical to Exchange over packets whose Payload is the
 // concatenation of each Vec — a receiver cannot tell which form the
 // sender used. The TCP transport implements it (pieces are copied once,
-// straight into its pooled frame); lock-step in-process transports, which
-// retain payloads by reference, do not. Callers go through ExchangeVec.
+// straight into its pooled frame); the in-process transports, which copy
+// flat payloads at round close, do not. Callers go through ExchangeVec.
 type VecNet interface {
 	Net
 	ExchangeVec(out []VecPacket) ([]Message, error)
@@ -198,13 +228,11 @@ type VecNet interface {
 // ExchangeVec completes one round of scatter-gather packets over any Net:
 // through the base's own ExchangeVec when it is a VecNet, otherwise by
 // flattening every packet into one bump buffer and calling Exchange. The
-// buffer is fresh each round — plain transports retain payloads by
-// reference (in-process delivery, fault-injection delay queues) — and each
-// payload is carved with a full slice expression so an append through one
-// can never bleed into the next. An All entry is flattened once and
-// expanded into the n packets it stands for, in place, all sharing that
-// one read-only payload as Broadcast's packets do. Either way the pieces
-// are free for reuse when it returns.
+// buffer is fresh each round, and each payload is carved with a full slice
+// expression so an append through one can never bleed into the next. An
+// All entry is flattened once and expanded into the n packets it stands
+// for, in place, all sharing that one read-only payload as Broadcast's
+// packets do. Either way the pieces are free for reuse when it returns.
 func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 	if vn, ok := net.(VecNet); ok {
 		return vn.ExchangeVec(out)
@@ -239,44 +267,12 @@ func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 	return net.Exchange(flat)
 }
 
-// FirstPerSender reduces an inbox to at most one message per sender: the
-// first each party sent this round. This models the synchronous abstraction
-// "the value received from P_j" — byzantine parties that spam several
+// Firsts walks an inbox's first message from each sender in place, in
+// order of first appearance, one at a time (Next) or a run of byte-equal
+// first messages at a time (Run). This models the synchronous abstraction
+// "the value received from P_j": byzantine parties that spam several
 // conflicting messages over one authenticated channel in one round get
-// exactly one of them considered, deterministically.
-//
-// Every Net delivers sorted by sender, so an honest round is its own
-// first-per-sender set and comes back as it is. Any other inbox — a sender
-// repeating itself (byzantine spam), or senders out of order, which no Net
-// in this module delivers — is filtered into *scratch, the caller's, in
-// order of first appearance; a nil scratch takes a new slice. The result is
-// read-only and lives as long as msgs and *scratch do. The protocols read a
-// round in place through Firsts, which walks the same messages in the same
-// order; FirstPerSender is the listing their oracles compare against.
-func FirstPerSender(msgs []Message, scratch *[]Message) []Message {
-	f := FirstsOf(msgs)
-	if f.order == ascending {
-		return msgs
-	}
-	var out []Message
-	if scratch != nil {
-		out = (*scratch)[:0]
-	}
-	if cap(out) < len(msgs) {
-		out = make([]Message, 0, len(msgs)) // not slices.Grow, which allocates twice under -race
-	}
-	for f.Next() {
-		out = append(out, f.Message())
-	}
-	if scratch != nil {
-		*scratch = out
-	}
-	return out
-}
-
-// Firsts walks an inbox's first message from each sender in place — the
-// messages FirstPerSender keeps, in the same order — one at a time (Next)
-// or a run of byte-equal first messages at a time (Run). It neither copies
+// exactly one of them considered, deterministically. It neither copies
 // the inbox nor allocates: in a sender-sorted inbox, which every Net
 // delivers, a message is its sender's first when the one before it is
 // another sender's; in an inbox out of sender order, when no message

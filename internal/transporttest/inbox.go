@@ -31,6 +31,38 @@ func Inbox(raw []byte, pool [][]byte) []transport.Message {
 	return in
 }
 
+// FirstPerSender lists an inbox's first message per sender — the messages
+// transport.Firsts walks in place, in the same order — for the quorum
+// oracles to compare against. An inbox whose senders strictly ascend, as
+// every Net delivers an honest round, comes back as it is. Any other — a
+// sender repeating itself (byzantine spam), or senders out of order — is
+// filtered into *scratch, the caller's, in order of first appearance; a nil
+// scratch takes a new slice. The result is read-only and lives as long as
+// msgs and *scratch do.
+func FirstPerSender(msgs []transport.Message, scratch *[]transport.Message) []transport.Message {
+	ascending := true
+	for i := 1; i < len(msgs) && ascending; i++ {
+		ascending = msgs[i].From > msgs[i-1].From
+	}
+	if ascending {
+		return msgs
+	}
+	var out []transport.Message
+	if scratch != nil {
+		out = (*scratch)[:0]
+	}
+	if cap(out) < len(msgs) {
+		out = make([]transport.Message, 0, len(msgs)) // not slices.Grow, which allocates twice under -race
+	}
+	for f := transport.FirstsOf(msgs); f.Next(); {
+		out = append(out, f.Message())
+	}
+	if scratch != nil {
+		*scratch = out
+	}
+	return out
+}
+
 // Cloned is in with every payload in a slice of its own, as a TCP mesh
 // delivers a round: Inbox hands out the pool's shared slices, so a reader
 // that told equal payloads apart by slice identity would pass on it alone.

@@ -8,6 +8,7 @@ package transporttest
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,36 +34,58 @@ func Conformance(t *testing.T, run Cluster) {
 }
 
 // ConformanceOutReuse holds a transport to the other half of transport.Net's
-// lifetime rule: a Net never retains the out slice past the call. Every
-// party refills one out slice round after round and, the moment Exchange
-// returns, overwrites every packet in it with junk addressed to everyone; a
-// transport that still reads the slice — at delivery, or from a queue of
-// held packets — delivers the junk. (Only the slice is the caller's again;
-// payload bytes stay untouched, as in-process transports deliver them by
-// reference.) delay is how many rounds the transport under test holds every
-// packet between two parties (0 for a plain transport; a fault injector
-// with a delay plan passes its delay): a message from a peer delivered in
-// round r must be the one stamped r−delay, self-delivery is immediate, and
-// from round delay on every party hears everyone.
+// lifetime rule: a Net is done with out — the slice and its payload bytes —
+// when Exchange returns. Every party refills one out slice round after
+// round, its packets on one send buffer, and the moment Exchange returns
+// overwrites every packet in the slice with junk addressed to everyone and
+// every byte of the buffer with junk too; only then, once every party has
+// scribbled, does it check its inbox. A transport that still reads the
+// slice — at delivery, or from a queue of held packets — delivers the junk
+// packets, and one that delivers a sender's payload by reference delivers
+// the junk bytes. delay is how many rounds the transport under test holds
+// every packet between two parties (0 for a plain transport; a fault
+// injector with a delay plan passes its delay): a message from a peer
+// delivered in round r must be the one stamped r−delay, self-delivery is
+// immediate, and from round delay on every party hears everyone.
 func ConformanceOutReuse(t *testing.T, run Cluster, delay int) {
 	const n, rounds = 3, 6
 	junk := []byte{0xee, 0xee, 0xee, 0xee}
+	// scribbled[r] is done once every party has scribbled over round r's
+	// packets (or returned).
+	var scribbled [rounds]sync.WaitGroup
+	for r := range scribbled {
+		scribbled[r].Add(n)
+	}
 	fns := make([]func(net transport.Net) error, n)
 	for i := range fns {
 		fns[i] = func(net transport.Net) error {
 			id := net.ID()
+			next := 0 // the first round this party has not scribbled over
+			defer func() {
+				for ; next < rounds; next++ {
+					scribbled[next].Done() // a party that fails must not wedge the others
+				}
+			}()
 			out := make([]transport.Packet, n)
+			send := make([]byte, 4*n)
 			for r := 0; r < rounds; r++ {
 				for to := range out {
-					out[to] = transport.Packet{To: to, Tag: "r", Payload: []byte{byte(id), byte(r), byte(to), 0x0f}}
+					payload := append(send[4*to:4*to:4*to+4], byte(id), byte(r), byte(to), 0x0f)
+					out[to] = transport.Packet{To: to, Tag: "r", Payload: payload}
 				}
 				in, err := net.Exchange(out)
 				for k := range out {
 					out[k] = transport.Packet{To: k, Tag: "junk", Payload: junk}
 				}
+				for k := range send {
+					send[k] = 0xdd
+				}
 				if err != nil {
 					return fmt.Errorf("party %d round %d: %w", id, r, err)
 				}
+				scribbled[r].Done()
+				next++
+				scribbled[r].Wait()
 				want := n
 				if r < delay {
 					want = 1 // only self-delivery has arrived yet

@@ -86,8 +86,7 @@ func Some(v []byte) []byte { return AppendSome(make([]byte, 0, 1+len(v)), v) }
 // AppendSome appends Some(v) to dst.
 func AppendSome(dst, v []byte) []byte { return append(append(dst, 1), v...) }
 
-// None frames ⊥: the single byte 0x00. Every call returns a fresh slice,
-// because in-process transports deliver a sender's payload by reference.
+// None frames ⊥: the single byte 0x00, in a fresh slice.
 func None() []byte { return AppendNone(make([]byte, 0, 1)) }
 
 // AppendNone appends None() to dst.

@@ -190,14 +190,14 @@ one_path() {
 	# One long-value plane. HIGHCOSTCA runs on canonical big-endian
 	# naturals in its work set; the math/big listing it replaced is the
 	# _test.go oracle runRef. Π_ℓBA+'s dispersal tuples are appended into
-	# the two tuple buffers of baplus.Buffers; a tuple framed in a fresh
-	# writer per round brings encodeTuple or a wire.NewWriter back.
+	# the tuple buffer of baplus.Buffers; a tuple framed in a fresh writer
+	# per round brings encodeTuple or a wire.NewWriter back.
 	if grep -rn '"math/big"' --include='*.go' internal/highcostca | grep -v '_test\.go:'; then
 		echo "one-path: math/big in internal/highcostca's non-test code; HIGHCOSTCA runs on canonical bytes" >&2
 		exit 1
 	fi
 	if grep -rnE 'encodeTuple|wire\.NewWriter\(' --include='*.go' internal/baplus | grep -v '_test\.go:'; then
-		echo "one-path: a per-round fresh dispersal tuple in internal/baplus; append into baplus.Buffers' tuple buffers" >&2
+		echo "one-path: a per-round fresh dispersal tuple in internal/baplus; append into baplus.Buffers' tuple buffer" >&2
 		exit 1
 	fi
 
@@ -253,9 +253,11 @@ one_path() {
 	# free lists, a codec call's working set is its caller's rs.Scratch, a
 	# long value lives in the core.Buffers of the party's run: none is a
 	# sync.Pool, which a GC empties and which hides who may still hold a
-	# buffer.
-	if grep -rnE '^[^/]*sync\.Pool' --include='*.go' . | grep -v '_test\.go:'; then
-		echo "one-path: a sync.Pool in non-test Go; give the buffers an owner (wire.Arena's free lists, rs.Scratch, core.Buffers)" >&2
+	# buffer. The one pool is the simulator's payload arenas, which a
+	# simulated run takes when it starts and puts back once every party has
+	# returned, so no one holds them between runs.
+	if grep -rnE '^[^/]*sync\.Pool' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/sim/sim\.go:'; then
+		echo "one-path: a sync.Pool in non-test Go outside the simulator's arenas; give the buffers an owner (wire.Arena's free lists, rs.Scratch, core.Buffers)" >&2
 		exit 1
 	fi
 	# One round send, one tail. tcpnet ships a round with one sendRound —
@@ -381,9 +383,10 @@ allocs_guard() {
 		go test -run '^$' -bench 'BenchmarkSessmuxTickTCP' -benchtime 2000x -benchmem ./internal/sessmux/
 		go test -run '^$' -bench 'Benchmark(En|De)codeTo_n7_k5_256KiB$' -benchtime 100x -benchmem ./internal/rs/
 		go test -run '^$' -bench 'BenchmarkRoundThroughput_n16$' -benchtime 2000x -benchmem ./internal/sim/
+		go test -run '^$' -bench 'BenchmarkHubRound_n16$' -benchtime 2000x -benchmem ./internal/channet/
 		go test -run '^$' -bench 'BenchmarkStrategyRound_n16' -benchtime 2000x -benchmem ./internal/adversary/
 		go test -run '^$' -bench 'Benchmark(LaneVotesCount|LaneTallies)_n16' -benchtime 1000x -benchmem ./internal/transport/
-	} | guard_allocs 'FrameRoundTrip|Admission|DecodeMalformed|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|AgreeByz_n16|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|StrategyRound_n16|(LaneVotesCount|LaneTallies)_n16'
+	} | guard_allocs 'FrameRoundTrip|Admission|DecodeMalformed|WAL(Append|InstanceSwitch)$|SessmuxFlushVec|Bitstr(Slice|Concat|FillTo)|BitstrCompare|BinaryChannet|PiZ(Long)?Channet|MuxedPiZ|AgreeByz_n16|MeshRound|SessmuxTickTCP|(En|De)codeTo_n7_k5_256KiB|RoundThroughput_n16$|HubRound_n16$|StrategyRound_n16|(LaneVotesCount|LaneTallies)_n16'
 }
 
 # One full 1024-session wave over the shared loopback mesh, gated on an

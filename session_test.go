@@ -173,14 +173,14 @@ func TestSessionLongValueAllocations(t *testing.T) {
 // TestShortValueAllocations holds 64-bit Π_ℤ agreements — the benchmark's
 // mux_* shape, where only the additive κn²log²n term runs — to what they
 // allocate per party. Sixteen parties over the in-process transport run
-// RunParty on inputs that share their top 48 bits, each agreement on a
-// fresh set of buffers as RunParty makes them; the 2nd to 5th agreements'
-// bytes are counted from runtime.MemStats across the whole process, per
-// party and agreement. Most of it is the in-process transport's: it has no
-// broadcast fast path, so every round builds n packets. The containers of
-// every phase-king, Turpin–Coan round and Π_BA+ stage live in the run's one
-// work set, shared by its instances: 85.8 KB per party and agreement here,
-// where it was 92.3 KB when each instance built its own.
+// RunParty on inputs that share their top 48 bits, each agreement on the
+// set the package-level lender lends it; the 2nd to 5th agreements' bytes
+// are counted from runtime.MemStats across the whole process, per party
+// and agreement. The containers of every phase-king, Turpin–Coan round and
+// Π_BA+ stage live in the run's one work set, shared by its instances, and
+// the set outlives the run: about 1.4 KB per party and agreement here,
+// where it was about 8.3 KB when each RunParty over this transport grew a
+// fresh set.
 func TestShortValueAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 16-party agreements")

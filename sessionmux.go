@@ -18,14 +18,8 @@ import (
 // participant of a session must open it at the same tick with
 // the same (n, t); a party with no live sessions keeps the shared tick
 // clock with Idle.
-//
-// A RunParty over one of the mux's transports runs on a protocol work set
-// (core.Buffers) the mux lends it for the run, as a Session keeps one
-// across its instances: the mux holds the sets its finished runs returned,
-// never more than the most runs it has had live at once.
 type SessionMux struct {
-	m    *sessmux.Mux
-	sets workSets // lends each RunParty over the mux's transports its set
+	m *sessmux.Mux
 }
 
 // NewSessionMux wraps tr. The transport must not be driven by anyone else
@@ -49,7 +43,7 @@ func (sm *SessionMux) Open(sid uint64, n, t int) (*MuxedTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MuxedTransport{s: s, sm: sm}, nil
+	return &MuxedTransport{s: s}, nil
 }
 
 // Idle keeps the tick clock for a party with no live sessions: it drives
@@ -82,8 +76,7 @@ type SessionMuxStats = sessmux.Stats
 // session locally; peers observe omission, and sibling sessions are
 // unaffected.
 type MuxedTransport struct {
-	s  *sessmux.Session
-	sm *SessionMux // lends RunParty its work set
+	s *sessmux.Session
 }
 
 // Sid returns the session id.

@@ -181,17 +181,25 @@ func (failingTransport) Exchange([]ca.Packet) ([]ca.Message, error) {
 	return nil, errors.New("link down")
 }
 
-// lendWatch records a SessionMux's lending through its test hook: a set
-// lent while it is still out, or returned while it is not, is an error.
+// lendWatch records the package-level lender's lending through its test
+// hook, from the moment watchLending installs it: a set lent while it is
+// still out, or returned while it is not, is an error; with scribble set
+// every returned set is Scribbled.
 type lendWatch struct {
+	mu         sync.Mutex
 	out        map[*core.Buffers]bool
 	live, peak int
+	heldBefore int
 	err        error
 }
 
-func watchLending(sm *ca.SessionMux) *lendWatch {
-	w := &lendWatch{out: map[*core.Buffers]bool{}}
-	ca.SetLendHook(sm, func(b *core.Buffers, lent bool) {
+func watchLending(t *testing.T, scribble bool) *lendWatch {
+	// Every earlier run has returned its set: the entry points wait for
+	// all their parties.
+	w := &lendWatch{out: map[*core.Buffers]bool{}, heldBefore: ca.SharedSetsHeld()}
+	ca.SetSharedLendHook(func(b *core.Buffers, lent bool) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
 		switch {
 		case lent && w.out[b]:
 			w.err = errors.Join(w.err, fmt.Errorf("set %p lent to a second live run", b))
@@ -202,22 +210,42 @@ func watchLending(sm *ca.SessionMux) *lendWatch {
 			w.peak = max(w.peak, w.live)
 		default:
 			w.live--
+			if scribble {
+				b.Scribble()
+			}
 		}
 		w.out[b] = lent
 	})
+	t.Cleanup(func() { ca.SetSharedLendHook(nil) })
 	return w
 }
 
-// TestMuxedSetsNotShared: over waves of concurrent runs no set is lent to
-// two live runs, every run returns its set, and a mux holds no more sets
-// than it had runs live at once; a run that fails returns its set too.
+// check fails t unless some runs were watched and are over with every set
+// returned, and the lender holds no more sets than it held before or had
+// runs live at once. It returns how many were live at once.
+func (w *lendWatch) check(t *testing.T) (peak int) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	if w.live != 0 || w.peak == 0 {
+		t.Fatalf("%d sets still lent, %d live at peak", w.live, w.peak)
+	}
+	if held := ca.SharedSetsHeld(); held != max(w.heldBefore, w.peak) {
+		t.Fatalf("lender holds %d sets, held %d before, %d runs live at peak", held, w.heldBefore, w.peak)
+	}
+	return w.peak
+}
+
+// TestMuxedSetsNotShared: over waves of concurrent muxed runs no set is
+// lent to two live runs and every run returns its set, whose lender holds
+// no more sets than it had runs live at once; a run that fails returns its
+// set too.
 func TestMuxedSetsNotShared(t *testing.T) {
 	const n = 4
 	mp := localMuxes(t, n)
-	watches := make([]*lendWatch, n)
-	for p, sm := range mp.muxes {
-		watches[p] = watchLending(sm)
-	}
 	rng := rand.New(rand.NewSource(3))
 	inputs := make([][][]*big.Int, 3)
 	for w := range inputs {
@@ -225,42 +253,36 @@ func TestMuxedSetsNotShared(t *testing.T) {
 			inputs[w] = append(inputs[w], mixedInputs(rng, n, 64*(1+s)))
 		}
 	}
+	w := watchLending(t, false)
 	mp.waves(t, inputs)
-	for p, w := range watches {
-		if w.err != nil {
-			t.Fatalf("party %d: %v", p, w.err)
-		}
-		if w.live != 0 {
-			t.Fatalf("party %d: %d sets still lent after every run ended", p, w.live)
-		}
-		if w.peak != 4 || ca.SetsHeld(mp.muxes[p]) != w.peak {
-			t.Fatalf("party %d: %d sets held, %d runs live at peak, want 4 and 4", p, ca.SetsHeld(mp.muxes[p]), w.peak)
-		}
+	// A wave's runs are all live before any of them ends its first round.
+	if peak, want := w.check(t), n*len(inputs[len(inputs)-1]); peak != want {
+		t.Fatalf("%d runs live at peak, want %d", peak, want)
 	}
 
 	sm := ca.NewSessionMux(failingTransport{})
-	w := watchLending(sm)
 	mt, err := sm.Open(1, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mt.Close()
+	w = watchLending(t, false)
 	if _, err := ca.RunParty(mt, ca.ProtoOptimal, 0, big.NewInt(5)); err == nil {
 		t.Fatal("a run over a failing transport succeeded")
 	}
-	if w.err != nil || w.peak != 1 || w.live != 0 || ca.SetsHeld(sm) != 1 {
-		t.Fatalf("failed run: err %v, peak %d, live %d, held %d; want its one set returned", w.err, w.peak, w.live, ca.SetsHeld(sm))
+	if peak := w.check(t); peak != 1 {
+		t.Fatalf("failed run: %d sets lent, want 1", peak)
 	}
 }
 
 // TestMuxedShortValueAllocations is TestShortValueAllocations through a
 // SessionMux per party over the in-process cluster: bytes allocated per
 // party and 64-bit agreement, one session at a time, after a first
-// agreement has grown the mux's work set. It reads 81 900 on the set the
-// mux lends, 87 300 when each run grows a fresh set, and read 97 700 when
-// besides that the mux fanned every broadcast out into n packets; most of
-// the rest is the flattening fallback's per-tick packets and payload
-// copies, as the in-process base takes no ExchangeVec.
+// agreement has grown the work sets. It reads 81 200 on the sets the
+// package-level lender lends, 87 300 when each run grows a fresh set, and
+// read 97 700 when besides that the mux fanned every broadcast out into n
+// packets; most of the rest is the flattening fallback's per-tick packets
+// and payload copies, as the in-process base takes no ExchangeVec.
 func TestMuxedShortValueAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 16-party agreements")
@@ -359,27 +381,7 @@ func TestSharedSetsScribbled(t *testing.T) {
 		}
 		want[i] = res
 	}
-	heldBefore := ca.SharedSetsHeld() // every run has returned its set: Agree waits for all parties
-	w := &lendWatch{out: map[*core.Buffers]bool{}}
-	var mu sync.Mutex
-	ca.SetSharedLendHook(func(b *core.Buffers, lent bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case lent && w.out[b]:
-			w.err = errors.Join(w.err, fmt.Errorf("set %p lent to a second live run", b))
-		case !lent && !w.out[b]:
-			w.err = errors.Join(w.err, fmt.Errorf("set %p returned while not lent", b))
-		case lent:
-			w.live++
-			w.peak = max(w.peak, w.live)
-		default:
-			w.live--
-			b.Scribble()
-		}
-		w.out[b] = lent
-	})
-	defer ca.SetSharedLendHook(nil)
+	w := watchLending(t, true)
 	for pass := 0; pass < 2; pass++ {
 		for i, c := range cases {
 			got, err := c()
@@ -391,26 +393,15 @@ func TestSharedSetsScribbled(t *testing.T) {
 			}
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-	if w.live != 0 || w.peak == 0 {
-		t.Fatalf("%d sets still lent, %d live at peak", w.live, w.peak)
-	}
-	if held := ca.SharedSetsHeld(); held != max(heldBefore, w.peak) {
-		t.Fatalf("lender holds %d sets, held %d before, %d runs live at peak", held, heldBefore, w.peak)
-	}
+	w.check(t)
 }
 
 // TestSharedSetsConcurrent: simulated agreements run from several
 // goroutines at once share the package-level lender's sets across runs
-// whose rounds nothing orders with each other's. A party's last payloads
-// stay in its set, read by reference, so a run gives its sets back only
-// when it is over (lease); under -race a set lent again as soon as its
-// party returns fails here. Results must equal the ones each call gives
-// alone.
+// whose rounds nothing orders with each other's, each set given back as
+// its party returns. Under -race, a network that still read a returned
+// set's last payloads — delivered by reference — fails here. Results must
+// equal the ones each call gives alone.
 func TestSharedSetsConcurrent(t *testing.T) {
 	cases := sharedCases()
 	want := make([]any, len(cases))

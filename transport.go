@@ -44,9 +44,12 @@ type Message = transport.Message
 // delivers out of pooled frames it reuses); whoever keeps or forwards a
 // payload past that call copies it first. The returned slice lives exactly
 // as long as the payloads in it — a transport may hand out an inbox it
-// refills next round — and in the other direction an implementation must
-// not retain the out slice past the call (copy or encode the packets before
-// returning): callers refill one out slice round after round.
+// refills next round — and in the other direction an implementation is
+// done with out when Exchange returns: it must retain neither the slice
+// nor the payload bytes it points to (copy or encode them before
+// returning), because callers refill one out slice and rewrite their send
+// buffers round after round. An implementation that delivers a sender's
+// payload to its receivers by reference must copy it instead.
 type Transport = transport.Net
 
 // RunParty executes one party's side of the selected protocol over the
@@ -66,31 +69,16 @@ func RunPartyApprox(tr Transport, input, diameterBound, epsilon *big.Int) (*big.
 }
 
 // runParty validates one party's call against its transport and runs it on
-// a lent work set, returned when the run ends, failed or not: over a
-// MuxedTransport its SessionMux's, over a TCPTransport the package-level
-// lender's. TCP copies every payload into its frames before Exchange
-// returns, so nothing reads the set once the run is over. Any other
-// transport may deliver by reference, and a peer may still read the run's
-// last payloads when it returns, so it runs on a fresh set.
+// a work set sharedSets lends, returned when the run ends, failed or not.
 func runParty(tr Transport, c call, input *big.Int) (*big.Int, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("%w: nil transport", ErrOptions)
 	}
-	if _, err := c.validate(tr.N(), []*big.Int{input}); err != nil {
+	run, err := c.validate(tr.N(), []*big.Int{input})
+	if err != nil {
 		return nil, err
 	}
-	var sets *workSets
-	switch tr := tr.(type) {
-	case *MuxedTransport:
-		sets = &tr.sm.sets
-	case *TCPTransport:
-		sets = &sharedSets
-	default:
-		return c.run(tr, input, nil)
-	}
-	b := sets.lend()
-	defer sets.giveBack(b)
-	return c.run(tr, input, b)
+	return run(tr, input)
 }
 
 // TCPConfig configures DialTCP.

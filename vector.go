@@ -40,7 +40,7 @@ type VectorResult struct {
 // Corruption.Input replicated across coordinates).
 func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
 	dim := 0
-	validate := func(n int, honest [][]*big.Int) (func(transport.Net, []*big.Int, *lease) ([]*big.Int, error), error) {
+	validate := func(n int, honest [][]*big.Int) (func(transport.Net, []*big.Int) ([]*big.Int, error), error) {
 		var coords []*big.Int
 		for _, vec := range honest {
 			if dim == 0 {
@@ -55,8 +55,8 @@ func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(net transport.Net, vec []*big.Int, l *lease) ([]*big.Int, error) {
-			return runVector(net, vec, scalar, l)
+		return func(net transport.Net, vec []*big.Int) ([]*big.Int, error) {
+			return runVector(net, vec, scalar)
 		}, nil
 	}
 	// Ghosts run the honest composition on a poisoned vector.
@@ -103,13 +103,13 @@ func AgreeVector(inputs [][]*big.Int, opts Options) (*VectorResult, error) {
 
 // runVector executes the d-coordinate composition for one party: one
 // instance of the scalar protocol per coordinate, in shared rounds, each
-// on a work set of its own from l.
-func runVector(net transport.Net, vec []*big.Int, scalar partyRunner, l *lease) ([]*big.Int, error) {
+// on a work set of its own.
+func runVector(net transport.Net, vec []*big.Int, scalar partyRunner) ([]*big.Int, error) {
 	out := make([]*big.Int, len(vec))
 	fns := make([]func(net transport.Net) error, len(vec))
 	for c := range vec {
 		fns[c] = func(coordNet transport.Net) (err error) {
-			out[c], err = scalar(coordNet, vec[c], l)
+			out[c], err = scalar(coordNet, vec[c])
 			return err
 		}
 	}
