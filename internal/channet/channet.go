@@ -13,7 +13,6 @@ package channet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"convexagreement/internal/transport"
@@ -215,19 +214,13 @@ func (c *Conn) Leave() {
 // Every payload is copied here, so a sender may rewrite its buffers once
 // its Exchange returns: round r's copies go into the arena of r's parity,
 // refilled when round r+2 closes, when no party reads round r's inbox any
-// more (a payload of it relayed in round r+1 is read out of the other).
+// more (a payload of it relayed in round r+1 is read out of the other). An
+// arena that grows leaves its earlier copies where they are.
 func (h *Hub) maybeFlush() {
 	if h.closed || h.nActive == 0 || h.nPending < h.nActive {
 		return
 	}
-	bytes := 0
-	for from, out := range h.pending {
-		if h.submitted[from] {
-			bytes += transport.CopiedBytes(out)
-		}
-	}
-	copies := slices.Grow(h.arenas[h.round%2][:0], bytes)
-	h.arenas[h.round%2] = copies
+	copies := h.arenas[h.round%2][:0]
 	for to := range h.inboxes {
 		if h.active[to] {
 			h.inboxes[to] = h.inboxes[to][:0]
@@ -249,6 +242,7 @@ func (h *Hub) maybeFlush() {
 		h.pending[from] = h.pending[from][:0]
 		h.submitted[from] = false
 	}
+	h.arenas[h.round%2] = copies
 	h.nPending = 0
 	h.round++
 	h.cond.Broadcast()

@@ -492,10 +492,11 @@ func (r *runner) maybeFinishRound() {
 	// Deliver: group packets by recipient, ordered by sender. Iterating
 	// senders in ascending order appends each recipient's messages already
 	// sender-sorted — no per-inbox sort needed. A counting pass sizes the
-	// runner's flat Message array, carved into per-recipient sub-slices,
-	// and this round's arena (see the package doc).
+	// runner's flat Message array, carved into per-recipient sub-slices.
+	// The payload copies go into the arena of this round's parity (see the
+	// package doc); one that grows leaves its earlier copies where they are.
 	counts := r.inboxCount
-	total, bytes := 0, 0
+	total := 0
 	for from := 0; from < r.cfg.N; from++ {
 		if !r.submitted[from] {
 			continue
@@ -504,12 +505,10 @@ func (r *runner) maybeFinishRound() {
 			counts[r.pending[from][i].To]++
 		}
 		total += len(r.pending[from])
-		bytes += transport.CopiedBytes(r.pending[from])
 	}
 	flat := slices.Grow(r.inboxFlat[:0], total)
 	r.inboxFlat = flat
-	copies := slices.Grow(r.arenas.round[r.round%2][:0], bytes)
-	r.arenas.round[r.round%2] = copies
+	copies := r.arenas.round[r.round%2][:0]
 	inboxes := r.lastInbox
 	off := 0
 	for to := 0; to < r.cfg.N; to++ {
@@ -576,6 +575,7 @@ func (r *runner) maybeFinishRound() {
 		r.report.RoundsByTag[t.tag]++
 	}
 	r.roundTags = tags
+	r.arenas.round[r.round%2] = copies
 	if r.cfg.Timeline {
 		stats.Round = r.round
 		r.report.Timeline = append(r.report.Timeline, stats)

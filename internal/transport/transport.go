@@ -139,9 +139,9 @@ func SamePayload(a, b []byte) bool {
 // the copy made of out[i−1]'s — when the two are the very same payload
 // slice (SamePayload): a sender's run of packets on one payload, such as a
 // broadcast, is copied once and the copy shared by the run. A copy is
-// capped, so an append through it cannot reach the next. The in-process
-// Nets take a round's payloads with it when the round closes, and the
-// simulator its rushing snapshot; CopiedBytes sizes *buf for them.
+// capped, so an append through it cannot reach the next, and stays where
+// it is when *buf grows. The in-process Nets take a round's payloads with
+// it when the round closes, and the simulator its rushing snapshot.
 func Copied(buf *[]byte, out []Packet, i int, prev []byte) []byte {
 	if i > 0 && SamePayload(out[i].Payload, out[i-1].Payload) {
 		return prev
