@@ -18,7 +18,6 @@ package adversary
 import (
 	"bytes"
 	"cmp"
-	"math/rand"
 	"slices"
 
 	"convexagreement/internal/sim"
@@ -57,7 +56,7 @@ func Crash(rounds int) sim.Behavior {
 // undecodable payloads as absent, never crash.
 func Garbage(seed int64, maxLen int) sim.Behavior {
 	return func(env *sim.Env) error {
-		rng := rand.New(rand.NewSource(seed + int64(env.ID())))
+		rng := env.Rand(seed + int64(env.ID()))
 		var out []sim.Packet
 		var buf []byte
 		for {
@@ -92,7 +91,7 @@ func carve(buf *[]byte, size int) []byte {
 // attacks logic rather than parsers.
 func Equivocate(seed int64) sim.Behavior {
 	return func(env *sim.Env) error {
-		rng := rand.New(rand.NewSource(seed * 31))
+		rng := env.Rand(seed * 31)
 		seen := make([]bool, env.N())
 		var first [][]byte
 		var out []sim.Packet
@@ -178,7 +177,7 @@ func mirror(env *sim.Env, chooseLast bool) error {
 // stresses per-sender deduplication and witness verification.
 func Spam(seed int64, copies int) sim.Behavior {
 	return func(env *sim.Env) error {
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		rng := env.Rand(seed ^ 0x5eed)
 		var out []sim.Packet
 		var buf []byte
 		for {
@@ -229,7 +228,7 @@ type replayRun struct {
 // they are kept as they are.
 func Replay(seed int64) sim.Behavior {
 	return func(env *sim.Env) error {
-		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
+		rng := env.Rand(seed ^ 0x9e3779b9)
 		var history []replayRun
 		entries := 0
 		var out []sim.Packet

@@ -43,13 +43,10 @@ func TurpinCoan(env transport.Net, tag string, inputs [][]byte, w *Work) (cands 
 	}
 	n, t, k := env.N(), env.T(), len(inputs)
 	tags := tag + "/tc1" + tag + "/tc2"
-	// Round 1's frames take size bytes; round 2's and the candidates, honest
-	// parties' values framed again, do too unless byzantine ones are longer.
-	size := 0
-	for _, v := range inputs {
-		size += 1 + len(v)
-	}
-	frames, buf := resize(&w.frames, k), room(&w.opts, size)
+	// Each round's frames, and then the candidates, are appended into a
+	// buffer the set keeps; a grown buffer leaves its old array, which the
+	// frames carved so far point into, as it is.
+	frames, buf := resize(&w.frames, k), w.opts[:0]
 	for l, v := range inputs {
 		mark := len(buf)
 		buf = wire.AppendSome(buf, v)
@@ -85,7 +82,7 @@ func TurpinCoan(env transport.Net, tag string, inputs [][]byte, w *Work) (cands 
 		return nil, nil, err
 	}
 	tallies = w.Tally(in, k, transport.AddOption)
-	cands, g, buf = resize(&w.cands, k), resize(&w.g, k), room(&w.candBuf, size)
+	cands, g, buf = resize(&w.cands, k), resize(&w.g, k), w.candBuf[:0]
 	for l, tally := range tallies {
 		var cand transport.Support
 		for _, s := range tally {

@@ -118,14 +118,6 @@ func (w *Work) Scribble() {
 //go:noinline
 func fresh() *Work { return new(Work) }
 
-// room returns *p emptied, with room for size bytes.
-func room(p *[]byte, size int) []byte {
-	if cap(*p) < size {
-		*p = make([]byte, 0, size)
-	}
-	return (*p)[:0]
-}
-
 // resize returns *p at length k, reallocated only when it lacks the room.
 func resize[S ~[]T, T any](p *S, k int) S {
 	if cap(*p) < k {

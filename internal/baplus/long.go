@@ -311,9 +311,9 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 		c := &b.cs.commits[lane]
 		out = resize(b.work.Fan(), n)
 		shareout := tag + "/shareout"
-		// Room for every tuple up front (a witness has at most ⌈log₂ n⌉
-		// digests), so that the payloads carved as they are appended stay
-		// in one array.
+		// Room for every tuple at once (a witness has at most ⌈log₂ n⌉
+		// digests): a first agreement's appends would grow the buffer step
+		// by step, an allocation each (core.BenchmarkPiZLongChannet).
 		buf := slices.Grow(b.tuples[:0], n*(3*binary.MaxVarintLen64+2*c.stripes+bits.Len(uint(n))*hashing.Size))
 		for j := range out {
 			// The path goes into the witness scratch; the tuple copies it

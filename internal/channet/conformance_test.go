@@ -21,9 +21,11 @@ func cluster(t *testing.T, n, tc int, fns []func(net transport.Net) error) {
 
 func TestConformance(t *testing.T) { transporttest.Conformance(t, cluster) }
 
-// TestConformanceVec: scatter-gather packets over the hub take
-// transport.ExchangeVec's flattening fallback.
-func TestConformanceVec(t *testing.T) { transporttest.ConformanceVec(t, cluster) }
+// TestConformanceVec: scatter-gather packets over the hub are flattened
+// through a transport.Flat each party reuses across rounds.
+func TestConformanceVec(t *testing.T) {
+	transporttest.ConformanceVec(t, cluster, transporttest.Flattened)
+}
 
 // TestConformanceIngress runs the flood battery: packet- and byte-level
 // floods from one party must not disturb the others' rounds.

@@ -14,10 +14,13 @@ import (
 // must be semantically invisible.
 func TestConformance(t *testing.T) { transporttest.Conformance(t, cluster) }
 
-// TestConformanceVec: the wrapper takes scatter-gather packets through
-// transport.ExchangeVec's flattening fallback, and — it retains payloads
-// in its delay queues — must not see the sender's pieces after the call.
-func TestConformanceVec(t *testing.T) { transporttest.ConformanceVec(t, cluster) }
+// TestConformanceVec: the wrapper takes scatter-gather packets flattened
+// through a transport.Flat each party reuses across rounds, and — it
+// retains payloads in its delay queues — must not see the sender's pieces
+// or the flattener's buffers after the call.
+func TestConformanceVec(t *testing.T) {
+	transporttest.ConformanceVec(t, cluster, transporttest.Flattened)
+}
 
 // TestOutReuseWithHeldPackets: every packet between two parties is held for
 // two rounds in the wrapper's delay queue, and the sender overwrites its out

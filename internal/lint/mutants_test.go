@@ -145,9 +145,10 @@ var mutants = []mutant{
 				"\tstart := time.Now() // MUTANT\n\tdefer func() { _ = time.Since(start) }()\n\tleft, right := 1, numBlocks+1\n"}}},
 	{id: "D4", file: "internal/adversary/adversary.go", fires: []string{"detrand"},
 		why: "global rand.Intn in internal/adversary",
-		edits: [][2]string{{
-			"\t\t\t\tpayload := carve(&buf, rng.Intn(maxLen+1))\n",
-			"\t\t\t\tpayload := carve(&buf, rand.Intn(maxLen+1)) // MUTANT\n"}}},
+		edits: [][2]string{
+			{"\t\"cmp\"\n", "\t\"cmp\"\n\t\"math/rand\"\n"},
+			{"\t\t\t\tpayload := carve(&buf, rng.Intn(maxLen+1))\n",
+				"\t\t\t\tpayload := carve(&buf, rand.Intn(maxLen+1)) // MUTANT\n"}}},
 	{id: "D5", file: "internal/faultnet/faultnet.go", fires: []string{"detrand"},
 		why: "global rand.Float64() in faultnet.roll: the seed-exact fault schedule stops replaying",
 		edits: [][2]string{

@@ -10,11 +10,13 @@
 // The mux advances in ticks. One tick is one physical round of the base
 // transport and carries exactly one virtual round of every live local
 // session: a tick closes when all live sessions have submitted their
-// round (Exchange), the merged traffic ships as one base round through
-// transport.ExchangeVec — every session's frames for the same peer ride in
-// the same physical frame, payloads by reference down to the base — and
-// the inbox demultiplexes by session id. A session's round costs the tick
-// O(1) whatever the base's width N: a full-width session's broadcast —
+// round (Exchange), the merged traffic ships as one base round — through
+// the base's ExchangeVec when it is a transport.VecNet, every session's
+// frames for the same peer riding in the same physical frame, payloads by
+// reference down to the base; otherwise flattened through a
+// transport.Flat the mux keeps — and the inbox demultiplexes by session
+// id. A session's round costs the tick O(1) whatever the base's width N:
+// a full-width session's broadcast —
 // Exchange over its n packets on one payload slice, as
 // transport.ExchangeAll builds them, found by that identity
 // (transport.IsBroadcast) — is one entry addressed to transport.All, not N
@@ -50,7 +52,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -74,8 +75,9 @@ const inboxPerParticipant = 64
 // sessions with Open, keep the tick clock with Idle when none are live.
 type Mux struct {
 	base transport.Net
-	n    int  // base.N(): a session this wide broadcasts as one transport.All entry
-	vec  bool // the base takes scatter-gather packets: nothing is copied here
+	n    int              // base.N(): a session this wide broadcasts as one transport.All entry
+	vec  transport.VecNet // the base, when it takes scatter-gather packets: nothing is copied here
+	flat transport.Flat   // otherwise the merged tick is flattened here, into buffers kept across ticks
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -97,8 +99,8 @@ type Mux struct {
 
 	stats Stats
 
-	// Merge scratch, reused across ticks: transport.ExchangeVec frees the
-	// pieces when it returns.
+	// Merge scratch, reused across ticks: the base is done with the pieces
+	// when its round returns.
 	hdrBuf  []byte
 	vecBuf  [][]byte
 	pktsBuf []transport.VecPacket
@@ -108,8 +110,8 @@ type Mux struct {
 // coalescing ratio: how many session frames ride in each physical round
 // (on a TCP base, each peer's share of a tick is one write).
 // BytesReferenced counts payload bytes handed to a VecNet base by
-// reference; BytesCopied counts payload bytes transport.ExchangeVec had to
-// flatten for a plain base — on a VecNet base it stays 0.
+// reference; BytesCopied counts payload bytes the mux flattened for a
+// base without ExchangeVec — on a VecNet base it stays 0.
 type Stats struct {
 	Ticks           uint64 // physical rounds driven
 	Packets         uint64 // session frames shipped, all sessions coalesced
@@ -128,7 +130,7 @@ func New(base transport.Net) *Mux {
 		open:    make(map[uint64]*Session),
 		retired: make(map[uint64]struct{}),
 	}
-	_, m.vec = base.(transport.VecNet)
+	m.vec, _ = base.(transport.VecNet)
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -483,38 +485,16 @@ func (m *Mux) demux(in []transport.Message) {
 // merge ships the tick's packets as one base round without copying a
 // payload byte here: each merged packet is a two-piece vector — the
 // session's id varint, carved once per session from one shared header
-// buffer, and the payload by reference — and transport.ExchangeVec hands
-// them to a VecNet base as they are or flattens them once for a plain one.
-// A full-width session's broadcast is one entry addressed to
-// transport.All, which the TCP base encodes once for all peers; every other
-// packet addressed inside its session is one entry. The pieces are free on
-// return, so all three scratch slices are reused across ticks; they are
-// sized up front because a mid-merge regrowth would move the header bytes
-// out from under the already-carved varint pieces.
+// buffer, and the payload by reference. A VecNet base takes them as they
+// are; any other base gets them flattened through m.flat. A full-width
+// session's broadcast is one entry addressed to transport.All, which the
+// TCP base encodes once for all peers; every other packet addressed inside
+// its session is one entry. The pieces are free on return, so all three
+// scratch slices are reused across ticks and grow by append: a grown
+// slice leaves its old array, which the pieces carved so far point into,
+// as it is.
 // Caller holds m.mu.
 func (m *Mux) merge() ([]transport.Message, error) {
-	hdrLen, entries := 0, 0
-	for _, s := range m.order {
-		hdrLen += uvarintLen(s.sid)
-		if s.all {
-			entries++
-			continue
-		}
-		for i := range s.pending {
-			if p := &s.pending[i]; p.To >= 0 && p.To < s.n {
-				entries++
-			}
-		}
-	}
-	if cap(m.hdrBuf) < hdrLen {
-		m.hdrBuf = make([]byte, 0, hdrLen)
-	}
-	if cap(m.vecBuf) < 2*entries {
-		m.vecBuf = make([][]byte, 0, 2*entries)
-	}
-	if cap(m.pktsBuf) < entries {
-		m.pktsBuf = make([]transport.VecPacket, 0, entries)
-	}
 	buf, vecs, merged := m.hdrBuf[:0], m.vecBuf[:0], m.pktsBuf[:0]
 	var packets, payloadBytes uint64
 	for _, s := range m.order {
@@ -545,12 +525,15 @@ func (m *Mux) merge() ([]transport.Message, error) {
 		}
 	}
 	m.stats.Packets += packets
-	if m.vec {
+	var in []transport.Message
+	var err error
+	if m.vec != nil {
 		m.stats.BytesReferenced += payloadBytes
+		in, err = m.vec.ExchangeVec(merged)
 	} else {
 		m.stats.BytesCopied += payloadBytes
+		in, err = m.base.Exchange(m.flat.Flatten(merged, m.n))
 	}
-	in, err := transport.ExchangeVec(m.base, merged)
 	// The base is done with the pieces; drop the references so the scratch
 	// slices don't pin session buffers until the next tick.
 	clear(vecs)
@@ -559,13 +542,6 @@ func (m *Mux) merge() ([]transport.Message, error) {
 	}
 	m.hdrBuf, m.vecBuf, m.pktsBuf = buf, vecs, merged
 	return in, err
-}
-
-// uvarintLen returns the encoded size of v, so merge buffers can be sized
-// exactly (a mid-merge regrowth would cost the allocation the buffer
-// exists to avoid — and on the vec path, correctness).
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
 }
 
 // unframe splits a session frame; ok=false on malformed input. Everything

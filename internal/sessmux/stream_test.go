@@ -110,16 +110,17 @@ type sessShape struct {
 
 // mergedStreamDigest is the FNV-1a digest of the physical packet stream
 // the script below produced at the commit before the copying merge was
-// replaced by the transport.ExchangeVec fallback. It pins the merge's
-// bytes AND order: fault-injection replay digests, the simulator's bit
-// counts and the TCP frame bytes all hang off this stream.
+// replaced by the scatter-gather merge. It pins the merge's bytes AND
+// order: fault-injection replay digests, the simulator's bit counts and
+// the TCP frame bytes all hang off this stream.
 const mergedStreamDigest = 0x4f78f0a210cb83bc
 
 // TestMergedStreamPinned drives a fixed 3-session × 4-round script — sids
 // with 1-, 2- and 3-byte varints, sessions narrower than the base, an
 // empty payload, packets addressed outside the session — over a plain
-// base (flattening fallback) and a VecNet base (pieces by reference) and
-// holds both physical streams to the pinned digest.
+// base (flattened through the mux's transport.Flat) and a VecNet base
+// (pieces by reference) and holds both physical streams to the pinned
+// digest.
 func TestMergedStreamPinned(t *testing.T) {
 	shapes := []sessShape{{3, 4, 1}, {200, 2, 0}, {70000, 3, 0}}
 	batch := func(sid uint64, round int) []transport.Packet {
@@ -143,7 +144,7 @@ func TestMergedStreamPinned(t *testing.T) {
 			t.Fatalf("%s base: stats %+v, want 4 ticks and traffic", name, st)
 		}
 		// All payload bytes referenced on the vec base, all copied by the
-		// flattening fallback on the plain one.
+		// mux's flattener on the plain one.
 		if copying := name == "plain"; (st.BytesCopied != 0) != copying || (st.BytesReferenced != 0) == copying {
 			t.Fatalf("%s base: copied=%d referenced=%d", name, st.BytesCopied, st.BytesReferenced)
 		}
@@ -164,13 +165,14 @@ func TestMergedStreamPinned(t *testing.T) {
 const broadcastStreamDigest = 0x5e21f5cade931915
 
 // TestBroadcastStreamPinned drives a fixed 4-session × 4-round script over
-// a 4-party plain base (flattening fallback) and a VecNet base and holds
-// both physical streams to one pinned digest. Sid 5 is full-width and
-// broadcasts through transport.ExchangeAll, sid 6 is full-width and hands
-// Exchange transport.Broadcast's n packets, sid 300 is a 2-party session
-// broadcasting, and sid 70000 is full-width and mixes per-peer payloads,
-// one payload slice sent to everyone but under two tags, and packets
-// addressed outside the session. Even rounds leave sid 6 silent.
+// a 4-party plain base (flattened through the mux's transport.Flat) and a
+// VecNet base and holds both physical streams to one pinned digest. Sid 5
+// is full-width and broadcasts through transport.ExchangeAll, sid 6 is
+// full-width and hands Exchange transport.Broadcast's n packets, sid 300
+// is a 2-party session broadcasting, and sid 70000 is full-width and mixes
+// per-peer payloads, one payload slice sent to everyone but under two
+// tags, and packets addressed outside the session. Even rounds leave sid 6
+// silent.
 func TestBroadcastStreamPinned(t *testing.T) {
 	shapes := []sessShape{{5, 4, 1}, {6, 4, 1}, {300, 2, 0}, {70000, 4, 1}}
 	payload := func(sid uint64, r int) []byte {
@@ -308,8 +310,8 @@ func TestVecPathMatchesCopyPath(t *testing.T) {
 }
 
 // TestVecScratchDoesNotAliasAcrossRounds: the merge reuses its header
-// scratch across ticks, which is only sound because ExchangeVec frees the
-// pieces on return. The recording base flattens at delivery time; the
+// scratch across ticks, which is only sound because the base is done with
+// the pieces when its round returns. The recording base flattens at delivery time; the
 // copies it took must stay intact while later ticks rewrite the scratch.
 func TestVecScratchDoesNotAliasAcrossRounds(t *testing.T) {
 	vec := recVecNet{newRecNet(2)}

@@ -42,6 +42,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 
@@ -99,13 +100,15 @@ const DefaultMaxRounds = 200000
 // dozen rounds.
 const spyChunk = 64 << 10
 
-// arenas is a run's payload storage: the copies of the even and the odd
-// rounds' deliveries, and the chunk the rushing snapshot's copies are
-// carved from, append-only within the run. A run takes one from arenaPool
-// when it starts and puts it back once every party has returned.
+// arenas is a run's pooled state: the payload copies of the even and the
+// odd rounds' deliveries, the chunk the rushing snapshot's copies are
+// carved from, append-only within the run, and each party's random source
+// (Env.Rand). A run takes one from arenaPool when it starts and puts it
+// back once every party has returned.
 type arenas struct {
 	round [2][]byte
 	spy   []byte
+	rngs  []*rand.Rand
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arenas) }}
@@ -217,6 +220,20 @@ func (e *Env) T() int { return e.r.cfg.T }
 // Corrupt reports whether this party is corrupted.
 func (e *Env) Corrupt() bool { return e.r.corrupt[e.id] }
 
+// Rand returns this party's random source, seeded with seed: its draws are
+// those of rand.New(rand.NewSource(seed)). The source is the party's slot
+// of the run's pooled arenas, so a strategy that draws builds no source
+// per run; a second call reseeds the source the first returned.
+func (e *Env) Rand(seed int64) *rand.Rand {
+	rng := &e.r.arenas.rngs[e.id]
+	if *rng == nil {
+		*rng = rand.New(rand.NewSource(seed))
+	} else {
+		(*rng).Seed(seed)
+	}
+	return *rng
+}
+
 // Run executes one synchronous protocol instance. It returns the cost
 // report; the error aggregates honest-party failures and cutoff violations.
 // Outputs of the protocol are returned through the behavior closures.
@@ -260,6 +277,9 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 	}
 	r.arenas = arenaPool.Get().(*arenas)
 	r.arenas.spy = r.arenas.spy[:0] // the last run's snapshot is over
+	if k := cfg.N - len(r.arenas.rngs); k > 0 {
+		r.arenas.rngs = append(r.arenas.rngs, make([]*rand.Rand, k)...)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(cfg.N)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -438,5 +439,43 @@ func TestInboxLivesUntilNextExchange(t *testing.T) {
 	}
 	if checked != rounds-1 {
 		t.Errorf("checked %d inboxes, want %d", checked, rounds-1)
+	}
+}
+
+// TestRandMatchesFreshSource: Env.Rand's draws are those of a fresh
+// math/rand source on the same seed, on a party's first call of a run, on
+// a second call within it, and in later runs, which reseed the source the
+// pooled arenas kept with its read position mid-word.
+func TestRandMatchesFreshSource(t *testing.T) {
+	const n = 4
+	draw := func(rng *rand.Rand) []byte {
+		b := make([]byte, 3) // a partial word leaves the read position mid-word
+		rng.Read(b)
+		b = append(b, byte(rng.Intn(251)))
+		tail := make([]byte, 5)
+		rng.Read(tail)
+		return append(b, tail...)
+	}
+	for run := range 3 {
+		got := make([][]byte, n)
+		parties := make([]Party, n)
+		for i := range parties {
+			parties[i] = Party{Behavior: func(env *Env) error {
+				seed := int64(10*run) + int64(env.ID())
+				first := draw(env.Rand(seed))
+				got[env.ID()] = append(first, draw(env.Rand(seed))...)
+				return nil
+			}}
+		}
+		if _, err := Run(Config{N: n, T: 1}, parties); err != nil {
+			t.Fatal(err)
+		}
+		for id, g := range got {
+			seed := int64(10*run) + int64(id)
+			want := append(draw(rand.New(rand.NewSource(seed))), draw(rand.New(rand.NewSource(seed)))...)
+			if !bytes.Equal(g, want) {
+				t.Errorf("run %d party %d drew %x, want %x", run, id, g, want)
+			}
+		}
 	}
 }

@@ -50,9 +50,15 @@ func TestConformance(t *testing.T) {
 func TestExchangeVecMatchesExchange(t *testing.T) {
 	for name, window := range map[string]int{"rejoin-tails": 0, "one-round-tail": 1} {
 		t.Run(name, func(t *testing.T) {
-			transporttest.ConformanceVec(t, meshCluster(func(c *tcpnet.Config) { c.RejoinWindow = window }))
+			transporttest.ConformanceVec(t, meshCluster(func(c *tcpnet.Config) { c.RejoinWindow = window }), exchangeVec)
 		})
 	}
+}
+
+// exchangeVec sends a party's scatter-gather rounds through its Conn's own
+// ExchangeVec.
+func exchangeVec(net transport.Net) transporttest.VecExchange {
+	return net.(*tcpnet.Conn).ExchangeVec
 }
 
 // TestConformanceFaults runs the fault-tolerance battery with a small Δ so

@@ -761,17 +761,9 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 	}
 	// Self-delivery outlives the caller's pieces (the contract frees them
 	// when ExchangeVec returns) but not the next Exchange, so it is flattened
-	// into one bump buffer the Conn reuses — sized up front, because a
-	// regrowth would move the bytes out from under the payloads carved so far.
-	need := 0
-	for _, v := range c.vecs[self] {
-		for _, piece := range v {
-			need += len(piece)
-		}
-	}
-	if cap(c.selfBuf) < need {
-		c.selfBuf = make([]byte, 0, need)
-	}
+	// into one bump buffer the Conn reuses. It grows by append: a grown
+	// buffer leaves its old array, which the payloads carved so far point
+	// into, as it is.
 	buf := c.selfBuf[:0]
 	for _, v := range c.vecs[self] {
 		mark := len(buf)
@@ -780,6 +772,7 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 		}
 		c.self = append(c.self, transport.Message{From: self, Payload: buf[mark:len(buf):len(buf)]})
 	}
+	c.selfBuf = buf
 	if all {
 		c.sendRound(r, c.arena.EncodeFrameVecs(r, c.vecs[self]))
 	} else {

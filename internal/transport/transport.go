@@ -17,7 +17,8 @@
 // by that identity, never through an optional method a wrapper could fail
 // to forward. IsBroadcast is the one recogniser tcpnet and sessmux ask.
 // VecNet is the scatter-gather form a multiplexer ships its merged round
-// in; tcpnet's Exchange stages its round into it.
+// in; tcpnet's Exchange stages its round into it. Over a Net without it,
+// the multiplexer flattens the round through a Flat it keeps.
 //
 // It is also the one home of how a protocol reads a round: Firsts, Tally,
 // LaneTallies, LaneVotes, MajorityBit and SentBy (PROTOCOLS.md maps them to
@@ -202,8 +203,8 @@ func ExchangeNone(net Net) ([]Message, error) {
 // become a broadcast.
 //
 // Ownership: every piece must stay valid and unmutated until ExchangeVec
-// returns. Whatever needs a retained flat copy (rejoin-replay buffering)
-// makes it before then.
+// (or Flat.Flatten) returns. Whatever needs a retained flat copy
+// (rejoin-replay buffering) makes it before then.
 type VecPacket struct {
 	To  PartyID
 	Tag string
@@ -219,37 +220,33 @@ const All PartyID = math.MinInt
 // concatenation of each Vec — a receiver cannot tell which form the
 // sender used. The TCP transport implements it (pieces are copied once,
 // straight into its pooled frame); the in-process transports, which copy
-// flat payloads at round close, do not. Callers go through ExchangeVec.
+// flat payloads at round close, do not, and a caller over one of those
+// sends the same round through Flat.
 type VecNet interface {
 	Net
 	ExchangeVec(out []VecPacket) ([]Message, error)
 }
 
-// ExchangeVec completes one round of scatter-gather packets over any Net:
-// through the base's own ExchangeVec when it is a VecNet, otherwise by
-// flattening every packet into one bump buffer and calling Exchange. The
-// buffer is fresh each round, and each payload is carved with a full slice
-// expression so an append through one can never bleed into the next. An
-// All entry is flattened once and expanded into the n packets it stands
-// for, in place, all sharing that one read-only payload as Broadcast's
-// packets do. Either way the pieces are free for reuse when it returns.
-func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
-	if vn, ok := net.(VecNet); ok {
-		return vn.ExchangeVec(out)
-	}
-	total, packets := 0, 0
-	for i := range out {
-		for _, p := range out[i].Vec {
-			total += len(p)
-		}
-		if out[i].To == All {
-			packets += net.N()
-		} else {
-			packets++
-		}
-	}
-	buf := make([]byte, 0, total)
-	flat := make([]Packet, 0, packets)
+// Flat flattens scatter-gather packets for a Net without ExchangeVec,
+// into a byte buffer and a packet slice it keeps and refills at every
+// Flatten: a Net is done with the packets it is sent once its Exchange
+// returns, so a round's flat packets are free by the next round.
+type Flat struct {
+	buf  []byte
+	pkts []Packet
+}
+
+// Flatten returns out as the flat packets it stands for at width n. Each
+// entry's pieces are concatenated into one payload carved from the kept
+// buffer with a full slice expression, so an append through one can never
+// bleed into the next; a grown buffer leaves its old array, which the
+// payloads carved so far point into, as it is. An All entry is flattened
+// once and expanded in place into the n packets it stands for, all
+// sharing that one payload as a broadcast's packets do (IsBroadcast). The
+// packets are valid until the next Flatten; the pieces are free when it
+// returns.
+func (f *Flat) Flatten(out []VecPacket, n int) []Packet {
+	buf, flat := f.buf[:0], f.pkts[:0]
 	for i := range out {
 		mark := len(buf)
 		for _, p := range out[i].Vec {
@@ -260,11 +257,12 @@ func ExchangeVec(net Net, out []VecPacket) ([]Message, error) {
 			flat = append(flat, Packet{To: out[i].To, Tag: out[i].Tag, Payload: payload})
 			continue
 		}
-		for to := range net.N() {
+		for to := range n {
 			flat = append(flat, Packet{To: to, Tag: out[i].Tag, Payload: payload})
 		}
 	}
-	return net.Exchange(flat)
+	f.buf, f.pkts = buf, flat
+	return flat
 }
 
 // Firsts walks an inbox's first message from each sender in place, in

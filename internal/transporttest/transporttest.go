@@ -109,13 +109,28 @@ func ConformanceOutReuse(t *testing.T, run Cluster, delay int) {
 	run(t, n, 0, fns)
 }
 
-// ConformanceVec runs the scatter-gather contract through
-// transport.ExchangeVec — the base's own ExchangeVec where it is a VecNet,
-// the flattening fallback elsewhere. Each round half the parties send
-// multi-piece packets (empty pieces mixed in) and the other half the same
-// payloads flat through Exchange, alternating by round, and every inbox
-// must come out identical: a receiver cannot tell which shape the sender
-// used. Every party also sends an empty payload, two out-of-range packets
+// VecExchange is one party's scatter-gather round: a VecNet's own
+// ExchangeVec, or Flattened's.
+type VecExchange func(out []transport.VecPacket) ([]transport.Message, error)
+
+// Flattened sends net's scatter-gather rounds as a multiplexer over a Net
+// without ExchangeVec does: Exchange over the packets of one
+// transport.Flat, kept across the rounds.
+func Flattened(net transport.Net) VecExchange {
+	var flat transport.Flat
+	return func(out []transport.VecPacket) ([]transport.Message, error) {
+		return net.Exchange(flat.Flatten(out, net.N()))
+	}
+}
+
+// ConformanceVec runs the scatter-gather contract, each party sending its
+// scatter-gather rounds through the VecExchange vec makes of its Net: the
+// transport's own ExchangeVec where it has one, and elsewhere Flattened,
+// so that what is tested is the refill of the flattener's kept buffers.
+// Each round half the parties send multi-piece packets (empty pieces
+// mixed in) and the other half the same payloads flat through Exchange,
+// alternating by round, and every inbox must come out identical: a
+// receiver cannot tell which shape the sender used. Every party also sends an empty payload, two out-of-range packets
 // and one transport.All entry, which the flat half sends as the n packets
 // it stands for. The pieces are the sender's again once the call returns,
 // so a vec sender scribbles over them immediately, and the inbox it then checks
@@ -124,7 +139,7 @@ func ConformanceOutReuse(t *testing.T, run Cluster, delay int) {
 // (transport.Net); a transport that delivered a peer's pieces by reference
 // is a data race between that peer's scribble and this check, which the
 // -race runs of every transport's battery report.
-func ConformanceVec(t *testing.T, run Cluster) {
+func ConformanceVec(t *testing.T, run Cluster, vec func(net transport.Net) VecExchange) {
 	const n, rounds = 3, 4
 	payload := func(from, r int) []byte {
 		return []byte{byte(from), byte(r), 0xaa, 0xbb, byte(from), byte(r)}
@@ -133,7 +148,7 @@ func ConformanceVec(t *testing.T, run Cluster) {
 	fns := make([]func(net transport.Net) error, n)
 	for i := range fns {
 		fns[i] = func(net transport.Net) error {
-			id := net.ID()
+			id, send := net.ID(), vec(net)
 			for r := 0; r < rounds; r++ {
 				w := payload(id, r)
 				var in []transport.Message
@@ -144,7 +159,7 @@ func ConformanceVec(t *testing.T, run Cluster) {
 					for _, to := range dests {
 						out = append(out, transport.VecPacket{To: to, Tag: "v", Vec: pieces})
 					}
-					in, err = transport.ExchangeVec(net, out)
+					in, err = send(out)
 					for k := range w {
 						w[k] = 0xff
 					}

@@ -127,6 +127,19 @@ one_path() {
 		echo "one-path: wire's EncodeFrame gained a caller outside internal/wire and bench; a round is encoded by ExchangeVec's EncodeFrameVecs" >&2
 		exit 1
 	fi
+	# One home for "is the base a VecNet?". sessmux asks it once, in New,
+	# and ships each tick through the base's ExchangeVec or flattens it
+	# through the transport.Flat it keeps. A free ExchangeVec over any Net
+	# (a fresh flat buffer every round) or a second module asking the
+	# question would bring the deleted fallback back.
+	if grep -rnE 'func ExchangeVec\(net|transport\.ExchangeVec\(' --include='*.go' . | grep -v '_test\.go:'; then
+		echo "one-path: a free ExchangeVec over any Net reappeared in non-test code; a mux flattens through the transport.Flat it keeps" >&2
+		exit 1
+	fi
+	if grep -rnE '\.\((transport\.)?VecNet\)|case (transport\.)?VecNet\b' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/sessmux/'; then
+		echo "one-path: non-test code outside internal/sessmux asks whether a Net is a VecNet; sessmux is the one place that decides" >&2
+		exit 1
+	fi
 	# One multiplexer with one backpressure bound: parallel composition is
 	# sessmux.Parallel, the per-session bound is a fixed 64·n_s, and the
 	# benchmark guards are this script's guard_allocs/guard_time. A second
@@ -335,8 +348,8 @@ cross_compile() {
 # a whole number of allocs), the
 # same agreement through a SessionMux per party (BenchmarkMuxedPiZ, on the
 # set the mux lends each run: a run that went back to growing a fresh set
-# adds about 860 allocs/op; most of what is left is the flattening
-# fallback's per-tick packets for a base without ExchangeVec), an
+# adds about 860 allocs/op, and a tick flattened into a fresh buffer and
+# packet slice, as before the mux kept its transport.Flat, read 3282), an
 # n = 4 tcpnet round (a broadcast, and a per-peer round timed after its
 # rejoin tail has filled) and a 64-session sessmux tick over a loopback
 # mesh, all at 0 allocs/op — every per-round container is scratch held by its
@@ -366,9 +379,11 @@ cross_compile() {
 # agreement at f = t (n = 16, 4096-bit inputs, five catalogue strategies)
 # on the sets the package-level lender keeps; it read 4867 allocs/op when
 # each party grew a fresh set and every repeated sender and malformed
-# payload cost its reader a copy or an error string. At 50x it read
-# 999-1001 over 14 runs (goroutine scheduling moves it by a couple); the
-# row is the highest read.
+# payload cost its reader a copy or an error string, and 689 when each
+# seeded strategy built a math/rand source per run instead of reseeding
+# its party's source in the simulator's pooled arenas. At 50x it read
+# 684-685 over 39 runs (goroutine scheduling moves it by one); the row is
+# the highest read.
 allocs_guard() {
 	{
 		go test -run '^$' -bench 'BenchmarkFrameRoundTrip|BenchmarkAdmission|BenchmarkDecodeMalformed' -benchtime 100x -benchmem ./internal/wire/

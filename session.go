@@ -223,11 +223,16 @@ func InspectStateOpts(dir string, o StorageOptions) (SessionState, error) {
 	if err != nil {
 		return SessionState{}, err
 	}
+	return sessionState(st), nil
+}
+
+// sessionState is st as InspectState reports it.
+func sessionState(st *checkpoint.State) SessionState {
 	ss := SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}
 	if st.Last != nil {
 		ss.Output = st.Last.Output
 	}
-	return ss, nil
+	return ss
 }
 
 // ErrStateDir reports an unusable checkpoint directory at startup:
@@ -272,11 +277,7 @@ func ValidateStateDir(dir string, n, t int, o StorageOptions) (SessionState, err
 		return SessionState{}, fmt.Errorf("%w: %s holds state for n=%d t=%d, mesh is n=%d t=%d",
 			ErrStateDir, dir, st.N, st.T, n, t)
 	}
-	ss := SessionState{Seq: st.Seq, NextRound: st.NextRound, Partial: st.Partial != nil}
-	if st.Last != nil {
-		ss.Output = st.Last.Output
-	}
-	return ss, nil
+	return sessionState(st), nil
 }
 
 // Close releases the checkpoint log, if any. The transport is the

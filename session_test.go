@@ -178,14 +178,14 @@ func TestSessionLongValueAllocations(t *testing.T) {
 // are counted from runtime.MemStats across the whole process, per party
 // and agreement. The containers of every phase-king, Turpin–Coan round and
 // Π_BA+ stage live in the run's one work set, shared by its instances, and
-// the set outlives the run: about 1.4 KB per party and agreement here,
+// the set outlives the run: about 1.6 KB per party and agreement here,
 // where it was about 8.3 KB when each RunParty over this transport grew a
-// fresh set.
+// fresh set. The limit is 4 000, so that losing the lent set fails it.
 func TestShortValueAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 16-party agreements")
 	}
-	const n, rounds, limit = 16, 5, 87_000
+	const n, rounds, limit = 16, 5, 4_000
 	trs, err := ca.NewLocalCluster(n, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -278,16 +278,18 @@ func TestMuxedSetsNotShared(t *testing.T) {
 // TestMuxedShortValueAllocations is TestShortValueAllocations through a
 // SessionMux per party over the in-process cluster: bytes allocated per
 // party and 64-bit agreement, one session at a time, after a first
-// agreement has grown the work sets. It reads 81 200 on the sets the
-// package-level lender lends, 87 300 when each run grows a fresh set, and
-// read 97 700 when besides that the mux fanned every broadcast out into n
-// packets; most of the rest is the flattening fallback's per-tick packets
-// and payload copies, as the in-process base takes no ExchangeVec.
+// agreement has grown the work sets. It reads about 2 100 on the sets the
+// package-level lender lends: the in-process base takes no ExchangeVec, so
+// each mux flattens its ticks through its transport.Flat, whose buffers
+// it keeps. It read 81 000 when every tick was flattened into a fresh
+// buffer and packet slice, and 97 700 when besides that the mux fanned
+// every broadcast out into n packets; the limit is 6 000, so that a
+// per-tick buffer coming back fails it.
 func TestMuxedShortValueAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five 16-party agreements")
 	}
-	const n, rounds, limit = 16, 5, 85_000
+	const n, rounds, limit = 16, 5, 6_000
 	mp := localMuxes(t, n)
 	rng := rand.New(rand.NewSource(5))
 	inputs := make([][][]*big.Int, rounds)
