@@ -11,7 +11,6 @@ import (
 	"convexagreement/internal/core"
 	"convexagreement/internal/highcostca"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -62,7 +61,7 @@ func simulate[I, O any](
 	opts Options, inputs []I,
 	validate func(n int, honest []I) (func(transport.Net, I) (O, error), error),
 	ghost func(Corruption) (I, error),
-) (*testutil.Result[O], error) {
+) (*sim.Result[O], error) {
 	opts, err := normalize(len(inputs), opts)
 	if err != nil {
 		return nil, err
@@ -78,13 +77,13 @@ func simulate[I, O any](
 			if err != nil {
 				return nil, err
 			}
-			corrupt[i] = testutil.Ghost(func(env *sim.Env) error { _, err := run(env, poisoned); return err })
+			corrupt[i] = sim.Ghost(func(env *sim.Env) error { _, err := run(env, poisoned); return err })
 		} else if corrupt[i], err = networkAdversary(c.Kind, opts.Seed+int64(i)); err != nil {
 			return nil, err
 		}
 	}
 	cfg := sim.Config{N: opts.N, T: opts.T, MaxRounds: opts.MaxRounds, Timeline: opts.Timeline}
-	return testutil.Run(cfg, corrupt, func(env *sim.Env) (O, error) { return run(env, inputs[env.ID()]) })
+	return sim.Collect(cfg, corrupt, func(env *sim.Env) (O, error) { return run(env, inputs[env.ID()]) })
 }
 
 // honestInputs drops the entries of corrupted parties (byzantine parties

@@ -11,9 +11,9 @@ import (
 	"convexagreement/internal/testutil"
 )
 
-func runAA(t *testing.T, n, tc int, inputs []*big.Int, diameter, eps int64, corrupt map[int]sim.Behavior) *testutil.Result[*big.Int] {
+func runAA(t *testing.T, n, tc int, inputs []*big.Int, diameter, eps int64, corrupt map[int]sim.Behavior) *sim.Result[*big.Int] {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return aa.Run(env, "aa", inputs[env.ID()], big.NewInt(diameter), big.NewInt(eps))
 		})
@@ -24,7 +24,7 @@ func runAA(t *testing.T, n, tc int, inputs []*big.Int, diameter, eps int64, corr
 }
 
 // checkEpsAgreement verifies pairwise ε-closeness and hull membership.
-func checkEpsAgreement(t *testing.T, res *testutil.Result[*big.Int], honest []*big.Int, eps int64) {
+func checkEpsAgreement(t *testing.T, res *sim.Result[*big.Int], honest []*big.Int, eps int64) {
 	t.Helper()
 	var values []*big.Int
 	for id, v := range res.Outputs {
@@ -101,7 +101,7 @@ func TestGhostExtremesCannotDragAA(t *testing.T) {
 	n, tc := 7, 2
 	const diameter = 1 << 16
 	ghost := func(v *big.Int) sim.Behavior {
-		return testutil.Ghost(func(env *sim.Env) error {
+		return sim.Ghost(func(env *sim.Env) error {
 			_, err := aa.Run(env, "aa", v, big.NewInt(diameter), big.NewInt(8))
 			return err
 		})
@@ -141,7 +141,7 @@ func TestRoundsFormula(t *testing.T) {
 
 func TestArgumentValidation(t *testing.T) {
 	run := func(input, d, e *big.Int) error {
-		_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
+		_, err := sim.Collect(sim.Config{N: 1, T: 0}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return aa.Run(env, "aa", input, d, e)
 			})

@@ -7,7 +7,6 @@ import (
 
 	"convexagreement/internal/aa"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 func BenchmarkAA_n7_eps1_D1M(b *testing.B) {
@@ -20,7 +19,7 @@ func BenchmarkAA_n7_eps1_D1M(b *testing.B) {
 	d, eps := big.NewInt(1<<20), big.NewInt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		_, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return aa.Run(env, "aa", inputs[env.ID()], d, eps)
 			})

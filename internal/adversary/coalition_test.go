@@ -29,7 +29,7 @@ func TestCoalitionAgainstPiZ(t *testing.T) {
 			honest = append(honest, inputs[i])
 		}
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiZ(env, "ca", inputs[env.ID()], nil)
 		})
@@ -52,7 +52,7 @@ func TestCoalitionMembersCoordinate(t *testing.T) {
 	coalition := adversary.NewCoalition()
 	corrupt := map[int]sim.Behavior{3: coalition.Member(), 4: coalition.Member()}
 	perRound := map[int]map[sim.PartyID]string{} // round → member → payload to party 0
-	res, err := testutil.Run(sim.Config{N: n, T: 1}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: 1}, corrupt,
 		func(env *sim.Env) (int, error) {
 			for r := 0; r < 4; r++ {
 				in, err := transport.ExchangeAll(env, "h", []byte{byte(env.ID()), byte(r)}, nil)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -42,7 +43,8 @@ type pending struct {
 }
 
 // Scheduler chooses which pending message to deliver at each quiescent
-// point: the asynchronous adversary. It returns an index into queue.
+// point: the asynchronous adversary. It returns an index into queue, a
+// view the network refills at every pick (do not keep it).
 // Implementations must be deterministic given their own state.
 type Scheduler interface {
 	Pick(queue []QueuedMessage) int
@@ -99,8 +101,16 @@ type Net struct {
 	mu   sync.Mutex
 	wake []*sync.Cond // per party, all on mu: a delivery wakes its recipient only
 
-	inbox     [][]Message // delivered, per party (FIFO)
+	inbox [][]Message // delivered, per party (FIFO)
+	// queue holds the pending messages in canonical order, (sender,
+	// sender's program order): every send is inserted at its position, so
+	// scheduler decisions, and hence entire runs, are deterministic
+	// regardless of goroutine interleaving (the pending multiset at each
+	// quiescent point is itself deterministic). A sender's counter only
+	// grows, so the pair is unique and a send goes after its sender's
+	// earlier ones.
 	queue     []pending
+	view      []QueuedMessage // the scheduler's view of queue, refilled every pick
 	running   []bool
 	corrupt   []bool
 	blocked   []bool
@@ -230,7 +240,8 @@ func (n *Net) Send(from, to PartyID, payload []byte) {
 		return
 	}
 	n.senderSeq[from]++
-	n.queue = append(n.queue, pending{from: from, to: to, payload: payload, senderSeq: n.senderSeq[from]})
+	at := sort.Search(len(n.queue), func(i int) bool { return n.queue[i].from > from })
+	n.queue = slices.Insert(n.queue, at, pending{from: from, to: to, payload: payload, senderSeq: n.senderSeq[from]})
 }
 
 // Broadcast sends payload to every party, including the sender.
@@ -293,36 +304,17 @@ func (n *Net) deliverOne() {
 		n.fail(fmt.Errorf("%w (%d deliveries)", ErrBudget, n.delivered))
 		return
 	}
-	// Present the queue in a canonical order — (sender, sender's program
-	// order, recipient) — so scheduler decisions, and hence entire runs,
-	// are deterministic regardless of goroutine interleaving (the pending
-	// multiset at each quiescent point is itself deterministic).
-	perm := make([]int, len(n.queue))
-	for i := range perm {
-		perm[i] = i
+	view := n.view[:0]
+	for _, p := range n.queue {
+		view = append(view, QueuedMessage{From: p.from, To: p.to, Size: len(p.payload), Age: n.senderSeq[p.from] - p.senderSeq})
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := n.queue[perm[a]], n.queue[perm[b]]
-		if pa.from != pb.from {
-			return pa.from < pb.from
-		}
-		if pa.senderSeq != pb.senderSeq {
-			return pa.senderSeq < pb.senderSeq
-		}
-		return pa.to < pb.to
-	})
-	view := make([]QueuedMessage, len(n.queue))
-	for vi, qi := range perm {
-		p := n.queue[qi]
-		view[vi] = QueuedMessage{From: p.from, To: p.to, Size: len(p.payload), Age: n.senderSeq[p.from] - p.senderSeq}
-	}
+	n.view = view
 	pick := n.cfg.Scheduler.Pick(view)
 	if pick < 0 || pick >= len(view) {
 		pick = 0 // a misbehaving scheduler degrades to first-in-order
 	}
-	idx := perm[pick]
-	p := n.queue[idx]
-	n.queue = append(n.queue[:idx], n.queue[idx+1:]...)
+	p := n.queue[pick]
+	n.queue = slices.Delete(n.queue, pick, pick+1)
 	n.delivered++
 	if n.running[p.to] {
 		// The recipient is runnable from this instant, not from whenever its

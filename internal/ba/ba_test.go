@@ -17,9 +17,9 @@ import (
 
 // runBinary runs Binary with the given per-party inputs; corrupt parties are
 // driven by the strategy. inputs[i] is ignored for corrupt parties.
-func runBinary(t *testing.T, n, tcount int, inputs []byte, corrupt map[int]sim.Behavior) (*testutil.Result[byte], byte) {
+func runBinary(t *testing.T, n, tcount int, inputs []byte, corrupt map[int]sim.Behavior) (*sim.Result[byte], byte) {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tcount}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tcount}, corrupt,
 		func(env *sim.Env) (byte, error) {
 			return ba.Binary(env, "ba", inputs[env.ID()], nil)
 		})
@@ -96,7 +96,7 @@ func TestBinaryUnderAdversaries(t *testing.T) {
 }
 
 func TestBinaryRejectsBadInput(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil, func(env *sim.Env) (byte, error) {
+	_, err := sim.Collect(sim.Config{N: 1, T: 0}, nil, func(env *sim.Env) (byte, error) {
 		return ba.Binary(env, "ba", 7, nil)
 	})
 	if err == nil {
@@ -122,9 +122,9 @@ func TestBinaryRoundCount(t *testing.T) {
 
 // runBits runs Bits with the given per-party lane inputs and returns the
 // agreed lanes; inputs[i] is ignored for corrupt parties.
-func runBits(t *testing.T, n, tcount int, inputs [][]byte, corrupt map[int]sim.Behavior) (*testutil.Result[string], []byte) {
+func runBits(t *testing.T, n, tcount int, inputs [][]byte, corrupt map[int]sim.Behavior) (*sim.Result[string], []byte) {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tcount}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tcount}, corrupt,
 		func(env *sim.Env) (string, error) {
 			out, err := ba.Bits(env, "ba", inputs[env.ID()], nil)
 			return string(out), err
@@ -294,9 +294,9 @@ func multivalued(env transport.Net, tag string, inputs [][]byte) ([][]byte, erro
 	return cands, nil
 }
 
-func runMultivalued(t *testing.T, n, tc int, inputs [][]byte, corrupt map[int]sim.Behavior) (*testutil.Result[mvOut], mvOut) {
+func runMultivalued(t *testing.T, n, tc int, inputs [][]byte, corrupt map[int]sim.Behavior) (*sim.Result[mvOut], mvOut) {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (mvOut, error) {
 			out, err := multivalued(env, "mv", [][]byte{inputs[env.ID()]})
 			if err != nil {
@@ -400,7 +400,7 @@ func TestMultivaluedPreAgreementUnderAdversary(t *testing.T) {
 // returns the agreed lanes, each read through wire.Option.
 func runMultivaluedLanes(t *testing.T, n, tc int, inputs [][][]byte, corrupt map[int]sim.Behavior) []mvOut {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) ([]mvOut, error) {
 			out, err := multivalued(env, "mv", inputs[env.ID()])
 			lanes := make([]mvOut, len(out))
@@ -558,7 +558,7 @@ func TestTurpinCoanCandidates(t *testing.T) {
 						inputs[i][l] = v
 					}
 				}
-				res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (tcOut, error) {
+				res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (tcOut, error) {
 					cands, g, err := ba.TurpinCoan(env, "tc", inputs[env.ID()], nil)
 					return tcOut{cands, g}, err
 				})

@@ -7,14 +7,13 @@ import (
 	"convexagreement/internal/ba"
 	"convexagreement/internal/channet"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
 func BenchmarkBinary_n7(b *testing.B) {
 	const n, tc = 7, 2
 	for i := 0; i < b.N; i++ {
-		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		_, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (byte, error) {
 				return ba.Binary(env, "b", byte(int(env.ID())%2), nil)
 			})
@@ -28,7 +27,7 @@ func BenchmarkMultivalued_n7_32B(b *testing.B) {
 	const n, tc = 7, 2
 	value := make([]byte, 32)
 	for i := 0; i < b.N; i++ {
-		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		_, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (bool, error) {
 				out, err := multivalued(env, "mv", [][]byte{value})
 				return out != nil && out[0] != nil, err

@@ -57,7 +57,7 @@ func lanesProperty(t *testing.T, seed int64, k int) bool {
 			}
 		}
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (string, error) {
 			if k == 1 {
 				out, err := ba.Binary(env, "ba", inputs[env.ID()][0], nil)

@@ -5,7 +5,6 @@ import (
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -100,7 +99,7 @@ func checkBitsTape(t *testing.T, data []byte, k int) {
 		}
 	}
 	corrupt := map[int]sim.Behavior{bad: tapeBits(&tape{b: data[min(2, len(data)):]}, k)}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (string, error) {
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (string, error) {
 		out, err := ba.Bits(env, "ba", inputs[env.ID()], nil)
 		return string(out), err
 	})

@@ -23,7 +23,7 @@ type runner func(env transport.Net, tag string, input []byte) ([]byte, bool, err
 
 func runProto(t *testing.T, proto runner, n, tc int, inputs [][]byte, corrupt map[int]sim.Behavior) out {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (out, error) {
 			v, ok, err := proto(env, "p", inputs[env.ID()])
 			return out{val: string(v), ok: ok}, err
@@ -41,7 +41,7 @@ func runProto(t *testing.T, proto runner, n, tc int, inputs [][]byte, corrupt ma
 // ghostWithInput runs the protocol under test honestly but with an
 // adversarially chosen input — the strongest "plausible" byzantine party.
 func ghostWithInput(proto runner, input []byte) sim.Behavior {
-	return testutil.Ghost(func(env *sim.Env) error {
+	return sim.Ghost(func(env *sim.Env) error {
 		_, _, err := proto(env, "p", input)
 		return err
 	})
@@ -225,7 +225,7 @@ func TestLongLargeValueRoundTrip(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = big
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) ([]byte, error) {
 			v, ok, err := baplus.Long(env, "p", inputs[env.ID()])
 			if err != nil {
@@ -258,7 +258,7 @@ func TestLongCommunicationScalesLinearly(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = val
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (bool, error) {
 				_, ok, err := baplus.Long(env, "p", inputs[env.ID()])
 				return ok, err

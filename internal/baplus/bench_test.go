@@ -9,7 +9,6 @@ import (
 	"convexagreement/internal/baplus"
 	"convexagreement/internal/hashing"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -21,7 +20,7 @@ func benchLBA(b *testing.B, n, tc, valueLen int, proto runner) {
 	b.SetBytes(int64(valueLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		_, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (bool, error) {
 				_, ok, err := proto(env, "b", value)
 				return ok, err
@@ -75,7 +74,7 @@ func TestRoundBounds(t *testing.T) {
 				{"shared-long", func(id int) []byte { return long }, true},
 				{"solo-long", func(id int) []byte { return append(long[:len(long):len(long)], byte(id)) }, false},
 			} {
-				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+				res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 					func(env *sim.Env) (bool, error) {
 						// Lane j is the input and the bytes 0 … j.
 						in := c.input(env.ID())

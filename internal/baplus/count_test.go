@@ -8,7 +8,6 @@ import (
 	"convexagreement/internal/baplus"
 	"convexagreement/internal/rs"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 // TestNestedLanesEncodeOnce counts the stripes one FINDPREFIX-shaped call
@@ -32,7 +31,7 @@ func TestNestedLanesEncodeOnce(t *testing.T) {
 	bound := stripes(ends[2]) + 2*(head+1)
 	for agreed := range 2 {
 		sets := make([]baplus.Buffers, n)
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (int, error) {
 				// Every party's window past lane j* is its own.
 				p := bytes.Clone(body)

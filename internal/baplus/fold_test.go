@@ -48,7 +48,7 @@ func TestFoldMatchesPaperAtF0(t *testing.T) {
 		tc := (n - 1) / 3
 		for _, row := range foldRows {
 			run := func(proto func(transport.Net, string, []byte) ([]byte, bool, error)) (string, int) {
-				res, err := testutil.Run(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (string, error) {
+				res, err := sim.Collect(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (string, error) {
 					v, ok, err := proto(env, "p", row.input(int(env.ID()), n, tc))
 					return outcome(v, ok), err
 				})
@@ -91,7 +91,7 @@ func TestFoldAndPaperMeetTheorem6(t *testing.T) {
 		strategies := append(strategies, adversary.Strategy{
 			Name: "ghost-poison",
 			Build: func(int64) sim.Behavior {
-				return testutil.Ghost(func(env *sim.Env) error { _, _, err := ver.proto(env, "p", []byte("POISON")); return err })
+				return sim.Ghost(func(env *sim.Env) error { _, _, err := ver.proto(env, "p", []byte("POISON")); return err })
 			},
 		})
 		for _, strat := range strategies {
@@ -109,7 +109,7 @@ func TestFoldAndPaperMeetTheorem6(t *testing.T) {
 						honest["value "+string(row.input(i, n, tc))]++
 					}
 					name := fmt.Sprintf("%s %s n=%d %s", ver.name, strat.Name, n, row.name)
-					res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (string, error) {
+					res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (string, error) {
 						v, ok, err := ver.proto(env, "p", row.input(int(env.ID()), n, tc))
 						return outcome(v, ok), err
 					})
@@ -208,7 +208,7 @@ func TestFoldedConfirmNeedsG(t *testing.T) {
 			}
 		}
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, map[int]sim.Behavior{0: adv}, func(env *sim.Env) (string, error) {
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, map[int]sim.Behavior{0: adv}, func(env *sim.Env) (string, error) {
 		v, ok, err := Plus(env, "p", inputs[env.ID()])
 		return outcome(v, ok), err
 	})

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"convexagreement/internal/ba"
 	"convexagreement/internal/hashing"
@@ -311,10 +309,7 @@ func longLanes(env transport.Net, tag string, ls *lanes, b *Buffers) (int, []byt
 		c := &b.cs.commits[lane]
 		out = resize(b.work.Fan(), n)
 		shareout := tag + "/shareout"
-		// Room for every tuple at once (a witness has at most ⌈log₂ n⌉
-		// digests): a first agreement's appends would grow the buffer step
-		// by step, an allocation each (core.BenchmarkPiZLongChannet).
-		buf := slices.Grow(b.tuples[:0], n*(3*binary.MaxVarintLen64+2*c.stripes+bits.Len(uint(n))*hashing.Size))
+		buf := b.tuples[:0]
 		for j := range out {
 			// The path goes into the witness scratch; the tuple copies it
 			// before the next index needs the scratch.

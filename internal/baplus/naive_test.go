@@ -7,7 +7,6 @@ import (
 
 	"convexagreement/internal/baplus"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 func TestLongNaiveSameGuaranteesAsLong(t *testing.T) {
@@ -57,7 +56,7 @@ func TestNaiveCostsQuadraticInN(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = value
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (bool, error) {
 				_, ok, err := proto(env, "p", inputs[env.ID()])
 				return ok, err

@@ -12,7 +12,6 @@ import (
 	"convexagreement/internal/merkle"
 	"convexagreement/internal/rs"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 // commitRef is step 1 for one value as it was before the lanes shared
@@ -190,7 +189,7 @@ func checkRun(t *testing.T, c nestedCase) {
 		lane  int
 		value []byte
 	}
-	res, err := testutil.Run(sim.Config{N: c.n, T: (c.n - 1) / 3}, nil,
+	res, err := sim.Collect(sim.Config{N: c.n, T: (c.n - 1) / 3}, nil,
 		func(env *sim.Env) (out, error) {
 			lane, v, err := LongLanes(env, "f", c.windowOf(int(env.ID())), c.ends, nil)
 			return out{lane, bytes.Clone(v)}, err

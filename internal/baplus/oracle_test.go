@@ -10,7 +10,6 @@ import (
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/ba"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 	"convexagreement/internal/transporttest"
 	"convexagreement/internal/wire"
@@ -326,7 +325,7 @@ func TestPlusLanesMatchSequential(t *testing.T) {
 				case 2:
 					c[i] = adversary.Garbage(int64(trial*10+i), 64)
 				default:
-					c[i] = testutil.Ghost(ghost)
+					c[i] = sim.Ghost(ghost)
 				}
 			}
 			return c
@@ -347,7 +346,7 @@ func TestPlusLanesMatchSequential(t *testing.T) {
 			}
 			return lanes, err
 		}
-		got, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(func(env *sim.Env) error { _, err := batched(env); return err }), batched)
+		got, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(func(env *sim.Env) error { _, err := batched(env); return err }), batched)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -359,7 +358,7 @@ func TestPlusLanesMatchSequential(t *testing.T) {
 				}
 				return "value " + string(v), err
 			}
-			want, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(func(env *sim.Env) error { _, err := sequential(env); return err }), sequential)
+			want, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(func(env *sim.Env) error { _, err := sequential(env); return err }), sequential)
 			if err != nil {
 				t.Fatalf("trial %d lane %d: reference: %v", trial, l, err)
 			}

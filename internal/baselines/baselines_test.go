@@ -19,7 +19,7 @@ func TestBroadcastCAIdenticalInputs(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = big.NewInt(777)
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return baselines.BroadcastCA(env, "bc", inputs[env.ID()])
 			})
@@ -51,7 +51,7 @@ func TestBroadcastCAConvexValidityUnderAttack(t *testing.T) {
 					honest = append(honest, inputs[i])
 				}
 			}
-			res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+			res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 				func(env *sim.Env) (*big.Int, error) {
 					return baselines.BroadcastCA(env, "bc", inputs[env.ID()])
 				})
@@ -72,7 +72,7 @@ func TestBroadcastCAConvexValidityUnderAttack(t *testing.T) {
 func TestBroadcastCAGhostExtremes(t *testing.T) {
 	n, tc := 7, 2
 	ghost := func(v *big.Int) sim.Behavior {
-		return testutil.Ghost(func(env *sim.Env) error {
+		return sim.Ghost(func(env *sim.Env) error {
 			_, err := baselines.BroadcastCA(env, "bc", v)
 			return err
 		})
@@ -89,7 +89,7 @@ func TestBroadcastCAGhostExtremes(t *testing.T) {
 			honest = append(honest, inputs[i])
 		}
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return baselines.BroadcastCA(env, "bc", inputs[env.ID()])
 		})
@@ -143,7 +143,7 @@ func TestBAOnlyIsInadequateForMixedInputs(t *testing.T) {
 		val int64
 		ok  bool
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (r, error) {
 			v, ok, err := baplus.Long(env, "ba", inputs[env.ID()].Bytes())
 			if err != nil {

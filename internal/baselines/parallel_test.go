@@ -20,7 +20,7 @@ func TestParallelBroadcastCAMatchesGuarantees(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = big.NewInt(int64(rng.Intn(1 << 20)))
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return baselines.BroadcastCAParallel(env, "bcp", inputs[env.ID()])
 			})
@@ -51,7 +51,7 @@ func TestParallelBroadcastCAUnderAdversaries(t *testing.T) {
 					honest = append(honest, inputs[i])
 				}
 			}
-			res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+			res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 				func(env *sim.Env) (*big.Int, error) {
 					return baselines.BroadcastCAParallel(env, "bcp", inputs[env.ID()])
 				})
@@ -77,7 +77,7 @@ func TestParallelRoundsFarBelowSequential(t *testing.T) {
 		inputs[i] = big.NewInt(int64(i * 1000))
 	}
 	runWith := func(parallel bool) *sim.Report {
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				if parallel {
 					return baselines.BroadcastCAParallel(env, "bc", inputs[env.ID()])

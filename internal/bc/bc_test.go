@@ -19,7 +19,7 @@ type bcOut struct {
 
 func runBC(t *testing.T, n, tc int, sender int, values [][]byte, corrupt map[int]sim.Behavior) bcOut {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (bcOut, error) {
 			v, ok, err := bc.Broadcast(env, "bc", transport.PartyID(sender), values[env.ID()])
 			return bcOut{val: string(v), ok: ok}, err
@@ -75,7 +75,7 @@ func TestEquivocatingGhostSender(t *testing.T) {
 	// different values to different parties in round 1.
 	n, tc := 7, 2
 	values := make([][]byte, n)
-	corrupt := map[int]sim.Behavior{0: testutil.Ghost(func(env *sim.Env) error {
+	corrupt := map[int]sim.Behavior{0: sim.Ghost(func(env *sim.Env) error {
 		// Round 1: equivocate A/B by recipient parity, with valid framing.
 		out := make([]transport.Packet, n)
 		for to := 0; to < n; to++ {

@@ -8,10 +8,10 @@ import (
 )
 
 // BenchmarkHubRound_n16 is one all-to-all round of an n = 16 hub per op:
-// every party broadcasts 64 bytes from a fan-out it keeps, and the round
-// close copies each broadcast once into the hub's arena of that round's
-// parity. The hub refills its packet lists, inboxes and arenas, so once
-// they have grown a round allocates nothing; ci.sh pins the row at 0.
+// every party broadcasts 64 bytes from a fan-out it keeps, and the
+// simulator's round close copies each broadcast once into the run's arena
+// of that round's parity. The engine refills its inboxes and arenas, so
+// once they have grown a round allocates nothing; ci.sh pins the row at 0.
 func BenchmarkHubRound_n16(b *testing.B) {
 	const n = 16
 	hub, err := channet.NewHub(n, (n-1)/3)

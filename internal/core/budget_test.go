@@ -7,7 +7,6 @@ import (
 
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -31,7 +30,7 @@ func budgetShape(n int) []*big.Int {
 func runShape(t *testing.T, inputs []*big.Int, corrupt map[int]sim.Behavior, run func(transport.Net, *big.Int) (*big.Int, error)) *sim.Report {
 	t.Helper()
 	n := len(inputs)
-	res, err := testutil.Run(sim.Config{N: n, T: (n - 1) / 3}, corrupt, func(env *sim.Env) (*big.Int, error) {
+	res, err := sim.Collect(sim.Config{N: n, T: (n - 1) / 3}, corrupt, func(env *sim.Env) (*big.Int, error) {
 		return run(env, inputs[env.ID()])
 	})
 	if err != nil {
@@ -57,7 +56,7 @@ func (c byzCase) corrupt(run func(transport.Net, *big.Int) (*big.Int, error)) ma
 	corrupt := make(map[int]sim.Behavior, len(c.bad))
 	for _, p := range c.bad {
 		if c.strategy == nil {
-			corrupt[p] = testutil.Ghost(func(env *sim.Env) error { _, err := run(env, ghostInput); return err })
+			corrupt[p] = sim.Ghost(func(env *sim.Env) error { _, err := run(env, ghostInput); return err })
 		} else {
 			corrupt[p] = c.strategy(c.seed + int64(p))
 		}

@@ -64,9 +64,9 @@ func protocols() []caProto {
 
 // runCA executes one CA instance and checks Termination + Agreement,
 // returning the common output.
-func runCA(t *testing.T, p caProto, n, tc, width int, inputs []*big.Int, corrupt map[int]sim.Behavior) (*testutil.Result[*big.Int], *big.Int) {
+func runCA(t *testing.T, p caProto, n, tc, width int, inputs []*big.Int, corrupt map[int]sim.Behavior) (*sim.Result[*big.Int], *big.Int) {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return p.run(env, width, inputs[env.ID()])
 		})
@@ -139,7 +139,7 @@ func TestConvexValidityHonestMixtures(t *testing.T) {
 // ghostCA makes a corrupted party run the protocol honestly with a chosen
 // (typically extreme) input — the paper's motivating +100°C sensor attack.
 func ghostCA(p caProto, width int, v *big.Int) sim.Behavior {
-	return testutil.Ghost(func(env *sim.Env) error {
+	return sim.Ghost(func(env *sim.Env) error {
 		_, err := p.run(env, width, v)
 		return err
 	})
@@ -223,7 +223,7 @@ func TestPiNLongInputsTakeBlockPath(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = new(big.Int).Add(base, big.NewInt(int64(rng.Intn(1<<20))))
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiN(env, "ca", inputs[env.ID()], nil)
 		})
@@ -252,7 +252,7 @@ func TestPiNMixedLengthClasses(t *testing.T) {
 		big.NewInt(12345),
 		new(big.Int).Lsh(big.NewInt(7), 200),
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiN(env, "ca", inputs[env.ID()], nil)
 		})
@@ -286,7 +286,7 @@ func TestPiZSignScenarios(t *testing.T) {
 			for i, v := range tcase.inputs {
 				inputs[i] = big.NewInt(v)
 			}
-			res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+			res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 				func(env *sim.Env) (*big.Int, error) {
 					return core.PiZ(env, "ca", inputs[env.ID()], nil)
 				})
@@ -328,7 +328,7 @@ func TestPiZNegativeGhosts(t *testing.T) {
 }
 
 func TestFixedLengthRejectsOversizedInput(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
+	_, err := sim.Collect(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.FixedLengthCA(env, "ca", 8, big.NewInt(256), nil)
 		})
@@ -338,7 +338,7 @@ func TestFixedLengthRejectsOversizedInput(t *testing.T) {
 }
 
 func TestFixedLengthCABlocksRejectsBadWidth(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 2, T: 0}, nil,
+	_, err := sim.Collect(sim.Config{N: 2, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.FixedLengthCABlocks(env, "ca", 10, 4, big.NewInt(1), nil)
 		})
@@ -348,7 +348,7 @@ func TestFixedLengthCABlocksRejectsBadWidth(t *testing.T) {
 }
 
 func TestPiNRejectsNegative(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
+	_, err := sim.Collect(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiN(env, "ca", big.NewInt(-1), nil)
 		})
@@ -368,7 +368,7 @@ func TestCommunicationLinearInEll(t *testing.T) {
 			v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
 			inputs[i] = v
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()], nil)
 			})
@@ -437,12 +437,12 @@ func ExamplePiZ() {
 		nil, // corrupted
 	}
 	corrupt := map[int]sim.Behavior{
-		4: testutil.Ghost(func(env *sim.Env) error {
+		4: sim.Ghost(func(env *sim.Env) error {
 			_, err := core.PiZ(env, "ca", big.NewInt(100000), nil)
 			return err
 		}),
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiZ(env, "ca", inputs[env.ID()], nil)
 		})

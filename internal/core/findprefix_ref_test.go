@@ -98,14 +98,14 @@ func TestFindPrefixIncrementalMatchesFullCompare(t *testing.T) {
 				corrupt := func() map[int]sim.Behavior {
 					return map[int]sim.Behavior{2: strat.Build(seed), 6: strat.Build(seed + 1)}
 				}
-				got, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(),
+				got, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(),
 					func(env *sim.Env) (PrefixResult, error) {
 						return findPrefixOnCopy(env, "fp", inputs[env.ID()], g.blockBits, g.numBlock, 2)
 					})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(),
+				want, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(),
 					func(env *sim.Env) (PrefixResult, error) {
 						return findPrefixRef(env, "fp", inputs[env.ID()], g.blockBits, g.numBlock, func(full, incremental int) {
 							mu.Lock()
@@ -248,14 +248,14 @@ func TestFindPrefixInPlaceMatchesFresh(t *testing.T) {
 					corrupt := func() map[int]sim.Behavior {
 						return map[int]sim.Behavior{2: strat.Build(seed), 6: strat.Build(seed + 1)}
 					}
-					got, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(),
+					got, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(),
 						func(env *sim.Env) (PrefixResult, error) {
 							return findPrefixOnCopy(env, "fp", inputs[env.ID()], g.blockBits, g.numBlock, k)
 						})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt(),
+					want, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt(),
 						func(env *sim.Env) (PrefixResult, error) {
 							return findPrefixFresh(env, "fp", inputs[env.ID()], g.blockBits, g.numBlock, k, func(re, saved bool) {
 								mu.Lock()

@@ -23,7 +23,7 @@ func TestFixedLengthCAQuickWidths(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = new(big.Int).Rand(rng, bound)
 		}
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				return core.FixedLengthCA(env, "ca", width, inputs[env.ID()], nil)
 			})

@@ -175,8 +175,8 @@ func TestBatchedPreambleMatchesSequential(t *testing.T) {
 func comparePreambles(t *testing.T, name string, n, tc int, inputs []*big.Int, integers bool) {
 	t.Helper()
 	asked := make([]int, n)
-	run := func(ref bool) (*testutil.Result[*big.Int], *big.Int) {
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (*big.Int, error) {
+	run := func(ref bool) (*sim.Result[*big.Int], *big.Int) {
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (*big.Int, error) {
 			v := inputs[env.ID()]
 			switch {
 			case ref && integers:

@@ -23,7 +23,7 @@ import (
 func checkPrefixPostconditions(t *testing.T, name string, tc, blockBits, numBlocks, k int, inputs []*big.Int, corrupt map[int]sim.Behavior) int {
 	t.Helper()
 	width := blockBits * numBlocks
-	res, err := testutil.Run(sim.Config{N: len(inputs), T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: len(inputs), T: tc}, corrupt,
 		func(env *sim.Env) (PrefixResult, error) {
 			return findPrefixOnCopy(env, "fp", testutil.MustFromBig(inputs[env.ID()], width), blockBits, numBlocks, k)
 		})

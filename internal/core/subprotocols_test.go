@@ -17,7 +17,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 	prefix := testutil.MustParse("10")
 	// Values: two parties extend with 0, two with 1.
 	vals := []string{"100110", "100011", "101100", "101010"}
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
 			v := testutil.MustParse(vals[env.ID()])
 			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
@@ -39,7 +39,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 	}
 	// The agreed bit must be some honest value's next bit (here both 0 and
 	// 1 qualify; with unanimous extensions it must match exactly).
-	resUnanimous, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	resUnanimous, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (string, error) {
 			v := testutil.MustParse("101110")
 			n, err := core.AddLastBit(env, "alb", v, prefix.Len(), nil)
@@ -62,7 +62,7 @@ func TestAddLastBitLemma2(t *testing.T) {
 }
 
 func TestAddLastBitRejectsFullPrefix(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 1, T: 0}, nil,
+	_, err := sim.Collect(sim.Config{N: 1, T: 0}, nil,
 		func(env *sim.Env) (string, error) {
 			p := testutil.MustParse("101")
 			_, err := core.AddLastBit(env, "alb", p, p.Len(), nil)
@@ -84,7 +84,7 @@ func TestGetOutputLemma3(t *testing.T) {
 	// 2-3 hold values with the prefix (they stay silent in the announce
 	// round).
 	vals := []string{"00111", "00101", "10110", "10001"}
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			v, err := prefix.FillTo(width, 0)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestGetOutputHighSide(t *testing.T) {
 	const width = 5
 	prefix := testutil.MustParse("10")
 	vals := []string{"11010", "11100", "10110", "10001"}
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			v, err := prefix.FillTo(width, 0)
 			if err != nil {
@@ -135,7 +135,7 @@ func TestGetOutputHighSide(t *testing.T) {
 func TestFindPrefixIdenticalInputsFullWidth(t *testing.T) {
 	const width = 12
 	v := testutil.MustFromBig(big.NewInt(0xABC), width)
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (core.PrefixResult, error) {
 			return core.FindPrefix(env, "fp", v)
 		})
@@ -157,7 +157,7 @@ func TestFindPrefixIdenticalInputsFullWidth(t *testing.T) {
 func TestFindPrefixBlocksGranularity(t *testing.T) {
 	const width, blocks = 24, 4
 	inputs := []int64{0xF00001, 0xF00F02, 0xF0F003, 0xFF0004}
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (core.PrefixResult, error) {
 			v := testutil.MustFromBig(big.NewInt(inputs[env.ID()]), width)
 			return core.FindPrefixBlocks(env, "fpb", v, blocks)
@@ -174,7 +174,7 @@ func TestFindPrefixBlocksGranularity(t *testing.T) {
 
 func TestTimelineExposed(t *testing.T) {
 	inputs := []int64{5, 6, 7, 8}
-	res, err := testutil.Run(sim.Config{N: 4, T: 1, Timeline: true}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1, Timeline: true}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return core.PiN(env, "ca", big.NewInt(inputs[env.ID()]), nil)
 		})

@@ -10,7 +10,6 @@ import (
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 // pins lists where a set holds a view of memory it does not own once Reset
@@ -124,7 +123,7 @@ func runWorkSet(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.I
 		outs   []string
 		digest uint64
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc, Timeline: true}, corrupt, func(env *sim.Env) (party, error) {
+	res, err := sim.Collect(sim.Config{N: n, T: tc, Timeline: true}, corrupt, func(env *sim.Env) (party, error) {
 		net := faultnet.Wrap(env, nil) // empty plan: a transcript digest
 		var p party
 		var set Buffers

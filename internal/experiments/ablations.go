@@ -10,7 +10,6 @@ import (
 	"convexagreement/internal/aa"
 	"convexagreement/internal/baplus"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -61,7 +60,7 @@ func E12CAvsAA() Table {
 // runAA executes one Approximate Agreement instance over the simulator and
 // returns its cost report.
 func runAA(n, t int, inputs []*big.Int, diameter, eps *big.Int) *sim.Report {
-	res, err := testutil.Run(sim.Config{N: n, T: t}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: t}, nil,
 		func(env *sim.Env) (*big.Int, error) {
 			return aa.Run(env, "aa", inputs[env.ID()], diameter, eps)
 		})
@@ -151,7 +150,7 @@ func baplusLongNaive(env transport.Net, tag string, input []byte) ([]byte, bool,
 // runLBA measures one Π_ℓBA+ instance where all honest parties share value.
 func runLBA(n int, value []byte, proto lbaRunner) int64 {
 	t := defaultT(n)
-	res, err := testutil.Run(sim.Config{N: n, T: t}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: t}, nil,
 		func(env *sim.Env) (bool, error) {
 			_, ok, err := proto(env, "lba", value)
 			return ok, err

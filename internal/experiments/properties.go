@@ -53,7 +53,7 @@ func E4BAPlusProperties() Table {
 					val string
 					ok  bool
 				}
-				res, err := testutil.Run(sim.Config{N: n, T: t}, corrupt,
+				res, err := sim.Collect(sim.Config{N: n, T: t}, corrupt,
 					func(env *sim.Env) (out, error) {
 						v, ok, err := baplus.Plus(env, "e4", inputs[env.ID()])
 						return out{string(v), ok}, err

@@ -7,7 +7,6 @@ import (
 
 	"convexagreement/internal/highcostca"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 )
 
 func BenchmarkHighCostCA_n7_4Kib(b *testing.B) {
@@ -21,7 +20,7 @@ func BenchmarkHighCostCA_n7_4Kib(b *testing.B) {
 	b.SetBytes(4096 / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+		_, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 			func(env *sim.Env) (*big.Int, error) {
 				out, err := highcostca.Run(env, "hc", inputs[env.ID()].Bytes(), nil)
 				return new(big.Int).SetBytes(out), err

@@ -11,7 +11,6 @@ import (
 	"convexagreement/internal/adversary"
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 	"convexagreement/internal/transporttest"
 	"convexagreement/internal/wire"
@@ -129,7 +128,7 @@ func runArm(t *testing.T, n int, strat adversary.Strategy, inputs [][]*big.Int, 
 		outs   string
 		digest uint64
 	}
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (party, error) {
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt, func(env *sim.Env) (party, error) {
 		digest := faultnet.Wrap(env, nil) // empty plan: a transcript digest
 		var net transport.Net = digest
 		if reversed {

@@ -21,9 +21,9 @@ func runNat(env *sim.Env, v *big.Int) (*big.Int, error) {
 	return new(big.Int).SetBytes(out), nil
 }
 
-func run(t *testing.T, n, tc int, inputs []*big.Int, corrupt map[int]sim.Behavior) (*testutil.Result[*big.Int], *big.Int) {
+func run(t *testing.T, n, tc int, inputs []*big.Int, corrupt map[int]sim.Behavior) (*sim.Result[*big.Int], *big.Int) {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, corrupt,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, corrupt,
 		func(env *sim.Env) (*big.Int, error) {
 			return runNat(env, inputs[env.ID()])
 		})
@@ -110,7 +110,7 @@ func TestGhostsWithExtremeInputs(t *testing.T) {
 	// protocol with wildly out-of-range inputs (the paper's +100°C sensor).
 	n, tc := 10, 3
 	ghost := func(v *big.Int) sim.Behavior {
-		return testutil.Ghost(func(env *sim.Env) error {
+		return sim.Ghost(func(env *sim.Env) error {
 			_, err := runNat(env, v)
 			return err
 		})
@@ -166,8 +166,8 @@ func TestNonCanonicalInputs(t *testing.T) {
 	n, tc := 4, 1
 	canonical := [][]byte{{0x12, 0x34}, {0x12, 0x34}, {}, {0x01}}
 	padded := [][]byte{{0, 0, 0x12, 0x34}, {0x12, 0x34}, {0, 0, 0}, {0, 0x01}}
-	runRaw := func(inputs [][]byte) (*testutil.Result[string], string) {
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (string, error) {
+	runRaw := func(inputs [][]byte) (*sim.Result[string], string) {
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, nil, func(env *sim.Env) (string, error) {
 			out, err := highcostca.Run(env, "hc", inputs[env.ID()], nil)
 			if len(out) > 0 && out[0] == 0 {
 				t.Errorf("party %d: output %x is not canonical", env.ID(), out)

@@ -34,7 +34,6 @@ var (
 	// friends would only flag fixture patterns there. The lint package
 	// itself is included so its testdata-driven fixtures never gate CI.
 	harnessPkgs = []string{
-		"internal/testutil",
 		"internal/transporttest",
 		"internal/lint",
 	}

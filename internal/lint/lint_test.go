@@ -281,7 +281,7 @@ func TestConfigScope(t *testing.T) {
 		{"lockorder", "internal/lint", false},
 		{"lockorder", "internal/transporttest", false},
 		{"bufownership", "internal/wire", true},
-		{"bufownership", "internal/testutil", false},
+		{"bufownership", "internal/testutil", true},
 		{"errflow", "internal/checkpoint", true},
 		{"errflow", "cmd/catcp", false},
 		{"errflow", "examples/drones", false},

@@ -58,7 +58,7 @@ func TestLongSharesOneCodec(t *testing.T) {
 	value := bytes.Repeat([]byte("shared"), 100)
 	long := func() {
 		t.Helper()
-		res, err := testutil.Run(sim.Config{N: n, T: tc}, map[int]sim.Behavior{0: adversary.Silent()},
+		res, err := sim.Collect(sim.Config{N: n, T: tc}, map[int]sim.Behavior{0: adversary.Silent()},
 			func(env *sim.Env) (string, error) {
 				out, _, err := baplus.Long(env, "t", value)
 				return string(out), err

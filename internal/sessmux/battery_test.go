@@ -10,7 +10,6 @@ import (
 	"convexagreement/internal/faultnet"
 	"convexagreement/internal/sessmux"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -197,7 +196,7 @@ func faultPlan(seed int64) *faultnet.Plan {
 // deterministic, so fault-injection campaigns replay exactly.
 func TestFaultReplayDigestExact(t *testing.T) {
 	run := func() map[sim.PartyID]uint64 {
-		res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+		res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 			func(env *sim.Env) (uint64, error) {
 				fn := faultnet.Wrap(env, faultPlan(42))
 				m := sessmux.New(fn)
@@ -251,7 +250,7 @@ func TestFaultReplayDigestExact(t *testing.T) {
 
 func runWithSeed(t *testing.T, seed int64) map[sim.PartyID]uint64 {
 	t.Helper()
-	res, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (uint64, error) {
 			fn := faultnet.Wrap(env, faultPlan(seed))
 			m := sessmux.New(fn)
@@ -297,7 +296,7 @@ func runWithSeed(t *testing.T, seed int64) map[sim.PartyID]uint64 {
 // Its real teeth are under `go test -race` (the ci.sh race gate).
 func TestRaceStress256Sessions(t *testing.T) {
 	const n, sessions, rounds = 4, 256, 3
-	_, err := testutil.Run(sim.Config{N: n, T: 1}, nil,
+	_, err := sim.Collect(sim.Config{N: n, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			all := make([]*sessmux.Session, sessions)

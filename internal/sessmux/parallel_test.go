@@ -34,7 +34,7 @@ func TestParallelEcho(t *testing.T) {
 func testParallelEcho(t *testing.T, doubleDone bool) {
 	const n, k = 4, 3
 	lengths := []int{2, 5, 3} // virtual rounds per instance
-	res, err := testutil.Run(sim.Config{N: n, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			fns := make([]func(net transport.Net) error, k)
 			for inst := range fns {
@@ -64,7 +64,7 @@ func testParallelEcho(t *testing.T, doubleDone bool) {
 func TestParallelBA(t *testing.T) {
 	const n = 7
 	tc := 2
-	res, err := testutil.Run(sim.Config{N: n, T: tc}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: tc}, nil,
 		func(env *sim.Env) ([n]byte, error) {
 			var outs [n]byte
 			fns := make([]func(net transport.Net) error, n)
@@ -103,7 +103,7 @@ func TestInstanceErrorAbortsComposition(t *testing.T) {
 	boom := errors.New("boom")
 	const k = 3
 	for failing := 0; failing < k; failing++ {
-		_, err := testutil.Run(sim.Config{N: 2, T: 0}, nil,
+		_, err := sim.Collect(sim.Config{N: 2, T: 0}, nil,
 			func(env *sim.Env) (int, error) {
 				siblingErrs := make([]error, k)
 				fns := make([]func(net transport.Net) error, k)

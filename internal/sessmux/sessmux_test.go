@@ -8,7 +8,6 @@ import (
 
 	"convexagreement/internal/sessmux"
 	"convexagreement/internal/sim"
-	"convexagreement/internal/testutil"
 	"convexagreement/internal/transport"
 )
 
@@ -53,7 +52,7 @@ func runSession(m *sessmux.Mux, sid uint64, n, t int, fn func(net transport.Net)
 // max(3,5), not the sum — the round-sharing that makes the mux a mux.
 func TestSessionsShareTicks(t *testing.T) {
 	const n = 4
-	res, err := testutil.Run(sim.Config{N: n, T: 1}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			if env.ID() >= 2 {
@@ -113,7 +112,7 @@ func TestSessionsShareTicks(t *testing.T) {
 // step via Idle, and sees none of the traffic.
 func TestIdleKeepsClock(t *testing.T) {
 	const n = 3
-	_, err := testutil.Run(sim.Config{N: n, T: 0}, nil,
+	_, err := sim.Collect(sim.Config{N: n, T: 0}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			if env.ID() == 2 {
@@ -138,7 +137,7 @@ func TestIdleKeepsClock(t *testing.T) {
 // party 0 — sibling session 6 is untouched on every party.
 func TestCloseIsOmission(t *testing.T) {
 	const n = 4
-	_, err := testutil.Run(sim.Config{N: n, T: 1}, nil,
+	_, err := sim.Collect(sim.Config{N: n, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			s6, err := m.Open(6, 4, 1)
@@ -201,7 +200,7 @@ func TestCloseIsOmission(t *testing.T) {
 // parties 2..3.
 func TestSubsetSessionDropsOutsiders(t *testing.T) {
 	const n = 4
-	_, err := testutil.Run(sim.Config{N: n, T: 1}, nil,
+	_, err := sim.Collect(sim.Config{N: n, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			if env.ID() >= 2 {
@@ -237,7 +236,7 @@ func TestSubsetSessionDropsOutsiders(t *testing.T) {
 
 // TestOpenValidation exercises every Open precondition.
 func TestOpenValidation(t *testing.T) {
-	_, err := testutil.Run(sim.Config{N: 4, T: 1}, nil,
+	_, err := sim.Collect(sim.Config{N: 4, T: 1}, nil,
 		func(env *sim.Env) (int, error) {
 			m := sessmux.New(env)
 			for _, tc := range []struct {
@@ -287,7 +286,7 @@ func TestOpenValidation(t *testing.T) {
 // plain (sim) base — everything goes through the copying merge there.
 func TestStatsCounters(t *testing.T) {
 	const n = 3
-	res, err := testutil.Run(sim.Config{N: n, T: 0}, nil,
+	res, err := sim.Collect(sim.Config{N: n, T: 0}, nil,
 		func(env *sim.Env) (sessmux.Stats, error) {
 			m := sessmux.New(env)
 			err := runSession(m, 1, 3, 0, func(net transport.Net) error {

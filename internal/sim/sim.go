@@ -2,27 +2,44 @@
 // paper: n parties in a fully connected network of authenticated channels,
 // lock-step rounds (every message sent in round r is delivered at the start
 // of round r+1), and a rushing byzantine adversary controlling up to t
-// parties.
+// parties. It is the one in-process round engine: the simulated runs (Run,
+// Collect) and the in-process transport (package channet) both ride it.
 //
 // Every party — honest protocol code and adversarial strategy alike — runs
-// as a goroutine executing sequential code against an *Env. A round closes
-// once every still-active party has submitted its outgoing packets; the
-// scheduler then delivers all packets and wakes the parties waiting in
-// Exchange. Corrupted parties may call Env.PeekHonest to observe the honest
-// packets of the current round before choosing their own (the rushing
-// adversary).
+// sequential code against an *Env. A round closes once every still-active
+// party has submitted its outgoing packets; the engine then delivers all
+// packets and wakes the parties waiting in Exchange. Corrupted parties may
+// call Env.PeekHonest to observe the honest packets of the current round
+// before choosing their own (the rushing adversary).
+//
+// A run is driven by handles: Start begins it, Runner.Env hands out each
+// party's *Env, Runner.Retire (or the party's own Env.Leave) retires a party,
+// from inside its goroutine or from outside, and Runner.Close ends the run
+// with an error. Run is that lifecycle with one goroutine per behavior. Three
+// rules hold for every run:
+//
+//   - No round closes after Close. Every waiter and every later call gets
+//     the close's error, and a party that got it may already be rewriting
+//     the packets it had submitted.
+//   - A run's rounds close while an honest party is active. A run without
+//     corrupted parties (a channet hub) is thus live while any party is,
+//     and its PeekHonest and honest wave never engage; given a MaxRounds
+//     no run reaches, it has no cutoff.
+//   - Only Run, which knows that every behavior has returned, gives the
+//     payload arenas back to the pool; a run driven by hand leaves them to
+//     the garbage collector.
 //
 // The two kinds of waiter wait apart, each woken once per round: a party in
 // Exchange waits for its round to close, a peeker in PeekHonest for the
 // round's honest wave (every active honest party submitted). The wave wait
 // is woken by the honest submission or the honest retirement that
 // completes the wave, and the round wait by the close; both are woken when
-// the run fails (the round cutoff) or its last honest party returns. A
-// corrupt submission after the wave wakes no one: it changes no waiter's
-// condition.
+// the run fails (Close, the round cutoff) or its last honest party
+// returns. A corrupt submission after the wave wakes no one: it changes no
+// waiter's condition.
 //
-// A round allocates nothing in steady state. The inboxes are carved from
-// one array the scheduler refills at every round close, as transport.Net's
+// A round allocates nothing in steady state. Each party's inbox is a slice
+// the engine refills in place at every round close, as transport.Net's
 // lifetime rule allows: a round closes only once every active party has
 // called Exchange again. The round close also copies every payload, so a
 // sender may rewrite its buffers once its Exchange returns, as over TCP:
@@ -33,10 +50,12 @@
 // Exchange; only its payload copies are not rewritten during the run (see
 // Spied).
 //
-// The scheduler also implements the paper's cost measures: BITS_ℓ(Π) — the
+// The engine also implements the paper's cost measures: BITS_ℓ(Π) — the
 // total payload bits sent by honest parties — broken down by protocol tag,
 // and ROUNDS_ℓ(Π) — the number of completed rounds. Self-addressed packets
-// are delivered but not counted (a party "sending to itself" is free).
+// are delivered but not counted (a party "sending to itself" is free). The
+// tags are static path segments, so the per-tag totals stay bounded however
+// long a run lasts.
 package sim
 
 import (
@@ -102,20 +121,21 @@ const spyChunk = 64 << 10
 
 // arenas is a run's pooled state: the payload copies of the even and the
 // odd rounds' deliveries, the chunk the rushing snapshot's copies are
-// carved from, append-only within the run, and each party's random source
-// (Env.Rand). A run takes one from arenaPool when it starts and puts it
-// back once every party has returned.
+// carved from, append-only within the run, and each party's inbox and
+// random source (Env.Rand). A run takes one from arenaPool when it starts
+// and Run puts it back once every party has returned.
 type arenas struct {
-	round [2][]byte
-	spy   []byte
-	rngs  []*rand.Rand
+	round   [2][]byte
+	spy     []byte
+	inboxes [][]Message
+	rngs    []*rand.Rand
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arenas) }}
 
 // Errors surfaced to behaviors and callers.
 var (
-	ErrSimOver    = errors.New("sim: simulation is over (all honest parties finished)")
+	ErrSimOver    = errors.New("sim: the run is over for this party (it retired or every honest party finished)")
 	ErrCutoff     = errors.New("sim: round cutoff exceeded")
 	ErrNotCorrupt = errors.New("sim: PeekHonest is only available to corrupted parties")
 )
@@ -153,9 +173,12 @@ type RoundStats struct {
 	CorruptBits int64
 }
 
-type runner struct {
+// A Runner is one run of the engine (see the package doc for its
+// lifecycle).
+type Runner struct {
 	cfg     Config
 	corrupt []bool
+	envs    []Env
 
 	// The two waits on mu (see the package doc), embedded so that a run
 	// allocates no cond object: Exchange waits on closed for its round to
@@ -176,35 +199,40 @@ type runner struct {
 	pending        [][]Packet // this round's outgoing packets per party
 	pendingBuf     [][]Packet // per-party reusable packet backing arrays
 	honestPending  int        // count of active honest parties that submitted
-	lastInbox      [][]Message
-	// inboxFlat backs every lastInbox, carved per round. Refilling it at
-	// round close is safe under transport.Net's lifetime rule: a round
-	// closes only once every active party has called Exchange again.
-	inboxFlat  []Message
-	inboxCount []int     // per-recipient packet counts, reused every round
-	roundTags  []tagBits // the round's distinct honest tags, reused every round
-	// arenas holds the delivered payloads' copies and the snapshot's.
+	// tagTotals holds each honest tag's bits and rounds over the run, found
+	// through tagIndex or, for the tag the last honest packet carried, as
+	// lastTag; Report turns them into BitsByTag and RoundsByTag.
+	tagTotals []tagCount
+	tagIndex  map[string]int
+	lastTag   int
+	// arenas holds the inboxes, the delivered payloads' copies and the
+	// snapshot's. Each inbox is refilled in place at every round close;
+	// that is safe under transport.Net's lifetime rule: a round closes only
+	// once every active party has called Exchange again.
 	arenas *arenas
 	// spied is the current round's rushing-adversary snapshot, refilled at
 	// most once per round on first peek and shared read-only by all
 	// peekers (see the Spied doc comment).
 	spied      []Spied
 	spiedValid bool
-	failed     error // cutoff or internal failure; broadcast to all
+	failed     error // Close, the cutoff or an internal failure; broadcast to all
 
 	report Report
 }
 
-// tagBits is one honest tag of a round and the bits sent under it.
-type tagBits struct {
-	tag  string
-	bits int64
+// tagCount is one honest tag's totals over the run; last is the round
+// after the last one counted in rounds.
+type tagCount struct {
+	tag    string
+	bits   int64
+	rounds int
+	last   int
 }
 
 // Env is a party's handle to the network. Each Env is used by exactly one
 // goroutine.
 type Env struct {
-	r  *runner
+	r  *Runner
 	id PartyID
 }
 
@@ -220,6 +248,11 @@ func (e *Env) T() int { return e.r.cfg.T }
 // Corrupt reports whether this party is corrupted.
 func (e *Env) Corrupt() bool { return e.r.corrupt[e.id] }
 
+// Leave retires this party (Runner.Retire with no error), so the remaining
+// parties' rounds keep closing; its later Exchanges return ErrSimOver. Safe
+// to call more than once.
+func (e *Env) Leave() { e.r.Retire(e.id, nil) }
+
 // Rand returns this party's random source, seeded with seed: its draws are
 // those of rand.New(rand.NewSource(seed)). The source is the party's slot
 // of the run's pooled arenas, so a strategy that draws builds no source
@@ -234,12 +267,12 @@ func (e *Env) Rand(seed int64) *rand.Rand {
 	return *rng
 }
 
-// Run executes one synchronous protocol instance. It returns the cost
-// report; the error aggregates honest-party failures and cutoff violations.
-// Outputs of the protocol are returned through the behavior closures.
-func Run(cfg Config, parties []Party) (*Report, error) {
-	if cfg.N <= 0 || len(parties) != cfg.N {
-		return nil, fmt.Errorf("sim: have %d behaviors for n=%d", len(parties), cfg.N)
+// Start begins a run of cfg.N parties, party i corrupted when corrupt[i]
+// (a nil corrupt makes every party honest). Each party is then driven
+// through its Runner.Env and retired with Runner.Retire or Env.Leave.
+func Start(cfg Config, corrupt []bool) (*Runner, error) {
+	if cfg.N <= 0 || (corrupt != nil && len(corrupt) != cfg.N) {
+		return nil, fmt.Errorf("sim: invalid n=%d for %d corruption flags", cfg.N, len(corrupt))
 	}
 	if cfg.T < 0 || cfg.T >= cfg.N {
 		return nil, fmt.Errorf("sim: invalid corruption budget t=%d for n=%d", cfg.T, cfg.N)
@@ -247,67 +280,120 @@ func Run(cfg Config, parties []Party) (*Report, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	r := &runner{
-		cfg:        cfg,
-		corrupt:    make([]bool, cfg.N),
-		active:     make([]bool, cfg.N),
-		submitted:  make([]bool, cfg.N),
-		pending:    make([][]Packet, cfg.N),
-		pendingBuf: make([][]Packet, cfg.N),
-		lastInbox:  make([][]Message, cfg.N),
-		inboxCount: make([]int, cfg.N),
+	if corrupt == nil {
+		corrupt = make([]bool, cfg.N)
 	}
-	r.closed.L, r.wave.L = &r.mu, &r.mu
-	r.report.BitsByTag = make(map[string]int64)
-	r.report.RoundsByTag = make(map[string]int)
-	r.report.BitsByParty = make([]int64, cfg.N)
-	r.report.PartyErrors = make([]error, cfg.N)
 	numCorrupt := 0
-	for i, p := range parties {
-		r.corrupt[i] = p.Corrupt
-		if p.Corrupt {
+	for _, c := range corrupt {
+		if c {
 			numCorrupt++
 		}
-		r.active[i] = true
 	}
-	r.activeTotal = cfg.N
-	r.activeHonest = cfg.N - numCorrupt
-	if r.activeHonest == 0 {
+	if numCorrupt == cfg.N {
 		return nil, errors.New("sim: no honest parties")
+	}
+	r := &Runner{
+		cfg:          cfg,
+		corrupt:      corrupt,
+		envs:         make([]Env, cfg.N),
+		active:       make([]bool, cfg.N),
+		submitted:    make([]bool, cfg.N),
+		pending:      make([][]Packet, cfg.N),
+		pendingBuf:   make([][]Packet, cfg.N),
+		activeTotal:  cfg.N,
+		activeHonest: cfg.N - numCorrupt,
+		tagIndex:     make(map[string]int),
+		lastTag:      -1,
+	}
+	r.closed.L, r.wave.L = &r.mu, &r.mu
+	r.report.BitsByParty = make([]int64, cfg.N)
+	r.report.PartyErrors = make([]error, cfg.N)
+	for i := range r.envs {
+		r.envs[i] = Env{r: r, id: PartyID(i)}
+		r.active[i] = true
 	}
 	r.arenas = arenaPool.Get().(*arenas)
 	r.arenas.spy = r.arenas.spy[:0] // the last run's snapshot is over
 	if k := cfg.N - len(r.arenas.rngs); k > 0 {
 		r.arenas.rngs = append(r.arenas.rngs, make([]*rand.Rand, k)...)
+		r.arenas.inboxes = append(r.arenas.inboxes, make([][]Message, k)...)
 	}
+	return r, nil
+}
 
+// Env returns party id's handle; every call for one id returns the same.
+func (r *Runner) Env(id PartyID) *Env { return &r.envs[id] }
+
+// Report returns the run's costs so far, Rounds being the rounds closed.
+// Its slices are the run's own: read them once every party has retired.
+func (r *Runner) Report() *Report {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rep := r.report
+	rep.Rounds = r.round
+	rep.BitsByTag = make(map[string]int64, len(r.tagTotals))
+	rep.RoundsByTag = make(map[string]int, len(r.tagTotals))
+	for _, t := range r.tagTotals {
+		rep.BitsByTag[t.tag], rep.RoundsByTag[t.tag] = t.bits, t.rounds
+	}
+	return &rep
+}
+
+// Close ends the run with err: no round closes after it, every party
+// waiting in Exchange or PeekHonest returns err, and so does every later
+// call. A run that already failed keeps its first error.
+func (r *Runner) Close(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fail(err)
+}
+
+// fail records the run's failure and wakes both waits. Caller holds r.mu.
+func (r *Runner) fail(err error) {
+	if r.failed == nil {
+		r.failed = err
+	}
+	r.closed.Broadcast()
+	r.wave.Broadcast()
+}
+
+// Run executes one synchronous protocol instance. It returns the cost
+// report; the error aggregates honest-party failures and cutoff violations.
+// Outputs of the protocol are returned through the behavior closures.
+func Run(cfg Config, parties []Party) (*Report, error) {
+	if cfg.N <= 0 || len(parties) != cfg.N {
+		return nil, fmt.Errorf("sim: have %d behaviors for n=%d", len(parties), cfg.N)
+	}
+	corrupt := make([]bool, cfg.N)
+	for i, p := range parties {
+		corrupt[i] = p.Corrupt
+	}
+	r, err := Start(cfg, corrupt)
+	if err != nil {
+		return nil, err
+	}
 	var wg sync.WaitGroup
 	wg.Add(cfg.N)
 	for i := range parties {
-		go func(id PartyID, b Behavior) {
+		go func(env *Env, b Behavior) {
 			defer wg.Done()
-			env := &Env{r: r, id: id}
-			err := runBehavior(b, env)
-			r.done(id, err)
-		}(PartyID(i), parties[i].Behavior)
+			r.Retire(env.id, runBehavior(b, env))
+		}(r.Env(i), parties[i].Behavior)
 	}
 	wg.Wait()
 	arenaPool.Put(r.arenas)
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	rep := r.Report()
 	var errs []error
 	if r.failed != nil {
 		errs = append(errs, r.failed)
 	}
-	for i, err := range r.report.PartyErrors {
+	for i, err := range rep.PartyErrors {
 		if err != nil && !r.corrupt[i] && !errors.Is(err, ErrSimOver) {
 			errs = append(errs, fmt.Errorf("party %d: %w", i, err))
 		}
 	}
-	rep := r.report
-	rep.Rounds = r.round
-	return &rep, errors.Join(errs...)
+	return rep, errors.Join(errs...)
 }
 
 // runBehavior isolates a behavior's panic into an error so one buggy or
@@ -354,7 +440,7 @@ func (e *Env) Exchange(out []Packet) ([]Message, error) {
 
 // precheck validates that the party may submit the current round. Caller
 // holds r.mu.
-func (r *runner) precheck(id PartyID) error {
+func (r *Runner) precheck(id PartyID) error {
 	if r.failed != nil {
 		return r.failed
 	}
@@ -374,7 +460,7 @@ func (r *runner) precheck(id PartyID) error {
 // finishSubmit records the submission, closes the round if this was the
 // last missing party, and blocks until the round's inbox is ready. Caller
 // holds r.mu.
-func (r *runner) finishSubmit(id PartyID) ([]Message, error) {
+func (r *Runner) finishSubmit(id PartyID) ([]Message, error) {
 	r.submitted[id] = true
 	r.submittedCount++
 	if !r.corrupt[id] {
@@ -396,7 +482,7 @@ func (r *runner) finishSubmit(id PartyID) ([]Message, error) {
 		// party was waiting; the round will never close.
 		return nil, ErrSimOver
 	}
-	return r.lastInbox[id], nil
+	return r.arenas.inboxes[id], nil
 }
 
 // PeekHonest implements the rushing adversary: it blocks until every active
@@ -463,9 +549,12 @@ func (e *Env) PeekHonest() ([]Spied, error) {
 	return r.spied, nil
 }
 
-// done retires a party. Called exactly once per party, after its behavior
-// returns.
-func (r *runner) done(id PartyID, err error) {
+// Retire retires party id with the error it ended on, from its own
+// goroutine or from another one: the remaining parties' rounds keep
+// closing without it, and its own later calls return ErrSimOver. A party
+// retired while it waits in Exchange gets the round's inbox when the round
+// closes. Retiring a party again only replaces its recorded error.
+func (r *Runner) Retire(id PartyID, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.report.PartyErrors[id] = err
@@ -478,8 +567,8 @@ func (r *runner) done(id PartyID, err error) {
 		r.activeHonest--
 	}
 	if r.submitted[id] {
-		// Defensive: a behavior cannot return while blocked in Exchange, so
-		// its submission flag should already be clear; reset it anyway.
+		// Retired from outside while in Exchange, or from inside after its
+		// Exchange returned the run's failure: the submission is withdrawn.
 		r.submitted[id] = false
 		r.pending[id] = nil
 		r.submittedCount--
@@ -499,11 +588,48 @@ func (r *runner) done(id PartyID, err error) {
 	r.maybeFinishRound()
 }
 
-// maybeFinishRound closes the round if every active party has submitted.
-// The check is O(1) via submittedCount; delivery itself is O(packets + n).
-// Caller holds r.mu.
-func (r *runner) maybeFinishRound() {
-	if r.activeTotal == 0 || r.activeHonest == 0 {
+// countTags adds an honest sender's packets of the round to tagTotals:
+// the bits to others under each run of one tag, and the round to each tag
+// it has not been counted for yet (a tag counts its round whatever its
+// bits: an empty broadcast is sent under its tag all the same). A sender's
+// packets share one tag string, so the comparison with the packet before
+// is a pointer-equal hit; the run's tag is compared with the tag the last
+// run carried, which the senders of a round and the rounds of a step
+// mostly share, and looked up only when it differs. Caller holds r.mu.
+func (r *Runner) countTags(from PartyID, sent []Packet) {
+	for i := 0; i < len(sent); {
+		tag := sent[i].Tag
+		var bits int64
+		for ; i < len(sent) && sent[i].Tag == tag; i++ {
+			if sent[i].To != from {
+				bits += int64(8 * len(sent[i].Payload))
+			}
+		}
+		k := r.lastTag
+		if k < 0 || r.tagTotals[k].tag != tag {
+			var ok bool
+			if k, ok = r.tagIndex[tag]; !ok {
+				k = len(r.tagTotals)
+				r.tagTotals = append(r.tagTotals, tagCount{tag: tag})
+				r.tagIndex[tag] = k
+			}
+			r.lastTag = k
+		}
+		t := &r.tagTotals[k]
+		t.bits += bits
+		if t.last <= r.round {
+			t.rounds++
+			t.last = r.round + 1
+		}
+	}
+}
+
+// maybeFinishRound closes the round if every active party has submitted and
+// the run has not failed (a party released by a failure may already be
+// rewriting the packets it submitted). The check is O(1) via
+// submittedCount; delivery itself is O(packets + n). Caller holds r.mu.
+func (r *Runner) maybeFinishRound() {
+	if r.failed != nil || r.activeTotal == 0 || r.activeHonest == 0 {
 		return
 	}
 	if r.submittedCount < r.activeTotal {
@@ -511,90 +637,48 @@ func (r *runner) maybeFinishRound() {
 	}
 	// Deliver: group packets by recipient, ordered by sender. Iterating
 	// senders in ascending order appends each recipient's messages already
-	// sender-sorted — no per-inbox sort needed. A counting pass sizes the
-	// runner's flat Message array, carved into per-recipient sub-slices.
-	// The payload copies go into the arena of this round's parity (see the
-	// package doc); one that grows leaves its earlier copies where they are.
-	counts := r.inboxCount
-	total := 0
-	for from := 0; from < r.cfg.N; from++ {
-		if !r.submitted[from] {
-			continue
-		}
-		for i := range r.pending[from] {
-			counts[r.pending[from][i].To]++
-		}
-		total += len(r.pending[from])
+	// sender-sorted — no per-inbox sort needed. Each inbox is refilled in
+	// place. The payload copies go into the arena of this round's parity
+	// (see the package doc); one that grows leaves its earlier copies where
+	// they are.
+	inboxes := r.arenas.inboxes[:r.cfg.N]
+	for to := range inboxes {
+		inboxes[to] = inboxes[to][:0]
 	}
-	flat := slices.Grow(r.inboxFlat[:0], total)
-	r.inboxFlat = flat
 	copies := r.arenas.round[r.round%2][:0]
-	inboxes := r.lastInbox
-	off := 0
-	for to := 0; to < r.cfg.N; to++ {
-		inboxes[to] = flat[off : off : off+counts[to]]
-		off += counts[to]
-		counts[to] = 0
-	}
+	// The round's counts collect here and reach the report once; the
+	// honest tags are counted apart from the delivery loop, which then
+	// calls nothing.
 	var stats RoundStats
-	// Honest tag accounting is amortized per tag: the round's distinct
-	// honest tags (nearly always one, the same for every sender) each
-	// collect their bits here and reach the report's maps once. A tag counts
-	// its round whatever its bits: an empty broadcast is sent under its tag
-	// all the same.
-	tags := r.roundTags[:0]
-	cur := -1       // index in tags of the last honest packet's tag
-	var last string // that tag, the very string that packet carried
 	for from := 0; from < r.cfg.N; from++ {
 		if !r.submitted[from] {
 			continue
 		}
-		// The sender's packets to others and their bits, counted once into
-		// the report below.
-		honest := !r.corrupt[from]
-		var msgs, bits int64
+		sent := r.pending[from]
+		var bits int64 // the sender's bits to others
 		var payload []byte
-		for i := range r.pending[from] {
-			p := &r.pending[from][i]
-			payload = transport.Copied(&copies, r.pending[from], i, payload)
-			// A sender's packets of one round share one tag string, so
-			// the comparison with the packet before is a pointer-equal
-			// hit; only a sender's first packet compares bytes.
-			if honest && (cur < 0 || p.Tag != last) {
-				if cur = slices.IndexFunc(tags, func(t tagBits) bool { return t.tag == p.Tag }); cur < 0 {
-					cur = len(tags)
-					tags = append(tags, tagBits{tag: p.Tag})
-				}
-				last = p.Tag
-			}
+		for i := range sent {
+			p := &sent[i]
+			payload = transport.Copied(&copies, sent, i, payload)
 			if p.To != from {
-				b := int64(8 * len(p.Payload))
-				msgs++
-				bits += b
-				if honest {
-					tags[cur].bits += b
-				}
+				stats.Messages++
+				bits += int64(8 * len(p.Payload))
 			}
 			inboxes[p.To] = append(inboxes[p.To], Message{From: from, Payload: payload})
 		}
-		r.report.Messages += msgs
-		stats.Messages += msgs
-		if honest {
-			r.report.HonestBits += bits
+		if r.corrupt[from] {
+			stats.CorruptBits += bits
+		} else {
+			r.countTags(from, sent)
 			r.report.BitsByParty[from] += bits
 			stats.HonestBits += bits
-		} else {
-			r.report.CorruptBits += bits
-			stats.CorruptBits += bits
 		}
 		r.pending[from] = nil
 		r.submitted[from] = false
 	}
-	for _, t := range tags {
-		r.report.BitsByTag[t.tag] += t.bits
-		r.report.RoundsByTag[t.tag]++
-	}
-	r.roundTags = tags
+	r.report.Messages += stats.Messages
+	r.report.HonestBits += stats.HonestBits
+	r.report.CorruptBits += stats.CorruptBits
 	r.arenas.round[r.round%2] = copies
 	if r.cfg.Timeline {
 		stats.Round = r.round
@@ -605,8 +689,8 @@ func (r *runner) maybeFinishRound() {
 	r.spiedValid = false // next round's first peeker refills the snapshot
 	r.round++
 	if r.round > r.cfg.MaxRounds {
-		r.failed = fmt.Errorf("%w: %d rounds", ErrCutoff, r.round)
-		r.wave.Broadcast() // a failure wakes both waits
+		r.fail(fmt.Errorf("%w: %d rounds", ErrCutoff, r.round))
+		return
 	}
 	r.closed.Broadcast()
 }

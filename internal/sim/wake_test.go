@@ -72,7 +72,7 @@ func releaseWhenParked(t *testing.T, release chan struct{}, fn []string, want []
 
 const (
 	inPeek     = "(*Env).PeekHonest"
-	inExchange = "(*runner).finishSubmit"
+	inExchange = "(*Runner).finishSubmit"
 )
 
 // TestPeekerWokenByLastHonestSubmission: a peeker waits for the honest wave

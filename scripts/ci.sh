@@ -150,6 +150,25 @@ one_path() {
 		exit 1
 	fi
 
+	# One round close, one simulated runner. internal/sim's runner is the
+	# only in-process round engine: channet hands out the Envs of an
+	# all-honest run, so a payload copy at a round close (transport.Copied,
+	# CopiedBytes) outside internal/sim, or a wait of channet's own, would be
+	# a second close. The library's simulated entry points run through
+	# sim.Collect and sim.Ghost; internal/testutil is for tests.
+	if grep -rnE 'transport\.Copied\(|CopiedBytes\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(sim|transport)/'; then
+		echo "one-path: a payload copy at a round close outside internal/sim; the simulator's runner has the one round close" >&2
+		exit 1
+	fi
+	if grep -rn 'sync\.Cond' --include='*.go' internal/channet | grep -v '_test\.go:'; then
+		echo "one-path: internal/channet declares a sync.Cond; a hub is an adapter over the simulator's runner" >&2
+		exit 1
+	fi
+	if go list -deps . | grep -qx 'convexagreement/internal/testutil'; then
+		echo "one-path: the library imports internal/testutil; simulated runs go through sim.Collect and sim.Ghost" >&2
+		exit 1
+	fi
+
 	# One quorum vocabulary. The option frame lives in internal/wire
 	# (Some/None/Option), the value tally, the 0/1 count (per lane of a lanes
 	# frame) and the one-sender accessor in internal/transport (Tally,
@@ -345,7 +364,9 @@ cross_compile() {
 # no dispersal tuple, sent or received witness or HIGHCOSTCA natural is
 # allocated, so of what grows with ℓ only GETOUTPUT's output is; a tuple
 # buffer, a per-index audit path or a math/big decode that comes back adds
-# a whole number of allocs), the
+# a whole number of allocs; both Π_ℤ rows count the ops after one warm-up
+# agreement on the same hub and sets, so a first op's growth is not in the
+# row), the
 # same agreement through a SessionMux per party (BenchmarkMuxedPiZ, on the
 # set the mux lends each run: a run that went back to growing a fresh set
 # adds about 860 allocs/op, and a tick flattened into a fresh buffer and
@@ -365,7 +386,7 @@ cross_compile() {
 # goes back to being per call, or a fan-out across Ps, shows here. The
 # simulator rows pin an n = 16 all-to-all round and one round of each
 # catalogue strategy as the t = 5 corrupt parties of an n = 16 run, all at
-# 0 allocs/op: the scheduler refills its inbox array and rushing snapshot
+# 0 allocs/op: the scheduler refills its inboxes and rushing snapshot
 # and every strategy keeps its scratch, so a per-round map, packet slice
 # or payload coming back shows as a whole number. 2000 rounds amortise the
 # run's set-up and the snapshot's 64 KiB payload chunks below one. The

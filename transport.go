@@ -185,10 +185,11 @@ func (t *TCPTransport) FrontierGap() uint64 { return t.conn.FrontierGap() }
 // Close tears down the mesh.
 func (t *TCPTransport) Close() error { return t.conn.Close() }
 
-// LocalTransport is an in-process Transport over Go channels (package
-// channet): n parties hosted in one binary exchange rounds at memory
-// speed. Useful for embedding, demos, and tests that do not need the
-// simulator's adversaries or the TCP mesh.
+// LocalTransport is an in-process Transport (package channet, which runs
+// the simulator's round engine with every party honest): n parties hosted
+// in one binary exchange rounds at memory speed. Useful for embedding,
+// demos, and tests that do not need the simulator's adversaries or the TCP
+// mesh.
 type LocalTransport struct {
 	conn *channet.Conn
 }
