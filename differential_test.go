@@ -3,8 +3,10 @@ package convexagreement_test
 import (
 	"fmt"
 	"math/big"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	ca "convexagreement"
 )
@@ -16,15 +18,60 @@ type stackRun struct {
 	transcript uint64
 }
 
-// runStack runs one ca.Session per party over a fresh local cluster of n,
-// each party's transport made by wrap (which also returns what to close
-// once the party is done), and the given instances' inputs in order.
-func runStack(t *testing.T, n int, inputs [][]*big.Int, wrap func(*ca.LocalTransport) (ca.Transport, func(), error)) []stackRun {
-	t.Helper()
-	cluster, err := ca.NewLocalCluster(n, 0)
-	if err != nil {
-		t.Fatal(err)
+// A stack makes every party's transport: open sets up what the parties
+// share for a run of n and returns the per-party dial, which also returns
+// what to close once the party is done. Dials run concurrently.
+type stack struct {
+	name string
+	open func(t *testing.T, n int) func(i int) (ca.Transport, func(), error)
+}
+
+// localStack is a fresh local cluster of n, each party's transport made
+// from its LocalTransport by wrap.
+func localStack(name string, wrap func(*ca.LocalTransport) (ca.Transport, func(), error)) stack {
+	return stack{name, func(t *testing.T, n int) func(int) (ca.Transport, func(), error) {
+		cluster, err := ca.NewLocalCluster(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(i int) (ca.Transport, func(), error) {
+			tr, done, err := wrap(cluster[i])
+			if err != nil {
+				cluster[i].Close()
+				return nil, nil, err
+			}
+			return tr, func() { done(); cluster[i].Close() }, nil
+		}
+	}}
+}
+
+// tcpStack is a loopback DialTCP mesh of n. Δ is generous, so that on a
+// healthy mesh every round closes with every peer's frame, never at Δ.
+var tcpStack = stack{"tcp", func(t *testing.T, n int) func(int) (ca.Transport, func(), error) {
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
 	}
+	return func(i int) (ca.Transport, func(), error) {
+		tr, err := ca.DialTCP(ca.TCPConfig{ID: i, Addrs: addrs, Delta: 10 * time.Second, Listener: listeners[i]})
+		if err != nil {
+			listeners[i].Close()
+			return nil, nil, err
+		}
+		return tr, func() { tr.Close() }, nil
+	}
+}}
+
+// runStack runs one ca.Session per party over st at n, and the given
+// instances' inputs in order.
+func runStack(t *testing.T, n int, inputs [][]*big.Int, st stack) []stackRun {
+	t.Helper()
+	dial := st.open(t, n)
 	runs := make([]stackRun, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -32,8 +79,7 @@ func runStack(t *testing.T, n int, inputs [][]*big.Int, wrap func(*ca.LocalTrans
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer cluster[i].Close()
-			tr, done, err := wrap(cluster[i])
+			tr, done, err := dial(i)
 			if err != nil {
 				errs[i] = err
 				return
@@ -61,30 +107,28 @@ func runStack(t *testing.T, n int, inputs [][]*big.Int, wrap func(*ca.LocalTrans
 }
 
 // TestCrossTransportDifferential runs three back-to-back Π_ℤ instances
-// with fixed inputs, one Session per party, over three in-process stacks:
-// the local cluster, the same behind an empty fault schedule, and a
-// SessionMux session on it. Every party's outputs and Session transcript
-// must be the same on all three, and the outputs must be the simulator's
-// (ca.Agree on the same inputs).
+// with fixed inputs, one Session per party, over four stacks: the local
+// cluster, the same behind an empty fault schedule, a SessionMux session
+// on it, and a loopback TCP mesh. Every party's outputs and Session
+// transcript must be the same on all four, and the outputs must be the
+// simulator's (ca.Agree on the same inputs).
 func TestCrossTransportDifferential(t *testing.T) {
-	stacks := []struct {
-		name string
-		wrap func(*ca.LocalTransport) (ca.Transport, func(), error)
-	}{
-		{"local", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
+	stacks := []stack{
+		localStack("local", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
 			return l, func() {}, nil
-		}},
-		{"faulty", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
+		}),
+		localStack("faulty", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
 			f, err := ca.WrapFaulty(l, ca.FaultConfig{})
 			return f, func() {}, err
-		}},
-		{"muxed", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
+		}),
+		localStack("muxed", func(l *ca.LocalTransport) (ca.Transport, func(), error) {
 			mt, err := ca.NewSessionMux(l).Open(1, l.N(), l.T())
 			if err != nil {
 				return nil, nil, err
 			}
 			return mt, func() { mt.Close() }, nil
-		}},
+		}),
+		tcpStack,
 	}
 	for _, n := range []int{4, 7} {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
@@ -103,7 +147,7 @@ func TestCrossTransportDifferential(t *testing.T) {
 				}
 				want[seq] = res.Output
 			}
-			base := runStack(t, n, inputs, stacks[0].wrap)
+			base := runStack(t, n, inputs, stacks[0])
 			for i, r := range base {
 				for seq, out := range r.outs {
 					if out.Cmp(want[seq]) != 0 {
@@ -112,7 +156,7 @@ func TestCrossTransportDifferential(t *testing.T) {
 				}
 			}
 			for _, st := range stacks[1:] {
-				got := runStack(t, n, inputs, st.wrap)
+				got := runStack(t, n, inputs, st)
 				for i := range got {
 					if got[i].transcript != base[i].transcript {
 						t.Errorf("%s: party %d transcript %#x, local %#x", st.name, i, got[i].transcript, base[i].transcript)

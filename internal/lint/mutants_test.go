@@ -55,10 +55,10 @@ var mutants = []mutant{
 			"\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames)\n\t\treplay.Release()\n",
 			"\t\treplay.Release()\n\t\tc.write(peer, gen, conn, replay.Bytes(), replayFrames) // MUTANT\n"}}},
 	{id: "F5", file: tcpnetFile,
-		why: "readLoop never releases a stale-round frame: a leak, not corruption — no check tracks a frame that is never released (the arena just allocates afresh)",
+		why: "apply never releases the frames a round-state event hands back (stale, duplicate, beyond the horizon, a demoted peer's): a leak, not corruption — no check tracks a frame that is never released (the arena just allocates afresh)",
 		edits: [][2]string{{
-			"handed to anyone, so the buffer goes straight back.\n\t\t\tframe.Release()\n",
-			"handed to anyone, so the buffer goes straight back.\n\t\t\t_ = frame // MUTANT\n"}}},
+			"\tfor _, f := range eff.release {\n\t\tf.Release()\n",
+			"\tfor _, f := range eff.release {\n\t\t_ = f // MUTANT\n"}}},
 	{id: "L1", file: tcpnetFile, fires: []string{"lockorder"},
 		why: "installLink writes the replay before c.mu.Unlock(): write → linkLost re-locks c.mu",
 		edits: [][2]string{{
@@ -89,8 +89,8 @@ var mutants = []mutant{
 	{id: "L5", file: tcpnetFile,
 		why: "a module helper that blocks (writeHello: conn.Write) called under c.mu — summaries carry no \"blocks\" fact, mutexhold sees only direct blocking calls",
 		edits: [][2]string{{
-			"\tround := c.round\n\tc.mu.Unlock()\n\tif err := writeHello(conn, c.cfg.ID, round, deadline); err != nil {\n\t\treturn 0, err\n\t}\n",
-			"\tround := c.round\n\terr := writeHello(conn, c.cfg.ID, round, deadline) // MUTANT\n\tc.mu.Unlock()\n\tif err != nil {\n\t\treturn 0, err\n\t}\n"}}},
+			"\tround := c.rs.round\n\tc.mu.Unlock()\n\tif err := writeHello(conn, c.cfg.ID, round, deadline); err != nil {\n\t\treturn 0, err\n\t}\n",
+			"\tround := c.rs.round\n\terr := writeHello(conn, c.cfg.ID, round, deadline) // MUTANT\n\tc.mu.Unlock()\n\tif err != nil {\n\t\treturn 0, err\n\t}\n"}}},
 	{id: "G1", file: tcpnetFile,
 		why: "readLoop continues instead of returning after linkLost — runtime: TestNoGoroutinesAfterClose hangs in Close",
 		edits: [][2]string{{

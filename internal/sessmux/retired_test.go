@@ -65,3 +65,39 @@ func TestRetiredSetStaysBounded(t *testing.T) {
 		t.Errorf("fresh sid refused: %v", err)
 	}
 }
+
+// TestClosedInboxReused: a closed session's inbox array goes, cleared, to
+// the next Open, which then allocates only the Session; the closed handle
+// still reads ErrClosed and keeps no view of the array.
+func TestClosedInboxReused(t *testing.T) {
+	m := New(idleNet{})
+	old, err := m.Open(1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.inbox = append(old.inbox, transport.Message{Payload: []byte("stale")})
+	array := &old.inbox[:1][0]
+	old.Close()
+	s, err := m.Open(2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := &s.inbox[:1][0]; got != array || len(s.inbox) != 0 || got.Payload != nil {
+		t.Errorf("Open got a fresh or uncleared inbox (same array %v, len %d)", got == array, len(s.inbox))
+	}
+	if old.inbox != nil {
+		t.Error("the closed handle still views the inbox it gave up")
+	}
+	if _, err := old.Exchange(nil); err != ErrClosed {
+		t.Errorf("Exchange on the closed handle = %v, want ErrClosed", err)
+	}
+	s.Close()
+	sid := uint64(3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s, _ := m.Open(sid, 1, 0)
+		s.Close()
+		sid++
+	}); allocs > 1 {
+		t.Errorf("Open+Close allocates %.1f times, want 1 (the Session)", allocs)
+	}
+}

@@ -71,6 +71,10 @@ var (
 // messages per participant, 64·n_s in all.
 const inboxPerParticipant = 64
 
+// keptInboxes bounds how many closed sessions' inbox arrays a Mux keeps:
+// one wave of the deployed mesh's concurrent sessions.
+const keptInboxes = 64
+
 // Mux multiplexes sessions over one base transport. Create with New, open
 // sessions with Open, keep the tick clock with Idle when none are live.
 type Mux struct {
@@ -98,6 +102,10 @@ type Mux struct {
 	err          error
 
 	stats Stats
+	// inboxes keeps closed sessions' inbox arrays for Open to hand on, at
+	// most keptInboxes. Only the array is reused, never the *Session, so a
+	// stale handle keeps getting ErrClosed.
+	inboxes [][]transport.Message
 
 	// Merge scratch, reused across ticks: the base is done with the pieces
 	// when its round returns.
@@ -187,13 +195,29 @@ func (m *Mux) Open(sid uint64, n, t int) (*Session, error) {
 	if _, used := m.retired[sid]; used || sid < m.retiredBelow {
 		return nil, fmt.Errorf("sessmux: session id %d already used", sid)
 	}
-	// An honest round delivers n messages: size the inbox once, here.
-	s := &Session{m: m, sid: sid, n: n, t: t, inbox: make([]transport.Message, 0, n)}
+	s := &Session{m: m, sid: sid, n: n, t: t, inbox: m.inbox(n)}
 	m.open[sid] = s
 	i, _ := slices.BinarySearchFunc(m.order, sid, bySid)
 	m.order = slices.Insert(m.order, i, s)
 	m.live++
 	return s, nil
+}
+
+// inbox returns an inbox array for a new session of n: a closed session's,
+// cleared, when the last one kept has room for the n messages of an honest
+// round, else a fresh one sized for them. The clear is here, not at Close:
+// a closed session's last inbox is still read by Parallel's callers after
+// the composition returns, until the mux reuses the array. Caller holds
+// m.mu.
+func (m *Mux) inbox(n int) []transport.Message {
+	if k := len(m.inboxes); k > 0 && cap(m.inboxes[k-1]) >= n {
+		in := m.inboxes[k-1]
+		m.inboxes[k-1] = nil
+		m.inboxes = m.inboxes[:k-1]
+		clear(in[:cap(in)])
+		return in
+	}
+	return make([]transport.Message, 0, n)
 }
 
 // Idle keeps the tick clock for a party with no live sessions: it drives
@@ -305,6 +329,12 @@ func (s *Session) Close() {
 	m.order = slices.Delete(m.order, i, i+1)
 	m.retire(s.sid)
 	m.live--
+	// The inbox's lifetime ends here (transport.Net's rule): keep the array
+	// for a later Open.
+	if len(m.inboxes) < keptInboxes {
+		m.inboxes = append(m.inboxes, s.inbox[:0])
+	}
+	s.inbox = nil
 	// The departed session may have been the last holdout of the tick.
 	m.maybeFlush()
 }

@@ -11,23 +11,24 @@
 // arrived from all peers or after the Δ timeout — a peer that misses Δ is
 // treated as silent for that round, exactly the adversary's omission power.
 //
-// Links degrade gracefully rather than fail the run. Each pairwise link is
-// a small state machine (up → down → up, or → silent):
+// Links degrade gracefully rather than fail the run. Each peer's link is
+// up, down or silent; the round state (round.go) holds it with the inbox
+// slots and two exact counts, up peers and up peers whose frame for the
+// round is in, so "every up peer has delivered" is one comparison:
 //
 //   - An I/O failure (reset, idle timeout derived from Δ, write error) marks
 //     the link down. Every write starts with between 7Δ/8 and Δ left on its
 //     deadline, so a peer that stops reading takes its link down within Δ
-//     of the write it blocks. Down peers stop being waited for, so rounds keep
-//     closing at full speed. The dialing side (the party with the higher
-//     id) re-dials with bounded exponential backoff plus jitter and
-//     re-handshakes; the accepting side keeps its listener open for the
-//     whole run and re-accepts. A restored link resumes at the current
+//     of the write it blocks. Down peers stop being waited for, so rounds
+//     keep closing at full speed. The dialing side (the higher id) re-dials
+//     with bounded exponential backoff plus jitter and re-handshakes; the
+//     accepting side re-accepts. A restored link resumes at the current
 //     round — the outage reads as omission, never corruption.
-//   - A protocol violation (garbled or oversized frame, wire.ErrFrame)
-//     marks the peer silent for the rest of the run: a peer that speaks
-//     nonsense is misbehaving, not unlucky, and reconnecting to it would
-//     hand it another chance to wedge the round loop. Silent peers are
-//     reported by Faulty.
+//   - A protocol violation (garbled or oversized frame, wire.ErrFrame), an
+//     ingress verdict, exhausted re-dials or a rejoin gap the tail no longer
+//     covers demotes the peer to silent for the run (a peer that speaks
+//     nonsense is misbehaving, not unlucky), through one demote event that
+//     also purges every frame it has buffered. Faulty reports silent peers.
 //
 // There is no cost accounting here (BITS/ROUNDS measurements live in the
 // simulator); this transport exists to demonstrate and test deployment.
@@ -35,6 +36,7 @@ package tcpnet
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -133,45 +135,14 @@ const helloMaxBytes = 24
 // probing the rejoin-replay machinery.
 const maxHelloRound = 1 << 62
 
-// linkState tracks one pairwise connection's health.
-type linkState uint8
-
-const (
-	linkDown   linkState = iota // not (or no longer) connected; reconnect may restore it
-	linkUp                      // connected, counted toward round quorum
-	linkSilent                  // demoted for the run (violation or exhausted retries)
-)
-
-// link is one peer's connection slot. All fields are guarded by Conn.mu.
-// gen increments every time conn is replaced or torn down, so goroutines
-// holding an old conn recognize their view is stale and stand down.
+// link is one peer's connection slot; its link state is the round
+// state's. All fields are guarded by Conn.mu. gen increments every time
+// conn is replaced or torn down, so goroutines holding an old conn
+// recognize their view is stale and stand down.
 type link struct {
 	conn         net.Conn
-	state        linkState
 	gen          uint64
 	reconnecting bool
-}
-
-// inboxEntry is one peer's delivery for one round: the pooled frame and the
-// payload headers that alias it, both exactly as the read produced them
-// (awaitRound builds the Messages); a nil frame means the peer has not
-// delivered. The frame stays live while the entry sits in the inbox and
-// through the Exchange that delivers it; the next Exchange releases it —
-// transport.Net's payload-lifetime rule. An undelivered slot of a reused
-// entry slice still holds the emptied header slice of the delivery it
-// carried last, which the read loop that fills the slot takes as its next
-// scratch: header slices circulate between the read loops and the slots and
-// are not reallocated.
-type inboxEntry struct {
-	payloads [][]byte
-	frame    *wire.Frame
-}
-
-// empty marks the slot undelivered, keeping its header slice (emptied, so it
-// pins no frame) for the next read that fills it.
-func (e *inboxEntry) empty() {
-	clear(e.payloads)
-	e.payloads, e.frame = e.payloads[:0], nil
 }
 
 // roundSlot is one round of the rejoin tail: the round number and what this
@@ -270,45 +241,32 @@ type Conn struct {
 	cond    *sync.Cond
 	links   []link // indexed by party id; own id unused
 	inbound map[net.Conn]struct{}
-	// byRound holds each open round's deliveries indexed by party id, so a
-	// round is read out in sender order with no sort.
-	byRound map[uint64][]inboxEntry
-	round   uint64
-	// have counts the up peers' frames delivered for round: the read loops
-	// wake awaitRound only when it reaches expectedPeers. It may run high
-	// (a counted peer's link went down, or its frames were purged), which
-	// costs awaitRound a recount, never low, which would cost a round Δ.
-	have   int
+	// rs is the receive side of the round clock — round number, inbox
+	// slots, link states, demotions — fed events under mu.
+	rs     roundState
 	closed bool
 	// tails is the rejoin tail, a ring of RejoinWindow round slots (round
-	// r in slot r mod RejoinWindow) holding the frames sent in the last
-	// RejoinWindow rounds, so a rejoining peer's gap can be replayed. The
-	// slots own their frames: storing round r evicts round r −
-	// RejoinWindow. Only the Exchange goroutine stores and evicts, under
-	// mu. Close drops the ring without releasing — an in-flight write may
-	// still be reading a tail frame's bytes, and on teardown the GC is the
-	// safe reclaimer.
+	// r in slot r mod RejoinWindow) that own the frames sent in the last
+	// RejoinWindow rounds. Only the Exchange goroutine stores and evicts,
+	// under mu. Close drops the ring without releasing: an in-flight write
+	// may still be reading a tail frame, and the GC is the safe reclaimer.
 	tails []roundSlot
-	// spent holds the pooled frames whose payloads the previous Exchange
-	// handed to the caller; the next Exchange releases them, which is
-	// exactly the payload lifetime transport.Net promises.
+	// spent holds the frames behind the payloads the previous Exchange
+	// handed out; the next Exchange releases them (transport.Net's payload
+	// lifetime). Only the Exchange goroutine touches it.
 	spent []*wire.Frame
 	// frontier is the highest round any peer has announced in a handshake —
 	// how far ahead the mesh was when this (possibly resumed) party joined.
 	frontier uint64
-	// demotions records every peer demoted to silent with its structured
-	// reason, in demotion order (Stats returns them sorted by peer).
-	demotions []Demotion
 	// helloCount counts handshake attempts per remote host so HelloBurst
 	// can refuse churn from an unauthenticated dialer.
 	helloCount map[string]int
 
-	// adm is the per-peer ingress gate (indexed by party id; own id nil).
-	// It lives on the Conn, not the read loop, so budgets persist across
-	// reconnects — otherwise handshake churn would reset them, which is
-	// exactly the attack.
+	// adm is the per-peer ingress gate (indexed by party id; own id nil),
+	// on the Conn so that budgets persist across reconnects: handshake churn
+	// must not reset them.
 	adm []*wire.Admission
-	// roundNow mirrors c.round for the read loops' admission Advance
+	// roundNow mirrors the round for the read loops' admission Advance
 	// calls, which must not take c.mu on the per-frame fast path.
 	roundNow atomic.Uint64
 
@@ -316,35 +274,26 @@ type Conn struct {
 	// round frames, replay batches) and decode side (inbound frames).
 	arena wire.Arena
 	// wmu serializes writers on one socket (the live round send vs a rejoin
-	// replay batch) so frames can never interleave mid-stream; indexed by
-	// party id. Leaf mutex: nothing but the deadline-bounded write happens
-	// under it, and Close unblocks the write by closing the conn. wdl[peer],
-	// the deadline armed on that socket, is guarded by wmu[peer].
+	// replay batch) so frames never interleave; indexed by party id. A leaf
+	// mutex held only over the deadline-bounded write, which Close unblocks
+	// by closing the conn. wdl[peer], the deadline armed, is wmu[peer]'s.
 	wmu []sync.Mutex
 	wdl []writeDeadline
 
-	// Round scratch: every container a round fills is held here and reset,
-	// not reallocated, so the steady-state round allocates nothing. All of it
-	// belongs to the Exchange goroutine (transport.Net has one driver) and is
-	// covered by the Net lifetime rule — what a round hands out is valid
-	// until the next Exchange; only free is shared with the read loops, under
-	// mu. Each grows to the largest round seen and stays there.
+	// Round scratch, reset rather than reallocated so the steady-state round
+	// allocates nothing: the Exchange goroutine's, each grown to the largest
+	// round seen.
 	pieces  [][]byte              // Exchange: one piece per packet, len(out) long, cleared after the round
 	staged  []transport.VecPacket // Exchange: its packets as ExchangeVec entries
 	vecs    [][][][]byte          // ExchangeVec: scatter-gather payloads per destination
 	self    []transport.Message   // this round's self-deliveries
 	selfBuf []byte                // this round's self-deliveries, flattened
-	inbox   []transport.Message   // the inbox the round hands out
 	// frames stages a per-peer round's frames, indexed by party id, for
 	// sendRound to swap into the round's tail slot; all nil between rounds.
 	frames []*wire.Frame
 	sendTo []sendTarget // sendRound's link snapshot, cleared after the writes
-	// free holds retired per-round entry slices for the read loops to reopen
-	// rounds with; at most RoundHorizon+1 rounds are ever open at once, so
-	// that is all it keeps.
-	free [][]inboxEntry
-	// timer wakes a waiting awaitRound at the round's Δ deadline: one timer
-	// Reset per round (a stale fire only broadcasts the cond).
+	// timer wakes awaitRound at the round's Δ deadline (a stale fire only
+	// broadcasts the cond).
 	timer *time.Timer
 
 	framesSent     atomic.Uint64
@@ -375,34 +324,21 @@ func Dial(cfg Config) (*Conn, error) {
 		return nil, fmt.Errorf("%w: negative ReconnectAttempts %d, RejoinWindow %d, HelloBurst %d or RoundHorizon %d",
 			ErrConfig, cfg.ReconnectAttempts, cfg.RejoinWindow, cfg.HelloBurst, cfg.RoundHorizon)
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 2 * time.Second
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.ReconnectAttempts == 0 {
-		cfg.ReconnectAttempts = 5
-	}
+	cfg.Delta = cmp.Or(cfg.Delta, 2*time.Second)
+	cfg.DialTimeout = cmp.Or(cfg.DialTimeout, 10*time.Second)
+	cfg.ReconnectAttempts = cmp.Or(cfg.ReconnectAttempts, 5)
 	if cfg.ReconnectBase <= 0 {
 		cfg.ReconnectBase = 50 * time.Millisecond
 	}
-	if cfg.RejoinWindow == 0 {
-		cfg.RejoinWindow = 128
-	}
-	if cfg.HelloBurst == 0 {
-		cfg.HelloBurst = 64 + 8*n
-	}
-	if cfg.RoundHorizon == 0 {
-		cfg.RoundHorizon = cfg.RejoinWindow + 64
-	}
+	cfg.RejoinWindow = cmp.Or(cfg.RejoinWindow, 128)
+	cfg.HelloBurst = cmp.Or(cfg.HelloBurst, 64+8*n)
+	cfg.RoundHorizon = cmp.Or(cfg.RoundHorizon, cfg.RejoinWindow+64)
 	c := &Conn{
 		cfg:        cfg,
 		n:          n,
 		links:      make([]link, n),
 		inbound:    make(map[net.Conn]struct{}),
-		byRound:    make(map[uint64][]inboxEntry),
-		round:      cfg.ResumeRound,
+		rs:         newRoundState(n, cfg.ID, cfg.ResumeRound, cfg.RoundHorizon),
 		frontier:   cfg.ResumeRound,
 		tails:      make([]roundSlot, cfg.RejoinWindow),
 		wmu:        make([]sync.Mutex, n),
@@ -489,8 +425,7 @@ func (c *Conn) wake() {
 }
 
 // missingPeer returns the lowest peer id that has never connected (gen 0),
-// or -1 when the mesh has been complete at least momentarily. Caller holds
-// c.mu.
+// or -1 once every peer has. Caller holds c.mu.
 func (c *Conn) missingPeer() int {
 	for j := 0; j < c.n; j++ {
 		if j != c.cfg.ID && c.links[j].gen == 0 {
@@ -501,15 +436,13 @@ func (c *Conn) missingPeer() int {
 }
 
 // installLink records a fresh connection for peer and starts its reader.
-// peerRound is the round the peer announced in its handshake: a peer behind
-// our round is rejoining after a restart, and we replay our buffered outbox
-// tail for the gap [peerRound, round] before going live. A gap the tail no
-// longer covers is unrecoverable — the peer is demoted to silent rather
-// than left permanently desynchronized.
+// A peer whose handshake announced a round behind ours is rejoining after a
+// restart: we replay our outbox tail for the gap before going live, and
+// demote it to silent when the tail no longer covers the gap.
 func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	c.mu.Lock()
 	l := &c.links[peer]
-	if c.closed || l.state == linkSilent {
+	if c.closed || c.rs.state[peer] == linkSilent {
 		c.mu.Unlock()
 		conn.Close()
 		return
@@ -517,32 +450,20 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 	if peerRound > c.frontier {
 		c.frontier = peerRound
 	}
-	// Coalesce the replay tail into one pooled batch frame under the lock;
-	// ship it after release as a single deadline-bounded write, so a gap of
-	// G rounds costs one write(2) instead of G and the tail frames cannot
-	// be evicted (and released) out from under the write. Rounds
-	// [peerRound, c.round) are mandatory — the peer cannot close them
-	// without our frame. The current round's frame is included when already
-	// sent (its live write raced the link being down); receivers dedup per
-	// (round, peer), so overlap with the live send is harmless.
+	// Coalesce the replay tail into one pooled batch under the lock, so a
+	// gap of G rounds is one write(2) and no tail frame is evicted under it.
+	// Rounds before the current one are mandatory; the current round's frame
+	// goes too when already sent (receivers keep the first per round).
 	var replay *wire.Frame
-	var replayFrames int
-	total := 0
-	for r := peerRound; r <= c.round; r++ {
+	replayFrames, total := 0, 0
+	for r := peerRound; r <= c.rs.round; r++ {
 		f := c.tailFrame(r, peer)
 		if f == nil {
-			if r == c.round {
+			if r == c.rs.round {
 				break // not sent yet; the live Exchange will cover it
 			}
-			// Unrecoverable gap: demote for the run.
-			if l.conn != nil {
-				l.conn.Close()
-				l.conn = nil
-			}
-			l.state = linkSilent
-			c.recordDemotionLocked(peer, wire.ReasonHandshake)
-			l.gen++
-			c.cond.Broadcast()
+			c.demote(peer, wire.ReasonHandshake) // unrecoverable gap
+			c.cond.Broadcast()                   // Dial's mesh wait: the peer did connect
 			c.mu.Unlock()
 			conn.Close()
 			return
@@ -563,13 +484,12 @@ func (c *Conn) installLink(peer int, conn net.Conn, peerRound uint64) {
 		l.conn.Close()
 	}
 	l.conn = conn
-	l.state = linkUp
 	l.gen++
 	gen := l.gen
-	// A frame the peer delivered over its previous link now counts again.
-	c.have = c.upFrames(c.round)
+	c.rs.linkUp(peer)
 	c.wg.Add(1)
 	go c.readLoop(peer, gen, conn)
+	// Dial's mesh wait is on the cond too.
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -593,10 +513,9 @@ func (c *Conn) acceptLoop(ln net.Listener) {
 }
 
 // handleInbound authenticates one inbound connection by its handshake and
-// installs it as the peer's link. Garbage handshakes are dropped without
-// disturbing the mesh. The handshake is bidirectional — each side announces
-// (id, current round) — so a rejoining party learns the mesh frontier and
-// peers learn what outbox tail to replay.
+// installs it as the peer's link; a garbage handshake is dropped. Each side
+// announces (id, current round), so a rejoining party learns the mesh
+// frontier and peers learn what outbox tail to replay.
 func (c *Conn) handleInbound(conn net.Conn) {
 	host := helloHost(conn)
 	c.mu.Lock()
@@ -621,7 +540,7 @@ func (c *Conn) handleInbound(conn net.Conn) {
 	c.mu.Lock()
 	delete(c.inbound, conn)
 	closed := c.closed
-	round := c.round
+	round := c.rs.round
 	c.mu.Unlock()
 	if closed || err != nil || id <= c.cfg.ID || id >= c.n {
 		if !closed {
@@ -641,7 +560,7 @@ func (c *Conn) handleInbound(conn net.Conn) {
 // returning the acceptor's current round.
 func (c *Conn) handshakeAsDialer(conn net.Conn, deadline time.Time) (uint64, error) {
 	c.mu.Lock()
-	round := c.round
+	round := c.rs.round
 	c.mu.Unlock()
 	if err := writeHello(conn, c.cfg.ID, round, deadline); err != nil {
 		return 0, err
@@ -659,15 +578,14 @@ func (c *Conn) N() int { return c.n }
 // T returns the corruption budget.
 func (c *Conn) T() int { return c.cfg.T }
 
-// Faulty returns the peers demoted to silent for the run — either caught
-// violating the framing protocol or unreachable after all reconnect
-// attempts. The slice is ordered by party id.
+// Faulty returns the peers demoted to silent for the run, ordered by party
+// id.
 func (c *Conn) Faulty() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []int
-	for j := range c.links {
-		if c.links[j].state == linkSilent {
+	for j, st := range c.rs.state {
+		if st == linkSilent {
 			out = append(out, j)
 		}
 	}
@@ -692,14 +610,12 @@ func (c *Conn) BreakLink(peer int) {
 // Exchange implements one synchronous round: it ships this round's packets
 // to every up peer (an empty frame to peers with none), waits up to Delta
 // for all up peers' frames, and returns the delivered messages in sender
-// order. It only stages the packets onto ExchangeVec, the Conn's one round
-// body. A broadcast (transport.IsBroadcast) is one transport.All entry, so
-// it goes out as one frame shared by every link; every other packet
-// addressed to a party is its own entry, a one-piece view of its payload;
-// a packet addressed out of range — transport.All included — is dropped.
-// The payloads delivered alias pooled frames (and, for self-delivery, the
-// Conn's selfBuf), and the slice itself is the Conn's: read-only, valid
-// until the next Exchange or Close — see transport.Net.
+// order. It only stages the packets onto ExchangeVec, the one round body: a
+// broadcast (transport.IsBroadcast) is one transport.All entry, shared by
+// every link as one frame; any other packet addressed to a party is its own
+// one-piece entry, and one addressed out of range (transport.All included)
+// is dropped. What it returns aliases pooled frames and Conn scratch:
+// read-only, valid until the next Exchange or Close (see transport.Net).
 func (c *Conn) Exchange(out []transport.Packet) ([]transport.Message, error) {
 	if cap(c.pieces) < len(out) {
 		c.pieces = make([][]byte, len(out))
@@ -759,11 +675,9 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 			c.vecs[p.To] = append(c.vecs[p.To], p.Vec)
 		}
 	}
-	// Self-delivery outlives the caller's pieces (the contract frees them
-	// when ExchangeVec returns) but not the next Exchange, so it is flattened
-	// into one bump buffer the Conn reuses. It grows by append: a grown
-	// buffer leaves its old array, which the payloads carved so far point
-	// into, as it is.
+	// Self-delivery outlives the caller's pieces but not the next Exchange,
+	// so it is flattened into one bump buffer the Conn reuses; growing by
+	// append leaves the old array, and the payloads carved from it, intact.
 	buf := c.selfBuf[:0]
 	for _, v := range c.vecs[self] {
 		mark := len(buf)
@@ -776,10 +690,12 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 	if all {
 		c.sendRound(r, c.arena.EncodeFrameVecs(r, c.vecs[self]))
 	} else {
-		frames := c.peerFrames()
+		if c.frames == nil {
+			c.frames = make([]*wire.Frame, c.n)
+		}
 		for peer, payloads := range c.vecs {
 			if peer != self {
-				frames[peer] = c.arena.EncodeFrameVecs(r, payloads)
+				c.frames[peer] = c.arena.EncodeFrameVecs(r, payloads)
 			}
 		}
 		c.sendRound(r, nil)
@@ -788,131 +704,54 @@ func (c *Conn) ExchangeVec(out []transport.VecPacket) ([]transport.Message, erro
 		clear(payloads) // sent: the pieces are the caller's again
 		c.vecs[peer] = payloads[:0]
 	}
-	return c.awaitRound(r)
-}
-
-// peerFrames returns the staging list for a per-peer round's frames.
-func (c *Conn) peerFrames() []*wire.Frame {
-	if c.frames == nil {
-		c.frames = make([]*wire.Frame, c.n)
-	}
-	return c.frames
+	return c.awaitRound()
 }
 
 var _ transport.VecNet = (*Conn)(nil)
 
 // beginRound opens a synchronous round: it snapshots the round number,
-// releases the frames behind the previous round's payloads — the "valid
-// until the next Exchange" edge of transport.Net's lifetime rule — and
-// empties the self-delivery scratch for the caller to stage into.
+// releases the frames behind the previous round's payloads (the "valid
+// until the next Exchange" edge of transport.Net) and empties the
+// self-delivery scratch.
 func (c *Conn) beginRound() (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return 0, ErrClosed
 	}
-	r := c.round
-	spent := c.spent
-	c.spent = c.spent[:0]
+	r := c.rs.round
 	c.mu.Unlock()
-	for _, f := range spent {
+	for _, f := range c.spent {
 		f.Release()
 	}
+	c.spent = c.spent[:0]
 	c.self = c.self[:0]
 	return r, nil
 }
 
-// roundEntries returns round r's entry slice, opening the round — with a
-// retired slice when one is free — if no frame for it has arrived yet.
-// Caller holds c.mu.
-func (c *Conn) roundEntries(r uint64) []inboxEntry {
-	entries := c.byRound[r]
-	if entries == nil {
-		if k := len(c.free); k > 0 {
-			entries, c.free = c.free[k-1], c.free[:k-1]
-		} else {
-			entries = make([]inboxEntry, c.n)
-		}
-		c.byRound[r] = entries
-	}
-	return entries
-}
-
-// awaitRound blocks until round r (= c.round) closes — all up peers' frames
-// arrived or Δ expired — then advances the round clock and returns the
-// delivered messages in sender order (each sender's in the order it sent
-// them), self-deliveries at this party's own index. The inbox is built here,
-// once, in the Conn's own slice, and the round's entry slice goes back to
-// the free list for the read loops.
-//
-// It is woken once per round by the read loop whose frame completes the
-// count c.have, and otherwise only by a link-state change, the Δ timer or
-// Close; it recounts only when c.have says the round may be complete.
-func (c *Conn) awaitRound(r uint64) ([]transport.Message, error) {
+// awaitRound blocks until the current round closes — every up peer's
+// frame arrived or Δ expired — and closes it in the round state, which
+// builds the inbox (self-deliveries at this party's own index) and advances
+// the round clock. It is woken once per round by the read loop whose frame
+// completes the round, and otherwise only by a link-state change that
+// completes it, the Δ timer or Close.
+func (c *Conn) awaitRound() ([]transport.Message, error) {
 	deadline := time.Now().Add(c.cfg.Delta)
 	c.timer.Reset(c.cfg.Delta)
 	defer c.timer.Stop()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return nil, ErrClosed
-		}
-		if exp := c.expectedPeers(); c.have >= exp {
-			c.have = c.upFrames(r)
-			if c.have >= exp {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			break
-		}
+	for !c.closed && !c.rs.complete() && time.Now().Before(deadline) {
 		c.cond.Wait()
 	}
-	entries := c.roundEntries(r)
-	msgs := c.inbox[:0]
-	for peer := range entries {
-		if peer == c.cfg.ID {
-			msgs = append(msgs, c.self...)
-			continue
-		}
-		e := &entries[peer]
-		if e.frame == nil {
-			continue
-		}
-		for _, p := range e.payloads {
-			msgs = append(msgs, transport.Message{From: peer, Payload: p})
-		}
-		// Keep the pooled buffer alive for the caller; the next Exchange
-		// releases it.
-		c.spent = append(c.spent, e.frame)
-		e.empty()
+	if c.closed {
+		return nil, ErrClosed
 	}
-	c.inbox = msgs
-	delete(c.byRound, r)
-	if len(c.free) <= c.cfg.RoundHorizon {
-		c.free = append(c.free, entries)
-	}
-	c.round = r + 1
-	c.roundNow.Store(r + 1) // release the round clock to the read loops' gates
-	// Frames that arrived early for the new round were not counted.
-	c.have = c.upFrames(r + 1)
+	msgs, spent := c.rs.close(c.self, c.spent)
+	c.spent = spent
+	c.roundNow.Store(c.rs.round) // release the round clock to the read loops' gates
 	return msgs, nil
-}
-
-// upFrames counts round r's delivered frames from peers whose link is up.
-// Only those count toward the quorum of up peers: the frame a peer sent
-// before its link went down is still delivered, but must not stand in for a
-// live peer's that is yet to arrive. Caller holds c.mu.
-func (c *Conn) upFrames(r uint64) int {
-	have := 0
-	for peer, e := range c.byRound[r] {
-		if e.frame != nil && c.links[peer].state == linkUp {
-			have++
-		}
-	}
-	return have
 }
 
 // Stats returns cumulative counters for this Conn. Demotions and Peers
@@ -926,37 +765,22 @@ func (c *Conn) Stats() Stats {
 		FramesDropped:  c.framesDropped.Load(),
 	}
 	c.mu.Lock()
-	s.Demotions = append(s.Demotions, c.demotions...)
+	s.Demotions = append(s.Demotions, c.rs.demotions...)
 	c.mu.Unlock()
 	sort.Slice(s.Demotions, func(i, j int) bool { return s.Demotions[i].Peer < s.Demotions[j].Peer })
-	demoted := make(map[int]wire.Reason, len(s.Demotions))
-	for _, d := range s.Demotions {
-		demoted[d.Peer] = d.Reason
-	}
-	for j := 0; j < c.n; j++ {
-		if j == c.cfg.ID {
+	for j, gate := range c.adm { // own id nil
+		if gate == nil {
 			continue
 		}
-		s.Peers = append(s.Peers, PeerStats{
-			Peer:              j,
-			AdmissionCounters: c.adm[j].Counters(),
-			Demoted:           demoted[j],
-		})
+		p := PeerStats{Peer: j, AdmissionCounters: gate.Counters()}
+		for _, d := range s.Demotions {
+			if d.Peer == j {
+				p.Demoted = d.Reason
+			}
+		}
+		s.Peers = append(s.Peers, p)
 	}
 	return s
-}
-
-// expectedPeers counts peers the round should wait for: only links that are
-// up. Down peers would cost a full Δ every round; silent peers are gone for
-// good. Caller holds c.mu.
-func (c *Conn) expectedPeers() int {
-	exp := 0
-	for j := range c.links {
-		if j != c.cfg.ID && c.links[j].state == linkUp {
-			exp++
-		}
-	}
-	return exp
 }
 
 // Close tears down the mesh, unblocking any Exchange in flight.
@@ -969,11 +793,7 @@ func (c *Conn) Close() error {
 	c.closed = true
 	close(c.done)
 	for j := range c.links {
-		if c.links[j].conn != nil {
-			c.links[j].conn.Close()
-			c.links[j].conn = nil
-		}
-		c.links[j].gen++
+		c.unlink(j)
 	}
 	for conn := range c.inbound {
 		conn.Close()
@@ -993,15 +813,12 @@ func (c *Conn) Close() error {
 func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 	defer c.wg.Done()
 	idle := c.idleTimeout()
-	// The counting wrapper lets a deadline expiry be classified: bytes
-	// consumed mid-frame mean the peer is alive but trickling (slow-loris,
-	// demotable), no bytes at all mean the connection is presumed dead
+	// Counting classifies a deadline expiry: bytes consumed mid-frame mean
+	// a live peer trickling (slow-loris, demotable), none a dead connection
 	// (reconnectable).
 	src := &countingReader{conn: conn}
-	// The buffered reader turns the codec's byte-at-a-time varint reads
-	// into memory reads; on a raw conn every varint byte is its own
-	// read(2) syscall (and, through the io.Reader interface, a heap
-	// allocation for the 1-byte scratch).
+	// Buffering turns the codec's byte-at-a-time varint reads into memory
+	// reads instead of a read(2) each.
 	br := bufio.NewReaderSize(src, readBufferSize)
 	gate := c.adm[peer]
 	var scratch [][]byte
@@ -1018,10 +835,8 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 		round, payloads, frame, err := c.arena.ReadFrameIntoGated(br, maxFrame, scratch, gate)
 		if err != nil {
 			if isTimeout(err) && src.n-int64(br.Buffered()) > consumed {
-				// The deadline expired with partial-frame progress: the peer
-				// is alive and trickling, not dead. (A dead peer mid-frame
-				// surfaces as io.ErrUnexpectedEOF — an I/O error — so only
-				// live connections can earn the stall verdict.)
+				// Partial-frame progress at the deadline: alive and trickling
+				// (a dead peer mid-frame surfaces as io.ErrUnexpectedEOF).
 				err = wire.StallError(fmt.Sprintf("mid-frame trickle past the %v read deadline", idle))
 			}
 			c.linkLost(peer, gen, err)
@@ -1033,43 +848,18 @@ func (c *Conn) readLoop(peer int, gen uint64, conn net.Conn) {
 			frame.Release() // nothing retained the payloads
 			return
 		}
-		scratch = payloads[:0] // unless the inbox takes the headers below
-		switch {
-		case round < c.round: // frames for completed rounds are stale
-		case round-c.round > uint64(c.cfg.RoundHorizon):
-			// Beyond the buffering horizon: drop, don't demote — an honest
-			// fast peer can legitimately run ahead of a stalled party, but
-			// holding frames for it unboundedly would hand a hostile one a
-			// memory lever.
-			c.framesDropped.Add(1)
-		default:
-			if e := &c.roundEntries(round)[peer]; e.frame == nil {
-				// Ownership moves to the inbox, headers included; the slot's
-				// emptied header slice is the next read's scratch.
-				scratch = e.payloads
-				*e = inboxEntry{payloads: payloads, frame: frame}
-				frame = nil
-				if round == c.round {
-					c.have++
-					if c.have >= c.expectedPeers() {
-						c.cond.Broadcast() // the frame that completes the round
-					}
-				}
-			}
-		}
+		// Ownership moves to the round state, headers included; what it
+		// hands back — a stale, duplicate or beyond-horizon frame — was
+		// never handed to anyone.
+		var eff effect
+		eff, scratch = c.rs.frame(peer, round, payloads, frame)
+		c.apply(eff)
 		c.mu.Unlock()
-		if frame != nil {
-			// Stale round or duplicate delivery: the payloads were never
-			// handed to anyone, so the buffer goes straight back.
-			frame.Release()
-		}
 	}
 }
 
 // countingReader counts bytes the connection has delivered, so the read
-// loop can measure per-frame progress. It is touched only by the one read
-// loop that owns it (bufio fills and the post-error check run on the same
-// goroutine), so the counter needs no synchronization.
+// loop can measure per-frame progress; only that read loop touches it.
 type countingReader struct {
 	conn net.Conn
 	n    int64
@@ -1092,67 +882,68 @@ func isTimeout(err error) bool {
 // before it is presumed dead. Every live peer sends every round, so normal
 // traffic arrives at least once per Δ; 8Δ of silence (floored at 2s so
 // millisecond-Δ tests don't flap) means the connection itself is gone.
-func (c *Conn) idleTimeout() time.Duration {
-	idle := 8 * c.cfg.Delta
-	if idle < 2*time.Second {
-		idle = 2 * time.Second
-	}
-	return idle
-}
+func (c *Conn) idleTimeout() time.Duration { return max(8*c.cfg.Delta, 2*time.Second) }
 
 // linkLost transitions a link out of up after a read or write failure on
-// generation gen. Frame-protocol violations (wire.ErrFrame) and ingress
-// verdicts (wire.ErrAdmission: budget, rate, stall) demote the peer to
-// silent for the run with a structured reason; I/O failures mark the link
-// down and, on the dialing side, kick off reconnection.
+// generation gen (a link's generation is current only while it is up).
+// Frame-protocol violations (wire.ErrFrame) and ingress verdicts
+// (wire.ErrAdmission: budget, rate, stall) demote the peer to silent for
+// the run with a structured reason; I/O failures mark the link down and,
+// on the dialing side, kick off reconnection.
 func (c *Conn) linkLost(peer int, gen uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	l := &c.links[peer]
-	if c.closed || l.gen != gen || l.state == linkSilent {
+	if c.closed || l.gen != gen {
 		return
 	}
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.gen++
-	reason := wire.ReasonNone
 	var aerr *wire.AdmissionError
 	switch {
 	case errors.As(err, &aerr):
-		reason = aerr.Reason
+		c.demote(peer, aerr.Reason)
 	case errors.Is(err, wire.ErrFrame):
-		reason = wire.ReasonProtocol
-	}
-	if reason != wire.ReasonNone {
-		l.state = linkSilent
-		c.recordDemotionLocked(peer, reason)
-	} else {
-		l.state = linkDown
+		c.demote(peer, wire.ReasonProtocol)
+	default:
+		c.unlink(peer)
+		c.apply(c.rs.linkDown(peer))
 		if peer < c.cfg.ID && !l.reconnecting {
 			l.reconnecting = true
 			go c.reconnectLoop(peer)
 		}
 	}
-	c.cond.Broadcast()
 }
 
-// recordDemotionLocked appends the structured verdict for a peer's
-// transition to silent and purges the peer's buffered future-round frames.
-// The purge matters under attack: a flooder pre-delivers frames for many
-// rounds before it trips the rate limiter, and if those stayed buffered
-// they would both count toward round completion (closing rounds before
-// honest frames arrive) and be delivered rounds after the sender was
-// judged hostile. Caller holds c.mu; the link state machine admits at
-// most one such transition per peer.
-func (c *Conn) recordDemotionLocked(peer int, reason wire.Reason) {
-	c.demotions = append(c.demotions, Demotion{Peer: peer, Reason: reason, Round: c.round})
-	for _, entries := range c.byRound {
-		if e := &entries[peer]; e.frame != nil {
-			e.frame.Release()
-			e.empty()
-		}
+// unlink tears down peer's connection and retires its generation. Caller
+// holds c.mu.
+func (c *Conn) unlink(peer int) {
+	l := &c.links[peer]
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
+	}
+	l.gen++
+}
+
+// demote is the one way a peer goes silent for the run: its connection is
+// torn down and the round state records the verdict and hands back every
+// frame the peer has buffered. Caller holds c.mu.
+func (c *Conn) demote(peer int, reason wire.Reason) {
+	c.unlink(peer)
+	c.apply(c.rs.demote(peer, reason))
+}
+
+// apply carries out what a round-state event asks: wake the waiting
+// Exchange, release what nothing holds any more, count a frame dropped
+// beyond the horizon. Caller holds c.mu.
+func (c *Conn) apply(eff effect) {
+	if eff.wake {
+		c.cond.Broadcast()
+	}
+	for _, f := range eff.release {
+		f.Release()
+	}
+	if eff.dropped {
+		c.framesDropped.Add(1)
 	}
 }
 
@@ -1166,13 +957,9 @@ func (c *Conn) reconnectLoop(peer int) {
 	backoff := c.cfg.ReconnectBase
 	for attempt := 0; attempt < c.cfg.ReconnectAttempts; attempt++ {
 		wait := backoff + time.Duration(rand.Int63n(int64(backoff)))
-		backoff *= 2
-		// Cap the backoff so a long-absent peer (crashed, checkpointing,
-		// restarting) is probed about once a second rather than ever more
-		// rarely; the rejoin path depends on a timely re-dial.
-		if backoff > time.Second {
-			backoff = time.Second
-		}
+		// A long-absent peer (crashed, restarting) is probed about once a
+		// second: the rejoin path depends on a timely re-dial.
+		backoff = min(2*backoff, time.Second)
 		select {
 		case <-c.done:
 			return
@@ -1189,7 +976,7 @@ func (c *Conn) reconnectLoop(peer int) {
 		}
 		c.mu.Lock()
 		l := &c.links[peer]
-		if c.closed || l.state != linkDown {
+		if c.closed || c.rs.state[peer] != linkDown {
 			c.mu.Unlock()
 			conn.Close()
 			return
@@ -1200,13 +987,10 @@ func (c *Conn) reconnectLoop(peer int) {
 		return
 	}
 	c.mu.Lock()
-	l := &c.links[peer]
-	l.reconnecting = false
-	if !c.closed && l.state == linkDown {
-		l.state = linkSilent
-		c.recordDemotionLocked(peer, wire.ReasonUnreachable)
+	c.links[peer].reconnecting = false
+	if !c.closed && c.rs.state[peer] == linkDown {
+		c.demote(peer, wire.ReasonUnreachable)
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
@@ -1217,22 +1001,17 @@ func (c *Conn) reconnectLoop(peer int) {
 func (c *Conn) FrontierGap() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.frontier <= c.cfg.ResumeRound {
-		return 0
-	}
-	return c.frontier - c.cfg.ResumeRound
+	return c.frontier - c.cfg.ResumeRound // frontier starts at ResumeRound and only rises
 }
 
 // sendRound ships round r: shared to every peer when the round is a
-// broadcast, else each peer its own frame from c.frames. The rejoin tail
-// owns the frames from here. One c.mu section stores them in round r's slot
-// — evicting round r − RejoinWindow, which held it, a shared frame once —
-// and snapshots every link; the writes follow outside c.mu. The frames go in
-// before the writes, so a peer that rejoins while its link is down finds
-// the frame it missed. A peer that is down or silent is skipped, and a
-// write failure drives the link state machine instead of failing the round.
-// Only this goroutine evicts, and replay reads tail frames under c.mu, so
-// neither a write nor a replay can observe a released frame.
+// broadcast, else each peer its own frame from c.frames. One c.mu section
+// stores the frames in round r's tail slot (evicting round r −
+// RejoinWindow, a shared frame once) and snapshots the up links; the writes
+// follow outside c.mu, so a peer that rejoins while its link is down finds
+// the frame it missed. A write failure drives the link state machine
+// instead of failing the round. Only this goroutine evicts, and replay
+// reads tail frames under c.mu, so neither can observe a released frame.
 func (c *Conn) sendRound(r uint64, shared *wire.Frame) {
 	slot := &c.tails[r%uint64(len(c.tails))]
 	c.mu.Lock()
@@ -1243,7 +1022,7 @@ func (c *Conn) sendRound(r uint64, shared *wire.Frame) {
 	}
 	for peer := range c.links {
 		// Close nils every conn, so a closed Conn snapshots no link.
-		if l := &c.links[peer]; l.state == linkUp && l.conn != nil {
+		if l := &c.links[peer]; c.rs.state[peer] == linkUp && l.conn != nil {
 			c.sendTo[peer] = sendTarget{conn: l.conn, gen: l.gen}
 		}
 	}
@@ -1262,13 +1041,11 @@ func (c *Conn) tailFrame(r uint64, peer int) *wire.Frame {
 	return c.tails[r%uint64(len(c.tails))].frame(r, peer)
 }
 
-// write performs one deadline-bounded write on conn of b, one pooled
-// buffer holding that many encoded frames — a round frame, or a replay batch
-// coalesced into one buffer so that the kernel crossing is one syscall
-// however many rounds it carries. The socket's write deadline is re-armed
+// write performs one deadline-bounded write on conn of b, one pooled buffer
+// holding that many encoded frames (a round frame, or a replay batch: one
+// syscall however many rounds it carries). The write deadline is re-armed
 // only once it has drifted by Δ/8, so every write starts with between 7Δ/8
-// and Δ left: a peer that stops reading fails the blocked write, and takes
-// its link down, within Δ.
+// and Δ left: a peer that stops reading takes its link down within Δ.
 func (c *Conn) write(peer int, gen uint64, conn net.Conn, b []byte, frames int) {
 	c.wmu[peer].Lock()
 	var err error
@@ -1326,11 +1103,8 @@ func readHello(conn net.Conn, deadline time.Time) (int, uint64, error) {
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return 0, 0, err
 	}
-	if v > 1<<20 {
-		return 0, 0, fmt.Errorf("tcpnet: absurd peer id %d", v)
-	}
-	if round > maxHelloRound {
-		return 0, 0, fmt.Errorf("tcpnet: absurd hello round %d", round)
+	if v > 1<<20 || round > maxHelloRound {
+		return 0, 0, fmt.Errorf("tcpnet: absurd hello (id %d, round %d)", v, round)
 	}
 	return int(v), round, nil
 }

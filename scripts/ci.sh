@@ -300,6 +300,22 @@ one_path() {
 		echo "one-path: a per-peer sendFrame or a per-peer tail map reappeared in tcpnet; a round is one sendRound into the round-slot ring" >&2
 		exit 1
 	fi
+	# One home for round state. tcpnet's round number, inbox slots, link
+	# states, demotions and its two exact quorum counters (up peers, up
+	# peers that have delivered) live in round.go's roundState, which the
+	# Conn feeds events under its mutex; every demotion to silent is its one
+	# demote event. byRound, a counter or a linkSilent assignment elsewhere
+	# in the package would bring back round state mutated from five methods.
+	rs_other=$(ls internal/tcpnet/*.go | grep -v '_test\.go$' | grep -v '/round\.go$')
+	if grep -nE 'byRound|\.(have|up)\b|^[[:space:]]+(have|up)[[:space:]]+int\b|[^=!<>]=[[:space:]]*linkSilent\b' $rs_other; then
+		echo "one-path: tcpnet round state outside round.go; feed roundState an event instead" >&2
+		exit 1
+	fi
+	silenced=$(grep -cE '[^=!<>]=[[:space:]]*linkSilent\b' internal/tcpnet/round.go || true)
+	if [ "$silenced" -ne 1 ]; then
+		echo "one-path: round.go assigns linkSilent $silenced times, want once (roundState.demote)" >&2
+		exit 1
+	fi
 	# One goroutine per party. A party's RS.ENCODE/RS.DECODE and MT.BUILD
 	# run on its own goroutine: a deployment hosts its parties side by side,
 	# so a fan-out across Ps below the transports competes with them, and the
